@@ -8,7 +8,7 @@
 //!    flags for memory; measure its timing effect at small caps.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use estocada_chase::{pacb_rewrite, ProvChaseConfig, RewriteConfig, RewriteProblem};
+use estocada_chase::{pacb_rewrite, RewriteConfig, RewriteProblem};
 use estocada_pivot::{Cq, CqBuilder, ViewDef};
 use std::time::Duration;
 
@@ -97,10 +97,7 @@ fn bench(c: &mut Criterion) {
         let out = pacb_rewrite(
             &problem,
             &RewriteConfig {
-                prov: ProvChaseConfig {
-                    clause_cap: cap,
-                    ..ProvChaseConfig::default()
-                },
+                clause_cap: cap,
                 ..RewriteConfig::default()
             },
         )

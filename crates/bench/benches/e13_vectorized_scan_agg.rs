@@ -184,10 +184,7 @@ fn timed_tuple(plan: &Plan, reference: &RowBatch) -> Duration {
 
 /// Time one vectorized run; assert (untimed) identity with the reference.
 fn timed_vec(plan: &Plan, bs: usize, reference: &RowBatch) -> Duration {
-    let opts = ExecOptions {
-        vectorized: true,
-        batch_size: bs,
-    };
+    let opts = ExecOptions { batch_size: bs };
     let t0 = Instant::now();
     let (out, _) = execute_with(plan, &opts).expect("vectorized exec");
     let dt = t0.elapsed();
@@ -246,10 +243,7 @@ fn bench(c: &mut Criterion) {
     });
     for bs in BATCH_SIZES {
         group.bench_function(BenchmarkId::new("scan_vectorized", bs), |b| {
-            let opts = ExecOptions {
-                vectorized: true,
-                batch_size: bs,
-            };
+            let opts = ExecOptions { batch_size: bs };
             b.iter(|| {
                 let (out, _) = execute_with(&scan, &opts).expect("exec");
                 assert_eq!(out.rows, scan_ref.rows);
@@ -266,10 +260,7 @@ fn bench(c: &mut Criterion) {
     });
     for bs in BATCH_SIZES {
         group.bench_function(BenchmarkId::new("bindjoin_agg_vectorized", bs), |b| {
-            let opts = ExecOptions {
-                vectorized: true,
-                batch_size: bs,
-            };
+            let opts = ExecOptions { batch_size: bs };
             b.iter(|| {
                 let (out, _) = execute_with(&agg, &opts).expect("exec");
                 assert_eq!(out.rows, agg_ref.rows);

@@ -1,47 +1,65 @@
-//! The standard (restricted) chase over instances with labelled nulls.
+//! The chase: one fixpoint driver, two firing policies.
+//!
+//! PACB is a forward chase followed by a provenance backchase — the *same*
+//! fixpoint computation, differing only in how one trigger fires. The
+//! driver here owns everything the two share: the round loop, the budget
+//! guard, the trigger search, the EGD arm, cache invalidation on null
+//! retirement, and the schedule. The rest is a `FiringPolicy`, a type
+//! parameter of the driver (static dispatch on the per-trigger path):
+//!
+//! - `Restricted` — the standard chase behind [`chase`]. A TGD trigger
+//!   fires only when its conclusion has no image under the trigger's
+//!   frontier binding, inventing fresh nulls; every EGD trigger fires.
+//! - `Skolemized` — the provenance chase behind
+//!   [`crate::pchase::prov_chase`] (see [`mod@crate::pchase`]).
+//!
+//! A run chases a **schedule**: a list of stages, each a subset of the
+//! constraints (by index) taken to fixpoint under its own budget before the
+//! next starts. The whole set is the one-stage schedule; under a
+//! [`TerminationCertificate::Stratified`] verdict the stages are its
+//! strata ([`chase_stratified`]). Constraints are compiled once per run.
 //!
 //! # Semi-naive delta evaluation
 //!
 //! The classic chase loop re-enumerates *every* homomorphism of every
 //! premise each round; at fixpoint the final round does a full search only
-//! to discover nothing changed. This implementation is **semi-naive**: the
-//! instance stamps every fact with the epoch at which it last changed
-//! (insertion, EGD argument rewrite, provenance growth — see
+//! to discover nothing changed. The driver is **semi-naive**: the instance
+//! stamps every fact with the epoch at which it last changed (insertion,
+//! EGD argument rewrite, provenance growth — see
 //! [`crate::instance::Instance::delta_index`]), the loop advances the epoch
-//! once per round, and from the second round on each constraint only
+//! once per round, and from a stage's second round on each constraint only
 //! searches for triggers that involve at least one fact from the previous
-//! round's delta ([`crate::hom::find_homs_delta`]).
+//! round's delta ([`crate::hom::find_homs_delta`]). Provenance *growth*
+//! bumps a fact's epoch too, so a re-derivation whose only effect is a
+//! wider formula still re-triggers downstream constraints — the provenance
+//! fixpoint is the naive loop's.
 //!
 //! # The search/apply phase split
 //!
-//! Each round is an explicit two-phase loop:
-//!
 //! 1. **Search phase (read-only, parallelizable).** Every constraint's
-//!    trigger search runs against the *same frozen* instance — nothing
-//!    mutates between searches — so the per-constraint
-//!    [`find_trigger_homs_in`] calls are independent pure functions of
-//!    `(instance, delta, premise)` and fan out over the shared
+//!    trigger search runs against the *same frozen* instance, so the
+//!    per-constraint [`find_trigger_homs_in`] calls are independent pure
+//!    functions of `(instance, delta, premise)` and fan out over the shared
 //!    [`estocada_parexec`] executor when [`ChaseConfig::search_workers`]
 //!    `> 1`. Each worker holds a private [`HomArena`]; results come back
 //!    in constraint order, so the apply phase sees the identical trigger
 //!    lists at any worker count and the whole run — firing order, invented
-//!    nulls, stats, and `Inconsistent` errors — is bit-identical to the
-//!    one-worker run.
+//!    nulls, Skolem naming, provenance formulas, stats, and `Inconsistent`
+//!    errors — is bit-identical to the one-worker run.
 //! 2. **Apply phase (serial).** Triggers fire in constraint order, then
-//!    trigger order. Every trigger is re-resolved through the union-find
+//!    trigger order. Every binding is re-resolved through the union-find
 //!    at fire time (earlier firings in the same round may have merged
-//!    elements) and TGD applicability is re-probed against the *live*
-//!    instance, so the restricted-chase semantics are unchanged by the
-//!    split: a trigger another constraint satisfied moments earlier still
-//!    does not fire.
+//!    elements) and everything a policy consults — TGD applicability, the
+//!    Skolem table, trigger provenance, the EGD certainty gate — is read
+//!    from the *live* instance, so the split changes no semantics: a
+//!    trigger another constraint satisfied moments earlier still does not
+//!    fire.
 //!
-//! Deferred same-round discoveries (a trigger whose newest fact was created
-//! by an *earlier* constraint in the same round) are picked up in the next
-//! round — trigger searches see the round-start snapshot, and facts created
-//! during the apply phase carry the current round's epoch, putting them in
-//! the next round's delta — so the reached fixpoint is identical to the
-//! interleaved loop's; only the number of rounds may differ, never the
-//! result instance.
+//! A trigger whose newest fact was created by an *earlier* constraint in
+//! the same round is found next round — searches see the round-start
+//! snapshot, and facts created during the apply phase carry the current
+//! epoch, putting them in the next delta — so the fixpoint is the
+//! interleaved loop's; only the number of rounds may differ.
 //!
 //! # The applicability memo
 //!
@@ -59,25 +77,26 @@
 //! (facts only die by deduplication against an identical survivor, and
 //! argument rewriting maps any witness image to its resolved form), so an
 //! entry can only be disturbed by an EGD merge *retiring one of its keyed
-//! elements*. The apply phase therefore drops, after each merge, exactly
-//! the entries whose key mentions the retired null
-//! ([`crate::instance::Instance::merge_retired`]) — the same occurrence-
-//! list pattern the instance uses for incremental normalization. Retired
-//! ids are never re-issued, so stale keys cannot be misread; memoization
+//! elements*. After each merge the driver tells the policy which null was
+//! retired ([`crate::instance::Instance::merge_retired`]) and the memo
+//! drops exactly the entries whose key mentions it — the occurrence-list
+//! pattern the instance uses for incremental normalization. Retired ids
+//! are never re-issued, so stale keys cannot be misread; memoization
 //! changes which probes run, never what fires ([`ChaseStats::core`] is
-//! identical with the memo on or off).
+//! identical with the memo on or off). The provenance chase's Skolem table
+//! is keyed and invalidated the same way.
 
 use crate::hom::{
     find_homs_delta_anchor_in, find_one_hom_in, find_trigger_homs_in, Hom, HomArena, HomConfig,
 };
 use crate::instance::{DeltaIndex, Elem, Inconsistent, Instance};
-use crate::wa::TerminationCertificate;
+use crate::wa::{Stratum, TerminationCertificate};
 use estocada_parexec::Pool;
-use estocada_pivot::{Atom, Constraint, Egd, Symbol, Term, Tgd, Var};
-use std::collections::{HashMap, HashSet};
+use estocada_pivot::{Atom, Constraint, Symbol, Term, Var};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
-/// Resource budget and knobs for a chase run.
+/// Resource budget and knobs for a chase run, of either flavour.
 #[derive(Debug, Clone, Copy)]
 pub struct ChaseConfig {
     /// Maximum number of full rounds over the constraint set.
@@ -99,9 +118,11 @@ pub struct ChaseConfig {
     /// (the differential suites do, so the parallel branch is genuinely
     /// exercised). Identical outcome either way; only latency changes.
     pub search_min_facts: usize,
-    /// Memoize applicability probes across triggers and rounds (see the
-    /// module docs). Elides redundant probes only; never changes the
-    /// result instance or [`ChaseStats::core`].
+    /// Restricted chase: memoize applicability probes across triggers and
+    /// rounds (see the module docs). Provenance chase: index the Skolem
+    /// table by null so EGD merges garbage-collect entries keyed on retired
+    /// nulls, and count Skolem hits/misses in the memo counters. Never
+    /// changes the result instance, errors or [`ChaseStats::core`].
     pub memo: bool,
 }
 
@@ -155,15 +176,17 @@ impl std::error::Error for ChaseError {}
 pub struct ChaseStats {
     /// Rounds until fixpoint.
     pub rounds: usize,
-    /// TGD firings that added facts.
+    /// Restricted chase: TGD triggers that fired. Provenance chase:
+    /// conclusion facts a firing created or widened.
     pub tgd_fires: usize,
     /// EGD firings that merged elements.
     pub egd_merges: usize,
-    /// Applicability probes skipped because the memo had already proven the
-    /// (constraint, frontier image) pair satisfied. 0 when the memo is off.
+    /// Applicability probes (provenance chase: Skolem lookups) answered by
+    /// the memo. 0 when the memo is off.
     pub memo_hits: usize,
-    /// Applicability probes actually run under the memo. 0 when the memo
-    /// is off (probes still run; they just aren't counted against a memo).
+    /// Applicability probes actually run (provenance chase: Skolem images
+    /// invented) under the memo. 0 when the memo is off (the work still
+    /// happens; it just isn't counted against a memo).
     pub memo_misses: usize,
 }
 
@@ -176,6 +199,16 @@ impl ChaseStats {
     /// and differ by construction. Differential suites compare this.
     pub fn core(&self) -> (usize, usize, usize) {
         (self.rounds, self.tgd_fires, self.egd_merges)
+    }
+}
+
+impl std::ops::AddAssign for ChaseStats {
+    fn add_assign(&mut self, s: ChaseStats) {
+        self.rounds += s.rounds;
+        self.tgd_fires += s.tgd_fires;
+        self.egd_merges += s.egd_merges;
+        self.memo_hits += s.memo_hits;
+        self.memo_misses += s.memo_misses;
     }
 }
 
@@ -205,53 +238,8 @@ pub fn chase_with(
     constraints: &[Constraint],
     cfg: &ChaseConfig,
 ) -> Result<ChaseStats, ChaseError> {
-    let mut stats = ChaseStats::default();
-    let mut memo = cfg.memo.then(ApplicabilityMemo::default);
-    // One search pool for the whole run: spawned lazily on the first round
-    // that actually fans out, then reused by every later round (a chase is
-    // a loop of searches — paying a thread spawn/join per round is pure
-    // overhead, most visible on few-core hosts).
-    let mut pool = LazySearchPool::new(cfg.search_workers, search_item_bound(constraints));
-    // Epoch threshold separating "old" facts from the previous round's
-    // delta; `None` = first round, search everything.
-    let mut threshold: Option<u64> = None;
-    loop {
-        if stats.rounds >= cfg.max_rounds {
-            return Err(ChaseError::Budget {
-                rounds: stats.rounds,
-                facts: instance.len(),
-            });
-        }
-        stats.rounds += 1;
-        let round_epoch = instance.advance_epoch();
-        let delta = threshold.map(|t| instance.delta_index(t));
-        // Phase 1: read-only trigger search against the frozen round-start
-        // instance, fanned out over the search workers.
-        let triggers = search_triggers(
-            arena,
-            instance,
-            constraints,
-            cfg.hom,
-            &mut pool,
-            cfg.search_min_facts,
-            delta.as_ref(),
-        );
-        // Phase 2: serial apply in constraint order.
-        let mut changed = false;
-        for (cidx, (c, homs)) in constraints.iter().zip(triggers).enumerate() {
-            changed |= apply_constraint(arena, instance, cidx, c, homs, &mut stats, memo.as_mut())?;
-            if instance.len() > cfg.max_facts {
-                return Err(ChaseError::Budget {
-                    rounds: stats.rounds,
-                    facts: instance.len(),
-                });
-            }
-        }
-        if !changed {
-            return Ok(stats);
-        }
-        threshold = Some(round_epoch);
-    }
+    let policy = &mut Restricted::new(cfg);
+    run_chase(arena, instance, constraints, cfg, None, policy)
 }
 
 /// Run the chase stratum-by-stratum under a termination certificate.
@@ -263,10 +251,13 @@ pub fn chase_with(
 /// *own* certificate ([`ChaseConfig::with_certificate`] consumes the
 /// per-stratum verdict). Later strata never write into relations earlier
 /// strata read (that is what stratification certifies), so earlier
-/// fixpoints survive and the final instance satisfies the whole set.
+/// fixpoints survive and the final instance satisfies the whole set —
+/// provided the seed instance is ground: the certificate's null-flow
+/// analysis only sees TGD-invented nulls, so an EGD it proves inert may
+/// still merge a seed null and re-enable an earlier stratum.
 ///
 /// Any other verdict — including one whose stratum indices do not fit
-/// `constraints` — falls back to a single [`chase_with`] run under
+/// `constraints` — is the one-stage schedule: a single [`chase`] run under
 /// `cfg.with_certificate(cert)`. Stats accumulate across strata.
 pub fn chase_stratified(
     instance: &mut Instance,
@@ -274,135 +265,247 @@ pub fn chase_stratified(
     cfg: &ChaseConfig,
     cert: &TerminationCertificate,
 ) -> Result<ChaseStats, ChaseError> {
-    chase_stratified_with(&mut HomArena::new(), instance, constraints, cfg, cert)
+    let (arena, policy) = (&mut HomArena::new(), &mut Restricted::new(cfg));
+    run_chase(arena, instance, constraints, cfg, Some(cert), policy)
 }
 
-/// [`chase_stratified`] with caller-provided homomorphism scratch, shared
-/// across every stratum's run.
-pub fn chase_stratified_with(
+/// Default of [`ChaseConfig::search_min_facts`] — mirrors pacb's
+/// `PARALLEL_CANDIDATE_THRESHOLD` rationale at the chase-round level.
+pub const SEARCH_PARALLEL_MIN_FACTS: usize = 512;
+
+/// How one trigger fires — the only thing the restricted chase and the
+/// provenance chase disagree on. Called from the serial apply phase.
+pub(crate) trait FiringPolicy {
+    /// Fire TGD trigger `h` of constraint `cidx` against the live instance;
+    /// returns whether the instance changed.
+    fn fire_tgd(
+        &mut self,
+        arena: &mut HomArena,
+        instance: &mut Instance,
+        cidx: usize,
+        tgd: &CompiledTgd<'_>,
+        h: &Hom,
+        stats: &mut ChaseStats,
+    ) -> bool;
+
+    /// Whether EGD trigger `h` may fire, read at fire time.
+    fn egd_fires(&self, instance: &Instance, h: &Hom) -> bool;
+
+    /// An EGD merge retired null `retired`: drop the cache entries keyed on
+    /// it (see the module docs' invalidation rule).
+    fn invalidate_null(&mut self, retired: u32);
+}
+
+/// A conclusion/equality term with its constant pre-interned, keeping the
+/// global constant-table lookup out of the per-trigger path.
+#[derive(Clone, Copy)]
+enum Slot {
+    Const(Elem),
+    Var(Var),
+}
+
+impl Slot {
+    fn compile(t: &Term) -> Slot {
+        match t {
+            Term::Const(v) => Slot::Const(Elem::constant(v)),
+            Term::Var(v) => Slot::Var(*v),
+        }
+    }
+}
+
+/// A TGD compiled for firing. Only the conclusion-relevant bindings matter
+/// once a trigger is found: applicability and Skolem keys constrain exactly
+/// the frontier variables that occur in the conclusion, and firing reads
+/// those plus the existentials — premise-only variables never escape the
+/// trigger.
+pub(crate) struct CompiledTgd<'a> {
+    /// The conclusion atoms (the applicability probe's pattern).
+    pub(crate) conclusion: &'a [Atom],
+    /// The conclusion again, as insertable slots.
+    slots: Vec<(Symbol, Vec<Slot>)>,
+    /// Frontier variables that occur in the conclusion, sorted.
+    pub(crate) frontier: Vec<Var>,
+    /// Existential variables, sorted.
+    pub(crate) existentials: Vec<Var>,
+}
+
+impl CompiledTgd<'_> {
+    /// The conclusion facts under `assignment`, which must bind every
+    /// conclusion-frontier and existential variable.
+    pub(crate) fn conclusion_facts<'s>(
+        &'s self,
+        assignment: &'s HashMap<Var, Elem>,
+    ) -> impl Iterator<Item = (Symbol, Vec<Elem>)> + 's {
+        self.slots.iter().map(|(pred, slots)| {
+            let args = slots.iter().map(|s| match s {
+                Slot::Const(e) => *e,
+                Slot::Var(v) => assignment[v],
+            });
+            (*pred, args.collect())
+        })
+    }
+}
+
+/// What firing a compiled constraint does.
+enum Action<'a> {
+    Tgd(CompiledTgd<'a>),
+    Egd { name: Symbol, equal: (Slot, Slot) },
+}
+
+/// Compile a constraint — once per run — into its premise (for the search
+/// phase) and its action (for the apply phase).
+fn compile(c: &Constraint) -> (&[Atom], Action<'_>) {
+    match c {
+        Constraint::Tgd(t) => {
+            let existentials = t.existentials();
+            let conclusion_vars: BTreeSet<Var> = t.conclusion.iter().flat_map(Atom::vars).collect();
+            let slots = |a: &Atom| (a.pred, a.args.iter().map(Slot::compile).collect());
+            let tgd = CompiledTgd {
+                conclusion: &t.conclusion,
+                slots: t.conclusion.iter().map(slots).collect(),
+                frontier: conclusion_vars.difference(&existentials).copied().collect(),
+                existentials: existentials.into_iter().collect(),
+            };
+            (&t.premise, Action::Tgd(tgd))
+        }
+        Constraint::Egd(e) => {
+            let equal = (Slot::compile(&e.equal.0), Slot::compile(&e.equal.1));
+            let name = e.name;
+            (&e.premise, Action::Egd { name, equal })
+        }
+    }
+}
+
+/// The schedule of a run over `n` constraints, as `(members, budget)`
+/// stages: the strata of a fitting [`TerminationCertificate::Stratified`]
+/// verdict, each under the budget its own certificate leaves; otherwise the
+/// whole set as one stage under `cfg` with `cert` (if any) applied.
+fn schedule(
+    n: usize,
+    cfg: &ChaseConfig,
+    cert: Option<&TerminationCertificate>,
+) -> Vec<(Vec<usize>, ChaseConfig)> {
+    match cert {
+        Some(TerminationCertificate::Stratified { strata })
+            if strata.iter().flat_map(|s| &s.members).all(|&i| i < n) =>
+        {
+            let stage = |s: &Stratum| (s.members.clone(), cfg.with_certificate(&s.certificate));
+            strata.iter().map(stage).collect()
+        }
+        Some(cert) => vec![((0..n).collect(), cfg.with_certificate(cert))],
+        None => vec![((0..n).collect(), *cfg)],
+    }
+}
+
+/// The chase driver: take `constraints` over `instance` to fixpoint, stage
+/// by stage of the schedule `cert` induces (`None` = the whole set under
+/// `cfg`'s budget), firing triggers through `policy`. Stats accumulate
+/// across stages; each stage's budget counts its own rounds.
+pub(crate) fn run_chase<P: FiringPolicy>(
     arena: &mut HomArena,
     instance: &mut Instance,
     constraints: &[Constraint],
     cfg: &ChaseConfig,
-    cert: &TerminationCertificate,
+    cert: Option<&TerminationCertificate>,
+    policy: &mut P,
 ) -> Result<ChaseStats, ChaseError> {
-    let strata = match cert {
-        TerminationCertificate::Stratified { strata }
-            if strata
-                .iter()
-                .flat_map(|s| s.members.iter())
-                .all(|&i| i < constraints.len()) =>
-        {
-            strata
-        }
-        _ => return chase_with(arena, instance, constraints, &cfg.with_certificate(cert)),
-    };
+    let (premises, actions): (Vec<&[Atom]>, Vec<Action>) = constraints.iter().map(compile).unzip();
+    // One search pool for the whole run, spawned lazily by the first round
+    // that actually fans out and reused by every later round (a chase is a
+    // loop of searches — a thread spawn/join per round is pure overhead) —
+    // so a chase whose every round searches inline creates no threads. A
+    // delta round fans out one item per (constraint, premise anchor), which
+    // bounds the useful width.
+    let max_items: usize = premises.iter().map(|p| p.len().max(1)).sum();
+    let workers = cfg.search_workers.clamp(1, max_items.max(1));
+    let mut pool: Option<Pool> = None;
     let mut total = ChaseStats::default();
-    for stratum in strata {
-        let subset: Vec<Constraint> = stratum
-            .members
-            .iter()
-            .map(|&i| constraints[i].clone())
-            .collect();
-        let sub_cfg = cfg.with_certificate(&stratum.certificate);
-        let stats = chase_with(arena, instance, &subset, &sub_cfg)?;
-        total.rounds += stats.rounds;
-        total.tgd_fires += stats.tgd_fires;
-        total.egd_merges += stats.egd_merges;
-        total.memo_hits += stats.memo_hits;
-        total.memo_misses += stats.memo_misses;
+    for (members, budget) in schedule(constraints.len(), cfg, cert) {
+        let stage_premises: Vec<&[Atom]> = members.iter().map(|&i| premises[i]).collect();
+        let mut stats = ChaseStats::default();
+        // Epoch threshold separating "old" facts from the previous round's
+        // delta; `None` = the stage's first round, search everything.
+        let mut threshold: Option<u64> = None;
+        loop {
+            if stats.rounds >= budget.max_rounds {
+                return Err(ChaseError::Budget {
+                    rounds: stats.rounds,
+                    facts: instance.len(),
+                });
+            }
+            stats.rounds += 1;
+            let round_epoch = instance.advance_epoch();
+            let delta = threshold.map(|t| instance.delta_index(t));
+            // Phase 1: read-only trigger search against the frozen
+            // round-start instance, fanned out over the search workers.
+            let triggers = search_triggers(
+                arena,
+                instance,
+                &stage_premises,
+                cfg,
+                workers,
+                &mut pool,
+                delta.as_ref(),
+            );
+            // Phase 2: serial apply in constraint order.
+            let mut changed = false;
+            for (&cidx, homs) in members.iter().zip(triggers) {
+                match &actions[cidx] {
+                    Action::Tgd(tgd) => {
+                        for h in &homs {
+                            changed |= policy.fire_tgd(arena, instance, cidx, tgd, h, &mut stats);
+                        }
+                    }
+                    Action::Egd { name, equal } => {
+                        changed |= apply_egd(instance, *name, equal, &homs, policy, &mut stats)?;
+                    }
+                }
+                if instance.len() > budget.max_facts {
+                    return Err(ChaseError::Budget {
+                        rounds: stats.rounds,
+                        facts: instance.len(),
+                    });
+                }
+            }
+            if !changed {
+                break;
+            }
+            threshold = Some(round_epoch);
+        }
+        total += stats;
     }
     Ok(total)
 }
 
-/// Default of [`ChaseConfig::search_min_facts`] /
-/// [`crate::pchase::ProvChaseConfig::search_min_facts`] — mirrors pacb's
-/// `PARALLEL_CANDIDATE_THRESHOLD` rationale at the chase-round level.
-pub const SEARCH_PARALLEL_MIN_FACTS: usize = 512;
-
-/// The premise whose homomorphisms trigger a constraint.
-pub(crate) fn constraint_premise(c: &Constraint) -> &[Atom] {
-    match c {
-        Constraint::Tgd(t) => &t.premise,
-        Constraint::Egd(e) => &e.premise,
-    }
-}
-
-/// The per-chase trigger-search pool, spawned lazily: a chase whose every
-/// round searches inline (serial config, single constraint, or an instance
-/// that never reaches `search_min_facts`) creates no threads at all, while
-/// the first round that fans out spawns the pool once and every later
-/// round reuses it. Both chase loops hold one of these for the duration of
-/// a run.
-pub(crate) struct LazySearchPool {
-    workers: usize,
-    pool: Option<Pool>,
-}
-
-impl LazySearchPool {
-    /// A pool of up to `workers` threads, capped by `max_items` — the most
-    /// work items one search batch can hold. Delta rounds fan out one item
-    /// per (constraint, premise anchor), so the bound is the total anchor
-    /// count, not the constraint count.
-    pub(crate) fn new(workers: usize, max_items: usize) -> LazySearchPool {
-        LazySearchPool {
-            workers: workers.max(1).min(max_items.max(1)),
-            pool: None,
-        }
-    }
-
-    fn get(&mut self) -> &Pool {
-        let workers = self.workers;
-        self.pool.get_or_insert_with(|| Pool::new(workers))
-    }
-}
-
-/// The most work items one trigger-search batch over `constraints` can
-/// hold: a delta round fans out one item per (constraint, premise anchor).
-/// Sizes the run's [`LazySearchPool`].
-pub(crate) fn search_item_bound(constraints: &[Constraint]) -> usize {
-    constraints
-        .iter()
-        .map(|c| constraint_premise(c).len().max(1))
-        .sum()
-}
-
-/// The read-only search phase shared by both chase loops: enumerate every
-/// constraint's triggers against the frozen instance, in constraint order.
-///
-/// With `workers <= 1`, a single constraint, or an instance below
-/// `min_facts` (see [`ChaseConfig::search_min_facts`]) the searches run
-/// inline on the caller's warmed arena — the serial fast path pays
-/// nothing for the phase machinery. Otherwise the per-constraint searches
-/// fan out over the run's [`LazySearchPool`] (an [`estocada_parexec::Pool`]
-/// spawned once per chase and reused every round), each worker holding a
-/// private [`HomArena`]; the executor reassembles results in item
-/// (= constraint) order, so the returned trigger lists are bit-identical
-/// at any worker count — each search is a pure function of
-/// `(instance, delta, premise)` and nothing mutates the instance while
-/// the phase runs.
-pub(crate) fn search_triggers(
+/// The read-only search phase (see the module docs): enumerate the
+/// triggers of every premise against the frozen instance, in premise
+/// (= constraint) order. With `workers <= 1`, a single premise, or an
+/// instance below [`ChaseConfig::search_min_facts`] the searches run inline
+/// on the caller's warmed arena — the serial fast path pays nothing for the
+/// phase machinery; otherwise they fan out over the run's `pool` (created
+/// on first use), whose fan-in is in item order.
+fn search_triggers(
     arena: &mut HomArena,
     instance: &Instance,
-    constraints: &[Constraint],
-    hom: HomConfig,
-    pool: &mut LazySearchPool,
-    min_facts: usize,
+    premises: &[&[Atom]],
+    cfg: &ChaseConfig,
+    workers: usize,
+    pool: &mut Option<Pool>,
     delta: Option<&DeltaIndex>,
 ) -> Vec<Vec<Hom>> {
-    if pool.workers <= 1 || constraints.len() <= 1 || instance.len() < min_facts {
-        return constraints
+    let hom = cfg.hom;
+    if workers <= 1 || premises.len() <= 1 || instance.len() < cfg.search_min_facts {
+        return premises
             .iter()
-            .map(|c| find_trigger_homs_in(arena, instance, constraint_premise(c), hom, delta))
+            .map(|p| find_trigger_homs_in(arena, instance, p, hom, delta))
             .collect();
     }
+    let pool = pool.get_or_insert_with(|| Pool::new(workers));
     let Some(d) = delta else {
         // First round: one full search per constraint.
-        return pool
-            .get()
-            .map_init(constraints, HomArena::new, |worker_arena, _, c| {
-                find_trigger_homs_in(worker_arena, instance, constraint_premise(c), hom, None)
-            });
+        return pool.map_init(premises, HomArena::new, |worker_arena, _, p| {
+            find_trigger_homs_in(worker_arena, instance, p, hom, None)
+        });
     };
     // Delta rounds fan out one work item per (constraint, premise anchor)
     // with delta facts, not one per constraint: each anchored pass of the
@@ -411,34 +514,31 @@ pub(crate) fn search_triggers(
     // predicate) no longer serializes behind one worker. Anchors with no
     // delta facts are skipped up front — same as the serial loop.
     let mut items: Vec<(usize, usize)> = Vec::new();
-    for (cidx, c) in constraints.iter().enumerate() {
-        let premise = constraint_premise(c);
+    for (pidx, premise) in premises.iter().enumerate() {
         for (anchor, atom) in premise.iter().enumerate() {
             if !d.facts_of(atom.pred).is_empty() {
-                items.push((cidx, anchor));
+                items.push((pidx, anchor));
             }
         }
     }
     let fixed = HashMap::new();
-    let per_item =
-        pool.get()
-            .map_init(&items, HomArena::new, |worker_arena, _, &(cidx, anchor)| {
-                find_homs_delta_anchor_in(
-                    worker_arena,
-                    instance,
-                    constraint_premise(&constraints[cidx]),
-                    &fixed,
-                    hom,
-                    d,
-                    anchor,
-                )
-            });
+    let per_item = pool.map_init(&items, HomArena::new, |worker_arena, _, &(pidx, anchor)| {
+        find_homs_delta_anchor_in(
+            worker_arena,
+            instance,
+            premises[pidx],
+            &fixed,
+            hom,
+            d,
+            anchor,
+        )
+    });
     // Reassemble per constraint in anchor order, truncated to the hom
     // limit — the same homs, in the same order, as the serial
     // early-stopping anchor loop.
-    let mut out: Vec<Vec<Hom>> = vec![Vec::new(); constraints.len()];
-    for (&(cidx, _), homs) in items.iter().zip(per_item) {
-        let dst = &mut out[cidx];
+    let mut out: Vec<Vec<Hom>> = vec![Vec::new(); premises.len()];
+    for (&(pidx, _), homs) in items.iter().zip(per_item) {
+        let dst = &mut out[pidx];
         for h in homs {
             if dst.len() >= hom.limit {
                 break;
@@ -449,245 +549,38 @@ pub(crate) fn search_triggers(
     out
 }
 
-/// Per-run memo of applicability probes already proven satisfied, keyed by
-/// `(constraint index, resolved images of the conclusion-relevant frontier
-/// variables)` — see the module docs for the soundness argument and the
-/// invalidation rule.
-#[derive(Default)]
-pub(crate) struct ApplicabilityMemo {
-    /// constraint index → set of satisfied frontier-image keys (lookups
-    /// borrow the candidate key as a slice — no allocation on a hit).
-    satisfied: HashMap<usize, HashSet<Vec<Elem>>>,
-    /// null id → keys mentioning it, mirroring the instance's `null →
-    /// fact ids` occurrence index: a merge retiring null `n` invalidates
-    /// exactly `occ[n]`.
-    occ: HashMap<u32, Vec<(usize, Vec<Elem>)>>,
-}
-
-/// A cache keyed (in part) on null ids that must drop entries when an EGD
-/// merge retires a null. Implemented by the applicability memo here and by
-/// the provenance chase's Skolem table
-/// ([`crate::pchase::ProvChaseConfig::memo`]) — both mirror the instance's
-/// null-occurrence index, so invalidation is exact, not a flush.
-pub(crate) trait NullInvalidate {
-    /// Drop every cached entry whose key mentions the retired null.
-    fn invalidate_null(&mut self, retired: u32);
-}
-
-impl NullInvalidate for ApplicabilityMemo {
-    fn invalidate_null(&mut self, retired: u32) {
-        ApplicabilityMemo::invalidate_null(self, retired);
-    }
-}
-
-impl ApplicabilityMemo {
-    /// Whether `(cidx, key)` is known satisfied.
-    fn contains(&self, cidx: usize, key: &[Elem]) -> bool {
-        self.satisfied.get(&cidx).is_some_and(|s| s.contains(key))
-    }
-
-    /// Record `(cidx, key)` as satisfied and index its nulls for
-    /// invalidation.
-    fn insert(&mut self, cidx: usize, key: Vec<Elem>) {
-        for e in &key {
-            if let Elem::Null(n) = e {
-                self.occ.entry(*n).or_default().push((cidx, key.clone()));
-            }
-        }
-        self.satisfied.entry(cidx).or_default().insert(key);
-    }
-
-    /// Drop every entry whose key mentions the retired null (no-op when
-    /// none does — constants and surviving nulls never invalidate).
-    fn invalidate_null(&mut self, retired: u32) {
-        let Some(keys) = self.occ.remove(&retired) else {
-            return;
-        };
-        for (cidx, key) in keys {
-            if let Some(s) = self.satisfied.get_mut(&cidx) {
-                s.remove(key.as_slice());
-            }
-        }
-    }
-}
-
-/// The frontier variables that occur in a TGD's conclusion, sorted — the
-/// applicability-probe result depends on exactly these bindings (and the
-/// provenance chase keys its Skolem memo on the same slots).
-pub(crate) fn conclusion_frontier(tgd: &Tgd) -> Vec<Var> {
-    let f = tgd.frontier();
-    let mut used: Vec<Var> = tgd
-        .conclusion
-        .iter()
-        .flat_map(|a| a.vars())
-        .filter(|v| f.contains(v))
-        .collect();
-    used.sort();
-    used.dedup();
-    used
-}
-
-/// A conclusion/equality term with its constant pre-interned. Firing loops
-/// evaluate many homomorphisms per round; compiling once per constraint
-/// keeps the global constant-table lookup out of the per-hom path.
-#[derive(Clone, Copy)]
-pub(crate) enum CompiledTerm {
-    /// A pre-interned constant.
-    Const(Elem),
-    /// A variable, looked up in the trigger assignment at fire time.
-    Var(Var),
-}
-
-impl CompiledTerm {
-    pub(crate) fn compile(t: &Term) -> CompiledTerm {
-        match t {
-            Term::Const(v) => CompiledTerm::Const(Elem::constant(v)),
-            Term::Var(v) => CompiledTerm::Var(*v),
-        }
-    }
-}
-
-/// Fire the pre-searched triggers of one constraint (the serial apply
-/// phase for a single constraint).
-fn apply_constraint(
-    arena: &mut HomArena,
+/// The EGD arm of the apply phase: for each trigger the policy lets fire,
+/// resolve the equality under the live union-find and merge, telling the
+/// policy which null (if any) the merge retired. A constant clash is
+/// rendered with the firing EGD's name and trigger facts (the
+/// `with_trigger` form). Returns whether any merge happened.
+fn apply_egd<P: FiringPolicy>(
     instance: &mut Instance,
-    cidx: usize,
-    c: &Constraint,
-    homs: Vec<Hom>,
+    name: Symbol,
+    equal: &(Slot, Slot),
+    homs: &[Hom],
+    policy: &mut P,
     stats: &mut ChaseStats,
-    mut memo: Option<&mut ApplicabilityMemo>,
 ) -> Result<bool, ChaseError> {
     let mut changed = false;
-    match c {
-        Constraint::Tgd(tgd) => {
-            // Intern the conclusion constants once per constraint, not once
-            // per trigger.
-            let compiled: Vec<(Symbol, Vec<CompiledTerm>)> = tgd
-                .conclusion
-                .iter()
-                .map(|a| (a.pred, a.args.iter().map(CompiledTerm::compile).collect()))
-                .collect();
-            // Only the conclusion-relevant bindings matter from here on:
-            // the applicability probe constrains exactly the frontier
-            // variables that occur in the conclusion, and firing reads
-            // those plus the (fresh-null) existentials — premise-only
-            // variables never escape the trigger.
-            let key_vars: Vec<Var> = conclusion_frontier(tgd);
-            let existentials: Vec<Var> = tgd.existentials().into_iter().collect();
-            let mut key_buf: Vec<Elem> = Vec::with_capacity(key_vars.len());
-            for h in homs {
-                // Re-resolve the trigger under the live union-find
-                // (earlier firings this round may have merged elements).
-                key_buf.clear();
-                key_buf.extend(key_vars.iter().map(|v| instance.resolve(&h.map[v])));
-                if let Some(m) = memo.as_deref_mut() {
-                    // A hit skips the probe *and* the per-trigger
-                    // assignment build — the whole remaining cost.
-                    if m.contains(cidx, &key_buf) {
-                        stats.memo_hits += 1;
-                        continue;
-                    }
-                    stats.memo_misses += 1;
-                }
-                let fixed: HashMap<Var, Elem> = key_vars
-                    .iter()
-                    .copied()
-                    .zip(key_buf.iter().copied())
-                    .collect();
-                if find_one_hom_in(arena, instance, &tgd.conclusion, &fixed).is_some() {
-                    if let Some(m) = memo.as_deref_mut() {
-                        m.insert(cidx, key_buf.clone());
-                    }
-                    continue;
-                }
-                // Fire: fresh nulls for existential variables.
-                let mut assignment = fixed;
-                for v in &existentials {
-                    let n = instance.fresh_null();
-                    assignment.insert(*v, n);
-                }
-                for (pred, slots) in &compiled {
-                    let args: Vec<Elem> = slots
-                        .iter()
-                        .map(|s| match s {
-                            CompiledTerm::Const(e) => *e,
-                            CompiledTerm::Var(v) => assignment
-                                .get(v)
-                                .copied()
-                                .expect("conclusion variable neither frontier nor existential"),
-                        })
-                        .collect();
-                    let (_, new) = instance.insert(*pred, args);
-                    changed |= new;
-                }
-                // The firing itself satisfies the conclusion under this
-                // frontier image: memoize it so later triggers sharing the
-                // key skip their probe entirely.
-                if let Some(m) = memo.as_deref_mut() {
-                    m.insert(cidx, key_buf.clone());
-                }
-                stats.tgd_fires += 1;
-            }
-        }
-        Constraint::Egd(egd) => {
-            apply_egd_homs(
-                instance,
-                egd,
-                &homs,
-                |_, _| true,
-                stats,
-                &mut changed,
-                memo.map(|m| m as &mut dyn NullInvalidate),
-            )?;
-        }
-    }
-    Ok(changed)
-}
-
-/// The EGD apply loop shared verbatim by both chase loops: resolve each
-/// trigger's equality under the live union-find, merge, and render any
-/// constant clash with the firing EGD's name and trigger facts (the
-/// `with_trigger` form). `fire` gates each trigger against the live
-/// instance — the provenance chase passes its certain-provenance filter,
-/// the plain chase fires everything. A merge that retires a null
-/// invalidates the applicability memo's entries keyed on it.
-pub(crate) fn apply_egd_homs(
-    instance: &mut Instance,
-    egd: &Egd,
-    homs: &[Hom],
-    fire: impl Fn(&Instance, &Hom) -> bool,
-    stats: &mut ChaseStats,
-    changed: &mut bool,
-    mut memo: Option<&mut dyn NullInvalidate>,
-) -> Result<(), ChaseError> {
-    let equal = (
-        CompiledTerm::compile(&egd.equal.0),
-        CompiledTerm::compile(&egd.equal.1),
-    );
     for h in homs {
-        if !fire(instance, h) {
+        if !policy.egd_fires(instance, h) {
             continue;
         }
-        let resolve_term = |ct: &CompiledTerm, inst: &Instance| -> Elem {
-            match ct {
-                CompiledTerm::Const(e) => *e,
-                CompiledTerm::Var(v) => inst.resolve(
-                    h.map
-                        .get(v)
-                        .expect("EGD equality variable must occur in premise"),
-                ),
-            }
+        let resolve = |s: &Slot| match s {
+            Slot::Const(e) => *e,
+            Slot::Var(v) => instance.resolve(
+                h.map
+                    .get(v)
+                    .expect("EGD equality variable must occur in premise"),
+            ),
         };
-        let a = resolve_term(&equal.0, instance);
-        let b = resolve_term(&equal.1, instance);
+        let (a, b) = (resolve(&equal.0), resolve(&equal.1));
         match instance.merge_retired(&a, &b) {
             Ok(Some(retired)) => {
-                if let Some(m) = memo.as_deref_mut() {
-                    m.invalidate_null(retired);
-                }
+                policy.invalidate_null(retired);
                 stats.egd_merges += 1;
-                *changed = true;
+                changed = true;
             }
             Ok(None) => {}
             Err(e) => {
@@ -698,17 +591,138 @@ pub(crate) fn apply_egd_homs(
                     .iter()
                     .map(|fid| instance.format_fact(*fid))
                     .collect();
-                return Err(ChaseError::Inconsistent(e.with_trigger(egd.name, trigger)));
+                return Err(ChaseError::Inconsistent(e.with_trigger(name, trigger)));
             }
         }
     }
-    Ok(())
+    Ok(changed)
+}
+
+/// The restricted-chase firing policy: probe applicability (through the
+/// memo when [`ChaseConfig::memo`] is on), then fire with fresh nulls.
+pub(crate) struct Restricted {
+    /// `(constraint, frontier images)` pairs proven satisfied.
+    memo: Option<FrontierCache<()>>,
+    /// Scratch for the current trigger's memo key.
+    key: Vec<Elem>,
+}
+
+impl Restricted {
+    fn new(cfg: &ChaseConfig) -> Restricted {
+        Restricted {
+            memo: cfg.memo.then(|| FrontierCache::new(true)),
+            key: Vec::new(),
+        }
+    }
+}
+
+impl FiringPolicy for Restricted {
+    fn fire_tgd(
+        &mut self,
+        arena: &mut HomArena,
+        instance: &mut Instance,
+        cidx: usize,
+        tgd: &CompiledTgd<'_>,
+        h: &Hom,
+        stats: &mut ChaseStats,
+    ) -> bool {
+        // Re-resolve the trigger under the live union-find (earlier
+        // firings this round may have merged elements).
+        let resolved = tgd.frontier.iter().map(|v| instance.resolve(&h.map[v]));
+        self.key.clear();
+        self.key.extend(resolved);
+        if let Some(m) = &self.memo {
+            // A hit skips the probe *and* the per-trigger assignment
+            // build — the whole remaining cost.
+            if m.get(cidx, &self.key).is_some() {
+                stats.memo_hits += 1;
+                return false;
+            }
+            stats.memo_misses += 1;
+        }
+        let images = self.key.iter().copied();
+        let mut assignment: HashMap<Var, Elem> = tgd.frontier.iter().copied().zip(images).collect();
+        let mut changed = false;
+        if find_one_hom_in(arena, instance, tgd.conclusion, &assignment).is_none() {
+            // Fire: fresh nulls for existential variables.
+            for v in &tgd.existentials {
+                assignment.insert(*v, instance.fresh_null());
+            }
+            for (pred, args) in tgd.conclusion_facts(&assignment) {
+                changed |= instance.insert(pred, args).1;
+            }
+            stats.tgd_fires += 1;
+        }
+        // Satisfied now, by the probe's witness or by the firing itself:
+        // later triggers sharing the key skip their probe entirely.
+        if let Some(m) = &mut self.memo {
+            m.insert(cidx, self.key.clone(), ());
+        }
+        changed
+    }
+
+    fn egd_fires(&self, _: &Instance, _: &Hom) -> bool {
+        true
+    }
+
+    fn invalidate_null(&mut self, retired: u32) {
+        if let Some(m) = &mut self.memo {
+            m.invalidate_null(retired);
+        }
+    }
+}
+
+/// A per-run cache keyed by `(constraint index, resolved conclusion-frontier
+/// images)` — the applicability memo's and the Skolem table's shape — with
+/// the module docs' occurrence-indexed invalidation.
+pub(crate) struct FrontierCache<V> {
+    /// constraint index → frontier images → value (lookups borrow the
+    /// candidate key as a slice — no allocation on a hit).
+    map: HashMap<usize, HashMap<Vec<Elem>, V>>,
+    /// null id → keys mentioning it, mirroring the instance's `null →
+    /// fact ids` occurrence index: a merge retiring null `n` invalidates
+    /// exactly `occ[n]`. Empty when not `indexed`: entries never die.
+    occ: HashMap<u32, Vec<(usize, Vec<Elem>)>>,
+    indexed: bool,
+}
+
+impl<V> FrontierCache<V> {
+    pub(crate) fn new(indexed: bool) -> FrontierCache<V> {
+        FrontierCache {
+            map: HashMap::new(),
+            occ: HashMap::new(),
+            indexed,
+        }
+    }
+
+    pub(crate) fn get(&self, cidx: usize, key: &[Elem]) -> Option<&V> {
+        self.map.get(&cidx)?.get(key)
+    }
+
+    pub(crate) fn insert(&mut self, cidx: usize, key: Vec<Elem>, value: V) {
+        if self.indexed {
+            for n in key.iter().filter_map(Elem::as_null) {
+                self.occ.entry(n).or_default().push((cidx, key.clone()));
+            }
+        }
+        self.map.entry(cidx).or_default().insert(key, value);
+    }
+
+    /// Drop every entry whose key mentions the retired null (no-op when
+    /// none does — constants and surviving nulls never invalidate).
+    pub(crate) fn invalidate_null(&mut self, retired: u32) {
+        for (cidx, key) in self.occ.remove(&retired).unwrap_or_default() {
+            if let Some(m) = self.map.get_mut(&cidx) {
+                m.remove(key.as_slice());
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use estocada_pivot::{Atom, Egd, Symbol, Tgd};
+    use estocada_pivot::{Egd, Tgd};
 
     fn sym(s: &str) -> Symbol {
         Symbol::intern(s)
@@ -1072,24 +1086,13 @@ mod tests {
         assert_eq!(i.facts_of(sym("S")).count(), 1);
     }
 
-    /// t: A(x) → ∃y B(x,y); e: B(x,y) ∧ A(x) → y = x — certifies
-    /// `Stratified` ([t] before [e]), and the chase pins every invented
-    /// null to its row key.
+    /// feed: A(x) → ∃y B(x,y); pin: B(x,y) ∧ A(x) → y = x — certifies
+    /// `Stratified` ([feed] before [pin]), and the chase pins every
+    /// invented null to its row key.
     fn stratified_set() -> Vec<Constraint> {
-        let t = Tgd::new(
-            "t",
-            vec![Atom::new("A", vec![Term::var(0)])],
-            vec![Atom::new("B", vec![Term::var(0), Term::var(1)])],
-        );
-        let e = Egd::new(
-            "e",
-            vec![
-                Atom::new("B", vec![Term::var(0), Term::var(1)]),
-                Atom::new("A", vec![Term::var(0)]),
-            ],
-            (Term::var(1), Term::var(0)),
-        );
-        vec![t.into(), e.into()]
+        let a = Atom::new("A", vec![Term::var(0)]);
+        let b = Atom::new("B", vec![Term::var(0), Term::var(1)]);
+        crate::testkit::feed_and_pin("", a, b).into()
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! variable-interning map). Arenas are deliberately **not** shared: each
 //! holds the mutable search state of exactly one search at a time, so
 //! parallel callers (the candidate-verification pool of the parallel
-//! backchase, and the read-only trigger-search phase both chase loops fan
+//! backchase, and the read-only trigger-search phase the chase driver fans
 //! out each round — see the phase-split contract in [`mod@crate::chase`]) give
 //! every worker thread its own arena and the searches proceed without any
 //! synchronization. The `*_in` entry points ([`find_homs_in`],
@@ -564,18 +564,9 @@ pub fn find_homs_delta_anchor_in(
     results
 }
 
-/// Trigger enumeration shared by both chase loops: full search when `delta`
-/// is `None` (first round), delta-restricted search otherwise.
-pub fn find_trigger_homs(
-    instance: &Instance,
-    atoms: &[Atom],
-    cfg: HomConfig,
-    delta: Option<&DeltaIndex>,
-) -> Vec<Hom> {
-    find_trigger_homs_in(&mut HomArena::new(), instance, atoms, cfg, delta)
-}
-
-/// [`find_trigger_homs`] with caller-provided scratch.
+/// The chase driver's trigger enumeration, on caller-provided scratch: full
+/// search when `delta` is `None` (first round), delta-restricted search
+/// otherwise.
 pub fn find_trigger_homs_in(
     arena: &mut HomArena,
     instance: &Instance,

@@ -14,20 +14,20 @@
 //! pointer-halving union-find and a null-occurrence index (O(touched
 //! posting lists) per merge — see [`instance`]), homomorphism search runs
 //! on dense compact-id scratch bindings over borrowing positional indexes
-//! (see [`hom`]), and both chase loops evaluate semi-naively — after the
-//! first round only triggers touching the previous round's delta facts are
-//! searched (see [`mod@chase`] and [`instance::Instance::delta_index`]).
-//! Search scratch lives in reusable, thread-confined [`hom::HomArena`]s,
-//! and PACB's per-candidate verification chases fan out over a scoped
-//! worker pool with a deterministic fan-in
-//! ([`pacb::RewriteConfig::parallelism`]; the outcome is identical at any
-//! worker count — see the [`pacb`] module docs). Both chase loops split
-//! every round into a read-only trigger-search phase — fanned out over
-//! [`chase::ChaseConfig::search_workers`] /
-//! [`pchase::ProvChaseConfig::search_workers`] workers, bit-identical at
-//! any count — and a serial apply phase, and the restricted chase
-//! memoizes applicability probes per (constraint, frontier image) with
-//! precise merge-driven invalidation (see the [`mod@chase`] module docs).
+//! (see [`hom`]). The standard chase and the provenance chase are one
+//! driver under two firing policies (see [`mod@chase`] and [`pchase`]): it
+//! evaluates semi-naively — after the first round only triggers touching
+//! the previous round's delta facts are searched
+//! ([`instance::Instance::delta_index`]) — and splits every round into a
+//! read-only trigger-search phase, fanned out over
+//! [`chase::ChaseConfig::search_workers`] workers and bit-identical at any
+//! count, and a serial apply phase; the restricted policy memoizes
+//! applicability probes per (constraint, frontier image) with precise
+//! merge-driven invalidation. Search scratch lives in reusable,
+//! thread-confined [`hom::HomArena`]s, and PACB's per-candidate
+//! verification chases fan out over a scoped worker pool with a
+//! deterministic fan-in ([`pacb::RewriteConfig::parallelism`]; the outcome
+//! is identical at any worker count — see the [`pacb`] module docs).
 
 #![warn(missing_docs)]
 
@@ -43,9 +43,7 @@ pub mod prov;
 pub mod testkit;
 pub mod wa;
 
-pub use chase::{
-    chase, chase_stratified, chase_stratified_with, chase_with, ChaseConfig, ChaseError, ChaseStats,
-};
+pub use chase::{chase, chase_stratified, chase_with, ChaseConfig, ChaseError, ChaseStats};
 pub use containment::{
     canonical_instance, contained_in, contained_in_with, equivalent, implies, implies_with,
     minimize, premise_unsatisfiable,
@@ -60,10 +58,7 @@ pub use pacb::{
     pacb_rewrite, CandidateStats, RewriteConfig, RewriteError, RewriteOutcome, RewriteProblem,
     RewriteStats,
 };
-pub use pchase::{
-    prov_chase, prov_chase_stratified, prov_chase_stratified_with, prov_chase_with,
-    ProvChaseConfig, ProvChaseStats,
-};
+pub use pchase::{prov_chase, prov_chase_stratified, prov_chase_with, ProvChaseStats};
 pub use prov::Dnf;
 pub use wa::{
     certify, stratify, weakly_acyclic, Pos, PositionGraph, Stratum, TerminationCertificate,

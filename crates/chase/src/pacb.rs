@@ -57,10 +57,9 @@
 //! skip the pool entirely: spawning threads there costs more than the
 //! checks themselves, and the outcome is the same either way.
 //!
-//! Orthogonally, the *inner* chase loops (the forward chase and the
-//! provenance backchase, both on the coordinator) parallelize their
-//! per-round trigger-search phase through
-//! [`ChaseConfig::search_workers`] / [`ProvChaseConfig::search_workers`]
+//! Orthogonally, the *inner* chases (the forward chase and the provenance
+//! backchase, both on the coordinator) parallelize their per-round
+//! trigger-search phase through [`ChaseConfig::search_workers`]
 //! (see the phase-split contract in [`mod@crate::chase`]); inside the
 //! candidate-verification workers the search phase is forced serial —
 //! the candidate fan-out already owns the cores. Neither knob affects the
@@ -82,7 +81,7 @@ use crate::chase::{chase_with, ChaseConfig, ChaseError, ChaseStats};
 use crate::containment::{canonical_instance, contained_in_with};
 use crate::hom::{find_homs_in, HomArena, HomConfig};
 use crate::instance::{Elem, Instance};
-use crate::pchase::{prov_chase_with, ProvChaseConfig, ProvChaseStats};
+use crate::pchase::{prov_chase_with, ProvChaseStats};
 use crate::prov::Dnf;
 use estocada_parexec::scoped_map_init;
 use estocada_pivot::{AccessMap, Atom, Constraint, Cq, Symbol, Term, Var, ViewDef};
@@ -135,10 +134,13 @@ impl RewriteProblem {
 /// Knobs for the rewriting algorithms.
 #[derive(Debug, Clone, Copy)]
 pub struct RewriteConfig {
-    /// Budget of the (plain) chase phases.
+    /// Budget and knobs of every chase: the forward chase, the provenance
+    /// backchase and the containment chases of candidate verification.
     pub chase: ChaseConfig,
-    /// Budget of the provenance chase (backchase).
-    pub prov: ProvChaseConfig,
+    /// Cap on the number of DNF clauses kept per provenance formula in the
+    /// backchase; beyond it the smallest clauses win and the outcome is
+    /// flagged incomplete.
+    pub clause_cap: usize,
     /// Cap on the number of query images collected in the backchase.
     pub max_images: usize,
     /// Re-verify every candidate by a chase-based containment check.
@@ -153,7 +155,7 @@ impl Default for RewriteConfig {
     fn default() -> Self {
         RewriteConfig {
             chase: ChaseConfig::default(),
-            prov: ProvChaseConfig::default(),
+            clause_cap: 2_048,
             max_images: 10_000,
             verify: true,
             parallelism: 1,
@@ -170,22 +172,13 @@ impl RewriteConfig {
         }
     }
 
-    /// This config with `workers` trigger-search workers in both inner
-    /// chase loops (the forward chase and the provenance backchase — see
-    /// the phase-split contract in [`mod@crate::chase`]). Any value yields the
+    /// This config with `workers` trigger-search workers in the inner
+    /// chases (the forward chase and the provenance backchase — see the
+    /// phase-split contract in [`mod@crate::chase`]). Any value yields the
     /// identical [`RewriteOutcome`].
-    pub fn with_chase_parallelism(self, workers: usize) -> RewriteConfig {
-        RewriteConfig {
-            chase: ChaseConfig {
-                search_workers: workers,
-                ..self.chase
-            },
-            prov: ProvChaseConfig {
-                search_workers: workers,
-                ..self.prov
-            },
-            ..self
-        }
+    pub fn with_chase_parallelism(mut self, workers: usize) -> RewriteConfig {
+        self.chase.search_workers = workers;
+        self
     }
 }
 
@@ -466,7 +459,13 @@ pub fn pacb_rewrite(
         .collect();
     back_constraints.extend(problem.source_constraints.iter().cloned());
     back_constraints.extend(problem.target_constraints.iter().cloned());
-    let pstats = prov_chase_with(&mut arena, &mut inst, &back_constraints, &cfg.prov)?;
+    let pstats = prov_chase_with(
+        &mut arena,
+        &mut inst,
+        &back_constraints,
+        &cfg.chase,
+        cfg.clause_cap,
+    )?;
     stats.backward = pstats;
     let mut complete = !pstats.truncated;
 
@@ -509,14 +508,14 @@ pub fn pacb_rewrite(
             if !seen.insert(*fid) {
                 continue;
             }
-            let (next, trunc) = conj.and(&inst.fact(*fid).prov, cfg.prov.clause_cap);
+            let (next, trunc) = conj.and(&inst.fact(*fid).prov, cfg.clause_cap);
             conj = next;
             if trunc {
                 complete = false;
             }
         }
         total.or_assign(&conj);
-        if total.truncate(cfg.prov.clause_cap) {
+        if total.truncate(cfg.clause_cap) {
             complete = false;
         }
     }
@@ -573,13 +572,7 @@ pub fn pacb_rewrite(
         // a per-round trigger-search pool in every worker would multiply
         // thread counts without adding parallel work. The outcome is
         // identical either way (search workers never affect results).
-        let worker_cfg = RewriteConfig {
-            chase: ChaseConfig {
-                search_workers: 1,
-                ..cfg.chase
-            },
-            ..*cfg
-        };
+        let worker_cfg = cfg.with_chase_parallelism(1);
         scoped_map_init(workers, &candidates, HomArena::new, |worker_arena, _, c| {
             check(worker_arena, c, &worker_cfg)
         })

@@ -1,6 +1,8 @@
 //! The provenance-aware chase: the engine of the PACB backchase.
 //!
-//! Differences from the standard chase:
+//! The same driver as the standard chase ([`mod@crate::chase`] — round
+//! loop, semi-naive search, phase split, schedule, budgets), run under the
+//! `Skolemized` firing policy:
 //!
 //! - every fact carries a monotone-DNF provenance formula over the
 //!   provenance variables of the initial (universal-plan) facts;
@@ -14,154 +16,102 @@
 //!   every subset). This is a *conservative* treatment: it can only lose
 //!   candidate rewritings, never fabricate them, and PACB verifies every
 //!   candidate before reporting it (see `pacb` module docs).
-//!
-//! Like the standard chase, the loop is **semi-naive**: after the first
-//! round only triggers touching the previous round's delta are searched
-//! ([`crate::hom::find_homs_delta`]). Because provenance *growth* also
-//! bumps a fact's change epoch (see
-//! [`crate::instance::Instance::insert_with_prov`]), re-derivations whose
-//! only effect is a wider provenance formula still re-trigger downstream
-//! constraints — the provenance fixpoint is reached exactly as in the naive
-//! loop.
-//!
-//! # The search/apply phase split
-//!
-//! Each round follows the same two-phase contract as the standard chase
-//! (see [`mod@crate::chase`]): a **read-only search phase** enumerates every
-//! constraint's triggers against the frozen round-start instance — fanned
-//! out over [`ProvChaseConfig::search_workers`] workers, each with a
-//! private [`HomArena`], results reassembled in constraint order — then a
-//! **serial apply phase** fires them in constraint order. Firing
-//! re-resolves every binding under the live union-find and re-reads live
-//! provenance (the Skolem memo, the trigger-conjunction build, and the
-//! EGD certainty filter all consult the instance at fire time), so the
-//! run — firing order, Skolem naming, provenance formulas, stats, and
-//! `Inconsistent` errors — is bit-identical at any worker count.
-//! Same-round discoveries deferred by the split land in the next round's
-//! delta; the provenance fixpoint reached is the naive loop's.
 
 use crate::chase::{
-    apply_egd_homs, conclusion_frontier, search_item_bound, search_triggers, ChaseError,
-    ChaseStats, CompiledTerm, LazySearchPool, NullInvalidate,
+    run_chase, ChaseConfig, ChaseError, ChaseStats, CompiledTgd, FiringPolicy, FrontierCache,
 };
-use crate::hom::{HomArena, HomConfig};
+use crate::hom::{Hom, HomArena};
 use crate::instance::{Elem, Instance};
 use crate::prov::Dnf;
 use crate::wa::TerminationCertificate;
-use estocada_pivot::{Constraint, Symbol, Var};
+use estocada_pivot::{Constraint, Var};
 use std::collections::HashMap;
 
-/// Budget and knobs of a provenance chase run.
-#[derive(Debug, Clone, Copy)]
-pub struct ProvChaseConfig {
-    /// Maximum full rounds over the constraint set.
-    pub max_rounds: usize,
-    /// Maximum fact count.
-    pub max_facts: usize,
+/// The provenance-chase firing policy (see the module docs).
+struct Skolemized {
+    /// The Skolem table: `(constraint, resolved frontier images) →
+    /// existential images`. An EGD merge retiring null `n` drops exactly
+    /// the entries whose *key* mentions `n` — those keys are unreachable
+    /// forever (lookup keys are resolved under the live union-find, which
+    /// never returns a retired id), so invalidation is pure garbage
+    /// collection and cannot change which Skolem images a trigger sees.
+    /// Stored *values* may mention retired nulls; they are re-resolved at
+    /// every lookup, so they stay correct without indexing.
+    skolems: FrontierCache<Vec<Elem>>,
+    /// [`ChaseConfig::memo`]: the table is indexed for invalidation and
+    /// its hits/misses are counted.
+    memo: bool,
     /// Cap on the number of DNF clauses kept per fact; beyond it the
     /// smallest clauses win and the run is flagged truncated.
-    pub clause_cap: usize,
-    /// Homomorphism search knobs.
-    pub hom: HomConfig,
-    /// Worker threads for the read-only trigger-search phase (`<= 1` =
-    /// serial). Any value produces a bit-identical provenance chase — see
-    /// the module docs' phase-split contract.
-    pub search_workers: usize,
-    /// Minimum alive-fact count before the search phase actually fans out
-    /// — see [`crate::chase::ChaseConfig::search_min_facts`].
-    pub search_min_facts: usize,
-    /// Maintain the Skolem table's null-occurrence index so EGD merges
-    /// invalidate (garbage-collect) entries keyed on retired nulls, and
-    /// count Skolem hits/misses in the memo counters — the PR 4
-    /// applicability-memo discipline extended to the provenance chase.
-    /// Resolved lookup keys never mention a retired null, so the setting
-    /// cannot change which Skolem images a trigger sees: core stats,
-    /// instances and errors are identical either way.
-    pub memo: bool,
+    clause_cap: usize,
+    truncated: bool,
 }
 
-impl Default for ProvChaseConfig {
-    fn default() -> Self {
-        ProvChaseConfig {
-            max_rounds: 2_000,
-            max_facts: 200_000,
-            clause_cap: 2_048,
-            hom: HomConfig::default(),
-            search_workers: 1,
-            search_min_facts: crate::chase::SEARCH_PARALLEL_MIN_FACTS,
-            memo: true,
+impl FiringPolicy for Skolemized {
+    fn fire_tgd(
+        &mut self,
+        _: &mut HomArena,
+        instance: &mut Instance,
+        cidx: usize,
+        tgd: &CompiledTgd<'_>,
+        h: &Hom,
+        stats: &mut ChaseStats,
+    ) -> bool {
+        // Trigger provenance: conjunction over premise facts.
+        let mut trigger = Dnf::tru();
+        for fid in &h.fact_ids {
+            let (next, trunc) = trigger.and(&instance.fact(*fid).prov, self.clause_cap);
+            trigger = next;
+            self.truncated |= trunc;
         }
-    }
-}
-
-impl ProvChaseConfig {
-    /// Copy of this configuration with the round/fact budgets lifted to
-    /// effectively-unbounded when `cert` guarantees termination; returned
-    /// unchanged otherwise. The provenance-chase analogue of
-    /// [`crate::chase::ChaseConfig::with_certificate`].
-    pub fn with_certificate(&self, cert: &TerminationCertificate) -> ProvChaseConfig {
-        let mut cfg = *self;
-        if cert.guarantees_termination() {
-            cfg.max_rounds = usize::MAX;
-            cfg.max_facts = usize::MAX;
+        if trigger.is_false() {
+            return false;
         }
-        cfg
-    }
-}
-
-/// The provenance chase's Skolem memo: `(constraint index, resolved
-/// frontier images) → existential images`, with the same
-/// occurrence-indexed invalidation as the standard chase's applicability
-/// memo. An EGD merge retiring null `n` drops exactly the entries whose
-/// *key* mentions `n` — those keys are unreachable forever (lookup keys
-/// are resolved under the live union-find, which never returns a retired
-/// id), so invalidation is pure garbage collection and provably
-/// behaviour-neutral. Stored *values* may mention retired nulls; they are
-/// re-resolved at every lookup, so they stay correct without indexing.
-struct SkolemTable {
-    map: HashMap<(usize, Vec<Elem>), Vec<Elem>>,
-    /// null id → keys mentioning it (maintained only when `track`).
-    occ: HashMap<u32, Vec<(usize, Vec<Elem>)>>,
-    /// Whether to maintain `occ` ([`ProvChaseConfig::memo`]).
-    track: bool,
-}
-
-impl SkolemTable {
-    fn new(track: bool) -> SkolemTable {
-        SkolemTable {
-            map: HashMap::new(),
-            occ: HashMap::new(),
-            track,
-        }
-    }
-
-    fn get(&self, key: &(usize, Vec<Elem>)) -> Option<&Vec<Elem>> {
-        self.map.get(key)
-    }
-
-    fn insert(&mut self, key: (usize, Vec<Elem>), value: Vec<Elem>) {
-        if self.track {
-            for e in &key.1 {
-                if let Elem::Null(n) = e {
-                    self.occ.entry(*n).or_default().push(key.clone());
-                }
+        let (frontier, existentials) = (&tgd.frontier, &tgd.existentials);
+        let key: Vec<Elem> = frontier
+            .iter()
+            .map(|v| instance.resolve(&h.map[v]))
+            .collect();
+        // Resolve Skolem images for the existentials.
+        let exist_elems: Vec<Elem> = match self.skolems.get(cidx, &key) {
+            Some(es) => {
+                stats.memo_hits += usize::from(self.memo);
+                es.iter().map(|e| instance.resolve(e)).collect()
+            }
+            None => {
+                stats.memo_misses += usize::from(self.memo);
+                let es: Vec<Elem> = existentials.iter().map(|_| instance.fresh_null()).collect();
+                self.skolems.insert(cidx, key.clone(), es.clone());
+                es
+            }
+        };
+        let bound = frontier.iter().copied().zip(key);
+        let invented = existentials.iter().copied().zip(exist_elems);
+        let assignment: HashMap<Var, Elem> = bound.chain(invented).collect();
+        let mut changed = false;
+        for (pred, args) in tgd.conclusion_facts(&assignment) {
+            if instance.insert_with_prov(pred, args, trigger.clone()).1 {
+                stats.tgd_fires += 1;
+                changed = true;
             }
         }
-        self.map.insert(key, value);
+        changed
     }
-}
 
-impl NullInvalidate for SkolemTable {
+    /// Conservative: only fire with certain (⊤) trigger provenance, read at
+    /// fire time. A trigger fact killed by an earlier same-round dedup
+    /// still shows its pre-join (narrower) formula here — the survivor's
+    /// widened formula bumps its epoch, so the skipped merge is re-searched
+    /// and fires next round; the fixpoint is unchanged and stays
+    /// bit-identical at any worker count.
+    fn egd_fires(&self, instance: &Instance, h: &Hom) -> bool {
+        h.fact_ids
+            .iter()
+            .all(|fid| instance.fact(*fid).prov.is_true())
+    }
+
     fn invalidate_null(&mut self, retired: u32) {
-        if !self.track {
-            return;
-        }
-        let Some(keys) = self.occ.remove(&retired) else {
-            return;
-        };
-        for key in keys {
-            self.map.remove(&key);
-        }
+        self.skolems.invalidate_null(retired);
     }
 }
 
@@ -175,13 +125,15 @@ pub struct ProvChaseStats {
     pub truncated: bool,
 }
 
-/// Run the provenance-aware chase to (provenance) fixpoint.
+/// Run the provenance-aware chase to (provenance) fixpoint, keeping at
+/// most `clause_cap` DNF clauses per fact.
 pub fn prov_chase(
     instance: &mut Instance,
     constraints: &[Constraint],
-    cfg: &ProvChaseConfig,
+    cfg: &ChaseConfig,
+    clause_cap: usize,
 ) -> Result<ProvChaseStats, ChaseError> {
-    prov_chase_with(&mut HomArena::new(), instance, constraints, cfg)
+    prov_chase_with(&mut HomArena::new(), instance, constraints, cfg, clause_cap)
 }
 
 /// [`prov_chase`] with caller-provided homomorphism scratch.
@@ -189,208 +141,53 @@ pub fn prov_chase_with(
     arena: &mut HomArena,
     instance: &mut Instance,
     constraints: &[Constraint],
-    cfg: &ProvChaseConfig,
+    cfg: &ChaseConfig,
+    clause_cap: usize,
 ) -> Result<ProvChaseStats, ChaseError> {
-    let mut stats = ProvChaseStats::default();
-    // Skolem memo: (constraint index, frontier images) → existential images.
-    let mut skolems = SkolemTable::new(cfg.memo);
-    // One search pool for the whole run, spawned lazily on the first round
-    // that fans out and reused by every later round (see `chase_with`).
-    let mut pool = LazySearchPool::new(cfg.search_workers, search_item_bound(constraints));
-    // Epoch threshold of the previous round's delta; `None` = first round.
-    let mut threshold: Option<u64> = None;
-
-    loop {
-        if stats.chase.rounds >= cfg.max_rounds {
-            return Err(ChaseError::Budget {
-                rounds: stats.chase.rounds,
-                facts: instance.len(),
-            });
-        }
-        stats.chase.rounds += 1;
-        let round_epoch = instance.advance_epoch();
-        let delta = threshold.map(|t| instance.delta_index(t));
-        // Phase 1: read-only trigger search against the frozen round-start
-        // instance, fanned out over the search workers.
-        let triggers = search_triggers(
-            arena,
-            instance,
-            constraints,
-            cfg.hom,
-            &mut pool,
-            cfg.search_min_facts,
-            delta.as_ref(),
-        );
-        // Phase 2: serial apply in constraint order.
-        let mut changed = false;
-
-        for (cidx, (c, homs)) in constraints.iter().zip(triggers).enumerate() {
-            match c {
-                Constraint::Tgd(tgd) => {
-                    // Frontier variables that actually occur in the conclusion,
-                    // in a deterministic order — the Skolem key.
-                    let frontier: Vec<Var> = conclusion_frontier(tgd);
-                    let existentials: Vec<Var> = {
-                        let mut e: Vec<Var> = tgd.existentials().into_iter().collect();
-                        e.sort();
-                        e
-                    };
-                    // Intern the conclusion constants once per constraint,
-                    // not once per trigger.
-                    let compiled: Vec<(Symbol, Vec<CompiledTerm>)> = tgd
-                        .conclusion
-                        .iter()
-                        .map(|a| (a.pred, a.args.iter().map(CompiledTerm::compile).collect()))
-                        .collect();
-                    for h in homs {
-                        // Trigger provenance: conjunction over premise facts.
-                        let mut trigger = Dnf::tru();
-                        for fid in &h.fact_ids {
-                            let (next, trunc) =
-                                trigger.and(&instance.fact(*fid).prov, cfg.clause_cap);
-                            trigger = next;
-                            stats.truncated |= trunc;
-                        }
-                        if trigger.is_false() {
-                            continue;
-                        }
-                        let key: Vec<Elem> = frontier
-                            .iter()
-                            .map(|v| instance.resolve(&h.map[v]))
-                            .collect();
-                        // Resolve Skolem images for the existentials.
-                        let exist_elems: Vec<Elem> = match skolems.get(&(cidx, key.clone())) {
-                            Some(es) => {
-                                if cfg.memo {
-                                    stats.chase.memo_hits += 1;
-                                }
-                                es.iter().map(|e| instance.resolve(e)).collect()
-                            }
-                            None => {
-                                if cfg.memo {
-                                    stats.chase.memo_misses += 1;
-                                }
-                                let es: Vec<Elem> =
-                                    existentials.iter().map(|_| instance.fresh_null()).collect();
-                                skolems.insert((cidx, key.clone()), es.clone());
-                                es
-                            }
-                        };
-                        let assignment: HashMap<Var, Elem> = frontier
-                            .iter()
-                            .cloned()
-                            .zip(key.iter().cloned())
-                            .chain(existentials.iter().cloned().zip(exist_elems))
-                            .collect();
-                        for (pred, slots) in &compiled {
-                            let args: Vec<Elem> = slots
-                                .iter()
-                                .map(|s| match s {
-                                    CompiledTerm::Const(e) => *e,
-                                    CompiledTerm::Var(v) => assignment[v],
-                                })
-                                .collect();
-                            let (_, ch) = instance.insert_with_prov(*pred, args, trigger.clone());
-                            if ch {
-                                stats.chase.tgd_fires += 1;
-                                changed = true;
-                            }
-                        }
-                    }
-                }
-                Constraint::Egd(egd) => {
-                    // Conservative: only fire with certain (⊤) trigger
-                    // provenance, read at fire time. A trigger fact killed
-                    // by an earlier same-round dedup still shows its
-                    // pre-join (narrower) formula here — the survivor's
-                    // widened formula bumps its epoch, so the skipped
-                    // merge is re-searched and fires next round; the
-                    // fixpoint is unchanged and stays bit-identical at
-                    // any worker count.
-                    apply_egd_homs(
-                        instance,
-                        egd,
-                        &homs,
-                        |inst, h| h.fact_ids.iter().all(|fid| inst.fact(*fid).prov.is_true()),
-                        &mut stats.chase,
-                        &mut changed,
-                        Some(&mut skolems as &mut dyn NullInvalidate),
-                    )?;
-                }
-            }
-            if instance.len() > cfg.max_facts {
-                return Err(ChaseError::Budget {
-                    rounds: stats.chase.rounds,
-                    facts: instance.len(),
-                });
-            }
-        }
-        if !changed {
-            return Ok(stats);
-        }
-        threshold = Some(round_epoch);
-    }
+    run(arena, instance, constraints, cfg, clause_cap, None)
 }
 
-/// Run the provenance chase stratum-by-stratum under a
-/// [`TerminationCertificate::Stratified`] verdict: each stratum's
-/// constraint subset is chased to its provenance fixpoint (budgets lifted
-/// per the stratum's own certificate) before the next stratum starts.
-/// Sound for the same reason as [`crate::chase::chase_stratified`]: later
+/// The provenance chase under a certificate's schedule — the counterpart
+/// of [`crate::chase::chase_stratified`], sound for the same reason: later
 /// strata never write a relation an earlier stratum reads, so earlier
 /// fixpoints — fact sets *and* their provenance formulas — stay fixpoints.
-/// Any other certificate falls back to a single [`prov_chase`] run with
-/// [`ProvChaseConfig::with_certificate`] applied.
 pub fn prov_chase_stratified(
     instance: &mut Instance,
     constraints: &[Constraint],
-    cfg: &ProvChaseConfig,
+    cfg: &ChaseConfig,
+    clause_cap: usize,
     cert: &TerminationCertificate,
 ) -> Result<ProvChaseStats, ChaseError> {
-    prov_chase_stratified_with(&mut HomArena::new(), instance, constraints, cfg, cert)
+    let arena = &mut HomArena::new();
+    run(arena, instance, constraints, cfg, clause_cap, Some(cert))
 }
 
-/// [`prov_chase_stratified`] with caller-provided homomorphism scratch.
-pub fn prov_chase_stratified_with(
+fn run(
     arena: &mut HomArena,
     instance: &mut Instance,
     constraints: &[Constraint],
-    cfg: &ProvChaseConfig,
-    cert: &TerminationCertificate,
+    cfg: &ChaseConfig,
+    clause_cap: usize,
+    cert: Option<&TerminationCertificate>,
 ) -> Result<ProvChaseStats, ChaseError> {
-    if let TerminationCertificate::Stratified { strata } = cert {
-        let indices_valid = strata
-            .iter()
-            .flat_map(|s| s.members.iter())
-            .all(|&i| i < constraints.len());
-        if indices_valid {
-            let mut total = ProvChaseStats::default();
-            for stratum in strata {
-                let subset: Vec<Constraint> = stratum
-                    .members
-                    .iter()
-                    .map(|&i| constraints[i].clone())
-                    .collect();
-                let scfg = cfg.with_certificate(&stratum.certificate);
-                let stats = prov_chase_with(arena, instance, &subset, &scfg)?;
-                total.chase.rounds += stats.chase.rounds;
-                total.chase.tgd_fires += stats.chase.tgd_fires;
-                total.chase.egd_merges += stats.chase.egd_merges;
-                total.chase.memo_hits += stats.chase.memo_hits;
-                total.chase.memo_misses += stats.chase.memo_misses;
-                total.truncated |= stats.truncated;
-            }
-            return Ok(total);
-        }
-    }
-    prov_chase_with(arena, instance, constraints, &cfg.with_certificate(cert))
+    let mut policy = Skolemized {
+        skolems: FrontierCache::new(cfg.memo),
+        memo: cfg.memo,
+        clause_cap,
+        truncated: false,
+    };
+    let chase = run_chase(arena, instance, constraints, cfg, cert, &mut policy)?;
+    Ok(ProvChaseStats {
+        chase,
+        truncated: policy.truncated,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testkit::dump_state as dump;
-    use estocada_pivot::{Atom, Egd, Symbol, Term, Tgd};
+    use estocada_pivot::{Atom, Symbol, Term, Tgd};
 
     fn sym(s: &str) -> Symbol {
         Symbol::intern(s)
@@ -399,6 +196,9 @@ mod tests {
     fn c(v: i64) -> Elem {
         Elem::of(v)
     }
+
+    /// `RewriteConfig::default().clause_cap`.
+    const CAP: usize = 2_048;
 
     #[test]
     fn provenance_conjoins_along_derivations() {
@@ -414,7 +214,7 @@ mod tests {
         let mut i = Instance::new();
         i.insert_with_prov(sym("A"), vec![c(1)], Dnf::var(0));
         i.insert_with_prov(sym("B"), vec![c(1)], Dnf::var(1));
-        prov_chase(&mut i, &[t.into()], &ProvChaseConfig::default()).unwrap();
+        prov_chase(&mut i, &[t.into()], &ChaseConfig::default(), CAP).unwrap();
         let cid = i.facts_of(sym("C")).next().unwrap();
         let p = &i.fact(cid).prov;
         assert_eq!(p.len(), 1);
@@ -438,7 +238,13 @@ mod tests {
         let mut i = Instance::new();
         i.insert_with_prov(sym("A"), vec![c(1)], Dnf::var(0));
         i.insert_with_prov(sym("B"), vec![c(1)], Dnf::var(1));
-        prov_chase(&mut i, &[t1.into(), t2.into()], &ProvChaseConfig::default()).unwrap();
+        prov_chase(
+            &mut i,
+            &[t1.into(), t2.into()],
+            &ChaseConfig::default(),
+            CAP,
+        )
+        .unwrap();
         let cid = i.facts_of(sym("C")).next().unwrap();
         assert_eq!(i.fact(cid).prov.len(), 2);
     }
@@ -465,7 +271,8 @@ mod tests {
         prov_chase(
             &mut i,
             &[bw.into(), a2v.into()],
-            &ProvChaseConfig::default(),
+            &ChaseConfig::default(),
+            CAP,
         )
         .unwrap();
         assert_eq!(i.facts_of(sym("R")).count(), 1);
@@ -499,7 +306,7 @@ mod tests {
         let mut i = Instance::new();
         i.insert_with_prov(sym("A"), vec![c(1)], Dnf::var(0));
         i.insert_with_prov(sym("B"), vec![c(1)], Dnf::var(1));
-        prov_chase(&mut i, &ts, &ProvChaseConfig::default()).unwrap();
+        prov_chase(&mut i, &ts, &ChaseConfig::default(), CAP).unwrap();
         let cid = i.facts_of(sym("C")).next().unwrap();
         // C must record both unit derivations p0 ∨ p1.
         assert_eq!(i.fact(cid).prov.len(), 2);
@@ -526,7 +333,8 @@ mod tests {
         prov_chase(
             &mut i,
             std::slice::from_ref(&e),
-            &ProvChaseConfig::default(),
+            &ChaseConfig::default(),
+            CAP,
         )
         .unwrap();
         assert_ne!(i.resolve(&n1), i.resolve(&n2));
@@ -536,30 +344,19 @@ mod tests {
         let m2 = j.fresh_null();
         j.insert(sym("R"), vec![c(1), m1]);
         j.insert(sym("R"), vec![c(1), m2]);
-        prov_chase(&mut j, &[e], &ProvChaseConfig::default()).unwrap();
+        prov_chase(&mut j, &[e], &ChaseConfig::default(), CAP).unwrap();
         assert_eq!(j.resolve(&m1), j.resolve(&m2));
     }
 
     #[test]
     fn stratified_prov_chase_matches_per_stratum_guarded() {
-        // t: A(x) → ∃y B(x,y); e: B(x,y) ∧ A(x) → y = x. Certifies
-        // Stratified ([t], [e]); ground ⊤-provenance facts let the EGD
-        // fire. The budget-free stratified run must be bit-identical to a
-        // manual per-stratum run under the default (guarded) budgets.
-        let t = Tgd::new(
-            "t",
-            vec![Atom::new("A", vec![Term::var(0)])],
-            vec![Atom::new("B", vec![Term::var(0), Term::var(1)])],
-        );
-        let e = Egd::new(
-            "e",
-            vec![
-                Atom::new("B", vec![Term::var(0), Term::var(1)]),
-                Atom::new("A", vec![Term::var(0)]),
-            ],
-            (Term::var(1), Term::var(0)),
-        );
-        let cs: Vec<Constraint> = vec![t.into(), e.into()];
+        // feed: A(x) → ∃y B(x,y); pin: B(x,y) ∧ A(x) → y = x. Certifies
+        // Stratified ([feed], [pin]); ground ⊤-provenance facts let the
+        // EGD fire. The budget-free stratified run must be bit-identical
+        // to a manual per-stratum run under the default (guarded) budgets.
+        let a = Atom::new("A", vec![Term::var(0)]);
+        let b = Atom::new("B", vec![Term::var(0), Term::var(1)]);
+        let cs: Vec<Constraint> = crate::testkit::feed_and_pin("", a, b).into();
         let cert = crate::wa::certify(&cs);
         let TerminationCertificate::Stratified { ref strata } = cert else {
             panic!("expected a stratified certificate, got {cert}");
@@ -572,18 +369,14 @@ mod tests {
         guarded.insert(sym("A"), vec![c(1)]);
         guarded.insert(sym("A"), vec![c(2)]);
 
-        let cfg = ProvChaseConfig::default();
-        let stats = prov_chase_stratified(&mut certified, &cs, &cfg, &cert).unwrap();
+        let cfg = ChaseConfig::default();
+        let stats = prov_chase_stratified(&mut certified, &cs, &cfg, CAP, &cert).unwrap();
 
         let mut ref_stats = ProvChaseStats::default();
         for stratum in strata {
             let subset: Vec<Constraint> = stratum.members.iter().map(|&i| cs[i].clone()).collect();
-            let s = prov_chase(&mut guarded, &subset, &cfg).unwrap();
-            ref_stats.chase.rounds += s.chase.rounds;
-            ref_stats.chase.tgd_fires += s.chase.tgd_fires;
-            ref_stats.chase.egd_merges += s.chase.egd_merges;
-            ref_stats.chase.memo_hits += s.chase.memo_hits;
-            ref_stats.chase.memo_misses += s.chase.memo_misses;
+            let s = prov_chase(&mut guarded, &subset, &cfg, CAP).unwrap();
+            ref_stats.chase += s.chase;
             ref_stats.truncated |= s.truncated;
         }
 

@@ -71,6 +71,28 @@ pub fn egd_merge_instance(keys: usize, dups: usize, ballast: usize) -> (Instance
     (inst, fd)
 }
 
+/// The `Stratified`-only constraint shape shared by the stratified-chase
+/// unit tests, the differential suites and the `e14` bench: a feeder TGD
+/// `feeder → ∃y. fed` whose null the EGD `fed ∧ feeder → y = x` (`x` =
+/// variable 0, occurring in both atoms; `y` = variable 1, only in `fed`)
+/// merges *across* positions. EGD contraction closes a special cycle, so no
+/// single rung certifies the pair, but the firing graph is acyclic — the
+/// merge never re-enables the feeder — and each constraint certifies as
+/// its own stratum. `tag` suffixes the constraint names `feed`/`pin`.
+pub fn feed_and_pin(tag: &str, feeder: Atom, fed: Atom) -> [Constraint; 2] {
+    let feed = Tgd::new(
+        format!("feed{tag}").as_str(),
+        vec![feeder.clone()],
+        vec![fed.clone()],
+    );
+    let pin = Egd::new(
+        format!("pin{tag}").as_str(),
+        vec![fed, feeder],
+        (Term::var(1), Term::var(0)),
+    );
+    [feed.into(), pin.into()]
+}
+
 /// Full observable state of an instance — fact ids, rendered facts,
 /// provenance formulas, change epochs — the bit-identity yardstick the
 /// phase-split unit tests, the differential suite

@@ -36,10 +36,9 @@
 //!     .run()?;
 //! ```
 //!
-//! The legacy global setters [`Estocada::set_rewrite_parallelism`] /
-//! [`Estocada::set_chase_parallelism`] survive as deprecated shims that
-//! adjust the engine's *default* [`QueryOptions`]; both spellings produce
-//! identical rewriting outcomes (worker counts never change results).
+//! Options a request leaves unset fall back to the engine's *default*
+//! [`QueryOptions`] ([`Estocada::set_default_query_options`]); worker
+//! counts never change results.
 //!
 //! # The rewrite-plan cache
 //!
@@ -90,7 +89,7 @@ pub struct QueryOptions {
     /// Worker threads of the parallel PACB backchase (candidate
     /// verification). Any value yields the identical rewriting outcome.
     pub rewrite_workers: Option<usize>,
-    /// Worker threads of the chase loops' trigger-search phase. Any value
+    /// Worker threads of the chases' trigger-search phase. Any value
     /// yields the identical rewriting outcome.
     pub chase_workers: Option<usize>,
     /// Plan and cost the query but skip execution; the returned
@@ -106,11 +105,6 @@ pub struct QueryOptions {
     /// stop backing off and failover stops trying further plans once
     /// exceeded. `None` means unbounded.
     pub deadline: Option<Duration>,
-    /// Run plans through the vectorized columnar executor (the default).
-    /// `false` selects the tuple-at-a-time executor — observationally
-    /// identical (same rows, operator counts, and bind probes), retained
-    /// as a differential oracle and for debugging.
-    pub vectorized: bool,
     /// Batch size (rows) of the vectorized executor's pipeline.
     pub batch_size: usize,
 }
@@ -124,7 +118,6 @@ impl Default for QueryOptions {
             plan_cache: true,
             retry: None,
             deadline: None,
-            vectorized: true,
             batch_size: 1024,
         }
     }
@@ -140,13 +133,6 @@ impl QueryOptions {
     /// Set the wall-clock budget of the execution phase.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Choose between the vectorized (default) and tuple-at-a-time
-    /// executors.
-    pub fn with_vectorized(mut self, on: bool) -> Self {
-        self.vectorized = on;
         self
     }
 
@@ -232,13 +218,6 @@ impl QueryRequest<'_> {
     /// Set the wall-clock budget of this query's execution phase.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.opts.deadline = Some(deadline);
-        self
-    }
-
-    /// Choose between the vectorized (default) and tuple-at-a-time
-    /// executors for this query.
-    pub fn with_vectorized(mut self, on: bool) -> Self {
-        self.opts.vectorized = on;
         self
     }
 
@@ -331,8 +310,8 @@ pub struct Estocada {
     /// Base rewriting configuration (budgets and auto-sized worker
     /// defaults); per-query [`QueryOptions`] refine it.
     rewrite_cfg: RewriteConfig,
-    /// Engine-default query options (what the deprecated global setters
-    /// adjust); per-query options override field-by-field.
+    /// Engine-default query options; per-query options override
+    /// field-by-field.
     default_opts: QueryOptions,
     frag_seq: usize,
     /// The catalog epoch: bumped by every DDL operation. Tags plan-cache
@@ -381,7 +360,7 @@ impl Estocada {
             schema: Schema::new(),
             base: OnceLock::new(),
             catalog: Catalog::new(),
-            // The parallel backchase and the chase loops' trigger-search
+            // The parallel backchase and the chases' trigger-search
             // phase are both deterministic at any worker count (identical
             // RewriteOutcome), so the hot rewriting path defaults to one
             // worker per core on each.
@@ -541,30 +520,6 @@ impl Estocada {
     /// this set to reproduce the planner's termination behaviour.
     pub fn constraint_set(&self) -> Vec<Constraint> {
         analyze::combined_constraints(&self.schema, &self.catalog, None)
-    }
-
-    /// Set the worker count of the parallel PACB backchase (candidate
-    /// verification) for every query that does not override it. Any value
-    /// yields the identical rewriting outcome; `workers <= 1` runs
-    /// serially.
-    #[deprecated(
-        note = "use the per-query builder: `engine.query(sql).with_rewrite_workers(n)` \
-                (or `set_default_query_options`)"
-    )]
-    pub fn set_rewrite_parallelism(&mut self, workers: usize) {
-        self.default_opts.rewrite_workers = Some(workers.max(1));
-    }
-
-    /// Set the worker count of the chase loops' read-only trigger-search
-    /// phase (both the plain chase and the provenance backchase) for every
-    /// query that does not override it. Any value yields identical chase
-    /// results and rewriting outcomes; `workers <= 1` searches serially.
-    #[deprecated(
-        note = "use the per-query builder: `engine.query(sql).with_chase_workers(n)` \
-                (or `set_default_query_options`)"
-    )]
-    pub fn set_chase_parallelism(&mut self, workers: usize) {
-        self.default_opts.chase_workers = Some(workers.max(1));
     }
 
     /// One DDL operation happened: advance the epoch and drop every cached
@@ -818,7 +773,6 @@ impl Estocada {
         }
         if let Some(n) = opts.chase_workers.or(self.default_opts.chase_workers) {
             cfg.chase.search_workers = n.max(1);
-            cfg.prov.search_workers = n.max(1);
         }
         cfg
     }
@@ -863,10 +817,10 @@ impl Estocada {
     ) -> Result<PlannedQuery> {
         // 1. Rewriting under constraints (or a cache hit skipping it).
         // Before chasing, consult the deployment's termination
-        // certificate: a `WeaklyAcyclic` verdict on the combined
-        // constraint set lifts the chase budget guard for this run
-        // (every chase terminates without it); any weaker verdict keeps
-        // the budgets exactly as configured.
+        // certificate: a terminating verdict on the combined constraint
+        // set lifts the budget guard of every chase in this run — forward
+        // chase, backchase and containment checks all terminate without
+        // it; any weaker verdict keeps the budgets exactly as configured.
         let t0 = Instant::now();
         let certified = |cfg: &RewriteConfig| {
             let cert = analyze::termination_certificate(&self.schema, &self.catalog);
@@ -1115,7 +1069,6 @@ impl Estocada {
         // the next candidate until one succeeds or none remain.
         let before: Vec<_> = self.stores.metrics();
         let eopts = ExecOptions {
-            vectorized: opts.vectorized,
             batch_size: opts.batch_size.max(1),
         };
         let mut attempts: Vec<PlanAttempt> = Vec::new();
@@ -1310,15 +1263,14 @@ mod tests {
     #[test]
     fn options_resolve_against_engine_defaults() {
         let mut est = Estocada::in_memory();
-        #[allow(deprecated)]
-        {
-            est.set_rewrite_parallelism(3);
-            est.set_chase_parallelism(2);
-        }
+        est.set_default_query_options(QueryOptions {
+            rewrite_workers: Some(3),
+            chase_workers: Some(2),
+            ..QueryOptions::default()
+        });
         let d = est.rewrite_config();
         assert_eq!(d.parallelism, 3);
         assert_eq!(d.chase.search_workers, 2);
-        assert_eq!(d.prov.search_workers, 2);
         // Per-query override wins.
         let cfg = est.effective_cfg(&QueryOptions {
             rewrite_workers: Some(7),

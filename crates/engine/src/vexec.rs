@@ -41,32 +41,25 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Execution mode and batch sizing for [`execute_with`].
+/// Batch sizing for [`execute_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Run the vectorized executor (`true`, the default) or the
-    /// tuple-at-a-time oracle.
-    pub vectorized: bool,
     /// Target rows per batch in the vectorized pipeline.
     pub batch_size: usize,
 }
 
 impl Default for ExecOptions {
     fn default() -> Self {
-        ExecOptions {
-            vectorized: true,
-            batch_size: 1024,
-        }
+        ExecOptions { batch_size: 1024 }
     }
 }
 
-/// Execute a plan under the given options. With `vectorized: false` this is
-/// exactly [`exec::execute`]; otherwise the batch pipeline runs and the
-/// result is converted back to a row-oriented [`RowBatch`] at the root.
+/// Execute a plan through the batch pipeline; the result is converted back
+/// to a row-oriented [`RowBatch`] at the root. Observationally identical to
+/// the tuple-at-a-time reference [`exec::execute`] (same rows, operator
+/// counts and bind probes), which the differential suites run on the same
+/// plan.
 pub fn execute_with(plan: &Plan, opts: &ExecOptions) -> Result<(RowBatch, ExecStats), EngineError> {
-    if !opts.vectorized {
-        return exec::execute(plan);
-    }
     let mut stats = ExecStats::default();
     let start = Instant::now();
     let out = run_vectorized(plan, opts.batch_size.max(1), &mut stats);
@@ -932,14 +925,8 @@ mod tests {
     fn assert_identical(plan: &Plan) {
         let (oracle, ostats) = exec::execute(plan).expect("oracle run");
         for bs in [1, 2, 3, 1024] {
-            let (got, vstats) = execute_with(
-                plan,
-                &ExecOptions {
-                    vectorized: true,
-                    batch_size: bs,
-                },
-            )
-            .unwrap_or_else(|e| panic!("vectorized run (batch {bs}): {e}"));
+            let (got, vstats) = execute_with(plan, &ExecOptions { batch_size: bs })
+                .unwrap_or_else(|e| panic!("vectorized run (batch {bs}): {e}"));
             assert_eq!(got.columns, oracle.columns, "columns at batch size {bs}");
             assert_eq!(got.rows, oracle.rows, "rows at batch size {bs}");
             assert_eq!(vstats.operators, ostats.operators, "operators at {bs}");
@@ -1179,14 +1166,7 @@ mod tests {
     #[test]
     fn tuple_mode_is_the_oracle() {
         let p = Plan::Values(batch(&["x"], vec![ints(&[1])]));
-        let (a, _) = execute_with(
-            &p,
-            &ExecOptions {
-                vectorized: false,
-                batch_size: 4,
-            },
-        )
-        .unwrap();
+        let (a, _) = execute_with(&p, &ExecOptions { batch_size: 4 }).unwrap();
         let (b, _) = exec::execute(&p).unwrap();
         assert_eq!(a, b);
     }

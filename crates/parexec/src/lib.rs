@@ -3,7 +3,7 @@
 //! The fan-out / deterministic fan-in executors shared by the parallel
 //! store ([`estocada-parstore`]'s partition operators) and the chase crate
 //! (the parallel PACB backchase, and the per-round read-only trigger-search
-//! phase of both chase loops).
+//! phase of the chase driver).
 //!
 //! The pattern: a fixed worker pool claims items off a shared atomic
 //! cursor, sends `(index, result)` pairs over a channel, and the
@@ -20,7 +20,7 @@
 //!   right for one-shot batches (the parallel backchase's candidate
 //!   verification, partition operators);
 //! - [`Pool`] keeps its worker threads alive across calls — right for
-//!   iterated batches (the chase loops' per-round trigger search reuses
+//!   iterated batches (the chase driver's per-round trigger search reuses
 //!   one pool for all rounds of a chase instead of paying a spawn/join
 //!   per round).
 //!
@@ -37,8 +37,8 @@
 
 #![warn(missing_docs)]
 
-use crossbeam::channel;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Sender};
 
 /// Default worker count: one per available core, capped at 8 (the same
 /// calibration the parallel store uses for partition counts).
@@ -90,7 +90,7 @@ where
     let workers = parallelism.min(items.len());
     let next = AtomicUsize::new(0);
     let poison = AtomicBool::new(false);
-    let (tx, rx) = channel::unbounded::<(usize, R)>();
+    let (tx, rx) = channel::<(usize, R)>();
     std::thread::scope(|s| {
         for _ in 0..workers {
             let tx = tx.clone();
@@ -158,7 +158,7 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 pub struct Pool {
     /// One submission channel per worker (a batch submits at most one
     /// runner job per worker, so nothing ever queues behind a busy worker).
-    txs: Vec<channel::Sender<Job>>,
+    txs: Vec<Sender<Job>>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -171,7 +171,7 @@ impl Pool {
         let mut txs = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
         for k in 0..n {
-            let (tx, rx) = channel::unbounded::<Job>();
+            let (tx, rx) = channel::<Job>();
             txs.push(tx);
             handles.push(
                 std::thread::Builder::new()
@@ -217,14 +217,14 @@ impl Pool {
         let runners = self.handles.len().min(items.len());
         let next = AtomicUsize::new(0);
         let poison = AtomicBool::new(false);
-        let (rtx, rrx) = channel::unbounded::<(usize, R)>();
-        let (dtx, drx) = channel::unbounded::<()>();
+        let (rtx, rrx) = channel::<(usize, R)>();
+        let (dtx, drx) = channel::<()>();
 
         /// Sends its completion token even when the runner unwinds — the
         /// join barrier below counts these, and `map_init` must not return
         /// (or unwind) while any runner can still touch the borrowed batch
         /// state.
-        struct TokenOnDrop(channel::Sender<()>);
+        struct TokenOnDrop(Sender<()>);
         impl Drop for TokenOnDrop {
             fn drop(&mut self) {
                 let _ = self.0.send(());
@@ -400,7 +400,11 @@ mod tests {
                 if *x == 0 {
                     panic!("poison");
                 }
-                std::thread::yield_now();
+                // Pace the survivors: the poison flag is set only once the
+                // panic hook returns, and printing a backtrace takes
+                // milliseconds — enough for unpaced workers to drain the
+                // whole list first.
+                std::thread::sleep(std::time::Duration::from_micros(100));
                 processed.fetch_add(1, Ordering::Relaxed);
             })
         });

@@ -192,32 +192,38 @@ mod tests {
     }
 
     /// The whole query family runs over all three builtin deployments
-    /// (DDL under `ValidationMode::Strict`), and the vectorized executor
-    /// agrees with the tuple-at-a-time oracle on every result.
+    /// (DDL under `ValidationMode::Strict`); every deployment — whatever
+    /// fragments its plan reads — returns the same rows, at a one-row
+    /// batch as at the default batch size.
     #[test]
-    fn family_runs_on_all_deployments_and_matches_tuple_oracle() {
+    fn family_runs_on_all_deployments_and_agrees() {
         let m = small();
-        for est in [
+        let deployments = [
             deploy_baseline(&m, Latencies::zero()),
             deploy_kv_migrated(&m, Latencies::zero()),
             deploy_materialized_join(&m, Latencies::zero()),
-        ] {
-            for q in family() {
-                let sql = analytics_sql(&q);
-                let vec = est.query(&sql).run().unwrap_or_else(|e| {
-                    panic!("vectorized {q:?} failed: {e}");
-                });
-                let tup = est.query(&sql).with_vectorized(false).run().unwrap();
-                assert_eq!(vec.columns, tup.columns, "{q:?} columns differ");
-                let mut a = vec.rows.clone();
-                let mut b = tup.rows.clone();
-                a.sort();
-                b.sort();
-                assert_eq!(a, b, "{q:?} rows differ across executors");
-                assert!(
-                    !vec.rows.is_empty(),
-                    "{q:?} should produce rows on the test data"
-                );
+        ];
+        for q in family() {
+            let sql = analytics_sql(&q);
+            let mut runs = Vec::new();
+            for est in &deployments {
+                for batch_size in [1024, 1] {
+                    let r = est
+                        .query(&sql)
+                        .with_batch_size(batch_size)
+                        .run()
+                        .unwrap_or_else(|e| panic!("{q:?} failed: {e}"));
+                    let mut rows = r.rows;
+                    rows.sort();
+                    runs.push((r.columns, rows));
+                }
+            }
+            assert!(
+                !runs[0].1.is_empty(),
+                "{q:?} should produce rows on the test data"
+            );
+            for run in &runs[1..] {
+                assert_eq!(run, &runs[0], "{q:?} differs across deployments");
             }
         }
     }

@@ -180,7 +180,7 @@ pub fn with_rewrite_workers(mut est: Estocada, workers: usize) -> Estocada {
     est
 }
 
-/// Pin the trigger-search worker count of the chase loops inside a
+/// Pin the trigger-search worker count of the chases inside a
 /// deployment's rewriter (the phase-split knob) by adjusting its default
 /// [`QueryOptions`]. Like [`with_rewrite_workers`], the outcome is
 /// identical at any value — deployments use it to trade rewriting latency
@@ -272,7 +272,6 @@ mod tests {
         let serial = with_chase_workers(deploy_kv_migrated(&m, Latencies::zero()), 1);
         let parallel = with_chase_workers(deploy_kv_migrated(&m, Latencies::zero()), 4);
         assert_eq!(parallel.rewrite_config().chase.search_workers, 4);
-        assert_eq!(parallel.rewrite_config().prov.search_workers, 4);
         for q in [
             W1Query::PrefLookup(3),
             W1Query::CartLookup(7),

@@ -29,7 +29,7 @@
 use estocada::analyze::{analyze_deployment, fragment_lints};
 use estocada::catalog::{Catalog, FragmentMeta, FragmentSpec};
 use estocada::{Code, SystemId};
-use estocada_chase::testkit::dump_state;
+use estocada_chase::testkit::{dump_state, feed_and_pin};
 use estocada_chase::{
     certify, chase, chase_stratified, contained_in, ChaseConfig, ChaseError, Elem, Instance,
     TerminationCertificate,
@@ -197,31 +197,13 @@ fn swa_family(k: usize) -> Vec<Constraint> {
 /// the firing graph is acyclic (the merge never re-enables the feeder),
 /// and each stratum certifies on its own.
 fn stratified_family(k: usize) -> Vec<Constraint> {
-    let mut cs: Vec<Constraint> = Vec::new();
-    for i in 0..k {
-        let a = format!("Af{i}");
-        let b = format!("Bf{i}");
-        cs.push(
-            Tgd::new(
-                format!("feed{i}").as_str(),
-                vec![Atom::new(a.as_str(), vec![Term::var(0)])],
-                vec![Atom::new(b.as_str(), vec![Term::var(0), Term::var(1)])],
-            )
-            .into(),
-        );
-        cs.push(
-            Egd::new(
-                format!("pin{i}").as_str(),
-                vec![
-                    Atom::new(b.as_str(), vec![Term::var(0), Term::var(1)]),
-                    Atom::new(a.as_str(), vec![Term::var(0)]),
-                ],
-                (Term::var(1), Term::var(0)),
-            )
-            .into(),
-        );
-    }
-    cs
+    (0..k)
+        .flat_map(|i| {
+            let a = Atom::new(format!("Af{i}").as_str(), vec![Term::var(0)]);
+            let b = Atom::new(format!("Bf{i}").as_str(), vec![Term::var(0), Term::var(1)]);
+            feed_and_pin(&i.to_string(), a, b)
+        })
+        .collect()
 }
 
 proptest! {

@@ -18,7 +18,7 @@ use estocada_pivot::encoding::relational::TableEncoding;
 use estocada_pivot::{Atom, Constraint, Term, Tgd, Value};
 use estocada_workloads::marketplace::{generate, Marketplace, MarketplaceConfig};
 use estocada_workloads::scenarios::{
-    deploy_baseline, deploy_kv_migrated, deploy_materialized_join,
+    deploy_baseline, deploy_kv_migrated, deploy_materialized_join, pref_sql,
 };
 
 fn small() -> Marketplace {
@@ -265,8 +265,6 @@ fn validation_off_still_terminates_via_budget_guard() {
     let mut cfg = est.rewrite_config();
     cfg.chase.max_rounds = 50;
     cfg.chase.max_facts = 2_000;
-    cfg.prov.max_rounds = 50;
-    cfg.prov.max_facts = 2_000;
     est.set_rewrite_config(cfg);
 
     let err = est
@@ -281,6 +279,27 @@ fn validation_off_still_terminates_via_budget_guard() {
         msg.contains("certify"),
         "budget error must point at the certificate API, got: {msg}"
     );
+}
+
+#[test]
+fn certificate_lift_reaches_the_backchase() {
+    // A certified deployment chases budget-free in *every* chase of a
+    // rewrite, the backchase included: a one-round budget, which no chase
+    // that fires anything can meet, must not be felt.
+    let mut est = deploy_kv_migrated(&small(), Latencies::zero());
+    assert!(est.termination_certificate().guarantees_termination());
+    let mut cfg = est.rewrite_config();
+    cfg.chase.max_rounds = 1;
+    est.set_rewrite_config(cfg);
+
+    let sql = pref_sql(3);
+    let parsed = estocada::frontends::parse_sql(&sql, &est.sql_catalog()).unwrap();
+    let mut want = est.oracle_eval(&parsed.cq);
+    let mut got = est.query_sql(&sql).expect("budget guard tripped").rows;
+    want.sort();
+    got.sort();
+    assert!(!want.is_empty());
+    assert_eq!(got, want);
 }
 
 #[test]

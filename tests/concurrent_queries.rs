@@ -13,7 +13,7 @@
 //! thread reaches a shape first — all three are diagnostics, not answers,
 //! and are excluded.
 
-use estocada::{Estocada, Latencies, QueryResult};
+use estocada::{Estocada, Latencies, QueryOptions, QueryResult};
 use estocada_pivot::CqBuilder;
 use estocada_workloads::marketplace::{generate, Marketplace, MarketplaceConfig};
 use estocada_workloads::scenarios::{
@@ -256,28 +256,28 @@ fn dropping_a_fragment_never_leaves_a_stale_plan() {
 }
 
 #[test]
-fn deprecated_setters_and_builder_options_agree() {
-    // Satellite: `set_rewrite_parallelism` / `set_chase_parallelism` are
-    // shims over the QueryOptions defaults — both spellings must produce
-    // identical rewriting outcomes (and both must equal the default-worker
-    // run: worker counts never change answers).
+fn default_options_and_builder_options_agree() {
+    // Worker counts set engine-wide through the QueryOptions defaults and
+    // per query through the builder must produce identical rewriting
+    // outcomes (and both must equal the default-worker run: worker counts
+    // never change answers).
     let m = market();
     let work = workload();
 
-    let mut shimmed = deploy_kv_migrated(&m, Latencies::zero());
-    #[allow(deprecated)]
-    {
-        shimmed.set_rewrite_parallelism(4);
-        shimmed.set_chase_parallelism(2);
-    }
-    assert_eq!(shimmed.rewrite_config().parallelism, 4);
-    assert_eq!(shimmed.rewrite_config().chase.search_workers, 2);
+    let mut engine_wide = deploy_kv_migrated(&m, Latencies::zero());
+    engine_wide.set_default_query_options(QueryOptions {
+        rewrite_workers: Some(4),
+        chase_workers: Some(2),
+        ..engine_wide.default_query_options()
+    });
+    assert_eq!(engine_wide.rewrite_config().parallelism, 4);
+    assert_eq!(engine_wide.rewrite_config().chase.search_workers, 2);
 
     let built = deploy_kv_migrated(&m, Latencies::zero());
     let defaults = deploy_kv_migrated(&m, Latencies::zero());
 
     for q in &work {
-        let a = norm(&run_q(&shimmed, q));
+        let a = norm(&run_q(&engine_wide, q));
         let b = match q {
             Q::Sql(sql) => norm(
                 &built
@@ -310,7 +310,7 @@ fn deprecated_setters_and_builder_options_agree() {
                 )
             }
         };
-        assert_eq!(a, b, "shim and builder outcomes differ on {q:?}");
+        assert_eq!(a, b, "engine-default and builder outcomes differ on {q:?}");
         let c = norm(&run_q(&defaults, q));
         assert_eq!(a, c, "worker knobs changed the outcome on {q:?}");
     }

@@ -14,8 +14,8 @@
 //! must neither deadlock nor skew results.
 
 use estocada_chase::{
-    naive_rewrite, pacb_rewrite, ChaseConfig, HomConfig, NaiveConfig, ProvChaseConfig,
-    RewriteConfig, RewriteOutcome, RewriteProblem,
+    naive_rewrite, pacb_rewrite, ChaseConfig, HomConfig, NaiveConfig, RewriteConfig,
+    RewriteOutcome, RewriteProblem,
 };
 use estocada_pivot::{Atom, Cq, Term, ViewDef};
 use proptest::prelude::*;
@@ -151,10 +151,7 @@ proptest! {
                 hom: HomConfig { limit: 64 },
                 ..ChaseConfig::default()
             },
-            prov: ProvChaseConfig {
-                clause_cap,
-                ..ProvChaseConfig::default()
-            },
+            clause_cap,
             max_images,
             verify: true,
             parallelism: 1,
@@ -172,10 +169,7 @@ fn clause_cap_truncation_is_deterministic_on_wide_fanout() {
     let problem = multi_candidate_problem(5); // 32 candidates uncapped
     for clause_cap in [1usize, 2, 7, 31] {
         let cfg = RewriteConfig {
-            prov: ProvChaseConfig {
-                clause_cap,
-                ..ProvChaseConfig::default()
-            },
+            clause_cap,
             ..RewriteConfig::default()
         };
         let serial = pacb_rewrite(&problem, &cfg.with_parallelism(1)).unwrap();
@@ -190,25 +184,29 @@ fn clause_cap_truncation_is_deterministic_on_wide_fanout() {
     }
 }
 
-/// Chase-budget exhaustion *inside* the verification workers: a fact
-/// budget just big enough for the universal plan but too small for the
-/// candidates' verification chases makes the workers' containment checks
-/// fail with a budget error; every such candidate must be rejected —
-/// identically, whichever worker hits it, with exact (non-racy) rejected
-/// counters, and without deadlocking the pool (enforced by the test
-/// completing at all).
+/// Chase-budget exhaustion *inside* the verification workers: a round
+/// budget just big enough for the forward chase and the backchase but too
+/// small for some candidates' verification chases makes the workers'
+/// containment checks fail with a budget error; every such candidate must
+/// be rejected — identically, whichever worker hits it, with exact
+/// (non-racy) rejected counters, and without deadlocking the pool
+/// (enforced by the test completing at all).
 #[test]
 fn worker_budget_exhaustion_rejects_identically() {
     use estocada_pivot::{Constraint, Tgd};
-    // A chain of target-schema TGDs (T0 → T1 → … → T12, seeded off V0)
-    // inflates every candidate's verification chase past the fact budget.
-    // The universal-plan forward chase never sees target constraints, so it
-    // stays within budget and the failure happens *inside the workers*.
+    // A chain of target-schema TGDs (T0 → T1 → … → T12, seeded off W0).
+    // The backchase starts from the whole universal plan, W0 included; a
+    // candidate using V0 instead has to derive W0 first (V0 → R0 → W0), so
+    // its verification chase needs two rounds more than the backchase — one
+    // more than the budget below. All chases share one budget, the
+    // universal-plan forward chase never sees target constraints, and
+    // candidates using W0 fit: the failure happens *inside the workers*,
+    // for half of the candidates.
     let mut problem = multi_candidate_problem(4);
     problem.target_constraints.push(
         Tgd::new(
-            "v2t",
-            vec![Atom::new("V0", vec![Term::var(0), Term::var(1)])],
+            "w2t",
+            vec![Atom::new("W0", vec![Term::var(0), Term::var(1)])],
             vec![Atom::new("T0", vec![Term::var(0), Term::var(1)])],
         )
         .into(),
@@ -228,17 +226,19 @@ fn worker_budget_exhaustion_rejects_identically() {
         .into();
         problem.target_constraints.push(c);
     }
+    let unbudgeted = pacb_rewrite(&problem, &RewriteConfig::default()).unwrap();
+    assert_eq!(unbudgeted.stats.rejected, 0);
     let cfg = RewriteConfig {
         chase: ChaseConfig {
-            max_facts: 16, // universal plan needs 12; the T-chain overflows
+            max_rounds: unbudgeted.stats.backward.chase.rounds + 1,
             ..ChaseConfig::default()
         },
         ..RewriteConfig::default()
     };
     let serial = pacb_rewrite(&problem, &cfg.with_parallelism(1)).unwrap();
     assert!(
-        serial.stats.rejected > 0,
-        "no worker-side budget rejection; stats: {:?}",
+        serial.stats.rejected > 0 && serial.stats.accepted > 0,
+        "expected worker-side budget rejections beside accepted siblings; stats: {:?}",
         serial.stats
     );
     for par in [2usize, 4, 8, 16] {

@@ -1,9 +1,8 @@
 //! Differential tests of the **phase-split chase** (PR 4): each chase
 //! round is a read-only trigger-search phase (fanned out over
-//! `ChaseConfig::search_workers` / `ProvChaseConfig::search_workers`)
-//! followed by a serial apply phase, plus a memo of applicability probes
-//! keyed on (constraint, resolved frontier image) with merge-driven
-//! invalidation. The contracts pinned here:
+//! `ChaseConfig::search_workers`) followed by a serial apply phase, plus a
+//! memo of applicability probes keyed on (constraint, resolved frontier
+//! image) with merge-driven invalidation. The contracts pinned here:
 //!
 //! - **1-vs-N search workers**: `chase` and `prov_chase` produce identical
 //!   `ChaseStats` (all counters, memo included), bit-identical final
@@ -16,10 +15,11 @@
 //!   `RewriteOutcome` with the parallel inner chase at any search-worker
 //!   count, composed with the candidate-verification fan-out of PR 2.
 
-use estocada_chase::testkit::{phase_split_workload, wide_chain_problem};
+use estocada_chase::testkit::{feed_and_pin, phase_split_workload, wide_chain_problem};
 use estocada_chase::{
-    chase, pacb_rewrite, prov_chase, ChaseConfig, ChaseStats, Dnf, Elem, HomConfig, Instance,
-    ProvChaseConfig, RewriteConfig, RewriteProblem,
+    certify, chase, chase_stratified, pacb_rewrite, prov_chase, prov_chase_stratified, ChaseConfig,
+    ChaseStats, Dnf, Elem, HomConfig, Instance, RewriteConfig, RewriteProblem,
+    TerminationCertificate,
 };
 use estocada_pivot::{Atom, Constraint, Cq, Egd, Symbol, Term, Tgd, ViewDef};
 use proptest::prelude::*;
@@ -146,6 +146,9 @@ fn tight(search_workers: usize, memo: bool) -> ChaseConfig {
     }
 }
 
+/// Provenance clause cap of the `prov_chase` properties.
+const CLAUSE_CAP: usize = 64;
+
 type ChaseOutcome = Result<(ChaseStats, Vec<(u32, String, String, u64)>), String>;
 
 fn run_chase(facts: &[(usize, u8, u8, u8)], cs: &[Constraint], cfg: &ChaseConfig) -> ChaseOutcome {
@@ -212,16 +215,7 @@ proptest! {
     ) {
         let run = |workers: usize| {
             let mut inst = build_instance(&facts, true);
-            let cfg = ProvChaseConfig {
-                max_rounds: 30,
-                max_facts: 400,
-                clause_cap: 64,
-                hom: HomConfig { limit: 4_096 },
-                search_workers: workers,
-                search_min_facts: 0,
-                memo: true,
-            };
-            match prov_chase(&mut inst, &cs, &cfg) {
+            match prov_chase(&mut inst, &cs, &tight(workers, true), CLAUSE_CAP) {
                 Ok(stats) => Ok((stats, dump(&inst))),
                 Err(e) => Err(e.to_string()),
             }
@@ -245,16 +239,7 @@ proptest! {
     ) {
         let run = |memo: bool| {
             let mut inst = build_instance(&facts, true);
-            let cfg = ProvChaseConfig {
-                max_rounds: 30,
-                max_facts: 400,
-                clause_cap: 64,
-                hom: HomConfig { limit: 4_096 },
-                search_workers: 1,
-                search_min_facts: 0,
-                memo,
-            };
-            match prov_chase(&mut inst, &cs, &cfg) {
+            match prov_chase(&mut inst, &cs, &tight(1, memo), CLAUSE_CAP) {
                 Ok(stats) => Ok((stats, dump(&inst))),
                 Err(e) => Err(e.to_string()),
             }
@@ -313,15 +298,14 @@ proptest! {
     }
 }
 
-/// A rewrite config with `chase_workers` search workers on both inner
-/// chase loops and the fan-out size gate zeroed, so the canonical-instance
+/// A rewrite config with `chase_workers` search workers on the inner
+/// chases and the fan-out size gate zeroed, so the canonical-instance
 /// chases (tens of facts) genuinely exercise the parallel search branch.
 fn forced_fanout_cfg(chase_workers: usize, cand_workers: usize) -> RewriteConfig {
     let mut cfg = RewriteConfig::default()
         .with_chase_parallelism(chase_workers)
         .with_parallelism(cand_workers);
     cfg.chase.search_min_facts = 0;
-    cfg.prov.search_min_facts = 0;
     cfg
 }
 
@@ -440,5 +424,77 @@ fn wide_fanout_identity_with_parallel_inner_chase() {
             serial, parallel,
             "skew at parallelism={cand} chase workers={chase_w}"
         );
+    }
+}
+
+proptest! {
+    // About one drawn set in five certifies `Stratified`; the rest are
+    // rejected, so the case count is sized for ~100 effective cases.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// On random constraint sets certified `Stratified` — the testkit's
+    /// feed/pin pair, over two of the shared relations, planted before or
+    /// after random constraints — the certified schedule and the one-stage
+    /// schedule reach the same fixpoint in both flavours: both fail, or
+    /// both succeed with literally the same null-free facts, provenance
+    /// formulas included (invented nulls are named by firing order, which
+    /// the schedules legitimately permute).
+    /// Seed facts are ground — the certificate's null-flow analysis speaks
+    /// about TGD-invented nulls only, so an EGD it proves inert could
+    /// still merge a seed null — and facts drawn with provenance variable
+    /// `p < certain` are certain, so the provenance chase's EGD gate sees
+    /// both outcomes.
+    #[test]
+    fn certified_schedule_agrees_with_the_one_stage_schedule(
+        facts in arb_facts(),
+        extra in arb_constraints(),
+        a in 0..3usize,
+        offset in 1..3usize,
+        planted_first in 0..2usize,
+        certain in 0..4u8,
+    ) {
+        let feeder = Atom::new(RELS[a], vec![Term::var(0), Term::var(2)]);
+        let fed = Atom::new(RELS[(a + offset) % 3], vec![Term::var(0), Term::var(1)]);
+        let planted = feed_and_pin("", feeder, fed);
+        let cs: Vec<Constraint> = if planted_first == 1 {
+            planted.into_iter().chain(extra).collect()
+        } else {
+            extra.into_iter().chain(planted).collect()
+        };
+        let cert = certify(&cs);
+        prop_assume!(matches!(cert, TerminationCertificate::Stratified { .. }));
+        let (mut plain, mut annotated) = (Instance::new(), Instance::new());
+        for (r, a, b, p) in facts {
+            let (pred, args) = (Symbol::intern(RELS[r]), vec![elem(a % 5), elem(b % 5)]);
+            let prov = if p < certain { Dnf::tru() } else { Dnf::var(p as u32) };
+            plain.insert(pred, args.clone());
+            annotated.insert_with_prov(pred, args, prov);
+        }
+        let cfg = ChaseConfig::default();
+        // The null-free facts a schedule reaches, or `None` when it fails.
+        let fixpoint = |with_prov: bool, cert: Option<&TerminationCertificate>| {
+            let mut inst = if with_prov { annotated.clone() } else { plain.clone() };
+            let ok = match (with_prov, cert) {
+                (false, None) => chase(&mut inst, &cs, &cfg).is_ok(),
+                (false, Some(c)) => chase_stratified(&mut inst, &cs, &cfg, c).is_ok(),
+                (true, None) => prov_chase(&mut inst, &cs, &cfg, CLAUSE_CAP).is_ok(),
+                (true, Some(c)) => prov_chase_stratified(&mut inst, &cs, &cfg, CLAUSE_CAP, c).is_ok(),
+            };
+            let mut facts: Vec<(String, String)> = dump(&inst)
+                .into_iter()
+                .filter(|(_, fact, _, _)| !fact.contains("_N"))
+                .map(|(_, fact, prov, _)| (fact, prov))
+                .collect();
+            facts.sort();
+            ok.then_some(facts)
+        };
+        for with_prov in [false, true] {
+            prop_assert_eq!(
+                fixpoint(with_prov, None),
+                fixpoint(with_prov, Some(&cert)),
+                "with_prov={}",
+                with_prov
+            );
+        }
     }
 }

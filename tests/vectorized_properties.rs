@@ -1,6 +1,7 @@
 //! Differential properties of the vectorized columnar executor (PR 9).
 //!
-//! The tuple-at-a-time executor is the oracle throughout:
+//! The tuple-at-a-time executor (`estocada_engine::execute`) is the
+//! engine-level oracle, run directly on the same `Plan`:
 //!
 //! - random `Values`-rooted pipelines (filter/project, joins, aggregate,
 //!   distinct, sort/limit) produce **identical rows in identical order**
@@ -10,9 +11,9 @@
 //!   reference over the distinct input tuples, pinning the documented
 //!   DISTINCT-core semantics (and the "aggregate over a key column for
 //!   exact bag semantics" idiom) end to end through SQL;
-//! - whole queries over a rewritten hybrid deployment agree between the
-//!   two executors and across batch sizes, BindJoin probes included;
-//! - under random fault schedules both executors still yield the
+//! - whole queries agree across the three builtin hybrid deployments and,
+//!   within each, across batch sizes, BindJoin probes included;
+//! - under random fault schedules the executor still yields the
 //!   fault-free oracle's rows or a typed `AllPlansFailed` — never a
 //!   silently short or divergent answer.
 
@@ -29,7 +30,9 @@ use estocada_pivot::encoding::relational::TableEncoding;
 use estocada_pivot::Value;
 use estocada_workloads::analytics::{analytics_sql, analytics_workload, AnalyticsConfig};
 use estocada_workloads::marketplace::{generate, Marketplace, MarketplaceConfig};
-use estocada_workloads::scenarios::{deploy_kv_migrated, pref_sql};
+use estocada_workloads::scenarios::{
+    deploy_baseline, deploy_kv_migrated, deploy_materialized_join, pref_sql,
+};
 use proptest::prelude::*;
 
 /// Batch sizes swept in every engine-level comparison: degenerate (1),
@@ -51,10 +54,7 @@ fn int_batch(cols: &[&str], rows: Vec<Vec<i64>>) -> RowBatch {
 fn assert_matches_oracle(plan: &Plan) -> RowBatch {
     let (want, wstats) = execute(plan).expect("tuple oracle");
     for bs in BATCH_SIZES {
-        let opts = ExecOptions {
-            vectorized: true,
-            batch_size: bs,
-        };
+        let opts = ExecOptions { batch_size: bs };
         let (got, gstats) = execute_with(plan, &opts).expect("vectorized");
         assert_eq!(got.columns, want.columns, "columns @ batch_size={bs}");
         assert_eq!(got.rows, want.rows, "rows @ batch_size={bs}");
@@ -314,7 +314,7 @@ fn ints(row: &[i64]) -> Vec<Value> {
 /// Aggregating a non-key column ranges over the DISTINCT `(group, arg)`
 /// tuples; adding the key column as an aggregate argument makes the core
 /// tuples unique per underlying row, recovering exact bag semantics. Both
-/// behaviours are identical under either executor.
+/// behaviours are identical at every batch size.
 #[test]
 fn sql_aggregates_follow_distinct_core_semantics() {
     let est = dup_engine();
@@ -345,9 +345,11 @@ fn sql_aggregates_follow_distinct_core_semantics() {
         let vec_run = est.query(sql).run().unwrap();
         assert_eq!(vec_run.columns, vec!["k", "n", "s"], "{sql}");
         assert_eq!(sorted(vec_run.rows.clone()), want, "{sql}");
-        let tup_run = est.query(sql).with_vectorized(false).run().unwrap();
-        assert_eq!(tup_run.columns, vec_run.columns, "{sql}");
-        assert_eq!(tup_run.rows, vec_run.rows, "{sql}: executors diverge");
+        for bs in [1usize, 2] {
+            let r = est.query(sql).with_batch_size(bs).run().unwrap();
+            assert_eq!(r.columns, vec_run.columns, "{sql} @ batch_size={bs}");
+            assert_eq!(r.rows, vec_run.rows, "{sql} @ batch_size={bs}");
+        }
     }
 
     // HAVING filters whole groups after aggregation.
@@ -369,7 +371,7 @@ fn sql_aggregates_follow_distinct_core_semantics() {
 }
 
 // ---------------------------------------------------------------------
-// Whole queries over a rewritten hybrid deployment: executor and
+// Whole queries over the rewritten hybrid deployments: deployment and
 // batch-size sweep, BindJoin probes included.
 // ---------------------------------------------------------------------
 
@@ -385,13 +387,18 @@ fn small() -> Marketplace {
 }
 
 /// Every analytics query (plus a BindJoin-backed point lookup) returns the
-/// same rows under the tuple executor and under the vectorized executor at
-/// batch sizes 1, 2, and 1024 — the deployment routes these through
-/// key-value MGETs, parallel scans, and document fragments.
+/// same rows on all three builtin deployments — which route them through
+/// native tables, key-value MGETs, parallel scans, and document fragments —
+/// and, within a deployment, identical rows in identical order at batch
+/// sizes 1, 2, and 1024.
 #[test]
-fn deployment_queries_agree_across_executors_and_batch_sizes() {
+fn deployment_queries_agree_across_deployments_and_batch_sizes() {
     let m = small();
-    let est = deploy_kv_migrated(&m, Latencies::zero());
+    let deployments = [
+        deploy_baseline(&m, Latencies::zero()),
+        deploy_kv_migrated(&m, Latencies::zero()),
+        deploy_materialized_join(&m, Latencies::zero()),
+    ];
     let mut sqls: Vec<String> = analytics_workload(&AnalyticsConfig {
         queries: 10,
         seed: 5,
@@ -402,17 +409,25 @@ fn deployment_queries_agree_across_executors_and_batch_sizes() {
     .collect();
     sqls.push(pref_sql(3));
     for sql in &sqls {
-        let oracle = est.query(sql).with_vectorized(false).run().unwrap();
-        for bs in [1usize, 2, 1024] {
-            let r = est.query(sql).with_batch_size(bs).run().unwrap();
-            assert_eq!(r.columns, oracle.columns, "{sql} @ batch_size={bs}");
-            assert_eq!(r.rows, oracle.rows, "{sql} @ batch_size={bs}");
+        let want = sorted(deployments[0].query(sql).run().unwrap().rows);
+        for (d, est) in deployments.iter().enumerate() {
+            let reference = est.query(sql).run().unwrap();
+            assert_eq!(
+                sorted(reference.rows.clone()),
+                want,
+                "{sql} @ deployment {d}"
+            );
+            for bs in [1usize, 2] {
+                let r = est.query(sql).with_batch_size(bs).run().unwrap();
+                assert_eq!(r.columns, reference.columns, "{sql} @ batch_size={bs}");
+                assert_eq!(r.rows, reference.rows, "{sql} @ batch_size={bs}");
+            }
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Fault injection: both executors stay observationally correct.
+// Fault injection: the executor stays observationally correct.
 // ---------------------------------------------------------------------
 
 const STORES: [&str; 5] = ["relational", "key-value", "document", "text", "parallel"];
@@ -467,12 +482,9 @@ fn fast_retry() -> RetryPolicy {
     }
 }
 
-fn faulted(m: &Marketplace, seed: u64, rules: &[ArbRule], vectorized: bool) -> Estocada {
+fn faulted(m: &Marketplace, seed: u64, rules: &[ArbRule]) -> Estocada {
     let mut est = deploy_kv_migrated(m, Latencies::zero());
-    let opts = est
-        .default_query_options()
-        .with_retry_policy(fast_retry())
-        .with_vectorized(vectorized);
+    let opts = est.default_query_options().with_retry_policy(fast_retry());
     est.set_default_query_options(opts);
     est.set_fault_plan(Some(build_fault_plan(seed, rules)));
     est
@@ -481,16 +493,15 @@ fn faulted(m: &Marketplace, seed: u64, rules: &[ArbRule], vectorized: bool) -> E
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Under an arbitrary fault schedule, each executor independently
-    /// yields the fault-free oracle's rows or a typed `AllPlansFailed`.
+    /// Under an arbitrary fault schedule, a query yields the fault-free
+    /// oracle's rows or a typed `AllPlansFailed`.
     /// Aggregation must never surface a partial group silently.
     #[test]
     fn faulted_executors_yield_oracle_rows_or_typed_errors(seeded in arb_schedule()) {
         let (seed, rules) = seeded;
         let m = small();
         let oracle = deploy_kv_migrated(&m, Latencies::zero());
-        let vec_est = faulted(&m, seed, &rules, true);
-        let tup_est = faulted(&m, seed, &rules, false);
+        let est = faulted(&m, seed, &rules);
         let queries = [
             pref_sql(3),
             "SELECT o.category, COUNT(o.oid) AS n, SUM(o.amount) AS vol \
@@ -499,21 +510,18 @@ proptest! {
         ];
         for sql in &queries {
             let want = sorted(oracle.query_sql(sql).expect("oracle").rows);
-            for (label, est) in [("vectorized", &vec_est), ("tuple", &tup_est)] {
-                match est.query_sql(sql) {
-                    Ok(r) => prop_assert_eq!(
-                        sorted(r.rows),
-                        want.clone(),
-                        "{} rows diverged under {:?} (seed {})",
-                        label,
-                        rules.clone(),
-                        seed
-                    ),
-                    Err(Error::AllPlansFailed { attempts, .. }) => {
-                        prop_assert!(!attempts.is_empty());
-                    }
-                    Err(e) => prop_assert!(false, "{}: untyped failure: {}", label, e),
+            match est.query_sql(sql) {
+                Ok(r) => prop_assert_eq!(
+                    sorted(r.rows),
+                    want,
+                    "rows diverged under {:?} (seed {})",
+                    rules.clone(),
+                    seed
+                ),
+                Err(Error::AllPlansFailed { attempts, .. }) => {
+                    prop_assert!(!attempts.is_empty());
                 }
+                Err(e) => prop_assert!(false, "untyped failure: {}", e),
             }
         }
     }
