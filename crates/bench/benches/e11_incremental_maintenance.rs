@@ -42,38 +42,6 @@ fn market() -> Marketplace {
     generate(cfg())
 }
 
-/// Canonical rendering of every store's full content (sorted rows per
-/// container; the rendered bytes must match exactly).
-fn snapshot(est: &Estocada) -> Vec<(String, String)> {
-    let s = &est.stores;
-    let mut out = Vec::new();
-    for t in s.rel.table_names() {
-        let mut rows = s.rel.scan(&t).unwrap_or_default();
-        rows.sort();
-        out.push((format!("rel:{t}"), format!("{rows:?}")));
-    }
-    for ns in s.kv.namespace_names() {
-        let mut entries = s.kv.scan(&ns);
-        entries.sort();
-        out.push((format!("kv:{ns}"), format!("{entries:?}")));
-    }
-    for c in s.doc.collection_names() {
-        let mut docs = s.doc.scan(&c);
-        docs.sort();
-        out.push((format!("doc:{c}"), format!("{docs:?}")));
-    }
-    for d in s.par.dataset_names() {
-        let mut rows = s.par.scan(&d, &[], None);
-        rows.sort();
-        out.push((format!("par:{d}"), format!("{rows:?}")));
-    }
-    let mut docs = s.text.documents("Products");
-    docs.sort();
-    out.push(("text:Products".into(), format!("{docs:?}")));
-    out.sort();
-    out
-}
-
 /// Fresh engine deployed from the incremental engine's current (mutated)
 /// datasets — the drop-and-rematerialize twin.
 fn remat_twin(est: &Estocada) -> Estocada {
@@ -90,8 +58,8 @@ fn assert_identical(est: &Estocada, what: &str) {
         stale_fragments(est).is_empty(),
         "{what}: stale fragments after maintenance"
     );
-    let a = snapshot(est);
-    let b = snapshot(&remat_twin(est));
+    let a = est.stores.dump();
+    let b = remat_twin(est).stores.dump();
     assert_eq!(a, b, "{what}: stores diverged from the remat twin");
 }
 
@@ -150,8 +118,8 @@ fn bench(c: &mut Criterion) {
             let twin = remat_twin(&est);
             let dt = t0.elapsed();
             assert_eq!(
-                snapshot(&est),
-                snapshot(&twin),
+                est.stores.dump(),
+                twin.stores.dump(),
                 "remat twin diverged from the incremental engine"
             );
             est.delete_rows("sales", "Orders", batch)

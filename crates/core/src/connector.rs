@@ -6,6 +6,7 @@
 
 use crate::catalog::{DocRole, FragmentRelation, FragmentStats, WhereSpec};
 use crate::error::{Error, Result};
+use crate::layout::unpack_kv_rows;
 use crate::system::{Stores, SystemId};
 use estocada_docstore::{DocQuery, QueryNode};
 use estocada_engine::{BindSource, RowBatch, StoreError, Tuple};
@@ -215,18 +216,6 @@ fn is_plain_var_pattern(terms: &[Term]) -> bool {
         Term::Var(v) => seen.insert(*v),
         Term::Const(_) => false,
     })
-}
-
-/// Decode the rows stored under one key-value key (the materializer packs
-/// every value tuple of a key as one list — see `materialize`).
-fn unpack_kv_rows(values: &[Value]) -> Vec<Vec<Value>> {
-    match values {
-        [Value::Array(rows)] => rows
-            .iter()
-            .filter_map(|r| r.as_array().map(<[Value]>::to_vec))
-            .collect(),
-        _ => vec![values.to_vec()],
-    }
 }
 
 /// Selectivity helper: `1 / distinct` clamped sanely.

@@ -17,17 +17,16 @@
 //!    semantics (two rows can share a `{table}_Terms` fact).
 //! 3. **Fragment stores**: each *view* fragment (table / key-value /
 //!    doc-rows / par-rows) carries a per-row **support count** — how many
-//!    body homomorphisms derive the row. Deltas are discovered with the
-//!    semi-naive delta chase ([`find_homs_delta`]): the delete phase
-//!    re-stamps the doomed facts into a fresh epoch, enumerates exactly
-//!    the homomorphisms flowing through them, and only then retracts;
-//!    the insert phase inserts the new facts and enumerates the
-//!    homomorphisms they enable. A store row is deleted on the
-//!    support's →0 crossing and inserted on the 0→ crossing (counting
-//!    solution to the deletion problem — no tombstones needed). *Native*
-//!    fragments (native-tables, text-index) mirror the dataset rows 1:1
-//!    and receive the raw row deltas directly, preserving physical
-//!    duplicate-row parity with a fresh rematerialization.
+//!    body homomorphisms derive the row — kept current by the two-phase
+//!    semi-naive delta chase ([`estocada_chase::find_homs_delta`]; deletes,
+//!    then inserts). A store row is deleted on the support's →0 crossing
+//!    and inserted on the 0→ crossing (counting solution to the deletion
+//!    problem — no tombstones needed). *Native* fragments (native-tables,
+//!    text-index) mirror the dataset rows 1:1 and receive the raw row
+//!    deltas directly, preserving physical duplicate-row parity with a
+//!    fresh rematerialization. Every store delta goes through
+//!    `crate::layout::write`, the writer of the first fill: that module
+//!    alone owns the physical formats.
 //!
 //! Batches are **net-delta deduplicated** at both levels: a row deleted
 //! and re-inserted in one batch cancels out before any store is touched.
@@ -45,15 +44,27 @@
 //! DDL invalidates the maintenance state wholesale (supports were computed
 //! against the previous catalog); it is re-seeded lazily on the next write.
 
-use crate::catalog::{FragmentSpec, FragmentStats, WhereSpec};
-use crate::dataset::DatasetContent;
+use crate::catalog::{Catalog, FragmentRelation, FragmentSpec, WhereSpec};
+use crate::dataset::{Dataset, DatasetContent, TableData};
 use crate::error::{Error, Result};
 use crate::evaluator::Estocada;
-use crate::materialize::{project_head, stats_of_rows};
-use estocada_chase::{find_homs, find_homs_delta, Elem, HomConfig, Instance};
-use estocada_pivot::{Cq, Symbol, Value};
-use std::collections::HashMap;
+use crate::layout;
+use crate::materialize::head_rows;
+use estocada_chase::{Elem, Instance};
+use estocada_pivot::{Symbol, Value};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 use std::time::{Duration, Instant};
+
+/// Ground fact key: `(pred, interned args)`.
+type FactKey = (Symbol, Vec<Elem>);
+/// A dataset row or a fragment-relation row.
+type Row = Vec<Value>;
+/// `(head row, ±1)` per enumerated homomorphism, per counting relation.
+type RowDeltas = HashMap<Symbol, Vec<(Row, i64)>>;
+/// Rows to delete from and rows to insert into one relation's container.
+type StoreOps = (Vec<Row>, Vec<Row>);
 
 /// Incremental-maintenance bookkeeping, seeded lazily on the first DML
 /// batch and dropped by any DDL operation.
@@ -117,43 +128,178 @@ pub struct DmlReport {
     pub maintenance_time: Duration,
 }
 
-/// Whether a fragment's relations are maintained by support counting
-/// (view fragments) rather than raw 1:1 row mirroring.
-fn is_counting(spec: &FragmentSpec) -> bool {
-    matches!(
-        spec,
-        FragmentSpec::Table { .. }
-            | FragmentSpec::KeyValue { .. }
-            | FragmentSpec::DocRows { .. }
-            | FragmentSpec::ParRows { .. }
-    )
+/// The relations maintained by support counting: those of view fragments.
+fn counting_relations(catalog: &Catalog) -> impl Iterator<Item = &FragmentRelation> {
+    let views = catalog.fragments().iter();
+    views
+        .filter(|f| f.spec.view().is_some())
+        .flat_map(|f| &f.relations)
 }
 
-/// Count every body homomorphism per projected head row — the seed of a
-/// counting fragment's support map. The same enumeration (sans counting)
-/// drives [`crate::materialize::evaluate_view`], so `supports.keys()` is
-/// exactly the materialized distinct row set.
-fn row_supports(base: &Instance, view: &Cq) -> HashMap<Vec<Value>, u64> {
-    let homs = find_homs(base, &view.body, &HashMap::new(), HomConfig::default());
-    let mut out: HashMap<Vec<Value>, u64> = HashMap::new();
-    for h in homs {
-        if let Some(row) = project_head(view, &h) {
-            *out.entry(row).or_insert(0) += 1;
+/// Whether a native fragment relation mirrors `dataset.table` row for row.
+fn mirrors(spec: &FragmentSpec, place: &WhereSpec, dataset: &str, table: &str) -> bool {
+    match (spec, place) {
+        (FragmentSpec::NativeTables { dataset: d, .. }, WhereSpec::Table { table: t, .. }) => {
+            d == dataset && t == table
+        }
+        (FragmentSpec::TextIndex { table: t }, WhereSpec::TextIndex { .. }) => t == table,
+        _ => false,
+    }
+}
+
+/// Occurrences per key — the seed of both multiplicity maps. Tallying the
+/// head rows [`crate::materialize::evaluate_view`] dedups makes a support
+/// map's keys exactly the materialized distinct row set.
+fn tally<K: Eq + Hash>(keys: impl Iterator<Item = K>) -> HashMap<K, u64> {
+    let mut counts = HashMap::new();
+    for key in keys {
+        *counts.entry(key).or_insert(0) += 1;
+    }
+    counts
+}
+
+/// The pivot facts `rows` of `t` contribute, one key per (row, fact).
+fn fact_keys<'a>(t: &'a TableData, rows: &'a [Row]) -> impl Iterator<Item = FactKey> + 'a {
+    let facts = rows.iter().flat_map(|row| t.row_facts(row));
+    facts.map(|f| (f.pred, f.args.iter().map(Elem::constant).collect()))
+}
+
+/// Sum signed deltas per key, in first-touch order; keys netting to zero
+/// drop out before the instance or any store is touched.
+fn net_deltas<K: Clone + Eq + Hash>(deltas: impl IntoIterator<Item = (K, i64)>) -> Vec<(K, i64)> {
+    let mut slot: HashMap<K, usize> = HashMap::new();
+    let mut net: Vec<(K, i64)> = Vec::new();
+    for (key, d) in deltas {
+        match slot.entry(key) {
+            Entry::Occupied(e) => net[*e.get()].1 += d,
+            Entry::Vacant(e) => {
+                net.push((e.key().clone(), d));
+                e.insert(net.len() - 1);
+            }
         }
     }
-    out
+    net.retain(|(_, d)| *d != 0);
+    net
 }
 
-/// Ground fact key: `(pred, interned args)`.
-fn fact_key(f: &estocada_pivot::Fact) -> (Symbol, Vec<Elem>) {
-    (f.pred, f.args.iter().map(Elem::constant).collect())
+/// Roll netted deltas into a multiplicity map (entries are positive; zero
+/// is absence). Returns the keys that crossed to zero and the keys that
+/// crossed from zero, each in the order of `net`.
+fn zero_crossings<K: Clone + Eq + Hash>(
+    counts: &mut HashMap<K, u64>,
+    net: Vec<(K, i64)>,
+) -> (Vec<K>, Vec<K>) {
+    let (mut gone, mut born) = (Vec::new(), Vec::new());
+    for (key, d) in net {
+        if let Some(n) = counts.get_mut(&key) {
+            let after = *n as i64 + d;
+            debug_assert!(after >= 0, "multiplicity went negative");
+            if after > 0 {
+                *n = after as u64;
+            } else {
+                counts.remove(&key);
+                gone.push(key);
+            }
+        } else if d > 0 {
+            counts.insert(key.clone(), d as u64);
+            born.push(key);
+        }
+    }
+    (gone, born)
 }
 
-/// Net store-level operations for one fragment relation.
-#[derive(Debug, Default)]
-struct StoreOps {
-    deletes: Vec<Vec<Value>>,
-    inserts: Vec<Vec<Value>>,
+/// Resolve `dataset.table`.
+fn table_mut<'a>(
+    datasets: &'a mut HashMap<String, Dataset>,
+    dataset: &str,
+    table: &str,
+) -> Result<&'a mut TableData> {
+    match datasets.get_mut(dataset).map(|ds| &mut ds.content) {
+        Some(DatasetContent::Relational(tables)) => tables
+            .iter_mut()
+            .find(|t| *t.encoding.relation.as_str() == *table)
+            .ok_or_else(|| Error::Dml(format!("unknown table {table} in dataset {dataset}"))),
+        Some(DatasetContent::Documents(_)) => Err(Error::Dml(format!(
+            "{dataset} is a document dataset; the incremental DML path covers relational datasets"
+        ))),
+        None => Err(Error::UnknownName(dataset.to_string())),
+    }
+}
+
+/// Every row has the table's arity and every delete finds its own stored
+/// instance. Nothing has been mutated when this fails.
+fn validate(t: &TableData, deletes: &[Row], inserts: &[Row]) -> Result<()> {
+    let (name, arity) = (t.encoding.relation, t.encoding.columns.len());
+    if let Some(r) = deletes.iter().chain(inserts).find(|r| r.len() != arity) {
+        let n = r.len();
+        return Err(Error::Dml(format!(
+            "row arity {n} does not match table {name} ({arity} columns)"
+        )));
+    }
+    let mut avail = tally(t.rows.iter());
+    for d in deletes {
+        match avail.get_mut(d) {
+            Some(n) if *n > 0 => *n -= 1,
+            _ => return Err(Error::Dml(format!("no row {d:?} to delete in {name}"))),
+        }
+    }
+    Ok(())
+}
+
+/// Seed the maintenance state from the datasets, the fact base and the
+/// catalog as they stand before the first batch after DDL.
+fn seed(
+    datasets: &HashMap<String, Dataset>,
+    catalog: &Catalog,
+    base: &Instance,
+    data_epoch: u64,
+) -> MaintenanceState {
+    let tables = datasets.values().flat_map(|ds| match &ds.content {
+        DatasetContent::Relational(tables) => tables.as_slice(),
+        DatasetContent::Documents(_) => &[],
+    });
+    let supports = |r: &FragmentRelation| (r.name, tally(head_rows(base, &r.view.view, None)));
+    let fragments = catalog.fragments().iter();
+    MaintenanceState {
+        fact_counts: tally(tables.flat_map(|t| fact_keys(t, &t.rows))),
+        supports: counting_relations(catalog).map(supports).collect(),
+        high_water: fragments.map(|f| (f.id.clone(), data_epoch)).collect(),
+    }
+}
+
+/// One phase of the delta chase: stamp `facts` into a fresh epoch — doomed
+/// ones (`sign < 0`) are retracted only after the enumeration, new ones
+/// (`sign > 0`) inserted before it — and record `(head row, sign)` for every
+/// homomorphism of a counting view through at least one of them, once.
+fn delta_chase(
+    base: &mut Instance,
+    catalog: &Catalog,
+    facts: &[FactKey],
+    sign: i64,
+    out: &mut RowDeltas,
+) {
+    if facts.is_empty() {
+        return;
+    }
+    let epoch = base.advance_epoch();
+    let mut doomed = Vec::new();
+    for (pred, args) in facts {
+        if sign > 0 {
+            base.insert(*pred, args.clone());
+        } else if let Some(id) = base.find_fact(*pred, args) {
+            base.touch(id);
+            doomed.push(id);
+        }
+    }
+    let delta = base.delta_index(epoch);
+    for r in counting_relations(catalog) {
+        let rows = head_rows(base, &r.view.view, Some(&delta));
+        let deltas = out.entry(r.name).or_default();
+        deltas.extend(rows.map(|row| (row, sign)));
+    }
+    for id in doomed {
+        base.retract(id);
+    }
 }
 
 impl Estocada {
@@ -165,7 +311,7 @@ impl Estocada {
         table: &str,
         rows: Vec<Vec<Value>>,
     ) -> Result<DmlReport> {
-        self.apply_dml(dataset, table, Vec::new(), rows)
+        self.apply_dml(dataset, table, (Vec::new(), rows))
     }
 
     /// Delete rows (each entry removes **one** matching stored row) from a
@@ -178,20 +324,21 @@ impl Estocada {
         table: &str,
         rows: Vec<Vec<Value>>,
     ) -> Result<DmlReport> {
-        self.apply_dml(dataset, table, rows, Vec::new())
+        self.apply_dml(dataset, table, (rows, Vec::new()))
     }
 
     /// Upsert rows by the table's declared key: every existing row whose
     /// key matches an upserted row is deleted, then the new rows are
-    /// inserted. Requires a declared key ([`Error::Dml`] otherwise).
-    /// Bumps the data epoch.
+    /// inserted. Requires a declared key, and a batch may name each key
+    /// once ([`Error::Dml`] otherwise, nothing mutated). Bumps the data
+    /// epoch.
     pub fn upsert_rows(
         &mut self,
         dataset: &str,
         table: &str,
         rows: Vec<Vec<Value>>,
     ) -> Result<DmlReport> {
-        let t = self.table_data(dataset, table)?;
+        let t = table_mut(&mut self.datasets, dataset, table)?;
         let key_cols: Vec<usize> = t
             .encoding
             .key
@@ -201,515 +348,107 @@ impl Estocada {
             .iter()
             .filter_map(|k| t.encoding.columns.iter().position(|c| c == k))
             .collect();
-        let arity = t.encoding.columns.len();
-        for r in &rows {
-            if r.len() != arity {
-                return Err(Error::Dml(format!(
-                    "row arity {} does not match table {table} ({arity} columns)",
-                    r.len()
-                )));
-            }
+        // A row too short for the key is left to the arity check.
+        let key_of = |r: &Row| -> Vec<_> { key_cols.iter().map(|c| r.get(*c).cloned()).collect() };
+        let mut keys = HashSet::new();
+        if let Some(twice) = rows.iter().map(key_of).find_map(|k| keys.replace(k)) {
+            return Err(Error::Dml(format!(
+                "upsert into {table} names key {twice:?} twice in one batch"
+            )));
         }
-        let keys: Vec<Vec<Value>> = rows
-            .iter()
-            .map(|r| key_cols.iter().map(|c| r[*c].clone()).collect())
-            .collect();
-        let deletes: Vec<Vec<Value>> = t
-            .rows
-            .iter()
-            .filter(|row| {
-                let k: Vec<Value> = key_cols.iter().map(|c| row[*c].clone()).collect();
-                keys.contains(&k)
-            })
-            .cloned()
-            .collect();
-        self.apply_dml(dataset, table, deletes, rows)
+        let stored = t.rows.iter().filter(|row| keys.contains(&key_of(row)));
+        let deletes = stored.cloned().collect();
+        self.apply_dml(dataset, table, (deletes, rows))
     }
 
-    /// The maintenance bookkeeping, once seeded by a first write (`None`
-    /// before any DML or right after DDL).
+    /// The maintenance bookkeeping, once seeded by a first write attempt
+    /// (`None` before any DML or right after DDL).
     pub fn maintenance(&self) -> Option<&MaintenanceState> {
         self.maint.as_ref()
     }
 
-    /// Resolve `dataset.table` to its [`crate::dataset::TableData`].
-    fn table_data(&self, dataset: &str, table: &str) -> Result<&crate::dataset::TableData> {
-        let ds = self
-            .datasets
-            .get(dataset)
-            .ok_or_else(|| Error::UnknownName(dataset.to_string()))?;
-        let DatasetContent::Relational(tables) = &ds.content else {
-            return Err(Error::Dml(format!(
-                "{dataset} is a document dataset; the incremental DML path covers relational datasets"
-            )));
-        };
-        tables
-            .iter()
-            .find(|t| t.encoding.relation.as_str().as_ref() == table)
-            .ok_or_else(|| Error::Dml(format!("unknown table {table} in dataset {dataset}")))
-    }
-
-    /// Seed the maintenance state from the current datasets, fact base and
-    /// catalog (no-op when already seeded; DDL clears it).
-    fn seed_maintenance(&mut self) {
-        if self.maint.is_some() {
-            return;
-        }
-        let base = self.base();
-        let mut fact_counts: HashMap<(Symbol, Vec<Elem>), u64> = HashMap::new();
-        for ds in self.datasets.values() {
-            if let DatasetContent::Relational(tables) = &ds.content {
-                for t in tables {
-                    for row in &t.rows {
-                        for f in t.row_facts(row) {
-                            *fact_counts.entry(fact_key(&f)).or_insert(0) += 1;
-                        }
-                    }
-                }
-            }
-        }
-        let mut supports = HashMap::new();
-        let mut high_water = HashMap::new();
-        for fm in self.catalog.fragments() {
-            high_water.insert(fm.id.clone(), self.data_epoch);
-            if is_counting(&fm.spec) {
-                for r in &fm.relations {
-                    supports.insert(r.name, row_supports(base, &r.view.view));
-                }
-            }
-        }
-        self.maint = Some(MaintenanceState {
-            fact_counts,
-            supports,
-            high_water,
-        });
-    }
-
-    /// The whole incremental write path: validate, mutate the dataset rows,
-    /// net the fact deltas, run the two-phase (deletes, then inserts)
-    /// semi-naive delta chase over every counting fragment view, apply the
-    /// store deltas, refresh affected statistics, and advance the data
-    /// epoch + high-water marks.
-    fn apply_dml(
-        &mut self,
-        dataset: &str,
-        table: &str,
-        deletes: Vec<Vec<Value>>,
-        inserts: Vec<Vec<Value>>,
-    ) -> Result<DmlReport> {
+    /// The whole incremental write path, an orchestrator over its steps:
+    /// [`validate`]; net the fact deltas ([`net_deltas`]) and classify them
+    /// through the fact multiplicities ([`zero_crossings`]); [`delta_chase`]
+    /// the deletes, then the inserts; turn the support crossings into store
+    /// operations (the same two helpers); apply them, one [`layout::write`]
+    /// per relation, and refresh its statistics; advance the data epoch and
+    /// every high-water mark.
+    fn apply_dml(&mut self, dataset: &str, table: &str, batch: StoreOps) -> Result<DmlReport> {
         let t0 = Instant::now();
-
-        // -- validate (atomic: reject before any mutation) ------------------
-        {
-            let t = self.table_data(dataset, table)?;
-            let arity = t.encoding.columns.len();
-            for r in deletes.iter().chain(inserts.iter()) {
-                if r.len() != arity {
-                    return Err(Error::Dml(format!(
-                        "row arity {} does not match table {table} ({arity} columns)",
-                        r.len()
-                    )));
-                }
-            }
-            let mut avail: HashMap<&[Value], usize> = HashMap::new();
-            for row in &t.rows {
-                *avail.entry(row.as_slice()).or_insert(0) += 1;
-            }
-            for d in &deletes {
-                let n = avail.entry(d.as_slice()).or_insert(0);
-                if *n == 0 {
-                    return Err(Error::Dml(format!(
-                        "row to delete not found in {table}: {d:?}"
-                    )));
-                }
-                *n -= 1;
-            }
-        }
-
-        self.seed_maintenance();
-        self.base(); // ensure the fact base is built before disjoint borrows
-
-        // -- net fact deltas (batch-level dedup) ----------------------------
-        // A fact appearing in both a deleted and an inserted row nets out
-        // here, before the instance or any store is touched.
-        let (delta, touch_order) = {
-            let t = self.table_data(dataset, table)?;
-            let mut delta: HashMap<(Symbol, Vec<Elem>), i64> = HashMap::new();
-            let mut order: Vec<(Symbol, Vec<Elem>)> = Vec::new();
-            let mut note = |key: (Symbol, Vec<Elem>), d: i64| {
-                let e = delta.entry(key.clone()).or_insert_with(|| {
-                    order.push(key);
-                    0
-                });
-                *e += d;
-            };
-            for row in &deletes {
-                for f in t.row_facts(row) {
-                    note(fact_key(&f), -1);
-                }
-            }
-            for row in &inserts {
-                for f in t.row_facts(row) {
-                    note(fact_key(&f), 1);
-                }
-            }
-            (delta, order)
+        let (deletes, inserts) = &batch;
+        self.base(); // stage the fact base now if no query has
+        let Some(base) = self.base.get_mut() else {
+            return Err(Error::Dml("the fact base is not staged".into()));
         };
-
-        // -- mutate the dataset rows (the ground truth) ---------------------
-        {
-            let ds = self.datasets.get_mut(dataset).expect("validated above");
-            let DatasetContent::Relational(tables) = &mut ds.content else {
-                unreachable!("validated above");
-            };
-            let t = tables
-                .iter_mut()
-                .find(|t| t.encoding.relation.as_str().as_ref() == table)
-                .expect("validated above");
-            for d in &deletes {
-                let pos = t.rows.iter().position(|r| r == d).expect("validated above");
+        // Seeded before the table is borrowed: seeding reads every dataset.
+        let (catalog, epoch) = (&mut self.catalog, &mut self.data_epoch);
+        let fresh = || seed(&self.datasets, catalog, base, *epoch);
+        let maint = self.maint.get_or_insert_with(fresh);
+        let t = table_mut(&mut self.datasets, dataset, table)?;
+        validate(t, deletes, inserts)?;
+        let minus = fact_keys(t, deletes).map(|fact| (fact, -1));
+        let plus = fact_keys(t, inserts).map(|fact| (fact, 1));
+        let fact_delta = net_deltas(minus.chain(plus));
+        for d in deletes {
+            if let Some(pos) = t.rows.iter().position(|r| r == d) {
                 t.rows.remove(pos);
             }
-            t.rows.extend(inserts.iter().cloned());
         }
+        t.rows.extend(inserts.iter().cloned());
 
-        // -- classify fact deltas through the multiplicity counts -----------
-        let mut minus: Vec<(Symbol, Vec<Elem>)> = Vec::new();
-        let mut plus: Vec<(Symbol, Vec<Elem>)> = Vec::new();
-        {
-            let maint = self.maint.as_mut().expect("seeded above");
-            for key in touch_order {
-                let d = delta[&key];
-                if d == 0 {
+        let (minus, plus) = zero_crossings(&mut maint.fact_counts, fact_delta);
+        let mut row_deltas = RowDeltas::new();
+        delta_chase(base, catalog, &minus, -1, &mut row_deltas);
+        delta_chase(base, catalog, &plus, 1, &mut row_deltas);
+        // A row leaves its store as its support crosses to zero, enters
+        // it as the support crosses from zero.
+        let ops = row_deltas.into_iter().map(|(relation, deltas)| {
+            let supports = maint.supports.entry(relation).or_default();
+            (relation, zero_crossings(supports, net_deltas(deltas)))
+        });
+        let ops: HashMap<Symbol, StoreOps> = ops.collect();
+
+        // Counting relations absorb their crossings; raw mirrors of the
+        // table absorb the batch itself, physical duplicate rows and all.
+        let mut fragment_deltas = Vec::new();
+        for fm in catalog.fragments_mut() {
+            for (r, stats) in fm.relations.iter().zip(&mut fm.stats) {
+                let supports = maint.supports.get(&r.name);
+                let (gone, born) = match ops.get(&r.name) {
+                    Some(crossings) => crossings,
+                    None if mirrors(&fm.spec, &r.place, dataset, table) => &batch,
+                    _ => continue,
+                };
+                if gone.is_empty() && born.is_empty() {
                     continue;
                 }
-                let c = maint.fact_counts.entry(key.clone()).or_insert(0);
-                let before = *c as i64;
-                let after = before + d;
-                debug_assert!(after >= 0, "fact multiplicity went negative");
-                *c = after.max(0) as u64;
-                if before > 0 && after <= 0 {
-                    maint.fact_counts.remove(&key);
-                    minus.push(key);
-                } else if before == 0 && after > 0 {
-                    plus.push(key);
-                }
-            }
-        }
-
-        // -- two-phase semi-naive delta chase over the fact base ------------
-        let base = self.base.get_mut().expect("base built");
-        // `(row, ±1)` hom deltas per counting fragment relation, in
-        // enumeration order.
-        let mut row_deltas: HashMap<Symbol, Vec<(Vec<Value>, i64)>> = HashMap::new();
-        let hom_cfg = HomConfig::default();
-
-        // Phase D: stamp the doomed facts into a fresh epoch, enumerate
-        // every homomorphism flowing through at least one of them (each
-        // exactly once, semi-naively), then retract.
-        if !minus.is_empty() {
-            let e_del = base.advance_epoch();
-            let mut minus_ids = Vec::new();
-            for (pred, args) in &minus {
-                if let Some(id) = base.find_fact(*pred, args) {
-                    base.touch(id);
-                    minus_ids.push(id);
-                }
-            }
-            let dix = base.delta_index(e_del);
-            for fm in self.catalog.fragments() {
-                if !is_counting(&fm.spec) {
-                    continue;
-                }
-                for r in &fm.relations {
-                    let view = &r.view.view;
-                    for h in find_homs_delta(base, &view.body, &HashMap::new(), hom_cfg, &dix) {
-                        if let Some(row) = project_head(view, &h) {
-                            row_deltas.entry(r.name).or_default().push((row, -1));
-                        }
-                    }
-                }
-            }
-            for id in minus_ids {
-                base.retract(id);
-            }
-        }
-
-        // Phase I: insert the new facts and enumerate every homomorphism
-        // they enable.
-        if !plus.is_empty() {
-            let e_ins = base.advance_epoch();
-            for (pred, args) in &plus {
-                base.insert(*pred, args.clone());
-            }
-            let dix = base.delta_index(e_ins);
-            for fm in self.catalog.fragments() {
-                if !is_counting(&fm.spec) {
-                    continue;
-                }
-                for r in &fm.relations {
-                    let view = &r.view.view;
-                    for h in find_homs_delta(base, &view.body, &HashMap::new(), hom_cfg, &dix) {
-                        if let Some(row) = project_head(view, &h) {
-                            row_deltas.entry(r.name).or_default().push((row, 1));
-                        }
-                    }
-                }
-            }
-        }
-
-        // -- roll hom deltas into the support counts; 0-crossings become
-        // store operations ---------------------------------------------------
-        let mut ops: HashMap<Symbol, StoreOps> = HashMap::new();
-        let maint = self.maint.as_mut().expect("seeded above");
-        for (rel, deltas) in &row_deltas {
-            // Net per row first: a row deleted and re-derived in one batch
-            // must not bounce through the store.
-            let mut net: HashMap<&Vec<Value>, i64> = HashMap::new();
-            let mut order: Vec<&Vec<Value>> = Vec::new();
-            for (row, d) in deltas {
-                let e = net.entry(row).or_insert_with(|| {
-                    order.push(row);
-                    0
+                // The relation's rows once the delta is in — the supported
+                // rows, or the mirrored table's — are what is written from
+                // and what a rematerialization would compute statistics of.
+                let source = supports.is_none().then_some(&*t);
+                let mirrored = source.map_or(&[][..], |t| &t.rows);
+                let resident = || supports.into_iter().flat_map(HashMap::keys).chain(mirrored);
+                layout::write(&self.stores, &r.place, source, gone, born, &mut resident())?;
+                *stats = layout::stats(&r.place, resident(), r.view.view.head.len());
+                fragment_deltas.push(FragmentDelta {
+                    fragment: fm.id.clone(),
+                    relation: r.name.as_str().to_string(),
+                    store_deletes: gone.len(),
+                    store_inserts: born.len(),
+                    mode: if source.is_none() { "counting" } else { "raw" },
                 });
-                *e += d;
-            }
-            let sup = maint.supports.entry(*rel).or_default();
-            let o = ops.entry(*rel).or_default();
-            for row in order {
-                let d = net[row];
-                if d == 0 {
-                    continue;
-                }
-                let c = sup.entry(row.clone()).or_insert(0);
-                let before = *c as i64;
-                let after = before + d;
-                debug_assert!(after >= 0, "row support went negative");
-                *c = after.max(0) as u64;
-                if before > 0 && after <= 0 {
-                    sup.remove(row);
-                    o.deletes.push(row.clone());
-                } else if before == 0 && after > 0 {
-                    o.inserts.push(row.clone());
-                }
             }
         }
 
-        // -- apply the deltas to the backing stores -------------------------
-        // Deletes before inserts per fragment; raw fragments mirror the
-        // dataset-row deltas 1:1 (duplicate physical rows and all).
-        let mut fragment_deltas: Vec<FragmentDelta> = Vec::new();
-        let mut stats_updates: Vec<(String, usize, FragmentStats)> = Vec::new();
-        let post_rows: Vec<Vec<Value>> = {
-            let ds = self.datasets.get(dataset).expect("validated above");
-            let DatasetContent::Relational(tables) = &ds.content else {
-                unreachable!()
-            };
-            tables
-                .iter()
-                .find(|t| t.encoding.relation.as_str().as_ref() == table)
-                .expect("validated above")
-                .rows
-                .clone()
-        };
-        for fm in self.catalog.fragments() {
-            for (ri, r) in fm.relations.iter().enumerate() {
-                let mut applied: Option<(usize, usize, &'static str)> = None;
-                match (&fm.spec, &r.place) {
-                    // Counting view fragments.
-                    (_, WhereSpec::Table { table: tname, .. }) if is_counting(&fm.spec) => {
-                        if let Some(o) = ops.get(&r.name) {
-                            if !o.deletes.is_empty() || !o.inserts.is_empty() {
-                                self.stores.rel.delete_rows(tname, &o.deletes);
-                                self.stores
-                                    .rel
-                                    .insert_many(tname, o.inserts.iter().cloned());
-                                applied = Some((o.deletes.len(), o.inserts.len(), "counting"));
-                            }
-                        }
-                    }
-                    (_, WhereSpec::Namespace { namespace, .. }) => {
-                        if let Some(o) = ops.get(&r.name) {
-                            if !o.deletes.is_empty() || !o.inserts.is_empty() {
-                                let sup = maint.supports.get(&r.name).expect("seeded");
-                                // Repack every key a 0-crossing row touches,
-                                // canonically (sorted value tuples — the
-                                // same packing materialize writes).
-                                let mut affected: Vec<&Value> = o
-                                    .deletes
-                                    .iter()
-                                    .chain(o.inserts.iter())
-                                    .map(|row| &row[0])
-                                    .collect();
-                                affected.sort();
-                                affected.dedup();
-                                for key in affected {
-                                    let mut vrows: Vec<Value> = sup
-                                        .keys()
-                                        .filter(|row| &row[0] == key)
-                                        .map(|row| Value::array(row[1..].iter().cloned()))
-                                        .collect();
-                                    if vrows.is_empty() {
-                                        self.stores.kv.delete(namespace, key);
-                                    } else {
-                                        vrows.sort();
-                                        self.stores.kv.put(
-                                            namespace,
-                                            key.clone(),
-                                            &[Value::array(vrows)],
-                                        );
-                                    }
-                                }
-                                applied = Some((o.deletes.len(), o.inserts.len(), "counting"));
-                            }
-                        }
-                    }
-                    (
-                        _,
-                        WhereSpec::Collection {
-                            collection,
-                            columns,
-                        },
-                    ) => {
-                        if let Some(o) = ops.get(&r.name) {
-                            if !o.deletes.is_empty() || !o.inserts.is_empty() {
-                                let to_doc = |row: &Vec<Value>| {
-                                    Value::object_owned(
-                                        columns.iter().cloned().zip(row.iter().cloned()),
-                                    )
-                                };
-                                let dels: Vec<Value> = o.deletes.iter().map(to_doc).collect();
-                                self.stores.doc.remove_docs(collection, &dels);
-                                self.stores
-                                    .doc
-                                    .insert_many(collection, o.inserts.iter().map(to_doc));
-                                applied = Some((o.deletes.len(), o.inserts.len(), "counting"));
-                            }
-                        }
-                    }
-                    (_, WhereSpec::ParDataset { dataset: dname, .. }) => {
-                        if let Some(o) = ops.get(&r.name) {
-                            if !o.deletes.is_empty() || !o.inserts.is_empty() {
-                                self.stores.par.delete_rows(dname, &o.deletes);
-                                self.stores
-                                    .par
-                                    .insert_rows(dname, o.inserts.iter().cloned());
-                                applied = Some((o.deletes.len(), o.inserts.len(), "counting"));
-                            }
-                        }
-                    }
-                    // Raw mirrors of the mutated table.
-                    (
-                        FragmentSpec::NativeTables { dataset: d, .. },
-                        WhereSpec::Table { table: tname, .. },
-                    ) if d == dataset
-                        && tname == table
-                        && (!deletes.is_empty() || !inserts.is_empty()) =>
-                    {
-                        self.stores.rel.delete_rows(tname, &deletes);
-                        self.stores.rel.insert_many(tname, inserts.iter().cloned());
-                        applied = Some((deletes.len(), inserts.len(), "raw"));
-                    }
-                    (FragmentSpec::TextIndex { table: tt }, WhereSpec::TextIndex { index })
-                        if tt == table && (!deletes.is_empty() || !inserts.is_empty()) =>
-                    {
-                        let ds = self.datasets.get(dataset).expect("validated above");
-                        let DatasetContent::Relational(tables) = &ds.content else {
-                            unreachable!()
-                        };
-                        let t = tables
-                            .iter()
-                            .find(|t| t.encoding.relation.as_str().as_ref() == table)
-                            .expect("validated above");
-                        let key_col = t
-                            .encoding
-                            .key
-                            .as_ref()
-                            .and_then(|k| k.first())
-                            .and_then(|k| t.encoding.columns.iter().position(|c| c == k));
-                        let text_cols: Vec<usize> = t
-                            .text_columns
-                            .iter()
-                            .filter_map(|c| t.encoding.columns.iter().position(|x| x == c))
-                            .collect();
-                        let joined = |row: &Vec<Value>| {
-                            let parts: Vec<&str> =
-                                text_cols.iter().filter_map(|c| row[*c].as_str()).collect();
-                            parts.join(" ")
-                        };
-                        let keyed = |row: &Vec<Value>| {
-                            key_col.map(|k| row[k].clone()).unwrap_or(Value::Null)
-                        };
-                        let dels: Vec<(Value, String)> =
-                            deletes.iter().map(|r| (keyed(r), joined(r))).collect();
-                        self.stores.text.remove_documents(index, &dels);
-                        for row in &inserts {
-                            self.stores
-                                .text
-                                .index_document(index, keyed(row), &joined(row));
-                        }
-                        applied = Some((deletes.len(), inserts.len(), "raw"));
-                    }
-                    _ => {}
-                }
-                if let Some((sd, si, mode)) = applied {
-                    // Refresh the relation's statistics the same way a
-                    // rematerialization would compute them.
-                    let arity = r.view.view.head.len();
-                    let stats = match (&fm.spec, &r.place) {
-                        (FragmentSpec::NativeTables { .. }, _) => stats_of_rows(&post_rows, arity),
-                        (FragmentSpec::TextIndex { .. }, _) => {
-                            let postings = post_rows.len() as u64;
-                            FragmentStats {
-                                rows: postings * 8,
-                                distinct: vec![postings * 4, postings],
-                                bytes: postings * 64,
-                            }
-                        }
-                        _ => {
-                            let rows: Vec<Vec<Value>> = maint
-                                .supports
-                                .get(&r.name)
-                                .map(|s| s.keys().cloned().collect())
-                                .unwrap_or_default();
-                            stats_of_rows(&rows, arity)
-                        }
-                    };
-                    stats_updates.push((fm.id.clone(), ri, stats));
-                    fragment_deltas.push(FragmentDelta {
-                        fragment: fm.id.clone(),
-                        relation: r.name.as_str().to_string(),
-                        store_deletes: sd,
-                        store_inserts: si,
-                        mode,
-                    });
-                }
-            }
-        }
-
-        // -- advance the data epoch and every high-water mark ---------------
-        self.data_epoch += 1;
-        let epoch = self.data_epoch;
-        for hw in maint.high_water.values_mut() {
-            *hw = epoch;
-        }
-        for (fid, ri, stats) in stats_updates {
-            if let Some(fm) = self
-                .catalog
-                .fragments_mut()
-                .iter_mut()
-                .find(|f| f.id == fid)
-            {
-                fm.stats[ri] = stats;
-            }
-        }
-
+        *epoch += 1;
+        maint.high_water.values_mut().for_each(|hw| *hw = *epoch);
         Ok(DmlReport {
             dataset: dataset.to_string(),
             table: table.to_string(),
             inserted: inserts.len(),
             deleted: deletes.len(),
-            data_epoch: epoch,
+            data_epoch: *epoch,
             fragment_deltas,
             maintenance_time: t0.elapsed(),
         })
@@ -816,49 +555,12 @@ mod tests {
         est
     }
 
-    /// Canonicalized dump of every store object: `(label, contents)` with
-    /// rows sorted, so physical insertion order is factored out.
-    fn snapshot(est: &Estocada) -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        let mut tables = est.stores.rel.table_names();
-        tables.sort();
-        for t in tables {
-            let mut rows = est.stores.rel.scan(&t).unwrap();
-            rows.sort();
-            out.push((format!("rel:{t}"), format!("{rows:?}")));
-        }
-        let mut nss = est.stores.kv.namespace_names();
-        nss.sort();
-        for ns in nss {
-            let mut pairs = est.stores.kv.scan(&ns);
-            pairs.sort();
-            out.push((format!("kv:{ns}"), format!("{pairs:?}")));
-        }
-        let mut cols = est.stores.doc.collection_names();
-        cols.sort();
-        for c in cols {
-            let mut docs = est.stores.doc.scan(&c);
-            docs.sort();
-            out.push((format!("doc:{c}"), format!("{docs:?}")));
-        }
-        let mut pds = est.stores.par.dataset_names();
-        pds.sort();
-        for d in pds {
-            let mut rows = est.stores.par.scan(&d, &[], None);
-            rows.sort();
-            out.push((format!("par:{d}"), format!("{rows:?}")));
-        }
-        let mut docs = est.stores.text.documents("Products");
-        docs.sort();
-        out.push(("text:Products".into(), format!("{docs:?}")));
-        out
-    }
-
     fn assert_same_stores(incremental: &Estocada, fresh: &Estocada) {
-        for (a, b) in snapshot(incremental).iter().zip(snapshot(fresh).iter()) {
-            assert_eq!(a.0, b.0, "store object sets differ");
-            assert_eq!(a.1, b.1, "{} diverged from rematerialization", a.0);
-        }
+        assert_eq!(
+            incremental.stores.dump(),
+            fresh.stores.dump(),
+            "stores diverged from rematerialization"
+        );
     }
 
     #[test]
@@ -931,7 +633,7 @@ mod tests {
     #[test]
     fn rejected_batches_are_atomic() {
         let mut est = deploy(shop(&[(1, 1, 10)]));
-        let before = snapshot(&est);
+        let before = est.stores.dump();
         let err = est
             .delete_rows(
                 "shop",
@@ -949,7 +651,7 @@ mod tests {
             "rejected batch must not bump the epoch"
         );
         assert_eq!(
-            snapshot(&est),
+            est.stores.dump(),
             before,
             "rejected batch must not touch stores"
         );
@@ -972,6 +674,55 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, Error::Dml(_)), "got {err}");
+    }
+
+    #[test]
+    fn upsert_naming_a_key_twice_is_rejected_atomically() {
+        let mut est = deploy(shop(&[(1, 1, 10)]));
+        let (stores, rows) = (est.stores.dump(), format!("{:?}", est.datasets()["shop"]));
+        let err = est
+            .upsert_rows(
+                "shop",
+                "Users",
+                vec![
+                    vec![Value::Int(1), Value::str("anna")],
+                    vec![Value::Int(3), Value::str("cy")],
+                    vec![Value::Int(1), Value::str("annie")],
+                ],
+            )
+            .unwrap_err();
+        assert!(matches!(err, Error::Dml(_)), "got {err}");
+        assert_eq!(est.data_epoch(), 0, "rejected batch bumped the epoch");
+        assert_eq!(est.stores.dump(), stores, "rejected batch touched a store");
+        assert_eq!(format!("{:?}", est.datasets()["shop"]), rows);
+        assert!(est.maintenance().is_none(), "rejected batch seeded state");
+    }
+
+    #[test]
+    fn containers_emptied_by_deletes_match_a_first_fill_over_no_rows() {
+        // Every Orders row (table, key-value, doc, par mirrors) and every
+        // Products row (text index) goes; the twin is deployed over the
+        // emptied tables and must hold the same containers.
+        let mut est = deploy(shop(&[(1, 1, 10), (2, 2, 20)]));
+        for table in ["Orders", "Products"] {
+            let crate::dataset::DatasetContent::Relational(tables) =
+                &est.datasets()["shop"].content
+            else {
+                unreachable!("shop is relational")
+            };
+            let t = tables
+                .iter()
+                .find(|t| *t.encoding.relation.as_str() == *table)
+                .unwrap();
+            let rows = t.rows.clone();
+            est.delete_rows("shop", table, rows).unwrap();
+        }
+        let twin = deploy(est.datasets()["shop"].clone());
+        assert_same_stores(&est, &twin);
+        for (a, b) in est.fragments().iter().zip(twin.fragments()) {
+            let (sa, sb) = (format!("{:?}", a.stats), format!("{:?}", b.stats));
+            assert_eq!(sa, sb, "stats of {} diverged", a.id);
+        }
     }
 
     #[test]

@@ -639,7 +639,8 @@ impl Estocada {
     /// first (schema hygiene on its view CQ, plus termination
     /// certification of the constraint set it would induce);
     /// error-severity findings reject the DDL with [`Error::Invalid`]
-    /// before anything is materialized.
+    /// before anything is materialized. A spec rejected for any reason
+    /// leaves the stores untouched and consumes no fragment id.
     pub fn add_fragment(&mut self, spec: FragmentSpec) -> Result<String> {
         if !matches!(self.validation, ValidationMode::Off) {
             let diags = analyze::analyze_fragment_spec(&spec, &self.schema, &self.catalog);
@@ -647,9 +648,9 @@ impl Estocada {
                 return Err(Error::Invalid(diags));
             }
         }
-        self.frag_seq += 1;
-        let id = format!("F{}", self.frag_seq);
+        let id = format!("F{}", self.frag_seq + 1);
         let meta = materialize(&id, spec, self.base(), &self.datasets, &self.stores)?;
+        self.frag_seq += 1;
         self.catalog.add(meta);
         self.bump_epoch();
         Ok(id)

@@ -26,6 +26,7 @@ pub mod dml;
 pub mod error;
 pub mod evaluator;
 pub mod frontends;
+mod layout;
 pub mod materialize;
 pub mod plancache;
 pub mod report;

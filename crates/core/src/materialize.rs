@@ -2,17 +2,22 @@
 //! datasets (in the pivot model) and loading the result into the target
 //! store, restructuring the data across models as needed — the error-prone
 //! manual migration of the motivating scenario, automated.
+//!
+//! This module decides *what* a fragment holds (its relations, their rows
+//! and statistics). How those rows are laid out in a store, and every store
+//! write, belongs to the crate-private `layout` module — the single owner
+//! of the physical formats, shared with the DML path ([`crate::dml`]).
 
 use crate::catalog::{
     DocRole, FragmentMeta, FragmentRelation, FragmentSpec, FragmentStats, WhereSpec,
 };
-use crate::dataset::{Dataset, DatasetContent};
+use crate::dataset::{Dataset, DatasetContent, TableData};
 use crate::error::{Error, Result};
+use crate::layout;
 use crate::system::Stores;
-use estocada_chase::{find_homs, Elem, HomConfig, Instance};
+use estocada_chase::{find_homs, find_homs_delta, DeltaIndex, Elem, HomConfig, Instance};
 use estocada_pivot::encoding::document::DocRelations;
-use estocada_pivot::{AccessPattern, Cq, Fact, Symbol, Term, Value, ViewDef};
-use estocada_relstore::IndexKind;
+use estocada_pivot::{Cq, Fact, Symbol, Term, Value, ViewDef};
 use std::collections::{HashMap, HashSet};
 
 /// Build a ground-fact instance (the staging database used to evaluate view
@@ -25,40 +30,51 @@ pub fn fact_base(facts: &[Fact]) -> Instance {
     inst
 }
 
-/// Project one homomorphism onto a view's head row (`None` when a head
-/// variable maps to a labelled null — never the case over ground bases).
-pub(crate) fn project_head(view: &Cq, h: &estocada_chase::Hom) -> Option<Vec<Value>> {
-    view.head
-        .iter()
-        .map(|t| match t {
-            Term::Const(c) => Some(c.clone()),
-            Term::Var(v) => h.map.get(v).and_then(Elem::as_value),
-        })
-        .collect()
+/// The head row of every homomorphism of `view`'s body into `base`, in
+/// enumeration order, one per homomorphism (duplicates included). With
+/// `delta`, only the homomorphisms through at least one fact of the delta,
+/// each exactly once (semi-naive). A homomorphism mapping a head variable
+/// to a labelled null yields no row — never the case over ground bases.
+pub(crate) fn head_rows<'a>(
+    base: &Instance,
+    view: &'a Cq,
+    delta: Option<&DeltaIndex>,
+) -> impl Iterator<Item = Vec<Value>> + 'a {
+    let (fixed, cfg) = (HashMap::new(), HomConfig::default());
+    let homs = match delta {
+        Some(delta) => find_homs_delta(base, &view.body, &fixed, cfg, delta),
+        None => find_homs(base, &view.body, &fixed, cfg),
+    };
+    homs.into_iter().filter_map(move |h| {
+        view.head
+            .iter()
+            .map(|t| match t {
+                Term::Const(c) => Some(c.clone()),
+                Term::Var(v) => h.map.get(v).and_then(Elem::as_value),
+            })
+            .collect()
+    })
 }
 
 /// Evaluate a view over the fact base: all homomorphic images of the body,
 /// projected on the head. Duplicate rows are eliminated (set semantics of
 /// the pivot model).
 pub fn evaluate_view(base: &Instance, view: &Cq) -> Vec<Vec<Value>> {
-    let homs = find_homs(base, &view.body, &HashMap::new(), HomConfig::default());
     let mut seen = HashSet::new();
-    let mut out = Vec::new();
-    for h in homs {
-        if let Some(row) = project_head(view, &h) {
-            if seen.insert(row.clone()) {
-                out.push(row);
-            }
-        }
-    }
-    out
+    head_rows(base, view, None)
+        .filter(|row| seen.insert(row.clone()))
+        .collect()
 }
 
 /// Compute statistics over materialized rows.
-pub fn stats_of_rows(rows: &[Vec<Value>], arity: usize) -> FragmentStats {
+pub fn stats_of_rows<'a>(
+    rows: impl IntoIterator<Item = &'a Vec<Value>>,
+    arity: usize,
+) -> FragmentStats {
     let mut distinct: Vec<HashSet<&Value>> = vec![HashSet::new(); arity];
-    let mut bytes = 0u64;
+    let (mut count, mut bytes) = (0u64, 0u64);
     for r in rows {
+        count += 1;
         for (i, v) in r.iter().enumerate() {
             if i < arity {
                 distinct[i].insert(v);
@@ -67,7 +83,7 @@ pub fn stats_of_rows(rows: &[Vec<Value>], arity: usize) -> FragmentStats {
         }
     }
     FragmentStats {
-        rows: rows.len() as u64,
+        rows: count,
         distinct: distinct.iter().map(|d| d.len() as u64).collect(),
         bytes,
     }
@@ -92,8 +108,12 @@ pub fn head_columns(view: &Cq) -> Vec<String> {
         .collect()
 }
 
+/// One relation of a fragment being built, with its statistics.
+type Part = (FragmentRelation, FragmentStats);
+
 /// Materialize `spec` as fragment `id`: evaluates views over `base`, loads
-/// the target store, and returns the registered metadata.
+/// the target store, and returns the registered metadata. A rejected spec
+/// is rejected before the first store call.
 pub fn materialize(
     id: &str,
     spec: FragmentSpec,
@@ -101,296 +121,21 @@ pub fn materialize(
     datasets: &HashMap<String, Dataset>,
     stores: &Stores,
 ) -> Result<FragmentMeta> {
-    let system = spec.system();
-    let mut relations = Vec::new();
-    let mut stats = Vec::new();
-
-    match &spec {
-        FragmentSpec::Table { view, index_on } => {
-            check_view(view)?;
-            let rows = evaluate_view(base, view);
-            let columns = head_columns(view);
-            let table = view.name.as_str().to_string();
-            let colrefs: Vec<&str> = columns.iter().map(|s| s.as_str()).collect();
-            stores.rel.create_table(&table, &colrefs);
-            stores.rel.insert_many(&table, rows.iter().cloned());
-            for ix in index_on {
-                if !columns.contains(ix) {
-                    return Err(Error::BadFragment(format!(
-                        "index column {ix} not in view head"
-                    )));
-                }
-                stores.rel.create_index(&table, ix, IndexKind::BTree);
-            }
-            stats.push(stats_of_rows(&rows, columns.len()));
-            relations.push(FragmentRelation {
-                name: view.name,
-                view: ViewDef::new(view.clone()),
-                access: None,
-                place: WhereSpec::Table { table, columns },
-            });
-        }
-        FragmentSpec::KeyValue { view } => {
-            check_view(view)?;
-            if view.head.is_empty() {
-                return Err(Error::BadFragment(
-                    "key-value view needs a key column".into(),
-                ));
-            }
-            let rows = evaluate_view(base, view);
-            let columns = head_columns(view);
-            let namespace = view.name.as_str().to_string();
-            // Group rows per key: a key maps to the *list* of its value
-            // tuples (like a Redis list), so non-unique keys keep every
-            // row. Value tuples are sorted within their key so a packed
-            // entry is a canonical function of the row *set* — incremental
-            // DML maintenance repacks affected keys byte-identically.
-            let mut groups: HashMap<Value, Vec<Value>> = HashMap::new();
-            for r in &rows {
-                groups
-                    .entry(r[0].clone())
-                    .or_default()
-                    .push(Value::array(r[1..].iter().cloned()));
-            }
-            for (k, mut vrows) in groups {
-                vrows.sort();
-                stores.kv.put(&namespace, k, &[Value::array(vrows)]);
-            }
-            let pattern = {
-                let mut s = String::from("i");
-                s.extend(std::iter::repeat_n('o', columns.len() - 1));
-                AccessPattern::parse(&s)
-            };
-            stats.push(stats_of_rows(&rows, columns.len()));
-            relations.push(FragmentRelation {
-                name: view.name,
-                view: ViewDef::new(view.clone()),
-                access: Some(pattern),
-                place: WhereSpec::Namespace {
-                    namespace,
-                    value_columns: columns[1..].to_vec(),
-                },
-            });
-        }
-        FragmentSpec::DocRows { view, index_on } => {
-            check_view(view)?;
-            let rows = evaluate_view(base, view);
-            let columns = head_columns(view);
-            let collection = view.name.as_str().to_string();
-            stores.doc.insert_many(
-                &collection,
-                rows.iter()
-                    .map(|r| Value::object_owned(columns.iter().cloned().zip(r.iter().cloned()))),
-            );
-            for ix in index_on {
-                if !columns.contains(ix) {
-                    return Err(Error::BadFragment(format!(
-                        "index column {ix} not in view head"
-                    )));
-                }
-                stores.doc.create_index(&collection, ix);
-            }
-            stats.push(stats_of_rows(&rows, columns.len()));
-            relations.push(FragmentRelation {
-                name: view.name,
-                view: ViewDef::new(view.clone()),
-                access: None,
-                place: WhereSpec::Collection {
-                    collection,
-                    columns,
-                },
-            });
-        }
-        FragmentSpec::ParRows {
-            view,
-            index_on,
-            partitions,
-        } => {
-            check_view(view)?;
-            let rows = evaluate_view(base, view);
-            let columns = head_columns(view);
-            let dataset = view.name.as_str().to_string();
-            let colrefs: Vec<&str> = columns.iter().map(|s| s.as_str()).collect();
-            let parts = if *partitions == 0 {
-                estocada_parstore::ParStore::default_partitions()
-            } else {
-                *partitions
-            };
-            stores
-                .par
-                .create_dataset(&dataset, &colrefs, rows.iter().cloned(), parts);
-            let mut indexed = Vec::new();
-            if !index_on.is_empty() {
-                for ix in index_on {
-                    let pos = columns.iter().position(|c| c == ix).ok_or_else(|| {
-                        Error::BadFragment(format!("index column {ix} not in view head"))
-                    })?;
-                    indexed.push(pos);
-                }
-                let ixrefs: Vec<&str> = index_on.iter().map(|s| s.as_str()).collect();
-                stores.par.build_key_index(&dataset, &ixrefs);
-            }
-            stats.push(stats_of_rows(&rows, columns.len()));
-            relations.push(FragmentRelation {
-                name: view.name,
-                view: ViewDef::new(view.clone()),
-                access: None,
-                place: WhereSpec::ParDataset {
-                    dataset,
-                    columns,
-                    indexed,
-                },
-            });
-        }
-        FragmentSpec::NativeDoc { dataset } => {
-            let ds = datasets
-                .get(dataset)
-                .ok_or_else(|| Error::UnknownName(dataset.clone()))?;
-            let docs = match &ds.content {
-                DatasetContent::Documents(docs) => docs,
-                DatasetContent::Relational(_) => {
-                    return Err(Error::BadFragment(format!(
-                        "{dataset} is not a document dataset"
-                    )))
-                }
-            };
-            stores
-                .doc
-                .insert_many(dataset, docs.iter().map(|d| d.body.clone()));
-            let src = DocRelations::for_collection(dataset);
-            let frag = DocRelations::for_collection(&format!("{dataset}F"));
-            let roles = [
-                (frag.doc, src.doc, DocRole::Doc, 2usize),
-                (frag.root, src.root, DocRole::Root, 2),
-                (frag.node, src.node, DocRole::Node, 2),
-                (frag.child, src.child, DocRole::Child, 2),
-                (frag.desc, src.desc, DocRole::Desc, 2),
-                (frag.val, src.val, DocRole::Val, 2),
-            ];
-            for (fname, sname, role, arity) in roles {
-                let view = identity_view(fname, sname, arity);
-                let nrows = base.facts_of(sname).count() as u64;
-                stats.push(FragmentStats {
-                    rows: nrows,
-                    distinct: vec![nrows; arity],
-                    bytes: nrows * 16,
-                });
-                relations.push(FragmentRelation {
-                    name: fname,
-                    view: ViewDef::new(view),
-                    access: None,
-                    place: WhereSpec::NativeDocs {
-                        collection: dataset.clone(),
-                        role,
-                    },
-                });
-            }
-        }
+    let parts = match &spec {
+        FragmentSpec::NativeDoc { dataset } => native_docs(dataset, base, datasets, stores)?,
         FragmentSpec::NativeTables { dataset, only } => {
-            let ds = datasets
-                .get(dataset)
-                .ok_or_else(|| Error::UnknownName(dataset.clone()))?;
-            let tables = match &ds.content {
-                DatasetContent::Relational(tables) => tables,
-                DatasetContent::Documents(_) => {
-                    return Err(Error::BadFragment(format!(
-                        "{dataset} is not a relational dataset"
-                    )))
-                }
-            };
-            for t in tables {
-                if let Some(keep) = only {
-                    if !keep
-                        .iter()
-                        .any(|k| k.as_str() == t.encoding.relation.as_str().as_ref())
-                    {
-                        continue;
-                    }
-                }
-                let tname = t.encoding.relation.as_str().to_string();
-                let columns = t.encoding.columns.clone();
-                let colrefs: Vec<&str> = columns.iter().map(|s| s.as_str()).collect();
-                stores.rel.create_table(&tname, &colrefs);
-                stores.rel.insert_many(&tname, t.rows.iter().cloned());
-                if let Some(key) = &t.encoding.key {
-                    for k in key {
-                        stores.rel.create_index(&tname, k, IndexKind::BTree);
-                    }
-                }
-                let fname = Symbol::intern(&format!("{tname}F"));
-                let view = identity_view(fname, t.encoding.relation, columns.len());
-                stats.push(stats_of_rows(&t.rows, columns.len()));
-                relations.push(FragmentRelation {
-                    name: fname,
-                    view: ViewDef::new(view),
-                    access: None,
-                    place: WhereSpec::Table {
-                        table: tname,
-                        columns,
-                    },
-                });
-            }
+            native_tables(tables_of(datasets, dataset)?, only.as_deref(), stores)?
         }
-        FragmentSpec::TextIndex { table } => {
-            // Find the owning relational dataset and its text columns.
-            let mut found = None;
-            for ds in datasets.values() {
-                if let DatasetContent::Relational(tables) = &ds.content {
-                    for t in tables {
-                        if t.encoding.relation.as_str().as_ref() == table.as_str() {
-                            found = Some(t.clone());
-                        }
-                    }
-                }
-            }
-            let t = found.ok_or_else(|| Error::UnknownName(table.clone()))?;
-            if t.text_columns.is_empty() {
-                return Err(Error::BadFragment(format!(
-                    "table {table} declares no text columns"
-                )));
-            }
-            let key_col = t
-                .encoding
-                .key
-                .as_ref()
-                .and_then(|k| k.first())
-                .and_then(|k| t.encoding.columns.iter().position(|c| c == k))
-                .ok_or_else(|| Error::BadFragment(format!("table {table} has no key")))?;
-            let text_cols: Vec<usize> = t
-                .text_columns
-                .iter()
-                .filter_map(|c| t.encoding.columns.iter().position(|x| x == c))
-                .collect();
-            let mut postings = 0u64;
-            for row in &t.rows {
-                let text: Vec<&str> = text_cols.iter().filter_map(|c| row[*c].as_str()).collect();
-                stores
-                    .text
-                    .index_document(table, row[key_col].clone(), &text.join(" "));
-                postings += 1;
-            }
-            let src = Dataset::terms_relation(table);
-            let fname = Symbol::intern(&format!("{table}F_Text"));
-            let view = identity_view(fname, src, 2);
-            stats.push(FragmentStats {
-                rows: postings * 8, // rough: ~8 indexed terms per row
-                distinct: vec![postings * 4, postings],
-                bytes: postings * 64,
-            });
-            relations.push(FragmentRelation {
-                name: fname,
-                view: ViewDef::new(view),
-                access: Some(AccessPattern::parse("io")),
-                place: WhereSpec::TextIndex {
-                    index: table.clone(),
-                },
-            });
-        }
-    }
-
+        FragmentSpec::TextIndex { table } => vec![text_index(table, datasets, stores)?],
+        FragmentSpec::Table { view, .. }
+        | FragmentSpec::KeyValue { view }
+        | FragmentSpec::DocRows { view, .. }
+        | FragmentSpec::ParRows { view, .. } => vec![view_relation(&spec, view, base, stores)?],
+    };
+    let (relations, stats) = parts.into_iter().unzip();
     Ok(FragmentMeta {
         id: id.to_string(),
-        system,
+        system: spec.system(),
         spec,
         relations,
         stats,
@@ -399,40 +144,150 @@ pub fn materialize(
     })
 }
 
-/// Remove a fragment's physical artifacts from the stores.
-pub fn drop_fragment(meta: &FragmentMeta, stores: &Stores) {
-    for r in &meta.relations {
-        match &r.place {
-            WhereSpec::Table { table, .. } => {
-                stores.rel.drop_table(table);
-            }
-            WhereSpec::Namespace { namespace, .. } => {
-                stores.kv.drop_namespace(namespace);
-            }
-            WhereSpec::Collection { collection, .. } => {
-                stores.doc.drop_collection(collection);
-            }
-            WhereSpec::NativeDocs { collection, .. } => {
-                stores.doc.drop_collection(collection);
-            }
-            WhereSpec::ParDataset { dataset, .. } => {
-                stores.par.drop_dataset(dataset);
-            }
-            WhereSpec::TextIndex { index } => {
-                stores.text.drop_index(index);
-            }
-        }
-    }
-}
-
-fn check_view(view: &Cq) -> Result<()> {
+/// The one relation of a view fragment (table / key-value / doc-rows /
+/// par-rows): the view's rows, placed where `spec`'s kind says.
+fn view_relation(spec: &FragmentSpec, view: &Cq, base: &Instance, stores: &Stores) -> Result<Part> {
     if !view.is_safe() {
         return Err(Error::BadFragment(format!(
             "view {} is not a safe conjunctive query",
             view.name
         )));
     }
-    Ok(())
+    let placed = layout::view_place(spec, &view.name.as_str(), head_columns(view))?;
+    let rows = evaluate_view(base, view);
+    store_relation(stores, placed, None, &rows, view.clone())
+}
+
+/// Fill a placement with `rows` (see [`layout::fill`]) and describe the
+/// stored relation `view`.
+fn store_relation(
+    stores: &Stores,
+    (place, design): (WhereSpec, (&[String], usize)),
+    source: Option<&TableData>,
+    rows: &[Vec<Value>],
+    view: Cq,
+) -> Result<Part> {
+    layout::fill(stores, &place, design, source, rows)?;
+    let stats = layout::stats(&place, rows.iter(), view.head.len());
+    let relation = FragmentRelation {
+        name: view.name,
+        view: ViewDef::new(view),
+        access: layout::access_of(&place),
+        place,
+    };
+    Ok((relation, stats))
+}
+
+/// The tables of a relational dataset.
+fn tables_of<'a>(datasets: &'a HashMap<String, Dataset>, dataset: &str) -> Result<&'a [TableData]> {
+    match datasets.get(dataset).map(|ds| &ds.content) {
+        Some(DatasetContent::Relational(tables)) => Ok(tables),
+        Some(DatasetContent::Documents(_)) => Err(Error::BadFragment(format!(
+            "{dataset} is not a relational dataset"
+        ))),
+        None => Err(Error::UnknownName(dataset.to_string())),
+    }
+}
+
+/// A document dataset stored as such: identity views over its six
+/// document-encoding relations, all answered from one collection.
+fn native_docs(
+    dataset: &str,
+    base: &Instance,
+    datasets: &HashMap<String, Dataset>,
+    stores: &Stores,
+) -> Result<Vec<Part>> {
+    let ds = datasets
+        .get(dataset)
+        .ok_or_else(|| Error::UnknownName(dataset.to_string()))?;
+    let (DatasetContent::Documents(docs), Some(src)) = (&ds.content, ds.doc_relations()) else {
+        return Err(Error::BadFragment(format!(
+            "{dataset} is not a document dataset"
+        )));
+    };
+    layout::load_documents(stores, dataset, docs.iter().map(|d| d.body.clone()));
+    let frag = DocRelations::for_collection(&format!("{dataset}F"));
+    let roles = [
+        (frag.doc, src.doc, DocRole::Doc),
+        (frag.root, src.root, DocRole::Root),
+        (frag.node, src.node, DocRole::Node),
+        (frag.child, src.child, DocRole::Child),
+        (frag.desc, src.desc, DocRole::Desc),
+        (frag.val, src.val, DocRole::Val),
+    ];
+    let part = |(fname, sname, role)| {
+        let nrows = base.facts_of(sname).count() as u64;
+        let relation = FragmentRelation {
+            name: fname,
+            view: ViewDef::new(identity_view(fname, sname, 2)),
+            access: None,
+            place: WhereSpec::NativeDocs {
+                collection: dataset.to_string(),
+                role,
+            },
+        };
+        let stats = FragmentStats {
+            rows: nrows,
+            distinct: vec![nrows; 2],
+            bytes: nrows * 16,
+        };
+        (relation, stats)
+    };
+    Ok(roles.into_iter().map(part).collect())
+}
+
+/// Tables of a relational dataset stored as such: each one (or only the
+/// listed ones) becomes an identity-view relation over a table of the same
+/// name, indexed on its declared key.
+fn native_tables(
+    tables: &[TableData],
+    only: Option<&[String]>,
+    stores: &Stores,
+) -> Result<Vec<Part>> {
+    let kept = |t: &&TableData| {
+        only.is_none_or(|keep| keep.iter().any(|k| *k == *t.encoding.relation.as_str()))
+    };
+    fn key(t: &TableData) -> (&[String], usize) {
+        (t.encoding.key.as_deref().unwrap_or_default(), 0)
+    }
+    let tables: Vec<&TableData> = tables.iter().filter(kept).collect();
+    // Every table's key is checked before the first table is stored.
+    for t in &tables {
+        layout::column_positions(&t.encoding.columns, key(t).0)?;
+    }
+    let part = |t: &TableData| {
+        let name = t.encoding.relation.as_str();
+        let place = WhereSpec::Table {
+            table: name.to_string(),
+            columns: t.encoding.columns.clone(),
+        };
+        let fname = Symbol::intern(&format!("{name}F"));
+        let view = identity_view(fname, t.encoding.relation, t.encoding.columns.len());
+        store_relation(stores, (place, key(t)), Some(t), &t.rows, view)
+    };
+    tables.into_iter().map(part).collect()
+}
+
+/// The full-text index over a table's text columns: the identity view of
+/// `{table}_Terms(term, key)`, answered by the text store.
+fn text_index(table: &str, datasets: &HashMap<String, Dataset>, stores: &Stores) -> Result<Part> {
+    let t = datasets
+        .keys()
+        .filter_map(|name| tables_of(datasets, name).ok())
+        .flatten()
+        .find(|t| *t.encoding.relation.as_str() == *table)
+        .ok_or_else(|| Error::UnknownName(table.to_string()))?;
+    let fname = Symbol::intern(&format!("{table}F_Text"));
+    let view = identity_view(fname, Dataset::terms_relation(table), 2);
+    let placed = (layout::text_place(t)?, Default::default());
+    store_relation(stores, placed, Some(t), &t.rows, view)
+}
+
+/// Remove a fragment's physical artifacts from the stores.
+pub fn drop_fragment(meta: &FragmentMeta, stores: &Stores) {
+    for r in &meta.relations {
+        layout::drop_container(stores, &r.place);
+    }
 }
 
 /// `V(x1..xn) :- R(x1..xn)` — the identity view of native fragments.

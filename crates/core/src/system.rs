@@ -162,6 +162,44 @@ impl Stores {
         ]
     }
 
+    /// Canonical dump of every container of every store, as sorted
+    /// `(label, contents)` pairs. Rows are sorted per container — stores do
+    /// not promise a physical order across maintenance histories — but the
+    /// rendered bytes of two equal deployments match exactly. Admin paths
+    /// only: no metrics, latency or fault hooks.
+    pub fn dump(&self) -> Vec<(String, String)> {
+        fn render<T: Ord + fmt::Debug>(mut items: Vec<T>) -> String {
+            items.sort();
+            format!("{items:?}")
+        }
+        let mut out = Vec::new();
+        for t in self.rel.table_names() {
+            let rows = self.rel.scan(&t).unwrap_or_default();
+            out.push((format!("rel:{t}"), render(rows)));
+        }
+        for ns in self.kv.namespace_names() {
+            out.push((format!("kv:{ns}"), render(self.kv.scan(&ns))));
+        }
+        for c in self.doc.collection_names() {
+            out.push((format!("doc:{c}"), render(self.doc.scan(&c))));
+        }
+        for d in self.par.dataset_names() {
+            let rows = self
+                .par
+                .dataset(&d)
+                .map(|ds| ds.iter_rows().cloned().collect());
+            out.push((
+                format!("par:{d}"),
+                render::<Vec<_>>(rows.unwrap_or_default()),
+            ));
+        }
+        for i in self.text.index_names() {
+            out.push((format!("text:{i}"), render(self.text.documents(&i))));
+        }
+        out.sort();
+        out
+    }
+
     /// Reset every store's metrics.
     pub fn reset_metrics(&self) {
         self.rel.metrics.reset();

@@ -135,6 +135,54 @@ fn duplicate_fragment_view_names_panic_cleanly() {
 }
 
 #[test]
+fn rejected_fragment_specs_leave_no_orphan_containers() {
+    let mut est = tiny();
+    let view = |name: &str| {
+        CqBuilder::new(name)
+            .head_vars(["k", "v"])
+            .atom("T", |a| a.v("k").v("v"))
+            .build()
+    };
+    let bad = || vec!["nope".to_string()];
+    let rejected = [
+        FragmentSpec::Table {
+            view: view("TT"),
+            index_on: bad(),
+        },
+        FragmentSpec::DocRows {
+            view: view("TD"),
+            index_on: bad(),
+        },
+        FragmentSpec::ParRows {
+            view: view("TP"),
+            index_on: bad(),
+            partitions: 2,
+        },
+    ];
+    for spec in rejected {
+        let kind = spec.kind();
+        let r = est.add_fragment(spec);
+        assert!(matches!(r, Err(Error::BadFragment(_))), "{kind}: got {r:?}");
+        assert!(
+            est.stores.dump().is_empty(),
+            "{kind}: a rejected spec left {:?} behind",
+            est.stores.dump()
+        );
+        assert!(est.fragments().is_empty());
+    }
+    // The corrected spec stores every document once, and the rejected
+    // attempts consumed no fragment id.
+    let id = est.add_fragment(FragmentSpec::DocRows {
+        view: view("TD"),
+        index_on: vec!["k".into()],
+    });
+    assert_eq!(id.unwrap(), "F1");
+    assert_eq!(est.stores.doc.collection_names(), ["TD"]);
+    assert_eq!(est.stores.doc.len("TD"), 2);
+    assert!(est.stores.rel.table_names().is_empty());
+}
+
+#[test]
 fn deep_document_nesting_is_encoded_and_queried() {
     let mut est = Estocada::in_memory();
     // 6 levels of nesting.

@@ -265,6 +265,11 @@ impl TextStore {
         self.len(index) == 0
     }
 
+    /// Names of all indexes.
+    pub fn index_names(&self) -> Vec<String> {
+        self.indexes.read().keys().cloned().collect()
+    }
+
     /// Drop an index; returns whether it existed.
     pub fn drop_index(&self, index: &str) -> bool {
         self.indexes.write().remove(index).is_some()

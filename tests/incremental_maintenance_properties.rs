@@ -54,42 +54,9 @@ fn remat_twin(est: &Estocada, deploy: Deploy) -> Estocada {
     deploy(&m, Latencies::zero())
 }
 
-/// Canonical rendering of every store's full content. Rows are sorted per
-/// container (stores don't promise physical order across maintenance
-/// histories) but the rendered bytes must match exactly.
-fn snapshot(est: &Estocada) -> Vec<(String, String)> {
-    let s = &est.stores;
-    let mut out = Vec::new();
-    for t in s.rel.table_names() {
-        let mut rows = s.rel.scan(&t).unwrap_or_default();
-        rows.sort();
-        out.push((format!("rel:{t}"), format!("{rows:?}")));
-    }
-    for ns in s.kv.namespace_names() {
-        let mut entries = s.kv.scan(&ns);
-        entries.sort();
-        out.push((format!("kv:{ns}"), format!("{entries:?}")));
-    }
-    for c in s.doc.collection_names() {
-        let mut docs = s.doc.scan(&c);
-        docs.sort();
-        out.push((format!("doc:{c}"), format!("{docs:?}")));
-    }
-    for d in s.par.dataset_names() {
-        let mut rows = s.par.scan(&d, &[], None);
-        rows.sort();
-        out.push((format!("par:{d}"), format!("{rows:?}")));
-    }
-    let mut docs = s.text.documents("Products");
-    docs.sort();
-    out.push(("text:Products".into(), format!("{docs:?}")));
-    out.sort();
-    out
-}
-
 fn assert_same_stores(a: &Estocada, b: &Estocada, what: &str) {
-    let sa = snapshot(a);
-    let sb = snapshot(b);
+    let sa = a.stores.dump();
+    let sb = b.stores.dump();
     assert_eq!(
         sa.len(),
         sb.len(),
@@ -154,6 +121,53 @@ fn mixed_schedule_is_bit_identical_to_rematerialization() {
         let a = est.query_sql(&sql).expect("incremental join query");
         let b = twin.query_sql(&sql).expect("remat join query");
         assert_eq!(sorted(a.rows), sorted(b.rows), "{name}: join diverged");
+    }
+}
+
+// ---------------------------------------------------------------------
+// First fill ≡ delta: the same writer serves both, so streaming every row
+// into a deployment over empty tables ends where a first fill starts.
+// ---------------------------------------------------------------------
+
+#[test]
+fn streaming_into_empty_tables_equals_a_first_fill() {
+    let m = market();
+    let estocada::DatasetContent::Relational(full) = &m.sales.content else {
+        panic!("sales is relational");
+    };
+    let mut empty = m.sales.clone();
+    if let estocada::DatasetContent::Relational(tables) = &mut empty.content {
+        tables.iter_mut().for_each(|t| t.rows.clear());
+    }
+    let hollow = Marketplace {
+        sales: empty,
+        carts: m.carts.clone(),
+        config: cfg(),
+    };
+    let deployments: [(&str, Deploy); 2] = [
+        ("kv_migrated", deploy_kv_migrated),
+        ("materialized_join", deploy_materialized_join),
+    ];
+    for (name, deploy) in deployments {
+        let mut est = deploy(&hollow, Latencies::zero());
+        for t in full {
+            for batch in t.rows.chunks(7) {
+                est.insert_rows("sales", &t.encoding.relation.as_str(), batch.to_vec())
+                    .expect("streamed insert");
+            }
+        }
+        assert!(stale_fragments(&est).is_empty(), "{name}: stale fragments");
+        let fresh = deploy(&m, Latencies::zero());
+        assert_same_stores(&est, &fresh, name);
+        for (a, b) in est.fragments().iter().zip(fresh.fragments()) {
+            assert_eq!((&a.id, a.spec.kind()), (&b.id, b.spec.kind()));
+            assert_eq!(
+                format!("{:?}", a.stats),
+                format!("{:?}", b.stats),
+                "{name}: statistics of {} diverged from a first fill",
+                a.id
+            );
+        }
     }
 }
 
@@ -235,8 +249,8 @@ proptest! {
         prop_assert_eq!(summary.final_data_epoch, summary.writes as u64);
         prop_assert!(stale_fragments(&est).is_empty());
         let twin = remat_twin(&est, deploy_kv_migrated);
-        let sa = snapshot(&est);
-        let sb = snapshot(&twin);
+        let sa = est.stores.dump();
+        let sb = twin.stores.dump();
         prop_assert_eq!(sa, sb, "stores diverged under seed {} ops {:?}", seed, schedule);
     }
 }
