@@ -2,7 +2,10 @@
 //! fragment fresh through the DML path, against the drop-and-rematerialize
 //! alternative.
 //!
-//! Two questions are measured on the kv-migrated marketplace deployment:
+//! Measured on the materialized-join marketplace deployment — the paper's
+//! final configuration, whose `UserHist` join fragment lives in the parallel
+//! store behind a key index, so every order write exercises the indexed
+//! in-place delta of that store. Two questions:
 //!
 //! - **small-delta advantage**: applying a K-row order batch through the
 //!   semi-naive delta chase touches only the facts and fragment rows the
@@ -13,6 +16,9 @@
 //! - **steady-state write cost**: criterion arms time an insert+delete
 //!   cycle per batch size, plus the full-remat baseline.
 //!
+//! The summary also prints where a write's time goes
+//! ([`estocada::DmlSteps`], mean per batch of the gate's writes).
+//!
 //! **Identity is asserted inside every measurement**: each timed
 //! incremental application is followed (clock stopped) by a full
 //! byte-level comparison of all five stores against a fresh engine
@@ -20,11 +26,11 @@
 //! store fails the bench instead of its numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use estocada::{Estocada, Latencies};
+use estocada::{DmlReport, DmlSteps, Estocada, Latencies};
 use estocada_pivot::Value;
 use estocada_workloads::marketplace::{generate, Marketplace, MarketplaceConfig};
 use estocada_workloads::readwrite::stale_fragments;
-use estocada_workloads::scenarios::deploy_kv_migrated;
+use estocada_workloads::scenarios::deploy_materialized_join;
 use std::time::{Duration, Instant};
 
 fn cfg() -> MarketplaceConfig {
@@ -50,7 +56,7 @@ fn remat_twin(est: &Estocada) -> Estocada {
         carts: est.datasets()["Carts"].clone(),
         config: cfg(),
     };
-    deploy_kv_migrated(&m, Latencies::zero())
+    deploy_materialized_join(&m, Latencies::zero())
 }
 
 fn assert_identical(est: &Estocada, what: &str) {
@@ -82,17 +88,36 @@ fn best_of<F: FnMut() -> Duration>(n: usize, mut f: F) -> Duration {
     (0..n).map(|_| f()).min().unwrap()
 }
 
+/// Print the mean step times ([`DmlSteps`]) of `batches`, K-row writes of
+/// one kind.
+fn print_steps(kind: &str, k: usize, batches: &[DmlReport]) {
+    let n = batches.len().max(1) as u32;
+    let mean = |step: fn(&DmlSteps) -> Duration| -> Duration {
+        batches.iter().map(|rep| step(&rep.steps)).sum::<Duration>() / n
+    };
+    println!(
+        "steps k={k} {kind}: validate {:?}, delta_chase {:?}, store_write {:?}, stats {:?} \
+         (mean of {} batches)",
+        mean(|s| s.validate),
+        mean(|s| s.delta_chase),
+        mean(|s| s.store_write),
+        mean(|s| s.stats),
+        batches.len()
+    );
+}
+
 fn bench(c: &mut Criterion) {
     let m = market();
     println!(
-        "== E11 summary (kv-migrated deployment, {} seed orders) ==",
+        "== E11 summary (materialized-join deployment, {} seed orders) ==",
         cfg().orders
     );
 
     // --- small-delta gate: incremental must beat full remat ---------
-    let mut est = deploy_kv_migrated(&m, Latencies::zero());
+    let mut est = deploy_materialized_join(&m, Latencies::zero());
     let mut next_oid = 500_000i64;
     for k in [1usize, 8] {
+        let (mut inserts, mut deletes) = (Vec::new(), Vec::new());
         let t_inc = best_of(5, || {
             let batch = order_batch(next_oid, k);
             next_oid += k as i64;
@@ -102,12 +127,18 @@ fn bench(c: &mut Criterion) {
                 .expect("incremental insert");
             let dt = t0.elapsed();
             assert_eq!(rep.inserted, k);
+            inserts.push(rep);
             assert_identical(&est, "after incremental insert");
             // Restore (also through the maintenance path, untimed).
-            est.delete_rows("sales", "Orders", batch)
+            let rep = est
+                .delete_rows("sales", "Orders", batch)
                 .expect("restore delete");
+            deletes.push(rep);
+            assert_identical(&est, "after incremental delete");
             dt
         });
+        print_steps("insert", k, &inserts);
+        print_steps("delete", k, &deletes);
         let t_remat = best_of(3, || {
             let batch = order_batch(next_oid, k);
             next_oid += k as i64;

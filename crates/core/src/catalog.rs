@@ -3,7 +3,7 @@
 //! each store supports, and the gathered statistics.
 
 use crate::system::SystemId;
-use estocada_pivot::{AccessPattern, Cq, Symbol, ViewDef};
+use estocada_pivot::{AccessPattern, Cq, Symbol, Value, ViewDef};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -233,6 +233,77 @@ pub struct FragmentStats {
     pub distinct: Vec<u64>,
     /// Approximate bytes.
     pub bytes: u64,
+}
+
+/// [`FragmentStats`] in running form — the one definition of what a
+/// relation's statistics are. Rows enter and leave one at a time, so a
+/// first fill (every row enters) and a DML delta (the changed rows enter or
+/// leave) arrive at the same numbers, and the delta never re-reads a row
+/// that did not change.
+#[derive(Debug, Clone)]
+pub(crate) struct StatsAccumulator {
+    rows: u64,
+    bytes: u64,
+    /// Per tracked column: value → number of rows holding it.
+    columns: Vec<HashMap<Value, u64>>,
+}
+
+impl StatsAccumulator {
+    /// The accumulator of a relation holding `rows`. Distinct values are
+    /// tracked for the first `arity` columns of each row, bytes for all.
+    pub(crate) fn of<'a>(
+        rows: impl IntoIterator<Item = &'a Vec<Value>>,
+        arity: usize,
+    ) -> StatsAccumulator {
+        let mut acc = StatsAccumulator {
+            rows: 0,
+            bytes: 0,
+            columns: vec![HashMap::new(); arity],
+        };
+        rows.into_iter().for_each(|row| acc.add(row));
+        acc
+    }
+
+    /// A row enters the relation.
+    pub(crate) fn add(&mut self, row: &[Value]) {
+        self.rows += 1;
+        self.bytes += row.iter().map(|v| v.approx_size() as u64).sum::<u64>();
+        for (held, v) in self.columns.iter_mut().zip(row) {
+            match held.get_mut(v) {
+                Some(n) => *n += 1,
+                None => drop(held.insert(v.clone(), 1)),
+            }
+        }
+    }
+
+    /// A row that entered earlier leaves the relation.
+    pub(crate) fn remove(&mut self, row: &[Value]) {
+        self.rows = self.rows.saturating_sub(1);
+        let bytes = row.iter().map(|v| v.approx_size() as u64).sum::<u64>();
+        self.bytes = self.bytes.saturating_sub(bytes);
+        for (held, v) in self.columns.iter_mut().zip(row) {
+            if let Some(n) = held.get_mut(v) {
+                *n -= 1;
+                if *n == 0 {
+                    held.remove(v);
+                }
+            }
+        }
+    }
+
+    /// Rows currently in the relation.
+    pub(crate) fn rows(&self) -> u64 {
+        self.rows
+    }
+
+    /// The statistics of the rows currently in the relation.
+    pub(crate) fn finish(&self) -> FragmentStats {
+        FragmentStats {
+            rows: self.rows,
+            distinct: self.columns.iter().map(|held| held.len() as u64).collect(),
+            bytes: self.bytes,
+        }
+    }
 }
 
 /// A registered fragment: a storage descriptor plus runtime bookkeeping.

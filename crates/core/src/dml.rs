@@ -31,6 +31,25 @@
 //! Batches are **net-delta deduplicated** at both levels: a row deleted
 //! and re-inserted in one batch cancels out before any store is touched.
 //!
+//! # The cost of a write
+//!
+//! A batch costs what it changes, not what the stores hold. [`DmlSteps`]
+//! times the steps of every batch:
+//!
+//! | step | proportional to |
+//! |---|---|
+//! | `validate` | the batch, plus one scan of the target table per delete to find the stored instance it removes (an insert-only batch reads no stored row) |
+//! | `delta_chase` | the batch's facts and the view homomorphisms through them (semi-naive); taking a row out of the table shifts the rows behind it |
+//! | `store_write` | the store rows that change: a relational or document insert, a key-value put, an in-place parallel-store delta whose deletes are found through the key index |
+//! | `stats` | the store rows that change: every maintained relation keeps its statistics running (row count, byte sum, occurrences per column value), seeded by one pass over its rows at its first delta after DDL |
+//!
+//! One store write is still proportional to the fragment: deleting from a
+//! parallel dataset **without** a key index scans its partitions, once per
+//! batch. Smaller whole-container costs remain in the other writers — the
+//! key-value layout regroups touched keys by walking the relation's rows,
+//! and the relational and document stores rebuild a container's secondary
+//! indexes after a delete.
+//!
 //! # Epochs and staleness
 //!
 //! Every batch bumps the engine's **data epoch** — distinct from the
@@ -44,7 +63,7 @@
 //! DDL invalidates the maintenance state wholesale (supports were computed
 //! against the previous catalog); it is re-seeded lazily on the next write.
 
-use crate::catalog::{Catalog, FragmentRelation, FragmentSpec, WhereSpec};
+use crate::catalog::{Catalog, FragmentRelation, FragmentSpec, StatsAccumulator, WhereSpec};
 use crate::dataset::{Dataset, DatasetContent, TableData};
 use crate::error::{Error, Result};
 use crate::evaluator::Estocada;
@@ -77,6 +96,8 @@ pub struct MaintenanceState {
     supports: HashMap<Symbol, HashMap<Vec<Value>, u64>>,
     /// Fragment id → data epoch through which its stores are maintained.
     high_water: HashMap<String, u64>,
+    /// Fragment relation → its running statistics, from its first delta on.
+    stats: HashMap<Symbol, StatsAccumulator>,
 }
 
 impl MaintenanceState {
@@ -108,6 +129,22 @@ pub struct FragmentDelta {
     pub mode: &'static str,
 }
 
+/// Wall time of the steps of one DML batch, in the order they run. Seeding
+/// the maintenance state (first write after DDL) is in none of them, so the
+/// steps sum to less than [`DmlReport::maintenance_time`] on that write.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DmlSteps {
+    /// Checking the batch against the table and locating its deletes.
+    pub validate: Duration,
+    /// Dataset rows, fact netting, both delta-chase phases and the support
+    /// crossings: from the batch to each relation's store operations.
+    pub delta_chase: Duration,
+    /// Applying those operations to the stores.
+    pub store_write: Duration,
+    /// Bringing the touched relations' statistics up to date.
+    pub stats: Duration,
+}
+
 /// What one DML batch did: row counts, the new data epoch, and the delta
 /// each affected fragment relation absorbed.
 #[derive(Debug, Clone)]
@@ -126,6 +163,8 @@ pub struct DmlReport {
     pub fragment_deltas: Vec<FragmentDelta>,
     /// Wall-clock time of the whole batch (validation through stats).
     pub maintenance_time: Duration,
+    /// Where that time went.
+    pub steps: DmlSteps,
 }
 
 /// The relations maintained by support counting: those of view fragments.
@@ -227,8 +266,10 @@ fn table_mut<'a>(
 }
 
 /// Every row has the table's arity and every delete finds its own stored
-/// instance. Nothing has been mutated when this fails.
-fn validate(t: &TableData, deletes: &[Row], inserts: &[Row]) -> Result<()> {
+/// instance, whose position is returned per delete: equal deletes claim
+/// distinct instances, the first stored first. An insert-only batch reads no
+/// stored row. Nothing has been mutated when this fails.
+fn validate(t: &TableData, deletes: &[Row], inserts: &[Row]) -> Result<Vec<usize>> {
     let (name, arity) = (t.encoding.relation, t.encoding.columns.len());
     if let Some(r) = deletes.iter().chain(inserts).find(|r| r.len() != arity) {
         let n = r.len();
@@ -236,14 +277,15 @@ fn validate(t: &TableData, deletes: &[Row], inserts: &[Row]) -> Result<()> {
             "row arity {n} does not match table {name} ({arity} columns)"
         )));
     }
-    let mut avail = tally(t.rows.iter());
+    let mut claimed = Vec::with_capacity(deletes.len());
     for d in deletes {
-        match avail.get_mut(d) {
-            Some(n) if *n > 0 => *n -= 1,
-            _ => return Err(Error::Dml(format!("no row {d:?} to delete in {name}"))),
+        let same = t.rows.iter().enumerate().filter(|(_, r)| *r == d);
+        match same.map(|(at, _)| at).find(|at| !claimed.contains(at)) {
+            Some(at) => claimed.push(at),
+            None => return Err(Error::Dml(format!("no row {d:?} to delete in {name}"))),
         }
     }
-    Ok(())
+    Ok(claimed)
 }
 
 /// Seed the maintenance state from the datasets, the fact base and the
@@ -264,6 +306,7 @@ fn seed(
         fact_counts: tally(tables.flat_map(|t| fact_keys(t, &t.rows))),
         supports: counting_relations(catalog).map(supports).collect(),
         high_water: fragments.map(|f| (f.id.clone(), data_epoch)).collect(),
+        stats: HashMap::new(),
     }
 }
 
@@ -372,8 +415,8 @@ impl Estocada {
     /// through the fact multiplicities ([`zero_crossings`]); [`delta_chase`]
     /// the deletes, then the inserts; turn the support crossings into store
     /// operations (the same two helpers); apply them, one [`layout::write`]
-    /// per relation, and refresh its statistics; advance the data epoch and
-    /// every high-water mark.
+    /// per relation, and move its running statistics by the same rows;
+    /// advance the data epoch and every high-water mark.
     fn apply_dml(&mut self, dataset: &str, table: &str, batch: StoreOps) -> Result<DmlReport> {
         let t0 = Instant::now();
         let (deletes, inserts) = &batch;
@@ -386,14 +429,17 @@ impl Estocada {
         let fresh = || seed(&self.datasets, catalog, base, *epoch);
         let maint = self.maint.get_or_insert_with(fresh);
         let t = table_mut(&mut self.datasets, dataset, table)?;
-        validate(t, deletes, inserts)?;
+        let mut steps = DmlSteps::default();
+        let started = Instant::now();
+        let mut doomed = validate(t, deletes, inserts)?;
+        steps.validate = started.elapsed();
         let minus = fact_keys(t, deletes).map(|fact| (fact, -1));
         let plus = fact_keys(t, inserts).map(|fact| (fact, 1));
         let fact_delta = net_deltas(minus.chain(plus));
-        for d in deletes {
-            if let Some(pos) = t.rows.iter().position(|r| r == d) {
-                t.rows.remove(pos);
-            }
+        // Highest position first, so the ones still to go stay put.
+        doomed.sort_unstable_by(|a, b| b.cmp(a));
+        for at in doomed {
+            t.rows.remove(at);
         }
         t.rows.extend(inserts.iter().cloned());
 
@@ -408,6 +454,7 @@ impl Estocada {
             (relation, zero_crossings(supports, net_deltas(deltas)))
         });
         let ops: HashMap<Symbol, StoreOps> = ops.collect();
+        steps.delta_chase = started.elapsed() - steps.validate;
 
         // Counting relations absorb their crossings; raw mirrors of the
         // table absorb the batch itself, physical duplicate rows and all.
@@ -429,8 +476,26 @@ impl Estocada {
                 let source = supports.is_none().then_some(&*t);
                 let mirrored = source.map_or(&[][..], |t| &t.rows);
                 let resident = || supports.into_iter().flat_map(HashMap::keys).chain(mirrored);
+                let writing = Instant::now();
                 layout::write(&self.stores, &r.place, source, gone, born, &mut resident())?;
-                *stats = layout::stats(&r.place, resident(), r.view.view.head.len());
+                let written = Instant::now();
+                let held = match maint.stats.entry(r.name) {
+                    // The relation's first delta since DDL: the one pass over
+                    // its rows, which already hold the delta.
+                    Entry::Vacant(e) => {
+                        let arity = r.view.view.head.len();
+                        e.insert(layout::accumulate(&r.place, resident(), arity))
+                    }
+                    Entry::Occupied(e) => {
+                        let held = e.into_mut();
+                        gone.iter().for_each(|row| held.remove(row));
+                        born.iter().for_each(|row| held.add(row));
+                        held
+                    }
+                };
+                *stats = layout::stats(&r.place, held);
+                steps.store_write += written - writing;
+                steps.stats += written.elapsed();
                 fragment_deltas.push(FragmentDelta {
                     fragment: fm.id.clone(),
                     relation: r.name.as_str().to_string(),
@@ -451,6 +516,7 @@ impl Estocada {
             data_epoch: *epoch,
             fragment_deltas,
             maintenance_time: t0.elapsed(),
+            steps,
         })
     }
 }
@@ -661,6 +727,26 @@ mod tests {
         assert!(matches!(err, Error::Dml(_)), "got {err}");
         let err = est.insert_rows("nope", "Orders", vec![]).unwrap_err();
         assert!(matches!(err, Error::UnknownName(_)), "got {err}");
+    }
+
+    #[test]
+    fn equal_deletes_claim_distinct_stored_rows() {
+        // Clicks declares no key: the table holds (1, "home") three times.
+        let home = || vec![Value::Int(1), Value::str("home")];
+        let mut est = deploy(shop(&[(1, 1, 10)]));
+        est.insert_rows("shop", "Clicks", vec![home(), home()])
+            .unwrap();
+        let before = est.stores.dump();
+        let err = est
+            .delete_rows("shop", "Clicks", vec![home(); 4])
+            .unwrap_err();
+        assert!(matches!(err, Error::Dml(_)), "got {err}");
+        assert_eq!(est.stores.dump(), before, "a fourth copy was found");
+        let r = est.delete_rows("shop", "Clicks", vec![home(); 2]).unwrap();
+        assert_eq!((r.deleted, r.data_epoch), (2, 2));
+        let twin = deploy(est.datasets()["shop"].clone());
+        assert_same_stores(&est, &twin);
+        assert_eq!(twin.stores.rel.row_count("Clicks"), 1);
     }
 
     #[test]

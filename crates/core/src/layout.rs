@@ -16,10 +16,9 @@
 //! text indexes begin with their first entry and end with their last, so
 //! one emptied by deletes also equals a first fill over no rows.
 
-use crate::catalog::{FragmentSpec, FragmentStats, WhereSpec};
+use crate::catalog::{FragmentSpec, FragmentStats, StatsAccumulator, WhereSpec};
 use crate::dataset::TableData;
 use crate::error::{Error, Result};
-use crate::materialize::stats_of_rows;
 use crate::system::{Stores, SystemId};
 use estocada_parstore::ParStore;
 use estocada_pivot::{AccessPattern, Value};
@@ -174,12 +173,15 @@ pub(crate) fn write(
 ) -> Result<()> {
     match place {
         WhereSpec::Table { table, .. } => {
-            stores.rel.delete_rows(table, deletes);
-            stores.rel.insert_many(table, inserts.iter().cloned());
+            if !deletes.is_empty() {
+                stores.rel.delete_rows(table, deletes);
+            }
+            if !inserts.is_empty() {
+                stores.rel.insert_many(table, inserts.iter().cloned());
+            }
         }
         WhereSpec::ParDataset { dataset, .. } => {
-            stores.par.delete_rows(dataset, deletes);
-            stores.par.insert_rows(dataset, inserts.iter().cloned());
+            stores.par.apply_delta(dataset, deletes, inserts);
         }
         WhereSpec::Collection {
             collection,
@@ -187,8 +189,11 @@ pub(crate) fn write(
         } => {
             let doc =
                 |row: &Row| Value::object_owned(columns.iter().cloned().zip(row.iter().cloned()));
-            let gone: Vec<Value> = deletes.iter().map(doc).collect();
-            stores.doc.remove_docs(collection, &gone);
+            if !deletes.is_empty() {
+                let gone: Vec<Value> = deletes.iter().map(doc).collect();
+                stores.doc.remove_docs(collection, &gone);
+            }
+            // Also what creates the collection, at a first fill over no rows.
             stores.doc.insert_many(collection, inserts.iter().map(doc));
         }
         WhereSpec::Namespace { namespace, .. } => {
@@ -221,8 +226,10 @@ pub(crate) fn write(
                 let words: Vec<&str> = text.iter().filter_map(|c| row[*c].as_str()).collect();
                 (key.map_or(Value::Null, |k| row[k].clone()), words.join(" "))
             };
-            let gone: Vec<(Value, String)> = deletes.iter().map(doc).collect();
-            stores.text.remove_documents(index, &gone);
+            if !deletes.is_empty() {
+                let gone: Vec<(Value, String)> = deletes.iter().map(doc).collect();
+                stores.text.remove_documents(index, &gone);
+            }
             for row in inserts {
                 let (key, text) = doc(row);
                 stores.text.index_document(index, key, &text);
@@ -256,18 +263,28 @@ pub(crate) fn drop_container(stores: &Stores, place: &WhereSpec) {
     };
 }
 
-/// Statistics of a relation stored at `place` holding `rows` — what a
-/// rematerialization records. A text index is estimated from its document
-/// count: roughly 8 postings over 4 distinct terms per document.
-pub(crate) fn stats<'a>(
+/// The running statistics of a relation of `arity` columns stored at `place`
+/// and holding `rows` — every row enters, as in a rematerialization. A text
+/// index is estimated from its document count alone: no column is tracked.
+pub(crate) fn accumulate<'a>(
     place: &WhereSpec,
-    rows: impl Iterator<Item = &'a Row>,
+    rows: impl IntoIterator<Item = &'a Row>,
     arity: usize,
-) -> FragmentStats {
+) -> StatsAccumulator {
+    let tracked = match place {
+        WhereSpec::TextIndex { .. } => 0,
+        _ => arity,
+    };
+    StatsAccumulator::of(rows, tracked)
+}
+
+/// What the catalog records for a relation stored at `place`. A text index
+/// holds roughly 8 postings over 4 distinct terms per document.
+pub(crate) fn stats(place: &WhereSpec, held: &StatsAccumulator) -> FragmentStats {
     if !matches!(place, WhereSpec::TextIndex { .. }) {
-        return stats_of_rows(rows, arity);
+        return held.finish();
     }
-    let docs = rows.count() as u64;
+    let docs = held.rows();
     FragmentStats {
         rows: docs * 8,
         distinct: vec![docs * 4, docs],

@@ -40,7 +40,7 @@ pub use catalog::{Catalog, FragmentMeta, FragmentSpec};
 pub use connector::{ResOp, Residual};
 pub use cost::CostModel;
 pub use dataset::{Dataset, DatasetContent, DocData, TableData};
-pub use dml::{DmlReport, FragmentDelta, MaintenanceState};
+pub use dml::{DmlReport, DmlSteps, FragmentDelta, MaintenanceState};
 pub use error::{Error, PlanFailure, Result};
 pub use evaluator::{Estocada, QueryOptions, QueryRequest};
 pub use plancache::{EpochCache, LintCache, PlanCache, PlanCacheStats};

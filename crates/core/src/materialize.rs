@@ -9,7 +9,8 @@
 //! of the physical formats, shared with the DML path ([`crate::dml`]).
 
 use crate::catalog::{
-    DocRole, FragmentMeta, FragmentRelation, FragmentSpec, FragmentStats, WhereSpec,
+    DocRole, FragmentMeta, FragmentRelation, FragmentSpec, FragmentStats, StatsAccumulator,
+    WhereSpec,
 };
 use crate::dataset::{Dataset, DatasetContent, TableData};
 use crate::error::{Error, Result};
@@ -66,27 +67,13 @@ pub fn evaluate_view(base: &Instance, view: &Cq) -> Vec<Vec<Value>> {
         .collect()
 }
 
-/// Compute statistics over materialized rows.
+/// Compute statistics over materialized rows: every row enters the
+/// accumulator the DML path keeps running.
 pub fn stats_of_rows<'a>(
     rows: impl IntoIterator<Item = &'a Vec<Value>>,
     arity: usize,
 ) -> FragmentStats {
-    let mut distinct: Vec<HashSet<&Value>> = vec![HashSet::new(); arity];
-    let (mut count, mut bytes) = (0u64, 0u64);
-    for r in rows {
-        count += 1;
-        for (i, v) in r.iter().enumerate() {
-            if i < arity {
-                distinct[i].insert(v);
-            }
-            bytes += v.approx_size() as u64;
-        }
-    }
-    FragmentStats {
-        rows: count,
-        distinct: distinct.iter().map(|d| d.len() as u64).collect(),
-        bytes,
-    }
+    StatsAccumulator::of(rows, arity).finish()
 }
 
 /// Head column names of a view (variable names, falling back to `c{i}`).
@@ -168,7 +155,7 @@ fn store_relation(
     view: Cq,
 ) -> Result<Part> {
     layout::fill(stores, &place, design, source, rows)?;
-    let stats = layout::stats(&place, rows.iter(), view.head.len());
+    let stats = layout::stats(&place, &layout::accumulate(&place, rows, view.head.len()));
     let relation = FragmentRelation {
         name: view.name,
         view: ViewDef::new(view),

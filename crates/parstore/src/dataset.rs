@@ -1,7 +1,7 @@
 //! Partitioned datasets of (possibly nested) rows.
 
 use estocada_pivot::Value;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// A key index over one or more columns: key values → (partition, row).
 #[derive(Debug, Clone)]
@@ -10,6 +10,33 @@ pub struct KeyIndex {
     pub columns: Vec<usize>,
     /// Key tuple → row locations.
     pub map: HashMap<Vec<Value>, Vec<(u32, u32)>>,
+}
+
+impl KeyIndex {
+    fn key_of(&self, row: &[Value]) -> Vec<Value> {
+        self.columns.iter().map(|c| row[*c].clone()).collect()
+    }
+
+    /// Point `row`'s entry for location `from` at `to`, or drop it (`None`);
+    /// a key left without rows leaves the map, as in a fresh build.
+    fn relocate(&mut self, row: &[Value], from: (u32, u32), to: Option<(u32, u32)>) {
+        let key = self.key_of(row);
+        let Some(locs) = self.map.get_mut(&key) else {
+            return;
+        };
+        let Some(slot) = locs.iter().position(|at| *at == from) else {
+            return;
+        };
+        match to {
+            Some(to) => locs[slot] = to,
+            None => {
+                locs.swap_remove(slot);
+                if locs.is_empty() {
+                    self.map.remove(&key);
+                }
+            }
+        }
+    }
 }
 
 /// A partitioned dataset. Rows may contain nested values (arrays of
@@ -62,50 +89,104 @@ impl Dataset {
 
     /// Build (or rebuild) the key index over `columns`.
     pub fn build_key_index(&mut self, columns: Vec<usize>) {
-        let mut map: HashMap<Vec<Value>, Vec<(u32, u32)>> = HashMap::new();
+        let mut idx = KeyIndex {
+            columns,
+            map: HashMap::new(),
+        };
         for (pi, part) in self.partitions.iter().enumerate() {
             for (ri, row) in part.iter().enumerate() {
-                let key: Vec<Value> = columns.iter().map(|c| row[*c].clone()).collect();
-                map.entry(key).or_default().push((pi as u32, ri as u32));
+                let at = (pi as u32, ri as u32);
+                idx.map.entry(idx.key_of(row)).or_default().push(at);
             }
         }
-        self.key_index = Some(KeyIndex { columns, map });
+        self.key_index = Some(idx);
     }
 
     /// Append rows round-robin across the existing partitions (continuing
-    /// from the current total, so growth stays balanced). The key index is
-    /// rebuilt when one exists.
+    /// from the current total, so growth stays balanced). Each row's
+    /// location is pushed onto the key index when one exists.
     pub fn append_rows(&mut self, rows: impl IntoIterator<Item = Vec<Value>>) {
         let n = self.partitions.len().max(1);
         for (next, row) in (self.len()..).zip(rows) {
             assert_eq!(row.len(), self.columns.len(), "row arity mismatch");
-            self.partitions[next % n].push(row);
-        }
-        if let Some(cols) = self.key_index.as_ref().map(|i| i.columns.clone()) {
-            self.build_key_index(cols);
+            let part = &mut self.partitions[next % n];
+            if let Some(idx) = &mut self.key_index {
+                let at = ((next % n) as u32, part.len() as u32);
+                idx.map.entry(idx.key_of(&row)).or_default().push(at);
+            }
+            part.push(row);
         }
     }
 
-    /// Remove the first stored row equal to each entry of `rows` (one
-    /// instance per request, searched in partition order). Returns how
-    /// many rows were removed; the key index is rebuilt when one exists.
+    /// Remove one stored row equal to each entry of `rows` (entries with no
+    /// stored instance left are skipped), found through the key index when
+    /// one exists and by one scan of the partitions otherwise. The
+    /// partition's last row moves into each hole — no physical order is
+    /// promised — and the key index follows. Returns how many rows went.
     pub fn remove_rows(&mut self, rows: &[Vec<Value>]) -> usize {
-        let mut removed = 0;
-        for row in rows {
-            'search: for part in &mut self.partitions {
-                if let Some(pos) = part.iter().position(|r| r == row) {
-                    part.remove(pos);
-                    removed += 1;
-                    break 'search;
+        let found = self.locate(rows);
+        self.remove_at(&found);
+        found.len()
+    }
+
+    /// The location of one stored instance per entry of `rows`: equal
+    /// entries claim distinct instances, entries with none left claim
+    /// nothing. With a key index this reads only the rows sharing a key with
+    /// an entry, each once; without one it scans the partitions once.
+    pub(crate) fn locate(&self, rows: &[Vec<Value>]) -> BTreeSet<(u32, u32)> {
+        let mut wanted: HashMap<&Vec<Value>, usize> = HashMap::new();
+        for row in rows.iter().filter(|r| r.len() == self.columns.len()) {
+            *wanted.entry(row).or_insert(0) += 1;
+        }
+        // With an index, the candidates: every row under an entry's key.
+        let under_keys = self.key_index.as_ref().map(|idx| {
+            let keys: HashSet<Vec<Value>> = wanted.keys().map(|row| idx.key_of(row)).collect();
+            let lists = keys.iter().filter_map(|key| idx.map.get(key));
+            lists.flatten().copied().collect::<Vec<_>>()
+        });
+        let mut found = BTreeSet::new();
+        // Claims the row at `at` if an entry still wants it; `false` once
+        // every entry is served.
+        let mut claim = |at: (u32, u32)| {
+            let row = &self.partitions[at.0 as usize][at.1 as usize];
+            if let Some(n) = wanted.get_mut(row) {
+                found.insert(at);
+                *n -= 1;
+                if *n == 0 {
+                    wanted.remove(row);
                 }
             }
-        }
-        if removed > 0 {
-            if let Some(cols) = self.key_index.as_ref().map(|i| i.columns.clone()) {
-                self.build_key_index(cols);
+            !wanted.is_empty()
+        };
+        match under_keys {
+            Some(candidates) => candidates.into_iter().all(&mut claim),
+            None => {
+                let sizes = self.partitions.iter().map(Vec::len).enumerate();
+                let mut all = sizes.flat_map(|(p, n)| (0..n as u32).map(move |r| (p as u32, r)));
+                all.all(&mut claim)
+            }
+        };
+        found
+    }
+
+    /// Remove the rows at `found` (as [`Dataset::locate`] returns them), each
+    /// with `swap_remove`; the key index forgets the removed row and follows
+    /// the one that moved. Proportional to `found` and the rows sharing a
+    /// touched key, not to the dataset.
+    pub(crate) fn remove_at(&mut self, found: &BTreeSet<(u32, u32)>) {
+        // Highest location first: the row that moves is never one still to go.
+        for &(p, r) in found.iter().rev() {
+            let part = &mut self.partitions[p as usize];
+            let gone = part.swap_remove(r as usize);
+            let Some(idx) = &mut self.key_index else {
+                continue;
+            };
+            let last = (p, part.len() as u32);
+            idx.relocate(&gone, (p, r), None);
+            if last.1 != r {
+                idx.relocate(&part[r as usize], last, Some((p, r)));
             }
         }
-        removed
     }
 
     /// Rows matching `key` through the key index (panics if the index does
@@ -180,6 +261,85 @@ mod tests {
         ]);
         assert_eq!(removed, 1);
         assert_eq!(d.index_lookup(&[Value::Int(2)]).len(), 3);
+    }
+
+    /// The rows, sorted — after checking that a key index, if any, lists
+    /// what a rebuild over those rows would.
+    fn content(d: &Dataset) -> Vec<Vec<Value>> {
+        let entries = |d: &Dataset| {
+            let mut entries: Vec<_> = d.key_index.iter().flat_map(|i| i.map.clone()).collect();
+            entries.iter_mut().for_each(|(_, locs)| locs.sort());
+            entries.sort();
+            entries
+        };
+        let mut rebuilt = d.clone();
+        if let Some(idx) = &d.key_index {
+            rebuilt.build_key_index(idx.columns.clone());
+        }
+        assert_eq!(entries(d), entries(&rebuilt), "index drifted");
+        let mut rows: Vec<_> = d.iter_rows().cloned().collect();
+        rows.sort();
+        rows
+    }
+
+    /// An indexed and an unindexed dataset taking the same deltas, and the
+    /// multiset of rows both must hold.
+    struct Twins {
+        indexed: Dataset,
+        plain: Dataset,
+        model: Vec<Vec<Value>>,
+    }
+
+    impl Twins {
+        fn step(&mut self, deletes: Vec<Vec<Value>>, inserts: Vec<Vec<Value>>) {
+            let mut removed = 0;
+            for d in &deletes {
+                if let Some(at) = self.model.iter().position(|r| r == d) {
+                    self.model.swap_remove(at);
+                    removed += 1;
+                }
+            }
+            self.model.extend(inserts.iter().cloned());
+            self.model.sort();
+            for d in [&mut self.indexed, &mut self.plain] {
+                assert_eq!(d.remove_rows(&deletes), removed);
+                d.append_rows(inserts.iter().cloned());
+                assert_eq!(content(d), self.model);
+            }
+        }
+    }
+
+    #[test]
+    fn deltas_keep_rows_and_index_equal_to_a_rebuild() {
+        // Physical duplicates from the start: ids 0..4 are stored twice.
+        let seed: Vec<_> = rows(9).into_iter().chain(rows(4)).collect();
+        let mut indexed = Dataset::from_rows(&["id", "grp"], seed.clone(), 3);
+        indexed.build_key_index(vec![1]);
+        let plain = Dataset::from_rows(&["id", "grp"], seed.clone(), 3);
+        let mut t = Twins {
+            indexed,
+            plain,
+            model: seed,
+        };
+        let row = |id: i64| vec![Value::Int(id), Value::Int(id % 3)];
+        let ends = |d: &Dataset, p: usize| {
+            let part = &d.partitions[p];
+            (part[0].clone(), part[part.len() - 1].clone())
+        };
+        // Both copies of a duplicate in one batch, plus one copy too many.
+        t.step(vec![row(2), row(2), row(2)], vec![]);
+        // The last row of a partition (nothing moves) and the first (one does).
+        let (first, last) = ends(&t.indexed, 0);
+        t.step(vec![last, first], vec![row(20), row(20)]);
+        // A removed row and the row that would move into its place.
+        let (hole, mover) = ends(&t.plain, 1);
+        t.step(vec![hole, mover], vec![]);
+        t.step(vec![row(99)], vec![]);
+        // Empty the datasets, then grow them again.
+        t.step(t.model.clone(), vec![]);
+        assert!(t.indexed.is_empty() && t.indexed.key_index.as_ref().unwrap().map.is_empty());
+        t.step(vec![], vec![row(5), row(5), row(6)]);
+        assert_eq!(t.indexed.index_lookup(&[Value::Int(2)]).len(), 2);
     }
 
     #[test]

@@ -111,18 +111,16 @@ impl ParStore {
     pub fn build_key_index(&self, name: &str, columns: &[&str]) {
         let mut guard = self.datasets.write();
         let ds = guard
-            .get(name)
+            .get_mut(name)
             .unwrap_or_else(|| panic!("unknown dataset {name}"));
-        let mut new = (**ds).clone();
         let cols: Vec<usize> = columns
             .iter()
             .map(|c| {
-                new.column_index(c)
+                ds.column_index(c)
                     .unwrap_or_else(|| panic!("unknown column {c} on {name}"))
             })
             .collect();
-        new.build_key_index(cols);
-        guard.insert(name.to_string(), Arc::new(new));
+        Arc::make_mut(ds).build_key_index(cols);
     }
 
     /// Handle to a dataset.
@@ -130,32 +128,32 @@ impl ParStore {
         self.datasets.read().get(name).cloned()
     }
 
-    /// Append rows to a dataset (round-robin across its partitions; the
-    /// key index is rebuilt when one exists). Clone-modify-swap like
-    /// [`ParStore::build_key_index`] so in-flight readers keep their
-    /// snapshot. Admin path: no metrics, latency, or fault hook.
-    pub fn insert_rows(&self, name: &str, rows: impl IntoIterator<Item = Vec<Value>>) {
+    /// The one way a dataset's rows change: remove **one** stored row per
+    /// entry of `deletes` (entries with no match are skipped), then append
+    /// `inserts` round-robin across the partitions, under one lock. Returns
+    /// how many rows were removed.
+    ///
+    /// The dataset is mutated **in place**, at a cost proportional to the
+    /// delta — deleted rows are found through the key index when one exists
+    /// (an unindexed dataset is scanned once) and the index follows each
+    /// change — unless a reader still holds a handle from
+    /// [`ParStore::dataset`]: then the rows are copied once and the reader
+    /// keeps its snapshot. A delta that changes nothing touches nothing. No
+    /// physical row order is promised: a removed row's place is taken by the
+    /// last row of its partition. Admin path: no metrics, latency, or fault
+    /// hook.
+    pub fn apply_delta(&self, name: &str, deletes: &[Vec<Value>], inserts: &[Vec<Value>]) -> usize {
         let mut guard = self.datasets.write();
         let ds = guard
-            .get(name)
+            .get_mut(name)
             .unwrap_or_else(|| panic!("unknown dataset {name}"));
-        let mut new = (**ds).clone();
-        new.append_rows(rows);
-        guard.insert(name.to_string(), Arc::new(new));
-    }
-
-    /// Delete rows from a dataset: each entry removes **one** matching
-    /// stored row. Returns how many were removed. Same clone-modify-swap
-    /// and admin-path semantics as [`ParStore::insert_rows`].
-    pub fn delete_rows(&self, name: &str, rows: &[Vec<Value>]) -> usize {
-        let mut guard = self.datasets.write();
-        let ds = guard
-            .get(name)
-            .unwrap_or_else(|| panic!("unknown dataset {name}"));
-        let mut new = (**ds).clone();
-        let removed = new.remove_rows(rows);
-        guard.insert(name.to_string(), Arc::new(new));
-        removed
+        let found = ds.locate(deletes);
+        if !(found.is_empty() && inserts.is_empty()) {
+            let ds = Arc::make_mut(ds);
+            ds.remove_at(&found);
+            ds.append_rows(inserts.iter().cloned());
+        }
+        found.len()
     }
 
     /// Parallel scan with predicates and optional projection.
@@ -423,24 +421,38 @@ mod tests {
         let s = store();
         s.build_key_index("visits", &["user"]);
         let before = s.dataset("visits").unwrap();
-        s.insert_rows(
-            "visits",
-            vec![vec![Value::Int(7), Value::str("url7"), Value::Double(9.9)]],
-        );
+        let new = vec![Value::Int(7), Value::str("url7"), Value::Double(9.9)];
+        s.apply_delta("visits", &[], std::slice::from_ref(&new));
         // The pre-mutation handle still sees the old snapshot.
         assert_eq!(before.len(), 1000);
         assert_eq!(s.len("visits"), 1001);
         assert_eq!(s.lookup("visits", &[Value::Int(7)], &[]).len(), 11);
-        let removed = s.delete_rows(
-            "visits",
-            &[
-                vec![Value::Int(7), Value::str("url7"), Value::Double(9.9)],
-                vec![Value::Int(-1), Value::str("ghost"), Value::Double(0.0)],
-            ],
-        );
+        let ghost = vec![Value::Int(-1), Value::str("ghost"), Value::Double(0.0)];
+        let removed = s.apply_delta("visits", &[new, ghost], &[]);
         assert_eq!(removed, 1);
+        assert_eq!(before.len(), 1000);
         assert_eq!(s.len("visits"), 1000);
         assert_eq!(s.lookup("visits", &[Value::Int(7)], &[]).len(), 10);
+    }
+
+    #[test]
+    fn deltas_mutate_in_place_and_empty_ones_touch_nothing() {
+        let s = store();
+        s.build_key_index("visits", &["user"]);
+        let at = |s: &ParStore| Arc::as_ptr(&s.dataset("visits").unwrap());
+        let home = at(&s);
+        let new = vec![Value::Int(7), Value::str("url7"), Value::Double(9.9)];
+        let ghost = vec![Value::Int(-1), Value::str("ghost"), Value::Double(0.0)];
+        // No handle outstanding: same allocation before and after a write.
+        s.apply_delta("visits", &[], std::slice::from_ref(&new));
+        assert_eq!(s.apply_delta("visits", &[new, ghost.clone()], &[]), 1);
+        assert_eq!((at(&s), s.len("visits")), (home, 1000));
+        // A delta that changes nothing copies nothing, even under a reader.
+        let reader = s.dataset("visits").unwrap();
+        assert_eq!(s.apply_delta("visits", &[ghost], &[]), 0);
+        assert_eq!(s.apply_delta("visits", &[], &[]), 0);
+        assert_eq!(at(&s), home);
+        drop(reader);
     }
 
     #[test]

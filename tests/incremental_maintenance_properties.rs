@@ -9,6 +9,9 @@
 //!   same packed key-value entries, same documents, same parallel
 //!   partitions, same text postings. Not just query-equivalent: the
 //!   canonical store dumps render identically.
+//! - **Exact statistics and indexes.** The catalog's `FragmentStats`, kept
+//!   running from the deltas, equal the twin's full pass, and a parallel
+//!   dataset's key index, patched in place, answers every key like a scan.
 //! - **No staleness.** Maintenance is synchronous, so at every quiescent
 //!   point each fragment's high-water mark equals the data epoch.
 //! - **Readers are never torn.** Between write batches, concurrent
@@ -17,6 +20,7 @@
 //!   borrow level — this suite pins the end-to-end consequence).
 
 use estocada::{Estocada, Latencies};
+use estocada_pivot::Value;
 use estocada_workloads::marketplace::{generate, Marketplace, MarketplaceConfig, W1Query};
 use estocada_workloads::readwrite::{
     run_rw_workload, rw_workload, stale_fragments, RwConfig, RwOp,
@@ -25,6 +29,8 @@ use estocada_workloads::scenarios::{
     deploy_kv_migrated, deploy_materialized_join, personalized_sql, run_w1_query,
 };
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn cfg() -> MarketplaceConfig {
     MarketplaceConfig {
@@ -70,9 +76,135 @@ fn assert_same_stores(a: &Estocada, b: &Estocada, what: &str) {
     }
 }
 
-fn sorted(mut rows: Vec<Vec<estocada_pivot::Value>>) -> Vec<Vec<estocada_pivot::Value>> {
+fn assert_same_stats(a: &Estocada, b: &Estocada, what: &str) {
+    for (a, b) in a.fragments().iter().zip(b.fragments()) {
+        assert_eq!((&a.id, a.spec.kind()), (&b.id, b.spec.kind()));
+        assert_eq!(
+            format!("{:?}", a.stats),
+            format!("{:?}", b.stats),
+            "{what}: statistics of {} diverged from a first fill",
+            a.id
+        );
+    }
+}
+
+fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
     rows.sort();
     rows
+}
+
+/// The rows of `sales.{table}` as the engine holds them now.
+fn stored(est: &Estocada, table: &str) -> Vec<Vec<Value>> {
+    let estocada::DatasetContent::Relational(tables) = &est.datasets()["sales"].content else {
+        panic!("sales is relational");
+    };
+    let t = tables
+        .iter()
+        .find(|t| *t.encoding.relation.as_str() == *table);
+    t.expect("table of sales").rows.clone()
+}
+
+/// Every key-indexed parallel dataset answers every key — those its rows
+/// have, those its index lists, and one neither has — like a filter over
+/// its rows.
+fn assert_index_lookups_equal_scans(est: &Estocada, what: &str) {
+    for name in est.stores.par.dataset_names() {
+        let ds = est.stores.par.dataset(&name).expect("listed dataset");
+        let Some(idx) = &ds.key_index else { continue };
+        let key_of = |row: &Vec<Value>| -> Vec<Value> {
+            idx.columns.iter().map(|c| row[*c].clone()).collect()
+        };
+        let mut keys: BTreeSet<Vec<Value>> = ds.iter_rows().map(key_of).collect();
+        keys.extend(idx.map.keys().cloned());
+        keys.insert(vec![Value::Null; idx.columns.len()]);
+        for key in keys {
+            let scan = ds.iter_rows().filter(|r| key_of(r) == key);
+            assert_eq!(
+                sorted(ds.index_lookup(&key).into_iter().cloned().collect()),
+                sorted(scan.cloned().collect()),
+                "{what}: {name} index answers {key:?} unlike a scan"
+            );
+        }
+    }
+}
+
+/// One step of a write script over the two tables behind the deployment's
+/// parallel fragments — `WebLogPar` (no key index) and the `UserHist` join
+/// (indexed on uid, category): what to do, a source of choices, a size.
+type Step = (u8, u64, usize);
+
+/// Run `step` against the engine's current rows. Even kinds write `Orders`,
+/// odd ones `WebLog`; new rows copy (uid, pid, category) from a stored row of
+/// the other table, so they join into `UserHist`.
+fn apply_step(est: &mut Estocada, (kind, pick, size): Step, fresh: &mut i64) {
+    let mut x = pick;
+    let mut choose = |n: usize| {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (x >> 33) as usize % n.max(1)
+    };
+    let (table, other) = [("Orders", "WebLog"), ("WebLog", "Orders")][usize::from(kind % 2)];
+    let (mut live, partners) = (stored(est, table), stored(est, other));
+    let mut new_row = |choose: &mut dyn FnMut(usize) -> usize| {
+        *fresh += 1;
+        let last = match table {
+            "Orders" => Value::Double(choose(500) as f64 / 4.0),
+            _ => Value::Int(choose(9000) as i64),
+        };
+        let mut row = vec![Value::Int(*fresh)];
+        match partners.get(choose(partners.len())) {
+            Some(partner) => row.extend(partner[1..4].iter().cloned()),
+            None => row.extend([Value::Int(0), Value::Int(0), Value::str("laptop")]),
+        }
+        row.push(last);
+        row
+    };
+    let done = match kind {
+        // New rows, the first one twice: physical duplicates in the table.
+        0 | 1 => {
+            let mut rows: Vec<_> = (0..size).map(|_| new_row(&mut choose)).collect();
+            rows.push(rows[0].clone());
+            est.insert_rows("sales", table, rows)
+        }
+        // Stored rows, each stored instance at most once.
+        2 | 3 => {
+            let gone = (0..size.min(live.len())).map(|_| live.swap_remove(choose(live.len())));
+            est.delete_rows("sales", table, gone.collect())
+        }
+        // A stored `WebLogPar` row and the one `swap_remove` would move into
+        // its place (identity view: a dataset row is a `WebLog` row).
+        4 => {
+            let ds = est.stores.par.dataset("WebLogPar").expect("WebLogPar");
+            let part = ds.partitions.iter().find(|part| part.len() > 1);
+            let pair = part.map(|part| {
+                vec![
+                    part[choose(part.len() - 1)].clone(),
+                    part[part.len() - 1].clone(),
+                ]
+            });
+            drop(ds);
+            est.delete_rows("sales", "WebLog", pair.unwrap_or_default())
+        }
+        // Stored keys with a changed last column, and one new key.
+        5 => {
+            let keys: BTreeSet<&Value> = live.iter().map(|r| &r[0]).take(size).collect();
+            let changed = keys.into_iter().map(|key| {
+                let mut row = live.iter().find(|r| r[0] == *key).expect("own key").clone();
+                row[4] = match &row[4] {
+                    Value::Int(n) => Value::Int(n + 1),
+                    _ => Value::Double(choose(500) as f64),
+                };
+                row
+            });
+            let mut rows: Vec<_> = changed.collect();
+            rows.push(new_row(&mut choose));
+            est.upsert_rows("sales", table, rows)
+        }
+        // Every row: the table's fragments and the join end up empty.
+        _ => est.delete_rows("sales", table, live),
+    };
+    done.expect("scripted batch");
 }
 
 // ---------------------------------------------------------------------
@@ -159,15 +291,7 @@ fn streaming_into_empty_tables_equals_a_first_fill() {
         assert!(stale_fragments(&est).is_empty(), "{name}: stale fragments");
         let fresh = deploy(&m, Latencies::zero());
         assert_same_stores(&est, &fresh, name);
-        for (a, b) in est.fragments().iter().zip(fresh.fragments()) {
-            assert_eq!((&a.id, a.spec.kind()), (&b.id, b.spec.kind()));
-            assert_eq!(
-                format!("{:?}", a.stats),
-                format!("{:?}", b.stats),
-                "{name}: statistics of {} diverged from a first fill",
-                a.id
-            );
-        }
+        assert_same_stats(&est, &fresh, name);
     }
 }
 
@@ -253,6 +377,44 @@ proptest! {
         let sb = twin.stores.dump();
         prop_assert_eq!(sa, sb, "stores diverged under seed {} ops {:?}", seed, schedule);
     }
+
+    /// Multi-row batches — physical duplicates, the row a removal moves,
+    /// whole tables — against the indexed and the unindexed parallel
+    /// fragment: after **every** batch stores, statistics and key index
+    /// are those of a fresh deployment. A reader holding a dataset handle
+    /// across a batch keeps its snapshot; with no handle out the dataset
+    /// is written where it lies.
+    #[test]
+    fn any_batches_keep_parallel_fragments_statistics_and_indexes_exact(
+        script in proptest::collection::vec((0..8u8, any::<u64>(), 1..6usize), 1..9),
+    ) {
+        let mut est = deploy_materialized_join(&market(), Latencies::zero());
+        let mut fresh = 700_000i64;
+        let hist = |est: &Estocada| est.stores.par.dataset("UserHist").expect("UserHist");
+        for (i, step) in script.iter().enumerate() {
+            let what = format!("after step {i} of {script:?}");
+            // Odd picks keep a reader's handle across the batch.
+            let reader = (step.1 % 2 == 1).then(|| hist(&est));
+            let seen: Vec<_> = reader.iter().flat_map(|ds| ds.iter_rows().cloned()).collect();
+            let home = Arc::as_ptr(&hist(&est));
+            apply_step(&mut est, *step, &mut fresh);
+            match reader {
+                Some(ds) => {
+                    let sees: Vec<_> = ds.iter_rows().cloned().collect();
+                    prop_assert_eq!(sees, seen, "{}: a reader's snapshot moved", what);
+                }
+                None => {
+                    let now = Arc::as_ptr(&hist(&est));
+                    prop_assert_eq!(now, home, "{}: UserHist copied with no reader", what);
+                }
+            }
+            prop_assert!(stale_fragments(&est).is_empty());
+            let twin = remat_twin(&est, deploy_materialized_join);
+            assert_same_stores(&est, &twin, &what);
+            assert_same_stats(&est, &twin, &what);
+            assert_index_lookups_equal_scans(&est, &what);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -280,7 +442,7 @@ fn duplicate_derivations_delete_one_support_at_a_time() {
             .rows[0];
         (
             match &log[1] {
-                estocada_pivot::Value::Int(u) => *u,
+                Value::Int(u) => *u,
                 v => panic!("uid {v:?}"),
             },
             log[3].as_str().expect("category").to_string(),
