@@ -5,7 +5,7 @@
 //!
 //! - **fault-free overhead**: the retry wrapper + breaker admission are
 //!   always on; arming a fault plan whose windows never fire additionally
-//!   consults the injection hook on every simulated request. Both arms
+//!   consults the fault gate before every delegated request. Both arms
 //!   must stay within noise of each other — the single-shot gate asserts
 //!   the armed-but-quiescent arm is ≤ 2% over the disarmed arm.
 //! - **recovery latency**: a transient key-value outage (first two GETs
@@ -75,7 +75,7 @@ fn engine(m: &Marketplace) -> Estocada {
     est
 }
 
-/// A fault plan that is armed (the hook fires on every simulated request)
+/// A fault plan that is armed (the gate is consulted on every delegated request)
 /// but whose rules never inject: the pure cost of consulting the layer.
 fn quiescent_plan() -> FaultPlan {
     FaultPlan::new(11)

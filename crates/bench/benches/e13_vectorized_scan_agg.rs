@@ -19,7 +19,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use estocada_engine::{
     execute, execute_with, AggFun, AggSpec, ArithOp, BindSource, CmpOp, ExecOptions, Expr, Plan,
-    RowBatch, Tuple,
+    RowBatch, StoreError, Tuple,
 };
 use estocada_kvstore::KvStore;
 use estocada_pivot::Value;
@@ -99,17 +99,15 @@ impl BindSource for ProfileBind {
     fn out_columns(&self) -> Vec<String> {
         vec!["score".into(), "region".into()]
     }
-    fn fetch(&self, key: &[Value]) -> Vec<Tuple> {
-        self.0.get("profiles", &key[0]).into_iter().collect()
-    }
-    fn fetch_batch(&self, keys: &[Vec<Value>]) -> Vec<Vec<Tuple>> {
+    fn fetch_batch(&self, keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError> {
         // Pipelined MGET: one simulated round-trip per key batch.
         let flat: Vec<Value> = keys.iter().map(|k| k[0].clone()).collect();
-        self.0
+        Ok(self
+            .0
             .mget("profiles", &flat)
             .into_iter()
             .map(|hit| hit.into_iter().collect())
-            .collect()
+            .collect())
     }
     fn label(&self) -> String {
         "kv profiles".into()

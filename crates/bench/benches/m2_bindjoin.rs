@@ -4,7 +4,7 @@
 //! and hash-joining in the mediator.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use estocada_engine::{execute, BindSource, Plan, RowBatch, Tuple};
+use estocada_engine::{execute, BindSource, Plan, RowBatch, StoreError, Tuple};
 use estocada_kvstore::KvStore;
 use estocada_pivot::Value;
 use estocada_simkit::LatencyModel;
@@ -35,17 +35,15 @@ impl BindSource for KvBind {
     fn out_columns(&self) -> Vec<String> {
         vec!["name".into(), "score".into()]
     }
-    fn fetch(&self, key: &[Value]) -> Vec<Tuple> {
-        self.0.get("profiles", &key[0]).into_iter().collect()
-    }
-    fn fetch_batch(&self, keys: &[Vec<Value>]) -> Vec<Vec<Tuple>> {
+    fn fetch_batch(&self, keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError> {
         // Pipelined MGET: one simulated round-trip for the whole batch.
         let flat: Vec<Value> = keys.iter().map(|k| k[0].clone()).collect();
-        self.0
+        Ok(self
+            .0
             .mget("profiles", &flat)
             .into_iter()
             .map(|hit| hit.into_iter().collect())
-            .collect()
+            .collect())
     }
     fn label(&self) -> String {
         "kv profiles".into()

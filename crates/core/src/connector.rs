@@ -3,11 +3,17 @@
 //! *unit* — either a `Delegated` plan leaf (runs eagerly) or a
 //! [`BindSource`] (probed by BindJoin when the fragment has an access
 //! pattern).
+//!
+//! This module is the mediator→store boundary: the only non-test code that
+//! calls the stores' read methods. Every such call is preceded by the
+//! backend's fault gate ([`Stores`] owns one per [`SystemId`]), named with
+//! the operation a `FaultPlan` rule keys on (`query`, `get`, `mget`,
+//! `find`, `term_lookup`, `scan`, `lookup`, `join`).
 
 use crate::catalog::{DocRole, FragmentRelation, FragmentStats, WhereSpec};
 use crate::error::{Error, Result};
 use crate::layout::unpack_kv_rows;
-use crate::system::{Stores, SystemId};
+use crate::system::{FaultGate, Stores, SystemId};
 use estocada_docstore::{DocQuery, QueryNode};
 use estocada_engine::{BindSource, RowBatch, StoreError, Tuple};
 use estocada_pivot::{Atom, Term, Value, Var};
@@ -201,9 +207,13 @@ pub fn atom_vars(atoms: &[Atom]) -> Vec<Var> {
     seen
 }
 
+fn var_cols(vars: &[Var]) -> Vec<String> {
+    vars.iter().map(|v| var_col(*v)).collect()
+}
+
 fn batch_of(out_vars: &[Var], rows: Vec<Tuple>) -> RowBatch {
     RowBatch {
-        columns: out_vars.iter().map(|v| var_col(*v)).collect(),
+        columns: var_cols(out_vars),
         rows,
     }
 }
@@ -288,10 +298,14 @@ pub fn sql_unit(
     }
     let label = format!("relational: {q}");
     let rel_store = stores.rel.clone();
+    let gate = stores.gate(SystemId::Relational);
     let ov = out_vars.clone();
     // A store failure must propagate — never decay to an empty row set.
     let runner = move || {
-        let rows = rel_store.try_query(&q)?;
+        gate.check("query")?;
+        let rows = rel_store
+            .query(&q)
+            .map_err(|e| StoreError::internal("relational", "query", e.to_string()))?;
         Ok(batch_of(&ov, rows))
     };
     Ok(Unit {
@@ -306,13 +320,63 @@ pub fn sql_unit(
     })
 }
 
+/// A namespace of the key-value store as one rewriting atom sees it. The
+/// point `get` of a constant key and the pipelined `mget` of a BindJoin
+/// share the gate and the payload decoding.
+struct KvAccess {
+    kv: Arc<estocada_kvstore::KvStore>,
+    gate: FaultGate,
+    namespace: String,
+    /// The key variable, when the key is not a constant.
+    key_var: Option<Var>,
+    value_terms: Vec<Term>,
+    out_vars: Vec<Var>,
+    label: String,
+}
+
+impl KvAccess {
+    /// Decode what is stored under `key` into bound output tuples.
+    fn decode(&self, key: &Value, hit: Option<Vec<Value>>) -> Vec<Tuple> {
+        let Some(values) = hit else {
+            return Vec::new();
+        };
+        let pre: HashMap<Var, Value> = self.key_var.map(|v| (v, key.clone())).into_iter().collect();
+        unpack_kv_rows(&values)
+            .into_iter()
+            .filter_map(|cells| bind_row(&self.value_terms, &cells, &pre, &self.out_vars))
+            .collect()
+    }
+}
+
+impl BindSource for KvAccess {
+    fn out_columns(&self) -> Vec<String> {
+        var_cols(&self.out_vars)
+    }
+    fn fetch_batch(&self, keys: &[Vec<Value>]) -> StoreResult<Vec<Vec<Tuple>>> {
+        // Pipelined MGET: the whole probe batch costs one simulated
+        // round-trip instead of one per distinct key (and one fault fails
+        // the whole batch).
+        let flat: Vec<Value> = keys.iter().map(|k| k[0].clone()).collect();
+        self.gate.check("mget")?;
+        let hits = self.kv.mget(&self.namespace, &flat);
+        Ok(hits
+            .into_iter()
+            .zip(&flat)
+            .map(|(hit, key)| self.decode(key, hit))
+            .collect())
+    }
+    fn label(&self) -> String {
+        self.label.clone()
+    }
+}
+
 /// Build a key-value unit from one atom over a namespace-placed fragment.
 /// A constant key delegates a point `get`; a variable key becomes a
 /// BindJoin source.
 pub fn kv_unit(
     atom: &Atom,
     rel: &FragmentRelation,
-    stats: &FragmentStats,
+    _stats: &FragmentStats,
     stores: &Stores,
 ) -> Result<Unit> {
     let namespace = match &rel.place {
@@ -323,129 +387,88 @@ pub fn kv_unit(
             )))
         }
     };
-    let kv = stores.kv.clone();
     let value_terms: Vec<Term> = atom.args[1..].to_vec();
-    match &atom.args[0] {
+    let key_var = atom.args[0].as_var();
+    // Output vars: value-position vars other than the key var.
+    let out_vars: Vec<Var> = atom_vars(&[Atom::new(atom.pred, value_terms.clone())])
+        .into_iter()
+        .filter(|v| Some(*v) != key_var)
+        .collect();
+    let label = match &atom.args[0] {
+        Term::Const(key) => format!("key-value: GET {namespace}[{key}]"),
+        Term::Var(_) => format!("key-value: GET {namespace}[?]"),
+    };
+    let access = KvAccess {
+        kv: stores.kv.clone(),
+        gate: stores.gate(SystemId::KeyValue),
+        namespace,
+        key_var,
+        value_terms,
+        out_vars: out_vars.clone(),
+        label: label.clone(),
+    };
+    let kind = match &atom.args[0] {
         Term::Const(key) => {
-            let out_vars = atom_vars(&[Atom::new(atom.pred, value_terms.clone())]);
-            let label = format!("key-value: GET {namespace}[{key}]");
             let key = key.clone();
-            let ov = out_vars.clone();
-            let vt = value_terms.clone();
-            let runner = move || {
-                let rows = match kv.try_get(&namespace, &key)? {
-                    Some(values) => unpack_kv_rows(&values)
-                        .into_iter()
-                        .filter_map(|cells| bind_row(&vt, &cells, &HashMap::new(), &ov))
-                        .collect(),
-                    None => Vec::new(),
-                };
-                Ok(batch_of(&ov, rows))
-            };
-            Ok(Unit {
-                label,
-                out_vars,
-                inputs: Vec::new(),
-                kind: UnitKind::Run(Arc::new(runner)),
-                est_rows: 1.0,
-                est_scanned: 0.0,
-                system: SystemId::KeyValue,
-            })
+            UnitKind::Run(Arc::new(move || {
+                access.gate.check("get")?;
+                let hit = access.kv.get(&access.namespace, &key);
+                Ok(batch_of(&access.out_vars, access.decode(&key, hit)))
+            }))
         }
-        Term::Var(key_var) => {
-            // Output vars: value-position vars other than the key var.
-            let out_vars: Vec<Var> = atom_vars(&[Atom::new(atom.pred, value_terms.clone())])
-                .into_iter()
-                .filter(|v| v != key_var)
-                .collect();
-            let label = format!("key-value: GET {namespace}[?]");
-            struct KvSource {
-                kv: Arc<estocada_kvstore::KvStore>,
-                namespace: String,
-                key_var: Var,
-                value_terms: Vec<Term>,
-                out_vars: Vec<Var>,
-                label: String,
-            }
-            impl KvSource {
-                /// Decode one stored payload into bound output tuples.
-                fn decode(&self, key: &Value, values: &[Value]) -> Vec<Tuple> {
-                    let mut pre = HashMap::new();
-                    pre.insert(self.key_var, key.clone());
-                    unpack_kv_rows(values)
-                        .into_iter()
-                        .filter_map(|cells| {
-                            bind_row(&self.value_terms, &cells, &pre, &self.out_vars)
-                        })
-                        .collect()
-                }
-            }
-            impl BindSource for KvSource {
-                fn out_columns(&self) -> Vec<String> {
-                    self.out_vars.iter().map(|v| var_col(*v)).collect()
-                }
-                fn fetch(&self, key: &[Value]) -> Vec<Tuple> {
-                    let Some(values) = self.kv.get(&self.namespace, &key[0]) else {
-                        return Vec::new();
-                    };
-                    self.decode(&key[0], &values)
-                }
-                fn fetch_batch(&self, keys: &[Vec<Value>]) -> Vec<Vec<Tuple>> {
-                    // Pipelined MGET: the whole probe batch costs one
-                    // simulated round-trip instead of one per distinct key.
-                    let flat: Vec<Value> = keys.iter().map(|k| k[0].clone()).collect();
-                    self.kv
-                        .mget(&self.namespace, &flat)
-                        .into_iter()
-                        .zip(keys)
-                        .map(|(hit, key)| match hit {
-                            Some(values) => self.decode(&key[0], &values),
-                            None => Vec::new(),
-                        })
-                        .collect()
-                }
-                fn try_fetch(&self, key: &[Value]) -> StoreResult<Vec<Tuple>> {
-                    Ok(match self.kv.try_get(&self.namespace, &key[0])? {
-                        Some(values) => self.decode(&key[0], &values),
-                        None => Vec::new(),
-                    })
-                }
-                fn try_fetch_batch(&self, keys: &[Vec<Value>]) -> StoreResult<Vec<Vec<Tuple>>> {
-                    let flat: Vec<Value> = keys.iter().map(|k| k[0].clone()).collect();
-                    Ok(self
-                        .kv
-                        .try_mget(&self.namespace, &flat)?
-                        .into_iter()
-                        .zip(keys)
-                        .map(|(hit, key)| match hit {
-                            Some(values) => self.decode(&key[0], &values),
-                            None => Vec::new(),
-                        })
-                        .collect())
-                }
-                fn label(&self) -> String {
-                    self.label.clone()
-                }
-            }
-            let src = KvSource {
-                kv,
-                namespace,
-                key_var: *key_var,
-                value_terms,
-                out_vars: out_vars.clone(),
-                label: label.clone(),
-            };
-            let _ = stats;
-            Ok(Unit {
-                label,
-                out_vars,
-                inputs: vec![*key_var],
-                kind: UnitKind::Bind(Arc::new(src)),
-                est_rows: 1.0,
-                est_scanned: 0.0,
-                system: SystemId::KeyValue,
+        Term::Var(_) => UnitKind::Bind(Arc::new(access)),
+    };
+    Ok(Unit {
+        label,
+        out_vars,
+        inputs: key_var.into_iter().collect(),
+        kind,
+        est_rows: 1.0,
+        est_scanned: 0.0,
+        system: SystemId::KeyValue,
+    })
+}
+
+/// A full-text index as one `Contains(term, key)` atom sees it: the search
+/// of a constant term and the per-key probes of a BindJoin share the gate
+/// and the binding of the returned document keys.
+struct TextAccess {
+    text: Arc<estocada_textstore::TextStore>,
+    gate: FaultGate,
+    index: String,
+    key_term: Term,
+    out_vars: Vec<Var>,
+    label: String,
+}
+
+impl TextAccess {
+    fn lookup(&self, term: &str) -> StoreResult<Vec<Tuple>> {
+        self.gate.check("term_lookup")?;
+        let key_term = std::slice::from_ref(&self.key_term);
+        Ok(self
+            .text
+            .term_lookup(&self.index, term)
+            .into_iter()
+            .filter_map(|k| bind_row(key_term, &[k], &HashMap::new(), &self.out_vars))
+            .collect())
+    }
+}
+
+impl BindSource for TextAccess {
+    fn out_columns(&self) -> Vec<String> {
+        var_cols(&self.out_vars)
+    }
+    fn fetch_batch(&self, keys: &[Vec<Value>]) -> StoreResult<Vec<Vec<Tuple>>> {
+        // No batched search: one term lookup per key.
+        keys.iter()
+            .map(|key| match key[0].as_str() {
+                Some(term) => self.lookup(term),
+                None => Ok(Vec::new()),
             })
-        }
+            .collect()
+    }
+    fn label(&self) -> String {
+        self.label.clone()
     }
 }
 
@@ -464,119 +487,51 @@ pub fn text_unit(
             )))
         }
     };
-    let text = stores.text.clone();
-    let key_term = atom.args[1].clone();
     let avg_postings = (stats.rows.max(1) as f64
         / stats.distinct.first().copied().unwrap_or(1).max(1) as f64)
         .max(1.0);
-    match &atom.args[0] {
+    let const_term = match &atom.args[0] {
         Term::Const(term) => {
-            let term_s = term
+            let term = term
                 .as_str()
-                .map(str::to_string)
                 .ok_or_else(|| Error::Untranslatable("text search term must be a string".into()))?;
-            let out_vars = match &key_term {
-                Term::Var(v) => vec![*v],
-                Term::Const(_) => vec![],
-            };
-            let label = format!("text: SEARCH {index} \"{term_s}\"");
-            let ov = out_vars.clone();
-            let kt = key_term.clone();
-            let runner = move || {
-                let keys = text.try_term_lookup(&index, &term_s)?;
-                let rows: Vec<Tuple> = keys
-                    .into_iter()
-                    .filter_map(|k| bind_row(std::slice::from_ref(&kt), &[k], &HashMap::new(), &ov))
-                    .collect();
-                Ok(batch_of(&ov, rows))
-            };
-            Ok(Unit {
-                label,
-                out_vars,
-                inputs: Vec::new(),
-                kind: UnitKind::Run(Arc::new(runner)),
-                est_rows: avg_postings,
-                est_scanned: 0.0,
-                system: SystemId::Text,
-            })
+            Some(term.to_string())
         }
-        Term::Var(term_var) => {
-            let out_vars = match &key_term {
-                Term::Var(v) if v != term_var => vec![*v],
-                _ => vec![],
-            };
-            let label = format!("text: SEARCH {index} [bound term]");
-            struct TextSource {
-                text: Arc<estocada_textstore::TextStore>,
-                index: String,
-                key_term: Term,
-                out_vars: Vec<Var>,
-                label: String,
-            }
-            impl BindSource for TextSource {
-                fn out_columns(&self) -> Vec<String> {
-                    self.out_vars.iter().map(|v| var_col(*v)).collect()
-                }
-                fn fetch(&self, key: &[Value]) -> Vec<Tuple> {
-                    let Some(term) = key[0].as_str() else {
-                        return Vec::new();
-                    };
-                    self.text
-                        .term_lookup(&self.index, term)
-                        .into_iter()
-                        .filter_map(|k| {
-                            bind_row(
-                                std::slice::from_ref(&self.key_term),
-                                &[k],
-                                &HashMap::new(),
-                                &self.out_vars,
-                            )
-                        })
-                        .collect()
-                }
-                fn try_fetch(&self, key: &[Value]) -> StoreResult<Vec<Tuple>> {
-                    let Some(term) = key[0].as_str() else {
-                        return Ok(Vec::new());
-                    };
-                    Ok(self
-                        .text
-                        .try_term_lookup(&self.index, term)?
-                        .into_iter()
-                        .filter_map(|k| {
-                            bind_row(
-                                std::slice::from_ref(&self.key_term),
-                                &[k],
-                                &HashMap::new(),
-                                &self.out_vars,
-                            )
-                        })
-                        .collect())
-                }
-                fn try_fetch_batch(&self, keys: &[Vec<Value>]) -> StoreResult<Vec<Vec<Tuple>>> {
-                    keys.iter().map(|k| self.try_fetch(k)).collect()
-                }
-                fn label(&self) -> String {
-                    self.label.clone()
-                }
-            }
-            let src = TextSource {
-                text,
-                index,
-                key_term,
-                out_vars: out_vars.clone(),
-                label: label.clone(),
-            };
-            Ok(Unit {
-                label,
-                out_vars,
-                inputs: vec![*term_var],
-                kind: UnitKind::Bind(Arc::new(src)),
-                est_rows: avg_postings,
-                est_scanned: 0.0,
-                system: SystemId::Text,
-            })
-        }
-    }
+        Term::Var(_) => None,
+    };
+    let term_var = atom.args[0].as_var();
+    let key_term = atom.args[1].clone();
+    let out_vars = match &key_term {
+        Term::Var(v) if Some(*v) != term_var => vec![*v],
+        _ => vec![],
+    };
+    let label = match &const_term {
+        Some(term) => format!("text: SEARCH {index} \"{term}\""),
+        None => format!("text: SEARCH {index} [bound term]"),
+    };
+    let access = TextAccess {
+        text: stores.text.clone(),
+        gate: stores.gate(SystemId::Text),
+        index,
+        key_term,
+        out_vars: out_vars.clone(),
+        label: label.clone(),
+    };
+    let kind = match const_term {
+        Some(term) => UnitKind::Run(Arc::new(move || {
+            Ok(batch_of(&access.out_vars, access.lookup(&term)?))
+        })),
+        None => UnitKind::Bind(Arc::new(access)),
+    };
+    Ok(Unit {
+        label,
+        out_vars,
+        inputs: term_var.into_iter().collect(),
+        kind,
+        est_rows: avg_postings,
+        est_scanned: 0.0,
+        system: SystemId::Text,
+    })
 }
 
 /// Build a document-store unit from one atom over a row-document fragment.
@@ -610,11 +565,13 @@ pub fn doc_rows_unit(
     let out_vars = atom_vars(std::slice::from_ref(atom));
     let label = format!("document: FIND {collection} {:?}", filter.clauses);
     let doc = stores.doc.clone();
+    let gate = stores.gate(SystemId::Document);
     let ov = out_vars.clone();
     let terms = atom.args.clone();
     let runner = move || {
         let paths: Vec<&str> = columns.iter().map(|s| s.as_str()).collect();
-        let docs = doc.try_find(&collection, &filter, Some(&paths))?;
+        gate.check("find")?;
+        let docs = doc.find(&collection, &filter, Some(&paths));
         let rows: Vec<Tuple> = docs
             .into_iter()
             .filter_map(|d| {
@@ -711,6 +668,7 @@ fn par_scan_unit(
         format!("parallel: SCAN {dataset} ({} preds)", preds.len())
     };
     let par = stores.par.clone();
+    let gate = stores.gate(SystemId::Parallel);
     let ov = out_vars.clone();
     let terms = atom.args.clone();
     let key: Vec<Value> = indexed
@@ -735,9 +693,11 @@ fn par_scan_unit(
     let all_vars = var_positions.len() == terms.len();
     let runner = move || {
         let rows_raw = if use_index {
-            par.try_lookup(&dataset, &key, &preds)?
+            gate.check("lookup")?;
+            par.lookup(&dataset, &key, &preds)
         } else {
-            par.try_scan(&dataset, &preds, None)?
+            gate.check("scan")?;
+            par.scan(&dataset, &preds, None)
         };
         let rows: Vec<Tuple> = if plain && all_vars {
             rows_raw
@@ -795,6 +755,7 @@ fn par_join_unit(
     let out_vars = atom_vars(&[latom.clone(), ratom.clone()]);
     let label = format!("parallel: JOIN {lds} ⋈ {rds} on {lkeys:?}");
     let par = stores.par.clone();
+    let gate = stores.gate(SystemId::Parallel);
     let ov = out_vars.clone();
     // Joined rows need rebinding only when constants/repeated variables
     // appear beyond the join keys themselves; the join already enforced
@@ -826,7 +787,8 @@ fn par_join_unit(
     let runner = move || {
         let lk: Vec<&str> = lkeys.iter().map(|s| s.as_str()).collect();
         let rk: Vec<&str> = rkeys.iter().map(|s| s.as_str()).collect();
-        let rows_raw = par.try_join(&lds, &rds, &lk, &rk)?;
+        gate.check("join")?;
+        let rows_raw = par.join(&lds, &rds, &lk, &rk);
         let rows: Vec<Tuple> = if needs_bind {
             rows_raw
                 .into_iter()
@@ -1010,9 +972,11 @@ pub fn doc_tree_unit(
         q.roots.len()
     );
     let doc = stores.doc.clone();
+    let gate = stores.gate(SystemId::Document);
     let ov = ordered_vars.clone();
     let runner = move || {
-        let (_cols, rows) = doc.try_query(&q)?;
+        gate.check("query")?;
+        let (_cols, rows) = doc.query(&q);
         Ok(batch_of(&ov, rows))
     };
     // A top-level equality makes the store's path index applicable.

@@ -74,7 +74,7 @@ use estocada_chase::{
 use estocada_engine::{execute_with, EngineError, ExecOptions, Expr, Plan};
 use estocada_pivot::encoding::document::TreePattern;
 use estocada_pivot::{Constraint, Cq, IdGen, Schema};
-use estocada_simkit::{FaultHook, FaultPlan};
+use estocada_simkit::FaultPlan;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -430,31 +430,15 @@ impl Estocada {
     }
 
     /// Install (or clear, with `None`) a seeded fault-injection plan. Each
-    /// store receives a [`FaultHook`] keyed by its selector name
-    /// (`relational`, `key-value`, `document`, `text`, `parallel`);
-    /// subsequent delegated calls consult the hook before every simulated
-    /// request. An empty plan (or `None`) removes every hook, restoring
-    /// the bit-identical clean path.
+    /// backend's gate on the delegated-request path gets a fresh cursor
+    /// keyed by its selector name (`relational`, `key-value`, `document`,
+    /// `text`, `parallel`) and is consulted before every delegated store
+    /// request from then on; admin paths never pass a gate. An empty plan
+    /// (or `None`) disarms every gate, restoring the bit-identical clean
+    /// path.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.fault_plan = plan.clone().filter(|p| !p.is_empty());
-        match &self.fault_plan {
-            Some(p) => {
-                let p = Arc::new(p.clone());
-                let hook = |name: &str| Some(Arc::new(FaultHook::new(p.clone(), name)));
-                self.stores.rel.set_fault_hook(hook("relational"));
-                self.stores.kv.set_fault_hook(hook("key-value"));
-                self.stores.doc.set_fault_hook(hook("document"));
-                self.stores.text.set_fault_hook(hook("text"));
-                self.stores.par.set_fault_hook(hook("parallel"));
-            }
-            None => {
-                self.stores.rel.set_fault_hook(None);
-                self.stores.kv.set_fault_hook(None);
-                self.stores.doc.set_fault_hook(None);
-                self.stores.text.set_fault_hook(None);
-                self.stores.par.set_fault_hook(None);
-            }
-        }
+        self.fault_plan = plan.filter(|p| !p.is_empty());
+        self.stores.set_fault_plan(self.fault_plan.as_ref());
     }
 
     /// The installed fault-injection plan, if any.

@@ -14,7 +14,10 @@
 //!    rejections the breaker admits a single half-open probe.
 //! 2. **Retry.** A store failure is retried up to
 //!    [`RetryPolicy::max_attempts`] times with capped exponential backoff
-//!    plus deterministic jitter, bounded by the per-query deadline.
+//!    plus deterministic jitter, bounded by the per-query deadline. A
+//!    native error ([`StoreErrorKind::Internal`] — the store answered, and
+//!    would answer the same again) is neither retried nor held against the
+//!    backend's breaker; it goes straight to step 3.
 //! 3. **Failover.** When a unit exhausts its retries the whole plan
 //!    attempt fails; the evaluator then re-ranks the *remaining*
 //!    equivalent rewritings of the already-computed rewrite outcome —
@@ -169,9 +172,10 @@ pub struct BackendHealth {
     pub state: BreakerState,
     /// Consecutive failures since the last success.
     pub consecutive_failures: u32,
-    /// Total successful calls observed.
+    /// Total calls the backend answered (a native error is an answer).
     pub successes: u64,
-    /// Total failed calls observed (fail-fast rejections not included).
+    /// Total calls lost to an outage (fail-fast rejections and native
+    /// errors not included).
     pub failures: u64,
     /// Times the breaker tripped Closed→Open.
     pub trips: u64,
@@ -224,27 +228,9 @@ pub struct HealthTracker {
     clock: SimClock,
 }
 
-const ALL_SYSTEMS: [SystemId; 5] = [
-    SystemId::Relational,
-    SystemId::KeyValue,
-    SystemId::Document,
-    SystemId::Text,
-    SystemId::Parallel,
-];
-
-fn slot_index(sys: SystemId) -> usize {
-    match sys {
-        SystemId::Relational => 0,
-        SystemId::KeyValue => 1,
-        SystemId::Document => 2,
-        SystemId::Text => 3,
-        SystemId::Parallel => 4,
-    }
-}
-
 /// Map a [`StoreError::store`] name back to the backend it names.
 pub fn system_for_store(name: &str) -> Option<SystemId> {
-    ALL_SYSTEMS.iter().copied().find(|s| s.to_string() == name)
+    SystemId::ALL.into_iter().find(|s| s.to_string() == name)
 }
 
 impl HealthTracker {
@@ -264,13 +250,8 @@ impl HealthTracker {
         }
     }
 
-    /// The breaker thresholds in effect.
-    pub fn config(&self) -> BreakerConfig {
-        self.cfg
-    }
-
     fn slot(&self, sys: SystemId) -> &BackendSlot {
-        &self.slots[slot_index(sys)]
+        &self.slots[sys as usize]
     }
 
     /// Current breaker state of one backend.
@@ -364,12 +345,12 @@ impl HealthTracker {
 
     /// Health counters of every backend.
     pub fn snapshot(&self) -> Vec<(SystemId, BackendHealth)> {
-        ALL_SYSTEMS
-            .iter()
+        SystemId::ALL
+            .into_iter()
             .map(|sys| {
-                let s = self.slot(*sys);
+                let s = self.slot(sys);
                 (
-                    *sys,
+                    sys,
                     BackendHealth {
                         state: decode_state(s.state.load(Ordering::Relaxed)),
                         consecutive_failures: s.consecutive.load(Ordering::Relaxed),
@@ -471,16 +452,6 @@ impl QueryResilience {
         })
     }
 
-    /// The retry policy in effect.
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
-    }
-
-    /// The shared health tracker.
-    pub fn health(&self) -> &Arc<HealthTracker> {
-        &self.health
-    }
-
     /// `true` once the query's deadline budget is exhausted.
     pub fn deadline_exceeded(&self) -> bool {
         self.deadline.is_some_and(|d| Instant::now() >= d)
@@ -544,8 +515,8 @@ impl QueryResilience {
     /// loop — callers that own their own retry discipline (the split-batch
     /// fetch path) build on this primitive. Breaker-open rejections
     /// synthesize a [`StoreErrorKind::CircuitOpen`] error without touching
-    /// the backend.
-    pub fn call_once<T>(
+    /// the backend; every error that comes back is logged for the report.
+    fn call_once<T>(
         &self,
         system: SystemId,
         op: &str,
@@ -561,17 +532,34 @@ impl QueryResilience {
             self.record_error(&e);
             return Err(e);
         }
-        match f() {
-            Ok(v) => {
-                self.record_transition(self.health.on_success(system));
-                Ok(v)
-            }
-            Err(e) => {
-                self.record_transition(self.health.on_failure(system));
-                self.record_error(&e);
-                Err(e)
-            }
+        let out = f();
+        // A native error is an answer: the backend is up (and a half-open
+        // probe that got one has proven it).
+        let answered = match &out {
+            Ok(_) => true,
+            Err(e) => matches!(e.kind, StoreErrorKind::Internal(_)),
+        };
+        self.record_transition(if answered {
+            self.health.on_success(system)
+        } else {
+            self.health.on_failure(system)
+        });
+        if let Err(e) = &out {
+            self.record_error(e);
         }
+        out
+    }
+
+    /// `true` when the call that failed with `e` may be issued again: the
+    /// failure was an outage (not a breaker rejection, not a native error
+    /// the store would repeat), `attempts_left` allows it and the deadline
+    /// has not passed.
+    fn may_retry(&self, e: &StoreError, attempts_left: u32) -> bool {
+        let transient = !matches!(
+            e.kind,
+            StoreErrorKind::CircuitOpen | StoreErrorKind::Internal(_)
+        );
+        transient && attempts_left > 0 && !self.deadline_exceeded()
     }
 
     /// Count one retry and wait out its backoff — the bookkeeping half of
@@ -585,7 +573,7 @@ impl QueryResilience {
     ///
     /// Breaker-open rejections synthesize a
     /// [`StoreErrorKind::CircuitOpen`] error without touching the backend
-    /// and without burning retries.
+    /// and without burning retries; native errors are final too.
     pub fn call<T>(
         &self,
         system: SystemId,
@@ -598,10 +586,7 @@ impl QueryResilience {
             match self.call_once(system, op, &f) {
                 Ok(v) => return Ok(v),
                 Err(e) => {
-                    if e.kind == StoreErrorKind::CircuitOpen
-                        || attempt >= self.policy.max_attempts.max(1)
-                        || self.deadline_exceeded()
-                    {
+                    if !self.may_retry(&e, self.policy.max_attempts.saturating_sub(attempt)) {
                         return Err(e);
                     }
                     self.note_retry_and_back_off(attempt);
@@ -621,9 +606,8 @@ impl QueryResilience {
     }
 }
 
-/// A [`BindSource`] whose fallible probes run through the per-query
-/// retry/breaker loop. The infallible methods pass straight through, so a
-/// plan built without a resilience context behaves exactly as before.
+/// A [`BindSource`] whose probes run through the per-query retry/breaker
+/// loop.
 pub struct ResilientSource {
     inner: Arc<dyn BindSource>,
     system: SystemId,
@@ -653,17 +637,12 @@ impl ResilientSource {
         budget: u32,
         attempt: u32,
     ) -> Result<Vec<Vec<Tuple>>, StoreError> {
-        match self.ctx.call_once(self.system, "fetch_batch", || {
-            self.inner.try_fetch_batch(keys)
-        }) {
+        match self
+            .ctx
+            .call_once(self.system, "fetch_batch", || self.inner.fetch_batch(keys))
+        {
             Ok(v) => Ok(v),
-            Err(e)
-                if budget <= 1
-                    || e.kind == StoreErrorKind::CircuitOpen
-                    || self.ctx.deadline_exceeded() =>
-            {
-                Err(e)
-            }
+            Err(e) if !self.ctx.may_retry(&e, budget.saturating_sub(1)) => Err(e),
             Err(_) => {
                 self.ctx.note_retry_and_back_off(attempt);
                 if keys.len() > 1 {
@@ -685,21 +664,8 @@ impl BindSource for ResilientSource {
         self.inner.out_columns()
     }
 
-    fn fetch(&self, key: &[Value]) -> Vec<Tuple> {
-        self.inner.fetch(key)
-    }
-
-    fn fetch_batch(&self, keys: &[Vec<Value>]) -> Vec<Vec<Tuple>> {
-        self.inner.fetch_batch(keys)
-    }
-
-    fn try_fetch(&self, key: &[Value]) -> Result<Vec<Tuple>, StoreError> {
-        self.ctx
-            .call(self.system, "fetch", || self.inner.try_fetch(key))
-    }
-
-    fn try_fetch_batch(&self, keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError> {
-        self.fetch_batch_split(keys, self.ctx.policy().max_attempts.max(1), 1)
+    fn fetch_batch(&self, keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError> {
+        self.fetch_batch_split(keys, self.ctx.policy.max_attempts.max(1), 1)
     }
 
     fn label(&self) -> String {
@@ -824,6 +790,33 @@ mod tests {
     }
 
     #[test]
+    fn native_error_is_final_and_counts_as_an_answer() {
+        let health = Arc::new(HealthTracker::new(BreakerConfig {
+            trip_after: 1,
+            probe_after: 0,
+            ..Default::default()
+        }));
+        let ctx = QueryResilience::new(RetryPolicy::default(), None, health.clone());
+        let calls = AtomicUsize::new(0);
+        let bad_query = || -> Result<(), StoreError> {
+            calls.fetch_add(1, Ordering::Relaxed);
+            Err(StoreError::internal("relational", "query", "unknown table"))
+        };
+        let out = ctx.call(SystemId::Relational, "query", bad_query);
+        assert!(matches!(out.unwrap_err().kind, StoreErrorKind::Internal(_)));
+        assert_eq!(calls.load(Ordering::Relaxed), 1, "asked once");
+        assert_eq!(ctx.retries(), 0);
+        assert_eq!(ctx.store_errors().len(), 1, "still reported");
+        assert_eq!(health.state(SystemId::Relational), BreakerState::Closed);
+        // As the half-open probe of a tripped breaker, the answer proves
+        // the backend is back.
+        health.on_failure(SystemId::Relational).unwrap();
+        assert!(ctx.call(SystemId::Relational, "query", bad_query).is_err());
+        assert_eq!(calls.load(Ordering::Relaxed), 2, "the probe was issued");
+        assert_eq!(health.state(SystemId::Relational), BreakerState::Closed);
+    }
+
+    #[test]
     fn deadline_stops_retrying() {
         let ctx = QueryResilience::new(
             RetryPolicy {
@@ -867,7 +860,7 @@ mod tests {
 
     #[test]
     fn store_names_round_trip_to_systems() {
-        for sys in ALL_SYSTEMS {
+        for sys in SystemId::ALL {
             assert_eq!(system_for_store(&sys.to_string()), Some(sys));
         }
         assert_eq!(system_for_store("mystery"), None);
@@ -944,10 +937,7 @@ mod tests {
         fn out_columns(&self) -> Vec<String> {
             vec!["k".into()]
         }
-        fn fetch(&self, key: &[Value]) -> Vec<Tuple> {
-            vec![vec![key[0].clone()]]
-        }
-        fn try_fetch_batch(&self, keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError> {
+        fn fetch_batch(&self, keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError> {
             self.calls
                 .lock()
                 .push(keys.iter().map(|k| k[0].clone()).collect());
@@ -959,7 +949,7 @@ mod tests {
             {
                 return Err(unavailable(0));
             }
-            Ok(self.fetch_batch(keys))
+            Ok(keys.iter().map(|k| vec![vec![k[0].clone()]]).collect())
         }
     }
 
@@ -985,7 +975,7 @@ mod tests {
             .iter()
             .map(|k| vec![Value::str(k)])
             .collect();
-        let out = resilient.try_fetch_batch(&keys).unwrap();
+        let out = resilient.fetch_batch(&keys).unwrap();
         // Every key was delivered, in the original batch order.
         let flat: Vec<Value> = out.into_iter().map(|rows| rows[0][0].clone()).collect();
         assert_eq!(
@@ -1038,7 +1028,7 @@ mod tests {
         );
         let resilient = ResilientSource::new(source.clone(), SystemId::KeyValue, ctx);
         let keys: Vec<Vec<Value>> = ["c", "d"].iter().map(|k| vec![Value::str(k)]).collect();
-        let out = resilient.try_fetch_batch(&keys);
+        let out = resilient.fetch_batch(&keys);
         assert_eq!(out.unwrap_err().kind, StoreErrorKind::Unavailable);
         // Budget 2: the full batch, then one split round ([c] delivered,
         // [d] out of budget) — no runaway recursion.
@@ -1059,7 +1049,7 @@ mod tests {
         );
         let resilient = ResilientSource::new(source.clone(), SystemId::KeyValue, ctx.clone());
         let keys: Vec<Vec<Value>> = ["a", "b"].iter().map(|k| vec![Value::str(k)]).collect();
-        resilient.try_fetch_batch(&keys).unwrap();
+        resilient.fetch_batch(&keys).unwrap();
         assert_eq!(source.calls.lock().len(), 1);
         assert!(!ctx.eventful());
     }

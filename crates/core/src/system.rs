@@ -4,8 +4,9 @@ use estocada_docstore::DocStore;
 use estocada_kvstore::KvStore;
 use estocada_parstore::ParStore;
 use estocada_relstore::RelStore;
-use estocada_simkit::{LatencyModel, MetricsSnapshot};
+use estocada_simkit::{FaultHook, FaultPlan, LatencyModel, MetricsSnapshot, StoreError};
 use estocada_textstore::TextStore;
+use parking_lot::RwLock;
 use std::fmt;
 use std::sync::Arc;
 
@@ -22,6 +23,17 @@ pub enum SystemId {
     Text,
     /// Parallel nested-relational store (Spark stand-in).
     Parallel,
+}
+
+impl SystemId {
+    /// Every backend; a system's position here is `sys as usize`.
+    pub(crate) const ALL: [SystemId; 5] = [
+        SystemId::Relational,
+        SystemId::KeyValue,
+        SystemId::Document,
+        SystemId::Text,
+        SystemId::Parallel,
+    ];
 }
 
 impl fmt::Display for SystemId {
@@ -124,6 +136,27 @@ impl Latencies {
     }
 }
 
+/// One backend's fault gate: the only place a [`FaultPlan`] is consulted.
+/// The connector's runners hold a clone next to their store handle and
+/// pass it before every delegated request; nothing else does, so admin
+/// paths (materialization, DML maintenance, [`Stores::dump`]) cannot fault.
+/// Clones share the cursor, so a plan installed after a query was planned
+/// still governs its cached units.
+#[derive(Clone, Default)]
+pub(crate) struct FaultGate(Arc<RwLock<Option<FaultHook>>>);
+
+impl FaultGate {
+    /// Consult the installed plan for this backend's next `op` request:
+    /// injected latency is charged here, an injected error is returned
+    /// and the request must not be issued.
+    pub(crate) fn check(&self, op: &str) -> Result<(), StoreError> {
+        match self.0.read().as_ref() {
+            Some(hook) => hook.check(op),
+            None => Ok(()),
+        }
+    }
+}
+
 /// The set of store instances of one deployment.
 #[derive(Clone)]
 pub struct Stores {
@@ -137,6 +170,8 @@ pub struct Stores {
     pub text: Arc<TextStore>,
     /// Parallel store.
     pub par: Arc<ParStore>,
+    /// Per-backend fault gates, indexed by `SystemId as usize`.
+    gates: [FaultGate; 5],
 }
 
 impl Stores {
@@ -148,7 +183,31 @@ impl Stores {
             doc: Arc::new(DocStore::with_latency(latencies.document)),
             text: Arc::new(TextStore::with_latency(latencies.text)),
             par: Arc::new(ParStore::with_latency(latencies.parallel)),
+            gates: Default::default(),
         }
+    }
+
+    /// The fault gate of one backend.
+    pub(crate) fn gate(&self, sys: SystemId) -> FaultGate {
+        self.gates[sys as usize].clone()
+    }
+
+    /// Arm every gate with a fresh cursor over `plan`, keyed by the
+    /// backend's display name; `None` disarms them.
+    pub(crate) fn set_fault_plan(&self, plan: Option<&FaultPlan>) {
+        let plan = plan.map(|p| Arc::new(p.clone()));
+        for sys in SystemId::ALL {
+            *self.gates[sys as usize].0.write() = plan
+                .as_ref()
+                .map(|p| FaultHook::new(p.clone(), &sys.to_string()));
+        }
+    }
+
+    /// Delegated requests that reached `sys`'s gate since the current
+    /// fault plan was installed (0 while none is).
+    pub fn gated_ops(&self, sys: SystemId) -> u64 {
+        let gate = self.gates[sys as usize].0.read();
+        gate.as_ref().map_or(0, FaultHook::ops)
     }
 
     /// Snapshot every store's metrics.
@@ -166,7 +225,7 @@ impl Stores {
     /// `(label, contents)` pairs. Rows are sorted per container — stores do
     /// not promise a physical order across maintenance histories — but the
     /// rendered bytes of two equal deployments match exactly. Admin paths
-    /// only: no metrics, latency or fault hooks.
+    /// only: no metrics, no latency, and never through a fault gate.
     pub fn dump(&self) -> Vec<(String, String)> {
         fn render<T: Ord + fmt::Debug>(mut items: Vec<T>) -> String {
             items.sort();

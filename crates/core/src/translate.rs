@@ -38,9 +38,11 @@ type AtomInfo = (estocada_pivot::Atom, FragmentRelation, FragmentStats);
 /// Translate `rewriting` (over fragment relations) into a plan computing
 /// `head_names` columns, applying `residuals`.
 ///
-/// With `resilience` set, every delegated runner and BindJoin source is
-/// wrapped in the per-query retry/breaker loop; with `None` the plan
-/// calls the stores directly (advisor what-if costing, unit tests).
+/// Every delegated runner and BindJoin source passes its backend's fault
+/// gate (see [`crate::connector`]) before each store request. With
+/// `resilience` set they are additionally wrapped in the per-query
+/// retry/breaker loop; with `None` a store error ends the plan at once
+/// (advisor what-if costing, unit tests).
 pub fn translate(
     rewriting: &Cq,
     head_names: &[String],

@@ -7,6 +7,9 @@
 //! accelerate equality clauses. The store supports *no joins* — exactly the
 //! capability gap that forces ESTOCADA's runtime to evaluate cross-fragment
 //! joins itself.
+//!
+//! Fault injection is not this crate's concern: the mediator gates delegated
+//! requests before they get here (see `estocada_simkit::fault`).
 
 #![warn(missing_docs)]
 
@@ -19,10 +22,9 @@ pub use path::{eval_path, eval_path_first};
 pub use query::{DocQuery, QAxis, QueryNode};
 
 use estocada_pivot::Value;
-use estocada_simkit::{FaultHook, LatencyModel, RequestTimer, StoreError, StoreMetrics};
+use estocada_simkit::{LatencyModel, RequestTimer, StoreMetrics};
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Tag matching array elements in tree patterns (mirrors the pivot
 /// document encoding's `$item`).
@@ -84,7 +86,6 @@ pub struct DocStore {
     /// Operation metrics.
     pub metrics: StoreMetrics,
     latency: LatencyModel,
-    fault: RwLock<Option<Arc<FaultHook>>>,
 }
 
 impl DocStore {
@@ -123,7 +124,7 @@ impl DocStore {
     /// **one** stored document equal to it (duplicates are removed one
     /// instance per request). Path indexes are rebuilt once after the
     /// batch. Returns how many documents were removed. Admin path: no
-    /// metrics, latency, or fault hook — like [`DocStore::insert_many`].
+    /// metrics or latency — like [`DocStore::insert_many`].
     pub fn remove_docs(&self, collection: &str, docs: &[Value]) -> usize {
         let mut guard = self.collections.write();
         let Some(c) = guard.get_mut(collection) else {
@@ -228,39 +229,6 @@ impl DocStore {
             .sum();
         timer.set_output(rows.len() as u64, bytes as u64);
         (columns, rows)
-    }
-
-    /// Install (or clear) a fault-injection hook. Consulted only by the
-    /// fallible query entry points ([`DocStore::try_find`],
-    /// [`DocStore::try_query`]); the infallible/admin paths bypass it.
-    pub fn set_fault_hook(&self, hook: Option<Arc<FaultHook>>) {
-        *self.fault.write() = hook;
-    }
-
-    fn fault_check(&self, op: &str) -> Result<(), StoreError> {
-        match self.fault.read().as_ref() {
-            Some(h) => h.check(op),
-            None => Ok(()),
-        }
-    }
-
-    /// Fallible [`DocStore::find`]: consults the fault hook before the
-    /// simulated request.
-    pub fn try_find(
-        &self,
-        collection: &str,
-        filter: &Filter,
-        projection: Option<&[&str]>,
-    ) -> Result<Vec<Value>, StoreError> {
-        self.fault_check("find")?;
-        Ok(self.find(collection, filter, projection))
-    }
-
-    /// Fallible [`DocStore::query`]: consults the fault hook before the
-    /// simulated request.
-    pub fn try_query(&self, q: &DocQuery) -> Result<(Vec<String>, Vec<Vec<Value>>), StoreError> {
-        self.fault_check("query")?;
-        Ok(self.query(q))
     }
 
     /// Document count (statistics path).

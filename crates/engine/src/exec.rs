@@ -183,7 +183,7 @@ fn run(plan: &Plan, stats: &mut ExecStats) -> Result<RowBatch, EngineError> {
                 Vec::new()
             } else {
                 let t = Instant::now();
-                let f = source.try_fetch_batch(&distinct);
+                let f = source.fetch_batch(&distinct);
                 stats.delegated_time += t.elapsed();
                 f?
             };
@@ -546,8 +546,11 @@ mod tests {
         fn out_columns(&self) -> Vec<String> {
             vec!["v".into()]
         }
-        fn fetch(&self, key: &[Value]) -> Vec<Tuple> {
-            self.0.get(key).cloned().unwrap_or_default()
+        fn fetch_batch(&self, keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError> {
+            Ok(keys
+                .iter()
+                .map(|k| self.0.get(k).cloned().unwrap_or_default())
+                .collect())
         }
     }
 
@@ -558,10 +561,7 @@ mod tests {
             fn out_columns(&self) -> Vec<String> {
                 vec!["v".into()]
             }
-            fn fetch(&self, _key: &[Value]) -> Vec<Tuple> {
-                panic!("fetch must not run for an empty batch");
-            }
-            fn fetch_batch(&self, _keys: &[Vec<Value>]) -> Vec<Vec<Tuple>> {
+            fn fetch_batch(&self, _keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError> {
                 panic!("an empty BindJoin batch must not reach the source");
             }
         }
@@ -789,10 +789,7 @@ mod tests {
             fn out_columns(&self) -> Vec<String> {
                 vec!["v".into()]
             }
-            fn fetch(&self, _key: &[Value]) -> Vec<Tuple> {
-                Vec::new()
-            }
-            fn try_fetch_batch(&self, _keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError> {
+            fn fetch_batch(&self, _keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError> {
                 Err(StoreError {
                     store: "key-value".into(),
                     op: "mget".into(),

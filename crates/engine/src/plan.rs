@@ -14,31 +14,16 @@ use std::fmt;
 use std::sync::Arc;
 
 /// A source reachable only with bound inputs (key-value lookup, term
-/// search). BindJoin probes it once per distinct key, and — when the source
-/// supports it — ships all distinct keys of a batch in one round-trip.
+/// search). BindJoin collects the distinct keys of its input and probes the
+/// source once with all of them; a source with a pipelined lookup (Redis
+/// `MGET`-style) serves the batch in one round-trip, the others loop.
 pub trait BindSource: Send + Sync {
     /// Columns produced per fetched tuple.
     fn out_columns(&self) -> Vec<String>;
-    /// Fetch the tuples matching `key`.
-    fn fetch(&self, key: &[Value]) -> Vec<Tuple>;
-    /// Fetch many keys at once, one result list per key in order. The
-    /// default loops over [`BindSource::fetch`] (one simulated round-trip
-    /// per key); sources with a pipelined lookup (Redis `MGET`-style)
-    /// override this to pay the request cost once per batch.
-    fn fetch_batch(&self, keys: &[Vec<Value>]) -> Vec<Vec<Tuple>> {
-        keys.iter().map(|k| self.fetch(k)).collect()
-    }
-    /// Fallible [`BindSource::fetch`]. The default delegates to the
-    /// infallible method (which cannot fault); sources over fault-injected
-    /// stores override this to surface [`StoreError`].
-    fn try_fetch(&self, key: &[Value]) -> Result<Vec<Tuple>, StoreError> {
-        Ok(self.fetch(key))
-    }
-    /// Fallible [`BindSource::fetch_batch`]. The default delegates to the
-    /// infallible batch method, preserving its batching behavior.
-    fn try_fetch_batch(&self, keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError> {
-        Ok(self.fetch_batch(keys))
-    }
+    /// Fetch the tuples matching each of `keys`: one result list per key,
+    /// in order. A store failure surfaces as [`StoreError`] — never as a
+    /// short or empty result.
+    fn fetch_batch(&self, keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError>;
     /// Display label (for EXPLAIN output).
     fn label(&self) -> String {
         "bind-source".to_string()

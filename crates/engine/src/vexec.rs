@@ -554,7 +554,7 @@ impl VecOp for BindJoinOp<'_> {
                     .collect()
             };
             let t = Instant::now();
-            let f = self.source.try_fetch_batch(&key_vals);
+            let f = self.source.fetch_batch(&key_vals);
             stats.delegated_time += t.elapsed();
             let f = f?;
             debug_assert_eq!(f.len(), new_keys.len());
@@ -990,8 +990,11 @@ mod tests {
         fn out_columns(&self) -> Vec<String> {
             vec!["v".into()]
         }
-        fn fetch(&self, key: &[Value]) -> Vec<Tuple> {
-            self.0.get(key).cloned().unwrap_or_default()
+        fn fetch_batch(&self, keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError> {
+            Ok(keys
+                .iter()
+                .map(|k| self.0.get(k).cloned().unwrap_or_default())
+                .collect())
         }
     }
 
@@ -1022,10 +1025,7 @@ mod tests {
             fn out_columns(&self) -> Vec<String> {
                 vec!["v".into()]
             }
-            fn fetch(&self, _key: &[Value]) -> Vec<Tuple> {
-                panic!("fetch must not run for an empty batch");
-            }
-            fn fetch_batch(&self, _keys: &[Vec<Value>]) -> Vec<Vec<Tuple>> {
+            fn fetch_batch(&self, _keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError> {
                 panic!("an empty BindJoin batch must not reach the source");
             }
         }

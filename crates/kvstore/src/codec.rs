@@ -6,7 +6,6 @@
 //! length-prefixed body — small and allocation-light, mirroring how real
 //! deployments pack records into Redis/Voldemort values.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use estocada_pivot::Value;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -37,28 +36,25 @@ const TAG_ARRAY: u8 = 7;
 const TAG_OBJECT: u8 = 8;
 
 /// Encode a tuple of values into one buffer.
-pub fn encode_tuple(values: &[Value]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 * values.len());
-    buf.put_u32_le(values.len() as u32);
+pub fn encode_tuple(values: &[Value]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(16 * values.len());
+    put_len(&mut buf, values.len());
     for v in values {
         encode_value(v, &mut buf);
     }
-    buf.freeze()
+    buf
 }
 
 /// Decode a tuple previously written by [`encode_tuple`].
 pub fn decode_tuple(mut buf: &[u8]) -> Result<Vec<Value>, DecodeError> {
-    if buf.remaining() < 4 {
-        return Err(DecodeError {
-            reason: "missing tuple header",
-        });
-    }
-    let n = buf.get_u32_le() as usize;
-    let mut out = Vec::with_capacity(n);
+    let n = take_len(&mut buf).map_err(|_| DecodeError {
+        reason: "missing tuple header",
+    })?;
+    let mut out = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
         out.push(decode_value(&mut buf)?);
     }
-    if buf.has_remaining() {
+    if !buf.is_empty() {
         return Err(DecodeError {
             reason: "trailing bytes",
         });
@@ -66,93 +62,96 @@ pub fn decode_tuple(mut buf: &[u8]) -> Result<Vec<Value>, DecodeError> {
     Ok(out)
 }
 
-fn encode_value(v: &Value, buf: &mut BytesMut) {
+/// Lengths and counts are little-endian `u32`s.
+fn put_len(buf: &mut Vec<u8>, n: usize) {
+    buf.extend_from_slice(&(n as u32).to_le_bytes());
+}
+
+fn put_str(buf: &mut Vec<u8>, s: &str) {
+    put_len(buf, s.len());
+    buf.extend_from_slice(s.as_bytes());
+}
+
+fn encode_value(v: &Value, buf: &mut Vec<u8>) {
     match v {
-        Value::Null => buf.put_u8(TAG_NULL),
-        Value::Bool(false) => buf.put_u8(TAG_FALSE),
-        Value::Bool(true) => buf.put_u8(TAG_TRUE),
+        Value::Null => buf.push(TAG_NULL),
+        Value::Bool(false) => buf.push(TAG_FALSE),
+        Value::Bool(true) => buf.push(TAG_TRUE),
         Value::Int(i) => {
-            buf.put_u8(TAG_INT);
-            buf.put_i64_le(*i);
+            buf.push(TAG_INT);
+            buf.extend_from_slice(&i.to_le_bytes());
         }
         Value::Double(d) => {
-            buf.put_u8(TAG_DOUBLE);
-            buf.put_f64_le(*d);
+            buf.push(TAG_DOUBLE);
+            buf.extend_from_slice(&d.to_le_bytes());
         }
         Value::Str(s) => {
-            buf.put_u8(TAG_STR);
-            buf.put_u32_le(s.len() as u32);
-            buf.put_slice(s.as_bytes());
+            buf.push(TAG_STR);
+            put_str(buf, s);
         }
         Value::Id(i) => {
-            buf.put_u8(TAG_ID);
-            buf.put_u64_le(*i);
+            buf.push(TAG_ID);
+            buf.extend_from_slice(&i.to_le_bytes());
         }
         Value::Array(items) => {
-            buf.put_u8(TAG_ARRAY);
-            buf.put_u32_le(items.len() as u32);
+            buf.push(TAG_ARRAY);
+            put_len(buf, items.len());
             for item in items.iter() {
                 encode_value(item, buf);
             }
         }
         Value::Object(fields) => {
-            buf.put_u8(TAG_OBJECT);
-            buf.put_u32_le(fields.len() as u32);
+            buf.push(TAG_OBJECT);
+            put_len(buf, fields.len());
             for (k, fv) in fields.iter() {
-                buf.put_u32_le(k.len() as u32);
-                buf.put_slice(k.as_bytes());
+                put_str(buf, k);
                 encode_value(fv, buf);
             }
         }
     }
 }
 
-fn decode_value(buf: &mut &[u8]) -> Result<Value, DecodeError> {
-    if !buf.has_remaining() {
+/// Split the next `n` bytes off the front of the cursor.
+fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], DecodeError> {
+    if buf.len() < n {
         return Err(DecodeError {
-            reason: "missing tag",
+            reason: "truncated body",
         });
     }
-    let tag = buf.get_u8();
-    let need = |buf: &&[u8], n: usize| -> Result<(), DecodeError> {
-        if buf.remaining() < n {
-            Err(DecodeError {
-                reason: "truncated body",
-            })
-        } else {
-            Ok(())
-        }
-    };
+    let (head, tail) = buf.split_at(n);
+    *buf = tail;
+    Ok(head)
+}
+
+fn take_array<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], DecodeError> {
+    Ok(take(buf, N)?.try_into().expect("take returned N bytes"))
+}
+
+fn take_len(buf: &mut &[u8]) -> Result<usize, DecodeError> {
+    Ok(u32::from_le_bytes(take_array(buf)?) as usize)
+}
+
+fn take_str<'a>(buf: &mut &'a [u8]) -> Result<&'a str, DecodeError> {
+    let n = take_len(buf)?;
+    std::str::from_utf8(take(buf, n)?).map_err(|_| DecodeError {
+        reason: "invalid utf-8",
+    })
+}
+
+fn decode_value(buf: &mut &[u8]) -> Result<Value, DecodeError> {
+    let [tag] = take_array(buf).map_err(|_| DecodeError {
+        reason: "missing tag",
+    })?;
     match tag {
         TAG_NULL => Ok(Value::Null),
         TAG_FALSE => Ok(Value::Bool(false)),
         TAG_TRUE => Ok(Value::Bool(true)),
-        TAG_INT => {
-            need(buf, 8)?;
-            Ok(Value::Int(buf.get_i64_le()))
-        }
-        TAG_DOUBLE => {
-            need(buf, 8)?;
-            Ok(Value::Double(buf.get_f64_le()))
-        }
-        TAG_ID => {
-            need(buf, 8)?;
-            Ok(Value::Id(buf.get_u64_le()))
-        }
-        TAG_STR => {
-            need(buf, 4)?;
-            let n = buf.get_u32_le() as usize;
-            need(buf, n)?;
-            let s = std::str::from_utf8(&buf[..n]).map_err(|_| DecodeError {
-                reason: "invalid utf-8",
-            })?;
-            let v = Value::str(s);
-            buf.advance(n);
-            Ok(v)
-        }
+        TAG_INT => Ok(Value::Int(i64::from_le_bytes(take_array(buf)?))),
+        TAG_DOUBLE => Ok(Value::Double(f64::from_le_bytes(take_array(buf)?))),
+        TAG_ID => Ok(Value::Id(u64::from_le_bytes(take_array(buf)?))),
+        TAG_STR => Ok(Value::str(take_str(buf)?)),
         TAG_ARRAY => {
-            need(buf, 4)?;
-            let n = buf.get_u32_le() as usize;
+            let n = take_len(buf)?;
             let mut items = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
                 items.push(decode_value(buf)?);
@@ -160,21 +159,11 @@ fn decode_value(buf: &mut &[u8]) -> Result<Value, DecodeError> {
             Ok(Value::Array(Arc::new(items)))
         }
         TAG_OBJECT => {
-            need(buf, 4)?;
-            let n = buf.get_u32_le() as usize;
+            let n = take_len(buf)?;
             let mut fields = BTreeMap::new();
             for _ in 0..n {
-                need(buf, 4)?;
-                let klen = buf.get_u32_le() as usize;
-                need(buf, klen)?;
-                let k: Arc<str> = std::str::from_utf8(&buf[..klen])
-                    .map_err(|_| DecodeError {
-                        reason: "invalid utf-8 key",
-                    })?
-                    .into();
-                buf.advance(klen);
-                let v = decode_value(buf)?;
-                fields.insert(k, v);
+                let k: Arc<str> = take_str(buf)?.into();
+                fields.insert(k, decode_value(buf)?);
             }
             Ok(Value::Object(Arc::new(fields)))
         }

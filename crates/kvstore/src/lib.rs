@@ -7,6 +7,9 @@
 //! Values are opaque byte payloads encoded with [`codec`]; administrative
 //! operations (`scan`, `len`) exist for materialization and statistics
 //! gathering but are not exposed to rewritings.
+//!
+//! Fault injection is not this crate's concern: the mediator gates delegated
+//! requests before they get here (see `estocada_simkit::fault`).
 
 #![warn(missing_docs)]
 
@@ -14,21 +17,21 @@ pub mod codec;
 
 pub use codec::{decode_tuple, encode_tuple, DecodeError};
 
-use bytes::Bytes;
 use estocada_pivot::Value;
-use estocada_simkit::{FaultHook, LatencyModel, RequestTimer, StoreError, StoreMetrics};
+use estocada_simkit::{LatencyModel, RequestTimer, StoreMetrics};
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::Arc;
+
+/// One namespace: key → [`codec`]-encoded value tuple.
+type Namespace = HashMap<Value, Box<[u8]>>;
 
 /// The key-value store.
 #[derive(Debug, Default)]
 pub struct KvStore {
-    namespaces: RwLock<HashMap<String, HashMap<Value, Bytes>>>,
+    namespaces: RwLock<HashMap<String, Namespace>>,
     /// Operation metrics.
     pub metrics: StoreMetrics,
     latency: LatencyModel,
-    fault: RwLock<Option<Arc<FaultHook>>>,
 }
 
 impl KvStore {
@@ -47,7 +50,7 @@ impl KvStore {
 
     /// Store `values` under `key` in `namespace` (created on demand).
     pub fn put(&self, namespace: &str, key: Value, values: &[Value]) {
-        let payload = codec::encode_tuple(values);
+        let payload = codec::encode_tuple(values).into_boxed_slice();
         self.namespaces
             .write()
             .entry(namespace.to_string())
@@ -96,39 +99,6 @@ impl KvStore {
             .collect();
         timer.set_output(tuples, bytes);
         out
-    }
-
-    /// Install (or clear) a fault-injection hook. The hook is consulted by
-    /// the fallible query entry points ([`KvStore::try_get`],
-    /// [`KvStore::try_mget`]) only; the infallible methods and the admin
-    /// paths bypass it.
-    pub fn set_fault_hook(&self, hook: Option<Arc<FaultHook>>) {
-        *self.fault.write() = hook;
-    }
-
-    fn fault_check(&self, op: &str) -> Result<(), StoreError> {
-        match self.fault.read().as_ref() {
-            Some(h) => h.check(op),
-            None => Ok(()),
-        }
-    }
-
-    /// Fallible [`KvStore::get`]: consults the fault hook before the
-    /// simulated request.
-    pub fn try_get(&self, namespace: &str, key: &Value) -> Result<Option<Vec<Value>>, StoreError> {
-        self.fault_check("get")?;
-        Ok(self.get(namespace, key))
-    }
-
-    /// Fallible [`KvStore::mget`]: the whole batch is one simulated
-    /// round-trip, so one fault fails the whole batch.
-    pub fn try_mget(
-        &self,
-        namespace: &str,
-        keys: &[Value],
-    ) -> Result<Vec<Option<Vec<Value>>>, StoreError> {
-        self.fault_check("mget")?;
-        Ok(self.mget(namespace, keys))
     }
 
     /// Delete a key; returns whether it existed.

@@ -9,6 +9,9 @@
 //! Partition fan-out runs on the shared scoped-thread executor
 //! ([`estocada_parexec`]), which merges worker results in partition order —
 //! see [`ops`].
+//!
+//! Fault injection is not this crate's concern: the mediator gates delegated
+//! requests before they get here (see `estocada_simkit::fault`).
 
 #![warn(missing_docs)]
 
@@ -19,7 +22,7 @@ pub use dataset::{Dataset, KeyIndex};
 pub use ops::{par_aggregate, par_filter, par_join, AggFun};
 
 use estocada_pivot::Value;
-use estocada_simkit::{FaultHook, LatencyModel, RequestTimer, StoreError, StoreMetrics};
+use estocada_simkit::{LatencyModel, RequestTimer, StoreMetrics};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -70,7 +73,6 @@ pub struct ParStore {
     /// Operation metrics.
     pub metrics: StoreMetrics,
     latency: LatencyModel,
-    fault: RwLock<Option<Arc<FaultHook>>>,
 }
 
 impl ParStore {
@@ -140,8 +142,7 @@ impl ParStore {
     /// [`ParStore::dataset`]: then the rows are copied once and the reader
     /// keeps its snapshot. A delta that changes nothing touches nothing. No
     /// physical row order is promised: a removed row's place is taken by the
-    /// last row of its partition. Admin path: no metrics, latency, or fault
-    /// hook.
+    /// last row of its partition. Admin path: no metrics or latency.
     pub fn apply_delta(&self, name: &str, deletes: &[Vec<Value>], inserts: &[Vec<Value>]) -> usize {
         let mut guard = self.datasets.write();
         let ds = guard
@@ -225,58 +226,6 @@ impl ParStore {
             .sum();
         timer.set_output(out.len() as u64, bytes as u64);
         out
-    }
-
-    /// Install (or clear) a fault-injection hook. Consulted only by the
-    /// fallible query entry points ([`ParStore::try_scan`],
-    /// [`ParStore::try_lookup`], [`ParStore::try_join`]); infallible/admin
-    /// paths bypass it.
-    pub fn set_fault_hook(&self, hook: Option<Arc<FaultHook>>) {
-        *self.fault.write() = hook;
-    }
-
-    fn fault_check(&self, op: &str) -> Result<(), StoreError> {
-        match self.fault.read().as_ref() {
-            Some(h) => h.check(op),
-            None => Ok(()),
-        }
-    }
-
-    /// Fallible [`ParStore::scan`]: consults the fault hook before the
-    /// simulated request.
-    pub fn try_scan(
-        &self,
-        name: &str,
-        preds: &[ColPred],
-        projection: Option<&[usize]>,
-    ) -> Result<Vec<Vec<Value>>, StoreError> {
-        self.fault_check("scan")?;
-        Ok(self.scan(name, preds, projection))
-    }
-
-    /// Fallible [`ParStore::lookup`]: consults the fault hook before the
-    /// simulated request.
-    pub fn try_lookup(
-        &self,
-        name: &str,
-        key: &[Value],
-        preds: &[ColPred],
-    ) -> Result<Vec<Vec<Value>>, StoreError> {
-        self.fault_check("lookup")?;
-        Ok(self.lookup(name, key, preds))
-    }
-
-    /// Fallible [`ParStore::join`]: consults the fault hook before the
-    /// simulated request.
-    pub fn try_join(
-        &self,
-        left: &str,
-        right: &str,
-        left_keys: &[&str],
-        right_keys: &[&str],
-    ) -> Result<Vec<Vec<Value>>, StoreError> {
-        self.fault_check("join")?;
-        Ok(self.join(left, right, left_keys, right_keys))
     }
 
     /// Parallel group-by aggregation.

@@ -5,6 +5,9 @@
 //! secondary indexes, a conjunctive select-project-join executor with greedy
 //! hash-join ordering, per-table statistics, and the simkit latency/metrics
 //! instrumentation that models a networked deployment.
+//!
+//! Fault injection is not this crate's concern: the mediator gates delegated
+//! requests before they get here (see `estocada_simkit::fault`).
 
 #![warn(missing_docs)]
 
@@ -19,10 +22,9 @@ pub use stats::{analyze, ColumnStats, TableStats};
 pub use table::{Index, IndexKind, Table};
 
 use estocada_pivot::Value;
-use estocada_simkit::{FaultHook, LatencyModel, RequestTimer, StoreError, StoreMetrics};
+use estocada_simkit::{LatencyModel, RequestTimer, StoreMetrics};
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// The relational store: named tables behind a reader-writer lock, with
 /// request metrics and a configurable latency model.
@@ -32,7 +34,6 @@ pub struct RelStore {
     /// Operation metrics (shared with the mediator's reporting).
     pub metrics: StoreMetrics,
     latency: LatencyModel,
-    fault: RwLock<Option<Arc<FaultHook>>>,
 }
 
 impl RelStore {
@@ -71,7 +72,7 @@ impl RelStore {
     /// matching stored row (duplicate physical rows are removed one
     /// instance per request). Secondary indexes are rebuilt once after the
     /// batch. Returns how many rows were actually removed. Admin path: no
-    /// metrics, latency, or fault hook — like [`RelStore::insert_many`].
+    /// metrics or latency — like [`RelStore::insert_many`].
     pub fn delete_rows(&self, name: &str, rows: &[Vec<Value>]) -> usize {
         let mut guard = self.tables.write();
         let t = guard
@@ -112,7 +113,7 @@ impl RelStore {
     }
 
     /// Physical row dump of a table in storage order (admin path: no
-    /// metrics, no latency, no fault hook). `None` for unknown tables.
+    /// metrics, no latency). `None` for unknown tables.
     pub fn scan(&self, table: &str) -> Option<Vec<Vec<Value>>> {
         self.tables.read().get(table).map(|t| t.rows.clone())
     }
@@ -130,23 +131,6 @@ impl RelStore {
             .sum();
         timer.set_output(rows.len() as u64, bytes as u64);
         Ok(rows)
-    }
-
-    /// Install (or clear) a fault-injection hook. Consulted only by
-    /// [`RelStore::try_query`]; the infallible/admin paths bypass it.
-    pub fn set_fault_hook(&self, hook: Option<Arc<FaultHook>>) {
-        *self.fault.write() = hook;
-    }
-
-    /// Fallible [`RelStore::query`]: consults the fault hook before the
-    /// simulated request, and surfaces native failures as
-    /// [`StoreError`] (kind `Internal`) instead of [`QueryError`].
-    pub fn try_query(&self, q: &SqlQuery) -> Result<Vec<Vec<Value>>, StoreError> {
-        if let Some(h) = self.fault.read().as_ref() {
-            h.check("query")?;
-        }
-        self.query(q)
-            .map_err(|e| StoreError::internal("relational", "query", e.to_string()))
     }
 
     /// Compute statistics for `table`.

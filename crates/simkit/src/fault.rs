@@ -15,16 +15,16 @@
 //! operations, then recovered") use probability 1.0 and are exactly
 //! reproducible by construction.
 //!
-//! Each store holds an optional [`FaultHook`] — a per-store cursor over
-//! the shared plan. The hook is consulted **before** the simulated request
-//! runs: an injected error aborts the operation without any partial
-//! result (a `PartialResponse` fault models a store that *detected* a
-//! truncated response and reported it — the caller never sees a silently
-//! short row set), and a latency injection spin-waits like the regular
-//! [`crate::LatencyModel`] charge. Stores consult the hook only on their
-//! **fallible** (`try_*`) query entry points; the infallible legacy
-//! methods bypass it, which is what keeps admin/materialization paths and
-//! pre-existing tests fault-free by construction.
+//! A [`FaultHook`] is one store's cursor over the shared plan. The stores
+//! themselves know nothing about it: the mediator keeps one hook per store
+//! and consults it at a single gate on the delegated-request path, **before**
+//! the simulated request runs. An injected error aborts the operation
+//! without any partial result (a `PartialResponse` fault models a store that
+//! *detected* a truncated response and reported it — the caller never sees a
+//! silently short row set), and a latency injection spin-waits like the
+//! regular [`crate::LatencyModel`] charge. Admin paths (materialization,
+//! DML maintenance, dumps, statistics) call the stores directly and never
+//! pass the gate, which is what keeps them fault-free by construction.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -180,46 +180,42 @@ impl FaultPlan {
         }
     }
 
-    /// Script: fail operations `from..=to` (1-based, counted per `op` kind)
-    /// of `store` with `kind` — "fail the 3rd–5th kv MGETs".
-    pub fn fail_ops(mut self, store: &str, op: &str, from: u64, to: u64, kind: FaultKind) -> Self {
+    fn rule(
+        mut self,
+        store: &str,
+        op: Option<&str>,
+        (from, to): (u64, u64),
+        probability: f64,
+        inject: Injection,
+    ) -> Self {
         self.rules.push(FaultRule {
             store: Some(store.to_string()),
-            op: Some(op.to_string()),
+            op: op.map(str::to_string),
             from,
             to,
-            probability: 1.0,
-            inject: Injection::Error(kind),
+            probability,
+            inject,
         });
         self
+    }
+
+    /// Script: fail operations `from..=to` (1-based, counted per `op` kind)
+    /// of `store` with `kind` — "fail the 3rd–5th kv MGETs".
+    pub fn fail_ops(self, store: &str, op: &str, from: u64, to: u64, kind: FaultKind) -> Self {
+        self.rule(store, Some(op), (from, to), 1.0, Injection::Error(kind))
     }
 
     /// Script: `store` is down for `ops` consecutive operations starting at
     /// the `from`-th (any kind), then recovers — "relational down for 10
     /// ops, then recovers".
-    pub fn outage(mut self, store: &str, from: u64, ops: u64, kind: FaultKind) -> Self {
-        self.rules.push(FaultRule {
-            store: Some(store.to_string()),
-            op: None,
-            from,
-            to: from.saturating_add(ops.saturating_sub(1)),
-            probability: 1.0,
-            inject: Injection::Error(kind),
-        });
-        self
+    pub fn outage(self, store: &str, from: u64, ops: u64, kind: FaultKind) -> Self {
+        let to = from.saturating_add(ops.saturating_sub(1));
+        self.rule(store, None, (from, to), 1.0, Injection::Error(kind))
     }
 
     /// Script: `store` is down from its `from`-th operation onwards.
-    pub fn down_from(mut self, store: &str, from: u64, kind: FaultKind) -> Self {
-        self.rules.push(FaultRule {
-            store: Some(store.to_string()),
-            op: None,
-            from,
-            to: u64::MAX,
-            probability: 1.0,
-            inject: Injection::Error(kind),
-        });
-        self
+    pub fn down_from(self, store: &str, from: u64, kind: FaultKind) -> Self {
+        self.rule(store, None, (from, u64::MAX), 1.0, Injection::Error(kind))
     }
 
     /// Script: every operation of `store` fails with `kind`.
@@ -230,37 +226,22 @@ impl FaultPlan {
     /// Probabilistic: each operation of `store` fails with `probability`
     /// (decided by hashing the seed with the operation index — fully
     /// reproducible, independent of cross-store interleaving).
-    pub fn random_errors(mut self, store: &str, probability: f64, kind: FaultKind) -> Self {
-        self.rules.push(FaultRule {
-            store: Some(store.to_string()),
-            op: None,
-            from: 1,
-            to: u64::MAX,
-            probability,
-            inject: Injection::Error(kind),
-        });
-        self
+    pub fn random_errors(self, store: &str, probability: f64, kind: FaultKind) -> Self {
+        let inject = Injection::Error(kind);
+        self.rule(store, None, (1, u64::MAX), probability, inject)
     }
 
     /// Script: operations `from..=to` of `store` (counted per `op` kind
     /// when given) pay an extra latency `spike` before proceeding.
     pub fn latency_spike(
-        mut self,
+        self,
         store: &str,
         op: Option<&str>,
         from: u64,
         to: u64,
         spike: Duration,
     ) -> Self {
-        self.rules.push(FaultRule {
-            store: Some(store.to_string()),
-            op: op.map(str::to_string),
-            from,
-            to,
-            probability: 1.0,
-            inject: Injection::Latency(spike),
-        });
-        self
+        self.rule(store, op, (from, to), 1.0, Injection::Latency(spike))
     }
 
     /// `true` when the plan can never inject anything.
@@ -302,7 +283,7 @@ fn hash_str(s: &str) -> u64 {
     h
 }
 
-/// Busy-wait for `d` (monotonic spin, like [`crate::LatencyModel::charge`]).
+/// Busy-wait for `d` (monotonic spin; no-op for a zero duration).
 pub fn spin_for(d: Duration) {
     if d.is_zero() {
         return;
@@ -315,8 +296,8 @@ pub fn spin_for(d: Duration) {
 
 /// One store's cursor over a shared [`FaultPlan`]: counts the store's
 /// operations (globally and per operation kind) and answers "does this
-/// operation fault?". Installed into a store with its `set_fault_hook`;
-/// consulted by the store's fallible `try_*` entry points only.
+/// operation fault?". Owned by the mediator, one per store, and consulted
+/// at its delegated-request gate only.
 #[derive(Debug)]
 pub struct FaultHook {
     plan: Arc<FaultPlan>,
@@ -352,11 +333,6 @@ impl FaultHook {
             injected: AtomicU64::new(0),
             per_op: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// The store name this hook cursors for.
-    pub fn store(&self) -> &str {
-        &self.store
     }
 
     /// Operations checked so far.

@@ -13,8 +13,8 @@
 //!
 //! The [`fault`] module adds deterministic fault injection on top: a seeded
 //! [`FaultPlan`] scripts per-store/per-operation error schedules and latency
-//! spikes, and a per-store [`FaultHook`] is consulted by the stores'
-//! fallible entry points before each simulated request.
+//! spikes, and a per-store [`FaultHook`] cursor answers whether the store's
+//! next delegated request faults.
 
 #![warn(missing_docs)]
 
@@ -130,14 +130,7 @@ impl LatencyModel {
     /// model). Spinning (rather than sleeping) keeps microsecond-scale
     /// charges accurate under benchmark harnesses.
     pub fn charge(&self, tuples: u64, bytes: u64, scanned: u64) {
-        let d = self.request_cost(tuples, bytes, scanned);
-        if d.is_zero() {
-            return;
-        }
-        let start = Instant::now();
-        while start.elapsed() < d {
-            std::hint::spin_loop();
-        }
+        spin_for(self.request_cost(tuples, bytes, scanned));
     }
 }
 

@@ -6,6 +6,9 @@
 //! index as a `(term, docKey)` relation with an `io` binding pattern: the
 //! term must be supplied — exactly how the mediator integrates full-text
 //! fragments.
+//!
+//! Fault injection is not this crate's concern: the mediator gates delegated
+//! requests before they get here (see `estocada_simkit::fault`).
 
 #![warn(missing_docs)]
 
@@ -14,10 +17,9 @@ pub mod tokenize;
 pub use tokenize::tokenize;
 
 use estocada_pivot::Value;
-use estocada_simkit::{FaultHook, LatencyModel, RequestTimer, StoreError, StoreMetrics};
+use estocada_simkit::{LatencyModel, RequestTimer, StoreMetrics};
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// BM25 parameters (standard defaults).
 const BM25_K1: f64 = 1.2;
@@ -117,7 +119,6 @@ pub struct TextStore {
     /// Operation metrics.
     pub metrics: StoreMetrics,
     latency: LatencyModel,
-    fault: RwLock<Option<Arc<FaultHook>>>,
 }
 
 impl TextStore {
@@ -147,7 +148,7 @@ impl TextStore {
     /// **one** document whose key and exact raw text match. The index is
     /// rebuilt once after the batch (doc ids shift, so postings are
     /// recomputed). Returns how many documents were removed. Admin path: no
-    /// metrics, latency, or fault hook — like
+    /// metrics or latency — like
     /// [`TextStore::index_document`].
     pub fn remove_documents(&self, index: &str, docs: &[(Value, String)]) -> usize {
         let mut guard = self.indexes.write();
@@ -201,41 +202,8 @@ impl TextStore {
         out
     }
 
-    /// Install (or clear) a fault-injection hook. Consulted only by the
-    /// fallible query entry points ([`TextStore::try_search`],
-    /// [`TextStore::try_term_lookup`]); infallible/admin paths bypass it.
-    pub fn set_fault_hook(&self, hook: Option<Arc<FaultHook>>) {
-        *self.fault.write() = hook;
-    }
-
-    fn fault_check(&self, op: &str) -> Result<(), StoreError> {
-        match self.fault.read().as_ref() {
-            Some(h) => h.check(op),
-            None => Ok(()),
-        }
-    }
-
-    /// Fallible [`TextStore::search`]: consults the fault hook before the
-    /// simulated request.
-    pub fn try_search(
-        &self,
-        index: &str,
-        query: &str,
-        limit: usize,
-    ) -> Result<Vec<(Value, f64)>, StoreError> {
-        self.fault_check("search")?;
-        Ok(self.search(index, query, limit))
-    }
-
-    /// Fallible [`TextStore::term_lookup`]: consults the fault hook before
-    /// the simulated request.
-    pub fn try_term_lookup(&self, index: &str, term: &str) -> Result<Vec<Value>, StoreError> {
-        self.fault_check("term_lookup")?;
-        Ok(self.term_lookup(index, term))
-    }
-
     /// Dump of an index's `(key, raw text)` documents in insertion order
-    /// (admin path: no metrics, no latency, no fault hook). Empty for
+    /// (admin path: no metrics, no latency). Empty for
     /// unknown indexes.
     pub fn documents(&self, index: &str) -> Vec<(Value, String)> {
         self.indexes

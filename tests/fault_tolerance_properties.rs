@@ -20,8 +20,10 @@
 //! excluded.
 
 use estocada::{
-    Error, Estocada, FaultKind, FaultPlan, Latencies, QueryOptions, QueryResult, RetryPolicy,
+    Error, Estocada, FaultKind, FaultPlan, FragmentSpec, Latencies, QueryOptions, QueryResult,
+    RetryPolicy, SystemId,
 };
+use estocada_pivot::CqBuilder;
 use estocada_workloads::marketplace::{generate, Marketplace, MarketplaceConfig};
 use estocada_workloads::readwrite::{run_rw_workload, rw_workload, stale_fragments, RwConfig};
 use estocada_workloads::scenarios::{
@@ -681,5 +683,245 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// A native store error is an answer, not an outage.
+// ---------------------------------------------------------------------
+
+/// `Prefs` copied into the parallel store under `name`.
+fn prefs_par(name: &str) -> FragmentSpec {
+    FragmentSpec::ParRows {
+        view: CqBuilder::new(name)
+            .head_vars(["uid", "theme", "language", "newsletter"])
+            .atom("Prefs", |a| {
+                a.v("uid").v("theme").v("language").v("newsletter")
+            })
+            .build(),
+        index_on: vec![],
+        partitions: 0,
+    }
+}
+
+#[test]
+fn native_store_error_is_not_retried_and_leaves_the_breaker_closed() {
+    let m = market();
+    let mut oracle = deploy_baseline(&m, Latencies::zero());
+    oracle.add_fragment(prefs_par("PrefsPar")).unwrap();
+    let sql = pref_sql(3);
+    let want = oracle.query_sql(&sql).expect("oracle");
+    assert!(
+        want.report.delegated[0].starts_with("relational:"),
+        "precondition: the relational rewriting is the cheaper one"
+    );
+
+    let mut est = with_fast_retry(deploy_baseline(&m, Latencies::zero()));
+    est.add_fragment(prefs_par("PrefsPar")).unwrap();
+    // Drop the table behind the catalog's back: the delegated SQL now fails
+    // natively ("unknown table") every time it is asked.
+    assert!(est.stores.rel.drop_table("Prefs"));
+    let rel_health = |est: &Estocada| {
+        est.backend_health()
+            .into_iter()
+            .find(|(sys, _)| *sys == SystemId::Relational)
+            .unwrap()
+            .1
+    };
+    // More bad queries than `trip_after` outages would need to open the
+    // breaker.
+    for round in 0..5 {
+        let before = est.stores.rel.metrics.snapshot();
+        let got = est.query_sql(&sql).expect("failover must answer");
+        let rel_calls = est.stores.rel.metrics.snapshot().since(&before).requests;
+        assert_eq!(rel_calls, 1, "round {round}: the bad query is asked once");
+        assert_eq!(sorted(got.rows), sorted(want.rows.clone()));
+        assert!(got.report.delegated[0].starts_with("parallel:"));
+        let r = got.report.resilience.expect("the error must be reported");
+        assert_eq!(r.retries, 0, "a deterministic failure is not retried");
+        assert!(r.failed_over());
+        assert_eq!(r.store_errors.len(), 1);
+        assert!(r.store_errors[0].contains("unknown table"), "{r:?}");
+        assert!(r.breaker_transitions.is_empty());
+        let h = rel_health(&est);
+        assert_eq!(h.state, estocada::BreakerState::Closed);
+        assert_eq!((h.failures, h.trips), (0, 0), "the store answered");
+    }
+    // The healthy backend keeps serving its other tables, unpenalised.
+    let orders = est.query_sql(&user_orders_sql(3)).expect("orders");
+    assert!(orders.report.delegated[0].starts_with("relational:"));
+    assert!(orders.report.resilience.is_none());
+}
+
+// ---------------------------------------------------------------------
+// The gate: every delegated request passes it exactly once, admin paths
+// never do, and fault rules key on the connector's operation names.
+// ---------------------------------------------------------------------
+
+const PRODUCT_SEARCH_SQL: &str =
+    "SELECT p.pid, p.title FROM Products p WHERE CONTAINS(p.title, 'wireless')";
+
+/// Per store: (requests the gate has seen, requests the store has served).
+fn gate_and_store_counts(est: &Estocada) -> Vec<(SystemId, u64, u64)> {
+    est.stores
+        .metrics()
+        .into_iter()
+        .map(|(sys, snap)| (sys, est.stores.gated_ops(sys), snap.requests))
+        .collect()
+}
+
+#[test]
+fn gate_sees_every_delegated_request_exactly_once() {
+    let m = market();
+    // Armed but quiet: every gate holds a cursor, no rule ever fires.
+    let quiet = FaultPlan::new(11)
+        .random_errors("key-value", 0.0, FaultKind::Timeout)
+        .fail_ops("relational", "query", 1 << 40, 1 << 40, FaultKind::Timeout);
+    let mut queries = workload();
+    queries.push(Q::Sql(WEBLOG_PREFS_SQL.into()));
+    queries.push(Q::Sql(PRODUCT_SEARCH_SQL.into()));
+    type Deploy = fn(&Marketplace, Latencies) -> Estocada;
+    let deployments: [(&str, Deploy); 3] = [
+        ("baseline", deploy_baseline),
+        ("kv_migrated", deploy_kv_migrated),
+        ("materialized_join", deploy_materialized_join),
+    ];
+    for (name, deploy) in deployments {
+        let mut est = deploy(&m, Latencies::zero());
+        est.set_fault_plan(Some(quiet.clone()));
+        let gated = |est: &Estocada| -> Vec<u64> {
+            gate_and_store_counts(est).iter().map(|c| c.1).collect()
+        };
+
+        // Admin paths: a first fill, DML maintenance of every fragment and
+        // a full dump reach no gate.
+        est.add_fragment(prefs_par("PrefsParLate")).unwrap();
+        let writes = rw_workload(
+            &m,
+            RwConfig {
+                ops: 12,
+                write_ratio: 1.0,
+                seed: 5,
+            },
+        );
+        run_rw_workload(&mut est, &writes).expect("writes");
+        assert!(!est.stores.dump().is_empty());
+        assert_eq!(gated(&est), vec![0; 5], "{name}: admin paths are ungated");
+
+        // Queries: whatever a store served, its gate saw — once each.
+        let before = gate_and_store_counts(&est);
+        for q in &queries {
+            run_q(&est, q).expect("quiet plan injects nothing");
+        }
+        let after = gate_and_store_counts(&est);
+        let mut total = 0;
+        for ((sys, g0, s0), (_, g1, s1)) in before.into_iter().zip(after) {
+            assert_eq!(g1 - g0, s1 - s0, "{name}: {sys} gate vs store requests");
+            total += g1 - g0;
+        }
+        assert!(total as usize >= queries.len(), "{name}: queries ran");
+    }
+}
+
+#[test]
+fn fault_rules_key_on_the_connector_op_names() {
+    let m = market();
+    let orders_weblog =
+        "SELECT o.oid, l.lid FROM Orders o, WebLog l WHERE o.uid = l.uid AND o.category = 'laptop'";
+    // (store, op, a query whose plans issue it, stores taken down so that
+    // the plan issuing it is the one that runs)
+    let cases: [(&str, &str, Q, &[&str]); 9] = [
+        ("relational", "query", Q::Sql(user_orders_sql(3)), &[]),
+        ("key-value", "get", Q::Sql(pref_sql(3)), &[]),
+        (
+            "key-value",
+            "mget",
+            Q::Sql(WEBLOG_PREFS_SQL.into()),
+            &["relational", "document"],
+        ),
+        (
+            "document",
+            "find",
+            Q::Sql(pref_sql(3)),
+            &["relational", "key-value"],
+        ),
+        ("document", "query", Q::Doc(1), &["key-value"]),
+        (
+            "text",
+            "term_lookup",
+            Q::Sql(PRODUCT_SEARCH_SQL.into()),
+            &[],
+        ),
+        (
+            "parallel",
+            "scan",
+            Q::Sql("SELECT l.pid FROM WebLog l WHERE l.uid = 3".into()),
+            &[],
+        ),
+        (
+            "parallel",
+            "lookup",
+            Q::Sql(personalized_sql(1, "laptop")),
+            &[],
+        ),
+        (
+            "parallel",
+            "join",
+            Q::Sql(orders_weblog.into()),
+            &["relational"],
+        ),
+    ];
+    for (store, op, q, down) in cases {
+        let mut est = deploy_materialized_join(&m, Latencies::zero());
+        est.add_fragment(FragmentSpec::DocRows {
+            view: CqBuilder::new("PrefsDocs")
+                .head_vars(["uid", "theme", "language", "newsletter"])
+                .atom("Prefs", |a| {
+                    a.v("uid").v("theme").v("language").v("newsletter")
+                })
+                .build(),
+            index_on: vec![],
+        })
+        .unwrap();
+        est.add_fragment(FragmentSpec::ParRows {
+            view: CqBuilder::new("OrdersPar")
+                .head_vars(["oid", "uid", "pid", "category", "amount"])
+                .atom("Orders", |a| {
+                    a.v("oid").v("uid").v("pid").v("category").v("amount")
+                })
+                .build(),
+            index_on: vec![],
+            partitions: 0,
+        })
+        .unwrap();
+        let opts = est
+            .default_query_options()
+            .with_retry_policy(RetryPolicy::fail_fast());
+        est.set_default_query_options(opts);
+        let mut plan = FaultPlan::new(1).fail_ops(store, op, 1, 1, FaultKind::Unavailable);
+        for d in down {
+            plan = plan.down(d, FaultKind::Timeout);
+        }
+        est.set_fault_plan(Some(plan));
+        // The scripted fault surfaces either in the failover chain of an
+        // answered query or in the typed error of an unanswerable one.
+        let errors: Vec<String> = match run_q(&est, &q) {
+            Ok(r) => r
+                .report
+                .resilience
+                .map(|r| r.store_errors)
+                .unwrap_or_default(),
+            Err(Error::AllPlansFailed { attempts, .. }) => {
+                attempts.into_iter().map(|a| a.error).collect()
+            }
+            Err(e) => panic!("{store}/{op}: untyped failure: {e}"),
+        };
+        let want = format!("{store} store {op} #");
+        assert!(
+            errors
+                .iter()
+                .any(|e| e.starts_with(&want) && e.ends_with("failed: unavailable")),
+            "{store}/{op}: no scripted `{want}…` fault among {errors:?}"
+        );
     }
 }
