@@ -12,12 +12,11 @@
 
 use crate::catalog::FragmentSpec;
 use crate::connector::Residual;
-use crate::cost::CostModel;
 use crate::error::Result;
-use crate::evaluator::Estocada;
+use crate::evaluator::{Estocada, QueryOptions};
+use crate::frontends::ParsedQuery;
+use crate::planner;
 use crate::system::SystemId;
-use crate::translate::translate;
-use estocada_chase::{pacb_rewrite, RewriteProblem};
 use estocada_pivot::{Cq, Symbol, Term, Var};
 
 /// One workload entry: a pivot query with a frequency weight.
@@ -91,38 +90,19 @@ pub fn generalize(cq: &Cq, view_name: &str) -> (Cq, usize) {
     (Cq::new(Symbol::intern(view_name), head, body), count)
 }
 
-/// Current (best) cost of answering `q`, or `None` when unanswerable.
-fn current_cost(est: &Estocada, q: &WorkloadQuery) -> Option<f64> {
-    let problem = RewriteProblem {
-        query: q.cq.clone(),
-        views: est.catalog().view_defs(),
-        source_constraints: est.schema().constraints.clone(),
-        target_constraints: Vec::new(),
-        access: est.catalog().access_map(),
-    };
-    let outcome = pacb_rewrite(&problem, &est.rewrite_config()).ok()?;
-    let mut best = None::<f64>;
-    for rw in &outcome.rewritings {
-        if let Ok(tr) = translate(
-            rw,
-            &q.head_names,
-            &q.residuals,
-            est.catalog(),
-            &est.stores,
-            est.cost_model(),
-            None,
-        ) {
-            best = Some(best.map_or(tr.est_cost, |b: f64| b.min(tr.est_cost)));
-        }
-    }
-    best
-}
-
-/// Estimated cost of answering `q` *through a dedicated candidate
-/// fragment*: a point access when all lifted constants form the key, plus
-/// per-result-tuple transfer.
-fn candidate_cost(cost: &CostModel, system: SystemId, est_result_rows: f64) -> f64 {
-    cost.request_cost(system, est_result_rows, 0.0)
+/// Current (best) estimated cost of answering `q`, or `None` when
+/// unanswerable: the planner's unpenalized minimum — the cheapest
+/// `est_cost` an `EXPLAIN` of the same query lists — planned past the plan
+/// cache, so advising leaves the engine's cache and its counters alone.
+pub fn current_cost(est: &Estocada, q: &WorkloadQuery) -> Option<f64> {
+    let opts = est.resolve(&QueryOptions {
+        plan_cache: false,
+        ..QueryOptions::default()
+    });
+    let query = ParsedQuery::conjunctive(q.cq.clone(), q.head_names.clone(), q.residuals.clone());
+    let planned = planner::plan(est, &query, &opts, None).ok()?;
+    let best = planner::cheapest(&planned.candidates, est.cost_model(), |_| false)?;
+    Some(planned.candidates[best].translation.est_cost)
 }
 
 /// Produce recommendations for `workload` against the current catalog.
@@ -139,9 +119,6 @@ pub fn recommend(est: &Estocada, workload: &[WorkloadQuery]) -> Result<Vec<Recom
         if !view.is_safe() {
             continue;
         }
-        // Estimate the per-access result size: with all lifted constants
-        // bound, a handful of rows come back.
-        let est_rows = 4.0;
         let (spec, system, kind) = if lifted == 1 && q.cq.body.len() == 1 {
             // Single parameter over one relation: a point-access shape.
             (
@@ -166,7 +143,9 @@ pub fn recommend(est: &Estocada, workload: &[WorkloadQuery]) -> Result<Vec<Recom
         } else {
             continue;
         };
-        let with_candidate = candidate_cost(est.cost_model(), system, est_rows);
+        // Through the candidate: one point access (all lifted constants
+        // form the key) returning a handful of rows.
+        let with_candidate = est.cost_model().request_cost(system, 4.0, 0.0);
         let benefit = match baseline {
             Some(b) => (b - with_candidate) * q.weight,
             // Currently unanswerable: any covering fragment is valuable.
@@ -200,18 +179,24 @@ pub fn recommend(est: &Estocada, workload: &[WorkloadQuery]) -> Result<Vec<Recom
         }
     }
 
-    // Drop recommendations come straight from the static analyzer's
-    // fragment lints: `W004 UnusedFragment` (never served a query while
-    // other fragments have) and `W001 SubsumedFragment` (defining view
-    // equivalent to an earlier fragment). W001's message distinguishes
-    // same-store redundancy from a cross-store mirror; both surface here
-    // — dropping a cross-store mirror is the analyzer's consolidation
-    // recommendation (the rewriting engine keeps answering through the
-    // surviving fragment), and the reason string carries the distinction
-    // so operators can keep deliberate mirrors. The lint target is the
-    // fragment id.
+    recs.extend(drop_recommendations(est));
+    recs.sort_by(|a, b| b.benefit.total_cmp(&a.benefit));
+    Ok(recs)
+}
+
+/// Drop recommendations come straight from the static analyzer's fragment
+/// lints: `W004 UnusedFragment` (never served a query while other
+/// fragments have) and `W001 SubsumedFragment` (defining view equivalent to
+/// an earlier fragment). W001's message distinguishes same-store
+/// redundancy from a cross-store mirror; both surface here — dropping a
+/// cross-store mirror is the analyzer's consolidation recommendation (the
+/// rewriting engine keeps answering through the surviving fragment), and
+/// the reason string carries the distinction so operators can keep
+/// deliberate mirrors. The lint target is the fragment id.
+fn drop_recommendations(est: &Estocada) -> Vec<Recommendation> {
     let lint_cfg = est.rewrite_config().chase;
     let mut dropped: std::collections::HashSet<String> = Default::default();
+    let mut recs = Vec::new();
     for d in crate::analyze::fragment_lints(est.schema(), est.catalog(), &lint_cfg) {
         let droppable = matches!(
             d.code,
@@ -226,9 +211,7 @@ pub fn recommend(est: &Estocada, workload: &[WorkloadQuery]) -> Result<Vec<Recom
             });
         }
     }
-
-    recs.sort_by(|a, b| b.benefit.partial_cmp(&a.benefit).unwrap());
-    Ok(recs)
+    recs
 }
 
 /// Budget-aware recommendation (the paper's stated future work: "cost-based
@@ -272,7 +255,7 @@ pub fn recommend_under_budget(
     sized.sort_by(|(a, ab), (b, bb)| {
         let da = a.benefit / *ab as f64;
         let db = b.benefit / *bb as f64;
-        db.partial_cmp(&da).unwrap()
+        db.total_cmp(&da)
     });
     let mut out = Vec::new();
     let mut used = 0u64;

@@ -1,83 +1,68 @@
 //! The ESTOCADA mediator facade: datasets in, fragments materialized,
-//! queries answered through constraint-based rewriting.
+//! queries answered through constraint-based rewriting. How a query
+//! becomes ranked executable candidates (rewrite, translate, rank; the plan
+//! cache; failover) is the crate-private `planner` module's business.
 //!
-//! # The shared-read query API
-//!
-//! [`Estocada`] splits its surface into two paths:
+//! # Two paths
 //!
 //! - **DDL time** (`&mut self`): [`Estocada::register_dataset`],
-//!   [`Estocada::add_fragment`], [`Estocada::drop_fragment`]. Each DDL
-//!   operation bumps the **catalog epoch**
-//!   ([`Estocada::catalog_epoch`]) and invalidates the rewrite-plan
-//!   cache wholesale.
-//! - **Query time** (`&self`, and `Estocada: Sync`):
-//!   [`Estocada::query_sql`], [`Estocada::query_doc`],
-//!   [`Estocada::query_cq`], [`Estocada::explain_sql`] and
-//!   [`Estocada::oracle_eval`] all take `&self`, so any number of client
-//!   threads can answer queries against one shared engine concurrently —
-//!   the underlying stores synchronize internally, fragment usage counters
-//!   are atomics, and the staged fact base is a lazily-initialized
-//!   [`OnceLock`]. Rewriting is deterministic at any worker count (the PR 2
-//!   fan-in contract), so concurrent runs return exactly what the serial
-//!   run returns.
+//!   [`Estocada::add_fragment`], [`Estocada::drop_fragment`],
+//!   [`Estocada::add_constraint`], [`Estocada::set_rewrite_config`]. Each
+//!   bumps the **catalog epoch** ([`Estocada::catalog_epoch`]), which
+//!   invalidates the plan and lint caches wholesale and resets the
+//!   per-epoch planning context.
+//! - **Query time** (`&self`, and `Estocada: Sync`): any number of client
+//!   threads answer queries against one shared engine — the stores
+//!   synchronize internally, usage counters are atomics, the staged fact
+//!   base and the planning context are lazily-initialized [`OnceLock`]s,
+//!   and rewriting is deterministic at any worker count, so concurrent
+//!   runs return exactly what the serial run returns.
 //!
-//! # Per-query options: the builder
+//! # The query builder and its options
 //!
-//! Per-query knobs no longer require exclusive access to the engine.
-//! [`Estocada::query`] (and its document/pivot siblings
-//! [`Estocada::query_pattern`] / [`Estocada::query_pivot`]) return a
-//! [`QueryRequest`] builder:
+//! [`Estocada::query`] / [`Estocada::query_pattern`] /
+//! [`Estocada::query_pivot`] return a [`QueryRequest`]:
 //!
 //! ```text
 //! engine.query(sql)
 //!     .with_rewrite_workers(4)   // parallel backchase width
-//!     .with_chase_workers(2)     // trigger-search width inside the chases
 //!     .explain_only()            // plan, don't execute
 //!     .run()?;
 //! ```
 //!
-//! Options a request leaves unset fall back to the engine's *default*
-//! [`QueryOptions`] ([`Estocada::set_default_query_options`]); worker
-//! counts never change results.
-//!
-//! # The rewrite-plan cache
-//!
-//! Rewriting outcomes are cached in an epoch-keyed bounded map
-//! ([`crate::plancache::PlanCache`]): a repeated query shape skips the
-//! chase & backchase entirely and goes straight to translation (which is
-//! cheap and depends on live statistics, so it is *not* cached). Any DDL
-//! epoch bump invalidates every entry. Per-query activity and engine
-//! totals are surfaced in [`Report::plan_cache`]; opt out per query with
-//! [`QueryRequest::no_plan_cache`] or engine-wide with
-//! [`Estocada::set_plan_cache`].
+//! Every option resolves in the same order, once per query: the per-query
+//! value, else the engine's default [`QueryOptions`]
+//! ([`Estocada::set_default_query_options`]), else the built-in default
+//! (the base [`RewriteConfig`]'s worker counts, [`RetryPolicy::default`],
+//! no deadline, [`ExecOptions::default`]'s batch size); the plan cache is
+//! used only when neither level turned it off. A run plans once, then
+//! reports the best candidate (explain) or executes candidates in rank
+//! order until one succeeds; both end in one [`Report`] constructor.
 
 use crate::analyze::{self, Diagnostic, Severity, ValidationMode};
 use crate::catalog::{Catalog, FragmentMeta, FragmentSpec};
 use crate::connector::Residual;
 use crate::cost::CostModel;
-use crate::dataset::{Dataset, DatasetContent};
-use crate::error::PlanFailure;
-use crate::error::{Error, Result};
-use crate::frontends::{doc_query, parse_sql, AggregateSpec, SqlCatalog, SqlTable};
+use crate::dataset::Dataset;
+use crate::error::{Error, PlanFailure, Result};
+use crate::frontends::{doc_query, parse_sql, ParsedQuery, SqlCatalog};
 use crate::materialize::{drop_fragment, fact_base, materialize};
 use crate::plancache::{LintCache, PlanCache, PlanCacheStats};
-use crate::report::{Alternative, PlanCacheActivity, QueryResult, Report};
+use crate::planner::{self, Candidate, Planned, PlanningContext};
+use crate::report::{PlanCacheActivity, QueryResult, Report};
 use crate::resilience::{
     system_for_store, BackendHealth, BreakerConfig, HealthTracker, PlanAttempt, QueryResilience,
     ResilienceReport, RetryPolicy,
 };
 use crate::system::{Latencies, Stores, SystemId};
-use crate::translate::{translate, Translation};
-use estocada_chase::{
-    pacb_rewrite, Instance, RewriteConfig, RewriteOutcome, RewriteProblem, TerminationCertificate,
-};
-use estocada_engine::{execute_with, EngineError, ExecOptions, Expr, Plan};
+use estocada_chase::{Instance, RewriteConfig, TerminationCertificate};
+use estocada_engine::{execute_with, EngineError, ExecOptions, ExecStats, RowBatch};
 use estocada_pivot::encoding::document::TreePattern;
 use estocada_pivot::{Constraint, Cq, IdGen, Schema};
 use estocada_simkit::FaultPlan;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Per-query knobs, resolved against the engine's defaults at run time.
 ///
@@ -105,8 +90,10 @@ pub struct QueryOptions {
     /// stop backing off and failover stops trying further plans once
     /// exceeded. `None` means unbounded.
     pub deadline: Option<Duration>,
-    /// Batch size (rows) of the vectorized executor's pipeline.
-    pub batch_size: usize,
+    /// Batch size (rows) of the vectorized executor's pipeline. `None`
+    /// uses the engine default ([`ExecOptions::default`]'s unless
+    /// reconfigured).
+    pub batch_size: Option<usize>,
 }
 
 impl Default for QueryOptions {
@@ -118,7 +105,7 @@ impl Default for QueryOptions {
             plan_cache: true,
             retry: None,
             deadline: None,
-            batch_size: 1024,
+            batch_size: None,
         }
     }
 }
@@ -138,9 +125,22 @@ impl QueryOptions {
 
     /// Set the vectorized executor's batch size (clamped to at least 1).
     pub fn with_batch_size(mut self, rows: usize) -> Self {
-        self.batch_size = rows.max(1);
+        self.batch_size = Some(rows.max(1));
         self
     }
+}
+
+/// [`QueryOptions`] with every unset field filled in ([`Estocada::resolve`],
+/// once per query); nothing downstream consults the defaults again.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ResolvedOptions {
+    /// The base rewriting configuration at this query's worker counts.
+    pub(crate) rewrite: RewriteConfig,
+    explain_only: bool,
+    pub(crate) plan_cache: bool,
+    retry: RetryPolicy,
+    deadline: Option<Duration>,
+    exec: ExecOptions,
 }
 
 /// The query input a [`QueryRequest`] carries: one of the three frontends.
@@ -154,11 +154,7 @@ enum QueryInput {
         select: Vec<String>,
     },
     /// A pivot CQ with output names and residual comparisons.
-    Pivot {
-        cq: Cq,
-        head_names: Vec<String>,
-        residuals: Vec<Residual>,
-    },
+    Pivot(ParsedQuery),
 }
 
 /// A query being assembled against a shared engine — created by
@@ -223,7 +219,7 @@ impl QueryRequest<'_> {
 
     /// Set the vectorized executor's batch size for this query.
     pub fn with_batch_size(mut self, rows: usize) -> Self {
-        self.opts.batch_size = rows.max(1);
+        self.opts.batch_size = Some(rows.max(1));
         self
     }
 
@@ -241,57 +237,22 @@ impl QueryRequest<'_> {
     /// Run the query end to end (or plan-only with
     /// [`QueryRequest::explain_only`]).
     pub fn run(self) -> Result<QueryResult> {
-        let (cq, head_names, residuals, aggregate) = match self.input {
-            QueryInput::Sql(sql) => {
-                let parsed = parse_sql(&sql, &self.engine.sql_catalog())?;
-                (
-                    parsed.cq,
-                    parsed.head_names,
-                    parsed.residuals,
-                    parsed.aggregate,
-                )
-            }
+        let parsed = match self.input {
+            QueryInput::Sql(sql) => parse_sql(&sql, &self.engine.planning().sql_catalog)?,
             QueryInput::Doc { pattern, select } => {
                 let sel: Vec<&str> = select.iter().map(String::as_str).collect();
-                let parsed = doc_query(&pattern, &sel)?;
-                (parsed.cq, parsed.head_names, Vec::new(), None)
+                let doc = doc_query(&pattern, &sel)?;
+                ParsedQuery::conjunctive(doc.cq, doc.head_names, Vec::new())
             }
-            QueryInput::Pivot {
-                cq,
-                head_names,
-                residuals,
-            } => (cq, head_names, residuals, None),
+            QueryInput::Pivot(parsed) => parsed,
         };
-        self.engine
-            .run_planned(&cq, &head_names, &residuals, aggregate.as_ref(), &self.opts)
+        self.engine.run_planned(&parsed, &self.opts)
     }
 
     /// Plan and cost without executing; returns the report alone.
     pub fn explain(self) -> Result<Report> {
         Ok(self.explain_only().run()?.report)
     }
-}
-
-/// A planned (rewritten + translated + costed) query, shared by the
-/// execute and explain paths so the two can never drift.
-struct PlannedQuery {
-    outcome: Arc<RewriteOutcome>,
-    /// `Some(hit?)` when the plan cache was consulted.
-    cache_hit: Option<bool>,
-    rewrite_time: Duration,
-    alternatives: Vec<Alternative>,
-    /// Executable translations, index-aligned with `alternatives` and
-    /// `outcome.rewritings` (`None` = untranslatable). Each rewriting is
-    /// translated exactly once, here; plan failover takes candidates out
-    /// of this vector instead of re-running translation per attempt.
-    /// Translations bind the query's resilience context into their
-    /// runners, so they are per-query values — retained for the query's
-    /// lifetime, never cached across queries (the cached `RewriteOutcome`
-    /// carries the cross-query, per-catalog-epoch part).
-    translations: Vec<Option<Translation>>,
-    /// Index of the cheapest executable rewriting, when one exists.
-    best: Option<usize>,
-    translate_time: Duration,
 }
 
 /// The mediator.
@@ -326,7 +287,10 @@ pub struct Estocada {
     /// row supports, high-water marks), seeded lazily on the first DML
     /// batch and invalidated by DDL.
     pub(crate) maint: Option<crate::dml::MaintenanceState>,
-    plan_cache: PlanCache,
+    /// What planning derives from the catalog and schema alone: built on
+    /// first use per catalog epoch, reset by DDL like `base`.
+    planning: OnceLock<PlanningContext>,
+    pub(crate) plan_cache: PlanCache,
     /// The analyzer's per-query findings, cached per catalog epoch
     /// alongside the plan cache (same epoch discipline: any DDL
     /// invalidates both wholesale).
@@ -372,6 +336,7 @@ impl Estocada {
             epoch: 0,
             data_epoch: 0,
             maint: None,
+            planning: OnceLock::new(),
             plan_cache: PlanCache::default(),
             lint_cache: LintCache::default(),
             validation: ValidationMode::default(),
@@ -398,7 +363,7 @@ impl Estocada {
     /// The rewriting configuration queries run with by default (the base
     /// configuration with the engine-default [`QueryOptions`] applied).
     pub fn rewrite_config(&self) -> RewriteConfig {
-        self.effective_cfg(&QueryOptions::default())
+        self.resolve(&QueryOptions::default()).rewrite
     }
 
     /// Replace the base rewriting configuration (chase budgets, worker
@@ -488,14 +453,13 @@ impl Estocada {
     }
 
     /// The termination certificate of the deployment's combined
-    /// constraint set — the verdict the planner feeds into
-    /// [`estocada_chase::ChaseConfig::with_certificate`] on every
-    /// plan-cache miss. Certified deployments (`WeaklyAcyclic`,
-    /// `SuperWeaklyAcyclic`, `Stratified`) chase budget-free; the rest
-    /// keep the configured budget guard. Snapshot tooling pins
-    /// [`TerminationCertificate::rung`] per deployment.
+    /// constraint set, computed once per catalog epoch — the verdict the
+    /// planner feeds into [`estocada_chase::ChaseConfig::with_certificate`].
+    /// Certified deployments (`WeaklyAcyclic`, `SuperWeaklyAcyclic`,
+    /// `Stratified`) chase budget-free; the rest keep the configured guard.
+    /// Snapshot tooling pins [`TerminationCertificate::rung`] per deployment.
     pub fn termination_certificate(&self) -> TerminationCertificate {
-        analyze::termination_certificate(&self.schema, &self.catalog)
+        self.planning().certificate.clone()
     }
 
     /// The combined constraint set the certificate speaks about: schema
@@ -503,18 +467,26 @@ impl Estocada {
     /// every fragment view. Snapshot tooling and benches chase exactly
     /// this set to reproduce the planner's termination behaviour.
     pub fn constraint_set(&self) -> Vec<Constraint> {
-        analyze::combined_constraints(&self.schema, &self.catalog, None)
+        self.planning().constraints.clone()
+    }
+
+    /// The planning context of the current catalog epoch, derived on first
+    /// use (like [`Estocada::base`], exactly one racing thread builds it).
+    pub(crate) fn planning(&self) -> &PlanningContext {
+        self.planning.get_or_init(|| PlanningContext::derive(self))
     }
 
     /// One DDL operation happened: advance the epoch and drop every cached
-    /// plan (they were computed against the previous catalog). DDL also
-    /// invalidates the DML maintenance bookkeeping — fragment row supports
-    /// were computed against the previous catalog and staging base.
+    /// plan and the planning context (they were computed against the
+    /// previous catalog). DDL also invalidates the DML maintenance
+    /// bookkeeping — fragment row supports were computed against the
+    /// previous catalog and staging base.
     fn bump_epoch(&mut self) {
         self.epoch += 1;
         self.plan_cache.clear();
         self.lint_cache.clear();
         self.maint = None;
+        self.planning = OnceLock::new();
     }
 
     /// The DDL validation mode in effect.
@@ -656,24 +628,10 @@ impl Estocada {
         self.catalog.fragments()
     }
 
-    /// The SQL frontend's table catalog (relational datasets).
+    /// The SQL frontend's table catalog (relational datasets), as of the
+    /// current catalog epoch.
     pub fn sql_catalog(&self) -> SqlCatalog {
-        let mut out = SqlCatalog::new();
-        for ds in self.datasets.values() {
-            if let DatasetContent::Relational(tables) = &ds.content {
-                for t in tables {
-                    out.insert(
-                        t.encoding.relation.as_str().to_string(),
-                        SqlTable {
-                            columns: t.encoding.columns.clone(),
-                            key_column: t.encoding.key.as_ref().and_then(|k| k.first().cloned()),
-                            has_text: !t.text_columns.is_empty(),
-                        },
-                    );
-                }
-            }
-        }
-        out
+        self.planning().sql_catalog.clone()
     }
 
     /// Start building a mini-SQL query against this engine.
@@ -706,11 +664,7 @@ impl Estocada {
     ) -> QueryRequest<'_> {
         QueryRequest {
             engine: self,
-            input: QueryInput::Pivot {
-                cq,
-                head_names,
-                residuals,
-            },
+            input: QueryInput::Pivot(ParsedQuery::conjunctive(cq, head_names, residuals)),
             opts: QueryOptions::default(),
         }
     }
@@ -749,194 +703,29 @@ impl Estocada {
         crate::materialize::evaluate_view(self.base(), cq)
     }
 
-    /// Resolve per-query options against the engine defaults into the
-    /// rewriting configuration the query will run with.
-    fn effective_cfg(&self, opts: &QueryOptions) -> RewriteConfig {
-        let mut cfg = self.rewrite_cfg;
-        if let Some(n) = opts.rewrite_workers.or(self.default_opts.rewrite_workers) {
-            cfg.parallelism = n.max(1);
+    /// Resolve per-query options (the module docs give the order).
+    pub(crate) fn resolve(&self, opts: &QueryOptions) -> ResolvedOptions {
+        let d = &self.default_opts;
+        let mut rewrite = self.rewrite_cfg;
+        if let Some(n) = opts.rewrite_workers.or(d.rewrite_workers) {
+            rewrite.parallelism = n.max(1);
         }
-        if let Some(n) = opts.chase_workers.or(self.default_opts.chase_workers) {
-            cfg.chase.search_workers = n.max(1);
+        if let Some(n) = opts.chase_workers.or(d.chase_workers) {
+            rewrite.chase.search_workers = n.max(1);
         }
-        cfg
-    }
-
-    /// The rewriting problem of `cq` against the current catalog + schema.
-    fn rewrite_problem(&self, cq: &Cq) -> RewriteProblem {
-        RewriteProblem {
-            query: cq.clone(),
-            views: self.catalog.view_defs(),
-            source_constraints: self.schema.constraints.clone(),
-            target_constraints: Vec::new(),
-            access: self.catalog.access_map(),
-        }
-    }
-
-    /// The stable plan-cache key of a query. For residual-free queries the
-    /// key is the alpha-invariant canonical form; queries with residual
-    /// comparisons key on the exact CQ instead, because residual predicates
-    /// reference the query's concrete variable ids — two alpha-equivalent
-    /// variants with differently-numbered variables must not share a
-    /// cached outcome there.
-    fn plan_cache_key(cq: &Cq, residuals: &[Residual]) -> String {
-        if residuals.is_empty() {
-            let c = cq.canonicalize();
-            format!("c|{}|{:?}|{:?}", cq.name, c.head, c.body)
-        } else {
-            format!("x|{}|{:?}|{:?}|{:?}", cq.name, cq.head, cq.body, residuals)
+        let batch_size = opts.batch_size.or(d.batch_size);
+        ResolvedOptions {
+            rewrite,
+            explain_only: opts.explain_only,
+            plan_cache: opts.plan_cache && d.plan_cache,
+            retry: opts.retry.or(d.retry).unwrap_or_default(),
+            deadline: opts.deadline.or(d.deadline),
+            exec: batch_size.map_or_else(ExecOptions::default, |batch_size| ExecOptions {
+                batch_size,
+            }),
         }
     }
 
-    /// The planning pipeline shared by execution and explain: rewrite
-    /// (through the plan cache when enabled), then translate every
-    /// rewriting and keep the cheapest executable one.
-    fn plan_cq(
-        &self,
-        cq: &Cq,
-        head_names: &[String],
-        residuals: &[Residual],
-        cfg: &RewriteConfig,
-        use_cache: bool,
-        ctx: Option<&Arc<QueryResilience>>,
-    ) -> Result<PlannedQuery> {
-        // 1. Rewriting under constraints (or a cache hit skipping it).
-        // Before chasing, consult the deployment's termination
-        // certificate: a terminating verdict on the combined constraint
-        // set lifts the budget guard of every chase in this run — forward
-        // chase, backchase and containment checks all terminate without
-        // it; any weaker verdict keeps the budgets exactly as configured.
-        let t0 = Instant::now();
-        let certified = |cfg: &RewriteConfig| {
-            let cert = analyze::termination_certificate(&self.schema, &self.catalog);
-            let mut c = *cfg;
-            c.chase = c.chase.with_certificate(&cert);
-            c
-        };
-        let (outcome, cache_hit) = if use_cache {
-            let key = Self::plan_cache_key(cq, residuals);
-            match self.plan_cache.lookup(&key, self.epoch) {
-                Some(outcome) => (outcome, Some(true)),
-                None => {
-                    let outcome =
-                        Arc::new(pacb_rewrite(&self.rewrite_problem(cq), &certified(cfg))?);
-                    self.plan_cache.insert(key, self.epoch, outcome.clone());
-                    (outcome, Some(false))
-                }
-            }
-        } else {
-            let outcome = Arc::new(pacb_rewrite(&self.rewrite_problem(cq), &certified(cfg))?);
-            (outcome, None)
-        };
-        let rewrite_time = t0.elapsed();
-
-        // 2. Translate every rewriting; keep the cheapest executable one
-        // (ties go to the earliest, as the serial loops always did). Plan
-        // choice compares breaker-penalized costs: a backend with an open
-        // circuit makes every plan through it rank behind any healthy
-        // plan. With every breaker closed the penalty is zero and the
-        // choice is identical to the unpenalized model.
-        let t1 = Instant::now();
-        let penalized = |tr: &Translation| {
-            let avoided = tr.systems.iter().filter(|s| self.health.avoid(**s)).count();
-            self.cost.penalize(tr.est_cost, avoided)
-        };
-        let mut alternatives: Vec<Alternative> = Vec::new();
-        let mut translations: Vec<Option<Translation>> = Vec::new();
-        let mut best: Option<usize> = None;
-        for rw in outcome.rewritings.iter() {
-            if let Some(c) = ctx {
-                c.note_translation();
-            }
-            match translate(
-                rw,
-                head_names,
-                residuals,
-                &self.catalog,
-                &self.stores,
-                &self.cost,
-                ctx,
-            ) {
-                Ok(tr) => {
-                    let idx = alternatives.len();
-                    alternatives.push(Alternative {
-                        rewriting: format!("{rw}"),
-                        est_cost: Some(tr.est_cost),
-                        note: None,
-                    });
-                    let better = best
-                        .map(|b| {
-                            penalized(&tr) < penalized(translations[b].as_ref().expect("best"))
-                        })
-                        .unwrap_or(true);
-                    translations.push(Some(tr));
-                    if better {
-                        best = Some(idx);
-                    }
-                }
-                Err(e) => {
-                    alternatives.push(Alternative {
-                        rewriting: format!("{rw}"),
-                        est_cost: None,
-                        note: Some(format!("{e}")),
-                    });
-                    translations.push(None);
-                }
-            }
-        }
-        Ok(PlannedQuery {
-            outcome,
-            cache_hit,
-            rewrite_time,
-            alternatives,
-            translations,
-            best,
-            translate_time: t1.elapsed(),
-        })
-    }
-
-    /// This query's plan-cache activity for the report.
-    fn cache_activity(&self, cache_hit: Option<bool>) -> Option<PlanCacheActivity> {
-        cache_hit.map(|hit| PlanCacheActivity {
-            hit,
-            totals: self.plan_cache.stats(),
-        })
-    }
-}
-
-/// Layer the SQL aggregation pipeline over a rewritten core plan:
-/// `Project(SELECT) ∘ Filter(HAVING) ∘ Aggregate(GROUP BY) ∘ core`.
-/// Translation wraps the core in a duplicate-eliminating projection, so
-/// the aggregates range over the *distinct* core tuples regardless of
-/// which rewriting executes.
-fn wrap_aggregate(core: Plan, spec: &AggregateSpec) -> Plan {
-    let mut plan = Plan::Aggregate {
-        input: Box::new(core),
-        group_by: (0..spec.group_cols).collect(),
-        aggs: spec.aggs.clone(),
-    };
-    let having = spec
-        .having
-        .iter()
-        .map(|(col, op, v)| Expr::col(*col).cmp(*op, Expr::Lit(v.clone())))
-        .reduce(Expr::and);
-    if let Some(pred) = having {
-        plan = Plan::Filter {
-            input: Box::new(plan),
-            pred,
-        };
-    }
-    Plan::Project {
-        input: Box::new(plan),
-        exprs: spec
-            .select
-            .iter()
-            .map(|(name, col)| (name.clone(), Expr::col(*col)))
-            .collect(),
-    }
-}
-
-impl Estocada {
     /// The analyzer's findings on this query's CQ for the report,
     /// cached per **catalog** epoch alongside the rewrite-plan cache (DML
     /// bumps only the data epoch, so writes keep lints cached).
@@ -964,243 +753,173 @@ impl Estocada {
         (diags, Some(activity))
     }
 
-    /// Plan `cq` and either execute it or stop at the report, per `opts`.
-    /// `aggregate` (from the SQL frontend) layers grouping / HAVING /
-    /// final projection over whichever rewriting executes — it is applied
-    /// post-translation, so the plan cache and failover candidates are
-    /// shared with the non-aggregated core.
-    fn run_planned(
-        &self,
-        cq: &Cq,
-        head_names: &[String],
-        residuals: &[Residual],
-        aggregate: Option<&AggregateSpec>,
-        opts: &QueryOptions,
-    ) -> Result<QueryResult> {
-        let cfg = self.effective_cfg(opts);
-        let use_cache = opts.plan_cache && self.default_opts.plan_cache;
-        let retry = opts.retry.or(self.default_opts.retry).unwrap_or_default();
-        let deadline = opts.deadline.or(self.default_opts.deadline);
-        let ctx = QueryResilience::new(retry, deadline, self.health.clone());
-        let mut plan = self.plan_cq(cq, head_names, residuals, &cfg, use_cache, Some(&ctx))?;
-        let (diagnostics, lint_cache) = self.query_lints(cq);
-
-        // An aggregate query's output columns come from its SELECT list,
-        // not the conjunctive core's head.
-        let out_columns = || -> Vec<String> {
-            match aggregate {
-                Some(spec) => spec.select.iter().map(|(n, _)| n.clone()).collect(),
-                None => head_names.to_vec(),
-            }
-        };
+    /// Plan `q` and either stop at the report (explain) or execute the
+    /// candidates in rank order until one succeeds.
+    fn run_planned(&self, q: &ParsedQuery, opts: &QueryOptions) -> Result<QueryResult> {
+        let opts = self.resolve(opts);
+        let resilience = QueryResilience::new(opts.retry, opts.deadline, self.health.clone());
+        let mut planned = planner::plan(self, q, &opts, Some(&resilience))?;
+        let lints = self.query_lints(&q.cq);
 
         if opts.explain_only {
             // Explain reports cost every alternative but tolerate a query
             // with no (executable) rewriting.
-            let (chosen, plan_text, delegated) = match plan.best {
-                Some(idx) => {
-                    let tr = plan.translations[idx].as_ref().expect("best is executable");
-                    let text = match aggregate {
-                        Some(spec) => wrap_aggregate(tr.plan.clone(), spec).explain(),
-                        None => tr.plan.explain(),
-                    };
-                    (idx, text, tr.unit_labels.clone())
-                }
-                None => (0, String::from("(not executable)"), Vec::new()),
+            let best = self
+                .rank(&planned.candidates, &HashSet::new())
+                .map(|i| planned.candidates.swap_remove(i));
+            // An aggregate query's output columns come from its SELECT
+            // list, not the conjunctive core's head.
+            let columns = match &q.aggregate {
+                Some(spec) => spec.select.iter().map(|(n, _)| n.clone()).collect(),
+                None => q.head_names.clone(),
             };
             return Ok(QueryResult {
-                columns: out_columns(),
+                columns,
                 rows: Vec::new(),
-                report: Report {
-                    pivot_query: format!("{cq}"),
-                    universal_plan: format!("{}", plan.outcome.universal_plan),
-                    alternatives: plan.alternatives,
-                    chosen,
-                    plan: plan_text,
-                    delegated,
-                    per_store: Vec::new(),
-                    exec: Default::default(),
-                    rewrite_time: plan.rewrite_time,
-                    translate_time: plan.translate_time,
-                    complete_search: plan.outcome.complete,
-                    plan_cache: self.cache_activity(plan.cache_hit),
-                    resilience: None,
-                    diagnostics,
-                    lint_cache,
-                },
+                report: report(q, planned, best, lints),
             });
         }
 
-        if plan.outcome.rewritings.is_empty() {
-            return Err(Error::NoRewriting {
-                query: format!("{cq}"),
-            });
-        }
-        let mut chosen = plan.best.ok_or_else(|| {
-            Error::Untranslatable(format!(
-                "none of the {} rewritings is executable",
-                plan.outcome.rewritings.len()
-            ))
-        })?;
-        let mut translation = plan.translations[chosen]
-            .take()
-            .expect("best is executable");
-
-        // 3. Execute, splitting metrics per store. When a plan attempt
-        // dies on a store failure (after per-call retries and breaker
-        // handling), fail over: re-rank the remaining equivalent
-        // rewritings of the same outcome — penalizing backends that
-        // failed in this query or whose breaker is open — and execute
-        // the next candidate until one succeeds or none remain.
-        let before: Vec<_> = self.stores.metrics();
-        let eopts = ExecOptions {
-            batch_size: opts.batch_size.max(1),
-        };
-        let mut attempts: Vec<PlanAttempt> = Vec::new();
-        let mut tried: HashSet<usize> = HashSet::new();
-        let mut failed_systems: HashSet<SystemId> = HashSet::new();
-        let (batch, exec, plan_text) = loop {
-            tried.insert(chosen);
-            // The aggregation pipeline sits on top of the (per-attempt)
-            // rewritten core, so each failover candidate gets its own wrap.
-            let wrapped = aggregate.map(|spec| wrap_aggregate(translation.plan.clone(), spec));
-            let attempt = match &wrapped {
-                Some(p) => execute_with(p, &eopts),
-                None => execute_with(&translation.plan, &eopts),
-            };
-            match attempt {
-                Ok(out) => {
-                    attempts.push(PlanAttempt {
-                        alternative: chosen,
-                        rewriting: plan.alternatives[chosen].rewriting.clone(),
-                        systems: translation.systems.clone(),
-                        error: None,
-                    });
-                    let text = match wrapped {
-                        Some(p) => p.explain(),
-                        None => translation.plan.explain(),
-                    };
-                    break (out.0, out.1, text);
-                }
-                Err(EngineError::Store(se)) => {
-                    attempts.push(PlanAttempt {
-                        alternative: chosen,
-                        rewriting: plan.alternatives[chosen].rewriting.clone(),
-                        systems: translation.systems.clone(),
-                        error: Some(se.to_string()),
-                    });
-                    if let Some(sys) = system_for_store(&se.store) {
-                        failed_systems.insert(sys);
-                    }
-                    let next = if ctx.deadline_exceeded() {
-                        None
-                    } else {
-                        self.next_failover_candidate(&mut plan, &tried, &failed_systems)
-                    };
-                    match next {
-                        Some((idx, tr)) => {
-                            chosen = idx;
-                            translation = tr;
-                        }
-                        None => {
-                            return Err(Error::AllPlansFailed {
-                                query: format!("{cq}"),
-                                attempts: attempts
-                                    .iter()
-                                    .map(|a| PlanFailure {
-                                        alternative: a.alternative,
-                                        rewriting: a.rewriting.clone(),
-                                        error: a.error.clone().unwrap_or_default(),
-                                    })
-                                    .collect(),
-                            })
-                        }
-                    }
-                }
-                Err(e) => return Err(e.into()),
-            }
-        };
+        let before = self.stores.metrics();
+        let candidates = std::mem::take(&mut planned.candidates);
+        let (ran, batch, exec, attempts) =
+            self.execute(q, &planned, candidates, &opts, &resilience)?;
         let after = self.stores.metrics();
-        let per_store = after
-            .iter()
-            .zip(&before)
-            .map(|((sys, a), (_, b))| (*sys, a.since(b)))
-            .collect();
-
-        for rel in &translation.used_relations {
+        for rel in &ran.translation.used_relations {
             self.catalog.record_use(*rel);
         }
-
+        let mut report = report(q, planned, Some(ran), lints);
+        report.per_store = (after.iter().zip(&before))
+            .map(|((sys, a), (_, b))| (*sys, a.since(b)))
+            .collect();
+        report.exec = exec;
         // The resilience section exists only when something happened: a
         // fault-free query reports `None`, bit-identical to before.
-        let resilience = (attempts.len() > 1 || ctx.eventful()).then(|| ResilienceReport {
-            attempts,
-            retries: ctx.retries(),
-            store_errors: ctx.store_errors(),
-            breaker_transitions: ctx.transitions(),
-            translations: ctx.translations(),
-        });
-
+        report.resilience =
+            (attempts.len() > 1 || resilience.eventful()).then(|| ResilienceReport {
+                attempts,
+                retries: resilience.retries(),
+                store_errors: resilience.store_errors(),
+                breaker_transitions: resilience.transitions(),
+                translations: resilience.translations(),
+            });
         Ok(QueryResult {
-            columns: batch.columns.clone(),
+            columns: batch.columns,
             rows: batch.rows,
-            report: Report {
-                pivot_query: format!("{cq}"),
-                universal_plan: format!("{}", plan.outcome.universal_plan),
-                alternatives: plan.alternatives,
-                chosen,
-                plan: plan_text,
-                delegated: translation.unit_labels,
-                per_store,
-                exec,
-                rewrite_time: plan.rewrite_time,
-                translate_time: plan.translate_time,
-                complete_search: plan.outcome.complete,
-                plan_cache: self.cache_activity(plan.cache_hit),
-                resilience,
-                diagnostics,
-                lint_cache,
-            },
+            report,
         })
     }
 
-    /// The cheapest untried executable rewriting for plan failover,
-    /// ranking by breaker-penalized cost where both open-circuit backends
-    /// and backends that already failed in this query count against a
-    /// candidate (the breaker may not have tripped yet when retries are
-    /// exhausted first). Candidates come out of the plan's retained
-    /// translations — failover performs **zero** new translation work
-    /// ([`ResilienceReport::translations`] pins this).
-    fn next_failover_candidate(
+    /// The planner's ranking under this engine's breakers; systems in
+    /// `failed` count too (retries can run out before a breaker trips).
+    fn rank(&self, candidates: &[Candidate], failed: &HashSet<SystemId>) -> Option<usize> {
+        planner::cheapest(candidates, &self.cost, |s| {
+            failed.contains(&s) || self.health.avoid(s)
+        })
+    }
+
+    /// Execute `candidates` in rank order: when an attempt dies on a store
+    /// failure (after per-call retries and breaker handling) the backend is
+    /// remembered and the next-ranked remaining candidate runs, until one
+    /// succeeds, none remain or the deadline passes. Returns the candidate
+    /// that ran, its rows and counters, and the attempt chain.
+    fn execute(
         &self,
-        plan: &mut PlannedQuery,
-        tried: &HashSet<usize>,
-        failed: &HashSet<SystemId>,
-    ) -> Option<(usize, Translation)> {
-        let mut best: Option<(f64, usize)> = None;
-        for (idx, tr) in plan.translations.iter().enumerate() {
-            if tried.contains(&idx) {
-                continue;
-            }
-            let Some(tr) = tr else {
-                continue;
+        q: &ParsedQuery,
+        planned: &Planned,
+        mut candidates: Vec<Candidate>,
+        opts: &ResolvedOptions,
+        resilience: &QueryResilience,
+    ) -> Result<(Candidate, RowBatch, ExecStats, Vec<PlanAttempt>)> {
+        if planned.outcome.rewritings.is_empty() {
+            return Err(Error::NoRewriting {
+                query: format!("{}", q.cq),
+            });
+        }
+        if candidates.is_empty() {
+            return Err(Error::Untranslatable(format!(
+                "none of the {} rewritings is executable",
+                planned.outcome.rewritings.len()
+            )));
+        }
+        let mut attempts: Vec<PlanAttempt> = Vec::new();
+        let mut failed: HashSet<SystemId> = HashSet::new();
+        loop {
+            let next = if attempts.is_empty() || !resilience.deadline_exceeded() {
+                self.rank(&candidates, &failed)
+            } else {
+                None
             };
-            let avoided = tr
-                .systems
-                .iter()
-                .filter(|s| failed.contains(s) || self.health.avoid(**s))
-                .count();
-            let eff = self.cost.penalize(tr.est_cost, avoided);
-            if best.map(|(b, _)| eff < b).unwrap_or(true) {
-                best = Some((eff, idx));
+            let Some(idx) = next else {
+                return Err(Error::AllPlansFailed {
+                    query: format!("{}", q.cq),
+                    attempts: attempts
+                        .into_iter()
+                        .map(|a| PlanFailure {
+                            alternative: a.alternative,
+                            rewriting: a.rewriting,
+                            error: a.error.unwrap_or_default(),
+                        })
+                        .collect(),
+                });
+            };
+            let candidate = candidates.remove(idx);
+            let attempt = |error: Option<String>| PlanAttempt {
+                alternative: candidate.alternative,
+                rewriting: planned.alternatives[candidate.alternative]
+                    .rewriting
+                    .clone(),
+                systems: candidate.translation.systems.clone(),
+                error,
+            };
+            match execute_with(&candidate.translation.plan, &opts.exec) {
+                Ok((batch, exec)) => {
+                    attempts.push(attempt(None));
+                    return Ok((candidate, batch, exec, attempts));
+                }
+                Err(EngineError::Store(se)) => {
+                    attempts.push(attempt(Some(se.to_string())));
+                    failed.extend(system_for_store(&se.store));
+                }
+                Err(e) => return Err(e.into()),
             }
         }
-        best.map(|(_, idx)| {
-            (
-                idx,
-                plan.translations[idx].take().expect("candidate is Some"),
-            )
-        })
+    }
+}
+
+/// The one [`Report`] constructor, for a plan that did not run (yet):
+/// `chosen` is the candidate that ran or, for an explain, would (`None`
+/// when nothing is executable). A run fills in what executing added.
+fn report(
+    q: &ParsedQuery,
+    planned: Planned,
+    chosen: Option<Candidate>,
+    (diagnostics, lint_cache): (Vec<Diagnostic>, Option<PlanCacheActivity>),
+) -> Report {
+    let (chosen, plan, delegated) = match chosen {
+        Some(c) => (
+            c.alternative,
+            c.translation.plan.explain(),
+            c.translation.unit_labels,
+        ),
+        None => (0, String::from("(not executable)"), Vec::new()),
+    };
+    Report {
+        pivot_query: format!("{}", q.cq),
+        universal_plan: format!("{}", planned.outcome.universal_plan),
+        alternatives: planned.alternatives,
+        chosen,
+        plan,
+        delegated,
+        per_store: Vec::new(),
+        exec: Default::default(),
+        rewrite_time: planned.rewrite_time,
+        translate_time: planned.translate_time,
+        complete_search: planned.outcome.complete,
+        plan_cache: planned.plan_cache,
+        resilience: None,
+        diagnostics,
+        lint_cache,
     }
 }
 
@@ -1257,11 +976,149 @@ mod tests {
         assert_eq!(d.parallelism, 3);
         assert_eq!(d.chase.search_workers, 2);
         // Per-query override wins.
-        let cfg = est.effective_cfg(&QueryOptions {
-            rewrite_workers: Some(7),
-            ..QueryOptions::default()
-        });
+        let cfg = est
+            .resolve(&QueryOptions {
+                rewrite_workers: Some(7),
+                ..QueryOptions::default()
+            })
+            .rewrite;
         assert_eq!(cfg.parallelism, 7);
         assert_eq!(cfg.chase.search_workers, 2);
+    }
+
+    fn shop() -> Dataset {
+        use estocada_pivot::encoding::relational::TableEncoding;
+        use estocada_pivot::Value;
+        Dataset::relational(
+            "shop",
+            vec![crate::dataset::TableData {
+                encoding: TableEncoding::new("Users", &["uid", "name"], Some(&["uid"])),
+                rows: (1..=3)
+                    .map(|u| vec![Value::Int(u), Value::str(format!("user{u}"))])
+                    .collect(),
+                text_columns: vec![],
+            }],
+        )
+    }
+
+    /// The three accessors that read the planning context agree with a
+    /// from-scratch computation over the current schema and catalog.
+    fn assert_context_fresh(est: &Estocada, after: &str) {
+        assert_eq!(
+            est.termination_certificate(),
+            analyze::termination_certificate(est.schema(), est.catalog()),
+            "certificate after {after}"
+        );
+        assert_eq!(
+            est.constraint_set(),
+            analyze::combined_constraints(est.schema(), est.catalog(), None),
+            "constraint set after {after}"
+        );
+        let mut tables: Vec<(String, Vec<String>)> = est
+            .sql_catalog()
+            .into_iter()
+            .map(|(name, t)| (name, t.columns))
+            .collect();
+        tables.sort();
+        let mut want: Vec<(String, Vec<String>)> = est
+            .datasets()
+            .values()
+            .flat_map(|ds| match &ds.content {
+                crate::dataset::DatasetContent::Relational(ts) => ts.as_slice(),
+                _ => &[],
+            })
+            .map(|t| {
+                (
+                    t.encoding.relation.as_str().to_string(),
+                    t.encoding.columns.clone(),
+                )
+            })
+            .collect();
+        want.sort();
+        assert_eq!(tables, want, "sql catalog after {after}");
+    }
+
+    #[test]
+    fn every_ddl_kind_refreshes_the_planning_context_and_dml_keeps_it() {
+        use estocada_pivot::{Atom, CqBuilder, Symbol, Term, Tgd, Value, Var};
+        const SQL: &str = "SELECT u.name FROM Users u WHERE u.uid = 2";
+        let alternatives = |est: &Estocada| est.query(SQL).run().unwrap().report.alternatives.len();
+
+        let mut est = Estocada::in_memory();
+        // Touch the context of the empty engine, so every step below has a
+        // stale one to replace.
+        assert!(est.sql_catalog().is_empty());
+        est.register_dataset(shop()).unwrap();
+        assert_context_fresh(&est, "register_dataset");
+        assert!(est.sql_catalog().contains_key("Users"));
+
+        est.add_fragment(FragmentSpec::NativeTables {
+            dataset: "shop".into(),
+            only: None,
+        })
+        .unwrap();
+        assert_context_fresh(&est, "add_fragment (native tables)");
+        assert_eq!(alternatives(&est), 1);
+
+        let kv = est
+            .add_fragment(FragmentSpec::KeyValue {
+                view: CqBuilder::new("UsersKV")
+                    .head_vars(["uid", "name"])
+                    .atom("Users", |a| a.v("uid").v("name"))
+                    .build(),
+            })
+            .unwrap();
+        assert_context_fresh(&est, "add_fragment (key-value)");
+        assert_eq!(alternatives(&est), 2, "the new fragment is planned over");
+
+        // DML changes data, not the catalog: the derived context stays.
+        est.insert_rows(
+            "shop",
+            "Users",
+            vec![vec![Value::Int(9), Value::str("user9")]],
+        )
+        .unwrap();
+        assert!(
+            est.planning.get().is_some(),
+            "DML must not reset the context"
+        );
+        assert_context_fresh(&est, "insert_rows");
+
+        est.drop_fragment(&kv).unwrap();
+        assert!(est.planning.get().is_none(), "DDL resets the context");
+        assert_context_fresh(&est, "drop_fragment");
+        assert_eq!(alternatives(&est), 1, "the dropped fragment is gone");
+
+        // A tight budget is harmless while the certificate lifts it ...
+        let mut tight = est.rewrite_config();
+        tight.chase.max_rounds = 1;
+        tight.chase.max_facts = 1;
+        est.set_rewrite_config(tight);
+        assert_context_fresh(&est, "set_rewrite_config");
+        assert!(est.termination_certificate().guarantees_termination());
+        assert_eq!(alternatives(&est), 1);
+
+        // ... and bites again once a constraint (accepted under Warn)
+        // moves the certificate off its terminating rung: the next query
+        // plans under the configured guard, not the stale lifted one.
+        assert_eq!(est.validation(), ValidationMode::Warn);
+        let users = |a: u32, b: u32| {
+            Atom::new(
+                Symbol::intern("Users"),
+                vec![Term::Var(Var(a)), Term::Var(Var(b))],
+            )
+        };
+        est.add_constraint(Constraint::Tgd(Tgd::new(
+            "grow",
+            vec![users(0, 1)],
+            vec![users(1, 2)],
+        )))
+        .unwrap();
+        assert_context_fresh(&est, "add_constraint");
+        assert!(!est.termination_certificate().guarantees_termination());
+        assert!(
+            est.query(SQL).run().is_err(),
+            "a non-terminating chase must stop at the configured budget"
+        );
     }
 }

@@ -76,6 +76,23 @@ pub struct ParsedQuery {
     pub aggregate: Option<AggregateSpec>,
 }
 
+impl ParsedQuery {
+    /// A plain conjunctive query (no aggregation), as the document and
+    /// pivot frontends produce.
+    pub(crate) fn conjunctive(
+        cq: Cq,
+        head_names: Vec<String>,
+        residuals: Vec<Residual>,
+    ) -> ParsedQuery {
+        ParsedQuery {
+            cq,
+            head_names,
+            residuals,
+            aggregate: None,
+        }
+    }
+}
+
 /// Aggregation layered over the conjunctive core of a parsed SQL query.
 ///
 /// Column indexes are positional: the core's head lays out the GROUP BY

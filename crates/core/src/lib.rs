@@ -29,6 +29,7 @@ pub mod frontends;
 mod layout;
 pub mod materialize;
 pub mod plancache;
+mod planner;
 pub mod report;
 pub mod resilience;
 pub mod system;
