@@ -17,7 +17,18 @@
 //! constraints (by index) taken to fixpoint under its own budget before the
 //! next starts. The whole set is the one-stage schedule; under a
 //! [`TerminationCertificate::Stratified`] verdict the stages are its
-//! strata ([`chase_stratified`]). Constraints are compiled once per run.
+//! strata ([`chase_stratified`]).
+//!
+//! Constraints are compiled once per **prepared set**
+//! (`PreparedConstraints`: premises, firing actions with pre-interned
+//! constants and dense frontier/existential slots, and a premise-predicate
+//! → constraints index), not per run: the driver only ever chases a
+//! prepared set. The slice-taking entry points ([`chase`], [`chase_with`],
+//! [`chase_stratified`], the three `prov_chase*`, and the containment
+//! checks built on them) prepare their argument and run; a
+//! [`crate::pacb::Rewriter`] prepares its three sets once and chases them
+//! for every query. A prepared set is immutable and shared freely between
+//! threads.
 //!
 //! # Semi-naive delta evaluation
 //!
@@ -33,6 +44,29 @@
 //! bumps a fact's epoch too, so a re-derivation whose only effect is a
 //! wider formula still re-triggers downstream constraints — the provenance
 //! fixpoint is the naive loop's.
+//!
+//! # The live-premise rule
+//!
+//! Most constraints of a large set are idle in any one round: the
+//! mediator's combined set has a premise for every relation of every data
+//! model, a query's canonical instance facts over a handful. A round
+//! therefore searches only the premises that *can* have a trigger:
+//!
+//! - in a stage's first round, a premise every one of whose predicates has
+//!   at least one alive fact ([`crate::instance::Instance::pred_count`]);
+//! - in a delta round, only the constraints the prepared set's index lists
+//!   under a predicate with delta facts — with the same all-populated
+//!   filter on top.
+//!
+//! The rule is exact, not a heuristic: a homomorphism needs a fact per
+//! premise atom, and a semi-naive trigger needs a delta fact under one of
+//! them (an EGD merge that rewrites a fact of an otherwise idle predicate
+//! stamps it with the round's epoch, so it *is* a delta fact). A skipped
+//! search would have returned the empty list; skipping it leaves triggers,
+//! firing order, invented nulls, errors and every counter but
+//! [`ChaseStats::premise_searches`] — which counts the searches that did
+//! run — bit-identical, at any worker count. The parallel path builds its
+//! work items from the same live list.
 //!
 //! # The search/apply phase split
 //!
@@ -64,10 +98,10 @@
 //! # The applicability memo
 //!
 //! The restricted chase probes, per TGD trigger, whether the conclusion
-//! already has an image under the trigger's frontier binding
-//! ([`find_one_hom_in`]). Distinct triggers frequently share a frontier
-//! image (transitive closure derives the same `(x, z)` pair through every
-//! midpoint `y`), and delta rounds re-discover triggers whose probe already
+//! already has an image under the trigger's frontier binding (a
+//! witness-free [`crate::hom::find_one_hom_in`]). Distinct triggers
+//! frequently share a frontier image (transitive closure derives the same
+//! `(x, z)` pair through every midpoint `y`), and delta rounds re-discover triggers whose probe already
 //! succeeded. With [`ChaseConfig::memo`] on (the default), a per-run memo
 //! records `(constraint index, resolved frontier images)` pairs proven
 //! satisfied — by a successful probe or by the firing itself — and skips
@@ -87,7 +121,7 @@
 //! is keyed and invalidated the same way.
 
 use crate::hom::{
-    find_homs_delta_anchor_in, find_one_hom_in, find_trigger_homs_in, Hom, HomArena, HomConfig,
+    find_homs_delta_anchor_in, find_trigger_homs_in, has_hom_in, Hom, HomArena, HomConfig,
 };
 use crate::instance::{DeltaIndex, Elem, Inconsistent, Instance};
 use crate::wa::{Stratum, TerminationCertificate};
@@ -188,6 +222,10 @@ pub struct ChaseStats {
     /// invented) under the memo. 0 when the memo is off (the work still
     /// happens; it just isn't counted against a memo).
     pub memo_misses: usize,
+    /// Premise searches actually run: one per (constraint, round) whose
+    /// premise the live-premise rule (module docs) could not rule out.
+    /// Independent of [`ChaseConfig::search_workers`] and of the memo.
+    pub premise_searches: usize,
 }
 
 impl ChaseStats {
@@ -196,7 +234,8 @@ impl ChaseStats {
     /// Identical for memo-on and memo-off runs of the same chase — the
     /// memo elides redundant applicability probes, never changes what
     /// fires — while the memo hit/miss counters themselves are diagnostic
-    /// and differ by construction. Differential suites compare this.
+    /// and differ by construction, and `premise_searches` counts work the
+    /// search phase did, not what fired. Differential suites compare this.
     pub fn core(&self) -> (usize, usize, usize) {
         (self.rounds, self.tgd_fires, self.egd_merges)
     }
@@ -209,6 +248,7 @@ impl std::ops::AddAssign for ChaseStats {
         self.egd_merges += s.egd_merges;
         self.memo_hits += s.memo_hits;
         self.memo_misses += s.memo_misses;
+        self.premise_searches += s.premise_searches;
     }
 }
 
@@ -238,8 +278,21 @@ pub fn chase_with(
     constraints: &[Constraint],
     cfg: &ChaseConfig,
 ) -> Result<ChaseStats, ChaseError> {
-    let policy = &mut Restricted::new(cfg);
-    run_chase(arena, instance, constraints, cfg, None, policy)
+    let set = PreparedConstraints::new(constraints);
+    chase_prepared(arena, instance, &set, cfg, None)
+}
+
+/// The restricted chase over an already prepared set — what [`chase_with`]
+/// and [`chase_stratified`] run after preparing their slice, and what the
+/// per-epoch [`crate::pacb::Rewriter`] runs directly.
+pub(crate) fn chase_prepared(
+    arena: &mut HomArena,
+    instance: &mut Instance,
+    set: &PreparedConstraints,
+    cfg: &ChaseConfig,
+    cert: Option<&TerminationCertificate>,
+) -> Result<ChaseStats, ChaseError> {
+    run_chase(arena, instance, set, cfg, cert, &mut Restricted::new(cfg))
 }
 
 /// Run the chase stratum-by-stratum under a termination certificate.
@@ -265,8 +318,8 @@ pub fn chase_stratified(
     cfg: &ChaseConfig,
     cert: &TerminationCertificate,
 ) -> Result<ChaseStats, ChaseError> {
-    let (arena, policy) = (&mut HomArena::new(), &mut Restricted::new(cfg));
-    run_chase(arena, instance, constraints, cfg, Some(cert), policy)
+    let set = PreparedConstraints::new(constraints);
+    chase_prepared(&mut HomArena::new(), instance, &set, cfg, Some(cert))
 }
 
 /// Default of [`ChaseConfig::search_min_facts`] — mirrors pacb's
@@ -283,7 +336,7 @@ pub(crate) trait FiringPolicy {
         arena: &mut HomArena,
         instance: &mut Instance,
         cidx: usize,
-        tgd: &CompiledTgd<'_>,
+        tgd: &CompiledTgd,
         h: &Hom,
         stats: &mut ChaseStats,
     ) -> bool;
@@ -296,8 +349,8 @@ pub(crate) trait FiringPolicy {
     fn invalidate_null(&mut self, retired: u32);
 }
 
-/// A conclusion/equality term with its constant pre-interned, keeping the
-/// global constant-table lookup out of the per-trigger path.
+/// An equality term with its constant pre-interned, keeping the global
+/// constant-table lookup out of the per-trigger path.
 #[derive(Clone, Copy)]
 enum Slot {
     Const(Elem),
@@ -313,33 +366,45 @@ impl Slot {
     }
 }
 
+/// A conclusion term, resolved at compile time to where its image comes
+/// from at fire time: a pre-interned constant, or a position in the
+/// trigger's frontier images or existential images.
+#[derive(Clone, Copy)]
+enum ConclusionSlot {
+    Const(Elem),
+    Frontier(usize),
+    Existential(usize),
+}
+
 /// A TGD compiled for firing. Only the conclusion-relevant bindings matter
 /// once a trigger is found: applicability and Skolem keys constrain exactly
 /// the frontier variables that occur in the conclusion, and firing reads
 /// those plus the existentials — premise-only variables never escape the
 /// trigger.
-pub(crate) struct CompiledTgd<'a> {
+pub(crate) struct CompiledTgd {
     /// The conclusion atoms (the applicability probe's pattern).
-    pub(crate) conclusion: &'a [Atom],
+    pub(crate) conclusion: Vec<Atom>,
     /// The conclusion again, as insertable slots.
-    slots: Vec<(Symbol, Vec<Slot>)>,
+    slots: Vec<(Symbol, Vec<ConclusionSlot>)>,
     /// Frontier variables that occur in the conclusion, sorted.
     pub(crate) frontier: Vec<Var>,
     /// Existential variables, sorted.
     pub(crate) existentials: Vec<Var>,
 }
 
-impl CompiledTgd<'_> {
-    /// The conclusion facts under `assignment`, which must bind every
-    /// conclusion-frontier and existential variable.
+impl CompiledTgd {
+    /// The conclusion facts under a trigger's `frontier` images and the
+    /// `existentials`' images, each parallel to the field of that name.
     pub(crate) fn conclusion_facts<'s>(
         &'s self,
-        assignment: &'s HashMap<Var, Elem>,
+        frontier: &'s [Elem],
+        existentials: &'s [Elem],
     ) -> impl Iterator<Item = (Symbol, Vec<Elem>)> + 's {
-        self.slots.iter().map(|(pred, slots)| {
-            let args = slots.iter().map(|s| match s {
-                Slot::Const(e) => *e,
-                Slot::Var(v) => assignment[v],
+        self.slots.iter().map(move |(pred, slots)| {
+            let args = slots.iter().map(|s| match *s {
+                ConclusionSlot::Const(e) => e,
+                ConclusionSlot::Frontier(i) => frontier[i],
+                ConclusionSlot::Existential(i) => existentials[i],
             });
             (*pred, args.collect())
         })
@@ -347,32 +412,127 @@ impl CompiledTgd<'_> {
 }
 
 /// What firing a compiled constraint does.
-enum Action<'a> {
-    Tgd(CompiledTgd<'a>),
+enum Action {
+    Tgd(CompiledTgd),
     Egd { name: Symbol, equal: (Slot, Slot) },
 }
 
-/// Compile a constraint — once per run — into its premise (for the search
-/// phase) and its action (for the apply phase).
-fn compile(c: &Constraint) -> (&[Atom], Action<'_>) {
+/// Compile a constraint into its premise (for the search phase) and its
+/// action (for the apply phase).
+fn compile(c: &Constraint) -> (Vec<Atom>, Action) {
     match c {
         Constraint::Tgd(t) => {
-            let existentials = t.existentials();
+            let existentials: Vec<Var> = t.existentials().into_iter().collect();
             let conclusion_vars: BTreeSet<Var> = t.conclusion.iter().flat_map(Atom::vars).collect();
-            let slots = |a: &Atom| (a.pred, a.args.iter().map(Slot::compile).collect());
-            let tgd = CompiledTgd {
-                conclusion: &t.conclusion,
-                slots: t.conclusion.iter().map(slots).collect(),
-                frontier: conclusion_vars.difference(&existentials).copied().collect(),
-                existentials: existentials.into_iter().collect(),
+            let frontier: Vec<Var> = conclusion_vars
+                .into_iter()
+                .filter(|v| existentials.binary_search(v).is_err())
+                .collect();
+            let slot = |t: &Term| match t {
+                Term::Const(v) => ConclusionSlot::Const(Elem::constant(v)),
+                Term::Var(v) => match existentials.binary_search(v) {
+                    Ok(i) => ConclusionSlot::Existential(i),
+                    Err(_) => ConclusionSlot::Frontier(
+                        frontier
+                            .binary_search(v)
+                            .expect("a conclusion variable is existential or frontier"),
+                    ),
+                },
             };
-            (&t.premise, Action::Tgd(tgd))
+            let slots = |a: &Atom| (a.pred, a.args.iter().map(slot).collect());
+            let tgd = CompiledTgd {
+                conclusion: t.conclusion.clone(),
+                slots: t.conclusion.iter().map(slots).collect(),
+                frontier,
+                existentials,
+            };
+            (t.premise.clone(), Action::Tgd(tgd))
         }
         Constraint::Egd(e) => {
             let equal = (Slot::compile(&e.equal.0), Slot::compile(&e.equal.1));
             let name = e.name;
-            (&e.premise, Action::Egd { name, equal })
+            (e.premise.clone(), Action::Egd { name, equal })
         }
+    }
+}
+
+/// A constraint set prepared for chasing: everything a run derives from the
+/// constraints alone, built once and shared — immutably — by every run over
+/// the set (see the module docs). The slice-taking entry points prepare
+/// their argument and run; a [`crate::pacb::Rewriter`] prepares its three
+/// sets once per catalog epoch.
+pub(crate) struct PreparedConstraints {
+    /// Premise per constraint — the search phase's patterns.
+    premises: Vec<Vec<Atom>>,
+    /// Action per constraint — what the apply phase fires.
+    actions: Vec<Action>,
+    /// Premise predicate → the constraints with an atom over it, ascending.
+    /// A semi-naive trigger needs a delta fact, so a delta round searches
+    /// only what this lists under the predicates that changed.
+    by_premise_pred: HashMap<Symbol, Vec<usize>>,
+    /// Widest useful search fan-out: one item per premise atom.
+    max_search_items: usize,
+    /// Test-only reference mode ([`crate::testkit::chase_every_premise`]):
+    /// search every premise every round, as if nothing could be ruled out.
+    pub(crate) search_every_premise: bool,
+}
+
+impl PreparedConstraints {
+    /// Compile `constraints`, keeping their order (= firing order).
+    pub(crate) fn new(constraints: &[Constraint]) -> PreparedConstraints {
+        let (premises, actions): (Vec<Vec<Atom>>, Vec<Action>) =
+            constraints.iter().map(compile).unzip();
+        let mut by_premise_pred: HashMap<Symbol, Vec<usize>> = HashMap::new();
+        for (cidx, premise) in premises.iter().enumerate() {
+            for atom in premise {
+                let listed = by_premise_pred.entry(atom.pred).or_default();
+                if listed.last() != Some(&cidx) {
+                    listed.push(cidx);
+                }
+            }
+        }
+        PreparedConstraints {
+            max_search_items: premises.iter().map(|p| p.len().max(1)).sum(),
+            premises,
+            actions,
+            by_premise_pred,
+            search_every_premise: false,
+        }
+    }
+
+    /// Whether every predicate of constraint `cidx`'s premise has an alive
+    /// fact — without one per atom no homomorphism exists.
+    fn populated(&self, instance: &Instance, cidx: usize) -> bool {
+        let premise = &self.premises[cidx];
+        premise.iter().all(|a| instance.pred_count(a.pred) > 0)
+    }
+
+    /// The positions in `members` whose premise this round has to search
+    /// (the live-premise rule of the module docs), ascending.
+    fn live(
+        &self,
+        instance: &Instance,
+        members: &[usize],
+        delta: Option<&DeltaIndex>,
+    ) -> Vec<usize> {
+        // Per constraint, whether a premise predicate has delta facts; in a
+        // stage's first round (`None`) every fact counts as new.
+        let touched = delta.map(|d| {
+            let mut touched = vec![false; self.premises.len()];
+            let changed = d.by_pred.iter().filter(|(_, facts)| !facts.is_empty());
+            let listed = changed.filter_map(|(pred, _)| self.by_premise_pred.get(pred));
+            for &cidx in listed.flatten() {
+                touched[cidx] = true;
+            }
+            touched
+        });
+        let is_live = |cidx: usize| {
+            self.search_every_premise
+                || (touched.as_ref().is_none_or(|t| t[cidx]) && self.populated(instance, cidx))
+        };
+        (0..members.len())
+            .filter(|&m| is_live(members[m]))
+            .collect()
     }
 }
 
@@ -397,31 +557,25 @@ fn schedule(
     }
 }
 
-/// The chase driver: take `constraints` over `instance` to fixpoint, stage
-/// by stage of the schedule `cert` induces (`None` = the whole set under
-/// `cfg`'s budget), firing triggers through `policy`. Stats accumulate
+/// The chase driver: take the prepared `set` over `instance` to fixpoint,
+/// stage by stage of the schedule `cert` induces (`None` = the whole set
+/// under `cfg`'s budget), firing triggers through `policy`. Stats accumulate
 /// across stages; each stage's budget counts its own rounds.
 pub(crate) fn run_chase<P: FiringPolicy>(
     arena: &mut HomArena,
     instance: &mut Instance,
-    constraints: &[Constraint],
+    set: &PreparedConstraints,
     cfg: &ChaseConfig,
     cert: Option<&TerminationCertificate>,
     policy: &mut P,
 ) -> Result<ChaseStats, ChaseError> {
-    let (premises, actions): (Vec<&[Atom]>, Vec<Action>) = constraints.iter().map(compile).unzip();
     // One search pool for the whole run, spawned lazily by the first round
     // that actually fans out and reused by every later round (a chase is a
     // loop of searches — a thread spawn/join per round is pure overhead) —
-    // so a chase whose every round searches inline creates no threads. A
-    // delta round fans out one item per (constraint, premise anchor), which
-    // bounds the useful width.
-    let max_items: usize = premises.iter().map(|p| p.len().max(1)).sum();
-    let workers = cfg.search_workers.clamp(1, max_items.max(1));
+    // so a chase whose every round searches inline creates no threads.
     let mut pool: Option<Pool> = None;
     let mut total = ChaseStats::default();
-    for (members, budget) in schedule(constraints.len(), cfg, cert) {
-        let stage_premises: Vec<&[Atom]> = members.iter().map(|&i| premises[i]).collect();
+    for (members, budget) in schedule(set.premises.len(), cfg, cert) {
         let mut stats = ChaseStats::default();
         // Epoch threshold separating "old" facts from the previous round's
         // delta; `None` = the stage's first round, search everything.
@@ -438,19 +592,20 @@ pub(crate) fn run_chase<P: FiringPolicy>(
             let delta = threshold.map(|t| instance.delta_index(t));
             // Phase 1: read-only trigger search against the frozen
             // round-start instance, fanned out over the search workers.
-            let triggers = search_triggers(
+            let (searched, triggers) = search_triggers(
                 arena,
                 instance,
-                &stage_premises,
+                set,
+                &members,
                 cfg,
-                workers,
                 &mut pool,
                 delta.as_ref(),
             );
+            stats.premise_searches += searched;
             // Phase 2: serial apply in constraint order.
             let mut changed = false;
             for (&cidx, homs) in members.iter().zip(triggers) {
-                match &actions[cidx] {
+                match &set.actions[cidx] {
                     Action::Tgd(tgd) => {
                         for h in &homs {
                             changed |= policy.fire_tgd(arena, instance, cidx, tgd, h, &mut stats);
@@ -478,34 +633,47 @@ pub(crate) fn run_chase<P: FiringPolicy>(
 }
 
 /// The read-only search phase (see the module docs): enumerate the
-/// triggers of every premise against the frozen instance, in premise
-/// (= constraint) order. With `workers <= 1`, a single premise, or an
-/// instance below [`ChaseConfig::search_min_facts`] the searches run inline
-/// on the caller's warmed arena — the serial fast path pays nothing for the
-/// phase machinery; otherwise they fan out over the run's `pool` (created
-/// on first use), whose fan-in is in item order.
+/// triggers of the stage's `members` against the frozen instance, one list
+/// per member in member (= firing) order, preceded by the number of
+/// premises searched. Only the live premises (module docs) are; the others
+/// cannot have a trigger and get the empty list. With one search worker, a
+/// single live premise, or an instance below
+/// [`ChaseConfig::search_min_facts`] the searches run inline on the
+/// caller's warmed arena — the serial fast path pays nothing for the phase
+/// machinery; otherwise they fan out over the run's `pool` (created on
+/// first use), whose fan-in is in item order.
 fn search_triggers(
     arena: &mut HomArena,
     instance: &Instance,
-    premises: &[&[Atom]],
+    set: &PreparedConstraints,
+    members: &[usize],
     cfg: &ChaseConfig,
-    workers: usize,
     pool: &mut Option<Pool>,
     delta: Option<&DeltaIndex>,
-) -> Vec<Vec<Hom>> {
+) -> (usize, Vec<Vec<Hom>>) {
     let hom = cfg.hom;
-    if workers <= 1 || premises.len() <= 1 || instance.len() < cfg.search_min_facts {
-        return premises
-            .iter()
-            .map(|p| find_trigger_homs_in(arena, instance, p, hom, delta))
-            .collect();
+    let premise = |m: usize| set.premises[members[m]].as_slice();
+    let live = set.live(instance, members, delta);
+    let mut out: Vec<Vec<Hom>> = vec![Vec::new(); members.len()];
+    // A delta round fans out one item per (constraint, premise anchor),
+    // which bounds the useful width.
+    let workers = cfg.search_workers.min(set.max_search_items);
+    if workers <= 1 || live.len() <= 1 || instance.len() < cfg.search_min_facts {
+        for &m in &live {
+            out[m] = find_trigger_homs_in(arena, instance, premise(m), hom, delta);
+        }
+        return (live.len(), out);
     }
     let pool = pool.get_or_insert_with(|| Pool::new(workers));
     let Some(d) = delta else {
-        // First round: one full search per constraint.
-        return pool.map_init(premises, HomArena::new, |worker_arena, _, p| {
-            find_trigger_homs_in(worker_arena, instance, p, hom, None)
+        // First round: one full search per live constraint.
+        let found = pool.map_init(&live, HomArena::new, |worker_arena, _, &m| {
+            find_trigger_homs_in(worker_arena, instance, premise(m), hom, None)
         });
+        for (&m, homs) in live.iter().zip(found) {
+            out[m] = homs;
+        }
+        return (live.len(), out);
     };
     // Delta rounds fan out one work item per (constraint, premise anchor)
     // with delta facts, not one per constraint: each anchored pass of the
@@ -514,31 +682,22 @@ fn search_triggers(
     // predicate) no longer serializes behind one worker. Anchors with no
     // delta facts are skipped up front — same as the serial loop.
     let mut items: Vec<(usize, usize)> = Vec::new();
-    for (pidx, premise) in premises.iter().enumerate() {
-        for (anchor, atom) in premise.iter().enumerate() {
+    for &m in &live {
+        for (anchor, atom) in premise(m).iter().enumerate() {
             if !d.facts_of(atom.pred).is_empty() {
-                items.push((pidx, anchor));
+                items.push((m, anchor));
             }
         }
     }
     let fixed = HashMap::new();
-    let per_item = pool.map_init(&items, HomArena::new, |worker_arena, _, &(pidx, anchor)| {
-        find_homs_delta_anchor_in(
-            worker_arena,
-            instance,
-            premises[pidx],
-            &fixed,
-            hom,
-            d,
-            anchor,
-        )
+    let per_item = pool.map_init(&items, HomArena::new, |worker_arena, _, &(m, anchor)| {
+        find_homs_delta_anchor_in(worker_arena, instance, premise(m), &fixed, hom, d, anchor)
     });
     // Reassemble per constraint in anchor order, truncated to the hom
     // limit — the same homs, in the same order, as the serial
     // early-stopping anchor loop.
-    let mut out: Vec<Vec<Hom>> = vec![Vec::new(); premises.len()];
-    for (&(pidx, _), homs) in items.iter().zip(per_item) {
-        let dst = &mut out[pidx];
+    for (&(m, _), homs) in items.iter().zip(per_item) {
+        let dst = &mut out[m];
         for h in homs {
             if dst.len() >= hom.limit {
                 break;
@@ -546,7 +705,7 @@ fn search_triggers(
             dst.push(h);
         }
     }
-    out
+    (live.len(), out)
 }
 
 /// The EGD arm of the apply phase: for each trigger the policy lets fire,
@@ -605,6 +764,8 @@ pub(crate) struct Restricted {
     memo: Option<FrontierCache<()>>,
     /// Scratch for the current trigger's memo key.
     key: Vec<Elem>,
+    /// Scratch for the fresh nulls of the current firing.
+    invented: Vec<Elem>,
 }
 
 impl Restricted {
@@ -612,6 +773,7 @@ impl Restricted {
         Restricted {
             memo: cfg.memo.then(|| FrontierCache::new(true)),
             key: Vec::new(),
+            invented: Vec::new(),
         }
     }
 }
@@ -622,7 +784,7 @@ impl FiringPolicy for Restricted {
         arena: &mut HomArena,
         instance: &mut Instance,
         cidx: usize,
-        tgd: &CompiledTgd<'_>,
+        tgd: &CompiledTgd,
         h: &Hom,
         stats: &mut ChaseStats,
     ) -> bool {
@@ -640,15 +802,14 @@ impl FiringPolicy for Restricted {
             }
             stats.memo_misses += 1;
         }
-        let images = self.key.iter().copied();
-        let mut assignment: HashMap<Var, Elem> = tgd.frontier.iter().copied().zip(images).collect();
+        let bound = tgd.frontier.iter().copied().zip(self.key.iter().copied());
         let mut changed = false;
-        if find_one_hom_in(arena, instance, tgd.conclusion, &assignment).is_none() {
+        if !has_hom_in(arena, instance, &tgd.conclusion, bound) {
             // Fire: fresh nulls for existential variables.
-            for v in &tgd.existentials {
-                assignment.insert(*v, instance.fresh_null());
-            }
-            for (pred, args) in tgd.conclusion_facts(&assignment) {
+            self.invented.clear();
+            let fresh = tgd.existentials.iter().map(|_| instance.fresh_null());
+            self.invented.extend(fresh);
+            for (pred, args) in tgd.conclusion_facts(&self.key, &self.invented) {
                 changed |= instance.insert(pred, args).1;
             }
             stats.tgd_fires += 1;

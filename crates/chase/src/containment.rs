@@ -1,7 +1,9 @@
 //! Chase-based containment, equivalence and minimization of conjunctive
 //! queries under constraints.
 
-use crate::chase::{chase_with, ChaseConfig, ChaseError};
+use crate::chase::{
+    chase_prepared, chase_with, ChaseConfig, ChaseError, ChaseStats, PreparedConstraints,
+};
 use crate::hom::{find_one_hom_in, HomArena};
 use crate::instance::{Elem, Instance};
 use estocada_pivot::{Atom, Constraint, Cq, Term, Var};
@@ -62,19 +64,32 @@ pub fn contained_in_with(
     constraints: &[Constraint],
     cfg: &ChaseConfig,
 ) -> Result<bool, ChaseError> {
+    let set = PreparedConstraints::new(constraints);
+    contained_in_prepared(arena, q1, q2, &set, cfg).map(|(contained, _)| contained)
+}
+
+/// [`contained_in_with`] over an already prepared set, also reporting the
+/// counters of the chase it ran (zero when none completed).
+pub(crate) fn contained_in_prepared(
+    arena: &mut HomArena,
+    q1: &Cq,
+    q2: &Cq,
+    set: &PreparedConstraints,
+    cfg: &ChaseConfig,
+) -> Result<(bool, ChaseStats), ChaseError> {
     if q1.head.len() != q2.head.len() {
-        return Ok(false);
+        return Ok((false, ChaseStats::default()));
     }
     let mut inst = canonical_instance(q1);
-    match chase_with(arena, &mut inst, constraints, cfg) {
-        Ok(_) => {}
+    let stats = match chase_prepared(arena, &mut inst, set, cfg, None) {
+        Ok(stats) => stats,
         // An inconsistent canonical instance denotes the empty query, which
         // is contained in everything.
-        Err(ChaseError::Inconsistent(_)) => return Ok(true),
+        Err(ChaseError::Inconsistent(_)) => return Ok((true, ChaseStats::default())),
         Err(e) => return Err(e),
-    }
+    };
     let targets = head_images(q1, &inst);
-    Ok(head_preserving_image_in(arena, q2, &inst, &targets))
+    Ok((head_preserving_image_in(arena, q2, &inst, &targets), stats))
 }
 
 /// Is there a homomorphism from `q`'s body into `inst` mapping `q`'s head

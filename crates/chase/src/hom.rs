@@ -185,7 +185,7 @@ fn compile<'a>(
     arena: &mut HomArena,
     instance: &'a Instance,
     atoms: &[Atom],
-    fixed: &HashMap<Var, Elem>,
+    fixed: impl Iterator<Item = (Var, Elem)> + Clone,
     limit: usize,
 ) -> (Ctx<'a>, Scratch) {
     let mut var_ids = std::mem::take(&mut arena.var_ids);
@@ -199,8 +199,8 @@ fn compile<'a>(
         })
     };
     // Fixed variables first so their scratch cells can be seeded.
-    for v in fixed.keys() {
-        intern(*v, &mut vars, &mut var_ids);
+    for (v, _) in fixed.clone() {
+        intern(v, &mut vars, &mut var_ids);
     }
     let mut compiled = std::mem::take(&mut arena.atoms);
     compiled.clear();
@@ -221,7 +221,7 @@ fn compile<'a>(
     bind.clear();
     bind.resize(vars.len(), None);
     for (v, e) in fixed {
-        bind[var_ids[v]] = Some(instance.resolve(e));
+        bind[var_ids[&v]] = Some(instance.resolve(&e));
     }
     arena.var_ids = var_ids; // interning map no longer needed; keep capacity
     let mut strata = std::mem::take(&mut arena.strata);
@@ -449,11 +449,40 @@ pub fn find_homs_in(
     fixed: &HashMap<Var, Elem>,
     cfg: HomConfig,
 ) -> Vec<Hom> {
-    let (ctx, mut scratch) = compile(arena, instance, atoms, fixed, cfg.limit);
+    find_homs_extending(arena, instance, atoms, pairs(fixed), cfg.limit)
+}
+
+/// A fixed-variable map as the `(variable, image)` pairs [`compile`] takes.
+fn pairs(fixed: &HashMap<Var, Elem>) -> impl Iterator<Item = (Var, Elem)> + Clone + '_ {
+    fixed.iter().map(|(v, e)| (*v, *e))
+}
+
+/// [`find_homs_in`] with the partial assignment as pairs.
+fn find_homs_extending(
+    arena: &mut HomArena,
+    instance: &Instance,
+    atoms: &[Atom],
+    fixed: impl Iterator<Item = (Var, Elem)> + Clone,
+    limit: usize,
+) -> Vec<Hom> {
+    let (ctx, mut scratch) = compile(arena, instance, atoms, fixed, limit);
     search(&ctx, &mut scratch, 0);
     let results = std::mem::take(&mut scratch.results);
     arena.recycle(ctx, scratch);
     results
+}
+
+/// Whether `atoms` has a homomorphism into `instance` extending the
+/// `fixed` pairs — [`find_one_hom_in`] for a caller that holds its partial
+/// assignment as parallel slices and needs no witness (the restricted
+/// chase's per-trigger applicability probe).
+pub(crate) fn has_hom_in(
+    arena: &mut HomArena,
+    instance: &Instance,
+    atoms: &[Atom],
+    fixed: impl Iterator<Item = (Var, Elem)> + Clone,
+) -> bool {
+    !find_homs_extending(arena, instance, atoms, fixed, 1).is_empty()
 }
 
 /// Find one homomorphism, if any (cheaper early exit).
@@ -505,7 +534,7 @@ pub fn find_homs_delta_in(
     cfg: HomConfig,
     delta: &DeltaIndex,
 ) -> Vec<Hom> {
-    let (mut ctx, mut scratch) = compile(arena, instance, atoms, fixed, cfg.limit);
+    let (mut ctx, mut scratch) = compile(arena, instance, atoms, pairs(fixed), cfg.limit);
     ctx.delta = Some(delta);
     ctx.threshold = delta.threshold;
     for anchor in 0..atoms.len() {
@@ -548,7 +577,7 @@ pub fn find_homs_delta_anchor_in(
     if delta.facts_of(atoms[anchor].pred).is_empty() {
         return Vec::new();
     }
-    let (mut ctx, mut scratch) = compile(arena, instance, atoms, fixed, cfg.limit);
+    let (mut ctx, mut scratch) = compile(arena, instance, atoms, pairs(fixed), cfg.limit);
     ctx.delta = Some(delta);
     ctx.threshold = delta.threshold;
     for i in 0..atoms.len() {

@@ -16,6 +16,10 @@
 //! on dense compact-id scratch bindings over borrowing positional indexes
 //! (see [`hom`]). The standard chase and the provenance chase are one
 //! driver under two firing policies (see [`mod@chase`] and [`pchase`]): it
+//! chases constraint sets compiled once per prepared set — a
+//! [`pacb::Rewriter`] prepares PACB's three once for every query over the
+//! same views —, searches only premises that can have a trigger (every
+//! predicate populated, one of them changed),
 //! evaluates semi-naively — after the first round only triggers touching
 //! the previous round's delta facts are searched
 //! ([`instance::Instance::delta_index`]) — and splits every round into a
@@ -56,7 +60,7 @@ pub use instance::{DeltaIndex, Elem, Inconsistent, Instance, StoredFact};
 pub use naive::{naive_rewrite, NaiveConfig};
 pub use pacb::{
     pacb_rewrite, CandidateStats, RewriteConfig, RewriteError, RewriteOutcome, RewriteProblem,
-    RewriteStats,
+    RewriteStats, Rewriter,
 };
 pub use pchase::{prov_chase, prov_chase_stratified, prov_chase_with, ProvChaseStats};
 pub use prov::Dnf;

@@ -11,8 +11,8 @@
 
 use crate::hom::HomArena;
 use crate::pacb::{
-    accept_candidate, build_candidate, universal_plan, CandidateStats, RewriteConfig, RewriteError,
-    RewriteOutcome, RewriteProblem, RewriteStats,
+    build_candidate, RewriteConfig, RewriteError, RewriteOutcome, RewriteProblem, RewriteStats,
+    Verdict,
 };
 use estocada_pivot::Cq;
 use std::collections::BTreeSet;
@@ -45,7 +45,8 @@ pub fn naive_rewrite(
     cfg: &NaiveConfig,
 ) -> Result<RewriteOutcome, RewriteError> {
     let mut arena = HomArena::new();
-    let up = universal_plan(&mut arena, problem, &cfg.rewrite.chase)?;
+    let rewriter = problem.rewriter();
+    let up = rewriter.universal_plan(&mut arena, &problem.query, &cfg.rewrite.chase)?;
     let mut stats = RewriteStats {
         forward: up.stats,
         universal_plan_atoms: up.atoms.len(),
@@ -58,7 +59,6 @@ pub fn naive_rewrite(
     );
     let n = up.atoms.len();
     let max_size = cfg.max_subset.unwrap_or(n).min(n);
-    let all_constraints = problem.all_constraints();
 
     let mut accepted: Vec<BTreeSet<usize>> = Vec::new();
     let mut rewritings: Vec<Cq> = Vec::new();
@@ -84,17 +84,11 @@ pub fn naive_rewrite(
                     &subset,
                     rewritings.len(),
                 );
-                let mut cs = CandidateStats::default();
-                let ok = accept_candidate(
-                    &mut arena,
-                    &candidate,
-                    problem,
-                    &all_constraints,
-                    &cfg.rewrite,
-                    &mut cs,
-                );
+                let (verdict, cs) =
+                    rewriter.check_candidate(&mut arena, &candidate, &problem.query, &cfg.rewrite);
                 stats.absorb(cs);
-                if ok {
+                complete &= verdict != Verdict::Undecided;
+                if verdict == Verdict::Accepted {
                     stats.accepted += 1;
                     accepted.push(subset);
                     rewritings.push(candidate);

@@ -20,12 +20,34 @@
 //!    provenance treatment is conservative, see `pchase`) re-verified by a
 //!    chase-based containment test before being reported.
 //!
+//! # The `Rewriter`: prepared once, rewriting many queries
+//!
+//! Nothing above but `Q` changes between two queries over the same views:
+//! the three constraint sets the steps chase with — forward inclusions +
+//! source constraints (step 1), backward inclusions + source + target
+//! (step 2), both directions + source + target (step 3's containment
+//! chases) —, the set of view names that picks `U` out of the forward
+//! chase, and the access map. A [`Rewriter`] owns exactly these, each
+//! constraint set compiled and predicate-indexed for the chase driver (see
+//! "Constraints are compiled once per prepared set" and the live-premise
+//! rule in [`mod@crate::chase`]), and [`Rewriter::rewrite`] is the one
+//! statement of the algorithm: it derives no constraint, clones none and
+//! compiles none per query. It is immutable and `Sync`; the mediator keeps
+//! one per catalog epoch and every plan-cache miss of every client thread
+//! rewrites through it. [`pacb_rewrite`] is the one-shot wrapper —
+//! `problem.rewriter().rewrite(&problem.query, cfg)` — for callers with a
+//! single query (tests, benches, tools); its outcome is the reused
+//! rewriter's, it just pays the preparation on every call.
+//! [`crate::naive::naive_rewrite`] runs its enumeration over the same
+//! prepared universal-plan chase and acceptance filter.
+//!
 //! # Parallel candidate verification and the deterministic fan-in contract
 //!
 //! Step 3 dominates rewriting time on multi-candidate problems, and every
 //! candidate's check is independent of every other's: it reads only the
-//! candidate, the problem, and the constraint set, and chases a **fresh**
-//! canonical instance. [`pacb_rewrite`] therefore fans the checks out over
+//! candidate, the query, and the prepared verification set, and chases a
+//! **fresh** canonical instance. [`Rewriter::rewrite`] therefore fans the
+//! checks out over
 //! a scoped worker pool ([`estocada_parexec::scoped_map_init`]) of
 //! [`RewriteConfig::parallelism`] threads, each holding a private
 //! [`HomArena`] scratch arena (no shared mutable state, no locks on the
@@ -39,9 +61,11 @@
 //! - candidates are enumerated from the minimized provenance DNF **before**
 //!   fan-out, in clause order, on the coordinator (workers never touch the
 //!   global symbol interner or any other process-wide state);
-//! - each worker computes a pure `(accept?, `[`CandidateStats`]`)` verdict
-//!   for its candidates; per-candidate counters live in the mergeable
-//!   `CandidateStats`, not in shared counters, so they cannot race;
+//! - each worker computes a pure `(verdict, `[`CandidateStats`]`)` pair for
+//!   its candidates — accepted, rejected, or *undecided* when the
+//!   verification chase itself failed; per-candidate counters live in the
+//!   mergeable `CandidateStats`, not in shared counters, so they cannot
+//!   race;
 //! - the coordinator merges verdicts **in candidate order**: sequential
 //!   accepted-rewriting naming (`Q_rw0, Q_rw1, …`), canonical-form
 //!   deduplication and stats absorption all happen at fan-in, exactly as
@@ -49,8 +73,10 @@
 //!
 //! Early exits keep the contract: truncation (`max_images`, the provenance
 //! clause cap) happens before fan-out; a chase-budget failure inside one
-//! worker's containment check rejects that candidate (as in the serial
-//! run) without touching its siblings; a worker panic poisons the pool,
+//! worker's containment check leaves that candidate undecided — dropped
+//! and counted under `rejected` like a refuted one, and the fan-in clears
+//! `complete`, since a rewriting may have been lost (as in the serial
+//! run) — without touching its siblings; a worker panic poisons the pool,
 //! cancels the outstanding candidates and re-raises on the caller — the
 //! scoped pool cannot deadlock or leak threads. Problems with fewer than
 //! `PARALLEL_CANDIDATE_THRESHOLD` candidates (or with verification off)
@@ -68,7 +94,7 @@
 //! # Cacheability
 //!
 //! The fan-in contract makes a [`RewriteOutcome`] a *pure, deterministic*
-//! function of `(RewriteProblem, budgets)` — worker counts never leak into
+//! function of `(Rewriter, query, budgets)` — worker counts never leak into
 //! it. That is what lets callers share one outcome across threads and
 //! reuse it across queries: the mediator's rewrite-plan cache stores
 //! outcomes as `Arc<RewriteOutcome>` keyed by `(canonical query, catalog
@@ -77,14 +103,14 @@
 //! rewrite would produce. Two threads racing to fill a cold cache slot
 //! compute bit-identical outcomes, so first-insert-wins is sound.
 
-use crate::chase::{chase_with, ChaseConfig, ChaseError, ChaseStats};
-use crate::containment::{canonical_instance, contained_in_with};
+use crate::chase::{chase_prepared, ChaseConfig, ChaseError, ChaseStats, PreparedConstraints};
+use crate::containment::{canonical_instance, contained_in_prepared};
 use crate::hom::{find_homs_in, HomArena, HomConfig};
 use crate::instance::{Elem, Instance};
-use crate::pchase::{prov_chase_with, ProvChaseStats};
+use crate::pchase::{prov_chase_prepared, ProvChaseStats};
 use crate::prov::Dnf;
 use estocada_parexec::scoped_map_init;
-use estocada_pivot::{AccessMap, Atom, Constraint, Cq, Symbol, Term, Var, ViewDef};
+use estocada_pivot::{AccessMap, Atom, Constraint, Cq, Symbol, Term, Tgd, Var, ViewDef};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 
@@ -115,19 +141,15 @@ impl RewriteProblem {
         }
     }
 
-    /// The full constraint set (both view directions + source + target).
-    pub fn all_constraints(&self) -> Vec<Constraint> {
-        let mut out = Vec::new();
-        for v in &self.views {
-            out.extend(v.constraints());
-        }
-        out.extend(self.source_constraints.iter().cloned());
-        out.extend(self.target_constraints.iter().cloned());
-        out
-    }
-
-    fn view_names(&self) -> HashSet<Symbol> {
-        self.views.iter().map(|v| v.name()).collect()
+    /// The [`Rewriter`] of this problem's views, constraints and access
+    /// patterns (everything but the query).
+    pub fn rewriter(&self) -> Rewriter {
+        Rewriter::new(
+            &self.views,
+            &self.source_constraints,
+            &self.target_constraints,
+            self.access.clone(),
+        )
     }
 }
 
@@ -202,6 +224,9 @@ pub struct CandidateStats {
     pub infeasible: usize,
     /// Candidate rejected (unsafe head, failed or errored verification).
     pub rejected: usize,
+    /// Counters of the candidate's verification chase (zero when none ran
+    /// to completion).
+    pub verification: ChaseStats,
 }
 
 /// Counters describing one rewriting run.
@@ -224,6 +249,8 @@ pub struct RewriteStats {
     pub infeasible: usize,
     /// Candidates rejected by verification.
     pub rejected: usize,
+    /// Counters of the candidates' verification chases, summed.
+    pub verification: ChaseStats,
 }
 
 impl RewriteStats {
@@ -231,6 +258,14 @@ impl RewriteStats {
     pub fn absorb(&mut self, c: CandidateStats) {
         self.infeasible += c.infeasible;
         self.rejected += c.rejected;
+        self.verification += c.verification;
+    }
+
+    /// Premise searches of every chase of the run (forward, backchase,
+    /// verification) — see [`ChaseStats::premise_searches`].
+    pub fn premise_searches(&self) -> usize {
+        let chases = [self.forward, self.backward.chase, self.verification];
+        chases.iter().map(|c| c.premise_searches).sum()
     }
 }
 
@@ -241,8 +276,9 @@ pub struct RewriteOutcome {
     pub rewritings: Vec<Cq>,
     /// The universal plan (empty body if no view atom was derivable).
     pub universal_plan: Cq,
-    /// `false` when provenance truncation or image caps may have hidden
-    /// additional rewritings.
+    /// `false` when provenance truncation, image caps or a verification
+    /// chase that failed (budget, chase error) may have hidden additional
+    /// rewritings.
     pub complete: bool,
     /// Run counters.
     pub stats: RewriteStats,
@@ -285,47 +321,143 @@ pub(crate) struct UniversalPlan {
     pub stats: ChaseStats,
 }
 
-/// Compute the universal plan of `problem.query`.
-pub(crate) fn universal_plan(
-    arena: &mut HomArena,
-    problem: &RewriteProblem,
-    cfg: &ChaseConfig,
-) -> Result<UniversalPlan, RewriteError> {
-    if !problem.query.is_safe() {
-        return Err(RewriteError::UnsafeQuery);
-    }
-    let mut inst = canonical_instance(&problem.query);
-    let mut constraints: Vec<Constraint> = problem
-        .views
-        .iter()
-        .map(|v| Constraint::Tgd(v.forward_tgd()))
-        .collect();
-    constraints.extend(problem.source_constraints.iter().cloned());
-    let stats = chase_with(arena, &mut inst, &constraints, cfg)?;
+/// What one candidate's acceptance check concluded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Verdict {
+    /// Safe, feasible and (with verification on) proven equivalent.
+    Accepted,
+    /// Proven not to be a rewriting (unsafe, infeasible, not contained).
+    Rejected,
+    /// The verification chase failed (budget, chase error): dropped like a
+    /// rejection, but the run can no longer claim to be exhaustive.
+    Undecided,
+}
 
-    let names = problem.view_names();
-    let mut atoms: Vec<Atom> = Vec::new();
-    for id in inst.fact_ids() {
-        let f = inst.fact(id);
-        if !names.contains(&f.pred) {
-            continue;
+/// Everything PACB derives from the views, the constraints and the access
+/// patterns alone, prepared once and reused — immutably, from any number
+/// of threads — for every query rewritten against them: the three
+/// constraint sets the algorithm chases with, the view-name set that picks
+/// the universal plan out of the forward chase, and the access map of the
+/// feasibility check. The mediator keeps one per catalog epoch;
+/// [`pacb_rewrite`] builds one for a single query.
+pub struct Rewriter {
+    /// Forward view inclusions (`body(Vi) → Vi`) + source constraints: the
+    /// universal-plan chase.
+    forward: PreparedConstraints,
+    /// Backward view inclusions (`Vi → body(Vi)`) + source + target
+    /// constraints: the provenance backchase.
+    backward: PreparedConstraints,
+    /// Both directions of every view + source + target constraints: the
+    /// candidates' verification chases.
+    verification: PreparedConstraints,
+    view_names: HashSet<Symbol>,
+    access: AccessMap,
+}
+
+impl Rewriter {
+    /// Prepare rewriting over `views` under the `source` (model axioms,
+    /// keys) and `target` (fragment-schema) constraints, with `access`
+    /// restricting how view relations may be read.
+    pub fn new(
+        views: &[ViewDef],
+        source: &[Constraint],
+        target: &[Constraint],
+        access: AccessMap,
+    ) -> Rewriter {
+        let inclusions = |direction: fn(&ViewDef) -> Tgd| -> Vec<Constraint> {
+            views.iter().map(|v| direction(v).into()).collect()
+        };
+        let forward = [&inclusions(ViewDef::forward_tgd), source].concat();
+        let backward = [&inclusions(ViewDef::backward_tgd), source, target].concat();
+        let both: Vec<Constraint> = views.iter().flat_map(ViewDef::constraints).collect();
+        let verification = [&both, source, target].concat();
+        Rewriter {
+            forward: PreparedConstraints::new(&forward),
+            backward: PreparedConstraints::new(&backward),
+            verification: PreparedConstraints::new(&verification),
+            view_names: views.iter().map(ViewDef::name).collect(),
+            access,
         }
-        let args: Vec<Term> = f.args.iter().map(elem_to_term).collect();
-        atoms.push(Atom::new(f.pred, args));
     }
-    atoms.sort();
-    atoms.dedup();
 
-    let head: Vec<Term> = problem
-        .query
-        .head
-        .iter()
-        .map(|t| match t {
-            Term::Var(v) => elem_to_term(&inst.resolve(&Elem::Null(v.0))),
-            Term::Const(c) => Term::Const(c.clone()),
-        })
-        .collect();
-    Ok(UniversalPlan { head, atoms, stats })
+    /// Compute the universal plan of `query`.
+    pub(crate) fn universal_plan(
+        &self,
+        arena: &mut HomArena,
+        query: &Cq,
+        cfg: &ChaseConfig,
+    ) -> Result<UniversalPlan, RewriteError> {
+        if !query.is_safe() {
+            return Err(RewriteError::UnsafeQuery);
+        }
+        let mut inst = canonical_instance(query);
+        let stats = chase_prepared(arena, &mut inst, &self.forward, cfg, None)?;
+
+        let mut atoms: Vec<Atom> = Vec::new();
+        for id in inst.fact_ids() {
+            let f = inst.fact(id);
+            if !self.view_names.contains(&f.pred) {
+                continue;
+            }
+            let args: Vec<Term> = f.args.iter().map(elem_to_term).collect();
+            atoms.push(Atom::new(f.pred, args));
+        }
+        atoms.sort();
+        atoms.dedup();
+
+        let head: Vec<Term> = query
+            .head
+            .iter()
+            .map(|t| match t {
+                Term::Var(v) => elem_to_term(&inst.resolve(&Elem::Null(v.0))),
+                Term::Const(c) => Term::Const(c.clone()),
+            })
+            .collect();
+        Ok(UniversalPlan { head, atoms, stats })
+    }
+
+    /// Shared acceptance filter: safety, feasibility, optional verification.
+    ///
+    /// Pure per-candidate check: reads only its arguments and writes only
+    /// `arena` (the calling worker's private scratch) — the reason
+    /// candidates can verify in parallel without skew.
+    pub(crate) fn check_candidate(
+        &self,
+        arena: &mut HomArena,
+        candidate: &Cq,
+        query: &Cq,
+        cfg: &RewriteConfig,
+    ) -> (Verdict, CandidateStats) {
+        let mut stats = CandidateStats::default();
+        if !candidate.is_safe() {
+            stats.rejected += 1;
+            return (Verdict::Rejected, stats);
+        }
+        if !self.access.is_feasible(&candidate.body, &BTreeSet::new()) {
+            stats.infeasible += 1;
+            return (Verdict::Rejected, stats);
+        }
+        if !cfg.verify {
+            return (Verdict::Accepted, stats);
+        }
+        // Q ⊆ R holds for every subquery of the universal plan (chase
+        // soundness); only R ⊆ Q needs checking.
+        let verified =
+            contained_in_prepared(arena, candidate, query, &self.verification, &cfg.chase);
+        let verdict = match verified {
+            Ok((contained, chase)) => {
+                stats.verification = chase;
+                if contained {
+                    Verdict::Accepted
+                } else {
+                    Verdict::Rejected
+                }
+            }
+            Err(_) => Verdict::Undecided,
+        };
+        stats.rejected += usize::from(verdict != Verdict::Accepted);
+        (verdict, stats)
+    }
 }
 
 fn elem_to_term(e: &Elem) -> Term {
@@ -358,255 +490,197 @@ pub(crate) fn build_candidate(
     )
 }
 
-/// Shared acceptance filter: safety, feasibility, optional verification.
-///
-/// Pure per-candidate check: reads only its arguments, writes only
-/// `stats` (the candidate's private counters) and `arena` (the calling
-/// worker's private scratch) — the reason candidates can verify in
-/// parallel without skew.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn accept_candidate(
-    arena: &mut HomArena,
-    candidate: &Cq,
-    problem: &RewriteProblem,
-    all_constraints: &[Constraint],
-    cfg: &RewriteConfig,
-    stats: &mut CandidateStats,
-) -> bool {
-    if !candidate.is_safe() {
-        stats.rejected += 1;
-        return false;
-    }
-    if !problem
-        .access
-        .is_feasible(&candidate.body, &BTreeSet::new())
-    {
-        stats.infeasible += 1;
-        return false;
-    }
-    if cfg.verify {
-        // Q ⊆ R holds for every subquery of the universal plan (chase
-        // soundness); only R ⊆ Q needs checking.
-        match contained_in_with(
-            arena,
-            candidate,
-            &problem.query,
-            all_constraints,
-            &cfg.chase,
-        ) {
-            Ok(true) => {}
-            Ok(false) => {
-                stats.rejected += 1;
-                return false;
-            }
-            Err(_) => {
-                stats.rejected += 1;
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// Rewrite `problem.query` over the views with the provenance-aware Chase &
-/// Backchase. Returns all minimal feasible rewritings.
+/// Rewrite `query` over the views with the provenance-aware Chase &
+/// Backchase. Returns all minimal feasible rewritings. The one-shot form of
+/// [`Rewriter::rewrite`]: prepares the problem's constraint sets, rewrites
+/// the one query, and drops them.
 pub fn pacb_rewrite(
     problem: &RewriteProblem,
     cfg: &RewriteConfig,
 ) -> Result<RewriteOutcome, RewriteError> {
-    // Coordinator-side scratch for the forward chase, the provenance chase
-    // and the image search (workers get their own arenas at fan-out).
-    let mut arena = HomArena::new();
-    let up = universal_plan(&mut arena, problem, &cfg.chase)?;
-    let mut stats = RewriteStats {
-        forward: up.stats,
-        universal_plan_atoms: up.atoms.len(),
-        ..RewriteStats::default()
-    };
-    let universal_plan_cq = Cq::new(
-        format!("{}_up", problem.query.name).as_str(),
-        up.head.clone(),
-        up.atoms.clone(),
-    );
-    if up.atoms.is_empty() {
-        return Ok(RewriteOutcome {
-            rewritings: Vec::new(),
-            universal_plan: universal_plan_cq,
-            complete: true,
-            stats,
-        });
-    }
+    problem.rewriter().rewrite(&problem.query, cfg)
+}
 
-    // --- Backchase: freeze U, annotate, provenance-chase. ---
-    let mut inst = Instance::new();
-    let max_null = up
-        .atoms
-        .iter()
-        .flat_map(|a| a.vars())
-        .chain(up.head.iter().filter_map(Term::as_var))
-        .map(|v| v.0 + 1)
-        .max()
-        .unwrap_or(0);
-    inst.reserve_nulls(max_null);
-    for (i, atom) in up.atoms.iter().enumerate() {
-        let args: Vec<Elem> = atom.args.iter().map(term_to_elem).collect();
-        inst.insert_with_prov(atom.pred, args, Dnf::var(i as u32));
-    }
-    let mut back_constraints: Vec<Constraint> = problem
-        .views
-        .iter()
-        .map(|v| Constraint::Tgd(v.backward_tgd()))
-        .collect();
-    back_constraints.extend(problem.source_constraints.iter().cloned());
-    back_constraints.extend(problem.target_constraints.iter().cloned());
-    let pstats = prov_chase_with(
-        &mut arena,
-        &mut inst,
-        &back_constraints,
-        &cfg.chase,
-        cfg.clause_cap,
-    )?;
-    stats.backward = pstats;
-    let mut complete = !pstats.truncated;
-
-    // --- Collect head-preserving images of Q and their provenance. ---
-    let targets: Vec<Elem> = up
-        .head
-        .iter()
-        .map(|t| inst.resolve(&term_to_elem(t)))
-        .collect();
-    let fixed = match head_fixed_map(&problem.query, &targets) {
-        Some(f) => f,
-        None => {
+impl Rewriter {
+    /// Rewrite `query` over the views with the provenance-aware Chase &
+    /// Backchase. Returns all minimal feasible rewritings.
+    pub fn rewrite(&self, query: &Cq, cfg: &RewriteConfig) -> Result<RewriteOutcome, RewriteError> {
+        // Coordinator-side scratch for the forward chase, the provenance chase
+        // and the image search (workers get their own arenas at fan-out).
+        let mut arena = HomArena::new();
+        let up = self.universal_plan(&mut arena, query, &cfg.chase)?;
+        let mut stats = RewriteStats {
+            forward: up.stats,
+            universal_plan_atoms: up.atoms.len(),
+            ..RewriteStats::default()
+        };
+        let universal_plan_cq = Cq::new(
+            format!("{}_up", query.name).as_str(),
+            up.head.clone(),
+            up.atoms.clone(),
+        );
+        if up.atoms.is_empty() {
             return Ok(RewriteOutcome {
                 rewritings: Vec::new(),
                 universal_plan: universal_plan_cq,
-                complete,
+                complete: true,
                 stats,
-            })
+            });
         }
-    };
-    let homs = find_homs_in(
-        &mut arena,
-        &inst,
-        &problem.query.body,
-        &fixed,
-        HomConfig {
-            limit: cfg.max_images,
-        },
-    );
-    stats.images = homs.len();
-    if homs.len() >= cfg.max_images {
-        complete = false;
-    }
 
-    let mut total = Dnf::fals();
-    for h in &homs {
-        let mut conj = Dnf::tru();
-        let mut seen = HashSet::new();
-        for fid in &h.fact_ids {
-            if !seen.insert(*fid) {
-                continue;
+        // --- Backchase: freeze U, annotate, provenance-chase. ---
+        let mut inst = Instance::new();
+        let max_null = up
+            .atoms
+            .iter()
+            .flat_map(|a| a.vars())
+            .chain(up.head.iter().filter_map(Term::as_var))
+            .map(|v| v.0 + 1)
+            .max()
+            .unwrap_or(0);
+        inst.reserve_nulls(max_null);
+        for (i, atom) in up.atoms.iter().enumerate() {
+            let args: Vec<Elem> = atom.args.iter().map(term_to_elem).collect();
+            inst.insert_with_prov(atom.pred, args, Dnf::var(i as u32));
+        }
+        let pstats = prov_chase_prepared(
+            &mut arena,
+            &mut inst,
+            &self.backward,
+            &cfg.chase,
+            cfg.clause_cap,
+            None,
+        )?;
+        stats.backward = pstats;
+        let mut complete = !pstats.truncated;
+
+        // --- Collect head-preserving images of Q and their provenance. ---
+        let targets: Vec<Elem> = up
+            .head
+            .iter()
+            .map(|t| inst.resolve(&term_to_elem(t)))
+            .collect();
+        let fixed = match head_fixed_map(query, &targets) {
+            Some(f) => f,
+            None => {
+                return Ok(RewriteOutcome {
+                    rewritings: Vec::new(),
+                    universal_plan: universal_plan_cq,
+                    complete,
+                    stats,
+                })
             }
-            let (next, trunc) = conj.and(&inst.fact(*fid).prov, cfg.clause_cap);
-            conj = next;
-            if trunc {
+        };
+        let homs = find_homs_in(
+            &mut arena,
+            &inst,
+            &query.body,
+            &fixed,
+            HomConfig {
+                limit: cfg.max_images,
+            },
+        );
+        stats.images = homs.len();
+        if homs.len() >= cfg.max_images {
+            complete = false;
+        }
+
+        let mut total = Dnf::fals();
+        for h in &homs {
+            let mut conj = Dnf::tru();
+            let mut seen = HashSet::new();
+            for fid in &h.fact_ids {
+                if !seen.insert(*fid) {
+                    continue;
+                }
+                let (next, trunc) = conj.and(&inst.fact(*fid).prov, cfg.clause_cap);
+                conj = next;
+                if trunc {
+                    complete = false;
+                }
+            }
+            total.or_assign(&conj);
+            if total.truncate(cfg.clause_cap) {
                 complete = false;
             }
         }
-        total.or_assign(&conj);
-        if total.truncate(cfg.clause_cap) {
-            complete = false;
-        }
-    }
 
-    // --- Clauses → candidate rewritings. ---
-    //
-    // Fan-out: candidates are built on the coordinator in clause order
-    // (with provisional names — workers must not touch the interner), the
-    // independent acceptance checks run on the worker pool, and the fan-in
-    // below merges verdicts in candidate order so naming, dedup and stats
-    // replay the serial loop exactly (see the module-level contract).
-    let all_constraints = problem.all_constraints();
-    let mut candidates: Vec<Cq> = Vec::new();
-    for clause in total.clauses() {
-        let selection: BTreeSet<usize> = clause.iter().map(|p| *p as usize).collect();
-        candidates.push(build_candidate(
-            &problem.query,
-            &up.head,
-            &up.atoms,
-            &selection,
-            candidates.len(),
-        ));
-    }
-    stats.candidates = candidates.len();
-    // Below the threshold (or with verification off, where a check is two
-    // cheap predicate walks) the per-call thread spawn/join costs more than
-    // it saves — run inline on the coordinator's already-warmed arena. The
-    // outcome is identical either way.
-    let workers = if cfg.verify && candidates.len() >= PARALLEL_CANDIDATE_THRESHOLD {
-        cfg.parallelism
-    } else {
-        1
-    };
-    let check = |worker_arena: &mut HomArena, candidate: &Cq, check_cfg: &RewriteConfig| {
-        let mut cs = CandidateStats::default();
-        let ok = accept_candidate(
-            worker_arena,
-            candidate,
-            problem,
-            &all_constraints,
-            check_cfg,
-            &mut cs,
-        );
-        (cs, ok)
-    };
-    let verdicts: Vec<(CandidateStats, bool)> = if workers <= 1 {
-        candidates
-            .iter()
-            .map(|c| check(&mut arena, c, cfg))
-            .collect()
-    } else {
-        // Inside the candidate fan-out the verification chases search
-        // serially: the candidate pool already owns the cores, and nesting
-        // a per-round trigger-search pool in every worker would multiply
-        // thread counts without adding parallel work. The outcome is
-        // identical either way (search workers never affect results).
-        let worker_cfg = cfg.with_chase_parallelism(1);
-        scoped_map_init(workers, &candidates, HomArena::new, |worker_arena, _, c| {
-            check(worker_arena, c, &worker_cfg)
+        // --- Clauses → candidate rewritings. ---
+        //
+        // Fan-out: candidates are built on the coordinator in clause order
+        // (with provisional names — workers must not touch the interner), the
+        // independent acceptance checks run on the worker pool, and the fan-in
+        // below merges verdicts in candidate order so naming, dedup and stats
+        // replay the serial loop exactly (see the module-level contract).
+        let mut candidates: Vec<Cq> = Vec::new();
+        for clause in total.clauses() {
+            let selection: BTreeSet<usize> = clause.iter().map(|p| *p as usize).collect();
+            candidates.push(build_candidate(
+                query,
+                &up.head,
+                &up.atoms,
+                &selection,
+                candidates.len(),
+            ));
+        }
+        stats.candidates = candidates.len();
+        // Below the threshold (or with verification off, where a check is two
+        // cheap predicate walks) the per-call thread spawn/join costs more than
+        // it saves — run inline on the coordinator's already-warmed arena. The
+        // outcome is identical either way.
+        let workers = if cfg.verify && candidates.len() >= PARALLEL_CANDIDATE_THRESHOLD {
+            cfg.parallelism
+        } else {
+            1
+        };
+        let verdicts: Vec<(Verdict, CandidateStats)> = if workers <= 1 {
+            candidates
+                .iter()
+                .map(|c| self.check_candidate(&mut arena, c, query, cfg))
+                .collect()
+        } else {
+            // Inside the candidate fan-out the verification chases search
+            // serially: the candidate pool already owns the cores, and nesting
+            // a per-round trigger-search pool in every worker would multiply
+            // thread counts without adding parallel work. The outcome is
+            // identical either way (search workers never affect results).
+            let worker_cfg = cfg.with_chase_parallelism(1);
+            scoped_map_init(workers, &candidates, HomArena::new, |worker_arena, _, c| {
+                self.check_candidate(worker_arena, c, query, &worker_cfg)
+            })
+        };
+
+        // Deterministic fan-in, candidate order.
+        let mut rewritings: Vec<Cq> = Vec::new();
+        let mut seen_canonical: HashSet<String> = HashSet::new();
+        for (mut candidate, (verdict, cs)) in candidates.into_iter().zip(verdicts) {
+            stats.absorb(cs);
+            complete &= verdict != Verdict::Undecided;
+            if verdict != Verdict::Accepted {
+                continue;
+            }
+            // Accepted candidates are numbered by acceptance order (rejected
+            // ones consume no index), matching the serial loop's naming.
+            candidate.name = Symbol::intern(&format!("{}_rw{}", query.name, rewritings.len()));
+            // Dedup on the name-independent canonical form: the name is unique
+            // per candidate by construction, so a key that included it (as the
+            // canonicalized Display does) could never collide.
+            let canonical = candidate.canonicalize();
+            let key = format!("{:?}|{:?}", canonical.head, canonical.body);
+            if seen_canonical.insert(key) {
+                stats.accepted += 1;
+                rewritings.push(candidate);
+            }
+        }
+        rewritings.sort_by_key(|r| r.body.len());
+
+        Ok(RewriteOutcome {
+            rewritings,
+            universal_plan: universal_plan_cq,
+            complete,
+            stats,
         })
-    };
-
-    // Deterministic fan-in, candidate order.
-    let mut rewritings: Vec<Cq> = Vec::new();
-    let mut seen_canonical: HashSet<String> = HashSet::new();
-    for (mut candidate, (cs, ok)) in candidates.into_iter().zip(verdicts) {
-        stats.absorb(cs);
-        if !ok {
-            continue;
-        }
-        // Accepted candidates are numbered by acceptance order (rejected
-        // ones consume no index), matching the serial loop's naming.
-        candidate.name = Symbol::intern(&format!("{}_rw{}", problem.query.name, rewritings.len()));
-        // Dedup on the name-independent canonical form: the name is unique
-        // per candidate by construction, so a key that included it (as the
-        // canonicalized Display does) could never collide.
-        let canonical = candidate.canonicalize();
-        let key = format!("{:?}|{:?}", canonical.head, canonical.body);
-        if seen_canonical.insert(key) {
-            stats.accepted += 1;
-            rewritings.push(candidate);
-        }
     }
-    rewritings.sort_by_key(|r| r.body.len());
-
-    Ok(RewriteOutcome {
-        rewritings,
-        universal_plan: universal_plan_cq,
-        complete,
-        stats,
-    })
 }
 
 /// Build the fixed-variable map forcing `q`'s head onto `targets`; `None`

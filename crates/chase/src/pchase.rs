@@ -19,13 +19,13 @@
 
 use crate::chase::{
     run_chase, ChaseConfig, ChaseError, ChaseStats, CompiledTgd, FiringPolicy, FrontierCache,
+    PreparedConstraints,
 };
 use crate::hom::{Hom, HomArena};
 use crate::instance::{Elem, Instance};
 use crate::prov::Dnf;
 use crate::wa::TerminationCertificate;
-use estocada_pivot::{Constraint, Var};
-use std::collections::HashMap;
+use estocada_pivot::Constraint;
 
 /// The provenance-chase firing policy (see the module docs).
 struct Skolemized {
@@ -53,7 +53,7 @@ impl FiringPolicy for Skolemized {
         _: &mut HomArena,
         instance: &mut Instance,
         cidx: usize,
-        tgd: &CompiledTgd<'_>,
+        tgd: &CompiledTgd,
         h: &Hom,
         stats: &mut ChaseStats,
     ) -> bool {
@@ -85,11 +85,8 @@ impl FiringPolicy for Skolemized {
                 es
             }
         };
-        let bound = frontier.iter().copied().zip(key);
-        let invented = existentials.iter().copied().zip(exist_elems);
-        let assignment: HashMap<Var, Elem> = bound.chain(invented).collect();
         let mut changed = false;
-        for (pred, args) in tgd.conclusion_facts(&assignment) {
+        for (pred, args) in tgd.conclusion_facts(&key, &exist_elems) {
             if instance.insert_with_prov(pred, args, trigger.clone()).1 {
                 stats.tgd_fires += 1;
                 changed = true;
@@ -144,7 +141,8 @@ pub fn prov_chase_with(
     cfg: &ChaseConfig,
     clause_cap: usize,
 ) -> Result<ProvChaseStats, ChaseError> {
-    run(arena, instance, constraints, cfg, clause_cap, None)
+    let set = PreparedConstraints::new(constraints);
+    prov_chase_prepared(arena, instance, &set, cfg, clause_cap, None)
 }
 
 /// The provenance chase under a certificate's schedule — the counterpart
@@ -158,14 +156,17 @@ pub fn prov_chase_stratified(
     clause_cap: usize,
     cert: &TerminationCertificate,
 ) -> Result<ProvChaseStats, ChaseError> {
-    let arena = &mut HomArena::new();
-    run(arena, instance, constraints, cfg, clause_cap, Some(cert))
+    let (arena, set) = (&mut HomArena::new(), PreparedConstraints::new(constraints));
+    prov_chase_prepared(arena, instance, &set, cfg, clause_cap, Some(cert))
 }
 
-fn run(
+/// The provenance chase over an already prepared set — what the three
+/// slice-taking entry points run after preparing their argument, and what
+/// the per-epoch [`crate::pacb::Rewriter`] backchases with.
+pub(crate) fn prov_chase_prepared(
     arena: &mut HomArena,
     instance: &mut Instance,
-    constraints: &[Constraint],
+    set: &PreparedConstraints,
     cfg: &ChaseConfig,
     clause_cap: usize,
     cert: Option<&TerminationCertificate>,
@@ -176,7 +177,7 @@ fn run(
         clause_cap,
         truncated: false,
     };
-    let chase = run_chase(arena, instance, constraints, cfg, cert, &mut policy)?;
+    let chase = run_chase(arena, instance, set, cfg, cert, &mut policy)?;
     Ok(ProvChaseStats {
         chase,
         truncated: policy.truncated,

@@ -6,9 +6,29 @@
 //! workload; keeping the single definition here stops the three from
 //! silently drifting apart.
 
+use crate::chase::{chase_prepared, ChaseConfig, ChaseError, ChaseStats, PreparedConstraints};
+use crate::hom::HomArena;
 use crate::instance::{Elem, Instance};
 use crate::pacb::RewriteProblem;
+use crate::wa::TerminationCertificate;
 use estocada_pivot::{Atom, Constraint, CqBuilder, Egd, Symbol, Term, Tgd, ViewDef};
+
+/// The reference the live-premise rule is tested against: the restricted
+/// chase of `constraints` (under `cert`'s schedule, if any) searching
+/// **every** premise in **every** round — the same driver with the rule
+/// switched off, so instance, errors and [`ChaseStats::core`] must equal
+/// [`crate::chase::chase`] / [`crate::chase::chase_stratified`] exactly and
+/// only `premise_searches` differs (`Σ rounds × stage size` here).
+pub fn chase_every_premise(
+    instance: &mut Instance,
+    constraints: &[Constraint],
+    cfg: &ChaseConfig,
+    cert: Option<&TerminationCertificate>,
+) -> Result<ChaseStats, ChaseError> {
+    let mut set = PreparedConstraints::new(constraints);
+    set.search_every_premise = true;
+    chase_prepared(&mut HomArena::new(), instance, &set, cfg, cert)
+}
 
 /// Chain problem `Q(x0,xk) :- R0(x0,x1), …, R(k-1)(x(k-1),xk)` with **two
 /// interchangeable views per edge** (`Vi`/`Wi`): 2^k minimal rewritings,

@@ -1001,9 +1001,55 @@ mod tests {
         )
     }
 
+    /// `Q(name) :- Users(2, name)` — the pivot form of the test's `SQL`.
+    fn probe() -> estocada_pivot::Cq {
+        estocada_pivot::CqBuilder::new("Q")
+            .head_vars(["name"])
+            .atom("Users", |a| a.c(2i64).v("name"))
+            .build()
+    }
+
+    /// The engine's rewrite configuration, lifted by its certificate.
+    fn lifted_config(est: &Estocada) -> RewriteConfig {
+        let mut cfg = est.rewrite_config();
+        cfg.chase = cfg.chase.with_certificate(&est.termination_certificate());
+        cfg
+    }
+
+    /// What the context's per-epoch `Rewriter` makes of [`probe`].
+    fn context_rewrite(
+        est: &Estocada,
+    ) -> std::result::Result<estocada_chase::RewriteOutcome, String> {
+        let rewritten = est
+            .planning()
+            .rewriter
+            .rewrite(&probe(), &lifted_config(est));
+        rewritten.map_err(|e| e.to_string())
+    }
+
+    /// The fragment relations in the context rewriter's universal plan.
+    fn planned_over(est: &Estocada) -> Vec<String> {
+        let plan = context_rewrite(est).unwrap().universal_plan;
+        plan.body.iter().map(|a| a.pred.to_string()).collect()
+    }
+
     /// The three accessors that read the planning context agree with a
-    /// from-scratch computation over the current schema and catalog.
+    /// from-scratch computation over the current schema and catalog, and
+    /// the context's `Rewriter` with a one-shot rewrite over them.
     fn assert_context_fresh(est: &Estocada, after: &str) {
+        let cfg = lifted_config(est);
+        let problem = estocada_chase::RewriteProblem {
+            query: probe(),
+            views: est.catalog().view_defs(),
+            source_constraints: est.schema().constraints.clone(),
+            target_constraints: Vec::new(),
+            access: est.catalog().access_map(),
+        };
+        assert_eq!(
+            context_rewrite(est),
+            estocada_chase::pacb_rewrite(&problem, &cfg).map_err(|e| e.to_string()),
+            "rewriter after {after}"
+        );
         assert_eq!(
             est.termination_certificate(),
             analyze::termination_certificate(est.schema(), est.catalog()),
@@ -1070,8 +1116,10 @@ mod tests {
             .unwrap();
         assert_context_fresh(&est, "add_fragment (key-value)");
         assert_eq!(alternatives(&est), 2, "the new fragment is planned over");
+        assert!(planned_over(&est).contains(&"UsersKV".to_string()));
 
         // DML changes data, not the catalog: the derived context stays.
+        let before: *const PlanningContext = est.planning();
         est.insert_rows(
             "shop",
             "Users",
@@ -1079,7 +1127,9 @@ mod tests {
         )
         .unwrap();
         assert!(
-            est.planning.get().is_some(),
+            est.planning
+                .get()
+                .is_some_and(|ctx| std::ptr::eq(ctx, before)),
             "DML must not reset the context"
         );
         assert_context_fresh(&est, "insert_rows");
@@ -1088,6 +1138,7 @@ mod tests {
         assert!(est.planning.get().is_none(), "DDL resets the context");
         assert_context_fresh(&est, "drop_fragment");
         assert_eq!(alternatives(&est), 1, "the dropped fragment is gone");
+        assert!(!planned_over(&est).contains(&"UsersKV".to_string()));
 
         // A tight budget is harmless while the certificate lifts it ...
         let mut tight = est.rewrite_config();
@@ -1116,6 +1167,10 @@ mod tests {
         .unwrap();
         assert_context_fresh(&est, "add_constraint");
         assert!(!est.termination_certificate().guarantees_termination());
+        assert!(
+            context_rewrite(&est).is_err_and(|e| e.contains("budget")),
+            "the context's rewriter must chase the added constraint"
+        );
         assert!(
             est.query(SQL).run().is_err(),
             "a non-terminating chase must stop at the configured budget"

@@ -5,8 +5,8 @@
 //!
 //! The paper's mediator answers every query the same way, and [`plan`] is
 //! its only statement in this crate: **rewrite** the pivot query under the
-//! fragment-view constraints ([`pacb_rewrite`], through the plan cache),
-//! **translate** each rewriting once into delegated units stitched by
+//! fragment-view constraints ([`Rewriter::rewrite`], through the plan
+//! cache), **translate** each rewriting once into delegated units stitched by
 //! mediator operators ([`translate`]), and **rank** the executable ones
 //! ([`cheapest`]). Execution, `EXPLAIN`, plan failover and the storage
 //! advisor's what-if costing all consume the resulting [`Planned`].
@@ -15,6 +15,12 @@
 //! is a function of the **catalog epoch** and is derived once per epoch
 //! into a [`PlanningContext`] (a `OnceLock` on the engine that every DDL
 //! operation resets; DML bumps only the data epoch and leaves it alone).
+//! The context owns the epoch's [`Rewriter`] — PACB's three constraint sets
+//! compiled and predicate-indexed for the chase, the view names and the
+//! access map — so the miss arm of the rewrite step borrows the query,
+//! copies the `RewriteConfig` and clones nothing: no view, constraint or
+//! access map is derived, cloned or compiled per query, and concurrent
+//! misses share the one immutable rewriter.
 //!
 //! # The rewrite-plan cache
 //!
@@ -51,20 +57,18 @@ use crate::report::{Alternative, PlanCacheActivity};
 use crate::resilience::QueryResilience;
 use crate::system::SystemId;
 use crate::translate::{translate, Translation};
-use estocada_chase::{
-    certify, pacb_rewrite, RewriteOutcome, RewriteProblem, TerminationCertificate,
-};
+use estocada_chase::{certify, RewriteOutcome, Rewriter, TerminationCertificate};
 use estocada_engine::{Expr, Plan};
-use estocada_pivot::{AccessMap, Constraint, ViewDef};
+use estocada_pivot::Constraint;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The planning inputs that depend on the catalog epoch alone.
 pub(crate) struct PlanningContext {
-    views: Vec<ViewDef>,
-    access: AccessMap,
-    source_constraints: Vec<Constraint>,
+    /// PACB over the epoch's fragment views, schema constraints and access
+    /// patterns, prepared once; every plan-cache miss rewrites through it.
+    pub(crate) rewriter: Rewriter,
     /// Schema constraints plus both directions of every fragment view —
     /// the set `certificate` speaks about.
     pub(crate) constraints: Vec<Constraint>,
@@ -77,9 +81,12 @@ impl PlanningContext {
         let (schema, catalog) = (est.schema(), est.catalog());
         let constraints = analyze::combined_constraints(schema, catalog, None);
         PlanningContext {
-            views: catalog.view_defs(),
-            access: catalog.access_map(),
-            source_constraints: schema.constraints.clone(),
+            rewriter: Rewriter::new(
+                &catalog.view_defs(),
+                &schema.constraints,
+                &[],
+                catalog.access_map(),
+            ),
             certificate: certify(&constraints),
             constraints,
             sql_catalog: sql_catalog(est.datasets()),
@@ -198,18 +205,11 @@ fn rewrite(
     let outcome = match cached {
         Some(outcome) => outcome,
         None => {
-            let problem = RewriteProblem {
-                query: q.cq.clone(),
-                views: ctx.views.clone(),
-                source_constraints: ctx.source_constraints.clone(),
-                target_constraints: Vec::new(),
-                access: ctx.access.clone(),
-            };
             // A terminating verdict lifts the budget guard of every chase
             // of this rewrite; any weaker one keeps it as configured.
             let mut cfg = opts.rewrite;
             cfg.chase = cfg.chase.with_certificate(&ctx.certificate);
-            let outcome = Arc::new(pacb_rewrite(&problem, &cfg)?);
+            let outcome = Arc::new(ctx.rewriter.rewrite(&q.cq, &cfg)?);
             if let Some(key) = key {
                 est.plan_cache.insert(key, epoch, outcome.clone());
             }

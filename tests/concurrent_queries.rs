@@ -19,7 +19,7 @@ use estocada_workloads::marketplace::{generate, Marketplace, MarketplaceConfig};
 use estocada_workloads::scenarios::{
     cart_pattern, deploy_baseline, deploy_kv_migrated, personalized_sql, pref_sql, user_orders_sql,
 };
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 
 fn cfg() -> MarketplaceConfig {
     MarketplaceConfig {
@@ -117,13 +117,16 @@ fn serial_run(est: &Estocada, work: &[Q]) -> Vec<Norm> {
 
 /// Run `work` from `threads` clients against one `&Estocada`, each query
 /// exactly once (deterministic round-robin partition), merged back in
-/// workload order.
+/// workload order. The clients leave a barrier together, so their first
+/// queries race for whatever the engine derives lazily.
 fn concurrent_run(est: &Estocada, work: &[Q], threads: usize) -> Vec<Norm> {
     let slots: Mutex<Vec<Option<Norm>>> = Mutex::new(vec![None; work.len()]);
+    let start = Barrier::new(threads);
     std::thread::scope(|s| {
         for t in 0..threads {
-            let slots = &slots;
+            let (slots, start) = (&slots, &start);
             s.spawn(move || {
+                start.wait();
                 for (i, q) in work.iter().enumerate() {
                     if i % threads != t {
                         continue;
@@ -179,6 +182,25 @@ fn shared_engine_matches_serial_with_cache_on() {
         assert_eq!(got, reference, "skew at {threads} threads, cache on");
         let s = est.plan_cache_stats();
         assert_eq!(s.hits + s.misses, work.len() as u64);
+    }
+}
+
+/// Every query a distinct shape-with-constants, so with the cache on each
+/// one misses it: all clients rewrite at once through the one `Rewriter`
+/// of the shared planning context (which the first of them derives), and
+/// must get what the serial run gets.
+#[test]
+fn concurrent_cache_misses_share_one_planning_context() {
+    let work: Vec<Q> = (1..=12i64)
+        .flat_map(|uid| [Q::Sql(pref_sql(uid)), Q::Doc(uid)])
+        .collect();
+    let reference = serial_run(&engine(true), &work);
+    for threads in [2usize, 4, 8] {
+        let est = engine(true);
+        let got = concurrent_run(&est, &work, threads);
+        assert_eq!(got, reference, "skew at {threads} threads");
+        let s = est.plan_cache_stats();
+        assert_eq!((s.hits, s.misses), (0, work.len() as u64));
     }
 }
 

@@ -190,7 +190,10 @@ fn clause_cap_truncation_is_deterministic_on_wide_fanout() {
 /// containment checks fail with a budget error; every such candidate must
 /// be rejected — identically, whichever worker hits it, with exact
 /// (non-racy) rejected counters, and without deadlocking the pool
-/// (enforced by the test completing at all).
+/// (enforced by the test completing at all). A candidate dropped because
+/// its check could not finish is *undecided*, not refuted: the outcome must
+/// stop claiming to be exhaustive (`complete == false`), for PACB and the
+/// naive enumeration alike, while the unbudgeted twin stays complete.
 #[test]
 fn worker_budget_exhaustion_rejects_identically() {
     use estocada_pivot::{Constraint, Tgd};
@@ -228,6 +231,7 @@ fn worker_budget_exhaustion_rejects_identically() {
     }
     let unbudgeted = pacb_rewrite(&problem, &RewriteConfig::default()).unwrap();
     assert_eq!(unbudgeted.stats.rejected, 0);
+    assert!(unbudgeted.complete);
     let cfg = RewriteConfig {
         chase: ChaseConfig {
             max_rounds: unbudgeted.stats.backward.chase.rounds + 1,
@@ -240,6 +244,20 @@ fn worker_budget_exhaustion_rejects_identically() {
         serial.stats.rejected > 0 && serial.stats.accepted > 0,
         "expected worker-side budget rejections beside accepted siblings; stats: {:?}",
         serial.stats
+    );
+    assert!(
+        !serial.complete,
+        "rewritings were dropped by failed verification chases, yet the list claims to be exhaustive"
+    );
+    let naive = |rewrite| NaiveConfig {
+        rewrite,
+        ..NaiveConfig::default()
+    };
+    assert!(!naive_rewrite(&problem, &naive(cfg)).unwrap().complete);
+    assert!(
+        naive_rewrite(&problem, &naive(RewriteConfig::default()))
+            .unwrap()
+            .complete
     );
     for par in [2usize, 4, 8, 16] {
         let parallel = pacb_rewrite(&problem, &cfg.with_parallelism(par)).unwrap();

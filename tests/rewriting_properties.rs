@@ -2,14 +2,27 @@
 //! engine agrees with a brute-force reference matcher (full and semi-naive
 //! delta search); PACB agrees with the exhaustive classical backchase on
 //! randomized problems; chase-based containment is sound w.r.t. evaluation;
-//! the chase reaches genuine fixpoints.
+//! the chase reaches genuine fixpoints; the live-premise trigger search
+//! agrees with searching every premise, and one reused `Rewriter` agrees
+//! with a fresh one-shot `pacb_rewrite` per query.
 
+use estocada::frontends::{doc_query, parse_sql};
 use estocada::materialize::{evaluate_view, fact_base};
+use estocada::{Estocada, Latencies};
+use estocada_chase::testkit::{chase_every_premise, dump_state, feed_and_pin};
 use estocada_chase::{
-    chase, contained_in, find_homs, find_homs_delta, find_one_hom, naive_rewrite, pacb_rewrite,
-    ChaseConfig, Elem, HomConfig, Instance, NaiveConfig, RewriteConfig, RewriteProblem,
+    canonical_instance, certify, chase, chase_stratified, contained_in, find_homs, find_homs_delta,
+    find_one_hom, naive_rewrite, pacb_rewrite, ChaseConfig, ChaseError, ChaseStats, Elem,
+    HomConfig, Instance, NaiveConfig, RewriteConfig, RewriteProblem, Rewriter,
+    TerminationCertificate,
 };
-use estocada_pivot::{Atom, Constraint, Cq, Fact, Symbol, Term, Tgd, Value, Var, ViewDef};
+use estocada_pivot::{Atom, Constraint, Cq, Egd, Fact, Symbol, Term, Tgd, Value, Var, ViewDef};
+use estocada_workloads::analytics::{analytics_sql, analytics_workload, AnalyticsConfig};
+use estocada_workloads::marketplace::{generate, MarketplaceConfig, CATEGORIES};
+use estocada_workloads::scenarios::{
+    cart_pattern, deploy_baseline, deploy_kv_migrated, deploy_materialized_join, personalized_sql,
+    pref_sql, user_orders_sql,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -180,6 +193,95 @@ fn spec_atoms(specs: &[(usize, u8, u8)]) -> Vec<Atom> {
         .collect()
 }
 
+// ---------------------------------------------------------------------------
+// Differential testing of the live-premise search and the reused Rewriter
+// ---------------------------------------------------------------------------
+
+fn atom2(rel: usize, a: u32, b: u32) -> Atom {
+    Atom::new(RELS[rel], vec![Term::var(a), Term::var(b)])
+}
+
+/// A generated TGD `(from, to, shape)`: copy, swap, an existential
+/// successor (may not terminate — the runs are budgeted), or a join with a
+/// third relation.
+fn spec_tgd(i: usize, (from, to, shape): (usize, usize, u8)) -> Constraint {
+    let name = format!("t{i}");
+    let (premise, conclusion) = match shape {
+        0 => (vec![atom2(from, 0, 1)], atom2(to, 0, 1)),
+        1 => (vec![atom2(from, 0, 1)], atom2(to, 1, 0)),
+        2 => (vec![atom2(from, 0, 1)], atom2(to, 1, 2)),
+        _ => (
+            vec![atom2(from, 0, 1), atom2((from + 1) % 3, 1, 2)],
+            atom2(to, 0, 2),
+        ),
+    };
+    Tgd::new(name.as_str(), premise, vec![conclusion]).into()
+}
+
+/// A generated EGD `(rel, other)`: `rel(x,y) ∧ other(x,z) → y = z` — a
+/// functional dependency when `other == rel`. Its merges rewrite facts of
+/// predicates no TGD wrote that round, which the next round's live list
+/// must still pick up.
+fn spec_egd(i: usize, (rel, other): (usize, usize)) -> Constraint {
+    Egd::new(
+        format!("e{i}").as_str(),
+        vec![atom2(rel, 0, 1), atom2(other, 0, 2)],
+        (Term::var(1), Term::var(2)),
+    )
+    .into()
+}
+
+type Chased = (
+    Result<(usize, usize, usize), String>,
+    Vec<(u32, String, String, u64)>,
+);
+
+/// A chase run as what must not depend on how premises are searched: the
+/// core counters or the error, and the full instance state either way.
+fn chased(
+    seed: &Instance,
+    run: impl FnOnce(&mut Instance) -> Result<ChaseStats, ChaseError>,
+) -> (Chased, Option<ChaseStats>) {
+    let mut inst = seed.clone();
+    let out = run(&mut inst);
+    let stats = out.as_ref().ok().copied();
+    let verdict = out.map(|s| s.core()).map_err(|e| e.to_string());
+    ((verdict, dump_state(&inst)), stats)
+}
+
+/// Live-premise search (plain and under `cert`'s schedule, 1 and 4 search
+/// workers with fan-out forced) against the every-premise reference.
+fn assert_live_matches_every_premise(
+    seed: &Instance,
+    constraints: &[Constraint],
+    budget: &ChaseConfig,
+) -> Result<(), TestCaseError> {
+    let cert = certify(constraints);
+    let (plain_ref, plain_stats) =
+        chased(seed, |i| chase_every_premise(i, constraints, budget, None));
+    let (strat_ref, _) = chased(seed, |i| {
+        chase_every_premise(i, constraints, budget, Some(&cert))
+    });
+    if let Some(s) = plain_stats {
+        prop_assert_eq!(s.premise_searches, s.rounds * constraints.len());
+    }
+    for workers in [1usize, 4] {
+        let cfg = ChaseConfig {
+            search_workers: workers,
+            search_min_facts: 0,
+            ..*budget
+        };
+        let (plain, live_stats) = chased(seed, |i| chase(i, constraints, &cfg));
+        prop_assert_eq!(&plain, &plain_ref, "plain chase, {} workers", workers);
+        let (strat, _) = chased(seed, |i| chase_stratified(i, constraints, &cfg, &cert));
+        prop_assert_eq!(&strat, &strat_ref, "scheduled chase, {} workers", workers);
+        if let (Some(live), Some(every)) = (live_stats, plain_stats) {
+            prop_assert!(live.premise_searches <= every.premise_searches);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -251,6 +353,50 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The live-premise rule never changes a chase: on random TGD + EGD
+    /// sets over instances with labelled nulls — budget aborts and
+    /// constant clashes included — the fixpoint (or error), the instance
+    /// state and `ChaseStats::core()` equal the every-premise reference.
+    #[test]
+    fn live_premise_search_matches_searching_every_premise(
+        facts in proptest::collection::vec((0..3usize, 0..8u8, 0..8u8), 0..10),
+        tgds in proptest::collection::vec((0..3usize, 0..3usize, 0..4u8), 1..5),
+        egds in proptest::collection::vec((0..3usize, 0..3usize), 0..3),
+    ) {
+        let (seed, _) = build_instance(&facts, &[]);
+        let mut constraints: Vec<Constraint> =
+            tgds.iter().enumerate().map(|(i, t)| spec_tgd(i, *t)).collect();
+        constraints.extend(egds.iter().enumerate().map(|(i, e)| spec_egd(i, *e)));
+        let budget = ChaseConfig { max_rounds: 12, max_facts: 300, ..ChaseConfig::default() };
+        assert_live_matches_every_premise(&seed, &constraints, &budget)?;
+    }
+
+    /// One `Rewriter` reused for a sequence of queries returns, for each,
+    /// the outcome of a fresh one-shot `pacb_rewrite` — under source
+    /// constraints with an EGD, at 1 and 4 verification workers.
+    #[test]
+    fn a_reused_rewriter_agrees_with_one_shot_pacb(
+        queries in proptest::collection::vec(arb_cq("Q", 3), 1..4),
+        v1 in arb_cq("V1", 2),
+        v2 in arb_cq("V2", 2),
+        tgd in (0..3usize, 0..3usize, 0..2u8),
+        egd in (0..3usize, 0..3usize),
+    ) {
+        let mut problem = RewriteProblem::new(queries[0].clone(), vec![ViewDef::new(v1), ViewDef::new(v2)]);
+        problem.source_constraints = vec![spec_tgd(0, tgd), spec_egd(0, egd)];
+        let rewriter = problem.rewriter();
+        // The first query again at the end: nothing a rewrite did may stick.
+        for q in queries.iter().chain(queries.first()) {
+            problem.query = q.clone();
+            for parallelism in [1usize, 4] {
+                let cfg = RewriteConfig::default().with_parallelism(parallelism);
+                let reused = rewriter.rewrite(q, &cfg).map_err(|e| e.to_string());
+                let fresh = pacb_rewrite(&problem, &cfg).map_err(|e| e.to_string());
+                prop_assert_eq!(reused, fresh, "query {}", q);
+            }
+        }
+    }
 
     /// PACB and the exhaustive classical backchase find exactly the same
     /// minimal rewritings (no EGDs involved: full agreement expected).
@@ -416,4 +562,145 @@ fn view_symbol_collision_regression() {
     )
     .unwrap();
     assert_eq!(out.rewritings.len(), 2);
+}
+
+/// The stratified schedule on a set that only `Stratified` certifies, with
+/// an idle stratum in the middle: per-stage live lists must index into the
+/// stage's members, not the whole set.
+#[test]
+fn live_premise_search_matches_every_premise_under_strata() {
+    let a = |rel: &str| Atom::new(rel, vec![Term::var(0)]);
+    let b = |rel: &str| Atom::new(rel, vec![Term::var(0), Term::var(1)]);
+    let mut constraints: Vec<Constraint> = Vec::new();
+    constraints.extend(feed_and_pin("0", a("A0"), b("B0")));
+    constraints.extend(feed_and_pin("idle", a("Idle"), b("IdleB")));
+    constraints.extend(feed_and_pin("1", a("A1"), b("B1")));
+    assert!(matches!(
+        certify(&constraints),
+        TerminationCertificate::Stratified { .. }
+    ));
+    let mut seed = Instance::new();
+    for k in 0..4 {
+        seed.insert(Symbol::intern("A0"), vec![Elem::of(k)]);
+        seed.insert(Symbol::intern("A1"), vec![Elem::of(k + 10)]);
+    }
+    assert_live_matches_every_premise(&seed, &constraints, &ChaseConfig::default()).unwrap();
+}
+
+fn small_market() -> estocada_workloads::marketplace::Marketplace {
+    generate(MarketplaceConfig {
+        users: 40,
+        products: 20,
+        orders: 120,
+        log_entries: 200,
+        skew: 0.8,
+        seed: 23,
+    })
+}
+
+/// The pivot cores of the workload families: `pref`/`cart` lookups, order
+/// history (`readwrite` reads), the personalized join, analytics cores.
+fn workload_cores(est: &Estocada) -> Vec<Cq> {
+    let catalog = est.sql_catalog();
+    let mut sqls = vec![
+        pref_sql(3),
+        pref_sql(7),
+        user_orders_sql(3),
+        personalized_sql(3, CATEGORIES[0]),
+    ];
+    sqls.extend(
+        analytics_workload(&AnalyticsConfig::default())
+            .iter()
+            .map(analytics_sql),
+    );
+    let mut cores: Vec<Cq> = sqls
+        .iter()
+        .map(|sql| {
+            parse_sql(sql, &catalog)
+                .unwrap_or_else(|e| panic!("{sql}: {e}"))
+                .cq
+        })
+        .collect();
+    for uid in [3i64, 7] {
+        cores.push(doc_query(&cart_pattern(uid), &["pid", "qty"]).unwrap().cq);
+    }
+    cores
+}
+
+fn engine_rewriter(est: &Estocada) -> Rewriter {
+    Rewriter::new(
+        &est.catalog().view_defs(),
+        &est.schema().constraints,
+        &[],
+        est.catalog().access_map(),
+    )
+}
+
+fn engine_problem(est: &Estocada, query: Cq) -> RewriteProblem {
+    RewriteProblem {
+        query,
+        views: est.catalog().view_defs(),
+        source_constraints: est.schema().constraints.clone(),
+        target_constraints: Vec::new(),
+        access: est.catalog().access_map(),
+    }
+}
+
+/// On the three builtin deployments, one `Rewriter` serving every workload
+/// query equals a fresh one-shot `pacb_rewrite` per query, and chasing each
+/// query under the deployment's combined constraint set (document-model
+/// EGDs included) is the same with live-premise and every-premise search.
+#[test]
+fn one_rewriter_serves_the_workload_families_on_the_builtin_deployments() {
+    let m = small_market();
+    let deployments: [fn(&_, Latencies) -> Estocada; 3] = [
+        deploy_baseline,
+        deploy_kv_migrated,
+        deploy_materialized_join,
+    ];
+    for deploy in deployments {
+        let est = deploy(&m, Latencies::zero());
+        let rewriter = engine_rewriter(&est);
+        let mut cfg = est.rewrite_config();
+        cfg.chase = cfg.chase.with_certificate(&est.termination_certificate());
+        let constraints = est.constraint_set();
+        let cores = workload_cores(&est);
+        // Twice over: a rewrite must leave the prepared sets as it found them.
+        for q in cores.iter().chain(&cores) {
+            let reused = rewriter.rewrite(q, &cfg).unwrap();
+            let fresh = pacb_rewrite(&engine_problem(&est, q.clone()), &cfg).unwrap();
+            assert_eq!(reused, fresh, "{q}");
+            assert!(!reused.rewritings.is_empty(), "{q} has no rewriting");
+            assert_live_matches_every_premise(&canonical_instance(q), &constraints, &cfg.chase)
+                .unwrap_or_else(|e| panic!("{q}: {e:?}"));
+        }
+    }
+}
+
+/// A point lookup's rewrite searches a small share of the premises an
+/// every-premise search would (`Σ rounds × |constraint set|` over the
+/// forward chase, the backchase and the verification chases): the rest have
+/// a predicate no fact of the instance carries.
+#[test]
+fn a_point_lookup_rewrite_searches_few_premises() {
+    let est = deploy_kv_migrated(&small_market(), Latencies::zero());
+    let (views, schema) = (
+        est.catalog().view_defs().len(),
+        est.schema().constraints.len(),
+    );
+    let mut cfg = est.rewrite_config();
+    cfg.chase = cfg.chase.with_certificate(&est.termination_certificate());
+    let q = parse_sql(&pref_sql(7), &est.sql_catalog()).unwrap().cq;
+    let stats = engine_rewriter(&est).rewrite(&q, &cfg).unwrap().stats;
+    let every_premise = (stats.forward.rounds + stats.backward.chase.rounds) * (views + schema)
+        + stats.verification.rounds * (2 * views + schema);
+    assert!(
+        stats.candidates >= 2 && stats.verification.rounds > 0,
+        "{stats:?}"
+    );
+    assert!(
+        stats.premise_searches() * 100 <= every_premise * 15,
+        "{} premise searches of {every_premise}: {stats:?}",
+        stats.premise_searches()
+    );
 }
