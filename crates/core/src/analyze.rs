@@ -18,6 +18,7 @@
 //! | `W004` | `UnusedFragment` | warning | a fragment has served no query while others have (only fires once at least one fragment has been used) |
 //! | `W005` | `StratumSpanningFragment` | warning | under a [`TerminationCertificate::Stratified`] verdict, a fragment's defining view reads relations maintained by constraints in *different* strata — its contents are meaningful only after the final involved stratum reaches fixpoint |
 //! | `W006` | `CertificateDowngrade` | warning | the termination certificate degraded to `Unknown`; the diagnostic names the exact EGD/TGD pair that blocks certification (the [`estocada_chase::UnknownReason`]), and the chase keeps its runtime budget guard |
+//! | `W007` | `DistinctCoreAggregate` | warning | a `COUNT`/`SUM`/`AVG` query whose core head (group columns + aggregate arguments) determines no key of some body atom: aggregates range over the *distinct* core tuples, so rows agreeing on every grouped and aggregated column count once where SQL's bag semantics would count each |
 //!
 //! The termination certificate itself is a **lattice**
 //! ([`estocada_chase::certify`]): `WeaklyAcyclic` (EGD merges modelled as
@@ -41,11 +42,14 @@
 //! byte-identical diagnostics.
 
 use crate::catalog::{Catalog, FragmentSpec};
+use crate::frontends::AggregateSpec;
 use estocada_chase::{
     certify, equivalent, implies, premise_unsatisfiable, ChaseConfig, TerminationCertificate,
 };
-use estocada_pivot::{Constraint, Cq, Schema, Symbol, Term, ViewDef};
-use std::collections::HashMap;
+use estocada_pivot::{
+    AggFun, Atom, Constraint, Cq, RelationDecl, Schema, Symbol, Term, Var, ViewDef,
+};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// How serious a finding is. Errors reject DDL under
@@ -99,6 +103,10 @@ pub enum Code {
     /// `W006`: the termination certificate degraded to `Unknown`; the
     /// message names the blocking EGD/TGD pair.
     CertificateDowngrade,
+    /// `W007`: a `COUNT`/`SUM`/`AVG` ranges over distinct core tuples that
+    /// do not determine a key of every body atom — the answer can differ
+    /// from SQL's bag semantics.
+    DistinctCoreAggregate,
 }
 
 impl Code {
@@ -116,6 +124,7 @@ impl Code {
             Code::UnusedFragment => "W004",
             Code::StratumSpanningFragment => "W005",
             Code::CertificateDowngrade => "W006",
+            Code::DistinctCoreAggregate => "W007",
         }
     }
 
@@ -133,6 +142,7 @@ impl Code {
             Code::UnusedFragment => "UnusedFragment",
             Code::StratumSpanningFragment => "StratumSpanningFragment",
             Code::CertificateDowngrade => "CertificateDowngrade",
+            Code::DistinctCoreAggregate => "DistinctCoreAggregate",
         }
     }
 
@@ -149,7 +159,8 @@ impl Code {
             | Code::CartesianProductBody
             | Code::UnusedFragment
             | Code::StratumSpanningFragment
-            | Code::CertificateDowngrade => Severity::Warning,
+            | Code::CertificateDowngrade
+            | Code::DistinctCoreAggregate => Severity::Warning,
         }
     }
 }
@@ -603,14 +614,86 @@ pub fn analyze_fragment_spec(
     out
 }
 
-/// Query-level lints (`E002`/`E003`/`E004`/`W003` on the query's CQ):
-/// cheap, chase-free, and cached per catalog epoch alongside the plan
-/// cache.
-pub fn analyze_query(cq: &Cq, schema: &Schema) -> Vec<Diagnostic> {
+/// Query-level lints (`E002`/`E003`/`E004`/`W003` on the query's CQ, and
+/// `W007` when `aggregate` counts or sums over it): cheap, chase-free, and
+/// cached per catalog epoch alongside the plan cache.
+pub fn analyze_query(
+    cq: &Cq,
+    aggregate: Option<&AggregateSpec>,
+    schema: &Schema,
+) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    cq_hygiene(cq, &format!("query {}", cq.name.as_str()), schema, &mut out);
+    let target = format!("query {}", cq.name.as_str());
+    cq_hygiene(cq, &target, schema, &mut out);
+    if aggregate.is_some_and(counts_rows) {
+        distinct_core_pass(cq, &target, schema, &mut out);
+    }
     finish(&mut out);
     out
+}
+
+/// Whether duplicates among the aggregated rows change the answer
+/// (`MIN`/`MAX` and a bare `GROUP BY` do not see them).
+pub(crate) fn counts_rows(spec: &AggregateSpec) -> bool {
+    let sees = |f: AggFun| matches!(f, AggFun::Count | AggFun::Sum | AggFun::Avg);
+    spec.aggs.iter().any(|a| sees(a.fun))
+}
+
+/// `W007`: the aggregates of a query range over its **distinct** core
+/// tuples — the head of `cq`: group columns, then aggregate arguments. That
+/// equals SQL's bag semantics exactly when the head determines one key of
+/// every body atom (directly, through a constant, or through another atom's
+/// key — `o.oid` determines `o.uid`, hence `Users`' key in `Users ⋈
+/// Orders`): then no two joined rows agree on the whole head. Otherwise
+/// such rows count once here and twice in SQL; a relation declaring no key
+/// can always hold them.
+fn distinct_core_pass(cq: &Cq, target: &str, schema: &Schema, out: &mut Vec<Diagnostic>) {
+    let atoms: Vec<(&Atom, &RelationDecl)> = (cq.body.iter())
+        .filter_map(|a| schema.relation(a.pred).map(|decl| (a, decl)))
+        .collect();
+    let keyed = |a: &Atom, decl: &RelationDecl, fixed: &HashSet<Var>| {
+        let is_fixed = |t: &Term| t.as_var().is_none_or(|v| fixed.contains(&v));
+        let held = |key: &Vec<usize>| key.iter().all(|p| a.args.get(*p).is_some_and(is_fixed));
+        decl.keys.iter().any(held)
+    };
+    // The variables the head determines, closed under the declared keys: a
+    // determined key determines its whole row.
+    let mut fixed: HashSet<Var> = cq.head.iter().filter_map(Term::as_var).collect();
+    loop {
+        let rows = atoms.iter().filter(|(a, decl)| keyed(a, decl, &fixed));
+        let vars = rows.flat_map(|(a, _)| a.vars());
+        let found: Vec<Var> = vars.filter(|v| !fixed.contains(v)).collect();
+        if found.is_empty() {
+            break;
+        }
+        fixed.extend(found);
+    }
+    for (atom, decl) in atoms.iter().filter(|(a, decl)| !keyed(a, decl, &fixed)) {
+        let why = match decl.keys.first() {
+            None => "declares no key".to_string(),
+            Some(k) => {
+                let cols: Vec<&str> = k.iter().map(|p| decl.columns[*p].as_str()).collect();
+                format!(
+                    "key ({}) is not determined by the core head",
+                    cols.join(", ")
+                )
+            }
+        };
+        out.push(
+            Diagnostic::new(
+                Code::DistinctCoreAggregate,
+                target,
+                format!(
+                    "COUNT/SUM/AVG range over the distinct (group key, argument) tuples, \
+                     which do not identify the rows of {}: rows that agree on every grouped \
+                     and aggregated column count once, where SQL counts each — aggregate a \
+                     key column of it too (e.g. COUNT(key)) or add one to GROUP BY",
+                    atom.pred.as_str()
+                ),
+            )
+            .with_witness(format!("{}: {why}", atom.pred.as_str())),
+        );
+    }
 }
 
 /// The full deployment analysis: termination certificate, schema hygiene
@@ -653,7 +736,7 @@ fn finish(out: &mut Vec<Diagnostic>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use estocada_pivot::{Atom, CqBuilder, Tgd};
+    use estocada_pivot::{CqBuilder, Tgd};
 
     fn schema_with(tables: &[(&str, usize)]) -> Schema {
         let mut s = Schema::new();
@@ -678,6 +761,7 @@ mod tests {
         assert_eq!(Code::UnusedFragment.id(), "W004");
         assert_eq!(Code::StratumSpanningFragment.id(), "W005");
         assert_eq!(Code::CertificateDowngrade.id(), "W006");
+        assert_eq!(Code::DistinctCoreAggregate.id(), "W007");
         assert_eq!(Code::NonTerminatingTgdCycle.severity(), Severity::Error);
         assert_eq!(
             Code::UnsatisfiableConstraintBody.severity(),
@@ -700,7 +784,7 @@ mod tests {
                 Atom::new("Nope", vec![Term::var(0)]),
             ],
         );
-        let diags = analyze_query(&cq, &schema);
+        let diags = analyze_query(&cq, None, &schema);
         let codes: Vec<&str> = diags.iter().map(|d| d.code.id()).collect();
         assert!(codes.contains(&"E002"), "{diags:?}");
         assert!(codes.contains(&"E003"), "{diags:?}");
@@ -716,7 +800,7 @@ mod tests {
             .atom("R", |a| a.v("x").v("y"))
             .atom("S", |a| a.v("z").v("w"))
             .build();
-        let diags = analyze_query(&cross, &schema);
+        let diags = analyze_query(&cross, None, &schema);
         assert!(diags.iter().any(|d| d.code == Code::CartesianProductBody));
         // Connected through a shared constant (parameterized join).
         let shared = Cq::new(
@@ -727,7 +811,7 @@ mod tests {
                 Atom::new("S", vec![Term::constant(7), Term::var(1)]),
             ],
         );
-        let diags = analyze_query(&shared, &schema);
+        let diags = analyze_query(&shared, None, &schema);
         assert!(
             !diags.iter().any(|d| d.code == Code::CartesianProductBody),
             "{diags:?}"
@@ -938,5 +1022,63 @@ mod tests {
         let a = analyze_deployment(&schema, &Catalog::new(), &ChaseConfig::default());
         let b = analyze_deployment(&schema, &Catalog::new(), &ChaseConfig::default());
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    #[test]
+    fn w007_fires_unless_the_core_head_determines_a_key_of_every_atom() {
+        use estocada_engine::AggSpec;
+        let mut schema = Schema::new();
+        schema.add_relation(RelationDecl::new("Users", &["uid", "tier"]).with_key(&["uid"]));
+        schema.add_relation(
+            RelationDecl::new("Orders", &["oid", "uid", "amount"]).with_key(&["oid"]),
+        );
+        schema.add_relation(RelationDecl::new("Log", &["uid", "ms"]));
+        let spec = |fun| AggregateSpec {
+            group_cols: 1,
+            aggs: vec![AggSpec {
+                fun,
+                col: 1,
+                name: "agg".into(),
+            }],
+            having: vec![],
+            select: vec![],
+        };
+        let w007 = |cq: &Cq, fun| {
+            let diags = analyze_query(cq, Some(&spec(fun)), &schema);
+            let hits = diags
+                .iter()
+                .filter(|d| d.code == Code::DistinctCoreAggregate);
+            hits.map(|d| d.witness.clone().unwrap()).collect::<Vec<_>>()
+        };
+        // SUM(amount) per tier: neither key is in the head.
+        let loose = CqBuilder::new("Q")
+            .head_vars(["tier", "amount"])
+            .atom("Users", |a| a.v("uid").v("tier"))
+            .atom("Orders", |a| a.v("oid").v("uid").v("amount"))
+            .build();
+        assert_eq!(
+            w007(&loose, AggFun::Sum),
+            vec![
+                "Orders: key (oid) is not determined by the core head",
+                "Users: key (uid) is not determined by the core head"
+            ]
+        );
+        // MIN/MAX do not see duplicates, and the plain core is not linted.
+        assert!(w007(&loose, AggFun::Max).is_empty());
+        assert!(analyze_query(&loose, None, &schema).is_empty());
+        // COUNT(oid) per tier: `oid` determines `uid`, hence Users' key.
+        let tight = CqBuilder::new("Q")
+            .head_vars(["tier", "oid"])
+            .atom("Users", |a| a.v("uid").v("tier"))
+            .atom("Orders", |a| a.v("oid").v("uid").v("amount"))
+            .build();
+        assert!(w007(&tight, AggFun::Count).is_empty());
+        // A keyless relation can always hold rows that collapse.
+        let keyless = CqBuilder::new("Q")
+            .head_vars(["uid", "ms"])
+            .atom("Log", |a| a.v("uid").v("ms"))
+            .build();
+        assert_eq!(w007(&keyless, AggFun::Avg), vec!["Log: declares no key"]);
+        assert_eq!(Code::DistinctCoreAggregate.severity(), Severity::Warning);
     }
 }

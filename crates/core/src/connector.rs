@@ -9,6 +9,11 @@
 //! backend's fault gate ([`Stores`] owns one per [`SystemId`]), named with
 //! the operation a `FaultPlan` rule keys on (`query`, `get`, `mget`,
 //! `find`, `term_lookup`, `scan`, `lookup`, `join`).
+//!
+//! A unit ships what [`Ship`] asks for: only the variables something
+//! outside it reads, or — when it is the whole rewriting — the query's
+//! [`Tail`] folded into its native request ([`Answers`] says which). See
+//! [`crate::translate`] for when a tail is offered.
 
 use crate::catalog::{DocRole, FragmentRelation, FragmentStats, WhereSpec};
 use crate::error::{Error, Result};
@@ -16,9 +21,10 @@ use crate::layout::unpack_kv_rows;
 use crate::system::{FaultGate, Stores, SystemId};
 use estocada_docstore::{DocQuery, QueryNode};
 use estocada_engine::{BindSource, RowBatch, StoreError, Tuple};
-use estocada_pivot::{Atom, Term, Value, Var};
+use estocada_parstore::Shape;
+use estocada_pivot::{Atom, GroupBy, Term, Value, Var};
 use estocada_relstore::{CmpOp as RelOp, ColRef, Pred, SqlQuery};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Result of a fallible store call (the crate-level [`Result`] alias
@@ -115,6 +121,16 @@ impl ResidualTracker {
         self.used[i] = true;
     }
 
+    /// Whether a residual not pushed down compares `v`.
+    pub fn reads(&self, v: Var) -> bool {
+        (self.items.iter().zip(&self.used)).any(|(r, used)| !used && r.var == v)
+    }
+
+    /// Whether every residual was pushed down.
+    pub fn all_used(&self) -> bool {
+        self.used.iter().all(|u| *u)
+    }
+
     /// Residuals not yet pushed down, with their indices.
     pub fn remaining(&self) -> Vec<(usize, Residual)> {
         self.items
@@ -124,6 +140,97 @@ impl ResidualTracker {
             .map(|(i, r)| (i, r.clone()))
             .collect()
     }
+}
+
+/// The part of a query above its conjunctive core, in the form a store
+/// evaluates: `SELECT DISTINCT head` and, for an aggregate query, the
+/// grouping over those rows.
+pub struct Tail {
+    /// The rewriting's head (a head holding a constant is never offered).
+    pub head: Vec<Var>,
+    /// `GROUP BY` / aggregates / `HAVING` over the distinct head rows.
+    pub group: Option<GroupBy>,
+}
+
+/// What the rest of the plan wants back from a delegated unit.
+pub struct Ship<'a> {
+    /// Variables read outside the unit: the query head and every variable
+    /// another unit holds too (join and BindJoin inputs).
+    pub needed: &'a [Var],
+    /// The query's tail, offered when this unit is the whole rewriting.
+    pub tail: Option<&'a Tail>,
+}
+
+impl<'a> Ship<'a> {
+    /// What a unit binding `vars` ships, decided once it has absorbed the
+    /// `residuals` it can: the offered tail when its native request can
+    /// take one (`foldable`) and nothing is left for the mediator to
+    /// filter; otherwise the bindings something outside reads — the
+    /// needed variables and those an unabsorbed residual compares. Set
+    /// semantics make dropping the rest exact. A unit never ships zero
+    /// columns: a columnar batch keeps its row count in them.
+    fn of(
+        &self,
+        vars: &[Var],
+        residuals: &ResidualTracker,
+        foldable: bool,
+    ) -> (Vec<Var>, Option<&'a Tail>) {
+        if let Some(tail) = self.tail.filter(|_| foldable && residuals.all_used()) {
+            return (tail.head.clone(), Some(tail));
+        }
+        let read = |v: &&Var| self.needed.contains(*v) || residuals.reads(**v);
+        let mut out: Vec<Var> = vars.iter().filter(read).copied().collect();
+        if out.is_empty() {
+            out.extend(vars.first());
+        }
+        (out, None)
+    }
+}
+
+/// What the rows of a unit are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Answers {
+    /// One column per `out_vars` variable: bindings for the mediator to
+    /// join, filter, project and de-duplicate.
+    Bindings,
+    /// The distinct rows of the query head — the store ran the `DISTINCT`.
+    Head,
+    /// The final groups — key columns, then the aggregates — with `HAVING`
+    /// applied.
+    Groups,
+}
+
+impl Answers {
+    fn of(tail: Option<&Tail>) -> Answers {
+        match tail {
+            None => Answers::Bindings,
+            Some(Tail { group: None, .. }) => Answers::Head,
+            Some(Tail { group: Some(_), .. }) => Answers::Groups,
+        }
+    }
+}
+
+/// Column names of a unit's batch: its variables, or — for final groups —
+/// the key variables followed by positional aggregate names (the
+/// SELECT-list projection above renames them).
+fn out_columns(out_vars: &[Var], tail: Option<&Tail>) -> Vec<String> {
+    match tail.and_then(|t| t.group.as_ref()) {
+        None => var_cols(out_vars),
+        Some(g) => {
+            let aggs = (0..g.aggs.len()).map(|j| format!("agg{j}"));
+            var_cols(&out_vars[..g.keys])
+                .into_iter()
+                .chain(aggs)
+                .collect()
+        }
+    }
+}
+
+/// Estimated rows of a grouped unit: one per group, so no more than the
+/// product of the group columns' distinct counts — and no more than the
+/// `core` rows being grouped.
+fn group_estimate(core: f64, key_distinct: impl Iterator<Item = u64>) -> f64 {
+    core.min(key_distinct.map(|d| d.max(1) as f64).product())
 }
 
 /// An executable unit of a translated rewriting.
@@ -142,6 +249,9 @@ pub struct Unit {
     pub est_scanned: f64,
     /// The store the unit runs on.
     pub system: SystemId,
+    /// What its rows are (anything but [`Answers::Bindings`] only for a
+    /// `Run` unit that was offered the query's tail).
+    pub answers: Answers,
 }
 
 /// Executable form of a unit.
@@ -194,17 +304,20 @@ fn bind_row(
     )
 }
 
-/// Distinct variables of `atoms` in first-occurrence order.
-pub fn atom_vars(atoms: &[Atom]) -> Vec<Var> {
+/// Distinct variables of `terms` in first-occurrence order.
+fn term_vars<'a>(terms: impl IntoIterator<Item = &'a Term>) -> Vec<Var> {
     let mut seen = Vec::new();
-    for a in atoms {
-        for v in a.vars() {
-            if !seen.contains(&v) {
-                seen.push(v);
-            }
+    for v in terms.into_iter().filter_map(Term::as_var) {
+        if !seen.contains(&v) {
+            seen.push(v);
         }
     }
     seen
+}
+
+/// Distinct variables of `atoms` in first-occurrence order.
+pub fn atom_vars(atoms: &[Atom]) -> Vec<Var> {
+    term_vars(atoms.iter().flat_map(|a| &a.args))
 }
 
 fn var_cols(vars: &[Var]) -> Vec<String> {
@@ -218,14 +331,14 @@ fn batch_of(out_vars: &[Var], rows: Vec<Tuple>) -> RowBatch {
     }
 }
 
-/// `true` when `terms` are pairwise-distinct variables — rows from the
-/// store can then stream through unchanged (no per-row rebinding).
-fn is_plain_var_pattern(terms: &[Term]) -> bool {
-    let mut seen = std::collections::HashSet::new();
-    terms.iter().all(|t| match t {
-        Term::Var(v) => seen.insert(*v),
-        Term::Const(_) => false,
-    })
+/// Whether some variable occurs twice in `terms` — an equality a scan or a
+/// join key does not enforce, so rows would need per-row rebinding.
+fn repeats_var(terms: &[Term]) -> bool {
+    let mut seen = HashSet::new();
+    terms
+        .iter()
+        .filter_map(Term::as_var)
+        .any(|v| !seen.insert(v))
 }
 
 /// Selectivity helper: `1 / distinct` clamped sanely.
@@ -235,15 +348,17 @@ fn eq_selectivity(stats: &FragmentStats, col: usize) -> f64 {
 }
 
 /// Build one SQL unit from relational-fragment atoms (the largest subquery
-/// delegated to the relational store).
+/// delegated to the relational store). Offered the query's tail, it folds
+/// it into the SQL whenever every residual went into the WHERE clause.
 pub fn sql_unit(
     atoms: &[(Atom, FragmentRelation, FragmentStats)],
     residuals: &mut ResidualTracker,
     stores: &Stores,
+    ship: &Ship,
 ) -> Result<Unit> {
     let mut q = SqlQuery::new();
     let mut var_ref: HashMap<Var, ColRef> = HashMap::new();
-    let mut out_vars: Vec<Var> = Vec::new();
+    let mut vars: Vec<Var> = Vec::new();
     let mut est = 1.0f64;
     let mut join_sel = 1.0f64;
     let mut est_scanned = 0.0f64;
@@ -278,7 +393,7 @@ pub fn sql_unit(
                         join_sel *= eq_selectivity(stats, pos);
                     } else {
                         var_ref.insert(*v, cr);
-                        out_vars.push(*v);
+                        vars.push(*v);
                     }
                 }
             }
@@ -293,30 +408,49 @@ pub fn sql_unit(
             est *= 0.33; // textbook range selectivity
         }
     }
-    for v in &out_vars {
-        q.projection.push(var_ref[v]);
+    let (out_vars, tail) = ship.of(&vars, residuals, true);
+    let col_of = |v: &Var| {
+        var_ref.get(v).copied().ok_or_else(|| {
+            Error::Untranslatable(format!(
+                "head variable {} not produced by any unit",
+                var_col(*v)
+            ))
+        })
+    };
+    q.projection = out_vars.iter().map(col_of).collect::<Result<_>>()?;
+    q.distinct = tail.is_some();
+    q.group = tail.and_then(|t| t.group.clone());
+    let mut est_rows = (est * join_sel).max(0.0);
+    if let Some(g) = &q.group {
+        let distinct_of = |cr: &ColRef| atoms[cr.table].2.distinct.get(cr.column).copied();
+        let keys = q.projection[..g.keys].iter();
+        est_rows = group_estimate(est_rows, keys.map(|cr| distinct_of(cr).unwrap_or(1)));
     }
     let label = format!("relational: {q}");
     let rel_store = stores.rel.clone();
     let gate = stores.gate(SystemId::Relational);
-    let ov = out_vars.clone();
+    let columns = out_columns(&out_vars, tail);
     // A store failure must propagate — never decay to an empty row set.
     let runner = move || {
         gate.check("query")?;
         let rows = rel_store
             .query(&q)
             .map_err(|e| StoreError::internal("relational", "query", e.to_string()))?;
-        Ok(batch_of(&ov, rows))
+        Ok(RowBatch {
+            columns: columns.clone(),
+            rows,
+        })
     };
     Ok(Unit {
         label,
         out_vars,
         inputs: Vec::new(),
         kind: UnitKind::Run(Arc::new(runner)),
-        est_rows: (est * join_sel).max(0.0),
+        est_rows,
         // Keyed tables answer constant predicates through indexes.
         est_scanned: if has_const { 0.0 } else { est_scanned },
         system: SystemId::Relational,
+        answers: Answers::of(tail),
     })
 }
 
@@ -376,8 +510,9 @@ impl BindSource for KvAccess {
 pub fn kv_unit(
     atom: &Atom,
     rel: &FragmentRelation,
-    _stats: &FragmentStats,
+    residuals: &ResidualTracker,
     stores: &Stores,
+    ship: &Ship,
 ) -> Result<Unit> {
     let namespace = match &rel.place {
         WhereSpec::Namespace { namespace, .. } => namespace.clone(),
@@ -389,11 +524,13 @@ pub fn kv_unit(
     };
     let value_terms: Vec<Term> = atom.args[1..].to_vec();
     let key_var = atom.args[0].as_var();
-    // Output vars: value-position vars other than the key var.
-    let out_vars: Vec<Var> = atom_vars(&[Atom::new(atom.pred, value_terms.clone())])
+    // Output vars: the value-position vars, other than the key var, that
+    // something reads (the whole value is fetched either way).
+    let value_vars: Vec<Var> = term_vars(&value_terms)
         .into_iter()
         .filter(|v| Some(*v) != key_var)
         .collect();
+    let (out_vars, _) = ship.of(&value_vars, residuals, false);
     let label = match &atom.args[0] {
         Term::Const(key) => format!("key-value: GET {namespace}[{key}]"),
         Term::Var(_) => format!("key-value: GET {namespace}[?]"),
@@ -426,6 +563,7 @@ pub fn kv_unit(
         est_rows: 1.0,
         est_scanned: 0.0,
         system: SystemId::KeyValue,
+        answers: Answers::Bindings,
     })
 }
 
@@ -531,6 +669,7 @@ pub fn text_unit(
         est_rows: avg_postings,
         est_scanned: 0.0,
         system: SystemId::Text,
+        answers: Answers::Bindings,
     })
 }
 
@@ -539,7 +678,9 @@ pub fn doc_rows_unit(
     atom: &Atom,
     rel: &FragmentRelation,
     stats: &FragmentStats,
+    residuals: &ResidualTracker,
     stores: &Stores,
+    ship: &Ship,
 ) -> Result<Unit> {
     let (collection, columns) = match &rel.place {
         WhereSpec::Collection {
@@ -562,7 +703,7 @@ pub fn doc_rows_unit(
             has_const = true;
         }
     }
-    let out_vars = atom_vars(std::slice::from_ref(atom));
+    let (out_vars, _) = ship.of(&atom_vars(std::slice::from_ref(atom)), residuals, false);
     let label = format!("document: FIND {collection} {:?}", filter.clauses);
     let doc = stores.doc.clone();
     let gate = stores.gate(SystemId::Document);
@@ -592,6 +733,7 @@ pub fn doc_rows_unit(
         est_rows: est,
         est_scanned: if has_const { 0.0 } else { stats.rows as f64 },
         system: SystemId::Document,
+        answers: Answers::Bindings,
     })
 }
 
@@ -602,10 +744,11 @@ pub fn par_unit(
     atoms: &[(Atom, FragmentRelation, FragmentStats)],
     residuals: &mut ResidualTracker,
     stores: &Stores,
+    ship: &Ship,
 ) -> Result<Unit> {
     match atoms {
-        [one] => par_scan_unit(one, residuals, stores),
-        [l, r] => par_join_unit(l, r, stores),
+        [one] => par_scan_unit(one, residuals, stores, ship),
+        [l, r] => par_join_unit(l, r, residuals, stores, ship),
         _ => Err(Error::Untranslatable(
             "parallel units support at most two atoms".into(),
         )),
@@ -625,10 +768,101 @@ fn par_place(rel: &FragmentRelation) -> Result<(String, Vec<String>, Vec<usize>)
     }
 }
 
+/// A parallel-store failure as the engine's store error.
+fn par_error(op: &'static str, e: estocada_parstore::ParError) -> StoreError {
+    StoreError::internal("parallel", op, e.to_string())
+}
+
+/// What a parallel unit asks of the store and how it reads the answer.
+struct ParRequest {
+    /// The unit's output variables.
+    out_vars: Vec<Var>,
+    /// The request's shape: the unit's columns and, folded, the tail.
+    shape: Shape,
+    /// `Some(terms)` when the request cannot enforce every constant and
+    /// repeated variable of `terms` itself: whole rows come back and each
+    /// is re-bound. `None`: the shaped rows stream through unchanged.
+    rebind: Option<Vec<Term>>,
+    columns: Vec<String>,
+    answers: Answers,
+}
+
+impl ParRequest {
+    /// The request of a unit over `terms` (the scanned atom's arguments,
+    /// or `left ++ right` of a join). `exact` says the request itself
+    /// enforces every constant and repeated variable of `terms`; only then
+    /// can the store project — and take a tail.
+    fn new(
+        terms: &[Term],
+        exact: bool,
+        residuals: &ResidualTracker,
+        ship: &Ship,
+    ) -> Result<ParRequest> {
+        let (out_vars, tail) = ship.of(&term_vars(terms), residuals, exact);
+        let first_pos = |v: &Var| {
+            let pos = terms.iter().position(|t| t.as_var() == Some(*v));
+            pos.ok_or_else(|| {
+                Error::Untranslatable(format!(
+                    "head variable {} not produced by any unit",
+                    var_col(*v)
+                ))
+            })
+        };
+        let shape = match exact {
+            false => Shape::default(),
+            true => Shape {
+                projection: Some(out_vars.iter().map(first_pos).collect::<Result<_>>()?),
+                distinct: tail.is_some(),
+                group: tail.and_then(|t| t.group.clone()),
+            },
+        };
+        Ok(ParRequest {
+            columns: out_columns(&out_vars, tail),
+            out_vars,
+            shape,
+            rebind: (!exact).then(|| terms.to_vec()),
+            answers: Answers::of(tail),
+        })
+    }
+
+    /// Label suffix of a shape that projects, de-duplicates or groups.
+    fn label(&self) -> String {
+        match self.shape.to_string() {
+            sql if sql.is_empty() => sql,
+            sql => format!(" → {sql}"),
+        }
+    }
+
+    /// `core` estimated rows, or the group estimate when the tail's
+    /// grouping was folded in (`distinct_of` a selected-row position).
+    fn estimate(&self, core: f64, distinct_of: impl Fn(usize) -> Option<u64>) -> f64 {
+        let Some(g) = &self.shape.group else {
+            return core;
+        };
+        let keys = self.shape.projection.iter().flatten().take(g.keys);
+        group_estimate(core, keys.map(|c| distinct_of(*c).unwrap_or(1)))
+    }
+
+    fn batch(&self, rows: Vec<Tuple>) -> RowBatch {
+        let rows = match &self.rebind {
+            None => rows,
+            Some(terms) => rows
+                .into_iter()
+                .filter_map(|r| bind_row(terms, &r, &HashMap::new(), &self.out_vars))
+                .collect(),
+        };
+        RowBatch {
+            columns: self.columns.clone(),
+            rows,
+        }
+    }
+}
+
 fn par_scan_unit(
     (atom, rel, stats): &(Atom, FragmentRelation, FragmentStats),
     residuals: &mut ResidualTracker,
     stores: &Stores,
+    ship: &Ship,
 ) -> Result<Unit> {
     use estocada_parstore::{ColPred, ParOp};
     let (dataset, _columns, indexed) = par_place(rel)?;
@@ -661,58 +895,34 @@ fn par_scan_unit(
     }
     // Use the key index when every indexed column is bound by a constant.
     let use_index = !indexed.is_empty() && indexed.iter().all(|c| const_cols.contains(c));
-    let out_vars = atom_vars(std::slice::from_ref(atom));
+    // Constants are enforced by `preds`; a variable repeated within the
+    // atom is not.
+    let req = ParRequest::new(&atom.args, !repeats_var(&atom.args), residuals, ship)?;
+    let est = req.estimate(est, |c| stats.distinct.get(c).copied());
     let label = if use_index {
-        format!("parallel: LOOKUP {dataset} by key index")
+        format!("parallel: LOOKUP {dataset} by key index{}", req.label())
     } else {
-        format!("parallel: SCAN {dataset} ({} preds)", preds.len())
+        let n = preds.len();
+        format!("parallel: SCAN {dataset} ({n} preds){}", req.label())
     };
     let par = stores.par.clone();
     let gate = stores.gate(SystemId::Parallel);
-    let ov = out_vars.clone();
-    let terms = atom.args.clone();
     let key: Vec<Value> = indexed
         .iter()
-        .filter_map(|c| terms.get(*c).and_then(|t| t.as_const().cloned()))
+        .filter_map(|c| atom.args.get(*c).and_then(|t| t.as_const().cloned()))
         .collect();
-    // Identity scans (distinct variables everywhere) stream rows through
-    // without per-row rebinding; constants are already enforced by `preds`.
-    let plain = is_plain_var_pattern(
-        &terms
-            .iter()
-            .filter(|t| t.is_var())
-            .cloned()
-            .collect::<Vec<_>>(),
-    );
-    let var_positions: Vec<usize> = terms
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.is_var())
-        .map(|(i, _)| i)
-        .collect();
-    let all_vars = var_positions.len() == terms.len();
+    let (out_vars, answers) = (req.out_vars.clone(), req.answers);
     let runner = move || {
-        let rows_raw = if use_index {
+        let rows = if use_index {
             gate.check("lookup")?;
-            par.lookup(&dataset, &key, &preds)
+            par.lookup(&dataset, &key, &preds, &req.shape)
+                .map_err(|e| par_error("lookup", e))?
         } else {
             gate.check("scan")?;
-            par.scan(&dataset, &preds, None)
+            par.scan(&dataset, &preds, &req.shape)
+                .map_err(|e| par_error("scan", e))?
         };
-        let rows: Vec<Tuple> = if plain && all_vars {
-            rows_raw
-        } else if plain {
-            rows_raw
-                .into_iter()
-                .map(|r| var_positions.iter().map(|i| r[*i].clone()).collect())
-                .collect()
-        } else {
-            rows_raw
-                .into_iter()
-                .filter_map(|r| bind_row(&terms, &r, &HashMap::new(), &ov))
-                .collect()
-        };
-        Ok(batch_of(&ov, rows))
+        Ok(req.batch(rows))
     };
     Ok(Unit {
         label,
@@ -722,13 +932,16 @@ fn par_scan_unit(
         est_rows: est,
         est_scanned: if use_index { 0.0 } else { stats.rows as f64 },
         system: SystemId::Parallel,
+        answers,
     })
 }
 
 fn par_join_unit(
     (latom, lrel, lstats): &(Atom, FragmentRelation, FragmentStats),
     (ratom, rrel, rstats): &(Atom, FragmentRelation, FragmentStats),
+    residuals: &ResidualTracker,
     stores: &Stores,
+    ship: &Ship,
 ) -> Result<Unit> {
     let (lds, lcols, _) = par_place(lrel)?;
     let (rds, rcols, _) = par_place(rrel)?;
@@ -752,56 +965,12 @@ fn par_join_unit(
     }
     let mut combined_terms = latom.args.clone();
     combined_terms.extend(ratom.args.iter().cloned());
-    let out_vars = atom_vars(&[latom.clone(), ratom.clone()]);
-    let label = format!("parallel: JOIN {lds} ⋈ {rds} on {lkeys:?}");
-    let par = stores.par.clone();
-    let gate = stores.gate(SystemId::Parallel);
-    let ov = out_vars.clone();
-    // Joined rows need rebinding only when constants/repeated variables
-    // appear beyond the join keys themselves; the join already enforced
-    // key equality, so project the first occurrence of each variable.
-    let var_first_pos: Vec<usize> = {
-        let mut seen = std::collections::HashSet::new();
-        combined_terms
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| match t {
-                Term::Var(v) => seen.insert(*v),
-                Term::Const(_) => false,
-            })
-            .map(|(i, _)| i)
-            .collect()
-    };
-    // Rebind when constants appear, or when a variable repeats *within*
-    // one atom (the parallel join only enforces cross-atom key equality).
-    let within_repeat = |atom: &Atom| {
-        let mut seen = std::collections::HashSet::new();
-        atom.args
-            .iter()
-            .filter_map(Term::as_var)
-            .any(|v| !seen.insert(v))
-    };
-    let needs_bind = combined_terms.iter().any(|t| t.as_const().is_some())
-        || within_repeat(latom)
-        || within_repeat(ratom);
-    let runner = move || {
-        let lk: Vec<&str> = lkeys.iter().map(|s| s.as_str()).collect();
-        let rk: Vec<&str> = rkeys.iter().map(|s| s.as_str()).collect();
-        gate.check("join")?;
-        let rows_raw = par.join(&lds, &rds, &lk, &rk);
-        let rows: Vec<Tuple> = if needs_bind {
-            rows_raw
-                .into_iter()
-                .filter_map(|r| bind_row(&combined_terms, &r, &HashMap::new(), &ov))
-                .collect()
-        } else {
-            rows_raw
-                .into_iter()
-                .map(|r| var_first_pos.iter().map(|i| r[*i].clone()).collect())
-                .collect()
-        };
-        Ok(batch_of(&ov, rows))
-    };
+    // The join enforces cross-atom key equality only: constants, and a
+    // variable repeated *within* one atom, need each joined row re-bound.
+    let exact = !(combined_terms.iter().any(|t| t.as_const().is_some())
+        || repeats_var(&latom.args)
+        || repeats_var(&ratom.args));
+    let req = ParRequest::new(&combined_terms, exact, residuals, ship)?;
     let est = (lstats.rows.max(1) as f64 * rstats.rows.max(1) as f64)
         / lstats
             .distinct
@@ -810,6 +979,23 @@ fn par_join_unit(
             .unwrap_or(1)
             .max(1)
             .max(rstats.distinct.first().copied().unwrap_or(1).max(1)) as f64;
+    let est = req.estimate(est, |c| match c.checked_sub(latom.args.len()) {
+        Some(rc) => rstats.distinct.get(rc).copied(),
+        None => lstats.distinct.get(c).copied(),
+    });
+    let label = format!("parallel: JOIN {lds} ⋈ {rds} on {lkeys:?}{}", req.label());
+    let par = stores.par.clone();
+    let gate = stores.gate(SystemId::Parallel);
+    let (out_vars, answers) = (req.out_vars.clone(), req.answers);
+    let runner = move || {
+        let lk: Vec<&str> = lkeys.iter().map(|s| s.as_str()).collect();
+        let rk: Vec<&str> = rkeys.iter().map(|s| s.as_str()).collect();
+        gate.check("join")?;
+        let rows = par
+            .join(&lds, &rds, &lk, &rk, &req.shape)
+            .map_err(|e| par_error("join", e))?;
+        Ok(req.batch(rows))
+    };
     Ok(Unit {
         label,
         out_vars,
@@ -818,6 +1004,7 @@ fn par_join_unit(
         est_rows: est,
         est_scanned: (lstats.rows + rstats.rows) as f64,
         system: SystemId::Parallel,
+        answers,
     })
 }
 
@@ -989,6 +1176,7 @@ pub fn doc_tree_unit(
         est_rows: doc_count.max(1.0),
         est_scanned: if indexed { 0.0 } else { doc_count },
         system: SystemId::Document,
+        answers: Answers::Bindings,
     })
 }
 

@@ -731,17 +731,20 @@ impl Estocada {
     /// bumps only the data epoch, so writes keep lints cached).
     /// [`ValidationMode::Off`] skips analysis entirely (`None` activity).
     /// The second component is the lint-cache activity for the report.
-    fn query_lints(&self, cq: &Cq) -> (Vec<Diagnostic>, Option<PlanCacheActivity>) {
+    fn query_lints(&self, q: &ParsedQuery) -> (Vec<Diagnostic>, Option<PlanCacheActivity>) {
         if matches!(self.validation, ValidationMode::Off) {
             return (Vec::new(), None);
         }
         // Keyed on the exact CQ (not the alpha-invariant canonical form):
-        // lint messages name the query's concrete variables.
-        let key = format!("l|{}|{:?}|{:?}", cq.name, cq.head, cq.body);
+        // lint messages name the query's concrete variables. An aggregate
+        // that counts rows is linted beyond its plain core (`W007`).
+        let (cq, aggregate) = (&q.cq, q.aggregate.as_ref());
+        let counts = aggregate.is_some_and(analyze::counts_rows);
+        let key = format!("l|{}|{:?}|{:?}|{counts}", cq.name, cq.head, cq.body);
         let (diags, hit) = match self.lint_cache.lookup(&key, self.epoch) {
             Some(cached) => ((*cached).clone(), true),
             None => {
-                let diags = Arc::new(analyze::analyze_query(cq, &self.schema));
+                let diags = Arc::new(analyze::analyze_query(cq, aggregate, &self.schema));
                 self.lint_cache.insert(key, self.epoch, diags.clone());
                 ((*diags).clone(), false)
             }
@@ -759,7 +762,7 @@ impl Estocada {
         let opts = self.resolve(opts);
         let resilience = QueryResilience::new(opts.retry, opts.deadline, self.health.clone());
         let mut planned = planner::plan(self, q, &opts, Some(&resilience))?;
-        let lints = self.query_lints(&q.cq);
+        let lints = self.query_lints(q);
 
         if opts.explain_only {
             // Explain reports cost every alternative but tolerate a query

@@ -15,7 +15,9 @@ use estocada_pivot::Schema;
 /// its conjunctive core — without planning or executing anything. This is
 /// the frontend-level entry to the analyzer: `E002`/`E004` for dangling
 /// or arity-mismatched relation references, `E003` for unsafe heads,
-/// `W003` for cartesian-product bodies. The same lints are attached to
+/// `W003` for cartesian-product bodies, and `W007` for a `COUNT`/`SUM`/
+/// `AVG` whose distinct-core semantics can differ from SQL's bags. The
+/// same lints are attached to
 /// [`crate::report::Report::diagnostics`] when the query actually runs
 /// (served from the catalog-epoch-keyed lint cache —
 /// [`crate::report::Report::lint_cache`] shows the activity).
@@ -26,5 +28,6 @@ use estocada_pivot::Schema;
 /// query them through [`crate::Estocada::analyze`] and
 /// [`crate::Estocada::termination_certificate`].
 pub fn lint_sql(sql: &str, catalog: &SqlCatalog, schema: &Schema) -> Result<Vec<Diagnostic>> {
-    Ok(analyze_query(&parse_sql(sql, catalog)?.cq, schema))
+    let q = parse_sql(sql, catalog)?;
+    Ok(analyze_query(&q.cq, q.aggregate.as_ref(), schema))
 }

@@ -29,13 +29,16 @@
 //! An aggregate query keeps the *conjunctive core* (FROM + WHERE)
 //! rewritable: the core's head is the GROUP BY columns followed by the
 //! distinct aggregate argument columns, and the grouping/aggregation runs
-//! in the mediator on top of whatever rewriting the planner picked. The
-//! mediator evaluates conjunctive queries under **set semantics** (every
-//! rewriting is wrapped in a duplicate-eliminating projection), so
-//! aggregates range over the *distinct* core tuples — `COUNT`/`SUM` over a
-//! column with duplicates across the grouped rows count each distinct
-//! `(group key, argument)` combination once. Aggregate over a key column
-//! (e.g. `COUNT(o.oid)`) to count underlying rows. This makes results
+//! on top of whatever rewriting the planner picked — inside the delegated
+//! unit when one store covers the whole query, in the mediator otherwise
+//! (see [`crate::translate`]; the answers are identical). Conjunctive
+//! queries are evaluated under **set semantics**, so aggregates range over
+//! the *distinct* core tuples — `COUNT`/`SUM` over a column with
+//! duplicates across the grouped rows count each distinct `(group key,
+//! argument)` combination once. Aggregate over a key column (e.g.
+//! `COUNT(o.oid)`) to count underlying rows; a `COUNT`/`SUM`/`AVG` query
+//! whose core head determines no key of some table draws the analyzer's
+//! `W007` warning ([`crate::analyze`]) in its report. This makes results
 //! independent of which rewriting executes. Bare (non-aggregated) columns
 //! in SELECT or HAVING must appear in GROUP BY; violations are typed
 //! [`Error::Parse`] errors, not panics.
@@ -612,7 +615,7 @@ fn build_aggregate(
             return i;
         }
         let name = match arg {
-            Some(c) => format!("{}({}.{})", fun_name(fun), c.alias, c.column),
+            Some(c) => format!("{fun}({}.{})", c.alias, c.column),
             None => "COUNT(*)".to_string(),
         };
         aggs.push(AggSpec { fun, col, name });
@@ -662,16 +665,6 @@ fn build_aggregate(
             select,
         },
     ))
-}
-
-fn fun_name(fun: AggFun) -> &'static str {
-    match fun {
-        AggFun::Count => "COUNT",
-        AggFun::Sum => "SUM",
-        AggFun::Avg => "AVG",
-        AggFun::Min => "MIN",
-        AggFun::Max => "MAX",
-    }
 }
 
 /// Union-find over (alias, column) cells plus constant binding.

@@ -6,10 +6,14 @@
 //! The paper's mediator answers every query the same way, and [`plan`] is
 //! its only statement in this crate: **rewrite** the pivot query under the
 //! fragment-view constraints ([`Rewriter::rewrite`], through the plan
-//! cache), **translate** each rewriting once into delegated units stitched by
-//! mediator operators ([`translate`]), and **rank** the executable ones
-//! ([`cheapest`]). Execution, `EXPLAIN`, plan failover and the storage
-//! advisor's what-if costing all consume the resulting [`Planned`].
+//! cache), **translate** each rewriting once into its *final* plan —
+//! delegated units stitched by mediator operators, with the query's SQL
+//! aggregation on top or, when one store covers the whole query, inside
+//! the delegated unit ([`translate_query`]; where the aggregate runs is
+//! translation's business, not the planner's) — and **rank** the
+//! executable ones ([`cheapest`]). Execution, `EXPLAIN`, plan failover and
+//! the storage advisor's what-if costing all consume the resulting
+//! [`Planned`].
 //!
 //! Everything the pipeline derives from the catalog and the schema alone
 //! is a function of the **catalog epoch** and is derived once per epoch
@@ -52,13 +56,12 @@ use crate::cost::CostModel;
 use crate::dataset::{Dataset, DatasetContent};
 use crate::error::Result;
 use crate::evaluator::{Estocada, ResolvedOptions};
-use crate::frontends::{AggregateSpec, ParsedQuery, SqlCatalog, SqlTable};
+use crate::frontends::{ParsedQuery, SqlCatalog, SqlTable};
 use crate::report::{Alternative, PlanCacheActivity};
 use crate::resilience::QueryResilience;
 use crate::system::SystemId;
-use crate::translate::{translate, Translation};
+use crate::translate::{translate_query, Query, Translation};
 use estocada_chase::{certify, RewriteOutcome, Rewriter, TerminationCertificate};
-use estocada_engine::{Expr, Plan};
 use estocada_pivot::Constraint;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -116,7 +119,7 @@ fn sql_catalog(datasets: &HashMap<String, Dataset>) -> SqlCatalog {
 }
 
 /// One executable rewriting: its translation, whose `plan` is the *final*
-/// plan (the SQL aggregation pipeline, if any, already layered on top).
+/// plan (the SQL aggregation, if any, already in it).
 /// Lives for one query: its runners hold the query's resilience context.
 pub(crate) struct Candidate {
     /// Index into [`Planned::alternatives`] (and the outcome's rewritings).
@@ -157,10 +160,14 @@ pub(crate) fn plan(
         if let Some(r) = resilience {
             r.note_translation();
         }
-        let translated = translate(
+        let query = Query {
+            head_names: &q.head_names,
+            residuals: &q.residuals,
+            aggregate: q.aggregate.as_ref(),
+        };
+        let translated = translate_query(
             rw,
-            &q.head_names,
-            &q.residuals,
+            &query,
             est.catalog(),
             &est.stores,
             est.cost_model(),
@@ -171,10 +178,7 @@ pub(crate) fn plan(
             est_cost: translated.as_ref().ok().map(|tr| tr.est_cost),
             note: translated.as_ref().err().map(|e| format!("{e}")),
         });
-        if let Ok(mut translation) = translated {
-            if let Some(spec) = &q.aggregate {
-                translation.plan = wrap_aggregate(translation.plan, spec);
-            }
+        if let Ok(translation) = translated {
             candidates.push(Candidate {
                 alternative,
                 translation,
@@ -262,43 +266,11 @@ fn plan_cache_key(q: &ParsedQuery) -> String {
     }
 }
 
-/// Layer the SQL aggregation pipeline over a rewritten core plan:
-/// `Project(SELECT) ∘ Filter(HAVING) ∘ Aggregate(GROUP BY) ∘ core`.
-/// Translation wraps the core in a duplicate-eliminating projection, so
-/// the aggregates range over the *distinct* core tuples whichever
-/// rewriting executes; the plan cache is shared with the plain core.
-fn wrap_aggregate(core: Plan, spec: &AggregateSpec) -> Plan {
-    let mut plan = Plan::Aggregate {
-        input: Box::new(core),
-        group_by: (0..spec.group_cols).collect(),
-        aggs: spec.aggs.clone(),
-    };
-    let having = spec
-        .having
-        .iter()
-        .map(|(col, op, v)| Expr::col(*col).cmp(*op, Expr::Lit(v.clone())))
-        .reduce(Expr::and);
-    if let Some(pred) = having {
-        plan = Plan::Filter {
-            input: Box::new(plan),
-            pred,
-        };
-    }
-    Plan::Project {
-        input: Box::new(plan),
-        exprs: spec
-            .select
-            .iter()
-            .map(|(name, col)| (name.clone(), Expr::col(*col)))
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::resilience::{BreakerConfig, HealthTracker};
-    use estocada_engine::RowBatch;
+    use estocada_engine::{Plan, RowBatch};
     use std::collections::HashSet;
 
     fn candidate(alternative: usize, est_cost: f64, systems: &[SystemId]) -> Candidate {

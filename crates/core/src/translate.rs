@@ -2,18 +2,55 @@
 //! relations into an executable plan — group atoms per fragment, delegate
 //! the largest subquery each store can take, and stitch the units together
 //! with hash joins and BindJoins in the mediator runtime.
+//!
+//! # What a unit ships
+//!
+//! Each delegated unit is handed **what the rest of the plan needs, and the
+//! whole tail when nothing else is left** ([`Ship`]):
+//!
+//! - *Needed columns.* A unit returns only the variables something outside
+//!   it reads: those in the query head, those another unit holds too (hash
+//!   join keys, BindJoin inputs), and those compared by a residual
+//!   predicate the unit could not absorb into its native request (the
+//!   mediator filters on them). Fragments are CQ results and the final
+//!   answer is a set, so dropping the other columns is exact.
+//! - *The tail.* When the rewriting is **one** free-access unit on the
+//!   relational or the parallel store, its head holds no constant and the
+//!   unit absorbed every residual, the rest of the query is folded into
+//!   the unit's native request: the head projection and the `DISTINCT`,
+//!   and — for an aggregate query — `GROUP BY`, the aggregates and
+//!   `HAVING` ([`estocada_pivot::GroupBy`]). The `Delegated` node then
+//!   returns the distinct head rows (no mediator `Distinct`) or the final
+//!   groups (only the SELECT-list `Project` is left).
+//!
+//! Everything else keeps the mediator tail `Project(SELECT) ∘
+//! Filter(HAVING) ∘ Aggregate ∘ Distinct ∘ Project(head)`: several units;
+//! a key-value, document or text unit; a residual the mediator must filter
+//! (`<>` on the parallel store); a constant in the head; a parallel atom
+//! whose constants or repeated variables need rows re-bound. That is the
+//! delegation boundary moving, not a second path — both tails are built
+//! here, from the same [`AggregateSpec`], by the crate-private
+//! `translate_query` ([`translate`] is its no-aggregate call).
+//!
+//! The two tails are **row-identical, in order**. The store de-duplicates
+//! the same projected rows in the order its conjunctive block produces
+//! them, which is the order the mediator's `Distinct` would have seen;
+//! both group in first-seen order and fold each group's rows in that order
+//! through the same accumulator semantics (see [`estocada_pivot::agg`]),
+//! so even floating-point sums agree bit for bit.
 
 use crate::catalog::{Catalog, FragmentRelation, FragmentStats, WhereSpec};
 use crate::connector::{
-    doc_rows_unit, doc_tree_unit, kv_unit, par_unit, sql_unit, text_unit, var_col, Residual,
-    ResidualTracker, Unit, UnitKind,
+    doc_rows_unit, doc_tree_unit, kv_unit, par_unit, sql_unit, text_unit, var_col, Answers,
+    Residual, ResidualTracker, Ship, Tail, Unit, UnitKind,
 };
 use crate::cost::CostModel;
 use crate::error::{Error, Result};
+use crate::frontends::AggregateSpec;
 use crate::resilience::{QueryResilience, ResilientSource};
 use crate::system::{Stores, SystemId};
 use estocada_engine::{BindSource, CmpOp, Expr, Plan};
-use estocada_pivot::{Cq, Symbol, Term, Var};
+use estocada_pivot::{Cq, GroupBy, Symbol, Term, Var};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -36,7 +73,8 @@ pub struct Translation {
 type AtomInfo = (estocada_pivot::Atom, FragmentRelation, FragmentStats);
 
 /// Translate `rewriting` (over fragment relations) into a plan computing
-/// `head_names` columns, applying `residuals`.
+/// `head_names` columns, applying `residuals` — the no-aggregate call of
+/// the crate's one plan builder, `translate_query`.
 ///
 /// Every delegated runner and BindJoin source passes its backend's fault
 /// gate (see [`crate::connector`]) before each store request. With
@@ -47,6 +85,35 @@ pub fn translate(
     rewriting: &Cq,
     head_names: &[String],
     residuals: &[Residual],
+    catalog: &Catalog,
+    stores: &Stores,
+    cost: &CostModel,
+    resilience: Option<&Arc<QueryResilience>>,
+) -> Result<Translation> {
+    let query = Query {
+        head_names,
+        residuals,
+        aggregate: None,
+    };
+    translate_query(rewriting, &query, catalog, stores, cost, resilience)
+}
+
+/// What a query adds to the rewriting of its conjunctive core.
+pub(crate) struct Query<'a> {
+    /// Output column names of the core.
+    pub(crate) head_names: &'a [String],
+    /// Residual comparisons.
+    pub(crate) residuals: &'a [Residual],
+    /// The SQL aggregation over the distinct core rows, if any.
+    pub(crate) aggregate: Option<&'a AggregateSpec>,
+}
+
+/// Translate `rewriting` into the **final** plan of `query`: the core, and
+/// on top of it the aggregation — inside the delegated unit when one store
+/// covers the whole query, in the mediator otherwise (module docs).
+pub(crate) fn translate_query(
+    rewriting: &Cq,
+    query: &Query,
     catalog: &Catalog,
     stores: &Stores,
     cost: &CostModel,
@@ -66,8 +133,28 @@ pub fn translate(
         infos.push((atom.clone(), rel.clone(), stats.clone()));
     }
 
-    let mut tracker = ResidualTracker::new(residuals.to_vec());
-    let units = build_units(infos, &mut tracker, stores)?;
+    let mut tracker = ResidualTracker::new(query.residuals.to_vec());
+    let groups = group_atoms(infos);
+    let head_vars: Option<Vec<Var>> = rewriting.head.iter().map(Term::as_var).collect();
+    // The tail goes to a unit that is the whole rewriting (a store's tail
+    // ranges over non-empty rows: a Boolean query keeps the mediator's).
+    let whole = |head: &Vec<Var>| groups.len() == 1 && !head.is_empty();
+    let tail = head_vars.filter(whole).map(|head| Tail {
+        head,
+        group: query.aggregate.map(|spec| GroupBy {
+            keys: spec.group_cols,
+            aggs: spec.aggs.iter().map(|a| (a.fun, a.col)).collect(),
+            having: spec.having.clone(),
+        }),
+    });
+    let ship = Ship {
+        needed: &needed_vars(rewriting, &groups),
+        tail: tail.as_ref(),
+    };
+    let units = groups
+        .into_iter()
+        .map(|g| g.into_unit(&mut tracker, stores, &ship))
+        .collect::<Result<Vec<Unit>>>()?;
 
     // --- Order units (access-pattern feasibility + greedy cost). ---
     let order = order_units(&units)?;
@@ -174,6 +261,11 @@ pub fn translate(
         });
     }
     let (mut plan, vars, mut est_rows) = state.expect("at least one unit");
+    // Only a unit that is the whole rewriting is offered the tail.
+    let answers = match units.as_slice() {
+        [only] => only.answers,
+        _ => Answers::Bindings,
+    };
 
     // --- Remaining residual predicates as a runtime filter. ---
     for (_, r) in tracker.remaining() {
@@ -190,35 +282,49 @@ pub fn translate(
         est_rows *= 0.33;
     }
 
-    // --- Final projection onto the query head. ---
-    let mut exprs = Vec::new();
-    for (i, t) in rewriting.head.iter().enumerate() {
-        let name = head_names
-            .get(i)
-            .cloned()
-            .unwrap_or_else(|| format!("col{i}"));
-        let e = match t {
-            Term::Const(c) => Expr::lit(c.clone()),
-            Term::Var(v) => {
-                let pos = vars.iter().position(|x| x == v).ok_or_else(|| {
-                    Error::Untranslatable(format!(
-                        "head variable {} not produced by any unit",
-                        var_col(*v)
-                    ))
-                })?;
-                Expr::col(pos)
-            }
-        };
-        exprs.push((name, e));
-    }
-    // The pivot model has set semantics (fragments are CQ results):
-    // deduplicate so every rewriting of a query returns the same relation.
-    plan = Plan::Distinct {
-        input: Box::new(Plan::Project {
+    // --- The tail: whatever of it the unit did not answer already. ---
+    if answers != Answers::Groups {
+        // Final projection onto the query head.
+        let mut exprs = Vec::new();
+        for (i, t) in rewriting.head.iter().enumerate() {
+            let name = query
+                .head_names
+                .get(i)
+                .cloned()
+                .unwrap_or_else(|| format!("col{i}"));
+            let e = match t {
+                Term::Const(c) => Expr::lit(c.clone()),
+                Term::Var(v) => {
+                    let pos = vars.iter().position(|x| x == v).ok_or_else(|| {
+                        Error::Untranslatable(format!(
+                            "head variable {} not produced by any unit",
+                            var_col(*v)
+                        ))
+                    })?;
+                    Expr::col(pos)
+                }
+            };
+            exprs.push((name, e));
+        }
+        plan = Plan::Project {
             input: Box::new(plan),
             exprs,
-        }),
-    };
+        };
+        // The pivot model has set semantics (fragments are CQ results):
+        // deduplicate so every rewriting of a query returns the same
+        // relation — unless the store already did.
+        if answers == Answers::Bindings {
+            plan = Plan::Distinct {
+                input: Box::new(plan),
+            };
+        }
+    }
+    if let Some(spec) = query.aggregate {
+        plan = match answers {
+            Answers::Groups => select_list(plan, spec),
+            _ => wrap_aggregate(plan, spec),
+        };
+    }
 
     Ok(Translation {
         plan,
@@ -230,12 +336,105 @@ pub fn translate(
     })
 }
 
+/// Layer the SQL aggregation pipeline over a plan returning the distinct
+/// core rows: `Project(SELECT) ∘ Filter(HAVING) ∘ Aggregate(GROUP BY) ∘
+/// core`. The aggregates range over the *distinct* core tuples whichever
+/// rewriting executes; the plan cache is shared with the plain core.
+fn wrap_aggregate(core: Plan, spec: &AggregateSpec) -> Plan {
+    let mut plan = Plan::Aggregate {
+        input: Box::new(core),
+        group_by: (0..spec.group_cols).collect(),
+        aggs: spec.aggs.clone(),
+    };
+    let having = spec
+        .having
+        .iter()
+        .map(|(col, op, v)| Expr::col(*col).cmp(*op, Expr::Lit(v.clone())))
+        .reduce(Expr::and);
+    if let Some(pred) = having {
+        plan = Plan::Filter {
+            input: Box::new(plan),
+            pred,
+        };
+    }
+    select_list(plan, spec)
+}
+
+/// The SELECT-list projection over final groups — all that is left for the
+/// mediator when a store evaluated the grouping.
+fn select_list(groups: Plan, spec: &AggregateSpec) -> Plan {
+    Plan::Project {
+        input: Box::new(groups),
+        exprs: spec
+            .select
+            .iter()
+            .map(|(name, col)| (name.clone(), Expr::col(*col)))
+            .collect(),
+    }
+}
+
+/// Which connector builds a group of atoms into one delegated unit.
+enum GroupKind {
+    /// Every table atom: one SQL block.
+    Sql,
+    /// One parallel-store atom, or two sharing a variable (a native join).
+    Par,
+    /// Native-document atoms connected through node ids: one tree query.
+    DocTree,
+    /// One atom over a key-value, text or row-document fragment.
+    Point,
+}
+
+/// Atoms that become one delegated unit.
+struct AtomGroup {
+    kind: GroupKind,
+    atoms: Vec<AtomInfo>,
+}
+
+impl AtomGroup {
+    fn into_unit(
+        self,
+        tracker: &mut ResidualTracker,
+        stores: &Stores,
+        ship: &Ship,
+    ) -> Result<Unit> {
+        match (self.kind, self.atoms.as_slice()) {
+            (GroupKind::Sql, atoms) => sql_unit(atoms, tracker, stores, ship),
+            (GroupKind::Par, atoms) => par_unit(atoms, tracker, stores, ship),
+            (GroupKind::DocTree, atoms) => doc_tree_unit(atoms, stores),
+            (GroupKind::Point, [(atom, rel, stats)]) => match &rel.place {
+                WhereSpec::Namespace { .. } => kv_unit(atom, rel, tracker, stores, ship),
+                WhereSpec::TextIndex { .. } => text_unit(atom, rel, stats, stores),
+                _ => doc_rows_unit(atom, rel, stats, tracker, stores, ship),
+            },
+            (GroupKind::Point, _) => Err(Error::Untranslatable(
+                "a point unit takes exactly one atom".into(),
+            )),
+        }
+    }
+}
+
+/// The variables read outside the unit that binds them: the query head's,
+/// and those that more than one unit holds. (A rewriting has a handful of
+/// variables: linear scans, no hashing.)
+fn needed_vars(rewriting: &Cq, groups: &[AtomGroup]) -> Vec<Var> {
+    let mut needed: Vec<Var> = rewriting.head.iter().filter_map(Term::as_var).collect();
+    // Each variable with the first group holding it.
+    let mut first: Vec<(Var, usize)> = Vec::new();
+    for (g, group) in groups.iter().enumerate() {
+        for v in group.atoms.iter().flat_map(|(a, _, _)| a.vars()) {
+            match first.iter().find(|(x, _)| *x == v) {
+                None => first.push((v, g)),
+                Some((_, holder)) if *holder != g && !needed.contains(&v) => needed.push(v),
+                Some(_) => {}
+            }
+        }
+    }
+    needed
+}
+
 /// Group atoms into delegable units per store and fragment kind.
-fn build_units(
-    infos: Vec<AtomInfo>,
-    tracker: &mut ResidualTracker,
-    stores: &Stores,
-) -> Result<Vec<Unit>> {
+fn group_atoms(infos: Vec<AtomInfo>) -> Vec<AtomGroup> {
     let mut rel_atoms: Vec<AtomInfo> = Vec::new();
     let mut par_atoms: Vec<AtomInfo> = Vec::new();
     let mut doc_native: Vec<AtomInfo> = Vec::new();
@@ -250,10 +449,11 @@ fn build_units(
             | WhereSpec::TextIndex { .. } => singles.push(info),
         }
     }
-    let mut units = Vec::new();
+    let group = |kind, atoms| AtomGroup { kind, atoms };
+    let mut groups = Vec::new();
     // Largest relational subquery: all table atoms in one SQL block.
     if !rel_atoms.is_empty() {
-        units.push(sql_unit(&rel_atoms, tracker, stores)?);
+        groups.push(group(GroupKind::Sql, rel_atoms));
     }
     // Parallel store: pair atoms sharing a variable into native joins.
     let mut remaining = par_atoms;
@@ -263,29 +463,22 @@ fn build_units(
         let partner = remaining
             .iter()
             .position(|(a, _, _)| a.vars().any(|v| fvars.contains(&v)));
-        match partner {
-            Some(p) => {
-                let second = remaining.remove(p);
-                units.push(par_unit(&[first, second], tracker, stores)?);
-            }
-            None => units.push(par_unit(&[first], tracker, stores)?),
-        }
+        let pair = match partner {
+            Some(p) => vec![first, remaining.remove(p)],
+            None => vec![first],
+        };
+        groups.push(group(GroupKind::Par, pair));
     }
     // Native-document atoms: connected components via shared node ids.
-    for component in doc_components(doc_native) {
-        units.push(doc_tree_unit(&component, stores)?);
-    }
+    let trees = doc_components(doc_native).into_iter();
+    groups.extend(trees.map(|atoms| group(GroupKind::DocTree, atoms)));
     // Point units.
-    for info in singles {
-        let unit = match &info.1.place {
-            WhereSpec::Namespace { .. } => kv_unit(&info.0, &info.1, &info.2, stores)?,
-            WhereSpec::TextIndex { .. } => text_unit(&info.0, &info.1, &info.2, stores)?,
-            WhereSpec::Collection { .. } => doc_rows_unit(&info.0, &info.1, &info.2, stores)?,
-            _ => unreachable!(),
-        };
-        units.push(unit);
-    }
-    Ok(units)
+    groups.extend(
+        singles
+            .into_iter()
+            .map(|a| group(GroupKind::Point, vec![a])),
+    );
+    groups
 }
 
 /// Split native-document atoms into connected components over shared
@@ -686,5 +879,111 @@ mod tests {
             v
         };
         assert_eq!(sizes, vec![1, 2]);
+    }
+
+    /// `SELECT name, COUNT(uid) … GROUP BY name HAVING COUNT(uid) >= 1`
+    /// over a core with head `(name, uid)`.
+    fn count_per_name() -> AggregateSpec {
+        use estocada_engine::{AggFun, AggSpec};
+        AggregateSpec {
+            group_cols: 1,
+            aggs: vec![AggSpec {
+                fun: AggFun::Count,
+                col: 1,
+                name: "COUNT(u.uid)".into(),
+            }],
+            having: vec![(1, CmpOp::Ge, Value::Int(1))],
+            select: vec![("n".into(), 1), ("name".into(), 0)],
+        }
+    }
+
+    fn translate_agg(rw: &Cq, residuals: &[Residual], spec: &AggregateSpec) -> Translation {
+        let (catalog, stores) = fixture();
+        let names = ["u.name".to_string(), "u.uid".to_string()];
+        let query = Query {
+            head_names: &names,
+            residuals,
+            aggregate: Some(spec),
+        };
+        translate_query(rw, &query, &catalog, &stores, &CostModel::default(), None).unwrap()
+    }
+
+    #[test]
+    fn one_sql_unit_answers_the_whole_aggregate_priced_by_its_groups() {
+        let spec = count_per_name();
+        let rw = Cq::new(
+            Symbol::intern("R"),
+            vec![Term::var(1), Term::var(0)],
+            vec![Atom::new("UsersRel", vec![Term::var(0), Term::var(1)])],
+        );
+        let tr = translate_agg(&rw, &[], &spec);
+        assert_eq!(
+            tr.plan.explain(),
+            "Project [n, name]\n  Delegated [relational: SELECT s.c0, COUNT(s.c1) FROM \
+             (SELECT DISTINCT t0.c1, t0.c0 FROM t_users t0) s GROUP BY s.c0 \
+             HAVING COUNT(s.c1) >= 1]\n"
+        );
+        // One row per group: no more than the names there are.
+        assert_eq!(tr.est_rows, 10.0);
+        let (pushed, _) = estocada_engine::execute(&tr.plan).unwrap();
+        // The public form translates the core alone; the mediator tail over
+        // it answers the same, row for row.
+        let (catalog, stores) = fixture();
+        let names = ["u.name".to_string(), "u.uid".to_string()];
+        let core = translate(
+            &rw,
+            &names,
+            &[],
+            &catalog,
+            &stores,
+            &CostModel::default(),
+            None,
+        );
+        let core = core.unwrap();
+        assert_eq!(
+            core.plan.explain(),
+            "Project [u.name, u.uid]\n  Delegated [relational: SELECT DISTINCT t0.c1, t0.c0 FROM t_users t0]\n"
+        );
+        let (mediated, _) = estocada_engine::execute(&wrap_aggregate(core.plan, &spec)).unwrap();
+        assert_eq!(pushed.columns, vec!["n", "name"]);
+        assert_eq!(pushed.rows.len(), 10);
+        assert_eq!(
+            (pushed.columns, pushed.rows),
+            (mediated.columns, mediated.rows)
+        );
+    }
+
+    #[test]
+    fn a_head_constant_or_a_second_unit_keeps_the_mediator_tail() {
+        let spec = count_per_name();
+        let mediator_tail = |tr: &Translation| {
+            let plan = tr.plan.explain();
+            plan.contains("Aggregate") && plan.contains("Distinct") && !plan.contains("GROUP BY")
+        };
+        // A constant in the head.
+        let constant = Cq::new(
+            Symbol::intern("R"),
+            vec![Term::constant("x"), Term::var(0)],
+            vec![Atom::new("UsersRel", vec![Term::var(0), Term::var(1)])],
+        );
+        assert!(mediator_tail(&translate_agg(&constant, &[], &spec)));
+        // Relational ⋈ key-value: two units, the SQL one ships the join key
+        // alone.
+        let joined = Cq::new(
+            Symbol::intern("R"),
+            vec![Term::var(2), Term::var(0)],
+            vec![
+                Atom::new("UsersRel", vec![Term::var(0), Term::var(1)]),
+                Atom::new("UsersKV", vec![Term::var(0), Term::var(2)]),
+            ],
+        );
+        let tr = translate_agg(&joined, &[], &spec);
+        assert!(mediator_tail(&tr));
+        assert_eq!(
+            tr.unit_labels[0],
+            "relational: SELECT t0.c0 FROM t_users t0"
+        );
+        let (batch, _) = estocada_engine::execute(&tr.plan).unwrap();
+        assert_eq!(batch.rows, vec![vec![Value::Int(1), Value::str("u3")]]);
     }
 }

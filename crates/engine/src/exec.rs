@@ -1,8 +1,8 @@
 //! Materialized bottom-up execution of [`Plan`] trees.
 
-use crate::plan::{AggFun, AggSpec, Plan, Template};
+use crate::plan::{AggSpec, Plan, Template};
 use crate::tuple::{RowBatch, Tuple};
-use estocada_pivot::Value;
+use estocada_pivot::{Accumulator, Value};
 use estocada_simkit::StoreError;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -310,83 +310,36 @@ pub(crate) fn check_cols(
     Ok(())
 }
 
+/// Group `b` on `group_by` in first-seen order and fold each group through
+/// the shared [`Accumulator`] — the same state the stores fold a delegated
+/// grouping tail with.
 fn aggregate(b: &RowBatch, group_by: &[usize], aggs: &[AggSpec]) -> RowBatch {
-    struct Acc {
-        count: i64,
-        sum: f64,
-        min: Option<Value>,
-        max: Option<Value>,
-    }
-    let mut groups: HashMap<Vec<Value>, Vec<Acc>> = HashMap::new();
-    let mut order: Vec<Vec<Value>> = Vec::new();
+    let fresh = || -> Vec<Accumulator> { aggs.iter().map(|a| Accumulator::new(a.fun)).collect() };
+    let mut index: HashMap<Vec<&Value>, usize> = HashMap::new();
+    let mut groups: Vec<(Vec<&Value>, Vec<Accumulator>)> = Vec::new();
     for row in &b.rows {
-        let key: Vec<Value> = group_by.iter().map(|c| row[*c].clone()).collect();
-        let accs = match groups.get_mut(&key) {
-            Some(a) => a,
-            None => {
-                order.push(key.clone());
-                groups.entry(key).or_insert_with(|| {
-                    aggs.iter()
-                        .map(|_| Acc {
-                            count: 0,
-                            sum: 0.0,
-                            min: None,
-                            max: None,
-                        })
-                        .collect()
-                })
-            }
-        };
-        for (a, spec) in accs.iter_mut().zip(aggs) {
-            let v = &row[spec.col];
-            a.count += 1;
-            a.sum += v.as_double().unwrap_or(0.0);
-            if a.min.as_ref().map(|m| v < m).unwrap_or(true) {
-                a.min = Some(v.clone());
-            }
-            if a.max.as_ref().map(|m| v > m).unwrap_or(true) {
-                a.max = Some(v.clone());
-            }
+        let key: Vec<&Value> = group_by.iter().map(|c| &row[*c]).collect();
+        let g = *index.entry(key).or_insert_with_key(|key| {
+            groups.push((key.clone(), fresh()));
+            groups.len() - 1
+        });
+        for (acc, spec) in groups[g].1.iter_mut().zip(aggs) {
+            acc.update(&row[spec.col]);
         }
     }
     // A global aggregate over zero rows still yields one row (SQL COUNT=0).
-    if group_by.is_empty() && order.is_empty() {
-        order.push(Vec::new());
-        groups.insert(
-            Vec::new(),
-            aggs.iter()
-                .map(|_| Acc {
-                    count: 0,
-                    sum: 0.0,
-                    min: None,
-                    max: None,
-                })
-                .collect(),
-        );
+    if group_by.is_empty() && groups.is_empty() {
+        groups.push((Vec::new(), fresh()));
     }
     let mut columns: Vec<String> = group_by.iter().map(|c| b.columns[*c].clone()).collect();
     columns.extend(aggs.iter().map(|a| a.name.clone()));
-    let rows: Vec<Tuple> = order
+    let rows: Vec<Tuple> = groups
         .into_iter()
-        .map(|key| {
-            let accs = groups.remove(&key).unwrap();
-            let mut row = key;
-            for (a, spec) in accs.into_iter().zip(aggs) {
-                row.push(match spec.fun {
-                    AggFun::Count => Value::Int(a.count),
-                    AggFun::Sum => Value::Double(a.sum),
-                    AggFun::Avg => {
-                        if a.count == 0 {
-                            Value::Null
-                        } else {
-                            Value::Double(a.sum / a.count as f64)
-                        }
-                    }
-                    AggFun::Min => a.min.unwrap_or(Value::Null),
-                    AggFun::Max => a.max.unwrap_or(Value::Null),
-                });
-            }
-            row
+        .map(|(key, accs)| {
+            key.into_iter()
+                .cloned()
+                .chain(accs.into_iter().map(Accumulator::finish))
+                .collect()
         })
         .collect();
     RowBatch { columns, rows }
@@ -470,6 +423,7 @@ fn build_template(t: &Template, row: &[Value]) -> Value {
 mod tests {
     use super::*;
     use crate::expr::{CmpOp, Expr};
+    use crate::plan::AggFun;
     use std::sync::Arc;
 
     fn batch(cols: &[&str], rows: Vec<Vec<Value>>) -> RowBatch {

@@ -10,38 +10,8 @@
 //! producing selection vectors instead of materialized rows.
 
 use crate::batch::Batch;
+pub use estocada_pivot::CmpOp;
 use estocada_pivot::{ConstId, ConstReader, Value};
-
-/// Comparison operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOp {
-    /// `=`
-    Eq,
-    /// `<>`
-    Ne,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-}
-
-impl CmpOp {
-    /// Evaluate on two values (total value order).
-    pub fn eval(&self, l: &Value, r: &Value) -> bool {
-        match self {
-            CmpOp::Eq => l == r,
-            CmpOp::Ne => l != r,
-            CmpOp::Lt => l < r,
-            CmpOp::Le => l <= r,
-            CmpOp::Gt => l > r,
-            CmpOp::Ge => l >= r,
-        }
-    }
-}
 
 /// Arithmetic operators (numeric; integers widen to doubles when mixed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

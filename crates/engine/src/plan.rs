@@ -8,6 +8,7 @@
 
 use crate::expr::Expr;
 use crate::tuple::{RowBatch, Tuple};
+pub use estocada_pivot::AggFun;
 use estocada_pivot::Value;
 use estocada_simkit::StoreError;
 use std::fmt;
@@ -28,21 +29,6 @@ pub trait BindSource: Send + Sync {
     fn label(&self) -> String {
         "bind-source".to_string()
     }
-}
-
-/// Aggregate functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggFun {
-    /// Row count.
-    Count,
-    /// Numeric sum.
-    Sum,
-    /// Numeric average.
-    Avg,
-    /// Minimum.
-    Min,
-    /// Maximum.
-    Max,
 }
 
 /// One aggregate of an [`Plan::Aggregate`] node.

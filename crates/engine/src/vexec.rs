@@ -1046,47 +1046,49 @@ mod tests {
             &["g", "x"],
             (0..29).map(|i| ints(&[i % 4, (i * 13) % 17])).collect(),
         );
+        // Every function, finalised by the operator and by the shared
+        // `estocada_pivot::Accumulator` the tuple executor and the stores
+        // fold with: equal value for value (Count → Int, Sum/Avg → Double).
+        let all = [
+            (AggFun::Count, "n"),
+            (AggFun::Sum, "s"),
+            (AggFun::Avg, "avg"),
+            (AggFun::Min, "lo"),
+            (AggFun::Max, "hi"),
+        ];
+        let aggs = |col: usize| -> Vec<AggSpec> {
+            let spec = |(fun, name): &(AggFun, &str)| AggSpec {
+                fun: *fun,
+                col,
+                name: name.to_string(),
+            };
+            all.iter().map(spec).collect()
+        };
         assert_identical(&Plan::Aggregate {
             input: Box::new(Plan::Values(data.clone())),
             group_by: vec![0],
-            aggs: vec![
-                AggSpec {
-                    fun: AggFun::Count,
-                    col: 1,
-                    name: "n".into(),
-                },
-                AggSpec {
-                    fun: AggFun::Sum,
-                    col: 1,
-                    name: "s".into(),
-                },
-                AggSpec {
-                    fun: AggFun::Avg,
-                    col: 1,
-                    name: "avg".into(),
-                },
-                AggSpec {
-                    fun: AggFun::Min,
-                    col: 1,
-                    name: "lo".into(),
-                },
-                AggSpec {
-                    fun: AggFun::Max,
-                    col: 1,
-                    name: "hi".into(),
-                },
-            ],
+            aggs: aggs(1),
         });
-        // Global aggregate over an empty input still yields one row.
-        assert_identical(&Plan::Aggregate {
+        // Global aggregate over an empty input still yields one row:
+        // COUNT 0, SUM 0.0, AVG/MIN/MAX Null.
+        let empty = Plan::Aggregate {
             input: Box::new(Plan::Values(batch(&["x"], vec![]))),
             group_by: vec![],
-            aggs: vec![AggSpec {
-                fun: AggFun::Count,
-                col: 0,
-                name: "n".into(),
-            }],
-        });
+            aggs: aggs(0),
+        };
+        assert_identical(&empty);
+        let (one_row, _) = execute_with(&empty, &ExecOptions::default()).unwrap();
+        let null = Value::Null;
+        assert_eq!(
+            one_row.rows,
+            vec![vec![
+                Value::Int(0),
+                Value::Double(0.0),
+                null.clone(),
+                null.clone(),
+                null
+            ]]
+        );
         assert_identical(&Plan::Limit {
             input: Box::new(Plan::Sort {
                 input: Box::new(Plan::Values(data.clone())),

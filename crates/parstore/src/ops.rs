@@ -1,19 +1,47 @@
-//! Parallel dataset operations: scan/filter, broadcast hash join, and
-//! partial aggregation — the delegable operations of the parallel store
-//! ("if the DMS has a distributed architecture, the delegated subquery will
-//! be evaluated in parallel fashion").
+//! Parallel dataset operations: scan/filter and broadcast hash join — the
+//! delegable operations of the parallel store ("if the DMS has a
+//! distributed architecture, the delegated subquery will be evaluated in
+//! parallel fashion").
 //!
-//! All three operators fan their per-partition work out through the shared
+//! Both operators fan their per-partition work out through the shared
 //! scoped-thread executor ([`estocada_parexec::scoped_map`]) and merge the
 //! results **in partition order**, so every operator is deterministic: the
 //! output is identical to a serial partition-by-partition run regardless of
-//! worker scheduling (including the floating-point sums of
-//! [`par_aggregate`], which are order-sensitive).
+//! worker scheduling. Each comes in a mapping form
+//! ([`par_filter_map`], [`par_join_map`]) that hands every selected row to
+//! a caller's function *by reference*, to append what it wants of it: that
+//! is how the store projects, de-duplicates and groups a request's rows
+//! without cloning the ones it does not return. The grouping itself
+//! ([`estocada_pivot::GroupBy`]) runs on the coordinator over the
+//! partition-ordered rows — order-sensitive floating-point sums come out
+//! bit-identical to a serial fold.
 
 use crate::dataset::Dataset;
 use estocada_parexec::scoped_map;
 use estocada_pivot::Value;
 use std::collections::HashMap;
+
+/// Parallel filter over all partitions: whatever `emit` appends for every
+/// row passing `pred`, partition order preserved.
+pub fn par_filter_map<'a, T: Send>(
+    ds: &'a Dataset,
+    pred: &(dyn Fn(&[Value]) -> bool + Sync),
+    emit: impl Fn(&'a [Value], &mut Vec<T>) + Sync,
+) -> Vec<T> {
+    // Partitions are reached through `ds` (not the executor's item
+    // reference) so that mapped rows may borrow from the dataset.
+    scoped_map(ds.partitions.len(), &ds.partitions, |i, _| {
+        let part: &'a [Vec<Value>] = &ds.partitions[i];
+        let mut out = Vec::new();
+        for row in part.iter().filter(|row| pred(row)) {
+            emit(row, &mut out);
+        }
+        out
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
 
 /// Parallel filter + projection over all partitions.
 ///
@@ -24,45 +52,34 @@ pub fn par_filter(
     pred: &(dyn Fn(&[Value]) -> bool + Sync),
     projection: Option<&[usize]>,
 ) -> Vec<Vec<Value>> {
-    scoped_map(ds.partitions.len(), &ds.partitions, |_, part| {
-        let mut out = Vec::new();
-        for row in part {
-            if pred(row) {
-                out.push(project(row, projection));
-            }
-        }
-        out
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    par_filter_map(ds, pred, |row, out| out.push(project(row, projection)))
 }
 
 /// Broadcast hash join: build a hash table of `right` (assumed the smaller
-/// side) on `right_keys`, probe `left` partitions in parallel. Output rows
-/// are `left ++ right`.
-pub fn par_join(
-    left: &Dataset,
-    right: &Dataset,
+/// side) on `right_keys`, probe `left` partitions in parallel, and collect
+/// whatever `emit` appends for every matching `(left row, right row)` pair.
+pub fn par_join_map<'a, T: Send>(
+    left: &'a Dataset,
+    right: &'a Dataset,
     left_keys: &[usize],
     right_keys: &[usize],
-) -> Vec<Vec<Value>> {
+    emit: impl Fn(&'a [Value], &'a [Value], &mut Vec<T>) + Sync,
+) -> Vec<T> {
     assert_eq!(left_keys.len(), right_keys.len(), "join key arity");
-    let mut table: HashMap<Vec<Value>, Vec<&Vec<Value>>> = HashMap::new();
+    let mut table: HashMap<Vec<&Value>, Vec<&'a Vec<Value>>> = HashMap::new();
     for row in right.iter_rows() {
-        let key: Vec<Value> = right_keys.iter().map(|c| row[*c].clone()).collect();
+        let key: Vec<&Value> = right_keys.iter().map(|c| &row[*c]).collect();
         table.entry(key).or_default().push(row);
     }
     let table = &table;
-    scoped_map(left.partitions.len(), &left.partitions, |_, part| {
+    scoped_map(left.partitions.len(), &left.partitions, |i, _| {
+        let part: &'a [Vec<Value>] = &left.partitions[i];
         let mut out = Vec::new();
         for lrow in part {
-            let key: Vec<Value> = left_keys.iter().map(|c| lrow[*c].clone()).collect();
+            let key: Vec<&Value> = left_keys.iter().map(|c| &lrow[*c]).collect();
             if let Some(matches) = table.get(&key) {
                 for rrow in matches {
-                    let mut joined = lrow.clone();
-                    joined.extend(rrow.iter().cloned());
-                    out.push(joined);
+                    emit(lrow, rrow, &mut out);
                 }
             }
         }
@@ -73,82 +90,16 @@ pub fn par_join(
     .collect()
 }
 
-/// Aggregate functions supported by the parallel store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggFun {
-    /// Row count.
-    Count,
-    /// Numeric sum.
-    Sum,
-    /// Minimum.
-    Min,
-    /// Maximum.
-    Max,
-}
-
-/// Per-group partial aggregate state.
-type Partial = HashMap<Vec<Value>, (f64, i64, Option<Value>)>; // (sum, count, min-or-max)
-
-/// Parallel group-by aggregation: per-partition partial aggregates, merged
-/// on the coordinator in partition order (the classic map-side combine).
-pub fn par_aggregate(
-    ds: &Dataset,
-    group_by: &[usize],
-    agg: AggFun,
-    agg_col: usize,
+/// [`par_join_map`] with owned `left ++ right` output rows.
+pub fn par_join(
+    left: &Dataset,
+    right: &Dataset,
+    left_keys: &[usize],
+    right_keys: &[usize],
 ) -> Vec<Vec<Value>> {
-    let partials = scoped_map(ds.partitions.len(), &ds.partitions, |_, part| {
-        let mut acc: Partial = HashMap::new();
-        for row in part {
-            let key: Vec<Value> = group_by.iter().map(|c| row[*c].clone()).collect();
-            let v = &row[agg_col];
-            let e = acc.entry(key).or_insert((0.0, 0, None));
-            e.0 += v.as_double().unwrap_or(0.0);
-            e.1 += 1;
-            let replace = match (&e.2, agg) {
-                (None, _) => true,
-                (Some(cur), AggFun::Min) => v < cur,
-                (Some(cur), AggFun::Max) => v > cur,
-                _ => false,
-            };
-            if replace {
-                e.2 = Some(v.clone());
-            }
-        }
-        acc
-    });
-    let mut merged: Partial = HashMap::new();
-    for partial in partials {
-        for (k, (sum, count, mm)) in partial {
-            let e = merged.entry(k).or_insert((0.0, 0, None));
-            e.0 += sum;
-            e.1 += count;
-            let replace = match (&e.2, &mm, agg) {
-                (_, None, _) => false,
-                (None, Some(_), _) => true,
-                (Some(cur), Some(new), AggFun::Min) => new < cur,
-                (Some(cur), Some(new), AggFun::Max) => new > cur,
-                _ => false,
-            };
-            if replace {
-                e.2 = mm;
-            }
-        }
-    }
-    let mut out: Vec<Vec<Value>> = merged
-        .into_iter()
-        .map(|(mut key, (sum, count, mm))| {
-            let v = match agg {
-                AggFun::Count => Value::Int(count),
-                AggFun::Sum => Value::Double(sum),
-                AggFun::Min | AggFun::Max => mm.unwrap_or(Value::Null),
-            };
-            key.push(v);
-            key
-        })
-        .collect();
-    out.sort();
-    out
+    par_join_map(left, right, left_keys, right_keys, |l, r, out| {
+        out.push(l.iter().chain(r).cloned().collect())
+    })
 }
 
 fn project(row: &[Value], projection: Option<&[usize]>) -> Vec<Value> {
@@ -161,6 +112,27 @@ fn project(row: &[Value], projection: Option<&[usize]>) -> Vec<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use estocada_pivot::{AggFun, GroupBy};
+
+    /// One aggregate grouped on `group_by`, the way the store answers a
+    /// grouped scan: the needed columns by reference, in partition order,
+    /// into the shared grouping tail.
+    fn par_aggregate(
+        ds: &Dataset,
+        group_by: &[usize],
+        agg: AggFun,
+        agg_col: usize,
+    ) -> Vec<Vec<Value>> {
+        let tail = GroupBy {
+            keys: group_by.len(),
+            aggs: vec![(agg, group_by.len())],
+            having: Vec::new(),
+        };
+        let cells = par_filter_map(ds, &|_| true, |row, cells| {
+            cells.extend(group_by.iter().chain([&agg_col]).map(|c| &row[*c]))
+        });
+        tail.apply(group_by.len() + 1, &cells)
+    }
 
     fn dataset() -> Dataset {
         Dataset::from_rows(
@@ -216,7 +188,13 @@ mod tests {
         let empty = Dataset::from_rows(&["id", "grp", "amount"], Vec::new(), 4);
         assert!(par_filter(&empty, &|_| true, None).is_empty());
         assert!(par_join(&empty, &dataset(), &[1], &[1]).is_empty());
-        assert!(par_aggregate(&empty, &[], AggFun::Count, 0).is_empty());
+        // A grouped aggregate over nothing has no group; a global one is
+        // one row (SQL semantics, the mediator's too).
+        assert!(par_aggregate(&empty, &[1], AggFun::Count, 0).is_empty());
+        assert_eq!(
+            par_aggregate(&empty, &[], AggFun::Count, 0),
+            vec![vec![Value::Int(0)]]
+        );
     }
 
     #[test]
@@ -287,8 +265,8 @@ mod tests {
 
     #[test]
     fn aggregate_sums_are_deterministic_across_runs() {
-        // Partition-order merge: repeated runs must produce bit-identical
-        // doubles (the pre-executor fan-in merged in arrival order).
+        // Partition-order fan-in, then one serial fold: repeated runs must
+        // produce bit-identical doubles.
         let d = dataset();
         let first = par_aggregate(&d, &[1], AggFun::Sum, 2);
         for _ in 0..10 {

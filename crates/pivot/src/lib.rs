@@ -13,6 +13,7 @@
 
 #![warn(missing_docs)]
 
+pub mod agg;
 pub mod atom;
 pub mod binding;
 pub mod constraint;
@@ -25,6 +26,7 @@ pub mod symbol;
 pub mod term;
 pub mod value;
 
+pub use agg::{Accumulator, AggFun, GroupBy};
 pub use atom::Atom;
 pub use binding::{AccessMap, AccessPattern, Adornment};
 pub use constraint::{Constraint, Egd, Tgd, ViewDef};
@@ -34,4 +36,4 @@ pub use intern::{ConstId, ConstReader};
 pub use schema::{RelationDecl, Schema};
 pub use symbol::Symbol;
 pub use term::{Term, Var};
-pub use value::Value;
+pub use value::{CmpOp, Value};

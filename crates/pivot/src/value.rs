@@ -309,6 +309,54 @@ impl From<String> for Value {
     }
 }
 
+/// Comparison operators over the total [`Value`] order — the one
+/// definition the mediator's expressions, the relational store's
+/// predicates and a delegated `HAVING` all evaluate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CmpOp {
+    /// `=`
+    Eq,
+    /// `<>`
+    Ne,
+    /// `<`
+    Lt,
+    /// `<=`
+    Le,
+    /// `>`
+    Gt,
+    /// `>=`
+    Ge,
+}
+
+impl CmpOp {
+    /// Evaluate the comparison on two values (total value order: mixed
+    /// numerics compare by value, then `Double` ranks above `Int`).
+    pub fn eval(&self, l: &Value, r: &Value) -> bool {
+        match self {
+            CmpOp::Eq => l == r,
+            CmpOp::Ne => l != r,
+            CmpOp::Lt => l < r,
+            CmpOp::Le => l <= r,
+            CmpOp::Gt => l > r,
+            CmpOp::Ge => l >= r,
+        }
+    }
+}
+
+impl fmt::Display for CmpOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = match self {
+            CmpOp::Eq => "=",
+            CmpOp::Ne => "<>",
+            CmpOp::Lt => "<",
+            CmpOp::Le => "<=",
+            CmpOp::Gt => ">",
+            CmpOp::Ge => ">=",
+        };
+        write!(f, "{s}")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,11 +3,13 @@
 //! Strategy: per-table constant predicates first (index-assisted when an
 //! index exists), then greedy hash-join ordering (smallest relation first,
 //! always joining through an available equality predicate when one exists),
-//! residual predicates as filters, projection last.
+//! residual predicates as filters, projection last — followed, when the
+//! query asks for it, by `DISTINCT` and the `GROUP BY`/aggregate/`HAVING`
+//! tail over the projected rows ([`estocada_pivot::agg`]).
 
 use crate::query::{CmpOp, ColRef, Pred, SqlQuery};
 use crate::table::Table;
-use estocada_pivot::Value;
+use estocada_pivot::{agg, Value};
 use std::collections::HashMap;
 
 /// Error raised on malformed queries.
@@ -77,6 +79,13 @@ pub fn execute(
     for c in &query.projection {
         check(c)?;
     }
+    if query
+        .group
+        .as_ref()
+        .is_some_and(|g| !g.fits(query.projection.len()))
+    {
+        return Err(QueryError::BadColumn);
+    }
 
     // Phase 1: per-table candidate rows after constant predicates.
     let mut candidates: Vec<Vec<usize>> = Vec::with_capacity(base.len());
@@ -94,10 +103,11 @@ pub fn execute(
     }
 
     // Phase 2: greedy join.
-    // State: joined table set + rows of combined bindings (per-table row id).
+    // State: the joined tables in join order, and the combined bindings
+    // laid out flat — one row id per joined table, `joined.len()` per combo.
     let n = base.len();
     let mut joined: Vec<usize> = Vec::new();
-    let mut result: Vec<Vec<usize>> = Vec::new(); // each entry: row id per joined table position
+    let mut result: Vec<usize> = Vec::new();
     let mut remaining: Vec<usize> = (0..n).collect();
     remaining.sort_by_key(|&i| candidates[i].len());
 
@@ -119,7 +129,7 @@ pub fn execute(
         let ti = remaining.remove(pick_pos);
 
         if joined.is_empty() {
-            result = candidates[ti].iter().map(|&r| vec![r]).collect();
+            result = std::mem::take(&mut candidates[ti]);
             joined.push(ti);
             continue;
         }
@@ -142,14 +152,17 @@ pub fn execute(
             })
             .collect();
 
+        let stride = joined.len();
         let mut next = Vec::new();
+        let mut extend = |combo: &[usize], r: usize| {
+            next.extend_from_slice(combo);
+            next.push(r);
+        };
         if keys.is_empty() {
             // Cross product.
-            for combo in &result {
+            for combo in result.chunks_exact(stride) {
                 for &r in &candidates[ti] {
-                    let mut c = combo.clone();
-                    c.push(r);
-                    next.push(c);
+                    extend(combo, r);
                 }
             }
         } else {
@@ -157,7 +170,7 @@ pub fn execute(
             let (new_col, old_col) = keys[0];
             let old_pos = joined.iter().position(|&t| t == old_col.table).unwrap();
             let mut hash: HashMap<&Value, Vec<usize>> = HashMap::new();
-            for (ci, combo) in result.iter().enumerate() {
+            for (ci, combo) in result.chunks_exact(stride).enumerate() {
                 let v = &base[old_col.table].rows[combo[old_pos]][old_col.column];
                 hash.entry(v).or_default().push(ci);
             }
@@ -165,16 +178,14 @@ pub fn execute(
                 let probe = &base[ti].rows[r][new_col.column];
                 if let Some(matches) = hash.get(probe) {
                     for &ci in matches {
-                        let combo = &result[ci];
+                        let combo = &result[ci * stride..(ci + 1) * stride];
                         // Verify remaining equality keys.
                         let ok = keys.iter().skip(1).all(|(nc, oc)| {
                             let op = joined.iter().position(|&t| t == oc.table).unwrap();
                             base[ti].rows[r][nc.column] == base[oc.table].rows[combo[op]][oc.column]
                         });
                         if ok {
-                            let mut c = combo.clone();
-                            c.push(r);
-                            next.push(c);
+                            extend(combo, r);
                         }
                     }
                 }
@@ -184,35 +195,45 @@ pub fn execute(
         joined.push(ti);
     }
 
-    // Phase 3: residual predicates (non-equality cross-table comparisons).
+    // Phase 3: residual predicates (cross-table comparisons; equalities the
+    // hash join connected two tables through are re-checked, which also
+    // covers same-table equalities). Constant predicates ran in phase 1.
+    let stride = joined.len().max(1);
     let pos_of = |t: usize| joined.iter().position(|&x| x == t).unwrap();
-    result.retain(|combo| {
-        query.predicates.iter().all(|p| match p {
-            Pred::ColCol(l, op, r) => {
-                if *op == CmpOp::Eq && l.table != r.table {
-                    // already enforced by the hash join when it connected the
-                    // two tables; re-check is cheap and covers same-table
-                    // equality predicates too.
-                }
-                let lv = &base[l.table].rows[combo[pos_of(l.table)]][l.column];
-                let rv = &base[r.table].rows[combo[pos_of(r.table)]][r.column];
-                op.eval(lv, rv)
-            }
-            Pred::ColConst(..) => true, // applied in phase 1
-        })
-    });
+    let cell = |combo: &[usize], c: &ColRef| &base[c.table].rows[combo[pos_of(c.table)]][c.column];
+    let col_col = |p: &Pred| match p {
+        Pred::ColCol(l, op, r) => Some((*l, *op, *r)),
+        Pred::ColConst(..) => None,
+    };
+    let residual: Vec<(ColRef, CmpOp, ColRef)> =
+        query.predicates.iter().filter_map(col_col).collect();
+    if !residual.is_empty() {
+        result = result
+            .chunks_exact(stride)
+            .filter(|combo| {
+                residual
+                    .iter()
+                    .all(|(l, op, r)| op.eval(cell(combo, l), cell(combo, r)))
+            })
+            .flatten()
+            .copied()
+            .collect();
+    }
 
-    // Phase 4: projection.
-    let out: Vec<Vec<Value>> = result
-        .iter()
-        .map(|combo| {
-            query
-                .projection
-                .iter()
-                .map(|c| base[c.table].rows[combo[pos_of(c.table)]][c.column].clone())
-                .collect()
-        })
-        .collect();
+    // Phase 4: projection — by reference, laid out flat, so that DISTINCT
+    // and the grouping tail run beside the data and only what is returned
+    // gets cloned.
+    let width = query.projection.len();
+    let mut cells: Vec<&Value> = Vec::with_capacity(result.len() / stride * width);
+    for combo in result.chunks_exact(stride) {
+        cells.extend(query.projection.iter().map(|c| cell(combo, c)));
+    }
+    let out = if width == 0 && !query.distinct {
+        // An empty SELECT list still answers one (empty) row per match.
+        vec![Vec::new(); result.len() / stride]
+    } else {
+        agg::answer(width, &cells, query.distinct, query.group.as_ref())
+    };
     counters.produced += out.len() as u64;
     Ok(out)
 }
@@ -429,5 +450,61 @@ mod tests {
         let q = q.select(col(0, 99));
         let mut c = ExecCounters::default();
         assert_eq!(execute(&q, &tables, &mut c), Err(QueryError::BadColumn));
+    }
+
+    #[test]
+    fn distinct_keeps_first_occurrences_in_order() {
+        let tables = setup();
+        let mut q = SqlQuery::new();
+        q.add_table("users");
+        let mut q = q.select(col(0, 2));
+        assert_eq!(
+            execute(&q, &tables, &mut ExecCounters::default())
+                .unwrap()
+                .len(),
+            3
+        );
+        q.distinct = true;
+        let mut c = ExecCounters::default();
+        assert_eq!(
+            execute(&q, &tables, &mut c).unwrap(),
+            vec![vec![Value::str("gold")], vec![Value::str("free")]]
+        );
+        assert_eq!(c.produced, 2);
+    }
+
+    #[test]
+    fn grouping_tail_runs_over_the_joined_distinct_rows() {
+        use estocada_pivot::{AggFun, GroupBy};
+        let tables = setup();
+        let mut q = SqlQuery::new();
+        q.add_table("users");
+        q.add_table("orders");
+        // Per tier: orders counted, totals summed, HAVING on the count.
+        let mut q = q
+            .filter(Pred::ColCol(col(0, 0), CmpOp::Eq, col(1, 1)))
+            .select(col(0, 2))
+            .select(col(1, 0))
+            .select(col(1, 2));
+        q.group = Some(GroupBy {
+            keys: 1,
+            aggs: vec![(AggFun::Count, 1), (AggFun::Sum, 2)],
+            having: vec![(1, CmpOp::Ge, Value::Int(3))],
+        });
+        let rows = execute(&q, &tables, &mut ExecCounters::default()).unwrap();
+        assert_eq!(
+            rows,
+            vec![vec![
+                Value::str("gold"),
+                Value::Int(3),
+                Value::Double(147.0)
+            ]]
+        );
+        // A tail reading past the SELECT list is a malformed query.
+        q.group.as_mut().unwrap().aggs.push((AggFun::Max, 3));
+        assert_eq!(
+            execute(&q, &tables, &mut ExecCounters::default()),
+            Err(QueryError::BadColumn)
+        );
     }
 }

@@ -1,7 +1,10 @@
 //! The relational store's native query IR: conjunctive
-//! select-project-join blocks (the fragment of SQL the mediator delegates).
+//! select-project-join blocks, optionally `DISTINCT` and optionally under a
+//! `GROUP BY` / aggregate / `HAVING` tail (the fragment of SQL the mediator
+//! delegates).
 
-use estocada_pivot::Value;
+pub use estocada_pivot::CmpOp;
+use estocada_pivot::{GroupBy, Value};
 use std::fmt;
 
 /// Reference to a column of a table in the query's FROM list.
@@ -11,51 +14,6 @@ pub struct ColRef {
     pub table: usize,
     /// Column position within that table.
     pub column: usize,
-}
-
-/// Comparison operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOp {
-    /// `=`
-    Eq,
-    /// `<>`
-    Ne,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-}
-
-impl CmpOp {
-    /// Evaluate the comparison on two values.
-    pub fn eval(&self, l: &Value, r: &Value) -> bool {
-        match self {
-            CmpOp::Eq => l == r,
-            CmpOp::Ne => l != r,
-            CmpOp::Lt => l < r,
-            CmpOp::Le => l <= r,
-            CmpOp::Gt => l > r,
-            CmpOp::Ge => l >= r,
-        }
-    }
-}
-
-impl fmt::Display for CmpOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            CmpOp::Eq => "=",
-            CmpOp::Ne => "<>",
-            CmpOp::Lt => "<",
-            CmpOp::Le => "<=",
-            CmpOp::Gt => ">",
-            CmpOp::Ge => ">=",
-        };
-        write!(f, "{s}")
-    }
 }
 
 /// A WHERE-clause predicate.
@@ -76,6 +34,13 @@ pub struct SqlQuery {
     pub predicates: Vec<Pred>,
     /// SELECT list.
     pub projection: Vec<ColRef>,
+    /// `SELECT DISTINCT`: every projected row once, in first-seen order.
+    pub distinct: bool,
+    /// Grouping tail over the projected rows, addressed by SELECT-list
+    /// position. It ranges over the **distinct** projected rows (the
+    /// mediator's aggregate semantics, see [`estocada_pivot::agg`]), so it
+    /// implies `distinct`.
+    pub group: Option<GroupBy>,
 }
 
 impl SqlQuery {
@@ -101,11 +66,13 @@ impl SqlQuery {
         self.projection.push(c);
         self
     }
-}
 
-impl fmt::Display for SqlQuery {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    /// Write the conjunctive block: `SELECT [DISTINCT] … FROM … [WHERE …]`.
+    fn fmt_block(&self, f: &mut fmt::Formatter<'_>, distinct: bool) -> fmt::Result {
         write!(f, "SELECT ")?;
+        if distinct {
+            write!(f, "DISTINCT ")?;
+        }
         if self.projection.is_empty() {
             write!(f, "*")?;
         }
@@ -139,6 +106,17 @@ impl fmt::Display for SqlQuery {
             }
         }
         Ok(())
+    }
+}
+
+/// Prints as SQL; a grouped query selects from its `SELECT DISTINCT` block
+/// as a sub-select ([`GroupBy::fmt_over`]).
+impl fmt::Display for SqlQuery {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.group {
+            Some(g) => g.fmt_over(f, |f| self.fmt_block(f, true)),
+            None => self.fmt_block(f, self.distinct),
+        }
     }
 }
 
@@ -186,5 +164,30 @@ mod tests {
         assert!(s.contains("FROM users t0, orders t1"));
         assert!(s.contains("t0.c0 = t1.c1"));
         assert!(s.contains("t1.c2 > 10"));
+    }
+
+    #[test]
+    fn display_renders_distinct_and_the_grouping_tail_as_sql() {
+        use estocada_pivot::AggFun;
+        let col = |column| ColRef { table: 0, column };
+        let mut q = SqlQuery::new();
+        q.add_table("orders");
+        let mut q = q.select(col(3)).select(col(0)).select(col(4));
+        q.distinct = true;
+        assert_eq!(
+            q.to_string(),
+            "SELECT DISTINCT t0.c3, t0.c0, t0.c4 FROM orders t0"
+        );
+        q.group = Some(GroupBy {
+            keys: 1,
+            aggs: vec![(AggFun::Count, 1), (AggFun::Sum, 2)],
+            having: vec![(2, CmpOp::Ge, Value::Int(200))],
+        });
+        assert_eq!(
+            q.to_string(),
+            "SELECT s.c0, COUNT(s.c1), SUM(s.c2) FROM \
+             (SELECT DISTINCT t0.c3, t0.c0, t0.c4 FROM orders t0) s \
+             GROUP BY s.c0 HAVING SUM(s.c2) >= 200"
+        );
     }
 }

@@ -1,17 +1,21 @@
 //! Analytics workload: Zipf-skewed GROUP BY / HAVING aggregates over the
 //! marketplace deployments — the "reporting" counterpart to the W1
-//! lookup workload, exercising the aggregation frontend and the
-//! vectorized batch executor over rewritten hybrid plans.
+//! lookup workload, exercising the aggregation frontend and whole-query
+//! delegation over rewritten hybrid plans.
 //!
 //! Skew matters here the same way it does for W1: dashboards re-run the
 //! same per-user / per-category rollups for hot users and hot categories,
 //! so the generator samples both through [`Zipf`].
 //!
-//! A note on semantics: the mediator evaluates conjunctive cores under set
+//! A note on semantics: conjunctive cores are evaluated under set
 //! semantics, so aggregates range over *distinct* core tuples (see
-//! `estocada::frontends::sql`). Every query below aggregates a key column
-//! (`COUNT(o.oid)`, `COUNT(l.lid)`) alongside the measures, which makes
-//! the core tuples unique per underlying row and the sums/averages exact.
+//! `estocada::frontends::sql`) — wherever the grouping runs: every
+//! template here is one SQL block or one parallel scan, so the store
+//! groups beside the data and ships the groups. Every query below
+//! aggregates a key column (`COUNT(o.oid)`, `COUNT(l.lid)`) alongside the
+//! measures, which makes the core tuples unique per underlying row and the
+//! sums/averages exact; a query that does not draws the analyzer's `W007`
+//! warning, and the tests pin that none of these does.
 
 use crate::marketplace::CATEGORIES;
 use crate::zipf::Zipf;
@@ -213,6 +217,8 @@ mod tests {
                         .with_batch_size(batch_size)
                         .run()
                         .unwrap_or_else(|e| panic!("{q:?} failed: {e}"));
+                    // Every template aggregates a key column: no W007.
+                    assert_eq!(r.report.diagnostics, Vec::new(), "{q:?}");
                     let mut rows = r.rows;
                     rows.sort();
                     runs.push((r.columns, rows));

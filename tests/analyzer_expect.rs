@@ -9,8 +9,9 @@
 //!   declared-key EGDs with view TGDs and must certify `weakly acyclic`
 //!   — a downgrade to `unknown` is a regression the diff makes loud);
 //! - the **diagnostic surface**: exact `Display` output for `E001`,
-//!   `E005`, `W001` (same-store and cross-store), `W002`, `W005` and
-//!   `W006` on fixtures small enough to review by hand.
+//!   `E005`, `W001` (same-store and cross-store), `W002`, `W005`,
+//!   `W006` and the query-level `W007` on fixtures small enough to review
+//!   by hand.
 //!
 //! Regenerate after an intentional change with:
 //!
@@ -20,6 +21,7 @@
 
 use estocada::analyze::analyze_deployment;
 use estocada::catalog::{Catalog, FragmentMeta, FragmentSpec};
+use estocada::frontends::lint_sql;
 use estocada::{Estocada, Latencies, SystemId};
 use estocada_chase::{certify, ChaseConfig};
 use estocada_pivot::{Atom, Cq, CqBuilder, Egd, RelationDecl, Schema, Term, Tgd, Value};
@@ -119,7 +121,7 @@ fn render() -> String {
             deploy_materialized_join(&m, Latencies::zero()),
         ),
     ];
-    for (name, est) in deployments {
+    for (name, est) in &deployments {
         writeln!(out, "== deployment {name} ==").unwrap();
         writeln!(out, "certificate: {}", est.termination_certificate()).unwrap();
         let diags = est.analyze();
@@ -132,6 +134,24 @@ fn render() -> String {
         }
         writeln!(out).unwrap();
     }
+
+    // --- W007: an aggregate over a core that identifies no row --------
+    writeln!(out, "== fixture distinct-core-aggregate (W007) ==").unwrap();
+    let est = &deployments[0].1;
+    for sql in [
+        "SELECT o.category, SUM(o.amount) FROM Orders o GROUP BY o.category",
+        "SELECT o.category, COUNT(o.oid), SUM(o.amount) FROM Orders o GROUP BY o.category",
+    ] {
+        writeln!(out, "query: {sql}").unwrap();
+        let diags = lint_sql(sql, &est.sql_catalog(), est.schema()).expect("parse");
+        if diags.is_empty() {
+            writeln!(out, "diagnostics: (none)").unwrap();
+        }
+        for d in &diags {
+            writeln!(out, "{d}").unwrap();
+        }
+    }
+    writeln!(out).unwrap();
 
     // --- E001: the planted divergent pair ----------------------------
     let mut schema = schema_with(&[("T", &["k", "v"]), ("U", &["k", "w"])]);

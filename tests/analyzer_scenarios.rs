@@ -390,6 +390,29 @@ fn aggregate_queries_lint_and_report_diagnostics() {
     .unwrap();
     assert!(diags.is_empty(), "got: {diags:?}");
 
+    // Summing a measure without a key among the grouped/aggregated columns
+    // ranges over the distinct (category, amount) pairs: W007 says so —
+    // as a warning, so the `Strict` deployment still answers.
+    let loose = "SELECT o.category, SUM(o.amount) FROM Orders o GROUP BY o.category";
+    let r = est.query_sql(loose).expect("a warning never rejects");
+    let w007: Vec<_> = (r.report.diagnostics.iter())
+        .filter(|d| d.code == Code::DistinctCoreAggregate)
+        .collect();
+    assert_eq!(w007.len(), 1, "got: {:?}", r.report.diagnostics);
+    assert_eq!(w007[0].severity, Severity::Warning);
+    // The plain query over the same core shares the rewriting, not the
+    // lint: the lint cache keys the aggregate apart.
+    let plain = est
+        .query_sql("SELECT o.category, o.amount FROM Orders o")
+        .unwrap();
+    assert!(plain.report.plan_cache.is_some_and(|pc| pc.hit));
+    assert!(
+        plain.report.diagnostics.is_empty(),
+        "got: {:?}",
+        plain.report.diagnostics
+    );
+    assert!(est.query_sql(loose).unwrap().report.lint_cache.unwrap().hit);
+
     // HAVING referencing a non-aggregated, non-grouped column: typed error.
     let err = est
         .query_sql("SELECT u.tier FROM Users u GROUP BY u.tier HAVING u.name = 'x'")

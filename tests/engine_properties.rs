@@ -4,7 +4,7 @@
 
 use estocada_engine::{execute, CmpOp, Expr, Plan, RowBatch};
 use estocada_kvstore::codec::{decode_tuple, encode_tuple};
-use estocada_parstore::{par_aggregate, par_filter, par_join, AggFun, Dataset};
+use estocada_parstore::{par_filter, par_join, AggFun, Dataset, GroupBy, ParStore, Shape};
 use estocada_pivot::Value;
 use proptest::prelude::*;
 
@@ -164,12 +164,18 @@ proptest! {
         prop_assert_eq!(par, eng.rows);
     }
 
-    /// Parallel count aggregation matches group sizes.
+    /// The parallel store's grouped scan counts group sizes (each row
+    /// carries its id: the tail ranges over distinct rows).
     #[test]
     fn par_aggregate_counts(rows in proptest::collection::vec(0i64..5, 1..50), parts in 1usize..5) {
-        let data: Vec<Vec<Value>> = rows.iter().map(|g| vec![Value::Int(*g)]).collect();
-        let ds = Dataset::from_rows(&["g"], data, parts);
-        let out = par_aggregate(&ds, &[0], AggFun::Count, 0);
+        let data = rows.iter().enumerate().map(|(i, g)| vec![Value::Int(*g), Value::Int(i as i64)]);
+        let store = ParStore::new();
+        store.create_dataset("t", &["g", "id"], data, parts);
+        let counts = Shape {
+            group: Some(GroupBy { keys: 1, aggs: vec![(AggFun::Count, 1)], having: vec![] }),
+            ..Shape::default()
+        };
+        let out = store.scan("t", &[], &counts).unwrap();
         let mut expected: std::collections::HashMap<i64, i64> = Default::default();
         for g in &rows {
             *expected.entry(*g).or_insert(0) += 1;

@@ -753,6 +753,50 @@ fn native_store_error_is_not_retried_and_leaves_the_breaker_closed() {
     assert!(orders.report.resilience.is_none());
 }
 
+/// The parallel store's twin of the test above: a dataset dropped behind
+/// the catalog's back used to read as *empty* (`Ok` with 0 rows — wrong
+/// answers, silently); now it is a native error the query fails over from,
+/// or a typed failure when no other rewriting exists.
+#[test]
+fn a_dropped_parallel_dataset_fails_over_or_fails_instead_of_answering_empty() {
+    let m = market();
+    let oracle = deploy_materialized_join(&m, Latencies::zero());
+    // Some user with purchases and views in one category.
+    let (sql, want) = (0..m.config.users as i64)
+        .map(|uid| personalized_sql(uid, "laptop"))
+        .map(|sql| (oracle.query_sql(&sql).expect("oracle"), sql))
+        .find_map(|(r, sql)| (!r.rows.is_empty()).then_some((sql, r)))
+        .expect("precondition: some user has laptop history");
+    assert!(
+        want.report.delegated[0].starts_with("parallel: LOOKUP UserHist"),
+        "precondition: the materialized join is the chosen plan"
+    );
+
+    let est = with_fast_retry(deploy_materialized_join(&m, Latencies::zero()));
+    assert!(est.stores.par.drop_dataset("UserHist"));
+    let got = est.query_sql(&sql).expect("failover must answer");
+    assert_eq!(sorted(got.rows), sorted(want.rows.clone()));
+    assert_eq!(got.report.delegated.len(), 2, "Orders ⋈ WebLogPar answered");
+    let r = got.report.resilience.expect("the error must be reported");
+    assert!(r.failed_over());
+    assert_eq!(r.retries, 0, "a deterministic failure is not retried");
+    assert!(
+        r.store_errors[0].contains("unknown dataset UserHist"),
+        "{r:?}"
+    );
+    assert!(r.breaker_transitions.is_empty(), "the store answered");
+
+    // With the web logs gone too, no rewriting is left: a typed error.
+    assert!(est.stores.par.drop_dataset("WebLogPar"));
+    match est.query_sql(&sql) {
+        Err(Error::AllPlansFailed { attempts, .. }) => {
+            assert_eq!(attempts.len(), 2);
+            assert!(attempts[1].error.contains("unknown dataset WebLogPar"));
+        }
+        other => panic!("expected AllPlansFailed, got {other:?}"),
+    }
+}
+
 // ---------------------------------------------------------------------
 // The gate: every delegated request passes it exactly once, admin paths
 // never do, and fault rules key on the connector's operation names.
