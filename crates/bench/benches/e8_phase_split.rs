@@ -1,17 +1,13 @@
-//! E8 — the phase-split chase (PR 4): scaling of the read-only
-//! trigger-search phase over `ChaseConfig::search_workers` (1/2/4/8), and
-//! the applicability memo on/off, on the probe-heavy closure workload
-//! shared with the differential suite
+//! E8 — the phase-split chase: the applicability memo on/off on the
+//! probe-heavy closure workload shared with the differential suite
 //! (`testkit::phase_split_workload`: independent relation families whose
 //! transitive closures re-derive every pair through each midpoint —
 //! trigger counts cubic, distinct applicability keys quadratic).
 //!
-//! The phase-split contract is asserted **inside every measurement**:
-//! each timed run's final instance and full `ChaseStats` are compared
-//! against the serial memo-on reference (core counters only when the
-//! memo differs), so a fan-in or memo bug fails the bench rather than
-//! skewing its numbers. Worker speedups are bounded by host cores —
-//! on a single-core runner the expectation is parity, never skew.
+//! The memo contract is asserted **inside every measurement**: each timed
+//! run's final instance and `ChaseStats` are compared against the memo-on
+//! reference (core counters only when the memo is off), so a memo bug
+//! fails the bench rather than skewing its numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use estocada_chase::testkit::{dump_state as dump, phase_split_workload};
@@ -19,13 +15,8 @@ use estocada_chase::{chase, ChaseConfig, ChaseStats, Instance};
 use estocada_pivot::Constraint;
 use std::time::{Duration, Instant};
 
-fn cfg(search_workers: usize, memo: bool) -> ChaseConfig {
+fn cfg(memo: bool) -> ChaseConfig {
     ChaseConfig {
-        search_workers,
-        // Zero the fan-out size gate so every multi-worker arm measures
-        // the genuine parallel search branch, not the inline fallback the
-        // production default would take on the smaller workloads.
-        search_min_facts: 0,
         memo,
         ..ChaseConfig::default()
     }
@@ -50,7 +41,7 @@ fn run_checked(
     let stats = chase(&mut work, constraints, c).unwrap();
     let elapsed = t.elapsed();
     if c.memo {
-        assert_eq!(stats, reference.stats, "stats skew vs serial reference");
+        assert_eq!(stats, reference.stats, "stats skew vs the reference");
     } else {
         assert_eq!(stats.core(), reference.stats.core(), "core-counter skew");
         assert_eq!((stats.memo_hits, stats.memo_misses), (0, 0));
@@ -58,21 +49,18 @@ fn run_checked(
     assert_eq!(
         dump(&work),
         reference.state,
-        "end-state skew vs serial reference"
+        "end-state skew vs the reference"
     );
     elapsed
 }
 
 fn bench(c: &mut Criterion) {
-    let host_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!("== E8 summary (phase-split chase, host cores: {host_cores}) ==");
+    println!("== E8 summary (phase-split chase) ==");
     for (rels, chain) in [(4usize, 12usize), (8, 14), (8, 18)] {
         let (seed, constraints) = phase_split_workload(rels, chain);
         let reference = {
             let mut work = seed.clone();
-            let stats = chase(&mut work, &constraints, &cfg(1, true)).unwrap();
+            let stats = chase(&mut work, &constraints, &cfg(true)).unwrap();
             Reference {
                 stats,
                 state: dump(&work),
@@ -85,22 +73,17 @@ fn bench(c: &mut Criterion) {
             reference.stats.memo_hits,
             reference.stats.memo_misses,
         );
-        for workers in [1usize, 2, 4, 8] {
+        for (name, memo) in [("memo-on", true), ("memo-off", false)] {
             // Best of 3 (scheduling noise dominates at these sizes).
             let best = (0..3)
-                .map(|_| run_checked(&seed, &constraints, &cfg(workers, true), &reference))
+                .map(|_| run_checked(&seed, &constraints, &cfg(memo), &reference))
                 .min()
                 .unwrap();
-            line.push_str(&format!(" {workers}w {best:?}"));
+            line.push_str(&format!(" {name} {best:?}"));
         }
-        let memo_off = (0..3)
-            .map(|_| run_checked(&seed, &constraints, &cfg(1, false), &reference))
-            .min()
-            .unwrap();
-        line.push_str(&format!(" | memo-off {memo_off:?}"));
         println!("{line}");
     }
-    println!("(identity vs the serial memo-on reference asserted on every run above)");
+    println!("(identity vs the memo-on reference asserted on every run above)");
 
     let mut group = c.benchmark_group("e8_phase_split");
     group.sample_size(10);
@@ -109,20 +92,14 @@ fn bench(c: &mut Criterion) {
         let (seed, constraints) = phase_split_workload(rels, chain);
         let reference = {
             let mut work = seed.clone();
-            let stats = chase(&mut work, &constraints, &cfg(1, true)).unwrap();
+            let stats = chase(&mut work, &constraints, &cfg(true)).unwrap();
             Reference {
                 stats,
                 state: dump(&work),
             }
         };
         let label = format!("{rels}x{chain}");
-        for (name, c) in [
-            ("memo_on", cfg(1, true)),
-            ("memo_off", cfg(1, false)),
-            ("workers2", cfg(2, true)),
-            ("workers4", cfg(4, true)),
-            ("workers8", cfg(8, true)),
-        ] {
+        for (name, c) in [("memo_on", cfg(true)), ("memo_off", cfg(false))] {
             group.bench_with_input(BenchmarkId::new(name, &label), &c, |b, c| {
                 b.iter(|| run_checked(&seed, &constraints, c, &reference))
             });

@@ -1,1 +1,3 @@
 //! Benchmark helper crate; see benches/.
+
+#![forbid(unsafe_code)]

@@ -65,22 +65,18 @@
 //! search would have returned the empty list; skipping it leaves triggers,
 //! firing order, invented nulls, errors and every counter but
 //! [`ChaseStats::premise_searches`] — which counts the searches that did
-//! run — bit-identical, at any worker count. The parallel path builds its
-//! work items from the same live list.
+//! run — bit-identical.
 //!
 //! # The search/apply phase split
 //!
-//! 1. **Search phase (read-only, parallelizable).** Every constraint's
-//!    trigger search runs against the *same frozen* instance, so the
-//!    per-constraint [`find_trigger_homs_in`] calls are independent pure
-//!    functions of `(instance, delta, premise)` and fan out over the shared
-//!    [`estocada_parexec`] executor when [`ChaseConfig::search_workers`]
-//!    `> 1`. Each worker holds a private [`HomArena`]; results come back
-//!    in constraint order, so the apply phase sees the identical trigger
-//!    lists at any worker count and the whole run — firing order, invented
-//!    nulls, Skolem naming, provenance formulas, stats, and `Inconsistent`
-//!    errors — is bit-identical to the one-worker run.
-//! 2. **Apply phase (serial).** Triggers fire in constraint order, then
+//! 1. **Search phase (read-only).** Every live constraint's trigger
+//!    search ([`find_trigger_homs_in`]) runs against the *same frozen*
+//!    round-start instance, in constraint order, on the caller's thread and
+//!    [`HomArena`]. One thread does all of it: a rewrite's chases are tens
+//!    of facts, and a round's whole search costs less than handing it to
+//!    another thread (EXPERIMENTS.md, "Parallelism inside one rewrite:
+//!    what was measured").
+//! 2. **Apply phase.** Triggers fire in constraint order, then
 //!    trigger order. Every binding is re-resolved through the union-find
 //!    at fire time (earlier firings in the same round may have merged
 //!    elements) and everything a policy consults — TGD applicability, the
@@ -120,12 +116,9 @@
 //! identical with the memo on or off). The provenance chase's Skolem table
 //! is keyed and invalidated the same way.
 
-use crate::hom::{
-    find_homs_delta_anchor_in, find_trigger_homs_in, has_hom_in, Hom, HomArena, HomConfig,
-};
+use crate::hom::{find_trigger_homs_in, has_hom_in, Hom, HomArena, HomConfig};
 use crate::instance::{DeltaIndex, Elem, Inconsistent, Instance};
 use crate::wa::{Stratum, TerminationCertificate};
-use estocada_parexec::Pool;
 use estocada_pivot::{Atom, Constraint, Symbol, Term, Var};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -139,19 +132,6 @@ pub struct ChaseConfig {
     pub max_facts: usize,
     /// Homomorphism search configuration.
     pub hom: HomConfig,
-    /// Worker threads for the read-only trigger-search phase (`<= 1` =
-    /// search serially on the caller's arena). Any value produces a
-    /// bit-identical chase — see the module docs' phase-split contract.
-    pub search_workers: usize,
-    /// Minimum alive-fact count before the search phase actually fans out
-    /// (defaults to [`SEARCH_PARALLEL_MIN_FACTS`]): below it a round's
-    /// whole search costs less than spawning and joining the scoped pool,
-    /// so small chases — the mediator's per-query universal-plan and
-    /// candidate-verification chases are typically tens of facts — search
-    /// inline even at `search_workers > 1`. Set to 0 to force fan-out
-    /// (the differential suites do, so the parallel branch is genuinely
-    /// exercised). Identical outcome either way; only latency changes.
-    pub search_min_facts: usize,
     /// Restricted chase: memoize applicability probes across triggers and
     /// rounds (see the module docs). Provenance chase: index the Skolem
     /// table by null so EGD merges garbage-collect entries keyed on retired
@@ -166,8 +146,6 @@ impl Default for ChaseConfig {
             max_rounds: 10_000,
             max_facts: 500_000,
             hom: HomConfig::default(),
-            search_workers: 1,
-            search_min_facts: SEARCH_PARALLEL_MIN_FACTS,
             memo: true,
         }
     }
@@ -224,7 +202,7 @@ pub struct ChaseStats {
     pub memo_misses: usize,
     /// Premise searches actually run: one per (constraint, round) whose
     /// premise the live-premise rule (module docs) could not rule out.
-    /// Independent of [`ChaseConfig::search_workers`] and of the memo.
+    /// Independent of the memo.
     pub premise_searches: usize,
 }
 
@@ -321,10 +299,6 @@ pub fn chase_stratified(
     let set = PreparedConstraints::new(constraints);
     chase_prepared(&mut HomArena::new(), instance, &set, cfg, Some(cert))
 }
-
-/// Default of [`ChaseConfig::search_min_facts`] — mirrors pacb's
-/// `PARALLEL_CANDIDATE_THRESHOLD` rationale at the chase-round level.
-pub const SEARCH_PARALLEL_MIN_FACTS: usize = 512;
 
 /// How one trigger fires — the only thing the restricted chase and the
 /// provenance chase disagree on. Called from the serial apply phase.
@@ -470,8 +444,6 @@ pub(crate) struct PreparedConstraints {
     /// A semi-naive trigger needs a delta fact, so a delta round searches
     /// only what this lists under the predicates that changed.
     by_premise_pred: HashMap<Symbol, Vec<usize>>,
-    /// Widest useful search fan-out: one item per premise atom.
-    max_search_items: usize,
     /// Test-only reference mode ([`crate::testkit::chase_every_premise`]):
     /// search every premise every round, as if nothing could be ruled out.
     pub(crate) search_every_premise: bool,
@@ -492,7 +464,6 @@ impl PreparedConstraints {
             }
         }
         PreparedConstraints {
-            max_search_items: premises.iter().map(|p| p.len().max(1)).sum(),
             premises,
             actions,
             by_premise_pred,
@@ -569,11 +540,6 @@ pub(crate) fn run_chase<P: FiringPolicy>(
     cert: Option<&TerminationCertificate>,
     policy: &mut P,
 ) -> Result<ChaseStats, ChaseError> {
-    // One search pool for the whole run, spawned lazily by the first round
-    // that actually fans out and reused by every later round (a chase is a
-    // loop of searches — a thread spawn/join per round is pure overhead) —
-    // so a chase whose every round searches inline creates no threads.
-    let mut pool: Option<Pool> = None;
     let mut total = ChaseStats::default();
     for (members, budget) in schedule(set.premises.len(), cfg, cert) {
         let mut stats = ChaseStats::default();
@@ -591,16 +557,9 @@ pub(crate) fn run_chase<P: FiringPolicy>(
             let round_epoch = instance.advance_epoch();
             let delta = threshold.map(|t| instance.delta_index(t));
             // Phase 1: read-only trigger search against the frozen
-            // round-start instance, fanned out over the search workers.
-            let (searched, triggers) = search_triggers(
-                arena,
-                instance,
-                set,
-                &members,
-                cfg,
-                &mut pool,
-                delta.as_ref(),
-            );
+            // round-start instance.
+            let (searched, triggers) =
+                search_triggers(arena, instance, set, &members, cfg.hom, delta.as_ref());
             stats.premise_searches += searched;
             // Phase 2: serial apply in constraint order.
             let mut changed = false;
@@ -636,74 +595,20 @@ pub(crate) fn run_chase<P: FiringPolicy>(
 /// triggers of the stage's `members` against the frozen instance, one list
 /// per member in member (= firing) order, preceded by the number of
 /// premises searched. Only the live premises (module docs) are; the others
-/// cannot have a trigger and get the empty list. With one search worker, a
-/// single live premise, or an instance below
-/// [`ChaseConfig::search_min_facts`] the searches run inline on the
-/// caller's warmed arena — the serial fast path pays nothing for the phase
-/// machinery; otherwise they fan out over the run's `pool` (created on
-/// first use), whose fan-in is in item order.
+/// cannot have a trigger and get the empty list.
 fn search_triggers(
     arena: &mut HomArena,
     instance: &Instance,
     set: &PreparedConstraints,
     members: &[usize],
-    cfg: &ChaseConfig,
-    pool: &mut Option<Pool>,
+    hom: HomConfig,
     delta: Option<&DeltaIndex>,
 ) -> (usize, Vec<Vec<Hom>>) {
-    let hom = cfg.hom;
-    let premise = |m: usize| set.premises[members[m]].as_slice();
     let live = set.live(instance, members, delta);
     let mut out: Vec<Vec<Hom>> = vec![Vec::new(); members.len()];
-    // A delta round fans out one item per (constraint, premise anchor),
-    // which bounds the useful width.
-    let workers = cfg.search_workers.min(set.max_search_items);
-    if workers <= 1 || live.len() <= 1 || instance.len() < cfg.search_min_facts {
-        for &m in &live {
-            out[m] = find_trigger_homs_in(arena, instance, premise(m), hom, delta);
-        }
-        return (live.len(), out);
-    }
-    let pool = pool.get_or_insert_with(|| Pool::new(workers));
-    let Some(d) = delta else {
-        // First round: one full search per live constraint.
-        let found = pool.map_init(&live, HomArena::new, |worker_arena, _, &m| {
-            find_trigger_homs_in(worker_arena, instance, premise(m), hom, None)
-        });
-        for (&m, homs) in live.iter().zip(found) {
-            out[m] = homs;
-        }
-        return (live.len(), out);
-    };
-    // Delta rounds fan out one work item per (constraint, premise anchor)
-    // with delta facts, not one per constraint: each anchored pass of the
-    // semi-naive search is an independent pure function, so a skewed round
-    // (one constraint whose every trigger sits behind a single hot
-    // predicate) no longer serializes behind one worker. Anchors with no
-    // delta facts are skipped up front — same as the serial loop.
-    let mut items: Vec<(usize, usize)> = Vec::new();
     for &m in &live {
-        for (anchor, atom) in premise(m).iter().enumerate() {
-            if !d.facts_of(atom.pred).is_empty() {
-                items.push((m, anchor));
-            }
-        }
-    }
-    let fixed = HashMap::new();
-    let per_item = pool.map_init(&items, HomArena::new, |worker_arena, _, &(m, anchor)| {
-        find_homs_delta_anchor_in(worker_arena, instance, premise(m), &fixed, hom, d, anchor)
-    });
-    // Reassemble per constraint in anchor order, truncated to the hom
-    // limit — the same homs, in the same order, as the serial
-    // early-stopping anchor loop.
-    for (&(m, _), homs) in items.iter().zip(per_item) {
-        let dst = &mut out[m];
-        for h in homs {
-            if dst.len() >= hom.limit {
-                break;
-            }
-            dst.push(h);
-        }
+        let premise = &set.premises[members[m]];
+        out[m] = find_trigger_homs_in(arena, instance, premise, hom, delta);
     }
     (live.len(), out)
 }
@@ -1095,32 +1000,6 @@ mod tests {
     }
 
     #[test]
-    fn search_workers_do_not_change_the_chase() {
-        let (seed, constraints) = closure_set();
-        let mut reference = seed.clone();
-        let ref_stats = chase(&mut reference, &constraints, &ChaseConfig::default()).unwrap();
-        for workers in [2usize, 4, 8] {
-            let mut work = seed.clone();
-            let stats = chase(
-                &mut work,
-                &constraints,
-                &ChaseConfig {
-                    search_workers: workers,
-                    // Force fan-out even on this small instance so the
-                    // parallel branch is genuinely exercised.
-                    search_min_facts: 0,
-                    ..ChaseConfig::default()
-                },
-            )
-            .unwrap();
-            // Full stats equality — memo counters included — plus the
-            // complete instance state.
-            assert_eq!(stats, ref_stats, "stats skew at {workers} search workers");
-            assert_eq!(dump(&work), dump(&reference));
-        }
-    }
-
-    #[test]
     fn memo_invalidation_survives_egd_merges() {
         // t1 invents a null R(x, n); the FD then merges n with the constant
         // 9 — retiring a null that appears in memoized frontier keys of t2
@@ -1171,7 +1050,7 @@ mod tests {
     }
 
     #[test]
-    fn inconsistent_error_is_identical_across_memo_and_workers() {
+    fn inconsistent_error_is_identical_with_memo_on_and_off() {
         let e = Egd::new(
             "fd",
             vec![
@@ -1186,27 +1065,19 @@ mod tests {
             vec![Atom::new("T", vec![Term::var(0)])],
         );
         let constraints: Vec<Constraint> = vec![pad.into(), e.into()];
-        let run = |memo: bool, workers: usize| {
+        let run = |memo: bool| {
             let mut i = Instance::new();
             i.insert(sym("R"), vec![c(1), c(8)]);
             i.insert(sym("R"), vec![c(1), c(9)]);
             let cfg = ChaseConfig {
                 memo,
-                search_workers: workers,
-                search_min_facts: 0,
                 ..ChaseConfig::default()
             };
             chase(&mut i, &constraints, &cfg).unwrap_err().to_string()
         };
-        let reference = run(true, 1);
+        let reference = run(true);
         assert!(reference.contains("[fd]"), "missing EGD name: {reference}");
-        for (memo, workers) in [(false, 1), (true, 4), (false, 4), (true, 8)] {
-            assert_eq!(
-                run(memo, workers),
-                reference,
-                "error skew at memo={memo} workers={workers}"
-            );
-        }
+        assert_eq!(run(false), reference);
     }
 
     #[test]

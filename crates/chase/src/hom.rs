@@ -558,41 +558,6 @@ pub fn find_homs_delta_in(
     results
 }
 
-/// One anchored pass of [`find_homs_delta_in`]: enumerate the delta
-/// homomorphisms whose *first* delta atom is `atoms[anchor]` (atom
-/// `anchor` restricted to delta facts, earlier atoms to pre-delta facts).
-/// The concatenation over all anchors, in anchor order and truncated to
-/// `cfg.limit`, equals [`find_homs_delta_in`]'s result — the passes are
-/// independent pure functions of `(instance, delta, atoms, anchor)`, so
-/// the parallel trigger phase fans them out as separate work items.
-pub fn find_homs_delta_anchor_in(
-    arena: &mut HomArena,
-    instance: &Instance,
-    atoms: &[Atom],
-    fixed: &HashMap<Var, Elem>,
-    cfg: HomConfig,
-    delta: &DeltaIndex,
-    anchor: usize,
-) -> Vec<Hom> {
-    if delta.facts_of(atoms[anchor].pred).is_empty() {
-        return Vec::new();
-    }
-    let (mut ctx, mut scratch) = compile(arena, instance, atoms, pairs(fixed), cfg.limit);
-    ctx.delta = Some(delta);
-    ctx.threshold = delta.threshold;
-    for i in 0..atoms.len() {
-        ctx.strata[i] = match i.cmp(&anchor) {
-            std::cmp::Ordering::Less => Stratum::Old,
-            std::cmp::Ordering::Equal => Stratum::New,
-            std::cmp::Ordering::Greater => Stratum::Any,
-        };
-    }
-    search(&ctx, &mut scratch, 0);
-    let results = std::mem::take(&mut scratch.results);
-    arena.recycle(ctx, scratch);
-    results
-}
-
 /// The chase driver's trigger enumeration, on caller-provided scratch: full
 /// search when `delta` is `None` (first round), delta-restricted search
 /// otherwise.
@@ -784,53 +749,5 @@ mod tests {
         // New triggers: (1,2)+(2,2) anchored at atom 1, and (2,2)+(2,2)
         // anchored at atom 0 — exactly 2, no duplicates.
         assert_eq!(dhoms.len(), 2);
-    }
-
-    #[test]
-    fn per_anchor_passes_reassemble_to_the_delta_search() {
-        // The parallel trigger phase runs one work item per anchor;
-        // concatenating them in anchor order (truncated to the limit) must
-        // reproduce the serial search exactly, including hom order.
-        let mut i = Instance::new();
-        let c = |v: i64| Elem::of(v);
-        i.insert(Symbol::intern("R"), vec![c(1), c(2)]);
-        i.insert(Symbol::intern("S"), vec![c(2)]);
-        let thr = i.advance_epoch();
-        i.insert(Symbol::intern("R"), vec![c(2), c(2)]);
-        i.insert(Symbol::intern("R"), vec![c(2), c(3)]);
-        i.insert(Symbol::intern("S"), vec![c(3)]);
-        let atoms = vec![
-            atom("R", vec![Term::var(0), Term::var(1)]),
-            atom("R", vec![Term::var(1), Term::var(2)]),
-            atom("S", vec![Term::var(2)]),
-        ];
-        let delta = i.delta_index(thr);
-        for limit in [1, 2, usize::MAX] {
-            let cfg = HomConfig { limit };
-            let serial = find_homs_delta(&i, &atoms, &HashMap::new(), cfg, &delta);
-            let mut reassembled = Vec::new();
-            for anchor in 0..atoms.len() {
-                let pass = find_homs_delta_anchor_in(
-                    &mut HomArena::new(),
-                    &i,
-                    &atoms,
-                    &HashMap::new(),
-                    cfg,
-                    &delta,
-                    anchor,
-                );
-                for h in pass {
-                    if reassembled.len() >= limit {
-                        break;
-                    }
-                    reassembled.push(h);
-                }
-            }
-            assert_eq!(serial.len(), reassembled.len(), "limit {limit}");
-            for (a, b) in serial.iter().zip(&reassembled) {
-                assert_eq!(a.fact_ids, b.fact_ids, "limit {limit}");
-                assert_eq!(a.map, b.map, "limit {limit}");
-            }
-        }
     }
 }

@@ -23,16 +23,17 @@
 //! evaluates semi-naively — after the first round only triggers touching
 //! the previous round's delta facts are searched
 //! ([`instance::Instance::delta_index`]) — and splits every round into a
-//! read-only trigger-search phase, fanned out over
-//! [`chase::ChaseConfig::search_workers`] workers and bit-identical at any
-//! count, and a serial apply phase; the restricted policy memoizes
+//! read-only trigger-search phase against the round-start snapshot and an
+//! apply phase, both on the calling thread; the restricted policy memoizes
 //! applicability probes per (constraint, frontier image) with precise
 //! merge-driven invalidation. Search scratch lives in reusable,
-//! thread-confined [`hom::HomArena`]s, and PACB's per-candidate
-//! verification chases fan out over a scoped worker pool with a
+//! thread-confined [`hom::HomArena`]s. The one place a rewrite uses more
+//! than one thread is PACB's per-candidate verification: from 8 candidates
+//! up the independent checks fan out over scoped worker threads with a
 //! deterministic fan-in ([`pacb::RewriteConfig::parallelism`]; the outcome
 //! is identical at any worker count — see the [`pacb`] module docs).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chase;
@@ -53,8 +54,8 @@ pub use containment::{
     minimize, premise_unsatisfiable,
 };
 pub use hom::{
-    find_homs, find_homs_delta, find_homs_delta_anchor_in, find_homs_delta_in, find_homs_in,
-    find_one_hom, find_one_hom_in, Hom, HomArena, HomConfig,
+    find_homs, find_homs_delta, find_homs_delta_in, find_homs_in, find_one_hom, find_one_hom_in,
+    Hom, HomArena, HomConfig,
 };
 pub use instance::{DeltaIndex, Elem, Inconsistent, Instance, StoredFact};
 pub use naive::{naive_rewrite, NaiveConfig};

@@ -47,9 +47,8 @@
 //! candidate's check is independent of every other's: it reads only the
 //! candidate, the query, and the prepared verification set, and chases a
 //! **fresh** canonical instance. [`Rewriter::rewrite`] therefore fans the
-//! checks out over
-//! a scoped worker pool ([`estocada_parexec::scoped_map_init`]) of
-//! [`RewriteConfig::parallelism`] threads, each holding a private
+//! checks out over [`RewriteConfig::parallelism`] scoped worker threads
+//! ([`estocada_parexec::scoped_map_init`]), each holding a private
 //! [`HomArena`] scratch arena (no shared mutable state, no locks on the
 //! search path).
 //!
@@ -76,20 +75,20 @@
 //! worker's containment check leaves that candidate undecided — dropped
 //! and counted under `rejected` like a refuted one, and the fan-in clears
 //! `complete`, since a rewriting may have been lost (as in the serial
-//! run) — without touching its siblings; a worker panic poisons the pool,
-//! cancels the outstanding candidates and re-raises on the caller — the
-//! scoped pool cannot deadlock or leak threads. Problems with fewer than
+//! run) — without touching its siblings; a worker panic poisons the batch,
+//! cancels the outstanding candidates and re-raises on the caller — scoped
+//! threads cannot deadlock or leak. Problems with fewer than
 //! `PARALLEL_CANDIDATE_THRESHOLD` candidates (or with verification off)
-//! skip the pool entirely: spawning threads there costs more than the
-//! checks themselves, and the outcome is the same either way.
+//! run the checks inline: spawning threads there costs more than the
+//! checks themselves, and the outcome is the same either way. The code
+//! makes that choice from the candidate count it has just computed; the
+//! mediator's lookups have 1–2 candidates and never spawn, a wide problem
+//! (`e6_parallel_backchase`: 64–256 candidates) gains from the second
+//! worker on.
 //!
-//! Orthogonally, the *inner* chases (the forward chase and the provenance
-//! backchase, both on the coordinator) parallelize their per-round
-//! trigger-search phase through [`ChaseConfig::search_workers`]
-//! (see the phase-split contract in [`mod@crate::chase`]); inside the
-//! candidate-verification workers the search phase is forced serial —
-//! the candidate fan-out already owns the cores. Neither knob affects the
-//! outcome.
+//! Every chase itself — the forward chase and the provenance backchase on
+//! the coordinator, each verification chase on its worker — runs on one
+//! thread (see the phase split in [`mod@crate::chase`]).
 //!
 //! # Cacheability
 //!
@@ -193,19 +192,10 @@ impl RewriteConfig {
             ..self
         }
     }
-
-    /// This config with `workers` trigger-search workers in the inner
-    /// chases (the forward chase and the provenance backchase — see the
-    /// phase-split contract in [`mod@crate::chase`]). Any value yields the
-    /// identical [`RewriteOutcome`].
-    pub fn with_chase_parallelism(mut self, workers: usize) -> RewriteConfig {
-        self.chase.search_workers = workers;
-        self
-    }
 }
 
 /// Minimum verified-candidate count before the acceptance checks fan out
-/// to worker threads: below it the scoped pool's spawn/join overhead
+/// to worker threads: below it the threads' spawn/join overhead
 /// outweighs the verification work, so the checks run inline on the
 /// coordinator (identical outcome — few-candidate hot-path rewrites never
 /// pay for threads they can't use).
@@ -609,7 +599,7 @@ impl Rewriter {
         //
         // Fan-out: candidates are built on the coordinator in clause order
         // (with provisional names — workers must not touch the interner), the
-        // independent acceptance checks run on the worker pool, and the fan-in
+        // independent acceptance checks run on the worker threads, and the fan-in
         // below merges verdicts in candidate order so naming, dedup and stats
         // replay the serial loop exactly (see the module-level contract).
         let mut candidates: Vec<Cq> = Vec::new();
@@ -639,14 +629,8 @@ impl Rewriter {
                 .map(|c| self.check_candidate(&mut arena, c, query, cfg))
                 .collect()
         } else {
-            // Inside the candidate fan-out the verification chases search
-            // serially: the candidate pool already owns the cores, and nesting
-            // a per-round trigger-search pool in every worker would multiply
-            // thread counts without adding parallel work. The outcome is
-            // identical either way (search workers never affect results).
-            let worker_cfg = cfg.with_chase_parallelism(1);
             scoped_map_init(workers, &candidates, HomArena::new, |worker_arena, _, c| {
-                self.check_candidate(worker_arena, c, query, &worker_cfg)
+                self.check_candidate(worker_arena, c, query, cfg)
             })
         };
 
@@ -910,6 +894,24 @@ mod tests {
             let parallel =
                 pacb_rewrite(&problem, &RewriteConfig::default().with_parallelism(par)).unwrap();
             assert_eq!(serial, parallel, "fan-in skew at parallelism {par}");
+        }
+    }
+
+    #[test]
+    fn outcome_identical_on_both_sides_of_the_candidate_threshold() {
+        // The code picks inline or fanned-out verification from the
+        // candidate count; one problem on each side of the threshold.
+        for (k, fans_out) in [(2, false), (3, true)] {
+            let problem = multi_candidate_problem(k);
+            let serial = pacb_rewrite(&problem, &RewriteConfig::default()).unwrap();
+            assert_eq!(serial.stats.candidates, 1 << k);
+            assert_eq!(
+                serial.stats.candidates >= PARALLEL_CANDIDATE_THRESHOLD,
+                fans_out
+            );
+            let parallel =
+                pacb_rewrite(&problem, &RewriteConfig::default().with_parallelism(4)).unwrap();
+            assert_eq!(serial, parallel, "skew at {} candidates", 1 << k);
         }
     }
 

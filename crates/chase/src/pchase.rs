@@ -99,8 +99,7 @@ impl FiringPolicy for Skolemized {
     /// fire time. A trigger fact killed by an earlier same-round dedup
     /// still shows its pre-join (narrower) formula here — the survivor's
     /// widened formula bumps its epoch, so the skipped merge is re-searched
-    /// and fires next round; the fixpoint is unchanged and stays
-    /// bit-identical at any worker count.
+    /// and fires next round; the fixpoint is unchanged.
     fn egd_fires(&self, instance: &Instance, h: &Hom) -> bool {
         h.fact_ids
             .iter()

@@ -139,9 +139,8 @@ pub fn dump_state(i: &Instance) -> Vec<(u32, String, String, u64)> {
 /// `Pi(x,y) ∧ Pi(y,z) → Pi(x,z)`, seeded with a `chain`-node path per
 /// relation. Closing the chain re-derives every pair `Pi(a,c)` through
 /// each midpoint `b`, so trigger counts grow cubically while distinct
-/// applicability keys stay quadratic — the memo-hit hot case — and the
-/// `2 × rels` independent per-constraint searches give the parallel
-/// search phase real fan-out width.
+/// applicability keys stay quadratic — the memo-hit hot case — over
+/// `2 × rels` constraints searched every round.
 pub fn phase_split_workload(rels: usize, chain: usize) -> (Instance, Vec<Constraint>) {
     let mut inst = Instance::new();
     let mut constraints: Vec<Constraint> = Vec::new();

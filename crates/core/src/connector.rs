@@ -22,8 +22,8 @@ use crate::system::{FaultGate, Stores, SystemId};
 use estocada_docstore::{DocQuery, QueryNode};
 use estocada_engine::{BindSource, RowBatch, StoreError, Tuple};
 use estocada_parstore::Shape;
-use estocada_pivot::{Atom, GroupBy, Term, Value, Var};
-use estocada_relstore::{CmpOp as RelOp, ColRef, Pred, SqlQuery};
+use estocada_pivot::{Atom, CmpOp, GroupBy, Term, Value, Var};
+use estocada_relstore::{ColRef, Pred, SqlQuery};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -36,66 +36,13 @@ pub fn var_col(v: Var) -> String {
     format!("?{}", v.0)
 }
 
-/// Comparison operators of residual predicates (the non-equality
-/// conditions that ride along the conjunctive rewriting core).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResOp {
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-    /// `<>`
-    Ne,
-}
-
-impl ResOp {
-    /// Relational-store operator.
-    pub fn to_rel(self) -> RelOp {
-        match self {
-            ResOp::Lt => RelOp::Lt,
-            ResOp::Le => RelOp::Le,
-            ResOp::Gt => RelOp::Gt,
-            ResOp::Ge => RelOp::Ge,
-            ResOp::Ne => RelOp::Ne,
-        }
-    }
-
-    /// Parallel-store operator (`<>` is not delegable there).
-    pub fn to_par(self) -> Option<estocada_parstore::ParOp> {
-        use estocada_parstore::ParOp;
-        match self {
-            ResOp::Lt => Some(ParOp::Lt),
-            ResOp::Le => Some(ParOp::Le),
-            ResOp::Gt => Some(ParOp::Gt),
-            ResOp::Ge => Some(ParOp::Ge),
-            ResOp::Ne => None,
-        }
-    }
-
-    /// Engine operator.
-    pub fn to_engine(self) -> estocada_engine::CmpOp {
-        use estocada_engine::CmpOp;
-        match self {
-            ResOp::Lt => CmpOp::Lt,
-            ResOp::Le => CmpOp::Le,
-            ResOp::Gt => CmpOp::Gt,
-            ResOp::Ge => CmpOp::Ge,
-            ResOp::Ne => CmpOp::Ne,
-        }
-    }
-}
-
 /// A residual comparison `var op constant`.
 #[derive(Debug, Clone)]
 pub struct Residual {
     /// The compared variable.
     pub var: Var,
-    /// Operator.
-    pub op: ResOp,
+    /// Operator (never `=`: equalities are part of the conjunctive core).
+    pub op: CmpOp,
     /// Constant.
     pub value: Value,
 }
@@ -383,13 +330,13 @@ pub fn sql_unit(
             };
             match term {
                 Term::Const(c) => {
-                    q.predicates.push(Pred::ColConst(cr, RelOp::Eq, c.clone()));
+                    q.predicates.push(Pred::ColConst(cr, CmpOp::Eq, c.clone()));
                     est *= eq_selectivity(stats, pos);
                     has_const = true;
                 }
                 Term::Var(v) => {
                     if let Some(existing) = var_ref.get(v) {
-                        q.predicates.push(Pred::ColCol(*existing, RelOp::Eq, cr));
+                        q.predicates.push(Pred::ColCol(*existing, CmpOp::Eq, cr));
                         join_sel *= eq_selectivity(stats, pos);
                     } else {
                         var_ref.insert(*v, cr);
@@ -403,7 +350,7 @@ pub fn sql_unit(
     for (i, r) in residuals.remaining() {
         if let Some(cr) = var_ref.get(&r.var) {
             q.predicates
-                .push(Pred::ColConst(*cr, r.op.to_rel(), r.value.clone()));
+                .push(Pred::ColConst(*cr, r.op, r.value.clone()));
             residuals.mark_used(i);
             est *= 0.33; // textbook range selectivity
         }
@@ -864,7 +811,7 @@ fn par_scan_unit(
     stores: &Stores,
     ship: &Ship,
 ) -> Result<Unit> {
-    use estocada_parstore::{ColPred, ParOp};
+    use estocada_parstore::ColPred;
     let (dataset, _columns, indexed) = par_place(rel)?;
     let mut preds = Vec::new();
     let mut est = stats.rows.max(1) as f64;
@@ -873,7 +820,7 @@ fn par_scan_unit(
         if let Term::Const(c) = term {
             preds.push(ColPred {
                 col: pos,
-                op: ParOp::Eq,
+                op: CmpOp::Eq,
                 value: c.clone(),
             });
             const_cols.push(pos);
@@ -882,11 +829,14 @@ fn par_scan_unit(
     }
     // Push applicable residual comparisons into the delegated scan.
     for (i, r) in residuals.remaining() {
-        let Some(op) = r.op.to_par() else { continue };
+        // `<>` is not delegated to the parallel store.
+        if matches!(r.op, CmpOp::Ne) {
+            continue;
+        }
         if let Some(pos) = atom.args.iter().position(|t| t.as_var() == Some(r.var)) {
             preds.push(ColPred {
                 col: pos,
-                op,
+                op: r.op,
                 value: r.value.clone(),
             });
             residuals.mark_used(i);

@@ -15,8 +15,8 @@
 //!   threads answer queries against one shared engine — the stores
 //!   synchronize internally, usage counters are atomics, the staged fact
 //!   base and the planning context are lazily-initialized [`OnceLock`]s,
-//!   and rewriting is deterministic at any worker count, so concurrent
-//!   runs return exactly what the serial run returns.
+//!   and rewriting is deterministic, so concurrent runs return exactly
+//!   what the serial run returns.
 //!
 //! # The query builder and its options
 //!
@@ -25,7 +25,7 @@
 //!
 //! ```text
 //! engine.query(sql)
-//!     .with_rewrite_workers(4)   // parallel backchase width
+//!     .with_batch_size(256)      // vectorized pipeline batch, in rows
 //!     .explain_only()            // plan, don't execute
 //!     .run()?;
 //! ```
@@ -33,11 +33,15 @@
 //! Every option resolves in the same order, once per query: the per-query
 //! value, else the engine's default [`QueryOptions`]
 //! ([`Estocada::set_default_query_options`]), else the built-in default
-//! (the base [`RewriteConfig`]'s worker counts, [`RetryPolicy::default`],
-//! no deadline, [`ExecOptions::default`]'s batch size); the plan cache is
-//! used only when neither level turned it off. A run plans once, then
-//! reports the best candidate (explain) or executes candidates in rank
-//! order until one succeeds; both end in one [`Report`] constructor.
+//! ([`RetryPolicy::default`], no deadline, [`ExecOptions::default`]'s batch
+//! size); the plan cache is used only when neither level turned it off. A
+//! run plans once, then reports the best candidate (explain) or executes
+//! candidates in rank order until one succeeds; both end in one [`Report`]
+//! constructor.
+//!
+//! How many threads a rewrite uses is not a query option: the engine sizes
+//! [`RewriteConfig::parallelism`] one per core, the rewriter uses it only
+//! from 8 candidates up, and [`Estocada::set_rewrite_config`] pins it.
 
 use crate::analyze::{self, Diagnostic, Severity, ValidationMode};
 use crate::catalog::{Catalog, FragmentMeta, FragmentSpec};
@@ -71,12 +75,6 @@ use std::time::Duration;
 /// [`QueryRequest::with_options`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryOptions {
-    /// Worker threads of the parallel PACB backchase (candidate
-    /// verification). Any value yields the identical rewriting outcome.
-    pub rewrite_workers: Option<usize>,
-    /// Worker threads of the chases' trigger-search phase. Any value
-    /// yields the identical rewriting outcome.
-    pub chase_workers: Option<usize>,
     /// Plan and cost the query but skip execution; the returned
     /// [`QueryResult`] has no rows and a fully populated report.
     pub explain_only: bool,
@@ -99,8 +97,6 @@ pub struct QueryOptions {
 impl Default for QueryOptions {
     fn default() -> QueryOptions {
         QueryOptions {
-            rewrite_workers: None,
-            chase_workers: None,
             explain_only: false,
             plan_cache: true,
             retry: None,
@@ -134,8 +130,6 @@ impl QueryOptions {
 /// once per query); nothing downstream consults the defaults again.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ResolvedOptions {
-    /// The base rewriting configuration at this query's worker counts.
-    pub(crate) rewrite: RewriteConfig,
     explain_only: bool,
     pub(crate) plan_cache: bool,
     retry: RetryPolicy,
@@ -179,18 +173,6 @@ impl std::fmt::Debug for QueryRequest<'_> {
 }
 
 impl QueryRequest<'_> {
-    /// Set the parallel-backchase worker count for this query only.
-    pub fn with_rewrite_workers(mut self, workers: usize) -> Self {
-        self.opts.rewrite_workers = Some(workers.max(1));
-        self
-    }
-
-    /// Set the chase trigger-search worker count for this query only.
-    pub fn with_chase_workers(mut self, workers: usize) -> Self {
-        self.opts.chase_workers = Some(workers.max(1));
-        self
-    }
-
     /// Plan and cost, but do not execute: [`QueryRequest::run`] returns an
     /// empty row set with a fully populated report.
     pub fn explain_only(mut self) -> Self {
@@ -268,8 +250,8 @@ pub struct Estocada {
     /// maintained **incrementally** by DML (see [`crate::dml`]).
     pub(crate) base: OnceLock<Instance>,
     pub(crate) catalog: Catalog,
-    /// Base rewriting configuration (budgets and auto-sized worker
-    /// defaults); per-query [`QueryOptions`] refine it.
+    /// The rewriting configuration: budgets, and candidate-verification
+    /// workers sized one per core.
     rewrite_cfg: RewriteConfig,
     /// Engine-default query options; per-query options override
     /// field-by-field.
@@ -324,13 +306,11 @@ impl Estocada {
             schema: Schema::new(),
             base: OnceLock::new(),
             catalog: Catalog::new(),
-            // The parallel backchase and the chases' trigger-search
-            // phase are both deterministic at any worker count (identical
-            // RewriteOutcome), so the hot rewriting path defaults to one
-            // worker per core on each.
+            // Candidate verification is deterministic at any worker count
+            // (identical RewriteOutcome), so it defaults to one worker per
+            // core.
             rewrite_cfg: RewriteConfig::default()
-                .with_parallelism(estocada_parexec::default_parallelism())
-                .with_chase_parallelism(estocada_parexec::default_parallelism()),
+                .with_parallelism(estocada_parexec::default_parallelism()),
             default_opts: QueryOptions::default(),
             frag_seq: 0,
             epoch: 0,
@@ -360,14 +340,13 @@ impl Estocada {
         &self.cost
     }
 
-    /// The rewriting configuration queries run with by default (the base
-    /// configuration with the engine-default [`QueryOptions`] applied).
+    /// The rewriting configuration every query plans with.
     pub fn rewrite_config(&self) -> RewriteConfig {
-        self.resolve(&QueryOptions::default()).rewrite
+        self.rewrite_cfg
     }
 
-    /// Replace the base rewriting configuration (chase budgets, worker
-    /// defaults) — DDL-time configuration. Bumps the catalog epoch:
+    /// Replace the rewriting configuration (chase budgets, verification
+    /// workers) — DDL-time configuration. Bumps the catalog epoch:
     /// cached plans were computed under the previous configuration.
     pub fn set_rewrite_config(&mut self, cfg: RewriteConfig) {
         self.rewrite_cfg = cfg;
@@ -706,16 +685,8 @@ impl Estocada {
     /// Resolve per-query options (the module docs give the order).
     pub(crate) fn resolve(&self, opts: &QueryOptions) -> ResolvedOptions {
         let d = &self.default_opts;
-        let mut rewrite = self.rewrite_cfg;
-        if let Some(n) = opts.rewrite_workers.or(d.rewrite_workers) {
-            rewrite.parallelism = n.max(1);
-        }
-        if let Some(n) = opts.chase_workers.or(d.chase_workers) {
-            rewrite.chase.search_workers = n.max(1);
-        }
         let batch_size = opts.batch_size.or(d.batch_size);
         ResolvedOptions {
-            rewrite,
             explain_only: opts.explain_only,
             plan_cache: opts.plan_cache && d.plan_cache,
             retry: opts.retry.or(d.retry).unwrap_or_default(),
@@ -970,23 +941,21 @@ mod tests {
     #[test]
     fn options_resolve_against_engine_defaults() {
         let mut est = Estocada::in_memory();
-        est.set_default_query_options(QueryOptions {
-            rewrite_workers: Some(3),
-            chase_workers: Some(2),
-            ..QueryOptions::default()
-        });
-        let d = est.rewrite_config();
-        assert_eq!(d.parallelism, 3);
-        assert_eq!(d.chase.search_workers, 2);
-        // Per-query override wins.
-        let cfg = est
-            .resolve(&QueryOptions {
-                rewrite_workers: Some(7),
-                ..QueryOptions::default()
-            })
-            .rewrite;
-        assert_eq!(cfg.parallelism, 7);
-        assert_eq!(cfg.chase.search_workers, 2);
+        let built_in = est.resolve(&QueryOptions::default());
+        assert_eq!(built_in.exec.batch_size, ExecOptions::default().batch_size);
+        assert_eq!(built_in.deadline, None);
+        est.set_default_query_options(
+            QueryOptions::default()
+                .with_batch_size(3)
+                .with_deadline(Duration::from_secs(2)),
+        );
+        let d = est.resolve(&QueryOptions::default());
+        assert_eq!(d.exec.batch_size, 3);
+        assert_eq!(d.deadline, Some(Duration::from_secs(2)));
+        // Per-query override wins, field by field.
+        let q = est.resolve(&QueryOptions::default().with_batch_size(7));
+        assert_eq!(q.exec.batch_size, 7);
+        assert_eq!(q.deadline, Some(Duration::from_secs(2)));
     }
 
     fn shop() -> Dataset {

@@ -43,7 +43,7 @@
 //! in SELECT or HAVING must appear in GROUP BY; violations are typed
 //! [`Error::Parse`] errors, not panics.
 
-use crate::connector::{ResOp, Residual};
+use crate::connector::Residual;
 use crate::error::{Error, Result};
 use estocada_engine::{AggFun, AggSpec, CmpOp};
 use estocada_pivot::{Atom, Cq, Symbol, Term, Value, Var};
@@ -862,34 +862,19 @@ fn build_cq(
     }
     let mut residuals = Vec::new();
     for (l, op, v) in residual_asts {
+        let op = cmp_op(&op)?;
         let t = term_of(&mut cells, &l.alias, &l.column);
         let var = match t {
             Term::Var(var) => var,
             Term::Const(c) => {
                 // The column was pinned by an equality; evaluate statically.
-                let holds = match op.as_str() {
-                    "<" => c < v,
-                    "<=" => c <= v,
-                    ">" => c > v,
-                    ">=" => c >= v,
-                    "<>" => c != v,
-                    _ => unreachable!(),
-                };
-                if holds {
+                if op.eval(&c, &v) {
                     continue;
                 }
                 return Err(Error::Parse(
                     "WHERE clause is statically unsatisfiable".into(),
                 ));
             }
-        };
-        let op = match op.as_str() {
-            "<" => ResOp::Lt,
-            "<=" => ResOp::Le,
-            ">" => ResOp::Gt,
-            ">=" => ResOp::Ge,
-            "<>" => ResOp::Ne,
-            other => return Err(Error::Parse(format!("unknown operator {other}"))),
         };
         residuals.push(Residual { var, op, value: v });
     }
@@ -963,7 +948,7 @@ mod tests {
     fn range_predicate_becomes_residual() {
         let p = parse_sql("SELECT o.oid FROM Orders o WHERE o.total > 100", &catalog()).unwrap();
         assert_eq!(p.residuals.len(), 1);
-        assert_eq!(p.residuals[0].op, ResOp::Gt);
+        assert_eq!(p.residuals[0].op, CmpOp::Gt);
         assert_eq!(p.residuals[0].value, Value::Int(100));
     }
 

@@ -14,6 +14,7 @@
 //!
 //! Entry point: [`Estocada`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod advisor;
@@ -38,7 +39,7 @@ pub mod translate;
 pub use advisor::{recommend, recommend_under_budget, Action, Recommendation, WorkloadQuery};
 pub use analyze::{Code, Diagnostic, Severity, ValidationMode};
 pub use catalog::{Catalog, FragmentMeta, FragmentSpec};
-pub use connector::{ResOp, Residual};
+pub use connector::Residual;
 pub use cost::CostModel;
 pub use dataset::{Dataset, DatasetContent, DocData, TableData};
 pub use dml::{DmlReport, DmlSteps, FragmentDelta, MaintenanceState};

@@ -211,7 +211,7 @@ fn rewrite(
         None => {
             // A terminating verdict lifts the budget guard of every chase
             // of this rewrite; any weaker one keeps it as configured.
-            let mut cfg = opts.rewrite;
+            let mut cfg = est.rewrite_config();
             cfg.chase = cfg.chase.with_certificate(&ctx.certificate);
             let outcome = Arc::new(ctx.rewriter.rewrite(&q.cq, &cfg)?);
             if let Some(key) = key {

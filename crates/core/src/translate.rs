@@ -277,7 +277,7 @@ pub(crate) fn translate_query(
         })?;
         plan = Plan::Filter {
             input: Box::new(plan),
-            pred: Expr::col(pos).cmp(r.op.to_engine(), Expr::lit(r.value.clone())),
+            pred: Expr::col(pos).cmp(r.op, Expr::lit(r.value.clone())),
         };
         est_rows *= 0.33;
     }

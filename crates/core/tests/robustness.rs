@@ -210,7 +210,8 @@ fn deep_document_nesting_is_encoded_and_queried() {
 
 #[test]
 fn residual_on_projected_away_variable_is_untranslatable() {
-    use estocada::{ResOp, Residual};
+    use estocada::Residual;
+    use estocada_pivot::CmpOp;
     let mut est = tiny();
     est.add_fragment(FragmentSpec::KeyValue {
         view: CqBuilder::new("OnlyK")
@@ -232,7 +233,7 @@ fn residual_on_projected_away_variable_is_untranslatable() {
         vec!["k".into()],
         vec![Residual {
             var: v_var,
-            op: ResOp::Gt,
+            op: CmpOp::Gt,
             value: Value::Int(0),
         }],
     );

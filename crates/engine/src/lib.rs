@@ -13,6 +13,7 @@
 //! with per-run counters splitting time between the stores and the mediator
 //! runtime.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;

@@ -11,6 +11,7 @@
 //! Fault injection is not this crate's concern: the mediator gates delegated
 //! requests before they get here (see `estocada_simkit::fault`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codec;

@@ -19,6 +19,7 @@
 //! Fault injection is not this crate's concern: the mediator gates delegated
 //! requests before they get here (see `estocada_simkit::fault`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dataset;
@@ -28,7 +29,7 @@ pub use dataset::{Dataset, KeyIndex};
 pub use estocada_pivot::{AggFun, GroupBy};
 pub use ops::{par_filter, par_filter_map, par_join, par_join_map};
 
-use estocada_pivot::{agg, Value};
+use estocada_pivot::{agg, CmpOp, Value};
 use estocada_simkit::{LatencyModel, RequestTimer, StoreMetrics};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -40,36 +41,14 @@ pub struct ColPred {
     /// Column position.
     pub col: usize,
     /// Operator.
-    pub op: ParOp,
+    pub op: CmpOp,
     /// Comparison constant.
     pub value: Value,
 }
 
-/// Predicate operators of the parallel store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParOp {
-    /// Equality.
-    Eq,
-    /// Strictly less.
-    Lt,
-    /// Strictly greater.
-    Gt,
-    /// Less or equal.
-    Le,
-    /// Greater or equal.
-    Ge,
-}
-
 impl ColPred {
     fn eval(&self, row: &[Value]) -> bool {
-        let v = &row[self.col];
-        match self.op {
-            ParOp::Eq => v == &self.value,
-            ParOp::Lt => v < &self.value,
-            ParOp::Gt => v > &self.value,
-            ParOp::Le => v <= &self.value,
-            ParOp::Ge => v >= &self.value,
-        }
+        self.op.eval(&row[self.col], &self.value)
     }
 }
 
@@ -415,7 +394,7 @@ mod tests {
         let s = store();
         let user7 = [ColPred {
             col: 0,
-            op: ParOp::Eq,
+            op: CmpOp::Eq,
             value: Value::Int(7),
         }];
         let urls = Shape {
@@ -446,7 +425,7 @@ mod tests {
         // Residual predicate narrows further.
         let url7 = [ColPred {
             col: 1,
-            op: ParOp::Eq,
+            op: CmpOp::Eq,
             value: Value::str("url7"),
         }];
         let narrowed = s.lookup("visits", &[Value::Int(7)], &url7, &all);

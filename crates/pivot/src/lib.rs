@@ -11,6 +11,7 @@
 //! objects lives in `estocada-chase`; the stores and the mediator live
 //! further up the stack.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod agg;

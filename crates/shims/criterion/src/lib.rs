@@ -13,6 +13,8 @@
 //! `BENCHJSON {"id":..., "median_ns":..., "mean_ns":..., "samples":...}`
 //! that tooling (e.g. `BENCH_pr1.json` generation) can scrape.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Display;
 use std::time::{Duration, Instant};
 

@@ -6,6 +6,8 @@
 //! `std::sync`. Poisoned locks are transparently recovered — matching
 //! parking_lot's no-poisoning semantics.
 
+#![forbid(unsafe_code)]
+
 use std::sync::{Mutex as StdMutex, RwLock as StdRwLock};
 
 pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};

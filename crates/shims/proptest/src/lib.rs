@@ -11,6 +11,8 @@
 //! and seed are reported instead, so a failure reproduces deterministically
 //! by re-running the test.
 
+#![forbid(unsafe_code)]
+
 use std::rc::Rc;
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@
 //! through SplitMix64 — deterministic across runs for reproducible
 //! workload generation.
 
+#![forbid(unsafe_code)]
+
 /// Core random-number-generator trait (rand 0.9 method names).
 pub trait Rng {
     /// Next raw 64 random bits.

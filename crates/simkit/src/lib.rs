@@ -16,6 +16,7 @@
 //! spikes, and a per-store [`FaultHook`] cursor answers whether the store's
 //! next delegated request faults.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fault;

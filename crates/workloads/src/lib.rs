@@ -6,6 +6,7 @@
 //! replace the proprietary Datalyse e-commerce data with synthetic
 //! equivalents of the same schema and distribution shape (see DESIGN.md).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analytics;

@@ -13,7 +13,7 @@
 //!   40%").
 
 use crate::marketplace::{Marketplace, W1Query};
-use estocada::{Estocada, FragmentSpec, Latencies, QueryOptions, QueryResult, ValidationMode};
+use estocada::{Estocada, FragmentSpec, Latencies, QueryResult, ValidationMode};
 use estocada_pivot::encoding::document::{PatternStep, TreePattern};
 use estocada_pivot::{Cq, CqBuilder, Symbol, Term};
 use std::time::Duration;
@@ -166,34 +166,6 @@ pub fn deploy_materialized_join(m: &Marketplace, latencies: Latencies) -> Estoca
     est
 }
 
-/// Pin the rewriting worker count of a deployment (the parallel-backchase
-/// knob) by adjusting its default [`QueryOptions`]. The rewriting outcome
-/// is identical at any value — deployments use this to trade rewriting
-/// latency against CPU, never correctness:
-/// `let est = with_rewrite_workers(deploy_baseline(&m, lat), 4);`
-pub fn with_rewrite_workers(mut est: Estocada, workers: usize) -> Estocada {
-    let opts = QueryOptions {
-        rewrite_workers: Some(workers.max(1)),
-        ..est.default_query_options()
-    };
-    est.set_default_query_options(opts);
-    est
-}
-
-/// Pin the trigger-search worker count of the chases inside a
-/// deployment's rewriter (the phase-split knob) by adjusting its default
-/// [`QueryOptions`]. Like [`with_rewrite_workers`], the outcome is
-/// identical at any value — deployments use it to trade rewriting latency
-/// against CPU: `let est = with_chase_workers(deploy_baseline(&m, lat), 4);`
-pub fn with_chase_workers(mut est: Estocada, workers: usize) -> Estocada {
-    let opts = QueryOptions {
-        chase_workers: Some(workers.max(1)),
-        ..est.default_query_options()
-    };
-    est.set_default_query_options(opts);
-    est
-}
-
 /// Run one W1 query, returning its result. Takes `&Estocada`: W1 clients
 /// share one engine.
 pub fn run_w1_query(est: &Estocada, q: &W1Query) -> estocada::Result<QueryResult> {
@@ -247,8 +219,12 @@ mod tests {
     #[test]
     fn rewrite_worker_count_does_not_change_answers() {
         let m = small();
-        let serial = with_rewrite_workers(deploy_kv_migrated(&m, Latencies::zero()), 1);
-        let parallel = with_rewrite_workers(deploy_kv_migrated(&m, Latencies::zero()), 4);
+        let pinned = |workers: usize| {
+            let mut est = deploy_kv_migrated(&m, Latencies::zero());
+            est.set_rewrite_config(est.rewrite_config().with_parallelism(workers));
+            est
+        };
+        let (serial, parallel) = (pinned(1), pinned(4));
         assert_eq!(parallel.rewrite_config().parallelism, 4);
         for q in [
             W1Query::PrefLookup(3),
@@ -258,28 +234,6 @@ mod tests {
             let a = run_w1_query(&serial, &q).unwrap();
             let b = run_w1_query(&parallel, &q).unwrap();
             assert_eq!(a.rows, b.rows, "{q:?} differs across worker counts");
-            assert_eq!(
-                a.report.alternatives.len(),
-                b.report.alternatives.len(),
-                "{q:?} found different rewriting sets"
-            );
-        }
-    }
-
-    #[test]
-    fn chase_worker_count_does_not_change_answers() {
-        let m = small();
-        let serial = with_chase_workers(deploy_kv_migrated(&m, Latencies::zero()), 1);
-        let parallel = with_chase_workers(deploy_kv_migrated(&m, Latencies::zero()), 4);
-        assert_eq!(parallel.rewrite_config().chase.search_workers, 4);
-        for q in [
-            W1Query::PrefLookup(3),
-            W1Query::CartLookup(7),
-            W1Query::UserOrders(13),
-        ] {
-            let a = run_w1_query(&serial, &q).unwrap();
-            let b = run_w1_query(&parallel, &q).unwrap();
-            assert_eq!(a.rows, b.rows, "{q:?} differs across chase worker counts");
             assert_eq!(
                 a.report.alternatives.len(),
                 b.report.alternatives.len(),

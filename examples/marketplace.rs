@@ -91,15 +91,9 @@ fn main() -> estocada::Result<()> {
             / after.report.exec.total_time.as_secs_f64().max(1e-12)
     );
 
-    // --- The demo's inspection step: show the full report of one query,
-    //     built through the per-query options builder (the worker knobs
-    //     never change the outcome, only rewriting latency). ---
+    // --- The demo's inspection step: show the full report of one query. ---
     println!("\n== rewriting pipeline of the cart lookup (demo step 2) ==");
-    let r = mat
-        .query_pattern(&cart_pattern(3), &["pid", "qty"])
-        .with_rewrite_workers(2)
-        .with_chase_workers(2)
-        .run()?;
+    let r = mat.query_pattern(&cart_pattern(3), &["pid", "qty"]).run()?;
     println!("{}", r.report);
 
     println!("pref SQL used throughout:  {}", pref_sql(3));

@@ -1,1 +1,3 @@
 //! Root integration package for the ESTOCADA reproduction; see crates/.
+
+#![forbid(unsafe_code)]

@@ -279,62 +279,36 @@ fn dropping_a_fragment_never_leaves_a_stale_plan() {
 
 #[test]
 fn default_options_and_builder_options_agree() {
-    // Worker counts set engine-wide through the QueryOptions defaults and
-    // per query through the builder must produce identical rewriting
-    // outcomes (and both must equal the default-worker run: worker counts
-    // never change answers).
+    // An option set engine-wide through the QueryOptions defaults and per
+    // query through the builder must produce identical outcomes (and both
+    // must equal the built-in-default run: the batch size never changes
+    // answers).
     let m = market();
     let work = workload();
 
     let mut engine_wide = deploy_kv_migrated(&m, Latencies::zero());
-    engine_wide.set_default_query_options(QueryOptions {
-        rewrite_workers: Some(4),
-        chase_workers: Some(2),
-        ..engine_wide.default_query_options()
-    });
-    assert_eq!(engine_wide.rewrite_config().parallelism, 4);
-    assert_eq!(engine_wide.rewrite_config().chase.search_workers, 2);
+    engine_wide.set_default_query_options(QueryOptions::default().with_batch_size(3));
 
     let built = deploy_kv_migrated(&m, Latencies::zero());
     let defaults = deploy_kv_migrated(&m, Latencies::zero());
 
     for q in &work {
         let a = norm(&run_q(&engine_wide, q));
-        let b = match q {
-            Q::Sql(sql) => norm(
-                &built
-                    .query(sql)
-                    .with_rewrite_workers(4)
-                    .with_chase_workers(2)
-                    .run()
-                    .unwrap(),
-            ),
-            Q::Doc(uid) => norm(
-                &built
-                    .query_pattern(&cart_pattern(*uid), &["pid", "qty"])
-                    .with_rewrite_workers(4)
-                    .with_chase_workers(2)
-                    .run()
-                    .unwrap(),
-            ),
+        let request = match q {
+            Q::Sql(sql) => built.query(sql),
+            Q::Doc(uid) => built.query_pattern(&cart_pattern(*uid), &["pid", "qty"]),
             Q::Cq(uid) => {
                 let cq = CqBuilder::new("Q")
                     .head_vars(["theme", "language"])
                     .atom("Prefs", |a| a.c(*uid).v("theme").v("language").v("nl"))
                     .build();
-                norm(
-                    &built
-                        .query_pivot(cq, vec!["theme".into(), "language".into()], vec![])
-                        .with_rewrite_workers(4)
-                        .with_chase_workers(2)
-                        .run()
-                        .unwrap(),
-                )
+                built.query_pivot(cq, vec!["theme".into(), "language".into()], vec![])
             }
         };
+        let b = norm(&request.with_batch_size(3).run().unwrap());
         assert_eq!(a, b, "engine-default and builder outcomes differ on {q:?}");
         let c = norm(&run_q(&defaults, q));
-        assert_eq!(a, c, "worker knobs changed the outcome on {q:?}");
+        assert_eq!(a, c, "the batch size changed the outcome on {q:?}");
     }
 }
 

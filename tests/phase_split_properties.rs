@@ -1,27 +1,21 @@
-//! Differential tests of the **phase-split chase** (PR 4): each chase
-//! round is a read-only trigger-search phase (fanned out over
-//! `ChaseConfig::search_workers`) followed by a serial apply phase, plus a
-//! memo of applicability probes keyed on (constraint, resolved frontier
-//! image) with merge-driven invalidation. The contracts pinned here:
+//! Differential tests of the **phase-split chase**: each chase round is
+//! a read-only trigger search against the round-start snapshot followed by
+//! an apply phase, plus a memo of applicability probes keyed on
+//! (constraint, resolved frontier image) with merge-driven invalidation.
+//! The contracts pinned here:
 //!
-//! - **1-vs-N search workers**: `chase` and `prov_chase` produce identical
-//!   `ChaseStats` (all counters, memo included), bit-identical final
-//!   instances (facts, ids, provenance, epochs) and identical
-//!   `Inconsistent`/`Budget` errors at any worker count;
 //! - **memo on vs off**: identical core `ChaseStats` (rounds, TGD fires,
 //!   EGD merges — the memo elides probes, never firings), identical final
-//!   instances, identical errors on EGD-violating inputs;
-//! - **end-to-end**: `pacb_rewrite` returns the identical
-//!   `RewriteOutcome` with the parallel inner chase at any search-worker
-//!   count, composed with the candidate-verification fan-out of PR 2.
+//!   instances, identical errors on EGD-violating inputs, for `chase` and
+//!   `prov_chase`;
+//! - **certified schedule vs one-stage schedule**: the same fixpoint.
 
-use estocada_chase::testkit::{feed_and_pin, phase_split_workload, wide_chain_problem};
+use estocada_chase::testkit::{feed_and_pin, phase_split_workload};
 use estocada_chase::{
-    certify, chase, chase_stratified, pacb_rewrite, prov_chase, prov_chase_stratified, ChaseConfig,
-    ChaseStats, Dnf, Elem, HomConfig, Instance, RewriteConfig, RewriteProblem,
-    TerminationCertificate,
+    certify, chase, chase_stratified, prov_chase, prov_chase_stratified, ChaseConfig, ChaseStats,
+    Dnf, Elem, HomConfig, Instance, TerminationCertificate,
 };
-use estocada_pivot::{Atom, Constraint, Cq, Egd, Symbol, Term, Tgd, ViewDef};
+use estocada_pivot::{Atom, Constraint, Egd, Symbol, Term, Tgd};
 use proptest::prelude::*;
 
 const RELS: [&str; 3] = ["Ra", "Rb", "Rc"];
@@ -132,16 +126,11 @@ use estocada_chase::testkit::dump_state as dump;
 
 /// Small budgets so randomly non-terminating TGD sets exercise the
 /// `Budget` error path deterministically instead of running away.
-/// `search_min_facts: 0` forces the parallel search branch even on these
-/// small instances — without it every 1-vs-N comparison would silently
-/// run the inline path twice.
-fn tight(search_workers: usize, memo: bool) -> ChaseConfig {
+fn tight(memo: bool) -> ChaseConfig {
     ChaseConfig {
         max_rounds: 30,
         max_facts: 400,
         hom: HomConfig { limit: 4_096 },
-        search_workers,
-        search_min_facts: 0,
         memo,
     }
 }
@@ -162,21 +151,6 @@ fn run_chase(facts: &[(usize, u8, u8, u8)], cs: &[Constraint], cfg: &ChaseConfig
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// 1-vs-N search workers on the restricted chase: full `ChaseStats`
-    /// equality (memo counters included), bit-identical instances,
-    /// identical errors — the phase-split fan-in contract.
-    #[test]
-    fn chase_identical_at_any_search_worker_count(
-        facts in arb_facts(),
-        cs in arb_constraints(),
-    ) {
-        let reference = run_chase(&facts, &cs, &tight(1, true));
-        for workers in [2usize, 4, 8] {
-            let parallel = run_chase(&facts, &cs, &tight(workers, true));
-            prop_assert_eq!(&reference, &parallel, "skew at {} search workers", workers);
-        }
-    }
-
     /// Memo on vs off: identical core stats (rounds / fires / merges),
     /// identical instances, identical errors — memoization elides probes,
     /// never changes what fires. Also pins that the memo-off run reports
@@ -186,8 +160,8 @@ proptest! {
         facts in arb_facts(),
         cs in arb_constraints(),
     ) {
-        let on = run_chase(&facts, &cs, &tight(1, true));
-        let off = run_chase(&facts, &cs, &tight(1, false));
+        let on = run_chase(&facts, &cs, &tight(true));
+        let off = run_chase(&facts, &cs, &tight(false));
         match (on, off) {
             (Ok((s_on, d_on)), Ok((s_off, d_off))) => {
                 prop_assert_eq!(s_on.core(), s_off.core());
@@ -205,27 +179,6 @@ proptest! {
         }
     }
 
-    /// The provenance chase under the same contract: identical stats,
-    /// instances (provenance formulas included) and errors at any search
-    /// worker count.
-    #[test]
-    fn prov_chase_identical_at_any_search_worker_count(
-        facts in arb_facts(),
-        cs in arb_constraints(),
-    ) {
-        let run = |workers: usize| {
-            let mut inst = build_instance(&facts, true);
-            match prov_chase(&mut inst, &cs, &tight(workers, true), CLAUSE_CAP) {
-                Ok(stats) => Ok((stats, dump(&inst))),
-                Err(e) => Err(e.to_string()),
-            }
-        };
-        let reference = run(1);
-        for workers in [2usize, 4, 8] {
-            prop_assert_eq!(&reference, &run(workers), "skew at {} search workers", workers);
-        }
-    }
-
     /// Skolem-table memo on vs off in the provenance chase: identical core
     /// stats, instances (provenance formulas included) and errors — the
     /// occurrence-indexed invalidation only garbage-collects keys that
@@ -239,7 +192,7 @@ proptest! {
     ) {
         let run = |memo: bool| {
             let mut inst = build_instance(&facts, true);
-            match prov_chase(&mut inst, &cs, &tight(1, memo), CLAUSE_CAP) {
+            match prov_chase(&mut inst, &cs, &tight(memo), CLAUSE_CAP) {
                 Ok(stats) => Ok((stats, dump(&inst))),
                 Err(e) => Err(e.to_string()),
             }
@@ -261,124 +214,36 @@ proptest! {
             ),
         }
     }
-
-    /// End-to-end: `pacb_rewrite` with the parallel inner chase (search
-    /// workers on both the forward chase and the backchase) returns the
-    /// identical `RewriteOutcome`, alone and composed with the PR 2
-    /// candidate-verification fan-out.
-    #[test]
-    fn pacb_identical_with_parallel_inner_chase(
-        q in arb_query(),
-        v1 in arb_query(),
-        v2 in arb_query(),
-    ) {
-        let problem = RewriteProblem::new(
-            q.named("Q"),
-            vec![ViewDef::new(v1.named("V1")), ViewDef::new(v2.named("V2"))],
-        );
-        let serial = pacb_rewrite(&problem, &RewriteConfig::default());
-        for (chase_workers, cand_workers) in [(2usize, 1usize), (4, 1), (4, 4), (8, 2)] {
-            let cfg = forced_fanout_cfg(chase_workers, cand_workers);
-            let parallel = pacb_rewrite(&problem, &cfg);
-            match (&serial, &parallel) {
-                (Ok(s), Ok(p)) => prop_assert_eq!(
-                    s, p,
-                    "outcome skew at chase_workers={} cand_workers={}",
-                    chase_workers, cand_workers
-                ),
-                (Err(se), Err(pe)) => prop_assert_eq!(format!("{se}"), format!("{pe}")),
-                (s, p) => prop_assert!(
-                    false,
-                    "success/failure skew: serial ok={} parallel ok={}",
-                    s.is_ok(),
-                    p.is_ok()
-                ),
-            }
-        }
-    }
-}
-
-/// A rewrite config with `chase_workers` search workers on the inner
-/// chases and the fan-out size gate zeroed, so the canonical-instance
-/// chases (tens of facts) genuinely exercise the parallel search branch.
-fn forced_fanout_cfg(chase_workers: usize, cand_workers: usize) -> RewriteConfig {
-    let mut cfg = RewriteConfig::default()
-        .with_chase_parallelism(chase_workers)
-        .with_parallelism(cand_workers);
-    cfg.chase.search_min_facts = 0;
-    cfg
-}
-
-/// A safe random CQ builder piece shared by the end-to-end property
-/// (head vars drawn from body vars — same family as the PR 2 suite).
-#[derive(Debug, Clone)]
-struct QuerySpec {
-    atoms: Vec<(usize, u32, u32)>,
-    head: Vec<u32>,
-}
-
-impl QuerySpec {
-    fn named(&self, name: &str) -> Cq {
-        let body: Vec<Atom> = self
-            .atoms
-            .iter()
-            .map(|(r, a, b)| Atom::new(RELS[*r], vec![Term::var(*a), Term::var(*b)]))
-            .collect();
-        let body_vars: Vec<u32> = body.iter().flat_map(|a| a.vars()).map(|v| v.0).collect();
-        let head: Vec<Term> = self
-            .head
-            .iter()
-            .map(|h| Term::var(body_vars[(*h as usize) % body_vars.len()]))
-            .collect();
-        Cq::new(name, head, body)
-    }
-}
-
-fn arb_query() -> impl Strategy<Value = QuerySpec> {
-    (
-        proptest::collection::vec((0..3usize, 0..4u32, 0..4u32), 1..=3),
-        proptest::collection::vec(0..4u32, 1..=2),
-    )
-        .prop_map(|(atoms, head)| QuerySpec { atoms, head })
 }
 
 /// The probe-heavy closure workload (shared with `e8_phase_split`): the
-/// memo must absorb a large share of the probes, the phase split must be
-/// identical at every worker count, and memo-off must agree on the core.
+/// memo must absorb a large share of the probes, and memo-off must agree
+/// on the core.
 #[test]
 fn closure_workload_hits_the_memo_and_stays_identical() {
     let (seed, constraints) = phase_split_workload(4, 10);
-    let run = |workers: usize, memo: bool| {
+    let run = |memo: bool| {
         let mut inst = seed.clone();
-        let stats = chase(
-            &mut inst,
-            &constraints,
-            &ChaseConfig {
-                search_workers: workers,
-                search_min_facts: 0,
-                memo,
-                ..ChaseConfig::default()
-            },
-        )
-        .unwrap();
+        let cfg = ChaseConfig {
+            memo,
+            ..ChaseConfig::default()
+        };
+        let stats = chase(&mut inst, &constraints, &cfg).unwrap();
         (stats, dump(&inst))
     };
-    let (ref_stats, ref_dump) = run(1, true);
+    let (ref_stats, ref_dump) = run(true);
     assert!(
         ref_stats.memo_hits > ref_stats.memo_misses,
         "closure workload should be memo-dominated: {ref_stats:?}"
     );
-    for workers in [2usize, 4, 8] {
-        assert_eq!((ref_stats, ref_dump.clone()), run(workers, true));
-    }
-    let (off_stats, off_dump) = run(1, false);
+    let (off_stats, off_dump) = run(false);
     assert_eq!(ref_stats.core(), off_stats.core());
     assert_eq!(ref_dump, off_dump);
 }
 
 /// An EGD-violating chase fails with the *same* rendered `Inconsistent`
 /// error — EGD name and trigger facts included — whatever the memo
-/// setting or worker count.
+/// setting.
 #[test]
 fn egd_violation_error_identical_across_configs() {
     let fd: Constraint = Egd::new(
@@ -398,33 +263,13 @@ fn egd_violation_error_identical_across_configs() {
     .into();
     let constraints = vec![pad, fd];
     let facts = vec![(0usize, 1u8, 2u8, 0u8), (0, 1, 3, 0), (0, 4, 4, 0)];
-    let reference = run_chase(&facts, &constraints, &tight(1, true)).unwrap_err();
+    let reference = run_chase(&facts, &constraints, &tight(true)).unwrap_err();
     assert!(reference.contains("[fd]"), "unnamed EGD: {reference}");
     assert!(reference.contains("Ra(1, "), "missing trigger: {reference}");
-    for (workers, memo) in [(1usize, false), (4, true), (4, false), (8, true)] {
-        assert_eq!(
-            run_chase(&facts, &constraints, &tight(workers, memo)).unwrap_err(),
-            reference,
-            "error skew at workers={workers} memo={memo}"
-        );
-    }
-}
-
-/// Re-assert the PR 2 fan-in contract end-to-end on the wide-fanout
-/// problem with the parallel inner chase switched on: candidate
-/// verification workers × chase search workers, one outcome.
-#[test]
-fn wide_fanout_identity_with_parallel_inner_chase() {
-    let problem = wide_chain_problem(5); // 32 candidates
-    let serial = pacb_rewrite(&problem, &RewriteConfig::default()).unwrap();
-    for (cand, chase_w) in [(1usize, 4usize), (4, 1), (4, 4), (8, 8)] {
-        let cfg = forced_fanout_cfg(chase_w, cand);
-        let parallel = pacb_rewrite(&problem, &cfg).unwrap();
-        assert_eq!(
-            serial, parallel,
-            "skew at parallelism={cand} chase workers={chase_w}"
-        );
-    }
+    assert_eq!(
+        run_chase(&facts, &constraints, &tight(false)).unwrap_err(),
+        reference
+    );
 }
 
 proptest! {

@@ -127,9 +127,7 @@ fn brute_force(est: &Estocada, sql: &str) -> Vec<Vec<Value>> {
     cq.head.extend(q.residuals.iter().map(|r| Term::Var(r.var)));
     let holds = |row: &Vec<Value>| {
         let compared = row[width..].iter().zip(&q.residuals);
-        compared
-            .into_iter()
-            .all(|(v, r)| r.op.to_engine().eval(v, &r.value))
+        compared.into_iter().all(|(v, r)| r.op.eval(v, &r.value))
     };
     let mut core = est.oracle_eval(&cq);
     core.retain(holds);

@@ -249,8 +249,8 @@ fn chased(
     ((verdict, dump_state(&inst)), stats)
 }
 
-/// Live-premise search (plain and under `cert`'s schedule, 1 and 4 search
-/// workers with fan-out forced) against the every-premise reference.
+/// Live-premise search (plain and under `cert`'s schedule) against the
+/// every-premise reference.
 fn assert_live_matches_every_premise(
     seed: &Instance,
     constraints: &[Constraint],
@@ -265,19 +265,12 @@ fn assert_live_matches_every_premise(
     if let Some(s) = plain_stats {
         prop_assert_eq!(s.premise_searches, s.rounds * constraints.len());
     }
-    for workers in [1usize, 4] {
-        let cfg = ChaseConfig {
-            search_workers: workers,
-            search_min_facts: 0,
-            ..*budget
-        };
-        let (plain, live_stats) = chased(seed, |i| chase(i, constraints, &cfg));
-        prop_assert_eq!(&plain, &plain_ref, "plain chase, {} workers", workers);
-        let (strat, _) = chased(seed, |i| chase_stratified(i, constraints, &cfg, &cert));
-        prop_assert_eq!(&strat, &strat_ref, "scheduled chase, {} workers", workers);
-        if let (Some(live), Some(every)) = (live_stats, plain_stats) {
-            prop_assert!(live.premise_searches <= every.premise_searches);
-        }
+    let (plain, live_stats) = chased(seed, |i| chase(i, constraints, budget));
+    prop_assert_eq!(&plain, &plain_ref, "plain chase");
+    let (strat, _) = chased(seed, |i| chase_stratified(i, constraints, budget, &cert));
+    prop_assert_eq!(&strat, &strat_ref, "scheduled chase");
+    if let (Some(live), Some(every)) = (live_stats, plain_stats) {
+        prop_assert!(live.premise_searches <= every.premise_searches);
     }
     Ok(())
 }
