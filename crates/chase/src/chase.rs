@@ -3,9 +3,9 @@
 //! PACB is a forward chase followed by a provenance backchase — the *same*
 //! fixpoint computation, differing only in how one trigger fires. The
 //! driver here owns everything the two share: the round loop, the budget
-//! guard, the trigger search, the EGD arm, cache invalidation on null
-//! retirement, and the schedule. The rest is a `FiringPolicy`, a type
-//! parameter of the driver (static dispatch on the per-trigger path):
+//! guard, the trigger search, the EGD arm and cache invalidation on null
+//! retirement. The rest is a `FiringPolicy`, a type parameter of the driver
+//! (static dispatch on the per-trigger path):
 //!
 //! - `Restricted` — the standard chase behind [`chase`]. A TGD trigger
 //!   fires only when its conclusion has no image under the trigger's
@@ -13,19 +13,20 @@
 //! - `Skolemized` — the provenance chase behind
 //!   [`crate::pchase::prov_chase`] (see [`mod@crate::pchase`]).
 //!
-//! A run chases a **schedule**: a list of stages, each a subset of the
-//! constraints (by index) taken to fixpoint under its own budget before the
-//! next starts. The whole set is the one-stage schedule; under a
-//! [`TerminationCertificate::Stratified`] verdict the stages are its
-//! strata ([`chase_stratified`]).
+//! There is one firing schedule: every round searches the whole set and
+//! fires in constraint order until a round changes nothing. The fixpoint
+//! does not depend on the order triggers fire in, so a
+//! [`crate::wa::TerminationCertificate`] — `Stratified` included — is a
+//! termination proof that lifts the budget guard
+//! ([`ChaseConfig::with_certificate`]), never an execution order.
 //!
 //! Constraints are compiled once per **prepared set**
 //! (`PreparedConstraints`: premises, firing actions with pre-interned
 //! constants and dense frontier/existential slots, and a premise-predicate
 //! → constraints index), not per run: the driver only ever chases a
 //! prepared set. The slice-taking entry points ([`chase`], [`chase_with`],
-//! [`chase_stratified`], the three `prov_chase*`, and the containment
-//! checks built on them) prepare their argument and run; a
+//! the two `prov_chase*`, and the containment checks built on them)
+//! prepare their argument and run; a
 //! [`crate::pacb::Rewriter`] prepares its three sets once and chases them
 //! for every query. A prepared set is immutable and shared freely between
 //! threads.
@@ -38,7 +39,7 @@
 //! stamps every fact with the epoch at which it last changed (insertion,
 //! EGD argument rewrite, provenance growth — see
 //! [`crate::instance::Instance::delta_index`]), the loop advances the epoch
-//! once per round, and from a stage's second round on each constraint only
+//! once per round, and from the second round on each constraint only
 //! searches for triggers that involve at least one fact from the previous
 //! round's delta ([`crate::hom::find_homs_delta`]). Provenance *growth*
 //! bumps a fact's epoch too, so a re-derivation whose only effect is a
@@ -52,8 +53,8 @@
 //! model, a query's canonical instance facts over a handful. A round
 //! therefore searches only the premises that *can* have a trigger:
 //!
-//! - in a stage's first round, a premise every one of whose predicates has
-//!   at least one alive fact ([`crate::instance::Instance::pred_count`]);
+//! - in the first round, a premise every one of whose predicates has at
+//!   least one alive fact ([`crate::instance::Instance::pred_count`]);
 //! - in a delta round, only the constraints the prepared set's index lists
 //!   under a predicate with delta facts — with the same all-populated
 //!   filter on top.
@@ -118,7 +119,6 @@
 
 use crate::hom::{find_trigger_homs_in, has_hom_in, Hom, HomArena, HomConfig};
 use crate::instance::{DeltaIndex, Elem, Inconsistent, Instance};
-use crate::wa::{Stratum, TerminationCertificate};
 use estocada_pivot::{Atom, Constraint, Symbol, Term, Var};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -257,47 +257,19 @@ pub fn chase_with(
     cfg: &ChaseConfig,
 ) -> Result<ChaseStats, ChaseError> {
     let set = PreparedConstraints::new(constraints);
-    chase_prepared(arena, instance, &set, cfg, None)
+    chase_prepared(arena, instance, &set, cfg)
 }
 
 /// The restricted chase over an already prepared set — what [`chase_with`]
-/// and [`chase_stratified`] run after preparing their slice, and what the
-/// per-epoch [`crate::pacb::Rewriter`] runs directly.
+/// runs after preparing its slice, and what the per-epoch
+/// [`crate::pacb::Rewriter`] runs directly.
 pub(crate) fn chase_prepared(
     arena: &mut HomArena,
     instance: &mut Instance,
     set: &PreparedConstraints,
     cfg: &ChaseConfig,
-    cert: Option<&TerminationCertificate>,
 ) -> Result<ChaseStats, ChaseError> {
-    run_chase(arena, instance, set, cfg, cert, &mut Restricted::new(cfg))
-}
-
-/// Run the chase stratum-by-stratum under a termination certificate.
-///
-/// A [`TerminationCertificate::Stratified`] verdict partitions
-/// `constraints` — which must be the exact slice the certificate was
-/// computed over, in the same order — into strata; each stratum is chased
-/// to fixpoint in turn, with the budgets lifted according to the stratum's
-/// *own* certificate ([`ChaseConfig::with_certificate`] consumes the
-/// per-stratum verdict). Later strata never write into relations earlier
-/// strata read (that is what stratification certifies), so earlier
-/// fixpoints survive and the final instance satisfies the whole set —
-/// provided the seed instance is ground: the certificate's null-flow
-/// analysis only sees TGD-invented nulls, so an EGD it proves inert may
-/// still merge a seed null and re-enable an earlier stratum.
-///
-/// Any other verdict — including one whose stratum indices do not fit
-/// `constraints` — is the one-stage schedule: a single [`chase`] run under
-/// `cfg.with_certificate(cert)`. Stats accumulate across strata.
-pub fn chase_stratified(
-    instance: &mut Instance,
-    constraints: &[Constraint],
-    cfg: &ChaseConfig,
-    cert: &TerminationCertificate,
-) -> Result<ChaseStats, ChaseError> {
-    let set = PreparedConstraints::new(constraints);
-    chase_prepared(&mut HomArena::new(), instance, &set, cfg, Some(cert))
+    run_chase(arena, instance, set, cfg, &mut Restricted::new(cfg))
 }
 
 /// How one trigger fires — the only thing the restricted chase and the
@@ -478,16 +450,11 @@ impl PreparedConstraints {
         premise.iter().all(|a| instance.pred_count(a.pred) > 0)
     }
 
-    /// The positions in `members` whose premise this round has to search
-    /// (the live-premise rule of the module docs), ascending.
-    fn live(
-        &self,
-        instance: &Instance,
-        members: &[usize],
-        delta: Option<&DeltaIndex>,
-    ) -> Vec<usize> {
-        // Per constraint, whether a premise predicate has delta facts; in a
-        // stage's first round (`None`) every fact counts as new.
+    /// The constraints whose premise this round has to search (the
+    /// live-premise rule of the module docs), ascending.
+    fn live(&self, instance: &Instance, delta: Option<&DeltaIndex>) -> Vec<usize> {
+        // Per constraint, whether a premise predicate has delta facts; in
+        // the first round (`None`) every fact counts as new.
         let touched = delta.map(|d| {
             let mut touched = vec![false; self.premises.len()];
             let changed = d.by_pred.iter().filter(|(_, facts)| !facts.is_empty());
@@ -501,114 +468,80 @@ impl PreparedConstraints {
             self.search_every_premise
                 || (touched.as_ref().is_none_or(|t| t[cidx]) && self.populated(instance, cidx))
         };
-        (0..members.len())
-            .filter(|&m| is_live(members[m]))
-            .collect()
+        (0..self.premises.len()).filter(|&c| is_live(c)).collect()
     }
 }
 
-/// The schedule of a run over `n` constraints, as `(members, budget)`
-/// stages: the strata of a fitting [`TerminationCertificate::Stratified`]
-/// verdict, each under the budget its own certificate leaves; otherwise the
-/// whole set as one stage under `cfg` with `cert` (if any) applied.
-fn schedule(
-    n: usize,
-    cfg: &ChaseConfig,
-    cert: Option<&TerminationCertificate>,
-) -> Vec<(Vec<usize>, ChaseConfig)> {
-    match cert {
-        Some(TerminationCertificate::Stratified { strata })
-            if strata.iter().flat_map(|s| &s.members).all(|&i| i < n) =>
-        {
-            let stage = |s: &Stratum| (s.members.clone(), cfg.with_certificate(&s.certificate));
-            strata.iter().map(stage).collect()
-        }
-        Some(cert) => vec![((0..n).collect(), cfg.with_certificate(cert))],
-        None => vec![((0..n).collect(), *cfg)],
-    }
-}
-
-/// The chase driver: take the prepared `set` over `instance` to fixpoint,
-/// stage by stage of the schedule `cert` induces (`None` = the whole set
-/// under `cfg`'s budget), firing triggers through `policy`. Stats accumulate
-/// across stages; each stage's budget counts its own rounds.
+/// The chase driver: take the prepared `set` over `instance` to fixpoint
+/// under `cfg`'s budget, firing triggers through `policy`.
 pub(crate) fn run_chase<P: FiringPolicy>(
     arena: &mut HomArena,
     instance: &mut Instance,
     set: &PreparedConstraints,
     cfg: &ChaseConfig,
-    cert: Option<&TerminationCertificate>,
     policy: &mut P,
 ) -> Result<ChaseStats, ChaseError> {
-    let mut total = ChaseStats::default();
-    for (members, budget) in schedule(set.premises.len(), cfg, cert) {
-        let mut stats = ChaseStats::default();
-        // Epoch threshold separating "old" facts from the previous round's
-        // delta; `None` = the stage's first round, search everything.
-        let mut threshold: Option<u64> = None;
-        loop {
-            if stats.rounds >= budget.max_rounds {
+    let mut stats = ChaseStats::default();
+    // Epoch threshold separating "old" facts from the previous round's
+    // delta; `None` = the first round, search everything.
+    let mut threshold: Option<u64> = None;
+    loop {
+        if stats.rounds >= cfg.max_rounds {
+            return Err(ChaseError::Budget {
+                rounds: stats.rounds,
+                facts: instance.len(),
+            });
+        }
+        stats.rounds += 1;
+        let round_epoch = instance.advance_epoch();
+        let delta = threshold.map(|t| instance.delta_index(t));
+        // Phase 1: read-only trigger search against the frozen
+        // round-start instance.
+        let (searched, triggers) = search_triggers(arena, instance, set, cfg.hom, delta.as_ref());
+        stats.premise_searches += searched;
+        // Phase 2: serial apply in constraint order.
+        let mut changed = false;
+        for (cidx, homs) in triggers.into_iter().enumerate() {
+            match &set.actions[cidx] {
+                Action::Tgd(tgd) => {
+                    for h in &homs {
+                        changed |= policy.fire_tgd(arena, instance, cidx, tgd, h, &mut stats);
+                    }
+                }
+                Action::Egd { name, equal } => {
+                    changed |= apply_egd(instance, *name, equal, &homs, policy, &mut stats)?;
+                }
+            }
+            if instance.len() > cfg.max_facts {
                 return Err(ChaseError::Budget {
                     rounds: stats.rounds,
                     facts: instance.len(),
                 });
             }
-            stats.rounds += 1;
-            let round_epoch = instance.advance_epoch();
-            let delta = threshold.map(|t| instance.delta_index(t));
-            // Phase 1: read-only trigger search against the frozen
-            // round-start instance.
-            let (searched, triggers) =
-                search_triggers(arena, instance, set, &members, cfg.hom, delta.as_ref());
-            stats.premise_searches += searched;
-            // Phase 2: serial apply in constraint order.
-            let mut changed = false;
-            for (&cidx, homs) in members.iter().zip(triggers) {
-                match &set.actions[cidx] {
-                    Action::Tgd(tgd) => {
-                        for h in &homs {
-                            changed |= policy.fire_tgd(arena, instance, cidx, tgd, h, &mut stats);
-                        }
-                    }
-                    Action::Egd { name, equal } => {
-                        changed |= apply_egd(instance, *name, equal, &homs, policy, &mut stats)?;
-                    }
-                }
-                if instance.len() > budget.max_facts {
-                    return Err(ChaseError::Budget {
-                        rounds: stats.rounds,
-                        facts: instance.len(),
-                    });
-                }
-            }
-            if !changed {
-                break;
-            }
-            threshold = Some(round_epoch);
         }
-        total += stats;
+        if !changed {
+            return Ok(stats);
+        }
+        threshold = Some(round_epoch);
     }
-    Ok(total)
 }
 
 /// The read-only search phase (see the module docs): enumerate the
-/// triggers of the stage's `members` against the frozen instance, one list
-/// per member in member (= firing) order, preceded by the number of
+/// triggers of every constraint against the frozen instance, one list per
+/// constraint in constraint (= firing) order, preceded by the number of
 /// premises searched. Only the live premises (module docs) are; the others
 /// cannot have a trigger and get the empty list.
 fn search_triggers(
     arena: &mut HomArena,
     instance: &Instance,
     set: &PreparedConstraints,
-    members: &[usize],
     hom: HomConfig,
     delta: Option<&DeltaIndex>,
 ) -> (usize, Vec<Vec<Hom>>) {
-    let live = set.live(instance, members, delta);
-    let mut out: Vec<Vec<Hom>> = vec![Vec::new(); members.len()];
-    for &m in &live {
-        let premise = &set.premises[members[m]];
-        out[m] = find_trigger_homs_in(arena, instance, premise, hom, delta);
+    let live = set.live(instance, delta);
+    let mut out: Vec<Vec<Hom>> = vec![Vec::new(); set.premises.len()];
+    for &cidx in &live {
+        out[cidx] = find_trigger_homs_in(arena, instance, &set.premises[cidx], hom, delta);
     }
     (live.len(), out)
 }
@@ -1116,113 +1049,5 @@ mod tests {
         // FD merges n with 9 (and the TGD's fresh null too); S(9) derived.
         assert_eq!(i.resolve(&n), c(9));
         assert_eq!(i.facts_of(sym("S")).count(), 1);
-    }
-
-    /// feed: A(x) → ∃y B(x,y); pin: B(x,y) ∧ A(x) → y = x — certifies
-    /// `Stratified` ([feed] before [pin]), and the chase pins every
-    /// invented null to its row key.
-    fn stratified_set() -> Vec<Constraint> {
-        let a = Atom::new("A", vec![Term::var(0)]);
-        let b = Atom::new("B", vec![Term::var(0), Term::var(1)]);
-        crate::testkit::feed_and_pin("", a, b).into()
-    }
-
-    #[test]
-    fn stratified_chase_reaches_the_plain_fixpoint() {
-        let constraints = stratified_set();
-        let cert = crate::wa::certify(&constraints);
-        assert!(matches!(cert, TerminationCertificate::Stratified { .. }));
-        let seed = || {
-            let mut i = Instance::new();
-            i.insert(sym("A"), vec![c(1)]);
-            i.insert(sym("A"), vec![c(2)]);
-            i
-        };
-        let mut plain = seed();
-        chase(&mut plain, &constraints, &ChaseConfig::default()).unwrap();
-        let mut strat = seed();
-        let stats =
-            chase_stratified(&mut strat, &constraints, &ChaseConfig::default(), &cert).unwrap();
-        assert!(stats.tgd_fires >= 2);
-        assert!(stats.egd_merges >= 2);
-        // Same facts; epochs are excluded because the stratified run's
-        // round structure differs from the interleaved run by construction.
-        let facts = |i: &Instance| {
-            let mut v: Vec<(u32, String)> =
-                dump(i).into_iter().map(|(id, f, _, _)| (id, f)).collect();
-            v.sort();
-            v
-        };
-        assert_eq!(facts(&plain), facts(&strat));
-        // Both runs satisfy the EGD: every B row collapsed onto its key.
-        for want in ["B(1, 1)", "B(2, 2)"] {
-            assert!(
-                facts(&strat).iter().any(|(_, f)| f == want),
-                "missing {want}"
-            );
-        }
-    }
-
-    #[test]
-    fn stratified_chase_budget_free_matches_per_stratum_guarded() {
-        // The certificate lifts each stratum's budget; the guarded twin
-        // chases the same strata under the default budgets. Identical
-        // executor, identical round structure — the dumps must match
-        // bit-for-bit, epochs included.
-        let constraints = stratified_set();
-        let cert = crate::wa::certify(&constraints);
-        let TerminationCertificate::Stratified { strata } = &cert else {
-            panic!("expected stratified certificate");
-        };
-        let seed = || {
-            let mut i = Instance::new();
-            i.insert(sym("A"), vec![c(7)]);
-            i
-        };
-        let mut certified = seed();
-        chase_stratified(&mut certified, &constraints, &ChaseConfig::default(), &cert).unwrap();
-        let mut guarded = seed();
-        for s in strata {
-            let subset: Vec<Constraint> =
-                s.members.iter().map(|&i| constraints[i].clone()).collect();
-            chase(&mut guarded, &subset, &ChaseConfig::default()).unwrap();
-        }
-        assert_eq!(dump(&certified), dump(&guarded));
-    }
-
-    #[test]
-    fn stratified_chase_falls_back_on_other_certificates() {
-        // A weakly-acyclic certificate has no strata: the stratified entry
-        // point must behave exactly like the certified plain chase.
-        let t = Tgd::new(
-            "copy",
-            vec![Atom::new("A", vec![Term::var(0)])],
-            vec![Atom::new("B", vec![Term::var(0)])],
-        );
-        let constraints: Vec<Constraint> = vec![t.into()];
-        let cert = crate::wa::certify(&constraints);
-        assert!(cert.guarantees_termination());
-        let seed = || {
-            let mut i = Instance::new();
-            i.insert(sym("A"), vec![c(3)]);
-            i
-        };
-        let mut via_stratified = seed();
-        let s1 = chase_stratified(
-            &mut via_stratified,
-            &constraints,
-            &ChaseConfig::default(),
-            &cert,
-        )
-        .unwrap();
-        let mut via_plain = seed();
-        let s2 = chase(
-            &mut via_plain,
-            &constraints,
-            &ChaseConfig::default().with_certificate(&cert),
-        )
-        .unwrap();
-        assert_eq!(s1, s2);
-        assert_eq!(dump(&via_stratified), dump(&via_plain));
     }
 }

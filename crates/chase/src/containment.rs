@@ -81,7 +81,7 @@ pub(crate) fn contained_in_prepared(
         return Ok((false, ChaseStats::default()));
     }
     let mut inst = canonical_instance(q1);
-    let stats = match chase_prepared(arena, &mut inst, set, cfg, None) {
+    let stats = match chase_prepared(arena, &mut inst, set, cfg) {
         Ok(stats) => stats,
         // An inconsistent canonical instance denotes the empty query, which
         // is contained in everything.

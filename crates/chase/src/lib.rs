@@ -15,7 +15,9 @@
 //! posting lists) per merge — see [`instance`]), homomorphism search runs
 //! on dense compact-id scratch bindings over borrowing positional indexes
 //! (see [`hom`]). The standard chase and the provenance chase are one
-//! driver under two firing policies (see [`mod@chase`] and [`pchase`]): it
+//! driver under two firing policies and one firing schedule — a
+//! [`TerminationCertificate`] lifts the budget guard, it never reorders
+//! the run (see [`mod@chase`] and [`pchase`]): it
 //! chases constraint sets compiled once per prepared set — a
 //! [`pacb::Rewriter`] prepares PACB's three once for every query over the
 //! same views —, searches only premises that can have a trigger (every
@@ -48,7 +50,7 @@ pub mod prov;
 pub mod testkit;
 pub mod wa;
 
-pub use chase::{chase, chase_stratified, chase_with, ChaseConfig, ChaseError, ChaseStats};
+pub use chase::{chase, chase_with, ChaseConfig, ChaseError, ChaseStats};
 pub use containment::{
     canonical_instance, contained_in, contained_in_with, equivalent, implies, implies_with,
     minimize, premise_unsatisfiable,
@@ -63,9 +65,8 @@ pub use pacb::{
     pacb_rewrite, CandidateStats, RewriteConfig, RewriteError, RewriteOutcome, RewriteProblem,
     RewriteStats, Rewriter,
 };
-pub use pchase::{prov_chase, prov_chase_stratified, prov_chase_with, ProvChaseStats};
+pub use pchase::{prov_chase, prov_chase_with, ProvChaseStats};
 pub use prov::Dnf;
 pub use wa::{
-    certify, stratify, weakly_acyclic, Pos, PositionGraph, Stratum, TerminationCertificate,
-    UnknownReason,
+    certify, stratify, Pos, PositionGraph, Stratum, TerminationCertificate, UnknownReason,
 };

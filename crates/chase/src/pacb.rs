@@ -381,7 +381,7 @@ impl Rewriter {
             return Err(RewriteError::UnsafeQuery);
         }
         let mut inst = canonical_instance(query);
-        let stats = chase_prepared(arena, &mut inst, &self.forward, cfg, None)?;
+        let stats = chase_prepared(arena, &mut inst, &self.forward, cfg)?;
 
         let mut atoms: Vec<Atom> = Vec::new();
         for id in inst.fact_ids() {
@@ -539,7 +539,6 @@ impl Rewriter {
             &self.backward,
             &cfg.chase,
             cfg.clause_cap,
-            None,
         )?;
         stats.backward = pstats;
         let mut complete = !pstats.truncated;

@@ -1,7 +1,7 @@
 //! The provenance-aware chase: the engine of the PACB backchase.
 //!
 //! The same driver as the standard chase ([`mod@crate::chase`] — round
-//! loop, semi-naive search, phase split, schedule, budgets), run under the
+//! loop, semi-naive search, phase split, budgets), run under the
 //! `Skolemized` firing policy:
 //!
 //! - every fact carries a monotone-DNF provenance formula over the
@@ -24,7 +24,6 @@ use crate::chase::{
 use crate::hom::{Hom, HomArena};
 use crate::instance::{Elem, Instance};
 use crate::prov::Dnf;
-use crate::wa::TerminationCertificate;
 use estocada_pivot::Constraint;
 
 /// The provenance-chase firing policy (see the module docs).
@@ -141,25 +140,10 @@ pub fn prov_chase_with(
     clause_cap: usize,
 ) -> Result<ProvChaseStats, ChaseError> {
     let set = PreparedConstraints::new(constraints);
-    prov_chase_prepared(arena, instance, &set, cfg, clause_cap, None)
+    prov_chase_prepared(arena, instance, &set, cfg, clause_cap)
 }
 
-/// The provenance chase under a certificate's schedule — the counterpart
-/// of [`crate::chase::chase_stratified`], sound for the same reason: later
-/// strata never write a relation an earlier stratum reads, so earlier
-/// fixpoints — fact sets *and* their provenance formulas — stay fixpoints.
-pub fn prov_chase_stratified(
-    instance: &mut Instance,
-    constraints: &[Constraint],
-    cfg: &ChaseConfig,
-    clause_cap: usize,
-    cert: &TerminationCertificate,
-) -> Result<ProvChaseStats, ChaseError> {
-    let (arena, set) = (&mut HomArena::new(), PreparedConstraints::new(constraints));
-    prov_chase_prepared(arena, instance, &set, cfg, clause_cap, Some(cert))
-}
-
-/// The provenance chase over an already prepared set — what the three
+/// The provenance chase over an already prepared set — what the two
 /// slice-taking entry points run after preparing their argument, and what
 /// the per-epoch [`crate::pacb::Rewriter`] backchases with.
 pub(crate) fn prov_chase_prepared(
@@ -168,7 +152,6 @@ pub(crate) fn prov_chase_prepared(
     set: &PreparedConstraints,
     cfg: &ChaseConfig,
     clause_cap: usize,
-    cert: Option<&TerminationCertificate>,
 ) -> Result<ProvChaseStats, ChaseError> {
     let mut policy = Skolemized {
         skolems: FrontierCache::new(cfg.memo),
@@ -176,7 +159,7 @@ pub(crate) fn prov_chase_prepared(
         clause_cap,
         truncated: false,
     };
-    let chase = run_chase(arena, instance, set, cfg, cert, &mut policy)?;
+    let chase = run_chase(arena, instance, set, cfg, &mut policy)?;
     Ok(ProvChaseStats {
         chase,
         truncated: policy.truncated,
@@ -186,7 +169,6 @@ pub(crate) fn prov_chase_prepared(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::dump_state as dump;
     use estocada_pivot::{Atom, Symbol, Term, Tgd};
 
     fn sym(s: &str) -> Symbol {
@@ -346,43 +328,5 @@ mod tests {
         j.insert(sym("R"), vec![c(1), m2]);
         prov_chase(&mut j, &[e], &ChaseConfig::default(), CAP).unwrap();
         assert_eq!(j.resolve(&m1), j.resolve(&m2));
-    }
-
-    #[test]
-    fn stratified_prov_chase_matches_per_stratum_guarded() {
-        // feed: A(x) → ∃y B(x,y); pin: B(x,y) ∧ A(x) → y = x. Certifies
-        // Stratified ([feed], [pin]); ground ⊤-provenance facts let the
-        // EGD fire. The budget-free stratified run must be bit-identical
-        // to a manual per-stratum run under the default (guarded) budgets.
-        let a = Atom::new("A", vec![Term::var(0)]);
-        let b = Atom::new("B", vec![Term::var(0), Term::var(1)]);
-        let cs: Vec<Constraint> = crate::testkit::feed_and_pin("", a, b).into();
-        let cert = crate::wa::certify(&cs);
-        let TerminationCertificate::Stratified { ref strata } = cert else {
-            panic!("expected a stratified certificate, got {cert}");
-        };
-
-        let mut certified = Instance::new();
-        certified.insert(sym("A"), vec![c(1)]);
-        certified.insert(sym("A"), vec![c(2)]);
-        let mut guarded = Instance::new();
-        guarded.insert(sym("A"), vec![c(1)]);
-        guarded.insert(sym("A"), vec![c(2)]);
-
-        let cfg = ChaseConfig::default();
-        let stats = prov_chase_stratified(&mut certified, &cs, &cfg, CAP, &cert).unwrap();
-
-        let mut ref_stats = ProvChaseStats::default();
-        for stratum in strata {
-            let subset: Vec<Constraint> = stratum.members.iter().map(|&i| cs[i].clone()).collect();
-            let s = prov_chase(&mut guarded, &subset, &cfg, CAP).unwrap();
-            ref_stats.chase += s.chase;
-            ref_stats.truncated |= s.truncated;
-        }
-
-        assert_eq!(stats, ref_stats);
-        assert_eq!(dump(&certified), dump(&guarded));
-        // The EGD pinned each existential null to its row key.
-        assert!(dump(&certified).iter().any(|(_, f, _, _)| f == "B(1, 1)"));
     }
 }

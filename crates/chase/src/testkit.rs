@@ -10,24 +10,21 @@ use crate::chase::{chase_prepared, ChaseConfig, ChaseError, ChaseStats, Prepared
 use crate::hom::HomArena;
 use crate::instance::{Elem, Instance};
 use crate::pacb::RewriteProblem;
-use crate::wa::TerminationCertificate;
 use estocada_pivot::{Atom, Constraint, CqBuilder, Egd, Symbol, Term, Tgd, ViewDef};
 
 /// The reference the live-premise rule is tested against: the restricted
-/// chase of `constraints` (under `cert`'s schedule, if any) searching
-/// **every** premise in **every** round — the same driver with the rule
-/// switched off, so instance, errors and [`ChaseStats::core`] must equal
-/// [`crate::chase::chase`] / [`crate::chase::chase_stratified`] exactly and
-/// only `premise_searches` differs (`Σ rounds × stage size` here).
+/// chase of `constraints` searching **every** premise in **every** round —
+/// the same driver with the rule switched off, so instance, errors and
+/// [`ChaseStats::core`] must equal [`crate::chase::chase`] exactly and only
+/// `premise_searches` differs (`rounds × constraints` here).
 pub fn chase_every_premise(
     instance: &mut Instance,
     constraints: &[Constraint],
     cfg: &ChaseConfig,
-    cert: Option<&TerminationCertificate>,
 ) -> Result<ChaseStats, ChaseError> {
     let mut set = PreparedConstraints::new(constraints);
     set.search_every_premise = true;
-    chase_prepared(&mut HomArena::new(), instance, &set, cfg, cert)
+    chase_prepared(&mut HomArena::new(), instance, &set, cfg)
 }
 
 /// Chain problem `Q(x0,xk) :- R0(x0,x1), …, R(k-1)(x(k-1),xk)` with **two
@@ -91,8 +88,8 @@ pub fn egd_merge_instance(keys: usize, dups: usize, ballast: usize) -> (Instance
     (inst, fd)
 }
 
-/// The `Stratified`-only constraint shape shared by the stratified-chase
-/// unit tests, the differential suites and the `e14` bench: a feeder TGD
+/// The `Stratified`-only constraint shape shared by the certificate unit
+/// tests, the differential suites and the `e14` bench: a feeder TGD
 /// `feeder → ∃y. fed` whose null the EGD `fed ∧ feeder → y = x` (`x` =
 /// variable 0, occurring in both atoms; `y` = variable 1, only in `fed`)
 /// merges *across* positions. EGD contraction closes a special cycle, so no

@@ -39,9 +39,11 @@
 //!   `c₁` can touch a relation `c₂` reads; an EGD's footprint is the set
 //!   of relations where a null it can actually merge may occur, computed
 //!   from the same null-flow analysis). Each stratum certifies on its own
-//!   via a non-stratified rung, later strata can never re-enable earlier
-//!   ones, so both the stratum-by-stratum chase and the interleaved plain
-//!   chase terminate.
+//!   via a non-stratified rung and later strata can never re-enable
+//!   earlier ones, so the chase terminates under any firing order. The
+//!   strata are the proof's evidence, not a schedule: the driver
+//!   ([`mod@crate::chase`]) fires the whole set round-robin and reaches
+//!   the same fixpoint.
 //! - [`TerminationCertificate::NonTerminating`] carries a concrete witness
 //!   cycle through a special edge — a value can flow around the cycle and
 //!   force a fresh null at each lap, so the restricted chase can run
@@ -55,10 +57,6 @@
 //! [`ChaseConfig::with_certificate`] lifts the round/fact budgets for every
 //! rung that proves termination (`WeaklyAcyclic`, `SuperWeaklyAcyclic`,
 //! `Stratified`) and leaves them in place otherwise.
-//!
-//! The legacy [`weakly_acyclic`] bool is kept as a thin wrapper: it returns
-//! `false` exactly when the certificate is `NonTerminating`, preserving its
-//! historical behaviour on EGD-bearing sets.
 
 use crate::chase::ChaseConfig;
 use estocada_pivot::{Atom, Constraint, Symbol, Term, Var};
@@ -93,14 +91,12 @@ pub struct PositionGraph {
 }
 
 /// One stratum of a [`TerminationCertificate::Stratified`] proof: a subset
-/// of the constraint set chased to fixpoint before any later stratum fires.
-/// Later strata never write into relations earlier strata read, so earlier
-/// fixpoints survive.
+/// of the constraint set that certifies on its own. Later strata never
+/// write into relations earlier strata read, so no firing of a later
+/// stratum re-enables an earlier one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stratum {
-    /// Indices into the certified constraint slice, ascending. Stratified
-    /// execution must receive the constraints in the same order they were
-    /// certified in.
+    /// Indices into the certified constraint slice, ascending.
     pub members: Vec<usize>,
     /// Constraint names, parallel to `members` (for diagnostics).
     pub names: Vec<Symbol>,
@@ -170,10 +166,10 @@ pub enum TerminationCertificate {
         discharged: Vec<(Pos, Pos)>,
     },
     /// The constraint set splits into ≥ 2 strata along the precedence
-    /// graph, each certifying termination on its own; chasing stratum by
-    /// stratum (or interleaved) terminates.
+    /// graph, each certifying termination on its own, so the chase of the
+    /// whole set terminates.
     Stratified {
-        /// The strata in execution (topological) order.
+        /// The strata in topological order of the precedence graph.
         strata: Vec<Stratum>,
     },
     /// A cycle through a special edge exists and no refinement discharges
@@ -282,17 +278,6 @@ impl fmt::Display for TerminationCertificate {
             TerminationCertificate::Unknown { reason } => write!(f, "unknown: {reason}"),
         }
     }
-}
-
-/// Check weak acyclicity of the TGDs in `constraints`.
-///
-/// Compatibility wrapper over [`certify`]: `false` exactly when the
-/// certificate is [`TerminationCertificate::NonTerminating`].
-pub fn weakly_acyclic(constraints: &[Constraint]) -> bool {
-    !matches!(
-        certify(constraints),
-        TerminationCertificate::NonTerminating { .. }
-    )
 }
 
 /// Per-variable position sets of one constraint side.
@@ -1178,6 +1163,14 @@ mod tests {
         )
     }
 
+    fn is_weakly_acyclic(cs: &[Constraint]) -> bool {
+        matches!(certify(cs), TerminationCertificate::WeaklyAcyclic { .. })
+    }
+
+    fn is_non_terminating(cs: &[Constraint]) -> bool {
+        matches!(certify(cs), TerminationCertificate::NonTerminating { .. })
+    }
+
     #[test]
     fn full_tgds_are_weakly_acyclic() {
         let t = tgd(
@@ -1185,7 +1178,7 @@ mod tests {
             vec![Atom::new("Child", vec![Term::var(0), Term::var(1)])],
             vec![Atom::new("Desc", vec![Term::var(0), Term::var(1)])],
         );
-        assert!(weakly_acyclic(&[t]));
+        assert!(is_weakly_acyclic(&[t]));
     }
 
     #[test]
@@ -1201,7 +1194,7 @@ mod tests {
             vec![Atom::new("S", vec![Term::var(0), Term::var(1)])],
             vec![Atom::new("R", vec![Term::var(1)])],
         );
-        assert!(!weakly_acyclic(&[t1, t2]));
+        assert!(is_non_terminating(&[t1, t2]));
     }
 
     #[test]
@@ -1212,7 +1205,7 @@ mod tests {
             vec![Atom::new("Person", vec![Term::var(0)])],
             vec![Atom::new("HasParent", vec![Term::var(0), Term::var(1)])],
         );
-        assert!(weakly_acyclic(&[t]));
+        assert!(is_weakly_acyclic(&[t]));
     }
 
     #[test]
@@ -1224,7 +1217,7 @@ mod tests {
             vec![Atom::new("S", vec![Term::var(0), Term::var(1)])],
             vec![Atom::new("S", vec![Term::var(1), Term::var(2)])],
         );
-        assert!(!weakly_acyclic(&[t]));
+        assert!(is_non_terminating(&[t]));
     }
 
     #[test]
@@ -1238,7 +1231,7 @@ mod tests {
                 .build(),
         );
         let cs: Vec<Constraint> = v.constraints().into();
-        assert!(weakly_acyclic(&cs));
+        assert!(is_weakly_acyclic(&cs));
     }
 
     #[test]
@@ -1307,7 +1300,6 @@ mod tests {
             "got {cert}"
         );
         assert!(cert.guarantees_termination());
-        assert!(weakly_acyclic(&[t, key_egd()]));
         let cfg = ChaseConfig::default().with_certificate(&cert);
         assert_eq!(cfg.max_rounds, usize::MAX);
         assert_eq!(cfg.max_facts, usize::MAX);
@@ -1467,7 +1459,7 @@ mod tests {
         .into();
         let cs = vec![e, feeder()]; // EGD declared first
         let parts = stratify(&cs);
-        // The TGD stratum must still execute before the EGD stratum.
+        // The TGD stratum still precedes the EGD stratum.
         assert_eq!(parts, vec![vec![1], vec![0]]);
     }
 

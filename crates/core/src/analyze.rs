@@ -16,16 +16,20 @@
 //! | `W002` | `RedundantConstraint` | warning | a schema constraint (TGD *or* EGD) is implied by the remaining constraints ([`estocada_chase::implies`] — the chase-based check covers implications that need EGD merge reasoning) |
 //! | `W003` | `CartesianProductBody` | warning | a view or query body splits into join-disconnected components (a cross product) |
 //! | `W004` | `UnusedFragment` | warning | a fragment has served no query while others have (only fires once at least one fragment has been used) |
-//! | `W005` | `StratumSpanningFragment` | warning | under a [`TerminationCertificate::Stratified`] verdict, a fragment's defining view reads relations maintained by constraints in *different* strata — its contents are meaningful only after the final involved stratum reaches fixpoint |
 //! | `W006` | `CertificateDowngrade` | warning | the termination certificate degraded to `Unknown`; the diagnostic names the exact EGD/TGD pair that blocks certification (the [`estocada_chase::UnknownReason`]), and the chase keeps its runtime budget guard |
 //! | `W007` | `DistinctCoreAggregate` | warning | a `COUNT`/`SUM`/`AVG` query whose core head (group columns + aggregate arguments) determines no key of some body atom: aggregates range over the *distinct* core tuples, so rows agreeing on every grouped and aggregated column count once where SQL's bag semantics would count each |
+//!
+//! Codes are never renumbered: `W005` (a lint about the intermediate states
+//! of the stratum-by-stratum chase schedule) went with that schedule and
+//! its number stays retired.
 //!
 //! The termination certificate itself is a **lattice**
 //! ([`estocada_chase::certify`]): `WeaklyAcyclic` (EGD merges modelled as
 //! position contractions, so key constraints don't degrade the verdict),
 //! `SuperWeaklyAcyclic` (null-flow refinement discharging plain-WA cycles
-//! no null can actually traverse), `Stratified` (per-stratum certificates
-//! consumed stratum-by-stratum by [`estocada_chase::chase_stratified`]),
+//! no null can actually traverse), `Stratified` (each stratum of the
+//! firing graph certifies on its own — a termination proof that lifts the
+//! budget guard, not an execution order),
 //! `NonTerminating` (E001 with a witness cycle) and `Unknown` (W006 with
 //! a structured blame pair).
 //!
@@ -46,9 +50,7 @@ use crate::frontends::AggregateSpec;
 use estocada_chase::{
     certify, equivalent, implies, premise_unsatisfiable, ChaseConfig, TerminationCertificate,
 };
-use estocada_pivot::{
-    AggFun, Atom, Constraint, Cq, RelationDecl, Schema, Symbol, Term, Var, ViewDef,
-};
+use estocada_pivot::{AggFun, Atom, Constraint, Cq, RelationDecl, Schema, Term, Var, ViewDef};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -97,9 +99,6 @@ pub enum Code {
     CartesianProductBody,
     /// `W004`: a fragment has never served a query while others have.
     UnusedFragment,
-    /// `W005`: a fragment's defining view reads relations maintained in
-    /// different strata of a stratified deployment.
-    StratumSpanningFragment,
     /// `W006`: the termination certificate degraded to `Unknown`; the
     /// message names the blocking EGD/TGD pair.
     CertificateDowngrade,
@@ -122,7 +121,6 @@ impl Code {
             Code::RedundantConstraint => "W002",
             Code::CartesianProductBody => "W003",
             Code::UnusedFragment => "W004",
-            Code::StratumSpanningFragment => "W005",
             Code::CertificateDowngrade => "W006",
             Code::DistinctCoreAggregate => "W007",
         }
@@ -140,7 +138,6 @@ impl Code {
             Code::RedundantConstraint => "RedundantConstraint",
             Code::CartesianProductBody => "CartesianProductBody",
             Code::UnusedFragment => "UnusedFragment",
-            Code::StratumSpanningFragment => "StratumSpanningFragment",
             Code::CertificateDowngrade => "CertificateDowngrade",
             Code::DistinctCoreAggregate => "DistinctCoreAggregate",
         }
@@ -158,7 +155,6 @@ impl Code {
             | Code::RedundantConstraint
             | Code::CartesianProductBody
             | Code::UnusedFragment
-            | Code::StratumSpanningFragment
             | Code::CertificateDowngrade
             | Code::DistinctCoreAggregate => Severity::Warning,
         }
@@ -462,68 +458,6 @@ fn unsatisfiable_body_pass(schema: &Schema, cfg: &ChaseConfig, out: &mut Vec<Dia
     }
 }
 
-/// `W005`: under a stratified certificate, fragments whose defining view
-/// reads relations maintained (written by TGD conclusions) in *different*
-/// strata. The fragment's contents are only meaningful once the last
-/// involved stratum reaches fixpoint — worth knowing when reasoning about
-/// intermediate states of a stratum-by-stratum chase
-/// ([`estocada_chase::chase_stratified`]).
-fn stratum_span_pass(
-    cert: &TerminationCertificate,
-    constraints: &[Constraint],
-    catalog: &Catalog,
-    out: &mut Vec<Diagnostic>,
-) {
-    let TerminationCertificate::Stratified { strata } = cert else {
-        return;
-    };
-    // relation → earliest stratum writing it.
-    let mut writer: HashMap<Symbol, usize> = HashMap::new();
-    for (si, stratum) in strata.iter().enumerate() {
-        for &ci in &stratum.members {
-            if let Some(Constraint::Tgd(t)) = constraints.get(ci) {
-                for a in &t.conclusion {
-                    writer.entry(a.pred).or_insert(si);
-                }
-            }
-        }
-    }
-    for f in catalog.fragments() {
-        let Some(view) = f.spec.view() else {
-            continue;
-        };
-        let mut hits: Vec<(usize, Symbol)> = Vec::new();
-        for a in &view.body {
-            if let Some(&si) = writer.get(&a.pred) {
-                if !hits.iter().any(|(s, p)| *s == si && *p == a.pred) {
-                    hits.push((si, a.pred));
-                }
-            }
-        }
-        let spanned: std::collections::BTreeSet<usize> = hits.iter().map(|(s, _)| *s).collect();
-        if spanned.len() > 1 {
-            hits.sort_by(|(sa, pa), (sb, pb)| (sa, pa.as_str()).cmp(&(sb, pb.as_str())));
-            let witness: Vec<String> = hits
-                .iter()
-                .map(|(s, p)| format!("{} ← stratum {}", p.as_str(), s))
-                .collect();
-            out.push(
-                Diagnostic::new(
-                    Code::StratumSpanningFragment,
-                    f.id.clone(),
-                    format!(
-                        "defining view reads relations maintained in {} different strata; \
-                         fragment contents are only meaningful after the last involved \
-                         stratum reaches fixpoint",
-                        spanned.len()
-                    ),
-                )
-                .with_witness(witness.join("; ")),
-            );
-        }
-    }
-}
-
 /// `W001` + `W004`: fragment-level lints, shared with the advisor.
 ///
 /// `W001` compares the defining CQs of *all* fragment pairs. A same-store
@@ -709,7 +643,6 @@ pub fn analyze_deployment(
     let combined = combined_constraints(schema, catalog, None);
     let cert = certify(&combined);
     termination_pass(&cert, &mut out);
-    stratum_span_pass(&cert, &combined, catalog, &mut out);
     for f in catalog.fragments() {
         if let Some(view) = f.spec.view() {
             cq_hygiene(view, &f.id, schema, &mut out);
@@ -759,7 +692,6 @@ mod tests {
         assert_eq!(Code::RedundantConstraint.id(), "W002");
         assert_eq!(Code::CartesianProductBody.id(), "W003");
         assert_eq!(Code::UnusedFragment.id(), "W004");
-        assert_eq!(Code::StratumSpanningFragment.id(), "W005");
         assert_eq!(Code::CertificateDowngrade.id(), "W006");
         assert_eq!(Code::DistinctCoreAggregate.id(), "W007");
         assert_eq!(Code::NonTerminatingTgdCycle.severity(), Severity::Error);
@@ -768,7 +700,6 @@ mod tests {
             Severity::Error
         );
         assert_eq!(Code::UnusedFragment.severity(), Severity::Warning);
-        assert_eq!(Code::StratumSpanningFragment.severity(), Severity::Warning);
         assert_eq!(Code::CertificateDowngrade.severity(), Severity::Warning);
     }
 

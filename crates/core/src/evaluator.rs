@@ -55,8 +55,8 @@ use crate::plancache::{LintCache, PlanCache, PlanCacheStats};
 use crate::planner::{self, Candidate, Planned, PlanningContext};
 use crate::report::{PlanCacheActivity, QueryResult, Report};
 use crate::resilience::{
-    system_for_store, BackendHealth, BreakerConfig, HealthTracker, PlanAttempt, QueryResilience,
-    ResilienceReport, RetryPolicy,
+    system_for_store, BackendHealth, HealthTracker, PlanAttempt, QueryResilience, ResilienceReport,
+    RetryPolicy,
 };
 use crate::system::{Latencies, Stores, SystemId};
 use estocada_chase::{Instance, RewriteConfig, TerminationCertificate};
@@ -70,9 +70,8 @@ use std::time::Duration;
 
 /// Per-query knobs, resolved against the engine's defaults at run time.
 ///
-/// `None` means "use the engine default". Build one fluently through
-/// [`QueryRequest`], or construct it directly and pass it to
-/// [`QueryRequest::with_options`].
+/// `None` means "use the engine default". Built fluently through
+/// [`QueryRequest`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryOptions {
     /// Plan and cost the query but skip execution; the returned
@@ -202,12 +201,6 @@ impl QueryRequest<'_> {
     /// Set the vectorized executor's batch size for this query.
     pub fn with_batch_size(mut self, rows: usize) -> Self {
         self.opts.batch_size = Some(rows.max(1));
-        self
-    }
-
-    /// Replace all options at once.
-    pub fn with_options(mut self, opts: QueryOptions) -> Self {
-        self.opts = opts;
         self
     }
 
@@ -388,12 +381,6 @@ impl Estocada {
     /// The installed fault-injection plan, if any.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.fault_plan.as_ref()
-    }
-
-    /// Replace the circuit-breaker thresholds (DDL-time configuration).
-    /// Resets every breaker to closed.
-    pub fn set_breaker_config(&mut self, cfg: BreakerConfig) {
-        self.health = Arc::new(HealthTracker::new(cfg));
     }
 
     /// Current breaker state and health counters of every backend.

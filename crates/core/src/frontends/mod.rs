@@ -24,7 +24,7 @@ use estocada_pivot::Schema;
 ///
 /// Deployment-level findings — the termination-certificate lattice
 /// (`E001`/`W006`), unsatisfiable constraint bodies (`E005`), fragment
-/// subsumption and stratum spans (`W001`/`W005`) — are not per-query;
+/// subsumption (`W001`) — are not per-query;
 /// query them through [`crate::Estocada::analyze`] and
 /// [`crate::Estocada::termination_certificate`].
 pub fn lint_sql(sql: &str, catalog: &SqlCatalog, schema: &Schema) -> Result<Vec<Diagnostic>> {

@@ -44,7 +44,8 @@ pub struct Report {
     pub universal_plan: String,
     /// All rewritings considered.
     pub alternatives: Vec<Alternative>,
-    /// Index of the chosen alternative.
+    /// Index of the chosen alternative (0 when no alternative is
+    /// executable — then [`Report::plan`] says so and none has a cost).
     pub chosen: usize,
     /// EXPLAIN text of the executed plan.
     pub plan: String,
@@ -86,7 +87,10 @@ impl fmt::Display for Report {
         writeln!(f, "universal plan: {}", self.universal_plan)?;
         writeln!(f, "rewritings considered: {}", self.alternatives.len())?;
         for (i, a) in self.alternatives.iter().enumerate() {
-            let marker = if i == self.chosen { "→" } else { " " };
+            // `chosen` is 0 when nothing is executable: the arrow marks
+            // only an alternative that was costed and chosen.
+            let chosen = i == self.chosen && a.est_cost.is_some();
+            let marker = if chosen { "→" } else { " " };
             match (&a.est_cost, &a.note) {
                 (Some(c), _) => writeln!(f, " {marker} [cost {c:10.1}] {}", a.rewriting)?,
                 (None, Some(n)) => writeln!(f, " {marker} [skipped: {n}] {}", a.rewriting)?,

@@ -13,9 +13,9 @@
 //! projection of plain column references is a gather of `u32`s. Values are
 //! only resolved (via [`ConstReader`]) where semantics require them —
 //! ordered comparisons, arithmetic, and the final conversion back to a
-//! row-oriented [`RowBatch`].
+//! row-oriented [`crate::tuple::RowBatch`].
 
-use crate::tuple::{RowBatch, Tuple};
+use crate::tuple::Tuple;
 use estocada_pivot::{ConstId, ConstReader};
 
 /// A columnar batch of interned rows with an optional selection vector.
@@ -27,8 +27,8 @@ pub struct Batch {
     /// [`Batch::physical_rows`] entries.
     pub cols: Vec<Vec<ConstId>>,
     /// Selected physical row positions, in logical row order (filters keep
-    /// them increasing; a sort emits a permutation). `None` means all rows
-    /// are selected in physical order.
+    /// them increasing). `None` means all rows are selected in physical
+    /// order.
     pub sel: Option<Vec<u32>>,
     physical: usize,
 }
@@ -60,7 +60,7 @@ impl Batch {
         }
     }
 
-    /// Intern a contiguous slice of a [`RowBatch`] into a dense batch.
+    /// Intern a contiguous slice of a row batch's rows into a dense batch.
     /// Interning is bulk (one shared read pass per column).
     pub fn from_rows(columns: Vec<String>, rows: &[Tuple]) -> Batch {
         let cols: Vec<Vec<ConstId>> = (0..columns.len())
@@ -138,14 +138,6 @@ impl Batch {
         }
         rows
     }
-
-    /// Resolve to a row-oriented [`RowBatch`].
-    pub fn to_row_batch(&self, reader: &ConstReader) -> RowBatch {
-        RowBatch {
-            columns: self.columns.clone(),
-            rows: self.to_rows(reader),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -188,6 +180,7 @@ mod tests {
         let b = Batch::empty(vec!["a".into()]);
         assert_eq!(b.num_rows(), 0);
         let reader = ConstReader::new();
-        assert_eq!(b.to_row_batch(&reader), RowBatch::empty(vec!["a".into()]));
+        assert_eq!(b.columns, vec!["a"]);
+        assert!(b.to_rows(&reader).is_empty());
     }
 }

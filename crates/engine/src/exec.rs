@@ -1,6 +1,6 @@
 //! Materialized bottom-up execution of [`Plan`] trees.
 
-use crate::plan::{AggSpec, Plan, Template};
+use crate::plan::{AggSpec, Plan};
 use crate::tuple::{RowBatch, Tuple};
 use estocada_pivot::{Accumulator, Value};
 use estocada_simkit::StoreError;
@@ -17,8 +17,6 @@ pub enum EngineError {
         /// The operator name.
         operator: &'static str,
     },
-    /// Union inputs disagree on arity.
-    UnionArity,
     /// A delegated sub-query or bound-source probe failed in the
     /// underlying store.
     Store(StoreError),
@@ -30,7 +28,6 @@ impl std::fmt::Display for EngineError {
             EngineError::BadColumn { index, operator } => {
                 write!(f, "column {index} out of range in {operator}")
             }
-            EngineError::UnionArity => write!(f, "union inputs have different arities"),
             EngineError::Store(e) => write!(f, "store failure: {e}"),
         }
     }
@@ -198,22 +195,6 @@ fn run(plan: &Plan, stats: &mut ExecStats) -> Result<RowBatch, EngineError> {
             }
             RowBatch { columns, rows }
         }
-        Plan::Union { inputs } => {
-            let mut batches = Vec::new();
-            for i in inputs {
-                batches.push(run(i, stats)?);
-            }
-            let Some(first) = batches.first() else {
-                return Ok(RowBatch::default());
-            };
-            let arity = first.columns.len();
-            if batches.iter().any(|b| b.columns.len() != arity) {
-                return Err(EngineError::UnionArity);
-            }
-            let columns = first.columns.clone();
-            let rows = batches.into_iter().flat_map(|b| b.rows).collect();
-            RowBatch { columns, rows }
-        }
         Plan::Distinct { input } => {
             let b = run(input, stats)?;
             let mut seen = std::collections::HashSet::new();
@@ -238,56 +219,6 @@ fn run(plan: &Plan, stats: &mut ExecStats) -> Result<RowBatch, EngineError> {
                 check_cols(&[a.col], b.columns.len(), "Aggregate")?;
             }
             aggregate(&b, group_by, aggs)
-        }
-        Plan::Sort { input, keys } => {
-            let mut b = run(input, stats)?;
-            check_cols(
-                &keys.iter().map(|(c, _)| *c).collect::<Vec<_>>(),
-                b.columns.len(),
-                "Sort",
-            )?;
-            b.rows.sort_by(|a, x| {
-                for (c, asc) in keys {
-                    let ord = a[*c].cmp(&x[*c]);
-                    let ord = if *asc { ord } else { ord.reverse() };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-            b
-        }
-        Plan::Limit { input, n } => {
-            let mut b = run(input, stats)?;
-            b.rows.truncate(*n);
-            b
-        }
-        Plan::Nest {
-            input,
-            group_by,
-            nested_as,
-        } => {
-            let b = run(input, stats)?;
-            check_cols(group_by, b.columns.len(), "Nest")?;
-            nest(&b, group_by, nested_as)
-        }
-        Plan::Unnest {
-            input,
-            col,
-            elem_as,
-        } => {
-            let b = run(input, stats)?;
-            check_cols(&[*col], b.columns.len(), "Unnest")?;
-            unnest(&b, *col, elem_as)
-        }
-        Plan::Construct {
-            input,
-            template,
-            as_col,
-        } => {
-            let b = run(input, stats)?;
-            construct(&b, template, as_col)
         }
     };
     stats.rows += out.len() as u64;
@@ -343,80 +274,6 @@ fn aggregate(b: &RowBatch, group_by: &[usize], aggs: &[AggSpec]) -> RowBatch {
         })
         .collect();
     RowBatch { columns, rows }
-}
-
-pub(crate) fn nest(b: &RowBatch, group_by: &[usize], nested_as: &str) -> RowBatch {
-    let rest: Vec<usize> = (0..b.columns.len())
-        .filter(|c| !group_by.contains(c))
-        .collect();
-    let mut groups: HashMap<Vec<Value>, Vec<Value>> = HashMap::new();
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    for row in &b.rows {
-        let key: Vec<Value> = group_by.iter().map(|c| row[*c].clone()).collect();
-        let elem = Value::object_owned(
-            rest.iter()
-                .map(|c| (b.columns[*c].clone(), row[*c].clone())),
-        );
-        match groups.get_mut(&key) {
-            Some(items) => items.push(elem),
-            None => {
-                order.push(key.clone());
-                groups.insert(key, vec![elem]);
-            }
-        }
-    }
-    let mut columns: Vec<String> = group_by.iter().map(|c| b.columns[*c].clone()).collect();
-    columns.push(nested_as.to_string());
-    let rows: Vec<Tuple> = order
-        .into_iter()
-        .map(|key| {
-            let items = groups.remove(&key).unwrap_or_default();
-            let mut row = key;
-            row.push(Value::array(items));
-            row
-        })
-        .collect();
-    RowBatch { columns, rows }
-}
-
-pub(crate) fn unnest(b: &RowBatch, col: usize, elem_as: &str) -> RowBatch {
-    let mut columns = b.columns.clone();
-    columns.push(elem_as.to_string());
-    let mut rows = Vec::new();
-    for row in &b.rows {
-        if let Value::Array(items) = &row[col] {
-            for item in items.iter() {
-                let mut r = row.clone();
-                r.push(item.clone());
-                rows.push(r);
-            }
-        }
-    }
-    RowBatch { columns, rows }
-}
-
-pub(crate) fn construct(b: &RowBatch, template: &Template, as_col: &str) -> RowBatch {
-    let rows: Vec<Tuple> = b
-        .rows
-        .iter()
-        .map(|r| vec![build_template(template, r)])
-        .collect();
-    RowBatch {
-        columns: vec![as_col.to_string()],
-        rows,
-    }
-}
-
-fn build_template(t: &Template, row: &[Value]) -> Value {
-    match t {
-        Template::Expr(e) => e.eval(row),
-        Template::Object(fields) => Value::object_owned(
-            fields
-                .iter()
-                .map(|(k, v)| (k.clone(), build_template(v, row))),
-        ),
-        Template::Array(items) => Value::array(items.iter().map(|i| build_template(i, row))),
-    }
 }
 
 #[cfg(test)]
@@ -593,22 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn sort_and_limit() {
-        let p = Plan::Limit {
-            input: Box::new(Plan::Sort {
-                input: Box::new(Plan::Values(batch(
-                    &["x"],
-                    vec![ints(&[3]), ints(&[1]), ints(&[2])],
-                ))),
-                keys: vec![(0, false)],
-            }),
-            n: 2,
-        };
-        let (out, _) = execute(&p).unwrap();
-        assert_eq!(out.rows, vec![vec![Value::Int(3)], vec![Value::Int(2)]]);
-    }
-
-    #[test]
     fn distinct_removes_duplicates() {
         let p = Plan::Distinct {
             input: Box::new(Plan::Values(batch(
@@ -618,75 +459,6 @@ mod tests {
         };
         let (out, _) = execute(&p).unwrap();
         assert_eq!(out.len(), 2);
-    }
-
-    #[test]
-    fn union_checks_arity() {
-        let p = Plan::Union {
-            inputs: vec![
-                Plan::Values(batch(&["a"], vec![ints(&[1])])),
-                Plan::Values(batch(&["a", "b"], vec![ints(&[1, 2])])),
-            ],
-        };
-        assert_eq!(execute(&p).unwrap_err(), EngineError::UnionArity);
-    }
-
-    #[test]
-    fn nest_then_unnest_round_trips() {
-        let input = batch(
-            &["u", "sku"],
-            vec![
-                vec![Value::Int(1), Value::str("a")],
-                vec![Value::Int(1), Value::str("b")],
-                vec![Value::Int(2), Value::str("c")],
-            ],
-        );
-        let nested = Plan::Nest {
-            input: Box::new(Plan::Values(input)),
-            group_by: vec![0],
-            nested_as: "items".into(),
-        };
-        let (out, _) = execute(&nested).unwrap();
-        assert_eq!(out.columns, vec!["u", "items"]);
-        assert_eq!(out.len(), 2);
-        // Unnest back.
-        let unnested = Plan::Project {
-            input: Box::new(Plan::Unnest {
-                input: Box::new(Plan::Values(out)),
-                col: 1,
-                elem_as: "e".into(),
-            }),
-            exprs: vec![
-                ("u".into(), Expr::col(0)),
-                (
-                    "sku".into(),
-                    Expr::GetPath(Box::new(Expr::col(2)), "sku".into()),
-                ),
-            ],
-        };
-        let (back, _) = execute(&unnested).unwrap();
-        assert_eq!(back.len(), 3);
-        assert!(back.rows.contains(&vec![Value::Int(1), Value::str("b")]));
-    }
-
-    #[test]
-    fn construct_builds_documents() {
-        let p = Plan::Construct {
-            input: Box::new(Plan::Values(batch(&["u", "total"], vec![ints(&[1, 50])]))),
-            template: Template::Object(vec![
-                ("user".into(), Template::Expr(Expr::col(0))),
-                (
-                    "stats".into(),
-                    Template::Object(vec![("total".into(), Template::Expr(Expr::col(1)))]),
-                ),
-            ]),
-            as_col: "doc".into(),
-        };
-        let (out, _) = execute(&p).unwrap();
-        assert_eq!(
-            out.rows[0][0].get_path("stats.total"),
-            Some(&Value::Int(50))
-        );
     }
 
     #[test]

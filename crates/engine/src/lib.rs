@@ -7,11 +7,13 @@
 //! restrictions".
 //!
 //! Plans mix *delegated* leaf nodes (native subqueries pushed into the
-//! underlying DMSs) with runtime operators: filter, project, hash /
-//! nested-loop / **bind** joins, union, distinct, aggregation, sort, limit,
-//! nest/unnest and nested-value construction. Execution is materialized,
-//! with per-run counters splitting time between the stores and the mediator
-//! runtime.
+//! underlying DMSs) with the runtime operators the mediator's translator
+//! emits: filter, project, hash / nested-loop / **bind** joins, distinct
+//! and aggregation — nine [`Plan`] variants with the `Values` leaf of
+//! hand-built plans. The batch pipeline ([`vexec`]) runs them; the
+//! materialized tuple executor ([`exec`]) is the differential reference
+//! over the same nine. Per-run counters split time between the stores and
+//! the mediator runtime.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,7 +28,7 @@ pub mod vexec;
 pub use batch::Batch;
 pub use exec::{execute, EngineError, ExecStats};
 pub use expr::{ArithOp, CmpOp, Expr};
-pub use plan::{AggFun, AggSpec, BindSource, Plan, Template};
+pub use plan::{AggFun, AggSpec, BindSource, Plan};
 pub use tuple::{RowBatch, Tuple};
 pub use vexec::{execute_with, ExecOptions};
 

@@ -2,9 +2,10 @@
 //!
 //! The mediator's "last-step" operations — whatever could not be delegated
 //! to an underlying DMS — run here: cross-fragment joins, residual filters,
-//! construction of nested results, and the **BindJoin** needed to access
-//! data sources with access restrictions (key-value and full-text
-//! fragments).
+//! head projection, duplicate elimination, grouping, and the **BindJoin**
+//! needed to access data sources with access restrictions (key-value and
+//! full-text fragments). [`Plan`] has the eight operators the mediator's
+//! translator emits plus the `Values` leaf hand-built plans start from.
 
 use crate::expr::Expr;
 use crate::tuple::{RowBatch, Tuple};
@@ -40,17 +41,6 @@ pub struct AggSpec {
     pub col: usize,
     /// Output column name.
     pub name: String,
-}
-
-/// Template for constructing nested result values.
-#[derive(Debug, Clone)]
-pub enum Template {
-    /// A scalar expression over the input row.
-    Expr(Expr),
-    /// An object with templated fields.
-    Object(Vec<(String, Template)>),
-    /// An array with templated elements.
-    Array(Vec<Template>),
 }
 
 /// A physical plan node. Execution is materialized, bottom-up.
@@ -112,11 +102,6 @@ pub enum Plan {
         /// The bound source.
         source: Arc<dyn BindSource>,
     },
-    /// Bag union (columns taken from the first input).
-    Union {
-        /// Inputs (same arity).
-        inputs: Vec<Plan>,
-    },
     /// Duplicate elimination.
     Distinct {
         /// Input plan.
@@ -130,51 +115,6 @@ pub enum Plan {
         group_by: Vec<usize>,
         /// Aggregates.
         aggs: Vec<AggSpec>,
-    },
-    /// Sort by columns (`(column, ascending)`).
-    Sort {
-        /// Input plan.
-        input: Box<Plan>,
-        /// Sort keys.
-        keys: Vec<(usize, bool)>,
-    },
-    /// Keep the first `n` rows.
-    Limit {
-        /// Input plan.
-        input: Box<Plan>,
-        /// Row budget.
-        n: usize,
-    },
-    /// Group rows and pack the non-grouped columns into an array of
-    /// objects — the nested-result constructor of the nested relational
-    /// model.
-    Nest {
-        /// Input plan.
-        input: Box<Plan>,
-        /// Grouping columns (become scalar output columns).
-        group_by: Vec<usize>,
-        /// Name of the nested array column.
-        nested_as: String,
-    },
-    /// Explode an array column: one output row per element, element
-    /// appended as a new column.
-    Unnest {
-        /// Input plan.
-        input: Box<Plan>,
-        /// The array column.
-        col: usize,
-        /// Name of the element column.
-        elem_as: String,
-    },
-    /// Build one nested value per row from a template (JSON/XML result
-    /// construction). Output is a single column.
-    Construct {
-        /// Input plan.
-        input: Box<Plan>,
-        /// Value template.
-        template: Template,
-        /// Output column name.
-        as_col: String,
     },
 }
 
@@ -232,12 +172,6 @@ impl Plan {
                 );
                 left.explain_into(depth + 1, out);
             }
-            Plan::Union { inputs } => {
-                let _ = writeln!(out, "{pad}Union [{}]", inputs.len());
-                for i in inputs {
-                    i.explain_into(depth + 1, out);
-                }
-            }
             Plan::Distinct { input } => {
                 let _ = writeln!(out, "{pad}Distinct");
                 input.explain_into(depth + 1, out);
@@ -249,34 +183,6 @@ impl Plan {
             } => {
                 let fs: Vec<String> = aggs.iter().map(|a| format!("{:?}", a.fun)).collect();
                 let _ = writeln!(out, "{pad}Aggregate [by {group_by:?}; {}]", fs.join(", "));
-                input.explain_into(depth + 1, out);
-            }
-            Plan::Sort { input, keys } => {
-                let _ = writeln!(out, "{pad}Sort {keys:?}");
-                input.explain_into(depth + 1, out);
-            }
-            Plan::Limit { input, n } => {
-                let _ = writeln!(out, "{pad}Limit {n}");
-                input.explain_into(depth + 1, out);
-            }
-            Plan::Nest {
-                input,
-                group_by,
-                nested_as,
-            } => {
-                let _ = writeln!(out, "{pad}Nest [by {group_by:?} as {nested_as}]");
-                input.explain_into(depth + 1, out);
-            }
-            Plan::Unnest {
-                input,
-                col,
-                elem_as,
-            } => {
-                let _ = writeln!(out, "{pad}Unnest [col {col} as {elem_as}]");
-                input.explain_into(depth + 1, out);
-            }
-            Plan::Construct { input, as_col, .. } => {
-                let _ = writeln!(out, "{pad}Construct [{as_col}]");
                 input.explain_into(depth + 1, out);
             }
         }

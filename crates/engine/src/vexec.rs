@@ -24,14 +24,13 @@
 //! *per batch* of unseen keys (the totals still match; the tuple oracle
 //! ships all distinct keys in a single probe).
 //!
-//! Blocking operators (sort, aggregate, limit, nest/unnest/construct, the
-//! build side of joins) drain their child before emitting; everything else
-//! streams. Every operator emits at least one (possibly empty) batch before
-//! reporting end-of-stream so column names propagate through empty inputs
-//! exactly like the materialized path.
+//! Blocking operators (aggregate, the build side of joins) drain their
+//! child before emitting; everything else streams. Every operator emits at
+//! least one (possibly empty) batch before reporting end-of-stream so column
+//! names propagate through empty inputs exactly like the materialized path.
 
 use crate::batch::Batch;
-use crate::exec::{self, check_cols, EngineError, ExecStats};
+use crate::exec::{check_cols, EngineError, ExecStats};
 use crate::expr::{ColOut, Expr, VExpr};
 use crate::plan::{AggFun, AggSpec, BindSource, Plan};
 use crate::tuple::RowBatch;
@@ -56,7 +55,7 @@ impl Default for ExecOptions {
 
 /// Execute a plan through the batch pipeline; the result is converted back
 /// to a row-oriented [`RowBatch`] at the root. Observationally identical to
-/// the tuple-at-a-time reference [`exec::execute`] (same rows, operator
+/// the tuple-at-a-time reference [`crate::exec::execute`] (same rows, operator
 /// counts and bind probes), which the differential suites run on the same
 /// plan.
 pub fn execute_with(plan: &Plan, opts: &ExecOptions) -> Result<(RowBatch, ExecStats), EngineError> {
@@ -157,14 +156,6 @@ fn compile<'a>(plan: &'a Plan, batch_size: usize, stats: &mut ExecStats) -> OpBo
             fetched: Vec::new(),
             checked: false,
         }),
-        Plan::Union { inputs } => Box::new(UnionOp {
-            children: inputs
-                .iter()
-                .map(|i| compile(i, batch_size, stats))
-                .collect(),
-            buffered: None,
-            pos: 0,
-        }),
         Plan::Distinct { input } => Box::new(DistinctOp {
             child: compile(input, batch_size, stats),
             seen: std::collections::HashSet::new(),
@@ -179,30 +170,6 @@ fn compile<'a>(plan: &'a Plan, batch_size: usize, stats: &mut ExecStats) -> OpBo
             aggs,
             done: false,
         }),
-        Plan::Sort { input, keys } => Box::new(SortOp {
-            child: compile(input, batch_size, stats),
-            keys,
-            done: false,
-        }),
-        Plan::Limit { input, n } => Box::new(LimitOp {
-            child: compile(input, batch_size, stats),
-            n: *n,
-            buffered: None,
-            pos: 0,
-        }),
-        Plan::Nest { .. } | Plan::Unnest { .. } | Plan::Construct { .. } => {
-            let child = match plan {
-                Plan::Nest { input, .. }
-                | Plan::Unnest { input, .. }
-                | Plan::Construct { input, .. } => compile(input, batch_size, stats),
-                _ => unreachable!(),
-            };
-            Box::new(RowWiseOp {
-                child,
-                plan,
-                done: false,
-            })
-        }
     }
 }
 
@@ -585,54 +552,6 @@ impl VecOp for BindJoinOp<'_> {
     }
 }
 
-struct UnionOp<'a> {
-    children: Vec<OpBox<'a>>,
-    buffered: Option<Vec<Batch>>,
-    pos: usize,
-}
-
-impl VecOp for UnionOp<'_> {
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, EngineError> {
-        if self.buffered.is_none() {
-            // Like the materialized path: run every input before the arity
-            // check, then concatenate.
-            let mut all: Vec<Batch> = Vec::new();
-            let mut arities: Vec<usize> = Vec::new();
-            for child in &mut self.children {
-                let mut first = true;
-                while let Some(b) = child.next_batch(stats)? {
-                    if first {
-                        arities.push(b.columns.len());
-                        first = false;
-                    }
-                    all.push(b);
-                }
-            }
-            if self.children.is_empty() {
-                all.push(Batch::empty(Vec::new()));
-            } else {
-                let arity = arities[0];
-                if arities.iter().any(|a| *a != arity) {
-                    return Err(EngineError::UnionArity);
-                }
-                let columns = all[0].columns.clone();
-                for b in &mut all {
-                    b.columns = columns.clone();
-                }
-            }
-            self.buffered = Some(all);
-        }
-        let buf = self.buffered.as_mut().unwrap();
-        if self.pos >= buf.len() {
-            return Ok(None);
-        }
-        let out = std::mem::replace(&mut buf[self.pos], Batch::empty(Vec::new()));
-        self.pos += 1;
-        stats.rows += out.num_rows() as u64;
-        Ok(Some(out))
-    }
-}
-
 struct DistinctOp<'a> {
     child: OpBox<'a>,
     seen: std::collections::HashSet<Key>,
@@ -780,136 +699,11 @@ impl VecOp for AggregateOp<'_> {
     }
 }
 
-struct SortOp<'a> {
-    child: OpBox<'a>,
-    keys: &'a [(usize, bool)],
-    done: bool,
-}
-
-impl VecOp for SortOp<'_> {
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, EngineError> {
-        if self.done {
-            return Ok(None);
-        }
-        self.done = true;
-        let mut dense = drain_to_dense(&mut self.child, stats)?;
-        check_cols(
-            &self.keys.iter().map(|(c, _)| *c).collect::<Vec<_>>(),
-            dense.columns.len(),
-            "Sort",
-        )?;
-        let mut perm: Vec<u32> = (0..dense.physical_rows() as u32).collect();
-        {
-            let reader = ConstReader::new();
-            perm.sort_by(|&a, &b| {
-                for (c, asc) in self.keys {
-                    let (ia, ib) = (dense.cols[*c][a as usize], dense.cols[*c][b as usize]);
-                    if ia == ib {
-                        continue;
-                    }
-                    let ord = reader.get(ia).cmp(reader.get(ib));
-                    let ord = if *asc { ord } else { ord.reverse() };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-        }
-        dense.sel = Some(perm);
-        stats.rows += dense.num_rows() as u64;
-        Ok(Some(dense))
-    }
-}
-
-struct LimitOp<'a> {
-    child: OpBox<'a>,
-    n: usize,
-    buffered: Option<Vec<Batch>>,
-    pos: usize,
-}
-
-impl VecOp for LimitOp<'_> {
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, EngineError> {
-        if self.buffered.is_none() {
-            // The materialized path runs its input fully, then truncates —
-            // drain the child so child-side stats match before cutting.
-            let mut kept: Vec<Batch> = Vec::new();
-            let mut remaining = self.n;
-            while let Some(b) = self.child.next_batch(stats)? {
-                let rows = b.num_rows();
-                if kept.is_empty() || remaining > 0 {
-                    let mut b = b;
-                    if rows > remaining {
-                        let sel: Vec<u32> =
-                            b.selection().map(|i| i as u32).take(remaining).collect();
-                        b.sel = Some(sel);
-                    }
-                    remaining = remaining.saturating_sub(rows);
-                    kept.push(b);
-                }
-            }
-            self.buffered = Some(kept);
-        }
-        let buf = self.buffered.as_mut().unwrap();
-        if self.pos >= buf.len() {
-            return Ok(None);
-        }
-        let out = std::mem::replace(&mut buf[self.pos], Batch::empty(Vec::new()));
-        self.pos += 1;
-        stats.rows += out.num_rows() as u64;
-        Ok(Some(out))
-    }
-}
-
-/// Fallback for the nested-value operators: materialize, run the shared
-/// row-wise implementation from [`crate::exec`], re-intern.
-struct RowWiseOp<'a> {
-    child: OpBox<'a>,
-    plan: &'a Plan,
-    done: bool,
-}
-
-impl VecOp for RowWiseOp<'_> {
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, EngineError> {
-        if self.done {
-            return Ok(None);
-        }
-        self.done = true;
-        let dense = drain_to_dense(&mut self.child, stats)?;
-        let rb = {
-            let reader = ConstReader::new();
-            dense.to_row_batch(&reader)
-        };
-        let out_rb = match self.plan {
-            Plan::Nest {
-                group_by,
-                nested_as,
-                ..
-            } => {
-                check_cols(group_by, rb.columns.len(), "Nest")?;
-                exec::nest(&rb, group_by, nested_as)
-            }
-            Plan::Unnest { col, elem_as, .. } => {
-                check_cols(&[*col], rb.columns.len(), "Unnest")?;
-                exec::unnest(&rb, *col, elem_as)
-            }
-            Plan::Construct {
-                template, as_col, ..
-            } => exec::construct(&rb, template, as_col),
-            _ => unreachable!("RowWiseOp only compiles nested-value plans"),
-        };
-        let out = Batch::from_rows(out_rb.columns, &out_rb.rows);
-        stats.rows += out.num_rows() as u64;
-        Ok(Some(out))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec;
     use crate::expr::{ArithOp, CmpOp};
-    use crate::plan::Template;
     use crate::tuple::Tuple;
 
     fn batch(cols: &[&str], rows: Vec<Vec<Value>>) -> RowBatch {
@@ -1041,7 +835,7 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_sort_limit_distinct_union_identical() {
+    fn aggregate_and_distinct_identical() {
         let data = batch(
             &["g", "x"],
             (0..29).map(|i| ints(&[i % 4, (i * 13) % 17])).collect(),
@@ -1089,65 +883,8 @@ mod tests {
                 null
             ]]
         );
-        assert_identical(&Plan::Limit {
-            input: Box::new(Plan::Sort {
-                input: Box::new(Plan::Values(data.clone())),
-                keys: vec![(1, false), (0, true)],
-            }),
-            n: 7,
-        });
         assert_identical(&Plan::Distinct {
             input: Box::new(Plan::Values(data.clone())),
-        });
-        assert_identical(&Plan::Union {
-            inputs: vec![
-                Plan::Values(data.clone()),
-                Plan::Values(batch(&["h", "y"], vec![ints(&[9, 9])])),
-            ],
-        });
-        assert_identical(&Plan::Union { inputs: vec![] });
-    }
-
-    #[test]
-    fn union_arity_mismatch_still_detected() {
-        let p = Plan::Union {
-            inputs: vec![
-                Plan::Values(batch(&["a"], vec![ints(&[1])])),
-                Plan::Values(batch(&["a", "b"], vec![ints(&[1, 2])])),
-            ],
-        };
-        let err = execute_with(&p, &ExecOptions::default()).unwrap_err();
-        assert_eq!(err, EngineError::UnionArity);
-    }
-
-    #[test]
-    fn nested_value_operators_identical() {
-        let data = batch(
-            &["u", "sku"],
-            vec![
-                vec![Value::Int(1), Value::str("a")],
-                vec![Value::Int(1), Value::str("b")],
-                vec![Value::Int(2), Value::str("c")],
-            ],
-        );
-        let nest = Plan::Nest {
-            input: Box::new(Plan::Values(data.clone())),
-            group_by: vec![0],
-            nested_as: "items".into(),
-        };
-        assert_identical(&nest);
-        assert_identical(&Plan::Unnest {
-            input: Box::new(nest),
-            col: 1,
-            elem_as: "e".into(),
-        });
-        assert_identical(&Plan::Construct {
-            input: Box::new(Plan::Values(data)),
-            template: Template::Object(vec![
-                ("user".into(), Template::Expr(Expr::col(0))),
-                ("sku".into(), Template::Expr(Expr::col(1))),
-            ]),
-            as_col: "doc".into(),
         });
     }
 

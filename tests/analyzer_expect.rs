@@ -7,11 +7,11 @@
 //!
 //! - the **certificate rung** of each builtin deployment (all three mix
 //!   declared-key EGDs with view TGDs and must certify `weakly acyclic`
-//!   — a downgrade to `unknown` is a regression the diff makes loud);
+//!   — a downgrade to `unknown` is a regression the diff makes loud) and
+//!   of a planted feed/pin family that only `stratified` certifies;
 //! - the **diagnostic surface**: exact `Display` output for `E001`,
-//!   `E005`, `W001` (same-store and cross-store), `W002`, `W005`,
-//!   `W006` and the query-level `W007` on fixtures small enough to review
-//!   by hand.
+//!   `E005`, `W001` (same-store and cross-store), `W002`, `W006` and the
+//!   query-level `W007` on fixtures small enough to review by hand.
 //!
 //! Regenerate after an intentional change with:
 //!
@@ -244,7 +244,7 @@ fn render() -> String {
         &Catalog::new(),
     );
 
-    // --- W005: fragment view spanning strata -------------------------
+    // --- the stratified rung: a fragment over a feed/pin/derive set ---
     let mut schema = schema_with(&[("A", &["a"]), ("B", &["k", "v"]), ("C", &["c"])]);
     schema.add_constraint(Tgd::new(
         "feed",
@@ -273,12 +273,7 @@ fn render() -> String {
             .atom("C", |a| a.v("v"))
             .build(),
     ));
-    section(
-        &mut out,
-        "stratum-spanning-fragment (W005)",
-        &schema,
-        &catalog,
-    );
+    section(&mut out, "stratified-rung", &schema, &catalog);
 
     // --- W001: same-store and cross-store subsumption ----------------
     let schema = schema_with(&[("T", &["k", "v"])]);

@@ -87,37 +87,6 @@ proptest! {
         }
     }
 
-    /// Nest followed by Unnest restores the original multiset of rows.
-    #[test]
-    fn nest_unnest_round_trip(rows in proptest::collection::vec((0i64..4, any::<i64>()), 1..20)) {
-        let batch = int_batch(&["g", "x"], rows.clone().into_iter().map(|(g, x)| vec![g, x]).collect());
-        let plan = Plan::Project {
-            input: Box::new(Plan::Unnest {
-                input: Box::new(Plan::Nest {
-                    input: Box::new(Plan::Values(batch)),
-                    group_by: vec![0],
-                    nested_as: "items".into(),
-                }),
-                col: 1,
-                elem_as: "e".into(),
-            }),
-            exprs: vec![
-                ("g".into(), Expr::col(0)),
-                ("x".into(), Expr::GetPath(Box::new(Expr::col(2)), "x".into())),
-            ],
-        };
-        let (out, _) = execute(&plan).unwrap();
-        let mut got: Vec<(i64, i64)> = out
-            .rows
-            .iter()
-            .map(|r| (r[0].as_int().unwrap(), r[1].as_int().unwrap()))
-            .collect();
-        let mut want = rows;
-        got.sort_unstable();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
-    }
-
     /// Parallel filter agrees with sequential filtering.
     #[test]
     fn par_filter_equals_sequential(

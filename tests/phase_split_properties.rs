@@ -7,14 +7,10 @@
 //! - **memo on vs off**: identical core `ChaseStats` (rounds, TGD fires,
 //!   EGD merges — the memo elides probes, never firings), identical final
 //!   instances, identical errors on EGD-violating inputs, for `chase` and
-//!   `prov_chase`;
-//! - **certified schedule vs one-stage schedule**: the same fixpoint.
+//!   `prov_chase`.
 
-use estocada_chase::testkit::{feed_and_pin, phase_split_workload};
-use estocada_chase::{
-    certify, chase, chase_stratified, prov_chase, prov_chase_stratified, ChaseConfig, ChaseStats,
-    Dnf, Elem, HomConfig, Instance, TerminationCertificate,
-};
+use estocada_chase::testkit::phase_split_workload;
+use estocada_chase::{chase, prov_chase, ChaseConfig, ChaseStats, Dnf, Elem, HomConfig, Instance};
 use estocada_pivot::{Atom, Constraint, Egd, Symbol, Term, Tgd};
 use proptest::prelude::*;
 
@@ -270,76 +266,4 @@ fn egd_violation_error_identical_across_configs() {
         run_chase(&facts, &constraints, &tight(false)).unwrap_err(),
         reference
     );
-}
-
-proptest! {
-    // About one drawn set in five certifies `Stratified`; the rest are
-    // rejected, so the case count is sized for ~100 effective cases.
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    /// On random constraint sets certified `Stratified` — the testkit's
-    /// feed/pin pair, over two of the shared relations, planted before or
-    /// after random constraints — the certified schedule and the one-stage
-    /// schedule reach the same fixpoint in both flavours: both fail, or
-    /// both succeed with literally the same null-free facts, provenance
-    /// formulas included (invented nulls are named by firing order, which
-    /// the schedules legitimately permute).
-    /// Seed facts are ground — the certificate's null-flow analysis speaks
-    /// about TGD-invented nulls only, so an EGD it proves inert could
-    /// still merge a seed null — and facts drawn with provenance variable
-    /// `p < certain` are certain, so the provenance chase's EGD gate sees
-    /// both outcomes.
-    #[test]
-    fn certified_schedule_agrees_with_the_one_stage_schedule(
-        facts in arb_facts(),
-        extra in arb_constraints(),
-        a in 0..3usize,
-        offset in 1..3usize,
-        planted_first in 0..2usize,
-        certain in 0..4u8,
-    ) {
-        let feeder = Atom::new(RELS[a], vec![Term::var(0), Term::var(2)]);
-        let fed = Atom::new(RELS[(a + offset) % 3], vec![Term::var(0), Term::var(1)]);
-        let planted = feed_and_pin("", feeder, fed);
-        let cs: Vec<Constraint> = if planted_first == 1 {
-            planted.into_iter().chain(extra).collect()
-        } else {
-            extra.into_iter().chain(planted).collect()
-        };
-        let cert = certify(&cs);
-        prop_assume!(matches!(cert, TerminationCertificate::Stratified { .. }));
-        let (mut plain, mut annotated) = (Instance::new(), Instance::new());
-        for (r, a, b, p) in facts {
-            let (pred, args) = (Symbol::intern(RELS[r]), vec![elem(a % 5), elem(b % 5)]);
-            let prov = if p < certain { Dnf::tru() } else { Dnf::var(p as u32) };
-            plain.insert(pred, args.clone());
-            annotated.insert_with_prov(pred, args, prov);
-        }
-        let cfg = ChaseConfig::default();
-        // The null-free facts a schedule reaches, or `None` when it fails.
-        let fixpoint = |with_prov: bool, cert: Option<&TerminationCertificate>| {
-            let mut inst = if with_prov { annotated.clone() } else { plain.clone() };
-            let ok = match (with_prov, cert) {
-                (false, None) => chase(&mut inst, &cs, &cfg).is_ok(),
-                (false, Some(c)) => chase_stratified(&mut inst, &cs, &cfg, c).is_ok(),
-                (true, None) => prov_chase(&mut inst, &cs, &cfg, CLAUSE_CAP).is_ok(),
-                (true, Some(c)) => prov_chase_stratified(&mut inst, &cs, &cfg, CLAUSE_CAP, c).is_ok(),
-            };
-            let mut facts: Vec<(String, String)> = dump(&inst)
-                .into_iter()
-                .filter(|(_, fact, _, _)| !fact.contains("_N"))
-                .map(|(_, fact, prov, _)| (fact, prov))
-                .collect();
-            facts.sort();
-            ok.then_some(facts)
-        };
-        for with_prov in [false, true] {
-            prop_assert_eq!(
-                fixpoint(with_prov, None),
-                fixpoint(with_prov, Some(&cert)),
-                "with_prov={}",
-                with_prov
-            );
-        }
-    }
 }

@@ -10,13 +10,23 @@
 //! - **Engine defaults apply to every option.** An engine-default
 //!   `batch_size` sizes the executor's pipeline exactly like the per-query
 //!   one, and a per-query value still wins.
+//! - **The plan algebra is what `translate` emits.** Over the workload
+//!   families and the shapes that force each join and residual operator,
+//!   on the three builtin deployments, the translated plans use exactly
+//!   the eight mediator operators — `Plan`'s ninth variant, `Values`, is
+//!   the leaf of hand-built plans only.
+//! - **`EXPLAIN` marks a choice only when one was made.** A query none of
+//!   whose rewritings is executable prints no chosen-alternative arrow.
 
 use estocada::advisor::current_cost;
 use estocada::frontends::{doc_query, parse_sql};
+use estocada::translate::translate;
 use estocada::{
     recommend, Estocada, FragmentSpec, Latencies, QueryOptions, QueryRequest, Report, SystemId,
     WorkloadQuery,
 };
+use estocada_chase::{pacb_rewrite, RewriteProblem};
+use estocada_engine::Plan;
 use estocada_workloads::analytics::{analytics_sql, analytics_workload, AnalyticsConfig};
 use estocada_workloads::marketplace::{
     generate, w1_workload, Marketplace, MarketplaceConfig, W1Query,
@@ -26,6 +36,7 @@ use estocada_workloads::scenarios::{
     cart_pattern, deploy_baseline, deploy_kv_migrated, deploy_materialized_join, personalized_sql,
     pref_sql, user_orders_sql,
 };
+use std::collections::BTreeSet;
 
 fn cfg() -> MarketplaceConfig {
     MarketplaceConfig {
@@ -277,4 +288,131 @@ fn an_engine_default_batch_size_sizes_the_pipeline() {
         1,
         "per-query beats the engine default"
     );
+}
+
+/// The operators of `plan`, by the name `Plan::explain` prints them under.
+/// No wildcard arm: a new `Plan` variant has to say here what it is, and
+/// the test below then asks whether `translate` may emit it.
+fn operators(plan: &Plan, seen: &mut BTreeSet<String>) {
+    let (name, inputs): (&str, Vec<&Plan>) = match plan {
+        Plan::Values(_) => ("Values", vec![]),
+        Plan::Delegated { .. } => ("Delegated", vec![]),
+        Plan::Filter { input, .. } => ("Filter", vec![input]),
+        Plan::Project { input, .. } => ("Project", vec![input]),
+        Plan::HashJoin { left, right, .. } => ("HashJoin", vec![left, right]),
+        Plan::NlJoin { left, right, .. } => ("NestedLoopJoin", vec![left, right]),
+        Plan::BindJoin { left, .. } => ("BindJoin", vec![left]),
+        Plan::Distinct { input } => ("Distinct", vec![input]),
+        Plan::Aggregate { input, .. } => ("Aggregate", vec![input]),
+    };
+    seen.insert(name.to_string());
+    for input in inputs {
+        operators(input, seen);
+    }
+}
+
+/// The operators an `EXPLAIN` plan text names: the first word of each line.
+fn explained_operators(plan: &str) -> BTreeSet<String> {
+    let first_word = |line: &str| line.split_whitespace().next().map(str::to_string);
+    plan.lines().filter_map(first_word).collect()
+}
+
+#[test]
+fn translated_plans_use_exactly_the_eight_emitted_operators() {
+    let m = generate(cfg());
+    // Shapes the families do not force: a cross product of two stores
+    // (NlJoin), a range residual the key-value rewriting's GET cannot
+    // absorb (Filter), a join whose key-value rewriting is fed its keys
+    // (BindJoin), and a rollup over two stores, which joins (HashJoin) and
+    // aggregates (Aggregate) in the mediator.
+    let shapes = [
+        "SELECT u.name, l.pid FROM Users u, WebLog l WHERE u.uid = 3 AND l.category = 'laptop'",
+        "SELECT p.theme FROM Prefs p WHERE p.uid = 3 AND p.newsletter >= 0",
+        "SELECT u.name, p.theme FROM Users u, Prefs p WHERE u.uid = p.uid AND u.tier = 'gold'",
+        "SELECT u.tier, COUNT(l.lid) AS views FROM Users u, WebLog l \
+         WHERE u.uid = l.uid GROUP BY u.tier",
+    ];
+    let mut seen = BTreeSet::new();
+    for (name, deploy) in DEPLOYMENTS {
+        let est = deploy(&m, Latencies::zero());
+        let mut cfg = est.rewrite_config();
+        cfg.chase = cfg.chase.with_certificate(&est.termination_certificate());
+        let mut queries = families(&m);
+        queries.extend(shapes.iter().map(|sql| Q::Sql(sql.to_string())));
+        for q in queries {
+            // The final plan of the engine's choice, aggregation included…
+            let report = q.request(&est).explain().expect("explain");
+            assert_ne!(report.plan, "(not executable)", "{name} {q:?}");
+            seen.extend(explained_operators(&report.plan));
+            // …and the core plan of every rewriting, chosen or not.
+            let wq = workload_query(&est, &q);
+            let problem = RewriteProblem {
+                query: wq.cq.clone(),
+                views: est.catalog().view_defs(),
+                source_constraints: est.schema().constraints.clone(),
+                target_constraints: Vec::new(),
+                access: est.catalog().access_map(),
+            };
+            for rewriting in pacb_rewrite(&problem, &cfg).expect("rewrite").rewritings {
+                let Ok(core) = translate(
+                    &rewriting,
+                    &wq.head_names,
+                    &wq.residuals,
+                    est.catalog(),
+                    &est.stores,
+                    est.cost_model(),
+                    None,
+                ) else {
+                    continue;
+                };
+                let mut ops = BTreeSet::new();
+                operators(&core.plan, &mut ops);
+                assert_eq!(
+                    ops,
+                    explained_operators(&core.plan.explain()),
+                    "{rewriting}"
+                );
+                seen.extend(ops);
+            }
+        }
+    }
+    let emitted = [
+        "Aggregate",
+        "BindJoin",
+        "Delegated",
+        "Distinct",
+        "Filter",
+        "HashJoin",
+        "NestedLoopJoin",
+        "Project",
+    ];
+    assert_eq!(seen.into_iter().collect::<Vec<_>>(), emitted);
+}
+
+#[test]
+fn explain_marks_no_choice_when_nothing_is_executable() {
+    let m = generate(cfg());
+    let est = deploy_kv_migrated(&m, Latencies::zero());
+    // The rewriter minimizes atom `a` away, and with it the variable the
+    // range condition compares: no rewriting is translatable.
+    let report = est
+        .query("SELECT b.theme FROM Prefs a, Prefs b WHERE a.newsletter >= 0")
+        .explain()
+        .expect("explain tolerates a query it cannot run");
+    assert!(!report.alternatives.is_empty());
+    assert!(report.alternatives.iter().all(|a| a.est_cost.is_none()));
+    assert_eq!(report.plan, "(not executable)");
+    let text = report.to_string();
+    assert!(text.contains("[skipped"), "{text}");
+    assert!(
+        !text.contains('→'),
+        "an arrow on a skipped alternative:\n{text}"
+    );
+
+    // An executable query still marks exactly its chosen alternative.
+    let report = est.query(&pref_sql(3)).explain().expect("explain");
+    let text = report.to_string();
+    let marked: Vec<&str> = text.lines().filter(|l| l.starts_with(" →")).collect();
+    assert_eq!(marked.len(), 1, "{text}");
+    assert!(marked[0].contains("[cost"), "{text}");
 }

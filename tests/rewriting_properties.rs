@@ -11,10 +11,9 @@ use estocada::materialize::{evaluate_view, fact_base};
 use estocada::{Estocada, Latencies};
 use estocada_chase::testkit::{chase_every_premise, dump_state, feed_and_pin};
 use estocada_chase::{
-    canonical_instance, certify, chase, chase_stratified, contained_in, find_homs, find_homs_delta,
-    find_one_hom, naive_rewrite, pacb_rewrite, ChaseConfig, ChaseError, ChaseStats, Elem,
-    HomConfig, Instance, NaiveConfig, RewriteConfig, RewriteProblem, Rewriter,
-    TerminationCertificate,
+    canonical_instance, certify, chase, contained_in, find_homs, find_homs_delta, find_one_hom,
+    naive_rewrite, pacb_rewrite, ChaseConfig, ChaseError, ChaseStats, Elem, HomConfig, Instance,
+    NaiveConfig, RewriteConfig, RewriteProblem, Rewriter, TerminationCertificate,
 };
 use estocada_pivot::{Atom, Constraint, Cq, Egd, Fact, Symbol, Term, Tgd, Value, Var, ViewDef};
 use estocada_workloads::analytics::{analytics_sql, analytics_workload, AnalyticsConfig};
@@ -249,27 +248,19 @@ fn chased(
     ((verdict, dump_state(&inst)), stats)
 }
 
-/// Live-premise search (plain and under `cert`'s schedule) against the
-/// every-premise reference.
+/// Live-premise search against the every-premise reference.
 fn assert_live_matches_every_premise(
     seed: &Instance,
     constraints: &[Constraint],
     budget: &ChaseConfig,
 ) -> Result<(), TestCaseError> {
-    let cert = certify(constraints);
-    let (plain_ref, plain_stats) =
-        chased(seed, |i| chase_every_premise(i, constraints, budget, None));
-    let (strat_ref, _) = chased(seed, |i| {
-        chase_every_premise(i, constraints, budget, Some(&cert))
-    });
-    if let Some(s) = plain_stats {
+    let (every_ref, every_stats) = chased(seed, |i| chase_every_premise(i, constraints, budget));
+    if let Some(s) = every_stats {
         prop_assert_eq!(s.premise_searches, s.rounds * constraints.len());
     }
-    let (plain, live_stats) = chased(seed, |i| chase(i, constraints, budget));
-    prop_assert_eq!(&plain, &plain_ref, "plain chase");
-    let (strat, _) = chased(seed, |i| chase_stratified(i, constraints, budget, &cert));
-    prop_assert_eq!(&strat, &strat_ref, "scheduled chase");
-    if let (Some(live), Some(every)) = (live_stats, plain_stats) {
+    let (live, live_stats) = chased(seed, |i| chase(i, constraints, budget));
+    prop_assert_eq!(&live, &every_ref);
+    if let (Some(live), Some(every)) = (live_stats, every_stats) {
         prop_assert!(live.premise_searches <= every.premise_searches);
     }
     Ok(())
@@ -557,9 +548,11 @@ fn view_symbol_collision_regression() {
     assert_eq!(out.rewritings.len(), 2);
 }
 
-/// The stratified schedule on a set that only `Stratified` certifies, with
-/// an idle stratum in the middle: per-stage live lists must index into the
-/// stage's members, not the whole set.
+/// A set that only `Stratified` certifies (feeder TGDs whose nulls an EGD
+/// pins, with an idle pair in the middle) as one more input of the
+/// differential: the one round-robin schedule reaches, with the budgets
+/// the certificate lifts, the fixpoint the guarded run reaches — every
+/// invented null pinned to its row key.
 #[test]
 fn live_premise_search_matches_every_premise_under_strata() {
     let a = |rel: &str| Atom::new(rel, vec![Term::var(0)]);
@@ -568,16 +561,27 @@ fn live_premise_search_matches_every_premise_under_strata() {
     constraints.extend(feed_and_pin("0", a("A0"), b("B0")));
     constraints.extend(feed_and_pin("idle", a("Idle"), b("IdleB")));
     constraints.extend(feed_and_pin("1", a("A1"), b("B1")));
-    assert!(matches!(
-        certify(&constraints),
-        TerminationCertificate::Stratified { .. }
-    ));
+    let cert = certify(&constraints);
+    assert!(matches!(cert, TerminationCertificate::Stratified { .. }));
     let mut seed = Instance::new();
     for k in 0..4 {
         seed.insert(Symbol::intern("A0"), vec![Elem::of(k)]);
         seed.insert(Symbol::intern("A1"), vec![Elem::of(k + 10)]);
     }
-    assert_live_matches_every_premise(&seed, &constraints, &ChaseConfig::default()).unwrap();
+    let guarded = ChaseConfig::default();
+    assert_live_matches_every_premise(&seed, &constraints, &guarded).unwrap();
+    let lifted = guarded.with_certificate(&cert);
+    assert_eq!(lifted.max_rounds, usize::MAX);
+    let (budget_free, _) = chased(&seed, |i| chase(i, &constraints, &lifted));
+    let (under_guard, _) = chased(&seed, |i| chase(i, &constraints, &guarded));
+    assert_eq!(budget_free, under_guard);
+    let (verdict, state) = budget_free;
+    let (_, tgd_fires, egd_merges) = verdict.expect("certified: terminates");
+    assert_eq!((tgd_fires, egd_merges), (8, 8));
+    for want in ["B0(0, 0)", "B0(3, 3)", "B1(10, 10)", "B1(13, 13)"] {
+        assert!(state.iter().any(|(_, f, _, _)| f == want), "missing {want}");
+    }
+    assert_eq!(state.len(), 16, "8 seed rows + 8 pinned rows: {state:?}");
 }
 
 fn small_market() -> estocada_workloads::marketplace::Marketplace {

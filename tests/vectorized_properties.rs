@@ -4,7 +4,7 @@
 //! engine-level oracle, run directly on the same `Plan`:
 //!
 //! - random `Values`-rooted pipelines (filter/project, joins, aggregate,
-//!   distinct, sort/limit) produce **identical rows in identical order**
+//!   distinct) produce **identical rows in identical order**
 //!   and identical operator/row/probe counters at batch sizes 1, 3, 7 and
 //!   1024 — batch boundaries must be unobservable;
 //! - grouped aggregation additionally matches a brute-force Rust
@@ -129,24 +129,15 @@ proptest! {
         assert_matches_oracle(&plan);
     }
 
-    /// Distinct → sort → limit: order-sensitive operators across batch
+    /// Distinct keeps first occurrences in input order across batch
     /// boundaries.
     #[test]
-    fn sort_limit_distinct_is_batch_size_invariant(
+    fn distinct_is_batch_size_invariant(
         rows in proptest::collection::vec((0i64..5, 0i64..5), 0..30),
-        n in 0usize..12,
     ) {
         let b = int_batch(&["a", "b"], rows.into_iter().map(|(a, x)| vec![a, x]).collect());
-        // Distinct first so that sorting on both columns is a total order
-        // and the Limit prefix is uniquely determined.
-        let plan = Plan::Limit {
-            input: Box::new(Plan::Sort {
-                input: Box::new(Plan::Distinct {
-                    input: Box::new(Plan::Values(b)),
-                }),
-                keys: vec![(0, true), (1, false)],
-            }),
-            n,
+        let plan = Plan::Distinct {
+            input: Box::new(Plan::Values(b)),
         };
         assert_matches_oracle(&plan);
     }
