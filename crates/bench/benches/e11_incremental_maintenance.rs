@@ -1,23 +1,18 @@
 //! E11 — incremental maintenance (PR 7): the price of keeping every
 //! fragment fresh through the DML path, against the drop-and-rematerialize
-//! alternative.
-//!
-//! Measured on the materialized-join marketplace deployment — the paper's
-//! final configuration, whose `UserHist` join fragment lives in the parallel
-//! store behind a key index, so every order write exercises the indexed
-//! in-place delta of that store. Two questions:
+//! alternative, on the materialized-join marketplace deployment — the
+//! paper's final configuration, whose `UserHist` join fragment lives in the
+//! parallel store behind a key index, so every order write exercises the
+//! indexed in-place delta of that store. Two questions:
 //!
 //! - **small-delta advantage**: applying a K-row order batch through the
 //!   semi-naive delta chase touches only the facts and fragment rows the
 //!   batch derives, while the drop-and-rematerialize alternative replays
 //!   the whole deployment (register + chase-materialize every fragment).
-//!   The single-shot gate asserts the incremental path beats a full
-//!   rematerialization on small deltas (K = 1 and K = 8).
-//! - **steady-state write cost**: criterion arms time an insert+delete
-//!   cycle per batch size, plus the full-remat baseline.
-//!
-//! The summary also prints where a write's time goes
-//! ([`estocada::DmlSteps`], mean per batch of the gate's writes).
+//!   The gate asserts the incremental path beats a full rematerialization
+//!   at every measured batch size (K = 1, 8 and 32).
+//! - **where a write's time goes**: the mean [`estocada::DmlSteps`] per
+//!   batch of the measured writes.
 //!
 //! **Identity is asserted inside every measurement**: each timed
 //! incremental application is followed (clock stopped) by a full
@@ -25,8 +20,8 @@
 //! deployed from the mutated datasets — a maintenance bug that skews any
 //! store fails the bench instead of its numbers.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use estocada::{DmlReport, DmlSteps, Estocada, Latencies};
+use estocada_bench::measure;
 use estocada_pivot::Value;
 use estocada_workloads::marketplace::{generate, Marketplace, MarketplaceConfig};
 use estocada_workloads::readwrite::stale_fragments;
@@ -42,10 +37,6 @@ fn cfg() -> MarketplaceConfig {
         skew: 0.8,
         seed: 31,
     }
-}
-
-fn market() -> Marketplace {
-    generate(cfg())
 }
 
 /// Fresh engine deployed from the incremental engine's current (mutated)
@@ -84,10 +75,6 @@ fn order_batch(base: i64, k: usize) -> Vec<Vec<Value>> {
         .collect()
 }
 
-fn best_of<F: FnMut() -> Duration>(n: usize, mut f: F) -> Duration {
-    (0..n).map(|_| f()).min().unwrap()
-}
-
 /// Print the mean step times ([`DmlSteps`]) of `batches`, K-row writes of
 /// one kind.
 fn print_steps(kind: &str, k: usize, batches: &[DmlReport]) {
@@ -106,19 +93,18 @@ fn print_steps(kind: &str, k: usize, batches: &[DmlReport]) {
     );
 }
 
-fn bench(c: &mut Criterion) {
-    let m = market();
+fn main() {
+    let m = generate(cfg());
     println!(
-        "== E11 summary (materialized-join deployment, {} seed orders) ==",
+        "== E11 (materialized-join deployment, {} seed orders) ==",
         cfg().orders
     );
-
-    // --- small-delta gate: incremental must beat full remat ---------
     let mut est = deploy_materialized_join(&m, Latencies::zero());
     let mut next_oid = 500_000i64;
-    for k in [1usize, 8] {
+    for k in [1usize, 8, 32] {
         let (mut inserts, mut deletes) = (Vec::new(), Vec::new());
-        let t_inc = best_of(5, || {
+        let id = format!("e11_incremental_maintenance/incremental_insert/{k}");
+        let t_inc = measure(&id, 5, || {
             let batch = order_batch(next_oid, k);
             next_oid += k as i64;
             let t0 = Instant::now();
@@ -133,13 +119,15 @@ fn bench(c: &mut Criterion) {
             let rep = est
                 .delete_rows("sales", "Orders", batch)
                 .expect("restore delete");
+            assert_eq!(rep.deleted, k);
             deletes.push(rep);
             assert_identical(&est, "after incremental delete");
             dt
         });
         print_steps("insert", k, &inserts);
         print_steps("delete", k, &deletes);
-        let t_remat = best_of(3, || {
+        let id = format!("e11_incremental_maintenance/full_rematerialize/{k}");
+        let t_remat = measure(&id, 3, || {
             let batch = order_batch(next_oid, k);
             next_oid += k as i64;
             est.insert_rows("sales", "Orders", batch.clone())
@@ -168,42 +156,4 @@ fn bench(c: &mut Criterion) {
              rematerialization ({t_remat:?})"
         );
     }
-    println!("(store-level identity vs the remat twin asserted in every measurement above)");
-
-    // --- criterion arms ---------------------------------------------
-    let mut group = c.benchmark_group("e11_incremental_maintenance");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(3));
-    for k in [1usize, 8, 32] {
-        group.bench_with_input(BenchmarkId::new("insert_delete_cycle", k), &k, |b, &k| {
-            b.iter(|| {
-                let batch = order_batch(next_oid, k);
-                next_oid += k as i64;
-                let rep = est
-                    .insert_rows("sales", "Orders", batch.clone())
-                    .expect("insert");
-                assert_eq!(rep.inserted, k, "short insert");
-                assert!(stale_fragments(&est).is_empty(), "stale after insert");
-                let rep = est.delete_rows("sales", "Orders", batch).expect("delete");
-                assert_eq!(rep.deleted, k, "short delete");
-            });
-            // Identity after every measured arm pass.
-            assert_identical(&est, "after insert/delete cycles");
-        });
-    }
-    group.bench_with_input(BenchmarkId::new("full_rematerialize", 0), &(), |b, _| {
-        b.iter(|| {
-            let twin = remat_twin(&est);
-            assert!(
-                !twin.catalog().fragments().is_empty(),
-                "remat built no fragments"
-            );
-            twin
-        });
-        assert_identical(&est, "after remat baseline");
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -4,29 +4,23 @@
 //!
 //! Sweeps the number of views for chain- and star-shaped queries and times
 //! `pacb_rewrite` against `naive_rewrite` (exhaustive subset backchase).
+//! Every run of either algorithm asserts it found the rewritings the first
+//! PACB run found.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use estocada_bench::measure;
 use estocada_chase::{naive_rewrite, pacb_rewrite, NaiveConfig, RewriteConfig, RewriteProblem};
-use estocada_pivot::{Cq, CqBuilder, ViewDef};
-use std::time::{Duration, Instant};
+use estocada_pivot::{CqBuilder, ViewDef};
+use std::time::Instant;
 
 /// Chain problem: Q(x0,xk) :- R1(x0,x1), ..., Rk(x(k-1),xk) with one view
 /// per edge plus one redundant projection view per edge.
 fn chain_problem(k: usize) -> RewriteProblem {
-    let mut qb = CqBuilder::new("Q").head_vars(["x0"]);
-    // add xk to head
-    let mut q = {
-        for i in 0..k {
-            let a = format!("x{i}");
-            let b = format!("x{}", i + 1);
-            qb = qb.atom(format!("R{i}").as_str(), move |ab| ab.v(&a).v(&b));
-        }
-        qb.build()
-    };
-    // Head: (x0, xk)
-    let last = q.body[k - 1].args[1].clone();
-    q.head.push(last);
-
+    let mut qb = CqBuilder::new("Q").head_vars(["x0", &format!("x{k}")]);
+    for i in 0..k {
+        let (a, b) = (format!("x{i}"), format!("x{}", i + 1));
+        qb = qb.atom(format!("R{i}").as_str(), move |ab| ab.v(&a).v(&b));
+    }
+    let q = qb.build();
     let mut views = Vec::new();
     for i in 0..k {
         views.push(ViewDef::new(
@@ -73,70 +67,50 @@ fn star_problem(k: usize) -> RewriteProblem {
     RewriteProblem::new(q, views)
 }
 
-fn time_once<F: FnOnce()>(f: F) -> Duration {
-    let t = Instant::now();
-    f();
-    t.elapsed()
-}
-
-fn bench(c: &mut Criterion) {
-    println!("== E3 summary (single-shot timings) ==");
+fn main() {
+    let mut table = Vec::new();
+    for k in [2usize, 4, 6, 8] {
+        for (name, problem) in [("chain", chain_problem(k)), ("star", star_problem(k))] {
+            let expected = pacb_rewrite(&problem, &RewriteConfig::default())
+                .unwrap()
+                .rewritings
+                .len();
+            assert!(expected > 0, "{name} k={k}: no rewriting");
+            // The naive backchase needs seconds per run at k = 8.
+            let samples = if k < 8 { 10 } else { 3 };
+            let tp = measure(
+                &format!("e3_pacb_vs_naive/pacb_{name}/{k}"),
+                samples,
+                || {
+                    let t = Instant::now();
+                    let out = pacb_rewrite(&problem, &RewriteConfig::default()).unwrap();
+                    let dt = t.elapsed();
+                    assert_eq!(out.rewritings.len(), expected, "PACB on {name} k={k}");
+                    dt
+                },
+            );
+            let tn = measure(
+                &format!("e3_pacb_vs_naive/naive_{name}/{k}"),
+                samples,
+                || {
+                    let t = Instant::now();
+                    let out = naive_rewrite(&problem, &NaiveConfig::default()).unwrap();
+                    let dt = t.elapsed();
+                    assert_eq!(out.rewritings.len(), expected, "naive on {name} k={k}");
+                    dt
+                },
+            );
+            table.push((format!("{name} k={k}"), tp, tn));
+        }
+    }
+    println!("== E3: PACB vs classical Chase & Backchase ==");
     println!(
         "{:<18} {:>12} {:>12} {:>9}",
         "problem", "PACB", "naive C&B", "speedup"
     );
-    for k in [2usize, 4, 6, 8] {
-        for (name, problem) in [
-            (format!("chain k={k}"), chain_problem(k)),
-            (format!("star k={k}"), star_problem(k)),
-        ] {
-            let pacb_out = pacb_rewrite(&problem, &RewriteConfig::default()).unwrap();
-            let naive_out = naive_rewrite(&problem, &NaiveConfig::default()).unwrap();
-            assert_eq!(
-                pacb_out.rewritings.len(),
-                naive_out.rewritings.len(),
-                "algorithms disagree on {name}"
-            );
-            let tp = time_once(|| {
-                pacb_rewrite(&problem, &RewriteConfig::default()).unwrap();
-            });
-            let tn = time_once(|| {
-                naive_rewrite(&problem, &NaiveConfig::default()).unwrap();
-            });
-            println!(
-                "{:<18} {:>12?} {:>12?} {:>8.1}x",
-                name,
-                tp,
-                tn,
-                tn.as_secs_f64() / tp.as_secs_f64()
-            );
-        }
+    for (name, tp, tn) in table {
+        let speedup = tn.as_secs_f64() / tp.as_secs_f64();
+        println!("{name:<18} {tp:>12?} {tn:>12?} {speedup:>8.1}x");
     }
     println!("(paper: PACB 1-2 orders of magnitude faster than classical C&B)");
-
-    let mut group = c.benchmark_group("e3_pacb_vs_naive");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(3));
-    for k in [4usize, 6] {
-        // k=8 only appears in the single-shot summary above: the naive
-        // backchase needs ~2s per run there, too slow to sample.
-        let problem = chain_problem(k);
-        group.bench_with_input(BenchmarkId::new("pacb_chain", k), &problem, |b, p| {
-            b.iter(|| pacb_rewrite(p, &RewriteConfig::default()).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("naive_chain", k), &problem, |b, p| {
-            b.iter(|| naive_rewrite(p, &NaiveConfig::default()).unwrap())
-        });
-    }
-    group.finish();
-
-    // Keep the chain/star helpers honest: rewritings must exist.
-    let sanity: Cq = pacb_rewrite(&chain_problem(3), &RewriteConfig::default())
-        .unwrap()
-        .rewritings
-        .remove(0);
-    assert_eq!(sanity.body.len(), 3);
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

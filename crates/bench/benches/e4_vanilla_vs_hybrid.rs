@@ -2,22 +2,16 @@
 //! (one-store) execution and the one enabled by multiple stores", on the
 //! Big Data Benchmark queries Q1 (scan/filter), Q2 (aggregation) and Q3
 //! (join), with per-query statistics split across the DMSs and the
-//! ESTOCADA runtime.
+//! ESTOCADA runtime. Every run asserts the row count the vanilla
+//! configuration returned.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use estocada::{Estocada, FragmentSpec, Latencies, QueryResult};
+use estocada_bench::measure;
 use estocada_engine::{execute, AggFun, AggSpec, Expr, Plan, RowBatch};
+use estocada_pivot::cq::ArgsBuilder;
 use estocada_pivot::CqBuilder;
 use estocada_workloads::bigdata::{generate, q1_sql, q2_fetch_sql, q3_sql, BigDataConfig};
 use std::time::Duration;
-
-fn config() -> BigDataConfig {
-    BigDataConfig {
-        pages: 1_500,
-        visits: 15_000,
-        seed: 7,
-    }
-}
 
 /// Vanilla: everything in the relational store.
 fn vanilla(cfg: BigDataConfig) -> Estocada {
@@ -31,46 +25,36 @@ fn vanilla(cfg: BigDataConfig) -> Estocada {
     est
 }
 
+/// `UserVisits` with its URL column named `url`.
+fn visits<'a>(a: ArgsBuilder<'a>, url: &str) -> ArgsBuilder<'a> {
+    let columns = format!("vid sourceIP {url} visitDate adRevenue cc dur");
+    columns.split(' ').fold(a, |a, column| a.v(column))
+}
+
 /// Hybrid: relational tables PLUS parallel-store fragments (UserVisits for
 /// bulk scans, the Rankings⋈UserVisits join materialized) — ESTOCADA picks
 /// per query.
 fn hybrid(cfg: BigDataConfig) -> Estocada {
     let mut est = vanilla(cfg);
-    est.add_fragment(FragmentSpec::ParRows {
-        view: CqBuilder::new("VisitsPar")
+    let views = [
+        CqBuilder::new("VisitsPar")
             .head_vars(["vid", "sourceIP", "destURL", "visitDate", "adRevenue"])
-            .atom("UserVisits", |a| {
-                a.v("vid")
-                    .v("sourceIP")
-                    .v("destURL")
-                    .v("visitDate")
-                    .v("adRevenue")
-                    .v("cc")
-                    .v("dur")
-            })
+            .atom("UserVisits", |a| visits(a, "destURL"))
             .build(),
-        index_on: vec![],
-        partitions: 0,
-    })
-    .unwrap();
-    est.add_fragment(FragmentSpec::ParRows {
-        view: CqBuilder::new("RankVisits")
+        CqBuilder::new("RankVisits")
             .head_vars(["vid", "sourceIP", "adRevenue", "visitDate", "pageRank"])
             .atom("Rankings", |a| a.v("url").v("pageRank").v("avg"))
-            .atom("UserVisits", |a| {
-                a.v("vid")
-                    .v("sourceIP")
-                    .v("url")
-                    .v("visitDate")
-                    .v("adRevenue")
-                    .v("cc")
-                    .v("dur")
-            })
+            .atom("UserVisits", |a| visits(a, "url"))
             .build(),
-        index_on: vec![],
-        partitions: 0,
-    })
-    .unwrap();
+    ];
+    for view in views {
+        est.add_fragment(FragmentSpec::ParRows {
+            view,
+            index_on: vec![],
+            partitions: 0,
+        })
+        .unwrap();
+    }
     est
 }
 
@@ -105,13 +89,9 @@ fn q2_aggregate(r: &QueryResult) -> (usize, Duration) {
     (out.len(), stats.total_time)
 }
 
-struct QueryRun {
-    exec: Duration,
-    rows: usize,
-    systems: String,
-}
-
-fn run_q(est: &mut Estocada, sql: &str, aggregate: bool) -> QueryRun {
+/// One execution: accounted time (plus Q2's mediator-side aggregation),
+/// result rows, and the systems that served it.
+fn run_q(est: &Estocada, sql: &str, aggregate: bool) -> (Duration, usize, String) {
     let r = est.query_sql(sql).expect("query failed");
     let mut exec = r.report.exec.total_time;
     let mut rows = r.rows.len();
@@ -127,16 +107,16 @@ fn run_q(est: &mut Estocada, sql: &str, aggregate: bool) -> QueryRun {
         .filter(|(_, m)| m.requests > 0)
         .map(|(s, m)| format!("{s}({} req, {} out)", m.requests, m.tuples_out))
         .collect();
-    QueryRun {
-        exec,
-        rows,
-        systems: systems.join(" + "),
-    }
+    (exec, rows, systems.join(" + "))
 }
 
-fn bench(c: &mut Criterion) {
-    let cfg = config();
-    let queries: Vec<(&str, String, bool)> = vec![
+fn main() {
+    let cfg = BigDataConfig {
+        pages: 1_500,
+        visits: 15_000,
+        seed: 7,
+    };
+    let queries = [
         ("Q1 scan (pageRank > 2000)", q1_sql(2_000), false),
         ("Q2 aggregation", q2_fetch_sql(), true),
         (
@@ -145,62 +125,27 @@ fn bench(c: &mut Criterion) {
             false,
         ),
     ];
-
-    println!("== E4 summary: vanilla (one store) vs ESTOCADA hybrid ==");
-    let mut v = vanilla(cfg);
-    let mut h = hybrid(cfg);
-    for (name, sql, agg) in &queries {
-        // Warm both.
-        run_q(&mut v, sql, *agg);
-        run_q(&mut h, sql, *agg);
-        let rv = run_q(&mut v, sql, *agg);
-        let rh = run_q(&mut h, sql, *agg);
-        println!("{name}:");
-        println!(
-            "  vanilla: {:?} ({} rows) via {}",
-            rv.exec, rv.rows, rv.systems
-        );
-        println!(
-            "  hybrid:  {:?} ({} rows) via {}",
-            rh.exec, rh.rows, rh.systems
-        );
-        println!(
-            "  hybrid/vanilla: {:.2}x",
-            rv.exec.as_secs_f64() / rh.exec.as_secs_f64().max(1e-12)
-        );
-        assert_eq!(rv.rows, rh.rows, "{name}: configurations disagree");
-    }
-
-    let mut group = c.benchmark_group("e4_vanilla_vs_hybrid");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(4));
+    let (v, h) = (vanilla(cfg), hybrid(cfg));
+    println!("== E4: vanilla (one store) vs ESTOCADA hybrid ==");
     for (name, sql, agg) in &queries {
         let label = name.split_whitespace().next().unwrap().to_lowercase();
-        group.bench_function(format!("{label}_vanilla"), |b| {
-            let mut est = vanilla(cfg);
-            run_q(&mut est, sql, *agg);
-            b.iter_custom(|iters| {
-                let mut total = Duration::ZERO;
-                for _ in 0..iters {
-                    total += run_q(&mut est, sql, *agg).exec;
-                }
-                total
+        let (_, rows, via_vanilla) = run_q(&v, sql, *agg);
+        let (_, _, via_hybrid) = run_q(&h, sql, *agg);
+        let time = |est: &Estocada, config: &str| {
+            let id = format!("e4_vanilla_vs_hybrid/{label}_{config}");
+            measure(&id, 10, || {
+                let (exec, got, _) = run_q(est, sql, *agg);
+                assert_eq!(got, rows, "{name}: {config} disagrees with vanilla");
+                exec
             })
-        });
-        group.bench_function(format!("{label}_hybrid"), |b| {
-            let mut est = hybrid(cfg);
-            run_q(&mut est, sql, *agg);
-            b.iter_custom(|iters| {
-                let mut total = Duration::ZERO;
-                for _ in 0..iters {
-                    total += run_q(&mut est, sql, *agg).exec;
-                }
-                total
-            })
-        });
+        };
+        let (tv, th) = (time(&v, "vanilla"), time(&h, "hybrid"));
+        println!("{name} ({rows} rows):");
+        println!("  vanilla: {tv:?} via {via_vanilla}");
+        println!("  hybrid:  {th:?} via {via_hybrid}");
+        println!(
+            "  hybrid/vanilla: {:.2}x",
+            tv.as_secs_f64() / th.as_secs_f64().max(1e-12)
+        );
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -5,26 +5,17 @@
 //! The workload shifts to heavy preference lookups plus personalized
 //! searches over the *baseline* deployment; the advisor recommends a
 //! key-value point-access fragment and a materialized indexed join
-//! fragment, both are applied, and the workload is re-measured.
+//! fragment, both are applied, and the workload is re-measured. Every pass
+//! compares each query's sorted rows with the answer before the advice.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use estocada::advisor::{apply, recommend, WorkloadQuery};
+use estocada::advisor::{apply, recommend, Action, WorkloadQuery};
 use estocada::frontends::parse_sql;
 use estocada::{Estocada, Latencies};
+use estocada_bench::measure;
+use estocada_pivot::Value;
 use estocada_workloads::marketplace::{generate, MarketplaceConfig, CATEGORIES};
 use estocada_workloads::scenarios::{deploy_baseline, personalized_sql, pref_sql};
 use std::time::Duration;
-
-fn config() -> MarketplaceConfig {
-    MarketplaceConfig {
-        users: 300,
-        products: 120,
-        orders: 2_000,
-        log_entries: 5_000,
-        skew: 0.9,
-        seed: 42,
-    }
-}
 
 /// The shifted workload W2: SQL texts with frequencies.
 fn w2_sql() -> Vec<(String, f64)> {
@@ -51,80 +42,59 @@ fn parse_workload(est: &Estocada) -> Vec<WorkloadQuery> {
         .collect()
 }
 
-fn run_w2(est: &mut Estocada) -> Duration {
+fn sorted_rows(est: &Estocada, sql: &str) -> (Vec<Vec<Value>>, Duration) {
+    let r = est.query_sql(sql).expect("workload query failed");
+    let mut rows = r.rows;
+    rows.sort();
+    (rows, r.report.exec.total_time)
+}
+
+fn run_w2(est: &Estocada, reference: &[Vec<Vec<Value>>]) -> Duration {
     let mut total = Duration::ZERO;
-    for (sql, weight) in w2_sql() {
-        let r = est.query_sql(&sql).expect("workload query failed");
+    for ((sql, weight), want) in w2_sql().iter().zip(reference) {
+        let (rows, exec) = sorted_rows(est, sql);
+        assert_eq!(&rows, want, "advice changed the answer of {sql}");
         // Weight approximates frequency: scale the per-execution time.
-        total += r.report.exec.total_time.mul_f64(weight / 10.0);
+        total += exec.mul_f64(weight / 10.0);
     }
     total
 }
 
-fn bench(c: &mut Criterion) {
-    let cfg = config();
-    let m = generate(cfg);
+fn main() {
+    let m = generate(MarketplaceConfig {
+        users: 300,
+        products: 120,
+        orders: 2_000,
+        log_entries: 5_000,
+        skew: 0.9,
+        seed: 42,
+    });
+    let mut est = deploy_baseline(&m, Latencies::datacenter());
+    let reference: Vec<_> = w2_sql()
+        .iter()
+        .map(|(sql, _)| sorted_rows(&est, sql).0)
+        .collect();
 
-    {
-        let mut est = deploy_baseline(&m, Latencies::datacenter());
-        let workload = parse_workload(&est);
-        run_w2(&mut est);
-        let before = run_w2(&mut est);
-        let recs = recommend(&est, &workload).expect("advisor");
-        println!("== E5 summary ==");
-        println!("advisor produced {} recommendations:", recs.len());
-        for r in &recs {
-            println!("  [benefit {:10.1}] {}", r.benefit, r.reason);
-        }
-        let adds = recs
-            .iter()
-            .filter(|r| matches!(r.action, estocada::advisor::Action::Add(_)))
-            .count();
-        assert!(adds >= 1, "advisor must recommend at least one fragment");
-        apply(&mut est, recs, false).expect("apply recommendations");
-        run_w2(&mut est);
-        let after = run_w2(&mut est);
-        println!("workload W2 before: {before:?}");
-        println!("workload W2 after:  {after:?}");
-        println!(
-            "improvement: {:.1}%  (paper: demo shows plan-selection impact)",
-            100.0 * (1.0 - after.as_secs_f64() / before.as_secs_f64())
-        );
+    let before = measure("e5_advisor/w2_before_advice", 10, || {
+        run_w2(&est, &reference)
+    });
+    let recs = recommend(&est, &parse_workload(&est)).expect("advisor");
+    println!("== E5: advisor produced {} recommendations ==", recs.len());
+    for r in &recs {
+        println!("  [benefit {:10.1}] {}", r.benefit, r.reason);
     }
-
-    let mut group = c.benchmark_group("e5_advisor");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(4));
-
-    group.bench_function("w2_before_advice", |b| {
-        let mut est = deploy_baseline(&m, Latencies::datacenter());
-        run_w2(&mut est);
-        b.iter_custom(|iters| {
-            let mut total = Duration::ZERO;
-            for _ in 0..iters {
-                total += run_w2(&mut est);
-            }
-            total
-        })
+    assert!(
+        recs.iter().any(|r| matches!(r.action, Action::Add(_))),
+        "advisor must recommend at least one fragment"
+    );
+    apply(&mut est, recs, false).expect("apply recommendations");
+    let after = measure("e5_advisor/w2_after_advice", 10, || {
+        run_w2(&est, &reference)
     });
-
-    group.bench_function("w2_after_advice", |b| {
-        let mut est = deploy_baseline(&m, Latencies::datacenter());
-        let workload = parse_workload(&est);
-        let recs = recommend(&est, &workload).unwrap();
-        apply(&mut est, recs, false).unwrap();
-        run_w2(&mut est);
-        b.iter_custom(|iters| {
-            let mut total = Duration::ZERO;
-            for _ in 0..iters {
-                total += run_w2(&mut est);
-            }
-            total
-        })
-    });
-
-    group.finish();
+    println!("workload W2 before: {before:?}");
+    println!("workload W2 after:  {after:?}");
+    println!(
+        "improvement: {:.1}%  (paper: demo shows plan-selection impact)",
+        100.0 * (1.0 - after.as_secs_f64() / before.as_secs_f64())
+    );
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

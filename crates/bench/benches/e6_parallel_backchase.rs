@@ -2,83 +2,64 @@
 //! fans out over the scoped worker pool (`RewriteConfig::parallelism`), so
 //! multi-candidate problems should speed up with workers while producing
 //! the *identical* `RewriteOutcome` (the deterministic fan-in contract —
-//! asserted on every measurement below, not just tested elsewhere).
+//! asserted inside every measurement below, not just tested elsewhere).
 //!
 //! The workload is the E3 chain/star family widened to two interchangeable
 //! views per edge: a chain of length k has 2^k minimal rewritings, i.e.
 //! 2^k independent verification chases to fan out.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use estocada_bench::measure;
 use estocada_chase::testkit::{wide_chain_problem, wide_star_problem};
-use estocada_chase::{pacb_rewrite, RewriteConfig, RewriteOutcome, RewriteProblem};
-use std::time::{Duration, Instant};
+use estocada_chase::{pacb_rewrite, RewriteConfig};
+use std::time::Instant;
 
-fn run(problem: &RewriteProblem, workers: usize) -> (RewriteOutcome, Duration) {
-    let cfg = RewriteConfig::default().with_parallelism(workers);
-    let t = Instant::now();
-    let out = pacb_rewrite(problem, &cfg).unwrap();
-    (out, t.elapsed())
-}
+const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    println!("== E6 summary (single-shot timings, host cores: {host_cores}) ==");
+    let mut table = Vec::new();
+    for (name, problem) in [
+        ("chain6", wide_chain_problem(6)),
+        ("chain8", wide_chain_problem(8)),
+        ("star6", wide_star_problem(6)),
+        ("star8", wide_star_problem(8)),
+    ] {
+        let reference = pacb_rewrite(&problem, &RewriteConfig::default()).unwrap();
+        let times = WORKERS.map(|workers| {
+            let cfg = RewriteConfig::default().with_parallelism(workers);
+            measure(
+                &format!("e6_parallel_backchase/{name}/{workers}"),
+                5,
+                || {
+                    let t = Instant::now();
+                    let out = pacb_rewrite(&problem, &cfg).unwrap();
+                    let dt = t.elapsed();
+                    assert_eq!(
+                        out, reference,
+                        "fan-in contract violated at {workers} workers on {name}"
+                    );
+                    dt
+                },
+            )
+        });
+        table.push((name, times, reference.rewritings.len()));
+    }
+    println!("== E6: parallel backchase (host cores: {host_cores}) ==");
     println!(
-        "{:<16} {:>11} {:>11} {:>11} {:>11} {:>9}",
+        "{:<10} {:>11} {:>11} {:>11} {:>11} {:>9}",
         "problem", "1 worker", "2 workers", "4 workers", "8 workers", "4w spdup"
     );
-    for (name, problem) in [
-        ("chain k=6".to_string(), wide_chain_problem(6)),
-        ("chain k=8".to_string(), wide_chain_problem(8)),
-        ("star k=6".to_string(), wide_star_problem(6)),
-        ("star k=8".to_string(), wide_star_problem(8)),
-    ] {
-        let (reference, _) = run(&problem, 1);
-        let mut times = Vec::new();
-        for workers in [1usize, 2, 4, 8] {
-            // Best of 3: scheduling noise matters more than warm-up here.
-            let mut best = Duration::MAX;
-            for _ in 0..3 {
-                let (out, t) = run(&problem, workers);
-                assert_eq!(
-                    out, reference,
-                    "fan-in contract violated at {workers} workers on {name}"
-                );
-                best = best.min(t);
-            }
-            times.push(best);
-        }
+    for (name, t, rewritings) in table {
         println!(
-            "{:<16} {:>11?} {:>11?} {:>11?} {:>11?} {:>8.2}x  ({} rewritings)",
-            name,
-            times[0],
-            times[1],
-            times[2],
-            times[3],
-            times[0].as_secs_f64() / times[2].as_secs_f64(),
-            reference.rewritings.len(),
+            "{name:<10} {:>11?} {:>11?} {:>11?} {:>11?} {:>8.2}x  ({rewritings} rewritings)",
+            t[0],
+            t[1],
+            t[2],
+            t[3],
+            t[0].as_secs_f64() / t[2].as_secs_f64(),
         );
     }
     println!("(speedup bounded by host cores; outcome identical at every worker count)");
-
-    let mut group = c.benchmark_group("e6_parallel_backchase");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(3));
-    let problem = wide_chain_problem(8);
-    for workers in [1usize, 2, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("chain8", workers),
-            &workers,
-            |b, &workers| {
-                let cfg = RewriteConfig::default().with_parallelism(workers);
-                b.iter(|| pacb_rewrite(&problem, &cfg).unwrap())
-            },
-        );
-    }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,12 +1,13 @@
 //! M1 — chase-engine microbenchmark (supports E3): chase time vs instance
 //! size and constraint mix, on the document-model constraint set
-//! (transitivity TGDs + functional-dependency EGDs).
+//! (transitivity TGDs + functional-dependency EGDs). Every run asserts the
+//! fixpoint's fact count and TGD firings, which no engine internal may move.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use estocada_bench::measure;
 use estocada_chase::{chase, ChaseConfig, Elem, Instance};
 use estocada_pivot::encoding::document::DocRelations;
 use estocada_pivot::{Constraint, Value};
-use std::time::Duration;
+use std::time::Instant;
 
 /// A forest of `docs` documents, each a chain of `depth` nodes — the chase
 /// must derive the full descendant closure (depth² per doc).
@@ -42,42 +43,32 @@ fn doc_instance(docs: u64, depth: u64) -> (Instance, Vec<Constraint>) {
     (inst, rels.constraints())
 }
 
-fn bench(c: &mut Criterion) {
-    println!("== M1 summary ==");
-    for (docs, depth) in [(20u64, 6u64), (50, 8), (100, 10)] {
+fn main() {
+    println!("== M1: document-closure chase ==");
+    // (documents, depth, facts at the fixpoint, TGD firings).
+    for (docs, depth, fixpoint, fires) in [
+        (20u64, 6u64, 680usize, 420usize),
+        (50, 8, 2_650, 1_800),
+        (100, 10, 7_600, 5_500),
+    ] {
         let (inst, constraints) = doc_instance(docs, depth);
-        let before = inst.len();
-        let mut work = inst.clone();
-        let t = std::time::Instant::now();
-        let stats = chase(&mut work, &constraints, &ChaseConfig::default()).unwrap();
-        println!(
-            "docs={docs} depth={depth}: {} → {} facts, {} TGD fires, {} rounds in {:?}",
-            before,
-            work.len(),
-            stats.tgd_fires,
-            stats.rounds,
-            t.elapsed()
-        );
-    }
-
-    let mut group = c.benchmark_group("m1_chase_micro");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(3));
-    for (docs, depth) in [(20u64, 6u64), (50, 8)] {
-        let (inst, constraints) = doc_instance(docs, depth);
-        group.bench_with_input(
-            BenchmarkId::new("doc_closure", format!("{docs}x{depth}")),
-            &(inst, constraints),
-            |b, (inst, constraints)| {
-                b.iter(|| {
-                    let mut work = inst.clone();
-                    chase(&mut work, constraints, &ChaseConfig::default()).unwrap()
-                })
+        let mut rounds = 0;
+        let t = measure(
+            &format!("m1_chase_micro/doc_closure/{docs}x{depth}"),
+            10,
+            || {
+                let mut work = inst.clone();
+                let t = Instant::now();
+                let stats = chase(&mut work, &constraints, &ChaseConfig::default()).unwrap();
+                let dt = t.elapsed();
+                assert_eq!((work.len(), stats.tgd_fires), (fixpoint, fires));
+                rounds = stats.rounds;
+                dt
             },
         );
+        println!(
+            "docs={docs} depth={depth}: {} → {fixpoint} facts, {fires} TGD fires, {rounds} rounds in {t:?}",
+            inst.len()
+        );
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

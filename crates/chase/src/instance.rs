@@ -311,11 +311,6 @@ impl Instance {
         }
     }
 
-    /// Number of allocated nulls.
-    pub fn null_count(&self) -> usize {
-        self.parent.len()
-    }
-
     /// Root of null `n`, pointer-halving along the way (relaxed stores: any
     /// intermediate pointer still reaches the same root, so concurrent
     /// readers can only help each other).
@@ -499,11 +494,6 @@ impl Instance {
     /// Whether the fact is still alive (not merged away).
     pub fn is_alive(&self, id: u32) -> bool {
         self.facts[id as usize].alive
-    }
-
-    /// Mutable provenance access.
-    pub fn fact_prov_mut(&mut self, id: u32) -> &mut Dnf {
-        &mut self.facts[id as usize].prov
     }
 
     /// Alive fact count (O(1)).
@@ -733,8 +723,8 @@ impl Instance {
 
     /// [`Instance::merge`] followed by a full re-normalization pass instead
     /// of the incremental occurrence rewrite — the O(instance) baseline the
-    /// incremental path replaced. Kept for the `e7_egd_merge` benchmark and
-    /// as the oracle of the differential merge suite; produces a
+    /// incremental path replaced. Kept as the oracle of the differential
+    /// merge suite (`tests/incremental_merge_properties.rs`); produces a
     /// bit-identical instance (same alive facts, dedup keepers, provenance
     /// joins and epochs).
     #[doc(hidden)]

@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 /// Extra knobs of the naive enumeration.
 #[derive(Debug, Clone, Copy)]
 pub struct NaiveConfig {
-    /// Shared rewriting knobs (chase budgets, verification).
+    /// Shared rewriting knobs (chase budgets).
     pub rewrite: RewriteConfig,
     /// Upper bound on candidate subset size (defaults to the universal-plan
     /// size).

@@ -78,9 +78,9 @@
 //! run) — without touching its siblings; a worker panic poisons the batch,
 //! cancels the outstanding candidates and re-raises on the caller — scoped
 //! threads cannot deadlock or leak. Problems with fewer than
-//! `PARALLEL_CANDIDATE_THRESHOLD` candidates (or with verification off)
-//! run the checks inline: spawning threads there costs more than the
-//! checks themselves, and the outcome is the same either way. The code
+//! `PARALLEL_CANDIDATE_THRESHOLD` candidates run the checks inline:
+//! spawning threads there costs more than the checks themselves, and the
+//! outcome is the same either way. The code
 //! makes that choice from the candidate count it has just computed; the
 //! mediator's lookups have 1–2 candidates and never spawn, a wide problem
 //! (`e6_parallel_backchase`: 64–256 candidates) gains from the second
@@ -164,8 +164,6 @@ pub struct RewriteConfig {
     pub clause_cap: usize,
     /// Cap on the number of query images collected in the backchase.
     pub max_images: usize,
-    /// Re-verify every candidate by a chase-based containment check.
-    pub verify: bool,
     /// Worker threads for candidate verification (≤ 1 = serial). Any value
     /// produces the identical [`RewriteOutcome`] — see the module docs'
     /// fan-in contract.
@@ -178,7 +176,6 @@ impl Default for RewriteConfig {
             chase: ChaseConfig::default(),
             clause_cap: 2_048,
             max_images: 10_000,
-            verify: true,
             parallelism: 1,
         }
     }
@@ -406,7 +403,7 @@ impl Rewriter {
         Ok(UniversalPlan { head, atoms, stats })
     }
 
-    /// Shared acceptance filter: safety, feasibility, optional verification.
+    /// Shared acceptance filter: safety, feasibility, verification.
     ///
     /// Pure per-candidate check: reads only its arguments and writes only
     /// `arena` (the calling worker's private scratch) — the reason
@@ -426,9 +423,6 @@ impl Rewriter {
         if !self.access.is_feasible(&candidate.body, &BTreeSet::new()) {
             stats.infeasible += 1;
             return (Verdict::Rejected, stats);
-        }
-        if !cfg.verify {
-            return (Verdict::Accepted, stats);
         }
         // Q ⊆ R holds for every subquery of the universal plan (chase
         // soundness); only R ⊆ Q needs checking.
@@ -613,11 +607,10 @@ impl Rewriter {
             ));
         }
         stats.candidates = candidates.len();
-        // Below the threshold (or with verification off, where a check is two
-        // cheap predicate walks) the per-call thread spawn/join costs more than
+        // Below the threshold the per-call thread spawn/join costs more than
         // it saves — run inline on the coordinator's already-warmed arena. The
         // outcome is identical either way.
-        let workers = if cfg.verify && candidates.len() >= PARALLEL_CANDIDATE_THRESHOLD {
+        let workers = if candidates.len() >= PARALLEL_CANDIDATE_THRESHOLD {
             cfg.parallelism
         } else {
             1

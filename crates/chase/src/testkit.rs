@@ -56,8 +56,8 @@ pub fn wide_chain_problem(k: usize) -> RewriteProblem {
     RewriteProblem::new(q, views)
 }
 
-/// EGD-heavy instance for the incremental-normalization benchmark
-/// (`e7_egd_merge`) and the differential merge suite: `keys` key groups of
+/// EGD-heavy instance for the differential merge suite
+/// (`tests/incremental_merge_properties.rs`): `keys` key groups of
 /// `dups` facts `R(k, N_{k,j})` whose second columns a functional
 /// dependency merges pairwise (`keys × (dups − 1)` EGD merges), plus
 /// `ballast` untouched facts `B(i, i)` that a full index rebuild must walk
@@ -112,10 +112,10 @@ pub fn feed_and_pin(tag: &str, feeder: Atom, fed: Atom) -> [Constraint; 2] {
 
 /// Full observable state of an instance — fact ids, rendered facts,
 /// provenance formulas, change epochs — the bit-identity yardstick the
-/// phase-split unit tests, the differential suite
-/// (`tests/phase_split_properties.rs`) and the `e8_phase_split` bench all
-/// compare. One definition so the three cannot silently drift on what
-/// counts as observable.
+/// phase-split unit tests and the differential suites
+/// (`tests/phase_split_properties.rs`, `rewriting_properties.rs`, the
+/// analyzer suites) compare. One definition so they cannot silently drift
+/// on what counts as observable.
 pub fn dump_state(i: &Instance) -> Vec<(u32, String, String, u64)> {
     i.fact_ids()
         .map(|id| {
@@ -129,8 +129,8 @@ pub fn dump_state(i: &Instance) -> Vec<(u32, String, String, u64)> {
         .collect()
 }
 
-/// Probe-heavy multi-constraint chase workload for the phase-split bench
-/// (`e8_phase_split`) and the differential suite
+/// Probe-heavy multi-constraint chase workload for the phase-split unit
+/// tests and the differential suite
 /// (`tests/phase_split_properties.rs`): `rels` independent edge relations
 /// `E0..`, each with a copy TGD `Ei(x,y) → Pi(x,y)` and a transitivity TGD
 /// `Pi(x,y) ∧ Pi(y,z) → Pi(x,z)`, seeded with a `chain`-node path per

@@ -401,6 +401,22 @@ pub fn sql_unit(
     })
 }
 
+/// The failure of an `op` on a container its store no longer has. The
+/// relational and parallel stores report a missing table or dataset
+/// themselves; the key-value, document and text stores answer it like an
+/// empty one, so their units ask the store whenever an answer is empty — a
+/// container dropped behind the catalog's back is the store's failure,
+/// which failover can route around, not an empty result.
+fn missing_container(sys: SystemId, op: &str, name: &str) -> StoreError {
+    let kind = match sys {
+        SystemId::KeyValue => "namespace",
+        SystemId::Document => "collection",
+        SystemId::Text => "index",
+        SystemId::Relational | SystemId::Parallel => "container",
+    };
+    StoreError::internal(&sys.to_string(), op, format!("unknown {kind} {name}"))
+}
+
 /// A namespace of the key-value store as one rewriting atom sees it. The
 /// point `get` of a constant key and the pipelined `mget` of a BindJoin
 /// share the gate and the payload decoding.
@@ -408,6 +424,9 @@ struct KvAccess {
     kv: Arc<estocada_kvstore::KvStore>,
     gate: FaultGate,
     namespace: String,
+    /// Whether the fragment holds rows: an emptied namespace is dropped
+    /// (`layout::write`), so only then is a missing one an error.
+    holds_rows: bool,
     /// The key variable, when the key is not a constant.
     key_var: Option<Var>,
     value_terms: Vec<Term>,
@@ -427,6 +446,15 @@ impl KvAccess {
             .filter_map(|cells| bind_row(&self.value_terms, &cells, &pre, &self.out_vars))
             .collect()
     }
+
+    /// After an `op` that hit nothing: see [`missing_container`].
+    fn namespace_exists(&self, op: &str) -> StoreResult<()> {
+        let ns = &self.namespace;
+        if self.holds_rows && !self.kv.namespace_names().contains(ns) {
+            return Err(missing_container(SystemId::KeyValue, op, ns));
+        }
+        Ok(())
+    }
 }
 
 impl BindSource for KvAccess {
@@ -440,6 +468,9 @@ impl BindSource for KvAccess {
         let flat: Vec<Value> = keys.iter().map(|k| k[0].clone()).collect();
         self.gate.check("mget")?;
         let hits = self.kv.mget(&self.namespace, &flat);
+        if hits.iter().all(Option::is_none) {
+            self.namespace_exists("mget")?;
+        }
         Ok(hits
             .into_iter()
             .zip(&flat)
@@ -457,6 +488,7 @@ impl BindSource for KvAccess {
 pub fn kv_unit(
     atom: &Atom,
     rel: &FragmentRelation,
+    stats: &FragmentStats,
     residuals: &ResidualTracker,
     stores: &Stores,
     ship: &Ship,
@@ -486,6 +518,7 @@ pub fn kv_unit(
         kv: stores.kv.clone(),
         gate: stores.gate(SystemId::KeyValue),
         namespace,
+        holds_rows: stats.rows > 0,
         key_var,
         value_terms,
         out_vars: out_vars.clone(),
@@ -497,6 +530,9 @@ pub fn kv_unit(
             UnitKind::Run(Arc::new(move || {
                 access.gate.check("get")?;
                 let hit = access.kv.get(&access.namespace, &key);
+                if hit.is_none() {
+                    access.namespace_exists("get")?;
+                }
                 Ok(batch_of(&access.out_vars, access.decode(&key, hit)))
             }))
         }
@@ -521,6 +557,9 @@ struct TextAccess {
     text: Arc<estocada_textstore::TextStore>,
     gate: FaultGate,
     index: String,
+    /// Whether the fragment holds rows: an emptied index is dropped
+    /// (`layout::write`), so only then is a missing one an error.
+    holds_rows: bool,
     key_term: Term,
     out_vars: Vec<Var>,
     label: String,
@@ -530,9 +569,15 @@ impl TextAccess {
     fn lookup(&self, term: &str) -> StoreResult<Vec<Tuple>> {
         self.gate.check("term_lookup")?;
         let key_term = std::slice::from_ref(&self.key_term);
-        Ok(self
-            .text
-            .term_lookup(&self.index, term)
+        let keys = self.text.term_lookup(&self.index, term);
+        if keys.is_empty() && self.holds_rows && !self.text.index_names().contains(&self.index) {
+            return Err(missing_container(
+                SystemId::Text,
+                "term_lookup",
+                &self.index,
+            ));
+        }
+        Ok(keys
             .into_iter()
             .filter_map(|k| bind_row(key_term, &[k], &HashMap::new(), &self.out_vars))
             .collect())
@@ -598,6 +643,7 @@ pub fn text_unit(
         text: stores.text.clone(),
         gate: stores.gate(SystemId::Text),
         index,
+        holds_rows: stats.rows > 0,
         key_term,
         out_vars: out_vars.clone(),
         label: label.clone(),
@@ -660,6 +706,9 @@ pub fn doc_rows_unit(
         let paths: Vec<&str> = columns.iter().map(|s| s.as_str()).collect();
         gate.check("find")?;
         let docs = doc.find(&collection, &filter, Some(&paths));
+        if docs.is_empty() && !doc.collection_names().contains(&collection) {
+            return Err(missing_container(SystemId::Document, "find", &collection));
+        }
         let rows: Vec<Tuple> = docs
             .into_iter()
             .filter_map(|d| {
@@ -1114,6 +1163,9 @@ pub fn doc_tree_unit(
     let runner = move || {
         gate.check("query")?;
         let (_cols, rows) = doc.query(&q);
+        if rows.is_empty() && !doc.collection_names().contains(&collection) {
+            return Err(missing_container(SystemId::Document, "query", &collection));
+        }
         Ok(batch_of(&ov, rows))
     };
     // A top-level equality makes the store's path index applicable.

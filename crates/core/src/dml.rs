@@ -106,12 +106,6 @@ impl MaintenanceState {
     pub fn high_water(&self, fragment: &str) -> Option<u64> {
         self.high_water.get(fragment).copied()
     }
-
-    /// The supported rows of a counting fragment relation (row → support),
-    /// `None` for native/raw relations.
-    pub fn supported_rows(&self, relation: Symbol) -> Option<&HashMap<Vec<Value>, u64>> {
-        self.supports.get(&relation)
-    }
 }
 
 /// Per-fragment-relation effect of one DML batch.

@@ -9,8 +9,7 @@
 //! of the physical formats, shared with the DML path ([`crate::dml`]).
 
 use crate::catalog::{
-    DocRole, FragmentMeta, FragmentRelation, FragmentSpec, FragmentStats, StatsAccumulator,
-    WhereSpec,
+    DocRole, FragmentMeta, FragmentRelation, FragmentSpec, FragmentStats, WhereSpec,
 };
 use crate::dataset::{Dataset, DatasetContent, TableData};
 use crate::error::{Error, Result};
@@ -65,15 +64,6 @@ pub fn evaluate_view(base: &Instance, view: &Cq) -> Vec<Vec<Value>> {
     head_rows(base, view, None)
         .filter(|row| seen.insert(row.clone()))
         .collect()
-}
-
-/// Compute statistics over materialized rows: every row enters the
-/// accumulator the DML path keeps running.
-pub fn stats_of_rows<'a>(
-    rows: impl IntoIterator<Item = &'a Vec<Value>>,
-    arity: usize,
-) -> FragmentStats {
-    StatsAccumulator::of(rows, arity).finish()
 }
 
 /// Head column names of a view (variable names, falling back to `c{i}`).

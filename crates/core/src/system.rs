@@ -258,15 +258,6 @@ impl Stores {
         out.sort();
         out
     }
-
-    /// Reset every store's metrics.
-    pub fn reset_metrics(&self) {
-        self.rel.metrics.reset();
-        self.kv.metrics.reset();
-        self.doc.metrics.reset();
-        self.text.metrics.reset();
-        self.par.metrics.reset();
-    }
 }
 
 #[cfg(test)]

@@ -403,7 +403,7 @@ impl AtomGroup {
             (GroupKind::Par, atoms) => par_unit(atoms, tracker, stores, ship),
             (GroupKind::DocTree, atoms) => doc_tree_unit(atoms, stores),
             (GroupKind::Point, [(atom, rel, stats)]) => match &rel.place {
-                WhereSpec::Namespace { .. } => kv_unit(atom, rel, tracker, stores, ship),
+                WhereSpec::Namespace { .. } => kv_unit(atom, rel, stats, tracker, stores, ship),
                 WhereSpec::TextIndex { .. } => text_unit(atom, rel, stats, stores),
                 _ => doc_rows_unit(atom, rel, stats, tracker, stores, ship),
             },

@@ -801,15 +801,37 @@ mod tests {
                 vec![vec![Value::str(format!("v{k}"))], vec![Value::str("dup")]],
             );
         }
+        // The source shipped whole, as `(k, v)` rows.
+        let shipped = m
+            .iter()
+            .flat_map(|(k, vs)| vs.iter().map(move |v| [&k[..], &v[..]].concat()));
+        let shipped = batch(&["k2", "v"], shipped.collect());
+        let left = Box::new(Plan::Values(batch(
+            &["k"],
+            (0..19).map(|i| ints(&[i % 6])).collect(),
+        )));
         let p = Plan::BindJoin {
-            left: Box::new(Plan::Values(batch(
-                &["k"],
-                (0..19).map(|i| ints(&[i % 6])).collect(),
-            ))),
+            left: left.clone(),
             key_cols: vec![0],
             source: Arc::new(MapSource(m)),
         };
         assert_identical(&p);
+        // Probing answers like shipping everything and hash-joining it.
+        let ship_all = Plan::Project {
+            input: Box::new(Plan::HashJoin {
+                left,
+                right: Box::new(Plan::Values(shipped)),
+                left_keys: vec![0],
+                right_keys: vec![0],
+            }),
+            exprs: vec![("k".into(), Expr::col(0)), ("v".into(), Expr::col(2))],
+        };
+        let sorted = |plan: &Plan| {
+            let mut rows = exec::execute(plan).expect("tuple run").0.rows;
+            rows.sort();
+            rows
+        };
+        assert_eq!(sorted(&p), sorted(&ship_all));
     }
 
     #[test]

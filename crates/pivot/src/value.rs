@@ -105,14 +105,6 @@ impl Value {
         }
     }
 
-    /// Returns the value as an identifier if it is one.
-    pub fn as_id(&self) -> Option<u64> {
-        match self {
-            Value::Id(i) => Some(*i),
-            _ => None,
-        }
-    }
-
     /// Returns the object map if the value is an object.
     pub fn as_object(&self) -> Option<&BTreeMap<Arc<str>, Value>> {
         match self {

@@ -22,7 +22,6 @@ use crate::zipf::Zipf;
 use estocada::{Estocada, QueryResult};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Duration;
 
 /// Analytics workload shape.
 #[derive(Debug, Clone, Copy)]
@@ -129,18 +128,6 @@ pub fn analytics_workload(cfg: &AnalyticsConfig) -> Vec<AnalyticsQuery> {
 /// Run one analytics query against a deployment.
 pub fn run_analytics_query(est: &Estocada, q: &AnalyticsQuery) -> estocada::Result<QueryResult> {
     est.query_sql(&analytics_sql(q))
-}
-
-/// Execute an analytics workload, summing *execution* time (stores +
-/// mediator runtime; excludes rewriting — same accounting as
-/// [`crate::scenarios::run_w1_exec_time`]).
-pub fn run_analytics_exec_time(est: &Estocada, workload: &[AnalyticsQuery]) -> Duration {
-    let mut total = Duration::ZERO;
-    for q in workload {
-        let r = run_analytics_query(est, q).expect("analytics query failed");
-        total += r.report.exec.total_time;
-    }
-    total
 }
 
 #[cfg(test)]

@@ -17,16 +17,13 @@ pub mod scenarios;
 pub mod zipf;
 
 pub use analytics::{
-    analytics_sql, analytics_workload, run_analytics_exec_time, run_analytics_query,
-    AnalyticsConfig, AnalyticsQuery,
+    analytics_sql, analytics_workload, run_analytics_query, AnalyticsConfig, AnalyticsQuery,
 };
 pub use bigdata::{generate as generate_bigdata, BigDataConfig};
 pub use marketplace::{
     generate as generate_marketplace, w1_workload, Marketplace, MarketplaceConfig, W1Query,
 };
-pub use readwrite::{
-    assert_clean_read, run_rw_workload, rw_workload, stale_fragments, RwConfig, RwOp, RwSummary,
-};
+pub use readwrite::{run_rw_workload, rw_workload, stale_fragments, RwConfig, RwOp, RwSummary};
 pub use scenarios::{
     cart_kv_view, cart_pattern, deploy_baseline, deploy_kv_migrated, deploy_materialized_join,
     personalized_sql, pref_sql, run_w1_exec_time, run_w1_query, user_orders_sql,

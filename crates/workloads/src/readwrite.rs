@@ -13,7 +13,7 @@
 use crate::marketplace::W1Query;
 use crate::marketplace::{Marketplace, CATEGORIES};
 use crate::scenarios::run_w1_query;
-use estocada::{DatasetContent, Estocada, Report};
+use estocada::{DatasetContent, Estocada};
 use estocada_pivot::{Symbol, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -240,16 +240,6 @@ pub fn run_rw_workload(est: &mut Estocada, ops: &[RwOp]) -> estocada::Result<RwS
     Ok(s)
 }
 
-/// Assert clean-path reads: a report from a fault-free mixed run must not
-/// carry a resilience section — writes never dirty the read path.
-pub fn assert_clean_read(report: &Report) {
-    assert!(
-        report.resilience.is_none(),
-        "fault-free read reported resilience events: {:?}",
-        report.resilience
-    );
-}
-
 fn assert_fresh(est: &Estocada, what: &str) {
     let stale = stale_fragments(est);
     assert!(stale.is_empty(), "stale fragments after {what}: {stale:?}");
@@ -297,7 +287,7 @@ mod tests {
     use super::*;
     use crate::marketplace::{generate, MarketplaceConfig};
     use crate::scenarios::{deploy_baseline, deploy_kv_migrated};
-    use estocada::Latencies;
+    use estocada::{Latencies, Report};
 
     fn small() -> Marketplace {
         generate(MarketplaceConfig {
@@ -308,6 +298,16 @@ mod tests {
             skew: 0.8,
             seed: 11,
         })
+    }
+
+    /// Assert clean-path reads: a report from a fault-free mixed run must
+    /// not carry a resilience section — writes never dirty the read path.
+    fn assert_clean_read(report: &Report) {
+        assert!(
+            report.resilience.is_none(),
+            "fault-free read reported resilience events: {:?}",
+            report.resilience
+        );
     }
 
     #[test]

@@ -19,13 +19,15 @@
 //! UPDATE_EXPECT=1 cargo test --test analyzer_expect
 //! ```
 
+mod common;
+
 use estocada::analyze::analyze_deployment;
 use estocada::catalog::{Catalog, FragmentMeta, FragmentSpec};
 use estocada::frontends::lint_sql;
 use estocada::{Estocada, Latencies, SystemId};
 use estocada_chase::{certify, ChaseConfig};
 use estocada_pivot::{Atom, Cq, CqBuilder, Egd, RelationDecl, Schema, Term, Tgd, Value};
-use estocada_workloads::marketplace::{generate, Marketplace, MarketplaceConfig};
+use estocada_workloads::marketplace::{generate, Marketplace};
 use estocada_workloads::scenarios::{
     deploy_baseline, deploy_kv_migrated, deploy_materialized_join,
 };
@@ -33,14 +35,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 fn market() -> Marketplace {
-    generate(MarketplaceConfig {
-        users: 40,
-        products: 25,
-        orders: 120,
-        log_entries: 200,
-        skew: 0.8,
-        seed: 7,
-    })
+    generate(common::cfg(40, 25, 120, 200, 7))
 }
 
 fn schema_with(rels: &[(&str, &[&str])]) -> Schema {

@@ -24,6 +24,8 @@
 //! - **purity**: analyzing the same deployment twice yields byte-identical
 //!   diagnostics, and the builtin scenario deployments analyze clean.
 
+mod common;
+
 use estocada::analyze::fragment_lints;
 use estocada::catalog::{Catalog, FragmentMeta, FragmentSpec};
 use estocada::{Code, SystemId};
@@ -391,17 +393,10 @@ proptest! {
 #[test]
 fn analyzer_is_pure_and_scenarios_are_clean() {
     use estocada::Latencies;
-    use estocada_workloads::marketplace::{generate, MarketplaceConfig};
+    use estocada_workloads::marketplace::generate;
     use estocada_workloads::scenarios::deploy_materialized_join;
 
-    let m = generate(MarketplaceConfig {
-        users: 30,
-        products: 20,
-        orders: 80,
-        log_entries: 120,
-        skew: 0.8,
-        seed: 11,
-    });
+    let m = generate(common::cfg(30, 20, 80, 120, 11));
     // The richest builtin deployment (built under Strict DDL validation):
     // the analyzer must find nothing, twice, byte-identically.
     let est = deploy_materialized_join(&m, Latencies::zero());

@@ -10,26 +10,21 @@
 //!   set still terminates at query time via the chase budget guard,
 //!   whose error message points at the certificate API.
 
+mod common;
+
 use estocada::frontends::lint_sql;
 use estocada::{
     Code, Dataset, Error, Estocada, FragmentSpec, Latencies, Severity, TableData, ValidationMode,
 };
 use estocada_pivot::encoding::relational::TableEncoding;
 use estocada_pivot::{Atom, Constraint, Term, Tgd, Value};
-use estocada_workloads::marketplace::{generate, Marketplace, MarketplaceConfig};
+use estocada_workloads::marketplace::{generate, Marketplace};
 use estocada_workloads::scenarios::{
     deploy_baseline, deploy_kv_migrated, deploy_materialized_join, pref_sql,
 };
 
 fn small() -> Marketplace {
-    generate(MarketplaceConfig {
-        users: 40,
-        products: 25,
-        orders: 120,
-        log_entries: 200,
-        skew: 0.8,
-        seed: 7,
-    })
+    generate(common::cfg(40, 25, 120, 200, 7))
 }
 
 #[test]
@@ -63,8 +58,7 @@ fn builtin_deployments_analyze_clean_under_strict() {
 /// `Unknown` (EGDs present, no EGD reasoning). EGD-aware contraction
 /// recognizes key equalities as position-preserving no-ops, certifies
 /// `WeaklyAcyclic`, and the budget-free chase of the certified set
-/// reproduces the budget-guarded fixpoint bit-identically. The bench
-/// twin of this pin lives in `e14_certificate_lattice`.
+/// reproduces the budget-guarded fixpoint bit-identically.
 #[test]
 fn key_egd_deployments_certify_weakly_acyclic_and_chase_budget_free() {
     use estocada_chase::testkit::dump_state;

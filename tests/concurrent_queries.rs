@@ -13,40 +13,25 @@
 //! thread reaches a shape first — all three are diagnostics, not answers,
 //! and are excluded.
 
+mod common;
+
+use common::{norm, Norm, Q};
 use estocada::{Estocada, Latencies, QueryOptions, QueryResult};
 use estocada_pivot::CqBuilder;
-use estocada_workloads::marketplace::{generate, Marketplace, MarketplaceConfig};
+use estocada_workloads::marketplace::{generate, Marketplace};
 use estocada_workloads::scenarios::{
     cart_pattern, deploy_baseline, deploy_kv_migrated, personalized_sql, pref_sql, user_orders_sql,
 };
 use std::sync::{Barrier, Mutex};
 
-fn cfg() -> MarketplaceConfig {
-    MarketplaceConfig {
-        users: 60,
-        products: 30,
-        orders: 200,
-        log_entries: 400,
-        skew: 0.8,
-        seed: 23,
-    }
-}
-
 fn market() -> Marketplace {
-    generate(cfg())
+    generate(common::cfg(60, 30, 200, 400, 23))
 }
 
 /// The mixed workload: SQL point lookups, SQL joins with residual-free and
 /// residual-bearing shapes, document tree patterns, and raw pivot CQs.
 /// Shapes repeat across uids and verbatim, so the plan cache has real
 /// hits to serve.
-#[derive(Debug, Clone)]
-enum Q {
-    Sql(String),
-    Doc(i64),
-    Cq(i64),
-}
-
 fn workload() -> Vec<Q> {
     let mut out = Vec::new();
     for uid in [1i64, 3, 7, 1, 9, 3] {
@@ -62,53 +47,7 @@ fn workload() -> Vec<Q> {
 }
 
 fn run_q(est: &Estocada, q: &Q) -> QueryResult {
-    match q {
-        Q::Sql(sql) => est.query_sql(sql).unwrap_or_else(|e| panic!("{sql}: {e}")),
-        Q::Doc(uid) => est
-            .query_doc(&cart_pattern(*uid), &["pid", "qty"])
-            .unwrap_or_else(|e| panic!("cart {uid}: {e}")),
-        Q::Cq(uid) => {
-            let cq = CqBuilder::new("Q")
-                .head_vars(["theme", "language"])
-                .atom("Prefs", |a| a.c(*uid).v("theme").v("language").v("nl"))
-                .build();
-            est.query_cq(cq, vec!["theme".into(), "language".into()], vec![])
-                .unwrap_or_else(|e| panic!("cq {uid}: {e}"))
-        }
-    }
-}
-
-/// The semantically comparable projection of a result (see module docs).
-#[derive(Debug, Clone, PartialEq)]
-struct Norm {
-    columns: Vec<String>,
-    rows: Vec<Vec<estocada_pivot::Value>>,
-    pivot_query: String,
-    universal_plan: String,
-    alternatives: Vec<(String, Option<f64>, Option<String>)>,
-    chosen: usize,
-    plan: String,
-    delegated: Vec<String>,
-    complete: bool,
-}
-
-fn norm(r: &QueryResult) -> Norm {
-    Norm {
-        columns: r.columns.clone(),
-        rows: r.rows.clone(),
-        pivot_query: r.report.pivot_query.clone(),
-        universal_plan: r.report.universal_plan.clone(),
-        alternatives: r
-            .report
-            .alternatives
-            .iter()
-            .map(|a| (a.rewriting.clone(), a.est_cost, a.note.clone()))
-            .collect(),
-        chosen: r.report.chosen,
-        plan: r.report.plan.clone(),
-        delegated: r.report.delegated.clone(),
-        complete: r.report.complete_search,
-    }
+    common::run_q(est, q).unwrap_or_else(|e| panic!("{q:?}: {e}"))
 }
 
 fn serial_run(est: &Estocada, work: &[Q]) -> Vec<Norm> {

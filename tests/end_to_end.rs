@@ -3,6 +3,9 @@
 //! (the mediator's soundness/completeness guarantee), and those answers
 //! must match the ground-truth oracle over the staged datasets.
 
+mod common;
+
+use common::sorted;
 use estocada::Latencies;
 use estocada_workloads::marketplace::{generate, w1_workload, MarketplaceConfig};
 use estocada_workloads::scenarios::{
@@ -10,19 +13,7 @@ use estocada_workloads::scenarios::{
 };
 
 fn cfg() -> MarketplaceConfig {
-    MarketplaceConfig {
-        users: 80,
-        products: 40,
-        orders: 300,
-        log_entries: 600,
-        skew: 0.8,
-        seed: 11,
-    }
-}
-
-fn sorted(mut rows: Vec<Vec<estocada_pivot::Value>>) -> Vec<Vec<estocada_pivot::Value>> {
-    rows.sort();
-    rows
+    common::cfg(80, 40, 300, 600, 11)
 }
 
 #[test]

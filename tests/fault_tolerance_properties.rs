@@ -19,60 +19,31 @@
 //! in `concurrent_queries.rs`); wall-clock timings are diagnostics and
 //! excluded.
 
+mod common;
+
+use common::{
+    arb_plan, build_plan, fast_retry, norm, run_q, sorted, with_fast_retry, Norm, DEPLOYMENTS, Q,
+};
 use estocada::{
-    Error, Estocada, FaultKind, FaultPlan, FragmentSpec, Latencies, QueryOptions, QueryResult,
-    RetryPolicy, SystemId,
+    Error, Estocada, FaultKind, FaultPlan, FragmentSpec, Latencies, QueryOptions, RetryPolicy,
+    SystemId,
 };
 use estocada_pivot::CqBuilder;
-use estocada_workloads::marketplace::{generate, Marketplace, MarketplaceConfig};
+use estocada_workloads::marketplace::{generate, Marketplace};
 use estocada_workloads::readwrite::{run_rw_workload, rw_workload, stale_fragments, RwConfig};
 use estocada_workloads::scenarios::{
-    cart_pattern, deploy_baseline, deploy_kv_migrated, deploy_materialized_join, personalized_sql,
-    pref_sql, user_orders_sql,
+    deploy_baseline, deploy_kv_migrated, deploy_materialized_join, personalized_sql, pref_sql,
+    user_orders_sql,
 };
 use proptest::prelude::*;
 use std::time::Duration;
 
-fn cfg() -> MarketplaceConfig {
-    MarketplaceConfig {
-        users: 40,
-        products: 24,
-        orders: 150,
-        log_entries: 240,
-        skew: 0.8,
-        seed: 31,
-    }
-}
-
 fn market() -> Marketplace {
-    generate(cfg())
-}
-
-/// A fast retry policy for tests: same shape as the default, microsecond
-/// backoffs so injected outages don't slow the suite down.
-fn fast_retry() -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: 3,
-        base_backoff: Duration::from_micros(5),
-        max_backoff: Duration::from_micros(20),
-        jitter: true,
-    }
-}
-
-fn with_fast_retry(mut est: Estocada) -> Estocada {
-    let opts = est.default_query_options().with_retry_policy(fast_retry());
-    est.set_default_query_options(opts);
-    est
+    generate(common::cfg(40, 24, 150, 240, 31))
 }
 
 /// The scenario queries: SQL point lookups (relational / key-value),
 /// the document cart pattern, and the personalized join.
-#[derive(Debug, Clone)]
-enum Q {
-    Sql(String),
-    Doc(i64),
-}
-
 fn workload() -> Vec<Q> {
     let mut out = Vec::new();
     for uid in [1i64, 3, 7, 9] {
@@ -85,53 +56,6 @@ fn workload() -> Vec<Q> {
     out
 }
 
-fn run_q(est: &Estocada, q: &Q) -> estocada::Result<QueryResult> {
-    match q {
-        Q::Sql(sql) => est.query_sql(sql),
-        Q::Doc(uid) => est.query_doc(&cart_pattern(*uid), &["pid", "qty"]),
-    }
-}
-
-/// The semantically comparable projection of a result.
-#[derive(Debug, Clone, PartialEq)]
-struct Norm {
-    columns: Vec<String>,
-    rows: Vec<Vec<estocada_pivot::Value>>,
-    pivot_query: String,
-    universal_plan: String,
-    alternatives: Vec<(String, Option<f64>, Option<String>)>,
-    chosen: usize,
-    plan: String,
-    delegated: Vec<String>,
-    complete: bool,
-    resilient: bool,
-}
-
-fn norm(r: &QueryResult) -> Norm {
-    Norm {
-        columns: r.columns.clone(),
-        rows: r.rows.clone(),
-        pivot_query: r.report.pivot_query.clone(),
-        universal_plan: r.report.universal_plan.clone(),
-        alternatives: r
-            .report
-            .alternatives
-            .iter()
-            .map(|a| (a.rewriting.clone(), a.est_cost, a.note.clone()))
-            .collect(),
-        chosen: r.report.chosen,
-        plan: r.report.plan.clone(),
-        delegated: r.report.delegated.clone(),
-        complete: r.report.complete_search,
-        resilient: r.report.resilience.is_some(),
-    }
-}
-
-fn sorted(mut rows: Vec<Vec<estocada_pivot::Value>>) -> Vec<Vec<estocada_pivot::Value>> {
-    rows.sort();
-    rows
-}
-
 // ---------------------------------------------------------------------
 // Fault plan off ⇒ bit-identical.
 // ---------------------------------------------------------------------
@@ -140,13 +64,7 @@ fn sorted(mut rows: Vec<Vec<estocada_pivot::Value>>) -> Vec<Vec<estocada_pivot::
 fn fault_plan_off_is_bit_identical_across_deployments() {
     let m = market();
     let work = workload();
-    type Deploy = fn(&Marketplace, Latencies) -> Estocada;
-    let deployments: [(&str, Deploy); 3] = [
-        ("baseline", deploy_baseline),
-        ("kv_migrated", deploy_kv_migrated),
-        ("materialized_join", deploy_materialized_join),
-    ];
-    for (name, deploy) in deployments {
+    for (name, deploy) in DEPLOYMENTS {
         let reference = deploy(&m, Latencies::zero());
         // Install an empty plan, and install-then-clear a real one: both
         // must leave the engine on the bit-identical clean path.
@@ -452,49 +370,6 @@ fn deadline_bounds_retries_and_failover() {
 // Property: under any schedule — oracle rows or a typed error.
 // ---------------------------------------------------------------------
 
-const STORES: [&str; 5] = ["relational", "key-value", "document", "text", "parallel"];
-const KINDS: [FaultKind; 3] = [
-    FaultKind::Unavailable,
-    FaultKind::Timeout,
-    FaultKind::PartialResponse,
-];
-
-#[derive(Debug, Clone)]
-struct ArbRule {
-    store: usize,
-    kind: usize,
-    from: u64,
-    ops: u64,
-    tenths: u8,
-}
-
-fn arb_plan() -> impl Strategy<Value = (u64, Vec<ArbRule>)> {
-    let rule = (0..5usize, 0..3usize, 1..4u64, 1..6u64, 0..=10u8).prop_map(
-        |(store, kind, from, ops, tenths)| ArbRule {
-            store,
-            kind,
-            from,
-            ops,
-            tenths,
-        },
-    );
-    (any::<u64>(), proptest::collection::vec(rule, 0..4))
-}
-
-fn build_plan(seed: u64, rules: &[ArbRule]) -> FaultPlan {
-    let mut plan = FaultPlan::new(seed);
-    for r in rules {
-        let store = STORES[r.store];
-        let kind = KINDS[r.kind];
-        plan = if r.tenths >= 10 {
-            plan.outage(store, r.from, r.ops, kind)
-        } else {
-            plan.random_errors(store, f64::from(r.tenths) / 10.0, kind)
-        };
-    }
-    plan
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -502,7 +377,7 @@ proptest! {
     /// fault-free oracle's rows or a typed `AllPlansFailed` — never a
     /// silently short, empty, or different answer.
     #[test]
-    fn any_schedule_yields_oracle_rows_or_a_typed_error(seeded_rules in arb_plan()) {
+    fn any_schedule_yields_oracle_rows_or_a_typed_error(seeded_rules in arb_plan(4)) {
         let (seed, rules) = seeded_rules;
         let m = market();
         let oracle = deploy_kv_migrated(&m, Latencies::zero());
@@ -647,7 +522,7 @@ proptest! {
     /// a fault must never surface as a stale or short answer.
     #[test]
     fn writes_under_faults_never_yield_stale_reads(
-        seeded_rules in arb_plan(),
+        seeded_rules in arb_plan(4),
         wseed in any::<u64>(),
     ) {
         let (seed, rules) = seeded_rules;
@@ -753,6 +628,54 @@ fn native_store_error_is_not_retried_and_leaves_the_breaker_closed() {
     assert!(orders.report.resilience.is_none());
 }
 
+/// The materialized-join deployment plus a row-document and a parallel
+/// twin of two tables — every connector path is on some plan — failing fast.
+fn every_path_deployment(m: &Marketplace) -> Estocada {
+    let mut est = deploy_materialized_join(m, Latencies::zero());
+    est.add_fragment(FragmentSpec::DocRows {
+        view: CqBuilder::new("PrefsDocs")
+            .head_vars(["uid", "theme", "language", "newsletter"])
+            .atom("Prefs", |a| {
+                a.v("uid").v("theme").v("language").v("newsletter")
+            })
+            .build(),
+        index_on: vec![],
+    })
+    .unwrap();
+    est.add_fragment(FragmentSpec::ParRows {
+        view: CqBuilder::new("OrdersPar")
+            .head_vars(["oid", "uid", "pid", "category", "amount"])
+            .atom("Orders", |a| {
+                a.v("oid").v("uid").v("pid").v("category").v("amount")
+            })
+            .build(),
+        index_on: vec![],
+        partitions: 0,
+    })
+    .unwrap();
+    let opts = est
+        .default_query_options()
+        .with_retry_policy(RetryPolicy::fail_fast());
+    est.set_default_query_options(opts);
+    est
+}
+
+/// The store errors of an outcome: the failover chain's of an answered
+/// query, the attempts' of a typed failure.
+fn store_errors(outcome: estocada::Result<estocada::QueryResult>) -> Vec<String> {
+    match outcome {
+        Ok(r) => r
+            .report
+            .resilience
+            .map(|r| r.store_errors)
+            .unwrap_or_default(),
+        Err(Error::AllPlansFailed { attempts, .. }) => {
+            attempts.into_iter().map(|a| a.error).collect()
+        }
+        Err(e) => panic!("untyped failure: {e}"),
+    }
+}
+
 /// The parallel store's twin of the test above: a dataset dropped behind
 /// the catalog's back used to read as *empty* (`Ok` with 0 rows — wrong
 /// answers, silently); now it is a native error the query fails over from,
@@ -795,6 +718,70 @@ fn a_dropped_parallel_dataset_fails_over_or_fails_instead_of_answering_empty() {
         }
         other => panic!("expected AllPlansFailed, got {other:?}"),
     }
+
+    // The key-value, document and text stores answer a missing container
+    // like an empty one, so their connector paths ask. Per path: (the
+    // error, a query whose plans take it, stores taken down so that the
+    // plan taking it is the one that runs, the drop).
+    let has_cart = |q: &Q| !run_q(&oracle, q).expect("oracle").rows.is_empty();
+    let cart = (1..=40).map(Q::Doc).find(has_cart).expect("some cart");
+    type Drop = fn(&Estocada) -> bool;
+    let drop_prefs_kv: Drop = |est| est.stores.kv.drop_namespace("PrefsKV");
+    let cases: [(&str, Q, &[&str], Drop); 5] = [
+        (
+            "get failed: unknown namespace PrefsKV",
+            Q::Sql(pref_sql(3)),
+            &[],
+            drop_prefs_kv,
+        ),
+        (
+            "mget failed: unknown namespace PrefsKV",
+            Q::Sql(WEBLOG_PREFS_SQL.into()),
+            &["relational", "document"],
+            drop_prefs_kv,
+        ),
+        (
+            "find failed: unknown collection PrefsDocs",
+            Q::Sql(pref_sql(3)),
+            &["relational", "key-value"],
+            |est| est.stores.doc.drop_collection("PrefsDocs"),
+        ),
+        (
+            "query failed: unknown collection Carts",
+            cart,
+            &["key-value"],
+            |est| est.stores.doc.drop_collection("Carts"),
+        ),
+        (
+            "term_lookup failed: unknown index Products",
+            Q::Sql(PRODUCT_SEARCH_SQL.into()),
+            &[],
+            |est| est.stores.text.drop_index("Products"),
+        ),
+    ];
+    for (error, q, down, drop) in cases {
+        let want = run_q(&every_path_deployment(&m), &q).expect("oracle").rows;
+        assert!(
+            !want.is_empty(),
+            "{error}: precondition: a non-empty answer"
+        );
+        let mut est = every_path_deployment(&m);
+        let outage = |plan: FaultPlan, store: &&str| plan.down(store, FaultKind::Timeout);
+        est.set_fault_plan(Some(down.iter().fold(FaultPlan::new(1), outage)));
+        // A key that is not there still reads as no rows, not as an error.
+        let nobody = run_q(&est, &Q::Sql(pref_sql(-1))).expect("a missing key");
+        assert!(nobody.rows.is_empty());
+        assert!(drop(&est), "{error}: precondition: the container existed");
+        let outcome = run_q(&est, &q);
+        if let Ok(got) = &outcome {
+            assert_eq!(sorted(got.rows.clone()), sorted(want), "{error}");
+        }
+        let errors = store_errors(outcome);
+        assert!(
+            errors.iter().any(|e| e.ends_with(error)),
+            "{error}: {errors:?}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -824,13 +811,7 @@ fn gate_sees_every_delegated_request_exactly_once() {
     let mut queries = workload();
     queries.push(Q::Sql(WEBLOG_PREFS_SQL.into()));
     queries.push(Q::Sql(PRODUCT_SEARCH_SQL.into()));
-    type Deploy = fn(&Marketplace, Latencies) -> Estocada;
-    let deployments: [(&str, Deploy); 3] = [
-        ("baseline", deploy_baseline),
-        ("kv_migrated", deploy_kv_migrated),
-        ("materialized_join", deploy_materialized_join),
-    ];
-    for (name, deploy) in deployments {
+    for (name, deploy) in DEPLOYMENTS {
         let mut est = deploy(&m, Latencies::zero());
         est.set_fault_plan(Some(quiet.clone()));
         let gated = |est: &Estocada| -> Vec<u64> {
@@ -916,50 +897,13 @@ fn fault_rules_key_on_the_connector_op_names() {
         ),
     ];
     for (store, op, q, down) in cases {
-        let mut est = deploy_materialized_join(&m, Latencies::zero());
-        est.add_fragment(FragmentSpec::DocRows {
-            view: CqBuilder::new("PrefsDocs")
-                .head_vars(["uid", "theme", "language", "newsletter"])
-                .atom("Prefs", |a| {
-                    a.v("uid").v("theme").v("language").v("newsletter")
-                })
-                .build(),
-            index_on: vec![],
-        })
-        .unwrap();
-        est.add_fragment(FragmentSpec::ParRows {
-            view: CqBuilder::new("OrdersPar")
-                .head_vars(["oid", "uid", "pid", "category", "amount"])
-                .atom("Orders", |a| {
-                    a.v("oid").v("uid").v("pid").v("category").v("amount")
-                })
-                .build(),
-            index_on: vec![],
-            partitions: 0,
-        })
-        .unwrap();
-        let opts = est
-            .default_query_options()
-            .with_retry_policy(RetryPolicy::fail_fast());
-        est.set_default_query_options(opts);
+        let mut est = every_path_deployment(&m);
         let mut plan = FaultPlan::new(1).fail_ops(store, op, 1, 1, FaultKind::Unavailable);
         for d in down {
             plan = plan.down(d, FaultKind::Timeout);
         }
         est.set_fault_plan(Some(plan));
-        // The scripted fault surfaces either in the failover chain of an
-        // answered query or in the typed error of an unanswerable one.
-        let errors: Vec<String> = match run_q(&est, &q) {
-            Ok(r) => r
-                .report
-                .resilience
-                .map(|r| r.store_errors)
-                .unwrap_or_default(),
-            Err(Error::AllPlansFailed { attempts, .. }) => {
-                attempts.into_iter().map(|a| a.error).collect()
-            }
-            Err(e) => panic!("{store}/{op}: untyped failure: {e}"),
-        };
+        let errors = store_errors(run_q(&est, &q));
         let want = format!("{store} store {op} #");
         assert!(
             errors

@@ -19,6 +19,9 @@
 //!   left behind (`&mut self` DML serializes against `&self` reads at the
 //!   borrow level — this suite pins the end-to-end consequence).
 
+mod common;
+
+use common::{sorted, Deploy, DEPLOYMENTS};
 use estocada::{Estocada, Latencies};
 use estocada_pivot::Value;
 use estocada_workloads::marketplace::{generate, Marketplace, MarketplaceConfig, W1Query};
@@ -33,21 +36,12 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn cfg() -> MarketplaceConfig {
-    MarketplaceConfig {
-        users: 30,
-        products: 16,
-        orders: 90,
-        log_entries: 150,
-        skew: 0.8,
-        seed: 17,
-    }
+    common::cfg(30, 16, 90, 150, 17)
 }
 
 fn market() -> Marketplace {
     generate(cfg())
 }
-
-type Deploy = fn(&Marketplace, Latencies) -> Estocada;
 
 /// The drop-and-rematerialize twin: a fresh engine deployed from the
 /// incremental engine's *current* (mutated) datasets.
@@ -86,11 +80,6 @@ fn assert_same_stats(a: &Estocada, b: &Estocada, what: &str) {
             a.id
         );
     }
-}
-
-fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-    rows.sort();
-    rows
 }
 
 /// The rows of `sales.{table}` as the engine holds them now.
@@ -214,11 +203,7 @@ fn apply_step(est: &mut Estocada, (kind, pick, size): Step, fresh: &mut i64) {
 #[test]
 fn mixed_schedule_is_bit_identical_to_rematerialization() {
     let m = market();
-    let deployments: [(&str, Deploy); 2] = [
-        ("kv_migrated", deploy_kv_migrated),
-        ("materialized_join", deploy_materialized_join),
-    ];
-    for (name, deploy) in deployments {
+    for &(name, deploy) in &DEPLOYMENTS[1..] {
         let ops = rw_workload(
             &m,
             RwConfig {
@@ -276,11 +261,7 @@ fn streaming_into_empty_tables_equals_a_first_fill() {
         carts: m.carts.clone(),
         config: cfg(),
     };
-    let deployments: [(&str, Deploy); 2] = [
-        ("kv_migrated", deploy_kv_migrated),
-        ("materialized_join", deploy_materialized_join),
-    ];
-    for (name, deploy) in deployments {
+    for &(name, deploy) in &DEPLOYMENTS[1..] {
         let mut est = deploy(&hollow, Latencies::zero());
         for t in full {
             for batch in t.rows.chunks(7) {

@@ -153,7 +153,6 @@ proptest! {
             },
             clause_cap,
             max_images,
-            verify: true,
             parallelism: 1,
         };
         assert_identical_at_all_worker_counts(&problem, &cfg)?;

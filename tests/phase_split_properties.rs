@@ -212,9 +212,9 @@ proptest! {
     }
 }
 
-/// The probe-heavy closure workload (shared with `e8_phase_split`): the
-/// memo must absorb a large share of the probes, and memo-off must agree
-/// on the core.
+/// The probe-heavy closure workload: the memo must absorb a large share of
+/// the probes, memo-off must agree on the core, and a second memo-on run
+/// must reproduce every counter.
 #[test]
 fn closure_workload_hits_the_memo_and_stays_identical() {
     let (seed, constraints) = phase_split_workload(4, 10);
@@ -235,6 +235,7 @@ fn closure_workload_hits_the_memo_and_stays_identical() {
     let (off_stats, off_dump) = run(false);
     assert_eq!(ref_stats.core(), off_stats.core());
     assert_eq!(ref_dump, off_dump);
+    assert_eq!(run(true), (ref_stats, ref_dump));
 }
 
 /// An EGD-violating chase fails with the *same* rendered `Inconsistent`

@@ -18,6 +18,9 @@
 //! - **`EXPLAIN` marks a choice only when one was made.** A query none of
 //!   whose rewritings is executable prints no chosen-alternative arrow.
 
+mod common;
+
+use common::DEPLOYMENTS;
 use estocada::advisor::current_cost;
 use estocada::frontends::{doc_query, parse_sql};
 use estocada::translate::translate;
@@ -33,28 +36,13 @@ use estocada_workloads::marketplace::{
 };
 use estocada_workloads::readwrite::{rw_workload, RwConfig, RwOp};
 use estocada_workloads::scenarios::{
-    cart_pattern, deploy_baseline, deploy_kv_migrated, deploy_materialized_join, personalized_sql,
-    pref_sql, user_orders_sql,
+    cart_pattern, deploy_baseline, deploy_kv_migrated, personalized_sql, pref_sql, user_orders_sql,
 };
 use std::collections::BTreeSet;
 
 fn cfg() -> MarketplaceConfig {
-    MarketplaceConfig {
-        users: 40,
-        products: 25,
-        orders: 150,
-        log_entries: 240,
-        skew: 0.8,
-        seed: 19,
-    }
+    common::cfg(40, 25, 150, 240, 19)
 }
-
-type Deploy = fn(&Marketplace, Latencies) -> Estocada;
-const DEPLOYMENTS: [(&str, Deploy); 3] = [
-    ("baseline", deploy_baseline),
-    ("kv_migrated", deploy_kv_migrated),
-    ("materialized_join", deploy_materialized_join),
-];
 
 /// A query of one of the workload families.
 #[derive(Debug, Clone, PartialEq)]

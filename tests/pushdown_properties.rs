@@ -20,6 +20,9 @@
 //! - **Shipped, not just faster.** `Report::per_store` shows groups, not
 //!   tuples, crossing the boundary.
 
+mod common;
+
+use common::{sorted, DEPLOYMENTS};
 use estocada::frontends::{parse_sql, AggregateSpec, ParsedQuery};
 use estocada::translate::translate;
 use estocada::{
@@ -31,20 +34,12 @@ use estocada_engine::{execute_with, AggFun, ExecOptions, Expr, Plan, RowBatch};
 use estocada_pivot::encoding::relational::TableEncoding;
 use estocada_pivot::{CqBuilder, Term, Value};
 use estocada_workloads::analytics::{analytics_sql, AnalyticsQuery};
-use estocada_workloads::marketplace::{generate, Marketplace, MarketplaceConfig, CATEGORIES};
+use estocada_workloads::marketplace::{generate, Marketplace, CATEGORIES};
 use estocada_workloads::scenarios::{
-    deploy_baseline, deploy_kv_migrated, deploy_materialized_join, personalized_sql,
-    user_orders_sql,
+    deploy_baseline, deploy_materialized_join, personalized_sql, user_orders_sql,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-
-type Deploy = fn(&Marketplace, Latencies) -> Estocada;
-const DEPLOYMENTS: [(&str, Deploy); 3] = [
-    ("baseline", deploy_baseline),
-    ("kv_migrated", deploy_kv_migrated),
-    ("materialized_join", deploy_materialized_join),
-];
 
 fn parse(est: &Estocada, sql: &str) -> ParsedQuery {
     parse_sql(sql, &est.sql_catalog()).expect("parse")
@@ -167,11 +162,6 @@ fn brute_force(est: &Estocada, sql: &str) -> Vec<Vec<Value>> {
     out
 }
 
-fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-    rows.sort();
-    rows
-}
-
 /// Multiset equality up to the rounding of sums folded in another order.
 fn assert_same_rows(got: &[Vec<Value>], want: &[Vec<Value>], what: &str) {
     let (got, want) = (sorted(got.to_vec()), sorted(want.to_vec()));
@@ -277,14 +267,7 @@ proptest! {
         uid in 0i64..30,
         writes in proptest::collection::vec(0u64..10_000, 5),
     ) {
-        let m = generate(MarketplaceConfig {
-            users: 30,
-            products: 16,
-            orders: 90,
-            log_entries: 150,
-            skew: 0.8,
-            seed,
-        });
+        let m = generate(common::cfg(30, 16, 90, 150, seed));
         for (name, deploy) in DEPLOYMENTS {
             let mut est = deploy(&m, Latencies::zero());
             let mut fresh = 1_000_000;
@@ -547,14 +530,7 @@ fn a_two_unit_aggregate_is_answered_by_the_mediator_tail() {
 // ---------------------------------------------------------------------
 
 fn market() -> Marketplace {
-    generate(MarketplaceConfig {
-        users: 40,
-        products: 25,
-        orders: 150,
-        log_entries: 240,
-        skew: 0.8,
-        seed: 19,
-    })
+    generate(common::cfg(40, 25, 150, 240, 19))
 }
 
 /// `(tuples out, bytes out, tuples scanned)` of `sys` during `r`.

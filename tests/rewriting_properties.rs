@@ -6,6 +6,8 @@
 //! agrees with searching every premise, and one reused `Rewriter` agrees
 //! with a fresh one-shot `pacb_rewrite` per query.
 
+mod common;
+
 use estocada::frontends::{doc_query, parse_sql};
 use estocada::materialize::{evaluate_view, fact_base};
 use estocada::{Estocada, Latencies};
@@ -17,7 +19,7 @@ use estocada_chase::{
 };
 use estocada_pivot::{Atom, Constraint, Cq, Egd, Fact, Symbol, Term, Tgd, Value, Var, ViewDef};
 use estocada_workloads::analytics::{analytics_sql, analytics_workload, AnalyticsConfig};
-use estocada_workloads::marketplace::{generate, MarketplaceConfig, CATEGORIES};
+use estocada_workloads::marketplace::{generate, CATEGORIES};
 use estocada_workloads::scenarios::{
     cart_pattern, deploy_baseline, deploy_kv_migrated, deploy_materialized_join, personalized_sql,
     pref_sql, user_orders_sql,
@@ -585,14 +587,7 @@ fn live_premise_search_matches_every_premise_under_strata() {
 }
 
 fn small_market() -> estocada_workloads::marketplace::Marketplace {
-    generate(MarketplaceConfig {
-        users: 40,
-        products: 20,
-        orders: 120,
-        log_entries: 200,
-        skew: 0.8,
-        seed: 23,
-    })
+    generate(common::cfg(40, 20, 120, 200, 23))
 }
 
 /// The pivot cores of the workload families: `pref`/`cart` lookups, order

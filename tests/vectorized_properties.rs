@@ -17,19 +17,19 @@
 //!   fault-free oracle's rows or a typed `AllPlansFailed` — never a
 //!   silently short or divergent answer.
 
-use std::collections::{HashMap, HashSet};
-use std::time::Duration;
+mod common;
 
-use estocada::{
-    Dataset, Error, Estocada, FaultKind, FaultPlan, FragmentSpec, Latencies, RetryPolicy, TableData,
-};
+use std::collections::{HashMap, HashSet};
+
+use common::{arb_plan, build_plan, sorted, with_fast_retry, ArbRule};
+use estocada::{Dataset, Error, Estocada, FragmentSpec, Latencies, TableData};
 use estocada_engine::{
     execute, execute_with, AggFun, AggSpec, CmpOp, ExecOptions, Expr, Plan, RowBatch,
 };
 use estocada_pivot::encoding::relational::TableEncoding;
 use estocada_pivot::Value;
 use estocada_workloads::analytics::{analytics_sql, analytics_workload, AnalyticsConfig};
-use estocada_workloads::marketplace::{generate, Marketplace, MarketplaceConfig};
+use estocada_workloads::marketplace::{generate, Marketplace};
 use estocada_workloads::scenarios::{
     deploy_baseline, deploy_kv_migrated, deploy_materialized_join, pref_sql,
 };
@@ -293,11 +293,6 @@ fn dup_engine() -> Estocada {
     est
 }
 
-fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-    rows.sort();
-    rows
-}
-
 fn ints(row: &[i64]) -> Vec<Value> {
     row.iter().map(|&v| Value::Int(v)).collect()
 }
@@ -367,14 +362,7 @@ fn sql_aggregates_follow_distinct_core_semantics() {
 // ---------------------------------------------------------------------
 
 fn small() -> Marketplace {
-    generate(MarketplaceConfig {
-        users: 40,
-        products: 25,
-        orders: 150,
-        log_entries: 240,
-        skew: 0.8,
-        seed: 19,
-    })
+    generate(common::cfg(40, 25, 150, 240, 19))
 }
 
 /// Every analytics query (plus a BindJoin-backed point lookup) returns the
@@ -421,63 +409,9 @@ fn deployment_queries_agree_across_deployments_and_batch_sizes() {
 // Fault injection: the executor stays observationally correct.
 // ---------------------------------------------------------------------
 
-const STORES: [&str; 5] = ["relational", "key-value", "document", "text", "parallel"];
-const KINDS: [FaultKind; 3] = [
-    FaultKind::Unavailable,
-    FaultKind::Timeout,
-    FaultKind::PartialResponse,
-];
-
-#[derive(Debug, Clone)]
-struct ArbRule {
-    store: usize,
-    kind: usize,
-    from: u64,
-    ops: u64,
-    tenths: u8,
-}
-
-fn arb_schedule() -> impl Strategy<Value = (u64, Vec<ArbRule>)> {
-    let rule = (0..5usize, 0..3usize, 1..4u64, 1..6u64, 0..=10u8).prop_map(
-        |(store, kind, from, ops, tenths)| ArbRule {
-            store,
-            kind,
-            from,
-            ops,
-            tenths,
-        },
-    );
-    (any::<u64>(), proptest::collection::vec(rule, 0..3))
-}
-
-fn build_fault_plan(seed: u64, rules: &[ArbRule]) -> FaultPlan {
-    let mut plan = FaultPlan::new(seed);
-    for r in rules {
-        let store = STORES[r.store];
-        let kind = KINDS[r.kind];
-        plan = if r.tenths >= 10 {
-            plan.outage(store, r.from, r.ops, kind)
-        } else {
-            plan.random_errors(store, f64::from(r.tenths) / 10.0, kind)
-        };
-    }
-    plan
-}
-
-fn fast_retry() -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: 3,
-        base_backoff: Duration::from_micros(5),
-        max_backoff: Duration::from_micros(20),
-        jitter: true,
-    }
-}
-
 fn faulted(m: &Marketplace, seed: u64, rules: &[ArbRule]) -> Estocada {
-    let mut est = deploy_kv_migrated(m, Latencies::zero());
-    let opts = est.default_query_options().with_retry_policy(fast_retry());
-    est.set_default_query_options(opts);
-    est.set_fault_plan(Some(build_fault_plan(seed, rules)));
+    let mut est = with_fast_retry(deploy_kv_migrated(m, Latencies::zero()));
+    est.set_fault_plan(Some(build_plan(seed, rules)));
     est
 }
 
@@ -488,7 +422,7 @@ proptest! {
     /// oracle's rows or a typed `AllPlansFailed`.
     /// Aggregation must never surface a partial group silently.
     #[test]
-    fn faulted_executors_yield_oracle_rows_or_typed_errors(seeded in arb_schedule()) {
+    fn faulted_executors_yield_oracle_rows_or_typed_errors(seeded in arb_plan(3)) {
         let (seed, rules) = seeded;
         let m = small();
         let oracle = deploy_kv_migrated(&m, Latencies::zero());
