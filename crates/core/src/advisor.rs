@@ -13,11 +13,12 @@
 use crate::catalog::FragmentSpec;
 use crate::connector::Residual;
 use crate::error::Result;
-use crate::evaluator::{Estocada, QueryOptions};
+use crate::evaluator::Estocada;
 use crate::frontends::ParsedQuery;
 use crate::planner;
 use crate::system::SystemId;
 use estocada_pivot::{Cq, Symbol, Term, Var};
+use std::sync::Arc;
 
 /// One workload entry: a pivot query with a frequency weight.
 #[derive(Debug, Clone)]
@@ -95,14 +96,11 @@ pub fn generalize(cq: &Cq, view_name: &str) -> (Cq, usize) {
 /// `est_cost` an `EXPLAIN` of the same query lists — planned past the plan
 /// cache, so advising leaves the engine's cache and its counters alone.
 pub fn current_cost(est: &Estocada, q: &WorkloadQuery) -> Option<f64> {
-    let opts = est.resolve(&QueryOptions {
-        plan_cache: false,
-        ..QueryOptions::default()
-    });
     let query = ParsedQuery::conjunctive(q.cq.clone(), q.head_names.clone(), q.residuals.clone());
-    let planned = planner::plan(est, &query, &opts, None).ok()?;
-    let best = planner::cheapest(&planned.candidates, est.cost_model(), |_| false)?;
-    Some(planned.candidates[best].translation.est_cost)
+    let query = Arc::new(query);
+    let candidates = &planner::plan(est, &query, None).ok()?.prepared.candidates;
+    let best = planner::cheapest(candidates, est.cost_model(), |_| false)?;
+    Some(candidates[best].translation.est_cost)
 }
 
 /// Produce recommendations for `workload` against the current catalog.

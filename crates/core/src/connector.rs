@@ -37,7 +37,7 @@ pub fn var_col(v: Var) -> String {
 }
 
 /// A residual comparison `var op constant`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Residual {
     /// The compared variable.
     pub var: Var,

@@ -51,7 +51,7 @@ use crate::dataset::Dataset;
 use crate::error::{Error, PlanFailure, Result};
 use crate::frontends::{doc_query, parse_sql, ParsedQuery, SqlCatalog};
 use crate::materialize::{drop_fragment, fact_base, materialize};
-use crate::plancache::{LintCache, PlanCache, PlanCacheStats};
+use crate::plancache::{hash_of, LintCache, PlanCache, PlanCacheStats};
 use crate::planner::{self, Candidate, Planned, PlanningContext};
 use crate::report::{PlanCacheActivity, QueryResult, Report};
 use crate::resilience::{
@@ -59,6 +59,7 @@ use crate::resilience::{
     RetryPolicy,
 };
 use crate::system::{Latencies, Stores, SystemId};
+use crate::translate::bind;
 use estocada_chase::{Instance, RewriteConfig, TerminationCertificate};
 use estocada_engine::{execute_with, EngineError, ExecOptions, ExecStats, RowBatch};
 use estocada_pivot::encoding::document::TreePattern;
@@ -128,9 +129,9 @@ impl QueryOptions {
 /// [`QueryOptions`] with every unset field filled in ([`Estocada::resolve`],
 /// once per query); nothing downstream consults the defaults again.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ResolvedOptions {
+struct ResolvedOptions {
     explain_only: bool,
-    pub(crate) plan_cache: bool,
+    plan_cache: bool,
     retry: RetryPolicy,
     deadline: Option<Duration>,
     exec: ExecOptions,
@@ -212,7 +213,7 @@ impl QueryRequest<'_> {
     /// Run the query end to end (or plan-only with
     /// [`QueryRequest::explain_only`]).
     pub fn run(self) -> Result<QueryResult> {
-        let parsed = match self.input {
+        let parsed = Arc::new(match self.input {
             QueryInput::Sql(sql) => parse_sql(&sql, &self.engine.planning().sql_catalog)?,
             QueryInput::Doc { pattern, select } => {
                 let sel: Vec<&str> = select.iter().map(String::as_str).collect();
@@ -220,7 +221,7 @@ impl QueryRequest<'_> {
                 ParsedQuery::conjunctive(doc.cq, doc.head_names, Vec::new())
             }
             QueryInput::Pivot(parsed) => parsed,
-        };
+        });
         self.engine.run_planned(&parsed, &self.opts)
     }
 
@@ -670,7 +671,7 @@ impl Estocada {
     }
 
     /// Resolve per-query options (the module docs give the order).
-    pub(crate) fn resolve(&self, opts: &QueryOptions) -> ResolvedOptions {
+    fn resolve(&self, opts: &QueryOptions) -> ResolvedOptions {
         let d = &self.default_opts;
         let batch_size = opts.batch_size.or(d.batch_size);
         ResolvedOptions {
@@ -686,24 +687,27 @@ impl Estocada {
 
     /// The analyzer's findings on this query's CQ for the report,
     /// cached per **catalog** epoch alongside the rewrite-plan cache (DML
-    /// bumps only the data epoch, so writes keep lints cached).
+    /// bumps only the data epoch, so writes keep lints cached) under the
+    /// exact query — lint messages name its concrete variables, and an
+    /// aggregate that counts rows is linted beyond its plain core (`W007`)
+    /// — found by `hash`, the query's [`hash_of`].
     /// [`ValidationMode::Off`] skips analysis entirely (`None` activity).
     /// The second component is the lint-cache activity for the report.
-    fn query_lints(&self, q: &ParsedQuery) -> (Vec<Diagnostic>, Option<PlanCacheActivity>) {
+    fn query_lints(
+        &self,
+        q: &Arc<ParsedQuery>,
+        hash: u64,
+    ) -> (Vec<Diagnostic>, Option<PlanCacheActivity>) {
         if matches!(self.validation, ValidationMode::Off) {
             return (Vec::new(), None);
         }
-        // Keyed on the exact CQ (not the alpha-invariant canonical form):
-        // lint messages name the query's concrete variables. An aggregate
-        // that counts rows is linted beyond its plain core (`W007`).
-        let (cq, aggregate) = (&q.cq, q.aggregate.as_ref());
-        let counts = aggregate.is_some_and(analyze::counts_rows);
-        let key = format!("l|{}|{:?}|{:?}|{counts}", cq.name, cq.head, cq.body);
-        let (diags, hit) = match self.lint_cache.lookup(&key, self.epoch) {
+        let (diags, hit) = match self.lint_cache.lookup(hash, q, self.epoch) {
             Some(cached) => ((*cached).clone(), true),
             None => {
-                let diags = Arc::new(analyze::analyze_query(cq, aggregate, &self.schema));
-                self.lint_cache.insert(key, self.epoch, diags.clone());
+                let found = analyze::analyze_query(&q.cq, q.aggregate.as_ref(), &self.schema);
+                let diags = Arc::new(found);
+                self.lint_cache
+                    .insert(hash, q.clone(), self.epoch, diags.clone());
                 ((*diags).clone(), false)
             }
         };
@@ -716,18 +720,19 @@ impl Estocada {
 
     /// Plan `q` and either stop at the report (explain) or execute the
     /// candidates in rank order until one succeeds.
-    fn run_planned(&self, q: &ParsedQuery, opts: &QueryOptions) -> Result<QueryResult> {
+    fn run_planned(&self, q: &Arc<ParsedQuery>, opts: &QueryOptions) -> Result<QueryResult> {
         let opts = self.resolve(opts);
         let resilience = QueryResilience::new(opts.retry, opts.deadline, self.health.clone());
-        let mut planned = planner::plan(self, q, &opts, Some(&resilience))?;
-        let lints = self.query_lints(q);
+        // One structural hash finds the query's prepared plan and its lints.
+        let hash = hash_of(q);
+        let planned = planner::plan(self, q, opts.plan_cache.then_some(hash))?;
+        let lints = self.query_lints(q, hash);
+        let candidates: Vec<&Candidate> = planned.prepared.candidates.iter().collect();
 
         if opts.explain_only {
             // Explain reports cost every alternative but tolerate a query
             // with no (executable) rewriting.
-            let best = self
-                .rank(&planned.candidates, &HashSet::new())
-                .map(|i| planned.candidates.swap_remove(i));
+            let best = self.rank(&candidates, &HashSet::new());
             // An aggregate query's output columns come from its SELECT
             // list, not the conjunctive core's head.
             let columns = match &q.aggregate {
@@ -737,19 +742,18 @@ impl Estocada {
             return Ok(QueryResult {
                 columns,
                 rows: Vec::new(),
-                report: report(q, planned, best, lints),
+                report: report(&planned, best.map(|i| candidates[i]), lints),
             });
         }
 
         let before = self.stores.metrics();
-        let candidates = std::mem::take(&mut planned.candidates);
         let (ran, batch, exec, attempts) =
-            self.execute(q, &planned, candidates, &opts, &resilience)?;
+            self.execute(&planned, candidates, &opts, &resilience)?;
         let after = self.stores.metrics();
         for rel in &ran.translation.used_relations {
             self.catalog.record_use(*rel);
         }
-        let mut report = report(q, planned, Some(ran), lints);
+        let mut report = report(&planned, Some(ran), lints);
         report.per_store = (after.iter().zip(&before))
             .map(|((sys, a), (_, b))| (*sys, a.since(b)))
             .collect();
@@ -762,7 +766,7 @@ impl Estocada {
                 retries: resilience.retries(),
                 store_errors: resilience.store_errors(),
                 breaker_transitions: resilience.transitions(),
-                translations: resilience.translations(),
+                translations: planned.translations,
             });
         Ok(QueryResult {
             columns: batch.columns,
@@ -773,34 +777,35 @@ impl Estocada {
 
     /// The planner's ranking under this engine's breakers; systems in
     /// `failed` count too (retries can run out before a breaker trips).
-    fn rank(&self, candidates: &[Candidate], failed: &HashSet<SystemId>) -> Option<usize> {
+    fn rank(&self, candidates: &[&Candidate], failed: &HashSet<SystemId>) -> Option<usize> {
         planner::cheapest(candidates, &self.cost, |s| {
             failed.contains(&s) || self.health.avoid(s)
         })
     }
 
-    /// Execute `candidates` in rank order: when an attempt dies on a store
-    /// failure (after per-call retries and breaker handling) the backend is
+    /// Execute `candidates` in rank order, each bound to this query's fault
+    /// handling as its turn comes: when an attempt dies on a store failure
+    /// (after per-call retries and breaker handling) the backend is
     /// remembered and the next-ranked remaining candidate runs, until one
     /// succeeds, none remain or the deadline passes. Returns the candidate
     /// that ran, its rows and counters, and the attempt chain.
-    fn execute(
+    fn execute<'p>(
         &self,
-        q: &ParsedQuery,
-        planned: &Planned,
-        mut candidates: Vec<Candidate>,
+        planned: &'p Planned,
+        mut candidates: Vec<&'p Candidate>,
         opts: &ResolvedOptions,
-        resilience: &QueryResilience,
-    ) -> Result<(Candidate, RowBatch, ExecStats, Vec<PlanAttempt>)> {
-        if planned.outcome.rewritings.is_empty() {
+        resilience: &Arc<QueryResilience>,
+    ) -> Result<(&'p Candidate, RowBatch, ExecStats, Vec<PlanAttempt>)> {
+        let prepared = &planned.prepared;
+        if prepared.alternatives.is_empty() {
             return Err(Error::NoRewriting {
-                query: format!("{}", q.cq),
+                query: prepared.pivot_query.clone(),
             });
         }
         if candidates.is_empty() {
             return Err(Error::Untranslatable(format!(
                 "none of the {} rewritings is executable",
-                planned.outcome.rewritings.len()
+                prepared.alternatives.len()
             )));
         }
         let mut attempts: Vec<PlanAttempt> = Vec::new();
@@ -813,7 +818,7 @@ impl Estocada {
             };
             let Some(idx) = next else {
                 return Err(Error::AllPlansFailed {
-                    query: format!("{}", q.cq),
+                    query: prepared.pivot_query.clone(),
                     attempts: attempts
                         .into_iter()
                         .map(|a| PlanFailure {
@@ -827,13 +832,13 @@ impl Estocada {
             let candidate = candidates.remove(idx);
             let attempt = |error: Option<String>| PlanAttempt {
                 alternative: candidate.alternative,
-                rewriting: planned.alternatives[candidate.alternative]
+                rewriting: prepared.alternatives[candidate.alternative]
                     .rewriting
                     .clone(),
                 systems: candidate.translation.systems.clone(),
                 error,
             };
-            match execute_with(&candidate.translation.plan, &opts.exec) {
+            match execute_with(&bind(&candidate.translation, resilience), &opts.exec) {
                 Ok((batch, exec)) => {
                     attempts.push(attempt(None));
                     return Ok((candidate, batch, exec, attempts));
@@ -850,25 +855,26 @@ impl Estocada {
 
 /// The one [`Report`] constructor, for a plan that did not run (yet):
 /// `chosen` is the candidate that ran or, for an explain, would (`None`
-/// when nothing is executable). A run fills in what executing added.
+/// when nothing is executable). Every text is a copy of what planning
+/// printed once ([`planner::Prepared`]); a run fills in what executing added.
 fn report(
-    q: &ParsedQuery,
-    planned: Planned,
-    chosen: Option<Candidate>,
+    planned: &Planned,
+    chosen: Option<&Candidate>,
     (diagnostics, lint_cache): (Vec<Diagnostic>, Option<PlanCacheActivity>),
 ) -> Report {
+    let prepared = &planned.prepared;
     let (chosen, plan, delegated) = match chosen {
         Some(c) => (
             c.alternative,
-            c.translation.plan.explain(),
-            c.translation.unit_labels,
+            c.explain.clone(),
+            c.translation.unit_labels.clone(),
         ),
         None => (0, String::from("(not executable)"), Vec::new()),
     };
     Report {
-        pivot_query: format!("{}", q.cq),
-        universal_plan: format!("{}", planned.outcome.universal_plan),
-        alternatives: planned.alternatives,
+        pivot_query: prepared.pivot_query.clone(),
+        universal_plan: prepared.universal_plan.clone(),
+        alternatives: prepared.alternatives.clone(),
         chosen,
         plan,
         delegated,
@@ -876,7 +882,7 @@ fn report(
         exec: Default::default(),
         rewrite_time: planned.rewrite_time,
         translate_time: planned.translate_time,
-        complete_search: planned.outcome.complete,
+        complete_search: prepared.outcome.complete,
         plan_cache: planned.plan_cache,
         resilience: None,
         diagnostics,

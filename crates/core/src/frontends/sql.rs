@@ -64,7 +64,7 @@ pub struct SqlTable {
 pub type SqlCatalog = HashMap<String, SqlTable>;
 
 /// A parsed query: pivot CQ + column names + residual comparisons.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ParsedQuery {
     /// The conjunctive core.
     pub cq: Cq,
@@ -103,7 +103,7 @@ impl ParsedQuery {
 /// argument columns. The aggregate operator's *output* lays out the group
 /// keys first, then `aggs` in order — `having` and `select` index into
 /// that output.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AggregateSpec {
     /// Number of GROUP BY columns (a prefix of the core head; empty for a
     /// global aggregate).

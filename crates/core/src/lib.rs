@@ -45,7 +45,7 @@ pub use dataset::{Dataset, DatasetContent, DocData, TableData};
 pub use dml::{DmlReport, DmlSteps, FragmentDelta, MaintenanceState};
 pub use error::{Error, PlanFailure, Result};
 pub use evaluator::{Estocada, QueryOptions, QueryRequest};
-pub use plancache::{EpochCache, LintCache, PlanCache, PlanCacheStats};
+pub use plancache::PlanCacheStats;
 pub use report::{PlanCacheActivity, QueryResult, Report};
 pub use resilience::{
     BackendHealth, BreakerConfig, BreakerState, BreakerTransition, HealthTracker, PlanAttempt,

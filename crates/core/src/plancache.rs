@@ -1,25 +1,31 @@
 //! The epoch-keyed caches behind the shared `&self` query path: the
-//! rewrite-plan cache and (PR 8) the query-lint cache, both instances of
-//! one generic [`EpochCache`].
+//! rewrite-plan cache (rewriting outcomes and the prepared plans built from
+//! them) and the query-lint cache, all instances of one generic
+//! `EpochCache`.
 //!
 //! PACB rewriting is a pure function of `(query CQ, catalog views, schema
-//! constraints, access map)` — and since PR 2 it is *deterministic* at any
-//! worker count, which is what makes an outcome computed by one query
-//! thread safely reusable by every other. The same holds for the static
-//! analyzer's query lints: a pure function of `(query CQ, schema)`. The
-//! catalog/schema inputs are summarized by the mediator's **catalog
-//! epoch** (bumped by every DDL operation: `register_dataset`,
-//! `add_fragment`, `drop_fragment`), so the cache key is `(canonical CQ,
-//! epoch)`: any DDL invalidates the whole cache wholesale (the epoch no
-//! longer matches), and repeat query shapes within an epoch skip the
-//! cached computation entirely.
+//! constraints, access map)` — and it is *deterministic* at any worker
+//! count, which is what makes an outcome computed by one query thread safely
+//! reusable by every other. The same holds for the static analyzer's query
+//! lints: a pure function of `(query CQ, schema)`. The catalog/schema inputs
+//! are summarized by the mediator's **catalog epoch** (bumped by every DDL
+//! operation: `register_dataset`, `add_fragment`, `drop_fragment`), so a
+//! cached value is tagged with its epoch: any DDL invalidates the whole
+//! cache wholesale (the epoch no longer matches), and repeat queries within
+//! an epoch skip the cached computation entirely.
 //!
-//! The map is a small sharded `RwLock<HashMap>` (reads take a shard read
-//! lock only), bounded by a per-shard FIFO: the cache can never grow past
-//! [`EpochCache::capacity`] entries no matter how many distinct ad-hoc
-//! shapes a workload produces. Entries store an `Arc`, so a hit is one
-//! clone of a pointer. Hit/miss counters are relaxed atomics surfaced per
-//! query in [`crate::report::Report::plan_cache`].
+//! A key is hashed **once, structurally** by its caller (`hash_of`: no
+//! text is formatted) and the 64-bit hash picks the shard and indexes the
+//! shard's map; an entry keeps the full key and a lookup compares it, so two
+//! keys that collide on the hash can only evict each other, never answer for
+//! each other. The map is a small sharded `RwLock<HashMap>` (reads take a
+//! shard read lock only), bounded by a per-shard FIFO: the cache can never
+//! grow past its capacity no matter how many distinct ad-hoc shapes a
+//! workload produces. Entries store an `Arc`, so a hit is one clone of a
+//! pointer. Hit/miss counters and the entry count are relaxed
+//! atomics (the count moves under the shard write lock), so
+//! `EpochCache::stats` takes no lock; they surface per query in
+//! [`crate::report::Report::plan_cache`].
 //!
 //! Two threads racing on the same cold key both compute the value and
 //! both try to insert; determinism makes the two values identical, so
@@ -27,20 +33,29 @@
 //! (exactly what the serial run would have computed).
 
 use crate::analyze::Diagnostic;
+use crate::frontends::ParsedQuery;
+use crate::planner::{CoreKey, Prepared};
 use estocada_chase::RewriteOutcome;
 use parking_lot::RwLock;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Shard count: enough to keep concurrent readers of distinct shapes off
-/// each other's locks, small enough that `len()` stays trivial.
+/// each other's locks.
 const SHARDS: usize = 16;
 
 /// Default bound on cached outcomes across all shards.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 1_024;
+
+/// The structural hash a cache key is looked up and stored under.
+pub(crate) fn hash_of<K: Hash + ?Sized>(key: &K) -> u64 {
+    let mut h = DefaultHasher::new();
+    key.hash(&mut h);
+    h.finish()
+}
 
 /// Counters and size of an epoch cache at one instant.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,77 +68,101 @@ pub struct PlanCacheStats {
     pub entries: usize,
 }
 
-struct Entry<V> {
+struct Entry<K, V> {
+    key: K,
     epoch: u64,
     value: V,
 }
 
-struct Shard<V> {
-    map: HashMap<String, Entry<V>>,
-    /// Insertion order for FIFO eviction.
-    order: VecDeque<String>,
+struct Shard<K, V> {
+    /// By key hash; the entry holds the key itself.
+    map: HashMap<u64, Entry<K, V>>,
+    /// Key hashes in insertion (or last replacement) order, for FIFO
+    /// eviction.
+    order: VecDeque<u64>,
 }
 
-impl<V> Default for Shard<V> {
-    fn default() -> Shard<V> {
-        Shard {
-            map: HashMap::new(),
-            order: VecDeque::new(),
+/// The query-lint cache: the analyzer's per-query findings, reused until
+/// the next DDL.
+pub(crate) type LintCache = EpochCache<Arc<ParsedQuery>, Arc<Vec<Diagnostic>>>;
+
+/// The rewrite-plan cache, two maps of one capacity each (see
+/// [`crate::planner`]): `outcomes` keeps what the chase & backchase made of
+/// a conjunctive core, `prepared` what translation made of one exact query
+/// over such an outcome. A query consults `prepared` first and `outcomes`
+/// only when that misses, so between them every query counts exactly one
+/// hit or one miss.
+#[derive(Default)]
+pub(crate) struct PlanCache {
+    pub(crate) outcomes: EpochCache<CoreKey, Arc<RewriteOutcome>>,
+    pub(crate) prepared: EpochCache<Arc<ParsedQuery>, Arc<Prepared>>,
+}
+
+impl PlanCache {
+    /// A hit is a query that ran no chase (its prepared plan, or at least
+    /// its outcome, was cached); `entries` counts cached outcomes — a
+    /// prepared plan is not a second entry.
+    pub(crate) fn stats(&self) -> PlanCacheStats {
+        let (outcomes, prepared) = (self.outcomes.stats(), self.prepared.stats());
+        PlanCacheStats {
+            hits: prepared.hits + outcomes.hits,
+            ..outcomes
         }
+    }
+
+    pub(crate) fn clear(&self) {
+        self.outcomes.clear();
+        self.prepared.clear();
     }
 }
 
-/// The rewrite-plan cache: `canonical CQ → Arc<RewriteOutcome>`.
-pub type PlanCache = EpochCache<Arc<RewriteOutcome>>;
-
-/// The query-lint cache: `canonical CQ → Arc<Vec<Diagnostic>>` — the
-/// analyzer's per-query findings, reused until the next DDL.
-pub type LintCache = EpochCache<Arc<Vec<Diagnostic>>>;
-
-/// A bounded, sharded, epoch-keyed map `String → V` (see the module
-/// docs). `V` is expected to be cheap to clone (an `Arc`).
-pub struct EpochCache<V: Clone> {
-    shards: Vec<RwLock<Shard<V>>>,
+/// A bounded, sharded, epoch-tagged map `K → V` (see the module docs). `V`
+/// is expected to be cheap to clone (an `Arc`).
+pub(crate) struct EpochCache<K, V> {
+    shards: Vec<RwLock<Shard<K, V>>>,
     per_shard: usize,
+    entries: AtomicUsize,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-impl<V: Clone> EpochCache<V> {
+impl<K: Eq, V: Clone> EpochCache<K, V> {
     /// A cache bounded to roughly `capacity` values (rounded up to a
     /// multiple of the shard count; `capacity = 0` disables storage but
     /// still counts misses).
-    pub fn new(capacity: usize) -> EpochCache<V> {
+    pub(crate) fn new(capacity: usize) -> EpochCache<K, V> {
+        let shard = || Shard {
+            map: HashMap::new(),
+            order: VecDeque::new(),
+        };
         EpochCache {
-            shards: (0..SHARDS).map(|_| RwLock::new(Shard::default())).collect(),
+            shards: (0..SHARDS).map(|_| RwLock::new(shard())).collect(),
             per_shard: capacity.div_ceil(SHARDS),
+            entries: AtomicUsize::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
     /// Total entry bound.
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
         self.per_shard * SHARDS
     }
 
-    fn shard(&self, key: &str) -> &RwLock<Shard<V>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARDS]
+    fn shard(&self, hash: u64) -> &RwLock<Shard<K, V>> {
+        &self.shards[(hash as usize) % SHARDS]
     }
 
-    /// The cached value for `key` at `epoch`, if any. An entry from an
-    /// older epoch never matches (DDL bumped the epoch past it). Counts a
-    /// hit or a miss.
-    pub fn lookup(&self, key: &str, epoch: u64) -> Option<V> {
+    /// The cached value for `key` (hashing to `hash`) at `epoch`, if any. An
+    /// entry from an older epoch never matches (DDL bumped the epoch past
+    /// it). Counts a hit or a miss.
+    pub(crate) fn lookup(&self, hash: u64, key: &K, epoch: u64) -> Option<V> {
         let found = {
-            let shard = self.shard(key).read();
-            shard
-                .map
-                .get(key)
-                .filter(|e| e.epoch == epoch)
-                .map(|e| e.value.clone())
+            let shard = self.shard(hash).read();
+            let entry = shard.map.get(&hash);
+            let entry = entry.filter(|e| e.epoch == epoch && e.key == *key);
+            entry.map(|e| e.value.clone())
         };
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -134,54 +173,69 @@ impl<V: Clone> EpochCache<V> {
 
     /// Cache `value` under `(key, epoch)`. First insert wins on a racing
     /// key (the values are identical by determinism); a stale-epoch entry
-    /// under the same key is replaced in place. At capacity the oldest
-    /// entry of the key's shard is evicted (FIFO).
-    pub fn insert(&self, key: String, epoch: u64, value: V) {
+    /// under the same key is replaced. At capacity the oldest entry of the
+    /// key's shard is evicted (FIFO).
+    pub(crate) fn insert(&self, hash: u64, key: K, epoch: u64, value: V) {
+        self.put(hash, key, epoch, value, false);
+    }
+
+    /// Like [`EpochCache::insert`], but the value also supersedes one
+    /// cached under the same `(key, epoch)` — for a value that ages by
+    /// something finer than the epoch.
+    pub(crate) fn replace(&self, hash: u64, key: K, epoch: u64, value: V) {
+        self.put(hash, key, epoch, value, true);
+    }
+
+    fn put(&self, hash: u64, key: K, epoch: u64, value: V, supersede: bool) {
         if self.per_shard == 0 {
             return;
         }
-        let mut shard = self.shard(&key).write();
-        if let Some(existing) = shard.map.get_mut(&key) {
-            if existing.epoch != epoch {
-                *existing = Entry { epoch, value };
+        let mut shard = self.shard(hash).write();
+        let Shard { map, order } = &mut *shard;
+        if let Some(existing) = map.get_mut(&hash) {
+            if !supersede && existing.epoch == epoch && existing.key == key {
+                return;
             }
+            // A replacement is the shard's newest entry, not the next one
+            // evicted.
+            *existing = Entry { key, epoch, value };
+            order.retain(|h| *h != hash);
+            order.push_back(hash);
             return;
         }
-        while shard.map.len() >= self.per_shard {
-            match shard.order.pop_front() {
+        while map.len() >= self.per_shard {
+            match order.pop_front() {
                 Some(old) => {
-                    shard.map.remove(&old);
+                    map.remove(&old);
+                    self.entries.fetch_sub(1, Ordering::Relaxed);
                 }
                 None => break,
             }
         }
-        shard.order.push_back(key.clone());
-        shard.map.insert(key, Entry { epoch, value });
+        order.push_back(hash);
+        map.insert(hash, Entry { key, epoch, value });
+        self.entries.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Drop every entry (the DDL path calls this on each epoch bump — the
     /// epoch tag alone already makes stale entries unreachable, clearing
     /// eagerly just returns their memory).
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         for s in &self.shards {
             let mut s = s.write();
+            self.entries.fetch_sub(s.map.len(), Ordering::Relaxed);
             s.map.clear();
             s.order.clear();
         }
     }
 
     /// Entries currently cached.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().map.len()).sum()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    pub(crate) fn len(&self) -> usize {
+        self.entries.load(Ordering::Relaxed)
     }
 
     /// Counter + size snapshot.
-    pub fn stats(&self) -> PlanCacheStats {
+    pub(crate) fn stats(&self) -> PlanCacheStats {
         PlanCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -190,21 +244,9 @@ impl<V: Clone> EpochCache<V> {
     }
 }
 
-impl<V: Clone> Default for EpochCache<V> {
-    fn default() -> EpochCache<V> {
+impl<K: Eq, V: Clone> Default for EpochCache<K, V> {
+    fn default() -> EpochCache<K, V> {
         EpochCache::new(DEFAULT_PLAN_CACHE_CAPACITY)
-    }
-}
-
-impl<V: Clone> std::fmt::Debug for EpochCache<V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.stats();
-        f.debug_struct("EpochCache")
-            .field("entries", &s.entries)
-            .field("capacity", &self.capacity())
-            .field("hits", &s.hits)
-            .field("misses", &s.misses)
-            .finish()
     }
 }
 
@@ -213,6 +255,28 @@ mod tests {
     use super::*;
     use estocada_chase::{RewriteOutcome, RewriteStats};
     use estocada_pivot::CqBuilder;
+
+    /// A cache of outcomes under string keys, hashed the way callers hash.
+    struct Outcomes(EpochCache<String, Arc<RewriteOutcome>>);
+
+    impl Outcomes {
+        fn new(capacity: usize) -> Outcomes {
+            Outcomes(EpochCache::new(capacity))
+        }
+        fn lookup(&self, key: &str, epoch: u64) -> Option<Arc<RewriteOutcome>> {
+            self.0.lookup(hash_of(key), &key.to_string(), epoch)
+        }
+        fn insert(&self, key: &str, epoch: u64, value: Arc<RewriteOutcome>) {
+            self.0.insert(hash_of(key), key.to_string(), epoch, value);
+        }
+        fn replace(&self, key: &str, epoch: u64, value: Arc<RewriteOutcome>) {
+            self.0.replace(hash_of(key), key.to_string(), epoch, value);
+        }
+        fn tag(&self, key: &str, epoch: u64) -> Option<String> {
+            let found = self.lookup(key, epoch);
+            found.map(|o| o.universal_plan.name.to_string())
+        }
+    }
 
     fn outcome(tag: &str) -> Arc<RewriteOutcome> {
         Arc::new(RewriteOutcome {
@@ -228,58 +292,108 @@ mod tests {
 
     #[test]
     fn hit_and_miss_counting() {
-        let c = PlanCache::new(8);
+        let c = Outcomes::new(8);
         assert!(c.lookup("q1", 0).is_none());
-        c.insert("q1".into(), 0, outcome("a"));
+        c.insert("q1", 0, outcome("a"));
         assert!(c.lookup("q1", 0).is_some());
-        let s = c.stats();
+        let s = c.0.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
     }
 
     #[test]
     fn epoch_bump_invalidates() {
-        let c = PlanCache::new(8);
-        c.insert("q1".into(), 0, outcome("a"));
+        let c = Outcomes::new(8);
+        c.insert("q1", 0, outcome("a"));
         assert!(c.lookup("q1", 1).is_none(), "stale epoch must miss");
         // Re-inserting at the new epoch replaces in place.
-        c.insert("q1".into(), 1, outcome("b"));
+        c.insert("q1", 1, outcome("b"));
         assert!(c.lookup("q1", 1).is_some());
         assert!(c.lookup("q1", 0).is_none());
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.0.len(), 1);
     }
 
     #[test]
     fn capacity_is_bounded() {
-        let c = PlanCache::new(32);
+        let c = Outcomes::new(32);
         for i in 0..10_000 {
-            c.insert(format!("q{i}"), 0, outcome("a"));
+            c.insert(&format!("q{i}"), 0, outcome("a"));
         }
-        assert!(c.len() <= c.capacity(), "{} > {}", c.len(), c.capacity());
-        assert!(c.capacity() < 100);
+        let (len, capacity) = (c.0.len(), c.0.capacity());
+        assert!(len <= capacity, "{len} > {capacity}");
+        assert!(capacity < 100);
+        // The O(1) count is the maps' own.
+        let held: usize = c.0.shards.iter().map(|s| s.read().map.len()).sum();
+        assert_eq!(len, held);
     }
 
     #[test]
     fn clear_empties_everything() {
-        let c = PlanCache::new(32);
+        let c = Outcomes::new(32);
         for i in 0..20 {
-            c.insert(format!("q{i}"), 0, outcome("a"));
+            c.insert(&format!("q{i}"), 0, outcome("a"));
         }
-        c.clear();
-        assert!(c.is_empty());
+        c.0.clear();
+        assert_eq!(c.0.len(), 0);
+        assert!(c.lookup("q3", 0).is_none());
     }
 
     #[test]
     fn first_insert_wins_on_same_epoch() {
-        let c = PlanCache::new(8);
-        c.insert("q".into(), 0, outcome("first"));
-        c.insert("q".into(), 0, outcome("second"));
-        let got = c.lookup("q", 0).unwrap();
-        assert_eq!(got.universal_plan.name.to_string(), "first");
+        let c = Outcomes::new(8);
+        c.insert("q", 0, outcome("first"));
+        c.insert("q", 0, outcome("second"));
+        assert_eq!(c.tag("q", 0).as_deref(), Some("first"));
+        // A replacement is what supersedes within an epoch.
+        c.replace("q", 0, outcome("third"));
+        assert_eq!(c.tag("q", 0).as_deref(), Some("third"));
+        assert_eq!(c.0.len(), 1);
+    }
+
+    #[test]
+    fn a_replaced_entry_is_the_newest_of_its_shard() {
+        // Two entries per shard: a third key of a shard evicts its oldest.
+        let c = Outcomes::new(2 * SHARDS);
+        assert_eq!(c.0.per_shard, 2);
+        let same_shard = |k: &String| std::ptr::eq(c.0.shard(hash_of(k.as_str())), &c.0.shards[0]);
+        let keys: Vec<String> = (0..)
+            .map(|i| format!("q{i}"))
+            .filter(same_shard)
+            .take(4)
+            .collect();
+        let [a, b, x, y] = [&keys[0], &keys[1], &keys[2], &keys[3]];
+        for refresh in ["stale catalog epoch", "replaced at its epoch"] {
+            c.0.clear();
+            c.insert(a, 0, outcome("a0"));
+            c.insert(b, 1, outcome("b"));
+            // `a` is the shard's oldest entry until it is refreshed …
+            match refresh {
+                "stale catalog epoch" => c.insert(a, 1, outcome("a1")),
+                _ => c.replace(a, 1, outcome("a1")),
+            }
+            // … so the next arrival evicts `b`, and only the one after `a`.
+            c.insert(x, 1, outcome("x"));
+            assert_eq!(c.tag(a, 1).as_deref(), Some("a1"), "{refresh}");
+            assert!(c.lookup(b, 1).is_none(), "{refresh}");
+            c.insert(y, 1, outcome("y"));
+            assert!(c.lookup(a, 1).is_none(), "{refresh}");
+            assert_eq!(c.0.len(), 2);
+        }
+    }
+
+    #[test]
+    fn colliding_keys_never_answer_for_each_other() {
+        let c = Outcomes::new(8);
+        c.0.insert(7, "a".to_string(), 0, outcome("a"));
+        assert!(c.0.lookup(7, &"b".to_string(), 0).is_none());
+        c.0.insert(7, "b".to_string(), 0, outcome("b"));
+        assert!(c.0.lookup(7, &"a".to_string(), 0).is_none());
+        assert!(c.0.lookup(7, &"b".to_string(), 0).is_some());
+        assert_eq!(c.0.len(), 1);
     }
 
     #[test]
     fn concurrent_lookups_and_inserts_are_safe() {
-        let c = PlanCache::new(64);
+        let c = Outcomes::new(64);
         std::thread::scope(|s| {
             for t in 0..8 {
                 let c = &c;
@@ -287,30 +401,31 @@ mod tests {
                     for i in 0..500 {
                         let key = format!("q{}", (t * 31 + i) % 40);
                         if c.lookup(&key, 0).is_none() {
-                            c.insert(key, 0, outcome("x"));
+                            c.insert(&key, 0, outcome("x"));
                         }
                     }
                 });
             }
         });
-        assert!(c.len() <= 40);
-        let s = c.stats();
+        assert!(c.0.len() <= 40);
+        let s = c.0.stats();
         assert_eq!(s.hits + s.misses, 8 * 500);
     }
 
     #[test]
     fn zero_capacity_disables_storage() {
-        let c = PlanCache::new(0);
-        c.insert("q".into(), 0, outcome("a"));
+        let c = Outcomes::new(0);
+        c.insert("q", 0, outcome("a"));
         assert!(c.lookup("q", 0).is_none());
-        assert_eq!(c.len(), 0);
+        assert_eq!(c.0.len(), 0);
     }
 
     #[test]
     fn lint_cache_shares_the_machinery() {
         use crate::analyze::{Code, Diagnostic};
-        let c = LintCache::new(8);
-        assert!(c.lookup("q", 3).is_none());
+        let c: EpochCache<String, Arc<Vec<Diagnostic>>> = EpochCache::new(8);
+        let (hash, key) = (hash_of("q"), "q".to_string());
+        assert!(c.lookup(hash, &key, 3).is_none());
         let diags = Arc::new(vec![Diagnostic {
             severity: Code::CartesianProductBody.severity(),
             code: Code::CartesianProductBody,
@@ -318,9 +433,12 @@ mod tests {
             message: "cross product".into(),
             witness: None,
         }]);
-        c.insert("q".into(), 3, diags);
-        let got = c.lookup("q", 3).expect("hit");
+        c.insert(hash, key.clone(), 3, diags);
+        let got = c.lookup(hash, &key, 3).expect("hit");
         assert_eq!(got.len(), 1);
-        assert!(c.lookup("q", 4).is_none(), "DDL epoch bump invalidates");
+        assert!(
+            c.lookup(hash, &key, 4).is_none(),
+            "DDL epoch bump invalidates"
+        );
     }
 }

@@ -28,18 +28,41 @@
 //!
 //! # The rewrite-plan cache
 //!
-//! Rewriting outcomes are cached in an epoch-keyed bounded map
-//! ([`crate::plancache::PlanCache`]): a repeated query shape skips the
-//! chase & backchase and goes straight to translation; any DDL epoch bump
-//! invalidates every entry. Activity and engine totals surface in
-//! [`crate::Report::plan_cache`]; opt out per query with
+//! Planning is cached at two levels in one epoch-tagged bounded cache
+//! ([`crate::plancache::PlanCache`]; any DDL epoch bump invalidates every
+//! entry of both):
+//!
+//! - The **rewriting outcome** of a conjunctive core ([`CoreKey`]: alpha-
+//!   equivalent cores, and every query over one core — its plain form, its
+//!   aggregates, its renamed columns — share it). A hit skips the chase &
+//!   backchase.
+//! - The **prepared plan** of one exact query ([`Prepared`], keyed by the
+//!   whole [`ParsedQuery`] — everything translation and the report read):
+//!   every rewriting translated and costed once into a plan that carries no
+//!   query's fault handling, the [`Alternative`]s, and the report's texts. A
+//!   hit is parse → hash → lookup → rank → [`bind`] the chosen plan → execute
+//!   → report by clone: it translates nothing and formats no query.
+//!   Translation reads the fragment statistics, which DML moves, so a
+//!   prepared plan holds for one *data* epoch: after a write the entry is
+//!   re-translated from the outcome it keeps (a write never forces a chase)
+//!   and replaced. Nothing else it read can change within a catalog epoch;
+//!   breaker state is read when ranking and a fault plan when running, so
+//!   neither is part of any key. A plan is kept **on second sight**: by the
+//!   query that found its rewriting already cached, not by the one that ran
+//!   the chase. A query seen once costs the cache what it always did — its
+//!   outcome — and evicts no plan that is being reused; a repeated one
+//!   translates twice, then never again in its data epoch. (Measured, not
+//!   assumed: keeping a plan per one-shot query moved `lookup_cold`'s
+//!   corrected `read_p50_ms` by +15–25 %, EXPERIMENTS.md "Prepared plans".)
+//!
+//! The query's structural hash ([`crate::plancache::hash_of`], computed once
+//! per query and shared with the lint lookup) finds the prepared plan; only
+//! when that misses is the core canonicalized for the outcome lookup.
+//! Activity and engine totals surface in [`crate::Report::plan_cache`] — a
+//! *hit* is a query that ran no chase; opt out per query with
 //! [`crate::QueryRequest::no_plan_cache`] or engine-wide with
-//! [`crate::Estocada::set_plan_cache`]. Translations are *not* cached
-//! today — they read live fragment statistics and bind the query's
-//! resilience context into their runners. Caching the translated, costed
-//! alternatives beside the outcome (keyed also on the data epoch and the
-//! breaker state) would go between the lookup and the translation loop of
-//! [`plan`].
+//! [`crate::Estocada::set_plan_cache`] (both levels are bypassed: neither
+//! consulted nor populated).
 //!
 //! # Ranking and failover
 //!
@@ -47,22 +70,25 @@
 //! circuit, or one that already failed in this query, makes every plan
 //! through it rank behind any healthy plan; ties go to the earliest
 //! rewriting. The first choice and every failover choice are the same
-//! function over the candidates that remain, so failover performs **zero**
-//! new translation work ([`crate::ResilienceReport::translations`] pins
-//! it). With every breaker closed the choice is the plain cost model's.
+//! function over the candidates that remain — the cached `est_cost` and
+//! `systems` are all it reads — so failover performs **zero** new
+//! translation work ([`crate::ResilienceReport::translations`] pins it).
+//! With every breaker closed the choice is the plain cost model's.
 
 use crate::analyze;
+use crate::connector::Residual;
 use crate::cost::CostModel;
 use crate::dataset::{Dataset, DatasetContent};
 use crate::error::Result;
-use crate::evaluator::{Estocada, ResolvedOptions};
+use crate::evaluator::Estocada;
 use crate::frontends::{ParsedQuery, SqlCatalog, SqlTable};
+use crate::plancache::hash_of;
 use crate::report::{Alternative, PlanCacheActivity};
-use crate::resilience::QueryResilience;
 use crate::system::SystemId;
 use crate::translate::{translate_query, Query, Translation};
 use estocada_chase::{certify, RewriteOutcome, Rewriter, TerminationCertificate};
-use estocada_pivot::Constraint;
+use estocada_pivot::{Constraint, Cq};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -119,60 +145,132 @@ fn sql_catalog(datasets: &HashMap<String, Dataset>) -> SqlCatalog {
 }
 
 /// One executable rewriting: its translation, whose `plan` is the *final*
-/// plan (the SQL aggregation, if any, already in it).
-/// Lives for one query: its runners hold the query's resilience context.
+/// plan (the SQL aggregation, if any, already in it) and belongs to no
+/// query — [`crate::translate::bind`] it before running.
 pub(crate) struct Candidate {
-    /// Index into [`Planned::alternatives`] (and the outcome's rewritings).
+    /// Index into [`Prepared::alternatives`] (and the outcome's rewritings).
     pub(crate) alternative: usize,
     pub(crate) translation: Translation,
+    /// `translation.plan.explain()`, for the report.
+    pub(crate) explain: String,
 }
 
-/// A planned (rewritten + translated + costed) query.
-pub(crate) struct Planned {
+/// A query rewritten, translated and costed — everything about its plans
+/// that the next run of the same query would compute again.
+pub(crate) struct Prepared {
     pub(crate) outcome: Arc<RewriteOutcome>,
-    /// `Some` when the plan cache was consulted.
-    pub(crate) plan_cache: Option<PlanCacheActivity>,
-    pub(crate) rewrite_time: Duration,
-    pub(crate) translate_time: Duration,
+    /// The data epoch whose fragment statistics translation read.
+    data_epoch: u64,
+    /// The query and the outcome's universal plan, as the report prints them.
+    pub(crate) pivot_query: String,
+    pub(crate) universal_plan: String,
     /// Every rewriting, executable or not, in the outcome's order.
     pub(crate) alternatives: Vec<Alternative>,
     /// The executable ones, in the same order.
     pub(crate) candidates: Vec<Candidate>,
 }
 
-/// Plan `q` against the engine's current catalog epoch. With `resilience`
-/// set, delegated runners are wrapped in the query's retry/breaker loop and
-/// translation runs are counted on it; `None` plans for costing only.
-pub(crate) fn plan(
+/// What one call of [`plan`] did to get its [`Prepared`].
+pub(crate) struct Planned {
+    pub(crate) prepared: Arc<Prepared>,
+    /// `Some` when the plan cache was consulted.
+    pub(crate) plan_cache: Option<PlanCacheActivity>,
+    pub(crate) rewrite_time: Duration,
+    pub(crate) translate_time: Duration,
+    /// Rewriting→plan translations this call ran: one per rewriting, none
+    /// when the prepared plan was cached.
+    pub(crate) translations: u64,
+}
+
+/// Plan `q` against the engine's current catalog and data epochs. `cache`
+/// is the query's [`hash_of`] when the plan cache may serve and keep the
+/// result, `None` to plan past it.
+pub(crate) fn plan(est: &Estocada, q: &Arc<ParsedQuery>, cache: Option<u64>) -> Result<Planned> {
+    let t0 = Instant::now();
+    let (epoch, data_epoch) = (est.catalog_epoch(), est.data_epoch());
+    let plans = &est.plan_cache;
+    let activity = |hit| {
+        cache.map(|_| PlanCacheActivity {
+            hit,
+            totals: plans.stats(),
+        })
+    };
+    let cached = cache.and_then(|hash| plans.prepared.lookup(hash, q, epoch));
+    if let Some(prepared) = cached.as_ref().filter(|p| p.data_epoch == data_epoch) {
+        return Ok(Planned {
+            prepared: prepared.clone(),
+            plan_cache: activity(true),
+            rewrite_time: t0.elapsed(),
+            translate_time: Duration::ZERO,
+            translations: 0,
+        });
+    }
+    let (outcome, hit) = match cached {
+        // A write moved the statistics under a cached plan: its outcome holds.
+        Some(stale) => (stale.outcome.clone(), true),
+        None => rewrite(est, q, cache.is_some())?,
+    };
+    let rewrite_time = t0.elapsed();
+    let t1 = Instant::now();
+    let prepared = Arc::new(prepare(est, q, outcome, data_epoch));
+    let translate_time = t1.elapsed();
+    // Admission on second sight (module docs).
+    if let Some(hash) = cache.filter(|_| hit) {
+        let (key, value) = (q.clone(), prepared.clone());
+        plans.prepared.replace(hash, key, epoch, value);
+    }
+    Ok(Planned {
+        translations: prepared.alternatives.len() as u64,
+        prepared,
+        plan_cache: activity(hit),
+        rewrite_time,
+        translate_time,
+    })
+}
+
+/// The rewriting outcome of `q` — from the plan cache when `cached`, else
+/// computed (and cached) — and whether the cache had it.
+fn rewrite(est: &Estocada, q: &ParsedQuery, cached: bool) -> Result<(Arc<RewriteOutcome>, bool)> {
+    let (ctx, epoch, outcomes) = (
+        est.planning(),
+        est.catalog_epoch(),
+        &est.plan_cache.outcomes,
+    );
+    let key = cached.then(|| CoreKey::of(q)).map(|k| (hash_of(&k), k));
+    if let Some(outcome) = key
+        .as_ref()
+        .and_then(|(h, k)| outcomes.lookup(*h, k, epoch))
+    {
+        return Ok((outcome, true));
+    }
+    // A terminating verdict lifts the budget guard of every chase of this
+    // rewrite; any weaker one keeps it as configured.
+    let mut cfg = est.rewrite_config();
+    cfg.chase = cfg.chase.with_certificate(&ctx.certificate);
+    let outcome = Arc::new(ctx.rewriter.rewrite(&q.cq, &cfg)?);
+    if let Some((hash, key)) = key {
+        outcomes.insert(hash, key, epoch, outcome.clone());
+    }
+    Ok((outcome, false))
+}
+
+/// Translate and cost every rewriting of `outcome` for `q`, once, and
+/// print what a report of `q` shows.
+fn prepare(
     est: &Estocada,
     q: &ParsedQuery,
-    opts: &ResolvedOptions,
-    resilience: Option<&Arc<QueryResilience>>,
-) -> Result<Planned> {
-    let t0 = Instant::now();
-    let (outcome, plan_cache) = rewrite(est, q, opts)?;
-    let rewrite_time = t0.elapsed();
-
-    let t1 = Instant::now();
+    outcome: Arc<RewriteOutcome>,
+    data_epoch: u64,
+) -> Prepared {
+    let query = Query {
+        head_names: &q.head_names,
+        residuals: &q.residuals,
+        aggregate: q.aggregate.as_ref(),
+    };
     let mut alternatives = Vec::with_capacity(outcome.rewritings.len());
     let mut candidates = Vec::new();
     for (alternative, rw) in outcome.rewritings.iter().enumerate() {
-        if let Some(r) = resilience {
-            r.note_translation();
-        }
-        let query = Query {
-            head_names: &q.head_names,
-            residuals: &q.residuals,
-            aggregate: q.aggregate.as_ref(),
-        };
-        let translated = translate_query(
-            rw,
-            &query,
-            est.catalog(),
-            &est.stores,
-            est.cost_model(),
-            resilience,
-        );
+        let translated = translate_query(rw, &query, est.catalog(), &est.stores, est.cost_model());
         alternatives.push(Alternative {
             rewriting: format!("{rw}"),
             est_cost: translated.as_ref().ok().map(|tr| tr.est_cost),
@@ -181,50 +279,44 @@ pub(crate) fn plan(
         if let Ok(translation) = translated {
             candidates.push(Candidate {
                 alternative,
+                explain: translation.plan.explain(),
                 translation,
             });
         }
     }
-    Ok(Planned {
+    Prepared {
+        pivot_query: format!("{}", q.cq),
+        universal_plan: format!("{}", outcome.universal_plan),
         outcome,
-        plan_cache,
-        rewrite_time,
-        translate_time: t1.elapsed(),
+        data_epoch,
         alternatives,
         candidates,
-    })
+    }
 }
 
-/// The rewriting outcome of `q` — from the plan cache when `opts` allow
-/// it, else computed (and cached) — with the cache activity to report.
-fn rewrite(
-    est: &Estocada,
-    q: &ParsedQuery,
-    opts: &ResolvedOptions,
-) -> Result<(Arc<RewriteOutcome>, Option<PlanCacheActivity>)> {
-    let (ctx, epoch) = (est.planning(), est.catalog_epoch());
-    let key = opts.plan_cache.then(|| plan_cache_key(q));
-    let cached = key.as_ref().and_then(|k| est.plan_cache.lookup(k, epoch));
-    let cache_hit = key.as_ref().map(|_| cached.is_some());
-    let outcome = match cached {
-        Some(outcome) => outcome,
-        None => {
-            // A terminating verdict lifts the budget guard of every chase
-            // of this rewrite; any weaker one keeps it as configured.
-            let mut cfg = est.rewrite_config();
-            cfg.chase = cfg.chase.with_certificate(&ctx.certificate);
-            let outcome = Arc::new(ctx.rewriter.rewrite(&q.cq, &cfg)?);
-            if let Some(key) = key {
-                est.plan_cache.insert(key, epoch, outcome.clone());
-            }
-            outcome
+/// What a rewriting outcome is a function of within one catalog epoch: the
+/// conjunctive core up to variable renaming — except that a query with
+/// residual comparisons keys on the exact CQ (residuals reference its
+/// concrete variable ids, so two alpha-equivalent variants must not share a
+/// cached outcome there).
+#[derive(PartialEq, Eq, Hash)]
+pub(crate) struct CoreKey {
+    cq: Cq,
+    residuals: Vec<Residual>,
+}
+
+impl CoreKey {
+    fn of(q: &ParsedQuery) -> CoreKey {
+        let mut cq = match q.residuals.is_empty() {
+            true => q.cq.canonicalize(),
+            false => q.cq.clone(),
+        };
+        cq.var_names.clear();
+        CoreKey {
+            cq,
+            residuals: q.residuals.clone(),
         }
-    };
-    let activity = cache_hit.map(|hit| PlanCacheActivity {
-        hit,
-        totals: est.plan_cache.stats(),
-    });
-    Ok((outcome, activity))
+    }
 }
 
 /// The one ranking rule: the cheapest of `candidates` by penalized cost —
@@ -233,13 +325,13 @@ fn rewrite(
 /// with ties to the earliest; `None` when none remains. Callers remove a
 /// candidate once tried, so every failover choice is this same call.
 pub(crate) fn cheapest(
-    candidates: &[Candidate],
+    candidates: &[impl Borrow<Candidate>],
     cost: &CostModel,
     avoid: impl Fn(SystemId) -> bool,
 ) -> Option<usize> {
     let mut best: Option<(f64, usize)> = None;
     for (idx, c) in candidates.iter().enumerate() {
-        let tr = &c.translation;
+        let tr = &c.borrow().translation;
         let avoided = tr.systems.iter().filter(|s| avoid(**s)).count();
         let eff = cost.penalize(tr.est_cost, avoided);
         if best.is_none_or(|(b, _)| eff < b) {
@@ -247,23 +339,6 @@ pub(crate) fn cheapest(
         }
     }
     best.map(|(_, idx)| idx)
-}
-
-/// The stable plan-cache key of a query: the alpha-invariant canonical
-/// form, except that a query with residual comparisons keys on the exact
-/// CQ — residuals reference its concrete variable ids, so two
-/// alpha-equivalent variants must not share a cached outcome there.
-fn plan_cache_key(q: &ParsedQuery) -> String {
-    let cq = &q.cq;
-    if q.residuals.is_empty() {
-        let c = cq.canonicalize();
-        format!("c|{}|{:?}|{:?}", cq.name, c.head, c.body)
-    } else {
-        format!(
-            "x|{}|{:?}|{:?}|{:?}",
-            cq.name, cq.head, cq.body, q.residuals
-        )
-    }
 }
 
 #[cfg(test)]
@@ -281,9 +356,11 @@ mod tests {
                 est_cost,
                 est_rows: 0.0,
                 unit_labels: Vec::new(),
+                unit_systems: Vec::new(),
                 systems: systems.to_vec(),
                 used_relations: Vec::new(),
             },
+            explain: String::new(),
         }
     }
 
@@ -301,7 +378,7 @@ mod tests {
         ];
         assert_eq!(cheapest(&cs, &cost, healthy), Some(1));
         assert_eq!(cheapest(&cs[2..], &cost, healthy), Some(0));
-        assert_eq!(cheapest(&[], &cost, healthy), None);
+        assert_eq!(cheapest(&cs[..0], &cost, healthy), None);
     }
 
     #[test]

@@ -12,8 +12,10 @@ use std::fmt;
 use std::time::Duration;
 
 /// What the rewrite-plan cache did for one query: whether this query's
-/// rewriting came from the cache (skipping the chase & backchase entirely),
-/// plus the engine-wide counters at report time. `None` in a [`Report`]
+/// rewriting came from the cache (skipping the chase & backchase entirely —
+/// alone, or with the prepared plans built from it, which
+/// [`Report::translate_time`] tells apart), plus the engine-wide counters at
+/// report time. `None` in a [`Report`]
 /// means the cache was bypassed for the query (per-request opt-out or
 /// engine-level disable).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,9 +57,13 @@ pub struct Report {
     pub per_store: Vec<(SystemId, MetricsSnapshot)>,
     /// Engine counters.
     pub exec: ExecStats,
-    /// Time spent in PACB rewriting (or fetching the cached plan).
+    /// Time from the start of planning to a rewriting outcome in hand: the
+    /// plan-cache lookups (on a hit, all there is) and, on a miss, the core's
+    /// canonical key and PACB rewriting.
     pub rewrite_time: Duration,
-    /// Time spent translating and costing.
+    /// Time spent translating and costing every rewriting and printing the
+    /// report's texts — exactly zero when the query's prepared plan was
+    /// cached, which translates and formats nothing.
     pub translate_time: Duration,
     /// Whether the rewriting search was provably complete.
     pub complete_search: bool,

@@ -405,10 +405,10 @@ pub struct ResilienceReport {
     pub store_errors: Vec<String>,
     /// Breaker state changes, in order.
     pub breaker_transitions: Vec<BreakerTransition>,
-    /// Rewriting→plan translation runs this query performed. Planning
-    /// translates each rewriting exactly once and failover reuses the
-    /// retained translations, so this stays at the rewriting count no
-    /// matter how many plan attempts the failover chain needed.
+    /// Rewriting→plan translation runs this query performed: one per
+    /// rewriting when it planned, none when its prepared plan was cached —
+    /// and no more however many plan attempts the failover chain needed
+    /// (failover binds and runs the plans planning already holds).
     pub translations: u64,
 }
 
@@ -428,7 +428,6 @@ pub struct QueryResilience {
     deadline: Option<Instant>,
     health: Arc<HealthTracker>,
     retries: AtomicU64,
-    translations: AtomicU64,
     errors: Mutex<Vec<String>>,
     transitions: Mutex<Vec<BreakerTransition>>,
 }
@@ -446,7 +445,6 @@ impl QueryResilience {
             deadline: deadline.map(|d| Instant::now() + d),
             health,
             retries: AtomicU64::new(0),
-            translations: AtomicU64::new(0),
             errors: Mutex::new(Vec::new()),
             transitions: Mutex::new(Vec::new()),
         })
@@ -460,17 +458,6 @@ impl QueryResilience {
     /// Retries issued so far.
     pub fn retries(&self) -> u64 {
         self.retries.load(Ordering::Relaxed)
-    }
-
-    /// Rewriting→plan translation runs performed so far.
-    pub fn translations(&self) -> u64 {
-        self.translations.load(Ordering::Relaxed)
-    }
-
-    /// Record one translation run (the evaluator calls this around
-    /// [`crate::translate::translate`]).
-    pub(crate) fn note_translation(&self) {
-        self.translations.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Store errors observed so far (rendered).

@@ -49,7 +49,7 @@ use crate::error::{Error, Result};
 use crate::frontends::AggregateSpec;
 use crate::resilience::{QueryResilience, ResilientSource};
 use crate::system::{Stores, SystemId};
-use estocada_engine::{BindSource, CmpOp, Expr, Plan};
+use estocada_engine::{CmpOp, Expr, Plan};
 use estocada_pivot::{Cq, GroupBy, Symbol, Term, Var};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -64,6 +64,8 @@ pub struct Translation {
     pub est_rows: f64,
     /// Labels of the delegated units, in execution order.
     pub unit_labels: Vec<String>,
+    /// The system serving each delegated unit, parallel to `unit_labels`.
+    pub unit_systems: Vec<SystemId>,
     /// Systems touched.
     pub systems: Vec<SystemId>,
     /// Fragment relations used (for the catalog's use counters).
@@ -78,9 +80,10 @@ type AtomInfo = (estocada_pivot::Atom, FragmentRelation, FragmentStats);
 ///
 /// Every delegated runner and BindJoin source passes its backend's fault
 /// gate (see [`crate::connector`]) before each store request. With
-/// `resilience` set they are additionally wrapped in the per-query
-/// retry/breaker loop; with `None` a store error ends the plan at once
-/// (advisor what-if costing, unit tests).
+/// `resilience` set the built plan's delegated leaves are additionally
+/// wrapped in the per-query retry/breaker loop; with `None` a store error
+/// ends the plan at once (unit tests, replaying a plan from outside the
+/// engine).
 pub fn translate(
     rewriting: &Cq,
     head_names: &[String],
@@ -95,7 +98,52 @@ pub fn translate(
         residuals,
         aggregate: None,
     };
-    translate_query(rewriting, &query, catalog, stores, cost, resilience)
+    let mut built = translate_query(rewriting, &query, catalog, stores, cost)?;
+    if let Some(ctx) = resilience {
+        built.plan = bind(&built, ctx);
+    }
+    Ok(built)
+}
+
+/// `built.plan` with every delegated leaf — `Delegated` runners and
+/// `BindJoin` sources, met in execution order — running through `ctx`'s
+/// retry/breaker loop. The one place a plan meets a query's fault handling:
+/// what [`translate_query`] builds belongs to no query, so the planner can
+/// keep it and bind it to each query that runs it.
+pub(crate) fn bind(built: &Translation, ctx: &Arc<QueryResilience>) -> Plan {
+    fn leaves<'a>(
+        plan: &mut Plan,
+        systems: &mut impl Iterator<Item = &'a SystemId>,
+        ctx: &Arc<QueryResilience>,
+    ) {
+        match plan {
+            Plan::Values(_) => {}
+            Plan::Delegated { runner, .. } => {
+                if let Some(system) = systems.next() {
+                    *runner = ctx.wrap_runner(*system, runner.clone());
+                }
+            }
+            Plan::Filter { input, .. }
+            | Plan::Project { input, .. }
+            | Plan::Distinct { input }
+            | Plan::Aggregate { input, .. } => leaves(input, systems, ctx),
+            Plan::HashJoin { left, right, .. } | Plan::NlJoin { left, right, .. } => {
+                leaves(left, systems, ctx);
+                leaves(right, systems, ctx);
+            }
+            Plan::BindJoin { left, source, .. } => {
+                leaves(left, systems, ctx);
+                if let Some(system) = systems.next() {
+                    let probed = ResilientSource::new(source.clone(), *system, ctx.clone());
+                    *source = Arc::new(probed);
+                }
+            }
+        }
+    }
+    let (mut plan, mut systems) = (built.plan.clone(), built.unit_systems.iter());
+    leaves(&mut plan, &mut systems, ctx);
+    debug_assert!(systems.next().is_none(), "a unit without its leaf");
+    plan
 }
 
 /// What a query adds to the rewriting of its conjunctive core.
@@ -110,14 +158,14 @@ pub(crate) struct Query<'a> {
 
 /// Translate `rewriting` into the **final** plan of `query`: the core, and
 /// on top of it the aggregation — inside the delegated unit when one store
-/// covers the whole query, in the mediator otherwise (module docs).
+/// covers the whole query, in the mediator otherwise (module docs). The plan
+/// carries no query's fault handling; [`bind`] adds it.
 pub(crate) fn translate_query(
     rewriting: &Cq,
     query: &Query,
     catalog: &Catalog,
     stores: &Stores,
     cost: &CostModel,
-    resilience: Option<&Arc<QueryResilience>>,
 ) -> Result<Translation> {
     if rewriting.body.is_empty() {
         return Err(Error::Untranslatable("empty rewriting body".into()));
@@ -163,24 +211,22 @@ pub(crate) fn translate_query(
     let mut state: Option<(Plan, Vec<Var>, f64)> = None;
     let mut est_cost = 0.0;
     let mut unit_labels = Vec::new();
+    let mut unit_systems = Vec::new();
     let mut systems = Vec::new();
     for idx in order {
         let unit = &units[idx];
         unit_labels.push(unit.label.clone());
+        unit_systems.push(unit.system);
         if !systems.contains(&unit.system) {
             systems.push(unit.system);
         }
         state = Some(match (state, &unit.kind) {
             (None, UnitKind::Run(runner)) => {
                 est_cost += cost.request_cost(unit.system, unit.est_rows, unit.est_scanned);
-                let runner = match resilience {
-                    Some(ctx) => ctx.wrap_runner(unit.system, runner.clone()),
-                    None => runner.clone(),
-                };
                 (
                     Plan::Delegated {
                         label: unit.label.clone(),
-                        runner,
+                        runner: runner.clone(),
                     },
                     unit.out_vars.clone(),
                     unit.est_rows,
@@ -194,13 +240,9 @@ pub(crate) fn translate_query(
             }
             (Some((plan, vars, rows)), UnitKind::Run(runner)) => {
                 est_cost += cost.request_cost(unit.system, unit.est_rows, unit.est_scanned);
-                let runner = match resilience {
-                    Some(ctx) => ctx.wrap_runner(unit.system, runner.clone()),
-                    None => runner.clone(),
-                };
                 let right = Plan::Delegated {
                     label: unit.label.clone(),
-                    runner,
+                    runner: runner.clone(),
                 };
                 let (plan, vars, est) = join_states(
                     plan,
@@ -240,18 +282,10 @@ pub(crate) fn translate_query(
                         new_vars.push(*v);
                     }
                 }
-                let source: Arc<dyn BindSource> = match resilience {
-                    Some(ctx) => Arc::new(ResilientSource::new(
-                        source.clone(),
-                        unit.system,
-                        ctx.clone(),
-                    )),
-                    None => source.clone(),
-                };
                 let mut plan = Plan::BindJoin {
                     left: Box::new(plan),
                     key_cols,
-                    source,
+                    source: source.clone(),
                 };
                 plan = dedup_columns(plan, &vars, &unit.out_vars, dup_filters);
                 let est = (rows * unit.est_rows).max(0.0);
@@ -331,6 +365,7 @@ pub(crate) fn translate_query(
         est_cost,
         est_rows,
         unit_labels,
+        unit_systems,
         systems,
         used_relations,
     })
@@ -905,7 +940,7 @@ mod tests {
             residuals,
             aggregate: Some(spec),
         };
-        translate_query(rw, &query, &catalog, &stores, &CostModel::default(), None).unwrap()
+        translate_query(rw, &query, &catalog, &stores, &CostModel::default()).unwrap()
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub trait BindSource: Send + Sync {
 }
 
 /// One aggregate of an [`Plan::Aggregate`] node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AggSpec {
     /// Function.
     pub fun: AggFun,

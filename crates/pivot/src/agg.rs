@@ -26,7 +26,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Aggregate functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFun {
     /// Row count.
     Count,

@@ -12,7 +12,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// A conjunctive query with a named head.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Cq {
     /// Name of the query / view (the head predicate).
     pub name: Symbol,

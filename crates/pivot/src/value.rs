@@ -304,7 +304,7 @@ impl From<String> for Value {
 /// Comparison operators over the total [`Value`] order — the one
 /// definition the mediator's expressions, the relational store's
 /// predicates and a delegated `HAVING` all evaluate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// `=`
     Eq,

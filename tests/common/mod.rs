@@ -127,7 +127,8 @@ pub fn with_fast_retry(mut est: Estocada) -> Estocada {
     est
 }
 
-const STORES: [&str; 5] = ["relational", "key-value", "document", "text", "parallel"];
+/// The selector names a `FaultPlan` rule keys a store by.
+pub const STORES: [&str; 5] = ["relational", "key-value", "document", "text", "parallel"];
 const KINDS: [FaultKind; 3] = [
     FaultKind::Unavailable,
     FaultKind::Timeout,

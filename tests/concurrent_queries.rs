@@ -16,6 +16,7 @@
 mod common;
 
 use common::{norm, Norm, Q};
+use estocada::plancache::DEFAULT_PLAN_CACHE_CAPACITY;
 use estocada::{Estocada, Latencies, QueryOptions, QueryResult};
 use estocada_pivot::CqBuilder;
 use estocada_workloads::marketplace::{generate, Marketplace};
@@ -141,6 +142,66 @@ fn concurrent_cache_misses_share_one_planning_context() {
         let s = est.plan_cache_stats();
         assert_eq!((s.hits, s.misses), (0, work.len() as u64));
     }
+}
+
+/// All clients leave the barrier with the same cold query and repeat it:
+/// whoever gets there first rewrites, whoever finds the outcome keeps a
+/// prepared plan, the rest run it — and every run is the serial answer.
+#[test]
+fn threads_racing_one_cold_key_all_get_the_serial_answer() {
+    for q in [Q::Sql(pref_sql(3)), Q::Doc(7), Q::Sql(user_orders_sql(5))] {
+        let reference = norm(&run_q(&engine(false), &q));
+        for threads in [2usize, 4, 8] {
+            let est = engine(true);
+            let work = vec![q.clone(); 3 * threads];
+            for got in concurrent_run(&est, &work, threads) {
+                assert_eq!(got, reference, "{q:?} at {threads} threads");
+            }
+            let s = est.plan_cache_stats();
+            assert_eq!(s.hits + s.misses, work.len() as u64);
+            assert!((1..=threads as u64).contains(&s.misses), "{s:?}");
+            assert_eq!(s.entries, 1, "one key, however many racers stored it");
+        }
+    }
+}
+
+/// One client repeats a query while the others push more prepared plans
+/// through the cache than it holds (respellings of one core: each is its
+/// own exact query over one shared rewriting outcome). A plan evicted
+/// between a lookup and the run it serves is still that run's plan.
+#[test]
+fn a_plan_evicted_in_flight_still_answers() {
+    let est = engine(true);
+    let reference = norm(&run_q(&est, &Q::Sql(pref_sql(3))));
+    let spelled =
+        |i: usize| format!("SELECT a{i}.theme, a{i}.language FROM Prefs a{i} WHERE a{i}.uid = 3");
+    let (flooders, per_flooder) = (3, DEFAULT_PLAN_CACHE_CAPACITY);
+    std::thread::scope(|s| {
+        let flood: Vec<_> = (0..flooders)
+            .map(|t| {
+                let (est, spelled) = (&est, &spelled);
+                s.spawn(move || {
+                    for i in (0..per_flooder).map(|i| i * flooders + t) {
+                        let r = est.query_sql(&spelled(i)).expect("a respelling");
+                        assert!(r.report.plan_cache.is_some_and(|pc| pc.hit));
+                    }
+                })
+            })
+            .collect();
+        while !flood.iter().all(|t| t.is_finished()) {
+            assert_eq!(norm(&run_q(&est, &Q::Sql(pref_sql(3)))), reference);
+        }
+    });
+    // The first respelling's plan went long ago: it translates again.
+    let again = est.query_sql(&spelled(0)).expect("a respelling");
+    assert!(again.report.translate_time > std::time::Duration::ZERO);
+    let s = est.plan_cache_stats();
+    assert_eq!(
+        (s.misses, s.entries),
+        (1, 1),
+        "one core, one outcome: {s:?}"
+    );
+    assert!(s.entries <= DEFAULT_PLAN_CACHE_CAPACITY);
 }
 
 #[test]

@@ -499,12 +499,30 @@ fn failover_reuses_translations_instead_of_retranslating() {
     // attempt took a retained translation instead of re-running the
     // translator, so the counter equals the rewriting count even though
     // two plans were attempted.
+    assert!(got.report.plan_cache.is_some_and(|pc| !pc.hit));
     assert_eq!(
         r.translations as usize,
         got.report.alternatives.len(),
         "failover must not add translation runs beyond one per rewriting"
     );
     assert!(r.attempts.len() > 1);
+    // The same query again (breakers closed again) finds its rewriting
+    // cached and keeps the plans it translates; from then on it is a
+    // prepared hit, which fails over the same way and translates nothing.
+    let rewritings = got.report.alternatives.len() as u64;
+    for translations in [rewritings, 0, 0] {
+        est.reset_backend_health();
+        let again = est.query_sql(&pref_sql(7)).expect("failover answers");
+        assert_eq!(again.rows, got.rows);
+        assert!(again.report.plan_cache.is_some_and(|pc| pc.hit));
+        assert_eq!(
+            again.report.translate_time == Duration::ZERO,
+            translations == 0
+        );
+        let r = again.report.resilience.expect("chain recorded");
+        assert!(r.failed_over());
+        assert_eq!(r.translations, translations);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -17,28 +17,41 @@
 //!   the leaf of hand-built plans only.
 //! - **`EXPLAIN` marks a choice only when one was made.** A query none of
 //!   whose rewritings is executable prints no chosen-alternative arrow.
+//! - **A prepared plan is invisible.** A cached engine and a twin that plans
+//!   every query afresh (`no_plan_cache()`), driven in lockstep through
+//!   generated queries, write batches, fault plans and store outages, return
+//!   the same rows in the same order and the same reports field by field —
+//!   timers and cache counters apart — including where a cached plan could
+//!   go stale: a key-value namespace emptied and refilled, statistics that
+//!   flip the cheapest alternative, a container dropped behind the catalog.
+//! - **What shares a cache entry.** One rewriting outcome per conjunctive
+//!   core (alpha-equivalent spellings, renamed columns, aggregates over it);
+//!   one prepared plan per exact query.
 
 mod common;
 
-use common::DEPLOYMENTS;
+use common::{arb_plan, build_plan, with_fast_retry, Deploy, DEPLOYMENTS, STORES};
 use estocada::advisor::current_cost;
 use estocada::frontends::{doc_query, parse_sql};
 use estocada::translate::translate;
 use estocada::{
-    recommend, Estocada, FragmentSpec, Latencies, QueryOptions, QueryRequest, Report, SystemId,
-    WorkloadQuery,
+    recommend, DatasetContent, Estocada, FaultKind, FaultPlan, FragmentSpec, Latencies,
+    QueryOptions, QueryRequest, QueryResult, Report, SystemId, WorkloadQuery,
 };
 use estocada_chase::{pacb_rewrite, RewriteProblem};
 use estocada_engine::Plan;
+use estocada_pivot::{Atom, Cq, CqBuilder, Term, Value};
 use estocada_workloads::analytics::{analytics_sql, analytics_workload, AnalyticsConfig};
 use estocada_workloads::marketplace::{
     generate, w1_workload, Marketplace, MarketplaceConfig, W1Query,
 };
-use estocada_workloads::readwrite::{rw_workload, RwConfig, RwOp};
+use estocada_workloads::readwrite::{run_rw_workload, rw_workload, RwConfig, RwOp};
 use estocada_workloads::scenarios::{
     cart_pattern, deploy_baseline, deploy_kv_migrated, personalized_sql, pref_sql, user_orders_sql,
 };
+use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::time::Duration;
 
 fn cfg() -> MarketplaceConfig {
     common::cfg(40, 25, 150, 240, 19)
@@ -49,6 +62,8 @@ fn cfg() -> MarketplaceConfig {
 enum Q {
     Sql(String),
     Cart(i64),
+    /// The raw pivot CQ over a user's preferences.
+    Prefs(i64),
 }
 
 impl Q {
@@ -64,6 +79,13 @@ impl Q {
         match self {
             Q::Sql(sql) => est.query(sql),
             Q::Cart(uid) => est.query_pattern(&cart_pattern(*uid), &["pid", "qty"]),
+            Q::Prefs(uid) => {
+                let cq = CqBuilder::new("Q")
+                    .head_vars(["theme", "language"])
+                    .atom("Prefs", |a| a.c(*uid).v("theme").v("language").v("nl"))
+                    .build();
+                est.query_pivot(cq, vec!["theme".into(), "language".into()], vec![])
+            }
         }
     }
 }
@@ -142,6 +164,7 @@ fn workload_query(est: &Estocada, q: &Q) -> WorkloadQuery {
             let p = doc_query(&cart_pattern(*uid), &["pid", "qty"]).expect("pattern");
             (p.cq, p.head_names, Vec::new())
         }
+        Q::Prefs(_) => unreachable!("no workload family issues raw CQs"),
     };
     WorkloadQuery {
         name: "q".into(),
@@ -403,4 +426,380 @@ fn explain_marks_no_choice_when_nothing_is_executable() {
     let marked: Vec<&str> = text.lines().filter(|l| l.starts_with(" →")).collect();
     assert_eq!(marked.len(), 1, "{text}");
     assert!(marked[0].contains("[cost"), "{text}");
+}
+
+// ---------------------------------------------------------------------
+// Prepared plans: a cached run equals a run planned afresh.
+// ---------------------------------------------------------------------
+
+/// Everything a query answers and reports, timers and cache activity apart:
+/// costs by their bits, `translations` (which says whether planning ran)
+/// zeroed, the per-store and executor counters without their clocks.
+fn observed(r: estocada::Result<QueryResult>) -> Result<String, String> {
+    let r = r.map_err(|e| e.to_string())?;
+    let costs: Vec<Option<u64>> = (r.report.alternatives.iter())
+        .map(|a| a.est_cost.map(f64::to_bits))
+        .collect();
+    let resilience = r.report.resilience.clone().map(|mut res| {
+        res.translations = 0;
+        res
+    });
+    let per_store: Vec<(SystemId, u64, u64, u64)> = (r.report.per_store.iter())
+        .map(|(sys, m)| (*sys, m.requests, m.tuples_out, m.tuples_scanned))
+        .collect();
+    let exec = &r.report.exec;
+    Ok(format!(
+        "{:?}\n{:?}\n{}\n{costs:?}\n{resilience:?}\n{per_store:?}\n{:?}",
+        r.columns,
+        r.rows,
+        plan_part(&r.report),
+        (exec.operators, exec.rows, exec.bind_probes),
+    ))
+}
+
+/// A cached engine and a twin of it that plans every query afresh, driven
+/// in lockstep: the same writes, fault plans and queries in the same order,
+/// so their stores, breakers and fault cursors move together.
+struct Twins {
+    cached: Estocada,
+    afresh: Estocada,
+}
+
+impl Twins {
+    fn deploy(deploy: Deploy, m: &Marketplace) -> Twins {
+        Twins {
+            cached: with_fast_retry(deploy(m, Latencies::zero())),
+            afresh: with_fast_retry(deploy(m, Latencies::zero())),
+        }
+    }
+
+    fn each(&mut self, mut f: impl FnMut(&mut Estocada)) {
+        f(&mut self.cached);
+        f(&mut self.afresh);
+    }
+
+    /// Run `q` three times on both — on the cached side a query that plans,
+    /// one that keeps its plan and one that finds it — asserting each pair
+    /// agrees. Returns the cached side's reports.
+    fn run(&self, q: &Q, ctx: &str) -> Vec<Option<Report>> {
+        let runs = (1..=3).map(|nth| {
+            let cached = q.request(&self.cached).run();
+            let afresh = q.request(&self.afresh).no_plan_cache().run();
+            assert!(afresh
+                .as_ref()
+                .map_or(true, |r| r.report.plan_cache.is_none()));
+            let report = cached.as_ref().ok().map(|r| r.report.clone());
+            assert_eq!(
+                observed(cached),
+                observed(afresh),
+                "{ctx}, run {nth} of {q:?}"
+            );
+            report
+        });
+        let reports: Vec<Option<Report>> = runs.collect();
+        // Whatever the first two found, the third finds a prepared plan.
+        if let Some(third) = &reports[2] {
+            assert!(third.plan_cache.is_some_and(|pc| pc.hit), "{ctx} {q:?}");
+            assert_eq!(third.translate_time, Duration::ZERO, "{ctx} {q:?}");
+        }
+        reports
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(5))]
+
+    /// Steps of (query, event before it): a write batch of an
+    /// insert/delete/upsert schedule, the generated fault plan, one store
+    /// down (its breaker trips within a query), or the faults lifted with
+    /// the breakers left as they are.
+    #[test]
+    fn a_cached_run_equals_a_run_planned_afresh(
+        faults in arb_plan(4),
+        write_seed in any::<u64>(),
+        steps in proptest::collection::vec((0..64usize, 0..8u8), 6..14),
+    ) {
+        let (fault_seed, rules) = faults;
+        let m = generate(cfg());
+        let mut pool = families(&m);
+        pool.extend([3, 7].map(Q::Prefs));
+        pool.push(Q::Sql(
+            "SELECT p.theme FROM Prefs p WHERE p.uid = 3 AND p.newsletter >= 0".into(),
+        ));
+        let writes = rw_workload(&m, RwConfig { ops: steps.len(), write_ratio: 1.0, seed: write_seed });
+        for (name, deploy) in DEPLOYMENTS {
+            let mut twins = Twins::deploy(deploy, &m);
+            let mut writes = writes.iter();
+            for (i, (pick, event)) in steps.iter().enumerate() {
+                match event {
+                    0 | 1 => {
+                        let op = writes.next().expect("a write per step");
+                        twins.each(|est| {
+                            run_rw_workload(est, std::slice::from_ref(op)).expect("write");
+                        });
+                    }
+                    2 => twins.each(|est| est.set_fault_plan(Some(build_plan(fault_seed, &rules)))),
+                    3 => {
+                        let down = FaultPlan::new(fault_seed)
+                            .down(STORES[pick % STORES.len()], FaultKind::Unavailable);
+                        twins.each(|est| est.set_fault_plan(Some(down.clone())));
+                    }
+                    4 => twins.each(|est| est.set_fault_plan(None)),
+                    _ => {}
+                }
+                twins.run(&pool[pick % pool.len()], &format!("{name}, step {i}"));
+            }
+        }
+    }
+}
+
+/// The stored rows of table `name` of the `sales` dataset.
+fn table_rows(est: &Estocada, name: &str) -> Vec<Vec<Value>> {
+    let DatasetContent::Relational(tables) = &est.datasets()["sales"].content else {
+        panic!("sales is relational");
+    };
+    let table = tables
+        .iter()
+        .find(|t| &*t.encoding.relation.as_str() == name);
+    table.expect("table").rows.clone()
+}
+
+/// `SELECT theme, language FROM Prefs WHERE uid = …` on the cached side of
+/// `twins`, which must answer `rows` through the key-value fragment.
+fn assert_prefs_by_get(twins: &Twins, uid: i64, rows: usize, ctx: &str) {
+    for report in twins.run(&Q::Sql(pref_sql(uid)), ctx) {
+        let report = report.expect(ctx);
+        assert!(
+            report.delegated[0].starts_with("key-value: GET PrefsKV"),
+            "{ctx}"
+        );
+        assert_eq!(
+            report
+                .per_store
+                .iter()
+                .map(|(_, m)| m.tuples_out)
+                .sum::<u64>(),
+            rows as u64,
+            "{ctx}"
+        );
+    }
+}
+
+#[test]
+fn a_namespace_emptied_and_refilled_never_meets_a_stale_plan() {
+    let m = generate(cfg());
+    let mut twins = Twins::deploy(deploy_kv_migrated, &m);
+    assert_prefs_by_get(&twins, 3, 1, "full");
+    // Empty `Prefs`: the write path drops the emptied namespace, and a plan
+    // translated while it held rows would call that a missing container.
+    let all = table_rows(&twins.cached, "Prefs");
+    twins.each(|est| {
+        est.delete_rows("sales", "Prefs", all.clone())
+            .expect("delete");
+    });
+    let namespaces = twins.cached.stores.kv.namespace_names();
+    assert!(
+        !namespaces.contains(&"PrefsKV".to_string()),
+        "{namespaces:?}"
+    );
+    assert_prefs_by_get(&twins, 3, 0, "emptied");
+    // Refill it: a plan translated over the empty namespace must not
+    // outlive the write either.
+    twins.each(|est| {
+        est.insert_rows("sales", "Prefs", all.clone())
+            .expect("insert");
+    });
+    assert_prefs_by_get(&twins, 3, 1, "refilled");
+}
+
+#[test]
+fn statistics_that_flip_the_cheapest_alternative_flip_the_cached_choice() {
+    let m = generate(cfg());
+    // A second home for `Orders`, in the parallel store: dearer to ask,
+    // cheaper per row, so the cheaper of the two depends on the row count.
+    let orders_par = FragmentSpec::ParRows {
+        view: CqBuilder::new("OrdersPar")
+            .head_vars(["oid", "uid", "pid", "category", "amount"])
+            .atom("Orders", |a| {
+                a.v("oid").v("uid").v("pid").v("category").v("amount")
+            })
+            .build(),
+        index_on: vec![],
+        partitions: 0,
+    };
+    let mut twins = Twins::deploy(deploy_baseline, &m);
+    twins.each(|est| {
+        est.add_fragment(orders_par.clone()).expect("OrdersPar");
+    });
+    let scan = Q::Sql("SELECT o.oid, o.amount FROM Orders o".into());
+    let chosen = |reports: Vec<Option<Report>>| -> Vec<String> {
+        let first = |r: Option<Report>| r.expect("answered").delegated[0].clone();
+        reports.into_iter().map(first).collect()
+    };
+    for unit in chosen(twins.run(&scan, "small")) {
+        assert!(unit.starts_with("relational:"), "{unit}");
+    }
+    let next = table_rows(&twins.cached, "Orders").len() as i64;
+    let bulk: Vec<Vec<Value>> = (next..next + 4_000)
+        .map(|oid| {
+            let (uid, pid) = (Value::Int(oid % 40), Value::Int(oid % 25));
+            let amount = Value::Double(oid as f64 / 4.0);
+            vec![Value::Int(oid), uid, pid, Value::str("laptop"), amount]
+        })
+        .collect();
+    twins.each(|est| {
+        est.insert_rows("sales", "Orders", bulk.clone())
+            .expect("bulk insert");
+    });
+    for unit in chosen(twins.run(&scan, "bulk")) {
+        assert!(unit.starts_with("parallel:"), "{unit}");
+    }
+}
+
+#[test]
+fn a_container_dropped_behind_the_catalog_is_a_store_error_on_a_hit_too() {
+    let m = generate(cfg());
+    let twins = Twins::deploy(deploy_kv_migrated, &m);
+    let want = twins.run(&Q::Sql(pref_sql(3)), "before the drop");
+    assert!(want[2].as_ref().expect("answered").resilience.is_none());
+    // Neither epoch moves: the next run binds and runs the prepared GET.
+    for est in [&twins.cached, &twins.afresh] {
+        assert!(est.stores.kv.drop_namespace("PrefsKV"));
+    }
+    for report in twins.run(&Q::Sql(pref_sql(3)), "after the drop") {
+        let report = report.expect("failover answers");
+        assert!(report.delegated[0].starts_with("relational:"), "{report}");
+        let r = report.resilience.expect("the error is reported");
+        assert!(r.failed_over());
+        assert!(
+            r.store_errors[0].contains("get failed: unknown namespace PrefsKV"),
+            "{r:?}"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// What shares a plan-cache entry.
+// ---------------------------------------------------------------------
+
+#[test]
+fn one_outcome_per_core_and_one_prepared_plan_per_exact_query() {
+    let m = generate(cfg());
+    let twins = Twins::deploy(deploy_kv_migrated, &m);
+    let grouped = |select: &str, having: &str| {
+        format!("SELECT o.category, {select} FROM Orders o GROUP BY o.category{having}")
+    };
+    // (query, whether an earlier one left its rewriting outcome behind)
+    let variants = [
+        // One core, `Orders` projected on (category, amount): under two
+        // spellings of its columns, two aggregate functions, and with a
+        // HAVING at an integer, at the same number as a double, and at
+        // another constant.
+        (
+            "SELECT o.category, o.amount FROM Orders o".to_string(),
+            false,
+        ),
+        (
+            "SELECT x.category, x.amount FROM Orders x".to_string(),
+            true,
+        ),
+        (grouped("SUM(o.amount)", ""), true),
+        (grouped("MAX(o.amount)", ""), true),
+        (
+            grouped("SUM(o.amount)", " HAVING SUM(o.amount) > 200"),
+            true,
+        ),
+        (
+            grouped("SUM(o.amount)", " HAVING SUM(o.amount) > 200.0"),
+            true,
+        ),
+        (
+            grouped("SUM(o.amount)", " HAVING SUM(o.amount) > 9000"),
+            true,
+        ),
+        // Residual constants are part of the core's key: each plans alone.
+        (
+            "SELECT o.oid FROM Orders o WHERE o.amount > 100".to_string(),
+            false,
+        ),
+        (
+            "SELECT o.oid FROM Orders o WHERE o.amount > 700".to_string(),
+            false,
+        ),
+    ];
+    let mut answers = BTreeSet::new();
+    for (sql, shares_outcome) in &variants {
+        // `run` holds every run to the answer planned afresh, so a plan
+        // borrowed from a sibling would show; the first run must also have
+        // translated its own.
+        let reports = twins.run(&Q::Sql(sql.clone()), "variant");
+        let first = reports[0].as_ref().expect("answered");
+        assert_eq!(
+            first.plan_cache.map(|pc| pc.hit),
+            Some(*shares_outcome),
+            "{sql}"
+        );
+        assert!(first.translate_time > Duration::ZERO, "{sql}");
+        let rows = sql_rows(&twins.cached, sql);
+        answers.insert(format!("{:?}", rows));
+    }
+    assert_eq!(
+        answers.len(),
+        variants.len() - 2,
+        "only the respellings and 200 vs 200.0 agree"
+    );
+    // Three cores were rewritten, nine queries prepared: a prepared plan is
+    // not a second entry.
+    let stats = twins.cached.plan_cache_stats();
+    assert_eq!((stats.misses, stats.entries), (3, 3));
+    assert_eq!(
+        stats.hits,
+        3 * variants.len() as u64 + variants.len() as u64 - 3
+    );
+}
+
+fn sql_rows(est: &Estocada, sql: &str) -> Vec<Vec<Value>> {
+    est.query_sql(sql).expect("answered").rows
+}
+
+#[test]
+fn alpha_equivalent_queries_share_one_rewriting_outcome() {
+    let m = generate(cfg());
+    let est = deploy_kv_migrated(&m, Latencies::zero());
+    // Q(a, b) :- Prefs(3, a, b, c) under three numberings of its variables.
+    let spelled = |a: u32, b: u32, c: u32| {
+        let args = vec![
+            Term::constant(3i64),
+            Term::var(a),
+            Term::var(b),
+            Term::var(c),
+        ];
+        Cq::new(
+            "Q",
+            vec![Term::var(a), Term::var(b)],
+            vec![Atom::new("Prefs", args)],
+        )
+    };
+    let names = || vec!["theme".to_string(), "language".to_string()];
+    let mut rows = BTreeSet::new();
+    for (nth, cq) in [spelled(0, 1, 2), spelled(5, 9, 2), spelled(2, 1, 0)]
+        .into_iter()
+        .enumerate()
+    {
+        for run in 0..3 {
+            let r = est.query_cq(cq.clone(), names(), vec![]).expect("answered");
+            let pc = r.report.plan_cache.expect("cache consulted");
+            assert_eq!(pc.hit, (nth, run) != (0, 0), "spelling {nth}, run {run}");
+            // Each spelling prints itself and keeps its own prepared plan.
+            assert_eq!(r.report.pivot_query, cq.to_string());
+            // The first spelling's second run keeps its plan; the others find
+            // the outcome cached and keep theirs at once.
+            let prepared = run > usize::from(nth == 0);
+            assert_eq!(r.report.translate_time == Duration::ZERO, prepared);
+            rows.insert(r.rows);
+        }
+    }
+    assert_eq!(rows.len(), 1);
+    let stats = est.plan_cache_stats();
+    assert_eq!((stats.hits, stats.misses, stats.entries), (8, 1, 1));
 }

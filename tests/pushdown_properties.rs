@@ -40,6 +40,7 @@ use estocada_workloads::scenarios::{
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 fn parse(est: &Estocada, sql: &str) -> ParsedQuery {
     parse_sql(sql, &est.sql_catalog()).expect("parse")
@@ -618,11 +619,20 @@ fn an_aggregate_fails_over_without_translating_anything_new() {
     assert_same_rows(&got.rows, &want.rows, "failover");
     let r = got.report.resilience.expect("the outage is reported");
     assert!(r.failed_over());
-    assert_eq!(
-        r.translations,
-        got.report.alternatives.len() as u64,
-        "failover reuses the planned translations"
-    );
+    // `want` cached the rewriting; this run translated each rewriting once
+    // (failing over added none) and kept the plans …
+    assert!(got.report.plan_cache.is_some_and(|pc| pc.hit));
+    assert_eq!(r.translations, got.report.alternatives.len() as u64);
+    // … so the next one (breakers closed again) is a prepared hit: the same
+    // failover chain off the kept plans, nothing translated.
+    est.reset_backend_health();
+    let again = est.query_sql(&sql).expect("failover must answer");
+    assert_same_rows(&again.rows, &want.rows, "prepared failover");
+    assert_eq!(again.report.plan, got.report.plan);
+    assert_eq!(again.report.translate_time, Duration::ZERO);
+    let r = again.report.resilience.expect("the outage is reported");
+    assert!(r.failed_over());
+    assert_eq!(r.translations, 0, "a prepared hit translates nothing");
 
     // With every backend of every alternative down, the typed error.
     est.set_fault_plan(Some(
