@@ -14,11 +14,9 @@ use crate::catalog::FragmentSpec;
 use crate::connector::Residual;
 use crate::error::Result;
 use crate::evaluator::Estocada;
-use crate::frontends::ParsedQuery;
 use crate::planner;
 use crate::system::SystemId;
 use estocada_pivot::{Cq, Symbol, Term, Var};
-use std::sync::Arc;
 
 /// One workload entry: a pivot query with a frequency weight.
 #[derive(Debug, Clone)]
@@ -96,9 +94,9 @@ pub fn generalize(cq: &Cq, view_name: &str) -> (Cq, usize) {
 /// `est_cost` an `EXPLAIN` of the same query lists — planned past the plan
 /// cache, so advising leaves the engine's cache and its counters alone.
 pub fn current_cost(est: &Estocada, q: &WorkloadQuery) -> Option<f64> {
-    let query = ParsedQuery::conjunctive(q.cq.clone(), q.head_names.clone(), q.residuals.clone());
-    let query = Arc::new(query);
-    let candidates = &planner::plan(est, &query, None).ok()?.prepared.candidates;
+    let request = est.query_pivot(q.cq.clone(), q.head_names.clone(), q.residuals.clone());
+    let planned = planner::plan(est, &request.input, false).ok()?;
+    let candidates = &planned.prepared.candidates;
     let best = planner::cheapest(candidates, est.cost_model(), |_| false)?;
     Some(candidates[best].translation.est_cost)
 }

@@ -49,9 +49,9 @@ use crate::connector::Residual;
 use crate::cost::CostModel;
 use crate::dataset::Dataset;
 use crate::error::{Error, PlanFailure, Result};
-use crate::frontends::{doc_query, parse_sql, ParsedQuery, SqlCatalog};
+use crate::frontends::{ParsedQuery, QueryInput, SqlCatalog};
 use crate::materialize::{drop_fragment, fact_base, materialize};
-use crate::plancache::{hash_of, LintCache, PlanCache, PlanCacheStats};
+use crate::plancache::{LintCache, PlanCache, PlanCacheStats};
 use crate::planner::{self, Candidate, Planned, PlanningContext};
 use crate::report::{PlanCacheActivity, QueryResult, Report};
 use crate::resilience::{
@@ -137,20 +137,6 @@ struct ResolvedOptions {
     exec: ExecOptions,
 }
 
-/// The query input a [`QueryRequest`] carries: one of the three frontends.
-#[derive(Debug, Clone)]
-enum QueryInput {
-    /// Mini-SQL text.
-    Sql(String),
-    /// Document tree pattern + selected bindings.
-    Doc {
-        pattern: TreePattern,
-        select: Vec<String>,
-    },
-    /// A pivot CQ with output names and residual comparisons.
-    Pivot(ParsedQuery),
-}
-
 /// A query being assembled against a shared engine — created by
 /// [`Estocada::query`] / [`Estocada::query_pattern`] /
 /// [`Estocada::query_pivot`], configured fluently, finished with
@@ -159,7 +145,7 @@ enum QueryInput {
 #[derive(Clone)]
 pub struct QueryRequest<'e> {
     engine: &'e Estocada,
-    input: QueryInput,
+    pub(crate) input: QueryInput,
     opts: QueryOptions,
 }
 
@@ -213,16 +199,7 @@ impl QueryRequest<'_> {
     /// Run the query end to end (or plan-only with
     /// [`QueryRequest::explain_only`]).
     pub fn run(self) -> Result<QueryResult> {
-        let parsed = Arc::new(match self.input {
-            QueryInput::Sql(sql) => parse_sql(&sql, &self.engine.planning().sql_catalog)?,
-            QueryInput::Doc { pattern, select } => {
-                let sel: Vec<&str> = select.iter().map(String::as_str).collect();
-                let doc = doc_query(&pattern, &sel)?;
-                ParsedQuery::conjunctive(doc.cq, doc.head_names, Vec::new())
-            }
-            QueryInput::Pivot(parsed) => parsed,
-        });
-        self.engine.run_planned(&parsed, &self.opts)
+        self.engine.run_planned(&self.input, &self.opts)
     }
 
     /// Plan and cost without executing; returns the report alone.
@@ -631,7 +608,9 @@ impl Estocada {
     ) -> QueryRequest<'_> {
         QueryRequest {
             engine: self,
-            input: QueryInput::Pivot(ParsedQuery::conjunctive(cq, head_names, residuals)),
+            input: QueryInput::Pivot(Arc::new(ParsedQuery::conjunctive(
+                cq, head_names, residuals,
+            ))),
             opts: QueryOptions::default(),
         }
     }
@@ -690,9 +669,10 @@ impl Estocada {
     /// bumps only the data epoch, so writes keep lints cached) under the
     /// exact query — lint messages name its concrete variables, and an
     /// aggregate that counts rows is linted beyond its plain core (`W007`)
-    /// — found by `hash`, the query's [`hash_of`].
-    /// [`ValidationMode::Off`] skips analysis entirely (`None` activity).
-    /// The second component is the lint-cache activity for the report.
+    /// — found by `hash`, the query's [`crate::plancache::hash_of`], which
+    /// its prepared plan keeps. [`ValidationMode::Off`] skips analysis
+    /// entirely (`None` activity). The second component is the lint-cache
+    /// activity for the report.
     fn query_lints(
         &self,
         q: &Arc<ParsedQuery>,
@@ -718,15 +698,14 @@ impl Estocada {
         (diags, Some(activity))
     }
 
-    /// Plan `q` and either stop at the report (explain) or execute the
-    /// candidates in rank order until one succeeds.
-    fn run_planned(&self, q: &Arc<ParsedQuery>, opts: &QueryOptions) -> Result<QueryResult> {
+    /// Plan `request` and either stop at the report (explain) or execute
+    /// the candidates in rank order until one succeeds.
+    fn run_planned(&self, request: &QueryInput, opts: &QueryOptions) -> Result<QueryResult> {
         let opts = self.resolve(opts);
         let resilience = QueryResilience::new(opts.retry, opts.deadline, self.health.clone());
-        // One structural hash finds the query's prepared plan and its lints.
-        let hash = hash_of(q);
-        let planned = planner::plan(self, q, opts.plan_cache.then_some(hash))?;
-        let lints = self.query_lints(q, hash);
+        let planned = planner::plan(self, request, opts.plan_cache)?;
+        let q = &planned.prepared.query;
+        let lints = self.query_lints(q, planned.prepared.query_hash);
         let candidates: Vec<&Candidate> = planned.prepared.candidates.iter().collect();
 
         if opts.explain_only {

@@ -326,13 +326,26 @@ impl Parser {
         Ok(ColRefAst { alias, column })
     }
 
-    fn expect(&mut self, t: Tok) -> Result<()> {
+    /// Consume `t`, or fail naming what is there instead.
+    fn eat(&mut self, t: Tok) -> Result<()> {
         let n = self.next()?;
         if n == t {
             Ok(())
         } else {
             Err(Error::Parse(format!("expected {t:?}, found {n:?}")))
         }
+    }
+
+    /// Consume the constant at the cursor, if there is one.
+    fn literal(&mut self) -> Option<Value> {
+        let v = match self.peek()? {
+            Tok::Int(i) => Value::Int(*i),
+            Tok::Float(f) => Value::Double(*f),
+            Tok::Str(s) => Value::str(s),
+            _ => return None,
+        };
+        self.pos += 1;
+        Some(v)
     }
 
     /// Aggregate function at the cursor? Requires the identifier to be
@@ -358,7 +371,7 @@ impl Parser {
     /// `FUN '(' (colref | '*') ')'` — the cursor is on the function name.
     fn agg_call(&mut self, fun: AggFun) -> Result<Option<ColRefAst>> {
         self.next()?; // function name
-        self.expect(Tok::LParen)?;
+        self.eat(Tok::LParen)?;
         let arg = if self.peek() == Some(&Tok::Star) {
             self.next()?;
             if fun != AggFun::Count {
@@ -370,7 +383,7 @@ impl Parser {
         } else {
             Some(self.colref()?)
         };
-        self.expect(Tok::RParen)?;
+        self.eat(Tok::RParen)?;
         Ok(arg)
     }
 
@@ -405,17 +418,13 @@ impl Parser {
             Tok::Op(o) => cmp_op(&o)?,
             other => return Err(Error::Parse(format!("expected operator, found {other:?}"))),
         };
-        let v = match self.next()? {
-            Tok::Int(i) => Value::Int(i),
-            Tok::Float(f) => Value::Double(f),
-            Tok::Str(s) => Value::str(s),
-            other => {
-                return Err(Error::Parse(format!(
-                    "HAVING needs a constant right-hand side, found {other:?}"
-                )))
-            }
-        };
-        Ok((lhs, op, v))
+        match self.literal() {
+            Some(v) => Ok((lhs, op, v)),
+            None => Err(Error::Parse(format!(
+                "HAVING needs a constant right-hand side, found {:?}",
+                self.next()?
+            ))),
+        }
     }
 }
 
@@ -461,9 +470,9 @@ pub fn parse_sql(sql: &str, catalog: &SqlCatalog) -> Result<ParsedQuery> {
         loop {
             if p.at_keyword("CONTAINS") {
                 p.keyword("CONTAINS")?;
-                p.expect(Tok::LParen)?;
+                p.eat(Tok::LParen)?;
                 let c = p.colref()?;
-                p.expect(Tok::Comma)?;
+                p.eat(Tok::Comma)?;
                 let term = match p.next()? {
                     Tok::Str(s) => s,
                     other => {
@@ -472,7 +481,7 @@ pub fn parse_sql(sql: &str, catalog: &SqlCatalog) -> Result<ParsedQuery> {
                         )))
                     }
                 };
-                p.expect(Tok::RParen)?;
+                p.eat(Tok::RParen)?;
                 conds.push(CondAst::Contains(c, term));
             } else {
                 let l = p.colref()?;
@@ -482,16 +491,9 @@ pub fn parse_sql(sql: &str, catalog: &SqlCatalog) -> Result<ParsedQuery> {
                         return Err(Error::Parse(format!("expected operator, found {other:?}")))
                     }
                 };
-                let rhs = match p.peek() {
-                    Some(Tok::Int(_)) | Some(Tok::Float(_)) | Some(Tok::Str(_)) => {
-                        match p.next()? {
-                            Tok::Int(i) => RhsAst::Const(Value::Int(i)),
-                            Tok::Float(f) => RhsAst::Const(Value::Double(f)),
-                            Tok::Str(s) => RhsAst::Const(Value::str(s)),
-                            _ => unreachable!(),
-                        }
-                    }
-                    _ => RhsAst::Col(p.colref()?),
+                let rhs = match p.literal() {
+                    Some(v) => RhsAst::Const(v),
+                    None => RhsAst::Col(p.colref()?),
                 };
                 conds.push(CondAst::Cmp(l, op, rhs));
             }
@@ -535,17 +537,17 @@ pub fn parse_sql(sql: &str, catalog: &SqlCatalog) -> Result<ParsedQuery> {
         || !having_asts.is_empty()
         || items.iter().any(|i| matches!(i, SelectItemAst::Agg(..)));
     if !is_aggregate {
-        let mut selects = Vec::new();
-        let mut head_names = Vec::new();
-        for item in items {
-            match item {
+        // Every item is a plain column here.
+        let (selects, head_names) = items
+            .into_iter()
+            .filter_map(|item| match item {
                 SelectItemAst::Col(c, alias) => {
-                    head_names.push(alias.unwrap_or_else(|| format!("{}.{}", c.alias, c.column)));
-                    selects.push(c);
+                    let name = alias.unwrap_or_else(|| format!("{}.{}", c.alias, c.column));
+                    Some((c, name))
                 }
-                SelectItemAst::Agg(..) => unreachable!("no aggregates on this path"),
-            }
-        }
+                SelectItemAst::Agg(..) => None,
+            })
+            .unzip();
         return build_cq(selects, head_names, tables, conds, catalog);
     }
 

@@ -18,8 +18,13 @@
 //! text is formatted) and the 64-bit hash picks the shard and indexes the
 //! shard's map; an entry keeps the full key and a lookup compares it, so two
 //! keys that collide on the hash can only evict each other, never answer for
-//! each other. The map is a small sharded `RwLock<HashMap>` (reads take a
-//! shard read lock only), bounded by a per-shard FIFO: the cache can never
+//! each other. A prepared plan's key is the request as the caller sent it
+//! (`QueryInput`: SQL text, a tree pattern, a pivot query), so a hit hashes
+//! and compares that, looks up, and hands back the plan with the parsed
+//! query and its lint hash inside; ranking, binding, execution and the
+//! report copy follow, and nothing is parsed, hashed twice or translated.
+//! The map is a small sharded `RwLock<HashMap>` (reads take a shard read
+//! lock only), bounded by a per-shard FIFO: the cache can never
 //! grow past its capacity no matter how many distinct ad-hoc shapes a
 //! workload produces. Entries store an `Arc`, so a hit is one clone of a
 //! pointer. Hit/miss counters and the entry count are relaxed
@@ -33,7 +38,7 @@
 //! (exactly what the serial run would have computed).
 
 use crate::analyze::Diagnostic;
-use crate::frontends::ParsedQuery;
+use crate::frontends::{ParsedQuery, QueryInput};
 use crate::planner::{CoreKey, Prepared};
 use estocada_chase::RewriteOutcome;
 use parking_lot::RwLock;
@@ -88,14 +93,15 @@ pub(crate) type LintCache = EpochCache<Arc<ParsedQuery>, Arc<Vec<Diagnostic>>>;
 
 /// The rewrite-plan cache, two maps of one capacity each (see
 /// [`crate::planner`]): `outcomes` keeps what the chase & backchase made of
-/// a conjunctive core, `prepared` what translation made of one exact query
-/// over such an outcome. A query consults `prepared` first and `outcomes`
-/// only when that misses, so between them every query counts exactly one
-/// hit or one miss.
+/// a conjunctive core, `prepared` what parsing and translation made of one
+/// request, exactly as the caller sent it, over such an outcome. A query
+/// consults `prepared` first and, once it parsed, `outcomes` only when that
+/// misses, so between them every query that parses counts exactly one hit
+/// or one miss.
 #[derive(Default)]
 pub(crate) struct PlanCache {
     pub(crate) outcomes: EpochCache<CoreKey, Arc<RewriteOutcome>>,
-    pub(crate) prepared: EpochCache<Arc<ParsedQuery>, Arc<Prepared>>,
+    pub(crate) prepared: EpochCache<QueryInput, Arc<Prepared>>,
 }
 
 impl PlanCache {

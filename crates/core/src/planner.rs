@@ -1,12 +1,13 @@
-//! The planner: the one place where a pivot query becomes ranked,
-//! executable candidates.
+//! The planner: the one place where a query becomes ranked, executable
+//! candidates.
 //!
 //! # The pipeline
 //!
 //! The paper's mediator answers every query the same way, and [`plan`] is
-//! its only statement in this crate: **rewrite** the pivot query under the
-//! fragment-view constraints ([`Rewriter::rewrite`], through the plan
-//! cache), **translate** each rewriting once into its *final* plan —
+//! its only statement in this crate: **parse** the request into a pivot
+//! query ([`QueryInput::parse`], on a plan-cache miss), **rewrite** it
+//! under the fragment-view constraints ([`Rewriter::rewrite`], through the
+//! plan cache), **translate** each rewriting once into its *final* plan —
 //! delegated units stitched by mediator operators, with the query's SQL
 //! aggregation on top or, when one store covers the whole query, inside
 //! the delegated unit ([`translate_query`]; where the aggregate runs is
@@ -36,16 +37,20 @@
 //!   equivalent cores, and every query over one core — its plain form, its
 //!   aggregates, its renamed columns — share it). A hit skips the chase &
 //!   backchase.
-//! - The **prepared plan** of one exact query ([`Prepared`], keyed by the
-//!   whole [`ParsedQuery`] — everything translation and the report read):
-//!   every rewriting translated and costed once into a plan that carries no
-//!   query's fault handling, the [`Alternative`]s, and the report's texts. A
-//!   hit is parse → hash → lookup → rank → [`bind`] the chosen plan → execute
-//!   → report by clone: it translates nothing and formats no query.
+//! - The **prepared plan** of one exact request ([`Prepared`], keyed by the
+//!   [`QueryInput`] as the caller sent it — SQL text, a tree pattern and its
+//!   selection, or a pivot query): its parse, every rewriting translated and
+//!   costed once into a plan that carries no query's fault handling, the
+//!   [`Alternative`]s, and the report's texts. A hit is hash the request →
+//!   lookup → rank → [`bind`] the chosen plan → execute → report by clone:
+//!   it parses, translates and formats nothing. Two spellings of one query
+//!   (keyword case, whitespace) are two requests, each with its own prepared
+//!   plan over the one outcome they share.
 //!   Translation reads the fragment statistics, which DML moves, so a
 //!   prepared plan holds for one *data* epoch: after a write the entry is
-//!   re-translated from the outcome it keeps (a write never forces a chase)
-//!   and replaced. Nothing else it read can change within a catalog epoch;
+//!   re-translated from the parse and the outcome it keeps (a write never
+//!   forces a parse or a chase) and replaced. Nothing else it read (the SQL
+//!   catalog included) can change within a catalog epoch;
 //!   breaker state is read when ranking and a fault plan when running, so
 //!   neither is part of any key. A plan is kept **on second sight**: by the
 //!   query that found its rewriting already cached, not by the one that ran
@@ -55,14 +60,17 @@
 //!   assumed: keeping a plan per one-shot query moved `lookup_cold`'s
 //!   corrected `read_p50_ms` by +15–25 %, EXPERIMENTS.md "Prepared plans".)
 //!
-//! The query's structural hash ([`crate::plancache::hash_of`], computed once
-//! per query and shared with the lint lookup) finds the prepared plan; only
-//! when that misses is the core canonicalized for the outcome lookup.
+//! The request's hash ([`crate::plancache::hash_of`]) finds the prepared
+//! plan; only when that misses is the request parsed (a parse error is
+//! returned and leaves nothing cached), the parsed query hashed for the lint
+//! lookup (the prepared plan keeps both) and the core canonicalized for the
+//! outcome lookup. A miss's parse is not part of its
+//! [`crate::Report::rewrite_time`].
 //! Activity and engine totals surface in [`crate::Report::plan_cache`] — a
 //! *hit* is a query that ran no chase; opt out per query with
 //! [`crate::QueryRequest::no_plan_cache`] or engine-wide with
 //! [`crate::Estocada::set_plan_cache`] (both levels are bypassed: neither
-//! consulted nor populated).
+//! consulted nor populated, and every run parses).
 //!
 //! # Ranking and failover
 //!
@@ -81,7 +89,7 @@ use crate::cost::CostModel;
 use crate::dataset::{Dataset, DatasetContent};
 use crate::error::Result;
 use crate::evaluator::Estocada;
-use crate::frontends::{ParsedQuery, SqlCatalog, SqlTable};
+use crate::frontends::{ParsedQuery, QueryInput, SqlCatalog, SqlTable};
 use crate::plancache::hash_of;
 use crate::report::{Alternative, PlanCacheActivity};
 use crate::system::SystemId;
@@ -155,9 +163,13 @@ pub(crate) struct Candidate {
     pub(crate) explain: String,
 }
 
-/// A query rewritten, translated and costed — everything about its plans
-/// that the next run of the same query would compute again.
+/// A query parsed, rewritten, translated and costed — everything about its
+/// plans that the next run of the same request would compute again.
 pub(crate) struct Prepared {
+    /// The request's pivot query and its [`hash_of`] (the lint cache's
+    /// key and hash).
+    pub(crate) query: Arc<ParsedQuery>,
+    pub(crate) query_hash: u64,
     pub(crate) outcome: Arc<RewriteOutcome>,
     /// The data epoch whose fragment statistics translation read.
     data_epoch: u64,
@@ -182,20 +194,21 @@ pub(crate) struct Planned {
     pub(crate) translations: u64,
 }
 
-/// Plan `q` against the engine's current catalog and data epochs. `cache`
-/// is the query's [`hash_of`] when the plan cache may serve and keep the
-/// result, `None` to plan past it.
-pub(crate) fn plan(est: &Estocada, q: &Arc<ParsedQuery>, cache: Option<u64>) -> Result<Planned> {
+/// Plan `request` against the engine's current catalog and data epochs,
+/// through the plan cache when `cache` is set (serve and keep the result)
+/// and past it otherwise.
+pub(crate) fn plan(est: &Estocada, request: &QueryInput, cache: bool) -> Result<Planned> {
     let t0 = Instant::now();
     let (epoch, data_epoch) = (est.catalog_epoch(), est.data_epoch());
     let plans = &est.plan_cache;
     let activity = |hit| {
-        cache.map(|_| PlanCacheActivity {
+        cache.then(|| PlanCacheActivity {
             hit,
             totals: plans.stats(),
         })
     };
-    let cached = cache.and_then(|hash| plans.prepared.lookup(hash, q, epoch));
+    let hash = cache.then(|| hash_of(request));
+    let cached = hash.and_then(|hash| plans.prepared.lookup(hash, request, epoch));
     if let Some(prepared) = cached.as_ref().filter(|p| p.data_epoch == data_epoch) {
         return Ok(Planned {
             prepared: prepared.clone(),
@@ -205,18 +218,32 @@ pub(crate) fn plan(est: &Estocada, q: &Arc<ParsedQuery>, cache: Option<u64>) -> 
             translations: 0,
         });
     }
-    let (outcome, hit) = match cached {
-        // A write moved the statistics under a cached plan: its outcome holds.
-        Some(stale) => (stale.outcome.clone(), true),
-        None => rewrite(est, q, cache.is_some())?,
+    let mut parse_time = Duration::ZERO;
+    let (q, query_hash, outcome, hit) = match cached {
+        // A write moved the statistics under a cached plan: its parse and
+        // its outcome hold.
+        Some(stale) => (
+            stale.query.clone(),
+            stale.query_hash,
+            stale.outcome.clone(),
+            true,
+        ),
+        None => {
+            let t = Instant::now();
+            let q = request.parse(&est.planning().sql_catalog)?;
+            parse_time = t.elapsed();
+            let (outcome, hit) = rewrite(est, &q, cache)?;
+            let query_hash = hash_of(&q);
+            (q, query_hash, outcome, hit)
+        }
     };
-    let rewrite_time = t0.elapsed();
+    let rewrite_time = t0.elapsed() - parse_time;
     let t1 = Instant::now();
-    let prepared = Arc::new(prepare(est, q, outcome, data_epoch));
+    let prepared = Arc::new(prepare(est, q, query_hash, outcome, data_epoch));
     let translate_time = t1.elapsed();
     // Admission on second sight (module docs).
-    if let Some(hash) = cache.filter(|_| hit) {
-        let (key, value) = (q.clone(), prepared.clone());
+    if let Some(hash) = hash.filter(|_| hit) {
+        let (key, value) = (request.clone(), prepared.clone());
         plans.prepared.replace(hash, key, epoch, value);
     }
     Ok(Planned {
@@ -258,7 +285,8 @@ fn rewrite(est: &Estocada, q: &ParsedQuery, cached: bool) -> Result<(Arc<Rewrite
 /// print what a report of `q` shows.
 fn prepare(
     est: &Estocada,
-    q: &ParsedQuery,
+    q: Arc<ParsedQuery>,
+    query_hash: u64,
     outcome: Arc<RewriteOutcome>,
     data_epoch: u64,
 ) -> Prepared {
@@ -287,6 +315,8 @@ fn prepare(
     Prepared {
         pivot_query: format!("{}", q.cq),
         universal_plan: format!("{}", outcome.universal_plan),
+        query: q,
+        query_hash,
         outcome,
         data_epoch,
         alternatives,

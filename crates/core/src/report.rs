@@ -57,8 +57,10 @@ pub struct Report {
     pub per_store: Vec<(SystemId, MetricsSnapshot)>,
     /// Engine counters.
     pub exec: ExecStats,
-    /// Time from the start of planning to a rewriting outcome in hand: the
-    /// plan-cache lookups (on a hit, all there is) and, on a miss, the core's
+    /// Time from the start of planning to a rewriting outcome in hand,
+    /// parsing apart: the plan-cache lookups (on a hit, all there is — hash
+    /// the request as sent and look it up; the rank, bind, execution and
+    /// report copy that follow are not planning) and, on a miss, the core's
     /// canonical key and PACB rewriting.
     pub rewrite_time: Duration,
     /// Time spent translating and costing every rewriting and printing the

@@ -193,7 +193,7 @@ impl DocRelations {
 
 /// A tree-pattern query over one document collection: the native query shape
 /// of the document frontend, directly translatable to pivot atoms.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TreePattern {
     /// Collection prefix (matches [`DocRelations::for_collection`]).
     pub collection: String,
@@ -202,7 +202,7 @@ pub struct TreePattern {
 }
 
 /// One node of a tree pattern.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PatternStep {
     /// Tag to match.
     pub tag: String,
@@ -217,7 +217,7 @@ pub struct PatternStep {
 }
 
 /// Pattern axes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Axis {
     /// Direct child.
     Child,

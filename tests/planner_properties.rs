@@ -26,7 +26,10 @@
 //!   flip the cheapest alternative, a container dropped behind the catalog.
 //! - **What shares a cache entry.** One rewriting outcome per conjunctive
 //!   core (alpha-equivalent spellings, renamed columns, aggregates over it);
-//!   one prepared plan per exact query.
+//!   one prepared plan per exact request as sent (two texts that parse to
+//!   one query are two requests; a tree pattern's constant and selection
+//!   order are part of it). A parse error is never cached, and DDL that
+//!   makes a failing text valid lets it answer.
 
 mod common;
 
@@ -35,11 +38,12 @@ use estocada::advisor::current_cost;
 use estocada::frontends::{doc_query, parse_sql};
 use estocada::translate::translate;
 use estocada::{
-    recommend, DatasetContent, Estocada, FaultKind, FaultPlan, FragmentSpec, Latencies,
-    QueryOptions, QueryRequest, QueryResult, Report, SystemId, WorkloadQuery,
+    recommend, Dataset, DatasetContent, Error, Estocada, FaultKind, FaultPlan, FragmentSpec,
+    Latencies, QueryOptions, QueryRequest, QueryResult, Report, SystemId, TableData, WorkloadQuery,
 };
 use estocada_chase::{pacb_rewrite, RewriteProblem};
 use estocada_engine::Plan;
+use estocada_pivot::encoding::relational::TableEncoding;
 use estocada_pivot::{Atom, Cq, CqBuilder, Term, Value};
 use estocada_workloads::analytics::{analytics_sql, analytics_workload, AnalyticsConfig};
 use estocada_workloads::marketplace::{
@@ -57,11 +61,15 @@ fn cfg() -> MarketplaceConfig {
     common::cfg(40, 25, 150, 240, 19)
 }
 
+/// What a cart lookup selects.
+const CART: [&str; 2] = ["pid", "qty"];
+
 /// A query of one of the workload families.
 #[derive(Debug, Clone, PartialEq)]
 enum Q {
     Sql(String),
-    Cart(i64),
+    /// A user's cart pattern and the bindings it selects.
+    Cart(i64, [&'static str; 2]),
     /// The raw pivot CQ over a user's preferences.
     Prefs(i64),
 }
@@ -70,7 +78,7 @@ impl Q {
     fn of(q: &W1Query) -> Q {
         match q {
             W1Query::PrefLookup(uid) => Q::Sql(pref_sql(*uid)),
-            W1Query::CartLookup(uid) => Q::Cart(*uid),
+            W1Query::CartLookup(uid) => Q::Cart(*uid, CART),
             W1Query::UserOrders(uid) => Q::Sql(user_orders_sql(*uid)),
         }
     }
@@ -78,7 +86,7 @@ impl Q {
     fn request<'e>(&self, est: &'e Estocada) -> QueryRequest<'e> {
         match self {
             Q::Sql(sql) => est.query(sql),
-            Q::Cart(uid) => est.query_pattern(&cart_pattern(*uid), &["pid", "qty"]),
+            Q::Cart(uid, select) => est.query_pattern(&cart_pattern(*uid), select),
             Q::Prefs(uid) => {
                 let cq = CqBuilder::new("Q")
                     .head_vars(["theme", "language"])
@@ -160,8 +168,8 @@ fn workload_query(est: &Estocada, q: &Q) -> WorkloadQuery {
             let p = parse_sql(sql, &est.sql_catalog()).expect("parse");
             (p.cq, p.head_names, p.residuals)
         }
-        Q::Cart(uid) => {
-            let p = doc_query(&cart_pattern(*uid), &["pid", "qty"]).expect("pattern");
+        Q::Cart(uid, select) => {
+            let p = doc_query(&cart_pattern(*uid), select).expect("pattern");
             (p.cq, p.head_names, Vec::new())
         }
         Q::Prefs(_) => unreachable!("no workload family issues raw CQs"),
@@ -686,21 +694,24 @@ fn a_container_dropped_behind_the_catalog_is_a_store_error_on_a_hit_too() {
 fn one_outcome_per_core_and_one_prepared_plan_per_exact_query() {
     let m = generate(cfg());
     let twins = Twins::deploy(deploy_kv_migrated, &m);
+    let sql = |text: &str| Q::Sql(text.to_string());
     let grouped = |select: &str, having: &str| {
-        format!("SELECT o.category, {select} FROM Orders o GROUP BY o.category{having}")
+        sql(&format!(
+            "SELECT o.category, {select} FROM Orders o GROUP BY o.category{having}"
+        ))
     };
     // (query, whether an earlier one left its rewriting outcome behind)
     let variants = [
         // One core, `Orders` projected on (category, amount): under two
-        // spellings of its columns, two aggregate functions, and with a
-        // HAVING at an integer, at the same number as a double, and at
-        // another constant.
+        // spellings of its columns, two respellings of the text that parse
+        // to the very same query (keyword case, whitespace), two aggregate
+        // functions, and with a HAVING at an integer, at the same number as
+        // a double, and at another constant.
+        (sql("SELECT o.category, o.amount FROM Orders o"), false),
+        (sql("SELECT x.category, x.amount FROM Orders x"), true),
+        (sql("select o.category, o.amount from Orders o"), true),
         (
-            "SELECT o.category, o.amount FROM Orders o".to_string(),
-            false,
-        ),
-        (
-            "SELECT x.category, x.amount FROM Orders x".to_string(),
+            sql("SELECT  o.category ,o.amount\n  FROM Orders   o "),
             true,
         ),
         (grouped("SUM(o.amount)", ""), true),
@@ -719,47 +730,96 @@ fn one_outcome_per_core_and_one_prepared_plan_per_exact_query() {
         ),
         // Residual constants are part of the core's key: each plans alone.
         (
-            "SELECT o.oid FROM Orders o WHERE o.amount > 100".to_string(),
+            sql("SELECT o.oid FROM Orders o WHERE o.amount > 100"),
             false,
         ),
         (
-            "SELECT o.oid FROM Orders o WHERE o.amount > 700".to_string(),
+            sql("SELECT o.oid FROM Orders o WHERE o.amount > 700"),
             false,
         ),
+        // Tree patterns that differ in one `eq_value`, or only in the order
+        // of their selection: three cores, three requests.
+        (Q::Cart(3, CART), false),
+        (Q::Cart(7, CART), false),
+        (Q::Cart(3, ["qty", "pid"]), false),
     ];
     let mut answers = BTreeSet::new();
-    for (sql, shares_outcome) in &variants {
+    for (q, shares_outcome) in &variants {
         // `run` holds every run to the answer planned afresh, so a plan
         // borrowed from a sibling would show; the first run must also have
-        // translated its own.
-        let reports = twins.run(&Q::Sql(sql.clone()), "variant");
+        // translated its own — a respelling that parses to a query already
+        // prepared still keeps a prepared plan of its own.
+        let reports = twins.run(q, "variant");
         let first = reports[0].as_ref().expect("answered");
         assert_eq!(
             first.plan_cache.map(|pc| pc.hit),
             Some(*shares_outcome),
-            "{sql}"
+            "{q:?}"
         );
-        assert!(first.translate_time > Duration::ZERO, "{sql}");
-        let rows = sql_rows(&twins.cached, sql);
+        assert!(first.translate_time > Duration::ZERO, "{q:?}");
+        let rows = q.request(&twins.cached).run().expect("answered").rows;
+        assert!(!rows.is_empty(), "{q:?}");
         answers.insert(format!("{:?}", rows));
     }
     assert_eq!(
         answers.len(),
-        variants.len() - 2,
+        variants.len() - 4,
         "only the respellings and 200 vs 200.0 agree"
     );
-    // Three cores were rewritten, nine queries prepared: a prepared plan is
-    // not a second entry.
+    // Six cores were rewritten, fourteen requests prepared: a prepared plan
+    // is not a second entry. Every request ran four times, and only the
+    // first run of the six that brought a new core missed.
     let stats = twins.cached.plan_cache_stats();
-    assert_eq!((stats.misses, stats.entries), (3, 3));
-    assert_eq!(
-        stats.hits,
-        3 * variants.len() as u64 + variants.len() as u64 - 3
-    );
+    assert_eq!((stats.misses, stats.entries), (6, 6));
+    assert_eq!(stats.hits, 4 * variants.len() as u64 - 6);
 }
 
-fn sql_rows(est: &Estocada, sql: &str) -> Vec<Vec<Value>> {
-    est.query_sql(sql).expect("answered").rows
+#[test]
+fn a_parse_error_is_never_cached_and_ddl_lets_the_same_text_answer() {
+    const GHOST: &str = "SELECT g.a FROM Ghost g";
+    let m = generate(cfg());
+    let mut twins = Twins::deploy(deploy_kv_migrated, &m);
+    let ghost = Q::Sql(GHOST.to_string());
+    let unknown = |est: &Estocada| matches!(est.query(GHOST).run(), Err(Error::UnknownName(_)));
+
+    let before = twins.cached.plan_cache_stats();
+    for report in twins.run(&ghost, "no Ghost table") {
+        assert!(report.is_none());
+    }
+    assert!(unknown(&twins.cached) && unknown(&twins.afresh));
+    assert_eq!(
+        twins.cached.plan_cache_stats(),
+        before,
+        "a parse error leaves nothing cached"
+    );
+
+    let table = TableEncoding::new("Ghost", &["a"], Some(&["a"]));
+    let rows: Vec<Vec<Value>> = (1..=3).map(|a| vec![Value::Int(a)]).collect();
+    twins.each(|est| {
+        let data = TableData {
+            encoding: table.clone(),
+            rows: rows.clone(),
+            text_columns: vec![],
+        };
+        est.register_dataset(Dataset::relational("ghost", vec![data]))
+            .expect("register Ghost");
+    });
+    // The text parses now; no fragment stores `Ghost` yet.
+    twins.run(&ghost, "Ghost registered");
+    assert!(!unknown(&twins.cached));
+    twins.each(|est| {
+        est.add_fragment(FragmentSpec::NativeTables {
+            dataset: "ghost".into(),
+            only: None,
+        })
+        .expect("store Ghost");
+    });
+    for report in twins.run(&ghost, "Ghost stored") {
+        assert!(report.is_some(), "the same text answers");
+    }
+    let mut got = twins.cached.query(GHOST).run().expect("answered").rows;
+    got.sort();
+    assert_eq!(got, rows);
 }
 
 #[test]
