@@ -24,9 +24,9 @@
 //! (`PreparedConstraints`: premises, firing actions with pre-interned
 //! constants and dense frontier/existential slots, and a premise-predicate
 //! → constraints index), not per run: the driver only ever chases a
-//! prepared set. The slice-taking entry points ([`chase`], [`chase_with`],
-//! the two `prov_chase*`, and the containment checks built on them)
-//! prepare their argument and run; a
+//! prepared set. The slice-taking entry points ([`chase`],
+//! [`crate::pchase::prov_chase`], and the containment checks built on
+//! them) prepare their argument and run; a
 //! [`crate::pacb::Rewriter`] prepares its three sets once and chases them
 //! for every query. A prepared set is immutable and shared freely between
 //! threads.
@@ -71,9 +71,10 @@
 //! # The search/apply phase split
 //!
 //! 1. **Search phase (read-only).** Every live constraint's trigger
-//!    search ([`find_trigger_homs_in`]) runs against the *same frozen*
+//!    search (`find_trigger_homs`) runs against the *same frozen*
 //!    round-start instance, in constraint order, on the caller's thread and
-//!    [`HomArena`]. One thread does all of it: a rewrite's chases are tens
+//!    its matcher scratch (see [`mod@crate::hom`]). One thread does all of
+//!    it: a rewrite's chases are tens
 //!    of facts, and a round's whole search costs less than handing it to
 //!    another thread (EXPERIMENTS.md, "Parallelism inside one rewrite:
 //!    what was measured").
@@ -96,7 +97,7 @@
 //!
 //! The restricted chase probes, per TGD trigger, whether the conclusion
 //! already has an image under the trigger's frontier binding (a
-//! witness-free [`crate::hom::find_one_hom_in`]). Distinct triggers
+//! witness-free [`crate::hom::find_one_hom`]). Distinct triggers
 //! frequently share a frontier image (transitive closure derives the same
 //! `(x, z)` pair through every midpoint `y`), and delta rounds re-discover triggers whose probe already
 //! succeeded. With [`ChaseConfig::memo`] on (the default), a per-run memo
@@ -117,7 +118,7 @@
 //! identical with the memo on or off). The provenance chase's Skolem table
 //! is keyed and invalidated the same way.
 
-use crate::hom::{find_trigger_homs_in, has_hom_in, Hom, HomArena, HomConfig};
+use crate::hom::{find_trigger_homs, has_hom, Hom, HomConfig};
 use crate::instance::{DeltaIndex, Elem, Inconsistent, Instance};
 use estocada_pivot::{Atom, Constraint, Symbol, Term, Var};
 use std::collections::{BTreeSet, HashMap};
@@ -243,33 +244,18 @@ pub fn chase(
     constraints: &[Constraint],
     cfg: &ChaseConfig,
 ) -> Result<ChaseStats, ChaseError> {
-    chase_with(&mut HomArena::new(), instance, constraints, cfg)
+    chase_prepared(instance, &PreparedConstraints::new(constraints), cfg)
 }
 
-/// [`chase`] with caller-provided homomorphism scratch: every trigger and
-/// applicability search of the run reuses `arena`'s buffers. Callers that
-/// chase many instances (backchase verification workers) keep one arena per
-/// thread.
-pub fn chase_with(
-    arena: &mut HomArena,
-    instance: &mut Instance,
-    constraints: &[Constraint],
-    cfg: &ChaseConfig,
-) -> Result<ChaseStats, ChaseError> {
-    let set = PreparedConstraints::new(constraints);
-    chase_prepared(arena, instance, &set, cfg)
-}
-
-/// The restricted chase over an already prepared set — what [`chase_with`]
-/// runs after preparing its slice, and what the per-epoch
+/// The restricted chase over an already prepared set — what [`chase`] runs
+/// after preparing its slice, and what the per-epoch
 /// [`crate::pacb::Rewriter`] runs directly.
 pub(crate) fn chase_prepared(
-    arena: &mut HomArena,
     instance: &mut Instance,
     set: &PreparedConstraints,
     cfg: &ChaseConfig,
 ) -> Result<ChaseStats, ChaseError> {
-    run_chase(arena, instance, set, cfg, &mut Restricted::new(cfg))
+    run_chase(instance, set, cfg, &mut Restricted::new(cfg))
 }
 
 /// How one trigger fires — the only thing the restricted chase and the
@@ -279,7 +265,6 @@ pub(crate) trait FiringPolicy {
     /// returns whether the instance changed.
     fn fire_tgd(
         &mut self,
-        arena: &mut HomArena,
         instance: &mut Instance,
         cidx: usize,
         tgd: &CompiledTgd,
@@ -475,7 +460,6 @@ impl PreparedConstraints {
 /// The chase driver: take the prepared `set` over `instance` to fixpoint
 /// under `cfg`'s budget, firing triggers through `policy`.
 pub(crate) fn run_chase<P: FiringPolicy>(
-    arena: &mut HomArena,
     instance: &mut Instance,
     set: &PreparedConstraints,
     cfg: &ChaseConfig,
@@ -497,7 +481,7 @@ pub(crate) fn run_chase<P: FiringPolicy>(
         let delta = threshold.map(|t| instance.delta_index(t));
         // Phase 1: read-only trigger search against the frozen
         // round-start instance.
-        let (searched, triggers) = search_triggers(arena, instance, set, cfg.hom, delta.as_ref());
+        let (searched, triggers) = search_triggers(instance, set, cfg.hom, delta.as_ref());
         stats.premise_searches += searched;
         // Phase 2: serial apply in constraint order.
         let mut changed = false;
@@ -505,7 +489,7 @@ pub(crate) fn run_chase<P: FiringPolicy>(
             match &set.actions[cidx] {
                 Action::Tgd(tgd) => {
                     for h in &homs {
-                        changed |= policy.fire_tgd(arena, instance, cidx, tgd, h, &mut stats);
+                        changed |= policy.fire_tgd(instance, cidx, tgd, h, &mut stats);
                     }
                 }
                 Action::Egd { name, equal } => {
@@ -532,7 +516,6 @@ pub(crate) fn run_chase<P: FiringPolicy>(
 /// premises searched. Only the live premises (module docs) are; the others
 /// cannot have a trigger and get the empty list.
 fn search_triggers(
-    arena: &mut HomArena,
     instance: &Instance,
     set: &PreparedConstraints,
     hom: HomConfig,
@@ -541,7 +524,7 @@ fn search_triggers(
     let live = set.live(instance, delta);
     let mut out: Vec<Vec<Hom>> = vec![Vec::new(); set.premises.len()];
     for &cidx in &live {
-        out[cidx] = find_trigger_homs_in(arena, instance, &set.premises[cidx], hom, delta);
+        out[cidx] = find_trigger_homs(instance, &set.premises[cidx], hom, delta);
     }
     (live.len(), out)
 }
@@ -619,7 +602,6 @@ impl Restricted {
 impl FiringPolicy for Restricted {
     fn fire_tgd(
         &mut self,
-        arena: &mut HomArena,
         instance: &mut Instance,
         cidx: usize,
         tgd: &CompiledTgd,
@@ -642,7 +624,7 @@ impl FiringPolicy for Restricted {
         }
         let bound = tgd.frontier.iter().copied().zip(self.key.iter().copied());
         let mut changed = false;
-        if !has_hom_in(arena, instance, &tgd.conclusion, bound) {
+        if !has_hom(instance, &tgd.conclusion, bound) {
             // Fire: fresh nulls for existential variables.
             self.invented.clear();
             let fresh = tgd.existentials.iter().map(|_| instance.fresh_null());

@@ -2,41 +2,24 @@
 //! queries under constraints.
 
 use crate::chase::{
-    chase_prepared, chase_with, ChaseConfig, ChaseError, ChaseStats, PreparedConstraints,
+    chase, chase_prepared, ChaseConfig, ChaseError, ChaseStats, PreparedConstraints,
 };
-use crate::hom::{find_one_hom_in, HomArena};
+use crate::hom::find_one_hom;
 use crate::instance::{Elem, Instance};
-use estocada_pivot::{Atom, Constraint, Cq, Term, Var};
+use crate::pacb::{freeze, head_fixed_map, term_to_elem};
+use crate::prov::Dnf;
+use estocada_pivot::{Constraint, Cq, Term, Var};
 use std::collections::HashMap;
 
 /// Build the canonical instance ("frozen body") of a query: variable `i`
 /// becomes labelled null `i`, constants stay constants.
 pub fn canonical_instance(q: &Cq) -> Instance {
-    let mut inst = Instance::new();
-    inst.reserve_nulls(q.var_space());
-    for atom in &q.body {
-        let args: Vec<Elem> = atom
-            .args
-            .iter()
-            .map(|t| match t {
-                Term::Var(v) => Elem::Null(v.0),
-                Term::Const(c) => Elem::constant(c),
-            })
-            .collect();
-        inst.insert(atom.pred, args);
-    }
-    inst
+    freeze(&q.head, &q.body, |_| Dnf::tru())
 }
 
-/// The image of `q1`'s head terms in (a chase of) its canonical instance.
-fn head_images(q1: &Cq, inst: &Instance) -> Vec<Elem> {
-    q1.head
-        .iter()
-        .map(|t| match t {
-            Term::Var(v) => inst.resolve(&Elem::Null(v.0)),
-            Term::Const(c) => Elem::constant(c),
-        })
-        .collect()
+/// The image of frozen term `t` in (a chase of) its frozen instance.
+fn frozen_image(inst: &Instance, t: &Term) -> Elem {
+    inst.resolve(&term_to_elem(t))
 }
 
 /// Decide `q1 ⊆ q2` under `constraints`: chase `q1`'s canonical instance,
@@ -50,28 +33,13 @@ pub fn contained_in(
     constraints: &[Constraint],
     cfg: &ChaseConfig,
 ) -> Result<bool, ChaseError> {
-    contained_in_with(&mut HomArena::new(), q1, q2, constraints, cfg)
-}
-
-/// [`contained_in`] with caller-provided homomorphism scratch — the whole
-/// decision (the chase of `q1`'s canonical instance and the final
-/// containment-mapping search) runs on `arena`'s buffers. Verification
-/// loops that test many candidates keep one arena per worker thread.
-pub fn contained_in_with(
-    arena: &mut HomArena,
-    q1: &Cq,
-    q2: &Cq,
-    constraints: &[Constraint],
-    cfg: &ChaseConfig,
-) -> Result<bool, ChaseError> {
     let set = PreparedConstraints::new(constraints);
-    contained_in_prepared(arena, q1, q2, &set, cfg).map(|(contained, _)| contained)
+    contained_in_prepared(q1, q2, &set, cfg).map(|(contained, _)| contained)
 }
 
-/// [`contained_in_with`] over an already prepared set, also reporting the
+/// [`contained_in`] over an already prepared set, also reporting the
 /// counters of the chase it ran (zero when none completed).
 pub(crate) fn contained_in_prepared(
-    arena: &mut HomArena,
     q1: &Cq,
     q2: &Cq,
     set: &PreparedConstraints,
@@ -81,79 +49,37 @@ pub(crate) fn contained_in_prepared(
         return Ok((false, ChaseStats::default()));
     }
     let mut inst = canonical_instance(q1);
-    let stats = match chase_prepared(arena, &mut inst, set, cfg) {
+    let stats = match chase_prepared(&mut inst, set, cfg) {
         Ok(stats) => stats,
         // An inconsistent canonical instance denotes the empty query, which
         // is contained in everything.
         Err(ChaseError::Inconsistent(_)) => return Ok((true, ChaseStats::default())),
         Err(e) => return Err(e),
     };
-    let targets = head_images(q1, &inst);
-    Ok((head_preserving_image_in(arena, q2, &inst, &targets), stats))
+    Ok((head_preserving_image(q2, q1, &inst), stats))
 }
 
-/// Is there a homomorphism from `q`'s body into `inst` mapping `q`'s head
-/// terms exactly onto `targets`?
-pub fn head_preserving_image(q: &Cq, inst: &Instance, targets: &[Elem]) -> bool {
-    head_preserving_image_in(&mut HomArena::new(), q, inst, targets)
+/// Is there a homomorphism from `q`'s body into `inst` — a (chase of the)
+/// canonical instance of `frozen` — mapping `q`'s head terms exactly onto
+/// the frozen images of `frozen`'s head?
+fn head_preserving_image(q: &Cq, frozen: &Cq, inst: &Instance) -> bool {
+    let targets: Vec<Elem> = frozen.head.iter().map(|t| frozen_image(inst, t)).collect();
+    head_fixed_map(q, &targets).is_some_and(|fixed| find_one_hom(inst, &q.body, &fixed).is_some())
 }
 
-/// [`head_preserving_image`] with caller-provided scratch.
-pub fn head_preserving_image_in(
-    arena: &mut HomArena,
-    q: &Cq,
-    inst: &Instance,
-    targets: &[Elem],
-) -> bool {
-    debug_assert_eq!(q.head.len(), targets.len());
-    let mut fixed: HashMap<Var, Elem> = HashMap::new();
-    for (t, target) in q.head.iter().zip(targets) {
-        match t {
-            Term::Const(c) => {
-                if Elem::constant(c) != *target {
-                    return false;
-                }
-            }
-            Term::Var(v) => {
-                if let Some(prev) = fixed.get(v) {
-                    if prev != target {
-                        return false;
-                    }
-                } else {
-                    fixed.insert(*v, *target);
-                }
-            }
-        }
+/// Chase `sigma`'s frozen premise under `rest`: `Ok(None)` when the chase
+/// derives a contradiction, so the premise is unsatisfiable under `rest`.
+fn chase_frozen_premise(
+    sigma: &Constraint,
+    rest: &[Constraint],
+    cfg: &ChaseConfig,
+) -> Result<Option<Instance>, ChaseError> {
+    let mut inst = freeze(&[], sigma.premise(), |_| Dnf::tru());
+    match chase(&mut inst, rest, cfg) {
+        Ok(_) => Ok(Some(inst)),
+        Err(ChaseError::Inconsistent(_)) => Ok(None),
+        Err(e) => Err(e),
     }
-    find_one_hom_in(arena, inst, &q.body, &fixed).is_some()
-}
-
-/// Freeze a constraint premise into a canonical instance: variable `i`
-/// becomes labelled null `i`, constants stay constants.
-fn frozen_premise(atoms: &[Atom]) -> Instance {
-    let mut inst = Instance::new();
-    let var_space = atoms
-        .iter()
-        .flat_map(|a| a.args.iter())
-        .filter_map(|t| match t {
-            Term::Var(v) => Some(v.0 + 1),
-            Term::Const(_) => None,
-        })
-        .max()
-        .unwrap_or(0);
-    inst.reserve_nulls(var_space);
-    for atom in atoms {
-        let args: Vec<Elem> = atom
-            .args
-            .iter()
-            .map(|t| match t {
-                Term::Var(v) => Elem::Null(v.0),
-                Term::Const(c) => Elem::constant(c),
-            })
-            .collect();
-        inst.insert(atom.pred, args);
-    }
-    inst
 }
 
 /// Decide whether `sigma` is logically implied by `rest` (for every
@@ -174,37 +100,21 @@ pub fn implies(
     rest: &[Constraint],
     cfg: &ChaseConfig,
 ) -> Result<bool, ChaseError> {
-    implies_with(&mut HomArena::new(), sigma, rest, cfg)
-}
-
-/// [`implies`] with caller-provided homomorphism scratch.
-pub fn implies_with(
-    arena: &mut HomArena,
-    sigma: &Constraint,
-    rest: &[Constraint],
-    cfg: &ChaseConfig,
-) -> Result<bool, ChaseError> {
-    let mut inst = frozen_premise(sigma.premise());
-    match chase_with(arena, &mut inst, rest, cfg) {
-        Ok(_) => {}
-        Err(ChaseError::Inconsistent(_)) => return Ok(true),
-        Err(e) => return Err(e),
-    }
+    let Some(inst) = chase_frozen_premise(sigma, rest, cfg)? else {
+        return Ok(true);
+    };
     match sigma {
         Constraint::Tgd(tgd) => {
             let fixed: HashMap<Var, Elem> = tgd
                 .frontier()
                 .into_iter()
-                .map(|v| (v, inst.resolve(&Elem::Null(v.0))))
+                .map(|v| (v, frozen_image(&inst, &Term::Var(v))))
                 .collect();
-            Ok(find_one_hom_in(arena, &inst, &tgd.conclusion, &fixed).is_some())
+            Ok(find_one_hom(&inst, &tgd.conclusion, &fixed).is_some())
         }
         Constraint::Egd(egd) => {
-            let resolve = |t: &Term| match t {
-                Term::Var(v) => inst.resolve(&Elem::Null(v.0)),
-                Term::Const(c) => Elem::constant(c),
-            };
-            Ok(resolve(&egd.equal.0) == resolve(&egd.equal.1))
+            let (a, b) = &egd.equal;
+            Ok(frozen_image(&inst, a) == frozen_image(&inst, b))
         }
     }
 }
@@ -218,12 +128,7 @@ pub fn premise_unsatisfiable(
     constraints: &[Constraint],
     cfg: &ChaseConfig,
 ) -> Result<bool, ChaseError> {
-    let mut inst = frozen_premise(sigma.premise());
-    match chase_with(&mut HomArena::new(), &mut inst, constraints, cfg) {
-        Ok(_) => Ok(false),
-        Err(ChaseError::Inconsistent(_)) => Ok(true),
-        Err(e) => Err(e),
-    }
+    Ok(chase_frozen_premise(sigma, constraints, cfg)?.is_none())
 }
 
 /// Decide `q1 ≡ q2` under `constraints` (containment both ways).
@@ -252,8 +157,7 @@ pub fn minimize(q: &Cq) -> Cq {
             // candidate ⊆ current always (fewer atoms); equivalence needs
             // current-image in candidate's canonical instance.
             let inst = canonical_instance(&candidate);
-            let targets = head_images(&candidate, &inst);
-            if head_preserving_image(&current, &inst, &targets) {
+            if head_preserving_image(&current, &candidate, &inst) {
                 reduced = Some(candidate);
                 break;
             }

@@ -25,21 +25,19 @@
 //! ids) lives in one reusable buffer set; the only per-result allocation is
 //! the returned [`Hom`] itself.
 //!
-//! # Thread-confined scratch arenas
+//! # Thread-confined scratch
 //!
-//! The buffer set is owned by a [`HomArena`] — a scratch arena a caller
-//! creates once and reuses across many searches, amortizing the per-call
-//! allocations (binding array, trail, atom order, compiled atoms, the
-//! variable-interning map). Arenas are deliberately **not** shared: each
-//! holds the mutable search state of exactly one search at a time, so
-//! parallel callers (the candidate-verification pool of the parallel
-//! backchase, and the read-only trigger-search phase the chase driver fans
-//! out each round — see the phase-split contract in [`mod@crate::chase`]) give
-//! every worker thread its own arena and the searches proceed without any
-//! synchronization. The `*_in` entry points ([`find_homs_in`],
-//! [`find_one_hom_in`], [`find_homs_delta_in`], [`find_trigger_homs_in`])
-//! take the arena explicitly; the classic entry points allocate a
-//! throwaway arena per call.
+//! The buffer set (binding array, trail, atom order, compiled atoms, the
+//! variable-interning map) is a private `HomArena`, one per thread, kept in
+//! a `thread_local!` cell. A search takes the thread's arena out of the
+//! cell, runs on it and puts it back, so a thread allocates the buffers
+//! once and every later search on it reuses them — the chase's premise
+//! searches and applicability probes, each candidate's verification, a
+//! plan-cache miss after the one before it. Threads share nothing: each of
+//! the backchase's verification workers is its own thread and so has its
+//! own arena, and no search synchronizes with another. A search that
+//! starts while another on the same thread holds the arena finds the cell
+//! empty and runs on a fresh one.
 //!
 //! # Semi-naive (delta) search
 //!
@@ -53,6 +51,7 @@
 
 use crate::instance::{DeltaIndex, Elem, Instance};
 use estocada_pivot::{Atom, Symbol, Term, Var};
+use std::cell::Cell;
 use std::collections::HashMap;
 
 /// A homomorphism: a variable assignment plus the ids of the facts each atom
@@ -113,15 +112,11 @@ struct CompiledAtom {
     slots: Vec<Slot>,
 }
 
-/// A reusable, thread-confined scratch arena for homomorphism searches.
-///
-/// Holds every buffer the matcher needs — the compiled atoms, the dense
-/// binding array, the undo trail, the atom order and the variable-interning
-/// map — so that a caller running many searches (a chase loop, a backchase
-/// verification worker) allocates them once instead of once per search.
-/// One arena serves one search at a time; give each worker thread its own.
+/// The matcher's reusable scratch: every buffer a search needs — the
+/// compiled atoms, the dense binding array, the undo trail, the atom order
+/// and the variable-interning map. One per thread (module docs).
 #[derive(Default)]
-pub struct HomArena {
+struct HomArena {
     var_ids: HashMap<Var, usize>,
     vars: Vec<Var>,
     atoms: Vec<CompiledAtom>,
@@ -132,12 +127,22 @@ pub struct HomArena {
     order: Vec<usize>,
 }
 
-impl HomArena {
-    /// A fresh arena (no buffers allocated until first use).
-    pub fn new() -> HomArena {
-        HomArena::default()
-    }
+thread_local! {
+    /// This thread's arena; empty while a search on the thread holds it.
+    static ARENA: Cell<HomArena> = Cell::new(HomArena::default());
+}
 
+/// Run `f` on this thread's arena: take it, run, put it back.
+fn with_arena<R>(f: impl FnOnce(&mut HomArena) -> R) -> R {
+    ARENA.with(|cell| {
+        let mut arena = cell.take();
+        let result = f(&mut arena);
+        cell.set(arena);
+        result
+    })
+}
+
+impl HomArena {
     /// Return the buffers of a finished search to the arena.
     fn recycle(&mut self, ctx: Ctx<'_>, s: Scratch) {
         self.vars = ctx.vars;
@@ -351,8 +356,7 @@ fn search(ctx: &Ctx<'_>, s: &mut Scratch, depth: usize) {
             s.fact_ids[ai] = u32::MAX;
         }
         // Undo bindings made by this candidate.
-        while s.trail.len() > trail_mark {
-            let v = s.trail.pop().unwrap();
+        for v in s.trail.drain(trail_mark..) {
             s.bind[v] = None;
         }
         if s.results.len() >= ctx.limit {
@@ -401,8 +405,7 @@ fn try_match(ctx: &Ctx<'_>, s: &mut Scratch, ai: usize, fid: u32) -> bool {
             },
         };
         if !ok {
-            while s.trail.len() > mark {
-                let v = s.trail.pop().unwrap();
+            for v in s.trail.drain(mark..) {
                 s.bind[v] = None;
             }
             return false;
@@ -437,19 +440,7 @@ pub fn find_homs(
     fixed: &HashMap<Var, Elem>,
     cfg: HomConfig,
 ) -> Vec<Hom> {
-    find_homs_in(&mut HomArena::new(), instance, atoms, fixed, cfg)
-}
-
-/// [`find_homs`] with caller-provided scratch: reuses `arena`'s buffers
-/// instead of allocating per call. The arena is fully reusable afterwards.
-pub fn find_homs_in(
-    arena: &mut HomArena,
-    instance: &Instance,
-    atoms: &[Atom],
-    fixed: &HashMap<Var, Elem>,
-    cfg: HomConfig,
-) -> Vec<Hom> {
-    find_homs_extending(arena, instance, atoms, pairs(fixed), cfg.limit)
+    find_homs_extending(instance, atoms, pairs(fixed), cfg.limit)
 }
 
 /// A fixed-variable map as the `(variable, image)` pairs [`compile`] takes.
@@ -457,32 +448,32 @@ fn pairs(fixed: &HashMap<Var, Elem>) -> impl Iterator<Item = (Var, Elem)> + Clon
     fixed.iter().map(|(v, e)| (*v, *e))
 }
 
-/// [`find_homs_in`] with the partial assignment as pairs.
+/// [`find_homs`] with the partial assignment as pairs.
 fn find_homs_extending(
-    arena: &mut HomArena,
     instance: &Instance,
     atoms: &[Atom],
     fixed: impl Iterator<Item = (Var, Elem)> + Clone,
     limit: usize,
 ) -> Vec<Hom> {
-    let (ctx, mut scratch) = compile(arena, instance, atoms, fixed, limit);
-    search(&ctx, &mut scratch, 0);
-    let results = std::mem::take(&mut scratch.results);
-    arena.recycle(ctx, scratch);
-    results
+    with_arena(|arena| {
+        let (ctx, mut scratch) = compile(arena, instance, atoms, fixed, limit);
+        search(&ctx, &mut scratch, 0);
+        let results = std::mem::take(&mut scratch.results);
+        arena.recycle(ctx, scratch);
+        results
+    })
 }
 
 /// Whether `atoms` has a homomorphism into `instance` extending the
-/// `fixed` pairs — [`find_one_hom_in`] for a caller that holds its partial
+/// `fixed` pairs — [`find_one_hom`] for a caller that holds its partial
 /// assignment as parallel slices and needs no witness (the restricted
 /// chase's per-trigger applicability probe).
-pub(crate) fn has_hom_in(
-    arena: &mut HomArena,
+pub(crate) fn has_hom(
     instance: &Instance,
     atoms: &[Atom],
     fixed: impl Iterator<Item = (Var, Elem)> + Clone,
 ) -> bool {
-    !find_homs_extending(arena, instance, atoms, fixed, 1).is_empty()
+    !find_homs_extending(instance, atoms, fixed, 1).is_empty()
 }
 
 /// Find one homomorphism, if any (cheaper early exit).
@@ -491,17 +482,7 @@ pub fn find_one_hom(
     atoms: &[Atom],
     fixed: &HashMap<Var, Elem>,
 ) -> Option<Hom> {
-    find_one_hom_in(&mut HomArena::new(), instance, atoms, fixed)
-}
-
-/// [`find_one_hom`] with caller-provided scratch.
-pub fn find_one_hom_in(
-    arena: &mut HomArena,
-    instance: &Instance,
-    atoms: &[Atom],
-    fixed: &HashMap<Var, Elem>,
-) -> Option<Hom> {
-    find_homs_in(arena, instance, atoms, fixed, HomConfig { limit: 1 })
+    find_homs(instance, atoms, fixed, HomConfig { limit: 1 })
         .into_iter()
         .next()
 }
@@ -522,55 +503,43 @@ pub fn find_homs_delta(
     cfg: HomConfig,
     delta: &DeltaIndex,
 ) -> Vec<Hom> {
-    find_homs_delta_in(&mut HomArena::new(), instance, atoms, fixed, cfg, delta)
+    with_arena(|arena| {
+        let (mut ctx, mut scratch) = compile(arena, instance, atoms, pairs(fixed), cfg.limit);
+        ctx.delta = Some(delta);
+        ctx.threshold = delta.threshold;
+        for anchor in 0..atoms.len() {
+            if delta.facts_of(atoms[anchor].pred).is_empty() {
+                continue;
+            }
+            for i in 0..atoms.len() {
+                ctx.strata[i] = match i.cmp(&anchor) {
+                    std::cmp::Ordering::Less => Stratum::Old,
+                    std::cmp::Ordering::Equal => Stratum::New,
+                    std::cmp::Ordering::Greater => Stratum::Any,
+                };
+            }
+            search(&ctx, &mut scratch, 0);
+            if scratch.results.len() >= cfg.limit {
+                break;
+            }
+        }
+        let results = std::mem::take(&mut scratch.results);
+        arena.recycle(ctx, scratch);
+        results
+    })
 }
 
-/// [`find_homs_delta`] with caller-provided scratch.
-pub fn find_homs_delta_in(
-    arena: &mut HomArena,
-    instance: &Instance,
-    atoms: &[Atom],
-    fixed: &HashMap<Var, Elem>,
-    cfg: HomConfig,
-    delta: &DeltaIndex,
-) -> Vec<Hom> {
-    let (mut ctx, mut scratch) = compile(arena, instance, atoms, pairs(fixed), cfg.limit);
-    ctx.delta = Some(delta);
-    ctx.threshold = delta.threshold;
-    for anchor in 0..atoms.len() {
-        if delta.facts_of(atoms[anchor].pred).is_empty() {
-            continue;
-        }
-        for i in 0..atoms.len() {
-            ctx.strata[i] = match i.cmp(&anchor) {
-                std::cmp::Ordering::Less => Stratum::Old,
-                std::cmp::Ordering::Equal => Stratum::New,
-                std::cmp::Ordering::Greater => Stratum::Any,
-            };
-        }
-        search(&ctx, &mut scratch, 0);
-        if scratch.results.len() >= cfg.limit {
-            break;
-        }
-    }
-    let results = std::mem::take(&mut scratch.results);
-    arena.recycle(ctx, scratch);
-    results
-}
-
-/// The chase driver's trigger enumeration, on caller-provided scratch: full
-/// search when `delta` is `None` (first round), delta-restricted search
-/// otherwise.
-pub fn find_trigger_homs_in(
-    arena: &mut HomArena,
+/// The chase driver's trigger enumeration: full search when `delta` is
+/// `None` (first round), delta-restricted search otherwise.
+pub(crate) fn find_trigger_homs(
     instance: &Instance,
     atoms: &[Atom],
     cfg: HomConfig,
     delta: Option<&DeltaIndex>,
 ) -> Vec<Hom> {
     match delta {
-        None => find_homs_in(arena, instance, atoms, &HashMap::new(), cfg),
-        Some(d) => find_homs_delta_in(arena, instance, atoms, &HashMap::new(), cfg, d),
+        None => find_homs(instance, atoms, &HashMap::new(), cfg),
+        Some(d) => find_homs_delta(instance, atoms, &HashMap::new(), cfg, d),
     }
 }
 
@@ -706,7 +675,7 @@ mod tests {
     }
 
     #[test]
-    fn arena_reuse_across_searches_matches_fresh_arena() {
+    fn warm_thread_searches_match_fresh_thread() {
         let i = setup();
         let queries: Vec<Vec<Atom>> = vec![
             vec![atom("R", vec![Term::var(0), Term::var(1)])],
@@ -716,18 +685,23 @@ mod tests {
                 atom("S", vec![Term::var(2)]),
             ],
             vec![atom("S", vec![Term::var(5)])],
-            vec![], // empty query: arena shrinks back down
+            vec![], // empty query: the arena shrinks back down
             vec![atom("R", vec![Term::constant(1i64), Term::var(0)])],
         ];
-        let mut arena = HomArena::new();
+        let run = |q: &[Atom]| {
+            let full = find_homs(&i, q, &HashMap::new(), HomConfig::default());
+            let delta = i.delta_index(0);
+            let anchored = find_homs_delta(&i, q, &HashMap::new(), HomConfig::default(), &delta);
+            let seen =
+                |hs: Vec<Hom>| -> Vec<_> { hs.into_iter().map(|h| (h.fact_ids, h.map)).collect() };
+            (seen(full), seen(anchored))
+        };
+        // This thread's arena is warm from the earlier queries of the loop;
+        // a new thread starts with an empty one.
         for q in &queries {
-            let reused = find_homs_in(&mut arena, &i, q, &HashMap::new(), HomConfig::default());
-            let fresh = find_homs(&i, q, &HashMap::new(), HomConfig::default());
-            assert_eq!(reused.len(), fresh.len(), "arena reuse skewed {q:?}");
-            for (a, b) in reused.iter().zip(&fresh) {
-                assert_eq!(a.fact_ids, b.fact_ids);
-                assert_eq!(a.map, b.map);
-            }
+            let warm = run(q);
+            let fresh = std::thread::scope(|s| s.spawn(|| run(q)).join().unwrap());
+            assert_eq!(warm, fresh, "arena reuse skewed {q:?}");
         }
     }
 

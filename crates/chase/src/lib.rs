@@ -28,11 +28,12 @@
 //! read-only trigger-search phase against the round-start snapshot and an
 //! apply phase, both on the calling thread; the restricted policy memoizes
 //! applicability probes per (constraint, frontier image) with precise
-//! merge-driven invalidation. Search scratch lives in reusable,
-//! thread-confined [`hom::HomArena`]s. The one place a rewrite uses more
-//! than one thread is PACB's per-candidate verification: from 8 candidates
-//! up the independent checks fan out over scoped worker threads with a
-//! deterministic fan-in ([`pacb::RewriteConfig::parallelism`]; the outcome
+//! merge-driven invalidation. Every chase operation has one entry point;
+//! the matcher's scratch buffers are its own business — one set per
+//! thread, reused by every search on it (see [`hom`]). The one place a
+//! rewrite uses more than one thread is PACB's per-candidate verification:
+//! from 8 candidates up the independent checks fan out over scoped worker
+//! threads with a deterministic fan-in ([`pacb::RewriteConfig::parallelism`]; the outcome
 //! is identical at any worker count — see the [`pacb`] module docs).
 
 #![forbid(unsafe_code)]
@@ -50,22 +51,18 @@ pub mod prov;
 pub mod testkit;
 pub mod wa;
 
-pub use chase::{chase, chase_with, ChaseConfig, ChaseError, ChaseStats};
+pub use chase::{chase, ChaseConfig, ChaseError, ChaseStats};
 pub use containment::{
-    canonical_instance, contained_in, contained_in_with, equivalent, implies, implies_with,
-    minimize, premise_unsatisfiable,
+    canonical_instance, contained_in, equivalent, implies, minimize, premise_unsatisfiable,
 };
-pub use hom::{
-    find_homs, find_homs_delta, find_homs_delta_in, find_homs_in, find_one_hom, find_one_hom_in,
-    Hom, HomArena, HomConfig,
-};
+pub use hom::{find_homs, find_homs_delta, find_one_hom, Hom, HomConfig};
 pub use instance::{DeltaIndex, Elem, Inconsistent, Instance, StoredFact};
 pub use naive::{naive_rewrite, NaiveConfig};
 pub use pacb::{
     pacb_rewrite, CandidateStats, RewriteConfig, RewriteError, RewriteOutcome, RewriteProblem,
     RewriteStats, Rewriter,
 };
-pub use pchase::{prov_chase, prov_chase_with, ProvChaseStats};
+pub use pchase::{prov_chase, ProvChaseStats};
 pub use prov::Dnf;
 pub use wa::{
     certify, stratify, Pos, PositionGraph, Stratum, TerminationCertificate, UnknownReason,

@@ -9,7 +9,6 @@
 //! benchmark `e3_pacb_vs_naive` regenerates the paper's 1–2
 //! orders-of-magnitude claim against it.
 
-use crate::hom::HomArena;
 use crate::pacb::{
     build_candidate, RewriteConfig, RewriteError, RewriteOutcome, RewriteProblem, RewriteStats,
     Verdict,
@@ -44,9 +43,8 @@ pub fn naive_rewrite(
     problem: &RewriteProblem,
     cfg: &NaiveConfig,
 ) -> Result<RewriteOutcome, RewriteError> {
-    let mut arena = HomArena::new();
     let rewriter = problem.rewriter();
-    let up = rewriter.universal_plan(&mut arena, &problem.query, &cfg.rewrite.chase)?;
+    let up = rewriter.universal_plan(&problem.query, &cfg.rewrite.chase)?;
     let mut stats = RewriteStats {
         forward: up.stats,
         universal_plan_atoms: up.atoms.len(),
@@ -85,7 +83,7 @@ pub fn naive_rewrite(
                     rewritings.len(),
                 );
                 let (verdict, cs) =
-                    rewriter.check_candidate(&mut arena, &candidate, &problem.query, &cfg.rewrite);
+                    rewriter.check_candidate(&candidate, &problem.query, &cfg.rewrite);
                 stats.absorb(cs);
                 complete &= verdict != Verdict::Undecided;
                 if verdict == Verdict::Accepted {

@@ -48,9 +48,9 @@
 //! candidate, the query, and the prepared verification set, and chases a
 //! **fresh** canonical instance. [`Rewriter::rewrite`] therefore fans the
 //! checks out over [`RewriteConfig::parallelism`] scoped worker threads
-//! ([`estocada_parexec::scoped_map_init`]), each holding a private
-//! [`HomArena`] scratch arena (no shared mutable state, no locks on the
-//! search path).
+//! ([`estocada_parexec::scoped_map`]); each worker's searches run on its
+//! own thread's matcher scratch (no shared mutable state, no locks on the
+//! search path — see [`mod@crate::hom`]).
 //!
 //! **Fan-in contract:** `pacb_rewrite` at `parallelism = N` returns a
 //! [`RewriteOutcome`] *identical* to `parallelism = 1` — same rewritings in
@@ -104,11 +104,11 @@
 
 use crate::chase::{chase_prepared, ChaseConfig, ChaseError, ChaseStats, PreparedConstraints};
 use crate::containment::{canonical_instance, contained_in_prepared};
-use crate::hom::{find_homs_in, HomArena, HomConfig};
+use crate::hom::{find_homs, HomConfig};
 use crate::instance::{Elem, Instance};
 use crate::pchase::{prov_chase_prepared, ProvChaseStats};
 use crate::prov::Dnf;
-use estocada_parexec::scoped_map_init;
+use estocada_parexec::scoped_map;
 use estocada_pivot::{AccessMap, Atom, Constraint, Cq, Symbol, Term, Tgd, Var, ViewDef};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
@@ -370,7 +370,6 @@ impl Rewriter {
     /// Compute the universal plan of `query`.
     pub(crate) fn universal_plan(
         &self,
-        arena: &mut HomArena,
         query: &Cq,
         cfg: &ChaseConfig,
     ) -> Result<UniversalPlan, RewriteError> {
@@ -378,7 +377,7 @@ impl Rewriter {
             return Err(RewriteError::UnsafeQuery);
         }
         let mut inst = canonical_instance(query);
-        let stats = chase_prepared(arena, &mut inst, &self.forward, cfg)?;
+        let stats = chase_prepared(&mut inst, &self.forward, cfg)?;
 
         let mut atoms: Vec<Atom> = Vec::new();
         for id in inst.fact_ids() {
@@ -406,11 +405,10 @@ impl Rewriter {
     /// Shared acceptance filter: safety, feasibility, verification.
     ///
     /// Pure per-candidate check: reads only its arguments and writes only
-    /// `arena` (the calling worker's private scratch) — the reason
-    /// candidates can verify in parallel without skew.
+    /// the calling thread's matcher scratch — the reason candidates can
+    /// verify in parallel without skew.
     pub(crate) fn check_candidate(
         &self,
-        arena: &mut HomArena,
         candidate: &Cq,
         query: &Cq,
         cfg: &RewriteConfig,
@@ -426,8 +424,7 @@ impl Rewriter {
         }
         // Q ⊆ R holds for every subquery of the universal plan (chase
         // soundness); only R ⊆ Q needs checking.
-        let verified =
-            contained_in_prepared(arena, candidate, query, &self.verification, &cfg.chase);
+        let verified = contained_in_prepared(candidate, query, &self.verification, &cfg.chase);
         let verdict = match verified {
             Ok((contained, chase)) => {
                 stats.verification = chase;
@@ -445,17 +442,37 @@ impl Rewriter {
 }
 
 fn elem_to_term(e: &Elem) -> Term {
-    match e.as_value() {
-        Some(v) => Term::Const(v),
-        None => Term::Var(Var(e.as_null().expect("null element"))),
+    match e {
+        Elem::Const(c) => Term::Const((*c.value()).clone()),
+        Elem::Null(n) => Term::Var(Var(*n)),
     }
 }
 
-fn term_to_elem(t: &Term) -> Elem {
+/// The frozen image of a term: variable `i` is labelled null `i`, a
+/// constant is itself.
+pub(crate) fn term_to_elem(t: &Term) -> Elem {
     match t {
         Term::Var(v) => Elem::Null(v.0),
         Term::Const(c) => Elem::constant(c),
     }
+}
+
+/// Freeze `atoms` into a fresh instance through [`term_to_elem`], atom `i`
+/// carrying provenance `prov(i)`. Nulls up to the largest variable of
+/// `head` and `atoms` are reserved, so the nulls a chase invents never
+/// collide with a frozen variable. The one freezer of the crate: canonical
+/// instances, frozen constraint premises and the backchase's universal
+/// plan.
+pub(crate) fn freeze(head: &[Term], atoms: &[Atom], prov: impl Fn(usize) -> Dnf) -> Instance {
+    let vars = head.iter().filter_map(Term::as_var);
+    let vars = vars.chain(atoms.iter().flat_map(Atom::vars));
+    let mut inst = Instance::new();
+    inst.reserve_nulls(vars.map(|v| v.0 + 1).max().unwrap_or(0));
+    for (i, atom) in atoms.iter().enumerate() {
+        let args: Vec<Elem> = atom.args.iter().map(term_to_elem).collect();
+        inst.insert_with_prov(atom.pred, args, prov(i));
+    }
+    inst
 }
 
 /// Build a candidate rewriting from a subset of universal-plan atoms.
@@ -489,10 +506,7 @@ impl Rewriter {
     /// Rewrite `query` over the views with the provenance-aware Chase &
     /// Backchase. Returns all minimal feasible rewritings.
     pub fn rewrite(&self, query: &Cq, cfg: &RewriteConfig) -> Result<RewriteOutcome, RewriteError> {
-        // Coordinator-side scratch for the forward chase, the provenance chase
-        // and the image search (workers get their own arenas at fan-out).
-        let mut arena = HomArena::new();
-        let up = self.universal_plan(&mut arena, query, &cfg.chase)?;
+        let up = self.universal_plan(query, &cfg.chase)?;
         let mut stats = RewriteStats {
             forward: up.stats,
             universal_plan_atoms: up.atoms.len(),
@@ -513,27 +527,8 @@ impl Rewriter {
         }
 
         // --- Backchase: freeze U, annotate, provenance-chase. ---
-        let mut inst = Instance::new();
-        let max_null = up
-            .atoms
-            .iter()
-            .flat_map(|a| a.vars())
-            .chain(up.head.iter().filter_map(Term::as_var))
-            .map(|v| v.0 + 1)
-            .max()
-            .unwrap_or(0);
-        inst.reserve_nulls(max_null);
-        for (i, atom) in up.atoms.iter().enumerate() {
-            let args: Vec<Elem> = atom.args.iter().map(term_to_elem).collect();
-            inst.insert_with_prov(atom.pred, args, Dnf::var(i as u32));
-        }
-        let pstats = prov_chase_prepared(
-            &mut arena,
-            &mut inst,
-            &self.backward,
-            &cfg.chase,
-            cfg.clause_cap,
-        )?;
+        let mut inst = freeze(&up.head, &up.atoms, |i| Dnf::var(i as u32));
+        let pstats = prov_chase_prepared(&mut inst, &self.backward, &cfg.chase, cfg.clause_cap)?;
         stats.backward = pstats;
         let mut complete = !pstats.truncated;
 
@@ -554,8 +549,7 @@ impl Rewriter {
                 })
             }
         };
-        let homs = find_homs_in(
-            &mut arena,
+        let homs = find_homs(
             &inst,
             &query.body,
             &fixed,
@@ -608,23 +602,16 @@ impl Rewriter {
         }
         stats.candidates = candidates.len();
         // Below the threshold the per-call thread spawn/join costs more than
-        // it saves — run inline on the coordinator's already-warmed arena. The
-        // outcome is identical either way.
+        // it saves — one worker runs inline on the coordinator. The outcome
+        // is identical either way.
         let workers = if candidates.len() >= PARALLEL_CANDIDATE_THRESHOLD {
             cfg.parallelism
         } else {
             1
         };
-        let verdicts: Vec<(Verdict, CandidateStats)> = if workers <= 1 {
-            candidates
-                .iter()
-                .map(|c| self.check_candidate(&mut arena, c, query, cfg))
-                .collect()
-        } else {
-            scoped_map_init(workers, &candidates, HomArena::new, |worker_arena, _, c| {
-                self.check_candidate(worker_arena, c, query, cfg)
-            })
-        };
+        let verdicts: Vec<(Verdict, CandidateStats)> = scoped_map(workers, &candidates, |_, c| {
+            self.check_candidate(c, query, cfg)
+        });
 
         // Deterministic fan-in, candidate order.
         let mut rewritings: Vec<Cq> = Vec::new();

@@ -21,7 +21,7 @@ use crate::chase::{
     run_chase, ChaseConfig, ChaseError, ChaseStats, CompiledTgd, FiringPolicy, FrontierCache,
     PreparedConstraints,
 };
-use crate::hom::{Hom, HomArena};
+use crate::hom::Hom;
 use crate::instance::{Elem, Instance};
 use crate::prov::Dnf;
 use estocada_pivot::Constraint;
@@ -49,7 +49,6 @@ struct Skolemized {
 impl FiringPolicy for Skolemized {
     fn fire_tgd(
         &mut self,
-        _: &mut HomArena,
         instance: &mut Instance,
         cidx: usize,
         tgd: &CompiledTgd,
@@ -128,26 +127,14 @@ pub fn prov_chase(
     cfg: &ChaseConfig,
     clause_cap: usize,
 ) -> Result<ProvChaseStats, ChaseError> {
-    prov_chase_with(&mut HomArena::new(), instance, constraints, cfg, clause_cap)
-}
-
-/// [`prov_chase`] with caller-provided homomorphism scratch.
-pub fn prov_chase_with(
-    arena: &mut HomArena,
-    instance: &mut Instance,
-    constraints: &[Constraint],
-    cfg: &ChaseConfig,
-    clause_cap: usize,
-) -> Result<ProvChaseStats, ChaseError> {
     let set = PreparedConstraints::new(constraints);
-    prov_chase_prepared(arena, instance, &set, cfg, clause_cap)
+    prov_chase_prepared(instance, &set, cfg, clause_cap)
 }
 
-/// The provenance chase over an already prepared set — what the two
-/// slice-taking entry points run after preparing their argument, and what
-/// the per-epoch [`crate::pacb::Rewriter`] backchases with.
+/// The provenance chase over an already prepared set — what [`prov_chase`]
+/// runs after preparing its slice, and what the per-epoch
+/// [`crate::pacb::Rewriter`] backchases with.
 pub(crate) fn prov_chase_prepared(
-    arena: &mut HomArena,
     instance: &mut Instance,
     set: &PreparedConstraints,
     cfg: &ChaseConfig,
@@ -159,7 +146,7 @@ pub(crate) fn prov_chase_prepared(
         clause_cap,
         truncated: false,
     };
-    let chase = run_chase(arena, instance, set, cfg, &mut policy)?;
+    let chase = run_chase(instance, set, cfg, &mut policy)?;
     Ok(ProvChaseStats {
         chase,
         truncated: policy.truncated,

@@ -7,7 +7,6 @@
 //! silently drifting apart.
 
 use crate::chase::{chase_prepared, ChaseConfig, ChaseError, ChaseStats, PreparedConstraints};
-use crate::hom::HomArena;
 use crate::instance::{Elem, Instance};
 use crate::pacb::RewriteProblem;
 use estocada_pivot::{Atom, Constraint, CqBuilder, Egd, Symbol, Term, Tgd, ViewDef};
@@ -24,7 +23,7 @@ pub fn chase_every_premise(
 ) -> Result<ChaseStats, ChaseError> {
     let mut set = PreparedConstraints::new(constraints);
     set.search_every_premise = true;
-    chase_prepared(&mut HomArena::new(), instance, &set, cfg)
+    chase_prepared(instance, &set, cfg)
 }
 
 /// Chain problem `Q(x0,xk) :- R0(x0,x1), …, R(k-1)(x(k-1),xk)` with **two

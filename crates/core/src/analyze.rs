@@ -9,7 +9,7 @@
 //! |------|------|----------|---------|
 //! | `E001` | `NonTerminatingTgdCycle` | error | the combined constraint set (schema constraints + fragment view constraints) has a special-edge cycle in its position graph; the chase can run forever ([`estocada_chase::certify`] supplies the witness cycle) |
 //! | `E002` | `DanglingSymbol` | error | a view or query body references a relation declared by no registered dataset |
-//! | `E003` | `UnboundHeadVariable` | error | a view or query head variable does not occur in its body (unsafe CQ) |
+//! | `E003` | `UnboundHeadVariable` | error | a view or query head variable does not occur in its body (unsafe CQ), or an EGD equates a variable its premise does not bind (the chase has no image for it: rejected at `add_constraint` in every mode, and left out of every chase the analyzer runs) |
 //! | `E004` | `ArityMismatch` | error | a body atom's arity differs from the relation's declaration |
 //! | `E005` | `UnsatisfiableConstraintBody` | error | a constraint's premise is certainly unsatisfiable — chasing its frozen body under the schema constraints derives a contradiction, so the constraint can never fire on a consistent instance ([`estocada_chase::premise_unsatisfiable`]) |
 //! | `W001` | `SubsumedFragment` | warning | a fragment's defining CQ is equivalent (under the schema constraints) to an earlier fragment — same-store pairs are pure redundancy; cross-store pairs are consolidation candidates fed to the advisor |
@@ -51,7 +51,7 @@ use estocada_chase::{
     certify, equivalent, implies, premise_unsatisfiable, ChaseConfig, TerminationCertificate,
 };
 use estocada_pivot::{AggFun, Atom, Constraint, Cq, RelationDecl, Schema, Term, Var, ViewDef};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 
 /// How serious a finding is. Errors reject DDL under
@@ -82,7 +82,8 @@ pub enum Code {
     NonTerminatingTgdCycle,
     /// `E002`: a body atom references an undeclared relation.
     DanglingSymbol,
-    /// `E003`: a head variable does not occur in the body.
+    /// `E003`: a head variable does not occur in the body, or an EGD
+    /// equality variable does not occur in the EGD's premise.
     UnboundHeadVariable,
     /// `E004`: a body atom's arity contradicts the relation declaration.
     ArityMismatch,
@@ -414,6 +415,29 @@ fn cq_hygiene(cq: &Cq, target: &str, schema: &Schema, out: &mut Vec<Diagnostic>)
     }
 }
 
+/// `E003` for an EGD: one diagnostic per equality variable its premise
+/// does not bind, naming the EGD and the variable. Such an EGD has no image
+/// to merge, so nothing may chase it; empty for every other constraint.
+pub(crate) fn unbound_egd_variables(c: &Constraint) -> Vec<Diagnostic> {
+    let Constraint::Egd(egd) = c else {
+        return Vec::new();
+    };
+    let bound: HashSet<Var> = egd.premise.iter().flat_map(Atom::vars).collect();
+    let equal = [&egd.equal.0, &egd.equal.1]
+        .into_iter()
+        .filter_map(Term::as_var);
+    let unbound: BTreeSet<Var> = equal.filter(|v| !bound.contains(v)).collect();
+    (unbound.into_iter())
+        .map(|v| {
+            Diagnostic::new(
+                Code::UnboundHeadVariable,
+                egd.name.as_str().to_string(),
+                format!("EGD equality variable {v} does not occur in its premise"),
+            )
+        })
+        .collect()
+}
+
 /// `W002`: schema constraints implied by the remaining constraints,
 /// decided by [`estocada_chase::implies`] — the frozen premise is chased
 /// under `Σ∖σ`, so the check covers TGDs *and* EGDs, including
@@ -631,15 +655,28 @@ fn distinct_core_pass(cq: &Cq, target: &str, schema: &Schema, out: &mut Vec<Diag
 }
 
 /// The full deployment analysis: termination certificate, schema hygiene
-/// of every fragment's defining view, constraint redundancy, and fragment
-/// lints. Pure: the same schema + catalog yields byte-identical
-/// diagnostics.
+/// of every fragment's defining view and every EGD, constraint redundancy,
+/// and fragment lints. An EGD that draws `E003` is left out of every other
+/// pass (they all chase the schema's constraints). Pure: the same schema +
+/// catalog yields byte-identical diagnostics.
 pub fn analyze_deployment(
     schema: &Schema,
     catalog: &Catalog,
     chase_cfg: &ChaseConfig,
 ) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
+    let mut out: Vec<Diagnostic> = (schema.constraints.iter())
+        .flat_map(unbound_egd_variables)
+        .collect();
+    let chaseable;
+    let schema = if out.is_empty() {
+        schema
+    } else {
+        let mut s = schema.clone();
+        s.constraints
+            .retain(|c| unbound_egd_variables(c).is_empty());
+        chaseable = s;
+        &chaseable
+    };
     let combined = combined_constraints(schema, catalog, None);
     let cert = certify(&combined);
     termination_pass(&cert, &mut out);

@@ -335,15 +335,6 @@ impl Estocada {
         self.default_opts = opts;
     }
 
-    /// Enable or disable the rewrite-plan cache engine-wide. Disabling
-    /// also drops every cached entry.
-    pub fn set_plan_cache(&mut self, enabled: bool) {
-        self.default_opts.plan_cache = enabled;
-        if !enabled {
-            self.plan_cache.clear();
-        }
-    }
-
     /// Install (or clear, with `None`) a seeded fault-injection plan. Each
     /// backend's gate on the delegated-request path gets a fresh cursor
     /// keyed by its selector name (`relational`, `key-value`, `document`,
@@ -485,14 +476,21 @@ impl Estocada {
 
     /// Add a schema constraint (TGD or EGD) as a DDL operation.
     ///
-    /// Under [`ValidationMode::Strict`] the analyzer re-certifies the
-    /// combined constraint set first: error-severity findings — e.g. a
-    /// non-terminating TGD cycle (E001) — reject the DDL with
-    /// [`Error::Invalid`] and leave the schema untouched. Under
+    /// An EGD that equates a variable its premise does not bind has no
+    /// image to merge: in every mode it is rejected with [`Error::Invalid`]
+    /// carrying `E003`, before any analysis or chase, and the schema is
+    /// left untouched. Otherwise, under [`ValidationMode::Strict`] the
+    /// analyzer re-certifies the combined constraint set first:
+    /// error-severity findings — e.g. a non-terminating TGD cycle (E001) —
+    /// reject the DDL the same way. Under
     /// [`ValidationMode::Warn`]/[`ValidationMode::Off`] the constraint is
     /// accepted; an uncertifiable set then simply keeps the chase budget
     /// guard (see `estocada_chase::TerminationCertificate`).
     pub fn add_constraint(&mut self, c: Constraint) -> Result<()> {
+        let unbound = analyze::unbound_egd_variables(&c);
+        if !unbound.is_empty() {
+            return Err(Error::Invalid(unbound));
+        }
         self.schema.constraints.push(c);
         if !matches!(self.validation, ValidationMode::Off) {
             let diags = self.analyze();

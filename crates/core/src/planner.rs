@@ -69,8 +69,9 @@
 //! Activity and engine totals surface in [`crate::Report::plan_cache`] — a
 //! *hit* is a query that ran no chase; opt out per query with
 //! [`crate::QueryRequest::no_plan_cache`] or engine-wide with
-//! [`crate::Estocada::set_plan_cache`] (both levels are bypassed: neither
-//! consulted nor populated, and every run parses).
+//! [`crate::Estocada::set_default_query_options`] and
+//! [`crate::QueryOptions::plan_cache`] `false` (both levels are bypassed:
+//! neither consulted nor populated, and every run parses).
 //!
 //! # Ranking and failover
 //!

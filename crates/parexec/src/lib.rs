@@ -7,11 +7,12 @@
 //! The pattern: scoped worker threads claim items off a shared atomic
 //! cursor, send `(index, result)` pairs over a channel, and the
 //! coordinator reassembles results **in item order** — so the output of
-//! [`scoped_map`] / [`scoped_map_init`] is bit-identical to a serial
-//! `items.iter().map(f)` run no matter how the OS schedules the workers.
-//! Determinism holds because each item's result is a pure function of that
-//! item (workers share no mutable state beyond the claim cursor and their
-//! private per-worker state). The threads are spawned per call and joined
+//! [`scoped_map`] is bit-identical to a serial `items.iter().map(f)` run no
+//! matter how the OS schedules the workers. Determinism holds because each
+//! item's result is a pure function of that item (workers share no mutable
+//! state beyond the claim cursor). State a worker keeps for itself across
+//! items lives in its own thread: the chase's matcher scratch is
+//! thread-local. The threads are spawned per call and joined
 //! before it returns (`std::thread::scope`), so they borrow the batch
 //! directly.
 //!
@@ -53,15 +54,11 @@ impl Drop for PoisonOnPanic<'_> {
     }
 }
 
-/// Map `f` over `items` on up to `parallelism` scoped worker threads, each
-/// holding private per-worker state built by `init` (a scratch arena, a
-/// buffer pool). Results come back **in item order**, identical to the
-/// serial run `items.iter().enumerate().map(|(i, t)| f(&mut init(), i, t))`.
-///
-/// With `parallelism <= 1` or fewer than two items the call runs inline on
-/// the caller's thread (no spawn, one `init`). A worker panic cancels the
-/// outstanding items and re-raises on the caller.
-pub fn scoped_map_init<T, R, W>(
+/// [`scoped_map`] with private per-worker state built by `init`: results
+/// are identical to the serial run
+/// `items.iter().enumerate().map(|(i, t)| f(&mut init(), i, t))`. Its
+/// tests give each worker a probe that observes the worker's life.
+fn scoped_map_init<T, R, W>(
     parallelism: usize,
     items: &[T],
     init: impl Fn() -> W + Sync,
@@ -117,8 +114,13 @@ where
     pairs.into_iter().map(|(_, r)| r).collect()
 }
 
-/// [`scoped_map_init`] without per-worker state: map `f` over `items` in
-/// parallel, results in item order.
+/// Map `f` over `items` on up to `parallelism` scoped worker threads.
+/// Results come back **in item order**, identical to the serial run
+/// `items.iter().enumerate().map(|(i, t)| f(i, t))`.
+///
+/// With `parallelism <= 1` or fewer than two items the call runs inline on
+/// the caller's thread (no spawn). A worker panic cancels the outstanding
+/// items and re-raises on the caller.
 pub fn scoped_map<T, R>(
     parallelism: usize,
     items: &[T],

@@ -3,11 +3,12 @@
 //! The internal **pivot model** of the ESTOCADA hybrid-store mediator:
 //! relational conjunctive queries endowed with integrity constraints (TGDs
 //! and EGDs), in which every application/storage data model — relational,
-//! document, key-value, nested, full-text — is faithfully encoded.
+//! document, key-value, full-text — is faithfully encoded.
 //!
 //! This crate is purely logical: it defines values, terms, atoms,
 //! conjunctive queries, constraints, view definitions, access patterns and
-//! the per-data-model encodings. The chase-based reasoning over these
+//! the relational and document encodings ([`encoding`]; key-value and
+//! full-text relations are plain relations with access patterns). The chase-based reasoning over these
 //! objects lives in `estocada-chase`; the stores and the mediator live
 //! further up the stack.
 

@@ -3,8 +3,9 @@
 //! An in-memory relational store — the Postgres stand-in of the ESTOCADA
 //! reproduction. It supports typed-as-dynamic rows, hash and B-tree
 //! secondary indexes, a conjunctive select-project-join executor with greedy
-//! hash-join ordering, per-table statistics, and the simkit latency/metrics
-//! instrumentation that models a networked deployment.
+//! hash-join ordering, and the simkit latency/metrics instrumentation that
+//! models a networked deployment. (The mediator's cost model keeps its own
+//! per-fragment statistics; the store computes none.)
 //!
 //! Fault injection is not this crate's concern: the mediator gates delegated
 //! requests before they get here (see `estocada_simkit::fault`).
@@ -14,12 +15,10 @@
 
 pub mod exec;
 pub mod query;
-pub mod stats;
 pub mod table;
 
 pub use exec::{ExecCounters, QueryError};
 pub use query::{CmpOp, ColRef, Pred, SqlQuery};
-pub use stats::{analyze, ColumnStats, TableStats};
 pub use table::{Index, IndexKind, Table};
 
 use estocada_pivot::Value;
@@ -134,11 +133,6 @@ impl RelStore {
         Ok(rows)
     }
 
-    /// Compute statistics for `table`.
-    pub fn analyze(&self, table: &str) -> Option<TableStats> {
-        self.tables.read().get(table).map(stats::analyze)
-    }
-
     /// Drop a table; returns whether it existed.
     pub fn drop_table(&self, table: &str) -> bool {
         self.tables.write().remove(table).is_some()
@@ -191,14 +185,6 @@ mod tests {
         assert_eq!(m.requests, 1);
         assert_eq!(m.tuples_out, 1);
         assert!(m.bytes_out > 0);
-    }
-
-    #[test]
-    fn analyze_via_store() {
-        let s = store();
-        let st = s.analyze("users").unwrap();
-        assert_eq!(st.rows, 2);
-        assert!(s.analyze("missing").is_none());
     }
 
     #[test]

@@ -8,16 +8,20 @@
 //!   next `add_fragment`/`add_constraint` is rejected with `E001`
 //!   carrying the witness cycle, while with validation `Off` the same
 //!   set still terminates at query time via the chase budget guard,
-//!   whose error message points at the certificate API.
+//!   whose error message points at the certificate API;
+//! - an EGD equating a variable its premise does not bind is rejected with
+//!   `E003` in every validation mode, and the engine keeps answering.
 
 mod common;
 
+use estocada::analyze::analyze_deployment;
 use estocada::frontends::lint_sql;
 use estocada::{
     Code, Dataset, Error, Estocada, FragmentSpec, Latencies, Severity, TableData, ValidationMode,
 };
+use estocada_chase::ChaseConfig;
 use estocada_pivot::encoding::relational::TableEncoding;
-use estocada_pivot::{Atom, Constraint, Term, Tgd, Value};
+use estocada_pivot::{Atom, Constraint, Egd, Term, Tgd, Value};
 use estocada_workloads::marketplace::{generate, Marketplace};
 use estocada_workloads::scenarios::{
     deploy_baseline, deploy_kv_migrated, deploy_materialized_join, pref_sql,
@@ -273,6 +277,59 @@ fn validation_off_still_terminates_via_budget_guard() {
         msg.contains("certify"),
         "budget error must point at the certificate API, got: {msg}"
     );
+}
+
+/// `T(x, y) → y = z`: the premise binds no `z`, so the chase would have no
+/// image to merge. Every validation mode rejects it with `E003` naming the
+/// EGD and the variable, before any analysis or chase; the schema keeps
+/// what it had and the next query answers. The analyzer, handed a schema
+/// that holds the EGD anyway, reports the same finding and chases without it.
+#[test]
+fn egd_with_an_unbound_equality_variable_is_rejected_in_every_mode() {
+    let mut est = tiny_engine();
+    est.add_fragment(FragmentSpec::NativeTables {
+        dataset: "d".into(),
+        only: None,
+    })
+    .unwrap();
+    let bad: Constraint = Egd::new(
+        "dangling",
+        vec![Atom::new("T", vec![Term::var(0), Term::var(1)])],
+        (Term::var(1), Term::var(2)),
+    )
+    .into();
+    let before = est.schema().constraints.len();
+    let is_finding = |d: &estocada::Diagnostic| {
+        d.code == Code::UnboundHeadVariable && d.target == "dangling" && d.message.contains("?2")
+    };
+    for mode in [
+        ValidationMode::Warn,
+        ValidationMode::Strict,
+        ValidationMode::Off,
+    ] {
+        est.set_validation(mode);
+        let err = est
+            .add_constraint(bad.clone())
+            .expect_err("an unbound equality variable must be rejected");
+        let Error::Invalid(diags) = err else {
+            panic!("{mode:?}: expected Error::Invalid, got: {err}");
+        };
+        assert_eq!(diags.len(), 1, "{mode:?}: {diags:?}");
+        assert!(is_finding(&diags[0]), "{mode:?}: {diags:?}");
+        assert_eq!(est.schema().constraints.len(), before, "{mode:?}");
+    }
+
+    let mut schema = est.schema().clone();
+    schema.constraints.push(bad);
+    let diags = analyze_deployment(&schema, est.catalog(), &ChaseConfig::default());
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert!(is_finding(&diags[0]), "{diags:?}");
+
+    let rows = est
+        .query_sql("SELECT t.v FROM T t WHERE t.k = 1")
+        .unwrap()
+        .rows;
+    assert_eq!(rows, vec![vec![Value::Int(10)]]);
 }
 
 #[test]

@@ -87,7 +87,10 @@ fn concurrent_run(est: &Estocada, work: &[Q], threads: usize) -> Vec<Norm> {
 
 fn engine(cache: bool) -> Estocada {
     let mut est = deploy_kv_migrated(&market(), Latencies::zero());
-    est.set_plan_cache(cache);
+    est.set_default_query_options(QueryOptions {
+        plan_cache: cache,
+        ..est.default_query_options()
+    });
     est
 }
 
