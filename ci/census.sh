@@ -1,7 +1,8 @@
 #!/bin/sh
 # Census of the numbers every ROADMAP re-anchor quotes: lines of Rust and
-# `pub fn`s per crate, workspace members, bench mains, independently
-# settable options, and panic sites in library code. Informational: prints,
+# `pub fn`s per crate, workspace members, bench mains, `fn execute*`
+# definitions in the engine, independently settable options, and panic
+# sites in library code. Informational: prints,
 # never fails on a count.
 set -eu
 cd "$(dirname "$0")/.."
@@ -36,6 +37,8 @@ printf '%-28s %8d\n' total "$total"
 printf '%-28s %8d\n' 'workspace members' \
     "$(awk '/^members = \[/ { inside = 1; next } inside && /^\]/ { exit } inside { n++ } END { print n + 0 }' Cargo.toml)"
 printf '%-28s %8d\n' 'bench mains' "$(ls crates/bench/benches/*.rs | wc -l)"
+printf '%-28s %8d\n' executors \
+    "$(cat $(rust_files crates/engine/src) | grep -cE '\bfn execute' || true)"
 
 # Public fields of `pub struct $2` in file `$1`.
 fields() {

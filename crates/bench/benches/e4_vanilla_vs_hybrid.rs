@@ -7,7 +7,7 @@
 
 use estocada::{Estocada, FragmentSpec, Latencies, QueryResult};
 use estocada_bench::measure;
-use estocada_engine::{execute, AggFun, AggSpec, Expr, Plan, RowBatch};
+use estocada_engine::{execute_with, AggFun, AggSpec, ExecOptions, Expr, Plan, RowBatch};
 use estocada_pivot::cq::ArgsBuilder;
 use estocada_pivot::CqBuilder;
 use estocada_workloads::bigdata::{generate, q1_sql, q2_fetch_sql, q3_sql, BigDataConfig};
@@ -85,7 +85,7 @@ fn q2_aggregate(r: &QueryResult) -> (usize, Duration) {
             name: "sum_rev".into(),
         }],
     };
-    let (out, stats) = execute(&plan).unwrap();
+    let (out, stats) = execute_with(&plan, &ExecOptions::default()).unwrap();
     (out.len(), stats.total_time)
 }
 

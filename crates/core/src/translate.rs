@@ -706,7 +706,12 @@ mod tests {
         Catalog, DocRole, FragmentMeta, FragmentRelation, FragmentSpec, FragmentStats,
     };
     use crate::system::{Latencies, Stores};
+    use estocada_engine::{execute_with, ExecOptions, ExecStats, RowBatch};
     use estocada_pivot::{AccessPattern, Atom, CqBuilder, Value, ViewDef};
+
+    fn run(plan: &Plan) -> (RowBatch, ExecStats) {
+        execute_with(plan, &ExecOptions::default()).unwrap()
+    }
 
     /// A catalog with one relational table fragment and one KV fragment.
     fn fixture() -> (Catalog, Stores) {
@@ -805,7 +810,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let (batch, _) = estocada_engine::execute(&tr.plan).unwrap();
+        let (batch, _) = run(&tr.plan);
         assert_eq!(batch.rows, vec![vec![Value::str("u3")]]);
         assert_eq!(tr.systems, vec![SystemId::KeyValue]);
     }
@@ -833,7 +838,7 @@ mod tests {
         )
         .unwrap();
         assert!(tr.plan.explain().contains("BindJoin"));
-        let (batch, stats) = estocada_engine::execute(&tr.plan).unwrap();
+        let (batch, stats) = run(&tr.plan);
         // Only key 3 exists in the KV namespace.
         assert_eq!(batch.rows, vec![vec![Value::str("u3")]]);
         assert_eq!(stats.bind_probes, 10); // one probe per distinct uid
@@ -960,7 +965,7 @@ mod tests {
         );
         // One row per group: no more than the names there are.
         assert_eq!(tr.est_rows, 10.0);
-        let (pushed, _) = estocada_engine::execute(&tr.plan).unwrap();
+        let (pushed, _) = run(&tr.plan);
         // The public form translates the core alone; the mediator tail over
         // it answers the same, row for row.
         let (catalog, stores) = fixture();
@@ -979,7 +984,7 @@ mod tests {
             core.plan.explain(),
             "Project [u.name, u.uid]\n  Delegated [relational: SELECT DISTINCT t0.c1, t0.c0 FROM t_users t0]\n"
         );
-        let (mediated, _) = estocada_engine::execute(&wrap_aggregate(core.plan, &spec)).unwrap();
+        let (mediated, _) = run(&wrap_aggregate(core.plan, &spec));
         assert_eq!(pushed.columns, vec!["n", "name"]);
         assert_eq!(pushed.rows.len(), 10);
         assert_eq!(
@@ -1018,7 +1023,7 @@ mod tests {
             tr.unit_labels[0],
             "relational: SELECT t0.c0 FROM t_users t0"
         );
-        let (batch, _) = estocada_engine::execute(&tr.plan).unwrap();
+        let (batch, _) = run(&tr.plan);
         assert_eq!(batch.rows, vec![vec![Value::Int(1), Value::str("u3")]]);
     }
 }

@@ -1,19 +1,19 @@
-//! Scalar expressions: per-row evaluation plus a compiled per-batch form.
+//! Scalar expressions and their compiled per-batch form.
 //!
-//! [`Expr`] is the tree the planner builds and the tuple-at-a-time executor
-//! walks once per row. The vectorized executor compiles it once per operator
-//! into a crate-private `VExpr` — literals pre-interned to [`ConstId`]s,
-//! out-of-range
-//! columns folded to `Null` — and then evaluates whole batches at a time:
-//! one dispatch per *batch* per node instead of one per row, equality
+//! [`Expr`] is the tree the planner builds. The executor compiles it once
+//! per operator into a crate-private `VExpr` — literals pre-interned to
+//! [`ConstId`]s, out-of-range columns folded to `Null` — and then evaluates
+//! whole batches at a time: one dispatch per *batch* per node, equality
 //! comparisons on interned ids where possible, and filter predicates
-//! producing selection vectors instead of materialized rows.
+//! producing selection vectors instead of materialized rows. A predicate
+//! holds only where it evaluates to `Bool(true)`.
 
 use crate::batch::Batch;
 pub use estocada_pivot::CmpOp;
 use estocada_pivot::{ConstId, ConstReader, Value};
 
 /// Arithmetic operators (numeric; integers widen to doubles when mixed).
+/// Division by zero and integer overflow yield `Null`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArithOp {
     /// Addition.
@@ -22,7 +22,7 @@ pub enum ArithOp {
     Sub,
     /// Multiplication.
     Mul,
-    /// Division (by zero yields `Null`).
+    /// Division.
     Div,
 }
 
@@ -71,40 +71,12 @@ impl Expr {
     pub fn and(self, other: Expr) -> Expr {
         Expr::And(Box::new(self), Box::new(other))
     }
-
-    /// Evaluate against a row.
-    pub fn eval(&self, row: &[Value]) -> Value {
-        match self {
-            Expr::Col(i) => row.get(*i).cloned().unwrap_or(Value::Null),
-            Expr::Lit(v) => v.clone(),
-            Expr::Cmp(l, op, r) => Value::Bool(op.eval(&l.eval(row), &r.eval(row))),
-            Expr::And(l, r) => Value::Bool(l.eval_bool(row) && r.eval_bool(row)),
-            Expr::Or(l, r) => Value::Bool(l.eval_bool(row) || r.eval_bool(row)),
-            Expr::Not(e) => Value::Bool(!e.eval_bool(row)),
-            Expr::Arith(l, op, r) => arith(&l.eval(row), *op, &r.eval(row)),
-            Expr::GetPath(e, path) => e.eval(row).get_path(path).cloned().unwrap_or(Value::Null),
-            Expr::Prefix(e, n) => match e.eval(row) {
-                Value::Str(s) => {
-                    let cut: String = s.chars().take(*n).collect();
-                    Value::str(cut)
-                }
-                _ => Value::Null,
-            },
-            Expr::IsNull(e) => Value::Bool(e.eval(row).is_null()),
-        }
-    }
-
-    /// Evaluate as a boolean (non-`Bool` values are `false`).
-    pub fn eval_bool(&self, row: &[Value]) -> bool {
-        matches!(self.eval(row), Value::Bool(true))
-    }
 }
 
 /// An [`Expr`] compiled for per-batch evaluation: literals are interned
 /// once at compile time (so evaluation never takes the intern table's write
 /// lock and can run under a held [`ConstReader`]), and column references
-/// beyond the input arity are folded to `Null` — matching the row
-/// evaluator's `row.get(i)` semantics.
+/// beyond the input arity are folded to `Null`.
 #[derive(Debug, Clone)]
 pub(crate) enum VExpr {
     /// Column reference (in range for the input arity).
@@ -187,7 +159,7 @@ impl VExpr {
             | VExpr::Or(..)
             | VExpr::Not(..)
             | VExpr::IsNull(..) => ColOut::Vals(
-                self.eval_bools(batch, sel, reader)
+                self.eval_mask(batch, sel, reader)
                     .into_iter()
                     .map(Value::Bool)
                     .collect(),
@@ -232,8 +204,8 @@ impl VExpr {
     }
 
     /// Evaluate as a predicate over the selected rows (non-`Bool` results
-    /// are `false`, matching [`Expr::eval_bool`]).
-    pub(crate) fn eval_bools(&self, batch: &Batch, sel: &[u32], reader: &ConstReader) -> Vec<bool> {
+    /// are `false`).
+    pub(crate) fn eval_mask(&self, batch: &Batch, sel: &[u32], reader: &ConstReader) -> Vec<bool> {
         match self {
             VExpr::Cmp(l, op, r) => {
                 let lo = l.eval(batch, sel, reader);
@@ -253,17 +225,17 @@ impl VExpr {
                 }
             }
             VExpr::And(l, r) => {
-                let a = l.eval_bools(batch, sel, reader);
-                let b = r.eval_bools(batch, sel, reader);
+                let a = l.eval_mask(batch, sel, reader);
+                let b = r.eval_mask(batch, sel, reader);
                 a.into_iter().zip(b).map(|(x, y)| x && y).collect()
             }
             VExpr::Or(l, r) => {
-                let a = l.eval_bools(batch, sel, reader);
-                let b = r.eval_bools(batch, sel, reader);
+                let a = l.eval_mask(batch, sel, reader);
+                let b = r.eval_mask(batch, sel, reader);
                 a.into_iter().zip(b).map(|(x, y)| x || y).collect()
             }
             VExpr::Not(x) => {
-                let mut a = x.eval_bools(batch, sel, reader);
+                let mut a = x.eval_mask(batch, sel, reader);
                 for b in &mut a {
                     *b = !*b;
                 }
@@ -299,7 +271,7 @@ impl VExpr {
                 r.filter_sel(batch, narrowed, reader)
             }
             _ => {
-                let bools = self.eval_bools(batch, &sel, reader);
+                let bools = self.eval_mask(batch, &sel, reader);
                 sel.into_iter()
                     .zip(bools)
                     .filter_map(|(i, keep)| keep.then_some(i))
@@ -311,18 +283,15 @@ impl VExpr {
 
 pub(crate) fn arith(l: &Value, op: ArithOp, r: &Value) -> Value {
     match (l, r) {
-        (Value::Int(a), Value::Int(b)) => match op {
-            ArithOp::Add => Value::Int(a + b),
-            ArithOp::Sub => Value::Int(a - b),
-            ArithOp::Mul => Value::Int(a * b),
-            ArithOp::Div => {
-                if *b == 0 {
-                    Value::Null
-                } else {
-                    Value::Int(a / b)
-                }
-            }
-        },
+        (Value::Int(a), Value::Int(b)) => {
+            let checked = match op {
+                ArithOp::Add => a.checked_add(*b),
+                ArithOp::Sub => a.checked_sub(*b),
+                ArithOp::Mul => a.checked_mul(*b),
+                ArithOp::Div => a.checked_div(*b),
+            };
+            checked.map_or(Value::Null, Value::Int)
+        }
         _ => match (l.as_double(), r.as_double()) {
             (Some(a), Some(b)) => match op {
                 ArithOp::Add => Value::Double(a + b),
@@ -344,6 +313,22 @@ pub(crate) fn arith(l: &Value, op: ArithOp, r: &Value) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{execute_with, ExecOptions, Plan, RowBatch};
+
+    /// `e` over the one row `row`, through a `Project` over `Values`.
+    fn eval(e: Expr, row: Vec<Value>) -> Value {
+        let columns = (0..row.len()).map(|i| format!("c{i}")).collect();
+        let plan = Plan::Project {
+            input: Box::new(Plan::Values(RowBatch::new(columns, vec![row]))),
+            exprs: vec![("out".into(), e)],
+        };
+        let (mut out, _) = execute_with(&plan, &ExecOptions::default()).unwrap();
+        out.rows.remove(0).remove(0)
+    }
+
+    fn arith(l: impl Into<Value>, op: ArithOp, r: impl Into<Value>) -> Expr {
+        Expr::Arith(Box::new(Expr::lit(l)), op, Box::new(Expr::lit(r)))
+    }
 
     #[test]
     fn comparisons_and_logic() {
@@ -351,28 +336,39 @@ mod tests {
         let e = Expr::col(0)
             .cmp(CmpOp::Gt, Expr::lit(3i64))
             .and(Expr::col(1).cmp(CmpOp::Eq, Expr::lit("x")));
-        assert!(e.eval_bool(&row));
-        let e2 = Expr::Not(Box::new(e));
-        assert!(!e2.eval_bool(&row));
+        assert_eq!(eval(e.clone(), row.clone()), Value::Bool(true));
+        assert_eq!(eval(Expr::Not(Box::new(e)), row), Value::Bool(false));
     }
 
     #[test]
     fn arithmetic_int_and_mixed() {
         let row = vec![Value::Int(6), Value::Double(1.5)];
         let sum = Expr::Arith(Box::new(Expr::col(0)), ArithOp::Add, Box::new(Expr::col(1)));
-        assert_eq!(sum.eval(&row), Value::Double(7.5));
+        assert_eq!(eval(sum, row.clone()), Value::Double(7.5));
         let div = Expr::Arith(
             Box::new(Expr::col(0)),
             ArithOp::Div,
             Box::new(Expr::lit(0i64)),
         );
-        assert_eq!(div.eval(&row), Value::Null);
-        let prod = Expr::Arith(
-            Box::new(Expr::lit(3i64)),
-            ArithOp::Mul,
-            Box::new(Expr::lit(4i64)),
+        assert_eq!(eval(div, row.clone()), Value::Null);
+        assert_eq!(eval(arith(3i64, ArithOp::Mul, 4i64), row), Value::Int(12));
+    }
+
+    #[test]
+    fn integer_overflow_is_null() {
+        let overflows = [
+            arith(i64::MAX, ArithOp::Add, 1i64),
+            arith(i64::MIN, ArithOp::Sub, 1i64),
+            arith(i64::MIN, ArithOp::Mul, -1i64),
+            arith(i64::MIN, ArithOp::Div, -1i64),
+        ];
+        for e in overflows {
+            assert_eq!(eval(e.clone(), vec![]), Value::Null, "{e:?}");
+        }
+        assert_eq!(
+            eval(arith(i64::MAX, ArithOp::Sub, 1i64), vec![]),
+            Value::Int(i64::MAX - 1)
         );
-        assert_eq!(prod.eval(&row), Value::Int(12));
     }
 
     #[test]
@@ -382,23 +378,24 @@ mod tests {
             Value::object([("id", Value::Int(9))]),
         )])];
         let e = Expr::GetPath(Box::new(Expr::col(0)), "user.id".into());
-        assert_eq!(e.eval(&row), Value::Int(9));
+        assert_eq!(eval(e, row.clone()), Value::Int(9));
         let missing = Expr::GetPath(Box::new(Expr::col(0)), "nope".into());
-        assert_eq!(missing.eval(&row), Value::Null);
+        assert_eq!(eval(missing, row), Value::Null);
     }
 
     #[test]
     fn prefix_mirrors_substr() {
         let row = vec![Value::str("192.168.0.1")];
         let e = Expr::Prefix(Box::new(Expr::col(0)), 7);
-        assert_eq!(e.eval(&row), Value::str("192.168"));
+        assert_eq!(eval(e, row.clone()), Value::str("192.168"));
         let not_str = Expr::Prefix(Box::new(Expr::lit(5i64)), 2);
-        assert_eq!(not_str.eval(&row), Value::Null);
+        assert_eq!(eval(not_str, row), Value::Null);
     }
 
     #[test]
     fn out_of_range_column_is_null() {
-        assert_eq!(Expr::col(3).eval(&[Value::Int(1)]), Value::Null);
-        assert!(Expr::IsNull(Box::new(Expr::col(3))).eval_bool(&[Value::Int(1)]));
+        assert_eq!(eval(Expr::col(3), vec![Value::Int(1)]), Value::Null);
+        let is_null = Expr::IsNull(Box::new(Expr::col(3)));
+        assert_eq!(eval(is_null, vec![Value::Int(1)]), Value::Bool(true));
     }
 }

@@ -43,7 +43,8 @@ pub struct AggSpec {
     pub name: String,
 }
 
-/// A physical plan node. Execution is materialized, bottom-up.
+/// A physical plan node. [`crate::execute_with`] runs it as a pull-based
+/// pipeline of batches.
 #[derive(Clone)]
 pub enum Plan {
     /// Constant input rows.

@@ -46,14 +46,6 @@ impl RowBatch {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
-
-    /// Approximate byte size of the batch payload.
-    pub fn approx_bytes(&self) -> usize {
-        self.rows
-            .iter()
-            .map(|r| r.iter().map(Value::approx_size).sum::<usize>())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -68,7 +60,6 @@ mod tests {
         );
         assert_eq!(b.len(), 1);
         assert_eq!(b.column_index("b"), Some(1));
-        assert!(b.approx_bytes() >= 16);
     }
 
     #[test]

@@ -1,36 +1,29 @@
-//! Vectorized (batch-at-a-time) plan execution.
+//! The mediator's runtime: every [`Plan`] runs here, batch at a time.
 //!
-//! The tuple-at-a-time executor in [`crate::exec`] materializes every
-//! operator's full output and pays per-row dispatch, per-row expression
-//! evaluation, and per-row cloning. This module compiles the same [`Plan`]
-//! trees into a pull-based pipeline of operators exchanging columnar
-//! [`Batch`]es of interned ids:
+//! A plan compiles into a pull-based pipeline of operators exchanging
+//! columnar [`Batch`]es of interned ids:
 //!
 //! * expressions are compiled once per operator and evaluated once per
 //!   *batch* (the crate-private `VExpr` form), with equality comparisons
 //!   on interned ids;
 //! * filters emit selection vectors instead of materializing survivors;
-//! * bindjoin accumulates a whole batch of still-unseen keys before issuing
-//!   one batched `fetch_batch` (MGET-style) probe;
+//! * bindjoin collects the still-unseen keys of each input batch and probes
+//!   the source once per batch with all of them (one MGET-style
+//!   `fetch_batch`); a key is probed once per run, so the `bind_probes`
+//!   total is the number of distinct keys at every batch size;
 //! * grouped aggregation hashes interned key vectors (`u32` hashing, no
 //!   value tree walks).
 //!
-//! The two executors are kept *observationally identical*: same rows in the
-//! same order, and the same [`ExecStats`] `operators` / `rows` /
-//! `bind_probes` totals, for every plan. The tuple path remains the
-//! differential oracle — the property suites and every bench assert row
-//! identity between the two inside each measurement. One declared
-//! exception: a bindjoin whose input spans several batches issues one probe
-//! *per batch* of unseen keys (the totals still match; the tuple oracle
-//! ships all distinct keys in a single probe).
+//! Batch boundaries are unobservable: every batch size yields the same
+//! rows in the same order and the same [`ExecStats`] `operators` / `rows`
+//! / `bind_probes` counters.
 //!
 //! Blocking operators (aggregate, the build side of joins) drain their
 //! child before emitting; everything else streams. Every operator emits at
 //! least one (possibly empty) batch before reporting end-of-stream so column
-//! names propagate through empty inputs exactly like the materialized path.
+//! names propagate through empty inputs.
 
 use crate::batch::Batch;
-use crate::exec::{check_cols, EngineError, ExecStats};
 use crate::expr::{ColOut, Expr, VExpr};
 use crate::plan::{AggFun, AggSpec, BindSource, Plan};
 use crate::tuple::RowBatch;
@@ -38,7 +31,71 @@ use estocada_pivot::{ConstId, ConstReader, Value};
 use estocada_simkit::StoreError;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Execution failure.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EngineError {
+    /// Column index out of range for the operator's input.
+    BadColumn {
+        /// The offending index.
+        index: usize,
+        /// The operator name.
+        operator: &'static str,
+    },
+    /// A delegated sub-query or bound-source probe failed in the
+    /// underlying store.
+    Store(StoreError),
+}
+
+impl std::fmt::Display for EngineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EngineError::BadColumn { index, operator } => {
+                write!(f, "column {index} out of range in {operator}")
+            }
+            EngineError::Store(e) => write!(f, "store failure: {e}"),
+        }
+    }
+}
+
+impl From<StoreError> for EngineError {
+    fn from(e: StoreError) -> EngineError {
+        EngineError::Store(e)
+    }
+}
+
+impl std::error::Error for EngineError {}
+
+/// Runtime counters of one plan execution.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExecStats {
+    /// Operator nodes executed.
+    pub operators: u64,
+    /// Total rows produced across operators.
+    pub rows: u64,
+    /// BindJoin probes issued.
+    pub bind_probes: u64,
+    /// Time spent inside delegated sub-queries.
+    pub delegated_time: Duration,
+    /// Total execution time.
+    pub total_time: Duration,
+}
+
+impl ExecStats {
+    /// Time spent in the mediator runtime itself (total minus delegated) —
+    /// the split the demo shows.
+    pub fn runtime_time(&self) -> Duration {
+        self.total_time.saturating_sub(self.delegated_time)
+    }
+}
+
+fn check_cols(cols: &[usize], arity: usize, operator: &'static str) -> Result<(), EngineError> {
+    match cols.iter().find(|c| **c >= arity) {
+        Some(&index) => Err(EngineError::BadColumn { index, operator }),
+        None => Ok(()),
+    }
+}
 
 /// Batch sizing for [`execute_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,26 +111,13 @@ impl Default for ExecOptions {
 }
 
 /// Execute a plan through the batch pipeline; the result is converted back
-/// to a row-oriented [`RowBatch`] at the root. Observationally identical to
-/// the tuple-at-a-time reference [`crate::exec::execute`] (same rows, operator
-/// counts and bind probes), which the differential suites run on the same
-/// plan.
+/// to a row-oriented [`RowBatch`] at the root.
 pub fn execute_with(plan: &Plan, opts: &ExecOptions) -> Result<(RowBatch, ExecStats), EngineError> {
     let mut stats = ExecStats::default();
     let start = Instant::now();
-    let out = run_vectorized(plan, opts.batch_size.max(1), &mut stats);
-    stats.total_time = start.elapsed();
-    out.map(|b| (b, stats))
-}
-
-fn run_vectorized(
-    plan: &Plan,
-    batch_size: usize,
-    stats: &mut ExecStats,
-) -> Result<RowBatch, EngineError> {
-    let mut root = compile(plan, batch_size, stats);
+    let mut root = compile(plan, opts.batch_size.max(1), &mut stats);
     let mut batches: Vec<Batch> = Vec::new();
-    while let Some(b) = root.next_batch(stats)? {
+    while let Some(b) = root.next_batch(&mut stats)? {
         batches.push(b);
     }
     let columns = batches
@@ -85,7 +129,8 @@ fn run_vectorized(
     for b in &batches {
         rows.extend(b.to_rows(&reader));
     }
-    Ok(RowBatch { columns, rows })
+    stats.total_time = start.elapsed();
+    Ok((RowBatch { columns, rows }, stats))
 }
 
 /// A compiled operator: pulls batches from its children on demand.
@@ -98,18 +143,17 @@ trait VecOp {
 type OpBox<'a> = Box<dyn VecOp + 'a>;
 
 fn compile<'a>(plan: &'a Plan, batch_size: usize, stats: &mut ExecStats) -> OpBox<'a> {
-    // Mirrors the tuple executor's one-increment-per-node accounting.
+    // One increment per plan node.
     stats.operators += 1;
     match plan {
-        Plan::Values(b) => Box::new(ValuesScan {
-            input: b,
+        Plan::Values(rows) => Box::new(Scan {
+            source: Source::Values(rows),
             pos: 0,
             started: false,
             batch_size,
         }),
-        Plan::Delegated { runner, .. } => Box::new(DelegatedScan {
-            runner,
-            buf: None,
+        Plan::Delegated { runner, .. } => Box::new(Scan {
+            source: Source::Delegated(runner.as_ref(), None),
             pos: 0,
             started: false,
             batch_size,
@@ -130,7 +174,7 @@ fn compile<'a>(plan: &'a Plan, batch_size: usize, stats: &mut ExecStats) -> OpBo
             left_keys,
             right_keys,
         } => Box::new(HashJoinOp {
-            left: Some(compile(left, batch_size, stats)),
+            left: compile(left, batch_size, stats),
             right: compile(right, batch_size, stats),
             left_keys,
             right_keys,
@@ -139,8 +183,8 @@ fn compile<'a>(plan: &'a Plan, batch_size: usize, stats: &mut ExecStats) -> OpBo
         }),
         Plan::NlJoin { left, right, pred } => Box::new(NlJoinOp {
             left: compile(left, batch_size, stats),
-            right: Some(compile(right, batch_size, stats)),
-            pred,
+            right: compile(right, batch_size, stats),
+            pred: pred.as_ref(),
             right_mat: None,
             compiled: None,
         }),
@@ -173,7 +217,8 @@ fn compile<'a>(plan: &'a Plan, batch_size: usize, stats: &mut ExecStats) -> OpBo
     }
 }
 
-/// Drain a child into one dense batch (columns always present).
+/// Drain a child into one dense batch (columns always present), then
+/// release it: a blocking operator pulls its input once.
 fn drain_to_dense(child: &mut OpBox<'_>, stats: &mut ExecStats) -> Result<Batch, EngineError> {
     let mut acc: Option<Batch> = None;
     while let Some(b) = child.next_batch(stats)? {
@@ -183,70 +228,56 @@ fn drain_to_dense(child: &mut OpBox<'_>, stats: &mut ExecStats) -> Result<Batch,
             Some(a) => a.append(b),
         }
     }
+    *child = Box::new(Drained);
     Ok(acc.unwrap_or_else(|| Batch::empty(Vec::new())))
 }
 
-fn chunk_next(
-    input: &RowBatch,
-    pos: &mut usize,
-    started: &mut bool,
-    batch_size: usize,
-) -> Option<Batch> {
-    if *started && *pos >= input.rows.len() {
-        return None;
+/// What a drained child is replaced by: end-of-stream, holding nothing.
+struct Drained;
+
+impl VecOp for Drained {
+    fn next_batch(&mut self, _: &mut ExecStats) -> Result<Option<Batch>, EngineError> {
+        Ok(None)
     }
-    *started = true;
-    let hi = (*pos + batch_size).min(input.rows.len());
-    let out = Batch::from_rows(input.columns.clone(), &input.rows[*pos..hi]);
-    *pos = hi;
-    Some(out)
 }
 
-struct ValuesScan<'a> {
-    input: &'a RowBatch,
+/// A leaf cut into batches: the rows of a `Values` node, or the answer of
+/// a delegated sub-query, fetched on the first pull.
+struct Scan<'a> {
+    source: Source<'a>,
     pos: usize,
     started: bool,
     batch_size: usize,
 }
 
-impl VecOp for ValuesScan<'_> {
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, EngineError> {
-        let out = chunk_next(
-            self.input,
-            &mut self.pos,
-            &mut self.started,
-            self.batch_size,
-        );
-        if let Some(b) = &out {
-            stats.rows += b.num_rows() as u64;
-        }
-        Ok(out)
-    }
+type Runner = dyn Fn() -> Result<RowBatch, StoreError> + Send + Sync;
+
+enum Source<'a> {
+    Values(&'a RowBatch),
+    Delegated(&'a Runner, Option<RowBatch>),
 }
 
-#[allow(clippy::type_complexity)]
-struct DelegatedScan<'a> {
-    runner: &'a Arc<dyn Fn() -> Result<RowBatch, StoreError> + Send + Sync>,
-    buf: Option<RowBatch>,
-    pos: usize,
-    started: bool,
-    batch_size: usize,
-}
-
-impl VecOp for DelegatedScan<'_> {
+impl VecOp for Scan<'_> {
     fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, EngineError> {
-        if self.buf.is_none() {
-            let t = Instant::now();
-            let b = (self.runner)();
-            stats.delegated_time += t.elapsed();
-            self.buf = Some(b?);
+        let input: &RowBatch = match &mut self.source {
+            Source::Values(rows) => rows,
+            Source::Delegated(_, Some(rows)) => rows,
+            Source::Delegated(runner, slot) => {
+                let t = Instant::now();
+                let rows = runner();
+                stats.delegated_time += t.elapsed();
+                slot.insert(rows?)
+            }
+        };
+        if self.started && self.pos >= input.rows.len() {
+            return Ok(None);
         }
-        let input = self.buf.as_ref().unwrap();
-        let out = chunk_next(input, &mut self.pos, &mut self.started, self.batch_size);
-        if let Some(b) = &out {
-            stats.rows += b.num_rows() as u64;
-        }
-        Ok(out)
+        self.started = true;
+        let hi = (self.pos + self.batch_size).min(input.rows.len());
+        let out = Batch::from_rows(input.columns.clone(), &input.rows[self.pos..hi]);
+        self.pos = hi;
+        stats.rows += out.num_rows() as u64;
+        Ok(Some(out))
     }
 }
 
@@ -261,18 +292,12 @@ impl VecOp for FilterOp<'_> {
         let Some(batch) = self.child.next_batch(stats)? else {
             return Ok(None);
         };
-        if self.compiled.is_none() {
-            // Compile (and intern literals) before any reader is opened.
-            self.compiled = Some(VExpr::compile(self.pred, batch.columns.len()));
-        }
+        // Compile (and intern literals) before any reader is opened.
+        let pred = self
+            .compiled
+            .get_or_insert_with(|| VExpr::compile(self.pred, batch.columns.len()));
         let sel: Vec<u32> = batch.selection().map(|i| i as u32).collect();
-        let new_sel = {
-            let reader = ConstReader::new();
-            self.compiled
-                .as_ref()
-                .unwrap()
-                .filter_sel(&batch, sel, &reader)
-        };
+        let new_sel = pred.filter_sel(&batch, sel, &ConstReader::new());
         let mut out = batch;
         out.sel = Some(new_sel);
         stats.rows += out.num_rows() as u64;
@@ -291,20 +316,14 @@ impl VecOp for ProjectOp<'_> {
         let Some(batch) = self.child.next_batch(stats)? else {
             return Ok(None);
         };
-        if self.compiled.is_none() {
-            self.compiled = Some(
-                self.exprs
-                    .iter()
-                    .map(|(_, e)| VExpr::compile(e, batch.columns.len()))
-                    .collect(),
-            );
-        }
+        let exprs = self.compiled.get_or_insert_with(|| {
+            let compile = |(_, e): &(String, Expr)| VExpr::compile(e, batch.columns.len());
+            self.exprs.iter().map(compile).collect()
+        });
         let sel: Vec<u32> = batch.selection().map(|i| i as u32).collect();
         let outs: Vec<ColOut> = {
             let reader = ConstReader::new();
-            self.compiled
-                .as_ref()
-                .unwrap()
+            exprs
                 .iter()
                 .map(|e| e.eval(&batch, &sel, &reader))
                 .collect()
@@ -330,17 +349,11 @@ enum Key {
     Wide(Vec<ConstId>),
 }
 
-fn pack_key<I: Iterator<Item = ConstId>>(mut ids: I, len: usize) -> Key {
-    match len {
-        0 => Key::Packed(0),
-        1 => Key::Packed(u64::from(ids.next().expect("key arity").id())),
-        2 => {
-            let a = u64::from(ids.next().expect("key arity").id());
-            let b = u64::from(ids.next().expect("key arity").id());
-            Key::Packed(a << 32 | b)
-        }
-        _ => Key::Wide(ids.collect()),
+fn pack_key<I: Iterator<Item = ConstId>>(ids: I, len: usize) -> Key {
+    if len > 2 {
+        return Key::Wide(ids.collect());
     }
+    Key::Packed(ids.fold(0, |acc, id| acc << 32 | u64::from(id.id())))
 }
 
 struct JoinBuild {
@@ -350,8 +363,29 @@ struct JoinBuild {
     table: HashMap<Key, Vec<u32>>,
 }
 
+impl JoinBuild {
+    fn drain(
+        left: &mut OpBox<'_>,
+        keys: &[usize],
+        stats: &mut ExecStats,
+    ) -> Result<JoinBuild, EngineError> {
+        let dense = drain_to_dense(left, stats)?;
+        check_cols(keys, dense.columns.len(), "HashJoin")?;
+        let mut table: HashMap<Key, Vec<u32>> = HashMap::new();
+        for i in 0..dense.physical_rows() {
+            let key = pack_key(keys.iter().map(|c| dense.cols[*c][i]), keys.len());
+            table.entry(key).or_default().push(i as u32);
+        }
+        Ok(JoinBuild {
+            columns: dense.columns,
+            cols: dense.cols,
+            table,
+        })
+    }
+}
+
 struct HashJoinOp<'a> {
-    left: Option<OpBox<'a>>,
+    left: OpBox<'a>,
     right: OpBox<'a>,
     left_keys: &'a [usize],
     right_keys: &'a [usize],
@@ -361,24 +395,10 @@ struct HashJoinOp<'a> {
 
 impl VecOp for HashJoinOp<'_> {
     fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, EngineError> {
-        if self.build.is_none() {
-            let mut left = self.left.take().expect("build runs once");
-            let dense = drain_to_dense(&mut left, stats)?;
-            check_cols(self.left_keys, dense.columns.len(), "HashJoin")?;
-            let mut table: HashMap<Key, Vec<u32>> = HashMap::new();
-            for i in 0..dense.physical_rows() {
-                let key = pack_key(
-                    self.left_keys.iter().map(|c| dense.cols[*c][i]),
-                    self.left_keys.len(),
-                );
-                table.entry(key).or_default().push(i as u32);
-            }
-            self.build = Some(JoinBuild {
-                columns: dense.columns,
-                cols: dense.cols,
-                table,
-            });
-        }
+        let build = match &mut self.build {
+            Some(b) => b,
+            slot => slot.insert(JoinBuild::drain(&mut self.left, self.left_keys, stats)?),
+        };
         let Some(rb) = self.right.next_batch(stats)? else {
             return Ok(None);
         };
@@ -387,7 +407,6 @@ impl VecOp for HashJoinOp<'_> {
             check_cols(self.right_keys, rb.columns.len(), "HashJoin")?;
             self.right_checked = true;
         }
-        let build = self.build.as_ref().unwrap();
         let left_arity = build.columns.len();
         let mut columns = build.columns.clone();
         columns.extend(rb.columns.iter().cloned());
@@ -417,23 +436,22 @@ impl VecOp for HashJoinOp<'_> {
 
 struct NlJoinOp<'a> {
     left: OpBox<'a>,
-    right: Option<OpBox<'a>>,
-    pred: &'a Option<Expr>,
+    right: OpBox<'a>,
+    pred: Option<&'a Expr>,
     right_mat: Option<Batch>,
-    compiled: Option<Option<VExpr>>,
+    compiled: Option<VExpr>,
 }
 
 impl VecOp for NlJoinOp<'_> {
     fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, EngineError> {
-        if self.right_mat.is_none() {
-            let mut right = self.right.take().expect("materialize runs once");
-            self.right_mat = Some(drain_to_dense(&mut right, stats)?);
-        }
+        let right = match &mut self.right_mat {
+            Some(b) => b,
+            slot => slot.insert(drain_to_dense(&mut self.right, stats)?),
+        };
         let Some(lb) = self.left.next_batch(stats)? else {
             return Ok(None);
         };
         let lb = lb.compact();
-        let right = self.right_mat.as_ref().unwrap();
         let (ln, rn) = (lb.physical_rows(), right.physical_rows());
         let mut columns = lb.columns.clone();
         columns.extend(right.columns.iter().cloned());
@@ -455,14 +473,12 @@ impl VecOp for NlJoinOp<'_> {
         }
         let mut out = Batch::from_cols(columns, cols);
         if let Some(pred) = self.pred {
-            if self.compiled.is_none() {
-                self.compiled = Some(Some(VExpr::compile(pred, out.columns.len())));
-            }
-            if let Some(Some(vp)) = &self.compiled {
-                let sel: Vec<u32> = (0..out.physical_rows() as u32).collect();
-                let reader = ConstReader::new();
-                out.sel = Some(vp.filter_sel(&out, sel, &reader));
-            }
+            let arity = out.columns.len();
+            let vp = self
+                .compiled
+                .get_or_insert_with(|| VExpr::compile(pred, arity));
+            let sel: Vec<u32> = (0..out.physical_rows() as u32).collect();
+            out.sel = Some(vp.filter_sel(&out, sel, &ConstReader::new()));
         }
         stats.rows += out.num_rows() as u64;
         Ok(Some(out))
@@ -510,8 +526,7 @@ impl VecOp for BindJoinOp<'_> {
             row_key.push(slot);
         }
         if !new_keys.is_empty() {
-            // One batched probe per pipeline batch of still-unseen keys —
-            // the probe *count* (distinct keys) matches the tuple oracle.
+            // One batched probe per pipeline batch of still-unseen keys.
             stats.bind_probes += new_keys.len() as u64;
             let key_vals: Vec<Vec<Value>> = {
                 let reader = ConstReader::new();
@@ -577,22 +592,12 @@ impl VecOp for DistinctOp<'_> {
     }
 }
 
+#[derive(Default)]
 struct VecAcc {
     count: i64,
     sum: f64,
     min: Option<ConstId>,
     max: Option<ConstId>,
-}
-
-impl VecAcc {
-    fn new() -> VecAcc {
-        VecAcc {
-            count: 0,
-            sum: 0.0,
-            min: None,
-            max: None,
-        }
-    }
 }
 
 struct AggregateOp<'a> {
@@ -608,8 +613,9 @@ impl VecOp for AggregateOp<'_> {
             return Ok(None);
         }
         self.done = true;
-        let mut groups: HashMap<Key, Vec<VecAcc>> = HashMap::new();
-        let mut order: Vec<(Key, Vec<ConstId>)> = Vec::new();
+        // Key → slot in `groups`, which keeps first-seen order.
+        let mut index: HashMap<Key, usize> = HashMap::new();
+        let mut groups: Vec<(Vec<ConstId>, Vec<VecAcc>)> = Vec::new();
         let mut columns: Option<Vec<String>> = None;
         while let Some(b) = self.child.next_batch(stats)? {
             if columns.is_none() {
@@ -626,18 +632,12 @@ impl VecOp for AggregateOp<'_> {
                     self.group_by.iter().map(|c| b.cols[*c][i]),
                     self.group_by.len(),
                 );
-                let accs = match groups.get_mut(&key) {
-                    Some(a) => a,
-                    None => {
-                        let ids: Vec<ConstId> =
-                            self.group_by.iter().map(|c| b.cols[*c][i]).collect();
-                        order.push((key.clone(), ids));
-                        groups
-                            .entry(key)
-                            .or_insert_with(|| self.aggs.iter().map(|_| VecAcc::new()).collect())
-                    }
-                };
-                for (a, spec) in accs.iter_mut().zip(self.aggs) {
+                let g = *index.entry(key).or_insert_with(|| {
+                    let ids = self.group_by.iter().map(|c| b.cols[*c][i]).collect();
+                    groups.push((ids, self.aggs.iter().map(|_| VecAcc::default()).collect()));
+                    groups.len() - 1
+                });
+                for (a, spec) in groups[g].1.iter_mut().zip(self.aggs) {
                     let vid = b.cols[spec.col][i];
                     a.count += 1;
                     a.sum += reader.get(vid).as_double().unwrap_or(0.0);
@@ -655,11 +655,12 @@ impl VecOp for AggregateOp<'_> {
             }
         }
         let input_columns = columns.unwrap_or_default();
-        if self.group_by.is_empty() && order.is_empty() {
+        if self.group_by.is_empty() && groups.is_empty() {
             // SQL semantics: a global aggregate over no rows is one row.
-            let key = pack_key(std::iter::empty(), 0);
-            order.push((key.clone(), Vec::new()));
-            groups.insert(key, self.aggs.iter().map(|_| VecAcc::new()).collect());
+            groups.push((
+                Vec::new(),
+                self.aggs.iter().map(|_| VecAcc::default()).collect(),
+            ));
         }
         let mut out_columns: Vec<String> = self
             .group_by
@@ -670,9 +671,8 @@ impl VecOp for AggregateOp<'_> {
         // Key columns are already interned; finalized Count/Sum/Avg values
         // are interned here, with no reader held.
         let null_id = ConstId::intern(&Value::Null);
-        let mut cols: Vec<Vec<ConstId>> = vec![Vec::with_capacity(order.len()); out_columns.len()];
-        for (key, ids) in &order {
-            let accs = groups.remove(key).unwrap();
+        let mut cols: Vec<Vec<ConstId>> = vec![Vec::with_capacity(groups.len()); out_columns.len()];
+        for (ids, accs) in groups {
             for (c, &id) in ids.iter().enumerate() {
                 cols[c].push(id);
             }
@@ -680,13 +680,8 @@ impl VecOp for AggregateOp<'_> {
                 let id = match spec.fun {
                     AggFun::Count => ConstId::of(a.count),
                     AggFun::Sum => ConstId::of(a.sum),
-                    AggFun::Avg => {
-                        if a.count == 0 {
-                            null_id
-                        } else {
-                            ConstId::of(a.sum / a.count as f64)
-                        }
-                    }
+                    AggFun::Avg if a.count == 0 => null_id,
+                    AggFun::Avg => ConstId::of(a.sum / a.count as f64),
                     AggFun::Min => a.min.unwrap_or(null_id),
                     AggFun::Max => a.max.unwrap_or(null_id),
                 };
@@ -702,9 +697,10 @@ impl VecOp for AggregateOp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec;
     use crate::expr::{ArithOp, CmpOp};
     use crate::tuple::Tuple;
+    use estocada_simkit::StoreErrorKind;
+    use std::collections::HashSet;
 
     fn batch(cols: &[&str], rows: Vec<Vec<Value>>) -> RowBatch {
         RowBatch::new(cols.iter().map(|s| s.to_string()).collect(), rows)
@@ -714,24 +710,29 @@ mod tests {
         vals.iter().map(|v| Value::Int(*v)).collect()
     }
 
-    /// Vectorized and tuple-at-a-time execution agree on rows, columns and
-    /// the logical stats counters, at several batch sizes.
-    fn assert_identical(plan: &Plan) {
-        let (oracle, ostats) = exec::execute(plan).expect("oracle run");
+    /// Runs `plan` at several batch sizes: every run returns exactly `want`,
+    /// in order, and the same counters, with one operator per plan node.
+    /// Returns the counters.
+    fn assert_rows(plan: &Plan, want: &[Tuple]) -> ExecStats {
+        let run = |bs| execute_with(plan, &ExecOptions { batch_size: bs });
+        let (_, first) = run(1).expect("batch size 1");
         for bs in [1, 2, 3, 1024] {
-            let (got, vstats) = execute_with(plan, &ExecOptions { batch_size: bs })
-                .unwrap_or_else(|e| panic!("vectorized run (batch {bs}): {e}"));
-            assert_eq!(got.columns, oracle.columns, "columns at batch size {bs}");
-            assert_eq!(got.rows, oracle.rows, "rows at batch size {bs}");
-            assert_eq!(vstats.operators, ostats.operators, "operators at {bs}");
-            assert_eq!(vstats.rows, ostats.rows, "row counter at {bs}");
-            assert_eq!(vstats.bind_probes, ostats.bind_probes, "probes at {bs}");
+            let (got, stats) = run(bs).unwrap_or_else(|e| panic!("batch size {bs}: {e}"));
+            assert_eq!(got.rows, want, "rows at batch size {bs}");
+            assert_eq!(stats.rows, first.rows, "row counter at {bs}");
+            assert_eq!(stats.bind_probes, first.bind_probes, "probes at {bs}");
+            assert_eq!(stats.operators as usize, plan.explain().lines().count());
         }
+        first
     }
 
     #[test]
     fn filter_project_identical() {
         let input: Vec<Vec<Value>> = (0..37).map(|i| ints(&[i, i * 10])).collect();
+        let want: Vec<Tuple> = (0..37i64)
+            .filter(|i| *i >= 5 && i * 10 < 300)
+            .map(|i| ints(&[i * 10, i * 2]))
+            .collect();
         let p = Plan::Project {
             input: Box::new(Plan::Filter {
                 input: Box::new(Plan::Values(batch(&["a", "b"], input))),
@@ -751,32 +752,47 @@ mod tests {
                 ),
             ],
         };
-        assert_identical(&p);
+        assert_eq!(assert_rows(&p, &want).operators, 3);
     }
 
     #[test]
     fn joins_identical() {
-        let l = batch(&["a", "x"], (0..23).map(|i| ints(&[i % 7, i])).collect());
-        let r = batch(
-            &["b", "y"],
-            (0..11).map(|i| ints(&[i % 7, i * 2])).collect(),
-        );
-        assert_identical(&Plan::HashJoin {
-            left: Box::new(Plan::Values(l.clone())),
-            right: Box::new(Plan::Values(r.clone())),
+        let l: Vec<Tuple> = (0..23).map(|i| ints(&[i % 7, i])).collect();
+        let r: Vec<Tuple> = (0..11).map(|i| ints(&[i % 7, i * 2])).collect();
+        let values = |cols, rows: &[Tuple]| Box::new(Plan::Values(batch(cols, rows.to_vec())));
+        let (lv, rv) = (|| values(&["a", "x"], &l), || values(&["b", "y"], &r));
+        let concat = |a: &Tuple, b: &Tuple| [&a[..], &b[..]].concat();
+        // The hash join probes with the right side, matches in left order.
+        let probe_major: Vec<Tuple> = r
+            .iter()
+            .flat_map(|rr| {
+                l.iter()
+                    .filter(|lr| lr[0] == rr[0])
+                    .map(|lr| concat(lr, rr))
+            })
+            .collect();
+        let hash = Plan::HashJoin {
+            left: lv(),
+            right: rv(),
             left_keys: vec![0],
             right_keys: vec![0],
-        });
-        assert_identical(&Plan::NlJoin {
-            left: Box::new(Plan::Values(l.clone())),
-            right: Box::new(Plan::Values(r.clone())),
-            pred: Some(Expr::col(0).cmp(CmpOp::Eq, Expr::col(2))),
-        });
-        assert_identical(&Plan::NlJoin {
-            left: Box::new(Plan::Values(l)),
-            right: Box::new(Plan::Values(r)),
-            pred: None,
-        });
+        };
+        assert_rows(&hash, &probe_major);
+        let (out, _) = execute_with(&hash, &ExecOptions::default()).unwrap();
+        assert_eq!(out.columns, vec!["a", "x", "b", "y"]);
+        // The nested loop is left-major.
+        let cross: Vec<Tuple> = l
+            .iter()
+            .flat_map(|lr| r.iter().map(|rr| concat(lr, rr)))
+            .collect();
+        let equal: Vec<Tuple> = cross.iter().filter(|t| t[0] == t[2]).cloned().collect();
+        let nl = |pred| Plan::NlJoin {
+            left: lv(),
+            right: rv(),
+            pred,
+        };
+        assert_rows(&nl(Some(Expr::col(0).cmp(CmpOp::Eq, Expr::col(2)))), &equal);
+        assert_rows(&nl(None), &cross);
     }
 
     struct MapSource(HashMap<Vec<Value>, Vec<Tuple>>);
@@ -801,37 +817,26 @@ mod tests {
                 vec![vec![Value::str(format!("v{k}"))], vec![Value::str("dup")]],
             );
         }
-        // The source shipped whole, as `(k, v)` rows.
-        let shipped = m
+        // Key 5 misses; every other key matches twice, per occurrence.
+        let left: Vec<Tuple> = (0..19).map(|i| ints(&[i % 6])).collect();
+        let want: Vec<Tuple> = left
             .iter()
-            .flat_map(|(k, vs)| vs.iter().map(move |v| [&k[..], &v[..]].concat()));
-        let shipped = batch(&["k2", "v"], shipped.collect());
-        let left = Box::new(Plan::Values(batch(
-            &["k"],
-            (0..19).map(|i| ints(&[i % 6])).collect(),
-        )));
+            .flat_map(|l| {
+                m.get(l)
+                    .into_iter()
+                    .flatten()
+                    .map(|v| [&l[..], &v[..]].concat())
+            })
+            .collect();
         let p = Plan::BindJoin {
-            left: left.clone(),
+            left: Box::new(Plan::Values(batch(&["k"], left))),
             key_cols: vec![0],
             source: Arc::new(MapSource(m)),
         };
-        assert_identical(&p);
-        // Probing answers like shipping everything and hash-joining it.
-        let ship_all = Plan::Project {
-            input: Box::new(Plan::HashJoin {
-                left,
-                right: Box::new(Plan::Values(shipped)),
-                left_keys: vec![0],
-                right_keys: vec![0],
-            }),
-            exprs: vec![("k".into(), Expr::col(0)), ("v".into(), Expr::col(2))],
-        };
-        let sorted = |plan: &Plan| {
-            let mut rows = exec::execute(plan).expect("tuple run").0.rows;
-            rows.sort();
-            rows
-        };
-        assert_eq!(sorted(&p), sorted(&ship_all));
+        // One probe per distinct key (0..=5), whatever the batch size.
+        assert_eq!(assert_rows(&p, &want).bind_probes, 6);
+        let (out, _) = execute_with(&p, &ExecOptions::default()).unwrap();
+        assert_eq!(out.columns, vec!["k", "v"]);
     }
 
     #[test]
@@ -858,13 +863,11 @@ mod tests {
 
     #[test]
     fn aggregate_and_distinct_identical() {
+        let pairs: Vec<(i64, i64)> = (0..29).map(|i| (i % 4, (i * 13) % 17)).collect();
         let data = batch(
             &["g", "x"],
-            (0..29).map(|i| ints(&[i % 4, (i * 13) % 17])).collect(),
+            pairs.iter().map(|(g, x)| ints(&[*g, *x])).collect(),
         );
-        // Every function, finalised by the operator and by the shared
-        // `estocada_pivot::Accumulator` the tuple executor and the stores
-        // fold with: equal value for value (Count → Int, Sum/Avg → Double).
         let all = [
             (AggFun::Count, "n"),
             (AggFun::Sum, "s"),
@@ -880,11 +883,32 @@ mod tests {
             };
             all.iter().map(spec).collect()
         };
-        assert_identical(&Plan::Aggregate {
+        // Groups in first-seen order; COUNT is an Int, SUM/AVG Doubles.
+        let grouped: Vec<Tuple> = (0..4)
+            .map(|g| {
+                let xs: Vec<i64> = pairs.iter().filter(|p| p.0 == g).map(|p| p.1).collect();
+                let sum = xs.iter().fold(0.0, |acc, x| acc + *x as f64);
+                let (lo, hi) = (xs.iter().min().unwrap(), xs.iter().max().unwrap());
+                let n = xs.len() as i64;
+                let avg = sum / n as f64;
+                vec![
+                    g.into(),
+                    n.into(),
+                    sum.into(),
+                    avg.into(),
+                    (*lo).into(),
+                    (*hi).into(),
+                ]
+            })
+            .collect();
+        let p = Plan::Aggregate {
             input: Box::new(Plan::Values(data.clone())),
             group_by: vec![0],
             aggs: aggs(1),
-        });
+        };
+        assert_rows(&p, &grouped);
+        let (out, _) = execute_with(&p, &ExecOptions::default()).unwrap();
+        assert_eq!(out.columns, vec!["g", "n", "s", "avg", "lo", "hi"]);
         // Global aggregate over an empty input still yields one row:
         // COUNT 0, SUM 0.0, AVG/MIN/MAX Null.
         let empty = Plan::Aggregate {
@@ -892,22 +916,23 @@ mod tests {
             group_by: vec![],
             aggs: aggs(0),
         };
-        assert_identical(&empty);
-        let (one_row, _) = execute_with(&empty, &ExecOptions::default()).unwrap();
         let null = Value::Null;
-        assert_eq!(
-            one_row.rows,
-            vec![vec![
-                Value::Int(0),
-                Value::Double(0.0),
-                null.clone(),
-                null.clone(),
-                null
-            ]]
+        let one_row = vec![0i64.into(), 0.0.into(), null.clone(), null.clone(), null];
+        assert_rows(&empty, &[one_row]);
+        // Distinct keeps first occurrences, in input order.
+        let mut seen = HashSet::new();
+        let firsts: Vec<Tuple> = data
+            .rows
+            .iter()
+            .filter(|r| seen.insert(*r))
+            .cloned()
+            .collect();
+        assert_rows(
+            &Plan::Distinct {
+                input: Box::new(Plan::Values(data)),
+            },
+            &firsts,
         );
-        assert_identical(&Plan::Distinct {
-            input: Box::new(Plan::Values(data.clone())),
-        });
     }
 
     #[test]
@@ -925,14 +950,6 @@ mod tests {
     }
 
     #[test]
-    fn tuple_mode_is_the_oracle() {
-        let p = Plan::Values(batch(&["x"], vec![ints(&[1])]));
-        let (a, _) = execute_with(&p, &ExecOptions { batch_size: 4 }).unwrap();
-        let (b, _) = exec::execute(&p).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn bad_column_reported_with_operator() {
         let p = Plan::HashJoin {
             left: Box::new(Plan::Values(batch(&["a"], vec![]))),
@@ -944,5 +961,68 @@ mod tests {
             execute_with(&p, &ExecOptions::default()),
             Err(EngineError::BadColumn { index: 5, .. })
         ));
+    }
+
+    fn store_down(store: &str, op: &str, kind: StoreErrorKind) -> StoreError {
+        StoreError {
+            store: store.into(),
+            op: op.into(),
+            op_index: 1,
+            kind,
+        }
+    }
+
+    #[test]
+    fn delegated_time_is_tracked() {
+        let p = Plan::Delegated {
+            label: "fake".into(),
+            runner: Arc::new(|| {
+                std::thread::sleep(Duration::from_millis(5));
+                Ok(RowBatch::empty(vec!["x".into()]))
+            }),
+        };
+        let (_, stats) = execute_with(&p, &ExecOptions::default()).unwrap();
+        assert!(stats.delegated_time >= Duration::from_millis(5));
+        assert!(stats.runtime_time() < stats.total_time);
+    }
+
+    #[test]
+    fn delegated_store_error_propagates() {
+        let p = Plan::Delegated {
+            label: "down".into(),
+            runner: Arc::new(|| {
+                Err(store_down(
+                    "relational",
+                    "query",
+                    StoreErrorKind::Unavailable,
+                ))
+            }),
+        };
+        match execute_with(&p, &ExecOptions::default()) {
+            Err(EngineError::Store(e)) => assert_eq!(e.store, "relational"),
+            other => panic!("expected store error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn bindjoin_source_error_propagates() {
+        struct FailingSource;
+        impl BindSource for FailingSource {
+            fn out_columns(&self) -> Vec<String> {
+                vec!["v".into()]
+            }
+            fn fetch_batch(&self, _keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError> {
+                Err(store_down("key-value", "mget", StoreErrorKind::Timeout))
+            }
+        }
+        let p = Plan::BindJoin {
+            left: Box::new(Plan::Values(batch(&["k"], vec![ints(&[1])]))),
+            key_cols: vec![0],
+            source: Arc::new(FailingSource),
+        };
+        match execute_with(&p, &ExecOptions::default()) {
+            Err(EngineError::Store(e)) => assert_eq!(e.op, "mget"),
+            other => panic!("expected store error, got {other:?}"),
+        }
     }
 }

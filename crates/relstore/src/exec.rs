@@ -44,7 +44,7 @@ pub struct ExecCounters {
 }
 
 /// Run `query` against the `tables` map. Returns projected rows.
-pub fn execute(
+pub fn run(
     query: &SqlQuery,
     tables: &HashMap<String, Table>,
     counters: &mut ExecCounters,
@@ -323,7 +323,7 @@ mod tests {
             .filter(Pred::ColConst(col(0, 2), CmpOp::Eq, Value::str("gold")))
             .select(col(0, 1));
         let mut c = ExecCounters::default();
-        let rows = execute(&q, &tables, &mut c).unwrap();
+        let rows = run(&q, &tables, &mut c).unwrap();
         assert_eq!(rows.len(), 2);
         assert!(!c.used_index);
         assert_eq!(c.scanned, 3);
@@ -342,7 +342,7 @@ mod tests {
             .filter(Pred::ColConst(col(0, 2), CmpOp::Eq, Value::str("gold")))
             .select(col(0, 0));
         let mut c = ExecCounters::default();
-        let rows = execute(&q, &tables, &mut c).unwrap();
+        let rows = run(&q, &tables, &mut c).unwrap();
         assert_eq!(rows.len(), 2);
         assert!(c.used_index);
         assert_eq!(c.scanned, 0);
@@ -359,7 +359,7 @@ mod tests {
             .select(col(0, 1))
             .select(col(1, 2));
         let mut c = ExecCounters::default();
-        let mut rows = execute(&q, &tables, &mut c).unwrap();
+        let mut rows = run(&q, &tables, &mut c).unwrap();
         rows.sort();
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0], vec![Value::str("ann"), Value::Int(5)]);
@@ -377,7 +377,7 @@ mod tests {
             .filter(Pred::ColConst(col(1, 2), CmpOp::Gt, Value::Int(50)))
             .select(col(0, 1));
         let mut c = ExecCounters::default();
-        let rows = execute(&q, &tables, &mut c).unwrap();
+        let rows = run(&q, &tables, &mut c).unwrap();
         assert_eq!(rows, vec![vec![Value::str("ann")]]);
     }
 
@@ -394,7 +394,7 @@ mod tests {
             .filter(Pred::ColConst(col(0, 2), CmpOp::Ge, Value::Int(42)))
             .select(col(0, 0));
         let mut c = ExecCounters::default();
-        let mut rows = execute(&q, &tables, &mut c).unwrap();
+        let mut rows = run(&q, &tables, &mut c).unwrap();
         rows.sort();
         assert_eq!(rows, vec![vec![Value::Int(10)], vec![Value::Int(12)]]);
         assert!(c.used_index);
@@ -408,7 +408,7 @@ mod tests {
         q.add_table("orders");
         let q = q.select(col(0, 0)).select(col(1, 0));
         let mut c = ExecCounters::default();
-        let rows = execute(&q, &tables, &mut c).unwrap();
+        let rows = run(&q, &tables, &mut c).unwrap();
         assert_eq!(rows.len(), 9);
     }
 
@@ -425,7 +425,7 @@ mod tests {
             .select(col(0, 0))
             .select(col(1, 0));
         let mut c = ExecCounters::default();
-        let rows = execute(&q, &tables, &mut c).unwrap();
+        let rows = run(&q, &tables, &mut c).unwrap();
         // gold pair (1,3) both directions
         assert_eq!(rows.len(), 2);
     }
@@ -437,7 +437,7 @@ mod tests {
         q.add_table("nope");
         let mut c = ExecCounters::default();
         assert!(matches!(
-            execute(&q, &tables, &mut c),
+            run(&q, &tables, &mut c),
             Err(QueryError::UnknownTable(_))
         ));
     }
@@ -449,7 +449,7 @@ mod tests {
         q.add_table("users");
         let q = q.select(col(0, 99));
         let mut c = ExecCounters::default();
-        assert_eq!(execute(&q, &tables, &mut c), Err(QueryError::BadColumn));
+        assert_eq!(run(&q, &tables, &mut c), Err(QueryError::BadColumn));
     }
 
     #[test]
@@ -459,7 +459,7 @@ mod tests {
         q.add_table("users");
         let mut q = q.select(col(0, 2));
         assert_eq!(
-            execute(&q, &tables, &mut ExecCounters::default())
+            run(&q, &tables, &mut ExecCounters::default())
                 .unwrap()
                 .len(),
             3
@@ -467,7 +467,7 @@ mod tests {
         q.distinct = true;
         let mut c = ExecCounters::default();
         assert_eq!(
-            execute(&q, &tables, &mut c).unwrap(),
+            run(&q, &tables, &mut c).unwrap(),
             vec![vec![Value::str("gold")], vec![Value::str("free")]]
         );
         assert_eq!(c.produced, 2);
@@ -491,7 +491,7 @@ mod tests {
             aggs: vec![(AggFun::Count, 1), (AggFun::Sum, 2)],
             having: vec![(1, CmpOp::Ge, Value::Int(3))],
         });
-        let rows = execute(&q, &tables, &mut ExecCounters::default()).unwrap();
+        let rows = run(&q, &tables, &mut ExecCounters::default()).unwrap();
         assert_eq!(
             rows,
             vec![vec![
@@ -503,7 +503,7 @@ mod tests {
         // A tail reading past the SELECT list is a malformed query.
         q.group.as_mut().unwrap().aggs.push((AggFun::Max, 3));
         assert_eq!(
-            execute(&q, &tables, &mut ExecCounters::default()),
+            run(&q, &tables, &mut ExecCounters::default()),
             Err(QueryError::BadColumn)
         );
     }

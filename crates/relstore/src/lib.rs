@@ -123,7 +123,7 @@ impl RelStore {
         let guard = self.tables.read();
         let mut timer = RequestTimer::start(&self.metrics, self.latency);
         let mut counters = ExecCounters::default();
-        let rows = exec::execute(q, &guard, &mut counters)?;
+        let rows = exec::run(q, &guard, &mut counters)?;
         timer.add_scanned(counters.scanned);
         let bytes: usize = rows
             .iter()

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example bigdata_benchmark`
 
 use estocada::{Estocada, FragmentSpec, Latencies};
-use estocada_engine::{execute, AggFun, AggSpec, Expr, Plan, RowBatch};
+use estocada_engine::{execute_with, AggFun, AggSpec, ExecOptions, Expr, Plan, RowBatch};
 use estocada_pivot::CqBuilder;
 use estocada_workloads::bigdata::{generate, q1_sql, q2_fetch_sql, q3_sql, BigDataConfig};
 
@@ -109,7 +109,7 @@ fn main() -> estocada::Result<()> {
                 name: "sum_rev".into(),
             }],
         };
-        let (agg, agg_stats) = execute(&plan).expect("aggregation");
+        let (agg, agg_stats) = execute_with(&plan, &ExecOptions::default()).expect("aggregation");
         println!(
             "Q2 (ip-prefix revenue): {} groups in {:?} (+{:?} runtime aggregation) via {:?}",
             agg.len(),

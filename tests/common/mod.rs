@@ -2,13 +2,16 @@
 //! uses a subset, hence the blanket `dead_code` allowance.
 #![allow(dead_code)]
 
+use estocada::frontends::parse_sql;
 use estocada::{Estocada, FaultKind, FaultPlan, Latencies, QueryResult, RetryPolicy};
-use estocada_pivot::{CqBuilder, Value};
+use estocada_engine::AggFun;
+use estocada_pivot::{CqBuilder, Term, Value};
 use estocada_workloads::marketplace::{Marketplace, MarketplaceConfig};
 use estocada_workloads::scenarios::{
     cart_pattern, deploy_baseline, deploy_kv_migrated, deploy_materialized_join,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// A small marketplace (activity skew 0.8 in every suite).
@@ -170,4 +173,73 @@ pub fn build_plan(seed: u64, rules: &[ArbRule]) -> FaultPlan {
         };
     }
     plan
+}
+
+fn num(v: &Value) -> f64 {
+    v.as_double().unwrap_or(0.0)
+}
+
+/// Brute-force fold of an aggregate query over the conceptual dataset:
+/// the distinct core tuples from `oracle_eval`, grouped in key order.
+pub fn brute_force(est: &Estocada, sql: &str) -> Vec<Vec<Value>> {
+    let q = parse_sql(sql, &est.sql_catalog()).expect("parse");
+    // The oracle evaluates conjunctive queries: carry the compared
+    // variables out in extra head columns, filter, and cut them off.
+    let mut cq = q.cq.clone();
+    let width = cq.head.len();
+    cq.head.extend(q.residuals.iter().map(|r| Term::Var(r.var)));
+    let holds = |row: &Vec<Value>| {
+        let compared = row[width..].iter().zip(&q.residuals);
+        compared.into_iter().all(|(v, r)| r.op.eval(v, &r.value))
+    };
+    let mut core = est.oracle_eval(&cq);
+    core.retain(holds);
+    core.iter_mut().for_each(|row| row.truncate(width));
+    core.sort();
+    core.dedup();
+    let Some(spec) = &q.aggregate else {
+        return core;
+    };
+    let mut groups: BTreeMap<Vec<Value>, Vec<&Vec<Value>>> = BTreeMap::new();
+    for row in &core {
+        let key = row[..spec.group_cols].to_vec();
+        groups.entry(key).or_default().push(row);
+    }
+    if spec.group_cols == 0 && groups.is_empty() {
+        groups.insert(Vec::new(), Vec::new());
+    }
+    let mut out = Vec::new();
+    for (key, rows) in groups {
+        let mut full = key;
+        for a in &spec.aggs {
+            let args = rows.iter().map(|r| &r[a.col]);
+            let sum: f64 = args.clone().map(num).sum();
+            full.push(match a.fun {
+                AggFun::Count => Value::Int(rows.len() as i64),
+                AggFun::Sum => Value::Double(sum),
+                AggFun::Avg if rows.is_empty() => Value::Null,
+                AggFun::Avg => Value::Double(sum / rows.len() as f64),
+                AggFun::Min => args.min().cloned().unwrap_or(Value::Null),
+                AggFun::Max => args.max().cloned().unwrap_or(Value::Null),
+            });
+        }
+        if spec.having.iter().all(|(c, op, v)| op.eval(&full[*c], v)) {
+            out.push(spec.select.iter().map(|(_, c)| full[*c].clone()).collect());
+        }
+    }
+    out
+}
+
+/// Multiset equality up to the rounding of sums folded in another order.
+pub fn assert_same_rows(got: &[Vec<Value>], want: &[Vec<Value>], what: &str) {
+    let (got, want) = (sorted(got.to_vec()), sorted(want.to_vec()));
+    assert_eq!(got.len(), want.len(), "{what}: {got:?} vs {want:?}");
+    for (g, w) in got.iter().zip(&want) {
+        let close = g.len() == w.len()
+            && g.iter().zip(w).all(|(a, b)| match (a, b) {
+                (Value::Double(x), Value::Double(y)) => (x - y).abs() <= 1e-9 * y.abs().max(1.0),
+                _ => a == b,
+            });
+        assert!(close, "{what}: row {g:?} vs {w:?}");
+    }
 }

@@ -2,7 +2,7 @@
 //! operator equivalences, codec round-trips, and parallel-vs-sequential
 //! agreement.
 
-use estocada_engine::{execute, CmpOp, Expr, Plan, RowBatch};
+use estocada_engine::{execute_with, CmpOp, ExecOptions, Expr, Plan, RowBatch};
 use estocada_kvstore::codec::{decode_tuple, encode_tuple};
 use estocada_parstore::{par_filter, par_join, AggFun, Dataset, GroupBy, ParStore, Shape};
 use estocada_pivot::Value;
@@ -24,6 +24,10 @@ fn arb_value() -> impl Strategy<Value = Value> {
                 .prop_map(|fields| { Value::object_owned(fields.into_iter()) }),
         ]
     })
+}
+
+fn run(plan: &Plan) -> RowBatch {
+    execute_with(plan, &ExecOptions::default()).unwrap().0
 }
 
 fn int_batch(cols: &[&str], rows: Vec<Vec<i64>>) -> RowBatch {
@@ -65,8 +69,8 @@ proptest! {
             right: Box::new(Plan::Values(r)),
             pred: Some(Expr::col(0).cmp(CmpOp::Eq, Expr::col(2))),
         };
-        let (mut a, _) = execute(&hj).unwrap();
-        let (mut b, _) = execute(&nl).unwrap();
+        let mut a = run(&hj);
+        let mut b = run(&nl);
         a.rows.sort();
         b.rows.sort();
         prop_assert_eq!(a.rows, b.rows);
@@ -77,9 +81,9 @@ proptest! {
     fn distinct_is_idempotent(rows in proptest::collection::vec((0i64..4, 0i64..4), 0..25)) {
         let batch = int_batch(&["a", "b"], rows.into_iter().map(|(a, b)| vec![a, b]).collect());
         let once = Plan::Distinct { input: Box::new(Plan::Values(batch)) };
-        let (b1, _) = execute(&once).unwrap();
+        let b1 = run(&once);
         let twice = Plan::Distinct { input: Box::new(Plan::Values(b1.clone())) };
-        let (b2, _) = execute(&twice).unwrap();
+        let b2 = run(&twice);
         prop_assert_eq!(b1.rows.len(), b2.rows.len());
         let mut set = std::collections::HashSet::new();
         for r in &b2.rows {
@@ -127,7 +131,7 @@ proptest! {
             left_keys: vec![0],
             right_keys: vec![0],
         };
-        let (mut eng, _) = execute(&plan).unwrap();
+        let mut eng = run(&plan);
         par.sort();
         eng.rows.sort();
         prop_assert_eq!(par, eng.rows);

@@ -1,16 +1,17 @@
-//! Differential properties of the vectorized columnar executor (PR 9).
+//! Properties of the batch executor (`execute_with`), each operator
+//! checked against a plain-Rust statement of it over the `Values` input:
 //!
-//! The tuple-at-a-time executor (`estocada_engine::execute`) is the
-//! engine-level oracle, run directly on the same `Plan`:
-//!
-//! - random `Values`-rooted pipelines (filter/project, joins, aggregate,
-//!   distinct) produce **identical rows in identical order**
-//!   and identical operator/row/probe counters at batch sizes 1, 3, 7 and
-//!   1024 — batch boundaries must be unobservable;
-//! - grouped aggregation additionally matches a brute-force Rust
-//!   reference over the distinct input tuples, pinning the documented
-//!   DISTINCT-core semantics (and the "aggregate over a key column for
-//!   exact bag semantics" idiom) end to end through SQL;
+//! - random `Values`-rooted pipelines (filter/project, hash join, bind
+//!   join, distinct, aggregate) return the reference's rows **in the
+//!   reference's order** at batch sizes 1, 3, 7 and 1024 — batch
+//!   boundaries must be unobservable;
+//! - the counters in closed form: `operators` is the plan's node count,
+//!   `rows` and `bind_probes` do not depend on the batch size, and a bind
+//!   join probes each distinct key once;
+//! - grouped aggregation matches a brute-force reference over the distinct
+//!   input tuples, pinning the documented DISTINCT-core semantics (and the
+//!   "aggregate over a key column for exact bag semantics" idiom) end to
+//!   end through SQL;
 //! - whole queries agree across the three builtin hybrid deployments and,
 //!   within each, across batch sizes, BindJoin probes included;
 //! - under random fault schedules the executor still yields the
@@ -20,11 +21,13 @@
 mod common;
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use common::{arb_plan, build_plan, sorted, with_fast_retry, ArbRule};
 use estocada::{Dataset, Error, Estocada, FragmentSpec, Latencies, TableData};
 use estocada_engine::{
-    execute, execute_with, AggFun, AggSpec, CmpOp, ExecOptions, Expr, Plan, RowBatch,
+    execute_with, AggFun, AggSpec, BindSource, CmpOp, ExecOptions, ExecStats, Expr, Plan, RowBatch,
+    StoreError, Tuple,
 };
 use estocada_pivot::encoding::relational::TableEncoding;
 use estocada_pivot::Value;
@@ -48,34 +51,49 @@ fn int_batch(cols: &[&str], rows: Vec<Vec<i64>>) -> RowBatch {
     )
 }
 
-/// Run `plan` through the tuple oracle and through the vectorized executor
-/// at every swept batch size; assert exact row order, columns, and stats
-/// identity (operators, rows, bind probes). Returns the oracle batch.
-fn assert_matches_oracle(plan: &Plan) -> RowBatch {
-    let (want, wstats) = execute(plan).expect("tuple oracle");
+/// Run `plan` at every swept batch size; assert that each run returns
+/// `want` (columns aside) in order, that `operators` is the plan's node
+/// count (`explain` prints one line per node), and that the `rows` and
+/// `bind_probes` counters do not depend on the batch size. Returns the
+/// counters of the largest batch size.
+fn assert_batch_invariant(plan: &Plan, want: &[Tuple]) -> ExecStats {
+    let nodes = plan.explain().lines().count() as u64;
+    let mut first: Option<ExecStats> = None;
+    let mut last = ExecStats::default();
     for bs in BATCH_SIZES {
         let opts = ExecOptions { batch_size: bs };
-        let (got, gstats) = execute_with(plan, &opts).expect("vectorized");
-        assert_eq!(got.columns, want.columns, "columns @ batch_size={bs}");
-        assert_eq!(got.rows, want.rows, "rows @ batch_size={bs}");
+        let (got, stats) = execute_with(plan, &opts).expect("execute");
+        assert_eq!(got.rows, want, "rows @ batch_size={bs}");
+        assert_eq!(stats.operators, nodes, "operator count @ batch_size={bs}");
+        let first = first.get_or_insert(stats);
+        assert_eq!(stats.rows, first.rows, "row counter @ batch_size={bs}");
         assert_eq!(
-            gstats.operators, wstats.operators,
-            "operator count @ batch_size={bs}"
-        );
-        assert_eq!(gstats.rows, wstats.rows, "row counter @ batch_size={bs}");
-        assert_eq!(
-            gstats.bind_probes, wstats.bind_probes,
+            stats.bind_probes, first.bind_probes,
             "bind probes @ batch_size={bs}"
         );
+        last = stats;
     }
-    want
+    last
+}
+
+/// A bound source answering each key with the rows a map holds for it.
+struct MapSource(HashMap<Vec<Value>, Vec<Tuple>>);
+
+impl BindSource for MapSource {
+    fn out_columns(&self) -> Vec<String> {
+        vec!["b".into()]
+    }
+    fn fetch_batch(&self, keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError> {
+        let rows = |k| self.0.get(k).cloned().unwrap_or_default();
+        Ok(keys.iter().map(rows).collect())
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Filter + arithmetic projection over a scan: the vectorized scan
-    /// kernel agrees with the oracle at every batch size.
+    /// Filter + arithmetic projection over a scan is `filter().map()` at
+    /// every batch size.
     #[test]
     fn filter_project_scan_is_batch_size_invariant(
         rows in proptest::collection::vec((0i64..6, -20i64..20, -20i64..20), 0..40),
@@ -83,8 +101,13 @@ proptest! {
     ) {
         let b = int_batch(
             &["k", "a", "b"],
-            rows.into_iter().map(|(k, a, x)| vec![k, a, x]).collect(),
+            rows.iter().map(|&(k, a, x)| vec![k, a, x]).collect(),
         );
+        let want: Vec<Tuple> = rows
+            .iter()
+            .filter(|(_, a, _)| *a < threshold)
+            .map(|&(k, a, x)| vec![Value::Int(k), Value::Int(a + x)])
+            .collect();
         let plan = Plan::Project {
             input: Box::new(Plan::Filter {
                 input: Box::new(Plan::Values(b)),
@@ -102,22 +125,31 @@ proptest! {
                 ),
             ],
         };
-        assert_matches_oracle(&plan);
+        assert_batch_invariant(&plan, &want);
     }
 
-    /// A join pipeline (hash join under a filter and projection): probe
-    /// batching must not reorder or duplicate matches.
+    /// A join pipeline (hash join under a filter and projection) and a bind
+    /// join are nested loops, probe side outermost: batching must not
+    /// reorder or duplicate matches, and the bind join probes each
+    /// distinct key once.
     #[test]
     fn join_pipeline_is_batch_size_invariant(
         left in proptest::collection::vec((0i64..5, -9i64..9), 0..25),
         right in proptest::collection::vec((0i64..5, -9i64..9), 0..25),
     ) {
-        let l = int_batch(&["k", "a"], left.into_iter().map(|(k, a)| vec![k, a]).collect());
-        let r = int_batch(&["k2", "b"], right.into_iter().map(|(k, b)| vec![k, b]).collect());
+        let l = int_batch(&["k", "a"], left.iter().map(|&(k, a)| vec![k, a]).collect());
+        let r = int_batch(&["k2", "b"], right.iter().map(|&(k, b)| vec![k, b]).collect());
+        let hashed: Vec<Tuple> = right
+            .iter()
+            .flat_map(|&(k2, b)| {
+                let hits = left.iter().filter(move |&&(k, a)| k == k2 && a <= b);
+                hits.map(move |&(k, _)| vec![Value::Int(k), Value::Int(b)])
+            })
+            .collect();
         let plan = Plan::Project {
             input: Box::new(Plan::Filter {
                 input: Box::new(Plan::HashJoin {
-                    left: Box::new(Plan::Values(l)),
+                    left: Box::new(Plan::Values(l.clone())),
                     right: Box::new(Plan::Values(r)),
                     left_keys: vec![0],
                     right_keys: vec![0],
@@ -126,7 +158,27 @@ proptest! {
             }),
             exprs: vec![("k".into(), Expr::col(0)), ("b".into(), Expr::col(3))],
         };
-        assert_matches_oracle(&plan);
+        assert_batch_invariant(&plan, &hashed);
+
+        let mut source: HashMap<Vec<Value>, Vec<Tuple>> = HashMap::new();
+        for &(k2, b) in &right {
+            source.entry(vec![Value::Int(k2)]).or_default().push(vec![Value::Int(b)]);
+        }
+        let bound: Vec<Tuple> = left
+            .iter()
+            .flat_map(|&(k, a)| {
+                let hits = right.iter().filter(move |&&(k2, _)| k2 == k);
+                hits.map(move |&(_, b)| vec![Value::Int(k), Value::Int(a), Value::Int(b)])
+            })
+            .collect();
+        let plan = Plan::BindJoin {
+            left: Box::new(Plan::Values(l)),
+            key_cols: vec![0],
+            source: Arc::new(MapSource(source)),
+        };
+        let stats = assert_batch_invariant(&plan, &bound);
+        let keys: HashSet<i64> = left.iter().map(|&(k, _)| k).collect();
+        prop_assert_eq!(stats.bind_probes, keys.len() as u64);
     }
 
     /// Distinct keeps first occurrences in input order across batch
@@ -135,17 +187,20 @@ proptest! {
     fn distinct_is_batch_size_invariant(
         rows in proptest::collection::vec((0i64..5, 0i64..5), 0..30),
     ) {
-        let b = int_batch(&["a", "b"], rows.into_iter().map(|(a, x)| vec![a, x]).collect());
+        let b = int_batch(&["a", "b"], rows.iter().map(|&(a, x)| vec![a, x]).collect());
         let plan = Plan::Distinct {
             input: Box::new(Plan::Values(b)),
         };
-        assert_matches_oracle(&plan);
+        let want: Vec<Tuple> = distinct_pairs(&rows)
+            .into_iter()
+            .map(|(a, x)| vec![Value::Int(a), Value::Int(x)])
+            .collect();
+        assert_batch_invariant(&plan, &want);
     }
 
     /// Grouped aggregation over a `Distinct` core — the exact shape the
     /// SQL frontend emits — matches a brute-force reference computed over
-    /// the distinct input tuples, and the vectorized executor matches the
-    /// tuple path at every batch size.
+    /// the distinct input tuples at every batch size.
     #[test]
     fn grouped_aggregation_matches_bruteforce_reference(
         rows in proptest::collection::vec((0i64..4, -15i64..15), 0..35),
@@ -158,12 +213,11 @@ proptest! {
             group_by: vec![0],
             aggs: all_aggs_over(1),
         };
-        let got = assert_matches_oracle(&plan);
-        prop_assert_eq!(got.rows, reference_grouped(&rows));
+        assert_batch_invariant(&plan, &reference_grouped(&rows));
     }
 
     /// A global aggregate (no GROUP BY) yields exactly one row — COUNT 0,
-    /// NULL AVG/MIN/MAX on empty input — identically in both executors.
+    /// NULL AVG/MIN/MAX on empty input — at every batch size.
     #[test]
     fn global_aggregate_matches_bruteforce_reference(
         rows in proptest::collection::vec((0i64..4, -15i64..15), 0..20),
@@ -176,8 +230,7 @@ proptest! {
             group_by: vec![],
             aggs: all_aggs_over(1),
         };
-        let got = assert_matches_oracle(&plan);
-        prop_assert_eq!(got.rows, vec![reference_global(&rows)]);
+        assert_batch_invariant(&plan, &[reference_global(&rows)]);
     }
 }
 
@@ -208,7 +261,7 @@ fn distinct_pairs(rows: &[(i64, i64)]) -> Vec<(i64, i64)> {
 
 /// The aggregate payload `[COUNT, SUM, AVG, MIN, MAX]` over `vs`, with the
 /// engine's output types (SUM/AVG are doubles, empty-input AVG/MIN/MAX are
-/// NULL). Accumulates the f64 sum in input order, like the executors do.
+/// NULL). Accumulates the f64 sum in input order, like the executor does.
 fn reference_payload(vs: &[i64]) -> Vec<Value> {
     let count = vs.len() as i64;
     let sum = vs.iter().fold(0.0f64, |acc, &v| acc + v as f64);
