@@ -1,9 +1,9 @@
 #!/bin/sh
 # Census of the numbers every ROADMAP re-anchor quotes: lines of Rust and
 # `pub fn`s per crate, workspace members, bench mains, `fn execute*`
-# definitions in the engine, SCC routines in library code, independently
-# settable options, and panic sites in library code. Informational: prints,
-# never fails on a count.
+# definitions in the engine, SCC routines in library code, sites that assign
+# a delegated unit's scan estimate, independently settable options, and
+# panic sites in library code. Informational: prints, never fails on a count.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -45,6 +45,15 @@ for f in $(rust_files crates/*/src); do
     scc=$((scc + n))
 done
 printf '%-28s %8d\n' 'SCC routines' "$scc"
+# Assignments to `est_scanned` (`=`, `+=`, or a struct field) in the
+# mediator's library code: the scan cost of every delegated unit comes from
+# `cost::estimate`, assigned once.
+estimators=0
+for f in $(rust_files crates/core/src); do
+    n=$(library_part "$f" | grep -cE '\best_scanned\b *(\+?=[^=]|:[^:])' || true)
+    estimators=$((estimators + n))
+done
+printf '%-28s %8d\n' 'scan estimators' "$estimators"
 
 # Public fields of `pub struct $2` in file `$1`.
 fields() {

@@ -56,7 +56,8 @@
 //! keeper choice and join order as a full rebuild, so the two strategies
 //! produce bit-identical instances (the differential suite in
 //! `tests/incremental_merge_properties.rs` pins this against
-//! [`Instance::merge_full_rebuild`], the retained full-rebuild baseline).
+//! [`crate::testkit::merge_full_rebuild`], the retained full-rebuild
+//! baseline).
 //! Occurrence lists may contain dead facts (a fact killed by dedup stays
 //! in the lists of its other nulls); they are lazily skipped when the list
 //! is consumed.
@@ -557,7 +558,8 @@ impl Instance {
     ///
     /// Incremental: only the facts whose stored arguments mention the
     /// retired null are rewritten, re-indexed and re-dedupped (see module
-    /// docs). Observationally identical to [`Instance::merge_full_rebuild`].
+    /// docs). Observationally identical to
+    /// [`crate::testkit::merge_full_rebuild`].
     pub fn merge(&mut self, a: &Elem, b: &Elem) -> Result<bool, Inconsistent> {
         Ok(self.merge_retired(a, b)?.is_some())
     }
@@ -586,7 +588,7 @@ impl Instance {
 
     /// Union-find part of a merge: resolve both sides, link or bind, and
     /// return the retired null (`None` when already equal).
-    fn merge_union(&mut self, a: &Elem, b: &Elem) -> Result<Option<u32>, Inconsistent> {
+    pub(crate) fn merge_union(&mut self, a: &Elem, b: &Elem) -> Result<Option<u32>, Inconsistent> {
         let ra = self.resolve(a);
         let rb = self.resolve(b);
         if ra == rb {
@@ -721,27 +723,11 @@ impl Instance {
 
     // -- full-rebuild baseline ---------------------------------------------
 
-    /// [`Instance::merge`] followed by a full re-normalization pass instead
-    /// of the incremental occurrence rewrite — the O(instance) baseline the
-    /// incremental path replaced. Kept as the oracle of the differential
-    /// merge suite (`tests/incremental_merge_properties.rs`); produces a
-    /// bit-identical instance (same alive facts, dedup keepers, provenance
-    /// joins and epochs).
-    #[doc(hidden)]
-    pub fn merge_full_rebuild(&mut self, a: &Elem, b: &Elem) -> Result<bool, Inconsistent> {
-        match self.merge_union(a, b)? {
-            None => Ok(false),
-            Some(_) => {
-                self.normalize_full_rebuild();
-                Ok(true)
-            }
-        }
-    }
-
     /// Re-canonicalize every fact from scratch: rewrite arguments to
     /// representatives, de-duplicate facts that became equal (joining their
-    /// provenance), and rebuild all indexes.
-    fn normalize_full_rebuild(&mut self) {
+    /// provenance), and rebuild all indexes — the rebuild half of
+    /// [`crate::testkit::merge_full_rebuild`].
+    pub(crate) fn normalize_full_rebuild(&mut self) {
         self.dedup.clear();
         self.by_pos.clear();
         self.by_pred.clear();
@@ -804,6 +790,7 @@ impl fmt::Display for Instance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::merge_full_rebuild;
 
     fn sym(s: &str) -> Symbol {
         Symbol::intern(s)
@@ -1051,14 +1038,14 @@ mod tests {
                 if incremental {
                     i.merge(&nulls[a], &nulls[b]).unwrap();
                 } else {
-                    i.merge_full_rebuild(&nulls[a], &nulls[b]).unwrap();
+                    merge_full_rebuild(&mut i, &nulls[a], &nulls[b]).unwrap();
                 }
             }
             i.advance_epoch();
             if incremental {
                 i.merge(&nulls[5], &Elem::of(7i64)).unwrap();
             } else {
-                i.merge_full_rebuild(&nulls[5], &Elem::of(7i64)).unwrap();
+                merge_full_rebuild(&mut i, &nulls[5], &Elem::of(7i64)).unwrap();
             }
             i
         };

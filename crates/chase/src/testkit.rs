@@ -1,4 +1,5 @@
-//! Shared rewrite-problem generators for tests and benches.
+//! Shared rewrite-problem generators and reference implementations for
+//! tests and benches.
 //!
 //! The parallel-backchase unit tests (`pacb`), the differential suite
 //! (`tests/parallel_backchase_properties.rs`) and the scaling bench
@@ -7,7 +8,7 @@
 //! silently drifting apart.
 
 use crate::chase::{chase_prepared, ChaseConfig, ChaseError, ChaseStats, PreparedConstraints};
-use crate::instance::{Elem, Instance};
+use crate::instance::{Elem, Inconsistent, Instance};
 use crate::pacb::RewriteProblem;
 use estocada_pivot::{Atom, Constraint, CqBuilder, Egd, Symbol, Term, Tgd, ViewDef};
 
@@ -24,6 +25,24 @@ pub fn chase_every_premise(
     let mut set = PreparedConstraints::new(constraints);
     set.search_every_premise = true;
     chase_prepared(instance, &set, cfg)
+}
+
+/// [`Instance::merge`] followed by a full re-normalization pass instead of
+/// the incremental occurrence rewrite — the O(instance) baseline the
+/// incremental path replaced, kept as the oracle of the differential merge
+/// suite (`tests/incremental_merge_properties.rs`): it leaves a
+/// bit-identical instance (same alive facts, dedup keepers, provenance
+/// joins and epochs).
+pub fn merge_full_rebuild(
+    instance: &mut Instance,
+    a: &Elem,
+    b: &Elem,
+) -> Result<bool, Inconsistent> {
+    let changed = instance.merge_union(a, b)?.is_some();
+    if changed {
+        instance.normalize_full_rebuild();
+    }
+    Ok(changed)
 }
 
 /// Chain problem `Q(x0,xk) :- R0(x0,x1), …, R(k-1)(x(k-1),xk)` with **two

@@ -146,7 +146,10 @@ impl FragmentSpec {
 }
 
 /// Physical placement of one fragment relation inside its store — the
-/// *where* part of the storage descriptor.
+/// *where* part of the storage descriptor. The `indexed` positions of a
+/// table, collection or dataset are the one record of its indexes: the
+/// first fill builds exactly those, and the connector decides from them
+/// whether a request probes an index or scans ([`crate::cost::Access`]).
 #[derive(Debug, Clone)]
 pub enum WhereSpec {
     /// A relational table.
@@ -155,6 +158,8 @@ pub enum WhereSpec {
         table: String,
         /// Column names in head order.
         columns: Vec<String>,
+        /// Head positions of the indexed columns.
+        indexed: Vec<usize>,
     },
     /// A key-value namespace; head column 0 is the key.
     Namespace {
@@ -169,6 +174,8 @@ pub enum WhereSpec {
         collection: String,
         /// Field names in head order.
         columns: Vec<String>,
+        /// Head positions of the path-indexed fields.
+        indexed: Vec<usize>,
     },
     /// The native documents of a dataset (tree queries).
     NativeDocs {
@@ -184,7 +191,7 @@ pub enum WhereSpec {
         dataset: String,
         /// Column names in head order.
         columns: Vec<String>,
-        /// Key-indexed columns (head positions).
+        /// Head positions of the key index's columns.
         indexed: Vec<usize>,
     },
     /// A text index.
@@ -466,6 +473,7 @@ mod tests {
                 place: WhereSpec::Table {
                     table: rel.into(),
                     columns: vec!["x".into()],
+                    indexed: vec![],
                 },
             }],
             stats: vec![FragmentStats::default()],

@@ -14,8 +14,14 @@
 //! outside it reads, or — when it is the whole rewriting — the query's
 //! [`Tail`] folded into its native request ([`Answers`] says which). See
 //! [`crate::translate`] for when a tail is offered.
+//!
+//! No builder prices its own scan: each returns, beside its request, one
+//! [`Access`] per container the request reads, classified from the
+//! placement's `indexed` list as the store will serve the request, and
+//! [`crate::cost::estimate`] prices them.
 
 use crate::catalog::{DocRole, FragmentRelation, FragmentStats, WhereSpec};
+use crate::cost::Access;
 use crate::error::{Error, Result};
 use crate::layout::unpack_kv_rows;
 use crate::system::{FaultGate, Stores, SystemId};
@@ -192,8 +198,9 @@ pub struct Unit {
     pub kind: UnitKind,
     /// Estimated output cardinality.
     pub est_rows: f64,
-    /// Estimated tuples scanned inside the store (0 for point accesses).
-    pub est_scanned: f64,
+    /// How its request reaches each container it reads, with that
+    /// container's statistics: what [`crate::cost::estimate`] prices.
+    pub accesses: Vec<(Access, FragmentStats)>,
     /// The store the unit runs on.
     pub system: SystemId,
     /// What its rows are (anything but [`Answers::Bindings`] only for a
@@ -243,12 +250,10 @@ fn bind_row(
             }
         }
     }
-    Some(
-        out_vars
-            .iter()
-            .map(|v| (*local.get(v).expect("out var not bound by row")).clone())
-            .collect(),
-    )
+    out_vars
+        .iter()
+        .map(|v| local.get(v).map(|x| (*x).clone()))
+        .collect()
 }
 
 /// Distinct variables of `terms` in first-occurrence order.
@@ -294,6 +299,21 @@ fn eq_selectivity(stats: &FragmentStats, col: usize) -> f64 {
     1.0 / d as f64
 }
 
+/// A probe of the first of the request's constrained `columns`, in the
+/// order the store tries them, that `indexed` holds; else a full scan.
+fn probe(indexed: &[usize], mut columns: impl Iterator<Item = usize>) -> Access {
+    match columns.find(|c| indexed.contains(c)) {
+        Some(column) => Access::IndexProbe { column },
+        None => Access::FullScan,
+    }
+}
+
+/// The error of an atom whose fragment relation is not placed where a
+/// `kind` unit reads.
+fn misplaced(kind: &str, rel: &FragmentRelation) -> Error {
+    Error::Untranslatable(format!("{kind} atom placed at {:?}", rel.place))
+}
+
 /// Build one SQL unit from relational-fragment atoms (the largest subquery
 /// delegated to the relational store). Offered the query's tail, it folds
 /// it into the SQL whenever every residual went into the WHERE clause.
@@ -308,21 +328,14 @@ pub fn sql_unit(
     let mut vars: Vec<Var> = Vec::new();
     let mut est = 1.0f64;
     let mut join_sel = 1.0f64;
-    let mut est_scanned = 0.0f64;
-    let mut has_const = false;
+    let mut indexes = Vec::new();
     for (atom, rel, stats) in atoms {
-        let table = match &rel.place {
-            WhereSpec::Table { table, .. } => table.clone(),
-            other => {
-                return Err(Error::Untranslatable(format!(
-                    "atom {} is not table-placed: {other:?}",
-                    atom.pred
-                )))
-            }
+        let WhereSpec::Table { table, indexed, .. } = &rel.place else {
+            return Err(misplaced("sql", rel));
         };
-        let t = q.add_table(&table);
+        let t = q.add_table(table);
+        indexes.push(indexed);
         est *= stats.rows.max(1) as f64;
-        est_scanned += stats.rows as f64;
         for (pos, term) in atom.args.iter().enumerate() {
             let cr = ColRef {
                 table: t,
@@ -332,7 +345,6 @@ pub fn sql_unit(
                 Term::Const(c) => {
                     q.predicates.push(Pred::ColConst(cr, CmpOp::Eq, c.clone()));
                     est *= eq_selectivity(stats, pos);
-                    has_const = true;
                 }
                 Term::Var(v) => {
                     if let Some(existing) = var_ref.get(v) {
@@ -355,6 +367,17 @@ pub fn sql_unit(
             est *= 0.33; // textbook range selectivity
         }
     }
+    // Per table, the store probes the index of the first comparison with a
+    // constant that has one, `<>` apart (`relstore::exec::select_rows`).
+    let probed = |t: usize| {
+        q.predicates.iter().filter_map(move |p| match p {
+            Pred::ColConst(c, op, _) if c.table == t && *op != CmpOp::Ne => Some(c.column),
+            _ => None,
+        })
+    };
+    let accesses = (atoms.iter().zip(indexes).enumerate())
+        .map(|(t, ((_, _, stats), indexed))| (probe(indexed, probed(t)), stats.clone()))
+        .collect();
     let (out_vars, tail) = ship.of(&vars, residuals, true);
     let col_of = |v: &Var| {
         var_ref.get(v).copied().ok_or_else(|| {
@@ -394,8 +417,7 @@ pub fn sql_unit(
         inputs: Vec::new(),
         kind: UnitKind::Run(Arc::new(runner)),
         est_rows,
-        // Keyed tables answer constant predicates through indexes.
-        est_scanned: if has_const { 0.0 } else { est_scanned },
+        accesses,
         system: SystemId::Relational,
         answers: Answers::of(tail),
     })
@@ -493,13 +515,8 @@ pub fn kv_unit(
     stores: &Stores,
     ship: &Ship,
 ) -> Result<Unit> {
-    let namespace = match &rel.place {
-        WhereSpec::Namespace { namespace, .. } => namespace.clone(),
-        other => {
-            return Err(Error::Untranslatable(format!(
-                "kv atom placed at {other:?}"
-            )))
-        }
+    let WhereSpec::Namespace { namespace, .. } = &rel.place else {
+        return Err(misplaced("kv", rel));
     };
     let value_terms: Vec<Term> = atom.args[1..].to_vec();
     let key_var = atom.args[0].as_var();
@@ -517,7 +534,7 @@ pub fn kv_unit(
     let access = KvAccess {
         kv: stores.kv.clone(),
         gate: stores.gate(SystemId::KeyValue),
-        namespace,
+        namespace: namespace.clone(),
         holds_rows: stats.rows > 0,
         key_var,
         value_terms,
@@ -544,7 +561,7 @@ pub fn kv_unit(
         inputs: key_var.into_iter().collect(),
         kind,
         est_rows: 1.0,
-        est_scanned: 0.0,
+        accesses: vec![(Access::KeyGet, stats.clone())],
         system: SystemId::KeyValue,
         answers: Answers::Bindings,
     })
@@ -609,26 +626,16 @@ pub fn text_unit(
     stats: &FragmentStats,
     stores: &Stores,
 ) -> Result<Unit> {
-    let index = match &rel.place {
-        WhereSpec::TextIndex { index } => index.clone(),
-        other => {
-            return Err(Error::Untranslatable(format!(
-                "text atom placed at {other:?}"
-            )))
-        }
+    let WhereSpec::TextIndex { index } = &rel.place else {
+        return Err(misplaced("text", rel));
     };
     let avg_postings = (stats.rows.max(1) as f64
         / stats.distinct.first().copied().unwrap_or(1).max(1) as f64)
         .max(1.0);
-    let const_term = match &atom.args[0] {
-        Term::Const(term) => {
-            let term = term
-                .as_str()
-                .ok_or_else(|| Error::Untranslatable("text search term must be a string".into()))?;
-            Some(term.to_string())
-        }
-        Term::Var(_) => None,
-    };
+    let not_a_string = || Error::Untranslatable("text search term must be a string".into());
+    let const_term = (atom.args[0].as_const())
+        .map(|term| term.as_str().map(str::to_string).ok_or_else(not_a_string))
+        .transpose()?;
     let term_var = atom.args[0].as_var();
     let key_term = atom.args[1].clone();
     let out_vars = match &key_term {
@@ -642,7 +649,7 @@ pub fn text_unit(
     let access = TextAccess {
         text: stores.text.clone(),
         gate: stores.gate(SystemId::Text),
-        index,
+        index: index.clone(),
         holds_rows: stats.rows > 0,
         key_term,
         out_vars: out_vars.clone(),
@@ -660,7 +667,7 @@ pub fn text_unit(
         inputs: term_var.into_iter().collect(),
         kind,
         est_rows: avg_postings,
-        est_scanned: 0.0,
+        accesses: vec![(Access::KeyGet, stats.clone())],
         system: SystemId::Text,
         answers: Answers::Bindings,
     })
@@ -675,27 +682,27 @@ pub fn doc_rows_unit(
     stores: &Stores,
     ship: &Ship,
 ) -> Result<Unit> {
-    let (collection, columns) = match &rel.place {
-        WhereSpec::Collection {
-            collection,
-            columns,
-        } => (collection.clone(), columns.clone()),
-        other => {
-            return Err(Error::Untranslatable(format!(
-                "doc atom placed at {other:?}"
-            )))
-        }
+    let WhereSpec::Collection {
+        collection,
+        columns,
+        indexed,
+    } = &rel.place
+    else {
+        return Err(misplaced("doc", rel));
     };
+    let (collection, columns) = (collection.clone(), columns.clone());
     let mut filter = estocada_docstore::Filter::all();
     let mut est = stats.rows.max(1) as f64;
-    let mut has_const = false;
     for (pos, term) in atom.args.iter().enumerate() {
         if let Term::Const(c) = term {
             filter = filter.eq(&columns[pos], c.clone());
             est *= eq_selectivity(stats, pos);
-            has_const = true;
         }
     }
+    // The store probes the index of the filter's first equality only
+    // (`DocStore::find`).
+    let first_eq = atom.args.iter().position(|t| t.as_const().is_some());
+    let access = probe(indexed, first_eq.into_iter());
     let (out_vars, _) = ship.of(&atom_vars(std::slice::from_ref(atom)), residuals, false);
     let label = format!("document: FIND {collection} {:?}", filter.clauses);
     let doc = stores.doc.clone();
@@ -727,7 +734,7 @@ pub fn doc_rows_unit(
         inputs: Vec::new(),
         kind: UnitKind::Run(Arc::new(runner)),
         est_rows: est,
-        est_scanned: if has_const { 0.0 } else { stats.rows as f64 },
+        accesses: vec![(access, stats.clone())],
         system: SystemId::Document,
         answers: Answers::Bindings,
     })
@@ -751,16 +758,14 @@ pub fn par_unit(
     }
 }
 
-fn par_place(rel: &FragmentRelation) -> Result<(String, Vec<String>, Vec<usize>)> {
+fn par_place(rel: &FragmentRelation) -> Result<(String, &[String], &[usize])> {
     match &rel.place {
         WhereSpec::ParDataset {
             dataset,
             columns,
             indexed,
-        } => Ok((dataset.clone(), columns.clone(), indexed.clone())),
-        other => Err(Error::Untranslatable(format!(
-            "par atom placed at {other:?}"
-        ))),
+        } => Ok((dataset.clone(), columns, indexed)),
+        _ => Err(misplaced("par", rel)),
     }
 }
 
@@ -892,17 +897,22 @@ fn par_scan_unit(
             est *= 0.33;
         }
     }
-    // Use the key index when every indexed column is bound by a constant.
-    let use_index = !indexed.is_empty() && indexed.iter().all(|c| const_cols.contains(c));
+    // A lookup through the key index when a constant binds each of its
+    // columns, a scan otherwise: what the request is and what it costs.
+    let access = match indexed.first() {
+        Some(&column) if indexed.iter().all(|c| const_cols.contains(c)) => {
+            Access::IndexProbe { column }
+        }
+        _ => Access::FullScan,
+    };
     // Constants are enforced by `preds`; a variable repeated within the
     // atom is not.
     let req = ParRequest::new(&atom.args, !repeats_var(&atom.args), residuals, ship)?;
     let est = req.estimate(est, |c| stats.distinct.get(c).copied());
-    let label = if use_index {
-        format!("parallel: LOOKUP {dataset} by key index{}", req.label())
-    } else {
-        let n = preds.len();
-        format!("parallel: SCAN {dataset} ({n} preds){}", req.label())
+    let (n, shape) = (preds.len(), req.label());
+    let label = match access {
+        Access::IndexProbe { .. } => format!("parallel: LOOKUP {dataset} by key index{shape}"),
+        _ => format!("parallel: SCAN {dataset} ({n} preds){shape}"),
     };
     let par = stores.par.clone();
     let gate = stores.gate(SystemId::Parallel);
@@ -912,14 +922,17 @@ fn par_scan_unit(
         .collect();
     let (out_vars, answers) = (req.out_vars.clone(), req.answers);
     let runner = move || {
-        let rows = if use_index {
-            gate.check("lookup")?;
-            par.lookup(&dataset, &key, &preds, &req.shape)
-                .map_err(|e| par_error("lookup", e))?
-        } else {
-            gate.check("scan")?;
-            par.scan(&dataset, &preds, &req.shape)
-                .map_err(|e| par_error("scan", e))?
+        let rows = match access {
+            Access::IndexProbe { .. } => {
+                gate.check("lookup")?;
+                par.lookup(&dataset, &key, &preds, &req.shape)
+                    .map_err(|e| par_error("lookup", e))?
+            }
+            _ => {
+                gate.check("scan")?;
+                par.scan(&dataset, &preds, &req.shape)
+                    .map_err(|e| par_error("scan", e))?
+            }
         };
         Ok(req.batch(rows))
     };
@@ -929,7 +942,7 @@ fn par_scan_unit(
         inputs: Vec::new(),
         kind: UnitKind::Run(Arc::new(runner)),
         est_rows: est,
-        est_scanned: if use_index { 0.0 } else { stats.rows as f64 },
+        accesses: vec![(access, stats.clone())],
         system: SystemId::Parallel,
         answers,
     })
@@ -944,19 +957,14 @@ fn par_join_unit(
 ) -> Result<Unit> {
     let (lds, lcols, _) = par_place(lrel)?;
     let (rds, rcols, _) = par_place(rrel)?;
-    // Join keys: shared variables.
-    let lvars: Vec<Option<Var>> = latom.args.iter().map(Term::as_var).collect();
-    let rvars: Vec<Option<Var>> = ratom.args.iter().map(Term::as_var).collect();
-    let mut lkeys = Vec::new();
-    let mut rkeys = Vec::new();
-    for (li, lv) in lvars.iter().enumerate() {
-        if let Some(lv) = lv {
-            if let Some(ri) = rvars.iter().position(|rv| rv.as_ref() == Some(lv)) {
-                lkeys.push(lcols[li].clone());
-                rkeys.push(rcols[ri].clone());
-            }
-        }
-    }
+    // Join keys: the columns of each variable the two atoms share.
+    let shared = |(li, t): (usize, &Term)| {
+        let ri =
+            (ratom.args.iter()).position(|r| r.as_var().is_some_and(|v| t.as_var() == Some(v)));
+        Some((lcols[li].clone(), rcols[ri?].clone()))
+    };
+    let (lkeys, rkeys): (Vec<String>, Vec<String>) =
+        latom.args.iter().enumerate().filter_map(shared).unzip();
     if lkeys.is_empty() {
         return Err(Error::Untranslatable(
             "parallel join unit requires a shared variable".into(),
@@ -970,14 +978,9 @@ fn par_join_unit(
         || repeats_var(&latom.args)
         || repeats_var(&ratom.args));
     let req = ParRequest::new(&combined_terms, exact, residuals, ship)?;
+    let keys = |s: &FragmentStats| s.distinct.first().copied().unwrap_or(1).max(1);
     let est = (lstats.rows.max(1) as f64 * rstats.rows.max(1) as f64)
-        / lstats
-            .distinct
-            .first()
-            .copied()
-            .unwrap_or(1)
-            .max(1)
-            .max(rstats.distinct.first().copied().unwrap_or(1).max(1)) as f64;
+        / keys(lstats).max(keys(rstats)) as f64;
     let est = req.estimate(est, |c| match c.checked_sub(latom.args.len()) {
         Some(rc) => rstats.distinct.get(rc).copied(),
         None => lstats.distinct.get(c).copied(),
@@ -1001,10 +1004,51 @@ fn par_join_unit(
         inputs: Vec::new(),
         kind: UnitKind::Run(Arc::new(runner)),
         est_rows: est,
-        est_scanned: (lstats.rows + rstats.rows) as f64,
+        accesses: vec![
+            (Access::FullScan, lstats.clone()),
+            (Access::FullScan, rstats.clone()),
+        ],
         system: SystemId::Parallel,
         answers,
     })
+}
+
+/// A connected group of document-encoding atoms, by node variable.
+#[derive(Default)]
+struct TreeAtoms {
+    /// Each node's child and descendant steps (`true`: descendant).
+    steps: HashMap<Var, Vec<(Var, bool)>>,
+    tags: HashMap<Var, String>,
+    /// The value a node must hold.
+    eq: HashMap<Var, Value>,
+    /// (node, value variable) bindings, in atom order.
+    binds: Vec<(Var, Var)>,
+}
+
+impl TreeAtoms {
+    /// The query step reaching `node` (a descendant step when `desc`) and
+    /// everything below it; the variables it binds join `out_vars` in the
+    /// store's pre-order.
+    fn step(&self, node: Var, desc: bool, out_vars: &mut Vec<Var>) -> Result<QueryNode> {
+        let tag = self.tags.get(&node);
+        let tag =
+            tag.ok_or_else(|| Error::Untranslatable(format!("node {node} has no tag atom")))?;
+        let mut qn = match desc {
+            true => QueryNode::descendant(tag),
+            false => QueryNode::child(tag),
+        };
+        if let Some(c) = self.eq.get(&node) {
+            qn = qn.eq(c.clone());
+        }
+        for (_, v) in self.binds.iter().filter(|(n, _)| *n == node) {
+            qn = qn.bind(&var_col(*v));
+            out_vars.push(*v);
+        }
+        for (child, d) in self.steps.get(&node).into_iter().flatten() {
+            qn = qn.with(self.step(*child, *d, out_vars)?);
+        }
+        Ok(qn)
+    }
 }
 
 /// Build a native-document tree unit from a connected group of
@@ -1015,144 +1059,74 @@ pub fn doc_tree_unit(
     atoms: &[(Atom, FragmentRelation, FragmentStats)],
     stores: &Stores,
 ) -> Result<Unit> {
-    let mut collection = None;
-    let mut root_vars: Vec<Var> = Vec::new();
-    let mut edges: Vec<(Var, Var, bool)> = Vec::new(); // (parent, child, is_desc)
-    let mut tags: HashMap<Var, String> = HashMap::new();
-    let mut val_eq: HashMap<Var, Value> = HashMap::new();
-    let mut val_bind: Vec<(Var, Var)> = Vec::new(); // (node var, value var)
-    let mut doc_count = 0f64;
-
+    let mut collection: Option<&String> = None;
+    let mut roots: Vec<(Var, &FragmentStats)> = Vec::new();
+    let mut tree = TreeAtoms::default();
+    let mut reached = HashSet::new();
     for (atom, rel, stats) in atoms {
-        let role = match &rel.place {
-            WhereSpec::NativeDocs {
-                collection: c,
-                role,
-            } => {
-                match &collection {
-                    None => collection = Some(c.clone()),
-                    Some(existing) if existing == c => {}
-                    Some(_) => {
-                        return Err(Error::Untranslatable(
-                            "tree unit spans two collections".into(),
-                        ))
-                    }
-                }
-                *role
-            }
-            other => {
-                return Err(Error::Untranslatable(format!(
-                    "doc atom placed at {other:?}"
-                )))
-            }
+        let WhereSpec::NativeDocs {
+            collection: c,
+            role,
+        } = &rel.place
+        else {
+            return Err(misplaced("doc", rel));
         };
-        doc_count = doc_count.max(stats.rows as f64);
+        if *collection.get_or_insert(c) != c {
+            let spans = "tree unit spans two collections";
+            return Err(Error::Untranslatable(spans.into()));
+        }
         let var_at = |i: usize| -> Result<Var> {
             atom.args[i].as_var().ok_or_else(|| {
                 Error::Untranslatable(format!("node position of {} must be a variable", atom.pred))
             })
         };
         match role {
-            DocRole::Root => root_vars.push(var_at(1)?),
+            DocRole::Root => roots.push((var_at(1)?, stats)),
             DocRole::Doc => { /* names are not stored natively; ignore */ }
-            DocRole::Child => edges.push((var_at(0)?, var_at(1)?, false)),
-            DocRole::Desc => edges.push((var_at(0)?, var_at(1)?, true)),
+            DocRole::Child | DocRole::Desc => {
+                let (parent, child) = (var_at(0)?, var_at(1)?);
+                if !reached.insert(child) {
+                    let shape = "document pattern is not tree-shaped";
+                    return Err(Error::Untranslatable(shape.into()));
+                }
+                let step = (child, *role == DocRole::Desc);
+                tree.steps.entry(parent).or_default().push(step);
+            }
             DocRole::Node => {
-                let tag = atom.args[1]
-                    .as_const()
-                    .and_then(|c| c.as_str())
-                    .ok_or_else(|| {
-                        Error::Untranslatable("node tag must be a string constant".into())
-                    })?;
-                tags.insert(var_at(0)?, tag.to_string());
+                let tag = atom.args[1].as_const().and_then(|c| c.as_str());
+                let tag = tag.ok_or_else(|| {
+                    Error::Untranslatable("node tag must be a string constant".into())
+                })?;
+                tree.tags.insert(var_at(0)?, tag.to_string());
             }
             DocRole::Val => match &atom.args[1] {
-                Term::Const(c) => {
-                    val_eq.insert(var_at(0)?, c.clone());
-                }
-                Term::Var(v) => val_bind.push((var_at(0)?, *v)),
+                Term::Const(c) => drop(tree.eq.insert(var_at(0)?, c.clone())),
+                Term::Var(v) => tree.binds.push((var_at(0)?, *v)),
             },
         }
     }
-    let collection =
-        collection.ok_or_else(|| Error::Untranslatable("empty document unit".into()))?;
-    if root_vars.is_empty() {
-        return Err(Error::Untranslatable(
-            "document pattern has no Root atom".into(),
-        ));
-    }
-    // Build the pattern tree below the root variable(s).
-    let mut by_parent: HashMap<Var, Vec<(Var, bool)>> = HashMap::new();
-    let mut child_count: HashMap<Var, usize> = HashMap::new();
-    for (p, c, d) in &edges {
-        by_parent.entry(*p).or_default().push((*c, *d));
-        *child_count.entry(*c).or_insert(0) += 1;
-        if child_count[c] > 1 {
-            return Err(Error::Untranslatable(
-                "document pattern is not tree-shaped".into(),
-            ));
-        }
-    }
-    fn build(
-        node: Var,
-        desc: bool,
-        by_parent: &HashMap<Var, Vec<(Var, bool)>>,
-        tags: &HashMap<Var, String>,
-        val_eq: &HashMap<Var, Value>,
-        val_bind: &[(Var, Var)],
-        out_vars: &mut Vec<Var>,
-    ) -> Result<QueryNode> {
-        let tag = tags
-            .get(&node)
-            .ok_or_else(|| Error::Untranslatable(format!("node {node} has no tag atom")))?;
-        let mut qn = if desc {
-            QueryNode::descendant(tag)
-        } else {
-            QueryNode::child(tag)
-        };
-        if let Some(c) = val_eq.get(&node) {
-            qn = qn.eq(c.clone());
-        }
-        for (n, v) in val_bind {
-            if *n == node {
-                qn = qn.bind(&var_col(*v));
-                out_vars.push(*v);
-            }
-        }
-        for (child, d) in by_parent.get(&node).cloned().unwrap_or_default() {
-            qn = qn.with(build(
-                child, d, by_parent, tags, val_eq, val_bind, out_vars,
-            )?);
-        }
-        Ok(qn)
-    }
+    let collection = collection
+        .cloned()
+        .ok_or_else(|| Error::Untranslatable("empty document unit".into()))?;
+    // The store walks every document: one per Root row.
+    let Some(&(_, root_stats)) = roots.first() else {
+        let rootless = "document pattern has no Root atom";
+        return Err(Error::Untranslatable(rootless.into()));
+    };
     let mut out_vars = Vec::new();
     let mut q = DocQuery::new(&collection);
-    for root in &root_vars {
-        for (child, d) in by_parent.get(root).cloned().unwrap_or_default() {
-            q = q.with(build(
-                child,
-                d,
-                &by_parent,
-                &tags,
-                &val_eq,
-                &val_bind,
-                &mut out_vars,
-            )?);
+    for (root, _) in &roots {
+        for (child, d) in tree.steps.get(root).into_iter().flatten() {
+            q = q.with(tree.step(*child, *d, &mut out_vars)?);
         }
     }
     // Column order must follow the store's pre-order convention.
-    let columns = q.columns();
-    let ordered_vars: Vec<Var> = columns
-        .iter()
+    let ordered_vars: Vec<Var> = (q.columns().iter())
         .map(|c| {
-            out_vars
-                .iter()
-                .copied()
-                .find(|v| var_col(*v) == *c)
-                .expect("bound column lost")
+            let bound = out_vars.iter().copied().find(|v| var_col(*v) == *c);
+            bound.ok_or_else(|| Error::Untranslatable(format!("column {c} binds no variable")))
         })
-        .collect();
+        .collect::<Result<_>>()?;
     let label = format!(
         "document: TREE-QUERY {collection} ({} steps)",
         q.roots.len()
@@ -1168,15 +1142,14 @@ pub fn doc_tree_unit(
         }
         Ok(batch_of(&ov, rows))
     };
-    // A top-level equality makes the store's path index applicable.
-    let indexed = !val_eq.is_empty();
+    let est_rows = atoms.iter().map(|(_, _, s)| s.rows as f64);
     Ok(Unit {
         label,
         out_vars: ordered_vars,
         inputs: Vec::new(),
         kind: UnitKind::Run(Arc::new(runner)),
-        est_rows: doc_count.max(1.0),
-        est_scanned: if indexed { 0.0 } else { doc_count },
+        est_rows: est_rows.fold(1.0, f64::max),
+        accesses: vec![(Access::FullScan, root_stats.clone())],
         system: SystemId::Document,
         answers: Answers::Bindings,
     })
@@ -1224,6 +1197,14 @@ mod tests {
             bind_row(&terms, &[Value::Int(9), Value::Int(1)], &pre, &[Var(1)]),
             Some(vec![Value::Int(1)])
         );
+    }
+
+    #[test]
+    fn the_first_indexed_constrained_column_is_probed() {
+        let probe_of = |column| Access::IndexProbe { column };
+        assert_eq!(probe(&[1, 3], [0, 3, 1].into_iter()), probe_of(3));
+        assert_eq!(probe(&[1], [0, 2].into_iter()), Access::FullScan);
+        assert_eq!(probe(&[], [0].into_iter()), Access::FullScan);
     }
 
     #[test]

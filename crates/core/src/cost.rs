@@ -1,8 +1,39 @@
 //! The mediator's cost model: "textbook formulas" over gathered fragment
 //! statistics, with per-system request/tuple cost constants mirroring the
 //! latency calibration.
+//!
+//! What a delegated request scans inside its store is priced in one place,
+//! [`estimate`], from the [`Access`] it makes to each container it reads.
 
+use crate::catalog::FragmentStats;
 use crate::system::{Latencies, SystemId};
+
+/// How a delegated request reaches one container it reads, decided from
+/// the placement's `indexed` list — the indexes its first fill built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    /// A key-value get (or pipelined mget), or a text term lookup.
+    KeyGet,
+    /// A probe of the index on head column `column`.
+    IndexProbe {
+        /// The probed column.
+        column: usize,
+    },
+    /// Every stored row — for native documents, every document.
+    FullScan,
+}
+
+/// The one estimate of scan cost: the tuples a request scans inside its
+/// store, given its access to each container and that container's
+/// statistics. A key get or an index probe reads only what it returns; a
+/// full scan reads every row.
+pub fn estimate(accesses: &[(Access, FragmentStats)]) -> f64 {
+    let scanned = |(access, stats): &(Access, FragmentStats)| match access {
+        Access::KeyGet | Access::IndexProbe { .. } => 0.0,
+        Access::FullScan => stats.rows as f64,
+    };
+    accesses.iter().map(scanned).sum()
+}
 
 /// Cost constants of one system (abstract cost units ≈ microseconds).
 #[derive(Debug, Clone, Copy)]
@@ -112,6 +143,23 @@ mod tests {
         assert_eq!(m.penalize(123.5, 0), 123.5);
         // One tripped backend dwarfs any realistic plan cost.
         assert!(m.penalize(0.0, 1) > m.request_cost(SystemId::Parallel, 1e9, 1e9));
+    }
+
+    #[test]
+    fn only_a_full_scan_is_priced_by_the_rows_it_reads() {
+        let stats = |rows| FragmentStats {
+            rows,
+            ..FragmentStats::default()
+        };
+        let probe = Access::IndexProbe { column: 1 };
+        let accesses = [
+            (Access::KeyGet, stats(7)),
+            (probe, stats(11)),
+            (Access::FullScan, stats(13)),
+            (Access::FullScan, stats(17)),
+        ];
+        assert_eq!(estimate(&accesses), 30.0);
+        assert_eq!(estimate(&[]), 0.0);
     }
 
     #[test]

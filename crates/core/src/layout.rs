@@ -29,15 +29,15 @@ use std::collections::BTreeMap;
 type Row = Vec<Value>;
 
 /// Where a view fragment's rows go — a container named `name`, holding the
-/// view's head `columns`, in the store `spec` targets — and the physical
-/// design `spec` asks for beyond it: the columns to index (rejected when
-/// outside the head) and the partition count (0: the store's default).
-pub(crate) fn view_place<'a>(
-    spec: &'a FragmentSpec,
+/// view's head `columns`, in the store `spec` targets, indexed on the
+/// columns `spec` asks for (rejected when outside the head) — and the
+/// partition count (0: the store's default).
+pub(crate) fn view_place(
+    spec: &FragmentSpec,
     name: &str,
     columns: Vec<String>,
-) -> Result<(WhereSpec, (&'a [String], usize))> {
-    let design: (&[String], usize) = match spec {
+) -> Result<(WhereSpec, usize)> {
+    let (index_on, partitions): (&[String], usize) = match spec {
         FragmentSpec::Table { index_on, .. } | FragmentSpec::DocRows { index_on, .. } => {
             (index_on, 0)
         }
@@ -48,16 +48,18 @@ pub(crate) fn view_place<'a>(
         } => (index_on, *partitions),
         _ => Default::default(),
     };
-    let indexed = column_positions(&columns, design.0)?;
+    let indexed = column_positions(&columns, index_on)?;
     let name = name.to_string();
     let place = match spec.system() {
         SystemId::Relational => WhereSpec::Table {
             table: name,
             columns,
+            indexed,
         },
         SystemId::Document => WhereSpec::Collection {
             collection: name,
             columns,
+            indexed,
         },
         SystemId::Parallel => WhereSpec::ParDataset {
             dataset: name,
@@ -75,7 +77,7 @@ pub(crate) fn view_place<'a>(
             )));
         }
     };
-    Ok((place, design))
+    Ok((place, partitions))
 }
 
 /// Where the full-text index over `t`'s text columns goes.
@@ -114,19 +116,19 @@ fn refs(names: &[String]) -> Vec<&str> {
     names.iter().map(String::as_str).collect()
 }
 
-/// First fill: create the container, load `rows` through [`write`] (store
-/// insertion order is the order of `rows`), then build the indexes
-/// (`index_on`, `partitions` — see [`view_place`]) once over the loaded rows.
-/// Stores panic on unknown index columns: check them first.
+/// First fill: create the container (a dataset over `partitions`, see
+/// [`view_place`]), load `rows` through [`write`] (store insertion order is
+/// the order of `rows`), then build the placement's own `indexed` columns
+/// once over the loaded rows.
 pub(crate) fn fill(
     stores: &Stores,
     place: &WhereSpec,
-    (index_on, partitions): (&[String], usize),
+    partitions: usize,
     source: Option<&TableData>,
     rows: &[Row],
 ) -> Result<()> {
     match place {
-        WhereSpec::Table { table, columns } => stores.rel.create_table(table, &refs(columns)),
+        WhereSpec::Table { table, columns, .. } => stores.rel.create_table(table, &refs(columns)),
         WhereSpec::ParDataset {
             dataset, columns, ..
         } => {
@@ -143,16 +145,31 @@ pub(crate) fn fill(
         _ => {}
     }
     write(stores, place, source, &[], rows, &mut rows.iter())?;
+    let named = |columns: &[String], indexed: &[usize]| -> Vec<String> {
+        indexed.iter().map(|c| columns[*c].clone()).collect()
+    };
     match place {
-        WhereSpec::Table { table, .. } => index_on
+        WhereSpec::Table {
+            table,
+            columns,
+            indexed,
+        } => named(columns, indexed)
             .iter()
             .for_each(|ix| stores.rel.create_index(table, ix, IndexKind::BTree)),
-        WhereSpec::Collection { collection, .. } => index_on
+        WhereSpec::Collection {
+            collection,
+            columns,
+            indexed,
+        } => named(columns, indexed)
             .iter()
             .for_each(|ix| stores.doc.create_index(collection, ix)),
-        WhereSpec::ParDataset { dataset, .. } if !index_on.is_empty() => {
-            stores.par.build_key_index(dataset, &refs(index_on))
-        }
+        WhereSpec::ParDataset {
+            dataset,
+            columns,
+            indexed,
+        } if !indexed.is_empty() => stores
+            .par
+            .build_key_index(dataset, &refs(&named(columns, indexed))),
         _ => {}
     }
     Ok(())
@@ -186,6 +203,7 @@ pub(crate) fn write(
         WhereSpec::Collection {
             collection,
             columns,
+            ..
         } => {
             let doc =
                 |row: &Row| Value::object_owned(columns.iter().cloned().zip(row.iter().cloned()));

@@ -139,12 +139,12 @@ fn view_relation(spec: &FragmentSpec, view: &Cq, base: &Instance, stores: &Store
 /// stored relation `view`.
 fn store_relation(
     stores: &Stores,
-    (place, design): (WhereSpec, (&[String], usize)),
+    (place, partitions): (WhereSpec, usize),
     source: Option<&TableData>,
     rows: &[Vec<Value>],
     view: Cq,
 ) -> Result<Part> {
-    layout::fill(stores, &place, design, source, rows)?;
+    layout::fill(stores, &place, partitions, source, rows)?;
     let stats = layout::stats(&place, &layout::accumulate(&place, rows, view.head.len()));
     let relation = FragmentRelation {
         name: view.name,
@@ -224,25 +224,24 @@ fn native_tables(
     let kept = |t: &&TableData| {
         only.is_none_or(|keep| keep.iter().any(|k| *k == *t.encoding.relation.as_str()))
     };
-    fn key(t: &TableData) -> (&[String], usize) {
-        (t.encoding.key.as_deref().unwrap_or_default(), 0)
-    }
-    let tables: Vec<&TableData> = tables.iter().filter(kept).collect();
-    // Every table's key is checked before the first table is stored.
-    for t in &tables {
-        layout::column_positions(&t.encoding.columns, key(t).0)?;
-    }
-    let part = |t: &TableData| {
-        let name = t.encoding.relation.as_str();
-        let place = WhereSpec::Table {
-            table: name.to_string(),
+    // Every table's key is placed before the first table is stored.
+    let place = |t: &TableData| -> Result<WhereSpec> {
+        let key = t.encoding.key.as_deref().unwrap_or_default();
+        Ok(WhereSpec::Table {
+            table: t.encoding.relation.as_str().to_string(),
+            indexed: layout::column_positions(&t.encoding.columns, key)?,
             columns: t.encoding.columns.clone(),
-        };
-        let fname = Symbol::intern(&format!("{name}F"));
-        let view = identity_view(fname, t.encoding.relation, t.encoding.columns.len());
-        store_relation(stores, (place, key(t)), Some(t), &t.rows, view)
+        })
     };
-    tables.into_iter().map(part).collect()
+    let placed: Vec<(&TableData, WhereSpec)> = (tables.iter().filter(kept))
+        .map(|t| Ok((t, place(t)?)))
+        .collect::<Result<_>>()?;
+    let part = |(t, place): (&TableData, WhereSpec)| {
+        let fname = Symbol::intern(&format!("{}F", t.encoding.relation.as_str()));
+        let view = identity_view(fname, t.encoding.relation, t.encoding.columns.len());
+        store_relation(stores, (place, 0), Some(t), &t.rows, view)
+    };
+    placed.into_iter().map(part).collect()
 }
 
 /// The full-text index over a table's text columns: the identity view of
@@ -256,7 +255,7 @@ fn text_index(table: &str, datasets: &HashMap<String, Dataset>, stores: &Stores)
         .ok_or_else(|| Error::UnknownName(table.to_string()))?;
     let fname = Symbol::intern(&format!("{table}F_Text"));
     let view = identity_view(fname, Dataset::terms_relation(table), 2);
-    let placed = (layout::text_place(t)?, Default::default());
+    let placed = (layout::text_place(t)?, 0);
     store_relation(stores, placed, Some(t), &t.rows, view)
 }
 
@@ -342,6 +341,11 @@ mod tests {
         assert_eq!(stores.rel.row_count("GoldUsers"), 10);
         assert_eq!(meta.stats[0].rows, 10);
         assert_eq!(meta.stats[0].distinct[0], 10);
+        // The placement records the index the fill built.
+        match &meta.relations[0].place {
+            WhereSpec::Table { indexed, .. } => assert_eq!(indexed, &vec![0]),
+            other => panic!("unexpected place {other:?}"),
+        }
     }
 
     #[test]
@@ -466,6 +470,11 @@ mod tests {
         assert_eq!(stores.rel.row_count("Users"), 20);
         assert_eq!(meta.relations.len(), 1);
         assert_eq!(meta.relations[0].name, Symbol::intern("UsersF"));
+        // Indexed on the declared key, and the placement says so.
+        match &meta.relations[0].place {
+            WhereSpec::Table { indexed, .. } => assert_eq!(indexed, &vec![0]),
+            other => panic!("unexpected place {other:?}"),
+        }
     }
 
     #[test]

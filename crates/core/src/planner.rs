@@ -388,6 +388,7 @@ mod tests {
                 est_rows: 0.0,
                 unit_labels: Vec::new(),
                 unit_systems: Vec::new(),
+                unit_scanned: Vec::new(),
                 systems: systems.to_vec(),
                 used_relations: Vec::new(),
             },

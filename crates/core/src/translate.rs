@@ -3,6 +3,10 @@
 //! the largest subquery each store can take, and stitch the units together
 //! with hash joins and BindJoins in the mediator runtime.
 //!
+//! A plan's cost is each unit's request — its estimated rows, and the scan
+//! [`crate::cost::estimate`] prices from the unit's accesses (see
+//! [`crate::connector`]) — plus the mediator's work on the rows that flow.
+//!
 //! # What a unit ships
 //!
 //! Each delegated unit is handed **what the rest of the plan needs, and the
@@ -44,7 +48,7 @@ use crate::connector::{
     doc_rows_unit, doc_tree_unit, kv_unit, par_unit, sql_unit, text_unit, var_col, Answers,
     Residual, ResidualTracker, Ship, Tail, Unit, UnitKind,
 };
-use crate::cost::CostModel;
+use crate::cost::{estimate, CostModel};
 use crate::error::{Error, Result};
 use crate::frontends::AggregateSpec;
 use crate::resilience::{QueryResilience, ResilientSource};
@@ -66,6 +70,10 @@ pub struct Translation {
     pub unit_labels: Vec<String>,
     /// The system serving each delegated unit, parallel to `unit_labels`.
     pub unit_systems: Vec<SystemId>,
+    /// The tuples each delegated unit's request is estimated to scan inside
+    /// its store (per probe for a BindJoin source), parallel to
+    /// `unit_labels`.
+    pub unit_scanned: Vec<f64>,
     /// Systems touched.
     pub systems: Vec<SystemId>,
     /// Fragment relations used (for the catalog's use counters).
@@ -167,9 +175,6 @@ pub(crate) fn translate_query(
     stores: &Stores,
     cost: &CostModel,
 ) -> Result<Translation> {
-    if rewriting.body.is_empty() {
-        return Err(Error::Untranslatable("empty rewriting body".into()));
-    }
     // Resolve every atom to its fragment relation.
     let mut infos: Vec<AtomInfo> = Vec::new();
     let mut used_relations = Vec::new();
@@ -208,53 +213,41 @@ pub(crate) fn translate_query(
     let order = order_units(&units)?;
 
     // --- Compose the plan. ---
-    let mut state: Option<(Plan, Vec<Var>, f64)> = None;
+    let mut state: Option<State> = None;
     let mut est_cost = 0.0;
     let mut unit_labels = Vec::new();
     let mut unit_systems = Vec::new();
+    let mut unit_scanned = Vec::new();
     let mut systems = Vec::new();
     for idx in order {
         let unit = &units[idx];
+        let est_scanned = estimate(&unit.accesses);
+        let request_cost = cost.request_cost(unit.system, unit.est_rows, est_scanned);
         unit_labels.push(unit.label.clone());
         unit_systems.push(unit.system);
+        unit_scanned.push(est_scanned);
         if !systems.contains(&unit.system) {
             systems.push(unit.system);
         }
         state = Some(match (state, &unit.kind) {
-            (None, UnitKind::Run(runner)) => {
-                est_cost += cost.request_cost(unit.system, unit.est_rows, unit.est_scanned);
-                (
-                    Plan::Delegated {
-                        label: unit.label.clone(),
-                        runner: runner.clone(),
-                    },
-                    unit.out_vars.clone(),
-                    unit.est_rows,
-                )
+            (left, UnitKind::Run(runner)) => {
+                est_cost += request_cost;
+                let label = unit.label.clone();
+                let right = Plan::Delegated {
+                    label,
+                    runner: runner.clone(),
+                };
+                let right = (right, unit.out_vars.clone(), unit.est_rows);
+                match left {
+                    None => right,
+                    Some(left) => join_states(left, right, cost, &mut est_cost),
+                }
             }
             (None, UnitKind::Bind(_)) => {
                 return Err(Error::Untranslatable(format!(
                     "unit {} needs bound inputs but nothing precedes it",
                     unit.label
                 )))
-            }
-            (Some((plan, vars, rows)), UnitKind::Run(runner)) => {
-                est_cost += cost.request_cost(unit.system, unit.est_rows, unit.est_scanned);
-                let right = Plan::Delegated {
-                    label: unit.label.clone(),
-                    runner: runner.clone(),
-                };
-                let (plan, vars, est) = join_states(
-                    plan,
-                    vars,
-                    rows,
-                    right,
-                    &unit.out_vars,
-                    unit.est_rows,
-                    cost,
-                    &mut est_cost,
-                );
-                (plan, vars, est)
             }
             (Some((plan, vars, rows)), UnitKind::Bind(source)) => {
                 // BindJoin: one probe per distinct key (estimated as the
@@ -271,15 +264,13 @@ pub(crate) fn translate_query(
                         })
                     })
                     .collect::<Result<_>>()?;
-                est_cost += rows * cost.request_cost(unit.system, unit.est_rows, unit.est_scanned);
+                est_cost += rows * request_cost;
                 let mut new_vars = vars.clone();
                 let mut dup_filters = Vec::new();
                 for (i, v) in unit.out_vars.iter().enumerate() {
-                    if vars.contains(v) {
-                        dup_filters
-                            .push((vars.iter().position(|x| x == v).unwrap(), vars.len() + i));
-                    } else {
-                        new_vars.push(*v);
+                    match vars.iter().position(|x| x == v) {
+                        Some(l) => dup_filters.push((l, vars.len() + i)),
+                        None => new_vars.push(*v),
                     }
                 }
                 let mut plan = Plan::BindJoin {
@@ -294,7 +285,9 @@ pub(crate) fn translate_query(
             }
         });
     }
-    let (mut plan, vars, mut est_rows) = state.expect("at least one unit");
+    let Some((mut plan, vars, mut est_rows)) = state else {
+        return Err(Error::Untranslatable("empty rewriting body".into()));
+    };
     // Only a unit that is the whole rewriting is offered the tail.
     let answers = match units.as_slice() {
         [only] => only.answers,
@@ -366,6 +359,7 @@ pub(crate) fn translate_query(
         est_rows,
         unit_labels,
         unit_systems,
+        unit_scanned,
         systems,
         used_relations,
     })
@@ -508,36 +502,31 @@ fn group_atoms(infos: Vec<AtomInfo>) -> Vec<AtomGroup> {
     let trees = doc_components(doc_native).into_iter();
     groups.extend(trees.map(|atoms| group(GroupKind::DocTree, atoms)));
     // Point units.
-    groups.extend(
-        singles
-            .into_iter()
-            .map(|a| group(GroupKind::Point, vec![a])),
-    );
+    for single in singles {
+        groups.push(group(GroupKind::Point, vec![single]));
+    }
     groups
 }
 
 /// Split native-document atoms into connected components over shared
 /// node-id variables (each component is one tree query on one document).
 fn doc_components(atoms: Vec<AtomInfo>) -> Vec<Vec<AtomInfo>> {
-    use crate::catalog::DocRole;
-    let node_vars = |info: &AtomInfo| -> Vec<Var> {
-        let role = match &info.1.place {
-            WhereSpec::NativeDocs { role, .. } => *role,
-            _ => return Vec::new(),
-        };
-        let positions: &[usize] = match role {
-            DocRole::Doc => &[0],
-            DocRole::Root | DocRole::Child | DocRole::Desc => &[0, 1],
-            DocRole::Node | DocRole::Val => &[0],
-        };
-        positions
-            .iter()
-            .filter_map(|p| info.0.args.get(*p).and_then(Term::as_var))
-            .collect()
+    use crate::catalog::DocRole::{Child, Desc, Root};
+    // Node ids: the first argument, and the second of a Root/Child/Desc edge.
+    let node_vars = |(atom, rel, _): &AtomInfo| -> HashSet<Var> {
+        let edge = matches!(
+            &rel.place,
+            WhereSpec::NativeDocs {
+                role: Root | Child | Desc,
+                ..
+            }
+        );
+        let ids = atom.args.iter().take(1 + usize::from(edge));
+        ids.filter_map(Term::as_var).collect()
     };
     let mut components: Vec<(HashSet<Var>, Vec<AtomInfo>)> = Vec::new();
     for info in atoms {
-        let vars: HashSet<Var> = node_vars(&info).into_iter().collect();
+        let vars = node_vars(&info);
         // Find all components this atom touches and merge them.
         let mut touched: Vec<usize> = components
             .iter()
@@ -570,34 +559,24 @@ fn order_units(units: &[Unit]) -> Result<Vec<usize>> {
     let mut remaining: Vec<usize> = (0..units.len()).collect();
     let mut order = Vec::new();
     while !remaining.is_empty() {
-        let eligible: Vec<usize> = remaining
-            .iter()
-            .copied()
-            .filter(|i| units[*i].inputs.iter().all(|v| bound.contains(v)))
-            .collect();
-        if eligible.is_empty() {
+        let shares = |i: usize| -> bool {
+            !bound.is_empty()
+                && (units[i].out_vars.iter().chain(&units[i].inputs)).any(|v| bound.contains(v))
+        };
+        let eligible = (remaining.iter().copied())
+            .filter(|i| units[*i].inputs.iter().all(|v| bound.contains(v)));
+        // Sharing units first, then cheaper estimates.
+        let pick = eligible.min_by(|a, b| {
+            (shares(*b), units[*b].est_rows)
+                .partial_cmp(&(shares(*a), units[*a].est_rows))
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(b))
+        });
+        let Some(pick) = pick else {
             return Err(Error::Untranslatable(
                 "no executable unit order satisfies the access patterns".into(),
             ));
-        }
-        let pick = *eligible
-            .iter()
-            .min_by(|a, b| {
-                let shares = |i: usize| -> bool {
-                    !bound.is_empty()
-                        && units[i]
-                            .out_vars
-                            .iter()
-                            .chain(&units[i].inputs)
-                            .any(|v| bound.contains(v))
-                };
-                // Sharing units first, then cheaper estimates.
-                (shares(**b), units[**b].est_rows)
-                    .partial_cmp(&(shares(**a), units[**a].est_rows))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(b))
-            })
-            .unwrap();
+        };
         remaining.retain(|i| *i != pick);
         bound.extend(units[pick].out_vars.iter().copied());
         bound.extend(units[pick].inputs.iter().copied());
@@ -606,31 +585,29 @@ fn order_units(units: &[Unit]) -> Result<Vec<usize>> {
     Ok(order)
 }
 
-/// Join the accumulated plan with a new `Run` unit: hash join on shared
+/// A plan being composed: its root, the variable each of its columns
+/// holds, and its estimated rows.
+type State = (Plan, Vec<Var>, f64);
+
+/// Join the accumulated plan with a new `Run` unit's: hash join on shared
 /// variables (cross product when none), de-duplicating repeated columns.
-#[allow(clippy::too_many_arguments)]
 fn join_states(
-    left: Plan,
-    left_vars: Vec<Var>,
-    left_rows: f64,
-    right: Plan,
-    right_vars: &[Var],
-    right_rows: f64,
+    (left, left_vars, left_rows): State,
+    (right, right_vars, right_rows): State,
     cost: &CostModel,
     est_cost: &mut f64,
-) -> (Plan, Vec<Var>, f64) {
-    let shared: Vec<Var> = right_vars
-        .iter()
-        .copied()
-        .filter(|v| left_vars.contains(v))
-        .collect();
+) -> State {
+    // Shared variables: their positions on either side.
+    let (left_keys, right_keys): (Vec<usize>, Vec<usize>) = (right_vars.iter().enumerate())
+        .filter_map(|(r, v)| Some((left_vars.iter().position(|x| x == v)?, r)))
+        .unzip();
     let mut new_vars = left_vars.clone();
-    for v in right_vars {
+    for v in &right_vars {
         if !left_vars.contains(v) {
             new_vars.push(*v);
         }
     }
-    let (plan, est) = if shared.is_empty() {
+    let (plan, est) = if left_keys.is_empty() {
         (
             Plan::NlJoin {
                 left: Box::new(left),
@@ -640,15 +617,7 @@ fn join_states(
             left_rows * right_rows,
         )
     } else {
-        let left_keys: Vec<usize> = shared
-            .iter()
-            .map(|v| left_vars.iter().position(|x| x == v).unwrap())
-            .collect();
-        let right_keys: Vec<usize> = shared
-            .iter()
-            .map(|v| right_vars.iter().position(|x| x == v).unwrap())
-            .collect();
-        let sel = 10f64.powi(shared.len() as i32);
+        let sel = 10f64.powi(left_keys.len() as i32);
         (
             Plan::HashJoin {
                 left: Box::new(left),
@@ -660,27 +629,25 @@ fn join_states(
         )
     };
     *est_cost += (left_rows + right_rows + est) * cost.runtime_per_tuple;
-    let plan = dedup_columns(plan, &left_vars, right_vars, Vec::new());
+    let plan = dedup_columns(plan, &left_vars, &right_vars, Vec::new());
     (plan, new_vars, est)
 }
 
 /// Project away duplicated right-side columns after a join, adding equality
 /// filters for explicitly tracked duplicates first.
 fn dedup_columns(
-    plan: Plan,
+    mut plan: Plan,
     left_vars: &[Var],
     right_vars: &[Var],
     dup_filters: Vec<(usize, usize)>,
 ) -> Plan {
-    let mut plan = plan;
     for (l, r) in &dup_filters {
         plan = Plan::Filter {
             input: Box::new(plan),
             pred: Expr::col(*l).cmp(CmpOp::Eq, Expr::col(*r)),
         };
     }
-    let dup_exists = right_vars.iter().any(|v| left_vars.contains(v));
-    if !dup_exists {
+    if !right_vars.iter().any(|v| left_vars.contains(v)) {
         return plan;
     }
     let mut exprs: Vec<(String, Expr)> = left_vars
@@ -747,6 +714,7 @@ mod tests {
                 place: WhereSpec::Table {
                     table: "t_users".into(),
                     columns: vec!["uid".into(), "name".into()],
+                    indexed: vec![],
                 },
             }],
             stats: vec![FragmentStats {

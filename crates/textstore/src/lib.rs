@@ -2,10 +2,11 @@
 //!
 //! An in-memory full-text store — the SOLR/Lucene stand-in. Documents
 //! (keyed by an application value, e.g. product id) are tokenized into an
-//! inverted index; searches score with BM25. The pivot model exposes an
-//! index as a `(term, docKey)` relation with an `io` binding pattern: the
-//! term must be supplied — exactly how the mediator integrates full-text
-//! fragments.
+//! inverted index. The pivot model exposes an index as a `(term, docKey)`
+//! relation with an `io` binding pattern: the term must be supplied —
+//! exactly how the mediator integrates full-text fragments, through
+//! [`TextStore::term_lookup`]. A CQ cannot consume a relevance score, so
+//! the store ranks nothing.
 //!
 //! Fault injection is not this crate's concern: the mediator gates delegated
 //! requests before they get here (see `estocada_simkit::fault`).
@@ -22,35 +23,27 @@ use estocada_simkit::{LatencyModel, RequestTimer, StoreMetrics};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 
-/// BM25 parameters (standard defaults).
-const BM25_K1: f64 = 1.2;
-const BM25_B: f64 = 0.75;
-
 #[derive(Debug, Default)]
 struct TextIndex {
-    /// Document keys and token counts, by internal doc id.
-    docs: Vec<(Value, u32)>,
+    /// Document keys, by internal doc id.
+    docs: Vec<Value>,
     /// Raw document text, by internal doc id (retained so documents can be
     /// removed by exact content and the index rebuilt).
     raw: Vec<String>,
-    /// term → postings (doc id, term frequency).
-    postings: HashMap<String, Vec<(u32, u32)>>,
-    total_tokens: u64,
+    /// term → ids of the documents holding it, ascending.
+    postings: HashMap<String, Vec<u32>>,
 }
 
 impl TextIndex {
     fn add(&mut self, key: Value, text: &str) {
-        let tokens = tokenize(text);
         let id = self.docs.len() as u32;
-        let mut tf: HashMap<String, u32> = HashMap::new();
-        for t in &tokens {
-            *tf.entry(t.clone()).or_insert(0) += 1;
+        let mut terms = tokenize(text);
+        terms.sort();
+        terms.dedup();
+        for term in terms {
+            self.postings.entry(term).or_default().push(id);
         }
-        for (term, f) in tf {
-            self.postings.entry(term).or_default().push((id, f));
-        }
-        self.total_tokens += tokens.len() as u64;
-        self.docs.push((key, tokens.len() as u32));
+        self.docs.push(key);
         self.raw.push(text.to_string());
     }
 
@@ -64,52 +57,10 @@ impl TextIndex {
         idx
     }
 
-    fn avg_len(&self) -> f64 {
-        if self.docs.is_empty() {
-            0.0
-        } else {
-            self.total_tokens as f64 / self.docs.len() as f64
-        }
-    }
-
-    /// BM25-scored disjunctive search over `terms`.
-    fn search(&self, terms: &[String], limit: usize) -> Vec<(Value, f64)> {
-        let n = self.docs.len() as f64;
-        let avg = self.avg_len();
-        let mut scores: HashMap<u32, f64> = HashMap::new();
-        for term in terms {
-            let Some(postings) = self.postings.get(term) else {
-                continue;
-            };
-            let df = postings.len() as f64;
-            let idf = ((n - df + 0.5) / (df + 0.5) + 1.0).ln();
-            for (doc, tf) in postings {
-                let len = self.docs[*doc as usize].1 as f64;
-                let tf = *tf as f64;
-                let s = idf * (tf * (BM25_K1 + 1.0))
-                    / (tf + BM25_K1 * (1.0 - BM25_B + BM25_B * len / avg.max(1.0)));
-                *scores.entry(*doc).or_insert(0.0) += s;
-            }
-        }
-        let mut out: Vec<(Value, f64)> = scores
-            .into_iter()
-            .map(|(doc, s)| (self.docs[doc as usize].0.clone(), s))
-            .collect();
-        out.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        out.truncate(limit);
-        out
-    }
-
-    /// Unscored postings of one term (the CQ integration path).
+    /// Keys of the documents holding one term (the CQ integration path).
     fn lookup(&self, term: &str) -> Vec<Value> {
-        self.postings
-            .get(term)
-            .map(|p| {
-                p.iter()
-                    .map(|(doc, _)| self.docs[*doc as usize].0.clone())
-                    .collect()
-            })
-            .unwrap_or_default()
+        let ids = self.postings.get(term).into_iter().flatten();
+        ids.map(|doc| self.docs[*doc as usize].clone()).collect()
     }
 }
 
@@ -159,7 +110,7 @@ impl TextStore {
         let mut pairs: Vec<(Value, String)> = idx
             .docs
             .iter()
-            .map(|(k, _)| k.clone())
+            .cloned()
             .zip(idx.raw.iter().cloned())
             .collect();
         let mut removed = 0;
@@ -173,19 +124,6 @@ impl TextStore {
             *idx = TextIndex::rebuild_from(pairs);
         }
         removed
-    }
-
-    /// BM25 search; `query` is tokenized with the same analyzer.
-    pub fn search(&self, index: &str, query: &str, limit: usize) -> Vec<(Value, f64)> {
-        let guard = self.indexes.read();
-        let mut timer = RequestTimer::start(&self.metrics, self.latency);
-        let out = guard
-            .get(index)
-            .map(|idx| idx.search(&tokenize(query), limit))
-            .unwrap_or_default();
-        let bytes: usize = out.iter().map(|(k, _)| k.approx_size() + 8).sum();
-        timer.set_output(out.len() as u64, bytes as u64);
-        out
     }
 
     /// Keys of documents containing `term` — the binding-restricted
@@ -210,13 +148,7 @@ impl TextStore {
         self.indexes
             .read()
             .get(index)
-            .map(|i| {
-                i.docs
-                    .iter()
-                    .map(|(k, _)| k.clone())
-                    .zip(i.raw.iter().cloned())
-                    .collect()
-            })
+            .map(|i| i.docs.iter().cloned().zip(i.raw.iter().cloned()).collect())
             .unwrap_or_default()
     }
 
@@ -266,16 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn search_ranks_matching_documents() {
-        let s = store();
-        let hits = s.search("catalog", "wireless mouse", 10);
-        assert_eq!(hits.len(), 2);
-        // Doc 1 mentions both terms in a shorter doc than doc 3.
-        assert_eq!(hits[0].0, Value::Int(1));
-        assert!(hits[0].1 > hits[1].1);
-    }
-
-    #[test]
     fn term_lookup_returns_all_keys() {
         let s = store();
         let mut keys = s.term_lookup("catalog", "usb");
@@ -291,15 +213,9 @@ mod tests {
     }
 
     #[test]
-    fn limit_truncates_results() {
-        let s = store();
-        assert_eq!(s.search("catalog", "keyboard mouse usb", 1).len(), 1);
-    }
-
-    #[test]
     fn missing_index_is_empty() {
         let s = store();
-        assert!(s.search("ghost", "x", 10).is_empty());
+        assert!(s.term_lookup("ghost", "x").is_empty());
         assert!(s.is_empty("ghost"));
         assert_eq!(s.len("catalog"), 3);
     }
@@ -328,8 +244,8 @@ mod tests {
     #[test]
     fn metrics_record_searches() {
         let s = store();
-        s.search("catalog", "usb", 10);
         s.term_lookup("catalog", "usb");
+        s.term_lookup("catalog", "wireless");
         assert_eq!(s.metrics.snapshot().requests, 2);
     }
 }

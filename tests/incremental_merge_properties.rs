@@ -2,13 +2,15 @@
 //! fact-insert / merge / epoch interleavings applied in lockstep to two
 //! instances — one merging incrementally (`Instance::merge`, the
 //! production path), one through the retained O(instance) full-rebuild
-//! baseline (`Instance::merge_full_rebuild`) — must leave bit-identical
+//! baseline (`testkit::merge_full_rebuild`) — must leave bit-identical
 //! states: same alive facts and fact ids, same dedup keeper choices and
 //! provenance joins, same change epochs (hence identical delta indexes),
 //! same posting lists. Also re-asserts the 1-vs-N worker identity of
 //! `pacb_rewrite` on top of the interned `Copy` element representation.
 
-use estocada_chase::testkit::{egd_merge_instance, wide_chain_problem, wide_star_problem};
+use estocada_chase::testkit::{
+    egd_merge_instance, merge_full_rebuild, wide_chain_problem, wide_star_problem,
+};
 use estocada_chase::{
     chase, pacb_rewrite, ChaseConfig, Dnf, Elem, Instance, RewriteConfig, RewriteProblem,
 };
@@ -70,7 +72,7 @@ fn apply(ops: &[Op], full_rebuild: bool) -> (Instance, Vec<String>) {
                 let ea = elem(*a);
                 let eb = elem(*b);
                 let out = if full_rebuild {
-                    inst.merge_full_rebuild(&ea, &eb)
+                    merge_full_rebuild(&mut inst, &ea, &eb)
                 } else {
                     inst.merge(&ea, &eb)
                 };
@@ -186,7 +188,7 @@ fn egd_merge_workload_chases_to_full_rebuild_fixpoint() {
                 }
                 if fi.args[0] == fj.args[0] && fi.args[1] != fj.args[1] {
                     let (a, b) = (fi.args[1], fj.args[1]);
-                    changed |= via_rebuild.merge_full_rebuild(&a, &b).unwrap();
+                    changed |= merge_full_rebuild(&mut via_rebuild, &a, &b).unwrap();
                 }
             }
         }

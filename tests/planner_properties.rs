@@ -42,7 +42,7 @@ use estocada::{
     Latencies, QueryOptions, QueryRequest, QueryResult, Report, SystemId, TableData, WorkloadQuery,
 };
 use estocada_chase::{pacb_rewrite, RewriteProblem};
-use estocada_engine::Plan;
+use estocada_engine::{execute_with, ExecOptions, Plan};
 use estocada_pivot::encoding::relational::TableEncoding;
 use estocada_pivot::{Atom, Cq, CqBuilder, Term, Value};
 use estocada_workloads::analytics::{analytics_sql, analytics_workload, AnalyticsConfig};
@@ -406,6 +406,253 @@ fn translated_plans_use_exactly_the_eight_emitted_operators() {
         "Project",
     ];
     assert_eq!(seen.into_iter().collect::<Vec<_>>(), emitted);
+}
+
+/// Every rewriting of `q`'s conjunctive core on `est`, as the planner finds
+/// them (under the termination certificate's budgets).
+fn rewritings(est: &Estocada, q: &Q) -> Vec<Cq> {
+    let mut cfg = est.rewrite_config();
+    cfg.chase = cfg.chase.with_certificate(&est.termination_certificate());
+    let problem = RewriteProblem {
+        query: workload_query(est, q).cq,
+        views: est.catalog().view_defs(),
+        source_constraints: est.schema().constraints.clone(),
+        target_constraints: Vec::new(),
+        access: est.catalog().access_map(),
+    };
+    pacb_rewrite(&problem, &cfg).expect("rewrite").rewritings
+}
+
+/// For every query of the families on the three builtin deployments: the
+/// alternative `EXPLAIN` chooses, and the estimated rows of every rewriting's
+/// translated core (`-` when it does not translate).
+fn plan_choices() -> String {
+    let m = generate(cfg());
+    let mut out = String::from(
+        "# Chosen alternatives and row estimates. Regenerate with:\n\
+         #   UPDATE_EXPECT=1 cargo test --test planner_properties plan_choices\n",
+    );
+    for (name, deploy) in DEPLOYMENTS {
+        let est = deploy(&m, Latencies::zero());
+        for q in families(&m) {
+            let report = q.request(&est).explain().expect("explain");
+            let chosen = &report.alternatives[report.chosen].rewriting;
+            out += &format!("\n== {name} {q:?}\nchosen {}: {chosen}\n", report.chosen);
+            let wq = workload_query(&est, &q);
+            for rewriting in rewritings(&est, &q) {
+                let translated = translate(
+                    &rewriting,
+                    &wq.head_names,
+                    &wq.residuals,
+                    est.catalog(),
+                    &est.stores,
+                    est.cost_model(),
+                    None,
+                );
+                let rows = translated.map_or("-".to_string(), |tr| format!("{:?}", tr.est_rows));
+                out += &format!("rows {rows}: {rewriting}\n");
+            }
+        }
+    }
+    out
+}
+
+/// What the cost model may not move while its scan estimates change: the
+/// committed record of every family query's chosen alternative and of every
+/// rewriting's row estimate.
+#[test]
+fn plan_choices_and_row_estimates_match_the_committed_record() {
+    let got = plan_choices();
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/snapshots/planner_choices.txt");
+    if std::env::var_os("UPDATE_EXPECT").is_some() {
+        std::fs::write(&path, &got).expect("write the record");
+    }
+    let want = std::fs::read_to_string(&path).expect("tests/snapshots/planner_choices.txt");
+    assert!(
+        got == want,
+        "chosen plans or row estimates moved from the committed record:\n{got}"
+    );
+}
+
+/// Tuples `sys`'s store has scanned so far.
+fn scanned(est: &Estocada, sys: SystemId) -> u64 {
+    let all = est.stores.metrics();
+    all.iter()
+        .find(|(s, _)| *s == sys)
+        .map_or(0, |(_, m)| m.tuples_scanned)
+}
+
+/// Run each delegated leaf of `plan` alone, in execution order — a
+/// `Delegated` runner as it is, a BindJoin source with the keys its driving
+/// input yields — and call `check` with the tuples each one's store scanned
+/// (`system` gives each leaf's store, in the same order).
+fn run_each_unit(
+    est: &Estocada,
+    plan: &Plan,
+    systems: &mut dyn Iterator<Item = &SystemId>,
+    check: &mut dyn FnMut(u64),
+) {
+    let measured = |sys: &SystemId, check: &mut dyn FnMut(u64), run: &mut dyn FnMut()| {
+        let before = scanned(est, *sys);
+        run();
+        check(scanned(est, *sys) - before);
+    };
+    match plan {
+        Plan::Values(_) => {}
+        Plan::Delegated { runner, .. } => {
+            let sys = systems.next().expect("a unit per leaf");
+            measured(sys, check, &mut || drop(runner().expect("the unit runs")));
+        }
+        Plan::Filter { input, .. }
+        | Plan::Project { input, .. }
+        | Plan::Distinct { input }
+        | Plan::Aggregate { input, .. } => run_each_unit(est, input, systems, check),
+        Plan::HashJoin { left, right, .. } | Plan::NlJoin { left, right, .. } => {
+            run_each_unit(est, left, systems, check);
+            run_each_unit(est, right, systems, check);
+        }
+        Plan::BindJoin {
+            left,
+            key_cols,
+            source,
+        } => {
+            run_each_unit(est, left, systems, check);
+            let (driving, _) = execute_with(left, &ExecOptions::default()).expect("left runs");
+            let keys: BTreeSet<Vec<Value>> = (driving.rows.iter())
+                .map(|row| key_cols.iter().map(|c| row[*c].clone()).collect())
+                .collect();
+            let keys: Vec<Vec<Value>> = keys.into_iter().collect();
+            let sys = systems.next().expect("a unit per leaf");
+            measured(sys, check, &mut || {
+                drop(source.fetch_batch(&keys).expect("probes"))
+            });
+        }
+    }
+}
+
+/// The baseline plus a fragment of each layout the builtin deployments do
+/// not read: row documents probed through their indexed key, row documents
+/// whose first equality misses their index, a table indexed off its key,
+/// and a second parallel dataset to join `WebLogPar` with.
+fn deploy_every_layout(m: &Marketplace, latencies: Latencies) -> Estocada {
+    let mut est = deploy_baseline(m, latencies);
+    let users = |name: &str, head: [&str; 3]| {
+        CqBuilder::new(name)
+            .head_vars(head)
+            .atom("Users", |a| a.v("uid").v("name").v("tier"))
+            .build()
+    };
+    let orders = |name: &str| {
+        CqBuilder::new(name)
+            .head_vars(["oid", "uid", "pid", "category", "amount"])
+            .atom("Orders", |a| {
+                a.v("oid").v("uid").v("pid").v("category").v("amount")
+            })
+            .build()
+    };
+    let specs = [
+        FragmentSpec::DocRows {
+            view: users("UsersDoc", ["uid", "name", "tier"]),
+            index_on: vec!["uid".into()],
+        },
+        FragmentSpec::DocRows {
+            view: users("TiersDoc", ["tier", "uid", "name"]),
+            index_on: vec!["uid".into()],
+        },
+        FragmentSpec::Table {
+            view: orders("OrdersByUser"),
+            index_on: vec!["uid".into()],
+        },
+        FragmentSpec::ParRows {
+            view: orders("OrdersPar"),
+            index_on: vec![],
+            partitions: 0,
+        },
+    ];
+    for spec in specs {
+        est.add_fragment(spec).expect("fragment");
+    }
+    est
+}
+
+/// The one scan estimate is what the stores do: every unit of every
+/// translated rewriting of the families (and of shapes that force a
+/// BindJoin, a cross product, a mediator residual, a key range, a text
+/// search and a parallel join), run alone against the store's own counter, scans exactly the
+/// tuples `unit_scanned` says — on the three builtin deployments and on one
+/// that holds every layout. The one exception is a native-document tree
+/// query over an index the catalog does not know of — the builtin
+/// deployments create `Carts.user` through the store — which is priced as
+/// the full scan it is without that index.
+#[test]
+fn every_unit_scans_what_its_access_estimates() {
+    let m = generate(cfg());
+    let shapes = [
+        "SELECT u.name, l.pid FROM Users u, WebLog l WHERE u.uid = 3 AND l.category = 'laptop'",
+        "SELECT p.theme FROM Prefs p WHERE p.uid = 3 AND p.newsletter >= 0",
+        "SELECT u.name, p.theme FROM Users u, Prefs p WHERE u.uid = p.uid AND u.tier = 'gold'",
+        "SELECT o.oid FROM Orders o WHERE o.oid >= 100",
+        "SELECT p.pid, p.title FROM Products p WHERE CONTAINS(p.title, 'wireless')",
+        "SELECT u.name FROM Users u WHERE u.uid = 3",
+        "SELECT u.uid FROM Users u WHERE u.tier = 'gold'",
+        "SELECT o.oid, l.lid FROM Orders o, WebLog l WHERE o.uid = l.uid AND o.pid = l.pid",
+    ];
+    let every_layout: (&str, Deploy) = ("every_layout", deploy_every_layout);
+    let mut kinds = BTreeSet::new();
+    for (name, deploy) in DEPLOYMENTS.into_iter().chain([every_layout]) {
+        let est = deploy(&m, Latencies::zero());
+        let mut queries = families(&m);
+        queries.extend(shapes.iter().map(|sql| Q::Sql(sql.to_string())));
+        for q in queries {
+            let wq = workload_query(&est, &q);
+            for rewriting in rewritings(&est, &q) {
+                let Ok(tr) = translate(
+                    &rewriting,
+                    &wq.head_names,
+                    &wq.residuals,
+                    est.catalog(),
+                    &est.stores,
+                    est.cost_model(),
+                    None,
+                ) else {
+                    continue;
+                };
+                let mut estimates = tr.unit_labels.iter().zip(&tr.unit_scanned);
+                let mut check = |actual: u64| {
+                    let (label, want) = estimates.next().expect("an estimate per unit");
+                    let ctx = format!("{name} {q:?}: {label}");
+                    match label.starts_with("document: TREE-QUERY") {
+                        true => assert!(*want >= actual as f64, "{ctx}: {want} < {actual}"),
+                        false => assert_eq!(*want, actual as f64, "{ctx}"),
+                    }
+                    let kind = label.split_whitespace().take(2).collect::<Vec<_>>();
+                    kinds.insert((kind.join(" "), *want > 0.0));
+                };
+                run_each_unit(&est, &tr.plan, &mut tr.unit_systems.iter(), &mut check);
+                assert!(estimates.next().is_none(), "{name} {q:?}: a unit not run");
+            }
+        }
+    }
+    // Every unit builder ran, and every store was seen both probing (or
+    // getting) and scanning where its layout allows both.
+    let kinds: Vec<String> = kinds
+        .iter()
+        .map(|(k, scans)| format!("{k} {scans}"))
+        .collect();
+    let want = [
+        "document: FIND false",
+        "document: FIND true",
+        "document: TREE-QUERY true",
+        "key-value: GET false",
+        "parallel: JOIN true",
+        "parallel: LOOKUP false",
+        "parallel: SCAN true",
+        "relational: SELECT false",
+        "relational: SELECT true",
+        "text: SEARCH false",
+    ];
+    assert_eq!(kinds, want);
 }
 
 #[test]
