@@ -140,9 +140,7 @@ impl Dataset {
                 }
             }
             DatasetContent::Documents(_) => {
-                self.doc_relations()
-                    .expect("document dataset")
-                    .declare(schema);
+                DocRelations::for_collection(&self.name).declare(schema)
             }
         }
     }
@@ -166,7 +164,7 @@ impl Dataset {
                 }
             }
             DatasetContent::Documents(docs) => {
-                let rels = self.doc_relations().expect("document dataset");
+                let rels = DocRelations::for_collection(&self.name);
                 for d in docs {
                     rels.encode_document(d.id.clone(), &d.name, &d.body, ids, &mut out);
                 }

@@ -10,23 +10,23 @@
 //!    the ground truth): deleted rows are removed one instance per request,
 //!    inserted rows appended.
 //! 2. **The staged fact base**: every dataset row contributes the pivot
-//!    facts of [`crate::dataset::TableData::row_facts`]. The maintenance
-//!    state counts rows per fact (`fact_counts`); a fact is retracted from
-//!    the [`Instance`] only when its count reaches zero and inserted only
-//!    on the zero→positive crossing, because the pivot model has set
-//!    semantics (two rows can share a `{table}_Terms` fact).
-//! 3. **Fragment stores**: each *view* fragment (table / key-value /
-//!    doc-rows / par-rows) carries a per-row **support count** — how many
-//!    body homomorphisms derive the row — kept current by the two-phase
-//!    semi-naive delta chase ([`estocada_chase::find_homs_delta`]; deletes,
-//!    then inserts). A store row is deleted on the support's →0 crossing
-//!    and inserted on the 0→ crossing (counting solution to the deletion
-//!    problem — no tombstones needed). *Native* fragments (native-tables,
-//!    text-index) mirror the dataset rows 1:1 and receive the raw row
-//!    deltas directly, preserving physical duplicate-row parity with a
-//!    fresh rematerialization. Every store delta goes through
-//!    `crate::layout::write`, the writer of the first fill: that module
-//!    alone owns the physical formats.
+//!    facts of [`crate::dataset::TableData::row_facts`]. Per table, the
+//!    maintenance state counts the rows behind each of its facts; a fact is
+//!    retracted from the [`Instance`] only when its count reaches zero and
+//!    inserted only on the zero→positive crossing, because the pivot model
+//!    has set semantics (two rows can share a `{table}_Terms` fact).
+//! 3. **Fragment stores**: a *view* fragment (table / key-value / doc-rows
+//!    / par-rows) holds a row while some body homomorphism derives it
+//!    (counting, Gupta, Mumick & Subrahmanian, SIGMOD 1993); no count is
+//!    kept. Each phase of the semi-naive delta chase (deletes, then inserts;
+//!    [`estocada_chase::find_homs_delta`]) counts a head row's derivations
+//!    through the changed facts and, with the head fixed, all of them in the
+//!    fact base as it stands; the row leaves (enters) its store when the two
+//!    are equal. *Native* fragments (native-tables, text-index) mirror the
+//!    dataset rows 1:1 and receive the raw row deltas directly, preserving
+//!    physical duplicate-row parity with a fresh rematerialization. Every
+//!    store delta goes through `crate::layout::write`, the writer of the
+//!    first fill: that module alone owns the physical formats.
 //!
 //! Batches are **net-delta deduplicated** at both levels: a row deleted
 //! and re-inserted in one batch cancels out before any store is touched.
@@ -38,10 +38,10 @@
 //!
 //! | step | proportional to |
 //! |---|---|
-//! | `validate` | the batch: a delete finds its stored instance, and an upsert the rows it replaces, through the table's key positions (declared key → row positions, built by one pass at the table's first write after DDL); an insert-only batch reads no stored row |
-//! | `delta_chase` | the batch's facts and the view homomorphisms through them (semi-naive): the delta index comes from the fact base's stamp log, and only the counting views whose body reads a changed relation are searched |
+//! | `validate` | the batch: a delete finds its stored instance, and an upsert the rows it replaces, through the table's key positions (declared key → row positions, built with its fact counts by one pass at the table's first write); an insert-only batch reads no stored row |
+//! | `delta_chase` | the batch's facts, the view homomorphisms through them (semi-naive: the delta index comes from the fact base's stamp log, and only the counting views whose body reads a changed relation are searched), and the derivations of each head row they reach, counted with the head fixed and stopped one past the delta's |
 //! | `store_write` | the store rows that change: a relational delete is found through an index and patches the rows and index postings in place, a key-value entry is patched under its key, a parallel-store delta is found through its key index; a document or text delete rebuilds its container's indexes (see below) |
-//! | `stats` | the store rows that change: every maintained relation keeps its statistics running (row count, byte sum, occurrences per column value), seeded by one pass over its rows at its first delta after DDL |
+//! | `stats` | the store rows that change: every maintained relation keeps its statistics running (row count, byte sum, occurrences per column value) from the accumulator its first fill built |
 //!
 //! Taking rows out of a dataset table, a relational table or a parallel
 //! dataset moves its last row into each hole, so no physical row order is
@@ -63,8 +63,8 @@
 //! fragments reflect it, because DML holds `&mut Estocada` (writes are
 //! serialized against the shared-read query path at the borrow level).
 //!
-//! DDL invalidates the maintenance state wholesale (supports were computed
-//! against the previous catalog); it is re-seeded lazily on the next write.
+//! DDL keeps the maintenance state: a fill marks its fragment and hands over
+//! its statistics, a drop forgets both, and no write reads the catalog's past.
 
 use crate::catalog::{Catalog, FragmentRelation, FragmentSpec, StatsAccumulator, WhereSpec};
 use crate::dataset::{Dataset, DatasetContent, TableData};
@@ -72,9 +72,9 @@ use crate::error::{Error, Result};
 use crate::evaluator::Estocada;
 use crate::layout;
 use crate::materialize::head_rows;
-use estocada_chase::{Elem, Instance};
+use estocada_chase::{find_homs, Elem, HomConfig, Instance};
 use estocada_parstore::KeyIndex;
-use estocada_pivot::{Atom, Symbol, Value, Wanted};
+use estocada_pivot::{Atom, Cq, Symbol, Value, Wanted};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -84,42 +84,53 @@ use std::time::{Duration, Instant};
 type FactKey = (Symbol, Vec<Elem>);
 /// A dataset row or a fragment-relation row.
 type Row = Vec<Value>;
-/// `(head row, ±1)` per enumerated homomorphism, per counting relation.
+/// `(head row, −1 leaving / +1 entering its store)` per counting relation.
 type RowDeltas = HashMap<Symbol, Vec<(Row, i64)>>;
 /// Rows to delete from and rows to insert into one relation's container.
 type StoreOps = (Vec<Row>, Vec<Row>);
 
-/// Incremental-maintenance bookkeeping, seeded lazily on the first DML
-/// batch and dropped by any DDL operation.
+/// Incremental-maintenance bookkeeping. Holds nothing per view row: a
+/// write reads the derivations it touches from the fact base.
 #[derive(Debug, Clone, Default)]
 pub struct MaintenanceState {
-    /// `(pred, ground args)` → number of dataset rows encoding this fact.
-    fact_counts: HashMap<(Symbol, Vec<Elem>), u64>,
-    /// Counting (view) fragment relation → distinct head row → number of
-    /// body homomorphisms deriving it.
-    supports: HashMap<Symbol, HashMap<Vec<Value>, u64>>,
-    /// Fragment id → data epoch through which its stores are maintained.
-    high_water: HashMap<String, u64>,
-    /// Fragment relation → its running statistics, from its first delta on.
-    stats: HashMap<Symbol, StatsAccumulator>,
-    /// Dataset table → its rows by declared key, from its first write on
-    /// (`None`: the table declares no key).
-    positions: HashMap<Symbol, Option<KeyPositions>>,
+    /// Dataset table → what a write to it reads, from its first write on.
+    tables: HashMap<Symbol, TableState>,
+    /// Fragment id → data epoch its stores are maintained through (from its fill).
+    pub(crate) high_water: HashMap<String, u64>,
+    /// Fragment relation → its running statistics, from its fill on.
+    pub(crate) stats: HashMap<Symbol, StatsAccumulator>,
+}
+
+/// What a write to one dataset table reads, built by one pass over the
+/// table's rows at its first write and moved with them by every batch.
+#[derive(Debug, Clone)]
+struct TableState {
+    /// `(pred, ground args)` → number of the table's rows encoding the fact.
+    facts: HashMap<FactKey, u64>,
+    /// The rows by declared key (`None`: the table declares no key).
+    positions: Option<KeyPositions>,
 }
 
 /// A table's stored rows by declared key — how a delete finds its stored
 /// instance and an upsert the rows it replaces without reading the table —
-/// as row positions. Built by one pass at the table's first write after
-/// DDL, then moved with the rows by every batch.
+/// as row positions.
 type KeyPositions = KeyIndex<usize>;
 
-/// The positions of `t`'s rows by declared key; `None` without one.
-fn key_positions(t: &TableData) -> Option<KeyPositions> {
-    let mut positions = KeyIndex::new(key_columns(t)?);
-    for (at, row) in t.rows.iter().enumerate() {
-        positions.insert(row, at);
+impl TableState {
+    fn of(t: &TableData) -> TableState {
+        let positions = key_columns(t).map(|columns| {
+            let mut positions = KeyIndex::new(columns);
+            for (at, row) in t.rows.iter().enumerate() {
+                positions.insert(row, at);
+            }
+            positions
+        });
+        let mut facts = HashMap::new();
+        for fact in fact_keys(t, &t.rows) {
+            *facts.entry(fact).or_insert(0) += 1;
+        }
+        TableState { facts, positions }
     }
-    Some(positions)
 }
 
 /// What a batch takes out of its table before adding its inserts.
@@ -153,15 +164,15 @@ pub struct FragmentDelta {
     pub mode: &'static str,
 }
 
-/// Wall time of the steps of one DML batch, in the order they run. Seeding
-/// the maintenance state (first write after DDL) is in none of them, so the
+/// Wall time of the steps of one DML batch, in the order they run. Building
+/// a table's write state (at its first write) is in none of them, so the
 /// steps sum to less than [`DmlReport::maintenance_time`] on that write.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DmlSteps {
     /// Checking the batch against the table and locating its deletes.
     pub validate: Duration,
-    /// Dataset rows, fact netting, both delta-chase phases and the support
-    /// crossings: from the batch to each relation's store operations.
+    /// Dataset rows, fact netting and both delta-chase phases: from the
+    /// batch to each relation's store operations.
     pub delta_chase: Duration,
     /// Applying those operations to the stores.
     pub store_write: Duration,
@@ -191,7 +202,7 @@ pub struct DmlReport {
     pub steps: DmlSteps,
 }
 
-/// The relations maintained by support counting: those of view fragments.
+/// The relations maintained by derivation counting: those of view fragments.
 fn counting_relations(catalog: &Catalog) -> impl Iterator<Item = &FragmentRelation> {
     let views = catalog.fragments().iter();
     views
@@ -208,17 +219,6 @@ fn mirrors(spec: &FragmentSpec, place: &WhereSpec, dataset: &str, table: &str) -
         (FragmentSpec::TextIndex { table: t }, WhereSpec::TextIndex { .. }) => t == table,
         _ => false,
     }
-}
-
-/// Occurrences per key — the seed of both multiplicity maps. Tallying the
-/// head rows [`crate::materialize::evaluate_view`] dedups makes a support
-/// map's keys exactly the materialized distinct row set.
-fn tally<K: Eq + Hash>(keys: impl Iterator<Item = K>) -> HashMap<K, u64> {
-    let mut counts = HashMap::new();
-    for key in keys {
-        *counts.entry(key).or_insert(0) += 1;
-    }
-    counts
 }
 
 /// The pivot facts `rows` of `t` contribute, one key per (row, fact).
@@ -372,35 +372,16 @@ fn rewrite_rows(
     }
 }
 
-/// Seed the maintenance state from the datasets, the fact base and the
-/// catalog as they stand before the first batch after DDL.
-fn seed(
-    datasets: &HashMap<String, Dataset>,
-    catalog: &Catalog,
-    base: &Instance,
-    data_epoch: u64,
-) -> MaintenanceState {
-    let tables = datasets.values().flat_map(|ds| match &ds.content {
-        DatasetContent::Relational(tables) => tables.as_slice(),
-        DatasetContent::Documents(_) => &[],
-    });
-    let supports = |r: &FragmentRelation| (r.name, tally(head_rows(base, &r.view.view, None)));
-    let fragments = catalog.fragments().iter();
-    MaintenanceState {
-        fact_counts: tally(tables.flat_map(|t| fact_keys(t, &t.rows))),
-        supports: counting_relations(catalog).map(supports).collect(),
-        high_water: fragments.map(|f| (f.id.clone(), data_epoch)).collect(),
-        stats: HashMap::new(),
-        positions: HashMap::new(),
-    }
-}
-
 /// One phase of the delta chase: stamp `facts` into a fresh epoch — doomed
 /// ones (`sign < 0`) are retracted only after the enumeration, new ones
 /// (`sign > 0`) inserted before it — and record `(head row, sign)` for every
-/// homomorphism of a counting view through at least one of them, once. The
-/// delta index is read from the stamp log (it costs the batch, not the fact
-/// base), and a view whose body reads no changed relation is not searched.
+/// head row of a counting view that leaves (delete phase) or enters (insert
+/// phase) its store. That is a row whose every derivation in the fact base
+/// as it stands goes through one of `facts`: the homomorphisms through
+/// them, enumerated once each, are all the homomorphisms with the head
+/// fixed to the row. The delta index is read from the stamp log (it costs
+/// the batch, not the fact base), and a view whose body reads no changed
+/// relation is not searched.
 fn delta_chase(
     base: &mut Instance,
     catalog: &Catalog,
@@ -425,13 +406,26 @@ fn delta_chase(
     let changed = |a: &Atom| !delta.facts_of(a.pred).is_empty();
     let reads_delta = |r: &&FragmentRelation| r.view.view.body.iter().any(changed);
     for r in counting_relations(catalog).filter(reads_delta) {
-        let rows = head_rows(base, &r.view.view, Some(&delta));
+        let view = &r.view.view;
+        let through = head_rows(base, view, Some(&delta)).map(|row| (row, 1));
+        let crossing = net_deltas(through).into_iter().filter(|(row, n)| {
+            let n = *n as usize;
+            derivations(base, view, row, n + 1) == n
+        });
         let deltas = out.entry(r.name).or_default();
-        deltas.extend(rows.map(|row| (row, sign)));
+        deltas.extend(crossing.map(|(row, _)| (row, sign)));
     }
     for id in doomed {
         base.retract(id);
     }
+}
+
+/// The homomorphisms of `view`'s body into `base` that yield `row`, counted
+/// up to `limit`.
+fn derivations(base: &Instance, view: &Cq, row: &[Value], limit: usize) -> usize {
+    let head = view.head.iter().zip(row);
+    let fixed = head.filter_map(|(t, v)| Some((t.as_var()?, Elem::constant(v))));
+    find_homs(base, &view.body, &fixed.collect(), HomConfig { limit }).len()
 }
 
 impl Estocada {
@@ -484,19 +478,18 @@ impl Estocada {
         self.apply_dml(dataset, table, Outgoing::ReplacedByKey, rows)
     }
 
-    /// The maintenance bookkeeping, once seeded by a first write attempt
-    /// (`None` before any DML or right after DDL).
-    pub fn maintenance(&self) -> Option<&MaintenanceState> {
-        self.maint.as_ref()
+    /// The maintenance bookkeeping.
+    pub fn maintenance(&self) -> &MaintenanceState {
+        &self.maint
     }
 
     /// The whole incremental write path, an orchestrator over its steps:
     /// [`validate`]; net the fact deltas ([`net_deltas`]) and classify them
-    /// through the fact multiplicities ([`zero_crossings`]); [`delta_chase`]
-    /// the deletes, then the inserts; turn the support crossings into store
-    /// operations (the same two helpers); apply them, one [`layout::write`]
-    /// per relation, and move its running statistics by the same rows;
-    /// advance the data epoch and every high-water mark.
+    /// through the table's fact multiplicities ([`zero_crossings`]);
+    /// [`delta_chase`] the deletes, then the inserts, netting a row that
+    /// leaves and re-enters; apply each relation's store operations, one
+    /// [`layout::write`] per relation, and move its running statistics by
+    /// the same rows; advance the data epoch and every high-water mark.
     fn apply_dml(
         &mut self,
         dataset: &str,
@@ -509,32 +502,29 @@ impl Estocada {
         let Some(base) = self.base.get_mut() else {
             return Err(Error::Dml("the fact base is not staged".into()));
         };
-        // Seeded before the table is borrowed: seeding reads every dataset.
-        let (catalog, epoch) = (&mut self.catalog, &mut self.data_epoch);
-        let fresh = || seed(&self.datasets, catalog, base, *epoch);
-        let maint = self.maint.get_or_insert_with(fresh);
+        let (catalog, maint, epoch) = (&mut self.catalog, &mut self.maint, &mut self.data_epoch);
         let t = table_mut(&mut self.datasets, dataset, table)?;
-        let positions = maint.positions.entry(t.encoding.relation);
-        let positions = positions.or_insert_with(|| key_positions(t));
+        let state = maint.tables.entry(t.encoding.relation);
+        let state = state.or_insert_with(|| TableState::of(t));
         let mut steps = DmlSteps::default();
         let started = Instant::now();
-        let (deletes, doomed) = validate(t, positions.as_ref(), outgoing, &inserts)?;
+        let (deletes, doomed) = validate(t, state.positions.as_ref(), outgoing, &inserts)?;
         steps.validate = started.elapsed();
         let minus = fact_keys(t, &deletes).map(|fact| (fact, -1));
         let plus = fact_keys(t, &inserts).map(|fact| (fact, 1));
         let fact_delta = net_deltas(minus.chain(plus));
-        rewrite_rows(t, positions.as_mut(), doomed, &inserts);
+        rewrite_rows(t, state.positions.as_mut(), doomed, &inserts);
         let batch: StoreOps = (deletes, inserts);
 
-        let (minus, plus) = zero_crossings(&mut maint.fact_counts, fact_delta);
+        let (minus, plus) = zero_crossings(&mut state.facts, fact_delta);
         let mut row_deltas = RowDeltas::new();
         delta_chase(base, catalog, &minus, -1, &mut row_deltas);
         delta_chase(base, catalog, &plus, 1, &mut row_deltas);
-        // A row leaves its store as its support crosses to zero, enters
-        // it as the support crosses from zero.
         let ops = row_deltas.into_iter().map(|(relation, deltas)| {
-            let supports = maint.supports.entry(relation).or_default();
-            (relation, zero_crossings(supports, net_deltas(deltas)))
+            let net = net_deltas(deltas).into_iter();
+            let (gone, born): (Vec<_>, Vec<_>) = net.partition(|(_, d)| *d < 0);
+            let rows = |moved: Vec<(Row, i64)>| moved.into_iter().map(|(row, _)| row).collect();
+            (relation, (rows(gone), rows(born)))
         });
         let ops: HashMap<Symbol, StoreOps> = ops.collect();
         steps.delta_chase = started.elapsed() - steps.validate;
@@ -544,39 +534,22 @@ impl Estocada {
         let mut fragment_deltas = Vec::new();
         for fm in catalog.fragments_mut() {
             for (r, stats) in fm.relations.iter().zip(&mut fm.stats) {
-                let supports = maint.supports.get(&r.name);
-                let (gone, born) = match ops.get(&r.name) {
-                    Some(crossings) => crossings,
-                    None if mirrors(&fm.spec, &r.place, dataset, table) => &batch,
+                let ((gone, born), source) = match ops.get(&r.name) {
+                    Some(crossings) => (crossings, None),
+                    None if mirrors(&fm.spec, &r.place, dataset, table) => (&batch, Some(&*t)),
                     _ => continue,
                 };
                 if gone.is_empty() && born.is_empty() {
                     continue;
                 }
-                // The relation's rows once the delta is in — the supported
-                // rows, or the mirrored table's — are what is written from
-                // and what a rematerialization would compute statistics of.
-                let source = supports.is_none().then_some(&*t);
-                let mirrored = source.map_or(&[][..], |t| &t.rows);
-                let resident = || supports.into_iter().flat_map(HashMap::keys).chain(mirrored);
                 let writing = Instant::now();
                 layout::write(&self.stores, &r.place, source, gone, born)?;
                 let written = Instant::now();
-                let held = match maint.stats.entry(r.name) {
-                    // The relation's first delta since DDL: the one pass over
-                    // its rows, which already hold the delta.
-                    Entry::Vacant(e) => {
-                        let arity = r.view.view.head.len();
-                        e.insert(layout::accumulate(&r.place, resident(), arity))
-                    }
-                    Entry::Occupied(e) => {
-                        let held = e.into_mut();
-                        gone.iter().for_each(|row| held.remove(row));
-                        born.iter().for_each(|row| held.add(row));
-                        held
-                    }
-                };
-                *stats = layout::stats(&r.place, held);
+                if let Some(held) = maint.stats.get_mut(&r.name) {
+                    gone.iter().for_each(|row| held.remove(row));
+                    born.iter().for_each(|row| held.add(row));
+                    *stats = layout::stats(&r.place, held);
+                }
                 steps.store_write += written - writing;
                 steps.stats += written.elapsed();
                 fragment_deltas.push(FragmentDelta {
@@ -743,7 +716,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(est.data_epoch(), 4);
-        let m = est.maintenance().expect("seeded by DML");
+        let m = est.maintenance();
         for f in est.catalog().fragments() {
             assert_eq!(m.high_water(&f.id), Some(4));
         }
@@ -768,7 +741,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(est.data_epoch(), 2);
-        let m = est.maintenance().unwrap();
+        let m = est.maintenance();
         for f in est.catalog().fragments() {
             assert_eq!(
                 m.high_water(&f.id),
@@ -848,7 +821,9 @@ mod tests {
     #[test]
     fn upsert_naming_a_key_twice_is_rejected_atomically() {
         let mut est = deploy(shop(&[(1, 1, 10)]));
+        let stats = |est: &Estocada| format!("{:?}", est.fragments().iter().map(|f| &f.stats));
         let (stores, rows) = (est.stores.dump(), format!("{:?}", est.datasets()["shop"]));
+        let held = stats(&est);
         let err = est
             .upsert_rows(
                 "shop",
@@ -864,7 +839,7 @@ mod tests {
         assert_eq!(est.data_epoch(), 0, "rejected batch bumped the epoch");
         assert_eq!(est.stores.dump(), stores, "rejected batch touched a store");
         assert_eq!(format!("{:?}", est.datasets()["shop"]), rows);
-        assert!(est.maintenance().is_none(), "rejected batch seeded state");
+        assert_eq!(stats(&est), held, "rejected batch moved a statistic");
     }
 
     #[test]
@@ -920,16 +895,33 @@ mod tests {
             ],
             "reader must observe the write"
         );
-        // DDL, by contrast, drops the maintenance state with the epoch.
-        assert!(est.maintenance().is_some());
-        est.add_fragment(FragmentSpec::KeyValue {
+        // DDL keeps the maintenance state: every mark stays, a new
+        // fragment is marked at its fill, the next write maintains it, and
+        // a dropped one is forgotten.
+        let users_kv = || FragmentSpec::KeyValue {
             view: CqBuilder::new("UsersKV")
                 .head_vars(["uid", "name"])
                 .atom("Users", |a| a.v("uid").v("name"))
                 .build(),
-        })
-        .unwrap();
-        assert!(est.maintenance().is_none(), "DDL must reset maintenance");
+        };
+        let marks = |est: &Estocada| -> Vec<_> {
+            let m = est.maintenance();
+            est.fragments()
+                .iter()
+                .map(|f| m.high_water(&f.id))
+                .collect()
+        };
+        let id = est.add_fragment(users_kv()).unwrap();
+        assert_eq!(marks(&est), vec![Some(1); 7], "DDL dropped a mark");
+        est.upsert_rows("shop", "Users", vec![vec![Value::Int(2), Value::str("bo")]])
+            .unwrap();
+        assert_eq!(marks(&est), vec![Some(2); 7]);
+        let mut twin = deploy(est.datasets()["shop"].clone());
+        twin.add_fragment(users_kv()).unwrap();
+        assert_same_stores(&est, &twin);
+        est.drop_fragment(&id).unwrap();
+        assert_eq!(est.maintenance().high_water(&id), None);
+        assert_eq!(marks(&est), vec![Some(2); 6]);
     }
 
     #[test]
@@ -991,7 +983,7 @@ mod tests {
             .map(|d| (d.store_deletes, d.store_inserts));
         assert!(
             big.is_none(),
-            "support 2 -> 1 must not delete the store row (got {big:?})"
+            "2 -> 1 derivations must not delete the store row (got {big:?})"
         );
         let twin = deploy(est.datasets()["shop"].clone());
         assert_same_stores(&est, &twin);

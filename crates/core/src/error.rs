@@ -39,6 +39,9 @@ pub enum Error {
     Chase(ChaseError),
     /// Invalid fragment specification.
     BadFragment(String),
+    /// DDL named a dataset or relation that is already registered; nothing
+    /// was applied.
+    Duplicate(String),
     /// A DML batch was rejected (unknown table, arity mismatch, missing
     /// row to delete, upsert without a declared key, …). Rejected batches
     /// are atomic: nothing was applied.
@@ -73,6 +76,7 @@ impl fmt::Display for Error {
             Error::Engine(e) => write!(f, "execution error: {e}"),
             Error::Chase(e) => write!(f, "chase error: {e}"),
             Error::BadFragment(m) => write!(f, "invalid fragment: {m}"),
+            Error::Duplicate(n) => write!(f, "already registered: {n}"),
             Error::Dml(m) => write!(f, "dml error: {m}"),
             Error::Invalid(diags) => {
                 let errors = diags

@@ -48,6 +48,7 @@ use crate::catalog::{Catalog, FragmentMeta, FragmentSpec};
 use crate::connector::Residual;
 use crate::cost::CostModel;
 use crate::dataset::Dataset;
+use crate::dml::MaintenanceState;
 use crate::error::{Error, PlanFailure, Result};
 use crate::frontends::{ParsedQuery, QueryInput, SqlCatalog};
 use crate::materialize::{drop_fragment, fact_base, materialize};
@@ -236,10 +237,9 @@ pub struct Estocada {
     /// plan cache — writes change data, not the catalog, so cached
     /// rewritings stay valid across them.
     pub(crate) data_epoch: u64,
-    /// Incremental-maintenance bookkeeping (fact multiplicities, fragment
-    /// row supports, high-water marks), seeded lazily on the first DML
-    /// batch and invalidated by DDL.
-    pub(crate) maint: Option<crate::dml::MaintenanceState>,
+    /// Incremental-maintenance bookkeeping (per-table write state,
+    /// high-water marks, running statistics), kept across DDL.
+    pub(crate) maint: MaintenanceState,
     /// What planning derives from the catalog and schema alone: built on
     /// first use per catalog epoch, reset by DDL like `base`.
     planning: OnceLock<PlanningContext>,
@@ -286,7 +286,7 @@ impl Estocada {
             frag_seq: 0,
             epoch: 0,
             data_epoch: 0,
-            maint: None,
+            maint: MaintenanceState::default(),
             planning: OnceLock::new(),
             plan_cache: PlanCache::default(),
             lint_cache: LintCache::default(),
@@ -413,14 +413,11 @@ impl Estocada {
 
     /// One DDL operation happened: advance the epoch and drop every cached
     /// plan and the planning context (they were computed against the
-    /// previous catalog). DDL also invalidates the DML maintenance
-    /// bookkeeping — fragment row supports were computed against the
-    /// previous catalog and staging base.
+    /// previous catalog).
     fn bump_epoch(&mut self) {
         self.epoch += 1;
         self.plan_cache.clear();
         self.lint_cache.clear();
-        self.maint = None;
         self.planning = OnceLock::new();
     }
 
@@ -454,12 +451,24 @@ impl Estocada {
     /// Register an application dataset (declares its pivot schema and
     /// stages its content for fragment materialization).
     ///
-    /// Under [`ValidationMode::Strict`] the analyzer checks the merged
-    /// schema first; error-severity findings reject the registration with
-    /// [`Error::Invalid`] and leave the engine untouched.
+    /// A dataset named like a registered one, or declaring a relation the
+    /// schema already holds, is rejected with [`Error::Duplicate`]. Under
+    /// [`ValidationMode::Strict`] the analyzer checks the merged schema
+    /// first; error-severity findings reject the registration with
+    /// [`Error::Invalid`]. A rejected dataset leaves the engine untouched.
     pub fn register_dataset(&mut self, ds: Dataset) -> Result<()> {
+        let mut own = Schema::new();
+        ds.declare(&mut own);
+        let declared = own
+            .relations()
+            .find(|r| self.schema.relation(r.name).is_some());
+        match (self.datasets.contains_key(&ds.name), declared) {
+            (true, _) => return Err(Error::Duplicate(format!("dataset {}", ds.name))),
+            (_, Some(r)) => return Err(Error::Duplicate(format!("relation {}", r.name))),
+            _ => {}
+        }
         let mut candidate = self.schema.clone();
-        ds.declare(&mut candidate);
+        candidate.merge(&own);
         if !matches!(self.validation, ValidationMode::Off) {
             let diags =
                 analyze::analyze_deployment(&candidate, &self.catalog, &self.rewrite_cfg.chase);
@@ -537,8 +546,9 @@ impl Estocada {
     /// first (schema hygiene on its view CQ, plus termination
     /// certification of the constraint set it would induce);
     /// error-severity findings reject the DDL with [`Error::Invalid`]
-    /// before anything is materialized. A spec rejected for any reason
-    /// leaves the stores untouched and consumes no fragment id.
+    /// before anything is materialized; so is, with [`Error::BadFragment`],
+    /// one naming a relation a fragment holds. A rejected spec leaves the
+    /// stores untouched and consumes no fragment id.
     pub fn add_fragment(&mut self, spec: FragmentSpec) -> Result<String> {
         if !matches!(self.validation, ValidationMode::Off) {
             let diags = analyze::analyze_fragment_spec(&spec, &self.schema, &self.catalog);
@@ -547,8 +557,11 @@ impl Estocada {
             }
         }
         let id = format!("F{}", self.frag_seq + 1);
-        let meta = materialize(&id, spec, self.base(), &self.datasets, &self.stores)?;
+        let (base, catalog) = (self.base(), &self.catalog);
+        let (meta, held) = materialize(&id, spec, base, &self.datasets, catalog, &self.stores)?;
         self.frag_seq += 1;
+        self.maint.high_water.insert(id.clone(), self.data_epoch);
+        self.maint.stats.extend(held);
         self.catalog.add(meta);
         self.bump_epoch();
         Ok(id)
@@ -561,6 +574,10 @@ impl Estocada {
             .remove(id)
             .ok_or_else(|| Error::UnknownName(format!("fragment {id}")))?;
         drop_fragment(&meta, &self.stores);
+        self.maint.high_water.remove(id);
+        for r in &meta.relations {
+            self.maint.stats.remove(&r.name);
+        }
         self.bump_epoch();
         Ok(meta)
     }

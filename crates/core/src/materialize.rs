@@ -9,15 +9,17 @@
 //! of the physical formats, shared with the DML path ([`crate::dml`]).
 
 use crate::catalog::{
-    DocRole, FragmentMeta, FragmentRelation, FragmentSpec, FragmentStats, WhereSpec,
+    Catalog, DocRole, FragmentMeta, FragmentRelation, FragmentSpec, FragmentStats,
+    StatsAccumulator, WhereSpec,
 };
-use crate::dataset::{Dataset, DatasetContent, TableData};
+use crate::dataset::{Dataset, DatasetContent, DocData, TableData};
 use crate::error::{Error, Result};
 use crate::layout;
 use crate::system::Stores;
 use estocada_chase::{find_homs, find_homs_delta, DeltaIndex, Elem, HomConfig, Instance};
 use estocada_pivot::encoding::document::DocRelations;
 use estocada_pivot::{Cq, Fact, Symbol, Term, Value, ViewDef};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 /// Build a ground-fact instance (the staging database used to evaluate view
@@ -85,32 +87,70 @@ pub fn head_columns(view: &Cq) -> Vec<String> {
         .collect()
 }
 
-/// One relation of a fragment being built, with its statistics.
-type Part = (FragmentRelation, FragmentStats);
+/// One relation of a fragment being built, before anything is stored: its
+/// description and what its container holds.
+type Planned<'a> = (FragmentRelation, Contents<'a>);
 
-/// Materialize `spec` as fragment `id`: evaluates views over `base`, loads
-/// the target store, and returns the registered metadata. A rejected spec
-/// is rejected before the first store call.
-pub fn materialize(
+/// What a planned relation's container holds.
+enum Contents<'a> {
+    /// Rows, over a partition count (0: the store's default), and the table
+    /// they are rows of (native and text fragments).
+    Rows(Cow<'a, [Vec<Value>]>, usize, Option<&'a TableData>),
+    /// A document dataset as such, with the statistics describing it. The
+    /// documents are loaded once, with the relation that carries them.
+    Documents(Option<&'a [DocData]>, FragmentStats),
+}
+
+/// Materialize `spec` as fragment `id`: plan its relations (evaluating views
+/// over `base`), reject the spec if a fragment of `catalog` holds one of
+/// their names, fill their containers, and return the registered metadata
+/// with the running statistics of every relation DML writes.
+pub(crate) fn materialize(
     id: &str,
     spec: FragmentSpec,
     base: &Instance,
     datasets: &HashMap<String, Dataset>,
+    catalog: &Catalog,
     stores: &Stores,
-) -> Result<FragmentMeta> {
-    let parts = match &spec {
-        FragmentSpec::NativeDoc { dataset } => native_docs(dataset, base, datasets, stores)?,
+) -> Result<(FragmentMeta, Vec<(Symbol, StatsAccumulator)>)> {
+    let planned = match &spec {
+        FragmentSpec::NativeDoc { dataset } => native_docs(dataset, base, datasets)?,
         FragmentSpec::NativeTables { dataset, only } => {
-            native_tables(tables_of(datasets, dataset)?, only.as_deref(), stores)?
+            native_tables(tables_of(datasets, dataset)?, only.as_deref())?
         }
-        FragmentSpec::TextIndex { table } => vec![text_index(table, datasets, stores)?],
+        FragmentSpec::TextIndex { table } => vec![text_index(table, datasets)?],
         FragmentSpec::Table { view, .. }
         | FragmentSpec::KeyValue { view }
         | FragmentSpec::DocRows { view, .. }
-        | FragmentSpec::ParRows { view, .. } => vec![view_relation(&spec, view, base, stores)?],
+        | FragmentSpec::ParRows { view, .. } => vec![view_relation(&spec, view, base)?],
     };
-    let (relations, stats) = parts.into_iter().unzip();
-    Ok(FragmentMeta {
+    let held_by = |(r, _): &Planned| Some((catalog.relation(r.name)?.0, r.name));
+    if let Some((f, name)) = planned.iter().find_map(held_by) {
+        let taken = format!("fragment {} holds a relation {name}", f.id);
+        return Err(Error::BadFragment(taken));
+    }
+    let (mut relations, mut stats, mut held) = (Vec::new(), Vec::new(), Vec::new());
+    for (relation, contents) in planned {
+        let place = &relation.place;
+        stats.push(match contents {
+            Contents::Rows(rows, partitions, source) => {
+                layout::fill(stores, place, partitions, source, &rows)?;
+                let running = layout::accumulate(place, rows.iter(), relation.view.view.head.len());
+                let described = layout::stats(place, &running);
+                held.push((relation.name, running));
+                described
+            }
+            Contents::Documents(docs, stats) => {
+                if let (Some(docs), WhereSpec::NativeDocs { collection, .. }) = (docs, place) {
+                    let bodies = docs.iter().map(|d| d.body.clone());
+                    layout::load_documents(stores, collection, bodies);
+                }
+                stats
+            }
+        });
+        relations.push(relation);
+    }
+    let meta = FragmentMeta {
         id: id.to_string(),
         system: spec.system(),
         spec,
@@ -118,41 +158,38 @@ pub fn materialize(
         stats,
         credentials: format!("sim://{id}"),
         use_count: Default::default(),
-    })
+    };
+    Ok((meta, held))
+}
+
+/// The relation `view` describes, stored at `place`.
+fn relation(view: Cq, place: WhereSpec) -> FragmentRelation {
+    FragmentRelation {
+        name: view.name,
+        access: layout::access_of(&place),
+        view: ViewDef::new(view),
+        place,
+    }
+}
+
+/// The contents of a relation mirroring `t` row for row.
+fn mirror(t: &TableData) -> Contents<'_> {
+    Contents::Rows(Cow::Borrowed(&t.rows), 0, Some(t))
 }
 
 /// The one relation of a view fragment (table / key-value / doc-rows /
 /// par-rows): the view's rows, placed where `spec`'s kind says.
-fn view_relation(spec: &FragmentSpec, view: &Cq, base: &Instance, stores: &Stores) -> Result<Part> {
+fn view_relation<'a>(spec: &FragmentSpec, view: &Cq, base: &Instance) -> Result<Planned<'a>> {
     if !view.is_safe() {
         return Err(Error::BadFragment(format!(
             "view {} is not a safe conjunctive query",
             view.name
         )));
     }
-    let placed = layout::view_place(spec, &view.name.as_str(), head_columns(view))?;
-    let rows = evaluate_view(base, view);
-    store_relation(stores, placed, None, &rows, view.clone())
-}
-
-/// Fill a placement with `rows` (see [`layout::fill`]) and describe the
-/// stored relation `view`.
-fn store_relation(
-    stores: &Stores,
-    (place, partitions): (WhereSpec, usize),
-    source: Option<&TableData>,
-    rows: &[Vec<Value>],
-    view: Cq,
-) -> Result<Part> {
-    layout::fill(stores, &place, partitions, source, rows)?;
-    let stats = layout::stats(&place, &layout::accumulate(&place, rows, view.head.len()));
-    let relation = FragmentRelation {
-        name: view.name,
-        view: ViewDef::new(view),
-        access: layout::access_of(&place),
-        place,
-    };
-    Ok((relation, stats))
+    let (place, partitions) = layout::view_place(spec, &view.name.as_str(), head_columns(view))?;
+    let rows = Cow::Owned(evaluate_view(base, view));
+    let contents = Contents::Rows(rows, partitions, None);
+    Ok((relation(view.clone(), place), contents))
 }
 
 /// The tables of a relational dataset.
@@ -168,12 +205,11 @@ fn tables_of<'a>(datasets: &'a HashMap<String, Dataset>, dataset: &str) -> Resul
 
 /// A document dataset stored as such: identity views over its six
 /// document-encoding relations, all answered from one collection.
-fn native_docs(
+fn native_docs<'a>(
     dataset: &str,
     base: &Instance,
-    datasets: &HashMap<String, Dataset>,
-    stores: &Stores,
-) -> Result<Vec<Part>> {
+    datasets: &'a HashMap<String, Dataset>,
+) -> Result<Vec<Planned<'a>>> {
     let ds = datasets
         .get(dataset)
         .ok_or_else(|| Error::UnknownName(dataset.to_string()))?;
@@ -182,7 +218,6 @@ fn native_docs(
             "{dataset} is not a document dataset"
         )));
     };
-    layout::load_documents(stores, dataset, docs.iter().map(|d| d.body.clone()));
     let frag = DocRelations::for_collection(&format!("{dataset}F"));
     let roles = [
         (frag.doc, src.doc, DocRole::Doc),
@@ -192,61 +227,46 @@ fn native_docs(
         (frag.desc, src.desc, DocRole::Desc),
         (frag.val, src.val, DocRole::Val),
     ];
-    let part = |(fname, sname, role)| {
+    let plan = |(fname, sname, role)| {
         let nrows = base.facts_of(sname).count() as u64;
-        let relation = FragmentRelation {
-            name: fname,
-            view: ViewDef::new(identity_view(fname, sname, 2)),
-            access: None,
-            place: WhereSpec::NativeDocs {
-                collection: dataset.to_string(),
-                role,
-            },
-        };
         let stats = FragmentStats {
             rows: nrows,
             distinct: vec![nrows; 2],
             bytes: nrows * 16,
         };
-        (relation, stats)
+        let docs = (role == DocRole::Doc).then_some(docs.as_slice());
+        let collection = dataset.to_string();
+        let place = WhereSpec::NativeDocs { collection, role };
+        let view = identity_view(fname, sname, 2);
+        (relation(view, place), Contents::Documents(docs, stats))
     };
-    Ok(roles.into_iter().map(part).collect())
+    Ok(roles.into_iter().map(plan).collect())
 }
 
 /// Tables of a relational dataset stored as such: each one (or only the
 /// listed ones) becomes an identity-view relation over a table of the same
 /// name, indexed on its declared key.
-fn native_tables(
-    tables: &[TableData],
-    only: Option<&[String]>,
-    stores: &Stores,
-) -> Result<Vec<Part>> {
+fn native_tables<'a>(tables: &'a [TableData], only: Option<&[String]>) -> Result<Vec<Planned<'a>>> {
     let kept = |t: &&TableData| {
         only.is_none_or(|keep| keep.iter().any(|k| *k == *t.encoding.relation.as_str()))
     };
-    // Every table's key is placed before the first table is stored.
-    let place = |t: &TableData| -> Result<WhereSpec> {
+    let plan = |t: &'a TableData| -> Result<Planned<'a>> {
         let key = t.encoding.key.as_deref().unwrap_or_default();
-        Ok(WhereSpec::Table {
+        let place = WhereSpec::Table {
             table: t.encoding.relation.as_str().to_string(),
             indexed: layout::column_positions(&t.encoding.columns, key)?,
             columns: t.encoding.columns.clone(),
-        })
-    };
-    let placed: Vec<(&TableData, WhereSpec)> = (tables.iter().filter(kept))
-        .map(|t| Ok((t, place(t)?)))
-        .collect::<Result<_>>()?;
-    let part = |(t, place): (&TableData, WhereSpec)| {
+        };
         let fname = Symbol::intern(&format!("{}F", t.encoding.relation.as_str()));
         let view = identity_view(fname, t.encoding.relation, t.encoding.columns.len());
-        store_relation(stores, (place, 0), Some(t), &t.rows, view)
+        Ok((relation(view, place), mirror(t)))
     };
-    placed.into_iter().map(part).collect()
+    tables.iter().filter(kept).map(plan).collect()
 }
 
 /// The full-text index over a table's text columns: the identity view of
 /// `{table}_Terms(term, key)`, answered by the text store.
-fn text_index(table: &str, datasets: &HashMap<String, Dataset>, stores: &Stores) -> Result<Part> {
+fn text_index<'a>(table: &str, datasets: &'a HashMap<String, Dataset>) -> Result<Planned<'a>> {
     let t = datasets
         .keys()
         .filter_map(|name| tables_of(datasets, name).ok())
@@ -255,12 +275,11 @@ fn text_index(table: &str, datasets: &HashMap<String, Dataset>, stores: &Stores)
         .ok_or_else(|| Error::UnknownName(table.to_string()))?;
     let fname = Symbol::intern(&format!("{table}F_Text"));
     let view = identity_view(fname, Dataset::terms_relation(table), 2);
-    let placed = (layout::text_place(t)?, 0);
-    store_relation(stores, placed, Some(t), &t.rows, view)
+    Ok((relation(view, layout::text_place(t)?), mirror(t)))
 }
 
 /// Remove a fragment's physical artifacts from the stores.
-pub fn drop_fragment(meta: &FragmentMeta, stores: &Stores) {
+pub(crate) fn drop_fragment(meta: &FragmentMeta, stores: &Stores) {
     for r in &meta.relations {
         layout::drop_container(stores, &r.place);
     }
@@ -335,9 +354,11 @@ mod tests {
             },
             &base,
             &datasets,
+            &Catalog::new(),
             &stores,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(stores.rel.row_count("GoldUsers"), 10);
         assert_eq!(meta.stats[0].rows, 10);
         assert_eq!(meta.stats[0].distinct[0], 10);
@@ -360,9 +381,11 @@ mod tests {
             FragmentSpec::KeyValue { view: v },
             &base,
             &datasets,
+            &Catalog::new(),
             &stores,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         // Rows are packed as a list of value tuples under the key.
         assert_eq!(
             stores.kv.get("UserByIdKV", &Value::Int(3)),
@@ -390,6 +413,7 @@ mod tests {
             FragmentSpec::KeyValue { view: v },
             &base,
             &datasets,
+            &Catalog::new(),
             &stores,
         )
         .unwrap();
@@ -415,6 +439,7 @@ mod tests {
             },
             &base,
             &datasets,
+            &Catalog::new(),
             &stores,
         )
         .unwrap();
@@ -443,9 +468,11 @@ mod tests {
             },
             &base,
             &datasets,
+            &Catalog::new(),
             &stores,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(stores.par.len("UsersPar"), 20);
         match &meta.relations[0].place {
             WhereSpec::ParDataset { indexed, .. } => assert_eq!(indexed, &vec![0]),
@@ -464,9 +491,11 @@ mod tests {
             },
             &base,
             &datasets,
+            &Catalog::new(),
             &stores,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(stores.rel.row_count("Users"), 20);
         assert_eq!(meta.relations.len(), 1);
         assert_eq!(meta.relations[0].name, Symbol::intern("UsersF"));
@@ -492,9 +521,11 @@ mod tests {
             },
             &base,
             &datasets,
+            &Catalog::new(),
             &stores,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(stores.rel.row_count("Tmp"), 20);
         drop_fragment(&meta, &stores);
         assert_eq!(stores.rel.row_count("Tmp"), 0);
@@ -515,6 +546,7 @@ mod tests {
             },
             &base,
             &datasets,
+            &Catalog::new(),
             &stores,
         );
         assert!(matches!(err, Err(Error::BadFragment(_))));

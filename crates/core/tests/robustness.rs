@@ -112,26 +112,37 @@ fn doc_pattern_against_relational_dataset_has_no_rewriting() {
 }
 
 #[test]
-fn duplicate_fragment_view_names_panic_cleanly() {
+fn re_registering_a_dataset_is_rejected_and_leaves_the_engine_untouched() {
     let mut est = tiny();
-    est.add_fragment(FragmentSpec::KeyValue {
-        view: CqBuilder::new("DupKV")
-            .head_vars(["k", "v"])
-            .atom("T", |a| a.v("k").v("v"))
-            .build(),
+    est.add_fragment(FragmentSpec::NativeTables {
+        dataset: "d".into(),
+        only: None,
     })
     .unwrap();
-    // Registering the same relation name twice is a programming error the
-    // catalog refuses loudly.
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _ = est.add_fragment(FragmentSpec::KeyValue {
-            view: CqBuilder::new("DupKV")
-                .head_vars(["k", "v"])
-                .atom("T", |a| a.v("k").v("v"))
-                .build(),
-        });
-    }));
-    assert!(result.is_err());
+    let again = |name: &str, uid: i64| {
+        Dataset::relational(
+            name,
+            vec![TableData {
+                encoding: TableEncoding::new("T", &["k", "v"], Some(&["k"])),
+                rows: vec![vec![Value::Int(uid), Value::str(format!("u{uid}"))]],
+                text_columns: vec![],
+            }],
+        )
+    };
+    let (constraints, epoch) = (est.schema().constraints.len(), est.catalog_epoch());
+    // The same name, and another name declaring the same relation.
+    for ds in [again("d", 4), again("e", 4)] {
+        let r = est.register_dataset(ds);
+        assert!(matches!(r, Err(Error::Duplicate(_))), "got {r:?}");
+        assert_eq!(est.schema().constraints.len(), constraints);
+        assert_eq!(est.catalog_epoch(), epoch);
+        assert_eq!(est.datasets().len(), 1);
+        assert!(est.analyze().is_empty(), "{:?}", est.analyze());
+        let r = est.query_sql("SELECT t.v FROM T t WHERE t.k = 4").unwrap();
+        assert!(r.rows.is_empty());
+        let r = est.query_sql("SELECT t.v FROM T t WHERE t.k = 1").unwrap();
+        assert_eq!(r.rows, vec![vec![Value::str("héllo wörld")]]);
+    }
 }
 
 #[test]
@@ -180,6 +191,15 @@ fn rejected_fragment_specs_leave_no_orphan_containers() {
     assert_eq!(est.stores.doc.collection_names(), ["TD"]);
     assert_eq!(est.stores.doc.len("TD"), 2);
     assert!(est.stores.rel.table_names().is_empty());
+    // A view named like a relation a fragment holds is rejected before its
+    // store is touched, consuming no id either.
+    let stored = est.stores.dump();
+    let r = est.add_fragment(FragmentSpec::KeyValue { view: view("TD") });
+    assert!(matches!(r, Err(Error::BadFragment(_))), "got {r:?}");
+    assert_eq!(est.stores.dump(), stored, "a rejected duplicate was stored");
+    assert_eq!(est.fragments().len(), 1);
+    let id = est.add_fragment(FragmentSpec::KeyValue { view: view("TK") });
+    assert_eq!(id.unwrap(), "F2");
 }
 
 #[test]

@@ -137,20 +137,17 @@ pub fn rw_workload(m: &Marketplace, config: RwConfig) -> Vec<RwOp> {
 /// Fragments whose high-water mark lags the engine's data epoch, as
 /// `(fragment id, high water, data epoch)`. Synchronous maintenance keeps
 /// this empty at every quiescent point; a non-empty result is a staleness
-/// bug. An engine that has never seen a write (no maintenance state)
-/// reports no stale fragments — all fragments are at their materialized
-/// snapshot.
+/// bug. A fragment is marked when it is filled — with the data epoch it was
+/// filled at — and every write advances every mark, so a fragment without
+/// a mark is stale too (reported with high water 0).
 pub fn stale_fragments(est: &Estocada) -> Vec<(String, u64, u64)> {
-    let Some(m) = est.maintenance() else {
-        return Vec::new();
-    };
-    let epoch = est.data_epoch();
+    let (m, epoch) = (est.maintenance(), est.data_epoch());
     est.catalog()
         .fragments()
         .iter()
         .filter_map(|f| {
-            let hw = m.high_water(&f.id).unwrap_or(0);
-            (hw != epoch).then(|| (f.id.clone(), hw, epoch))
+            let hw = m.high_water(&f.id);
+            (hw != Some(epoch)).then(|| (f.id.clone(), hw.unwrap_or(0), epoch))
         })
         .collect()
 }

@@ -14,6 +14,9 @@
 //!   dataset's key index, patched in place, answers every key like a scan.
 //! - **No staleness.** Maintenance is synchronous, so at every quiescent
 //!   point each fragment's high-water mark equals the data epoch.
+//! - **DDL between writes.** Adding or dropping a fragment or adding a
+//!   constraint between batches leaves the write path exact: the next
+//!   batch maintains every fragment the catalog holds then.
 //! - **Readers are never torn.** Between write batches, concurrent
 //!   shared-borrow readers all see the same committed state the writer
 //!   left behind (`&mut self` DML serializes against `&self` reads at the
@@ -22,8 +25,8 @@
 mod common;
 
 use common::{sorted, Deploy, DEPLOYMENTS};
-use estocada::{Estocada, Latencies};
-use estocada_pivot::Value;
+use estocada::{Estocada, FragmentSpec, Latencies};
+use estocada_pivot::{Atom, Constraint, CqBuilder, Term, Tgd, Value};
 use estocada_workloads::marketplace::{generate, Marketplace, MarketplaceConfig, W1Query};
 use estocada_workloads::readwrite::{
     run_rw_workload, rw_workload, stale_fragments, RwConfig, RwOp,
@@ -398,6 +401,124 @@ proptest! {
     }
 }
 
+/// One DDL operation of a script, replayed on the twin in the same order
+/// (same history, same fragment ids).
+#[derive(Debug, Clone)]
+enum Ddl {
+    Add(FragmentSpec),
+    Drop(String),
+    Constrain(Constraint),
+}
+
+/// Apply `ddl`; whether the engine accepted it. The deployments run DDL
+/// under `ValidationMode::Strict`, so the analyzer may reject one — the
+/// twin then rejects it too.
+fn apply_ddl(est: &mut Estocada, ddl: &Ddl) -> bool {
+    let done = match ddl {
+        Ddl::Add(spec) => est.add_fragment(spec.clone()).map(drop),
+        Ddl::Drop(id) => est.drop_fragment(id).map(drop),
+        Ddl::Constrain(c) => est.add_constraint(c.clone()),
+    };
+    match done {
+        Ok(()) => true,
+        Err(estocada::Error::Invalid(_)) => false,
+        Err(e) => panic!("scripted DDL {ddl:?}: {e}"),
+    }
+}
+
+/// A view fragment over the tables the write steps touch, of the store
+/// `pick` chooses, named `Added{n}`. Every body variable is in the head, so
+/// the view adds no existential the analyzer could find a cycle through.
+fn added_fragment(pick: u64, n: usize) -> FragmentSpec {
+    let name = format!("Added{n}");
+    let orders = CqBuilder::new(name.as_str())
+        .atom("Orders", |a| a.v("oid").v("uid").v("pid").v("cat").v("amt"));
+    match pick % 4 {
+        0 => FragmentSpec::KeyValue {
+            view: orders
+                .head_vars(["uid", "oid", "pid", "cat", "amt"])
+                .build(),
+        },
+        1 => FragmentSpec::Table {
+            view: orders
+                .head_vars(["uid", "name", "tier", "oid", "pid", "cat", "amt"])
+                .atom("Users", |a| a.v("uid").v("name").v("tier"))
+                .build(),
+            index_on: vec!["uid".into()],
+        },
+        2 => FragmentSpec::ParRows {
+            view: CqBuilder::new(name.as_str())
+                .head_vars(["uid", "cat", "lid", "pid", "dwell"])
+                .atom("WebLog", |a| {
+                    a.v("lid").v("uid").v("pid").v("cat").v("dwell")
+                })
+                .build(),
+            index_on: vec!["uid".into()],
+            partitions: 2,
+        },
+        _ => FragmentSpec::DocRows {
+            view: orders
+                .head_vars(["oid", "uid", "pid", "cat", "amt"])
+                .build(),
+            index_on: vec![],
+        },
+    }
+}
+
+/// `Orders(o, u, p, c, a) → ∃ n, t. Users(u, n, t)`, named `fk{n}`.
+fn orders_have_users(n: usize) -> Constraint {
+    let v = Term::var;
+    Tgd::new(
+        format!("fk{n}").as_str(),
+        vec![Atom::new("Orders", vec![v(0), v(1), v(2), v(3), v(4)])],
+        vec![Atom::new("Users", vec![v(1), v(5), v(6)])],
+    )
+    .into()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Write batches interleaved with `add_fragment`, `drop_fragment` and
+    /// `add_constraint`: after **every** step the stores and statistics are
+    /// those of a fresh deployment of the current data that went through
+    /// the same DDL, and no fragment lags the data epoch.
+    #[test]
+    fn ddl_between_batches_keeps_stores_statistics_and_marks_exact(
+        script in proptest::collection::vec((0..9u8, any::<u64>(), 1..5usize), 1..10),
+    ) {
+        let mut est = deploy_materialized_join(&market(), Latencies::zero());
+        let (mut fresh, mut log, mut accepted) = (700_000i64, Vec::new(), Vec::new());
+        for (i, &(kind, pick, size)) in script.iter().enumerate() {
+            let what = format!("after step {i} of {script:?}");
+            let ddl = match kind {
+                0..=4 => None,
+                5 | 6 => Some(Ddl::Add(added_fragment(pick, i))),
+                7 => {
+                    let ids: Vec<_> = est.fragments().iter().map(|f| f.id.clone()).collect();
+                    Some(Ddl::Drop(ids[pick as usize % ids.len()].clone()))
+                }
+                _ => Some(Ddl::Constrain(orders_have_users(i))),
+            };
+            match ddl {
+                Some(ddl) => {
+                    accepted.push(apply_ddl(&mut est, &ddl));
+                    log.push(ddl);
+                }
+                // Kinds 0–3 insert or delete; 4 upserts (write kind 5).
+                None => apply_step(&mut est, (kind + kind / 4, pick, size), &mut fresh),
+            }
+            prop_assert!(stale_fragments(&est).is_empty(), "{}: stale fragments", what);
+            let mut twin = remat_twin(&est, deploy_materialized_join);
+            let replayed: Vec<bool> = log.iter().map(|ddl| apply_ddl(&mut twin, ddl)).collect();
+            prop_assert_eq!(&replayed, &accepted, "{}: the twin judged the DDL otherwise", what);
+            prop_assert_eq!(est.fragments().len(), twin.fragments().len());
+            assert_same_stores(&est, &twin, &what);
+            assert_same_stats(&est, &twin, &what);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Targeted counting edge: the schedule generator cannot force duplicate
 // derivations, so pin one here — two orders deriving the same joined row,
@@ -411,7 +532,7 @@ fn duplicate_derivations_delete_one_support_at_a_time() {
     // Pick a (uid, category) straight from a WebLog row so the inserted
     // orders definitely join into UserHist. Two orders with identical
     // uid/pid/category/amount then derive the *same* UserHist rows — only
-    // support counts differ.
+    // derivation counts differ.
     let (uid, category) = {
         let estocada::DatasetContent::Relational(tables) = &est.datasets()["sales"].content else {
             panic!("sales is relational");
