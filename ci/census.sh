@@ -2,8 +2,9 @@
 # Census of the numbers every ROADMAP re-anchor quotes: lines of Rust and
 # `pub fn`s per crate, workspace members, bench mains, `fn execute*`
 # definitions in the engine, SCC routines in library code, sites that assign
-# a delegated unit's scan estimate, independently settable options, and
-# panic sites in library code. Informational: prints, never fails on a count.
+# a delegated unit's scan estimate, posting-index maintenance routines,
+# independently settable options, and panic sites in library code.
+# Informational: prints, never fails on a count.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -54,6 +55,15 @@ for f in $(rust_files crates/core/src); do
     estimators=$((estimators + n))
 done
 printf '%-28s %8d\n' 'scan estimators' "$estimators"
+# Library definitions of `fn relocate` / `fn rebuild*` outside the chase
+# crate (whose fact-base indexes are never swap-removed): every store and
+# the write path patch their value→row indexes through one `Postings`.
+postings=0
+for f in $(rust_files crates/*/src | grep -v '^crates/chase/'); do
+    n=$(library_part "$f" | grep -cE '\bfn (relocate|rebuild[a-z_]*)\b' || true)
+    postings=$((postings + n))
+done
+printf '%-28s %8d\n' 'posting indexes' "$postings"
 
 # Public fields of `pub struct $2` in file `$1`.
 fields() {

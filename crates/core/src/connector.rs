@@ -439,6 +439,12 @@ fn missing_container(sys: SystemId, op: &str, name: &str) -> StoreError {
     StoreError::internal(&sys.to_string(), op, format!("unknown {kind} {name}"))
 }
 
+/// A stored key-value payload that does not decode: the store answered, so
+/// the failure is native — neither retried nor held against the breaker.
+fn corrupt_payload(op: &str, e: estocada_kvstore::DecodeError) -> StoreError {
+    StoreError::internal("key-value", op, e.to_string())
+}
+
 /// A namespace of the key-value store as one rewriting atom sees it. The
 /// point `get` of a constant key and the pipelined `mget` of a BindJoin
 /// share the gate and the payload decoding.
@@ -490,6 +496,7 @@ impl BindSource for KvAccess {
         let flat: Vec<Value> = keys.iter().map(|k| k[0].clone()).collect();
         self.gate.check("mget")?;
         let hits = self.kv.mget(&self.namespace, &flat);
+        let hits = hits.map_err(|e| corrupt_payload("mget", e))?;
         if hits.iter().all(Option::is_none) {
             self.namespace_exists("mget")?;
         }
@@ -547,6 +554,7 @@ pub fn kv_unit(
             UnitKind::Run(Arc::new(move || {
                 access.gate.check("get")?;
                 let hit = access.kv.get(&access.namespace, &key);
+                let hit = hit.map_err(|e| corrupt_payload("get", e))?;
                 if hit.is_none() {
                     access.namespace_exists("get")?;
                 }

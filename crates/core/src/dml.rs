@@ -38,20 +38,22 @@
 //!
 //! | step | proportional to |
 //! |---|---|
-//! | `validate` | the batch: a delete finds its stored instance, and an upsert the rows it replaces, through the table's key positions (declared key → row positions, built with its fact counts by one pass at the table's first write); an insert-only batch reads no stored row |
+//! | `validate` | the batch: a delete finds its stored instance, and an upsert the rows it replaces, through the table's key positions (declared key → row positions, a [`Postings`] built with its fact counts by one pass at the table's first write); an insert-only batch reads no stored row |
 //! | `delta_chase` | the batch's facts, the view homomorphisms through them (semi-naive: the delta index comes from the fact base's stamp log, and only the counting views whose body reads a changed relation are searched), and the derivations of each head row they reach, counted with the head fixed and stopped one past the delta's |
-//! | `store_write` | the store rows that change: a relational delete is found through an index and patches the rows and index postings in place, a key-value entry is patched under its key, a parallel-store delta is found through its key index; a document or text delete rebuilds its container's indexes (see below) |
+//! | `store_write` | the store rows that change: a relational delete is found through an index, a parallel-store delta through its key index, and every store patches its rows and index postings in place; a key-value entry is patched under its key; a document or text delete finds its documents by one scan (see below) |
 //! | `stats` | the store rows that change: every maintained relation keeps its statistics running (row count, byte sum, occurrences per column value) from the accumulator its first fill built |
 //!
-//! Taking rows out of a dataset table, a relational table or a parallel
-//! dataset moves its last row into each hole, so no physical row order is
-//! kept across writes (every comparison with a rematerialization is of the
-//! sorted content). What is still proportional to a whole table or
-//! container is a delete where nothing indexes it — a dataset table
-//! without a declared key, a relational table without any index, a
-//! parallel dataset without a key index: each is scanned once per batch —
-//! and a delete from a document collection or a text index, which rebuilds
-//! the container's indexes (no measured workload writes those stores).
+//! Every container and the dataset table keep their value→row indexes as
+//! [`Postings`], and a delete takes its rows out through one step
+//! ([`swap_remove`]): the last row moves into each hole and every index
+//! forgets the one row and relocates the other in place. So no physical
+//! row order is kept across writes (every comparison with a
+//! rematerialization is of the sorted content), and no index is rebuilt.
+//! What is still proportional to a whole table or container is a delete
+//! where nothing indexes every row — a dataset table without a declared
+//! key, a relational table without any index, a parallel dataset without a
+//! key index, a document collection, a text index: each is scanned once
+//! per batch (no measured workload writes the last two).
 //!
 //! # Epochs and staleness
 //!
@@ -73,8 +75,7 @@ use crate::evaluator::Estocada;
 use crate::layout;
 use crate::materialize::head_rows;
 use estocada_chase::{find_homs, Elem, HomConfig, Instance};
-use estocada_parstore::KeyIndex;
-use estocada_pivot::{Atom, Cq, Symbol, Value, Wanted};
+use estocada_pivot::{swap_remove, Atom, Cq, Postings, Symbol, Value, Wanted};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -113,17 +114,22 @@ struct TableState {
 
 /// A table's stored rows by declared key — how a delete finds its stored
 /// instance and an upsert the rows it replaces without reading the table —
-/// as row positions.
-type KeyPositions = KeyIndex<usize>;
+/// as the key's column positions and each key's row positions.
+type KeyPositions = (Vec<usize>, Postings<Row>);
+
+/// `row`'s values at the key `columns`.
+fn key_of(columns: &[usize], row: &[Value]) -> Row {
+    columns.iter().map(|c| row[*c].clone()).collect()
+}
 
 impl TableState {
     fn of(t: &TableData) -> TableState {
         let positions = key_columns(t).map(|columns| {
-            let mut positions = KeyIndex::new(columns);
-            for (at, row) in t.rows.iter().enumerate() {
-                positions.insert(row, at);
-            }
-            positions
+            let posted = t.rows.iter().enumerate();
+            let postings = posted
+                .map(|(at, row)| (key_of(&columns, row), at))
+                .collect();
+            (columns, postings)
         });
         let mut facts = HashMap::new();
         for fact in fact_keys(t, &t.rows) {
@@ -321,8 +327,9 @@ fn validate(
     }
     let deletes = match (outgoing, positions) {
         (Outgoing::Rows(rows), _) => rows,
-        (Outgoing::ReplacedByKey, Some(p)) => {
-            let doomed: Vec<usize> = inserts.iter().flat_map(|r| p.under(r)).copied().collect();
+        (Outgoing::ReplacedByKey, Some((columns, p))) => {
+            let under = |r: &Row| p.get(&key_of(columns, r)).to_vec();
+            let doomed: Vec<usize> = inserts.iter().flat_map(under).collect();
             let rows = doomed.iter().map(|at| t.rows[*at].clone()).collect();
             return Ok((rows, doomed));
         }
@@ -335,7 +342,7 @@ fn validate(
     let mut wanted = Wanted::new(&deletes, arity);
     let row_at = |at: usize| t.rows[at].as_slice();
     let doomed = match positions {
-        Some(p) => wanted.claim_under(|d| p.key_of(d), |key| p.at(key), row_at),
+        Some((columns, p)) => wanted.claim_under(|d| key_of(columns, d), |key| p.get(key), row_at),
         None => wanted.claim(0..t.rows.len(), row_at),
     };
     if let Some(d) = wanted.rows().next() {
@@ -345,28 +352,22 @@ fn validate(
 }
 
 /// Take the rows at `doomed` out of `t` — the table's last row moves into
-/// each hole — and append `inserts`, moving `positions` along.
+/// each hole ([`swap_remove`]) — and append `inserts`, moving `positions`
+/// along.
 fn rewrite_rows(
     t: &mut TableData,
     mut positions: Option<&mut KeyPositions>,
-    mut doomed: Vec<usize>,
+    doomed: Vec<usize>,
     inserts: &[Row],
 ) {
-    // Highest position first: the row that moves is never one still to go.
-    doomed.sort_unstable_by(|a, b| b.cmp(a));
-    for at in doomed {
-        let last = t.rows.len() - 1;
-        if let Some(p) = positions.as_deref_mut() {
-            p.relocate(&t.rows[at], at, None);
-            if last != at {
-                p.relocate(&t.rows[last], last, Some(at));
-            }
+    swap_remove(&mut t.rows, doomed, |row, from, to| {
+        if let Some((columns, p)) = positions.as_deref_mut() {
+            p.relocate(&key_of(columns, row), from, to);
         }
-        t.rows.swap_remove(at);
-    }
+    });
     for row in inserts {
-        if let Some(p) = positions.as_deref_mut() {
-            p.insert(row, t.rows.len());
+        if let Some((columns, p)) = positions.as_deref_mut() {
+            p.insert(key_of(columns, row), t.rows.len());
         }
         t.rows.push(row.clone());
     }

@@ -22,7 +22,6 @@ use crate::error::{Error, Result};
 use crate::system::{Stores, SystemId};
 use estocada_parstore::ParStore;
 use estocada_pivot::{AccessPattern, Value};
-use estocada_relstore::IndexKind;
 use std::collections::HashMap;
 
 /// A stored row of a fragment relation (head order).
@@ -153,9 +152,11 @@ pub(crate) fn fill(
             table,
             columns,
             indexed,
-        } => named(columns, indexed)
-            .iter()
-            .for_each(|ix| stores.rel.create_index(table, ix, IndexKind::BTree)),
+        } => {
+            for ix in named(columns, indexed) {
+                stores.rel.create_index(table, &ix).map_err(rel_error)?;
+            }
+        }
         WhereSpec::Collection {
             collection,
             columns,
@@ -167,21 +168,37 @@ pub(crate) fn fill(
             dataset,
             columns,
             indexed,
-        } if !indexed.is_empty() => stores
-            .par
-            .build_key_index(dataset, &refs(&named(columns, indexed))),
+        } if !indexed.is_empty() => {
+            let key = named(columns, indexed);
+            stores
+                .par
+                .build_key_index(dataset, &refs(&key))
+                .map_err(par_error)?;
+        }
         _ => {}
     }
     Ok(())
 }
 
+/// A relational container the catalog places that its store does not hold.
+fn rel_error(e: estocada_relstore::QueryError) -> Error {
+    Error::UnknownName(format!("relational store: {e}"))
+}
+
+/// A parallel container the catalog places that its store does not hold.
+fn par_error(e: estocada_parstore::ParError) -> Error {
+    Error::UnknownName(format!("parallel store: {e}"))
+}
+
 /// Apply one relation's delta to its container, deletes (one stored
-/// instance each) before inserts, where they land. The relational,
-/// key-value and parallel stores patch rows, entries and indexes in place,
-/// so a write there costs the delta and the entries or postings it touches;
-/// a document or text delete rebuilds its container's indexes. `source` is
-/// the table the rows are rows of, for layouts derived from its declaration
-/// (text).
+/// instance each) before inserts, where they land. Every store patches its
+/// rows, entries and indexes in place — the last row of a container fills
+/// each hole and every posting index follows — so a write costs the delta
+/// and the entries or postings it touches; a document or text delete also
+/// scans its container once to find its documents, as no index lists every
+/// document. A container the catalog places but its store does not hold is
+/// [`Error::UnknownName`]. `source` is the table the rows are rows of, for
+/// layouts derived from its declaration (text).
 pub(crate) fn write(
     stores: &Stores,
     place: &WhereSpec,
@@ -192,14 +209,16 @@ pub(crate) fn write(
     match place {
         WhereSpec::Table { table, .. } => {
             if !deletes.is_empty() {
-                stores.rel.delete_rows(table, deletes);
+                stores.rel.delete_rows(table, deletes).map_err(rel_error)?;
             }
             if !inserts.is_empty() {
-                stores.rel.insert_many(table, inserts.iter().cloned());
+                let rows = inserts.iter().cloned();
+                stores.rel.insert_many(table, rows).map_err(rel_error)?;
             }
         }
         WhereSpec::ParDataset { dataset, .. } => {
-            stores.par.apply_delta(dataset, deletes, inserts);
+            let delta = stores.par.apply_delta(dataset, deletes, inserts);
+            delta.map_err(par_error)?;
         }
         WhereSpec::Collection {
             collection,

@@ -388,7 +388,7 @@ mod tests {
         .0;
         // Rows are packed as a list of value tuples under the key.
         assert_eq!(
-            stores.kv.get("UserByIdKV", &Value::Int(3)),
+            stores.kv.get("UserByIdKV", &Value::Int(3)).unwrap(),
             Some(vec![Value::array([Value::array([
                 Value::str("user3"),
                 Value::str("free")
@@ -418,6 +418,7 @@ mod tests {
         )
         .unwrap();
         let gold = stores.kv.get("ByTierKV", &Value::str("gold")).unwrap();
+        let gold = gold.unwrap();
         match &gold[0] {
             Value::Array(rows) => assert_eq!(rows.len(), 10),
             other => panic!("expected packed rows, got {other}"),

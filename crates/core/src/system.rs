@@ -237,7 +237,11 @@ impl Stores {
             out.push((format!("rel:{t}"), render(rows)));
         }
         for ns in self.kv.namespace_names() {
-            out.push((format!("kv:{ns}"), render(self.kv.scan(&ns))));
+            let entries = self.kv.scan(&ns).map(render);
+            out.push((
+                format!("kv:{ns}"),
+                entries.unwrap_or_else(|e| e.to_string()),
+            ));
         }
         for c in self.doc.collection_names() {
             out.push((format!("doc:{c}"), render(self.doc.scan(&c))));

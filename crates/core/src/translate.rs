@@ -684,10 +684,13 @@ mod tests {
     fn fixture() -> (Catalog, Stores) {
         let stores = Stores::new(Latencies::zero());
         stores.rel.create_table("t_users", &["uid", "name"]);
-        stores.rel.insert_many(
-            "t_users",
-            (0..10).map(|i| vec![Value::Int(i), Value::str(format!("u{i}"))]),
-        );
+        stores
+            .rel
+            .insert_many(
+                "t_users",
+                (0..10).map(|i| vec![Value::Int(i), Value::str(format!("u{i}"))]),
+            )
+            .unwrap();
         stores.kv.put(
             "kv_users",
             Value::Int(3),

@@ -4,7 +4,9 @@
 //! JSON-like documents (`estocada_pivot::Value` trees); queries are
 //! find-style conjunctive path filters ([`Filter`]) or richer tree-pattern
 //! queries with bindings ([`DocQuery`]); secondary **path indexes**
-//! accelerate equality clauses. The store supports *no joins* — exactly the
+//! accelerate equality clauses: each value a path reaches lists the
+//! documents reaching it, each once ([`estocada_pivot::Postings`]), and a
+//! removal patches them in place. The store supports *no joins* — exactly the
 //! capability gap that forces ESTOCADA's runtime to evaluate cross-fragment
 //! joins itself.
 //!
@@ -22,7 +24,7 @@ pub use filter::{Cond, Filter};
 pub use path::{eval_path, eval_path_first};
 pub use query::{DocQuery, QAxis, QueryNode};
 
-use estocada_pivot::Value;
+use estocada_pivot::{swap_remove, Postings, Value, Wanted};
 use estocada_simkit::{LatencyModel, RequestTimer, StoreMetrics};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -34,8 +36,9 @@ pub const ITEM_TAG: &str = "$item";
 #[derive(Debug, Default)]
 struct Collection {
     docs: Vec<Value>,
-    /// path → value → doc ids.
-    indexes: HashMap<String, HashMap<Value, Vec<usize>>>,
+    /// path → each value it reaches → the documents reaching it (each once,
+    /// however often it reaches the value).
+    indexes: HashMap<String, Postings<Value>>,
 }
 
 impl Collection {
@@ -43,40 +46,37 @@ impl Collection {
         let id = self.docs.len();
         for (path, idx) in self.indexes.iter_mut() {
             for v in path::eval_path(&doc, path) {
-                idx.entry(v.clone()).or_default().push(id);
+                idx.insert(v.clone(), id);
             }
         }
         self.docs.push(doc);
     }
 
     fn create_index(&mut self, path: &str) {
-        let mut idx: HashMap<Value, Vec<usize>> = HashMap::new();
+        let mut idx = Postings::default();
         for (id, doc) in self.docs.iter().enumerate() {
             for v in path::eval_path(doc, path) {
-                idx.entry(v.clone()).or_default().push(id);
+                idx.insert(v.clone(), id);
             }
         }
         self.indexes.insert(path.to_string(), idx);
     }
 
-    /// Remove the first document equal to `doc`; returns whether one was
-    /// removed. Doc ids shift, so every path index is rebuilt by the
-    /// caller afterwards.
-    fn remove_first(&mut self, doc: &Value) -> bool {
-        match self.docs.iter().position(|d| d == doc) {
-            Some(pos) => {
-                self.docs.remove(pos);
-                true
+    /// Remove one stored document equal to each entry of `docs` (entries
+    /// with none left are skipped), found by one scan; the last document
+    /// fills each hole and every path index follows in place. Returns how
+    /// many went.
+    fn remove(&mut self, docs: &[Value]) -> usize {
+        let found = Wanted::of(docs).claim(0..self.docs.len(), |id| &self.docs[id]);
+        let indexes = &mut self.indexes;
+        swap_remove(&mut self.docs, found.iter().copied(), |doc, from, to| {
+            for (path, idx) in indexes.iter_mut() {
+                for v in path::eval_path(doc, path) {
+                    idx.relocate(v, from, to);
+                }
             }
-            None => false,
-        }
-    }
-
-    fn rebuild_indexes(&mut self) {
-        let paths: Vec<String> = self.indexes.keys().cloned().collect();
-        for p in paths {
-            self.create_index(&p);
-        }
+        });
+        found.len()
     }
 }
 
@@ -123,24 +123,14 @@ impl DocStore {
 
     /// Remove documents from `collection`: each entry of `docs` removes
     /// **one** stored document equal to it (duplicates are removed one
-    /// instance per request). Path indexes are rebuilt once after the
-    /// batch. Returns how many documents were removed. Admin path: no
-    /// metrics or latency — like [`DocStore::insert_many`].
+    /// instance per request). The collection's last document moves into
+    /// each hole — no physical order is promised — and the path indexes
+    /// are patched in place, never rebuilt. Returns how many documents were
+    /// removed. Admin path: no metrics or latency — like
+    /// [`DocStore::insert_many`].
     pub fn remove_docs(&self, collection: &str, docs: &[Value]) -> usize {
         let mut guard = self.collections.write();
-        let Some(c) = guard.get_mut(collection) else {
-            return 0;
-        };
-        let mut removed = 0;
-        for d in docs {
-            if c.remove_first(d) {
-                removed += 1;
-            }
-        }
-        if removed > 0 {
-            c.rebuild_indexes();
-        }
-        removed
+        guard.get_mut(collection).map_or(0, |c| c.remove(docs))
     }
 
     /// Create a path index on `collection`.
@@ -172,7 +162,7 @@ impl DocStore {
             .first_eq()
             .and_then(|(p, v)| coll.indexes.get(p).map(|idx| (idx, v)))
         {
-            Some((idx, v)) => idx.get(v).cloned().unwrap_or_default(),
+            Some((idx, v)) => idx.get(v).to_vec(),
             None => {
                 timer.add_scanned(coll.docs.len() as u64);
                 (0..coll.docs.len()).collect()
@@ -214,7 +204,7 @@ impl DocStore {
         let candidates: Vec<usize> = match index_opportunity(q)
             .and_then(|(p, v)| coll.indexes.get(&p).map(|idx| (idx, v)))
         {
-            Some((idx, v)) => idx.get(&v).cloned().unwrap_or_default(),
+            Some((idx, v)) => idx.get(&v).to_vec(),
             None => {
                 timer.add_scanned(coll.docs.len() as u64);
                 (0..coll.docs.len()).collect()
@@ -293,23 +283,20 @@ fn index_opportunity(q: &DocQuery) -> Option<(String, Value)> {
 mod tests {
     use super::*;
 
+    fn cart(i: i64) -> Value {
+        let sku = Value::str(if i % 2 == 0 { "even" } else { "odd" });
+        Value::object_owned([
+            ("user".to_string(), Value::Int(i)),
+            (
+                "items".to_string(),
+                Value::array([Value::object([("sku", sku)])]),
+            ),
+        ])
+    }
+
     fn store() -> DocStore {
         let s = DocStore::new();
-        s.insert_many(
-            "carts",
-            (0..100).map(|i| {
-                Value::object_owned([
-                    ("user".to_string(), Value::Int(i)),
-                    (
-                        "items".to_string(),
-                        Value::array([Value::object([(
-                            "sku",
-                            Value::str(if i % 2 == 0 { "even" } else { "odd" }),
-                        )])]),
-                    ),
-                ])
-            }),
-        );
+        s.insert_many("carts", (0..100).map(cart));
         s
     }
 
@@ -365,26 +352,90 @@ mod tests {
         assert_eq!(out.len(), 1);
     }
 
+    fn sorted<T: Ord>(mut items: Vec<T>) -> Vec<T> {
+        items.sort();
+        items
+    }
+
+    /// Through the path index on `path` and by a scan, `find` and the tree
+    /// query's index assist answer alike — each document once — for every
+    /// value `path` reaches in `collection` and for one none reaches.
+    fn assert_index_answers_like_a_scan(s: &DocStore, collection: &str, path: &str) {
+        let docs = s.scan(collection);
+        let reached = docs.iter().flat_map(|d| eval_path(d, path)).cloned();
+        let scanned = s.metrics.snapshot().tuples_scanned;
+        for v in reached.chain([Value::str("ghost")]) {
+            let filter = Filter::all().eq(path, v.clone());
+            let scan = docs.iter().filter(|d| filter.matches(d)).cloned();
+            let found = s.find(collection, &filter, None);
+            assert_eq!(sorted(found), sorted(scan.collect()), "find {path} = {v}");
+            // The same equality as a child chain from the root.
+            let mut segs = path.rsplit('.');
+            let leaf = QueryNode::child(segs.next().unwrap_or(path)).eq(v.clone());
+            let chain = segs.fold(leaf.bind("v"), |n, seg| QueryNode::child(seg).with(n));
+            let q = DocQuery::new(collection).with(chain);
+            let scan = docs.iter().flat_map(|d| q.match_document(d));
+            let (_, rows) = s.query(&q);
+            assert_eq!(sorted(rows), sorted(scan.collect()), "query {path} = {v}");
+        }
+        let now = s.metrics.snapshot().tuples_scanned;
+        assert_eq!(now, scanned, "an indexed read scanned");
+    }
+
     #[test]
-    fn remove_docs_takes_one_instance_and_rebuilds_indexes() {
+    fn a_document_reaching_a_value_twice_is_found_once() {
+        let s = DocStore::new();
+        let sku = |v: &str| Value::object([("sku", Value::str(v))]);
+        let items = |skus: &[&str]| {
+            let items = Value::array(skus.iter().map(|v| sku(v)));
+            Value::object([("items", items)])
+        };
+        let (twice, once) = (items(&["a", "b", "a"]), items(&["b"]));
+        s.insert_many("c", [twice.clone(), once.clone(), sku("a")]);
+        s.create_index("c", "items.sku");
+        let items_a = Filter::all().eq("items.sku", "a");
+        assert_eq!(s.find("c", &items_a, None), vec![twice.clone()]);
+        assert_index_answers_like_a_scan(&s, "c", "items.sku");
+        // Deleting it forgets the value, though the document reached it twice.
+        assert_eq!(s.remove_docs("c", &[twice]), 1);
+        assert!(s.find("c", &items_a, None).is_empty());
+        assert_index_answers_like_a_scan(&s, "c", "items.sku");
+    }
+
+    #[test]
+    fn remove_docs_takes_one_instance_and_patches_indexes() {
         let s = store();
         s.create_index("carts", "user");
-        let doc = s
-            .find("carts", &Filter::all().eq("user", 7i64), None)
-            .pop()
-            .unwrap();
-        assert_eq!(s.remove_docs("carts", std::slice::from_ref(&doc)), 1);
-        assert_eq!(s.len("carts"), 99);
-        // Indexed lookup still correct after the id shift.
+        s.create_index("carts", "items.sku");
+        let user = |i: i64| {
+            let doc = s.find("carts", &Filter::all().eq("user", i), None).pop();
+            doc.unwrap()
+        };
+        let (first, seventh, last) = (user(0), user(7), user(99));
+        // A second copy of one document: the batch takes one instance each.
+        s.insert("carts", seventh.clone());
+        let gone = [seventh.clone(), first, last, seventh.clone(), seventh];
+        assert_eq!(s.remove_docs("carts", &gone), 4);
+        assert_eq!(s.len("carts"), 97);
+        for path in ["user", "items.sku"] {
+            assert_index_answers_like_a_scan(&s, "carts", path);
+        }
+        // Documents moved into the holes are still found; the deleted not.
         assert!(s
             .find("carts", &Filter::all().eq("user", 7i64), None)
             .is_empty());
-        let out = s.find("carts", &Filter::all().eq("user", 99i64), None);
-        assert_eq!(out.len(), 1);
-        assert_eq!(s.metrics.snapshot().tuples_scanned, 0);
+        assert_eq!(
+            s.find("carts", &Filter::all().eq("user", 98i64), None)
+                .len(),
+            1
+        );
         // Unknown document / collection: no-ops.
         assert_eq!(s.remove_docs("carts", &[Value::Int(42)]), 0);
-        assert_eq!(s.remove_docs("ghost", &[doc]), 0);
+        assert_eq!(s.remove_docs("ghost", &[user(1)]), 0);
+        // Emptied, then grown again.
+        assert_eq!(s.remove_docs("carts", &s.scan("carts")), 97);
+        s.insert("carts", cart(5));
+        assert_index_answers_like_a_scan(&s, "carts", "user");
     }
 
     #[test]

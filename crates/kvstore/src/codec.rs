@@ -124,7 +124,9 @@ fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], DecodeError> {
 }
 
 fn take_array<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], DecodeError> {
-    Ok(take(buf, N)?.try_into().expect("take returned N bytes"))
+    let mut out = [0; N];
+    out.copy_from_slice(take(buf, N)?);
+    Ok(out)
 }
 
 fn take_len(buf: &mut &[u8]) -> Result<usize, DecodeError> {

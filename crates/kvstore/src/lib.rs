@@ -64,46 +64,34 @@ impl KvStore {
     }
 
     /// Fetch the tuple stored under `key`; the *key must be supplied* — the
-    /// store's defining access restriction. Charges latency and metrics.
-    pub fn get(&self, namespace: &str, key: &Value) -> Option<Vec<Value>> {
+    /// store's defining access restriction. Charges latency and metrics. A
+    /// stored payload that does not decode is a [`DecodeError`].
+    pub fn get(&self, namespace: &str, key: &Value) -> Result<Option<Vec<Value>>, DecodeError> {
         let guard = self.namespaces.read();
         let mut timer = RequestTimer::start(&self.metrics, self.latency);
         let hit = guard.get(namespace).and_then(|ns| ns.get(key));
-        match hit {
-            Some(payload) => {
-                timer.set_output(1, payload.len() as u64);
-                Some(codec::decode_tuple(payload).expect("corrupt kv payload"))
-            }
-            None => {
-                timer.set_output(0, 0);
-                None
-            }
-        }
+        let bytes = hit.map_or(0, |payload| payload.len());
+        timer.set_output(hit.is_some().into(), bytes as u64);
+        hit.map(|payload| codec::decode_tuple(payload)).transpose()
     }
 
     /// Batched lookup; one simulated round-trip for the whole batch (real
-    /// stores pipeline MGET).
-    pub fn mget(&self, namespace: &str, keys: &[Value]) -> Vec<Option<Vec<Value>>> {
+    /// stores pipeline MGET). A stored payload that does not decode fails
+    /// the batch with a [`DecodeError`].
+    pub fn mget(
+        &self,
+        namespace: &str,
+        keys: &[Value],
+    ) -> Result<Vec<Option<Vec<Value>>>, DecodeError> {
         let guard = self.namespaces.read();
         let mut timer = RequestTimer::start(&self.metrics, self.latency);
-        let mut tuples = 0u64;
-        let mut bytes = 0u64;
-        let out = keys
-            .iter()
-            .map(|k| {
-                let hit = guard.get(namespace).and_then(|ns| ns.get(k));
-                match hit {
-                    Some(payload) => {
-                        tuples += 1;
-                        bytes += payload.len() as u64;
-                        Some(codec::decode_tuple(payload).expect("corrupt kv payload"))
-                    }
-                    None => None,
-                }
-            })
-            .collect();
-        timer.set_output(tuples, bytes);
-        out
+        let ns = guard.get(namespace);
+        let hits: Vec<Option<&[u8]>> = keys.iter().map(|k| Some(&**ns?.get(k)?)).collect();
+        let payloads = hits.iter().flatten();
+        let bytes: usize = payloads.clone().map(|payload| payload.len()).sum();
+        timer.set_output(payloads.count() as u64, bytes as u64);
+        let decode = |hit: Option<&[u8]>| hit.map(codec::decode_tuple).transpose();
+        hits.into_iter().map(decode).collect()
     }
 
     /// Rewrite the tuple under `key` where it lies: `patch` receives the
@@ -162,22 +150,14 @@ impl KvStore {
 
     /// Full scan of a namespace (admin path, used by fragment
     /// re-materialization and statistics; deliberately NOT reachable from
-    /// rewritings).
-    pub fn scan(&self, namespace: &str) -> Vec<(Value, Vec<Value>)> {
-        self.namespaces
-            .read()
-            .get(namespace)
-            .map(|ns| {
-                ns.iter()
-                    .map(|(k, v)| {
-                        (
-                            k.clone(),
-                            codec::decode_tuple(v).expect("corrupt kv payload"),
-                        )
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
+    /// rewritings). Empty for an unknown namespace; a stored payload that
+    /// does not decode is a [`DecodeError`].
+    pub fn scan(&self, namespace: &str) -> Result<Vec<(Value, Vec<Value>)>, DecodeError> {
+        let guard = self.namespaces.read();
+        let entries = guard.get(namespace).into_iter().flatten();
+        entries
+            .map(|(k, v)| Ok((k.clone(), codec::decode_tuple(v)?)))
+            .collect()
     }
 
     /// Names of all namespaces.
@@ -200,10 +180,10 @@ mod tests {
         );
         assert_eq!(
             s.get("prefs", &Value::Int(7)),
-            Some(vec![Value::str("dark"), Value::str("fr")])
+            Ok(Some(vec![Value::str("dark"), Value::str("fr")]))
         );
-        assert_eq!(s.get("prefs", &Value::Int(8)), None);
-        assert_eq!(s.get("other", &Value::Int(7)), None);
+        assert_eq!(s.get("prefs", &Value::Int(8)), Ok(None));
+        assert_eq!(s.get("other", &Value::Int(7)), Ok(None));
     }
 
     #[test]
@@ -212,6 +192,7 @@ mod tests {
         s.put("ns", Value::Int(1), &[Value::Int(10)]);
         s.put("ns", Value::Int(2), &[Value::Int(20)]);
         let out = s.mget("ns", &[Value::Int(1), Value::Int(3), Value::Int(2)]);
+        let out = out.unwrap();
         assert_eq!(out.len(), 3);
         assert_eq!(out[0], Some(vec![Value::Int(10)]));
         assert_eq!(out[1], None);
@@ -225,7 +206,7 @@ mod tests {
         let s = KvStore::new();
         s.put("ns", Value::str("k"), &[Value::Int(1)]);
         s.put("ns", Value::str("k"), &[Value::Int(2)]);
-        assert_eq!(s.get("ns", &Value::str("k")), Some(vec![Value::Int(2)]));
+        assert_eq!(s.get("ns", &Value::str("k")), Ok(Some(vec![Value::Int(2)])));
         assert_eq!(s.len("ns"), 1);
     }
 
@@ -243,7 +224,7 @@ mod tests {
         s.update("ns", &Value::Int(1), append(11)).unwrap();
         s.update("ns", &Value::Int(2), append(20)).unwrap();
         let one = s.get("ns", &Value::Int(1));
-        assert_eq!(one, Some(vec![Value::Int(10), Value::Int(11)]));
+        assert_eq!(one, Ok(Some(vec![Value::Int(10), Value::Int(11)])));
         // Patching charges nothing: it is not a query.
         assert_eq!(s.metrics.snapshot().requests, 1);
         s.update("ns", &Value::Int(1), |_| None).unwrap();
@@ -261,7 +242,7 @@ mod tests {
         s.put("ns", Value::Int(1), &[Value::Int(1)]);
         s.put("ns", Value::Int(2), &[Value::Int(2)]);
         s.update("ns", &Value::Int(1), |_| None).unwrap();
-        assert_eq!(s.get("ns", &Value::Int(1)), None);
+        assert_eq!(s.get("ns", &Value::Int(1)), Ok(None));
         assert!(s.drop_namespace("ns"));
         assert!(s.is_empty("ns"));
     }
@@ -271,7 +252,7 @@ mod tests {
         let s = KvStore::new();
         s.put("ns", Value::Int(1), &[Value::str("a")]);
         s.put("ns", Value::Int(2), &[Value::str("b")]);
-        let mut all = s.scan("ns");
+        let mut all = s.scan("ns").unwrap();
         all.sort_by(|a, b| a.0.cmp(&b.0));
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].1, vec![Value::str("a")]);
@@ -285,6 +266,30 @@ mod tests {
             Value::array([Value::str("sku1"), Value::str("sku2")]),
         )]);
         s.put("carts", Value::Int(9), std::slice::from_ref(&cart));
-        assert_eq!(s.get("carts", &Value::Int(9)), Some(vec![cart]));
+        assert_eq!(s.get("carts", &Value::Int(9)), Ok(Some(vec![cart])));
+    }
+
+    #[test]
+    fn a_payload_that_does_not_decode_is_an_error() {
+        let s = KvStore::new();
+        s.put("ns", Value::Int(1), &[Value::Int(10)]);
+        let corrupt = vec![1, 0, 0, 0, 99].into_boxed_slice();
+        let mut guard = s.namespaces.write();
+        guard
+            .entry("ns".into())
+            .or_default()
+            .insert(Value::Int(2), corrupt);
+        drop(guard);
+        let unknown_tag = DecodeError {
+            reason: "unknown tag",
+        };
+        assert_eq!(s.get("ns", &Value::Int(2)), Err(unknown_tag.clone()));
+        assert_eq!(s.get("ns", &Value::Int(1)), Ok(Some(vec![Value::Int(10)])));
+        let keys = [Value::Int(1), Value::Int(2)];
+        assert_eq!(s.mget("ns", &keys), Err(unknown_tag.clone()));
+        assert_eq!(s.scan("ns").map(|_| ()), Err(unknown_tag));
+        assert_eq!(s.scan("ghost"), Ok(vec![]));
+        // Every request was still charged.
+        assert_eq!(s.metrics.snapshot().requests, 3);
     }
 }

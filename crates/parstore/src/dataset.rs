@@ -1,68 +1,18 @@
 //! Partitioned datasets of (possibly nested) rows.
 
-use estocada_pivot::{Value, Wanted};
-use std::collections::{BTreeSet, HashMap};
+use estocada_pivot::{swap_remove, Postings, Value, Wanted};
+use std::collections::BTreeSet;
 
-/// A key index over one or more columns: key values → the locations of the
-/// rows holding them. A dataset's locations are (partition, row) pairs; a
-/// single table's are row positions.
-#[derive(Debug, Clone)]
-pub struct KeyIndex<L = (u32, u32)> {
-    /// Indexed column positions.
-    pub columns: Vec<usize>,
-    /// Key tuple → row locations.
-    pub map: HashMap<Vec<Value>, Vec<L>>,
-}
+/// A row's place: (partition, row within it).
+type Loc = (u32, u32);
 
-impl<L: Copy + PartialEq> KeyIndex<L> {
-    /// An empty index over `columns`.
-    pub fn new(columns: Vec<usize>) -> KeyIndex<L> {
-        KeyIndex {
-            columns,
-            map: HashMap::new(),
-        }
-    }
+/// A key index: its column positions, and each key with the locations of
+/// the rows holding it.
+pub type KeyPostings = (Vec<usize>, Postings<Vec<Value>, Loc>);
 
-    /// `row`'s values at the key columns.
-    pub fn key_of(&self, row: &[Value]) -> Vec<Value> {
-        self.columns.iter().map(|c| row[*c].clone()).collect()
-    }
-
-    /// Index `row`, stored at `at`.
-    pub fn insert(&mut self, row: &[Value], at: L) {
-        self.map.entry(self.key_of(row)).or_default().push(at);
-    }
-
-    /// The locations of the rows holding `key`.
-    pub fn at(&self, key: &[Value]) -> &[L] {
-        self.map.get(key).map_or(&[], Vec::as_slice)
-    }
-
-    /// The locations of the rows sharing `row`'s key.
-    pub fn under(&self, row: &[Value]) -> &[L] {
-        self.at(&self.key_of(row))
-    }
-
-    /// Point `row`'s entry for location `from` at `to`, or drop it (`None`);
-    /// a key left without rows leaves the map, as in a fresh build.
-    pub fn relocate(&mut self, row: &[Value], from: L, to: Option<L>) {
-        let key = self.key_of(row);
-        let Some(locs) = self.map.get_mut(&key) else {
-            return;
-        };
-        let Some(slot) = locs.iter().position(|at| *at == from) else {
-            return;
-        };
-        match to {
-            Some(to) => locs[slot] = to,
-            None => {
-                locs.swap_remove(slot);
-                if locs.is_empty() {
-                    self.map.remove(&key);
-                }
-            }
-        }
-    }
+/// `row`'s values at the key `columns`.
+fn key_of(columns: &[usize], row: &[Value]) -> Vec<Value> {
+    columns.iter().map(|c| row[*c].clone()).collect()
 }
 
 /// A partitioned dataset. Rows may contain nested values (arrays of
@@ -74,7 +24,7 @@ pub struct Dataset {
     /// Row partitions.
     pub partitions: Vec<Vec<Vec<Value>>>,
     /// Optional key index.
-    pub key_index: Option<KeyIndex>,
+    pub key_index: Option<KeyPostings>,
 }
 
 impl Dataset {
@@ -113,27 +63,32 @@ impl Dataset {
         self.columns.iter().position(|c| c == name)
     }
 
+    /// Every row with its location, partition by partition.
+    fn located(&self) -> impl Iterator<Item = (Loc, &Vec<Value>)> {
+        let parts = self.partitions.iter().enumerate();
+        parts.flat_map(|(p, part)| (0..).zip(part).map(move |(r, row)| ((p as u32, r), row)))
+    }
+
     /// Build (or rebuild) the key index over `columns`.
     pub fn build_key_index(&mut self, columns: Vec<usize>) {
-        let mut idx = KeyIndex::new(columns);
-        for (pi, part) in self.partitions.iter().enumerate() {
-            for (ri, row) in part.iter().enumerate() {
-                idx.insert(row, (pi as u32, ri as u32));
-            }
-        }
-        self.key_index = Some(idx);
+        let posted = self.located().map(|(at, row)| (key_of(&columns, row), at));
+        let postings = posted.collect();
+        self.key_index = Some((columns, postings));
     }
 
     /// Append rows round-robin across the existing partitions (continuing
     /// from the current total, so growth stays balanced). Each row's
-    /// location is pushed onto the key index when one exists.
+    /// location is posted in the key index when one exists.
     pub fn append_rows(&mut self, rows: impl IntoIterator<Item = Vec<Value>>) {
         let n = self.partitions.len().max(1);
         for (next, row) in (self.len()..).zip(rows) {
             assert_eq!(row.len(), self.columns.len(), "row arity mismatch");
             let part = &mut self.partitions[next % n];
-            if let Some(idx) = &mut self.key_index {
-                idx.insert(&row, ((next % n) as u32, part.len() as u32));
+            if let Some((columns, idx)) = &mut self.key_index {
+                idx.insert(
+                    key_of(columns, &row),
+                    ((next % n) as u32, part.len() as u32),
+                );
             }
             part.push(row);
         }
@@ -154,53 +109,45 @@ impl Dataset {
     /// entries claim distinct instances, entries with none left claim
     /// nothing. With a key index this reads only the rows sharing a key with
     /// an entry, each once; without one it scans the partitions once.
-    pub(crate) fn locate(&self, rows: &[Vec<Value>]) -> BTreeSet<(u32, u32)> {
+    pub(crate) fn locate(&self, rows: &[Vec<Value>]) -> BTreeSet<Loc> {
         let mut wanted = Wanted::new(rows, self.columns.len());
-        let row_at = |(p, r): (u32, u32)| self.partitions[p as usize][r as usize].as_slice();
+        let row_at = |(p, r): Loc| self.partitions[p as usize][r as usize].as_slice();
         match &self.key_index {
             // The candidates: every row under an entry's key.
-            Some(idx) => wanted.claim_under(|row| idx.key_of(row), |key| idx.at(key), row_at),
-            None => {
-                let sizes = self.partitions.iter().map(Vec::len).enumerate();
-                let all = sizes.flat_map(|(p, n)| (0..n as u32).map(move |r| (p as u32, r)));
-                wanted.claim(all, row_at)
+            Some((columns, idx)) => {
+                wanted.claim_under(|row| key_of(columns, row), |key| idx.get(key), row_at)
             }
+            None => wanted.claim(self.located().map(|(at, _)| at), row_at),
         }
     }
 
-    /// Remove the rows at `found` (as [`Dataset::locate`] returns them), each
-    /// with `swap_remove`; the key index forgets the removed row and follows
-    /// the one that moved. Proportional to `found` and the rows sharing a
-    /// touched key, not to the dataset.
-    pub(crate) fn remove_at(&mut self, found: &BTreeSet<(u32, u32)>) {
-        // Highest location first: the row that moves is never one still to go.
-        for &(p, r) in found.iter().rev() {
-            let part = &mut self.partitions[p as usize];
-            let gone = part.swap_remove(r as usize);
-            let Some(idx) = &mut self.key_index else {
-                continue;
-            };
-            let last = (p, part.len() as u32);
-            idx.relocate(&gone, (p, r), None);
-            if last.1 != r {
-                idx.relocate(&part[r as usize], last, Some((p, r)));
-            }
+    /// Remove the rows at `found` (as [`Dataset::locate`] returns them),
+    /// partition by partition through [`swap_remove`]: the key index
+    /// forgets each removed row and follows each one that moved.
+    /// Proportional to `found` and the rows sharing a touched key, not to
+    /// the dataset.
+    pub(crate) fn remove_at(&mut self, found: &BTreeSet<Loc>) {
+        let key_index = &mut self.key_index;
+        for (p, part) in (0..).zip(&mut self.partitions) {
+            let doomed = found.range((p, 0)..(p + 1, 0)).map(|(_, r)| *r as usize);
+            swap_remove(part, doomed, |row, from, to| {
+                if let Some((columns, idx)) = key_index {
+                    let to = to.map(|to| (p, to as u32));
+                    idx.relocate(&key_of(columns, row), (p, from as u32), to);
+                }
+            });
         }
     }
 
-    /// Rows matching `key` through the key index (panics if the index does
-    /// not exist or the key arity mismatches).
+    /// Rows holding `key` at the key index's columns: none when the
+    /// dataset has no key index, or `key` another arity.
     pub fn index_lookup(&self, key: &[Value]) -> Vec<&Vec<Value>> {
-        let idx = self.key_index.as_ref().expect("dataset has no key index");
-        assert_eq!(key.len(), idx.columns.len(), "key arity mismatch");
-        idx.map
-            .get(key)
-            .map(|locs| {
-                locs.iter()
-                    .map(|(p, r)| &self.partitions[*p as usize][*r as usize])
-                    .collect()
-            })
-            .unwrap_or_default()
+        let locs = self
+            .key_index
+            .as_ref()
+            .map_or(&[][..], |(_, idx)| idx.get(key));
+        let row = |(p, r): &Loc| &self.partitions[*p as usize][*r as usize];
+        locs.iter().map(row).collect()
     }
 
     /// Iterate all rows (sequential; the parallel paths live in
@@ -265,17 +212,11 @@ mod tests {
     /// The rows, sorted — after checking that a key index, if any, lists
     /// what a rebuild over those rows would.
     fn content(d: &Dataset) -> Vec<Vec<Value>> {
-        let entries = |d: &Dataset| {
-            let mut entries: Vec<_> = d.key_index.iter().flat_map(|i| i.map.clone()).collect();
-            entries.iter_mut().for_each(|(_, locs)| locs.sort());
-            entries.sort();
-            entries
-        };
         let mut rebuilt = d.clone();
-        if let Some(idx) = &d.key_index {
-            rebuilt.build_key_index(idx.columns.clone());
+        if let Some((columns, _)) = &d.key_index {
+            rebuilt.build_key_index(columns.clone());
         }
-        assert_eq!(entries(d), entries(&rebuilt), "index drifted");
+        assert_eq!(d.key_index, rebuilt.key_index, "index drifted");
         let mut rows: Vec<_> = d.iter_rows().cloned().collect();
         rows.sort();
         rows
@@ -336,16 +277,18 @@ mod tests {
         t.step(vec![row(99)], vec![]);
         // Empty the datasets, then grow them again.
         t.step(t.model.clone(), vec![]);
-        assert!(t.indexed.is_empty() && t.indexed.key_index.as_ref().unwrap().map.is_empty());
+        assert!(t.indexed.is_empty() && t.indexed.key_index.as_ref().unwrap().1.is_empty());
         t.step(vec![], vec![row(5), row(5), row(6)]);
         assert_eq!(t.indexed.index_lookup(&[Value::Int(2)]).len(), 2);
     }
 
     #[test]
-    #[should_panic(expected = "no key index")]
-    fn lookup_without_index_panics() {
-        let d = Dataset::from_rows(&["id"], vec![vec![Value::Int(1)]], 1);
-        d.index_lookup(&[Value::Int(1)]);
+    fn lookup_without_index_or_of_another_arity_has_no_rows() {
+        let mut d = Dataset::from_rows(&["id", "grp"], rows(3), 1);
+        assert!(d.index_lookup(&[Value::Int(1)]).is_empty());
+        d.build_key_index(vec![0]);
+        assert!(d.index_lookup(&[Value::Int(1), Value::Int(1)]).is_empty());
+        assert_eq!(d.index_lookup(&[Value::Int(1)]).len(), 1);
     }
 
     #[test]

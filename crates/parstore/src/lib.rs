@@ -25,7 +25,7 @@
 pub mod dataset;
 pub mod ops;
 
-pub use dataset::{Dataset, KeyIndex};
+pub use dataset::Dataset;
 pub use estocada_pivot::{AggFun, GroupBy};
 pub use ops::{par_filter, par_filter_map, par_join, par_join_map};
 
@@ -65,7 +65,8 @@ pub enum ParError {
         column: String,
     },
     /// A predicate, projection or grouping column position is out of range,
-    /// or the join key lists differ in length.
+    /// the join key lists differ in length, or a lookup key's arity differs
+    /// from the key index's.
     BadColumn,
 }
 
@@ -159,6 +160,11 @@ impl std::fmt::Display for Shape {
     }
 }
 
+/// The error of a request naming dataset `name`, which the store lacks.
+fn unknown(name: &str) -> ParError {
+    ParError::UnknownDataset(name.to_string())
+}
+
 /// Predicate positions must exist in rows `width` columns wide.
 fn check_preds(preds: &[ColPred], width: usize) -> Result<(), ParError> {
     let fits = preds.iter().all(|p| p.col < width);
@@ -209,19 +215,18 @@ impl ParStore {
     }
 
     /// Build a key index over the named columns.
-    pub fn build_key_index(&self, name: &str, columns: &[&str]) {
+    pub fn build_key_index(&self, name: &str, columns: &[&str]) -> Result<(), ParError> {
         let mut guard = self.datasets.write();
-        let ds = guard
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("unknown dataset {name}"));
-        let cols: Vec<usize> = columns
-            .iter()
-            .map(|c| {
-                ds.column_index(c)
-                    .unwrap_or_else(|| panic!("unknown column {c} on {name}"))
+        let ds = guard.get_mut(name).ok_or_else(|| unknown(name))?;
+        let col = |c: &&str| {
+            ds.column_index(c).ok_or_else(|| ParError::UnknownColumn {
+                dataset: name.to_string(),
+                column: c.to_string(),
             })
-            .collect();
+        };
+        let cols = columns.iter().map(col).collect::<Result<_, _>>()?;
         Arc::make_mut(ds).build_key_index(cols);
+        Ok(())
     }
 
     /// Handle to a dataset.
@@ -242,24 +247,26 @@ impl ParStore {
     /// keeps its snapshot. A delta that changes nothing touches nothing. No
     /// physical row order is promised: a removed row's place is taken by the
     /// last row of its partition. Admin path: no metrics or latency.
-    pub fn apply_delta(&self, name: &str, deletes: &[Vec<Value>], inserts: &[Vec<Value>]) -> usize {
+    pub fn apply_delta(
+        &self,
+        name: &str,
+        deletes: &[Vec<Value>],
+        inserts: &[Vec<Value>],
+    ) -> Result<usize, ParError> {
         let mut guard = self.datasets.write();
-        let ds = guard
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("unknown dataset {name}"));
+        let ds = guard.get_mut(name).ok_or_else(|| unknown(name))?;
         let found = ds.locate(deletes);
         if !(found.is_empty() && inserts.is_empty()) {
             let ds = Arc::make_mut(ds);
             ds.remove_at(&found);
             ds.append_rows(inserts.iter().cloned());
         }
-        found.len()
+        Ok(found.len())
     }
 
     /// The dataset a read request names.
     fn request(&self, name: &str) -> Result<Arc<Dataset>, ParError> {
-        self.dataset(name)
-            .ok_or_else(|| ParError::UnknownDataset(name.to_string()))
+        self.dataset(name).ok_or_else(|| unknown(name))
     }
 
     /// Parallel scan: the rows passing `preds`, returned as `shape` says.
@@ -294,6 +301,13 @@ impl ParStore {
     ) -> Result<Vec<Vec<Value>>, ParError> {
         let ds = self.request(name)?;
         let width = ds.columns.len();
+        if ds
+            .key_index
+            .as_ref()
+            .is_some_and(|(cols, _)| cols.len() != key.len())
+        {
+            return Err(ParError::BadColumn);
+        }
         check_preds(preds, width)?;
         shape.check(width)?;
         let mut timer = RequestTimer::start(&self.metrics, self.latency);
@@ -418,7 +432,7 @@ mod tests {
     #[test]
     fn lookup_via_key_index() {
         let s = store();
-        s.build_key_index("visits", &["user"]);
+        s.build_key_index("visits", &["user"]).unwrap();
         let all = Shape::default();
         let out = s.lookup("visits", &[Value::Int(7)], &[], &all).unwrap();
         assert_eq!(out.len(), 10);
@@ -533,12 +547,44 @@ mod tests {
     }
 
     #[test]
+    fn lookups_without_an_index_find_nothing_and_admin_names_are_checked() {
+        let s = store();
+        let all = Shape::default();
+        // An unindexed dataset has no row under any key.
+        assert_eq!(s.lookup("visits", &[Value::Int(7)], &[], &all), Ok(vec![]));
+        s.build_key_index("visits", &["user"]).unwrap();
+        let two = [Value::Int(7), Value::str("url7")];
+        assert_eq!(
+            s.lookup("visits", &two, &[], &all),
+            Err(ParError::BadColumn)
+        );
+        let ghost = Err(ParError::UnknownDataset("ghost".into()));
+        assert_eq!(s.build_key_index("ghost", &["user"]), ghost);
+        assert_eq!(s.apply_delta("ghost", &[], &[]), ghost.map(|()| 0));
+        assert_eq!(
+            s.build_key_index("visits", &["user", "nope"]),
+            Err(ParError::UnknownColumn {
+                dataset: "visits".into(),
+                column: "nope".into()
+            })
+        );
+        // A failed rebuild keeps the index there was.
+        assert_eq!(
+            s.lookup("visits", &[Value::Int(7)], &[], &all)
+                .unwrap()
+                .len(),
+            10
+        );
+    }
+
+    #[test]
     fn insert_and_delete_rows_swap_in_a_new_snapshot() {
         let s = store();
-        s.build_key_index("visits", &["user"]);
+        s.build_key_index("visits", &["user"]).unwrap();
         let before = s.dataset("visits").unwrap();
         let new = vec![Value::Int(7), Value::str("url7"), Value::Double(9.9)];
-        s.apply_delta("visits", &[], std::slice::from_ref(&new));
+        s.apply_delta("visits", &[], std::slice::from_ref(&new))
+            .unwrap();
         // The pre-mutation handle still sees the old snapshot.
         assert_eq!(before.len(), 1000);
         assert_eq!(s.len("visits"), 1001);
@@ -549,7 +595,7 @@ mod tests {
         assert_eq!(under7(&s), 11);
         let ghost = vec![Value::Int(-1), Value::str("ghost"), Value::Double(0.0)];
         let removed = s.apply_delta("visits", &[new, ghost], &[]);
-        assert_eq!(removed, 1);
+        assert_eq!(removed, Ok(1));
         assert_eq!(before.len(), 1000);
         assert_eq!(s.len("visits"), 1000);
         assert_eq!(under7(&s), 10);
@@ -558,19 +604,20 @@ mod tests {
     #[test]
     fn deltas_mutate_in_place_and_empty_ones_touch_nothing() {
         let s = store();
-        s.build_key_index("visits", &["user"]);
+        s.build_key_index("visits", &["user"]).unwrap();
         let at = |s: &ParStore| Arc::as_ptr(&s.dataset("visits").unwrap());
         let home = at(&s);
         let new = vec![Value::Int(7), Value::str("url7"), Value::Double(9.9)];
         let ghost = vec![Value::Int(-1), Value::str("ghost"), Value::Double(0.0)];
         // No handle outstanding: same allocation before and after a write.
-        s.apply_delta("visits", &[], std::slice::from_ref(&new));
-        assert_eq!(s.apply_delta("visits", &[new, ghost.clone()], &[]), 1);
+        s.apply_delta("visits", &[], std::slice::from_ref(&new))
+            .unwrap();
+        assert_eq!(s.apply_delta("visits", &[new, ghost.clone()], &[]), Ok(1));
         assert_eq!((at(&s), s.len("visits")), (home, 1000));
         // A delta that changes nothing copies nothing, even under a reader.
         let reader = s.dataset("visits").unwrap();
-        assert_eq!(s.apply_delta("visits", &[ghost], &[]), 0);
-        assert_eq!(s.apply_delta("visits", &[], &[]), 0);
+        assert_eq!(s.apply_delta("visits", &[ghost], &[]), Ok(0));
+        assert_eq!(s.apply_delta("visits", &[], &[]), Ok(0));
         assert_eq!(at(&s), home);
         drop(reader);
     }
@@ -587,7 +634,7 @@ mod tests {
             ]],
             2,
         );
-        s.build_key_index("history", &["user"]);
+        s.build_key_index("history", &["user"]).unwrap();
         let out = s.lookup("history", &[Value::Int(1)], &[], &Shape::default());
         let out = out.unwrap();
         assert_eq!(out.len(), 1);

@@ -36,7 +36,7 @@ pub use constraint::{Constraint, Egd, Tgd, ViewDef};
 pub use cq::{Cq, CqBuilder};
 pub use fact::{Fact, IdGen};
 pub use intern::{ConstId, ConstReader};
-pub use multiset::Wanted;
+pub use multiset::{swap_remove, Postings, Wanted};
 pub use schema::{RelationDecl, Schema};
 pub use symbol::Symbol;
 pub use term::{Term, Var};

@@ -1,35 +1,52 @@
-//! The rows a delete looks for among stored rows, as a multiset.
+//! The rows a delete looks for among stored rows, as a multiset, and the
+//! one value→row index every store keeps.
 //!
 //! Every store removes "one stored instance per entry": equal entries take
 //! distinct instances, and an entry with no instance left takes nothing.
-//! [`Wanted`] is that bookkeeping once, whatever a store's locations are
-//! (a row position, a (partition, row) pair); the store supplies the
-//! candidate locations — every row ([`Wanted::claim`]), or the rows an
-//! index lists under the entries' keys ([`Wanted::claim_under`]).
+//! [`Wanted`] is that bookkeeping once, whatever a store's rows (a row, a
+//! document, a keyed text) and locations (a row position, a (partition,
+//! row) pair) are; the store supplies the candidate locations — every row
+//! ([`Wanted::claim`]), or the rows an index lists under the entries' keys
+//! ([`Wanted::claim_under`]).
+//!
+//! [`Postings`] is that index: each key with the ascending locations of
+//! the rows posted under it. Claimed rows leave through [`swap_remove`] —
+//! the last row fills each hole — and every index forgets the one row and
+//! relocates the other in place ([`Postings::relocate`]), so a patched
+//! index lists what a fresh build over the remaining rows would.
 
 use crate::Value;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::borrow::Borrow;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::hash::Hash;
+use std::ops::RangeBounds;
 
 /// Rows still wanted, each with the number of instances it still claims.
-#[derive(Debug, Clone, Default)]
-pub struct Wanted<'a> {
-    left: HashMap<&'a [Value], usize>,
+#[derive(Debug)]
+pub struct Wanted<'a, T: ?Sized = [Value]> {
+    left: HashMap<&'a T, usize>,
 }
 
 impl<'a> Wanted<'a> {
     /// One claim per entry of `rows`. An entry of another arity than
     /// `arity` matches no stored row, so it is left out.
     pub fn new(rows: &'a [Vec<Value>], arity: usize) -> Wanted<'a> {
+        Wanted::of(rows.iter().filter(|r| r.len() == arity).map(Vec::as_slice))
+    }
+}
+
+impl<'a, T: Hash + Eq + ?Sized> Wanted<'a, T> {
+    /// One claim per entry of `entries`.
+    pub fn of(entries: impl IntoIterator<Item = &'a T>) -> Wanted<'a, T> {
         let mut left = HashMap::new();
-        for row in rows.iter().filter(|r| r.len() == arity) {
-            *left.entry(row.as_slice()).or_insert(0) += 1;
+        for entry in entries {
+            *left.entry(entry).or_insert(0) += 1;
         }
         Wanted { left }
     }
 
     /// The distinct entries not yet served.
-    pub fn rows(&self) -> impl Iterator<Item = &'a [Value]> + '_ {
+    pub fn rows(&self) -> impl Iterator<Item = &'a T> + '_ {
         self.left.keys().copied()
     }
 
@@ -39,8 +56,11 @@ impl<'a> Wanted<'a> {
     pub fn claim<'s, L: Ord + Copy>(
         &mut self,
         candidates: impl IntoIterator<Item = L>,
-        row_at: impl Fn(L) -> &'s [Value],
-    ) -> BTreeSet<L> {
+        row_at: impl Fn(L) -> &'s T,
+    ) -> BTreeSet<L>
+    where
+        T: 's,
+    {
         let mut found = BTreeSet::new();
         for at in candidates {
             if self.left.is_empty() {
@@ -63,13 +83,133 @@ impl<'a> Wanted<'a> {
     /// rows under one key are read once however many entries share it.
     pub fn claim_under<'s, K: Hash + Eq, L: Ord + Copy + 's>(
         &mut self,
-        key: impl Fn(&[Value]) -> K,
+        key: impl Fn(&T) -> K,
         under: impl Fn(&K) -> &'s [L],
-        row_at: impl Fn(L) -> &'s [Value],
-    ) -> BTreeSet<L> {
+        row_at: impl Fn(L) -> &'s T,
+    ) -> BTreeSet<L>
+    where
+        T: 's,
+    {
         let keys: HashSet<K> = self.rows().map(key).collect();
         let candidates: Vec<L> = keys.iter().flat_map(under).copied().collect();
         self.claim(candidates, row_at)
+    }
+}
+
+/// A value→row index: each key, in key order, with the ascending locations
+/// of the rows posted under it. A location is posted under a key at most
+/// once, and a key without locations is absent, so an index patched in
+/// place equals a fresh build ([`FromIterator`]) over the same rows.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Postings<K, L = usize> {
+    map: BTreeMap<K, Vec<L>>,
+}
+
+impl<K, L> Default for Postings<K, L> {
+    fn default() -> Self {
+        Postings {
+            map: BTreeMap::new(),
+        }
+    }
+}
+
+impl<K: Ord, L: Ord + Copy> Postings<K, L> {
+    /// Post `at` under `key`.
+    pub fn insert(&mut self, key: K, at: L) {
+        let locs = self.map.entry(key).or_default();
+        match locs.last() {
+            // A row appended to its container comes last.
+            Some(last) if *last >= at => {
+                if let Err(i) = locs.binary_search(&at) {
+                    locs.insert(i, at);
+                }
+            }
+            _ => locs.push(at),
+        }
+    }
+
+    /// The locations posted under `key`.
+    pub fn get<Q: Ord + ?Sized>(&self, key: &Q) -> &[L]
+    where
+        K: Borrow<Q>,
+    {
+        self.map.get(key).map_or(&[], Vec::as_slice)
+    }
+
+    /// The locations posted under the keys in `keys`, key by key (panics,
+    /// as [`BTreeMap::range`] does, on a range that starts past its end).
+    pub fn range<Q: Ord + ?Sized>(&self, keys: impl RangeBounds<Q>) -> impl Iterator<Item = L> + '_
+    where
+        K: Borrow<Q>,
+    {
+        let under = self.map.range(keys);
+        under.flat_map(|(_, locs)| locs.iter().copied())
+    }
+
+    /// The row posted under `key` at `from` moved to `to`, or left
+    /// (`None`); a key left without locations leaves too.
+    pub fn relocate<Q: Ord + ?Sized>(&mut self, key: &Q, from: L, to: Option<L>)
+    where
+        K: Borrow<Q>,
+    {
+        let Some(locs) = self.map.get_mut(key) else {
+            return;
+        };
+        let Ok(i) = locs.binary_search(&from) else {
+            return;
+        };
+        locs.remove(i);
+        match to {
+            Some(to) => {
+                if let Err(i) = locs.binary_search(&to) {
+                    locs.insert(i, to);
+                }
+            }
+            None if locs.is_empty() => drop(self.map.remove(key)),
+            None => {}
+        }
+    }
+
+    /// The keys, in order.
+    pub fn keys(&self) -> impl Iterator<Item = &K> {
+        self.map.keys()
+    }
+
+    /// `true` when nothing is posted.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+}
+
+impl<K: Ord, L: Ord + Copy> FromIterator<(K, L)> for Postings<K, L> {
+    fn from_iter<I: IntoIterator<Item = (K, L)>>(postings: I) -> Self {
+        let mut built = Postings::default();
+        postings
+            .into_iter()
+            .for_each(|(key, at)| built.insert(key, at));
+        built
+    }
+}
+
+/// Take the rows at `doomed` (distinct positions) out of `rows`, highest
+/// first so that the row that moves is never one still to go: the last row
+/// fills each hole. The caller's indexes follow through `follow(row, from,
+/// to)`, which hears of each removed row (`to == None`) and of each row
+/// that moved into a hole — what [`Postings::relocate`] takes.
+pub fn swap_remove<T>(
+    rows: &mut Vec<T>,
+    doomed: impl IntoIterator<Item = usize>,
+    mut follow: impl FnMut(&T, usize, Option<usize>),
+) {
+    let mut doomed: Vec<usize> = doomed.into_iter().collect();
+    doomed.sort_unstable_by(|a, b| b.cmp(a));
+    for at in doomed {
+        let last = rows.len() - 1;
+        follow(&rows[at], at, None);
+        if last != at {
+            follow(&rows[last], last, Some(at));
+        }
+        rows.swap_remove(at);
     }
 }
 
@@ -101,5 +241,61 @@ mod tests {
         let found = wanted.claim_under(|r| r[0].clone(), index, row_at);
         assert_eq!(found, BTreeSet::from([0, 2, 4]));
         assert_eq!(wanted.rows().collect::<Vec<_>>(), ghost);
+    }
+
+    /// Rows of two keys each, posted under both: a row may post one key twice.
+    fn build(rows: &[[u8; 2]]) -> Postings<u8> {
+        let posted = rows.iter().enumerate();
+        posted.flat_map(|(at, r)| r.map(|k| (k, at))).collect()
+    }
+
+    #[test]
+    fn patched_postings_equal_a_fresh_build_over_the_surviving_rows() {
+        let mut x = 17u64;
+        let mut next = |n: usize| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) as usize % n.max(1)
+        };
+        for _ in 0..200 {
+            let (mut rows, mut index) = (Vec::new(), Postings::default());
+            for _ in 0..40 {
+                if next(3) == 0 && !rows.is_empty() {
+                    // A batch of distinct positions, claimed in any order.
+                    let doomed: BTreeSet<usize> =
+                        (0..1 + next(4)).map(|_| next(rows.len())).collect();
+                    let doomed = doomed.into_iter().rev();
+                    swap_remove(&mut rows, doomed, |row: &[u8; 2], from, to| {
+                        row.iter().for_each(|k| index.relocate(k, from, to))
+                    });
+                } else {
+                    let row = [next(5) as u8, next(5) as u8];
+                    row.iter().for_each(|k| index.insert(*k, rows.len()));
+                    rows.push(row);
+                }
+                assert_eq!(index, build(&rows));
+                let low = next(5) as u8;
+                let through: Vec<usize> = index.range(low..).collect();
+                let fresh = rows
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, r)| r.iter().any(|k| *k >= low));
+                let mut fresh: Vec<usize> = fresh.map(|(at, _)| at).collect();
+                let mut through_sorted = through.clone();
+                through_sorted.sort();
+                through_sorted.dedup();
+                fresh.sort();
+                assert_eq!(through_sorted, fresh);
+            }
+        }
+        // A row removed, the last filling its hole; an emptied key leaves.
+        let mut rows = vec![[1, 1], [2, 3], [3, 3]];
+        let mut index = build(&rows);
+        swap_remove(&mut rows, [0], |row, from, to| {
+            row.iter().for_each(|k| index.relocate(k, from, to))
+        });
+        assert_eq!((index.get(&3), index.get(&1)), (&[0, 1][..], &[][..]));
+        assert_eq!(index.keys().collect::<Vec<_>>(), [&2, &3]);
     }
 }

@@ -12,13 +12,21 @@ use crate::table::Table;
 use estocada_pivot::{agg, Value};
 use std::collections::HashMap;
 
-/// Error raised on malformed queries.
+/// Why a request could not be answered: a malformed query, or a name the
+/// store does not hold.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryError {
-    /// FROM references an unknown table.
+    /// The request names a table the store does not hold.
     UnknownTable(String),
     /// A column reference is out of range.
     BadColumn,
+    /// The request names a column the table does not have.
+    UnknownColumn {
+        /// The table.
+        table: String,
+        /// The missing column.
+        column: String,
+    },
 }
 
 impl std::fmt::Display for QueryError {
@@ -26,6 +34,9 @@ impl std::fmt::Display for QueryError {
         match self {
             QueryError::UnknownTable(t) => write!(f, "unknown table {t}"),
             QueryError::BadColumn => write!(f, "column reference out of range"),
+            QueryError::UnknownColumn { table, column } => {
+                write!(f, "unknown column {column} on {table}")
+            }
         }
     }
 }
@@ -103,9 +114,11 @@ pub fn run(
     }
 
     // Phase 2: greedy join.
-    // State: the joined tables in join order, and the combined bindings
-    // laid out flat — one row id per joined table, `joined.len()` per combo.
+    // State: the joined tables in join order, the combined bindings laid
+    // out flat — one row id per joined table, `joined.len()` per combo —
+    // and each table's position in a combo, set when it joins.
     let n = base.len();
+    let mut slot = vec![0; n];
     let mut joined: Vec<usize> = Vec::new();
     let mut result: Vec<usize> = Vec::new();
     let mut remaining: Vec<usize> = (0..n).collect();
@@ -128,6 +141,7 @@ pub fn run(
             .unwrap_or(0);
         let ti = remaining.remove(pick_pos);
 
+        slot[ti] = joined.len();
         if joined.is_empty() {
             result = std::mem::take(&mut candidates[ti]);
             joined.push(ti);
@@ -168,10 +182,9 @@ pub fn run(
         } else {
             // Hash join on the first key; extra keys verified after probe.
             let (new_col, old_col) = keys[0];
-            let old_pos = joined.iter().position(|&t| t == old_col.table).unwrap();
             let mut hash: HashMap<&Value, Vec<usize>> = HashMap::new();
             for (ci, combo) in result.chunks_exact(stride).enumerate() {
-                let v = &base[old_col.table].rows[combo[old_pos]][old_col.column];
+                let v = &base[old_col.table].rows[combo[slot[old_col.table]]][old_col.column];
                 hash.entry(v).or_default().push(ci);
             }
             for &r in &candidates[ti] {
@@ -181,8 +194,8 @@ pub fn run(
                         let combo = &result[ci * stride..(ci + 1) * stride];
                         // Verify remaining equality keys.
                         let ok = keys.iter().skip(1).all(|(nc, oc)| {
-                            let op = joined.iter().position(|&t| t == oc.table).unwrap();
-                            base[ti].rows[r][nc.column] == base[oc.table].rows[combo[op]][oc.column]
+                            base[ti].rows[r][nc.column]
+                                == base[oc.table].rows[combo[slot[oc.table]]][oc.column]
                         });
                         if ok {
                             extend(combo, r);
@@ -199,8 +212,7 @@ pub fn run(
     // hash join connected two tables through are re-checked, which also
     // covers same-table equalities). Constant predicates ran in phase 1.
     let stride = joined.len().max(1);
-    let pos_of = |t: usize| joined.iter().position(|&x| x == t).unwrap();
-    let cell = |combo: &[usize], c: &ColRef| &base[c.table].rows[combo[pos_of(c.table)]][c.column];
+    let cell = |combo: &[usize], c: &ColRef| &base[c.table].rows[combo[slot[c.table]]][c.column];
     let col_col = |p: &Pred| match p {
         Pred::ColCol(l, op, r) => Some((*l, *op, *r)),
         Pred::ColConst(..) => None,
@@ -248,30 +260,18 @@ fn select_rows(
     // Try an index for one equality or range predicate.
     let mut seed: Option<Vec<usize>> = None;
     for (c, op, v) in consts {
-        if let Some(idx) = t.indexes.get(&c.column) {
-            match op {
-                CmpOp::Eq => {
-                    seed = Some(idx.lookup(v).to_vec());
-                    counters.used_index = true;
-                    break;
-                }
-                CmpOp::Gt | CmpOp::Ge => {
-                    if let Some(rows) = idx.range(Some(v), None) {
-                        seed = Some(rows);
-                        counters.used_index = true;
-                        break;
-                    }
-                }
-                CmpOp::Lt | CmpOp::Le => {
-                    if let Some(rows) = idx.range(None, Some(v)) {
-                        seed = Some(rows);
-                        counters.used_index = true;
-                        break;
-                    }
-                }
-                CmpOp::Ne => {}
-            }
-        }
+        let Some(idx) = t.indexes.get(&c.column) else {
+            continue;
+        };
+        let v = *v;
+        seed = match op {
+            CmpOp::Eq => Some(idx.get(v).to_vec()),
+            CmpOp::Gt | CmpOp::Ge => Some(idx.range(v..).collect()),
+            CmpOp::Lt | CmpOp::Le => Some(idx.range(..=v).collect()),
+            CmpOp::Ne => continue,
+        };
+        counters.used_index = true;
+        break;
     }
     let candidate_rows: Vec<usize> = match seed {
         Some(rows) => rows,
@@ -293,7 +293,6 @@ fn select_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::IndexKind;
 
     fn setup() -> HashMap<String, Table> {
         let mut users = Table::new(&["uid", "name", "tier"]);
@@ -332,10 +331,7 @@ mod tests {
     #[test]
     fn index_assisted_equality() {
         let mut tables = setup();
-        tables
-            .get_mut("users")
-            .unwrap()
-            .create_index(2, IndexKind::Hash);
+        tables.get_mut("users").unwrap().create_index(2);
         let mut q = SqlQuery::new();
         q.add_table("users");
         let q = q
@@ -384,10 +380,7 @@ mod tests {
     #[test]
     fn range_via_btree_index() {
         let mut tables = setup();
-        tables
-            .get_mut("orders")
-            .unwrap()
-            .create_index(2, IndexKind::BTree);
+        tables.get_mut("orders").unwrap().create_index(2);
         let mut q = SqlQuery::new();
         q.add_table("orders");
         let q = q

@@ -1,8 +1,8 @@
 //! # estocada-relstore
 //!
 //! An in-memory relational store — the Postgres stand-in of the ESTOCADA
-//! reproduction. It supports typed-as-dynamic rows, hash and B-tree
-//! secondary indexes, a conjunctive select-project-join executor with greedy
+//! reproduction. It supports typed-as-dynamic rows, ordered secondary
+//! indexes (equality and range lookups), a conjunctive select-project-join executor with greedy
 //! hash-join ordering, and the simkit latency/metrics instrumentation that
 //! models a networked deployment. (The mediator's cost model keeps its own
 //! per-fragment statistics; the store computes none.)
@@ -19,7 +19,7 @@ pub mod table;
 
 pub use exec::{ExecCounters, QueryError};
 pub use query::{CmpOp, ColRef, Pred, SqlQuery};
-pub use table::{Index, IndexKind, Table};
+pub use table::Table;
 
 use estocada_pivot::Value;
 use estocada_simkit::{LatencyModel, RequestTimer, StoreMetrics};
@@ -57,15 +57,25 @@ impl RelStore {
             .insert(name.to_string(), Table::new(columns));
     }
 
-    /// Bulk-insert rows into `name`. Panics if the table does not exist.
-    pub fn insert_many(&self, name: &str, rows: impl IntoIterator<Item = Vec<Value>>) {
+    /// The table `name`, for an admin write.
+    fn table_mut<'g>(
+        tables: &'g mut HashMap<String, Table>,
+        name: &str,
+    ) -> Result<&'g mut Table, QueryError> {
+        let t = tables.get_mut(name);
+        t.ok_or_else(|| QueryError::UnknownTable(name.to_string()))
+    }
+
+    /// Bulk-insert rows into `name`.
+    pub fn insert_many(
+        &self,
+        name: &str,
+        rows: impl IntoIterator<Item = Vec<Value>>,
+    ) -> Result<(), QueryError> {
         let mut guard = self.tables.write();
-        let t = guard
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("unknown table {name}"));
-        for r in rows {
-            t.insert(r);
-        }
+        let t = Self::table_mut(&mut guard, name)?;
+        rows.into_iter().for_each(|r| t.insert(r));
+        Ok(())
     }
 
     /// Delete rows from `name`: each entry of `rows` removes **one**
@@ -74,24 +84,23 @@ impl RelStore {
     /// secondary indexes are patched, never rebuilt. Returns how many rows
     /// were actually removed. Admin path: no metrics or latency — like
     /// [`RelStore::insert_many`].
-    pub fn delete_rows(&self, name: &str, rows: &[Vec<Value>]) -> usize {
+    pub fn delete_rows(&self, name: &str, rows: &[Vec<Value>]) -> Result<usize, QueryError> {
         let mut guard = self.tables.write();
-        let t = guard
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("unknown table {name}"));
-        t.delete_rows(rows)
+        Ok(Self::table_mut(&mut guard, name)?.delete_rows(rows))
     }
 
     /// Create an index on `table.column`.
-    pub fn create_index(&self, table: &str, column: &str, kind: IndexKind) {
+    pub fn create_index(&self, table: &str, column: &str) -> Result<(), QueryError> {
         let mut guard = self.tables.write();
-        let t = guard
-            .get_mut(table)
-            .unwrap_or_else(|| panic!("unknown table {table}"));
+        let t = Self::table_mut(&mut guard, table)?;
         let col = t
             .column_index(column)
-            .unwrap_or_else(|| panic!("unknown column {column} on {table}"));
-        t.create_index(col, kind);
+            .ok_or_else(|| QueryError::UnknownColumn {
+                table: table.to_string(),
+                column: column.to_string(),
+            })?;
+        t.create_index(col);
+        Ok(())
     }
 
     /// Row count of a table (0 if missing).
@@ -149,7 +158,8 @@ mod tests {
                 vec![Value::Int(1), Value::str("ann")],
                 vec![Value::Int(2), Value::str("bob")],
             ],
-        );
+        )
+        .unwrap();
         s
     }
 
@@ -180,6 +190,23 @@ mod tests {
     }
 
     #[test]
+    fn unknown_tables_and_columns_are_errors() {
+        let s = store();
+        let ghost = || Err(QueryError::UnknownTable("ghost".into()));
+        assert_eq!(s.insert_many("ghost", vec![vec![Value::Int(3)]]), ghost());
+        assert_eq!(s.delete_rows("ghost", &[]), ghost().map(|()| 0));
+        assert_eq!(s.create_index("ghost", "uid"), ghost());
+        assert_eq!(
+            s.create_index("users", "nope"),
+            Err(QueryError::UnknownColumn {
+                table: "users".into(),
+                column: "nope".into()
+            })
+        );
+        assert_eq!(s.row_count("users"), 2);
+    }
+
+    #[test]
     fn drop_table_removes_it() {
         let s = store();
         assert!(s.drop_table("users"));
@@ -190,7 +217,7 @@ mod tests {
     #[test]
     fn delete_rows_removes_matches_and_keeps_indexes_consistent() {
         let s = store();
-        s.create_index("users", "uid", IndexKind::Hash);
+        s.create_index("users", "uid").unwrap();
         let removed = s.delete_rows(
             "users",
             &[
@@ -198,6 +225,7 @@ mod tests {
                 vec![Value::Int(9), Value::str("nobody")],
             ],
         );
+        let removed = removed.unwrap();
         assert_eq!(removed, 1);
         assert_eq!(s.row_count("users"), 1);
         let mut q = SqlQuery::new();
@@ -221,7 +249,7 @@ mod tests {
     #[test]
     fn index_creation_by_name() {
         let s = store();
-        s.create_index("users", "uid", IndexKind::Hash);
+        s.create_index("users", "uid").unwrap();
         let mut q = SqlQuery::new();
         q.add_table("users");
         let q = q

@@ -1,100 +1,7 @@
 //! Tables, rows and secondary indexes.
 
-use estocada_pivot::{Value, Wanted};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-
-/// A secondary index over one column.
-#[derive(Debug, Clone)]
-pub enum Index {
-    /// Hash index: equality lookups.
-    Hash(HashMap<Value, Vec<usize>>),
-    /// B-tree index: equality and range lookups.
-    BTree(BTreeMap<Value, Vec<usize>>),
-}
-
-impl Index {
-    /// Row ids with `value` in the indexed column.
-    pub fn lookup(&self, value: &Value) -> &[usize] {
-        static EMPTY: Vec<usize> = Vec::new();
-        match self {
-            Index::Hash(m) => m.get(value).unwrap_or(&EMPTY),
-            Index::BTree(m) => m.get(value).unwrap_or(&EMPTY),
-        }
-    }
-
-    /// Row ids in `[low, high]` (inclusive bounds, either open); only
-    /// supported by B-tree indexes.
-    pub fn range(&self, low: Option<&Value>, high: Option<&Value>) -> Option<Vec<usize>> {
-        match self {
-            Index::Hash(_) => None,
-            Index::BTree(m) => {
-                use std::ops::Bound;
-                let lo = low.map_or(Bound::Unbounded, |v| Bound::Included(v.clone()));
-                let hi = high.map_or(Bound::Unbounded, |v| Bound::Included(v.clone()));
-                Some(
-                    m.range((lo, hi))
-                        .flat_map(|(_, rows)| rows.iter().copied())
-                        .collect(),
-                )
-            }
-        }
-    }
-
-    /// Index a new row: its id is the largest, so the postings stay
-    /// ascending.
-    fn insert(&mut self, value: Value, row: usize) {
-        match self {
-            Index::Hash(m) => m.entry(value).or_default().push(row),
-            Index::BTree(m) => m.entry(value).or_default().push(row),
-        }
-    }
-
-    /// The row ids under `value`, if any.
-    fn postings(&mut self, value: &Value) -> Option<&mut Vec<usize>> {
-        match self {
-            Index::Hash(m) => m.get_mut(value),
-            Index::BTree(m) => m.get_mut(value),
-        }
-    }
-
-    /// Forget row `row` under `value`; a value left without rows leaves the
-    /// index, as in a fresh build.
-    fn remove(&mut self, value: &Value, row: usize) {
-        let Some(ids) = self.postings(value) else {
-            return;
-        };
-        if let Ok(at) = ids.binary_search(&row) {
-            ids.remove(at);
-        }
-        if ids.is_empty() {
-            match self {
-                Index::Hash(m) => drop(m.remove(value)),
-                Index::BTree(m) => drop(m.remove(value)),
-            }
-        }
-    }
-
-    /// Row `from` now lives at `to`; the postings under `value` stay
-    /// ascending.
-    fn relocate(&mut self, value: &Value, from: usize, to: usize) {
-        if let Some(ids) = self.postings(value) {
-            if let Ok(at) = ids.binary_search(&from) {
-                ids.remove(at);
-            }
-            let at = ids.partition_point(|id| *id < to);
-            ids.insert(at, to);
-        }
-    }
-}
-
-/// Kind of index to create.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexKind {
-    /// Hash (equality only).
-    Hash,
-    /// B-tree (equality + ranges).
-    BTree,
-}
+use estocada_pivot::{swap_remove, Postings, Value, Wanted};
+use std::collections::{BTreeSet, HashMap};
 
 /// An in-memory row-store table.
 #[derive(Debug, Clone, Default)]
@@ -103,8 +10,9 @@ pub struct Table {
     pub columns: Vec<String>,
     /// Row data, in column order.
     pub rows: Vec<Vec<Value>>,
-    /// Secondary indexes by column position.
-    pub indexes: HashMap<usize, Index>,
+    /// Secondary indexes by column position: each value with the rows
+    /// holding it, for equality and range lookups.
+    pub indexes: HashMap<usize, Postings<Value>>,
 }
 
 impl Table {
@@ -137,15 +45,17 @@ impl Table {
     /// are found through the index on the lowest indexed column when there
     /// is one — the rows holding an entry's value — and by one scan
     /// otherwise. The table's last row moves into each hole and every index
-    /// follows in place, its postings ascending as a fresh build lists
-    /// them: the cost is the delta and the postings it touches, not the
-    /// table. No physical row order is promised.
+    /// follows in place ([`swap_remove`]): the cost is the delta and the
+    /// postings it touches, not the table. No physical row order is
+    /// promised.
     pub fn delete_rows(&mut self, rows: &[Vec<Value>]) -> usize {
         let found = self.locate(rows);
-        // Highest position first: the row that moves is never one still to go.
-        for &at in found.iter().rev() {
-            self.remove_at(at);
-        }
+        let indexes = &mut self.indexes;
+        swap_remove(&mut self.rows, found.iter().copied(), |row, from, to| {
+            for (col, idx) in indexes.iter_mut() {
+                idx.relocate(&row[*col], from, to);
+            }
+        });
         found.len()
     }
 
@@ -157,35 +67,15 @@ impl Table {
         match self.indexes.iter().min_by_key(|(col, _)| **col) {
             // The candidates: every row holding an entry's value, each
             // posting list ascending.
-            Some((col, idx)) => {
-                wanted.claim_under(|row| row[*col].clone(), |v| idx.lookup(v), row_at)
-            }
+            Some((col, idx)) => wanted.claim_under(|row| row[*col].clone(), |v| idx.get(v), row_at),
             None => wanted.claim(0..self.rows.len(), row_at),
         }
     }
 
-    /// Remove the row at `at`: the last row takes its place, and every index
-    /// forgets the one and follows the other.
-    fn remove_at(&mut self, at: usize) {
-        let last = self.rows.len() - 1;
-        for (col, idx) in self.indexes.iter_mut() {
-            idx.remove(&self.rows[at][*col], at);
-            if last != at {
-                idx.relocate(&self.rows[last][*col], last, at);
-            }
-        }
-        self.rows.swap_remove(at);
-    }
-
     /// Build an index over `column` (replacing any existing one).
-    pub fn create_index(&mut self, column: usize, kind: IndexKind) {
-        let mut idx = match kind {
-            IndexKind::Hash => Index::Hash(HashMap::new()),
-            IndexKind::BTree => Index::BTree(BTreeMap::new()),
-        };
-        for (i, row) in self.rows.iter().enumerate() {
-            idx.insert(row[column].clone(), i);
-        }
+    pub fn create_index(&mut self, column: usize) {
+        let posted = self.rows.iter().enumerate();
+        let idx = posted.map(|(at, row)| (row[column].clone(), at)).collect();
         self.indexes.insert(column, idx);
     }
 
@@ -213,34 +103,31 @@ mod tests {
     }
 
     #[test]
-    fn hash_index_lookup() {
+    fn index_lookup() {
         let mut t = table();
-        t.create_index(2, IndexKind::Hash);
+        t.create_index(2);
         let idx = &t.indexes[&2];
-        assert_eq!(idx.lookup(&Value::Int(30)), &[0, 2]);
-        assert!(idx.lookup(&Value::Int(99)).is_empty());
-        assert!(idx.range(None, None).is_none());
+        assert_eq!(idx.get(&Value::Int(30)), &[0, 2]);
+        assert!(idx.get(&Value::Int(99)).is_empty());
     }
 
     #[test]
     fn btree_index_range() {
         let mut t = table();
-        t.create_index(2, IndexKind::BTree);
+        t.create_index(2);
         let idx = &t.indexes[&2];
-        let mut rows = idx
-            .range(Some(&Value::Int(26)), Some(&Value::Int(31)))
-            .unwrap();
+        let mut rows: Vec<usize> = idx.range(Value::Int(26)..=Value::Int(31)).collect();
         rows.sort();
         assert_eq!(rows, vec![0, 2]);
-        assert_eq!(idx.range(None, Some(&Value::Int(25))).unwrap(), vec![1]);
+        assert_eq!(idx.range(..=Value::Int(25)).collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]
     fn insert_maintains_existing_indexes() {
         let mut t = table();
-        t.create_index(0, IndexKind::Hash);
+        t.create_index(0);
         t.insert(vec![Value::Int(4), Value::str("dan"), Value::Int(40)]);
-        assert_eq!(t.indexes[&0].lookup(&Value::Int(4)), &[3]);
+        assert_eq!(t.indexes[&0].get(&Value::Int(4)), &[3]);
     }
 
     #[test]
@@ -250,29 +137,28 @@ mod tests {
         t.insert(vec![Value::Int(9)]);
     }
 
-    /// Every entry of an index, ordered, whatever its map.
-    fn entries(idx: &Index) -> BTreeMap<Value, Vec<usize>> {
-        match idx {
-            Index::Hash(m) => m.iter().map(|(v, ids)| (v.clone(), ids.clone())).collect(),
-            Index::BTree(m) => m.clone(),
-        }
-    }
-
     /// The rows, sorted — after checking that every index lists what a
-    /// fresh build over the same rows would.
+    /// fresh build over the same rows would, and that every lookup and
+    /// range through it (at each stored value and one no row holds)
+    /// answers like a scan.
     fn content(t: &Table) -> Vec<Vec<Value>> {
         for (col, idx) in &t.indexes {
             let mut rebuilt = t.clone();
-            let kind = match idx {
-                Index::Hash(_) => IndexKind::Hash,
-                Index::BTree(_) => IndexKind::BTree,
+            rebuilt.create_index(*col);
+            assert_eq!(idx, &rebuilt.indexes[col], "index drifted");
+            let scan = |keep: &dyn Fn(&Value) -> bool| -> Vec<usize> {
+                (0..t.len()).filter(|at| keep(&t.rows[*at][*col])).collect()
             };
-            rebuilt.create_index(*col, kind);
-            assert_eq!(
-                entries(idx),
-                entries(&rebuilt.indexes[col]),
-                "index drifted"
-            );
+            let ghost = Value::Int(25);
+            for v in t.rows.iter().map(|r| &r[*col]).chain([&ghost]) {
+                assert_eq!(idx.get(v), scan(&|x| x == v), "lookup of {v}");
+                let mut from: Vec<usize> = idx.range(v..).collect();
+                let mut upto: Vec<usize> = idx.range(..=v).collect();
+                from.sort();
+                upto.sort();
+                assert_eq!(from, scan(&|x| x >= v), "range from {v}");
+                assert_eq!(upto, scan(&|x| x <= v), "range up to {v}");
+            }
         }
         let mut rows = t.rows.clone();
         rows.sort();
@@ -321,8 +207,8 @@ mod tests {
         let mut plain = Table::new(&["id", "name", "age"]);
         seed.iter().for_each(|r| plain.insert(r.clone()));
         let mut indexed = plain.clone();
-        indexed.create_index(2, IndexKind::Hash);
-        indexed.create_index(0, IndexKind::BTree);
+        indexed.create_index(2);
+        indexed.create_index(0);
         let mut t = Twins {
             indexed,
             plain,
@@ -336,9 +222,9 @@ mod tests {
         t.step(vec![row(5, 21), row(4, 20)], vec![row(21, 20), row(21, 20)]);
         // Empty the tables, then grow them again.
         t.step(t.model.clone(), vec![]);
-        let emptied = t.indexed.indexes.values().all(|i| entries(i).is_empty());
+        let emptied = t.indexed.indexes.values().all(Postings::is_empty);
         assert!(t.indexed.is_empty() && emptied);
         t.step(vec![], vec![row(7, 30), row(7, 30), row(8, 30)]);
-        assert_eq!(t.indexed.indexes[&2].lookup(&Value::Int(30)), &[0, 1, 2]);
+        assert_eq!(t.indexed.indexes[&2].get(&Value::Int(30)), &[0, 1, 2]);
     }
 }

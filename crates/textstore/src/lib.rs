@@ -2,7 +2,8 @@
 //!
 //! An in-memory full-text store — the SOLR/Lucene stand-in. Documents
 //! (keyed by an application value, e.g. product id) are tokenized into an
-//! inverted index. The pivot model exposes an index as a `(term, docKey)`
+//! inverted index ([`estocada_pivot::Postings`]: term → documents), which
+//! a removal patches in place. The pivot model exposes an index as a `(term, docKey)`
 //! relation with an `io` binding pattern: the term must be supplied —
 //! exactly how the mediator integrates full-text fragments, through
 //! [`TextStore::term_lookup`]. A CQ cannot consume a relevance score, so
@@ -18,49 +19,51 @@ pub mod tokenize;
 
 pub use tokenize::tokenize;
 
-use estocada_pivot::Value;
+use estocada_pivot::{swap_remove, Postings, Value, Wanted};
 use estocada_simkit::{LatencyModel, RequestTimer, StoreMetrics};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 
 #[derive(Debug, Default)]
 struct TextIndex {
-    /// Document keys, by internal doc id.
-    docs: Vec<Value>,
-    /// Raw document text, by internal doc id (retained so documents can be
-    /// removed by exact content and the index rebuilt).
-    raw: Vec<String>,
+    /// `(key, raw text)` per document, by internal doc id (the text is
+    /// kept so documents can be removed by exact content).
+    docs: Vec<(Value, String)>,
     /// term → ids of the documents holding it, ascending.
-    postings: HashMap<String, Vec<u32>>,
+    postings: Postings<String>,
 }
 
 impl TextIndex {
     fn add(&mut self, key: Value, text: &str) {
-        let id = self.docs.len() as u32;
-        let mut terms = tokenize(text);
-        terms.sort();
-        terms.dedup();
-        for term in terms {
-            self.postings.entry(term).or_default().push(id);
+        let id = self.docs.len();
+        for term in tokenize(text) {
+            self.postings.insert(term, id);
         }
-        self.docs.push(key);
-        self.raw.push(text.to_string());
+        self.docs.push((key, text.to_string()));
     }
 
-    /// Rebuild a fresh index from (key, text) pairs — used after removals,
-    /// where doc ids shift and postings must be recomputed.
-    fn rebuild_from(pairs: Vec<(Value, String)>) -> TextIndex {
-        let mut idx = TextIndex::default();
-        for (k, t) in pairs {
-            idx.add(k, &t);
-        }
-        idx
+    /// Remove one document equal to each entry of `docs` (entries with none
+    /// left are skipped), found by one scan; the last document fills each
+    /// hole and the postings follow in place. Returns how many went.
+    fn remove(&mut self, docs: &[(Value, String)]) -> usize {
+        let found = Wanted::of(docs).claim(0..self.docs.len(), |id| &self.docs[id]);
+        let postings = &mut self.postings;
+        swap_remove(
+            &mut self.docs,
+            found.iter().copied(),
+            |(_, text), from, to| {
+                for term in tokenize(text) {
+                    postings.relocate(term.as_str(), from, to);
+                }
+            },
+        );
+        found.len()
     }
 
     /// Keys of the documents holding one term (the CQ integration path).
     fn lookup(&self, term: &str) -> Vec<Value> {
-        let ids = self.postings.get(term).into_iter().flatten();
-        ids.map(|doc| self.docs[*doc as usize].clone()).collect()
+        let ids = self.postings.get(term).iter();
+        ids.map(|id| self.docs[*id].0.clone()).collect()
     }
 }
 
@@ -97,33 +100,13 @@ impl TextStore {
     }
 
     /// Remove documents from `index`: each `(key, text)` entry removes
-    /// **one** document whose key and exact raw text match. The index is
-    /// rebuilt once after the batch (doc ids shift, so postings are
-    /// recomputed). Returns how many documents were removed. Admin path: no
-    /// metrics or latency — like
-    /// [`TextStore::index_document`].
+    /// **one** document whose key and exact raw text match. The index's
+    /// last document moves into each hole and the postings are patched in
+    /// place, never rebuilt. Returns how many documents were removed. Admin
+    /// path: no metrics or latency — like [`TextStore::index_document`].
     pub fn remove_documents(&self, index: &str, docs: &[(Value, String)]) -> usize {
         let mut guard = self.indexes.write();
-        let Some(idx) = guard.get_mut(index) else {
-            return 0;
-        };
-        let mut pairs: Vec<(Value, String)> = idx
-            .docs
-            .iter()
-            .cloned()
-            .zip(idx.raw.iter().cloned())
-            .collect();
-        let mut removed = 0;
-        for (key, text) in docs {
-            if let Some(pos) = pairs.iter().position(|(k, t)| k == key && t == text) {
-                pairs.remove(pos);
-                removed += 1;
-            }
-        }
-        if removed > 0 {
-            *idx = TextIndex::rebuild_from(pairs);
-        }
-        removed
+        guard.get_mut(index).map_or(0, |idx| idx.remove(docs))
     }
 
     /// Keys of documents containing `term` — the binding-restricted
@@ -141,15 +124,11 @@ impl TextStore {
         out
     }
 
-    /// Dump of an index's `(key, raw text)` documents in insertion order
-    /// (admin path: no metrics, no latency). Empty for
-    /// unknown indexes.
+    /// Dump of an index's `(key, raw text)` documents in storage order
+    /// (admin path: no metrics, no latency). Empty for unknown indexes.
     pub fn documents(&self, index: &str) -> Vec<(Value, String)> {
-        self.indexes
-            .read()
-            .get(index)
-            .map(|i| i.docs.iter().cloned().zip(i.raw.iter().cloned()).collect())
-            .unwrap_or_default()
+        let guard = self.indexes.read();
+        guard.get(index).map(|i| i.docs.clone()).unwrap_or_default()
     }
 
     /// Number of documents in an index.
@@ -220,25 +199,57 @@ mod tests {
         assert_eq!(s.len("catalog"), 3);
     }
 
+    /// Every term of `index`'s documents, and one none holds, looked up
+    /// through the postings and by a scan: both list the same keys.
+    fn assert_postings_answer_like_a_scan(s: &TextStore, index: &str) {
+        let docs = s.documents(index);
+        let terms = docs.iter().flat_map(|(_, text)| tokenize(text));
+        for term in terms.chain(["ghost".to_string()]) {
+            let holding = docs
+                .iter()
+                .filter(|(_, text)| tokenize(text).contains(&term));
+            let mut scan: Vec<Value> = holding.map(|(key, _)| key.clone()).collect();
+            let mut found = s.term_lookup(index, &term);
+            scan.sort();
+            found.sort();
+            assert_eq!(found, scan, "term {term}");
+        }
+    }
+
     #[test]
-    fn remove_documents_rebuilds_the_index() {
+    fn remove_documents_patches_the_postings() {
         let s = store();
-        let removed = s.remove_documents(
-            "catalog",
-            &[
-                (
-                    Value::Int(1),
-                    "Wireless optical mouse with USB receiver".to_string(),
-                ),
-                (Value::Int(9), "no such document".to_string()),
-            ],
-        );
-        assert_eq!(removed, 1);
-        assert_eq!(s.len("catalog"), 2);
-        // Postings were recomputed: "mouse" now only hits doc 3, "usb" doc 2.
+        let mouse = || {
+            let text = "Wireless optical mouse with USB receiver";
+            (Value::Int(1), text.to_string())
+        };
+        // A second copy of document 1, and a document repeating its terms.
+        s.index_document("catalog", mouse().0, &mouse().1);
+        s.index_document("catalog", Value::Int(4), "usb usb hub, usb");
+        let ghost = (Value::Int(9), "no such document".to_string());
+        let removed = s.remove_documents("catalog", &[mouse(), ghost, mouse(), mouse()]);
+        assert_eq!(removed, 2);
+        assert_eq!(s.len("catalog"), 3);
+        assert_postings_answer_like_a_scan(&s, "catalog");
+        // "mouse" now only hits doc 3, "usb" docs 2 and 4.
         assert_eq!(s.term_lookup("catalog", "mouse"), vec![Value::Int(3)]);
-        assert_eq!(s.term_lookup("catalog", "usb"), vec![Value::Int(2)]);
+        let usb = |s: &TextStore| {
+            let mut keys = s.term_lookup("catalog", "usb");
+            keys.sort();
+            keys
+        };
+        assert_eq!(usb(&s), vec![Value::Int(2), Value::Int(4)]);
+        let hub = (Value::Int(4), "usb usb hub, usb".to_string());
+        assert_eq!(s.remove_documents("catalog", &[hub]), 1);
+        assert_eq!(usb(&s), vec![Value::Int(2)]);
+        assert!(s.term_lookup("catalog", "hub").is_empty());
+        assert_postings_answer_like_a_scan(&s, "catalog");
         assert_eq!(s.remove_documents("ghost", &[]), 0);
+        // Emptied, then grown again.
+        assert_eq!(s.remove_documents("catalog", &s.documents("catalog")), 2);
+        s.index_document("catalog", Value::Int(5), "usb cable");
+        assert_eq!(usb(&s), vec![Value::Int(5)]);
+        assert_postings_answer_like_a_scan(&s, "catalog");
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //!   partitions, same text postings. Not just query-equivalent: the
 //!   canonical store dumps render identically.
 //! - **Exact statistics and indexes.** The catalog's `FragmentStats`, kept
-//!   running from the deltas, equal the twin's full pass, and a parallel
-//!   dataset's key index, patched in place, answers every key like a scan.
+//!   running from the deltas, equal the twin's full pass, and every index
+//!   patched in place — a parallel dataset's key index, a relational
+//!   table's column indexes, a collection's path indexes — answers every
+//!   probe like a scan.
 //! - **No staleness.** Maintenance is synchronous, so at every quiescent
 //!   point each fragment's high-water mark equals the data epoch.
 //! - **DDL between writes.** Adding or dropping a fragment or adding a
@@ -25,8 +27,11 @@
 mod common;
 
 use common::{sorted, Deploy, DEPLOYMENTS};
+use estocada::catalog::WhereSpec;
 use estocada::{Estocada, FragmentSpec, Latencies};
-use estocada_pivot::{Atom, Constraint, CqBuilder, Term, Tgd, Value};
+use estocada_docstore::{eval_path, Filter};
+use estocada_pivot::{Atom, CmpOp, Constraint, CqBuilder, Term, Tgd, Value};
+use estocada_relstore::{ColRef, Pred, SqlQuery};
 use estocada_workloads::marketplace::{generate, Marketplace, MarketplaceConfig, W1Query};
 use estocada_workloads::readwrite::{
     run_rw_workload, rw_workload, stale_fragments, RwConfig, RwOp,
@@ -96,19 +101,50 @@ fn stored(est: &Estocada, table: &str) -> Vec<Vec<Value>> {
     t.expect("table of sales").rows.clone()
 }
 
-/// Every key-indexed parallel dataset answers every key — those its rows
-/// have, those its index lists, and one neither has — like a filter over
-/// its rows.
+/// The materialized-join deployment plus two indexed views the write
+/// script reaches: web logs in the relational store, indexed on dwell time
+/// and user, and orders as documents, path-indexed on category and user.
+fn deploy_indexed(m: &Marketplace, latencies: Latencies) -> Estocada {
+    let mut est = deploy_materialized_join(m, latencies);
+    est.add_fragment(FragmentSpec::Table {
+        view: CqBuilder::new("WebLogByDwell")
+            .head_vars(["lid", "uid", "pid", "category", "dwell_ms"])
+            .atom("WebLog", |a| {
+                a.v("lid").v("uid").v("pid").v("category").v("dwell_ms")
+            })
+            .build(),
+        index_on: vec!["dwell_ms".into(), "uid".into()],
+    })
+    .expect("indexed table");
+    est.add_fragment(FragmentSpec::DocRows {
+        view: CqBuilder::new("OrderDocs")
+            .head_vars(["oid", "uid", "pid", "category", "amount"])
+            .atom("Orders", |a| {
+                a.v("oid").v("uid").v("pid").v("category").v("amount")
+            })
+            .build(),
+        index_on: vec!["category".into(), "uid".into()],
+    })
+    .expect("indexed documents");
+    est
+}
+
+/// Every index the stores keep answers like a scan of its container, and
+/// without scanning: a parallel dataset's key index every key (those its
+/// rows have, those it lists, one neither has); a relational table's column
+/// indexes every equality and range probe, and a collection's path indexes
+/// every `find`, at each stored value and one no row holds.
 fn assert_index_lookups_equal_scans(est: &Estocada, what: &str) {
     for name in est.stores.par.dataset_names() {
         let ds = est.stores.par.dataset(&name).expect("listed dataset");
-        let Some(idx) = &ds.key_index else { continue };
-        let key_of = |row: &Vec<Value>| -> Vec<Value> {
-            idx.columns.iter().map(|c| row[*c].clone()).collect()
+        let Some((columns, idx)) = &ds.key_index else {
+            continue;
         };
+        let key_of =
+            |row: &Vec<Value>| -> Vec<Value> { columns.iter().map(|c| row[*c].clone()).collect() };
         let mut keys: BTreeSet<Vec<Value>> = ds.iter_rows().map(key_of).collect();
-        keys.extend(idx.map.keys().cloned());
-        keys.insert(vec![Value::Null; idx.columns.len()]);
+        keys.extend(idx.keys().cloned());
+        keys.insert(vec![Value::Null; columns.len()]);
         for key in keys {
             let scan = ds.iter_rows().filter(|r| key_of(r) == key);
             assert_eq!(
@@ -118,6 +154,72 @@ fn assert_index_lookups_equal_scans(est: &Estocada, what: &str) {
             );
         }
     }
+    let scanned = |est: &Estocada| {
+        let (rel, doc) = (&est.stores.rel.metrics, &est.stores.doc.metrics);
+        (rel.snapshot().tuples_scanned, doc.snapshot().tuples_scanned)
+    };
+    let before = scanned(est);
+    let ghost = Value::Int(-7);
+    for place in est
+        .fragments()
+        .iter()
+        .flat_map(|f| &f.relations)
+        .map(|r| &r.place)
+    {
+        match place {
+            WhereSpec::Table {
+                table,
+                columns,
+                indexed,
+            } => {
+                let rows = est.stores.rel.scan(table).expect("placed table");
+                for col in indexed {
+                    let values: BTreeSet<&Value> = rows.iter().map(|r| &r[*col]).collect();
+                    for v in values.into_iter().chain([&ghost]) {
+                        for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+                            let at = |column| ColRef { table: 0, column };
+                            let mut q = SqlQuery::new();
+                            q.add_table(table);
+                            let mut q = q.filter(Pred::ColConst(at(*col), op, v.clone()));
+                            q.projection = (0..columns.len()).map(at).collect();
+                            let scan = rows.iter().filter(|r| op.eval(&r[*col], v));
+                            assert_eq!(
+                                sorted(est.stores.rel.query(&q).expect("indexed probe")),
+                                sorted(scan.cloned().collect()),
+                                "{what}: {table}.{} {op} {v} unlike a scan",
+                                columns[*col]
+                            );
+                        }
+                    }
+                }
+            }
+            WhereSpec::Collection {
+                collection,
+                columns,
+                indexed,
+            } => {
+                let docs = est.stores.doc.scan(collection);
+                for path in indexed.iter().map(|c| &columns[*c]) {
+                    let values: BTreeSet<&Value> =
+                        docs.iter().flat_map(|d| eval_path(d, path)).collect();
+                    for v in values.into_iter().chain([&ghost]) {
+                        let filter = Filter::all().eq(path, v.clone());
+                        let mut found = est.stores.doc.find(collection, &filter, None);
+                        let mut scan: Vec<Value> =
+                            docs.iter().filter(|d| filter.matches(d)).cloned().collect();
+                        found.sort();
+                        scan.sort();
+                        assert_eq!(
+                            found, scan,
+                            "{what}: {collection}.{path} = {v} unlike a scan"
+                        );
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(scanned(est), before, "{what}: an indexed probe scanned");
 }
 
 /// One step of a write script over the two tables behind the deployment's
@@ -372,7 +474,7 @@ proptest! {
     fn any_batches_keep_parallel_fragments_statistics_and_indexes_exact(
         script in proptest::collection::vec((0..8u8, any::<u64>(), 1..6usize), 1..9),
     ) {
-        let mut est = deploy_materialized_join(&market(), Latencies::zero());
+        let mut est = deploy_indexed(&market(), Latencies::zero());
         let mut fresh = 700_000i64;
         let hist = |est: &Estocada| est.stores.par.dataset("UserHist").expect("UserHist");
         for (i, step) in script.iter().enumerate() {
@@ -393,7 +495,7 @@ proptest! {
                 }
             }
             prop_assert!(stale_fragments(&est).is_empty());
-            let twin = remat_twin(&est, deploy_materialized_join);
+            let twin = remat_twin(&est, deploy_indexed);
             assert_same_stores(&est, &twin, &what);
             assert_same_stats(&est, &twin, &what);
             assert_index_lookups_equal_scans(&est, &what);
