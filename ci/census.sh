@@ -3,7 +3,8 @@
 # `pub fn`s per crate, workspace members, bench mains, `fn execute*`
 # definitions in the engine, SCC routines in library code, sites that assign
 # a delegated unit's scan estimate, posting-index maintenance routines,
-# independently settable options, and panic sites in library code.
+# std hash tables on the default hasher, independently settable options, and
+# panic sites in library code.
 # Informational: prints, never fails on a count.
 set -eu
 cd "$(dirname "$0")/.."
@@ -64,6 +65,16 @@ for f in $(rust_files crates/*/src | grep -v '^crates/chase/'); do
     postings=$((postings + n))
 done
 printf '%-28s %8d\n' 'posting indexes' "$postings"
+# Library lines naming std's `HashMap`/`HashSet` (keyed SipHash by
+# default), `DefaultHasher` or `RandomState`, outside the module that
+# defines `FastMap`/`FastSet` over them: every in-process hash table uses
+# the one non-keyed hasher, `estocada_pivot::hash`.
+std_tables=0
+for f in $(rust_files crates/*/src | grep -v '^crates/pivot/src/hash\.rs$'); do
+    n=$(library_part "$f" | grep -cE '\b(HashMap|HashSet|DefaultHasher|RandomState)\b' || true)
+    std_tables=$((std_tables + n))
+done
+printf '%-28s %8d\n' 'std hash tables' "$std_tables"
 
 # Public fields of `pub struct $2` in file `$1`.
 fields() {

@@ -120,8 +120,9 @@
 
 use crate::hom::{find_trigger_homs, has_hom, Hom, HomConfig};
 use crate::instance::{DeltaIndex, Elem, Inconsistent, Instance};
+use estocada_pivot::hash::FastMap;
 use estocada_pivot::{Atom, Constraint, Symbol, Term, Var};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Resource budget and knobs for a chase run, of either flavour.
@@ -400,7 +401,7 @@ pub(crate) struct PreparedConstraints {
     /// Premise predicate → the constraints with an atom over it, ascending.
     /// A semi-naive trigger needs a delta fact, so a delta round searches
     /// only what this lists under the predicates that changed.
-    by_premise_pred: HashMap<Symbol, Vec<usize>>,
+    by_premise_pred: FastMap<Symbol, Vec<usize>>,
     /// Test-only reference mode ([`crate::testkit::chase_every_premise`]):
     /// search every premise every round, as if nothing could be ruled out.
     pub(crate) search_every_premise: bool,
@@ -411,7 +412,7 @@ impl PreparedConstraints {
     pub(crate) fn new(constraints: &[Constraint]) -> PreparedConstraints {
         let (premises, actions): (Vec<Vec<Atom>>, Vec<Action>) =
             constraints.iter().map(compile).unzip();
-        let mut by_premise_pred: HashMap<Symbol, Vec<usize>> = HashMap::new();
+        let mut by_premise_pred: FastMap<Symbol, Vec<usize>> = FastMap::default();
         for (cidx, premise) in premises.iter().enumerate() {
             for atom in premise {
                 let listed = by_premise_pred.entry(atom.pred).or_default();
@@ -659,19 +660,19 @@ impl FiringPolicy for Restricted {
 pub(crate) struct FrontierCache<V> {
     /// constraint index → frontier images → value (lookups borrow the
     /// candidate key as a slice — no allocation on a hit).
-    map: HashMap<usize, HashMap<Vec<Elem>, V>>,
+    map: FastMap<usize, FastMap<Vec<Elem>, V>>,
     /// null id → keys mentioning it, mirroring the instance's `null →
     /// fact ids` occurrence index: a merge retiring null `n` invalidates
     /// exactly `occ[n]`. Empty when not `indexed`: entries never die.
-    occ: HashMap<u32, Vec<(usize, Vec<Elem>)>>,
+    occ: FastMap<u32, Vec<(usize, Vec<Elem>)>>,
     indexed: bool,
 }
 
 impl<V> FrontierCache<V> {
     pub(crate) fn new(indexed: bool) -> FrontierCache<V> {
         FrontierCache {
-            map: HashMap::new(),
-            occ: HashMap::new(),
+            map: FastMap::default(),
+            occ: FastMap::default(),
             indexed,
         }
     }

@@ -8,8 +8,8 @@ use crate::hom::find_one_hom;
 use crate::instance::{Elem, Instance};
 use crate::pacb::{freeze, head_fixed_map, term_to_elem};
 use crate::prov::Dnf;
+use estocada_pivot::hash::FastMap;
 use estocada_pivot::{Constraint, Cq, Term, Var};
-use std::collections::HashMap;
 
 /// Build the canonical instance ("frozen body") of a query: variable `i`
 /// becomes labelled null `i`, constants stay constants.
@@ -105,7 +105,7 @@ pub fn implies(
     };
     match sigma {
         Constraint::Tgd(tgd) => {
-            let fixed: HashMap<Var, Elem> = tgd
+            let fixed: FastMap<Var, Elem> = tgd
                 .frontier()
                 .into_iter()
                 .map(|v| (v, frozen_image(&inst, &Term::Var(v))))

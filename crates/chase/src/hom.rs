@@ -10,7 +10,7 @@
 //!
 //! - every distinct variable gets a **compact id** `0..n_vars`, so the
 //!   partial assignment is a dense scratch array (`Vec<Option<Elem>>`)
-//!   instead of a `HashMap<Var, Elem>` — binding and unbinding are O(1)
+//!   instead of a `FastMap<Var, Elem>` — binding and unbinding are O(1)
 //!   array writes recorded on an undo trail;
 //! - atom constants are pre-lifted to `Elem`s, so candidate unification
 //!   never re-wraps a `Value` per comparison.
@@ -50,16 +50,16 @@
 //! twice.
 
 use crate::instance::{DeltaIndex, Elem, Instance};
+use estocada_pivot::hash::FastMap;
 use estocada_pivot::{Atom, Symbol, Term, Var};
 use std::cell::Cell;
-use std::collections::HashMap;
 
 /// A homomorphism: a variable assignment plus the ids of the facts each atom
 /// was matched to (parallel to the atom list it was searched for).
 #[derive(Debug, Clone)]
 pub struct Hom {
     /// Variable assignment.
-    pub map: HashMap<Var, Elem>,
+    pub map: FastMap<Var, Elem>,
     /// Matched fact id per atom, in atom order.
     pub fact_ids: Vec<u32>,
 }
@@ -117,7 +117,7 @@ struct CompiledAtom {
 /// and the variable-interning map. One per thread (module docs).
 #[derive(Default)]
 struct HomArena {
-    var_ids: HashMap<Var, usize>,
+    var_ids: FastMap<Var, usize>,
     vars: Vec<Var>,
     atoms: Vec<CompiledAtom>,
     strata: Vec<Stratum>,
@@ -197,7 +197,7 @@ fn compile<'a>(
     let mut vars = std::mem::take(&mut arena.vars);
     var_ids.clear();
     vars.clear();
-    let intern = |v: Var, vars: &mut Vec<Var>, var_ids: &mut HashMap<Var, usize>| {
+    let intern = |v: Var, vars: &mut Vec<Var>, var_ids: &mut FastMap<Var, usize>| {
         *var_ids.entry(v).or_insert_with(|| {
             vars.push(v);
             vars.len() - 1
@@ -416,7 +416,7 @@ fn try_match(ctx: &Ctx<'_>, s: &mut Scratch, ai: usize, fid: u32) -> bool {
 
 /// Record the current full assignment as a result.
 fn emit(ctx: &Ctx<'_>, s: &mut Scratch) {
-    let map: HashMap<Var, Elem> = ctx
+    let map: FastMap<Var, Elem> = ctx
         .vars
         .iter()
         .zip(s.bind.iter())
@@ -437,14 +437,14 @@ fn emit(ctx: &Ctx<'_>, s: &mut Scratch) {
 pub fn find_homs(
     instance: &Instance,
     atoms: &[Atom],
-    fixed: &HashMap<Var, Elem>,
+    fixed: &FastMap<Var, Elem>,
     cfg: HomConfig,
 ) -> Vec<Hom> {
     find_homs_extending(instance, atoms, pairs(fixed), cfg.limit)
 }
 
 /// A fixed-variable map as the `(variable, image)` pairs [`compile`] takes.
-fn pairs(fixed: &HashMap<Var, Elem>) -> impl Iterator<Item = (Var, Elem)> + Clone + '_ {
+fn pairs(fixed: &FastMap<Var, Elem>) -> impl Iterator<Item = (Var, Elem)> + Clone + '_ {
     fixed.iter().map(|(v, e)| (*v, *e))
 }
 
@@ -480,7 +480,7 @@ pub(crate) fn has_hom(
 pub fn find_one_hom(
     instance: &Instance,
     atoms: &[Atom],
-    fixed: &HashMap<Var, Elem>,
+    fixed: &FastMap<Var, Elem>,
 ) -> Option<Hom> {
     find_homs(instance, atoms, fixed, HomConfig { limit: 1 })
         .into_iter()
@@ -499,7 +499,7 @@ pub fn find_one_hom(
 pub fn find_homs_delta(
     instance: &Instance,
     atoms: &[Atom],
-    fixed: &HashMap<Var, Elem>,
+    fixed: &FastMap<Var, Elem>,
     cfg: HomConfig,
     delta: &DeltaIndex,
 ) -> Vec<Hom> {
@@ -538,8 +538,8 @@ pub(crate) fn find_trigger_homs(
     delta: Option<&DeltaIndex>,
 ) -> Vec<Hom> {
     match delta {
-        None => find_homs(instance, atoms, &HashMap::new(), cfg),
-        Some(d) => find_homs_delta(instance, atoms, &HashMap::new(), cfg, d),
+        None => find_homs(instance, atoms, &FastMap::default(), cfg),
+        Some(d) => find_homs_delta(instance, atoms, &FastMap::default(), cfg, d),
     }
 }
 
@@ -570,7 +570,7 @@ mod tests {
             atom("R", vec![Term::var(1), Term::var(2)]),
             atom("S", vec![Term::var(2)]),
         ];
-        let homs = find_homs(&i, &atoms, &HashMap::new(), HomConfig::default());
+        let homs = find_homs(&i, &atoms, &FastMap::default(), HomConfig::default());
         assert_eq!(homs.len(), 1);
         let h = &homs[0];
         assert_eq!(h.map[&Var(0)], Elem::of(1i64));
@@ -582,7 +582,7 @@ mod tests {
     fn all_matches_enumerated() {
         let i = setup();
         let atoms = vec![atom("R", vec![Term::var(0), Term::var(1)])];
-        let homs = find_homs(&i, &atoms, &HashMap::new(), HomConfig::default());
+        let homs = find_homs(&i, &atoms, &FastMap::default(), HomConfig::default());
         assert_eq!(homs.len(), 2);
     }
 
@@ -590,7 +590,7 @@ mod tests {
     fn fixed_bindings_restrict_matches() {
         let i = setup();
         let atoms = vec![atom("R", vec![Term::var(0), Term::var(1)])];
-        let mut fixed = HashMap::new();
+        let mut fixed = FastMap::default();
         fixed.insert(Var(0), Elem::of(2i64));
         let homs = find_homs(&i, &atoms, &fixed, HomConfig::default());
         assert_eq!(homs.len(), 1);
@@ -601,9 +601,9 @@ mod tests {
     fn constants_in_atoms_must_match() {
         let i = setup();
         let atoms = vec![atom("R", vec![Term::constant(7i64), Term::var(0)])];
-        assert!(find_one_hom(&i, &atoms, &HashMap::new()).is_none());
+        assert!(find_one_hom(&i, &atoms, &FastMap::default()).is_none());
         let atoms = vec![atom("R", vec![Term::constant(1i64), Term::var(0)])];
-        assert!(find_one_hom(&i, &atoms, &HashMap::new()).is_some());
+        assert!(find_one_hom(&i, &atoms, &FastMap::default()).is_some());
     }
 
     #[test]
@@ -611,7 +611,7 @@ mod tests {
         let mut i = setup();
         i.insert(Symbol::intern("R"), vec![Elem::of(5i64), Elem::of(5i64)]);
         let atoms = vec![atom("R", vec![Term::var(0), Term::var(0)])];
-        let homs = find_homs(&i, &atoms, &HashMap::new(), HomConfig::default());
+        let homs = find_homs(&i, &atoms, &FastMap::default(), HomConfig::default());
         assert_eq!(homs.len(), 1);
         assert_eq!(homs[0].map[&Var(0)], Elem::of(5i64));
     }
@@ -620,14 +620,14 @@ mod tests {
     fn limit_caps_result_count() {
         let i = setup();
         let atoms = vec![atom("R", vec![Term::var(0), Term::var(1)])];
-        let homs = find_homs(&i, &atoms, &HashMap::new(), HomConfig { limit: 1 });
+        let homs = find_homs(&i, &atoms, &FastMap::default(), HomConfig { limit: 1 });
         assert_eq!(homs.len(), 1);
     }
 
     #[test]
     fn empty_atom_list_yields_identity() {
         let i = setup();
-        let homs = find_homs(&i, &[], &HashMap::new(), HomConfig::default());
+        let homs = find_homs(&i, &[], &FastMap::default(), HomConfig::default());
         assert_eq!(homs.len(), 1);
         assert!(homs[0].map.is_empty());
     }
@@ -636,7 +636,7 @@ mod tests {
     fn fixed_vars_absent_from_atoms_survive_into_results() {
         let i = setup();
         let atoms = vec![atom("S", vec![Term::var(0)])];
-        let mut fixed = HashMap::new();
+        let mut fixed = FastMap::default();
         fixed.insert(Var(9), Elem::of(42i64));
         let homs = find_homs(&i, &atoms, &fixed, HomConfig::default());
         assert_eq!(homs.len(), 1);
@@ -654,7 +654,13 @@ mod tests {
             atom("R", vec![Term::var(1), Term::var(2)]),
         ];
         let delta = i.delta_index(thr);
-        let dhoms = find_homs_delta(&i, &atoms, &HashMap::new(), HomConfig::default(), &delta);
+        let dhoms = find_homs_delta(
+            &i,
+            &atoms,
+            &FastMap::default(),
+            HomConfig::default(),
+            &delta,
+        );
         // Full search: (1,2,3), (2,3,4). Only the latter touches R(3,4).
         assert_eq!(dhoms.len(), 1);
         assert_eq!(dhoms[0].map[&Var(2)], Elem::of(4i64));
@@ -668,9 +674,15 @@ mod tests {
             atom("R", vec![Term::var(1), Term::var(2)]),
             atom("S", vec![Term::var(2)]),
         ];
-        let full = find_homs(&i, &atoms, &HashMap::new(), HomConfig::default());
+        let full = find_homs(&i, &atoms, &FastMap::default(), HomConfig::default());
         let delta = i.delta_index(0);
-        let dhoms = find_homs_delta(&i, &atoms, &HashMap::new(), HomConfig::default(), &delta);
+        let dhoms = find_homs_delta(
+            &i,
+            &atoms,
+            &FastMap::default(),
+            HomConfig::default(),
+            &delta,
+        );
         assert_eq!(full.len(), dhoms.len());
     }
 
@@ -689,9 +701,10 @@ mod tests {
             vec![atom("R", vec![Term::constant(1i64), Term::var(0)])],
         ];
         let run = |q: &[Atom]| {
-            let full = find_homs(&i, q, &HashMap::new(), HomConfig::default());
+            let full = find_homs(&i, q, &FastMap::default(), HomConfig::default());
             let delta = i.delta_index(0);
-            let anchored = find_homs_delta(&i, q, &HashMap::new(), HomConfig::default(), &delta);
+            let anchored =
+                find_homs_delta(&i, q, &FastMap::default(), HomConfig::default(), &delta);
             let seen =
                 |hs: Vec<Hom>| -> Vec<_> { hs.into_iter().map(|h| (h.fact_ids, h.map)).collect() };
             (seen(full), seen(anchored))
@@ -719,7 +732,13 @@ mod tests {
             atom("R", vec![Term::var(1), Term::var(2)]),
         ];
         let delta = i.delta_index(thr);
-        let dhoms = find_homs_delta(&i, &atoms, &HashMap::new(), HomConfig::default(), &delta);
+        let dhoms = find_homs_delta(
+            &i,
+            &atoms,
+            &FastMap::default(),
+            HomConfig::default(),
+            &delta,
+        );
         // New triggers: (1,2)+(2,2) anchored at atom 1, and (2,2)+(2,2)
         // anchored at atom 0 — exactly 2, no duplicates.
         assert_eq!(dhoms.len(), 2);

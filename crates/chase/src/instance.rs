@@ -85,8 +85,8 @@
 //! Both ways give the same lists.
 
 use crate::prov::Dnf;
+use estocada_pivot::hash::FastMap;
 use estocada_pivot::{ConstId, Symbol, Value};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -221,7 +221,7 @@ pub struct DeltaIndex {
     /// The epoch threshold the lists were computed for.
     pub threshold: u64,
     /// Alive facts with `fact_epoch >= threshold`, grouped by predicate.
-    pub by_pred: HashMap<Symbol, Vec<u32>>,
+    pub by_pred: FastMap<Symbol, Vec<u32>>,
 }
 
 impl DeltaIndex {
@@ -269,16 +269,16 @@ pub struct Instance {
     /// thresholds a semi-naive round asks for.
     stamped: [Vec<u32>; 2],
     /// predicate → alive fact ids (sorted ascending).
-    by_pred: HashMap<Symbol, Vec<u32>>,
+    by_pred: FastMap<Symbol, Vec<u32>>,
     /// (pred, position) → element → alive fact ids (sorted ascending). The
     /// two-level layout lets probes borrow the element key.
-    by_pos: HashMap<(Symbol, u32), HashMap<Elem, Vec<u32>>>,
+    by_pos: FastMap<(Symbol, u32), FastMap<Elem, Vec<u32>>>,
     /// predicate → argument vector → fact id (fast duplicate detection;
     /// lookup borrows the candidate arguments as a slice).
-    dedup: HashMap<Symbol, HashMap<Vec<Elem>, u32>>,
+    dedup: FastMap<Symbol, FastMap<Vec<Elem>, u32>>,
     /// representative null → fact ids whose stored args mention it (sorted
     /// ascending; may contain dead facts, lazily skipped on consumption).
-    null_occ: HashMap<u32, Vec<u32>>,
+    null_occ: FastMap<u32, Vec<u32>>,
 }
 
 impl Clone for Instance {
@@ -409,7 +409,7 @@ impl Instance {
             Some(1) => &self.stamped[..],
             Some(_) => return self.scan_delta(threshold),
         };
-        let mut by_pred: HashMap<Symbol, Vec<u32>> = HashMap::new();
+        let mut by_pred: FastMap<Symbol, Vec<u32>> = FastMap::default();
         for &id in logged.iter().flatten() {
             let f = &self.facts[id as usize];
             if f.alive {
@@ -425,7 +425,7 @@ impl Instance {
 
     /// [`Instance::delta_index`] by one pass over every fact.
     fn scan_delta(&self, threshold: u64) -> DeltaIndex {
-        let mut by_pred: HashMap<Symbol, Vec<u32>> = HashMap::new();
+        let mut by_pred: FastMap<Symbol, Vec<u32>> = FastMap::default();
         for (i, f) in self.facts.iter().enumerate() {
             if f.alive && self.fact_epoch[i] >= threshold {
                 by_pred.entry(f.pred).or_default().push(i as u32);

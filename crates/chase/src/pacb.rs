@@ -109,8 +109,9 @@ use crate::instance::{Elem, Instance};
 use crate::pchase::{prov_chase_prepared, ProvChaseStats};
 use crate::prov::Dnf;
 use estocada_parexec::scoped_map;
+use estocada_pivot::hash::{FastMap, FastSet};
 use estocada_pivot::{AccessMap, Atom, Constraint, Cq, Symbol, Term, Tgd, Var, ViewDef};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A rewriting problem: query, views, and ambient constraints.
@@ -337,7 +338,7 @@ pub struct Rewriter {
     /// Both directions of every view + source + target constraints: the
     /// candidates' verification chases.
     verification: PreparedConstraints,
-    view_names: HashSet<Symbol>,
+    view_names: FastSet<Symbol>,
     access: AccessMap,
 }
 
@@ -565,7 +566,7 @@ impl Rewriter {
         let mut total = Dnf::fals();
         for h in &homs {
             let mut conj = Dnf::tru();
-            let mut seen = HashSet::new();
+            let mut seen = FastSet::default();
             for fid in &h.fact_ids {
                 if !seen.insert(*fid) {
                     continue;
@@ -615,7 +616,7 @@ impl Rewriter {
 
         // Deterministic fan-in, candidate order.
         let mut rewritings: Vec<Cq> = Vec::new();
-        let mut seen_canonical: HashSet<String> = HashSet::new();
+        let mut seen_canonical: FastSet<String> = FastSet::default();
         for (mut candidate, (verdict, cs)) in candidates.into_iter().zip(verdicts) {
             stats.absorb(cs);
             complete &= verdict != Verdict::Undecided;
@@ -649,8 +650,8 @@ impl Rewriter {
 /// Build the fixed-variable map forcing `q`'s head onto `targets`; `None`
 /// when a head constant disagrees or a repeated head variable is forced onto
 /// two different elements.
-pub(crate) fn head_fixed_map(q: &Cq, targets: &[Elem]) -> Option<HashMap<Var, Elem>> {
-    let mut fixed: HashMap<Var, Elem> = HashMap::new();
+pub(crate) fn head_fixed_map(q: &Cq, targets: &[Elem]) -> Option<FastMap<Var, Elem>> {
+    let mut fixed: FastMap<Var, Elem> = FastMap::default();
     for (t, target) in q.head.iter().zip(targets) {
         match t {
             Term::Const(c) => {

@@ -70,9 +70,10 @@
 //! `Stratified`) and leaves them in place otherwise.
 
 use crate::chase::ChaseConfig;
+use estocada_pivot::hash::{FastMap, FastSet};
 use estocada_pivot::{Atom, Constraint, Symbol, Term, Var};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
 /// A position: (relation, argument position).
@@ -300,7 +301,7 @@ fn positions(atoms: &[Atom]) -> impl Iterator<Item = Pos> + '_ {
 }
 
 /// Position ids of each variable of one constraint side.
-type VarPositions = HashMap<Var, Vec<usize>>;
+type VarPositions = FastMap<Var, Vec<usize>>;
 
 /// Dense ids for every position a constraint set mentions: the TGDs'
 /// positions first, as `0..nodes.len()` in (relation name, position) order
@@ -308,7 +309,7 @@ type VarPositions = HashMap<Var, Vec<usize>>;
 /// mention, in constraint order. A union of EGD positions can link two
 /// graph positions through one of those, so the contraction needs them.
 struct Positions {
-    ids: HashMap<Pos, usize>,
+    ids: FastMap<Pos, usize>,
     nodes: Vec<Pos>,
 }
 
@@ -325,7 +326,7 @@ impl Positions {
         // By name: symbol interning order is session-dependent.
         nodes.sort_by_cached_key(|&(rel, i)| (rel.as_str(), i));
         nodes.dedup();
-        let mut ids: HashMap<Pos, usize> = nodes.iter().enumerate().map(|(i, p)| (*p, i)).collect();
+        let mut ids: FastMap<Pos, usize> = nodes.iter().enumerate().map(|(i, p)| (*p, i)).collect();
         for c in constraints {
             if let Constraint::Egd(e) = c {
                 for p in positions(&e.premise) {
@@ -340,7 +341,7 @@ impl Positions {
     /// Position ids of each variable across `atoms` (first-occurrence
     /// order, deduplicated).
     fn of_vars(&self, atoms: &[Atom]) -> VarPositions {
-        let mut m = VarPositions::new();
+        let mut m = VarPositions::default();
         for a in atoms {
             for (i, t) in a.args.iter().enumerate() {
                 let (Term::Var(v), Some(&id)) = (t, self.ids.get(&(a.pred, i))) else {
@@ -731,7 +732,7 @@ fn super_weakly_acyclic(flow: &NullFlow) -> bool {
 // ---------------------------------------------------------------------------
 
 /// Predicates mentioned by `atoms`.
-fn atom_preds(atoms: &[Atom]) -> HashSet<Symbol> {
+fn atom_preds(atoms: &[Atom]) -> FastSet<Symbol> {
     atoms.iter().map(|a| a.pred).collect()
 }
 
@@ -746,8 +747,8 @@ fn atom_preds(atoms: &[Atom]) -> HashSet<Symbol> {
 fn stratify(constraints: &[Constraint], ps: &Positions) -> Vec<Vec<usize>> {
     let n = constraints.len();
     let flow = null_flow(constraints, ps);
-    let mut reads: Vec<HashSet<Symbol>> = Vec::with_capacity(n);
-    let mut affects: Vec<HashSet<Symbol>> = Vec::with_capacity(n);
+    let mut reads: Vec<FastSet<Symbol>> = Vec::with_capacity(n);
+    let mut affects: Vec<FastSet<Symbol>> = Vec::with_capacity(n);
     for c in constraints {
         match c {
             Constraint::Tgd(t) => {
@@ -757,7 +758,7 @@ fn stratify(constraints: &[Constraint], ps: &Positions) -> Vec<Vec<usize>> {
             Constraint::Egd(e) => {
                 reads.push(atom_preds(&e.premise));
                 let vars = ps.of_vars(&e.premise);
-                let mut footprint: HashSet<Symbol> = HashSet::new();
+                let mut footprint: FastSet<Symbol> = FastSet::default();
                 for term in [&e.equal.0, &e.equal.1] {
                     let Term::Var(v) = term else { continue };
                     for k in flow.binders(vars.get(v).map_or(&[], Vec::as_slice)) {
@@ -785,7 +786,7 @@ fn stratify(constraints: &[Constraint], ps: &Positions) -> Vec<Vec<usize>> {
     // smallest constraint index in each component: independent strata are
     // listed in certified-constraint order, so the evidence is stable.
     let mut indegree = vec![0usize; comp_count];
-    let mut cadj: Vec<HashSet<usize>> = vec![HashSet::new(); comp_count];
+    let mut cadj: Vec<FastSet<usize>> = vec![FastSet::default(); comp_count];
     for (i, out) in adj.iter().enumerate() {
         for &j in out {
             if comp[i] != comp[j] && cadj[comp[i]].insert(comp[j]) {

@@ -16,6 +16,7 @@ use crate::error::Result;
 use crate::evaluator::Estocada;
 use crate::planner;
 use crate::system::SystemId;
+use estocada_pivot::hash::{FastMap, FastSet};
 use estocada_pivot::{Cq, Symbol, Term, Var};
 
 /// One workload entry: a pivot query with a frequency weight.
@@ -107,7 +108,7 @@ pub fn recommend(est: &Estocada, workload: &[WorkloadQuery]) -> Result<Vec<Recom
     let mut recs = Vec::new();
     // Identical generalized shapes (same query template with different
     // parameters) share one candidate; weights accumulate.
-    let mut seen_shapes: std::collections::HashMap<String, usize> = Default::default();
+    let mut seen_shapes: FastMap<String, usize> = Default::default();
 
     for q in workload {
         let baseline = current_cost(est, q);
@@ -191,7 +192,7 @@ pub fn recommend(est: &Estocada, workload: &[WorkloadQuery]) -> Result<Vec<Recom
 /// deliberate mirrors. The lint target is the fragment id.
 fn drop_recommendations(est: &Estocada) -> Vec<Recommendation> {
     let lint_cfg = est.rewrite_config().chase;
-    let mut dropped: std::collections::HashSet<String> = Default::default();
+    let mut dropped: FastSet<String> = Default::default();
     let mut recs = Vec::new();
     for d in crate::analyze::fragment_lints(est.schema(), est.catalog(), &lint_cfg) {
         let droppable = matches!(

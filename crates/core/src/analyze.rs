@@ -50,8 +50,9 @@ use crate::frontends::AggregateSpec;
 use estocada_chase::{
     certify, equivalent, implies, premise_unsatisfiable, ChaseConfig, TerminationCertificate,
 };
+use estocada_pivot::hash::{FastMap, FastSet};
 use estocada_pivot::{AggFun, Atom, Constraint, Cq, RelationDecl, Schema, Term, Var, ViewDef};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// How serious a finding is. Errors reject DDL under
@@ -364,7 +365,7 @@ fn cq_hygiene(cq: &Cq, target: &str, schema: &Schema, out: &mut Vec<Diagnostic>)
             comp[i] = r;
             r
         }
-        let mut token_owner: HashMap<String, usize> = HashMap::new();
+        let mut token_owner: FastMap<String, usize> = FastMap::default();
         for (i, a) in cq.body.iter().enumerate() {
             for t in &a.args {
                 let token = match t {
@@ -422,7 +423,7 @@ pub(crate) fn unbound_egd_variables(c: &Constraint) -> Vec<Diagnostic> {
     let Constraint::Egd(egd) = c else {
         return Vec::new();
     };
-    let bound: HashSet<Var> = egd.premise.iter().flat_map(Atom::vars).collect();
+    let bound: FastSet<Var> = egd.premise.iter().flat_map(Atom::vars).collect();
     let equal = [&egd.equal.0, &egd.equal.1]
         .into_iter()
         .filter_map(Term::as_var);
@@ -609,14 +610,14 @@ fn distinct_core_pass(cq: &Cq, target: &str, schema: &Schema, out: &mut Vec<Diag
     let atoms: Vec<(&Atom, &RelationDecl)> = (cq.body.iter())
         .filter_map(|a| schema.relation(a.pred).map(|decl| (a, decl)))
         .collect();
-    let keyed = |a: &Atom, decl: &RelationDecl, fixed: &HashSet<Var>| {
+    let keyed = |a: &Atom, decl: &RelationDecl, fixed: &FastSet<Var>| {
         let is_fixed = |t: &Term| t.as_var().is_none_or(|v| fixed.contains(&v));
         let held = |key: &Vec<usize>| key.iter().all(|p| a.args.get(*p).is_some_and(is_fixed));
         decl.keys.iter().any(held)
     };
     // The variables the head determines, closed under the declared keys: a
     // determined key determines its whole row.
-    let mut fixed: HashSet<Var> = cq.head.iter().filter_map(Term::as_var).collect();
+    let mut fixed: FastSet<Var> = cq.head.iter().filter_map(Term::as_var).collect();
     loop {
         let rows = atoms.iter().filter(|(a, decl)| keyed(a, decl, &fixed));
         let vars = rows.flat_map(|(a, _)| a.vars());

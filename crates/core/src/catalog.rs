@@ -3,8 +3,8 @@
 //! each store supports, and the gathered statistics.
 
 use crate::system::SystemId;
+use estocada_pivot::hash::FastMap;
 use estocada_pivot::{AccessPattern, Cq, Symbol, Value, ViewDef};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -252,7 +252,7 @@ pub(crate) struct StatsAccumulator {
     rows: u64,
     bytes: u64,
     /// Per tracked column: value → number of rows holding it.
-    columns: Vec<HashMap<Value, u64>>,
+    columns: Vec<FastMap<Value, u64>>,
 }
 
 impl StatsAccumulator {
@@ -265,7 +265,7 @@ impl StatsAccumulator {
         let mut acc = StatsAccumulator {
             rows: 0,
             bytes: 0,
-            columns: vec![HashMap::new(); arity],
+            columns: vec![FastMap::default(); arity],
         };
         rows.into_iter().for_each(|row| acc.add(row));
         acc
@@ -359,7 +359,7 @@ impl fmt::Display for FragmentMeta {
 #[derive(Debug, Default)]
 pub struct Catalog {
     fragments: Vec<FragmentMeta>,
-    by_relation: HashMap<Symbol, (usize, usize)>,
+    by_relation: FastMap<Symbol, (usize, usize)>,
 }
 
 impl Catalog {

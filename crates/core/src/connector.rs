@@ -28,9 +28,9 @@ use crate::system::{FaultGate, Stores, SystemId};
 use estocada_docstore::{DocQuery, QueryNode};
 use estocada_engine::{BindSource, RowBatch, StoreError, Tuple};
 use estocada_parstore::Shape;
+use estocada_pivot::hash::{FastMap, FastSet};
 use estocada_pivot::{Atom, CmpOp, GroupBy, Term, Value, Var};
 use estocada_relstore::{ColRef, Pred, SqlQuery};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Result of a fallible store call (the crate-level [`Result`] alias
@@ -223,11 +223,11 @@ pub enum UnitKind {
 fn bind_row(
     terms: &[Term],
     values: &[Value],
-    pre: &HashMap<Var, Value>,
+    pre: &FastMap<Var, Value>,
     out_vars: &[Var],
 ) -> Option<Vec<Value>> {
     debug_assert_eq!(terms.len(), values.len());
-    let mut local: HashMap<Var, &Value> = HashMap::new();
+    let mut local: FastMap<Var, &Value> = FastMap::default();
     for (t, v) in terms.iter().zip(values) {
         match t {
             Term::Const(c) => {
@@ -286,7 +286,7 @@ fn batch_of(out_vars: &[Var], rows: Vec<Tuple>) -> RowBatch {
 /// Whether some variable occurs twice in `terms` — an equality a scan or a
 /// join key does not enforce, so rows would need per-row rebinding.
 fn repeats_var(terms: &[Term]) -> bool {
-    let mut seen = HashSet::new();
+    let mut seen = FastSet::default();
     terms
         .iter()
         .filter_map(Term::as_var)
@@ -324,7 +324,7 @@ pub fn sql_unit(
     ship: &Ship,
 ) -> Result<Unit> {
     let mut q = SqlQuery::new();
-    let mut var_ref: HashMap<Var, ColRef> = HashMap::new();
+    let mut var_ref: FastMap<Var, ColRef> = FastMap::default();
     let mut vars: Vec<Var> = Vec::new();
     let mut est = 1.0f64;
     let mut join_sel = 1.0f64;
@@ -468,7 +468,7 @@ impl KvAccess {
         let Some(values) = hit else {
             return Vec::new();
         };
-        let pre: HashMap<Var, Value> = self.key_var.map(|v| (v, key.clone())).into_iter().collect();
+        let pre: FastMap<Var, Value> = self.key_var.map(|v| (v, key.clone())).into_iter().collect();
         unpack_kv_rows(&values)
             .into_iter()
             .filter_map(|cells| bind_row(&self.value_terms, &cells, &pre, &self.out_vars))
@@ -604,7 +604,7 @@ impl TextAccess {
         }
         Ok(keys
             .into_iter()
-            .filter_map(|k| bind_row(key_term, &[k], &HashMap::new(), &self.out_vars))
+            .filter_map(|k| bind_row(key_term, &[k], &FastMap::default(), &self.out_vars))
             .collect())
     }
 }
@@ -731,7 +731,7 @@ pub fn doc_rows_unit(
                     .iter()
                     .map(|c| d.get(c).cloned().unwrap_or(Value::Null))
                     .collect();
-                bind_row(&terms, &values, &HashMap::new(), &ov)
+                bind_row(&terms, &values, &FastMap::default(), &ov)
             })
             .collect();
         Ok(batch_of(&ov, rows))
@@ -857,7 +857,7 @@ impl ParRequest {
             None => rows,
             Some(terms) => rows
                 .into_iter()
-                .filter_map(|r| bind_row(terms, &r, &HashMap::new(), &self.out_vars))
+                .filter_map(|r| bind_row(terms, &r, &FastMap::default(), &self.out_vars))
                 .collect(),
         };
         RowBatch {
@@ -1025,10 +1025,10 @@ fn par_join_unit(
 #[derive(Default)]
 struct TreeAtoms {
     /// Each node's child and descendant steps (`true`: descendant).
-    steps: HashMap<Var, Vec<(Var, bool)>>,
-    tags: HashMap<Var, String>,
+    steps: FastMap<Var, Vec<(Var, bool)>>,
+    tags: FastMap<Var, String>,
     /// The value a node must hold.
-    eq: HashMap<Var, Value>,
+    eq: FastMap<Var, Value>,
     /// (node, value variable) bindings, in atom order.
     binds: Vec<(Var, Var)>,
 }
@@ -1070,7 +1070,7 @@ pub fn doc_tree_unit(
     let mut collection: Option<&String> = None;
     let mut roots: Vec<(Var, &FragmentStats)> = Vec::new();
     let mut tree = TreeAtoms::default();
-    let mut reached = HashSet::new();
+    let mut reached = FastSet::default();
     for (atom, rel, stats) in atoms {
         let WhereSpec::NativeDocs {
             collection: c,
@@ -1173,7 +1173,7 @@ mod tests {
         let ok = bind_row(
             &terms,
             &[Value::Int(1), Value::Int(5), Value::Int(5)],
-            &HashMap::new(),
+            &FastMap::default(),
             &[Var(0)],
         );
         assert_eq!(ok, Some(vec![Value::Int(5)]));
@@ -1181,7 +1181,7 @@ mod tests {
         assert!(bind_row(
             &terms,
             &[Value::Int(1), Value::Int(5), Value::Int(6)],
-            &HashMap::new(),
+            &FastMap::default(),
             &[Var(0)],
         )
         .is_none());
@@ -1189,7 +1189,7 @@ mod tests {
         assert!(bind_row(
             &terms,
             &[Value::Int(2), Value::Int(5), Value::Int(5)],
-            &HashMap::new(),
+            &FastMap::default(),
             &[Var(0)],
         )
         .is_none());
@@ -1198,7 +1198,7 @@ mod tests {
     #[test]
     fn bind_row_respects_pre_bound_vars() {
         let terms = vec![Term::var(0), Term::var(1)];
-        let mut pre = HashMap::new();
+        let mut pre = FastMap::default();
         pre.insert(Var(0), Value::Int(9));
         assert!(bind_row(&terms, &[Value::Int(8), Value::Int(1)], &pre, &[Var(1)]).is_none());
         assert_eq!(

@@ -75,9 +75,9 @@ use crate::evaluator::Estocada;
 use crate::layout;
 use crate::materialize::head_rows;
 use estocada_chase::{find_homs, Elem, HomConfig, Instance};
+use estocada_pivot::hash::{FastMap, FastSet};
 use estocada_pivot::{swap_remove, Atom, Cq, Postings, Symbol, Value, Wanted};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::time::{Duration, Instant};
 
@@ -86,7 +86,7 @@ type FactKey = (Symbol, Vec<Elem>);
 /// A dataset row or a fragment-relation row.
 type Row = Vec<Value>;
 /// `(head row, −1 leaving / +1 entering its store)` per counting relation.
-type RowDeltas = HashMap<Symbol, Vec<(Row, i64)>>;
+type RowDeltas = FastMap<Symbol, Vec<(Row, i64)>>;
 /// Rows to delete from and rows to insert into one relation's container.
 type StoreOps = (Vec<Row>, Vec<Row>);
 
@@ -95,11 +95,11 @@ type StoreOps = (Vec<Row>, Vec<Row>);
 #[derive(Debug, Clone, Default)]
 pub struct MaintenanceState {
     /// Dataset table → what a write to it reads, from its first write on.
-    tables: HashMap<Symbol, TableState>,
+    tables: FastMap<Symbol, TableState>,
     /// Fragment id → data epoch its stores are maintained through (from its fill).
-    pub(crate) high_water: HashMap<String, u64>,
+    pub(crate) high_water: FastMap<String, u64>,
     /// Fragment relation → its running statistics, from its fill on.
-    pub(crate) stats: HashMap<Symbol, StatsAccumulator>,
+    pub(crate) stats: FastMap<Symbol, StatsAccumulator>,
 }
 
 /// What a write to one dataset table reads, built by one pass over the
@@ -107,7 +107,7 @@ pub struct MaintenanceState {
 #[derive(Debug, Clone)]
 struct TableState {
     /// `(pred, ground args)` → number of the table's rows encoding the fact.
-    facts: HashMap<FactKey, u64>,
+    facts: FastMap<FactKey, u64>,
     /// The rows by declared key (`None`: the table declares no key).
     positions: Option<KeyPositions>,
 }
@@ -131,7 +131,7 @@ impl TableState {
                 .collect();
             (columns, postings)
         });
-        let mut facts = HashMap::new();
+        let mut facts = FastMap::default();
         for fact in fact_keys(t, &t.rows) {
             *facts.entry(fact).or_insert(0) += 1;
         }
@@ -236,7 +236,7 @@ fn fact_keys<'a>(t: &'a TableData, rows: &'a [Row]) -> impl Iterator<Item = Fact
 /// Sum signed deltas per key, in first-touch order; keys netting to zero
 /// drop out before the instance or any store is touched.
 fn net_deltas<K: Clone + Eq + Hash>(deltas: impl IntoIterator<Item = (K, i64)>) -> Vec<(K, i64)> {
-    let mut slot: HashMap<K, usize> = HashMap::new();
+    let mut slot: FastMap<K, usize> = FastMap::default();
     let mut net: Vec<(K, i64)> = Vec::new();
     for (key, d) in deltas {
         match slot.entry(key) {
@@ -255,7 +255,7 @@ fn net_deltas<K: Clone + Eq + Hash>(deltas: impl IntoIterator<Item = (K, i64)>) 
 /// is absence). Returns the keys that crossed to zero and the keys that
 /// crossed from zero, each in the order of `net`.
 fn zero_crossings<K: Clone + Eq + Hash>(
-    counts: &mut HashMap<K, u64>,
+    counts: &mut FastMap<K, u64>,
     net: Vec<(K, i64)>,
 ) -> (Vec<K>, Vec<K>) {
     let (mut gone, mut born) = (Vec::new(), Vec::new());
@@ -279,7 +279,7 @@ fn zero_crossings<K: Clone + Eq + Hash>(
 
 /// Resolve `dataset.table`.
 fn table_mut<'a>(
-    datasets: &'a mut HashMap<String, Dataset>,
+    datasets: &'a mut FastMap<String, Dataset>,
     dataset: &str,
     table: &str,
 ) -> Result<&'a mut TableData> {
@@ -470,7 +470,7 @@ impl Estocada {
             .ok_or_else(|| Error::Dml(format!("upsert into {table} needs a declared key")))?;
         // A row too short for the key is left to the arity check.
         let key_of = |r: &Row| -> Vec<_> { key_cols.iter().map(|c| r.get(*c).cloned()).collect() };
-        let mut keys = HashSet::new();
+        let mut keys = FastSet::default();
         if let Some(twice) = rows.iter().map(key_of).find_map(|k| keys.replace(k)) {
             return Err(Error::Dml(format!(
                 "upsert into {table} names key {twice:?} twice in one batch"
@@ -518,7 +518,7 @@ impl Estocada {
         let batch: StoreOps = (deletes, inserts);
 
         let (minus, plus) = zero_crossings(&mut state.facts, fact_delta);
-        let mut row_deltas = RowDeltas::new();
+        let mut row_deltas = RowDeltas::default();
         delta_chase(base, catalog, &minus, -1, &mut row_deltas);
         delta_chase(base, catalog, &plus, 1, &mut row_deltas);
         let ops = row_deltas.into_iter().map(|(relation, deltas)| {
@@ -527,7 +527,7 @@ impl Estocada {
             let rows = |moved: Vec<(Row, i64)>| moved.into_iter().map(|(row, _)| row).collect();
             (relation, (rows(gone), rows(born)))
         });
-        let ops: HashMap<Symbol, StoreOps> = ops.collect();
+        let ops: FastMap<Symbol, StoreOps> = ops.collect();
         steps.delta_chase = started.elapsed() - steps.validate;
 
         // Counting relations absorb their crossings; raw mirrors of the

@@ -64,9 +64,9 @@ use crate::translate::bind;
 use estocada_chase::{Instance, RewriteConfig, TerminationCertificate};
 use estocada_engine::{execute_with, EngineError, ExecOptions, ExecStats, RowBatch};
 use estocada_pivot::encoding::document::TreePattern;
+use estocada_pivot::hash::{FastMap, FastSet};
 use estocada_pivot::{Constraint, Cq, IdGen, Schema};
 use estocada_simkit::FaultPlan;
-use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -215,7 +215,7 @@ pub struct Estocada {
     pub stores: Stores,
     latencies: Latencies,
     cost: CostModel,
-    pub(crate) datasets: HashMap<String, Dataset>,
+    pub(crate) datasets: FastMap<String, Dataset>,
     schema: Schema,
     /// The staged pivot fact base, built lazily on first use by whichever
     /// query thread gets there first; reset (not rebuilt) by DDL and
@@ -273,7 +273,7 @@ impl Estocada {
             stores: Stores::new(latencies),
             latencies,
             cost,
-            datasets: HashMap::new(),
+            datasets: FastMap::default(),
             schema: Schema::new(),
             base: OnceLock::new(),
             catalog: Catalog::new(),
@@ -513,7 +513,7 @@ impl Estocada {
     }
 
     /// The registered datasets.
-    pub fn datasets(&self) -> &HashMap<String, Dataset> {
+    pub fn datasets(&self) -> &FastMap<String, Dataset> {
         &self.datasets
     }
 
@@ -726,7 +726,7 @@ impl Estocada {
         if opts.explain_only {
             // Explain reports cost every alternative but tolerate a query
             // with no (executable) rewriting.
-            let best = self.rank(&candidates, &HashSet::new());
+            let best = self.rank(&candidates, &FastSet::default());
             // An aggregate query's output columns come from its SELECT
             // list, not the conjunctive core's head.
             let columns = match &q.aggregate {
@@ -771,7 +771,7 @@ impl Estocada {
 
     /// The planner's ranking under this engine's breakers; systems in
     /// `failed` count too (retries can run out before a breaker trips).
-    fn rank(&self, candidates: &[&Candidate], failed: &HashSet<SystemId>) -> Option<usize> {
+    fn rank(&self, candidates: &[&Candidate], failed: &FastSet<SystemId>) -> Option<usize> {
         planner::cheapest(candidates, &self.cost, |s| {
             failed.contains(&s) || self.health.avoid(s)
         })
@@ -803,7 +803,7 @@ impl Estocada {
             )));
         }
         let mut attempts: Vec<PlanAttempt> = Vec::new();
-        let mut failed: HashSet<SystemId> = HashSet::new();
+        let mut failed: FastSet<SystemId> = FastSet::default();
         loop {
             let next = if attempts.is_empty() || !resilience.deadline_exceeded() {
                 self.rank(&candidates, &failed)

@@ -46,8 +46,8 @@
 use crate::connector::Residual;
 use crate::error::{Error, Result};
 use estocada_engine::{AggFun, AggSpec, CmpOp};
+use estocada_pivot::hash::FastMap;
 use estocada_pivot::{Atom, Cq, Symbol, Term, Value, Var};
-use std::collections::HashMap;
 
 /// Schema information the SQL frontend needs per table.
 #[derive(Debug, Clone)]
@@ -61,7 +61,7 @@ pub struct SqlTable {
 }
 
 /// Table catalog for parsing.
-pub type SqlCatalog = HashMap<String, SqlTable>;
+pub type SqlCatalog = FastMap<String, SqlTable>;
 
 /// A parsed query: pivot CQ + column names + residual comparisons.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -570,7 +570,7 @@ fn build_aggregate(
     having_asts: Vec<(HavingLhsAst, CmpOp, Value)>,
 ) -> Result<(Vec<ColRefAst>, AggregateSpec)> {
     let mut inner: Vec<ColRefAst> = Vec::new();
-    let mut inner_idx: HashMap<(String, String), usize> = HashMap::new();
+    let mut inner_idx: FastMap<(String, String), usize> = FastMap::default();
     for g in &group_refs {
         let key = (g.alias.clone(), g.column.clone());
         if let std::collections::hash_map::Entry::Vacant(e) = inner_idx.entry(key) {
@@ -583,7 +583,7 @@ fn build_aggregate(
     // A bare column is legal only when it is one of the group keys; its
     // aggregate-output index equals its core-head index.
     let group_pos =
-        |c: &ColRefAst, inner_idx: &HashMap<(String, String), usize>| -> Result<usize> {
+        |c: &ColRefAst, inner_idx: &FastMap<(String, String), usize>| -> Result<usize> {
             match inner_idx.get(&(c.alias.clone(), c.column.clone())) {
                 Some(&i) if i < group_cols => Ok(i),
                 _ => Err(Error::Parse(format!(
@@ -597,7 +597,7 @@ fn build_aggregate(
     let register = |fun: AggFun,
                     arg: Option<&ColRefAst>,
                     inner: &mut Vec<ColRefAst>,
-                    inner_idx: &mut HashMap<(String, String), usize>,
+                    inner_idx: &mut FastMap<(String, String), usize>,
                     aggs: &mut Vec<AggSpec>|
      -> usize {
         // COUNT(*) counts core tuples; the engine's Count ignores its input
@@ -673,7 +673,7 @@ fn build_aggregate(
 struct Cells {
     parent: Vec<usize>,
     constant: Vec<Option<Value>>,
-    index: HashMap<(String, String), usize>,
+    index: FastMap<(String, String), usize>,
 }
 
 impl Cells {
@@ -681,7 +681,7 @@ impl Cells {
         Cells {
             parent: Vec::new(),
             constant: Vec::new(),
-            index: HashMap::new(),
+            index: FastMap::default(),
         }
     }
 
@@ -745,7 +745,7 @@ fn build_cq(
     conds: Vec<CondAst>,
     catalog: &SqlCatalog,
 ) -> Result<ParsedQuery> {
-    let alias_table: HashMap<String, String> =
+    let alias_table: FastMap<String, String> =
         tables.iter().map(|(t, a)| (a.clone(), t.clone())).collect();
     let resolve = |c: &ColRefAst| -> Result<(String, String)> {
         let table = alias_table
@@ -807,7 +807,7 @@ fn build_cq(
     }
 
     // Assign variables per cell class without a constant.
-    let mut class_var: HashMap<usize, Var> = HashMap::new();
+    let mut class_var: FastMap<usize, Var> = FastMap::default();
     let mut var_names: Vec<String> = Vec::new();
     let mut term_of = |cells: &mut Cells, alias: &str, col: &str| -> Term {
         let i = cells.cell(alias, col);
@@ -896,7 +896,7 @@ mod tests {
     use super::*;
 
     fn catalog() -> SqlCatalog {
-        let mut c = SqlCatalog::new();
+        let mut c = SqlCatalog::default();
         c.insert(
             "Users".into(),
             SqlTable {

@@ -21,8 +21,8 @@ use crate::dataset::TableData;
 use crate::error::{Error, Result};
 use crate::system::{Stores, SystemId};
 use estocada_parstore::ParStore;
+use estocada_pivot::hash::FastMap;
 use estocada_pivot::{AccessPattern, Value};
-use std::collections::HashMap;
 
 /// A stored row of a fragment relation (head order).
 type Row = Vec<Value>;
@@ -239,7 +239,7 @@ pub(crate) fn write(
             // its entry; the entry is patched under its key (load, take
             // out, add, store sorted again), no other key is read.
             let tuple = |row: &Row| Value::array(row[1..].iter().cloned());
-            let mut changes: HashMap<&Value, (Vec<Value>, Vec<Value>)> = HashMap::new();
+            let mut changes: FastMap<&Value, (Vec<Value>, Vec<Value>)> = FastMap::default();
             for row in deletes {
                 changes.entry(&row[0]).or_default().0.push(tuple(row));
             }

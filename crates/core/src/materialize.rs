@@ -18,9 +18,9 @@ use crate::layout;
 use crate::system::Stores;
 use estocada_chase::{find_homs, find_homs_delta, DeltaIndex, Elem, HomConfig, Instance};
 use estocada_pivot::encoding::document::DocRelations;
+use estocada_pivot::hash::{FastMap, FastSet};
 use estocada_pivot::{Cq, Fact, Symbol, Term, Value, ViewDef};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
 
 /// Build a ground-fact instance (the staging database used to evaluate view
 /// definitions).
@@ -42,7 +42,7 @@ pub(crate) fn head_rows<'a>(
     view: &'a Cq,
     delta: Option<&DeltaIndex>,
 ) -> impl Iterator<Item = Vec<Value>> + 'a {
-    let (fixed, cfg) = (HashMap::new(), HomConfig::default());
+    let (fixed, cfg) = (FastMap::default(), HomConfig::default());
     let homs = match delta {
         Some(delta) => find_homs_delta(base, &view.body, &fixed, cfg, delta),
         None => find_homs(base, &view.body, &fixed, cfg),
@@ -62,7 +62,7 @@ pub(crate) fn head_rows<'a>(
 /// projected on the head. Duplicate rows are eliminated (set semantics of
 /// the pivot model).
 pub fn evaluate_view(base: &Instance, view: &Cq) -> Vec<Vec<Value>> {
-    let mut seen = HashSet::new();
+    let mut seen = FastSet::default();
     head_rows(base, view, None)
         .filter(|row| seen.insert(row.clone()))
         .collect()
@@ -109,7 +109,7 @@ pub(crate) fn materialize(
     id: &str,
     spec: FragmentSpec,
     base: &Instance,
-    datasets: &HashMap<String, Dataset>,
+    datasets: &FastMap<String, Dataset>,
     catalog: &Catalog,
     stores: &Stores,
 ) -> Result<(FragmentMeta, Vec<(Symbol, StatsAccumulator)>)> {
@@ -193,7 +193,7 @@ fn view_relation<'a>(spec: &FragmentSpec, view: &Cq, base: &Instance) -> Result<
 }
 
 /// The tables of a relational dataset.
-fn tables_of<'a>(datasets: &'a HashMap<String, Dataset>, dataset: &str) -> Result<&'a [TableData]> {
+fn tables_of<'a>(datasets: &'a FastMap<String, Dataset>, dataset: &str) -> Result<&'a [TableData]> {
     match datasets.get(dataset).map(|ds| &ds.content) {
         Some(DatasetContent::Relational(tables)) => Ok(tables),
         Some(DatasetContent::Documents(_)) => Err(Error::BadFragment(format!(
@@ -208,7 +208,7 @@ fn tables_of<'a>(datasets: &'a HashMap<String, Dataset>, dataset: &str) -> Resul
 fn native_docs<'a>(
     dataset: &str,
     base: &Instance,
-    datasets: &'a HashMap<String, Dataset>,
+    datasets: &'a FastMap<String, Dataset>,
 ) -> Result<Vec<Planned<'a>>> {
     let ds = datasets
         .get(dataset)
@@ -266,7 +266,7 @@ fn native_tables<'a>(tables: &'a [TableData], only: Option<&[String]>) -> Result
 
 /// The full-text index over a table's text columns: the identity view of
 /// `{table}_Terms(term, key)`, answered by the text store.
-fn text_index<'a>(table: &str, datasets: &'a HashMap<String, Dataset>) -> Result<Planned<'a>> {
+fn text_index<'a>(table: &str, datasets: &'a FastMap<String, Dataset>) -> Result<Planned<'a>> {
     let t = datasets
         .keys()
         .filter_map(|name| tables_of(datasets, name).ok())
@@ -303,7 +303,7 @@ mod tests {
     use estocada_pivot::encoding::relational::TableEncoding;
     use estocada_pivot::{CqBuilder, IdGen};
 
-    fn setup() -> (Instance, HashMap<String, Dataset>, Stores) {
+    fn setup() -> (Instance, FastMap<String, Dataset>, Stores) {
         let ds = Dataset::relational(
             "sales",
             vec![TableData {
@@ -323,7 +323,7 @@ mod tests {
         let mut ids = IdGen::new();
         let facts = ds.pivot_facts(&mut ids);
         let base = fact_base(&facts);
-        let mut datasets = HashMap::new();
+        let mut datasets = FastMap::default();
         datasets.insert("sales".to_string(), ds);
         (base, datasets, Stores::new(Latencies::zero()))
     }

@@ -23,7 +23,7 @@
 //! and compares that, looks up, and hands back the plan with the parsed
 //! query and its lint hash inside; ranking, binding, execution and the
 //! report copy follow, and nothing is parsed, hashed twice or translated.
-//! The map is a small sharded `RwLock<HashMap>` (reads take a shard read
+//! The map is a small sharded `RwLock<FastMap>` (reads take a shard read
 //! lock only), bounded by a per-shard FIFO: the cache can never
 //! grow past its capacity no matter how many distinct ad-hoc shapes a
 //! workload produces. Entries store an `Arc`, so a hit is one clone of a
@@ -41,9 +41,10 @@ use crate::analyze::Diagnostic;
 use crate::frontends::{ParsedQuery, QueryInput};
 use crate::planner::{CoreKey, Prepared};
 use estocada_chase::RewriteOutcome;
+use estocada_pivot::hash::FastHasher;
+use estocada_pivot::hash::FastMap;
 use parking_lot::RwLock;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -57,7 +58,7 @@ pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 1_024;
 
 /// The structural hash a cache key is looked up and stored under.
 pub(crate) fn hash_of<K: Hash + ?Sized>(key: &K) -> u64 {
-    let mut h = DefaultHasher::new();
+    let mut h = FastHasher::default();
     key.hash(&mut h);
     h.finish()
 }
@@ -81,7 +82,7 @@ struct Entry<K, V> {
 
 struct Shard<K, V> {
     /// By key hash; the entry holds the key itself.
-    map: HashMap<u64, Entry<K, V>>,
+    map: FastMap<u64, Entry<K, V>>,
     /// Key hashes in insertion (or last replacement) order, for FIFO
     /// eviction.
     order: VecDeque<u64>,
@@ -138,7 +139,7 @@ impl<K: Eq, V: Clone> EpochCache<K, V> {
     /// still counts misses).
     pub(crate) fn new(capacity: usize) -> EpochCache<K, V> {
         let shard = || Shard {
-            map: HashMap::new(),
+            map: FastMap::default(),
             order: VecDeque::new(),
         };
         EpochCache {

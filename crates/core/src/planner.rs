@@ -96,9 +96,9 @@ use crate::report::{Alternative, PlanCacheActivity};
 use crate::system::SystemId;
 use crate::translate::{translate_query, Query, Translation};
 use estocada_chase::{certify, RewriteOutcome, Rewriter, TerminationCertificate};
+use estocada_pivot::hash::FastMap;
 use estocada_pivot::{Constraint, Cq};
 use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -134,8 +134,8 @@ impl PlanningContext {
 
 /// The SQL frontend's table catalog: every table of every relational
 /// dataset.
-fn sql_catalog(datasets: &HashMap<String, Dataset>) -> SqlCatalog {
-    let mut out = SqlCatalog::new();
+fn sql_catalog(datasets: &FastMap<String, Dataset>) -> SqlCatalog {
+    let mut out = SqlCatalog::default();
     for ds in datasets.values() {
         if let DatasetContent::Relational(tables) = &ds.content {
             for t in tables {
@@ -377,7 +377,7 @@ mod tests {
     use super::*;
     use crate::resilience::{BreakerConfig, HealthTracker};
     use estocada_engine::{Plan, RowBatch};
-    use std::collections::HashSet;
+    use estocada_pivot::hash::FastSet;
 
     fn candidate(alternative: usize, est_cost: f64, systems: &[SystemId]) -> Candidate {
         Candidate {
@@ -434,7 +434,7 @@ mod tests {
     #[test]
     fn a_system_that_failed_in_this_query_ranks_behind() {
         let cost = CostModel::default();
-        let failed = HashSet::from([SystemId::Relational]);
+        let failed = FastSet::from_iter([SystemId::Relational]);
         let cs = [
             candidate(0, 1.0, &[SystemId::Relational]),
             candidate(1, 2.0, &[SystemId::Relational, SystemId::KeyValue]),
@@ -448,7 +448,7 @@ mod tests {
     /// The loop `plan_cq` ran before the planner existed: keep a running
     /// best while translating, replace it on a strictly smaller penalized
     /// cost.
-    fn running_best(cs: &[Candidate], cost: &CostModel, open: &HashSet<SystemId>) -> Option<usize> {
+    fn running_best(cs: &[Candidate], cost: &CostModel, open: &FastSet<SystemId>) -> Option<usize> {
         let penalized = |c: &Candidate| {
             let avoided = c.translation.systems.iter().filter(|s| open.contains(s));
             cost.penalize(c.translation.est_cost, avoided.count())
@@ -474,9 +474,9 @@ mod tests {
             &[SystemId::Parallel],
         ];
         let opens = [
-            HashSet::new(),
-            HashSet::from([SystemId::KeyValue]),
-            HashSet::from([SystemId::KeyValue, SystemId::Relational]),
+            FastSet::default(),
+            FastSet::from_iter([SystemId::KeyValue]),
+            FastSet::from_iter([SystemId::KeyValue, SystemId::Relational]),
         ];
         for code in 0..(12usize.pow(3)) {
             let cs: Vec<Candidate> = (0..3)

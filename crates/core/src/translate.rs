@@ -54,8 +54,8 @@ use crate::frontends::AggregateSpec;
 use crate::resilience::{QueryResilience, ResilientSource};
 use crate::system::{Stores, SystemId};
 use estocada_engine::{CmpOp, Expr, Plan};
+use estocada_pivot::hash::FastSet;
 use estocada_pivot::{Cq, GroupBy, Symbol, Term, Var};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A translated, costed, executable rewriting.
@@ -488,7 +488,7 @@ fn group_atoms(infos: Vec<AtomInfo>) -> Vec<AtomGroup> {
     let mut remaining = par_atoms;
     while !remaining.is_empty() {
         let first = remaining.remove(0);
-        let fvars: HashSet<Var> = first.0.vars().collect();
+        let fvars: FastSet<Var> = first.0.vars().collect();
         let partner = remaining
             .iter()
             .position(|(a, _, _)| a.vars().any(|v| fvars.contains(&v)));
@@ -513,7 +513,7 @@ fn group_atoms(infos: Vec<AtomInfo>) -> Vec<AtomGroup> {
 fn doc_components(atoms: Vec<AtomInfo>) -> Vec<Vec<AtomInfo>> {
     use crate::catalog::DocRole::{Child, Desc, Root};
     // Node ids: the first argument, and the second of a Root/Child/Desc edge.
-    let node_vars = |(atom, rel, _): &AtomInfo| -> HashSet<Var> {
+    let node_vars = |(atom, rel, _): &AtomInfo| -> FastSet<Var> {
         let edge = matches!(
             &rel.place,
             WhereSpec::NativeDocs {
@@ -524,7 +524,7 @@ fn doc_components(atoms: Vec<AtomInfo>) -> Vec<Vec<AtomInfo>> {
         let ids = atom.args.iter().take(1 + usize::from(edge));
         ids.filter_map(Term::as_var).collect()
     };
-    let mut components: Vec<(HashSet<Var>, Vec<AtomInfo>)> = Vec::new();
+    let mut components: Vec<(FastSet<Var>, Vec<AtomInfo>)> = Vec::new();
     for info in atoms {
         let vars = node_vars(&info);
         // Find all components this atom touches and merge them.
@@ -555,7 +555,7 @@ fn doc_components(atoms: Vec<AtomInfo>) -> Vec<Vec<AtomInfo>> {
 /// bound, preferring ones that share variables with what is already bound
 /// (avoiding cross products), then lower estimated cardinality.
 fn order_units(units: &[Unit]) -> Result<Vec<usize>> {
-    let mut bound: HashSet<Var> = HashSet::new();
+    let mut bound: FastSet<Var> = FastSet::default();
     let mut remaining: Vec<usize> = (0..units.len()).collect();
     let mut order = Vec::new();
     while !remaining.is_empty() {

@@ -24,10 +24,10 @@ pub use filter::{Cond, Filter};
 pub use path::{eval_path, eval_path_first};
 pub use query::{DocQuery, QAxis, QueryNode};
 
+use estocada_pivot::hash::FastMap;
 use estocada_pivot::{swap_remove, Postings, Value, Wanted};
 use estocada_simkit::{LatencyModel, RequestTimer, StoreMetrics};
 use parking_lot::RwLock;
-use std::collections::HashMap;
 
 /// Tag matching array elements in tree patterns (mirrors the pivot
 /// document encoding's `$item`).
@@ -38,7 +38,7 @@ struct Collection {
     docs: Vec<Value>,
     /// path → each value it reaches → the documents reaching it (each once,
     /// however often it reaches the value).
-    indexes: HashMap<String, Postings<Value>>,
+    indexes: FastMap<String, Postings<Value>>,
 }
 
 impl Collection {
@@ -83,7 +83,7 @@ impl Collection {
 /// The document store.
 #[derive(Debug, Default)]
 pub struct DocStore {
-    collections: RwLock<HashMap<String, Collection>>,
+    collections: RwLock<FastMap<String, Collection>>,
     /// Operation metrics.
     pub metrics: StoreMetrics,
     latency: LatencyModel,

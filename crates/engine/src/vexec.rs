@@ -27,9 +27,9 @@ use crate::batch::Batch;
 use crate::expr::{ColOut, Expr, VExpr};
 use crate::plan::{AggFun, AggSpec, BindSource, Plan};
 use crate::tuple::RowBatch;
+use estocada_pivot::hash::{FastMap, FastSet};
 use estocada_pivot::{ConstId, ConstReader, Value};
 use estocada_simkit::StoreError;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -196,13 +196,13 @@ fn compile<'a>(plan: &'a Plan, batch_size: usize, stats: &mut ExecStats) -> OpBo
             child: compile(left, batch_size, stats),
             key_cols,
             source,
-            cache: HashMap::new(),
+            cache: FastMap::default(),
             fetched: Vec::new(),
             checked: false,
         }),
         Plan::Distinct { input } => Box::new(DistinctOp {
             child: compile(input, batch_size, stats),
-            seen: std::collections::HashSet::new(),
+            seen: FastSet::default(),
         }),
         Plan::Aggregate {
             input,
@@ -360,7 +360,7 @@ struct JoinBuild {
     columns: Vec<String>,
     cols: Vec<Vec<ConstId>>,
     /// Key → left row indices, in left row order.
-    table: HashMap<Key, Vec<u32>>,
+    table: FastMap<Key, Vec<u32>>,
 }
 
 impl JoinBuild {
@@ -371,7 +371,7 @@ impl JoinBuild {
     ) -> Result<JoinBuild, EngineError> {
         let dense = drain_to_dense(left, stats)?;
         check_cols(keys, dense.columns.len(), "HashJoin")?;
-        let mut table: HashMap<Key, Vec<u32>> = HashMap::new();
+        let mut table: FastMap<Key, Vec<u32>> = FastMap::default();
         for i in 0..dense.physical_rows() {
             let key = pack_key(keys.iter().map(|c| dense.cols[*c][i]), keys.len());
             table.entry(key).or_default().push(i as u32);
@@ -490,7 +490,7 @@ struct BindJoinOp<'a> {
     key_cols: &'a [usize],
     source: &'a Arc<dyn BindSource>,
     /// Lifetime key cache: interned key → slot in `fetched`.
-    cache: HashMap<Key, usize>,
+    cache: FastMap<Key, usize>,
     /// Fetched (and interned) source rows per distinct key.
     fetched: Vec<Vec<Vec<ConstId>>>,
     checked: bool,
@@ -569,7 +569,7 @@ impl VecOp for BindJoinOp<'_> {
 
 struct DistinctOp<'a> {
     child: OpBox<'a>,
-    seen: std::collections::HashSet<Key>,
+    seen: FastSet<Key>,
 }
 
 impl VecOp for DistinctOp<'_> {
@@ -614,7 +614,7 @@ impl VecOp for AggregateOp<'_> {
         }
         self.done = true;
         // Key → slot in `groups`, which keeps first-seen order.
-        let mut index: HashMap<Key, usize> = HashMap::new();
+        let mut index: FastMap<Key, usize> = FastMap::default();
         let mut groups: Vec<(Vec<ConstId>, Vec<VecAcc>)> = Vec::new();
         let mut columns: Option<Vec<String>> = None;
         while let Some(b) = self.child.next_batch(stats)? {
@@ -699,8 +699,21 @@ mod tests {
     use super::*;
     use crate::expr::{ArithOp, CmpOp};
     use crate::tuple::Tuple;
+    use estocada_pivot::hash::{FastHasher, FastSet};
     use estocada_simkit::StoreErrorKind;
-    use std::collections::HashSet;
+    use std::hash::{BuildHasher, BuildHasherDefault};
+
+    /// Two-column join keys that differ only in their first column (the
+    /// high 32 bits of `Key::Packed`) reach at least half the buckets of the
+    /// 8 192-bucket table that holds 4 096 of them.
+    #[test]
+    fn packed_keys_differing_in_their_high_bits_spread() {
+        let build = BuildHasherDefault::<FastHasher>::default();
+        let buckets: FastSet<u64> = (0..4096u64)
+            .map(|a| build.hash_one(Key::Packed(a << 32 | 7)) & 0x1fff)
+            .collect();
+        assert!(buckets.len() >= 2048, "{} buckets", buckets.len());
+    }
 
     fn batch(cols: &[&str], rows: Vec<Vec<Value>>) -> RowBatch {
         RowBatch::new(cols.iter().map(|s| s.to_string()).collect(), rows)
@@ -795,7 +808,7 @@ mod tests {
         assert_rows(&nl(None), &cross);
     }
 
-    struct MapSource(HashMap<Vec<Value>, Vec<Tuple>>);
+    struct MapSource(FastMap<Vec<Value>, Vec<Tuple>>);
     impl BindSource for MapSource {
         fn out_columns(&self) -> Vec<String> {
             vec!["v".into()]
@@ -810,7 +823,7 @@ mod tests {
 
     #[test]
     fn bindjoin_identical_and_probe_counts_match() {
-        let mut m = HashMap::new();
+        let mut m = FastMap::default();
         for k in 0..5i64 {
             m.insert(
                 vec![Value::Int(k)],
@@ -920,7 +933,7 @@ mod tests {
         let one_row = vec![0i64.into(), 0.0.into(), null.clone(), null.clone(), null];
         assert_rows(&empty, &[one_row]);
         // Distinct keeps first occurrences, in input order.
-        let mut seen = HashSet::new();
+        let mut seen = FastSet::default();
         let firsts: Vec<Tuple> = data
             .rows
             .iter()

@@ -18,13 +18,13 @@ pub mod codec;
 
 pub use codec::{decode_tuple, encode_tuple, DecodeError};
 
+use estocada_pivot::hash::FastMap;
 use estocada_pivot::Value;
 use estocada_simkit::{LatencyModel, RequestTimer, StoreMetrics};
 use parking_lot::RwLock;
-use std::collections::HashMap;
 
 /// One namespace: key → [`codec`]-encoded value tuple.
-type Namespace = HashMap<Value, Box<[u8]>>;
+type Namespace = FastMap<Value, Box<[u8]>>;
 
 /// The stored payload of a value tuple.
 fn encode(values: &[Value]) -> Box<[u8]> {
@@ -34,7 +34,7 @@ fn encode(values: &[Value]) -> Box<[u8]> {
 /// The key-value store.
 #[derive(Debug, Default)]
 pub struct KvStore {
-    namespaces: RwLock<HashMap<String, Namespace>>,
+    namespaces: RwLock<FastMap<String, Namespace>>,
     /// Operation metrics.
     pub metrics: StoreMetrics,
     latency: LatencyModel,
@@ -114,7 +114,7 @@ impl KvStore {
         match (patch(stored), ns) {
             (Some(values), Some(ns)) => drop(ns.insert(key.clone(), encode(&values))),
             (Some(values), None) => {
-                let ns = Namespace::from([(key.clone(), encode(&values))]);
+                let ns = Namespace::from_iter([(key.clone(), encode(&values))]);
                 guard.insert(namespace.to_string(), ns);
             }
             (None, Some(ns)) => {
@@ -139,7 +139,7 @@ impl KvStore {
         self.namespaces
             .read()
             .get(namespace)
-            .map(HashMap::len)
+            .map(FastMap::len)
             .unwrap_or(0)
     }
 

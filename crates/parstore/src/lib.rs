@@ -29,10 +29,10 @@ pub use dataset::Dataset;
 pub use estocada_pivot::{AggFun, GroupBy};
 pub use ops::{par_filter, par_filter_map, par_join, par_join_map};
 
+use estocada_pivot::hash::FastMap;
 use estocada_pivot::{agg, CmpOp, Value};
 use estocada_simkit::{LatencyModel, RequestTimer, StoreMetrics};
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Simple per-column predicate of the store's native scan API.
@@ -174,7 +174,7 @@ fn check_preds(preds: &[ColPred], width: usize) -> Result<(), ParError> {
 /// The parallel store: named datasets.
 #[derive(Debug, Default)]
 pub struct ParStore {
-    datasets: RwLock<HashMap<String, Arc<Dataset>>>,
+    datasets: RwLock<FastMap<String, Arc<Dataset>>>,
     /// Operation metrics.
     pub metrics: StoreMetrics,
     latency: LatencyModel,

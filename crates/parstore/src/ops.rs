@@ -18,8 +18,8 @@
 
 use crate::dataset::Dataset;
 use estocada_parexec::scoped_map;
+use estocada_pivot::hash::FastMap;
 use estocada_pivot::Value;
-use std::collections::HashMap;
 
 /// Parallel filter over all partitions: whatever `emit` appends for every
 /// row passing `pred`, partition order preserved.
@@ -66,7 +66,7 @@ pub fn par_join_map<'a, T: Send>(
     emit: impl Fn(&'a [Value], &'a [Value], &mut Vec<T>) + Sync,
 ) -> Vec<T> {
     assert_eq!(left_keys.len(), right_keys.len(), "join key arity");
-    let mut table: HashMap<Vec<&Value>, Vec<&'a Vec<Value>>> = HashMap::new();
+    let mut table: FastMap<Vec<&Value>, Vec<&'a Vec<Value>>> = FastMap::default();
     for row in right.iter_rows() {
         let key: Vec<&Value> = right_keys.iter().map(|c| &row[*c]).collect();
         table.entry(key).or_default().push(row);

@@ -21,8 +21,8 @@
 //! - A global aggregate (no group columns) over no rows is **one** row; a
 //!   grouped one over no rows is none.
 
+use crate::hash::{FastMap, FastSet};
 use crate::value::{CmpOp, Value};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Aggregate functions.
@@ -170,8 +170,9 @@ impl GroupBy {
     /// must be what [`GroupBy::fits`] was asked about.
     pub fn apply(&self, width: usize, cells: &[&Value]) -> Vec<Vec<Value>> {
         let rows = cells.len() / width.max(1);
-        let mut seen: HashSet<&[&Value]> = HashSet::with_capacity(rows);
-        let mut index: HashMap<&[&Value], usize> = HashMap::new();
+        let mut seen: FastSet<&[&Value]> =
+            FastSet::with_capacity_and_hasher(rows, Default::default());
+        let mut index: FastMap<&[&Value], usize> = FastMap::default();
         let mut groups: Vec<(&[&Value], Vec<Accumulator>)> = Vec::new();
         let fresh = || -> Vec<Accumulator> {
             self.aggs
@@ -214,7 +215,8 @@ impl GroupBy {
 /// The distinct rows of `cells` (flat, `width` values per row), first
 /// occurrence of each, in input order.
 pub fn distinct(width: usize, cells: &[&Value]) -> Vec<Vec<Value>> {
-    let mut seen: HashSet<&[&Value]> = HashSet::with_capacity(cells.len() / width.max(1));
+    let mut seen: FastSet<&[&Value]> =
+        FastSet::with_capacity_and_hasher(cells.len() / width.max(1), Default::default());
     let fresh = cells
         .chunks_exact(width.max(1))
         .filter(|row| seen.insert(row));

@@ -6,9 +6,10 @@
 //! position is bound by a query constant or by an earlier atom's output.
 
 use crate::atom::Atom;
+use crate::hash::FastMap;
 use crate::symbol::Symbol;
 use crate::term::{Term, Var};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Adornment of one relation position.
@@ -86,7 +87,7 @@ impl fmt::Display for AccessPattern {
 /// treated as freely accessible.
 #[derive(Debug, Clone, Default)]
 pub struct AccessMap {
-    patterns: HashMap<Symbol, AccessPattern>,
+    patterns: FastMap<Symbol, AccessPattern>,
 }
 
 impl AccessMap {

@@ -5,10 +5,11 @@
 //! Head terms may repeat variables and may contain constants.
 
 use crate::atom::Atom;
+use crate::hash::FastMap;
 use crate::symbol::Symbol;
 use crate::term::{Term, Var};
 use crate::value::Value;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A conjunctive query with a named head.
@@ -105,7 +106,7 @@ impl Cq {
     /// fixpoint — see [`Cq::canonicalize`].
     fn canonicalize_step(&self) -> Cq {
         let vars = self.vars();
-        let map: HashMap<Var, Var> = vars
+        let map: FastMap<Var, Var> = vars
             .iter()
             .enumerate()
             .map(|(i, v)| (*v, Var(i as u32)))
@@ -222,7 +223,7 @@ pub struct CqBuilder {
     head: Vec<Term>,
     body: Vec<Atom>,
     names: Vec<String>,
-    by_name: HashMap<String, Var>,
+    by_name: FastMap<String, Var>,
 }
 
 /// Argument-list builder used by [`CqBuilder::atom`].
@@ -254,7 +255,7 @@ impl CqBuilder {
             head: Vec::new(),
             body: Vec::new(),
             names: Vec::new(),
-            by_name: HashMap::new(),
+            by_name: FastMap::default(),
         }
     }
 

@@ -22,9 +22,9 @@
 //! range, which makes the columnar executor's hottest path — interning
 //! scan and arithmetic-result columns — lock-free.
 
+use crate::hash::FastMap;
 use crate::value::Value;
 use parking_lot::{RwLock, RwLockReadGuard};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -34,7 +34,7 @@ pub struct ConstId(u32);
 
 struct ConstTable {
     values: Vec<Arc<Value>>,
-    lookup: HashMap<Arc<Value>, u32>,
+    lookup: FastMap<Arc<Value>, u32>,
 }
 
 /// Small integers get dense, arithmetically computed ids at the front of
@@ -62,7 +62,7 @@ fn table() -> &'static RwLock<ConstTable> {
             .collect();
         RwLock::new(ConstTable {
             values,
-            lookup: HashMap::new(),
+            lookup: FastMap::default(),
         })
     })
 }

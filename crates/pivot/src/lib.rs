@@ -8,9 +8,10 @@
 //! This crate is purely logical: it defines values, terms, atoms,
 //! conjunctive queries, constraints, view definitions, access patterns and
 //! the relational and document encodings ([`encoding`]; key-value and
-//! full-text relations are plain relations with access patterns). The chase-based reasoning over these
-//! objects lives in `estocada-chase`; the stores and the mediator live
-//! further up the stack.
+//! full-text relations are plain relations with access patterns), and the
+//! one hasher every in-process hash table uses ([`hash`]). The chase-based
+//! reasoning over these objects lives in `estocada-chase`; the stores and
+//! the mediator live further up the stack.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,6 +23,7 @@ pub mod constraint;
 pub mod cq;
 pub mod encoding;
 pub mod fact;
+pub mod hash;
 pub mod intern;
 pub mod multiset;
 pub mod schema;

@@ -15,16 +15,17 @@
 //! relocates the other in place ([`Postings::relocate`]), so a patched
 //! index lists what a fresh build over the remaining rows would.
 
+use crate::hash::{FastMap, FastSet};
 use crate::Value;
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::Hash;
 use std::ops::RangeBounds;
 
 /// Rows still wanted, each with the number of instances it still claims.
 #[derive(Debug)]
 pub struct Wanted<'a, T: ?Sized = [Value]> {
-    left: HashMap<&'a T, usize>,
+    left: FastMap<&'a T, usize>,
 }
 
 impl<'a> Wanted<'a> {
@@ -38,7 +39,7 @@ impl<'a> Wanted<'a> {
 impl<'a, T: Hash + Eq + ?Sized> Wanted<'a, T> {
     /// One claim per entry of `entries`.
     pub fn of(entries: impl IntoIterator<Item = &'a T>) -> Wanted<'a, T> {
-        let mut left = HashMap::new();
+        let mut left = FastMap::default();
         for entry in entries {
             *left.entry(entry).or_insert(0) += 1;
         }
@@ -90,7 +91,7 @@ impl<'a, T: Hash + Eq + ?Sized> Wanted<'a, T> {
     where
         T: 's,
     {
-        let keys: HashSet<K> = self.rows().map(key).collect();
+        let keys: FastSet<K> = self.rows().map(key).collect();
         let candidates: Vec<L> = keys.iter().flat_map(under).copied().collect();
         self.claim(candidates, row_at)
     }

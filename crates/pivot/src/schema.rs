@@ -3,9 +3,9 @@
 use crate::atom::Atom;
 use crate::binding::{AccessMap, AccessPattern};
 use crate::constraint::{Constraint, Egd};
+use crate::hash::FastMap;
 use crate::symbol::Symbol;
 use crate::term::Term;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Declaration of one pivot relation: name, column names, optional access
@@ -125,7 +125,7 @@ impl fmt::Display for RelationDecl {
 /// A pivot schema: relation declarations plus model constraints.
 #[derive(Debug, Clone, Default)]
 pub struct Schema {
-    relations: HashMap<Symbol, RelationDecl>,
+    relations: FastMap<Symbol, RelationDecl>,
     /// Constraint set of the schema (model axioms + keys).
     pub constraints: Vec<Constraint>,
 }

@@ -5,8 +5,8 @@
 //! in O(1). The interner is global (names live for the process lifetime,
 //! which is fine for a mediator whose schema vocabulary is small).
 
+use crate::hash::FastMap;
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -16,7 +16,7 @@ pub struct Symbol(u32);
 
 struct Interner {
     names: Vec<Arc<str>>,
-    lookup: HashMap<Arc<str>, u32>,
+    lookup: FastMap<Arc<str>, u32>,
 }
 
 fn interner() -> &'static RwLock<Interner> {
@@ -24,7 +24,7 @@ fn interner() -> &'static RwLock<Interner> {
     INTERNER.get_or_init(|| {
         RwLock::new(Interner {
             names: Vec::new(),
-            lookup: HashMap::new(),
+            lookup: FastMap::default(),
         })
     })
 }

@@ -223,12 +223,14 @@ impl Hash for Value {
             }
             Value::Array(a) => {
                 6u8.hash(state);
+                state.write_usize(a.len());
                 for v in a.iter() {
                     v.hash(state);
                 }
             }
             Value::Object(m) => {
                 7u8.hash(state);
+                state.write_usize(m.len());
                 for (k, v) in m.iter() {
                     k.hash(state);
                     v.hash(state);
@@ -352,7 +354,8 @@ impl fmt::Display for CmpOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use crate::hash::{FastHasher, FastSet};
+    use std::hash::{BuildHasher, BuildHasherDefault};
 
     #[test]
     fn ordering_is_total_across_variants() {
@@ -388,12 +391,28 @@ mod tests {
 
     #[test]
     fn hash_agrees_with_eq() {
-        let mut set = HashSet::new();
+        let mut set = FastSet::default();
         set.insert(Value::str("x"));
         assert!(set.contains(&Value::str("x")));
         set.insert(Value::Double(1.0));
         assert!(set.contains(&Value::Double(1.0)));
         assert!(!set.contains(&Value::Double(-1.0)));
+    }
+
+    #[test]
+    fn nested_arrays_and_objects_hash_their_length() {
+        let hash = |v: &Value| BuildHasherDefault::<FastHasher>::default().hash_one(v);
+        let one = || Value::Int(1);
+        let (a, b) = (
+            Value::array([Value::array([one()]), Value::Int(2)]),
+            Value::array([Value::array([one(), Value::Int(2)])]),
+        );
+        assert_ne!(hash(&a), hash(&b));
+        let (a, b) = (
+            Value::object([("a", Value::object([("b", one())])), ("c", one())]),
+            Value::object([("a", Value::object([("b", one()), ("c", one())]))]),
+        );
+        assert_ne!(hash(&a), hash(&b));
     }
 
     #[test]

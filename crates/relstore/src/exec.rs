@@ -9,8 +9,8 @@
 
 use crate::query::{CmpOp, ColRef, Pred, SqlQuery};
 use crate::table::Table;
+use estocada_pivot::hash::FastMap;
 use estocada_pivot::{agg, Value};
-use std::collections::HashMap;
 
 /// Why a request could not be answered: a malformed query, or a name the
 /// store does not hold.
@@ -57,7 +57,7 @@ pub struct ExecCounters {
 /// Run `query` against the `tables` map. Returns projected rows.
 pub fn run(
     query: &SqlQuery,
-    tables: &HashMap<String, Table>,
+    tables: &FastMap<String, Table>,
     counters: &mut ExecCounters,
 ) -> Result<Vec<Vec<Value>>, QueryError> {
     // Resolve tables.
@@ -182,7 +182,7 @@ pub fn run(
         } else {
             // Hash join on the first key; extra keys verified after probe.
             let (new_col, old_col) = keys[0];
-            let mut hash: HashMap<&Value, Vec<usize>> = HashMap::new();
+            let mut hash: FastMap<&Value, Vec<usize>> = FastMap::default();
             for (ci, combo) in result.chunks_exact(stride).enumerate() {
                 let v = &base[old_col.table].rows[combo[slot[old_col.table]]][old_col.column];
                 hash.entry(v).or_default().push(ci);
@@ -294,7 +294,7 @@ fn select_rows(
 mod tests {
     use super::*;
 
-    fn setup() -> HashMap<String, Table> {
+    fn setup() -> FastMap<String, Table> {
         let mut users = Table::new(&["uid", "name", "tier"]);
         users.insert(vec![Value::Int(1), Value::str("ann"), Value::str("gold")]);
         users.insert(vec![Value::Int(2), Value::str("bob"), Value::str("free")]);
@@ -303,7 +303,7 @@ mod tests {
         orders.insert(vec![Value::Int(10), Value::Int(1), Value::Int(100)]);
         orders.insert(vec![Value::Int(11), Value::Int(1), Value::Int(5)]);
         orders.insert(vec![Value::Int(12), Value::Int(3), Value::Int(42)]);
-        let mut m = HashMap::new();
+        let mut m = FastMap::default();
         m.insert("users".to_string(), users);
         m.insert("orders".to_string(), orders);
         m

@@ -21,16 +21,16 @@ pub use exec::{ExecCounters, QueryError};
 pub use query::{CmpOp, ColRef, Pred, SqlQuery};
 pub use table::Table;
 
+use estocada_pivot::hash::FastMap;
 use estocada_pivot::Value;
 use estocada_simkit::{LatencyModel, RequestTimer, StoreMetrics};
 use parking_lot::RwLock;
-use std::collections::HashMap;
 
 /// The relational store: named tables behind a reader-writer lock, with
 /// request metrics and a configurable latency model.
 #[derive(Debug, Default)]
 pub struct RelStore {
-    tables: RwLock<HashMap<String, Table>>,
+    tables: RwLock<FastMap<String, Table>>,
     /// Operation metrics (shared with the mediator's reporting).
     pub metrics: StoreMetrics,
     latency: LatencyModel,
@@ -59,7 +59,7 @@ impl RelStore {
 
     /// The table `name`, for an admin write.
     fn table_mut<'g>(
-        tables: &'g mut HashMap<String, Table>,
+        tables: &'g mut FastMap<String, Table>,
         name: &str,
     ) -> Result<&'g mut Table, QueryError> {
         let t = tables.get_mut(name);

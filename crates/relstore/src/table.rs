@@ -1,7 +1,8 @@
 //! Tables, rows and secondary indexes.
 
+use estocada_pivot::hash::FastMap;
 use estocada_pivot::{swap_remove, Postings, Value, Wanted};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// An in-memory row-store table.
 #[derive(Debug, Clone, Default)]
@@ -12,7 +13,7 @@ pub struct Table {
     pub rows: Vec<Vec<Value>>,
     /// Secondary indexes by column position: each value with the rows
     /// holding it, for equality and range lookups.
-    pub indexes: HashMap<usize, Postings<Value>>,
+    pub indexes: FastMap<usize, Postings<Value>>,
 }
 
 impl Table {
@@ -21,7 +22,7 @@ impl Table {
         Table {
             columns: columns.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
-            indexes: HashMap::new(),
+            indexes: FastMap::default(),
         }
     }
 

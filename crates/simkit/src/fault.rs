@@ -26,7 +26,7 @@
 //! DML maintenance, dumps, statistics) call the stores directly and never
 //! pass the gate, which is what keeps them fault-free by construction.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -310,7 +310,7 @@ pub struct FaultHook {
     needs_per_op: bool,
     total: AtomicU64,
     injected: AtomicU64,
-    per_op: Mutex<HashMap<String, u64>>,
+    per_op: Mutex<BTreeMap<String, u64>>,
 }
 
 impl FaultHook {
@@ -331,7 +331,7 @@ impl FaultHook {
             needs_per_op,
             total: AtomicU64::new(0),
             injected: AtomicU64::new(0),
-            per_op: Mutex::new(HashMap::new()),
+            per_op: Mutex::new(BTreeMap::new()),
         }
     }
 

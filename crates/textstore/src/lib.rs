@@ -19,10 +19,10 @@ pub mod tokenize;
 
 pub use tokenize::tokenize;
 
+use estocada_pivot::hash::FastMap;
 use estocada_pivot::{swap_remove, Postings, Value, Wanted};
 use estocada_simkit::{LatencyModel, RequestTimer, StoreMetrics};
 use parking_lot::RwLock;
-use std::collections::HashMap;
 
 #[derive(Debug, Default)]
 struct TextIndex {
@@ -70,7 +70,7 @@ impl TextIndex {
 /// The full-text store: named indexes.
 #[derive(Debug, Default)]
 pub struct TextStore {
-    indexes: RwLock<HashMap<String, TextIndex>>,
+    indexes: RwLock<FastMap<String, TextIndex>>,
     /// Operation metrics.
     pub metrics: StoreMetrics,
     latency: LatencyModel,

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use std::sync::OnceLock;
 
 fn catalog() -> SqlCatalog {
-    let mut c = SqlCatalog::new();
+    let mut c = SqlCatalog::default();
     c.insert(
         "T0".into(),
         SqlTable {

@@ -17,6 +17,7 @@ use estocada_chase::{
     naive_rewrite, pacb_rewrite, ChaseConfig, ChaseError, ChaseStats, Elem, HomConfig, Instance,
     NaiveConfig, RewriteConfig, RewriteProblem, Rewriter, TerminationCertificate,
 };
+use estocada_pivot::hash::FastMap;
 use estocada_pivot::{Atom, Constraint, Cq, Egd, Fact, Symbol, Term, Tgd, Value, Var, ViewDef};
 use estocada_workloads::analytics::{analytics_sql, analytics_workload, AnalyticsConfig};
 use estocada_workloads::marketplace::{generate, CATEGORIES};
@@ -25,7 +26,6 @@ use estocada_workloads::scenarios::{
     pref_sql, user_orders_sql,
 };
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 const RELS: [&str; 3] = ["Ra", "Rb", "Rc"];
 
@@ -81,15 +81,15 @@ fn canon_set(rws: &[Cq]) -> Vec<String> {
 fn brute_force_homs(
     inst: &Instance,
     atoms: &[Atom],
-    fixed: &HashMap<Var, Elem>,
-) -> Vec<(HashMap<Var, Elem>, Vec<u32>)> {
+    fixed: &FastMap<Var, Elem>,
+) -> Vec<(FastMap<Var, Elem>, Vec<u32>)> {
     fn extend(
         inst: &Instance,
         atoms: &[Atom],
         idx: usize,
-        map: &HashMap<Var, Elem>,
+        map: &FastMap<Var, Elem>,
         picked: &mut Vec<u32>,
-        out: &mut Vec<(HashMap<Var, Elem>, Vec<u32>)>,
+        out: &mut Vec<(FastMap<Var, Elem>, Vec<u32>)>,
     ) {
         let Some(atom) = atoms.get(idx) else {
             out.push((map.clone(), picked.clone()));
@@ -129,7 +129,7 @@ fn brute_force_homs(
             }
         }
     }
-    let seeded: HashMap<Var, Elem> = fixed.iter().map(|(v, e)| (*v, inst.resolve(e))).collect();
+    let seeded: FastMap<Var, Elem> = fixed.iter().map(|(v, e)| (*v, inst.resolve(e))).collect();
     let mut out = Vec::new();
     extend(inst, atoms, 0, &seeded, &mut Vec::new(), &mut out);
     out
@@ -139,7 +139,7 @@ fn brute_force_homs(
 /// deliberately NOT deduplicated: neither side may report a match twice, so
 /// duplicate enumeration — e.g. broken delta strata — must fail the
 /// comparison).
-fn canon_hom_set(homs: impl Iterator<Item = (HashMap<Var, Elem>, Vec<u32>)>) -> Vec<String> {
+fn canon_hom_set(homs: impl Iterator<Item = (FastMap<Var, Elem>, Vec<u32>)>) -> Vec<String> {
     let mut v: Vec<String> = homs
         .map(|(map, fact_ids)| {
             let mut entries: Vec<String> =
@@ -282,8 +282,8 @@ proptest! {
     ) {
         let (inst, _) = build_instance(&old, &new);
         let atoms = spec_atoms(&query);
-        let fast = find_homs(&inst, &atoms, &HashMap::new(), HomConfig::default());
-        let slow = brute_force_homs(&inst, &atoms, &HashMap::new());
+        let fast = find_homs(&inst, &atoms, &FastMap::default(), HomConfig::default());
+        let slow = brute_force_homs(&inst, &atoms, &FastMap::default());
         prop_assert_eq!(
             canon_hom_set(fast.into_iter().map(|h| (h.map, h.fact_ids))),
             canon_hom_set(slow.into_iter()),
@@ -301,7 +301,7 @@ proptest! {
     ) {
         let (inst, _) = build_instance(&old, &[]);
         let atoms = spec_atoms(&query);
-        let mut fixed: HashMap<Var, Elem> = HashMap::new();
+        let mut fixed: FastMap<Var, Elem> = FastMap::default();
         for (v, e) in &pins {
             fixed.insert(Var(*v), spec_elem(*e));
         }
@@ -325,8 +325,8 @@ proptest! {
         let (inst, thr) = build_instance(&old, &new);
         let atoms = spec_atoms(&query);
         let delta = inst.delta_index(thr);
-        let fast = find_homs_delta(&inst, &atoms, &HashMap::new(), HomConfig::default(), &delta);
-        let slow = brute_force_homs(&inst, &atoms, &HashMap::new())
+        let fast = find_homs_delta(&inst, &atoms, &FastMap::default(), HomConfig::default(), &delta);
+        let slow = brute_force_homs(&inst, &atoms, &FastMap::default())
             .into_iter()
             .filter(|(_, fact_ids)| fact_ids.iter().any(|f| inst.fact_epoch(*f) >= thr));
         prop_assert_eq!(
@@ -492,7 +492,7 @@ proptest! {
         // Verify: every premise hom has a conclusion extension.
         let premise = vec![Atom::new(RELS[from], vec![Term::var(0), Term::var(1)])];
         let conclusion = vec![Atom::new(RELS[to], conclusion_args)];
-        for h in find_homs(&inst, &premise, &HashMap::new(), HomConfig::default()) {
+        for h in find_homs(&inst, &premise, &FastMap::default(), HomConfig::default()) {
             prop_assert!(
                 find_one_hom(&inst, &conclusion, &h.map).is_some(),
                 "unapplied trigger survives the chase"
