@@ -3,8 +3,8 @@
 # `pub fn`s per crate, workspace members, bench mains, `fn execute*`
 # definitions in the engine, SCC routines in library code, sites that assign
 # a delegated unit's scan estimate, posting-index maintenance routines,
-# std hash tables on the default hasher, independently settable options, and
-# panic sites in library code.
+# std hash tables on the default hasher, aggregate accumulators, join hash
+# tables, independently settable options, and panic sites in library code.
 # Informational: prints, never fails on a count.
 set -eu
 cd "$(dirname "$0")/.."
@@ -75,6 +75,25 @@ for f in $(rust_files crates/*/src | grep -v '^crates/pivot/src/hash\.rs$'); do
     std_tables=$((std_tables + n))
 done
 printf '%-28s %8d\n' 'std hash tables' "$std_tables"
+# Library definitions of an aggregate accumulator (`struct …Acc`,
+# `struct …Accumulator`), the catalog's `StatsAccumulator` aside: every
+# GROUP BY, pushed into a store or run by the mediator, folds through the
+# one kernel, `estocada_pivot::kernel`.
+group_kernels=0
+for f in $(rust_files crates/*/src); do
+    n=$(library_part "$f" | grep -E '\bstruct [A-Za-z]*Acc(umulator)?\b' | grep -vc StatsAccumulator || true)
+    group_kernels=$((group_kernels + n))
+done
+printf '%-28s %8d\n' 'group-by kernels' "$group_kernels"
+# Library sites in the executor, the kernel and the relational and parallel
+# stores that build a join hash table (a map from a key to the rows holding
+# it): every hash join builds the kernel's one `JoinTable`.
+hash_joins=0
+for f in $(rust_files crates/engine/src crates/pivot/src crates/relstore/src crates/parstore/src); do
+    n=$(library_part "$f" | grep -cE '\blet mut [a-z_]+: FastMap<[^=]*, *Vec<' || true)
+    hash_joins=$((hash_joins + n))
+done
+printf '%-28s %8d\n' 'hash joins' "$hash_joins"
 
 # Public fields of `pub struct $2` in file `$1`.
 fields() {

@@ -26,10 +26,10 @@ use crate::error::{Error, Result};
 use crate::layout::unpack_kv_rows;
 use crate::system::{FaultGate, Stores, SystemId};
 use estocada_docstore::{DocQuery, QueryNode};
-use estocada_engine::{BindSource, RowBatch, StoreError, Tuple};
+use estocada_engine::{Batch, BindSource, StoreError, Tuple};
 use estocada_parstore::Shape;
 use estocada_pivot::hash::{FastMap, FastSet};
-use estocada_pivot::{Atom, CmpOp, GroupBy, Term, Value, Var};
+use estocada_pivot::{Atom, CmpOp, ConstId, ConstReader, GroupBy, IdRows, Term, Value, Var};
 use estocada_relstore::{ColRef, Pred, SqlQuery};
 use std::sync::Arc;
 
@@ -213,25 +213,27 @@ pub enum UnitKind {
     /// Runs standalone (free access). The runner is fallible: a store
     /// failure propagates as [`StoreError`] instead of decaying to an
     /// empty row set.
-    Run(Arc<dyn Fn() -> StoreResult<RowBatch> + Send + Sync>),
+    Run(Arc<dyn Fn() -> StoreResult<Batch> + Send + Sync>),
     /// Must be probed with bound inputs.
     Bind(Arc<dyn BindSource>),
 }
 
-/// Bind `terms` against `values` under pre-bound `pre`; returns the values
-/// of `out_vars` when constants match and repeated variables agree.
-fn bind_row(
+/// Bind `terms` against `values` under pre-bound `pre` (a constant matches
+/// a value or cell when `is` says so); returns the values of `out_vars`
+/// when constants match and repeated variables agree.
+fn bind_row<T: PartialEq + Clone>(
     terms: &[Term],
-    values: &[Value],
-    pre: &FastMap<Var, Value>,
+    values: &[T],
+    is: impl Fn(&Value, &T) -> bool,
+    pre: &FastMap<Var, T>,
     out_vars: &[Var],
-) -> Option<Vec<Value>> {
+) -> Option<Vec<T>> {
     debug_assert_eq!(terms.len(), values.len());
-    let mut local: FastMap<Var, &Value> = FastMap::default();
+    let mut local: FastMap<Var, &T> = FastMap::default();
     for (t, v) in terms.iter().zip(values) {
         match t {
             Term::Const(c) => {
-                if c != v {
+                if !is(c, v) {
                     return None;
                 }
             }
@@ -276,11 +278,8 @@ fn var_cols(vars: &[Var]) -> Vec<String> {
     vars.iter().map(|v| var_col(*v)).collect()
 }
 
-fn batch_of(out_vars: &[Var], rows: Vec<Tuple>) -> RowBatch {
-    RowBatch {
-        columns: var_cols(out_vars),
-        rows,
-    }
+fn batch_of(out_vars: &[Var], rows: Vec<Tuple>) -> Batch {
+    Batch::from_rows(var_cols(out_vars), &rows)
 }
 
 /// Whether some variable occurs twice in `terms` — an equality a scan or a
@@ -406,10 +405,7 @@ pub fn sql_unit(
         let rows = rel_store
             .query(&q)
             .map_err(|e| StoreError::internal("relational", "query", e.to_string()))?;
-        Ok(RowBatch {
-            columns: columns.clone(),
-            rows,
-        })
+        Ok(Batch::from_id_rows(columns.clone(), &rows))
     };
     Ok(Unit {
         label,
@@ -469,9 +465,12 @@ impl KvAccess {
             return Vec::new();
         };
         let pre: FastMap<Var, Value> = self.key_var.map(|v| (v, key.clone())).into_iter().collect();
+        let bind = |cells: Vec<Value>| {
+            bind_row(&self.value_terms, &cells, Value::eq, &pre, &self.out_vars)
+        };
         unpack_kv_rows(&values)
             .into_iter()
-            .filter_map(|cells| bind_row(&self.value_terms, &cells, &pre, &self.out_vars))
+            .filter_map(bind)
             .collect()
     }
 
@@ -602,10 +601,9 @@ impl TextAccess {
                 &self.index,
             ));
         }
-        Ok(keys
-            .into_iter()
-            .filter_map(|k| bind_row(key_term, &[k], &FastMap::default(), &self.out_vars))
-            .collect())
+        let none = FastMap::default();
+        let bind = |k: Value| bind_row(key_term, &[k], Value::eq, &none, &self.out_vars);
+        Ok(keys.into_iter().filter_map(bind).collect())
     }
 }
 
@@ -731,7 +729,7 @@ pub fn doc_rows_unit(
                     .iter()
                     .map(|c| d.get(c).cloned().unwrap_or(Value::Null))
                     .collect();
-                bind_row(&terms, &values, &FastMap::default(), &ov)
+                bind_row(&terms, &values, Value::eq, &FastMap::default(), &ov)
             })
             .collect();
         Ok(batch_of(&ov, rows))
@@ -852,18 +850,19 @@ impl ParRequest {
         group_estimate(core, keys.map(|c| distinct_of(*c).unwrap_or(1)))
     }
 
-    fn batch(&self, rows: Vec<Tuple>) -> RowBatch {
-        let rows = match &self.rebind {
-            None => rows,
-            Some(terms) => rows
-                .into_iter()
-                .filter_map(|r| bind_row(terms, &r, &FastMap::default(), &self.out_vars))
-                .collect(),
+    fn batch(&self, rows: IdRows) -> Batch {
+        let Some(terms) = &self.rebind else {
+            return Batch::from_id_rows(self.columns.clone(), &rows);
         };
-        RowBatch {
-            columns: self.columns.clone(),
-            rows,
-        }
+        // A constant no cell holds was never interned: it matches nothing.
+        let reader = ConstReader::new();
+        let is = |c: &Value, id: &ConstId| reader.lookup(c) == Some(*id);
+        let (none, mut bound) = (FastMap::default(), IdRows::empty(self.out_vars.len()));
+        let rows = rows
+            .rows()
+            .filter_map(|row| bind_row(terms, row, is, &none, &self.out_vars));
+        rows.for_each(|cells| bound.push(cells));
+        Batch::from_id_rows(self.columns.clone(), &bound)
     }
 }
 
@@ -1173,6 +1172,7 @@ mod tests {
         let ok = bind_row(
             &terms,
             &[Value::Int(1), Value::Int(5), Value::Int(5)],
+            Value::eq,
             &FastMap::default(),
             &[Var(0)],
         );
@@ -1181,6 +1181,7 @@ mod tests {
         assert!(bind_row(
             &terms,
             &[Value::Int(1), Value::Int(5), Value::Int(6)],
+            Value::eq,
             &FastMap::default(),
             &[Var(0)],
         )
@@ -1189,6 +1190,7 @@ mod tests {
         assert!(bind_row(
             &terms,
             &[Value::Int(2), Value::Int(5), Value::Int(5)],
+            Value::eq,
             &FastMap::default(),
             &[Var(0)],
         )
@@ -1200,9 +1202,22 @@ mod tests {
         let terms = vec![Term::var(0), Term::var(1)];
         let mut pre = FastMap::default();
         pre.insert(Var(0), Value::Int(9));
-        assert!(bind_row(&terms, &[Value::Int(8), Value::Int(1)], &pre, &[Var(1)]).is_none());
+        assert!(bind_row(
+            &terms,
+            &[Value::Int(8), Value::Int(1)],
+            Value::eq,
+            &pre,
+            &[Var(1)]
+        )
+        .is_none());
         assert_eq!(
-            bind_row(&terms, &[Value::Int(9), Value::Int(1)], &pre, &[Var(1)]),
+            bind_row(
+                &terms,
+                &[Value::Int(9), Value::Int(1)],
+                Value::eq,
+                &pre,
+                &[Var(1)]
+            ),
             Some(vec![Value::Int(1)])
         );
     }

@@ -122,6 +122,27 @@ impl Dataset {
         Symbol::intern(&format!("{table}_Terms"))
     }
 
+    /// Why the dataset cannot be registered: a table whose key names a
+    /// column it does not have, or a row whose arity differs from its
+    /// table's. Checked before anything is declared or staged.
+    pub fn malformed(&self) -> Option<String> {
+        let DatasetContent::Relational(tables) = &self.content else {
+            return None;
+        };
+        tables.iter().find_map(|t| {
+            let (name, columns) = (t.encoding.relation, &t.encoding.columns);
+            let key = t.encoding.key.iter().flatten();
+            if let Some(k) = key.into_iter().find(|k| !columns.contains(k)) {
+                return Some(format!("table {name} has no key column {k}"));
+            }
+            let row = t.rows.iter().find(|r| r.len() != columns.len())?;
+            let (got, want) = (row.len(), columns.len());
+            Some(format!(
+                "table {name} holds a row of {got} columns, not {want}"
+            ))
+        })
+    }
+
     /// Declare this dataset's pivot relations and model constraints into
     /// `schema`.
     pub fn declare(&self, schema: &mut Schema) {

@@ -39,6 +39,9 @@ pub enum Error {
     Chase(ChaseError),
     /// Invalid fragment specification.
     BadFragment(String),
+    /// A dataset that cannot be registered (a key naming an unknown
+    /// column, a row of the wrong arity); nothing was applied.
+    BadDataset(String),
     /// DDL named a dataset or relation that is already registered; nothing
     /// was applied.
     Duplicate(String),
@@ -76,6 +79,7 @@ impl fmt::Display for Error {
             Error::Engine(e) => write!(f, "execution error: {e}"),
             Error::Chase(e) => write!(f, "chase error: {e}"),
             Error::BadFragment(m) => write!(f, "invalid fragment: {m}"),
+            Error::BadDataset(m) => write!(f, "invalid dataset: {m}"),
             Error::Duplicate(n) => write!(f, "already registered: {n}"),
             Error::Dml(m) => write!(f, "dml error: {m}"),
             Error::Invalid(diags) => {

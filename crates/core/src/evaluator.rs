@@ -455,8 +455,13 @@ impl Estocada {
     /// schema already holds, is rejected with [`Error::Duplicate`]. Under
     /// [`ValidationMode::Strict`] the analyzer checks the merged schema
     /// first; error-severity findings reject the registration with
-    /// [`Error::Invalid`]. A rejected dataset leaves the engine untouched.
+    /// [`Error::Invalid`]. A malformed dataset ([`Dataset::malformed`]) is
+    /// [`Error::BadDataset`]. A rejected dataset leaves the engine
+    /// untouched.
     pub fn register_dataset(&mut self, ds: Dataset) -> Result<()> {
+        if let Some(why) = ds.malformed() {
+            return Err(Error::BadDataset(why));
+        }
         let mut own = Schema::new();
         ds.declare(&mut own);
         let declared = own
@@ -894,6 +899,53 @@ mod tests {
         // of query threads.
         fn assert_shared<T: Sync + Send>() {}
         assert_shared::<Estocada>();
+    }
+
+    /// A dataset of one table `T(k, v)` keyed on `key`, holding `rows`.
+    fn table_dataset(key: &str, rows: Vec<Vec<i64>>) -> Dataset {
+        use estocada_pivot::encoding::relational::TableEncoding;
+        let rows = rows
+            .into_iter()
+            .map(|r| r.into_iter().map(estocada_pivot::Value::Int));
+        Dataset::relational(
+            "d",
+            vec![crate::dataset::TableData {
+                encoding: TableEncoding::new("T", &["k", "v"], Some(&[key])),
+                rows: rows.map(Iterator::collect).collect(),
+                text_columns: vec![],
+            }],
+        )
+    }
+
+    /// A malformed dataset is rejected with a typed error before anything
+    /// is declared, and the well-formed one registers after it.
+    fn assert_rejected_untouched(bad: Dataset, why: &str) {
+        let mut est = Estocada::in_memory();
+        match est.register_dataset(bad) {
+            Err(Error::BadDataset(m)) => assert!(m.contains(why), "{m}"),
+            other => panic!("expected a bad dataset, got {other:?}"),
+        }
+        assert_eq!(est.catalog_epoch(), 0);
+        assert_eq!(est.schema().relations().count(), 0);
+        est.register_dataset(table_dataset("k", vec![vec![1, 2]]))
+            .unwrap();
+        let native = FragmentSpec::NativeTables {
+            dataset: "d".into(),
+            only: None,
+        };
+        est.add_fragment(native).unwrap();
+    }
+
+    #[test]
+    fn a_key_naming_an_unknown_column_is_a_bad_dataset() {
+        let bad = table_dataset("nope", vec![vec![1, 2]]);
+        assert_rejected_untouched(bad, "no key column nope");
+    }
+
+    #[test]
+    fn a_row_of_the_wrong_arity_is_a_bad_dataset() {
+        let bad = table_dataset("k", vec![vec![1, 2], vec![3]]);
+        assert_rejected_untouched(bad, "a row of 1 columns, not 2");
     }
 
     #[test]

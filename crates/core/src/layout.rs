@@ -136,9 +136,8 @@ pub(crate) fn fill(
                 n => n,
             };
             let columns = refs(columns);
-            stores
-                .par
-                .create_dataset(dataset, &columns, Vec::new(), parts);
+            let created = stores.par.create_dataset(dataset, &columns, [], parts);
+            created.map_err(par_error)?;
         }
         // The other containers begin with their first write.
         _ => {}
@@ -212,8 +211,7 @@ pub(crate) fn write(
                 stores.rel.delete_rows(table, deletes).map_err(rel_error)?;
             }
             if !inserts.is_empty() {
-                let rows = inserts.iter().cloned();
-                stores.rel.insert_many(table, rows).map_err(rel_error)?;
+                stores.rel.insert_many(table, inserts).map_err(rel_error)?;
             }
         }
         WhereSpec::ParDataset { dataset, .. } => {

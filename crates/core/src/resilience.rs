@@ -586,8 +586,8 @@ impl QueryResilience {
     pub fn wrap_runner(
         self: &Arc<Self>,
         system: SystemId,
-        inner: Arc<dyn Fn() -> Result<estocada_engine::RowBatch, StoreError> + Send + Sync>,
-    ) -> Arc<dyn Fn() -> Result<estocada_engine::RowBatch, StoreError> + Send + Sync> {
+        inner: Arc<dyn Fn() -> Result<estocada_engine::Batch, StoreError> + Send + Sync>,
+    ) -> Arc<dyn Fn() -> Result<estocada_engine::Batch, StoreError> + Send + Sync> {
         let ctx = self.clone();
         Arc::new(move || ctx.call(system, "delegated", &*inner))
     }

@@ -3,6 +3,7 @@
 use estocada_docstore::DocStore;
 use estocada_kvstore::KvStore;
 use estocada_parstore::ParStore;
+use estocada_pivot::kernel::values_of;
 use estocada_relstore::RelStore;
 use estocada_simkit::{FaultHook, FaultPlan, LatencyModel, MetricsSnapshot, StoreError};
 use estocada_textstore::TextStore;
@@ -250,7 +251,7 @@ impl Stores {
             let rows = self
                 .par
                 .dataset(&d)
-                .map(|ds| ds.iter_rows().cloned().collect());
+                .map(|ds| values_of(ds.iter_rows().map(Vec::as_slice)));
             out.push((
                 format!("par:{d}"),
                 render::<Vec<_>>(rows.unwrap_or_default()),

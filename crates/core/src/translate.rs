@@ -688,7 +688,9 @@ mod tests {
             .rel
             .insert_many(
                 "t_users",
-                (0..10).map(|i| vec![Value::Int(i), Value::str(format!("u{i}"))]),
+                &(0..10)
+                    .map(|i| vec![Value::Int(i), Value::str(format!("u{i}"))])
+                    .collect::<Vec<_>>(),
             )
             .unwrap();
         stores.kv.put(

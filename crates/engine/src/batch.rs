@@ -1,22 +1,22 @@
 //! Columnar batches: the unit of data flow in the vectorized executor.
 //!
 //! A [`Batch`] holds one column vector of interned [`ConstId`]s per output
-//! column (the same 8-byte interning PR 3 introduced for chase `Elem`s —
-//! engine rows are always ground, so a plain `ConstId` suffices here), plus
-//! an optional *selection vector*: the list of physical row positions that
-//! are logically alive. Filters compose selection vectors instead of
-//! materializing survivors, so a `Filter → Project` pipeline touches each
-//! dropped row exactly once (a `u32` skip) rather than cloning it.
+//! column, plus an optional *selection vector*: the physical row positions
+//! that are logically alive. Filters compose selection vectors instead of
+//! materializing survivors, so a dropped row costs a `u32` skip, not a
+//! clone. Joins, distinct and group-by keys hash and compare `u32`s, and a
+//! projection of column references is a gather of `u32`s; values are
+//! resolved (via [`ConstReader`]) only for ordered comparisons, arithmetic
+//! and the final conversion back to a [`crate::tuple::RowBatch`].
 //!
-//! Interned columns make the hot operations cheap: equality joins, distinct
-//! and group-by keys hash and compare `u32`s with no tree walks, and a
-//! projection of plain column references is a gather of `u32`s. Values are
-//! only resolved (via [`ConstReader`]) where semantics require them —
-//! ordered comparisons, arithmetic, and the final conversion back to a
-//! row-oriented [`crate::tuple::RowBatch`].
+//! Interning happens where values enter, and only there: the relational
+//! and the parallel store hold interned cells and answer in them
+//! ([`Batch::from_id_rows`] only transposes), while `Values` leaves, the
+//! document, key-value and text stores' answers and BindJoin fetches are
+//! interned on arrival ([`Batch::from_rows`]).
 
 use crate::tuple::Tuple;
-use estocada_pivot::{ConstId, ConstReader};
+use estocada_pivot::{ConstId, ConstReader, IdRows};
 
 /// A columnar batch of interned rows with an optional selection vector.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,6 +71,29 @@ impl Batch {
             columns,
             cols,
             sel: None,
+        }
+    }
+
+    /// A dense batch of a store's interned rows (`rows.width` must be
+    /// `columns.len()`).
+    pub fn from_id_rows(columns: Vec<String>, rows: &IdRows) -> Batch {
+        assert_eq!(columns.len(), rows.width, "column count mismatch");
+        let column = |c: usize| rows.rows().map(|r| r[c]).collect();
+        Batch {
+            cols: (0..rows.width).map(column).collect(),
+            columns,
+            sel: None,
+            physical: rows.len,
+        }
+    }
+
+    /// Physical rows `lo..hi` of a dense batch.
+    pub fn slice(&self, lo: usize, hi: usize) -> Batch {
+        Batch {
+            columns: self.columns.clone(),
+            cols: self.cols.iter().map(|c| c[lo..hi].to_vec()).collect(),
+            sel: None,
+            physical: hi - lo,
         }
     }
 

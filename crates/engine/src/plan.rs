@@ -7,6 +7,7 @@
 //! full-text fragments). [`Plan`] has the eight operators the mediator's
 //! translator emits plus the `Values` leaf hand-built plans start from.
 
+use crate::batch::Batch;
 use crate::expr::Expr;
 use crate::tuple::{RowBatch, Tuple};
 pub use estocada_pivot::AggFun;
@@ -50,14 +51,15 @@ pub enum Plan {
     /// Constant input rows.
     Values(RowBatch),
     /// A subquery delegated to an underlying DMS; the closure runs the
-    /// native query through the store connector when the node executes.
-    /// The runner is fallible: a store failure surfaces as
-    /// [`crate::EngineError::Store`] instead of decaying to empty rows.
+    /// native query through the store connector when the node executes and
+    /// hands over its answer as interned cells. The runner is fallible: a
+    /// store failure surfaces as [`crate::EngineError::Store`] instead of
+    /// decaying to empty rows.
     Delegated {
         /// Display label (store + native query).
         label: String,
         /// Runs the native query.
-        runner: Arc<dyn Fn() -> Result<RowBatch, StoreError> + Send + Sync>,
+        runner: Arc<dyn Fn() -> Result<Batch, StoreError> + Send + Sync>,
     },
     /// Row filter.
     Filter {

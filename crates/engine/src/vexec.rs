@@ -5,14 +5,12 @@
 //!
 //! * expressions are compiled once per operator and evaluated once per
 //!   *batch* (the crate-private `VExpr` form), with equality comparisons
-//!   on interned ids;
-//! * filters emit selection vectors instead of materializing survivors;
-//! * bindjoin collects the still-unseen keys of each input batch and probes
-//!   the source once per batch with all of them (one MGET-style
-//!   `fetch_batch`); a key is probed once per run, so the `bind_probes`
-//!   total is the number of distinct keys at every batch size;
-//! * grouped aggregation hashes interned key vectors (`u32` hashing, no
-//!   value tree walks).
+//!   on interned ids; filters emit selection vectors;
+//! * bindjoin probes the source once per batch with that batch's
+//!   still-unseen keys (one MGET-style `fetch_batch`), so `bind_probes` is
+//!   the number of distinct keys at every batch size;
+//! * hash join, distinct and aggregation are the kernel the relational and
+//!   parallel stores run a pushed tail with ([`estocada_pivot::kernel`]).
 //!
 //! Batch boundaries are unobservable: every batch size yields the same
 //! rows in the same order and the same [`ExecStats`] `operators` / `rows`
@@ -25,10 +23,11 @@
 
 use crate::batch::Batch;
 use crate::expr::{ColOut, Expr, VExpr};
-use crate::plan::{AggFun, AggSpec, BindSource, Plan};
+use crate::plan::{AggSpec, BindSource, Plan};
 use crate::tuple::RowBatch;
-use estocada_pivot::hash::{FastMap, FastSet};
-use estocada_pivot::{ConstId, ConstReader, Value};
+use estocada_pivot::hash::FastMap;
+use estocada_pivot::kernel::{pack_key, Distinct, Groups, JoinTable, Key};
+use estocada_pivot::{ConstId, ConstReader, IdRows, Value};
 use estocada_simkit::StoreError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -120,15 +119,10 @@ pub fn execute_with(plan: &Plan, opts: &ExecOptions) -> Result<(RowBatch, ExecSt
     while let Some(b) = root.next_batch(&mut stats)? {
         batches.push(b);
     }
-    let columns = batches
-        .first()
-        .map(|b| b.columns.clone())
-        .unwrap_or_default();
+    let columns = batches.first().map(|b| b.columns.clone());
     let reader = ConstReader::new();
-    let mut rows = Vec::new();
-    for b in &batches {
-        rows.extend(b.to_rows(&reader));
-    }
+    let rows = batches.iter().flat_map(|b| b.to_rows(&reader)).collect();
+    let columns = columns.unwrap_or_default();
     stats.total_time = start.elapsed();
     Ok((RowBatch { columns, rows }, stats))
 }
@@ -146,18 +140,8 @@ fn compile<'a>(plan: &'a Plan, batch_size: usize, stats: &mut ExecStats) -> OpBo
     // One increment per plan node.
     stats.operators += 1;
     match plan {
-        Plan::Values(rows) => Box::new(Scan {
-            source: Source::Values(rows),
-            pos: 0,
-            started: false,
-            batch_size,
-        }),
-        Plan::Delegated { runner, .. } => Box::new(Scan {
-            source: Source::Delegated(runner.as_ref(), None),
-            pos: 0,
-            started: false,
-            batch_size,
-        }),
+        Plan::Values(rows) => scan(Source::Values(rows), batch_size),
+        Plan::Delegated { runner, .. } => scan(Source::Delegated(runner.as_ref()), batch_size),
         Plan::Filter { input, pred } => Box::new(FilterOp {
             child: compile(input, batch_size, stats),
             pred,
@@ -202,7 +186,7 @@ fn compile<'a>(plan: &'a Plan, batch_size: usize, stats: &mut ExecStats) -> OpBo
         }),
         Plan::Distinct { input } => Box::new(DistinctOp {
             child: compile(input, batch_size, stats),
-            seen: FastSet::default(),
+            seen: None,
         }),
         Plan::Aggregate {
             input,
@@ -241,40 +225,54 @@ impl VecOp for Drained {
     }
 }
 
-/// A leaf cut into batches: the rows of a `Values` node, or the answer of
-/// a delegated sub-query, fetched on the first pull.
+/// A leaf cut into batches: the rows of a `Values` node, interned, or the
+/// interned answer of a delegated sub-query, fetched on the first pull.
 struct Scan<'a> {
     source: Source<'a>,
+    batch: Option<Batch>,
     pos: usize,
-    started: bool,
     batch_size: usize,
 }
 
-type Runner = dyn Fn() -> Result<RowBatch, StoreError> + Send + Sync;
+type Runner = dyn Fn() -> Result<Batch, StoreError> + Send + Sync;
 
+#[derive(Clone, Copy)]
 enum Source<'a> {
     Values(&'a RowBatch),
-    Delegated(&'a Runner, Option<RowBatch>),
+    Delegated(&'a Runner),
+}
+
+/// The operator reading `source`.
+fn scan(source: Source<'_>, batch_size: usize) -> OpBox<'_> {
+    let (batch, pos) = (None, 0);
+    Box::new(Scan {
+        source,
+        batch,
+        pos,
+        batch_size,
+    })
 }
 
 impl VecOp for Scan<'_> {
     fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, EngineError> {
-        let input: &RowBatch = match &mut self.source {
-            Source::Values(rows) => rows,
-            Source::Delegated(_, Some(rows)) => rows,
-            Source::Delegated(runner, slot) => {
+        let started = self.batch.is_some();
+        let input = match (&mut self.batch, self.source) {
+            (Some(batch), _) => batch,
+            (slot, Source::Values(rows)) => {
+                slot.insert(Batch::from_rows(rows.columns.clone(), &rows.rows))
+            }
+            (slot, Source::Delegated(runner)) => {
                 let t = Instant::now();
-                let rows = runner();
+                let batch = runner();
                 stats.delegated_time += t.elapsed();
-                slot.insert(rows?)
+                slot.insert(batch?.compact())
             }
         };
-        if self.started && self.pos >= input.rows.len() {
+        if started && self.pos >= input.physical_rows() {
             return Ok(None);
         }
-        self.started = true;
-        let hi = (self.pos + self.batch_size).min(input.rows.len());
-        let out = Batch::from_rows(input.columns.clone(), &input.rows[self.pos..hi]);
+        let hi = (self.pos + self.batch_size).min(input.physical_rows());
+        let out = input.slice(self.pos, hi);
         self.pos = hi;
         stats.rows += out.num_rows() as u64;
         Ok(Some(out))
@@ -337,51 +335,9 @@ impl VecOp for ProjectOp<'_> {
     }
 }
 
-/// A hash key over interned columns. Keys of up to two columns — the
-/// overwhelmingly common case for join/group/probe keys — pack into a
-/// single `u64`, so the per-row hot loops of hash join, bindjoin, distinct
-/// and aggregation allocate nothing per row; wider keys fall back to a
-/// heap vector. Every map holds keys of one fixed arity, so the packed and
-/// wide encodings never collide within a map.
-#[derive(PartialEq, Eq, Hash, Clone)]
-enum Key {
-    Packed(u64),
-    Wide(Vec<ConstId>),
-}
-
-fn pack_key<I: Iterator<Item = ConstId>>(ids: I, len: usize) -> Key {
-    if len > 2 {
-        return Key::Wide(ids.collect());
-    }
-    Key::Packed(ids.fold(0, |acc, id| acc << 32 | u64::from(id.id())))
-}
-
-struct JoinBuild {
-    columns: Vec<String>,
-    cols: Vec<Vec<ConstId>>,
-    /// Key → left row indices, in left row order.
-    table: FastMap<Key, Vec<u32>>,
-}
-
-impl JoinBuild {
-    fn drain(
-        left: &mut OpBox<'_>,
-        keys: &[usize],
-        stats: &mut ExecStats,
-    ) -> Result<JoinBuild, EngineError> {
-        let dense = drain_to_dense(left, stats)?;
-        check_cols(keys, dense.columns.len(), "HashJoin")?;
-        let mut table: FastMap<Key, Vec<u32>> = FastMap::default();
-        for i in 0..dense.physical_rows() {
-            let key = pack_key(keys.iter().map(|c| dense.cols[*c][i]), keys.len());
-            table.entry(key).or_default().push(i as u32);
-        }
-        Ok(JoinBuild {
-            columns: dense.columns,
-            cols: dense.cols,
-            table,
-        })
-    }
+/// The key of row `i` of `batch` at `cols`.
+fn key_at(batch: &Batch, cols: &[usize], i: usize) -> Key {
+    pack_key(cols.iter().map(|c| batch.cols[*c][i]), cols.len())
 }
 
 struct HashJoinOp<'a> {
@@ -389,15 +345,22 @@ struct HashJoinOp<'a> {
     right: OpBox<'a>,
     left_keys: &'a [usize],
     right_keys: &'a [usize],
-    build: Option<JoinBuild>,
+    /// The drained left side and its join table.
+    build: Option<(Batch, JoinTable)>,
     right_checked: bool,
 }
 
 impl VecOp for HashJoinOp<'_> {
     fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, EngineError> {
-        let build = match &mut self.build {
+        let (build, table) = match &mut self.build {
             Some(b) => b,
-            slot => slot.insert(JoinBuild::drain(&mut self.left, self.left_keys, stats)?),
+            slot => {
+                let dense = drain_to_dense(&mut self.left, stats)?;
+                check_cols(self.left_keys, dense.columns.len(), "HashJoin")?;
+                let keys = (0..dense.physical_rows()).map(|i| key_at(&dense, self.left_keys, i));
+                let table = JoinTable::build(keys);
+                slot.insert((dense, table))
+            }
         };
         let Some(rb) = self.right.next_batch(stats)? else {
             return Ok(None);
@@ -407,28 +370,15 @@ impl VecOp for HashJoinOp<'_> {
             check_cols(self.right_keys, rb.columns.len(), "HashJoin")?;
             self.right_checked = true;
         }
-        let left_arity = build.columns.len();
-        let mut columns = build.columns.clone();
-        columns.extend(rb.columns.iter().cloned());
-        let mut cols: Vec<Vec<ConstId>> = vec![Vec::new(); left_arity + rb.columns.len()];
+        let columns = [&build.columns[..], &rb.columns].concat();
+        let mut rows = IdRows::empty(columns.len());
         for ri in 0..rb.physical_rows() {
-            let key = pack_key(
-                self.right_keys.iter().map(|c| rb.cols[*c][ri]),
-                self.right_keys.len(),
-            );
-            if let Some(matches) = build.table.get(&key) {
-                for &li in matches {
-                    for (c, col) in cols.iter_mut().enumerate() {
-                        if c < left_arity {
-                            col.push(build.cols[c][li as usize]);
-                        } else {
-                            col.push(rb.cols[c - left_arity][ri]);
-                        }
-                    }
-                }
+            for &li in table.probe(&key_at(&rb, self.right_keys, ri)) {
+                let left = build.cols.iter().map(|c| c[li as usize]);
+                rows.push(left.chain(rb.cols.iter().map(|c| c[ri])));
             }
         }
-        let out = Batch::from_cols(columns, cols);
+        let out = Batch::from_id_rows(columns, &rows);
         stats.rows += out.num_rows() as u64;
         Ok(Some(out))
     }
@@ -452,26 +402,16 @@ impl VecOp for NlJoinOp<'_> {
             return Ok(None);
         };
         let lb = lb.compact();
-        let (ln, rn) = (lb.physical_rows(), right.physical_rows());
-        let mut columns = lb.columns.clone();
-        columns.extend(right.columns.iter().cloned());
-        let mut cols: Vec<Vec<ConstId>> = Vec::with_capacity(columns.len());
-        for c in &lb.cols {
-            // Left-major: each left row repeated once per right row.
-            let mut v = Vec::with_capacity(ln * rn);
-            for &id in c {
-                v.extend(std::iter::repeat_n(id, rn));
+        let columns = [&lb.columns[..], &right.columns].concat();
+        let mut rows = IdRows::empty(columns.len());
+        // Left-major: each left row once per right row.
+        for l in 0..lb.physical_rows() {
+            for r in 0..right.physical_rows() {
+                let left = lb.cols.iter().map(|c| c[l]);
+                rows.push(left.chain(right.cols.iter().map(|c| c[r])));
             }
-            cols.push(v);
         }
-        for c in &right.cols {
-            let mut v = Vec::with_capacity(ln * rn);
-            for _ in 0..ln {
-                v.extend_from_slice(c);
-            }
-            cols.push(v);
-        }
-        let mut out = Batch::from_cols(columns, cols);
+        let mut out = Batch::from_id_rows(columns, &rows);
         if let Some(pred) = self.pred {
             let arity = out.columns.len();
             let vp = self
@@ -506,37 +446,31 @@ impl VecOp for BindJoinOp<'_> {
             check_cols(self.key_cols, b.columns.len(), "BindJoin")?;
             self.checked = true;
         }
-        let n = b.physical_rows();
-        let mut row_key: Vec<usize> = Vec::with_capacity(n);
-        let mut new_keys: Vec<Vec<ConstId>> = Vec::new();
-        for i in 0..n {
-            let key = pack_key(
-                self.key_cols.iter().map(|c| b.cols[*c][i]),
-                self.key_cols.len(),
-            );
-            let slot = match self.cache.get(&key) {
-                Some(&s) => s,
-                None => {
-                    let s = self.fetched.len() + new_keys.len();
-                    self.cache.insert(key, s);
-                    new_keys.push(self.key_cols.iter().map(|c| b.cols[*c][i]).collect());
-                    s
-                }
-            };
+        // Each row's slot in `fetched`, and the keys seen first here.
+        let mut row_key: Vec<usize> = Vec::with_capacity(b.physical_rows());
+        let mut new_keys: Vec<Vec<Value>> = Vec::new();
+        let reader = ConstReader::new();
+        for i in 0..b.physical_rows() {
+            let next = self.fetched.len() + new_keys.len();
+            let slot = *self
+                .cache
+                .entry(key_at(&b, self.key_cols, i))
+                .or_insert_with(|| {
+                    let key = self
+                        .key_cols
+                        .iter()
+                        .map(|c| reader.get(b.cols[*c][i]).clone());
+                    new_keys.push(key.collect());
+                    next
+                });
             row_key.push(slot);
         }
+        drop(reader);
         if !new_keys.is_empty() {
             // One batched probe per pipeline batch of still-unseen keys.
             stats.bind_probes += new_keys.len() as u64;
-            let key_vals: Vec<Vec<Value>> = {
-                let reader = ConstReader::new();
-                new_keys
-                    .iter()
-                    .map(|k| k.iter().map(|&id| reader.get(id).clone()).collect())
-                    .collect()
-            };
             let t = Instant::now();
-            let f = self.source.fetch_batch(&key_vals);
+            let f = self.source.fetch_batch(&new_keys);
             stats.delegated_time += t.elapsed();
             let f = f?;
             debug_assert_eq!(f.len(), new_keys.len());
@@ -545,23 +479,14 @@ impl VecOp for BindJoinOp<'_> {
                     .push(rows.iter().map(|r| ConstId::intern_all(r.iter())).collect());
             }
         }
-        let src_columns = self.source.out_columns();
-        let left_arity = b.columns.len();
-        let mut columns = b.columns.clone();
-        columns.extend(src_columns.iter().cloned());
-        let mut cols: Vec<Vec<ConstId>> = vec![Vec::new(); left_arity + src_columns.len()];
+        let columns = [b.columns.clone(), self.source.out_columns()].concat();
+        let mut rows = IdRows::empty(columns.len());
         for (i, slot) in row_key.iter().enumerate() {
             for frow in &self.fetched[*slot] {
-                for (c, col) in cols.iter_mut().enumerate() {
-                    if c < left_arity {
-                        col.push(b.cols[c][i]);
-                    } else {
-                        col.push(frow[c - left_arity]);
-                    }
-                }
+                rows.push(b.cols.iter().map(|c| c[i]).chain(frow.iter().copied()));
             }
         }
-        let out = Batch::from_cols(columns, cols);
+        let out = Batch::from_id_rows(columns, &rows);
         stats.rows += out.num_rows() as u64;
         Ok(Some(out))
     }
@@ -569,7 +494,7 @@ impl VecOp for BindJoinOp<'_> {
 
 struct DistinctOp<'a> {
     child: OpBox<'a>,
-    seen: FastSet<Key>,
+    seen: Option<Distinct>,
 }
 
 impl VecOp for DistinctOp<'_> {
@@ -577,27 +502,16 @@ impl VecOp for DistinctOp<'_> {
         let Some(batch) = self.child.next_batch(stats)? else {
             return Ok(None);
         };
-        let mut new_sel: Vec<u32> = Vec::new();
-        let arity = batch.cols.len();
-        for i in batch.selection() {
-            let key = pack_key(batch.cols.iter().map(|c| c[i]), arity);
-            if self.seen.insert(key) {
-                new_sel.push(i as u32);
-            }
-        }
+        let seen = self
+            .seen
+            .get_or_insert_with(|| Distinct::new(batch.cols.len()));
+        let fresh = |i: &usize| seen.keep(batch.cols.iter().map(|c| c[*i]));
+        let new_sel: Vec<u32> = batch.selection().filter(fresh).map(|i| i as u32).collect();
         let mut out = batch;
         out.sel = Some(new_sel);
         stats.rows += out.num_rows() as u64;
         Ok(Some(out))
     }
-}
-
-#[derive(Default)]
-struct VecAcc {
-    count: i64,
-    sum: f64,
-    min: Option<ConstId>,
-    max: Option<ConstId>,
 }
 
 struct AggregateOp<'a> {
@@ -613,82 +527,35 @@ impl VecOp for AggregateOp<'_> {
             return Ok(None);
         }
         self.done = true;
-        // Key → slot in `groups`, which keeps first-seen order.
-        let mut index: FastMap<Key, usize> = FastMap::default();
-        let mut groups: Vec<(Vec<ConstId>, Vec<VecAcc>)> = Vec::new();
+        let mut groups = Groups::new(
+            self.group_by.len(),
+            self.aggs.iter().map(|a| a.fun).collect(),
+        );
         let mut columns: Option<Vec<String>> = None;
         while let Some(b) = self.child.next_batch(stats)? {
             if columns.is_none() {
-                check_cols(self.group_by, b.columns.len(), "Aggregate")?;
-                for a in self.aggs {
-                    check_cols(&[a.col], b.columns.len(), "Aggregate")?;
-                }
+                let args: Vec<usize> = self.aggs.iter().map(|a| a.col).collect();
+                check_cols(
+                    &[self.group_by, &args].concat(),
+                    b.columns.len(),
+                    "Aggregate",
+                )?;
                 columns = Some(b.columns.clone());
             }
             // The reader must not be held across child pulls (scans intern).
             let reader = ConstReader::new();
             for i in b.selection() {
-                let key = pack_key(
-                    self.group_by.iter().map(|c| b.cols[*c][i]),
-                    self.group_by.len(),
-                );
-                let g = *index.entry(key).or_insert_with(|| {
-                    let ids = self.group_by.iter().map(|c| b.cols[*c][i]).collect();
-                    groups.push((ids, self.aggs.iter().map(|_| VecAcc::default()).collect()));
-                    groups.len() - 1
-                });
-                for (a, spec) in groups[g].1.iter_mut().zip(self.aggs) {
-                    let vid = b.cols[spec.col][i];
-                    a.count += 1;
-                    a.sum += reader.get(vid).as_double().unwrap_or(0.0);
-                    a.min = match a.min {
-                        None => Some(vid),
-                        Some(m) if vid != m && reader.get(vid) < reader.get(m) => Some(vid),
-                        keep => keep,
-                    };
-                    a.max = match a.max {
-                        None => Some(vid),
-                        Some(m) if vid != m && reader.get(vid) > reader.get(m) => Some(vid),
-                        keep => keep,
-                    };
-                }
+                let key = self.group_by.iter().map(|c| b.cols[*c][i]);
+                let args = self.aggs.iter().map(|a| b.cols[a.col][i]);
+                groups.add(key, args, &reader);
             }
         }
         let input_columns = columns.unwrap_or_default();
-        if self.group_by.is_empty() && groups.is_empty() {
-            // SQL semantics: a global aggregate over no rows is one row.
-            groups.push((
-                Vec::new(),
-                self.aggs.iter().map(|_| VecAcc::default()).collect(),
-            ));
-        }
-        let mut out_columns: Vec<String> = self
-            .group_by
-            .iter()
-            .map(|c| input_columns[*c].clone())
+        let keys = self.group_by.iter().map(|c| input_columns[*c].clone());
+        let out_columns = keys
+            .chain(self.aggs.iter().map(|a| a.name.clone()))
             .collect();
-        out_columns.extend(self.aggs.iter().map(|a| a.name.clone()));
-        // Key columns are already interned; finalized Count/Sum/Avg values
-        // are interned here, with no reader held.
-        let null_id = ConstId::intern(&Value::Null);
-        let mut cols: Vec<Vec<ConstId>> = vec![Vec::with_capacity(groups.len()); out_columns.len()];
-        for (ids, accs) in groups {
-            for (c, &id) in ids.iter().enumerate() {
-                cols[c].push(id);
-            }
-            for (j, (a, spec)) in accs.into_iter().zip(self.aggs).enumerate() {
-                let id = match spec.fun {
-                    AggFun::Count => ConstId::of(a.count),
-                    AggFun::Sum => ConstId::of(a.sum),
-                    AggFun::Avg if a.count == 0 => null_id,
-                    AggFun::Avg => ConstId::of(a.sum / a.count as f64),
-                    AggFun::Min => a.min.unwrap_or(null_id),
-                    AggFun::Max => a.max.unwrap_or(null_id),
-                };
-                cols[self.group_by.len() + j].push(id);
-            }
-        }
-        let out = Batch::from_cols(out_columns, cols);
+        let out = Batch::from_id_rows(out_columns, &groups.finish(&[]));
         stats.rows += out.num_rows() as u64;
         Ok(Some(out))
     }
@@ -698,22 +565,10 @@ impl VecOp for AggregateOp<'_> {
 mod tests {
     use super::*;
     use crate::expr::{ArithOp, CmpOp};
+    use crate::plan::AggFun;
     use crate::tuple::Tuple;
-    use estocada_pivot::hash::{FastHasher, FastSet};
+    use estocada_pivot::hash::FastSet;
     use estocada_simkit::StoreErrorKind;
-    use std::hash::{BuildHasher, BuildHasherDefault};
-
-    /// Two-column join keys that differ only in their first column (the
-    /// high 32 bits of `Key::Packed`) reach at least half the buckets of the
-    /// 8 192-bucket table that holds 4 096 of them.
-    #[test]
-    fn packed_keys_differing_in_their_high_bits_spread() {
-        let build = BuildHasherDefault::<FastHasher>::default();
-        let buckets: FastSet<u64> = (0..4096u64)
-            .map(|a| build.hash_one(Key::Packed(a << 32 | 7)) & 0x1fff)
-            .collect();
-        assert!(buckets.len() >= 2048, "{} buckets", buckets.len());
-    }
 
     fn batch(cols: &[&str], rows: Vec<Vec<Value>>) -> RowBatch {
         RowBatch::new(cols.iter().map(|s| s.to_string()).collect(), rows)
@@ -991,7 +846,7 @@ mod tests {
             label: "fake".into(),
             runner: Arc::new(|| {
                 std::thread::sleep(Duration::from_millis(5));
-                Ok(RowBatch::empty(vec!["x".into()]))
+                Ok(Batch::empty(vec!["x".into()]))
             }),
         };
         let (_, stats) = execute_with(&p, &ExecOptions::default()).unwrap();

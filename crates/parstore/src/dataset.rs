@@ -1,51 +1,60 @@
-//! Partitioned datasets of (possibly nested) rows.
+//! Partitioned datasets of (possibly nested) rows, held as interned cells.
 
-use estocada_pivot::{swap_remove, Postings, Value, Wanted};
+use crate::ParError;
+use estocada_pivot::kernel::{held, misfit};
+use estocada_pivot::{swap_remove, ConstId, Postings, Value, Wanted};
 use std::collections::BTreeSet;
 
 /// A row's place: (partition, row within it).
 type Loc = (u32, u32);
 
+/// A stored row: one interned cell per column.
+pub type Row = Vec<ConstId>;
+
 /// A key index: its column positions, and each key with the locations of
 /// the rows holding it.
-pub type KeyPostings = (Vec<usize>, Postings<Vec<Value>, Loc>);
+pub type KeyPostings = (Vec<usize>, Postings<Row, Loc>);
 
-/// `row`'s values at the key `columns`.
-fn key_of(columns: &[usize], row: &[Value]) -> Vec<Value> {
-    columns.iter().map(|c| row[*c].clone()).collect()
+/// `row`'s cells at the key `columns`.
+fn key_of(columns: &[usize], row: &[ConstId]) -> Row {
+    columns.iter().map(|c| row[*c]).collect()
+}
+
+/// [`ParError::Arity`] when a row of `rows` is not `expected` wide.
+pub(crate) fn check_arity(rows: &[Vec<Value>], expected: usize) -> Result<(), ParError> {
+    let arity = |got| Err(ParError::Arity { expected, got });
+    misfit(rows, expected).map_or(Ok(()), arity)
 }
 
 /// A partitioned dataset. Rows may contain nested values (arrays of
-/// objects) — this is the nested-relational model of the parallel store.
+/// objects) — this is the nested-relational model of the parallel store;
+/// each cell is interned once, when its row is written.
 #[derive(Debug, Clone)]
 pub struct Dataset {
     /// Column names.
     pub columns: Vec<String>,
     /// Row partitions.
-    pub partitions: Vec<Vec<Vec<Value>>>,
+    pub partitions: Vec<Vec<Row>>,
     /// Optional key index.
     pub key_index: Option<KeyPostings>,
 }
 
 impl Dataset {
-    /// Build a dataset from rows, hash-partitioned round-robin into
-    /// `num_partitions` parts.
+    /// Build a dataset from rows, dealt round-robin into `num_partitions`
+    /// parts; a row of another arity than `columns` is
+    /// [`ParError::Arity`].
     pub fn from_rows(
         columns: &[&str],
         rows: impl IntoIterator<Item = Vec<Value>>,
         num_partitions: usize,
-    ) -> Dataset {
-        let n = num_partitions.max(1);
-        let mut partitions: Vec<Vec<Vec<Value>>> = vec![Vec::new(); n];
-        for (i, row) in rows.into_iter().enumerate() {
-            assert_eq!(row.len(), columns.len(), "row arity mismatch");
-            partitions[i % n].push(row);
-        }
-        Dataset {
+    ) -> Result<Dataset, ParError> {
+        let mut ds = Dataset {
             columns: columns.iter().map(|s| s.to_string()).collect(),
-            partitions,
+            partitions: vec![Vec::new(); num_partitions.max(1)],
             key_index: None,
-        }
+        };
+        ds.append_rows(&rows.into_iter().collect::<Vec<_>>())?;
+        Ok(ds)
     }
 
     /// Total row count.
@@ -64,7 +73,7 @@ impl Dataset {
     }
 
     /// Every row with its location, partition by partition.
-    fn located(&self) -> impl Iterator<Item = (Loc, &Vec<Value>)> {
+    fn located(&self) -> impl Iterator<Item = (Loc, &Row)> {
         let parts = self.partitions.iter().enumerate();
         parts.flat_map(|(p, part)| (0..).zip(part).map(move |(r, row)| ((p as u32, r), row)))
     }
@@ -78,31 +87,22 @@ impl Dataset {
 
     /// Append rows round-robin across the existing partitions (continuing
     /// from the current total, so growth stays balanced). Each row's
-    /// location is posted in the key index when one exists.
-    pub fn append_rows(&mut self, rows: impl IntoIterator<Item = Vec<Value>>) {
+    /// location is posted in the key index when one exists. A row of
+    /// another arity than the dataset's is [`ParError::Arity`], and then no
+    /// row is appended.
+    pub fn append_rows(&mut self, rows: &[Vec<Value>]) -> Result<(), ParError> {
+        check_arity(rows, self.columns.len())?;
         let n = self.partitions.len().max(1);
-        for (next, row) in (self.len()..).zip(rows) {
-            assert_eq!(row.len(), self.columns.len(), "row arity mismatch");
-            let part = &mut self.partitions[next % n];
+        let mut ids = ConstId::intern_all(rows.iter().flatten()).into_iter();
+        for next in self.len()..self.len() + rows.len() {
+            let row: Row = ids.by_ref().take(self.columns.len()).collect();
+            let at = ((next % n) as u32, self.partitions[next % n].len() as u32);
             if let Some((columns, idx)) = &mut self.key_index {
-                idx.insert(
-                    key_of(columns, &row),
-                    ((next % n) as u32, part.len() as u32),
-                );
+                idx.insert(key_of(columns, &row), at);
             }
-            part.push(row);
+            self.partitions[next % n].push(row);
         }
-    }
-
-    /// Remove one stored row equal to each entry of `rows` (entries with no
-    /// stored instance left are skipped), found through the key index when
-    /// one exists and by one scan of the partitions otherwise. The
-    /// partition's last row moves into each hole — no physical order is
-    /// promised — and the key index follows. Returns how many rows went.
-    pub fn remove_rows(&mut self, rows: &[Vec<Value>]) -> usize {
-        let found = self.locate(rows);
-        self.remove_at(&found);
-        found.len()
+        Ok(())
     }
 
     /// The location of one stored instance per entry of `rows`: equal
@@ -110,7 +110,8 @@ impl Dataset {
     /// nothing. With a key index this reads only the rows sharing a key with
     /// an entry, each once; without one it scans the partitions once.
     pub(crate) fn locate(&self, rows: &[Vec<Value>]) -> BTreeSet<Loc> {
-        let mut wanted = Wanted::new(rows, self.columns.len());
+        let entries = held(rows, self.columns.len());
+        let mut wanted = Wanted::of(entries.iter().map(Vec::as_slice));
         let row_at = |(p, r): Loc| self.partitions[p as usize][r as usize].as_slice();
         match &self.key_index {
             // The candidates: every row under an entry's key.
@@ -122,8 +123,9 @@ impl Dataset {
     }
 
     /// Remove the rows at `found` (as [`Dataset::locate`] returns them),
-    /// partition by partition through [`swap_remove`]: the key index
-    /// forgets each removed row and follows each one that moved.
+    /// partition by partition through [`swap_remove`]: the partition's last
+    /// row moves into each hole — no physical order is promised — and the
+    /// key index forgets each removed row and follows each one that moved.
     /// Proportional to `found` and the rows sharing a touched key, not to
     /// the dataset.
     pub(crate) fn remove_at(&mut self, found: &BTreeSet<Loc>) {
@@ -140,19 +142,21 @@ impl Dataset {
     }
 
     /// Rows holding `key` at the key index's columns: none when the
-    /// dataset has no key index, or `key` another arity.
-    pub fn index_lookup(&self, key: &[Value]) -> Vec<&Vec<Value>> {
-        let locs = self
-            .key_index
-            .as_ref()
-            .map_or(&[][..], |(_, idx)| idx.get(key));
+    /// dataset has no key index, `key` another arity, or a value no row
+    /// holds.
+    pub fn index_lookup(&self, key: &[Value]) -> Vec<&Row> {
+        let ids = held(&[key.to_vec()], key.len()).pop();
+        let locs = match (&self.key_index, ids) {
+            (Some((_, idx)), Some(ids)) => idx.get(&ids),
+            _ => &[],
+        };
         let row = |(p, r): &Loc| &self.partitions[*p as usize][*r as usize];
         locs.iter().map(row).collect()
     }
 
     /// Iterate all rows (sequential; the parallel paths live in
     /// [`crate::ops`]).
-    pub fn iter_rows(&self) -> impl Iterator<Item = &Vec<Value>> {
+    pub fn iter_rows(&self) -> impl Iterator<Item = &Row> {
         self.partitions.iter().flatten()
     }
 }
@@ -160,6 +164,21 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use estocada_pivot::kernel::values_of;
+
+    impl Dataset {
+        /// Remove one stored row per entry of `rows`, as a delta does.
+        fn remove_rows(&mut self, rows: &[Vec<Value>]) -> usize {
+            let found = self.locate(rows);
+            self.remove_at(&found);
+            found.len()
+        }
+    }
+
+    /// Rows resolved to values.
+    fn values<'a>(rows: impl IntoIterator<Item = &'a Row>) -> Vec<Vec<Value>> {
+        values_of(rows.into_iter().map(Vec::as_slice))
+    }
 
     fn rows(n: i64) -> Vec<Vec<Value>> {
         (0..n)
@@ -169,7 +188,7 @@ mod tests {
 
     #[test]
     fn partitioning_distributes_rows() {
-        let d = Dataset::from_rows(&["id", "grp"], rows(10), 4);
+        let d = Dataset::from_rows(&["id", "grp"], rows(10), 4).unwrap();
         assert_eq!(d.partitions.len(), 4);
         assert_eq!(d.len(), 10);
         // Round-robin keeps partition sizes balanced within one row.
@@ -179,7 +198,7 @@ mod tests {
 
     #[test]
     fn key_index_lookup() {
-        let mut d = Dataset::from_rows(&["id", "grp"], rows(9), 3);
+        let mut d = Dataset::from_rows(&["id", "grp"], rows(9), 3).unwrap();
         d.build_key_index(vec![1]);
         let hits = d.index_lookup(&[Value::Int(2)]);
         assert_eq!(hits.len(), 3); // ids 2,5,8
@@ -188,7 +207,7 @@ mod tests {
 
     #[test]
     fn composite_key_index() {
-        let mut d = Dataset::from_rows(&["id", "grp"], rows(9), 2);
+        let mut d = Dataset::from_rows(&["id", "grp"], rows(9), 2).unwrap();
         d.build_key_index(vec![0, 1]);
         assert_eq!(d.index_lookup(&[Value::Int(4), Value::Int(1)]).len(), 1);
         assert!(d.index_lookup(&[Value::Int(4), Value::Int(2)]).is_empty());
@@ -196,9 +215,10 @@ mod tests {
 
     #[test]
     fn append_and_remove_maintain_the_key_index() {
-        let mut d = Dataset::from_rows(&["id", "grp"], rows(9), 3);
+        let mut d = Dataset::from_rows(&["id", "grp"], rows(9), 3).unwrap();
         d.build_key_index(vec![1]);
-        d.append_rows(vec![vec![Value::Int(11), Value::Int(2)]]);
+        d.append_rows(&[vec![Value::Int(11), Value::Int(2)]])
+            .unwrap();
         assert_eq!(d.len(), 10);
         assert_eq!(d.index_lookup(&[Value::Int(2)]).len(), 4); // ids 2,5,8,11
         let removed = d.remove_rows(&[
@@ -217,7 +237,7 @@ mod tests {
             rebuilt.build_key_index(columns.clone());
         }
         assert_eq!(d.key_index, rebuilt.key_index, "index drifted");
-        let mut rows: Vec<_> = d.iter_rows().cloned().collect();
+        let mut rows = values(d.iter_rows());
         rows.sort();
         rows
     }
@@ -243,7 +263,7 @@ mod tests {
             self.model.sort();
             for d in [&mut self.indexed, &mut self.plain] {
                 assert_eq!(d.remove_rows(&deletes), removed);
-                d.append_rows(inserts.iter().cloned());
+                d.append_rows(&inserts).unwrap();
                 assert_eq!(content(d), self.model);
             }
         }
@@ -253,9 +273,9 @@ mod tests {
     fn deltas_keep_rows_and_index_equal_to_a_rebuild() {
         // Physical duplicates from the start: ids 0..4 are stored twice.
         let seed: Vec<_> = rows(9).into_iter().chain(rows(4)).collect();
-        let mut indexed = Dataset::from_rows(&["id", "grp"], seed.clone(), 3);
+        let mut indexed = Dataset::from_rows(&["id", "grp"], seed.clone(), 3).unwrap();
         indexed.build_key_index(vec![1]);
-        let plain = Dataset::from_rows(&["id", "grp"], seed.clone(), 3);
+        let plain = Dataset::from_rows(&["id", "grp"], seed.clone(), 3).unwrap();
         let mut t = Twins {
             indexed,
             plain,
@@ -263,7 +283,7 @@ mod tests {
         };
         let row = |id: i64| vec![Value::Int(id), Value::Int(id % 3)];
         let ends = |d: &Dataset, p: usize| {
-            let part = &d.partitions[p];
+            let part = values(&d.partitions[p]);
             (part[0].clone(), part[part.len() - 1].clone())
         };
         // Both copies of a duplicate in one batch, plus one copy too many.
@@ -284,7 +304,7 @@ mod tests {
 
     #[test]
     fn lookup_without_index_or_of_another_arity_has_no_rows() {
-        let mut d = Dataset::from_rows(&["id", "grp"], rows(3), 1);
+        let mut d = Dataset::from_rows(&["id", "grp"], rows(3), 1).unwrap();
         assert!(d.index_lookup(&[Value::Int(1)]).is_empty());
         d.build_key_index(vec![0]);
         assert!(d.index_lookup(&[Value::Int(1), Value::Int(1)]).is_empty());
@@ -292,8 +312,27 @@ mod tests {
     }
 
     #[test]
+    fn a_wrong_arity_row_is_an_error_and_appends_nothing() {
+        let short = || vec![vec![Value::Int(1), Value::Int(1)], vec![Value::Int(2)]];
+        let arity = Err(ParError::Arity {
+            expected: 2,
+            got: 1,
+        });
+        let built = Dataset::from_rows(&["id", "grp"], short(), 2);
+        assert_eq!(built.map(|d| d.len()), arity.clone().map(|()| 0));
+        let mut d = Dataset::from_rows(&["id", "grp"], rows(3), 2).unwrap();
+        d.build_key_index(vec![1]);
+        let before = d.clone();
+        assert_eq!(d.append_rows(&short()), arity);
+        assert_eq!(
+            (d.partitions, d.key_index),
+            (before.partitions, before.key_index)
+        );
+    }
+
+    #[test]
     fn zero_partitions_clamped_to_one() {
-        let d = Dataset::from_rows(&["id"], vec![vec![Value::Int(1)]], 0);
+        let d = Dataset::from_rows(&["id"], vec![vec![Value::Int(1)]], 0).unwrap();
         assert_eq!(d.partitions.len(), 1);
     }
 }

@@ -13,8 +13,10 @@
 //! [`ParStore::join`]) take a [`Shape`]: which columns of the selected rows
 //! come back, whether each distinct row comes back once, and an optional
 //! `GROUP BY`/aggregate/`HAVING` tail ([`GroupBy`]) evaluated beside the
-//! data. A request naming a dataset or column the store does not have is a
-//! [`ParError`] — never an empty answer.
+//! data by the shared kernel ([`estocada_pivot::kernel`]). Rows are held
+//! and answered as interned cells. A request naming a dataset or column
+//! the store does not have, or a write of another arity, is a
+//! [`ParError`] — never an empty answer or a panic.
 //!
 //! Fault injection is not this crate's concern: the mediator gates delegated
 //! requests before they get here (see `estocada_simkit::fault`).
@@ -27,10 +29,11 @@ pub mod ops;
 
 pub use dataset::Dataset;
 pub use estocada_pivot::{AggFun, GroupBy};
-pub use ops::{par_filter, par_filter_map, par_join, par_join_map};
+pub use ops::{par_filter, par_join};
 
 use estocada_pivot::hash::FastMap;
-use estocada_pivot::{agg, CmpOp, Value};
+use estocada_pivot::kernel::{self, RowFilter};
+use estocada_pivot::{CmpOp, ConstReader, IdRows, Value};
 use estocada_simkit::{LatencyModel, RequestTimer, StoreMetrics};
 use parking_lot::RwLock;
 use std::sync::Arc;
@@ -46,10 +49,9 @@ pub struct ColPred {
     pub value: Value,
 }
 
-impl ColPred {
-    fn eval(&self, row: &[Value]) -> bool {
-        self.op.eval(&row[self.col], &self.value)
-    }
+/// The conjunction of `preds` over interned rows.
+fn filter<'r>(preds: &[ColPred], reader: &'r ConstReader) -> RowFilter<'r> {
+    RowFilter::new(preds.iter().map(|p| (p.col, p.op, &p.value)), reader)
 }
 
 /// Why a read request could not be answered.
@@ -68,6 +70,13 @@ pub enum ParError {
     /// the join key lists differ in length, or a lookup key's arity differs
     /// from the key index's.
     BadColumn,
+    /// A written row's arity differs from the dataset's.
+    Arity {
+        /// The dataset's arity.
+        expected: usize,
+        /// The row's.
+        got: usize,
+    },
 }
 
 impl std::fmt::Display for ParError {
@@ -78,6 +87,9 @@ impl std::fmt::Display for ParError {
                 write!(f, "unknown column {column} on {dataset}")
             }
             ParError::BadColumn => write!(f, "column reference out of range"),
+            ParError::Arity { expected, got } => {
+                write!(f, "a row of {got} columns in a dataset of {expected}")
+            }
         }
     }
 }
@@ -100,38 +112,23 @@ pub struct Shape {
 }
 
 impl Shape {
-    /// Check every position against selected rows `width` columns wide.
-    fn check(&self, width: usize) -> Result<(), ParError> {
+    /// Check every position, `preds`' too, against selected rows `width`
+    /// columns wide.
+    fn check(&self, width: usize, preds: &[ColPred]) -> Result<(), ParError> {
         let cols = self.projection.as_deref();
         let projected = cols.map_or(width, <[usize]>::len);
         let fits = cols.is_none_or(|p| p.iter().all(|c| *c < width))
-            && self.group.as_ref().is_none_or(|g| g.fits(projected));
+            && self.group.as_ref().is_none_or(|g| g.fits(projected))
+            && preds.iter().all(|p| p.col < width);
         fits.then_some(()).ok_or(ParError::BadColumn)
     }
 
-    /// Append one selected row's projected columns to `cells` by reference
-    /// (`at` reads a column of the `width`-wide row): rows the answer drops
-    /// are never cloned.
-    fn project<'a>(
-        &self,
-        width: usize,
-        at: impl Fn(usize) -> &'a Value,
-        cells: &mut Vec<&'a Value>,
-    ) {
-        match &self.projection {
-            Some(cols) => cells.extend(cols.iter().map(|c| at(*c))),
-            None => cells.extend((0..width).map(at)),
-        }
-    }
-
-    /// The answer from the projected rows — `cells`, flat in selection
-    /// order (the order that makes grouped sums reproducible), of rows
-    /// `width` wide before projection — charged to `timer`.
-    fn answer(&self, width: usize, cells: &[&Value], timer: &mut RequestTimer) -> Vec<Vec<Value>> {
-        let width = self.projection.as_ref().map_or(width, Vec::len);
-        let out = agg::answer(width, cells, self.distinct, self.group.as_ref());
-        let bytes: usize = out.iter().flatten().map(Value::approx_size).sum();
-        timer.set_output(out.len() as u64, bytes as u64);
+    /// The answer from the selected rows, `projected` in selection order
+    /// (the order that makes grouped sums reproducible), charged to
+    /// `timer`.
+    fn answer(&self, projected: IdRows, timer: &mut RequestTimer) -> IdRows {
+        let out = kernel::answer(projected, self.distinct, self.group.as_ref());
+        timer.set_output(out.len as u64, out.approx_size() as u64);
         out
     }
 }
@@ -142,15 +139,12 @@ impl Shape {
 /// ([`GroupBy::fmt_over`]).
 impl std::fmt::Display for Shape {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let names = |cols: &Vec<usize>| cols.iter().map(|c| format!("c{c}")).collect::<Vec<_>>();
+        let cols = self.projection.as_ref().map(|c| names(c).join(", "));
+        let cols = cols.unwrap_or_else(|| "*".into());
         let block = |f: &mut std::fmt::Formatter<'_>, distinct: bool| {
-            write!(f, "SELECT {}", if distinct { "DISTINCT " } else { "" })?;
-            match &self.projection {
-                None => write!(f, "*"),
-                Some(cols) => {
-                    let names: Vec<String> = cols.iter().map(|c| format!("c{c}")).collect();
-                    write!(f, "{}", names.join(", "))
-                }
-            }
+            let distinct = if distinct { "DISTINCT " } else { "" };
+            write!(f, "SELECT {distinct}{cols}")
         };
         match &self.group {
             Some(g) => g.fmt_over(f, |f| block(f, true)),
@@ -165,10 +159,15 @@ fn unknown(name: &str) -> ParError {
     ParError::UnknownDataset(name.to_string())
 }
 
-/// Predicate positions must exist in rows `width` columns wide.
-fn check_preds(preds: &[ColPred], width: usize) -> Result<(), ParError> {
-    let fits = preds.iter().all(|p| p.col < width);
-    fits.then_some(()).ok_or(ParError::BadColumn)
+/// The positions of `columns` in dataset `name`.
+fn positions(ds: &Dataset, name: &str, columns: &[&str]) -> Result<Vec<usize>, ParError> {
+    let col = |c: &&str| {
+        ds.column_index(c).ok_or_else(|| ParError::UnknownColumn {
+            dataset: name.to_string(),
+            column: c.to_string(),
+        })
+    };
+    columns.iter().map(col).collect()
 }
 
 /// The parallel store: named datasets.
@@ -202,29 +201,25 @@ impl ParStore {
             .min(8)
     }
 
-    /// Create (or replace) a dataset.
+    /// Create (or replace) a dataset; a row of another arity than
+    /// `columns` is [`ParError::Arity`], and then nothing is created.
     pub fn create_dataset(
         &self,
         name: &str,
         columns: &[&str],
         rows: impl IntoIterator<Item = Vec<Value>>,
         num_partitions: usize,
-    ) {
-        let ds = Dataset::from_rows(columns, rows, num_partitions);
+    ) -> Result<(), ParError> {
+        let ds = Dataset::from_rows(columns, rows, num_partitions)?;
         self.datasets.write().insert(name.to_string(), Arc::new(ds));
+        Ok(())
     }
 
     /// Build a key index over the named columns.
     pub fn build_key_index(&self, name: &str, columns: &[&str]) -> Result<(), ParError> {
         let mut guard = self.datasets.write();
         let ds = guard.get_mut(name).ok_or_else(|| unknown(name))?;
-        let col = |c: &&str| {
-            ds.column_index(c).ok_or_else(|| ParError::UnknownColumn {
-                dataset: name.to_string(),
-                column: c.to_string(),
-            })
-        };
-        let cols = columns.iter().map(col).collect::<Result<_, _>>()?;
+        let cols = positions(ds, name, columns)?;
         Arc::make_mut(ds).build_key_index(cols);
         Ok(())
     }
@@ -246,7 +241,9 @@ impl ParStore {
     /// [`ParStore::dataset`]: then the rows are copied once and the reader
     /// keeps its snapshot. A delta that changes nothing touches nothing. No
     /// physical row order is promised: a removed row's place is taken by the
-    /// last row of its partition. Admin path: no metrics or latency.
+    /// last row of its partition. An insert of another arity than the
+    /// dataset's is [`ParError::Arity`], and then nothing changes. Admin
+    /// path: no metrics or latency.
     pub fn apply_delta(
         &self,
         name: &str,
@@ -255,11 +252,12 @@ impl ParStore {
     ) -> Result<usize, ParError> {
         let mut guard = self.datasets.write();
         let ds = guard.get_mut(name).ok_or_else(|| unknown(name))?;
+        dataset::check_arity(inserts, ds.columns.len())?;
         let found = ds.locate(deletes);
         if !(found.is_empty() && inserts.is_empty()) {
             let ds = Arc::make_mut(ds);
             ds.remove_at(&found);
-            ds.append_rows(inserts.iter().cloned());
+            ds.append_rows(inserts)?;
         }
         Ok(found.len())
     }
@@ -270,24 +268,18 @@ impl ParStore {
     }
 
     /// Parallel scan: the rows passing `preds`, returned as `shape` says.
-    pub fn scan(
-        &self,
-        name: &str,
-        preds: &[ColPred],
-        shape: &Shape,
-    ) -> Result<Vec<Vec<Value>>, ParError> {
+    pub fn scan(&self, name: &str, preds: &[ColPred], shape: &Shape) -> Result<IdRows, ParError> {
         let ds = self.request(name)?;
         let width = ds.columns.len();
-        check_preds(preds, width)?;
-        shape.check(width)?;
+        shape.check(width, preds)?;
         let mut timer = RequestTimer::start(&self.metrics, self.latency);
         timer.add_scanned(ds.len() as u64);
-        let cells = ops::par_filter_map(
-            &ds,
-            &|row| preds.iter().all(|p| p.eval(row)),
-            |row, cells| shape.project(width, |c| &row[c], cells),
-        );
-        Ok(shape.answer(width, &cells, &mut timer))
+        let projected = {
+            let reader = ConstReader::new();
+            let preds = filter(preds, &reader);
+            ops::par_filter(&ds, &|row| preds.pass(row), shape.projection.as_deref())
+        };
+        Ok(shape.answer(projected, &mut timer))
     }
 
     /// Point lookup through the key index (plus residual predicates); an
@@ -298,26 +290,23 @@ impl ParStore {
         key: &[Value],
         preds: &[ColPred],
         shape: &Shape,
-    ) -> Result<Vec<Vec<Value>>, ParError> {
+    ) -> Result<IdRows, ParError> {
         let ds = self.request(name)?;
         let width = ds.columns.len();
-        if ds
-            .key_index
-            .as_ref()
-            .is_some_and(|(cols, _)| cols.len() != key.len())
-        {
+        let index = ds.key_index.as_ref();
+        if index.is_some_and(|(cols, _)| cols.len() != key.len()) {
             return Err(ParError::BadColumn);
         }
-        check_preds(preds, width)?;
-        shape.check(width)?;
+        shape.check(width, preds)?;
         let mut timer = RequestTimer::start(&self.metrics, self.latency);
-        let mut cells = Vec::new();
-        for row in ds.index_lookup(key) {
-            if preds.iter().all(|p| p.eval(row)) {
-                shape.project(width, |c| &row[c], &mut cells);
-            }
+        let mut rows = ds.index_lookup(key);
+        {
+            let reader = ConstReader::new();
+            let preds = filter(preds, &reader);
+            rows.retain(|row| preds.pass(row));
         }
-        Ok(shape.answer(width, &cells, &mut timer))
+        let projected = ops::project(rows, shape.projection.as_deref(), width);
+        Ok(shape.answer(projected, &mut timer))
     }
 
     /// Parallel equi-join of two datasets; `shape` addresses the joined
@@ -329,36 +318,19 @@ impl ParStore {
         left_keys: &[&str],
         right_keys: &[&str],
         shape: &Shape,
-    ) -> Result<Vec<Vec<Value>>, ParError> {
+    ) -> Result<IdRows, ParError> {
         let (l, r) = (self.request(left)?, self.request(right)?);
-        let key_cols = |ds: &Dataset, name: &str, keys: &[&str]| {
-            let col = |c: &&str| {
-                ds.column_index(c).ok_or_else(|| ParError::UnknownColumn {
-                    dataset: name.to_string(),
-                    column: c.to_string(),
-                })
-            };
-            keys.iter().map(col).collect::<Result<Vec<usize>, _>>()
-        };
-        let (lk, rk) = (
-            key_cols(&l, left, left_keys)?,
-            key_cols(&r, right, right_keys)?,
-        );
+        let lk = positions(&l, left, left_keys)?;
+        let rk = positions(&r, right, right_keys)?;
         if lk.len() != rk.len() {
             return Err(ParError::BadColumn);
         }
-        let (lw, width) = (l.columns.len(), l.columns.len() + r.columns.len());
-        shape.check(width)?;
+        let width = l.columns.len() + r.columns.len();
+        shape.check(width, &[])?;
         let mut timer = RequestTimer::start(&self.metrics, self.latency);
         timer.add_scanned((l.len() + r.len()) as u64);
-        let cells = ops::par_join_map(&l, &r, &lk, &rk, |lrow, rrow, cells| {
-            let at = |c: usize| match c.checked_sub(lw) {
-                Some(rc) => &rrow[rc],
-                None => &lrow[c],
-            };
-            shape.project(width, at, cells)
-        });
-        Ok(shape.answer(width, &cells, &mut timer))
+        let projected = ops::par_join(&l, &r, &lk, &rk, shape.projection.as_deref());
+        Ok(shape.answer(projected, &mut timer))
     }
 
     /// Row count of a dataset.
@@ -386,6 +358,11 @@ impl ParStore {
 mod tests {
     use super::*;
 
+    /// A read's rows, resolved to values.
+    fn values(rows: Result<IdRows, ParError>) -> Result<Vec<Vec<Value>>, ParError> {
+        rows.map(|r| r.to_values())
+    }
+
     fn store() -> ParStore {
         let s = ParStore::new();
         s.create_dataset(
@@ -399,7 +376,8 @@ mod tests {
                 ]
             }),
             4,
-        );
+        )
+        .unwrap();
         s
     }
 
@@ -415,7 +393,7 @@ mod tests {
             projection: Some(vec![1]),
             ..Shape::default()
         };
-        let out = s.scan("visits", &user7, &urls).unwrap();
+        let out = values(s.scan("visits", &user7, &urls)).unwrap();
         assert_eq!(out.len(), 10);
         // The same rows once each: user 7 always hits url7.
         let once = Shape {
@@ -423,7 +401,7 @@ mod tests {
             ..urls
         };
         assert_eq!(
-            s.scan("visits", &user7, &once).unwrap(),
+            values(s.scan("visits", &user7, &once)).unwrap(),
             vec![vec![Value::str("url7")]]
         );
         assert!(s.metrics.snapshot().tuples_scanned >= 1000);
@@ -434,7 +412,7 @@ mod tests {
         let s = store();
         s.build_key_index("visits", &["user"]).unwrap();
         let all = Shape::default();
-        let out = s.lookup("visits", &[Value::Int(7)], &[], &all).unwrap();
+        let out = values(s.lookup("visits", &[Value::Int(7)], &[], &all)).unwrap();
         assert_eq!(out.len(), 10);
         // Residual predicate narrows further.
         let url7 = [ColPred {
@@ -442,7 +420,7 @@ mod tests {
             op: CmpOp::Eq,
             value: Value::str("url7"),
         }];
-        let narrowed = s.lookup("visits", &[Value::Int(7)], &url7, &all);
+        let narrowed = values(s.lookup("visits", &[Value::Int(7)], &url7, &all));
         assert_eq!(narrowed.unwrap().len(), 10); // user 7 always hits url7
     }
 
@@ -459,9 +437,10 @@ mod tests {
                 ]
             }),
             2,
-        );
+        )
+        .unwrap();
         let on = (&["user"][..], &["uid"][..]);
-        let out = s.join("visits", "users", on.0, on.1, &Shape::default());
+        let out = values(s.join("visits", "users", on.0, on.1, &Shape::default()));
         let out = out.unwrap();
         assert_eq!(out.len(), 1000);
         assert_eq!(out[0].len(), 5);
@@ -476,7 +455,7 @@ mod tests {
             ..Shape::default()
         };
         assert_eq!(
-            s.join("visits", "users", on.0, on.1, &per_tier).unwrap(),
+            values(s.join("visits", "users", on.0, on.1, &per_tier)).unwrap(),
             vec![
                 vec![Value::str("gold"), Value::Int(500)],
                 vec![Value::str("free"), Value::Int(500)],
@@ -498,7 +477,7 @@ mod tests {
             }),
             ..Shape::default()
         };
-        let out = s.scan("visits", &[], &per_url).unwrap();
+        let out = values(s.scan("visits", &[], &per_url)).unwrap();
         assert_eq!(out.len(), 10);
         for row in &out {
             assert_eq!(row[1], Value::Int(100));
@@ -511,14 +490,14 @@ mod tests {
         let s = store();
         let all = Shape::default();
         let ghost = Err(ParError::UnknownDataset("ghost".into()));
-        assert_eq!(s.scan("ghost", &[], &all), ghost);
-        assert_eq!(s.lookup("ghost", &[], &[], &all), ghost);
-        assert_eq!(s.join("ghost", "visits", &[], &[], &all), ghost);
-        assert_eq!(s.join("visits", "ghost", &[], &[], &all), ghost);
+        assert_eq!(values(s.scan("ghost", &[], &all)), ghost);
+        assert_eq!(values(s.lookup("ghost", &[], &[], &all)), ghost);
+        assert_eq!(values(s.join("ghost", "visits", &[], &[], &all)), ghost);
+        assert_eq!(values(s.join("visits", "ghost", &[], &[], &all)), ghost);
         assert!(!s.drop_dataset("ghost"));
         // An unknown join column is an error too — it used to panic.
         assert_eq!(
-            s.join("visits", "visits", &["user"], &["nope"], &all),
+            values(s.join("visits", "visits", &["user"], &["nope"], &all)),
             Err(ParError::UnknownColumn {
                 dataset: "visits".into(),
                 column: "nope".into()
@@ -529,7 +508,10 @@ mod tests {
             projection: Some(vec![3]),
             ..Shape::default()
         };
-        assert_eq!(s.scan("visits", &[], &wide), Err(ParError::BadColumn));
+        assert_eq!(
+            values(s.scan("visits", &[], &wide)),
+            Err(ParError::BadColumn)
+        );
         let grouped_wide = Shape {
             group: Some(GroupBy {
                 keys: 4,
@@ -539,7 +521,7 @@ mod tests {
             ..Shape::default()
         };
         assert_eq!(
-            s.scan("visits", &[], &grouped_wide),
+            values(s.scan("visits", &[], &grouped_wide)),
             Err(ParError::BadColumn)
         );
         // No failed request was charged.
@@ -551,11 +533,14 @@ mod tests {
         let s = store();
         let all = Shape::default();
         // An unindexed dataset has no row under any key.
-        assert_eq!(s.lookup("visits", &[Value::Int(7)], &[], &all), Ok(vec![]));
+        assert_eq!(
+            values(s.lookup("visits", &[Value::Int(7)], &[], &all)),
+            Ok(vec![])
+        );
         s.build_key_index("visits", &["user"]).unwrap();
         let two = [Value::Int(7), Value::str("url7")];
         assert_eq!(
-            s.lookup("visits", &two, &[], &all),
+            values(s.lookup("visits", &two, &[], &all)),
             Err(ParError::BadColumn)
         );
         let ghost = Err(ParError::UnknownDataset("ghost".into()));
@@ -570,7 +555,7 @@ mod tests {
         );
         // A failed rebuild keeps the index there was.
         assert_eq!(
-            s.lookup("visits", &[Value::Int(7)], &[], &all)
+            values(s.lookup("visits", &[Value::Int(7)], &[], &all))
                 .unwrap()
                 .len(),
             10
@@ -589,7 +574,7 @@ mod tests {
         assert_eq!(before.len(), 1000);
         assert_eq!(s.len("visits"), 1001);
         let under7 = |s: &ParStore| {
-            let rows = s.lookup("visits", &[Value::Int(7)], &[], &Shape::default());
+            let rows = values(s.lookup("visits", &[Value::Int(7)], &[], &Shape::default()));
             rows.unwrap().len()
         };
         assert_eq!(under7(&s), 11);
@@ -599,6 +584,24 @@ mod tests {
         assert_eq!(before.len(), 1000);
         assert_eq!(s.len("visits"), 1000);
         assert_eq!(under7(&s), 10);
+    }
+
+    #[test]
+    fn wrong_arity_creates_and_deltas_are_errors_and_change_nothing() {
+        let s = store();
+        let arity = |got| ParError::Arity { expected: 3, got };
+        let short = vec![vec![Value::Int(1), Value::str("a"), Value::Null], vec![]];
+        let made = s.create_dataset("short", &["a", "b", "c"], short, 2);
+        assert_eq!(made, Err(arity(0)));
+        assert!(s.dataset("short").is_none());
+        let before = s.dataset("visits").unwrap().partitions.clone();
+        let gone = vec![before[0][0]
+            .iter()
+            .map(|id| (*id.value()).clone())
+            .collect()];
+        let wide = vec![Value::Int(1); 4];
+        assert_eq!(s.apply_delta("visits", &gone, &[wide]), Err(arity(4)));
+        assert_eq!(s.dataset("visits").unwrap().partitions, before);
     }
 
     #[test]
@@ -633,9 +636,10 @@ mod tests {
                 Value::array([Value::object([("sku", Value::str("a"))])]),
             ]],
             2,
-        );
+        )
+        .unwrap();
         s.build_key_index("history", &["user"]).unwrap();
-        let out = s.lookup("history", &[Value::Int(1)], &[], &Shape::default());
+        let out = values(s.lookup("history", &[Value::Int(1)], &[], &Shape::default()));
         let out = out.unwrap();
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0][1], Value::Array(_)));

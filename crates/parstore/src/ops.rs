@@ -3,120 +3,99 @@
 //! distributed architecture, the delegated subquery will be evaluated in
 //! parallel fashion").
 //!
-//! Both operators fan their per-partition work out through the shared
-//! scoped-thread executor ([`estocada_parexec::scoped_map`]) and merge the
-//! results **in partition order**, so every operator is deterministic: the
-//! output is identical to a serial partition-by-partition run regardless of
-//! worker scheduling. Each comes in a mapping form
-//! ([`par_filter_map`], [`par_join_map`]) that hands every selected row to
-//! a caller's function *by reference*, to append what it wants of it: that
-//! is how the store projects, de-duplicates and groups a request's rows
-//! without cloning the ones it does not return. The grouping itself
-//! ([`estocada_pivot::GroupBy`]) runs on the coordinator over the
-//! partition-ordered rows — order-sensitive floating-point sums come out
-//! bit-identical to a serial fold.
+//! Both fan their per-partition work out through the shared scoped-thread
+//! executor ([`estocada_parexec::scoped_map`]), each worker projecting the
+//! rows it selects, and merge the results **in partition order**: the
+//! output equals a serial run whatever the scheduling, so the grouping the
+//! coordinator runs over it ([`estocada_pivot::kernel::answer`]) sums
+//! doubles bit-identically. The join's hash table is the kernel's
+//! ([`JoinTable`]).
 
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, Row};
 use estocada_parexec::scoped_map;
-use estocada_pivot::hash::FastMap;
-use estocada_pivot::Value;
+use estocada_pivot::kernel::{pack_key, JoinTable};
+use estocada_pivot::{ConstId, IdRows};
 
-/// Parallel filter over all partitions: whatever `emit` appends for every
-/// row passing `pred`, partition order preserved.
-pub fn par_filter_map<'a, T: Send>(
-    ds: &'a Dataset,
-    pred: &(dyn Fn(&[Value]) -> bool + Sync),
-    emit: impl Fn(&'a [Value], &mut Vec<T>) + Sync,
-) -> Vec<T> {
-    // Partitions are reached through `ds` (not the executor's item
-    // reference) so that mapped rows may borrow from the dataset.
-    scoped_map(ds.partitions.len(), &ds.partitions, |i, _| {
-        let part: &'a [Vec<Value>] = &ds.partitions[i];
-        let mut out = Vec::new();
-        for row in part.iter().filter(|row| pred(row)) {
-            emit(row, &mut out);
-        }
-        out
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+/// The `projection` columns of rows `width` wide, or every column.
+fn columns(projection: Option<&[usize]>, width: usize) -> Vec<usize> {
+    projection.map_or_else(|| (0..width).collect(), <[usize]>::to_vec)
 }
 
-/// Parallel filter + projection over all partitions.
-///
-/// `pred` runs on every row; `projection` (if given) restricts the output
-/// columns. Returns the surviving rows (partition order preserved).
+/// The cells of `rows` at `projection` (every column of the rows, `width`
+/// wide, when `None`).
+pub fn project<'a>(
+    rows: impl IntoIterator<Item = &'a Row>,
+    projection: Option<&[usize]>,
+    width: usize,
+) -> IdRows {
+    let cols = columns(projection, width);
+    let mut out = IdRows::empty(cols.len());
+    rows.into_iter()
+        .for_each(|row| out.push(cols.iter().map(|c| row[*c])));
+    out
+}
+
+/// Each partition's rows, concatenated in partition order.
+fn concat(width: usize, parts: Vec<IdRows>) -> IdRows {
+    let cells = parts.iter().flat_map(|p| &p.cells).copied().collect();
+    let len = parts.iter().map(|p| p.len).sum();
+    IdRows { width, len, cells }
+}
+
+/// Parallel filter + projection: the rows passing `pred`, partition order
+/// preserved, as their `projection` columns (every column when `None`).
 pub fn par_filter(
     ds: &Dataset,
-    pred: &(dyn Fn(&[Value]) -> bool + Sync),
+    pred: &(dyn Fn(&[ConstId]) -> bool + Sync),
     projection: Option<&[usize]>,
-) -> Vec<Vec<Value>> {
-    par_filter_map(ds, pred, |row, out| out.push(project(row, projection)))
+) -> IdRows {
+    let width = ds.columns.len();
+    let parts = scoped_map(ds.partitions.len(), &ds.partitions, |_, part| {
+        project(part.iter().filter(|row| pred(row)), projection, width)
+    });
+    concat(columns(projection, width).len(), parts)
 }
 
 /// Broadcast hash join: build a hash table of `right` (assumed the smaller
-/// side) on `right_keys`, probe `left` partitions in parallel, and collect
-/// whatever `emit` appends for every matching `(left row, right row)` pair.
-pub fn par_join_map<'a, T: Send>(
-    left: &'a Dataset,
-    right: &'a Dataset,
-    left_keys: &[usize],
-    right_keys: &[usize],
-    emit: impl Fn(&'a [Value], &'a [Value], &mut Vec<T>) + Sync,
-) -> Vec<T> {
-    assert_eq!(left_keys.len(), right_keys.len(), "join key arity");
-    let mut table: FastMap<Vec<&Value>, Vec<&'a Vec<Value>>> = FastMap::default();
-    for row in right.iter_rows() {
-        let key: Vec<&Value> = right_keys.iter().map(|c| &row[*c]).collect();
-        table.entry(key).or_default().push(row);
-    }
-    let table = &table;
-    scoped_map(left.partitions.len(), &left.partitions, |i, _| {
-        let part: &'a [Vec<Value>] = &left.partitions[i];
-        let mut out = Vec::new();
-        for lrow in part {
-            let key: Vec<&Value> = left_keys.iter().map(|c| &lrow[*c]).collect();
-            if let Some(matches) = table.get(&key) {
-                for rrow in matches {
-                    emit(lrow, rrow, &mut out);
-                }
-            }
-        }
-        out
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// [`par_join_map`] with owned `left ++ right` output rows.
+/// side) on `right_keys`, probe `left` partitions in parallel, and project
+/// every matching `left ++ right` row onto `projection` (every column when
+/// `None`), partition order preserved.
 pub fn par_join(
     left: &Dataset,
     right: &Dataset,
     left_keys: &[usize],
     right_keys: &[usize],
-) -> Vec<Vec<Value>> {
-    par_join_map(left, right, left_keys, right_keys, |l, r, out| {
-        out.push(l.iter().chain(r).cloned().collect())
-    })
-}
-
-fn project(row: &[Value], projection: Option<&[usize]>) -> Vec<Value> {
-    match projection {
-        None => row.to_vec(),
-        Some(cols) => cols.iter().map(|c| row[*c].clone()).collect(),
-    }
+    projection: Option<&[usize]>,
+) -> IdRows {
+    assert_eq!(left_keys.len(), right_keys.len(), "join key arity");
+    let lw = left.columns.len();
+    let cols = columns(projection, lw + right.columns.len());
+    let key = |row: &[ConstId], on: &[usize]| pack_key(on.iter().map(|c| row[*c]), on.len());
+    let rows: Vec<&Row> = right.iter_rows().collect();
+    let table = JoinTable::build(rows.iter().map(|row| key(row, right_keys)));
+    let parts = scoped_map(left.partitions.len(), &left.partitions, |_, part| {
+        let mut out = IdRows::empty(cols.len());
+        for lrow in part {
+            for at in table.probe(&key(lrow, left_keys)) {
+                let rrow = rows[*at as usize];
+                let cell = |c: &usize| c.checked_sub(lw).map_or_else(|| lrow[*c], |rc| rrow[rc]);
+                out.push(cols.iter().map(cell));
+            }
+        }
+        out
+    });
+    concat(cols.len(), parts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use estocada_pivot::{AggFun, GroupBy};
+    use estocada_pivot::kernel::answer;
+    use estocada_pivot::{AggFun, GroupBy, Value};
 
     /// One aggregate grouped on `group_by`, the way the store answers a
-    /// grouped scan: the needed columns by reference, in partition order,
-    /// into the shared grouping tail.
+    /// grouped scan: the needed columns, in partition order, into the
+    /// shared kernel.
     fn par_aggregate(
         ds: &Dataset,
         group_by: &[usize],
@@ -128,10 +107,18 @@ mod tests {
             aggs: vec![(agg, group_by.len())],
             having: Vec::new(),
         };
-        let cells = par_filter_map(ds, &|_| true, |row, cells| {
-            cells.extend(group_by.iter().chain([&agg_col]).map(|c| &row[*c]))
-        });
-        tail.apply(group_by.len() + 1, &cells)
+        let cols: Vec<usize> = group_by.iter().chain([&agg_col]).copied().collect();
+        let rows = par_filter(ds, &|_| true, Some(&cols));
+        answer(rows, true, Some(&tail)).to_values()
+    }
+
+    /// Every row of `d`, in partition order.
+    fn all(d: &Dataset) -> Vec<Row> {
+        d.iter_rows().cloned().collect()
+    }
+
+    fn is(v: Value) -> ConstId {
+        ConstId::intern(&v)
     }
 
     fn dataset() -> Dataset {
@@ -146,19 +133,20 @@ mod tests {
             }),
             8,
         )
+        .unwrap()
     }
 
     #[test]
     fn par_filter_matches_sequential() {
         let d = dataset();
-        let par = par_filter(&d, &|r| r[1] == Value::Int(2), None);
+        let par = par_filter(&d, &|r| r[1] == is(Value::Int(2)), None);
         let seq: Vec<_> = d
             .iter_rows()
-            .filter(|r| r[1] == Value::Int(2))
+            .filter(|r| r[1] == is(Value::Int(2)))
             .cloned()
             .collect();
-        assert_eq!(par.len(), seq.len());
-        let mut p = par.clone();
+        assert_eq!(par.len, seq.len());
+        let mut p: Vec<Row> = par.rows().map(<[ConstId]>::to_vec).collect();
         let mut s = seq;
         p.sort();
         s.sort();
@@ -168,8 +156,8 @@ mod tests {
     #[test]
     fn par_filter_projection() {
         let d = dataset();
-        let out = par_filter(&d, &|r| r[0] == Value::Int(5), Some(&[2]));
-        assert_eq!(out, vec![vec![Value::Double(2.5)]]);
+        let out = par_filter(&d, &|r| r[0] == is(Value::Int(5)), Some(&[2]));
+        assert_eq!(out.to_values(), vec![vec![Value::Double(2.5)]]);
     }
 
     #[test]
@@ -179,15 +167,17 @@ mod tests {
         // contract of the shared executor.
         let d = dataset();
         let par = par_filter(&d, &|_| true, None);
-        let seq: Vec<_> = d.iter_rows().cloned().collect();
-        assert_eq!(par, seq);
+        assert_eq!(
+            par.rows().map(<[ConstId]>::to_vec).collect::<Vec<_>>(),
+            all(&d)
+        );
     }
 
     #[test]
     fn empty_dataset_ops_yield_empty() {
-        let empty = Dataset::from_rows(&["id", "grp", "amount"], Vec::new(), 4);
-        assert!(par_filter(&empty, &|_| true, None).is_empty());
-        assert!(par_join(&empty, &dataset(), &[1], &[1]).is_empty());
+        let empty = Dataset::from_rows(&["id", "grp", "amount"], Vec::new(), 4).unwrap();
+        assert_eq!(par_filter(&empty, &|_| true, None).len, 0);
+        assert_eq!(par_join(&empty, &dataset(), &[1], &[1], None).len, 0);
         // A grouped aggregate over nothing has no group; a global one is
         // one row (SQL semantics, the mediator's too).
         assert!(par_aggregate(&empty, &[1], AggFun::Count, 0).is_empty());
@@ -203,9 +193,10 @@ mod tests {
             &["id"],
             (0..10).map(|i| vec![Value::Int(i)]),
             1, // one partition → executor takes the serial path
-        );
-        let out = par_filter(&d, &|r| r[0].as_int().unwrap() % 2 == 0, None);
-        assert_eq!(out.len(), 5);
+        )
+        .unwrap();
+        let out = par_filter(&d, &|r| r[0].value().as_int().unwrap() % 2 == 0, None);
+        assert_eq!(out.len, 5);
     }
 
     #[test]
@@ -215,7 +206,7 @@ mod tests {
             par_filter(
                 &d,
                 &|r| {
-                    if r[0] == Value::Int(42) {
+                    if r[0] == is(Value::Int(42)) {
                         panic!("bad row");
                     }
                     true
@@ -233,20 +224,25 @@ mod tests {
             &["grp", "label"],
             (0..4).map(|g| vec![Value::Int(g), Value::str(format!("g{g}"))]),
             2,
-        );
-        let joined = par_join(&left, &right, &[1], &[0]);
-        assert_eq!(joined.len(), 100); // every row has exactly one group
-        for row in &joined {
-            assert_eq!(row.len(), 5);
+        )
+        .unwrap();
+        let joined = par_join(&left, &right, &[1], &[0], None);
+        assert_eq!((joined.len, joined.width), (100, 5)); // one group each
+        for row in joined.rows() {
             assert_eq!(row[1], row[3]); // join keys equal
+        }
+        let labels = par_join(&left, &right, &[1], &[0], Some(&[0, 4]));
+        for row in labels.to_values() {
+            let id = row[0].as_int().unwrap();
+            assert_eq!(row[1], Value::str(format!("g{}", id % 4)));
         }
     }
 
     #[test]
     fn par_join_with_no_matches() {
         let left = dataset();
-        let right = Dataset::from_rows(&["grp"], vec![vec![Value::Int(99)]], 1);
-        assert!(par_join(&left, &right, &[1], &[0]).is_empty());
+        let right = Dataset::from_rows(&["grp"], vec![vec![Value::Int(99)]], 1).unwrap();
+        assert_eq!(par_join(&left, &right, &[1], &[0], None).len, 0);
     }
 
     #[test]

@@ -34,7 +34,28 @@ pub struct ConstId(u32);
 
 struct ConstTable {
     values: Vec<Arc<Value>>,
+    /// Each value's number, dense beside `values`: a fold or an order
+    /// comparison over numbers reads no `Value` behind its `Arc`.
+    numbers: Vec<Number>,
     lookup: FastMap<Arc<Value>, u32>,
+}
+
+/// The number an interned value is, if it is one.
+#[derive(Clone, Copy)]
+enum Number {
+    Int(i64),
+    Double(f64),
+    Not,
+}
+
+impl Number {
+    fn of(value: &Value) -> Number {
+        match value {
+            Value::Int(i) => Number::Int(*i),
+            Value::Double(d) => Number::Double(*d),
+            _ => Number::Not,
+        }
+    }
 }
 
 /// Small integers get dense, arithmetically computed ids at the front of
@@ -62,6 +83,7 @@ fn table() -> &'static RwLock<ConstTable> {
             .collect();
         RwLock::new(ConstTable {
             values,
+            numbers: (SMALL_MIN..=SMALL_MAX).map(Number::Int).collect(),
             lookup: FastMap::default(),
         })
     })
@@ -86,6 +108,7 @@ impl ConstId {
         }
         let id = guard.values.len() as u32;
         let arc = Arc::new(value.clone());
+        guard.numbers.push(Number::of(value));
         guard.values.push(arc.clone());
         guard.lookup.insert(arc, id);
         ConstId(id)
@@ -116,11 +139,12 @@ impl ConstId {
     where
         I: IntoIterator<Item = &'a Value>,
     {
-        let mut out = Vec::new();
+        let values = values.into_iter();
+        let mut out = Vec::with_capacity(values.size_hint().0);
         let mut misses: Vec<(usize, &Value)> = Vec::new();
         {
             let guard = table().read();
-            for (i, v) in values.into_iter().enumerate() {
+            for (i, v) in values.enumerate() {
                 if let Some(id) = small_id(v) {
                     out.push(id);
                 } else {
@@ -169,6 +193,16 @@ impl ConstReader {
     /// Resolve an id without cloning.
     pub fn get(&self, id: ConstId) -> &Value {
         &self.guard.values[id.0 as usize]
+    }
+
+    /// The value of `id` if it is a number (`Int` or `Double`), read from
+    /// a dense array beside the values.
+    pub fn number(&self, id: ConstId) -> Option<Value> {
+        match self.guard.numbers[id.0 as usize] {
+            Number::Int(i) => Some(Value::Int(i)),
+            Number::Double(d) => Some(Value::Double(d)),
+            Number::Not => None,
+        }
     }
 
     /// Look up the id of an already-interned value, if any.
@@ -261,6 +295,8 @@ mod tests {
         assert_eq!(reader.get(ids[0]), &Value::Int(7));
         assert_eq!(reader.lookup(&Value::str("reader-test")), Some(id));
         assert_eq!(reader.lookup(&Value::str("reader-test-missing-xyz")), None);
+        assert_eq!(reader.number(ids[0]), Some(Value::Int(7)));
+        assert_eq!(reader.number(id), None);
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! This crate is purely logical: it defines values, terms, atoms,
 //! conjunctive queries, constraints, view definitions, access patterns and
 //! the relational and document encodings ([`encoding`]; key-value and
-//! full-text relations are plain relations with access patterns), and the
-//! one hasher every in-process hash table uses ([`hash`]). The chase-based
+//! full-text relations are plain relations with access patterns), the one
+//! hasher every in-process hash table uses ([`hash`]) and the one kernel
+//! that joins, de-duplicates and groups interned rows ([`kernel`]) for the
+//! stores and the mediator alike. The chase-based
 //! reasoning over these objects lives in `estocada-chase`; the stores and
 //! the mediator live further up the stack.
 
@@ -25,19 +27,21 @@ pub mod encoding;
 pub mod fact;
 pub mod hash;
 pub mod intern;
+pub mod kernel;
 pub mod multiset;
 pub mod schema;
 pub mod symbol;
 pub mod term;
 pub mod value;
 
-pub use agg::{Accumulator, AggFun, GroupBy};
+pub use agg::{AggFun, GroupBy};
 pub use atom::Atom;
 pub use binding::{AccessMap, AccessPattern, Adornment};
 pub use constraint::{Constraint, Egd, Tgd, ViewDef};
 pub use cq::{Cq, CqBuilder};
 pub use fact::{Fact, IdGen};
 pub use intern::{ConstId, ConstReader};
+pub use kernel::IdRows;
 pub use multiset::{swap_remove, Postings, Wanted};
 pub use schema::{RelationDecl, Schema};
 pub use symbol::Symbol;

@@ -5,15 +5,17 @@
 //! always joining through an available equality predicate when one exists),
 //! residual predicates as filters, projection last — followed, when the
 //! query asks for it, by `DISTINCT` and the `GROUP BY`/aggregate/`HAVING`
-//! tail over the projected rows ([`estocada_pivot::agg`]).
+//! tail over the projected rows. The join, the `DISTINCT` and the tail are
+//! the shared kernel's ([`estocada_pivot::kernel`]), over interned cells.
 
 use crate::query::{CmpOp, ColRef, Pred, SqlQuery};
 use crate::table::Table;
 use estocada_pivot::hash::FastMap;
-use estocada_pivot::{agg, Value};
+use estocada_pivot::kernel::{self, compare, pack_key, JoinTable, RowFilter};
+use estocada_pivot::{ConstReader, IdRows, Value};
 
-/// Why a request could not be answered: a malformed query, or a name the
-/// store does not hold.
+/// Why a request could not be answered: a malformed query or write, or a
+/// name the store does not hold.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryError {
     /// The request names a table the store does not hold.
@@ -27,6 +29,13 @@ pub enum QueryError {
         /// The missing column.
         column: String,
     },
+    /// A written row's arity differs from the table's.
+    Arity {
+        /// The table's arity.
+        expected: usize,
+        /// The row's.
+        got: usize,
+    },
 }
 
 impl std::fmt::Display for QueryError {
@@ -36,6 +45,9 @@ impl std::fmt::Display for QueryError {
             QueryError::BadColumn => write!(f, "column reference out of range"),
             QueryError::UnknownColumn { table, column } => {
                 write!(f, "unknown column {column} on {table}")
+            }
+            QueryError::Arity { expected, got } => {
+                write!(f, "a row of {got} columns in a table of {expected}")
             }
         }
     }
@@ -59,59 +71,57 @@ pub fn run(
     query: &SqlQuery,
     tables: &FastMap<String, Table>,
     counters: &mut ExecCounters,
-) -> Result<Vec<Vec<Value>>, QueryError> {
-    // Resolve tables.
-    let base: Vec<&Table> = query
-        .tables
-        .iter()
-        .map(|n| {
-            tables
-                .get(n)
-                .ok_or_else(|| QueryError::UnknownTable(n.clone()))
-        })
-        .collect::<Result<_, _>>()?;
-
-    // Validate column references.
-    let check = |c: &ColRef| -> Result<(), QueryError> {
-        if c.table >= base.len() || c.column >= base[c.table].columns.len() {
-            return Err(QueryError::BadColumn);
-        }
-        Ok(())
+) -> Result<IdRows, QueryError> {
+    let table = |n: &String| {
+        tables
+            .get(n)
+            .ok_or_else(|| QueryError::UnknownTable(n.clone()))
     };
-    for p in &query.predicates {
-        match p {
-            Pred::ColConst(c, _, _) => check(c)?,
-            Pred::ColCol(l, _, r) => {
-                check(l)?;
-                check(r)?;
-            }
-        }
-    }
-    for c in &query.projection {
-        check(c)?;
-    }
-    if query
+    let base: Vec<&Table> = query.tables.iter().map(table).collect::<Result<_, _>>()?;
+    // Every column reference, and the tail's, must exist.
+    let refs = query.predicates.iter().flat_map(|p| match p {
+        Pred::ColConst(c, _, _) => [c, c],
+        Pred::ColCol(l, _, r) => [l, r],
+    });
+    let bad = |c: &ColRef| {
+        base.get(c.table)
+            .is_none_or(|t| c.column >= t.columns.len())
+    };
+    let tail_fits = query
         .group
         .as_ref()
-        .is_some_and(|g| !g.fits(query.projection.len()))
-    {
+        .is_none_or(|g| g.fits(query.projection.len()));
+    if refs.chain(&query.projection).any(bad) || !tail_fits {
         return Err(QueryError::BadColumn);
     }
+    // The reader is gone before the tail interns what it computes.
+    let projected = {
+        let reader = ConstReader::new();
+        select_project_join(query, &base, &reader, counters)
+    };
+    let out = kernel::answer(projected, query.distinct, query.group.as_ref());
+    counters.produced += out.len as u64;
+    Ok(out)
+}
 
+/// The conjunctive block of `query` over `base`, projected (an empty
+/// SELECT list still answers one empty row per match).
+fn select_project_join(
+    query: &SqlQuery,
+    base: &[&Table],
+    reader: &ConstReader,
+    counters: &mut ExecCounters,
+) -> IdRows {
     // Phase 1: per-table candidate rows after constant predicates.
-    let mut candidates: Vec<Vec<usize>> = Vec::with_capacity(base.len());
-    for (ti, t) in base.iter().enumerate() {
-        let consts: Vec<(&ColRef, &CmpOp, &Value)> = query
-            .predicates
-            .iter()
-            .filter_map(|p| match p {
-                Pred::ColConst(c, op, v) if c.table == ti => Some((c, op, v)),
+    let mut candidates: Vec<Vec<usize>> = (base.iter().enumerate())
+        .map(|(ti, t)| {
+            let consts = query.predicates.iter().filter_map(|p| match p {
+                Pred::ColConst(c, op, v) if c.table == ti => Some((c.column, *op, v)),
                 _ => None,
-            })
-            .collect();
-        let rows = select_rows(t, &consts, counters);
-        candidates.push(rows);
-    }
+            });
+            select_rows(t, consts.collect(), reader, counters)
+        })
+        .collect();
 
     // Phase 2: greedy join.
     // State: the joined tables in join order, the combined bindings laid
@@ -123,22 +133,21 @@ pub fn run(
     let mut result: Vec<usize> = Vec::new();
     let mut remaining: Vec<usize> = (0..n).collect();
     remaining.sort_by_key(|&i| candidates[i].len());
+    // The equality keys `(ti's column, joined column)` between table `ti`
+    // and the joined set.
+    let keys_into = |ti: usize, joined: &[usize]| -> Vec<(ColRef, ColRef)> {
+        let eqs = query.predicates.iter().filter_map(|p| match p {
+            Pred::ColCol(l, CmpOp::Eq, r) => Some([(*l, *r), (*r, *l)]),
+            _ => None,
+        });
+        let into = |(new, old): &(ColRef, ColRef)| new.table == ti && joined.contains(&old.table);
+        eqs.filter_map(|pair| pair.into_iter().find(into)).collect()
+    };
 
     while !remaining.is_empty() {
         // Prefer a table with an equality predicate into the joined set.
-        let pick_pos = remaining
-            .iter()
-            .position(|&ti| {
-                !joined.is_empty()
-                    && query.predicates.iter().any(|p| match p {
-                        Pred::ColCol(l, CmpOp::Eq, r) => {
-                            (l.table == ti && joined.contains(&r.table))
-                                || (r.table == ti && joined.contains(&l.table))
-                        }
-                        _ => false,
-                    })
-            })
-            .unwrap_or(0);
+        let connected = |ti: &usize| !keys_into(*ti, &joined).is_empty();
+        let pick_pos = remaining.iter().position(connected).unwrap_or(0);
         let ti = remaining.remove(pick_pos);
 
         slot[ti] = joined.len();
@@ -147,25 +156,7 @@ pub fn run(
             joined.push(ti);
             continue;
         }
-
-        // Equality keys between ti and the joined set.
-        let keys: Vec<(ColRef, ColRef)> = query
-            .predicates
-            .iter()
-            .filter_map(|p| match p {
-                Pred::ColCol(l, CmpOp::Eq, r) => {
-                    if l.table == ti && joined.contains(&r.table) {
-                        Some((*l, *r))
-                    } else if r.table == ti && joined.contains(&l.table) {
-                        Some((*r, *l))
-                    } else {
-                        None
-                    }
-                }
-                _ => None,
-            })
-            .collect();
-
+        let keys = keys_into(ti, &joined);
         let stride = joined.len();
         let mut next = Vec::new();
         let mut extend = |combo: &[usize], r: usize| {
@@ -180,27 +171,19 @@ pub fn run(
                 }
             }
         } else {
-            // Hash join on the first key; extra keys verified after probe.
-            let (new_col, old_col) = keys[0];
-            let mut hash: FastMap<&Value, Vec<usize>> = FastMap::default();
-            for (ci, combo) in result.chunks_exact(stride).enumerate() {
-                let v = &base[old_col.table].rows[combo[slot[old_col.table]]][old_col.column];
-                hash.entry(v).or_default().push(ci);
-            }
+            // Hash join: the joined combos build, `ti`'s rows probe.
+            let old = |combo: &[usize]| {
+                let cells = keys
+                    .iter()
+                    .map(|(_, c)| base[c.table].rows[combo[slot[c.table]]][c.column]);
+                pack_key(cells, keys.len())
+            };
+            let table = JoinTable::build(result.chunks_exact(stride).map(old));
             for &r in &candidates[ti] {
-                let probe = &base[ti].rows[r][new_col.column];
-                if let Some(matches) = hash.get(probe) {
-                    for &ci in matches {
-                        let combo = &result[ci * stride..(ci + 1) * stride];
-                        // Verify remaining equality keys.
-                        let ok = keys.iter().skip(1).all(|(nc, oc)| {
-                            base[ti].rows[r][nc.column]
-                                == base[oc.table].rows[combo[slot[oc.table]]][oc.column]
-                        });
-                        if ok {
-                            extend(combo, r);
-                        }
-                    }
+                let cells = keys.iter().map(|(nc, _)| base[ti].rows[r][nc.column]);
+                for &ci in table.probe(&pack_key(cells, keys.len())) {
+                    let ci = ci as usize;
+                    extend(&result[ci * stride..(ci + 1) * stride], r);
                 }
             }
         }
@@ -212,81 +195,63 @@ pub fn run(
     // hash join connected two tables through are re-checked, which also
     // covers same-table equalities). Constant predicates ran in phase 1.
     let stride = joined.len().max(1);
-    let cell = |combo: &[usize], c: &ColRef| &base[c.table].rows[combo[slot[c.table]]][c.column];
-    let col_col = |p: &Pred| match p {
-        Pred::ColCol(l, op, r) => Some((*l, *op, *r)),
-        Pred::ColConst(..) => None,
-    };
-    let residual: Vec<(ColRef, CmpOp, ColRef)> =
-        query.predicates.iter().filter_map(col_col).collect();
+    let cell = |combo: &[usize], c: &ColRef| base[c.table].rows[combo[slot[c.table]]][c.column];
+    let residual: Vec<&Pred> = (query.predicates.iter())
+        .filter(|p| matches!(p, Pred::ColCol(..)))
+        .collect();
     if !residual.is_empty() {
+        let holds = |combo: &[usize], p: &Pred| match p {
+            Pred::ColCol(l, op, r) => compare(*op, cell(combo, l), cell(combo, r), reader),
+            Pred::ColConst(..) => true,
+        };
+        let pass = |combo: &&[usize]| residual.iter().all(|p| holds(combo, p));
         result = result
             .chunks_exact(stride)
-            .filter(|combo| {
-                residual
-                    .iter()
-                    .all(|(l, op, r)| op.eval(cell(combo, l), cell(combo, r)))
-            })
+            .filter(pass)
             .flatten()
             .copied()
             .collect();
     }
 
-    // Phase 4: projection — by reference, laid out flat, so that DISTINCT
-    // and the grouping tail run beside the data and only what is returned
-    // gets cloned.
+    // Phase 4: projection — interned cells, laid out flat, so that DISTINCT
+    // and the grouping tail run beside the data.
     let width = query.projection.len();
-    let mut cells: Vec<&Value> = Vec::with_capacity(result.len() / stride * width);
+    let len = result.len() / stride;
+    let mut cells = Vec::with_capacity(len * width);
     for combo in result.chunks_exact(stride) {
         cells.extend(query.projection.iter().map(|c| cell(combo, c)));
     }
-    let out = if width == 0 && !query.distinct {
-        // An empty SELECT list still answers one (empty) row per match.
-        vec![Vec::new(); result.len() / stride]
-    } else {
-        agg::answer(width, &cells, query.distinct, query.group.as_ref())
-    };
-    counters.produced += out.len() as u64;
-    Ok(out)
+    IdRows { width, len, cells }
 }
 
-/// Rows of `t` matching the conjunction of constant predicates, using the
-/// best available index.
+/// Rows of `t` matching the conjunction of constant predicates
+/// `(column, op, constant)`, using the best available index.
 fn select_rows(
     t: &Table,
-    consts: &[(&ColRef, &CmpOp, &Value)],
+    consts: Vec<(usize, CmpOp, &Value)>,
+    reader: &ConstReader,
     counters: &mut ExecCounters,
 ) -> Vec<usize> {
     // Try an index for one equality or range predicate.
-    let mut seed: Option<Vec<usize>> = None;
-    for (c, op, v) in consts {
-        let Some(idx) = t.indexes.get(&c.column) else {
-            continue;
-        };
-        let v = *v;
-        seed = match op {
-            CmpOp::Eq => Some(idx.get(v).to_vec()),
-            CmpOp::Gt | CmpOp::Ge => Some(idx.range(v..).collect()),
-            CmpOp::Lt | CmpOp::Le => Some(idx.range(..=v).collect()),
-            CmpOp::Ne => continue,
-        };
-        counters.used_index = true;
-        break;
-    }
-    let candidate_rows: Vec<usize> = match seed {
-        Some(rows) => rows,
-        None => {
-            counters.scanned += t.len() as u64;
-            (0..t.len()).collect()
+    let probe = |(c, op, v): &(usize, CmpOp, &Value)| {
+        let idx = t.indexes.get(c)?;
+        match op {
+            CmpOp::Eq => Some(idx.get(*v).to_vec()),
+            CmpOp::Gt | CmpOp::Ge => Some(idx.range(*v..).collect()),
+            CmpOp::Lt | CmpOp::Le => Some(idx.range(..=*v).collect()),
+            CmpOp::Ne => None,
         }
     };
-    candidate_rows
+    let seed = consts.iter().find_map(probe);
+    counters.used_index |= seed.is_some();
+    let candidates = seed.unwrap_or_else(|| {
+        counters.scanned += t.len() as u64;
+        (0..t.len()).collect()
+    });
+    let test = RowFilter::new(consts, reader);
+    candidates
         .into_iter()
-        .filter(|&r| {
-            consts
-                .iter()
-                .all(|(c, op, v)| op.eval(&t.rows[r][c.column], v))
-        })
+        .filter(|r| test.pass(&t.rows[*r]))
         .collect()
 }
 
@@ -296,13 +261,17 @@ mod tests {
 
     fn setup() -> FastMap<String, Table> {
         let mut users = Table::new(&["uid", "name", "tier"]);
-        users.insert(vec![Value::Int(1), Value::str("ann"), Value::str("gold")]);
-        users.insert(vec![Value::Int(2), Value::str("bob"), Value::str("free")]);
-        users.insert(vec![Value::Int(3), Value::str("cara"), Value::str("gold")]);
+        let user = |uid, name, tier| vec![Value::Int(uid), Value::str(name), Value::str(tier)];
+        let rows = [
+            user(1, "ann", "gold"),
+            user(2, "bob", "free"),
+            user(3, "cara", "gold"),
+        ];
+        users.insert(&rows).unwrap();
         let mut orders = Table::new(&["oid", "uid", "total"]);
-        orders.insert(vec![Value::Int(10), Value::Int(1), Value::Int(100)]);
-        orders.insert(vec![Value::Int(11), Value::Int(1), Value::Int(5)]);
-        orders.insert(vec![Value::Int(12), Value::Int(3), Value::Int(42)]);
+        let order = |oid, uid, total| vec![Value::Int(oid), Value::Int(uid), Value::Int(total)];
+        let rows = [order(10, 1, 100), order(11, 1, 5), order(12, 3, 42)];
+        orders.insert(&rows).unwrap();
         let mut m = FastMap::default();
         m.insert("users".to_string(), users);
         m.insert("orders".to_string(), orders);
@@ -322,7 +291,7 @@ mod tests {
             .filter(Pred::ColConst(col(0, 2), CmpOp::Eq, Value::str("gold")))
             .select(col(0, 1));
         let mut c = ExecCounters::default();
-        let rows = run(&q, &tables, &mut c).unwrap();
+        let rows = run(&q, &tables, &mut c).unwrap().to_values();
         assert_eq!(rows.len(), 2);
         assert!(!c.used_index);
         assert_eq!(c.scanned, 3);
@@ -338,7 +307,7 @@ mod tests {
             .filter(Pred::ColConst(col(0, 2), CmpOp::Eq, Value::str("gold")))
             .select(col(0, 0));
         let mut c = ExecCounters::default();
-        let rows = run(&q, &tables, &mut c).unwrap();
+        let rows = run(&q, &tables, &mut c).unwrap().to_values();
         assert_eq!(rows.len(), 2);
         assert!(c.used_index);
         assert_eq!(c.scanned, 0);
@@ -355,7 +324,7 @@ mod tests {
             .select(col(0, 1))
             .select(col(1, 2));
         let mut c = ExecCounters::default();
-        let mut rows = run(&q, &tables, &mut c).unwrap();
+        let mut rows = run(&q, &tables, &mut c).unwrap().to_values();
         rows.sort();
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0], vec![Value::str("ann"), Value::Int(5)]);
@@ -373,7 +342,7 @@ mod tests {
             .filter(Pred::ColConst(col(1, 2), CmpOp::Gt, Value::Int(50)))
             .select(col(0, 1));
         let mut c = ExecCounters::default();
-        let rows = run(&q, &tables, &mut c).unwrap();
+        let rows = run(&q, &tables, &mut c).unwrap().to_values();
         assert_eq!(rows, vec![vec![Value::str("ann")]]);
     }
 
@@ -387,7 +356,7 @@ mod tests {
             .filter(Pred::ColConst(col(0, 2), CmpOp::Ge, Value::Int(42)))
             .select(col(0, 0));
         let mut c = ExecCounters::default();
-        let mut rows = run(&q, &tables, &mut c).unwrap();
+        let mut rows = run(&q, &tables, &mut c).unwrap().to_values();
         rows.sort();
         assert_eq!(rows, vec![vec![Value::Int(10)], vec![Value::Int(12)]]);
         assert!(c.used_index);
@@ -401,7 +370,7 @@ mod tests {
         q.add_table("orders");
         let q = q.select(col(0, 0)).select(col(1, 0));
         let mut c = ExecCounters::default();
-        let rows = run(&q, &tables, &mut c).unwrap();
+        let rows = run(&q, &tables, &mut c).unwrap().to_values();
         assert_eq!(rows.len(), 9);
     }
 
@@ -418,7 +387,7 @@ mod tests {
             .select(col(0, 0))
             .select(col(1, 0));
         let mut c = ExecCounters::default();
-        let rows = run(&q, &tables, &mut c).unwrap();
+        let rows = run(&q, &tables, &mut c).unwrap().to_values();
         // gold pair (1,3) both directions
         assert_eq!(rows.len(), 2);
     }
@@ -452,15 +421,13 @@ mod tests {
         q.add_table("users");
         let mut q = q.select(col(0, 2));
         assert_eq!(
-            run(&q, &tables, &mut ExecCounters::default())
-                .unwrap()
-                .len(),
+            run(&q, &tables, &mut ExecCounters::default()).unwrap().len,
             3
         );
         q.distinct = true;
         let mut c = ExecCounters::default();
         assert_eq!(
-            run(&q, &tables, &mut c).unwrap(),
+            run(&q, &tables, &mut c).unwrap().to_values(),
             vec![vec![Value::str("gold")], vec![Value::str("free")]]
         );
         assert_eq!(c.produced, 2);
@@ -485,6 +452,7 @@ mod tests {
             having: vec![(1, CmpOp::Ge, Value::Int(3))],
         });
         let rows = run(&q, &tables, &mut ExecCounters::default()).unwrap();
+        let rows = rows.to_values();
         assert_eq!(
             rows,
             vec![vec![

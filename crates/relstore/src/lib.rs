@@ -1,9 +1,10 @@
 //! # estocada-relstore
 //!
 //! An in-memory relational store — the Postgres stand-in of the ESTOCADA
-//! reproduction. It supports typed-as-dynamic rows, ordered secondary
-//! indexes (equality and range lookups), a conjunctive select-project-join executor with greedy
-//! hash-join ordering, and the simkit latency/metrics instrumentation that
+//! reproduction. It supports typed-as-dynamic rows held as interned cells,
+//! ordered secondary indexes (equality and range lookups), a conjunctive
+//! select-project-join executor with greedy hash-join ordering that answers
+//! in interned cells, and the simkit latency/metrics instrumentation that
 //! models a networked deployment. (The mediator's cost model keeps its own
 //! per-fragment statistics; the store computes none.)
 //!
@@ -22,7 +23,8 @@ pub use query::{CmpOp, ColRef, Pred, SqlQuery};
 pub use table::Table;
 
 use estocada_pivot::hash::FastMap;
-use estocada_pivot::Value;
+use estocada_pivot::kernel::values_of;
+use estocada_pivot::{IdRows, Value};
 use estocada_simkit::{LatencyModel, RequestTimer, StoreMetrics};
 use parking_lot::RwLock;
 
@@ -57,25 +59,21 @@ impl RelStore {
             .insert(name.to_string(), Table::new(columns));
     }
 
-    /// The table `name`, for an admin write.
-    fn table_mut<'g>(
-        tables: &'g mut FastMap<String, Table>,
-        name: &str,
-    ) -> Result<&'g mut Table, QueryError> {
-        let t = tables.get_mut(name);
-        t.ok_or_else(|| QueryError::UnknownTable(name.to_string()))
-    }
-
-    /// Bulk-insert rows into `name`.
-    pub fn insert_many(
+    /// Run the admin write `f` on table `name`.
+    fn write<R>(
         &self,
         name: &str,
-        rows: impl IntoIterator<Item = Vec<Value>>,
-    ) -> Result<(), QueryError> {
+        f: impl FnOnce(&mut Table) -> Result<R, QueryError>,
+    ) -> Result<R, QueryError> {
         let mut guard = self.tables.write();
-        let t = Self::table_mut(&mut guard, name)?;
-        rows.into_iter().for_each(|r| t.insert(r));
-        Ok(())
+        let missing = || QueryError::UnknownTable(name.to_string());
+        f(guard.get_mut(name).ok_or_else(missing)?)
+    }
+
+    /// Bulk-insert rows into `name`: all of them, or — when one has
+    /// another arity than the table ([`QueryError::Arity`]) — none.
+    pub fn insert_many(&self, name: &str, rows: &[Vec<Value>]) -> Result<(), QueryError> {
+        self.write(name, |t| t.insert(rows))
     }
 
     /// Delete rows from `name`: each entry of `rows` removes **one**
@@ -85,22 +83,17 @@ impl RelStore {
     /// were actually removed. Admin path: no metrics or latency — like
     /// [`RelStore::insert_many`].
     pub fn delete_rows(&self, name: &str, rows: &[Vec<Value>]) -> Result<usize, QueryError> {
-        let mut guard = self.tables.write();
-        Ok(Self::table_mut(&mut guard, name)?.delete_rows(rows))
+        self.write(name, |t| Ok(t.delete_rows(rows)))
     }
 
     /// Create an index on `table.column`.
     pub fn create_index(&self, table: &str, column: &str) -> Result<(), QueryError> {
-        let mut guard = self.tables.write();
-        let t = Self::table_mut(&mut guard, table)?;
-        let col = t
-            .column_index(column)
-            .ok_or_else(|| QueryError::UnknownColumn {
-                table: table.to_string(),
-                column: column.to_string(),
-            })?;
-        t.create_index(col);
-        Ok(())
+        self.write(table, |t| {
+            let col = t.column_index(column);
+            let (table, column) = (table.to_string(), column.to_string());
+            t.create_index(col.ok_or(QueryError::UnknownColumn { table, column })?);
+            Ok(())
+        })
     }
 
     /// Row count of a table (0 if missing).
@@ -116,21 +109,21 @@ impl RelStore {
     /// Physical row dump of a table in storage order (admin path: no
     /// metrics, no latency). `None` for unknown tables.
     pub fn scan(&self, table: &str) -> Option<Vec<Vec<Value>>> {
-        self.tables.read().get(table).map(|t| t.rows.clone())
+        let guard = self.tables.read();
+        guard
+            .get(table)
+            .map(|t| values_of(t.rows.iter().map(Vec::as_slice)))
     }
 
-    /// Run a conjunctive query; metrics and latency are charged.
-    pub fn query(&self, q: &SqlQuery) -> Result<Vec<Vec<Value>>, QueryError> {
+    /// Run a conjunctive query; metrics and latency are charged. The rows
+    /// come back as interned cells.
+    pub fn query(&self, q: &SqlQuery) -> Result<IdRows, QueryError> {
         let guard = self.tables.read();
         let mut timer = RequestTimer::start(&self.metrics, self.latency);
         let mut counters = ExecCounters::default();
         let rows = exec::run(q, &guard, &mut counters)?;
         timer.add_scanned(counters.scanned);
-        let bytes: usize = rows
-            .iter()
-            .map(|r| r.iter().map(Value::approx_size).sum::<usize>())
-            .sum();
-        timer.set_output(rows.len() as u64, bytes as u64);
+        timer.set_output(rows.len as u64, rows.approx_size() as u64);
         Ok(rows)
     }
 
@@ -154,7 +147,7 @@ mod tests {
         s.create_table("users", &["uid", "name"]);
         s.insert_many(
             "users",
-            vec![
+            &[
                 vec![Value::Int(1), Value::str("ann")],
                 vec![Value::Int(2), Value::str("bob")],
             ],
@@ -181,7 +174,7 @@ mod tests {
                 table: 0,
                 column: 1,
             });
-        let rows = s.query(&q).unwrap();
+        let rows = s.query(&q).unwrap().to_values();
         assert_eq!(rows, vec![vec![Value::str("bob")]]);
         let m = s.metrics.snapshot();
         assert_eq!(m.requests, 1);
@@ -193,7 +186,7 @@ mod tests {
     fn unknown_tables_and_columns_are_errors() {
         let s = store();
         let ghost = || Err(QueryError::UnknownTable("ghost".into()));
-        assert_eq!(s.insert_many("ghost", vec![vec![Value::Int(3)]]), ghost());
+        assert_eq!(s.insert_many("ghost", &[vec![Value::Int(3)]]), ghost());
         assert_eq!(s.delete_rows("ghost", &[]), ghost().map(|()| 0));
         assert_eq!(s.create_index("ghost", "uid"), ghost());
         assert_eq!(
@@ -204,6 +197,22 @@ mod tests {
             })
         );
         assert_eq!(s.row_count("users"), 2);
+    }
+
+    #[test]
+    fn a_wrong_arity_insert_is_an_error_and_writes_nothing() {
+        let s = store();
+        let rows = [vec![Value::Int(3), Value::str("cy")], vec![Value::Int(4)]];
+        let err = s.insert_many("users", &rows);
+        assert_eq!(
+            err,
+            Err(QueryError::Arity {
+                expected: 2,
+                got: 1
+            })
+        );
+        assert_eq!(s.row_count("users"), 2);
+        assert_eq!(s.scan("users").unwrap().len(), 2);
     }
 
     #[test]
@@ -243,7 +252,10 @@ mod tests {
                 table: 0,
                 column: 1,
             });
-        assert_eq!(s.query(&q).unwrap(), vec![vec![Value::str("bob")]]);
+        assert_eq!(
+            s.query(&q).unwrap().to_values(),
+            vec![vec![Value::str("bob")]]
+        );
     }
 
     #[test]
@@ -265,6 +277,6 @@ mod tests {
                 table: 0,
                 column: 1,
             });
-        assert_eq!(s.query(&q).unwrap().len(), 1);
+        assert_eq!(s.query(&q).unwrap().to_values().len(), 1);
     }
 }

@@ -69,43 +69,36 @@ impl SqlQuery {
 
     /// Write the conjunctive block: `SELECT [DISTINCT] … FROM … [WHERE …]`.
     fn fmt_block(&self, f: &mut fmt::Formatter<'_>, distinct: bool) -> fmt::Result {
-        write!(f, "SELECT ")?;
-        if distinct {
-            write!(f, "DISTINCT ")?;
-        }
-        if self.projection.is_empty() {
-            write!(f, "*")?;
-        }
-        for (i, c) in self.projection.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "t{}.c{}", c.table, c.column)?;
-        }
-        write!(f, " FROM ")?;
-        for (i, t) in self.tables.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{t} t{i}")?;
-        }
-        if !self.predicates.is_empty() {
-            write!(f, " WHERE ")?;
-            for (i, p) in self.predicates.iter().enumerate() {
-                if i > 0 {
-                    write!(f, " AND ")?;
-                }
-                match p {
-                    Pred::ColConst(c, op, v) => write!(f, "t{}.c{} {op} {v}", c.table, c.column)?,
-                    Pred::ColCol(l, op, r) => write!(
-                        f,
-                        "t{}.c{} {op} t{}.c{}",
-                        l.table, l.column, r.table, r.column
-                    )?,
-                }
-            }
+        let cols: Vec<String> = self.projection.iter().map(ColRef::to_string).collect();
+        let cols = if cols.is_empty() {
+            "*".into()
+        } else {
+            cols.join(", ")
+        };
+        let from = self
+            .tables
+            .iter()
+            .enumerate()
+            .map(|(i, t)| format!("{t} t{i}"));
+        let distinct = if distinct { "DISTINCT " } else { "" };
+        let from = from.collect::<Vec<_>>().join(", ");
+        write!(f, "SELECT {distinct}{cols} FROM {from}")?;
+        let pred = |p: &Pred| match p {
+            Pred::ColConst(c, op, v) => format!("{c} {op} {v}"),
+            Pred::ColCol(l, op, r) => format!("{l} {op} {r}"),
+        };
+        let preds: Vec<String> = self.predicates.iter().map(pred).collect();
+        if !preds.is_empty() {
+            write!(f, " WHERE {}", preds.join(" AND "))?;
         }
         Ok(())
+    }
+}
+
+/// `t{table}.c{column}`.
+impl fmt::Display for ColRef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "t{}.c{}", self.table, self.column)
     }
 }
 

@@ -1,16 +1,18 @@
 //! Tables, rows and secondary indexes.
 
+use crate::exec::QueryError;
 use estocada_pivot::hash::FastMap;
-use estocada_pivot::{swap_remove, Postings, Value, Wanted};
-use std::collections::BTreeSet;
+use estocada_pivot::kernel::{held, misfit};
+use estocada_pivot::{swap_remove, ConstId, ConstReader, Postings, Value, Wanted};
 
-/// An in-memory row-store table.
+/// An in-memory row-store table. Cells are interned once, when a row is
+/// written; the indexes keep the value order, for range lookups.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     /// Column names.
     pub columns: Vec<String>,
     /// Row data, in column order.
-    pub rows: Vec<Vec<Value>>,
+    pub rows: Vec<Vec<ConstId>>,
     /// Secondary indexes by column position: each value with the rows
     /// holding it, for equality and range lookups.
     pub indexes: FastMap<usize, Postings<Value>>,
@@ -31,14 +33,21 @@ impl Table {
         self.columns.iter().position(|c| c == name)
     }
 
-    /// Append a row (arity-checked); indexes are maintained.
-    pub fn insert(&mut self, row: Vec<Value>) {
-        assert_eq!(row.len(), self.columns.len(), "row arity mismatch");
-        let id = self.rows.len();
-        for (col, idx) in self.indexes.iter_mut() {
-            idx.insert(row[*col].clone(), id);
+    /// Append rows; indexes are maintained. A row of another arity than the
+    /// table's is [`QueryError::Arity`], and then no row is appended.
+    pub fn insert(&mut self, rows: &[Vec<Value>]) -> Result<(), QueryError> {
+        let expected = self.columns.len();
+        if let Some(got) = misfit(rows, expected) {
+            return Err(QueryError::Arity { expected, got });
         }
-        self.rows.push(row);
+        let mut ids = ConstId::intern_all(rows.iter().flatten()).into_iter();
+        for row in rows {
+            for (col, idx) in self.indexes.iter_mut() {
+                idx.insert(row[*col].clone(), self.rows.len());
+            }
+            self.rows.push(ids.by_ref().take(expected).collect());
+        }
+        Ok(())
     }
 
     /// Remove one stored row equal to each entry of `rows` (entries with no
@@ -50,33 +59,34 @@ impl Table {
     /// postings it touches, not the table. No physical row order is
     /// promised.
     pub fn delete_rows(&mut self, rows: &[Vec<Value>]) -> usize {
-        let found = self.locate(rows);
+        let entries = held(rows, self.columns.len());
+        let mut wanted = Wanted::of(entries.iter().map(Vec::as_slice));
+        let reader = ConstReader::new();
+        let row_at = |at: usize| self.rows[at].as_slice();
+        // One stored instance per entry, the lowest positions first; the
+        // candidates: every row an entry's value is posted under, or all.
+        let found = match self.indexes.iter().min_by_key(|(col, _)| **col) {
+            Some((col, idx)) => {
+                wanted.claim_under(|row| reader.get(row[*col]), |v| idx.get(*v), row_at)
+            }
+            None => wanted.claim(0..self.rows.len(), row_at),
+        };
         let indexes = &mut self.indexes;
         swap_remove(&mut self.rows, found.iter().copied(), |row, from, to| {
             for (col, idx) in indexes.iter_mut() {
-                idx.relocate(&row[*col], from, to);
+                idx.relocate(reader.get(row[*col]), from, to);
             }
         });
         found.len()
     }
 
-    /// The position of one stored instance per entry of `rows`: equal
-    /// entries claim distinct instances, the lowest positions first.
-    fn locate(&self, rows: &[Vec<Value>]) -> BTreeSet<usize> {
-        let mut wanted = Wanted::new(rows, self.columns.len());
-        let row_at = |at: usize| self.rows[at].as_slice();
-        match self.indexes.iter().min_by_key(|(col, _)| **col) {
-            // The candidates: every row holding an entry's value, each
-            // posting list ascending.
-            Some((col, idx)) => wanted.claim_under(|row| row[*col].clone(), |v| idx.get(v), row_at),
-            None => wanted.claim(0..self.rows.len(), row_at),
-        }
-    }
-
     /// Build an index over `column` (replacing any existing one).
     pub fn create_index(&mut self, column: usize) {
+        let reader = ConstReader::new();
         let posted = self.rows.iter().enumerate();
-        let idx = posted.map(|(at, row)| (row[column].clone(), at)).collect();
+        let idx = posted
+            .map(|(at, row)| (reader.get(row[column]).clone(), at))
+            .collect();
         self.indexes.insert(column, idx);
     }
 
@@ -94,13 +104,22 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use estocada_pivot::kernel::values_of;
 
     fn table() -> Table {
         let mut t = Table::new(&["id", "name", "age"]);
-        t.insert(vec![Value::Int(1), Value::str("ann"), Value::Int(30)]);
-        t.insert(vec![Value::Int(2), Value::str("bob"), Value::Int(25)]);
-        t.insert(vec![Value::Int(3), Value::str("carol"), Value::Int(30)]);
+        t.insert(&[
+            vec![Value::Int(1), Value::str("ann"), Value::Int(30)],
+            vec![Value::Int(2), Value::str("bob"), Value::Int(25)],
+            vec![Value::Int(3), Value::str("carol"), Value::Int(30)],
+        ])
+        .unwrap();
         t
+    }
+
+    /// The stored rows, resolved, in storage order.
+    fn values(t: &Table) -> Vec<Vec<Value>> {
+        values_of(t.rows.iter().map(Vec::as_slice))
     }
 
     #[test]
@@ -127,15 +146,28 @@ mod tests {
     fn insert_maintains_existing_indexes() {
         let mut t = table();
         t.create_index(0);
-        t.insert(vec![Value::Int(4), Value::str("dan"), Value::Int(40)]);
+        let dan = vec![Value::Int(4), Value::str("dan"), Value::Int(40)];
+        t.insert(&[dan]).unwrap();
         assert_eq!(t.indexes[&0].get(&Value::Int(4)), &[3]);
     }
 
     #[test]
-    #[should_panic(expected = "arity mismatch")]
     fn arity_checked_on_insert() {
         let mut t = table();
-        t.insert(vec![Value::Int(9)]);
+        t.create_index(0);
+        let before = values(&t);
+        let ten = vec![Value::Int(10), Value::str("ten"), Value::Int(10)];
+        let short = vec![Value::Int(9)];
+        let err = t.insert(&[ten, short]);
+        assert_eq!(
+            err,
+            Err(QueryError::Arity {
+                expected: 3,
+                got: 1
+            })
+        );
+        assert_eq!(values(&t), before);
+        assert!(t.indexes[&0].get(&Value::Int(10)).is_empty());
     }
 
     /// The rows, sorted — after checking that every index lists what a
@@ -147,11 +179,12 @@ mod tests {
             let mut rebuilt = t.clone();
             rebuilt.create_index(*col);
             assert_eq!(idx, &rebuilt.indexes[col], "index drifted");
+            let rows = values(t);
             let scan = |keep: &dyn Fn(&Value) -> bool| -> Vec<usize> {
-                (0..t.len()).filter(|at| keep(&t.rows[*at][*col])).collect()
+                (0..t.len()).filter(|at| keep(&rows[*at][*col])).collect()
             };
             let ghost = Value::Int(25);
-            for v in t.rows.iter().map(|r| &r[*col]).chain([&ghost]) {
+            for v in rows.iter().map(|r| &r[*col]).chain([&ghost]) {
                 assert_eq!(idx.get(v), scan(&|x| x == v), "lookup of {v}");
                 let mut from: Vec<usize> = idx.range(v..).collect();
                 let mut upto: Vec<usize> = idx.range(..=v).collect();
@@ -161,7 +194,7 @@ mod tests {
                 assert_eq!(upto, scan(&|x| x <= v), "range up to {v}");
             }
         }
-        let mut rows = t.rows.clone();
+        let mut rows = values(t);
         rows.sort();
         rows
     }
@@ -187,7 +220,7 @@ mod tests {
             self.model.sort();
             for t in [&mut self.indexed, &mut self.plain] {
                 assert_eq!(t.delete_rows(&deletes), removed);
-                inserts.iter().for_each(|r| t.insert(r.clone()));
+                t.insert(&inserts).unwrap();
                 assert_eq!(content(t), self.model);
             }
         }
@@ -206,7 +239,7 @@ mod tests {
         // Physical duplicates from the start: ids 0..3 are stored twice.
         let seed: Vec<_> = (0..9).chain(0..3).map(|i| row(i, 20 + i % 4)).collect();
         let mut plain = Table::new(&["id", "name", "age"]);
-        seed.iter().for_each(|r| plain.insert(r.clone()));
+        plain.insert(&seed).unwrap();
         let mut indexed = plain.clone();
         indexed.create_index(2);
         indexed.create_index(0);

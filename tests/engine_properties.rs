@@ -5,7 +5,7 @@
 use estocada_engine::{execute_with, CmpOp, ExecOptions, Expr, Plan, RowBatch};
 use estocada_kvstore::codec::{decode_tuple, encode_tuple};
 use estocada_parstore::{par_filter, par_join, AggFun, Dataset, GroupBy, ParStore, Shape};
-use estocada_pivot::Value;
+use estocada_pivot::{ConstId, Value};
 use proptest::prelude::*;
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -102,8 +102,9 @@ proptest! {
             .iter()
             .map(|(a, b)| vec![Value::Int(*a), Value::Int(*b)])
             .collect();
-        let ds = Dataset::from_rows(&["a", "b"], data.clone(), parts);
-        let mut par = par_filter(&ds, &|r| r[0] == Value::Int(needle), None);
+        let ds = Dataset::from_rows(&["a", "b"], data.clone(), parts).unwrap();
+        let needle_id = ConstId::intern(&Value::Int(needle));
+        let mut par = par_filter(&ds, &|r| r[0] == needle_id, None).to_values();
         let mut seq: Vec<Vec<Value>> = data
             .into_iter()
             .filter(|r| r[0] == Value::Int(needle))
@@ -122,9 +123,9 @@ proptest! {
     ) {
         let lrows: Vec<Vec<Value>> = left.iter().map(|(k, v)| vec![Value::Int(*k), Value::Int(*v)]).collect();
         let rrows: Vec<Vec<Value>> = right.iter().map(|(k, v)| vec![Value::Int(*k), Value::Int(*v)]).collect();
-        let lds = Dataset::from_rows(&["k", "a"], lrows.clone(), parts);
-        let rds = Dataset::from_rows(&["k", "b"], rrows.clone(), parts);
-        let mut par = par_join(&lds, &rds, &[0], &[0]);
+        let lds = Dataset::from_rows(&["k", "a"], lrows.clone(), parts).unwrap();
+        let rds = Dataset::from_rows(&["k", "b"], rrows.clone(), parts).unwrap();
+        let mut par = par_join(&lds, &rds, &[0], &[0], None).to_values();
         let plan = Plan::HashJoin {
             left: Box::new(Plan::Values(RowBatch::new(vec!["k".into(), "a".into()], lrows))),
             right: Box::new(Plan::Values(RowBatch::new(vec!["k2".into(), "b".into()], rrows))),
@@ -143,12 +144,12 @@ proptest! {
     fn par_aggregate_counts(rows in proptest::collection::vec(0i64..5, 1..50), parts in 1usize..5) {
         let data = rows.iter().enumerate().map(|(i, g)| vec![Value::Int(*g), Value::Int(i as i64)]);
         let store = ParStore::new();
-        store.create_dataset("t", &["g", "id"], data, parts);
+        store.create_dataset("t", &["g", "id"], data, parts).unwrap();
         let counts = Shape {
             group: Some(GroupBy { keys: 1, aggs: vec![(AggFun::Count, 1)], having: vec![] }),
             ..Shape::default()
         };
-        let out = store.scan("t", &[], &counts).unwrap();
+        let out = store.scan("t", &[], &counts).unwrap().to_values();
         let mut expected: std::collections::HashMap<i64, i64> = Default::default();
         for g in &rows {
             *expected.entry(*g).or_insert(0) += 1;

@@ -1,10 +1,12 @@
 //! The one in-process hasher (`estocada_pivot::hash`) against the `Value`
-//! equality it serves, and the hash-grouped aggregate tail against an
-//! ordered-map statement of it.
+//! equality it serves, and the kernel's hash-grouped aggregate tail and
+//! first-seen distinct (`estocada_pivot::kernel`) against an ordered-map
+//! statement of them.
 
-use estocada_pivot::agg::{distinct, AggFun, GroupBy};
+use estocada_pivot::agg::{AggFun, GroupBy};
 use estocada_pivot::hash::FastHasher;
-use estocada_pivot::{CmpOp, Value};
+use estocada_pivot::kernel::answer;
+use estocada_pivot::{CmpOp, ConstId, IdRows, Value};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{BuildHasher, BuildHasherDefault};
@@ -37,7 +39,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
     })
 }
 
-/// `GroupBy::apply` stated over ordered maps: distinct rows, groups in
+/// The kernel's grouping stated over ordered maps: distinct rows, groups in
 /// first-seen order, each aggregate folded over its group's rows in input
 /// order.
 fn reference_group(g: &GroupBy, rows: &[Vec<Value>]) -> Vec<Vec<Value>> {
@@ -152,12 +154,14 @@ proptest! {
         rows in arb_rows(),
         g in arb_group_by(),
     ) {
-        let cells: Vec<&Value> = rows.iter().flatten().collect();
-        prop_assert_eq!(g.apply(3, &cells), reference_group(&g, &rows));
+        let cells = rows.iter().flatten().map(ConstId::intern).collect();
+        let ids = IdRows { width: 3, len: rows.len(), cells };
+        let grouped = answer(ids.clone(), true, Some(&g)).to_values();
+        prop_assert_eq!(grouped, reference_group(&g, &rows));
         let mut seen = BTreeSet::new();
         let expected: Vec<Vec<Value>> =
             rows.iter().filter(|r| seen.insert(*r)).cloned().collect();
-        prop_assert_eq!(distinct(3, &cells), expected);
+        prop_assert_eq!(answer(ids, true, None).to_values(), expected);
     }
 }
 

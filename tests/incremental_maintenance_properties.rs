@@ -30,6 +30,7 @@ use common::{sorted, Deploy, DEPLOYMENTS};
 use estocada::catalog::WhereSpec;
 use estocada::{Estocada, FragmentSpec, Latencies};
 use estocada_docstore::{eval_path, Filter};
+use estocada_pivot::kernel::values_of;
 use estocada_pivot::{Atom, CmpOp, Constraint, CqBuilder, Term, Tgd, Value};
 use estocada_relstore::{ColRef, Pred, SqlQuery};
 use estocada_workloads::marketplace::{generate, Marketplace, MarketplaceConfig, W1Query};
@@ -142,13 +143,15 @@ fn assert_index_lookups_equal_scans(est: &Estocada, what: &str) {
         };
         let key_of =
             |row: &Vec<Value>| -> Vec<Value> { columns.iter().map(|c| row[*c].clone()).collect() };
-        let mut keys: BTreeSet<Vec<Value>> = ds.iter_rows().map(key_of).collect();
-        keys.extend(idx.keys().cloned());
+        let rows = values_of(ds.iter_rows().map(Vec::as_slice));
+        let mut keys: BTreeSet<Vec<Value>> = rows.iter().map(key_of).collect();
+        keys.extend(values_of(idx.keys().map(Vec::as_slice)));
         keys.insert(vec![Value::Null; columns.len()]);
         for key in keys {
-            let scan = ds.iter_rows().filter(|r| key_of(r) == key);
+            let scan = rows.iter().filter(|r| key_of(r) == key);
+            let found = ds.index_lookup(&key).into_iter().map(Vec::as_slice);
             assert_eq!(
-                sorted(ds.index_lookup(&key).into_iter().cloned().collect()),
+                sorted(values_of(found)),
                 sorted(scan.cloned().collect()),
                 "{what}: {name} index answers {key:?} unlike a scan"
             );
@@ -184,7 +187,9 @@ fn assert_index_lookups_equal_scans(est: &Estocada, what: &str) {
                             q.projection = (0..columns.len()).map(at).collect();
                             let scan = rows.iter().filter(|r| op.eval(&r[*col], v));
                             assert_eq!(
-                                sorted(est.stores.rel.query(&q).expect("indexed probe")),
+                                sorted(
+                                    est.stores.rel.query(&q).expect("indexed probe").to_values()
+                                ),
                                 sorted(scan.cloned().collect()),
                                 "{what}: {table}.{} {op} {v} unlike a scan",
                                 columns[*col]
@@ -272,10 +277,8 @@ fn apply_step(est: &mut Estocada, (kind, pick, size): Step, fresh: &mut i64) {
             let ds = est.stores.par.dataset("WebLogPar").expect("WebLogPar");
             let part = ds.partitions.iter().find(|part| part.len() > 1);
             let pair = part.map(|part| {
-                vec![
-                    part[choose(part.len() - 1)].clone(),
-                    part[part.len() - 1].clone(),
-                ]
+                let pair = [&part[choose(part.len() - 1)], &part[part.len() - 1]];
+                values_of(pair.map(Vec::as_slice))
             });
             drop(ds);
             est.delete_rows("sales", "WebLog", pair.unwrap_or_default())

@@ -418,6 +418,20 @@ fn a_mediator_side_residual_falls_back_with_the_same_answer() {
 }
 
 #[test]
+fn a_repeated_variable_on_the_parallel_store_is_rebound_over_interned_cells() {
+    let est = edge_engine();
+    // `l.id = l.k` repeats a variable within the one atom: the scan cannot
+    // enforce it, so whole rows come back and the unit re-binds each.
+    let r = edge(&est, "SELECT l.id, l.w FROM L l WHERE l.id = l.k", false);
+    assert!(
+        r.report.delegated[0].starts_with("parallel: SCAN LPar (0 preds)"),
+        "{:?}",
+        r.report.delegated
+    );
+    assert_eq!(r.rows, vec![ints(&[1, 10])]);
+}
+
+#[test]
 fn a_head_constant_falls_back_with_the_same_answer() {
     let est = edge_engine();
     // `t.k = 2` puts a constant into the core's head (the group key).
@@ -454,6 +468,124 @@ fn a_two_unit_aggregate_is_answered_by_the_mediator_tail() {
             vec![Value::str("two"), Value::Int(2), Value::Double(200.0)],
         ]
     );
+}
+
+// ---------------------------------------------------------------------
+// One kernel, three entry points: random tails over random cells.
+// ---------------------------------------------------------------------
+
+/// A group cell: an `Int` and a `Double` equal by value (distinct groups
+/// all the same), `Null`, or a string.
+fn arb_group_cell() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        (0i64..3).prop_map(Value::Int),
+        (0i64..3).prop_map(|i| Value::Double(i as f64)),
+        Just(Value::Null),
+        prop_oneof![Just("a"), Just("b")].prop_map(Value::str),
+    ]
+}
+
+/// An argument cell: small and large `Int`s, `Double`s whose sums depend
+/// on the fold order, `-0.0`, `Null`, or a string (which sums as `0.0`).
+fn arb_arg_cell() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        (0i64..4).prop_map(Value::Int),
+        Just(Value::Int(1 << 40)),
+        prop_oneof![Just(0.1), Just(0.2), Just(1e16), Just(-0.0), Just(3.5)]
+            .prop_map(Value::Double),
+        Just(Value::Null),
+        Just(Value::str("t")),
+    ]
+}
+
+/// A `GROUP BY`/aggregate/`HAVING` query over `R r`: zero to two group
+/// columns, one to three aggregates of any column, and an optional
+/// `HAVING` on a count or on the first aggregate.
+fn arb_tail_sql() -> impl Strategy<Value = String> {
+    let fun = prop_oneof![
+        Just("COUNT"),
+        Just("SUM"),
+        Just("AVG"),
+        Just("MIN"),
+        Just("MAX")
+    ];
+    let col = prop_oneof![Just("id"), Just("g"), Just("h"), Just("x")];
+    let aggs = proptest::collection::vec((fun, col), 1..4);
+    (0usize..3, aggs, 0usize..3).prop_map(|(keys, aggs, having)| {
+        let keys = &["r.g", "r.h"][..keys];
+        let calls: Vec<String> = aggs.iter().map(|(f, c)| format!("{f}(r.{c})")).collect();
+        let named = calls
+            .iter()
+            .enumerate()
+            .map(|(i, c)| format!("{c} AS a{i}"));
+        let select: Vec<String> = keys.iter().map(|k| k.to_string()).chain(named).collect();
+        let mut sql = format!("SELECT {} FROM R r", select.join(", "));
+        if !keys.is_empty() {
+            sql += &format!(" GROUP BY {}", keys.join(", "));
+        }
+        match having {
+            1 => sql += " HAVING COUNT(r.id) >= 2",
+            2 => sql += &format!(" HAVING {} >= 1", calls[0]),
+            _ => {}
+        }
+        sql
+    })
+}
+
+/// `R(id, g, h, x)` keyed on `id`, holding `rows`, in the relational store
+/// (`partitions` `None`) or in the parallel store over that many
+/// partitions.
+fn cells_engine(rows: &[(Value, Value, Value)], partitions: Option<usize>) -> Estocada {
+    let rows = rows
+        .iter()
+        .enumerate()
+        .map(|(i, (g, h, x))| vec![Value::Int(i as i64), g.clone(), h.clone(), x.clone()]);
+    let cols = ["id", "g", "h", "x"];
+    let mut est = Estocada::in_memory();
+    est.register_dataset(Dataset::relational(
+        "d",
+        vec![TableData {
+            encoding: TableEncoding::new("R", &cols, Some(&cols[..1])),
+            rows: rows.collect(),
+            text_columns: vec![],
+        }],
+    ))
+    .unwrap();
+    let spec = match partitions {
+        None => FragmentSpec::NativeTables {
+            dataset: "d".into(),
+            only: Some(vec!["R".into()]),
+        },
+        Some(partitions) => FragmentSpec::ParRows {
+            view: CqBuilder::new("RPar")
+                .head_vars(cols)
+                .atom("R", |a| a.v("id").v("g").v("h").v("x"))
+                .build(),
+            index_on: vec![],
+            partitions,
+        },
+    };
+    est.add_fragment(spec).unwrap();
+    est
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The relational store, the parallel store at 1, 2 and 7 partitions
+    /// and the mediator-only plan over each run one kernel: every pushed
+    /// answer equals its mediator-only plan bit for bit, in order, at
+    /// every batch size (and the oracle).
+    #[test]
+    fn random_tails_over_random_cells_are_pushed_and_mediated_alike(
+        rows in proptest::collection::vec((arb_group_cell(), arb_group_cell(), arb_arg_cell()), 0..24),
+        sql in arb_tail_sql(),
+    ) {
+        for partitions in [None, Some(1), Some(2), Some(7)] {
+            let est = cells_engine(&rows, partitions);
+            edge(&est, &sql, true);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
