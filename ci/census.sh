@@ -4,7 +4,8 @@
 # definitions in the engine, SCC routines in library code, sites that assign
 # a delegated unit's scan estimate, posting-index maintenance routines,
 # std hash tables on the default hasher, aggregate accumulators, join hash
-# tables, independently settable options, and panic sites in library code.
+# tables, fact-base owners, independently settable options, and panic
+# sites in library code.
 # Informational: prints, never fails on a count.
 set -eu
 cd "$(dirname "$0")/.."
@@ -94,6 +95,16 @@ for f in $(rust_files crates/engine/src crates/pivot/src crates/relstore/src cra
     hash_joins=$((hash_joins + n))
 done
 printf '%-28s %8d\n' 'hash joins' "$hash_joins"
+# Library files of the mediator that name the chase `Instance`: the fact
+# base the fragments are filled and maintained from has one owner, the
+# `factbase` module, which alone stages, counts and searches it.
+fact_base_owners=0
+for f in $(rust_files crates/core/src); do
+    if library_part "$f" | grep -qE '\bInstance\b'; then
+        fact_base_owners=$((fact_base_owners + 1))
+    fi
+done
+printf '%-28s %8d\n' 'fact-base owners' "$fact_base_owners"
 
 # Public fields of `pub struct $2` in file `$1`.
 fields() {

@@ -583,12 +583,6 @@ impl Instance {
         self.by_pred.get(&pred).map(Vec::len).unwrap_or(0)
     }
 
-    /// Fact ids of a predicate (alive only) — iterator form kept for
-    /// existing call sites; new code should prefer [`Instance::pred_facts`].
-    pub fn facts_of(&self, pred: Symbol) -> impl Iterator<Item = u32> + '_ {
-        self.pred_facts(pred).iter().copied()
-    }
-
     /// Alive facts of `pred` whose `position` equals `elem`, as a borrowed
     /// posting list (ascending by fact id). `elem` must be a
     /// representative. No allocation, no key clone.

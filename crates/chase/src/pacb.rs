@@ -808,7 +808,9 @@ mod tests {
             .atom("Base", |a| a.v("k").v("v"))
             .build();
         let mut problem = RewriteProblem::new(q, vec![v]);
-        problem.access.set("KV", AccessPattern::parse("io"));
+        problem
+            .access
+            .set("KV", AccessPattern::parse("io").unwrap());
         let out = rewrite(&problem);
         assert!(out.rewritings.is_empty());
         assert_eq!(out.stats.infeasible, 1);
@@ -827,7 +829,9 @@ mod tests {
                     .build(),
             )],
         );
-        problem2.access.set("KV", AccessPattern::parse("io"));
+        problem2
+            .access
+            .set("KV", AccessPattern::parse("io").unwrap());
         let out2 = rewrite(&problem2);
         assert_eq!(out2.rewritings.len(), 1);
     }
@@ -901,7 +905,9 @@ mod tests {
         // CandidateStats counter is exercised.
         use estocada_pivot::AccessPattern;
         let mut problem = multi_candidate_problem(3);
-        problem.access.set("V0", AccessPattern::parse("io")); // V0-candidates infeasible
+        problem
+            .access
+            .set("V0", AccessPattern::parse("io").unwrap()); // V0-candidates infeasible
         let serial = pacb_rewrite(&problem, &RewriteConfig::default()).unwrap();
         let parallel =
             pacb_rewrite(&problem, &RewriteConfig::default().with_parallelism(4)).unwrap();

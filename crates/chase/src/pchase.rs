@@ -184,7 +184,7 @@ mod tests {
         i.insert_with_prov(sym("A"), vec![c(1)], Dnf::var(0));
         i.insert_with_prov(sym("B"), vec![c(1)], Dnf::var(1));
         prov_chase(&mut i, &[t.into()], &ChaseConfig::default(), CAP).unwrap();
-        let cid = i.facts_of(sym("C")).next().unwrap();
+        let cid = i.pred_facts(sym("C"))[0];
         let p = &i.fact(cid).prov;
         assert_eq!(p.len(), 1);
         let clause = p.clauses().next().unwrap();
@@ -214,7 +214,7 @@ mod tests {
             CAP,
         )
         .unwrap();
-        let cid = i.facts_of(sym("C")).next().unwrap();
+        let cid = i.pred_facts(sym("C"))[0];
         assert_eq!(i.fact(cid).prov.len(), 2);
     }
 
@@ -244,8 +244,8 @@ mod tests {
             CAP,
         )
         .unwrap();
-        assert_eq!(i.facts_of(sym("R")).count(), 1);
-        let rid = i.facts_of(sym("R")).next().unwrap();
+        assert_eq!(i.pred_count(sym("R")), 1);
+        let rid = i.pred_facts(sym("R"))[0];
         assert_eq!(i.fact(rid).prov.len(), 2); // p0 ∨ p1
     }
 
@@ -276,7 +276,7 @@ mod tests {
         i.insert_with_prov(sym("A"), vec![c(1)], Dnf::var(0));
         i.insert_with_prov(sym("B"), vec![c(1)], Dnf::var(1));
         prov_chase(&mut i, &ts, &ChaseConfig::default(), CAP).unwrap();
-        let cid = i.facts_of(sym("C")).next().unwrap();
+        let cid = i.pred_facts(sym("C"))[0];
         // C must record both unit derivations p0 ∨ p1.
         assert_eq!(i.fact(cid).prov.len(), 2);
     }

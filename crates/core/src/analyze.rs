@@ -997,9 +997,15 @@ mod tests {
     fn w007_fires_unless_the_core_head_determines_a_key_of_every_atom() {
         use estocada_engine::AggSpec;
         let mut schema = Schema::new();
-        schema.add_relation(RelationDecl::new("Users", &["uid", "tier"]).with_key(&["uid"]));
         schema.add_relation(
-            RelationDecl::new("Orders", &["oid", "uid", "amount"]).with_key(&["oid"]),
+            RelationDecl::new("Users", &["uid", "tier"])
+                .with_key(&["uid"])
+                .unwrap(),
+        );
+        schema.add_relation(
+            RelationDecl::new("Orders", &["oid", "uid", "amount"])
+                .with_key(&["oid"])
+                .unwrap(),
         );
         schema.add_relation(RelationDecl::new("Log", &["uid", "ms"]));
         let spec = |fun| AggregateSpec {

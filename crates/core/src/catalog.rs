@@ -248,7 +248,7 @@ pub struct FragmentStats {
 /// leave) arrive at the same numbers, and the delta never re-reads a row
 /// that did not change.
 #[derive(Debug, Clone)]
-pub(crate) struct StatsAccumulator {
+pub struct StatsAccumulator {
     rows: u64,
     bytes: u64,
     /// Per tracked column: value → number of rows holding it.
@@ -326,6 +326,11 @@ pub struct FragmentMeta {
     pub relations: Vec<FragmentRelation>,
     /// Per-relation statistics (parallel to `relations`).
     pub stats: Vec<FragmentStats>,
+    /// `stats` in running form, which every write moves (`None`: a native
+    /// document relation, which no write reaches).
+    pub running: Vec<Option<StatsAccumulator>>,
+    /// The data epoch its stores are maintained through (high-water mark).
+    pub high_water: u64,
     /// Access credentials (carried verbatim; the simulated stores do not
     /// authenticate, but the descriptor format mirrors the paper).
     pub credentials: String,
@@ -474,6 +479,8 @@ mod tests {
                 },
             }],
             stats: vec![FragmentStats::default()],
+            running: vec![None],
+            high_water: 0,
             credentials: String::new(),
             use_count: Default::default(),
         }

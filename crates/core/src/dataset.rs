@@ -5,7 +5,7 @@
 
 use estocada_pivot::encoding::document::DocRelations;
 use estocada_pivot::encoding::relational::TableEncoding;
-use estocada_pivot::{Fact, IdGen, Schema, Symbol, Value};
+use estocada_pivot::{Fact, IdGen, Schema, SchemaError, Symbol, Value};
 use estocada_textstore::tokenize;
 
 /// One relational table of a dataset: declaration + rows + optional text
@@ -144,12 +144,13 @@ impl Dataset {
     }
 
     /// Declare this dataset's pivot relations and model constraints into
-    /// `schema`.
-    pub fn declare(&self, schema: &mut Schema) {
+    /// `schema`; a table's key naming a column it lacks is
+    /// [`SchemaError::UnknownKeyColumn`].
+    pub fn declare(&self, schema: &mut Schema) -> Result<(), SchemaError> {
         match &self.content {
             DatasetContent::Relational(tables) => {
                 for t in tables {
-                    t.encoding.declare(schema);
+                    t.encoding.declare(schema)?;
                     if !t.text_columns.is_empty() {
                         // Terms(term, key): derived source relation for
                         // full-text predicates over this table.
@@ -164,6 +165,7 @@ impl Dataset {
                 DocRelations::for_collection(&self.name).declare(schema)
             }
         }
+        Ok(())
     }
 
     /// Encode the full content as pivot ground facts (used by fragment
@@ -221,7 +223,7 @@ mod tests {
     fn relational_declaration_includes_terms_relation() {
         let d = rel_dataset();
         let mut s = Schema::new();
-        d.declare(&mut s);
+        d.declare(&mut s).unwrap();
         assert!(s.relation(Symbol::intern("Products")).is_some());
         assert!(s.relation(Symbol::intern("Products_Terms")).is_some());
     }
@@ -254,7 +256,7 @@ mod tests {
             }],
         );
         let mut s = Schema::new();
-        d.declare(&mut s);
+        d.declare(&mut s).unwrap();
         let rels = d.doc_relations().unwrap();
         assert!(s.relation(rels.child).is_some());
         let mut ids = IdGen::new();

@@ -9,24 +9,24 @@
 //! 1. **Dataset rows** (the registered [`crate::dataset::Dataset`] content,
 //!    the ground truth): deleted rows are removed one instance per request,
 //!    inserted rows appended.
-//! 2. **The staged fact base**: every dataset row contributes the pivot
-//!    facts of [`crate::dataset::TableData::row_facts`]. Per table, the
-//!    maintenance state counts the rows behind each of its facts; a fact is
-//!    retracted from the [`Instance`] only when its count reaches zero and
-//!    inserted only on the zero→positive crossing, because the pivot model
-//!    has set semantics (two rows can share a `{table}_Terms` fact).
+//! 2. **The staged fact base** (the crate-private `factbase` module): every
+//!    dataset row contributes the pivot facts of
+//!    [`crate::dataset::TableData::row_facts`]. The fact base counts the rows
+//!    behind each fact, so the netted fact delta of a batch retracts only
+//!    the facts whose count reaches zero and inserts only those whose count
+//!    leaves it.
 //! 3. **Fragment stores**: a *view* fragment (table / key-value / doc-rows
 //!    / par-rows) holds a row while some body homomorphism derives it
 //!    (counting, Gupta, Mumick & Subrahmanian, SIGMOD 1993); no count is
-//!    kept. Each phase of the semi-naive delta chase (deletes, then inserts;
-//!    [`estocada_chase::find_homs_delta`]) counts a head row's derivations
-//!    through the changed facts and, with the head fixed, all of them in the
-//!    fact base as it stands; the row leaves (enters) its store when the two
-//!    are equal. *Native* fragments (native-tables, text-index) mirror the
-//!    dataset rows 1:1 and receive the raw row deltas directly, preserving
-//!    physical duplicate-row parity with a fresh rematerialization. Every
-//!    store delta goes through `crate::layout::write`, the writer of the
-//!    first fill: that module alone owns the physical formats.
+//!    kept. Each phase of the semi-naive delta chase (deletes, then
+//!    inserts) counts a head row's derivations through the changed facts
+//!    and, with the head fixed, all of them in the fact base as it stands;
+//!    the row leaves (enters) its store when the two are equal. *Native*
+//!    fragments (native-tables, text-index) mirror the dataset rows 1:1 and
+//!    receive the raw row deltas directly, preserving physical
+//!    duplicate-row parity with a fresh rematerialization. Every store
+//!    delta goes through `crate::layout::write`, the writer of the first
+//!    fill: that module alone owns the physical formats.
 //!
 //! Batches are **net-delta deduplicated** at both levels: a row deleted
 //! and re-inserted in one batch cancels out before any store is touched.
@@ -38,10 +38,10 @@
 //!
 //! | step | proportional to |
 //! |---|---|
-//! | `validate` | the batch: a delete finds its stored instance, and an upsert the rows it replaces, through the table's key positions (declared key → row positions, a [`Postings`] built with its fact counts by one pass at the table's first write); an insert-only batch reads no stored row |
+//! | `validate` | the batch: a delete finds its stored instance, and an upsert the rows it replaces, through the table's key positions (declared key → row positions, a [`Postings`] built by one pass at the table's first write); an insert-only batch reads no stored row |
 //! | `delta_chase` | the batch's facts, the view homomorphisms through them (semi-naive: the delta index comes from the fact base's stamp log, and only the counting views whose body reads a changed relation are searched), and the derivations of each head row they reach, counted with the head fixed and stopped one past the delta's |
 //! | `store_write` | the store rows that change: a relational delete is found through an index, a parallel-store delta through its key index, and every store patches its rows and index postings in place; a key-value entry is patched under its key; a document or text delete finds its documents by one scan (see below) |
-//! | `stats` | the store rows that change: every maintained relation keeps its statistics running (row count, byte sum, occurrences per column value) from the accumulator its first fill built |
+//! | `stats` | the store rows that change: every maintained relation keeps its statistics running (row count, byte sum, occurrences per column value) in its catalog entry, from the accumulator its first fill built |
 //!
 //! Every container and the dataset table keep their value→row indexes as
 //! [`Postings`], and a delete takes its rows out through one step
@@ -59,84 +59,48 @@
 //!
 //! Every batch bumps the engine's **data epoch** — distinct from the
 //! catalog epoch, so cached rewrite plans survive writes — and advances
-//! every fragment's **high-water mark** to it once its stores are
-//! maintained. `high_water(fragment) == data_epoch()` is the staleness
-//! invariant: a reader that observes the data epoch is guaranteed the
-//! fragments reflect it, because DML holds `&mut Estocada` (writes are
-//! serialized against the shared-read query path at the borrow level).
+//! every fragment's **high-water mark** ([`crate::FragmentMeta::high_water`])
+//! to it once its stores are maintained. `high_water == data_epoch()` is the
+//! staleness invariant: a reader that observes the data epoch is guaranteed
+//! the fragments reflect it, because DML holds `&mut Estocada`.
 //!
-//! DDL keeps the maintenance state: a fill marks its fragment and hands over
-//! its statistics, a drop forgets both, and no write reads the catalog's past.
+//! DDL hands the write path nothing: a fill records its mark and running
+//! statistics in the fragment's catalog entry, a drop removes the entry, a
+//! registration stages the dataset's facts. The write path's own state is
+//! each written table's key positions.
 
-use crate::catalog::{Catalog, FragmentRelation, FragmentSpec, StatsAccumulator, WhereSpec};
+use crate::catalog::{Catalog, FragmentRelation, FragmentSpec, WhereSpec};
 use crate::dataset::{Dataset, DatasetContent, TableData};
 use crate::error::{Error, Result};
 use crate::evaluator::Estocada;
+use crate::factbase::net_deltas;
 use crate::layout;
-use crate::materialize::head_rows;
-use estocada_chase::{find_homs, Elem, HomConfig, Instance};
 use estocada_pivot::hash::{FastMap, FastSet};
-use estocada_pivot::{swap_remove, Atom, Cq, Postings, Symbol, Value, Wanted};
-use std::collections::hash_map::Entry;
-use std::hash::Hash;
+use estocada_pivot::{swap_remove, Fact, Postings, Symbol, Value, Wanted};
 use std::time::{Duration, Instant};
 
-/// Ground fact key: `(pred, interned args)`.
-type FactKey = (Symbol, Vec<Elem>);
 /// A dataset row or a fragment-relation row.
 type Row = Vec<Value>;
-/// `(head row, −1 leaving / +1 entering its store)` per counting relation.
-type RowDeltas = FastMap<Symbol, Vec<(Row, i64)>>;
 /// Rows to delete from and rows to insert into one relation's container.
 type StoreOps = (Vec<Row>, Vec<Row>);
-
-/// Incremental-maintenance bookkeeping. Holds nothing per view row: a
-/// write reads the derivations it touches from the fact base.
-#[derive(Debug, Clone, Default)]
-pub struct MaintenanceState {
-    /// Dataset table → what a write to it reads, from its first write on.
-    tables: FastMap<Symbol, TableState>,
-    /// Fragment id → data epoch its stores are maintained through (from its fill).
-    pub(crate) high_water: FastMap<String, u64>,
-    /// Fragment relation → its running statistics, from its fill on.
-    pub(crate) stats: FastMap<Symbol, StatsAccumulator>,
-}
-
-/// What a write to one dataset table reads, built by one pass over the
-/// table's rows at its first write and moved with them by every batch.
-#[derive(Debug, Clone)]
-struct TableState {
-    /// `(pred, ground args)` → number of the table's rows encoding the fact.
-    facts: FastMap<FactKey, u64>,
-    /// The rows by declared key (`None`: the table declares no key).
-    positions: Option<KeyPositions>,
-}
 
 /// A table's stored rows by declared key — how a delete finds its stored
 /// instance and an upsert the rows it replaces without reading the table —
 /// as the key's column positions and each key's row positions.
-type KeyPositions = (Vec<usize>, Postings<Row>);
+pub(crate) type KeyPositions = (Vec<usize>, Postings<Row>);
 
 /// `row`'s values at the key `columns`.
 fn key_of(columns: &[usize], row: &[Value]) -> Row {
     columns.iter().map(|c| row[*c].clone()).collect()
 }
 
-impl TableState {
-    fn of(t: &TableData) -> TableState {
-        let positions = key_columns(t).map(|columns| {
-            let posted = t.rows.iter().enumerate();
-            let postings = posted
-                .map(|(at, row)| (key_of(&columns, row), at))
-                .collect();
-            (columns, postings)
-        });
-        let mut facts = FastMap::default();
-        for fact in fact_keys(t, &t.rows) {
-            *facts.entry(fact).or_insert(0) += 1;
-        }
-        TableState { facts, positions }
-    }
+/// `t`'s key positions, by one pass over its rows (`None`: `t` declares no
+/// key).
+fn key_positions(t: &TableData) -> Option<KeyPositions> {
+    let columns = key_columns(t)?;
+    let posted = |(at, row): (usize, &Row)| (key_of(&columns, row), at);
+    let postings = t.rows.iter().enumerate().map(posted).collect();
+    Some((columns, postings))
 }
 
 /// What a batch takes out of its table before adding its inserts.
@@ -145,14 +109,6 @@ enum Outgoing {
     Rows(Vec<Row>),
     /// Every stored row whose declared key an insert names (`upsert_rows`).
     ReplacedByKey,
-}
-
-impl MaintenanceState {
-    /// The data epoch through which `fragment`'s stores are maintained
-    /// (`None` for unknown fragments).
-    pub fn high_water(&self, fragment: &str) -> Option<u64> {
-        self.high_water.get(fragment).copied()
-    }
 }
 
 /// Per-fragment-relation effect of one DML batch.
@@ -171,7 +127,7 @@ pub struct FragmentDelta {
 }
 
 /// Wall time of the steps of one DML batch, in the order they run. Building
-/// a table's write state (at its first write) is in none of them, so the
+/// a table's key positions (at its first write) is in none of them, so the
 /// steps sum to less than [`DmlReport::maintenance_time`] on that write.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DmlSteps {
@@ -216,6 +172,11 @@ fn counting_relations(catalog: &Catalog) -> impl Iterator<Item = &FragmentRelati
         .flat_map(|f| &f.relations)
 }
 
+/// The pivot facts `rows` of `t` contribute, one per (row, fact).
+fn facts<'a>(t: &'a TableData, rows: &'a [Row]) -> impl Iterator<Item = Fact> + 'a {
+    rows.iter().flat_map(|row| t.row_facts(row))
+}
+
 /// Whether a native fragment relation mirrors `dataset.table` row for row.
 fn mirrors(spec: &FragmentSpec, place: &WhereSpec, dataset: &str, table: &str) -> bool {
     match (spec, place) {
@@ -225,56 +186,6 @@ fn mirrors(spec: &FragmentSpec, place: &WhereSpec, dataset: &str, table: &str) -
         (FragmentSpec::TextIndex { table: t }, WhereSpec::TextIndex { .. }) => t == table,
         _ => false,
     }
-}
-
-/// The pivot facts `rows` of `t` contribute, one key per (row, fact).
-fn fact_keys<'a>(t: &'a TableData, rows: &'a [Row]) -> impl Iterator<Item = FactKey> + 'a {
-    let facts = rows.iter().flat_map(|row| t.row_facts(row));
-    facts.map(|f| (f.pred, f.args.iter().map(Elem::constant).collect()))
-}
-
-/// Sum signed deltas per key, in first-touch order; keys netting to zero
-/// drop out before the instance or any store is touched.
-fn net_deltas<K: Clone + Eq + Hash>(deltas: impl IntoIterator<Item = (K, i64)>) -> Vec<(K, i64)> {
-    let mut slot: FastMap<K, usize> = FastMap::default();
-    let mut net: Vec<(K, i64)> = Vec::new();
-    for (key, d) in deltas {
-        match slot.entry(key) {
-            Entry::Occupied(e) => net[*e.get()].1 += d,
-            Entry::Vacant(e) => {
-                net.push((e.key().clone(), d));
-                e.insert(net.len() - 1);
-            }
-        }
-    }
-    net.retain(|(_, d)| *d != 0);
-    net
-}
-
-/// Roll netted deltas into a multiplicity map (entries are positive; zero
-/// is absence). Returns the keys that crossed to zero and the keys that
-/// crossed from zero, each in the order of `net`.
-fn zero_crossings<K: Clone + Eq + Hash>(
-    counts: &mut FastMap<K, u64>,
-    net: Vec<(K, i64)>,
-) -> (Vec<K>, Vec<K>) {
-    let (mut gone, mut born) = (Vec::new(), Vec::new());
-    for (key, d) in net {
-        if let Some(n) = counts.get_mut(&key) {
-            let after = *n as i64 + d;
-            debug_assert!(after >= 0, "multiplicity went negative");
-            if after > 0 {
-                *n = after as u64;
-            } else {
-                counts.remove(&key);
-                gone.push(key);
-            }
-        } else if d > 0 {
-            counts.insert(key.clone(), d as u64);
-            born.push(key);
-        }
-    }
-    (gone, born)
 }
 
 /// Resolve `dataset.table`.
@@ -304,10 +215,10 @@ fn key_columns(t: &TableData) -> Option<Vec<usize>> {
 
 /// Every row has the table's arity, and the outgoing rows are stored ones:
 /// each delete finds its own stored instance (equal deletes claim distinct
-/// instances), an upsert every row its inserts' keys name. Returns the
-/// outgoing rows and their positions. `positions` finds them; without a
-/// declared key the deletes scan the table once. An insert-only batch reads
-/// no stored row. Nothing has been mutated when this fails.
+/// instances), an upsert (naming each key once) every row its inserts' keys
+/// name. Returns the outgoing rows and their positions. `positions` finds
+/// them; without a declared key the deletes scan the table once. An
+/// insert-only batch reads no stored row. Nothing is mutated when this fails.
 fn validate(
     t: &TableData,
     positions: Option<&KeyPositions>,
@@ -328,6 +239,12 @@ fn validate(
     let deletes = match (outgoing, positions) {
         (Outgoing::Rows(rows), _) => rows,
         (Outgoing::ReplacedByKey, Some((columns, p))) => {
+            let mut named = FastSet::default();
+            if let Some(r) = inserts.iter().find(|r| !named.insert(key_of(columns, r))) {
+                let twice = key_of(columns, r);
+                let message = format!("upsert into {name} names key {twice:?} twice in one batch");
+                return Err(Error::Dml(message));
+            }
             let under = |r: &Row| p.get(&key_of(columns, r)).to_vec();
             let doomed: Vec<usize> = inserts.iter().flat_map(under).collect();
             let rows = doomed.iter().map(|at| t.rows[*at].clone()).collect();
@@ -373,62 +290,6 @@ fn rewrite_rows(
     }
 }
 
-/// One phase of the delta chase: stamp `facts` into a fresh epoch — doomed
-/// ones (`sign < 0`) are retracted only after the enumeration, new ones
-/// (`sign > 0`) inserted before it — and record `(head row, sign)` for every
-/// head row of a counting view that leaves (delete phase) or enters (insert
-/// phase) its store. That is a row whose every derivation in the fact base
-/// as it stands goes through one of `facts`: the homomorphisms through
-/// them, enumerated once each, are all the homomorphisms with the head
-/// fixed to the row. The delta index is read from the stamp log (it costs
-/// the batch, not the fact base), and a view whose body reads no changed
-/// relation is not searched.
-fn delta_chase(
-    base: &mut Instance,
-    catalog: &Catalog,
-    facts: &[FactKey],
-    sign: i64,
-    out: &mut RowDeltas,
-) {
-    if facts.is_empty() {
-        return;
-    }
-    let epoch = base.advance_epoch();
-    let mut doomed = Vec::new();
-    for (pred, args) in facts {
-        if sign > 0 {
-            base.insert(*pred, args.clone());
-        } else if let Some(id) = base.find_fact(*pred, args) {
-            base.touch(id);
-            doomed.push(id);
-        }
-    }
-    let delta = base.delta_index(epoch);
-    let changed = |a: &Atom| !delta.facts_of(a.pred).is_empty();
-    let reads_delta = |r: &&FragmentRelation| r.view.view.body.iter().any(changed);
-    for r in counting_relations(catalog).filter(reads_delta) {
-        let view = &r.view.view;
-        let through = head_rows(base, view, Some(&delta)).map(|row| (row, 1));
-        let crossing = net_deltas(through).into_iter().filter(|(row, n)| {
-            let n = *n as usize;
-            derivations(base, view, row, n + 1) == n
-        });
-        let deltas = out.entry(r.name).or_default();
-        deltas.extend(crossing.map(|(row, _)| (row, sign)));
-    }
-    for id in doomed {
-        base.retract(id);
-    }
-}
-
-/// The homomorphisms of `view`'s body into `base` that yield `row`, counted
-/// up to `limit`.
-fn derivations(base: &Instance, view: &Cq, row: &[Value], limit: usize) -> usize {
-    let head = view.head.iter().zip(row);
-    let fixed = head.filter_map(|(t, v)| Some((t.as_var()?, Elem::constant(v))));
-    find_homs(base, &view.body, &fixed.collect(), HomConfig { limit }).len()
-}
-
 impl Estocada {
     /// Insert rows into a registered relational dataset's table,
     /// maintaining every fragment incrementally. Bumps the data epoch.
@@ -465,30 +326,14 @@ impl Estocada {
         table: &str,
         rows: Vec<Vec<Value>>,
     ) -> Result<DmlReport> {
-        let t = table_mut(&mut self.datasets, dataset, table)?;
-        let key_cols = key_columns(t)
-            .ok_or_else(|| Error::Dml(format!("upsert into {table} needs a declared key")))?;
-        // A row too short for the key is left to the arity check.
-        let key_of = |r: &Row| -> Vec<_> { key_cols.iter().map(|c| r.get(*c).cloned()).collect() };
-        let mut keys = FastSet::default();
-        if let Some(twice) = rows.iter().map(key_of).find_map(|k| keys.replace(k)) {
-            return Err(Error::Dml(format!(
-                "upsert into {table} names key {twice:?} twice in one batch"
-            )));
-        }
         self.apply_dml(dataset, table, Outgoing::ReplacedByKey, rows)
     }
 
-    /// The maintenance bookkeeping.
-    pub fn maintenance(&self) -> &MaintenanceState {
-        &self.maint
-    }
-
     /// The whole incremental write path, an orchestrator over its steps:
-    /// [`validate`]; net the fact deltas ([`net_deltas`]) and classify them
-    /// through the table's fact multiplicities ([`zero_crossings`]);
-    /// [`delta_chase`] the deletes, then the inserts, netting a row that
-    /// leaves and re-enters; apply each relation's store operations, one
+    /// [`validate`]; net the fact deltas ([`net_deltas`]) and hand them to
+    /// the fact base, which delta-chases the deletes, then the inserts,
+    /// into each counting relation's row deltas; net a row that leaves and
+    /// re-enters; apply each relation's store operations, one
     /// [`layout::write`] per relation, and move its running statistics by
     /// the same rows; advance the data epoch and every high-water mark.
     fn apply_dml(
@@ -499,28 +344,22 @@ impl Estocada {
         inserts: Vec<Row>,
     ) -> Result<DmlReport> {
         let t0 = Instant::now();
-        self.base(); // stage the fact base now if no query has
-        let Some(base) = self.base.get_mut() else {
-            return Err(Error::Dml("the fact base is not staged".into()));
-        };
-        let (catalog, maint, epoch) = (&mut self.catalog, &mut self.maint, &mut self.data_epoch);
+        let (catalog, epoch) = (&mut self.catalog, &mut self.data_epoch);
         let t = table_mut(&mut self.datasets, dataset, table)?;
-        let state = maint.tables.entry(t.encoding.relation);
-        let state = state.or_insert_with(|| TableState::of(t));
+        let positions = self.key_positions.entry(t.encoding.relation);
+        let positions = positions.or_insert_with(|| key_positions(t));
         let mut steps = DmlSteps::default();
         let started = Instant::now();
-        let (deletes, doomed) = validate(t, state.positions.as_ref(), outgoing, &inserts)?;
+        let (deletes, doomed) = validate(t, positions.as_ref(), outgoing, &inserts)?;
         steps.validate = started.elapsed();
-        let minus = fact_keys(t, &deletes).map(|fact| (fact, -1));
-        let plus = fact_keys(t, &inserts).map(|fact| (fact, 1));
+        let minus = facts(t, &deletes).map(|fact| (fact, -1));
+        let plus = facts(t, &inserts).map(|fact| (fact, 1));
         let fact_delta = net_deltas(minus.chain(plus));
-        rewrite_rows(t, state.positions.as_mut(), doomed, &inserts);
+        rewrite_rows(t, positions.as_mut(), doomed, &inserts);
         let batch: StoreOps = (deletes, inserts);
 
-        let (minus, plus) = zero_crossings(&mut state.facts, fact_delta);
-        let mut row_deltas = RowDeltas::default();
-        delta_chase(base, catalog, &minus, -1, &mut row_deltas);
-        delta_chase(base, catalog, &plus, 1, &mut row_deltas);
+        let views = counting_relations(catalog).map(|r| (r.name, &r.view.view));
+        let row_deltas = self.base.apply(fact_delta, &views.collect::<Vec<_>>());
         let ops = row_deltas.into_iter().map(|(relation, deltas)| {
             let net = net_deltas(deltas).into_iter();
             let (gone, born): (Vec<_>, Vec<_>) = net.partition(|(_, d)| *d < 0);
@@ -534,7 +373,8 @@ impl Estocada {
         // table absorb the batch itself, physical duplicate rows and all.
         let mut fragment_deltas = Vec::new();
         for fm in catalog.fragments_mut() {
-            for (r, stats) in fm.relations.iter().zip(&mut fm.stats) {
+            let relations = fm.relations.iter().zip(&mut fm.stats).zip(&mut fm.running);
+            for ((r, stats), running) in relations {
                 let ((gone, born), source) = match ops.get(&r.name) {
                     Some(crossings) => (crossings, None),
                     None if mirrors(&fm.spec, &r.place, dataset, table) => (&batch, Some(&*t)),
@@ -546,7 +386,7 @@ impl Estocada {
                 let writing = Instant::now();
                 layout::write(&self.stores, &r.place, source, gone, born)?;
                 let written = Instant::now();
-                if let Some(held) = maint.stats.get_mut(&r.name) {
+                if let Some(held) = running {
                     gone.iter().for_each(|row| held.remove(row));
                     born.iter().for_each(|row| held.add(row));
                     *stats = layout::stats(&r.place, held);
@@ -564,7 +404,9 @@ impl Estocada {
         }
 
         *epoch += 1;
-        maint.high_water.values_mut().for_each(|hw| *hw = *epoch);
+        for fm in catalog.fragments_mut() {
+            fm.high_water = *epoch;
+        }
         Ok(DmlReport {
             dataset: dataset.to_string(),
             table: table.to_string(),
@@ -717,9 +559,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(est.data_epoch(), 4);
-        let m = est.maintenance();
         for f in est.catalog().fragments() {
-            assert_eq!(m.high_water(&f.id), Some(4));
+            assert_eq!(f.high_water, 4);
         }
 
         let twin = deploy(est.datasets()["shop"].clone());
@@ -742,14 +583,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(est.data_epoch(), 2);
-        let m = est.maintenance();
         for f in est.catalog().fragments() {
-            assert_eq!(
-                m.high_water(&f.id),
-                Some(2),
-                "fragment {} lags the data epoch",
-                f.id
-            );
+            assert_eq!(f.high_water, 2, "fragment {} lags the data epoch", f.id);
         }
     }
 
@@ -896,33 +731,27 @@ mod tests {
             ],
             "reader must observe the write"
         );
-        // DDL keeps the maintenance state: every mark stays, a new
-        // fragment is marked at its fill, the next write maintains it, and
-        // a dropped one is forgotten.
+        // DDL keeps every mark: a new fragment is marked at its fill, the
+        // next write maintains it, and a dropped one leaves with its entry.
         let users_kv = || FragmentSpec::KeyValue {
             view: CqBuilder::new("UsersKV")
                 .head_vars(["uid", "name"])
                 .atom("Users", |a| a.v("uid").v("name"))
                 .build(),
         };
-        let marks = |est: &Estocada| -> Vec<_> {
-            let m = est.maintenance();
-            est.fragments()
-                .iter()
-                .map(|f| m.high_water(&f.id))
-                .collect()
-        };
+        let marks =
+            |est: &Estocada| -> Vec<_> { est.fragments().iter().map(|f| f.high_water).collect() };
         let id = est.add_fragment(users_kv()).unwrap();
-        assert_eq!(marks(&est), vec![Some(1); 7], "DDL dropped a mark");
+        assert_eq!(marks(&est), vec![1; 7], "DDL moved a mark");
         est.upsert_rows("shop", "Users", vec![vec![Value::Int(2), Value::str("bo")]])
             .unwrap();
-        assert_eq!(marks(&est), vec![Some(2); 7]);
+        assert_eq!(marks(&est), vec![2; 7]);
         let mut twin = deploy(est.datasets()["shop"].clone());
         twin.add_fragment(users_kv()).unwrap();
         assert_same_stores(&est, &twin);
         est.drop_fragment(&id).unwrap();
-        assert_eq!(est.maintenance().high_water(&id), None);
-        assert_eq!(marks(&est), vec![Some(2); 6]);
+        assert!(est.fragments().iter().all(|f| f.id != id));
+        assert_eq!(marks(&est), vec![2; 6]);
     }
 
     #[test]

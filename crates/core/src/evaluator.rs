@@ -13,10 +13,11 @@
 //!   per-epoch planning context.
 //! - **Query time** (`&self`, and `Estocada: Sync`): any number of client
 //!   threads answer queries against one shared engine — the stores
-//!   synchronize internally, usage counters are atomics, the staged fact
-//!   base and the planning context are lazily-initialized [`OnceLock`]s,
-//!   and rewriting is deterministic, so concurrent runs return exactly
-//!   what the serial run returns.
+//!   synchronize internally, usage counters are atomics, the fact base is
+//!   staged by [`Estocada::register_dataset`] and only read by queries, the
+//!   planning context is a lazily-initialized [`OnceLock`], and rewriting
+//!   is deterministic, so concurrent runs return exactly what the serial
+//!   run returns.
 //!
 //! # The query builder and its options
 //!
@@ -48,10 +49,11 @@ use crate::catalog::{Catalog, FragmentMeta, FragmentSpec};
 use crate::connector::Residual;
 use crate::cost::CostModel;
 use crate::dataset::Dataset;
-use crate::dml::MaintenanceState;
+use crate::dml::KeyPositions;
 use crate::error::{Error, PlanFailure, Result};
+use crate::factbase::FactBase;
 use crate::frontends::{ParsedQuery, QueryInput, SqlCatalog};
-use crate::materialize::{drop_fragment, fact_base, materialize};
+use crate::materialize::{drop_fragment, materialize};
 use crate::plancache::{LintCache, PlanCache, PlanCacheStats};
 use crate::planner::{self, Candidate, Planned, PlanningContext};
 use crate::report::{PlanCacheActivity, QueryResult, Report};
@@ -61,11 +63,11 @@ use crate::resilience::{
 };
 use crate::system::{Latencies, Stores, SystemId};
 use crate::translate::bind;
-use estocada_chase::{Instance, RewriteConfig, TerminationCertificate};
+use estocada_chase::{RewriteConfig, TerminationCertificate};
 use estocada_engine::{execute_with, EngineError, ExecOptions, ExecStats, RowBatch};
 use estocada_pivot::encoding::document::TreePattern;
 use estocada_pivot::hash::{FastMap, FastSet};
-use estocada_pivot::{Constraint, Cq, IdGen, Schema};
+use estocada_pivot::{Constraint, Cq, Schema, SchemaError, Symbol};
 use estocada_simkit::FaultPlan;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -217,10 +219,10 @@ pub struct Estocada {
     cost: CostModel,
     pub(crate) datasets: FastMap<String, Dataset>,
     schema: Schema,
-    /// The staged pivot fact base, built lazily on first use by whichever
-    /// query thread gets there first; reset (not rebuilt) by DDL and
-    /// maintained **incrementally** by DML (see [`crate::dml`]).
-    pub(crate) base: OnceLock<Instance>,
+    /// The registered datasets' pivot facts: each dataset's are staged when
+    /// it is registered, and DML maintains them **incrementally** (see
+    /// [`crate::dml`]).
+    pub(crate) base: FactBase,
     pub(crate) catalog: Catalog,
     /// The rewriting configuration: budgets, and candidate-verification
     /// workers sized one per core.
@@ -237,11 +239,10 @@ pub struct Estocada {
     /// plan cache — writes change data, not the catalog, so cached
     /// rewritings stay valid across them.
     pub(crate) data_epoch: u64,
-    /// Incremental-maintenance bookkeeping (per-table write state,
-    /// high-water marks, running statistics), kept across DDL.
-    pub(crate) maint: MaintenanceState,
+    /// The write path's own state: each written table's key positions.
+    pub(crate) key_positions: FastMap<Symbol, Option<KeyPositions>>,
     /// What planning derives from the catalog and schema alone: built on
-    /// first use per catalog epoch, reset by DDL like `base`.
+    /// first use per catalog epoch, reset by DDL.
     planning: OnceLock<PlanningContext>,
     pub(crate) plan_cache: PlanCache,
     /// The analyzer's per-query findings, cached per catalog epoch
@@ -275,7 +276,7 @@ impl Estocada {
             cost,
             datasets: FastMap::default(),
             schema: Schema::new(),
-            base: OnceLock::new(),
+            base: FactBase::new(),
             catalog: Catalog::new(),
             // Candidate verification is deterministic at any worker count
             // (identical RewriteOutcome), so it defaults to one worker per
@@ -286,7 +287,7 @@ impl Estocada {
             frag_seq: 0,
             epoch: 0,
             data_epoch: 0,
-            maint: MaintenanceState::default(),
+            key_positions: FastMap::default(),
             planning: OnceLock::new(),
             plan_cache: PlanCache::default(),
             lint_cache: LintCache::default(),
@@ -406,7 +407,7 @@ impl Estocada {
     }
 
     /// The planning context of the current catalog epoch, derived on first
-    /// use (like [`Estocada::base`], exactly one racing thread builds it).
+    /// use (exactly one racing thread builds it).
     pub(crate) fn planning(&self) -> &PlanningContext {
         self.planning.get_or_init(|| PlanningContext::derive(self))
     }
@@ -463,7 +464,8 @@ impl Estocada {
             return Err(Error::BadDataset(why));
         }
         let mut own = Schema::new();
-        ds.declare(&mut own);
+        let unknown_key = |e: SchemaError| Error::BadDataset(e.to_string());
+        ds.declare(&mut own).map_err(unknown_key)?;
         let declared = own
             .relations()
             .find(|r| self.schema.relation(r.name).is_some());
@@ -482,8 +484,8 @@ impl Estocada {
             }
         }
         self.schema = candidate;
+        self.base.stage(&ds);
         self.datasets.insert(ds.name.clone(), ds);
-        self.base = OnceLock::new(); // staging facts changed
         self.bump_epoch();
         Ok(())
     }
@@ -532,19 +534,6 @@ impl Estocada {
         &self.catalog
     }
 
-    /// The staged pivot fact base, built on first use (thread-safe: any
-    /// query thread may race here; exactly one builds).
-    pub(crate) fn base(&self) -> &Instance {
-        self.base.get_or_init(|| {
-            let mut ids = IdGen::starting_at(1_000_000);
-            let mut facts = Vec::new();
-            for ds in self.datasets.values() {
-                facts.extend(ds.pivot_facts(&mut ids));
-            }
-            fact_base(&facts)
-        })
-    }
-
     /// Materialize a fragment; returns its id.
     ///
     /// Under [`ValidationMode::Strict`] the analyzer lints the spec
@@ -562,11 +551,10 @@ impl Estocada {
             }
         }
         let id = format!("F{}", self.frag_seq + 1);
-        let (base, catalog) = (self.base(), &self.catalog);
-        let (meta, held) = materialize(&id, spec, base, &self.datasets, catalog, &self.stores)?;
+        let (base, catalog) = (&self.base, &self.catalog);
+        let mut meta = materialize(&id, spec, base, &self.datasets, catalog, &self.stores)?;
+        meta.high_water = self.data_epoch;
         self.frag_seq += 1;
-        self.maint.high_water.insert(id.clone(), self.data_epoch);
-        self.maint.stats.extend(held);
         self.catalog.add(meta);
         self.bump_epoch();
         Ok(id)
@@ -579,10 +567,6 @@ impl Estocada {
             .remove(id)
             .ok_or_else(|| Error::UnknownName(format!("fragment {id}")))?;
         drop_fragment(&meta, &self.stores);
-        self.maint.high_water.remove(id);
-        for r in &meta.relations {
-            self.maint.stats.remove(&r.name);
-        }
         self.bump_epoch();
         Ok(meta)
     }
@@ -666,7 +650,7 @@ impl Estocada {
     /// dataset facts — the oracle used by tests and the advisor (not a
     /// production query path).
     pub fn oracle_eval(&self, cq: &Cq) -> Vec<Vec<estocada_pivot::Value>> {
-        crate::materialize::evaluate_view(self.base(), cq)
+        self.base.evaluate(cq)
     }
 
     /// Resolve per-query options (the module docs give the order).

@@ -22,7 +22,7 @@ use crate::error::{Error, Result};
 use crate::system::{Stores, SystemId};
 use estocada_parstore::ParStore;
 use estocada_pivot::hash::FastMap;
-use estocada_pivot::{AccessPattern, Value};
+use estocada_pivot::{AccessPattern, Adornment, Value};
 
 /// A stored row of a fragment relation (head order).
 type Row = Vec<Value>;
@@ -99,7 +99,9 @@ pub(crate) fn access_of(place: &WhereSpec) -> Option<AccessPattern> {
         WhereSpec::TextIndex { .. } => 1,
         _ => return None,
     };
-    Some(AccessPattern::parse(&format!("i{}", "o".repeat(outputs))))
+    let mut adornments = vec![Adornment::Output; outputs + 1];
+    adornments[0] = Adornment::Input;
+    Some(AccessPattern { adornments })
 }
 
 /// Positions of `wanted` within `columns`; a miss is a rejected spec.

@@ -26,6 +26,7 @@ pub mod dataset;
 pub mod dml;
 pub mod error;
 pub mod evaluator;
+mod factbase;
 pub mod frontends;
 mod layout;
 pub mod materialize;
@@ -42,7 +43,7 @@ pub use catalog::{Catalog, FragmentMeta, FragmentSpec};
 pub use connector::Residual;
 pub use cost::CostModel;
 pub use dataset::{Dataset, DatasetContent, DocData, TableData};
-pub use dml::{DmlReport, DmlSteps, FragmentDelta, MaintenanceState};
+pub use dml::{DmlReport, DmlSteps, FragmentDelta};
 pub use error::{Error, PlanFailure, Result};
 pub use evaluator::{Estocada, QueryOptions, QueryRequest};
 pub use plancache::PlanCacheStats;

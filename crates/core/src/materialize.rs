@@ -9,64 +9,19 @@
 //! of the physical formats, shared with the DML path ([`crate::dml`]).
 
 use crate::catalog::{
-    Catalog, DocRole, FragmentMeta, FragmentRelation, FragmentSpec, FragmentStats,
-    StatsAccumulator, WhereSpec,
+    Catalog, DocRole, FragmentMeta, FragmentRelation, FragmentSpec, FragmentStats, WhereSpec,
 };
 use crate::dataset::{Dataset, DatasetContent, DocData, TableData};
 use crate::error::{Error, Result};
+use crate::factbase::FactBase;
 use crate::layout;
 use crate::system::Stores;
-use estocada_chase::{find_homs, find_homs_delta, DeltaIndex, Elem, HomConfig, Instance};
 use estocada_pivot::encoding::document::DocRelations;
-use estocada_pivot::hash::{FastMap, FastSet};
-use estocada_pivot::{Cq, Fact, Symbol, Term, Value, ViewDef};
+use estocada_pivot::hash::FastMap;
+use estocada_pivot::{Cq, Symbol, Term, Value, ViewDef};
 use std::borrow::Cow;
 
-/// Build a ground-fact instance (the staging database used to evaluate view
-/// definitions).
-pub fn fact_base(facts: &[Fact]) -> Instance {
-    let mut inst = Instance::new();
-    for f in facts {
-        inst.insert(f.pred, f.args.iter().map(Elem::constant).collect());
-    }
-    inst
-}
-
-/// The head row of every homomorphism of `view`'s body into `base`, in
-/// enumeration order, one per homomorphism (duplicates included). With
-/// `delta`, only the homomorphisms through at least one fact of the delta,
-/// each exactly once (semi-naive). A homomorphism mapping a head variable
-/// to a labelled null yields no row — never the case over ground bases.
-pub(crate) fn head_rows<'a>(
-    base: &Instance,
-    view: &'a Cq,
-    delta: Option<&DeltaIndex>,
-) -> impl Iterator<Item = Vec<Value>> + 'a {
-    let (fixed, cfg) = (FastMap::default(), HomConfig::default());
-    let homs = match delta {
-        Some(delta) => find_homs_delta(base, &view.body, &fixed, cfg, delta),
-        None => find_homs(base, &view.body, &fixed, cfg),
-    };
-    homs.into_iter().filter_map(move |h| {
-        view.head
-            .iter()
-            .map(|t| match t {
-                Term::Const(c) => Some(c.clone()),
-                Term::Var(v) => h.map.get(v).and_then(Elem::as_value),
-            })
-            .collect()
-    })
-}
-
-/// Evaluate a view over the fact base: all homomorphic images of the body,
-/// projected on the head. Duplicate rows are eliminated (set semantics of
-/// the pivot model).
-pub fn evaluate_view(base: &Instance, view: &Cq) -> Vec<Vec<Value>> {
-    let mut seen = FastSet::default();
-    head_rows(base, view, None)
-        .filter(|row| seen.insert(row.clone()))
-        .collect()
-}
+pub use crate::factbase::{evaluate_view, fact_base};
 
 /// Head column names of a view (variable names, falling back to `c{i}`).
 pub fn head_columns(view: &Cq) -> Vec<String> {
@@ -103,16 +58,17 @@ enum Contents<'a> {
 
 /// Materialize `spec` as fragment `id`: plan its relations (evaluating views
 /// over `base`), reject the spec if a fragment of `catalog` holds one of
-/// their names, fill their containers, and return the registered metadata
-/// with the running statistics of every relation DML writes.
+/// their names, fill their containers, and return the metadata to register
+/// with the running statistics of every relation DML writes (the caller
+/// sets its high-water mark).
 pub(crate) fn materialize(
     id: &str,
     spec: FragmentSpec,
-    base: &Instance,
+    base: &FactBase,
     datasets: &FastMap<String, Dataset>,
     catalog: &Catalog,
     stores: &Stores,
-) -> Result<(FragmentMeta, Vec<(Symbol, StatsAccumulator)>)> {
+) -> Result<FragmentMeta> {
     let planned = match &spec {
         FragmentSpec::NativeDoc { dataset } => native_docs(dataset, base, datasets)?,
         FragmentSpec::NativeTables { dataset, only } => {
@@ -129,37 +85,38 @@ pub(crate) fn materialize(
         let taken = format!("fragment {} holds a relation {name}", f.id);
         return Err(Error::BadFragment(taken));
     }
-    let (mut relations, mut stats, mut held) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut relations, mut stats, mut running) = (Vec::new(), Vec::new(), Vec::new());
     for (relation, contents) in planned {
         let place = &relation.place;
-        stats.push(match contents {
+        let (described, held) = match contents {
             Contents::Rows(rows, partitions, source) => {
                 layout::fill(stores, place, partitions, source, &rows)?;
-                let running = layout::accumulate(place, rows.iter(), relation.view.view.head.len());
-                let described = layout::stats(place, &running);
-                held.push((relation.name, running));
-                described
+                let held = layout::accumulate(place, rows.iter(), relation.view.view.head.len());
+                (layout::stats(place, &held), Some(held))
             }
             Contents::Documents(docs, stats) => {
                 if let (Some(docs), WhereSpec::NativeDocs { collection, .. }) = (docs, place) {
                     let bodies = docs.iter().map(|d| d.body.clone());
                     layout::load_documents(stores, collection, bodies);
                 }
-                stats
+                (stats, None)
             }
-        });
+        };
+        stats.push(described);
+        running.push(held);
         relations.push(relation);
     }
-    let meta = FragmentMeta {
+    Ok(FragmentMeta {
         id: id.to_string(),
         system: spec.system(),
         spec,
         relations,
         stats,
+        running,
+        high_water: 0,
         credentials: format!("sim://{id}"),
         use_count: Default::default(),
-    };
-    Ok((meta, held))
+    })
 }
 
 /// The relation `view` describes, stored at `place`.
@@ -179,7 +136,7 @@ fn mirror(t: &TableData) -> Contents<'_> {
 
 /// The one relation of a view fragment (table / key-value / doc-rows /
 /// par-rows): the view's rows, placed where `spec`'s kind says.
-fn view_relation<'a>(spec: &FragmentSpec, view: &Cq, base: &Instance) -> Result<Planned<'a>> {
+fn view_relation<'a>(spec: &FragmentSpec, view: &Cq, base: &FactBase) -> Result<Planned<'a>> {
     if !view.is_safe() {
         return Err(Error::BadFragment(format!(
             "view {} is not a safe conjunctive query",
@@ -187,7 +144,7 @@ fn view_relation<'a>(spec: &FragmentSpec, view: &Cq, base: &Instance) -> Result<
         )));
     }
     let (place, partitions) = layout::view_place(spec, &view.name.as_str(), head_columns(view))?;
-    let rows = Cow::Owned(evaluate_view(base, view));
+    let rows = Cow::Owned(base.evaluate(view));
     let contents = Contents::Rows(rows, partitions, None);
     Ok((relation(view.clone(), place), contents))
 }
@@ -207,7 +164,7 @@ fn tables_of<'a>(datasets: &'a FastMap<String, Dataset>, dataset: &str) -> Resul
 /// document-encoding relations, all answered from one collection.
 fn native_docs<'a>(
     dataset: &str,
-    base: &Instance,
+    base: &FactBase,
     datasets: &'a FastMap<String, Dataset>,
 ) -> Result<Vec<Planned<'a>>> {
     let ds = datasets
@@ -228,7 +185,7 @@ fn native_docs<'a>(
         (frag.val, src.val, DocRole::Val),
     ];
     let plan = |(fname, sname, role)| {
-        let nrows = base.facts_of(sname).count() as u64;
+        let nrows = base.count(sname);
         let stats = FragmentStats {
             rows: nrows,
             distinct: vec![nrows; 2],
@@ -245,11 +202,16 @@ fn native_docs<'a>(
 
 /// Tables of a relational dataset stored as such: each one (or only the
 /// listed ones) becomes an identity-view relation over a table of the same
-/// name, indexed on its declared key.
+/// name, indexed on its declared key. Naming no table is rejected.
 fn native_tables<'a>(tables: &'a [TableData], only: Option<&[String]>) -> Result<Vec<Planned<'a>>> {
-    let kept = |t: &&TableData| {
-        only.is_none_or(|keep| keep.iter().any(|k| *k == *t.encoding.relation.as_str()))
-    };
+    let named = |t: &TableData, k: &String| *k == *t.encoding.relation.as_str();
+    let absent = |k: &&String| !tables.iter().any(|t| named(t, k));
+    if let Some(k) = only.unwrap_or_default().iter().find(absent) {
+        return Err(Error::UnknownName(k.clone()));
+    } else if only.is_some_and(<[String]>::is_empty) {
+        return Err(Error::BadFragment("the fragment selects no table".into()));
+    }
+    let kept = |t: &&TableData| only.is_none_or(|keep| keep.iter().any(|k| named(t, k)));
     let plan = |t: &'a TableData| -> Result<Planned<'a>> {
         let key = t.encoding.key.as_deref().unwrap_or_default();
         let place = WhereSpec::Table {
@@ -301,9 +263,9 @@ mod tests {
     use crate::dataset::TableData;
     use crate::system::Latencies;
     use estocada_pivot::encoding::relational::TableEncoding;
-    use estocada_pivot::{CqBuilder, IdGen};
+    use estocada_pivot::CqBuilder;
 
-    fn setup() -> (Instance, FastMap<String, Dataset>, Stores) {
+    fn setup() -> (FactBase, FastMap<String, Dataset>, Stores) {
         let ds = Dataset::relational(
             "sales",
             vec![TableData {
@@ -320,9 +282,8 @@ mod tests {
                 text_columns: vec![],
             }],
         );
-        let mut ids = IdGen::new();
-        let facts = ds.pivot_facts(&mut ids);
-        let base = fact_base(&facts);
+        let mut base = FactBase::new();
+        base.stage(&ds);
         let mut datasets = FastMap::default();
         datasets.insert("sales".to_string(), ds);
         (base, datasets, Stores::new(Latencies::zero()))
@@ -335,7 +296,7 @@ mod tests {
             .head_vars(["t"])
             .atom("Users", |a| a.v("u").v("n").v("t"))
             .build();
-        let rows = evaluate_view(&base, &v);
+        let rows = base.evaluate(&v);
         assert_eq!(rows.len(), 2); // gold, free
     }
 
@@ -357,8 +318,7 @@ mod tests {
             &Catalog::new(),
             &stores,
         )
-        .unwrap()
-        .0;
+        .unwrap();
         assert_eq!(stores.rel.row_count("GoldUsers"), 10);
         assert_eq!(meta.stats[0].rows, 10);
         assert_eq!(meta.stats[0].distinct[0], 10);
@@ -384,8 +344,7 @@ mod tests {
             &Catalog::new(),
             &stores,
         )
-        .unwrap()
-        .0;
+        .unwrap();
         // Rows are packed as a list of value tuples under the key.
         assert_eq!(
             stores.kv.get("UserByIdKV", &Value::Int(3)).unwrap(),
@@ -472,8 +431,7 @@ mod tests {
             &Catalog::new(),
             &stores,
         )
-        .unwrap()
-        .0;
+        .unwrap();
         assert_eq!(stores.par.len("UsersPar"), 20);
         match &meta.relations[0].place {
             WhereSpec::ParDataset { indexed, .. } => assert_eq!(indexed, &vec![0]),
@@ -495,8 +453,7 @@ mod tests {
             &Catalog::new(),
             &stores,
         )
-        .unwrap()
-        .0;
+        .unwrap();
         assert_eq!(stores.rel.row_count("Users"), 20);
         assert_eq!(meta.relations.len(), 1);
         assert_eq!(meta.relations[0].name, Symbol::intern("UsersF"));
@@ -525,8 +482,7 @@ mod tests {
             &Catalog::new(),
             &stores,
         )
-        .unwrap()
-        .0;
+        .unwrap();
         assert_eq!(stores.rel.row_count("Tmp"), 20);
         drop_fragment(&meta, &stores);
         assert_eq!(stores.rel.row_count("Tmp"), 0);
@@ -551,5 +507,52 @@ mod tests {
             &stores,
         );
         assert!(matches!(err, Err(Error::BadFragment(_))));
+    }
+    /// An engine over the `sales` dataset, and a native-tables spec over it
+    /// restricted to `only`.
+    fn native_only(only: &[&str]) -> (crate::Estocada, FragmentSpec) {
+        let mut est = crate::Estocada::new(Latencies::zero());
+        est.register_dataset(setup().1.remove("sales").unwrap())
+            .unwrap();
+        let only = only.iter().map(|t| t.to_string()).collect();
+        let spec = FragmentSpec::NativeTables {
+            dataset: "sales".into(),
+            only: Some(only),
+        };
+        (est, spec)
+    }
+
+    /// A rejected spec stored nothing, used no fragment id and left the
+    /// catalog epoch alone.
+    fn assert_nothing_changed(mut est: crate::Estocada, epoch: u64) {
+        assert_eq!(
+            est.catalog_epoch(),
+            epoch,
+            "a rejected spec bumped the epoch"
+        );
+        assert!(est.stores.dump().is_empty(), "a rejected spec stored rows");
+        let (_, spec) = native_only(&["Users"]);
+        assert_eq!(est.add_fragment(spec).unwrap(), "F1");
+    }
+
+    #[test]
+    fn native_tables_naming_a_missing_table_is_an_unknown_name() {
+        let (mut est, spec) = native_only(&["Users", "Userz"]);
+        let epoch = est.catalog_epoch();
+        let err = est.add_fragment(spec).unwrap_err();
+        assert!(
+            matches!(&err, Error::UnknownName(t) if t == "Userz"),
+            "got {err}"
+        );
+        assert_nothing_changed(est, epoch);
+    }
+
+    #[test]
+    fn native_tables_selecting_no_table_is_a_bad_fragment() {
+        let (mut est, spec) = native_only(&[]);
+        let epoch = est.catalog_epoch();
+        let err = est.add_fragment(spec).unwrap_err();
+        assert!(matches!(err, Error::BadFragment(_)), "got {err}");
+        assert_nothing_changed(est, epoch);
     }
 }

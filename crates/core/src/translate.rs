@@ -727,6 +727,8 @@ mod tests {
                 distinct: vec![10, 10],
                 bytes: 200,
             }],
+            running: vec![None],
+            high_water: 0,
             credentials: String::new(),
             use_count: Default::default(),
         });
@@ -745,7 +747,7 @@ mod tests {
             relations: vec![FragmentRelation {
                 name: Symbol::intern("UsersKV"),
                 view: kv_view,
-                access: Some(AccessPattern::parse("io")),
+                access: Some(AccessPattern::parse("io").unwrap()),
                 place: WhereSpec::Namespace {
                     namespace: "kv_users".into(),
                     value_columns: vec!["name".into()],
@@ -756,6 +758,8 @@ mod tests {
                 distinct: vec![10, 10],
                 bytes: 200,
             }],
+            running: vec![None],
+            high_water: 0,
             credentials: String::new(),
             use_count: Default::default(),
         });

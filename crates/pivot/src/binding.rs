@@ -7,6 +7,7 @@
 
 use crate::atom::Atom;
 use crate::hash::FastMap;
+use crate::schema::SchemaError;
 use crate::symbol::Symbol;
 use crate::term::{Term, Var};
 use std::collections::BTreeSet;
@@ -38,18 +39,15 @@ impl AccessPattern {
     }
 
     /// Parse a compact adornment string, e.g. `"io"` = first position input,
-    /// second output.
-    pub fn parse(s: &str) -> AccessPattern {
-        AccessPattern {
-            adornments: s
-                .chars()
-                .map(|c| match c {
-                    'i' | 'I' => Adornment::Input,
-                    'o' | 'O' => Adornment::Output,
-                    other => panic!("invalid adornment character {other:?}"),
-                })
-                .collect(),
-        }
+    /// second output; any other character is [`SchemaError::BadAdornment`].
+    pub fn parse(s: &str) -> Result<AccessPattern, SchemaError> {
+        let adornment = |c| match c {
+            'i' | 'I' => Ok(Adornment::Input),
+            'o' | 'O' => Ok(Adornment::Output),
+            other => Err(SchemaError::BadAdornment(other)),
+        };
+        let adornments = s.chars().map(adornment).collect::<Result<_, _>>()?;
+        Ok(AccessPattern { adornments })
     }
 
     /// Indices of input positions.
@@ -177,7 +175,7 @@ mod tests {
     #[test]
     fn kv_atom_requires_bound_key() {
         let mut m = AccessMap::new();
-        m.set("KV", AccessPattern::parse("io"));
+        m.set("KV", AccessPattern::parse("io").unwrap());
         // KV(k, v) alone with free k: infeasible.
         assert!(!m.is_feasible(&[atom("KV", &[0, 1])], &BTreeSet::new()));
         // R(x, k), KV(k, v): feasible — R binds the key first.
@@ -189,7 +187,7 @@ mod tests {
     #[test]
     fn constant_key_is_always_bound() {
         let mut m = AccessMap::new();
-        m.set("KV", AccessPattern::parse("io"));
+        m.set("KV", AccessPattern::parse("io").unwrap());
         let a = Atom::new("KV", vec![Term::constant("user42"), Term::var(0)]);
         assert!(m.is_feasible(&[a], &BTreeSet::new()));
     }
@@ -197,7 +195,7 @@ mod tests {
     #[test]
     fn pre_bound_parameters_count() {
         let mut m = AccessMap::new();
-        m.set("KV", AccessPattern::parse("io"));
+        m.set("KV", AccessPattern::parse("io").unwrap());
         let mut pre = BTreeSet::new();
         pre.insert(Var(0));
         assert!(m.is_feasible(&[atom("KV", &[0, 1])], &pre));
@@ -206,8 +204,8 @@ mod tests {
     #[test]
     fn chained_kv_accesses_resolve() {
         let mut m = AccessMap::new();
-        m.set("KV1", AccessPattern::parse("io"));
-        m.set("KV2", AccessPattern::parse("io"));
+        m.set("KV1", AccessPattern::parse("io").unwrap());
+        m.set("KV2", AccessPattern::parse("io").unwrap());
         // KV2 needs KV1's output, KV1 needs a constant: both fine.
         let atoms = vec![
             atom("KV2", &[1, 2]),
@@ -222,8 +220,8 @@ mod tests {
     #[test]
     fn cyclic_inputs_are_infeasible() {
         let mut m = AccessMap::new();
-        m.set("A", AccessPattern::parse("io"));
-        m.set("B", AccessPattern::parse("io"));
+        m.set("A", AccessPattern::parse("io").unwrap());
+        m.set("B", AccessPattern::parse("io").unwrap());
         // A(x, y), B(y, x): each needs the other's output first.
         let atoms = vec![atom("A", &[0, 1]), atom("B", &[1, 0])];
         assert!(!m.is_feasible(&atoms, &BTreeSet::new()));
@@ -231,8 +229,12 @@ mod tests {
 
     #[test]
     fn pattern_parse_and_display_round_trip() {
-        let p = AccessPattern::parse("ioo");
+        let p = AccessPattern::parse("ioo").unwrap();
         assert_eq!(format!("{p}"), "ioo");
+        assert_eq!(
+            AccessPattern::parse("iox"),
+            Err(SchemaError::BadAdornment('x'))
+        );
         assert_eq!(p.input_positions().collect::<Vec<_>>(), vec![0]);
         assert!(!p.is_free());
         assert!(AccessPattern::free(3).is_free());

@@ -144,7 +144,8 @@ impl Cq {
             seen.push(cur.clone());
             cur = cur.canonicalize_step();
         }
-        seen.into_iter().min_by_key(key).expect("at least one step")
+        // The loop pushed at least once, so `cur` is never the answer.
+        seen.into_iter().min_by_key(key).unwrap_or(cur)
     }
 
     /// Apply a substitution to head and body.

@@ -4,7 +4,7 @@
 //! become EGDs. This module only adds the row→fact plumbing.
 
 use crate::fact::Fact;
-use crate::schema::{RelationDecl, Schema};
+use crate::schema::{RelationDecl, Schema, SchemaError};
 use crate::symbol::Symbol;
 use crate::value::Value;
 
@@ -29,15 +29,17 @@ impl TableEncoding {
         }
     }
 
-    /// Declare the relation into `schema`.
-    pub fn declare(&self, schema: &mut Schema) {
+    /// Declare the relation into `schema`; a key naming a column the table
+    /// lacks is [`SchemaError::UnknownKeyColumn`] and declares nothing.
+    pub fn declare(&self, schema: &mut Schema) -> Result<(), SchemaError> {
         let cols: Vec<&str> = self.columns.iter().map(|s| s.as_str()).collect();
         let mut d = RelationDecl::new(self.relation, &cols);
         if let Some(k) = &self.key {
             let kc: Vec<&str> = k.iter().map(|s| s.as_str()).collect();
-            d = d.with_key(&kc);
+            d = d.with_key(&kc)?;
         }
         schema.add_relation(d);
+        Ok(())
     }
 
     /// Encode a row (in column order) as a fact.
@@ -60,7 +62,7 @@ mod tests {
     fn declare_with_key_produces_egds() {
         let t = TableEncoding::new("Users", &["uid", "name"], Some(&["uid"]));
         let mut s = Schema::new();
-        t.declare(&mut s);
+        t.declare(&mut s).unwrap();
         assert_eq!(s.constraints.len(), 1);
         assert_eq!(s.relation(t.relation).unwrap().arity(), 2);
     }

@@ -43,7 +43,7 @@ pub use fact::{Fact, IdGen};
 pub use intern::{ConstId, ConstReader};
 pub use kernel::IdRows;
 pub use multiset::{swap_remove, Postings, Wanted};
-pub use schema::{RelationDecl, Schema};
+pub use schema::{RelationDecl, Schema, SchemaError};
 pub use symbol::Symbol;
 pub use term::{Term, Var};
 pub use value::{CmpOp, Value};

@@ -45,19 +45,20 @@ impl RelationDecl {
         self
     }
 
-    /// Declare a candidate key over the named columns (builder style).
-    pub fn with_key(mut self, key_cols: &[&str]) -> Self {
-        let idx: Vec<usize> = key_cols
-            .iter()
-            .map(|k| {
-                self.columns
-                    .iter()
-                    .position(|c| c == k)
-                    .unwrap_or_else(|| panic!("unknown key column {k} on {}", self.name))
-            })
-            .collect();
+    /// Declare a candidate key over the named columns (builder style); a
+    /// name that is not a column is [`SchemaError::UnknownKeyColumn`].
+    pub fn with_key(mut self, key_cols: &[&str]) -> Result<Self, SchemaError> {
+        let position = |k: &&str| {
+            let column = k.to_string();
+            let unknown = || SchemaError::UnknownKeyColumn {
+                relation: self.name,
+                column,
+            };
+            self.column_index(k).ok_or_else(unknown)
+        };
+        let idx = key_cols.iter().map(position).collect::<Result<_, _>>()?;
         self.keys.push(idx);
-        self
+        Ok(self)
     }
 
     /// Arity.
@@ -122,6 +123,33 @@ impl fmt::Display for RelationDecl {
     }
 }
 
+/// A declaration the pivot model cannot hold.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SchemaError {
+    /// A key names a column its relation does not have.
+    UnknownKeyColumn {
+        /// The relation declaring the key.
+        relation: Symbol,
+        /// The name that is not one of its columns.
+        column: String,
+    },
+    /// An access pattern holds a character other than `i` or `o`.
+    BadAdornment(char),
+}
+
+impl fmt::Display for SchemaError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SchemaError::UnknownKeyColumn { relation, column } => {
+                write!(f, "unknown key column {column} on {relation}")
+            }
+            SchemaError::BadAdornment(c) => write!(f, "invalid adornment character {c:?}"),
+        }
+    }
+}
+
+impl std::error::Error for SchemaError {}
+
 /// A pivot schema: relation declarations plus model constraints.
 #[derive(Debug, Clone, Default)]
 pub struct Schema {
@@ -183,7 +211,9 @@ mod tests {
 
     #[test]
     fn key_egds_are_generated_per_nonkey_column() {
-        let d = RelationDecl::new("Users", &["uid", "name", "email"]).with_key(&["uid"]);
+        let d = RelationDecl::new("Users", &["uid", "name", "email"])
+            .with_key(&["uid"])
+            .unwrap();
         let egds = d.key_egds();
         assert_eq!(egds.len(), 2); // name, email
         let s = format!("{}", egds[0]);
@@ -193,7 +223,11 @@ mod tests {
     #[test]
     fn schema_collects_key_constraints() {
         let mut s = Schema::new();
-        s.add_relation(RelationDecl::new("R", &["a", "b"]).with_key(&["a"]));
+        s.add_relation(
+            RelationDecl::new("R", &["a", "b"])
+                .with_key(&["a"])
+                .unwrap(),
+        );
         assert_eq!(s.constraints.len(), 1);
         assert!(s.relation(Symbol::intern("R")).is_some());
     }
@@ -203,7 +237,7 @@ mod tests {
         let mut s = Schema::new();
         s.add_relation(RelationDecl::new("Free", &["a", "b"]));
         s.add_relation(
-            RelationDecl::new("Kv", &["k", "v"]).with_access(AccessPattern::parse("io")),
+            RelationDecl::new("Kv", &["k", "v"]).with_access(AccessPattern::parse("io").unwrap()),
         );
         let m = s.access_map();
         assert!(m.get(Symbol::intern("Free")).is_none());
@@ -213,7 +247,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "arity mismatch")]
     fn access_pattern_arity_checked() {
-        let _ = RelationDecl::new("R", &["a", "b"]).with_access(AccessPattern::parse("i"));
+        let _ = RelationDecl::new("R", &["a", "b"]).with_access(AccessPattern::parse("i").unwrap());
+    }
+
+    #[test]
+    fn unknown_key_column_is_an_error() {
+        let err = RelationDecl::new("R", &["a", "b"]).with_key(&["a", "z"]);
+        let unknown = SchemaError::UnknownKeyColumn {
+            relation: Symbol::intern("R"),
+            column: "z".into(),
+        };
+        assert_eq!(err.unwrap_err(), unknown);
     }
 
     #[test]

@@ -137,19 +137,13 @@ pub fn rw_workload(m: &Marketplace, config: RwConfig) -> Vec<RwOp> {
 /// Fragments whose high-water mark lags the engine's data epoch, as
 /// `(fragment id, high water, data epoch)`. Synchronous maintenance keeps
 /// this empty at every quiescent point; a non-empty result is a staleness
-/// bug. A fragment is marked when it is filled — with the data epoch it was
-/// filled at — and every write advances every mark, so a fragment without
-/// a mark is stale too (reported with high water 0).
+/// bug. Each fragment's catalog entry carries its mark: the data epoch it
+/// was filled at, advanced by every write.
 pub fn stale_fragments(est: &Estocada) -> Vec<(String, u64, u64)> {
-    let (m, epoch) = (est.maintenance(), est.data_epoch());
-    est.catalog()
-        .fragments()
-        .iter()
-        .filter_map(|f| {
-            let hw = m.high_water(&f.id);
-            (hw != Some(epoch)).then(|| (f.id.clone(), hw.unwrap_or(0), epoch))
-        })
-        .collect()
+    let epoch = est.data_epoch();
+    let fragments = est.catalog().fragments().iter();
+    let stale = fragments.filter(|f| f.high_water != epoch);
+    stale.map(|f| (f.id.clone(), f.high_water, epoch)).collect()
 }
 
 /// Outcome of one mixed run.

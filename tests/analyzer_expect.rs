@@ -53,6 +53,8 @@ fn kv_meta(id: &str, view: Cq) -> FragmentMeta {
         spec: FragmentSpec::KeyValue { view },
         relations: Vec::new(),
         stats: Vec::new(),
+        running: Vec::new(),
+        high_water: 0,
         credentials: String::new(),
         use_count: 0.into(),
     }
@@ -69,6 +71,8 @@ fn par_meta(id: &str, view: Cq) -> FragmentMeta {
         },
         relations: Vec::new(),
         stats: Vec::new(),
+        running: Vec::new(),
+        high_water: 0,
         credentials: String::new(),
         use_count: 0.into(),
     }

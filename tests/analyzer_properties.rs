@@ -473,6 +473,8 @@ fn kv_meta(id: &str, view: Cq) -> FragmentMeta {
         spec: FragmentSpec::KeyValue { view },
         relations: Vec::new(),
         stats: Vec::new(),
+        running: Vec::new(),
+        high_water: 0,
         credentials: String::new(),
         use_count: 0.into(),
     }

@@ -14,6 +14,10 @@
 //!   patched in place — a parallel dataset's key index, a relational
 //!   table's column indexes, a collection's path indexes — answers every
 //!   probe like a scan.
+//! - **The fact base equals a fresh staging.** Every relation the schema
+//!   declares holds, in the fact base the oracle reads, what a fresh
+//!   engine staged from the mutated datasets holds — also for a fact that
+//!   two rows support and one delete leaves supported.
 //! - **No staleness.** Maintenance is synchronous, so at every quiescent
 //!   point each fragment's high-water mark equals the data epoch.
 //! - **DDL between writes.** Adding or dropping a fragment or adding a
@@ -28,10 +32,11 @@ mod common;
 
 use common::{sorted, Deploy, DEPLOYMENTS};
 use estocada::catalog::WhereSpec;
-use estocada::{Estocada, FragmentSpec, Latencies};
+use estocada::{Dataset, Estocada, FragmentSpec, Latencies, TableData};
 use estocada_docstore::{eval_path, Filter};
+use estocada_pivot::encoding::relational::TableEncoding;
 use estocada_pivot::kernel::values_of;
-use estocada_pivot::{Atom, CmpOp, Constraint, CqBuilder, Term, Tgd, Value};
+use estocada_pivot::{Atom, CmpOp, Constraint, Cq, CqBuilder, Term, Tgd, Value};
 use estocada_relstore::{ColRef, Pred, SqlQuery};
 use estocada_workloads::marketplace::{generate, Marketplace, MarketplaceConfig, W1Query};
 use estocada_workloads::readwrite::{
@@ -87,6 +92,22 @@ fn assert_same_stats(a: &Estocada, b: &Estocada, what: &str) {
             format!("{:?}", b.stats),
             "{what}: statistics of {} diverged from a first fill",
             a.id
+        );
+    }
+}
+
+/// Every relation the schema declares — the tables, each `{table}_Terms`
+/// and the document relations — holds the same facts in both engines' fact
+/// bases (the identity query through the oracle, as sorted rows).
+fn assert_same_fact_base(a: &Estocada, b: &Estocada, what: &str) {
+    for r in a.schema().relations() {
+        let vars: Vec<Term> = (0..r.arity() as u32).map(Term::var).collect();
+        let identity = Cq::new(r.name, vars.clone(), vec![Atom::new(r.name, vars)]);
+        assert_eq!(
+            sorted(a.oracle_eval(&identity)),
+            sorted(b.oracle_eval(&identity)),
+            "{what}: the fact base's {} diverged from a fresh staging",
+            r.name
         );
     }
 }
@@ -232,6 +253,11 @@ fn assert_index_lookups_equal_scans(est: &Estocada, what: &str) {
 /// (indexed on uid, category): what to do, a source of choices, a size.
 type Step = (u8, u64, usize);
 
+/// The steps every scripted run starts with: a new `Orders` row stored
+/// twice — one fact, two rows behind it — then one copy deleted, which must
+/// leave the fact in the fact base.
+const SHARED_FACT: [Step; 2] = [(0, 0, 1), (8, 0, 1)];
+
 /// Run `step` against the engine's current rows. Even kinds write `Orders`,
 /// odd ones `WebLog`; new rows copy (uid, pid, category) from a stored row of
 /// the other table, so they join into `UserHist`.
@@ -298,6 +324,9 @@ fn apply_step(est: &mut Estocada, (kind, pick, size): Step, fresh: &mut i64) {
             rows.push(new_row(&mut choose));
             est.upsert_rows("sales", table, rows)
         }
+        // One copy of the last stored row: after kind 0 or 1 it is stored
+        // twice, and the other copy still supports its facts.
+        8 => est.delete_rows("sales", table, live.split_off(live.len() - 1)),
         // Every row: the table's fragments and the join end up empty.
         _ => est.delete_rows("sales", table, live),
     };
@@ -480,7 +509,7 @@ proptest! {
         let mut est = deploy_indexed(&market(), Latencies::zero());
         let mut fresh = 700_000i64;
         let hist = |est: &Estocada| est.stores.par.dataset("UserHist").expect("UserHist");
-        for (i, step) in script.iter().enumerate() {
+        for (i, step) in SHARED_FACT.iter().chain(&script).enumerate() {
             let what = format!("after step {i} of {script:?}");
             // Odd picks keep a reader's handle across the batch.
             let reader = (step.1 % 2 == 1).then(|| hist(&est));
@@ -501,6 +530,7 @@ proptest! {
             let twin = remat_twin(&est, deploy_indexed);
             assert_same_stores(&est, &twin, &what);
             assert_same_stats(&est, &twin, &what);
+            assert_same_fact_base(&est, &twin, &what);
             assert_index_lookups_equal_scans(&est, &what);
         }
     }
@@ -594,10 +624,14 @@ proptest! {
     ) {
         let mut est = deploy_materialized_join(&market(), Latencies::zero());
         let (mut fresh, mut log, mut accepted) = (700_000i64, Vec::new(), Vec::new());
-        for (i, &(kind, pick, size)) in script.iter().enumerate() {
+        // The shared-fact steps run as written; the script's write kinds
+        // 0–3 insert or delete, and 4 upserts (write kind 5).
+        let steps = SHARED_FACT.iter().map(|step| (step, true));
+        let steps = steps.chain(script.iter().map(|step| (step, false)));
+        for (i, (&(kind, pick, size), raw)) in steps.enumerate() {
             let what = format!("after step {i} of {script:?}");
             let ddl = match kind {
-                0..=4 => None,
+                k if raw || k <= 4 => None,
                 5 | 6 => Some(Ddl::Add(added_fragment(pick, i))),
                 7 => {
                     let ids: Vec<_> = est.fragments().iter().map(|f| f.id.clone()).collect();
@@ -610,7 +644,7 @@ proptest! {
                     accepted.push(apply_ddl(&mut est, &ddl));
                     log.push(ddl);
                 }
-                // Kinds 0–3 insert or delete; 4 upserts (write kind 5).
+                None if raw => apply_step(&mut est, (kind, pick, size), &mut fresh),
                 None => apply_step(&mut est, (kind + kind / 4, pick, size), &mut fresh),
             }
             prop_assert!(stale_fragments(&est).is_empty(), "{}: stale fragments", what);
@@ -620,8 +654,49 @@ proptest! {
             prop_assert_eq!(est.fragments().len(), twin.fragments().len());
             assert_same_stores(&est, &twin, &what);
             assert_same_stats(&est, &twin, &what);
+            assert_same_fact_base(&est, &twin, &what);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Registration between writes: the fact base stages the new dataset next
+// to the written ones, and a row written before it can still be deleted.
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_dataset_registered_between_batches_keeps_earlier_writes_deletable() {
+    let notes = || {
+        let encoding = TableEncoding::new("Notes", &["nid", "text"], Some(&["nid"]));
+        let rows = vec![vec![Value::Int(1), Value::str("restock laptops")]];
+        let text_columns = vec!["text".into()];
+        Dataset::relational(
+            "notes",
+            vec![TableData {
+                encoding,
+                rows,
+                text_columns,
+            }],
+        )
+    };
+    let mut est = deploy_materialized_join(&market(), Latencies::zero());
+    let mut fresh = 700_000i64;
+    apply_step(&mut est, (0, 3, 2), &mut fresh);
+    let written = stored(&est, "Orders").pop().expect("a written row");
+    est.register_dataset(notes()).expect("third dataset");
+    est.delete_rows("sales", "Orders", vec![written])
+        .expect("delete a row written before");
+    apply_step(&mut est, (1, 5, 2), &mut fresh);
+    assert!(
+        stale_fragments(&est).is_empty(),
+        "a fragment lags the data epoch"
+    );
+    let mut twin = remat_twin(&est, deploy_materialized_join);
+    twin.register_dataset(notes())
+        .expect("third dataset on the twin");
+    assert_same_stores(&est, &twin, "after a registration between batches");
+    assert_same_stats(&est, &twin, "after a registration between batches");
+    assert_same_fact_base(&est, &twin, "after a registration between batches");
 }
 
 // ---------------------------------------------------------------------

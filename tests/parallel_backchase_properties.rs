@@ -292,7 +292,9 @@ fn stats_counters_are_exact_under_parallel_fanout() {
     use estocada_pivot::AccessPattern;
     let mut problem = multi_candidate_problem(4);
     // Make every candidate using V0 infeasible and keep W0 usable.
-    problem.access.set("V0", AccessPattern::parse("io"));
+    problem
+        .access
+        .set("V0", AccessPattern::parse("io").unwrap());
     let serial = pacb_rewrite(&problem, &RewriteConfig::default()).unwrap();
     assert!(serial.stats.infeasible > 0);
     assert!(serial.stats.accepted > 0);

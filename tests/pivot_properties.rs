@@ -85,8 +85,8 @@ proptest! {
         specs in proptest::collection::vec((0..2usize, 0..4u32, 0..4u32), 1..5),
     ) {
         let mut access = AccessMap::new();
-        access.set("Kv0", AccessPattern::parse("io"));
-        access.set("Kv1", AccessPattern::parse("io"));
+        access.set("Kv0", AccessPattern::parse("io").unwrap());
+        access.set("Kv1", AccessPattern::parse("io").unwrap());
         let names = ["Kv0", "Kv1"];
         let atoms: Vec<Atom> = specs
             .iter()
