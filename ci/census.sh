@@ -4,8 +4,8 @@
 # definitions in the engine, SCC routines in library code, sites that assign
 # a delegated unit's scan estimate, posting-index maintenance routines,
 # std hash tables on the default hasher, aggregate accumulators, join hash
-# tables, fact-base owners, independently settable options, and panic
-# sites in library code.
+# tables, fact-base owners, homomorphism searches in the mediator,
+# independently settable options, and panic sites in library code.
 # Informational: prints, never fails on a count.
 set -eu
 cd "$(dirname "$0")/.."
@@ -105,6 +105,15 @@ for f in $(rust_files crates/core/src); do
     fi
 done
 printf '%-28s %8d\n' 'fact-base owners' "$fact_base_owners"
+# Library call sites in the mediator of the chase's homomorphism searches:
+# fills and maintenance run each view's compiled plan, and the search stays
+# only behind the oracle (`evaluate_view`), independent of the plans.
+hom_searches=0
+for f in $(rust_files crates/core/src); do
+    n=$(library_part "$f" | grep -cE '\b(find_homs|find_homs_delta|find_one_hom)\(' || true)
+    hom_searches=$((hom_searches + n))
+done
+printf '%-28s %8d\n' 'hom searches (core)' "$hom_searches"
 
 # Public fields of `pub struct $2` in file `$1`.
 fields() {

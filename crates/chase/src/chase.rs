@@ -364,11 +364,8 @@ fn compile(c: &Constraint) -> (Vec<Atom>, Action) {
                 Term::Const(v) => ConclusionSlot::Const(Elem::constant(v)),
                 Term::Var(v) => match existentials.binary_search(v) {
                     Ok(i) => ConclusionSlot::Existential(i),
-                    Err(_) => ConclusionSlot::Frontier(
-                        frontier
-                            .binary_search(v)
-                            .expect("a conclusion variable is existential or frontier"),
-                    ),
+                    // Not existential, so in the frontier: its place there.
+                    Err(_) => ConclusionSlot::Frontier(frontier.partition_point(|f| f < v)),
                 },
             };
             let slots = |a: &Atom| (a.pred, a.args.iter().map(slot).collect());
@@ -549,14 +546,14 @@ fn apply_egd<P: FiringPolicy>(
             continue;
         }
         let resolve = |s: &Slot| match s {
-            Slot::Const(e) => *e,
-            Slot::Var(v) => instance.resolve(
-                h.map
-                    .get(v)
-                    .expect("EGD equality variable must occur in premise"),
-            ),
+            Slot::Const(e) => Some(*e),
+            Slot::Var(v) => h.map.get(v).map(|e| instance.resolve(e)),
         };
-        let (a, b) = (resolve(&equal.0), resolve(&equal.1));
+        // Validation rejects an EGD equating a variable its premise does
+        // not bind (E003); such an equality binds nothing to merge.
+        let (Some(a), Some(b)) = (resolve(&equal.0), resolve(&equal.1)) else {
+            continue;
+        };
         match instance.merge_retired(&a, &b) {
             Ok(Some(retired)) => {
                 policy.invalidate_null(retired);

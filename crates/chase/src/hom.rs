@@ -260,12 +260,13 @@ fn compile<'a>(
 }
 
 /// Estimated candidate count for pending atom `ai` under the current
-/// bindings, plus the most selective bound position. Count-only probes —
-/// nothing is materialized for atoms that lose the selection.
-fn estimate(ctx: &Ctx<'_>, bind: &[Option<Elem>], ai: usize) -> (usize, Option<u32>) {
+/// bindings, plus the most selective bound position and its element.
+/// Count-only probes — nothing is materialized for atoms that lose the
+/// selection.
+fn estimate(ctx: &Ctx<'_>, bind: &[Option<Elem>], ai: usize) -> (usize, Option<(u32, Elem)>) {
     let atom = &ctx.atoms[ai];
     let mut best = usize::MAX;
-    let mut best_pos = None;
+    let mut best_probe = None;
     for (i, slot) in atom.slots.iter().enumerate() {
         let elem = match slot {
             Slot::Const(e) => Some(e),
@@ -275,37 +276,27 @@ fn estimate(ctx: &Ctx<'_>, bind: &[Option<Elem>], ai: usize) -> (usize, Option<u
             let n = ctx.instance.count_with(atom.pred, i as u32, e);
             if n < best {
                 best = n;
-                best_pos = Some(i as u32);
+                best_probe = Some((i as u32, *e));
             }
         }
     }
-    if best_pos.is_none() {
+    if best_probe.is_none() {
         best = match ctx.strata[ai] {
             // An unbound delta anchor can only match delta facts.
             Stratum::New => ctx.delta.map(|d| d.facts_of(atom.pred).len()).unwrap_or(0),
             _ => ctx.instance.pred_count(atom.pred),
         };
     }
-    (best, best_pos)
+    (best, best_probe)
 }
 
-/// The candidate posting list for atom `ai` (borrowing the instance or the
-/// delta index — never copied).
-fn candidates<'a>(
-    ctx: &'a Ctx<'_>,
-    bind: &[Option<Elem>],
-    ai: usize,
-    pos: Option<u32>,
-) -> &'a [u32] {
+/// The candidate posting list for atom `ai`: the facts holding `probe`'s
+/// element at its position, or with no probe every fact of the atom's
+/// stratum (borrowing the instance or the delta index — never copied).
+fn candidates<'a>(ctx: &'a Ctx<'_>, ai: usize, probe: Option<(u32, Elem)>) -> &'a [u32] {
     let atom = &ctx.atoms[ai];
-    match pos {
-        Some(p) => {
-            let elem = match &atom.slots[p as usize] {
-                Slot::Const(e) => e,
-                Slot::Var(v) => bind[*v].as_ref().expect("selected position must be bound"),
-            };
-            ctx.instance.probe(atom.pred, p, elem)
-        }
+    match probe {
+        Some((p, elem)) => ctx.instance.probe(atom.pred, p, &elem),
         None => match ctx.strata[ai] {
             Stratum::New => ctx.delta.map(|d| d.facts_of(atom.pred)).unwrap_or(&[]),
             _ => ctx.instance.pred_facts(atom.pred),
@@ -324,13 +315,13 @@ fn search(ctx: &Ctx<'_>, s: &mut Scratch, depth: usize) {
     }
     // Select the most selective pending atom and swap it to `depth`.
     let mut best = usize::MAX;
-    let mut best_pos: Option<u32> = None;
+    let mut best_probe: Option<(u32, Elem)> = None;
     let mut best_slot = depth;
     for slot in depth..s.order.len() {
-        let (n, pos) = estimate(ctx, &s.bind, s.order[slot]);
+        let (n, probe) = estimate(ctx, &s.bind, s.order[slot]);
         if n < best {
             best = n;
-            best_pos = pos;
+            best_probe = probe;
             best_slot = slot;
             if n == 0 {
                 break;
@@ -346,7 +337,7 @@ fn search(ctx: &Ctx<'_>, s: &mut Scratch, depth: usize) {
     // Fetch the winner's candidate list exactly once. The slice borrows the
     // context (instance/delta), not the scratch state, so the loop below is
     // free to mutate bindings.
-    let cands: &[u32] = candidates(ctx, &s.bind, ai, best_pos);
+    let cands: &[u32] = candidates(ctx, ai, best_probe);
 
     let trail_mark = s.trail.len();
     for &fid in cands {

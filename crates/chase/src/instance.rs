@@ -597,6 +597,13 @@ impl Instance {
         ids
     }
 
+    /// Number of distinct elements at `position` among the alive facts of
+    /// `pred` (O(1)): with [`Instance::pred_count`], the average number of
+    /// facts a probe at that position returns.
+    pub fn distinct_at(&self, pred: Symbol, position: u32) -> usize {
+        self.by_pos.get(&(pred, position)).map_or(0, FastMap::len)
+    }
+
     /// Number of alive facts of `pred` whose `position` equals `elem`
     /// (count-only probe for selectivity estimation; O(1)).
     pub fn count_with(&self, pred: Symbol, position: u32, elem: &Elem) -> usize {

@@ -54,7 +54,7 @@ impl Dnf {
 
     /// `true` iff the formula is the constant `true`.
     pub fn is_true(&self) -> bool {
-        self.clauses.len() == 1 && self.clauses.iter().next().unwrap().is_empty()
+        self.clauses.len() == 1 && self.clauses.first().is_some_and(Clause::is_empty)
     }
 
     /// The minimal clauses.

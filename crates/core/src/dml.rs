@@ -16,12 +16,12 @@
 //!    the facts whose count reaches zero and inserts only those whose count
 //!    leaves it.
 //! 3. **Fragment stores**: a *view* fragment (table / key-value / doc-rows
-//!    / par-rows) holds a row while some body homomorphism derives it
-//!    (counting, Gupta, Mumick & Subrahmanian, SIGMOD 1993); no count is
+//!    / par-rows) holds a row while some match of its view's body derives
+//!    it (counting, Gupta, Mumick & Subrahmanian, SIGMOD 1993); no count is
 //!    kept. Each phase of the semi-naive delta chase (deletes, then
-//!    inserts) counts a head row's derivations through the changed facts
-//!    and, with the head fixed, all of them in the fact base as it stands;
-//!    the row leaves (enters) its store when the two are equal. *Native*
+//!    inserts) runs the view's compiled plan twice: through the changed
+//!    facts, and with a head row fixed over the fact base as it stands; the
+//!    row leaves (enters) its store when the two counts are equal. *Native*
 //!    fragments (native-tables, text-index) mirror the dataset rows 1:1 and
 //!    receive the raw row deltas directly, preserving physical
 //!    duplicate-row parity with a fresh rematerialization. Every store
@@ -39,7 +39,7 @@
 //! | step | proportional to |
 //! |---|---|
 //! | `validate` | the batch: a delete finds its stored instance, and an upsert the rows it replaces, through the table's key positions (declared key → row positions, a [`Postings`] built by one pass at the table's first write); an insert-only batch reads no stored row |
-//! | `delta_chase` | the batch's facts, the view homomorphisms through them (semi-naive: the delta index comes from the fact base's stamp log, and only the counting views whose body reads a changed relation are searched), and the derivations of each head row they reach, counted with the head fixed and stopped one past the delta's |
+//! | `delta_chase` | the batch's facts, the matches of each view's compiled plan through them (semi-naive: the delta index comes from the fact base's stamp log, and only the counting views whose body reads a changed relation are compiled, once per batch), and the derivations of each head row they reach, counted by the same plan with the head fixed and stopped one past the delta's |
 //! | `store_write` | the store rows that change: a relational delete is found through an index, a parallel-store delta through its key index, and every store patches its rows and index postings in place; a key-value entry is patched under its key; a document or text delete finds its documents by one scan (see below) |
 //! | `stats` | the store rows that change: every maintained relation keeps its statistics running (row count, byte sum, occurrences per column value) in its catalog entry, from the accumulator its first fill built |
 //!
@@ -133,8 +133,8 @@ pub struct FragmentDelta {
 pub struct DmlSteps {
     /// Checking the batch against the table and locating its deletes.
     pub validate: Duration,
-    /// Dataset rows, fact netting and both delta-chase phases: from the
-    /// batch to each relation's store operations.
+    /// From the batch to each relation's store operations: dataset rows,
+    /// fact netting and both delta-chase phases over compiled view plans.
     pub delta_chase: Duration,
     /// Applying those operations to the stores.
     pub store_write: Duration,

@@ -647,10 +647,11 @@ impl Estocada {
     }
 
     /// Ground-truth evaluation of a pivot CQ directly over the staged
-    /// dataset facts — the oracle used by tests and the advisor (not a
-    /// production query path).
+    /// dataset facts, by the chase's homomorphism search — the oracle used
+    /// by tests and the advisor (not a production query path), independent
+    /// of the compiled plans that fill and maintain the fragments.
     pub fn oracle_eval(&self, cq: &Cq) -> Vec<Vec<estocada_pivot::Value>> {
-        self.base.evaluate(cq)
+        self.base.oracle(cq)
     }
 
     /// Resolve per-query options (the module docs give the order).

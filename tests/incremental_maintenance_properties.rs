@@ -123,9 +123,11 @@ fn stored(est: &Estocada, table: &str) -> Vec<Vec<Value>> {
     t.expect("table of sales").rows.clone()
 }
 
-/// The materialized-join deployment plus two indexed views the write
-/// script reaches: web logs in the relational store, indexed on dwell time
-/// and user, and orders as documents, path-indexed on category and user.
+/// The materialized-join deployment plus four views the write script
+/// reaches: web logs in the relational store, indexed on dwell time and
+/// user; orders as documents, path-indexed on category and user; a
+/// self-join of orders, which a batch of new orders matches through two
+/// changed facts at once; and orders selected by a constant.
 fn deploy_indexed(m: &Marketplace, latencies: Latencies) -> Estocada {
     let mut est = deploy_materialized_join(m, latencies);
     est.add_fragment(FragmentSpec::Table {
@@ -148,6 +150,29 @@ fn deploy_indexed(m: &Marketplace, latencies: Latencies) -> Estocada {
         index_on: vec!["category".into(), "uid".into()],
     })
     .expect("indexed documents");
+    est.add_fragment(FragmentSpec::Table {
+        view: CqBuilder::new("OrderPairs")
+            .head_vars(["uid", "category", "p1", "p2"])
+            .atom("Orders", |a| {
+                a.v("o1").v("uid").v("p1").v("category").v("a1")
+            })
+            .atom("Orders", |a| {
+                a.v("o2").v("uid").v("p2").v("category").v("a2")
+            })
+            .build(),
+        index_on: vec![],
+    })
+    .expect("self-join");
+    est.add_fragment(FragmentSpec::Table {
+        view: CqBuilder::new("LaptopOrders")
+            .head_vars(["oid", "uid", "pid", "amount"])
+            .atom("Orders", |a| {
+                a.v("oid").v("uid").v("pid").c("laptop").v("amount")
+            })
+            .build(),
+        index_on: vec![],
+    })
+    .expect("selection by a constant");
     est
 }
 
