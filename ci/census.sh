@@ -4,8 +4,9 @@
 # definitions in the engine, SCC routines in library code, sites that assign
 # a delegated unit's scan estimate, posting-index maintenance routines,
 # std hash tables on the default hasher, aggregate accumulators, join hash
-# tables, fact-base owners, homomorphism searches in the mediator,
-# independently settable options, and panic sites in library code.
+# tables, fact-base owners, homomorphism searches in the mediator, resolves
+# of interned rows on the fill and write path, independently settable
+# options, and panic sites in library code.
 # Informational: prints, never fails on a count.
 set -eu
 cd "$(dirname "$0")/.."
@@ -114,6 +115,16 @@ for f in $(rust_files crates/core/src); do
     hom_searches=$((hom_searches + n))
 done
 printf '%-28s %8d\n' 'hom searches (core)' "$hom_searches"
+# Library calls resolving interned rows back to values (`to_values(`) in the
+# fact base, the fill and the write path: a fill and a maintenance delta
+# stay interned from the fact base to the stores, and only the layouts
+# whose stores hold values resolve, each in its own arm of `layout.rs`.
+resolves=0
+for f in crates/core/src/factbase.rs crates/core/src/materialize.rs crates/core/src/dml.rs; do
+    n=$(library_part "$f" | grep -c 'to_values(' || true)
+    resolves=$((resolves + n))
+done
+printf '%-28s %8d\n' 'fill/delta resolves' "$resolves"
 
 # Public fields of `pub struct $2` in file `$1`.
 fields() {

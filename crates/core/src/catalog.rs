@@ -4,7 +4,7 @@
 
 use crate::system::SystemId;
 use estocada_pivot::hash::FastMap;
-use estocada_pivot::{AccessPattern, Cq, Symbol, Value, ViewDef};
+use estocada_pivot::{AccessPattern, ConstId, ConstReader, Cq, IdRows, Symbol, ViewDef};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -243,57 +243,73 @@ pub struct FragmentStats {
 }
 
 /// [`FragmentStats`] in running form — the one definition of what a
-/// relation's statistics are. Rows enter and leave one at a time, so a
-/// first fill (every row enters) and a DML delta (the changed rows enter or
-/// leave) arrive at the same numbers, and the delta never re-reads a row
-/// that did not change.
+/// relation's statistics are: rows, occurrences per column value, bytes.
+/// A first fill counts them over every row, and a DML delta moves them by
+/// the changed rows alone, so both arrive at the same integers and the
+/// delta never re-reads a row that did not change. Rows arrive as interned
+/// cells: values are counted per column as [`ConstId`]s (equal values are
+/// equal ids), and bytes summed over the values one [`ConstReader`]
+/// resolves per batch.
 #[derive(Debug, Clone)]
 pub struct StatsAccumulator {
     rows: u64,
     bytes: u64,
-    /// Per tracked column: value → number of rows holding it.
-    columns: Vec<FastMap<Value, u64>>,
+    /// Per tracked column: interned value → number of rows holding it.
+    columns: Vec<FastMap<ConstId, u64>>,
 }
 
 impl StatsAccumulator {
     /// The accumulator of a relation holding `rows`. Distinct values are
     /// tracked for the first `arity` columns of each row, bytes for all.
-    pub(crate) fn of<'a>(
-        rows: impl IntoIterator<Item = &'a Vec<Value>>,
-        arity: usize,
-    ) -> StatsAccumulator {
-        let mut acc = StatsAccumulator {
-            rows: 0,
-            bytes: 0,
-            columns: vec![FastMap::default(); arity],
-        };
-        rows.into_iter().for_each(|row| acc.add(row));
-        acc
-    }
-
-    /// A row enters the relation.
-    pub(crate) fn add(&mut self, row: &[Value]) {
-        self.rows += 1;
-        self.bytes += row.iter().map(|v| v.approx_size() as u64).sum::<u64>();
-        for (held, v) in self.columns.iter_mut().zip(row) {
-            match held.get_mut(v) {
-                Some(n) => *n += 1,
-                None => drop(held.insert(v.clone(), 1)),
+    pub(crate) fn of(rows: &IdRows, arity: usize) -> StatsAccumulator {
+        let mut columns = vec![FastMap::<ConstId, u64>::default(); arity];
+        for row in rows.rows() {
+            for (held, id) in columns.iter_mut().zip(row) {
+                *held.entry(*id).or_insert(0) += 1;
             }
+        }
+        // The bytes of a tracked column's cells, one value at a time; of
+        // the others (a text index tracks none), cell by cell.
+        let reader = ConstReader::new();
+        let size = |id: &ConstId| reader.get(*id).approx_size() as u64;
+        let held = columns.iter().flatten().map(|(id, n)| n * size(id));
+        let untracked = rows
+            .rows()
+            .flat_map(|row| row.get(arity..).unwrap_or_default());
+        let bytes = held.sum::<u64>() + untracked.map(size).sum::<u64>();
+        let rows = rows.len as u64;
+        StatsAccumulator {
+            rows,
+            bytes,
+            columns,
         }
     }
 
-    /// A row that entered earlier leaves the relation.
-    pub(crate) fn remove(&mut self, row: &[Value]) {
-        self.rows = self.rows.saturating_sub(1);
-        let bytes = row.iter().map(|v| v.approx_size() as u64).sum::<u64>();
-        self.bytes = self.bytes.saturating_sub(bytes);
-        for (held, v) in self.columns.iter_mut().zip(row) {
-            if let Some(n) = held.get_mut(v) {
-                *n -= 1;
-                if *n == 0 {
-                    held.remove(v);
+    /// The rows `gone` (which entered earlier) leave the relation, then
+    /// the rows `born` enter it.
+    pub(crate) fn apply(&mut self, gone: &IdRows, born: &IdRows) {
+        let reader = ConstReader::new();
+        let bytes = |row: &[ConstId]| -> u64 {
+            let size = |id: &ConstId| reader.get(*id).approx_size() as u64;
+            row.iter().map(size).sum()
+        };
+        for row in gone.rows() {
+            self.rows = self.rows.saturating_sub(1);
+            self.bytes = self.bytes.saturating_sub(bytes(row));
+            for (held, id) in self.columns.iter_mut().zip(row) {
+                if let Some(n) = held.get_mut(id) {
+                    *n -= 1;
+                    if *n == 0 {
+                        held.remove(id);
+                    }
                 }
+            }
+        }
+        for row in born.rows() {
+            self.rows += 1;
+            self.bytes += bytes(row);
+            for (held, id) in self.columns.iter_mut().zip(row) {
+                *held.entry(*id).or_insert(0) += 1;
             }
         }
     }

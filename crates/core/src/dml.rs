@@ -76,13 +76,11 @@ use crate::evaluator::Estocada;
 use crate::factbase::net_deltas;
 use crate::layout;
 use estocada_pivot::hash::{FastMap, FastSet};
-use estocada_pivot::{swap_remove, Fact, Postings, Symbol, Value, Wanted};
+use estocada_pivot::{swap_remove, Fact, IdRows, Postings, Value, Wanted};
 use std::time::{Duration, Instant};
 
-/// A dataset row or a fragment-relation row.
+/// A dataset row.
 type Row = Vec<Value>;
-/// Rows to delete from and rows to insert into one relation's container.
-type StoreOps = (Vec<Row>, Vec<Row>);
 
 /// A table's stored rows by declared key — how a delete finds its stored
 /// instance and an upsert the rows it replaces without reading the table —
@@ -352,21 +350,22 @@ impl Estocada {
         let started = Instant::now();
         let (deletes, doomed) = validate(t, positions.as_ref(), outgoing, &inserts)?;
         steps.validate = started.elapsed();
+        // The batch's rows (each `arity` wide, as validated), interned once
+        // here, for the raw mirrors.
+        let arity = t.encoding.columns.len();
+        let intern = |rows: &[Row]| IdRows::intern(rows, arity);
+        let misfit = |got| Error::Dml(format!("a row of {got} columns in a table of {arity}"));
+        let batch = (
+            intern(&deletes).map_err(misfit)?,
+            intern(&inserts).map_err(misfit)?,
+        );
         let minus = facts(t, &deletes).map(|fact| (fact, -1));
         let plus = facts(t, &inserts).map(|fact| (fact, 1));
         let fact_delta = net_deltas(minus.chain(plus));
         rewrite_rows(t, positions.as_mut(), doomed, &inserts);
-        let batch: StoreOps = (deletes, inserts);
 
         let views = counting_relations(catalog).map(|r| (r.name, &r.view.view));
-        let row_deltas = self.base.apply(fact_delta, &views.collect::<Vec<_>>());
-        let ops = row_deltas.into_iter().map(|(relation, deltas)| {
-            let net = net_deltas(deltas).into_iter();
-            let (gone, born): (Vec<_>, Vec<_>) = net.partition(|(_, d)| *d < 0);
-            let rows = |moved: Vec<(Row, i64)>| moved.into_iter().map(|(row, _)| row).collect();
-            (relation, (rows(gone), rows(born)))
-        });
-        let ops: FastMap<Symbol, StoreOps> = ops.collect();
+        let ops = self.base.apply(fact_delta, &views.collect::<Vec<_>>());
         steps.delta_chase = started.elapsed() - steps.validate;
 
         // Counting relations absorb their crossings; raw mirrors of the
@@ -380,15 +379,14 @@ impl Estocada {
                     None if mirrors(&fm.spec, &r.place, dataset, table) => (&batch, Some(&*t)),
                     _ => continue,
                 };
-                if gone.is_empty() && born.is_empty() {
+                if gone.len == 0 && born.len == 0 {
                     continue;
                 }
                 let writing = Instant::now();
                 layout::write(&self.stores, &r.place, source, gone, born)?;
                 let written = Instant::now();
                 if let Some(held) = running {
-                    gone.iter().for_each(|row| held.remove(row));
-                    born.iter().for_each(|row| held.add(row));
+                    held.apply(gone, born);
                     *stats = layout::stats(&r.place, held);
                 }
                 steps.store_write += written - writing;
@@ -396,8 +394,8 @@ impl Estocada {
                 fragment_deltas.push(FragmentDelta {
                     fragment: fm.id.clone(),
                     relation: r.name.as_str().to_string(),
-                    store_deletes: gone.len(),
-                    store_inserts: born.len(),
+                    store_deletes: gone.len,
+                    store_inserts: born.len,
                     mode: if source.is_none() { "counting" } else { "raw" },
                 });
             }
@@ -410,8 +408,8 @@ impl Estocada {
         Ok(DmlReport {
             dataset: dataset.to_string(),
             table: table.to_string(),
-            inserted: batch.1.len(),
-            deleted: batch.0.len(),
+            inserted: inserts.len(),
+            deleted: deletes.len(),
             data_epoch: *epoch,
             fragment_deltas,
             maintenance_time: t0.elapsed(),

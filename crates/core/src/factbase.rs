@@ -19,15 +19,20 @@
 use crate::dataset::Dataset;
 use estocada_chase::{find_homs, DeltaIndex, Elem, HomConfig, Instance};
 use estocada_pivot::hash::{FastMap, FastSet};
-use estocada_pivot::kernel::{pack_key, Distinct, IdRows, JoinTable, Key};
+use estocada_pivot::kernel::{pack_key, Distinct, IdRows, JoinTable};
 use estocada_pivot::{ConstId, Cq, Fact, IdGen, Symbol, Term, Value, Var};
+use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::hash::Hash;
 
-/// A head row of a view.
+/// A head row of a view, resolved (the oracle's rows).
 type Row = Vec<Value>;
-/// `(head row, −1 leaving / +1 entering its store)` per view relation.
-type RowDeltas = FastMap<Symbol, Vec<(Row, i64)>>;
+/// Per view relation, the head rows crossing so far, each once, and each
+/// one's net sign (−1 leaving / +1 entering its store).
+type Crossings = FastMap<Symbol, (Distinct, Vec<i64>)>;
+/// Per view relation, the head rows that leave its store and those that
+/// enter it, netted.
+type RowDeltas = FastMap<Symbol, (IdRows, IdRows)>;
 
 /// The staged facts of every registered dataset, with their row counts.
 pub(crate) struct FactBase {
@@ -68,8 +73,8 @@ impl FactBase {
     }
 
     /// `view` evaluated in full by its compiled plan: its distinct head
-    /// rows, first-seen.
-    pub(crate) fn evaluate(&self, view: &Cq) -> Vec<Row> {
+    /// rows, first-seen, as interned cells.
+    pub(crate) fn evaluate(&self, view: &Cq) -> IdRows {
         ViewPlan::compile(view, &self.facts).fill(&self.facts)
     }
 
@@ -81,10 +86,11 @@ impl FactBase {
 
     /// Apply a batch's netted fact delta — `(fact, n)`: `n` more (fewer)
     /// dataset rows encode the fact — and return, per relation of `views`,
-    /// the head rows that leave their store (−1) or enter it (+1). Facts
-    /// whose count reaches zero go in one phase of the delta chase, then
-    /// facts whose count leaves zero come in another. Each view reading a
-    /// changed relation is compiled once for both.
+    /// the head rows that leave their store and those that enter it, a row
+    /// that leaves and re-enters in neither. Facts whose count reaches zero
+    /// go in one phase of the delta chase, then facts whose count leaves
+    /// zero come in another. Each view reading a changed relation is
+    /// compiled once for both.
     pub(crate) fn apply(&mut self, delta: Vec<(Fact, i64)>, views: &[(Symbol, &Cq)]) -> RowDeltas {
         let (mut gone, mut born) = (Vec::new(), Vec::new());
         for (fact, n) in delta {
@@ -108,7 +114,7 @@ impl FactBase {
             |(_, view): &&(Symbol, &Cq)| view.body.iter().any(|a| changed.contains(&a.pred));
         let compile = |(name, view): &(Symbol, &Cq)| (*name, ViewPlan::compile(view, &self.facts));
         let plans: Vec<_> = views.iter().filter(reads_changed).map(compile).collect();
-        let mut out = RowDeltas::default();
+        let mut out = Crossings::default();
         let epoch = self.facts.advance_epoch();
         gone.iter().for_each(|id| self.facts.touch(*id));
         self.crossings(&plans, epoch, -1, &mut out);
@@ -118,27 +124,44 @@ impl FactBase {
             self.insert(pred, args, rows);
         }
         self.crossings(&plans, epoch, 1, &mut out);
-        out
+        let split = |(name, (rows, net)): (Symbol, (Distinct, Vec<i64>))| {
+            let rows = rows.into_rows();
+            let (mut gone, mut born) = (IdRows::empty(rows.width), IdRows::empty(rows.width));
+            for (row, n) in rows.rows().zip(net) {
+                match n.cmp(&0) {
+                    Ordering::Less => gone.push(row.iter().copied()),
+                    Ordering::Greater => born.push(row.iter().copied()),
+                    Ordering::Equal => {}
+                }
+            }
+            (name, (gone, born))
+        };
+        out.into_iter().map(split).collect()
     }
 
     /// One delta-chase phase over the facts stamped at `epoch` (doomed ones
-    /// still in, new ones already in): record `(head row, sign)` for each
-    /// head row of `plans` whose matches through them, each enumerated
-    /// once, are all those with the head fixed to it. The delta index comes
-    /// from the stamp log; a view reading no changed relation is skipped.
-    fn crossings(&self, plans: &[(Symbol, ViewPlan)], epoch: u64, sign: i64, out: &mut RowDeltas) {
+    /// still in, new ones already in): add `sign` to each head row of
+    /// `plans` whose matches through them, each enumerated once, are all
+    /// those with the head fixed to it. The delta index comes from the
+    /// stamp log; a view reading no changed relation is skipped.
+    fn crossings(&self, plans: &[(Symbol, ViewPlan)], epoch: u64, sign: i64, out: &mut Crossings) {
         let delta = self.facts.delta_index(epoch);
         for (name, plan) in plans.iter().filter(|(_, plan)| plan.reads(&delta)) {
             let mut walk = Walk::new(&self.facts, plan);
-            let through = walk.through(&delta);
-            let mut crossing = IdRows::empty(through.rows.width);
-            for (row, n) in through.rows.rows().zip(through.counts) {
+            let Tally { rows, counts } = walk.through(&delta);
+            let width = plan.head.len();
+            let (crossed, net) = out
+                .entry(*name)
+                .or_insert_with(|| (Distinct::new(width), Vec::new()));
+            for (row, n) in rows.rows().rows().zip(counts) {
                 if walk.derivations(row, n + 1) == n {
-                    crossing.push(row.iter().copied());
+                    let (at, new) = crossed.insert(row.iter().copied());
+                    if new {
+                        net.push(0);
+                    }
+                    net[at] += sign;
                 }
             }
-            let deltas = out.entry(*name).or_default();
-            deltas.extend(crossing.to_values().into_iter().map(|row| (row, sign)));
         }
     }
 }
@@ -354,15 +377,17 @@ impl ViewPlan {
             .any(|a| !delta.facts_of(a.pred).is_empty())
     }
 
-    /// The view's distinct head rows, first-seen: a left-deep hash join of
-    /// each atom's matching facts ([`JoinTable`]) onto the rows so far,
-    /// de-duplicated by [`Distinct`] and resolved to values last. An atom's
-    /// facts are those of its most selective constant's posting list or of
-    /// its relation, or fewer: those holding a key value of the rows so far
+    /// The view's distinct head rows, first-seen, as interned cells: a
+    /// left-deep hash join of each atom's matching facts ([`JoinTable`])
+    /// onto the rows so far, projected on the head and de-duplicated by
+    /// [`Distinct`] when the head drops a body variable. An atom's facts
+    /// are those of its most selective constant's posting list or of its
+    /// relation, or fewer: those holding a key value of the rows so far
     /// ([`semi_join`]).
-    fn fill(&self, facts: &Instance) -> Vec<Row> {
+    fn fill(&self, facts: &Instance) -> IdRows {
+        let width = self.head.len();
         let Some(projection) = &self.projection else {
-            return Vec::new();
+            return IdRows::empty(width);
         };
         let mut rows = IdRows::empty(0);
         rows.push([]);
@@ -388,20 +413,26 @@ impl ViewPlan {
             }
             rows = joined;
         }
-        let mut distinct = Distinct::new(self.head.len());
-        let mut out = IdRows::empty(self.head.len());
-        for row in rows.rows() {
-            let cell = |c: &Cell| match *c {
-                Cell::Const(id) => id,
-                Cell::Slot(col) => row[col],
-            };
-            let head = projection.iter().map(cell);
-            if !self.dedup || distinct.keep(head.clone()) {
-                out.push(head);
+        if self.dedup {
+            let mut distinct = Distinct::new(width);
+            for row in rows.rows() {
+                distinct.keep(project(projection, row));
             }
+            return distinct.into_rows();
         }
-        out.to_values()
+        let mut out = IdRows::empty(width);
+        rows.rows()
+            .for_each(|row| out.push(project(projection, row)));
+        out
     }
+}
+
+/// The head cells of a fill's row `row` through `projection`.
+fn project<'a>(projection: &'a [Cell], row: &'a [ConstId]) -> impl Iterator<Item = ConstId> + 'a {
+    projection.iter().map(|c| match *c {
+        Cell::Const(id) => id,
+        Cell::Slot(col) => row[col],
+    })
 }
 
 /// The cells of the facts `ids` that match `atom` by its constant and
@@ -493,9 +524,8 @@ fn probe<'a>(facts: &'a Instance, atom: &PlanAtom, bound: &[Option<ConstId>]) ->
 /// Distinct head rows with the number of matches reaching each, in
 /// first-reached order.
 struct Tally {
-    rows: IdRows,
+    rows: Distinct,
     counts: Vec<usize>,
-    at: FastMap<Key, usize>,
 }
 
 /// A depth-first search of one compiled view over a fixed atom order,
@@ -529,9 +559,8 @@ impl<'a> Walk<'a> {
     /// matches the delta, the atoms before it only older facts — tallied
     /// by head row.
     fn through(&mut self, delta: &'a DeltaIndex) -> Tally {
-        let width = self.plan.head.len();
-        let (rows, counts, at) = (IdRows::empty(width), Vec::new(), FastMap::default());
-        let mut tally = Tally { rows, counts, at };
+        let (rows, counts) = (Distinct::new(self.plan.head.len()), Vec::new());
+        let mut tally = Tally { rows, counts };
         self.delta = Some(delta);
         let plan = self.plan;
         // An unsafe view has no row to reach.
@@ -542,9 +571,9 @@ impl<'a> Walk<'a> {
             }
             for (a, stratum) in self.strata.iter_mut().enumerate() {
                 *stratum = match a.cmp(&anchor) {
-                    std::cmp::Ordering::Less => Stratum::Old,
-                    std::cmp::Ordering::Equal => Stratum::New,
-                    std::cmp::Ordering::Greater => Stratum::Any,
+                    Ordering::Less => Stratum::Old,
+                    Ordering::Equal => Stratum::New,
+                    Ordering::Greater => Stratum::Any,
                 };
             }
             self.bound.fill(None);
@@ -554,14 +583,9 @@ impl<'a> Walk<'a> {
                     Cell::Const(id) => Some(id),
                     Cell::Slot(s) => bound[s],
                 };
-                let head = plan.head.iter().filter_map(cell);
-                match tally.at.entry(pack_key(head.clone(), width)) {
-                    Entry::Occupied(e) => tally.counts[*e.get()] += 1,
-                    Entry::Vacant(e) => {
-                        e.insert(tally.counts.len());
-                        tally.counts.push(1);
-                        tally.rows.push(head);
-                    }
+                match tally.rows.insert(plan.head.iter().filter_map(cell)) {
+                    (_, true) => tally.counts.push(1),
+                    (at, false) => tally.counts[at] += 1,
                 }
                 true
             });
@@ -790,7 +814,7 @@ mod tests {
                 base.insert(pred, args);
             }
             let view = random_view(&mut dice, false);
-            let filled = ViewPlan::compile(&view, &base).fill(&base);
+            let filled = ViewPlan::compile(&view, &base).fill(&base).to_values();
             let oracle = evaluate_view(&base, &view);
             assert_eq!(
                 filled.len(),
@@ -829,6 +853,7 @@ mod tests {
             let through = walk.through(&delta);
             let tallied: Vec<(Row, usize)> = through
                 .rows
+                .rows()
                 .to_values()
                 .into_iter()
                 .zip(through.counts.iter().copied())
@@ -855,7 +880,7 @@ mod tests {
                 got, expected,
                 "seed {seed}: {view}: matches through the delta"
             );
-            for (row, ids) in tallied.iter().zip(through.rows.rows()) {
+            for (row, ids) in tallied.iter().zip(through.rows.rows().rows()) {
                 let fixed = view
                     .head
                     .iter()

@@ -15,6 +15,14 @@
 //! drop-and-rematerialize twin by construction. Key-value namespaces and
 //! text indexes begin with their first entry and end with their last, so
 //! one emptied by deletes also equals a first fill over no rows.
+//!
+//! The boundary is [`IdRows`]: rows arrive as interned cells — a view's
+//! rows as its compiled plan produced them, a native table's and a DML
+//! batch's interned once where they enter. The relational table and the
+//! parallel dataset store those cells as they are (`insert_ids`,
+//! `apply_delta_ids`); only the key-value, document and text layouts,
+//! whose stores hold values, resolve them, each in its own arm of
+//! [`write`].
 
 use crate::catalog::{FragmentSpec, FragmentStats, StatsAccumulator, WhereSpec};
 use crate::dataset::TableData;
@@ -22,9 +30,9 @@ use crate::error::{Error, Result};
 use crate::system::{Stores, SystemId};
 use estocada_parstore::ParStore;
 use estocada_pivot::hash::FastMap;
-use estocada_pivot::{AccessPattern, Adornment, Value};
+use estocada_pivot::{AccessPattern, Adornment, IdRows, Value};
 
-/// A stored row of a fragment relation (head order).
+/// A stored row of a fragment relation (head order), resolved.
 type Row = Vec<Value>;
 
 /// Where a view fragment's rows go — a container named `name`, holding the
@@ -126,7 +134,7 @@ pub(crate) fn fill(
     place: &WhereSpec,
     partitions: usize,
     source: Option<&TableData>,
-    rows: &[Row],
+    rows: &IdRows,
 ) -> Result<()> {
     match place {
         WhereSpec::Table { table, columns, .. } => stores.rel.create_table(table, &refs(columns)),
@@ -144,7 +152,7 @@ pub(crate) fn fill(
         // The other containers begin with their first write.
         _ => {}
     }
-    write(stores, place, source, &[], rows)?;
+    write(stores, place, source, &IdRows::empty(rows.width), rows)?;
     let named = |columns: &[String], indexed: &[usize]| -> Vec<String> {
         indexed.iter().map(|c| columns[*c].clone()).collect()
     };
@@ -204,20 +212,20 @@ pub(crate) fn write(
     stores: &Stores,
     place: &WhereSpec,
     source: Option<&TableData>,
-    deletes: &[Row],
-    inserts: &[Row],
+    deletes: &IdRows,
+    inserts: &IdRows,
 ) -> Result<()> {
     match place {
         WhereSpec::Table { table, .. } => {
-            if !deletes.is_empty() {
-                stores.rel.delete_rows(table, deletes).map_err(rel_error)?;
+            if deletes.len > 0 {
+                stores.rel.delete_ids(table, deletes).map_err(rel_error)?;
             }
-            if !inserts.is_empty() {
-                stores.rel.insert_many(table, inserts).map_err(rel_error)?;
+            if inserts.len > 0 {
+                stores.rel.insert_ids(table, inserts).map_err(rel_error)?;
             }
         }
         WhereSpec::ParDataset { dataset, .. } => {
-            let delta = stores.par.apply_delta(dataset, deletes, inserts);
+            let delta = stores.par.apply_delta_ids(dataset, deletes, inserts);
             delta.map_err(par_error)?;
         }
         WhereSpec::Collection {
@@ -225,6 +233,7 @@ pub(crate) fn write(
             columns,
             ..
         } => {
+            let (deletes, inserts) = (deletes.to_values(), inserts.to_values());
             let doc =
                 |row: &Row| Value::object_owned(columns.iter().cloned().zip(row.iter().cloned()));
             if !deletes.is_empty() {
@@ -235,15 +244,16 @@ pub(crate) fn write(
             stores.doc.insert_many(collection, inserts.iter().map(doc));
         }
         WhereSpec::Namespace { namespace, .. } => {
+            let (deletes, inserts) = (deletes.to_values(), inserts.to_values());
             // Per touched key, the value tuples that leave and that enter
             // its entry; the entry is patched under its key (load, take
             // out, add, store sorted again), no other key is read.
             let tuple = |row: &Row| Value::array(row[1..].iter().cloned());
             let mut changes: FastMap<&Value, (Vec<Value>, Vec<Value>)> = FastMap::default();
-            for row in deletes {
+            for row in &deletes {
                 changes.entry(&row[0]).or_default().0.push(tuple(row));
             }
-            for row in inserts {
+            for row in &inserts {
                 changes.entry(&row[0]).or_default().1.push(tuple(row));
             }
             for (key, (gone, born)) in changes {
@@ -272,6 +282,7 @@ pub(crate) fn write(
                 Error::BadFragment(format!("text index {index} written without its table"))
             })?;
             let (key, text) = text_positions(t);
+            let (deletes, inserts) = (deletes.to_values(), inserts.to_values());
             let doc = |row: &Row| {
                 let words: Vec<&str> = text.iter().filter_map(|c| row[*c].as_str()).collect();
                 (key.map_or(Value::Null, |k| row[k].clone()), words.join(" "))
@@ -280,7 +291,7 @@ pub(crate) fn write(
                 let gone: Vec<(Value, String)> = deletes.iter().map(doc).collect();
                 stores.text.remove_documents(index, &gone);
             }
-            for row in inserts {
+            for row in &inserts {
                 let (key, text) = doc(row);
                 stores.text.index_document(index, key, &text);
             }
@@ -316,11 +327,7 @@ pub(crate) fn drop_container(stores: &Stores, place: &WhereSpec) {
 /// The running statistics of a relation of `arity` columns stored at `place`
 /// and holding `rows` — every row enters, as in a rematerialization. A text
 /// index is estimated from its document count alone: no column is tracked.
-pub(crate) fn accumulate<'a>(
-    place: &WhereSpec,
-    rows: impl IntoIterator<Item = &'a Row>,
-    arity: usize,
-) -> StatsAccumulator {
+pub(crate) fn accumulate(place: &WhereSpec, rows: &IdRows, arity: usize) -> StatsAccumulator {
     let tracked = match place {
         WhereSpec::TextIndex { .. } => 0,
         _ => arity,

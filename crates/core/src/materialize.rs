@@ -18,8 +18,7 @@ use crate::layout;
 use crate::system::Stores;
 use estocada_pivot::encoding::document::DocRelations;
 use estocada_pivot::hash::FastMap;
-use estocada_pivot::{Cq, Symbol, Term, Value, ViewDef};
-use std::borrow::Cow;
+use estocada_pivot::{Cq, IdRows, Symbol, Term, ViewDef};
 
 pub use crate::factbase::{evaluate_view, fact_base};
 
@@ -48,9 +47,9 @@ type Planned<'a> = (FragmentRelation, Contents<'a>);
 
 /// What a planned relation's container holds.
 enum Contents<'a> {
-    /// Rows, over a partition count (0: the store's default), and the table
-    /// they are rows of (native and text fragments).
-    Rows(Cow<'a, [Vec<Value>]>, usize, Option<&'a TableData>),
+    /// Rows, interned, over a partition count (0: the store's default),
+    /// and the table they are rows of (native and text fragments).
+    Rows(IdRows, usize, Option<&'a TableData>),
     /// A document dataset as such, with the statistics describing it. The
     /// documents are loaded once, with the relation that carries them.
     Documents(Option<&'a [DocData]>, FragmentStats),
@@ -91,7 +90,7 @@ pub(crate) fn materialize(
         let (described, held) = match contents {
             Contents::Rows(rows, partitions, source) => {
                 layout::fill(stores, place, partitions, source, &rows)?;
-                let held = layout::accumulate(place, rows.iter(), relation.view.view.head.len());
+                let held = layout::accumulate(place, &rows, relation.view.view.head.len());
                 (layout::stats(place, &held), Some(held))
             }
             Contents::Documents(docs, stats) => {
@@ -129,9 +128,14 @@ fn relation(view: Cq, place: WhereSpec) -> FragmentRelation {
     }
 }
 
-/// The contents of a relation mirroring `t` row for row.
-fn mirror(t: &TableData) -> Contents<'_> {
-    Contents::Rows(Cow::Borrowed(&t.rows), 0, Some(t))
+/// The contents of a relation mirroring `t` row for row, its rows
+/// interned once here.
+fn mirror(t: &TableData) -> Result<Contents<'_>> {
+    let rows = IdRows::intern(&t.rows, t.encoding.columns.len()).map_err(|got| {
+        let name = t.encoding.relation;
+        Error::BadFragment(format!("table {name} holds a row of {got} columns"))
+    })?;
+    Ok(Contents::Rows(rows, 0, Some(t)))
 }
 
 /// The one relation of a view fragment (table / key-value / doc-rows /
@@ -144,8 +148,7 @@ fn view_relation<'a>(spec: &FragmentSpec, view: &Cq, base: &FactBase) -> Result<
         )));
     }
     let (place, partitions) = layout::view_place(spec, &view.name.as_str(), head_columns(view))?;
-    let rows = Cow::Owned(base.evaluate(view));
-    let contents = Contents::Rows(rows, partitions, None);
+    let contents = Contents::Rows(base.evaluate(view), partitions, None);
     Ok((relation(view.clone(), place), contents))
 }
 
@@ -221,7 +224,7 @@ fn native_tables<'a>(tables: &'a [TableData], only: Option<&[String]>) -> Result
         };
         let fname = Symbol::intern(&format!("{}F", t.encoding.relation.as_str()));
         let view = identity_view(fname, t.encoding.relation, t.encoding.columns.len());
-        Ok((relation(view, place), mirror(t)))
+        Ok((relation(view, place), mirror(t)?))
     };
     tables.iter().filter(kept).map(plan).collect()
 }
@@ -237,7 +240,7 @@ fn text_index<'a>(table: &str, datasets: &'a FastMap<String, Dataset>) -> Result
         .ok_or_else(|| Error::UnknownName(table.to_string()))?;
     let fname = Symbol::intern(&format!("{table}F_Text"));
     let view = identity_view(fname, Dataset::terms_relation(table), 2);
-    Ok((relation(view, layout::text_place(t)?), mirror(t)))
+    Ok((relation(view, layout::text_place(t)?), mirror(t)?))
 }
 
 /// Remove a fragment's physical artifacts from the stores.
@@ -263,7 +266,7 @@ mod tests {
     use crate::dataset::TableData;
     use crate::system::Latencies;
     use estocada_pivot::encoding::relational::TableEncoding;
-    use estocada_pivot::CqBuilder;
+    use estocada_pivot::{CqBuilder, Value};
 
     fn setup() -> (FactBase, FastMap<String, Dataset>, Stores) {
         let ds = Dataset::relational(
@@ -297,7 +300,7 @@ mod tests {
             .atom("Users", |a| a.v("u").v("n").v("t"))
             .build();
         let rows = base.evaluate(&v);
-        assert_eq!(rows.len(), 2); // gold, free
+        assert_eq!(rows.len, 2); // gold, free
     }
 
     #[test]

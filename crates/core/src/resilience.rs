@@ -879,7 +879,7 @@ mod tests {
         health.on_failure(SystemId::KeyValue).unwrap();
         // Inside the window the breaker still fails fast.
         assert_eq!(health.admit(SystemId::KeyValue), Admission::FailFast);
-        clock.advance(Duration::from_secs(5));
+        clock.advance(Duration::from_secs(5)).unwrap();
         // The window elapsed: the very next admission is a probe, far
         // before probe_after=100 rejections ever accumulated.
         assert_eq!(health.admit(SystemId::KeyValue), Admission::Probe);
@@ -902,13 +902,13 @@ mod tests {
             clock.clone(),
         );
         health.on_failure(SystemId::Document).unwrap();
-        clock.advance(Duration::from_secs(5));
+        clock.advance(Duration::from_secs(5)).unwrap();
         assert_eq!(health.admit(SystemId::Document), Admission::Probe);
         // The probe fails: re-open stamps a fresh window.
         health.on_failure(SystemId::Document).unwrap();
-        clock.advance(Duration::from_secs(4));
+        clock.advance(Duration::from_secs(4)).unwrap();
         assert_eq!(health.admit(SystemId::Document), Admission::FailFast);
-        clock.advance(Duration::from_secs(1));
+        clock.advance(Duration::from_secs(1)).unwrap();
         assert_eq!(health.admit(SystemId::Document), Admission::Probe);
     }
 

@@ -248,10 +248,7 @@ impl Stores {
             out.push((format!("doc:{c}"), render(self.doc.scan(&c))));
         }
         for d in self.par.dataset_names() {
-            let rows = self
-                .par
-                .dataset(&d)
-                .map(|ds| values_of(ds.iter_rows().map(Vec::as_slice)));
+            let rows = self.par.dataset(&d).map(|ds| values_of(ds.iter_rows()));
             out.push((
                 format!("par:{d}"),
                 render::<Vec<_>>(rows.unwrap_or_default()),

@@ -1,40 +1,41 @@
 //! Partitioned datasets of (possibly nested) rows, held as interned cells.
 
 use crate::ParError;
-use estocada_pivot::kernel::{held, misfit};
-use estocada_pivot::{swap_remove, ConstId, Postings, Value, Wanted};
+use estocada_pivot::kernel::{held, pack_key, Key};
+use estocada_pivot::{swap_remove, ConstId, IdRows, Postings, Value, Wanted};
 use std::collections::BTreeSet;
 
 /// A row's place: (partition, row within it).
 type Loc = (u32, u32);
 
 /// A stored row: one interned cell per column.
-pub type Row = Vec<ConstId>;
+pub type Row = [ConstId];
 
-/// A key index: its column positions, and each key with the locations of
-/// the rows holding it.
-pub type KeyPostings = (Vec<usize>, Postings<Row, Loc>);
+/// A key index: its column positions, and each key (its cells packed,
+/// [`pack_key`]) with the locations of the rows holding it.
+pub type KeyPostings = (Vec<usize>, Postings<Key, Loc>);
 
-/// `row`'s cells at the key `columns`.
-fn key_of(columns: &[usize], row: &[ConstId]) -> Row {
-    columns.iter().map(|c| row[*c]).collect()
+/// `row`'s cells at the key `columns`, packed.
+fn key_of(columns: &[usize], row: &[ConstId]) -> Key {
+    pack_key(columns.iter().map(|c| row[*c]), columns.len())
 }
 
-/// [`ParError::Arity`] when a row of `rows` is not `expected` wide.
-pub(crate) fn check_arity(rows: &[Vec<Value>], expected: usize) -> Result<(), ParError> {
-    let arity = |got| Err(ParError::Arity { expected, got });
-    misfit(rows, expected).map_or(Ok(()), arity)
+/// `rows` interned, `expected` cells each; [`ParError::Arity`] when a row
+/// is another width.
+pub(crate) fn interned(rows: &[Vec<Value>], expected: usize) -> Result<IdRows, ParError> {
+    IdRows::intern(rows, expected).map_err(|got| ParError::Arity { expected, got })
 }
 
 /// A partitioned dataset. Rows may contain nested values (arrays of
 /// objects) — this is the nested-relational model of the parallel store;
-/// each cell is interned once, when its row is written.
+/// each cell is interned once, when its row is written, and a partition
+/// holds its rows flat, row after row.
 #[derive(Debug, Clone)]
 pub struct Dataset {
     /// Column names.
     pub columns: Vec<String>,
     /// Row partitions.
-    pub partitions: Vec<Vec<Row>>,
+    pub partitions: Vec<IdRows>,
     /// Optional key index.
     pub key_index: Option<KeyPostings>,
 }
@@ -50,7 +51,7 @@ impl Dataset {
     ) -> Result<Dataset, ParError> {
         let mut ds = Dataset {
             columns: columns.iter().map(|s| s.to_string()).collect(),
-            partitions: vec![Vec::new(); num_partitions.max(1)],
+            partitions: vec![IdRows::empty(columns.len()); num_partitions.max(1)],
             key_index: None,
         };
         ds.append_rows(&rows.into_iter().collect::<Vec<_>>())?;
@@ -59,7 +60,7 @@ impl Dataset {
 
     /// Total row count.
     pub fn len(&self) -> usize {
-        self.partitions.iter().map(Vec::len).sum()
+        self.partitions.iter().map(|part| part.len).sum()
     }
 
     /// `true` when the dataset has no rows.
@@ -73,9 +74,14 @@ impl Dataset {
     }
 
     /// Every row with its location, partition by partition.
-    fn located(&self) -> impl Iterator<Item = (Loc, &Row)> {
+    fn located<'a>(&'a self) -> impl Iterator<Item = (Loc, &'a Row)> {
         let parts = self.partitions.iter().enumerate();
-        parts.flat_map(|(p, part)| (0..).zip(part).map(move |(r, row)| ((p as u32, r), row)))
+        let rows = |(p, part): (usize, &'a IdRows)| {
+            (0..)
+                .zip(part.rows())
+                .map(move |(r, row)| ((p as u32, r), row))
+        };
+        parts.flat_map(rows)
     }
 
     /// Build (or rebuild) the key index over `columns`.
@@ -85,22 +91,32 @@ impl Dataset {
         self.key_index = Some((columns, postings));
     }
 
-    /// Append rows round-robin across the existing partitions (continuing
-    /// from the current total, so growth stays balanced). Each row's
-    /// location is posted in the key index when one exists. A row of
-    /// another arity than the dataset's is [`ParError::Arity`], and then no
-    /// row is appended.
+    /// Append rows round-robin across the existing partitions (see
+    /// [`Dataset::append_ids`]). A row of another arity than the dataset's
+    /// is [`ParError::Arity`], and then no row is appended.
     pub fn append_rows(&mut self, rows: &[Vec<Value>]) -> Result<(), ParError> {
-        check_arity(rows, self.columns.len())?;
+        self.append_ids(&interned(rows, self.columns.len())?)
+    }
+
+    /// Append interned rows, their cells as they are, round-robin across
+    /// the existing partitions (continuing from the current total, so
+    /// growth stays balanced). Each row's location is posted in the key
+    /// index when one exists. Rows of another width than the dataset's are
+    /// [`ParError::Arity`], and then no row is appended.
+    pub fn append_ids(&mut self, rows: &IdRows) -> Result<(), ParError> {
+        let expected = self.columns.len();
+        if rows.width != expected {
+            let got = rows.width;
+            return Err(ParError::Arity { expected, got });
+        }
         let n = self.partitions.len().max(1);
-        let mut ids = ConstId::intern_all(rows.iter().flatten()).into_iter();
-        for next in self.len()..self.len() + rows.len() {
-            let row: Row = ids.by_ref().take(self.columns.len()).collect();
-            let at = ((next % n) as u32, self.partitions[next % n].len() as u32);
+        for (next, row) in (self.len()..).zip(rows.rows()) {
+            let part = &mut self.partitions[next % n];
+            let at = ((next % n) as u32, part.len as u32);
             if let Some((columns, idx)) = &mut self.key_index {
-                idx.insert(key_of(columns, &row), at);
+                idx.insert(key_of(columns, row), at);
             }
-            self.partitions[next % n].push(row);
+            part.push(row.iter().copied());
         }
         Ok(())
     }
@@ -109,10 +125,13 @@ impl Dataset {
     /// entries claim distinct instances, entries with none left claim
     /// nothing. With a key index this reads only the rows sharing a key with
     /// an entry, each once; without one it scans the partitions once.
-    pub(crate) fn locate(&self, rows: &[Vec<Value>]) -> BTreeSet<Loc> {
-        let entries = held(rows, self.columns.len());
-        let mut wanted = Wanted::of(entries.iter().map(Vec::as_slice));
-        let row_at = |(p, r): Loc| self.partitions[p as usize][r as usize].as_slice();
+    /// Entries of another width than the dataset's claim nothing.
+    pub(crate) fn locate(&self, rows: &IdRows) -> BTreeSet<Loc> {
+        if rows.width != self.columns.len() {
+            return BTreeSet::new();
+        }
+        let mut wanted = Wanted::of(rows.rows());
+        let row_at = |(p, r): Loc| &self.partitions[p as usize][r as usize];
         match &self.key_index {
             // The candidates: every row under an entry's key.
             Some((columns, idx)) => {
@@ -145,9 +164,11 @@ impl Dataset {
     /// dataset has no key index, `key` another arity, or a value no row
     /// holds.
     pub fn index_lookup(&self, key: &[Value]) -> Vec<&Row> {
-        let ids = held(&[key.to_vec()], key.len()).pop();
-        let locs = match (&self.key_index, ids) {
-            (Some((_, idx)), Some(ids)) => idx.get(&ids),
+        let ids = held(&[key.to_vec()], key.len());
+        let locs = match (&self.key_index, ids.rows().next()) {
+            (Some((columns, idx)), Some(ids)) if columns.len() == ids.len() => {
+                idx.get(&pack_key(ids.iter().copied(), ids.len()))
+            }
             _ => &[],
         };
         let row = |(p, r): &Loc| &self.partitions[*p as usize][*r as usize];
@@ -157,7 +178,7 @@ impl Dataset {
     /// Iterate all rows (sequential; the parallel paths live in
     /// [`crate::ops`]).
     pub fn iter_rows(&self) -> impl Iterator<Item = &Row> {
-        self.partitions.iter().flatten()
+        self.partitions.iter().flat_map(IdRows::rows)
     }
 }
 
@@ -169,7 +190,7 @@ mod tests {
     impl Dataset {
         /// Remove one stored row per entry of `rows`, as a delta does.
         fn remove_rows(&mut self, rows: &[Vec<Value>]) -> usize {
-            let found = self.locate(rows);
+            let found = self.locate(&held(rows, self.columns.len()));
             self.remove_at(&found);
             found.len()
         }
@@ -177,7 +198,7 @@ mod tests {
 
     /// Rows resolved to values.
     fn values<'a>(rows: impl IntoIterator<Item = &'a Row>) -> Vec<Vec<Value>> {
-        values_of(rows.into_iter().map(Vec::as_slice))
+        values_of(rows)
     }
 
     fn rows(n: i64) -> Vec<Vec<Value>> {
@@ -192,7 +213,7 @@ mod tests {
         assert_eq!(d.partitions.len(), 4);
         assert_eq!(d.len(), 10);
         // Round-robin keeps partition sizes balanced within one row.
-        let sizes: Vec<usize> = d.partitions.iter().map(Vec::len).collect();
+        let sizes: Vec<usize> = d.partitions.iter().map(|p| p.len).collect();
         assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
     }
 
@@ -283,7 +304,7 @@ mod tests {
         };
         let row = |id: i64| vec![Value::Int(id), Value::Int(id % 3)];
         let ends = |d: &Dataset, p: usize| {
-            let part = values(&d.partitions[p]);
+            let part = d.partitions[p].to_values();
             (part[0].clone(), part[part.len() - 1].clone())
         };
         // Both copies of a duplicate in one batch, plus one copy too many.

@@ -32,7 +32,7 @@ pub use estocada_pivot::{AggFun, GroupBy};
 pub use ops::{par_filter, par_join};
 
 use estocada_pivot::hash::FastMap;
-use estocada_pivot::kernel::{self, RowFilter};
+use estocada_pivot::kernel::{self, held, RowFilter};
 use estocada_pivot::{CmpOp, ConstReader, IdRows, Value};
 use estocada_simkit::{LatencyModel, RequestTimer, StoreMetrics};
 use parking_lot::RwLock;
@@ -250,14 +250,33 @@ impl ParStore {
         deletes: &[Vec<Value>],
         inserts: &[Vec<Value>],
     ) -> Result<usize, ParError> {
+        let arity = self.request(name)?.columns.len();
+        let inserts = dataset::interned(inserts, arity)?;
+        self.apply_delta_ids(name, &held(deletes, arity), &inserts)
+    }
+
+    /// [`ParStore::apply_delta`] of interned rows, their cells stored as
+    /// they are. Deletes of another width than the dataset's remove
+    /// nothing; inserts of another width are [`ParError::Arity`], and then
+    /// nothing changes.
+    pub fn apply_delta_ids(
+        &self,
+        name: &str,
+        deletes: &IdRows,
+        inserts: &IdRows,
+    ) -> Result<usize, ParError> {
         let mut guard = self.datasets.write();
         let ds = guard.get_mut(name).ok_or_else(|| unknown(name))?;
-        dataset::check_arity(inserts, ds.columns.len())?;
+        let expected = ds.columns.len();
+        if inserts.width != expected {
+            let got = inserts.width;
+            return Err(ParError::Arity { expected, got });
+        }
         let found = ds.locate(deletes);
-        if !(found.is_empty() && inserts.is_empty()) {
+        if !(found.is_empty() && inserts.len == 0) {
             let ds = Arc::make_mut(ds);
             ds.remove_at(&found);
-            ds.append_rows(inserts)?;
+            ds.append_ids(inserts)?;
         }
         Ok(found.len())
     }
@@ -623,6 +642,47 @@ mod tests {
         assert_eq!(s.apply_delta("visits", &[], &[]), Ok(0));
         assert_eq!(at(&s), home);
         drop(reader);
+    }
+
+    #[test]
+    fn packed_key_index_lookups_equal_scans_before_and_after_a_delta() {
+        // Cells from a pool of three, so keys share some columns and not
+        // others.
+        let columns = ["a", "b", "c", "d", "e"];
+        let row = |i: i64| -> Vec<Value> { (1..6).map(|c| Value::Int(i / c % 3)).collect() };
+        for key in [&columns[..1], &columns[1..3], &columns[..3], &columns[..]] {
+            let s = ParStore::new();
+            s.create_dataset("d", &columns, (0..60).map(row), 3)
+                .unwrap();
+            s.build_key_index("d", key).unwrap();
+            let at: Vec<usize> = key
+                .iter()
+                .map(|k| columns.iter().position(|c| c == k).unwrap())
+                .collect();
+            let key_of =
+                |r: &Vec<Value>| -> Vec<Value> { at.iter().map(|c| r[*c].clone()).collect() };
+            let check = |when: &str| {
+                let ds = s.dataset("d").unwrap();
+                let rows = kernel::values_of(ds.iter_rows());
+                let mut keys: std::collections::BTreeSet<Vec<Value>> =
+                    rows.iter().map(key_of).collect();
+                // A key no row holds.
+                keys.insert(vec![Value::str("no such key"); key.len()]);
+                for k in keys {
+                    let mut found = values(s.lookup("d", &k, &[], &Shape::default())).unwrap();
+                    let mut scan: Vec<Vec<Value>> =
+                        rows.iter().filter(|r| key_of(r) == k).cloned().collect();
+                    found.sort();
+                    scan.sort();
+                    assert_eq!(found, scan, "{when}: lookup of {key:?} = {k:?}");
+                }
+            };
+            check("filled");
+            let gone: Vec<Vec<Value>> = (0..60).step_by(7).map(row).collect();
+            let born: Vec<Vec<Value>> = (60..90).map(row).collect();
+            assert_eq!(s.apply_delta("d", &gone, &born), Ok(gone.len()));
+            check("after a delta");
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub fn par_filter(
 ) -> IdRows {
     let width = ds.columns.len();
     let parts = scoped_map(ds.partitions.len(), &ds.partitions, |_, part| {
-        project(part.iter().filter(|row| pred(row)), projection, width)
+        project(part.rows().filter(|row| pred(row)), projection, width)
     });
     concat(columns(projection, width).len(), parts)
 }
@@ -75,7 +75,7 @@ pub fn par_join(
     let table = JoinTable::build(rows.iter().map(|row| key(row, right_keys)));
     let parts = scoped_map(left.partitions.len(), &left.partitions, |_, part| {
         let mut out = IdRows::empty(cols.len());
-        for lrow in part {
+        for lrow in part.rows() {
             for at in table.probe(&key(lrow, left_keys)) {
                 let rrow = rows[*at as usize];
                 let cell = |c: &usize| c.checked_sub(lw).map_or_else(|| lrow[*c], |rc| rrow[rc]);
@@ -113,8 +113,8 @@ mod tests {
     }
 
     /// Every row of `d`, in partition order.
-    fn all(d: &Dataset) -> Vec<Row> {
-        d.iter_rows().cloned().collect()
+    fn all(d: &Dataset) -> Vec<Vec<ConstId>> {
+        d.iter_rows().map(<[ConstId]>::to_vec).collect()
     }
 
     fn is(v: Value) -> ConstId {
@@ -143,10 +143,10 @@ mod tests {
         let seq: Vec<_> = d
             .iter_rows()
             .filter(|r| r[1] == is(Value::Int(2)))
-            .cloned()
+            .map(<[ConstId]>::to_vec)
             .collect();
         assert_eq!(par.len, seq.len());
-        let mut p: Vec<Row> = par.rows().map(<[ConstId]>::to_vec).collect();
+        let mut p: Vec<Vec<ConstId>> = par.rows().map(<[ConstId]>::to_vec).collect();
         let mut s = seq;
         p.sort();
         s.sort();

@@ -90,11 +90,15 @@ impl Hasher for FastHasher {
     }
 }
 
+/// What builds a [`FastHasher`]: the hasher of every table below and of
+/// the kernel's `Distinct`.
+pub type FastBuild = BuildHasherDefault<FastHasher>;
+
 /// A `HashMap` hashed by [`FastHasher`]; build it with `default()`.
-pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
+pub type FastMap<K, V> = HashMap<K, V, FastBuild>;
 
 /// A `HashSet` hashed by [`FastHasher`]; build it with `default()`.
-pub type FastSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
+pub type FastSet<K> = HashSet<K, FastBuild>;
 
 #[cfg(test)]
 mod tests {

@@ -11,15 +11,19 @@
 //! needed, and a number from a dense array ([`ConstReader::number`]).
 
 use crate::agg::{AggFun, GroupBy};
-use crate::hash::{FastMap, FastSet};
+use crate::hash::{FastBuild, FastMap};
 use crate::intern::{ConstId, ConstReader};
+use crate::multiset::SwapRows;
 use crate::value::{CmpOp, Value};
+use std::hash::BuildHasher;
 
-/// A hash key over interned cells. Keys of up to four cells — nearly every
-/// join, group, distinct and probe key — pack into one integer, so the
+/// A hash key over interned cells: a join, probe or key-index key. Keys of
+/// up to four cells — nearly every one — pack into one integer, so the
 /// per-row loops allocate nothing; wider keys fall back to a vector. A
 /// table holds keys of one width, so the encodings never collide in it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// (Distinct rows and group keys are held flat instead: [`Distinct`].)
+/// The order is the ids', not the values'.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Key {
     /// Up to two cells.
     Packed(u64),
@@ -39,8 +43,8 @@ pub fn pack_key(ids: impl Iterator<Item = ConstId>, len: usize) -> Key {
 }
 
 /// Interned rows laid out flat, `width` cells each: what the relational
-/// and the parallel store answer. `len` counts the rows, so rows of no
-/// cells still count.
+/// and the parallel store hold and answer, and what a fill hands them.
+/// `len` counts the rows, so rows of no cells still count.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IdRows {
     /// Cells per row.
@@ -73,12 +77,58 @@ impl IdRows {
 
     /// The rows, in order.
     pub fn rows(&self) -> impl Iterator<Item = &[ConstId]> {
-        (0..self.len).map(|i| &self.cells[i * self.width..(i + 1) * self.width])
+        (0..self.len).map(|i| self.row(i))
+    }
+
+    /// Row `i`.
+    pub fn row(&self, i: usize) -> &[ConstId] {
+        &self.cells[i * self.width..(i + 1) * self.width]
+    }
+
+    /// `rows` interned, `width` cells each — or, when one of them is
+    /// another width, that width, and nothing is interned.
+    pub fn intern(rows: &[Vec<Value>], width: usize) -> Result<IdRows, usize> {
+        if let Some(got) = rows.iter().map(Vec::len).find(|n| *n != width) {
+            return Err(got);
+        }
+        let cells = ConstId::intern_all(rows.iter().flatten());
+        let len = rows.len();
+        Ok(IdRows { width, len, cells })
     }
 
     /// The rows, resolved to values.
     pub fn to_values(&self) -> Vec<Vec<Value>> {
         values_of(self.rows())
+    }
+}
+
+impl std::ops::Index<usize> for IdRows {
+    type Output = [ConstId];
+
+    fn index(&self, i: usize) -> &[ConstId] {
+        self.row(i)
+    }
+}
+
+/// A store's rows held flat: one allocation for all of them, so a write
+/// allocates nothing per row and a scan reads them in order, wherever the
+/// allocator would have placed rows of their own.
+impl SwapRows for IdRows {
+    type Row = [ConstId];
+
+    fn count(&self) -> usize {
+        self.len
+    }
+
+    fn row_at(&self, at: usize) -> &[ConstId] {
+        self.row(at)
+    }
+
+    fn swap_out(&mut self, at: usize) {
+        let (w, last) = (self.width, self.len - 1);
+        self.cells.copy_within(last * w..(last + 1) * w, at * w);
+        self.cells.truncate(last * w);
+        self.len = last;
     }
 }
 
@@ -89,21 +139,20 @@ pub fn values_of<'a>(rows: impl IntoIterator<Item = &'a [ConstId]>) -> Vec<Vec<V
     rows.into_iter().map(row).collect()
 }
 
-/// The arity of the first of `rows` that is not `arity` wide: a write a
-/// container of `arity`-wide rows refuses whole.
-pub fn misfit(rows: &[Vec<Value>], arity: usize) -> Option<usize> {
-    rows.iter().map(Vec::len).find(|n| *n != arity)
-}
-
 /// The interned form of each entry of `rows` that a container of
 /// `arity`-wide rows can hold. An entry of another arity, or with a value
 /// never interned, matches no stored row: it is left out, and nothing is
 /// interned.
-pub fn held(rows: &[Vec<Value>], arity: usize) -> Vec<Vec<ConstId>> {
+pub fn held(rows: &[Vec<Value>], arity: usize) -> IdRows {
     let reader = ConstReader::new();
-    let ids = |row: &Vec<Value>| row.iter().map(|v| reader.lookup(v)).collect();
-    let fitting = rows.iter().filter(|r| r.len() == arity);
-    fitting.filter_map(ids).collect()
+    let mut out = IdRows::empty(arity);
+    for row in rows.iter().filter(|r| r.len() == arity) {
+        let ids: Option<Vec<ConstId>> = row.iter().map(|v| reader.lookup(v)).collect();
+        if let Some(ids) = ids {
+            out.push(ids);
+        }
+    }
+    out
 }
 
 /// `a op b` under the total value order: `=` and `<>` compare ids, two
@@ -169,19 +218,113 @@ impl JoinTable {
     }
 }
 
-/// First-seen distinct over rows `width` cells wide.
-#[derive(Debug)]
-pub struct Distinct(usize, FastSet<Key>);
+/// An empty slot of a [`Distinct`]'s table.
+const EMPTY: u64 = u64::MAX;
+
+/// First-seen distinct over rows `width` cells wide: each distinct row held
+/// once, flat, in first-seen order, and found again by its cells. The
+/// table is open addressing over row positions: a row's slot comes from
+/// the hash of its cells, each slot keeps the low 32 bits of its row's hash
+/// beside the row's position, and a probe compares the stored cells only
+/// where those bits agree. So no key is built per row, at any width, and
+/// growing the table reads no row.
+#[derive(Debug, Clone)]
+pub struct Distinct<S = FastBuild> {
+    rows: IdRows,
+    /// `hash << 32 | position` per held row, [`EMPTY`] elsewhere: a power
+    /// of two long (or empty), at most half full.
+    slots: Vec<u64>,
+    hasher: S,
+}
 
 impl Distinct {
     /// No row seen yet.
     pub fn new(width: usize) -> Distinct {
-        Distinct(width, FastSet::default())
+        Distinct::with_hasher(width, FastBuild::default())
+    }
+}
+
+impl<S: BuildHasher> Distinct<S> {
+    /// No row seen yet, slots chosen by `hasher`.
+    pub fn with_hasher(width: usize, hasher: S) -> Distinct<S> {
+        let (rows, slots) = (IdRows::empty(width), Vec::new());
+        Distinct {
+            rows,
+            slots,
+            hasher,
+        }
     }
 
     /// `true` the first time `row` is offered.
-    pub fn keep(&mut self, row: impl Iterator<Item = ConstId>) -> bool {
-        self.1.insert(pack_key(row, self.0))
+    pub fn keep(&mut self, row: impl IntoIterator<Item = ConstId>) -> bool {
+        self.insert(row).1
+    }
+
+    /// The position of `row` among the distinct rows, first-seen, and
+    /// whether this is its first time (it is then appended).
+    pub fn insert(&mut self, row: impl IntoIterator<Item = ConstId>) -> (usize, bool) {
+        if (self.rows.len + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let (width, end) = (self.rows.width, self.rows.cells.len());
+        self.rows.cells.extend(row);
+        debug_assert_eq!(self.rows.cells.len(), end + width, "a row of another width");
+        let (held, new) = self.rows.cells.split_at(end);
+        let hash = self.hasher.hash_one(new) as u32;
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            match self.slots[slot] {
+                EMPTY => break,
+                entry if (entry >> 32) as u32 == hash => {
+                    let at = entry as u32 as usize;
+                    if held[at * width..][..width] == *new {
+                        self.rows.cells.truncate(end);
+                        return (at, false);
+                    }
+                }
+                _ => {}
+            }
+            slot = (slot + 1) & mask;
+        }
+        self.slots[slot] = u64::from(hash) << 32 | self.rows.len as u64;
+        self.rows.len += 1;
+        (self.rows.len - 1, true)
+    }
+
+    /// Double the table (sixteen slots at first) and place every row again
+    /// by the hash its slot keeps.
+    fn grow(&mut self) {
+        let size = (self.slots.len() * 2).max(16);
+        let mask = size - 1;
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY; size]);
+        for entry in old.into_iter().filter(|e| *e != EMPTY) {
+            let mut slot = (entry >> 32) as usize & mask;
+            while self.slots[slot] != EMPTY {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = entry;
+        }
+    }
+
+    /// Number of distinct rows.
+    pub fn len(&self) -> usize {
+        self.rows.len
+    }
+
+    /// `true` before the first row.
+    pub fn is_empty(&self) -> bool {
+        self.rows.len == 0
+    }
+
+    /// The distinct rows, first-seen.
+    pub fn rows(&self) -> &IdRows {
+        &self.rows
+    }
+
+    /// The distinct rows, first-seen.
+    pub fn into_rows(self) -> IdRows {
+        self.rows
     }
 }
 
@@ -225,40 +368,39 @@ impl Acc {
     }
 }
 
-/// Group-by state: each group's key cells and one accumulator per
-/// aggregate, groups in first-seen order.
-#[derive(Debug, Default)]
-pub struct Groups {
+/// Group-by state: each group's key cells, first-seen ([`Distinct`]), and
+/// one accumulator per aggregate.
+#[derive(Debug)]
+pub struct Groups<S = FastBuild> {
     funs: Vec<AggFun>,
-    width: usize,
-    index: FastMap<Key, usize>,
-    keys: Vec<ConstId>,
+    keys: Distinct<S>,
     accs: Vec<Acc>,
 }
 
 impl Groups {
     /// No group yet: keys `width` cells wide, one aggregate per `funs`.
     pub fn new(width: usize, funs: Vec<AggFun>) -> Groups {
-        let groups = Groups::default();
-        Groups {
-            funs,
-            width,
-            ..groups
-        }
+        Groups::with_hasher(width, funs, FastBuild::default())
+    }
+}
+
+impl<S: BuildHasher> Groups<S> {
+    /// [`Groups::new`] with the keys' slots chosen by `hasher`.
+    pub fn with_hasher(width: usize, funs: Vec<AggFun>, hasher: S) -> Groups<S> {
+        let (keys, accs) = (Distinct::with_hasher(width, hasher), Vec::new());
+        Groups { funs, keys, accs }
     }
 
     /// Fold one row in: its `key` cells and one argument per aggregate.
     pub fn add(
         &mut self,
-        key: impl Iterator<Item = ConstId> + Clone,
+        key: impl Iterator<Item = ConstId>,
         args: impl Iterator<Item = ConstId>,
         reader: &ConstReader,
     ) {
-        let (n, next) = (self.funs.len(), self.index.len());
-        let packed = pack_key(key.clone(), self.width);
-        let g = *self.index.entry(packed).or_insert(next);
-        if g == next {
-            self.keys.extend(key);
+        let n = self.funs.len();
+        let (g, new) = self.keys.insert(key);
+        if new {
             self.accs.resize((g + 1) * n, Acc::default());
         }
         for ((acc, fun), v) in self.accs[g * n..].iter_mut().zip(&self.funs).zip(args) {
@@ -270,8 +412,8 @@ impl Groups {
     /// its key followed by its aggregates. A global aggregate (no key
     /// cells) over no rows is one row; a grouped one is none.
     pub fn finish(mut self, having: &[(usize, CmpOp, Value)]) -> IdRows {
-        let (w, n) = (self.width, self.funs.len());
-        let len = if w == 0 { 1 } else { self.index.len() };
+        let (w, n) = (self.keys.rows.width, self.funs.len());
+        let len = if w == 0 { 1 } else { self.keys.len() };
         self.accs.resize(len * n, Acc::default());
         // Each group's aggregates, resolved; the reader is gone before the
         // new values are interned.
@@ -280,7 +422,7 @@ impl Groups {
             let pass = |g: usize| {
                 let accs = self.accs[g * n..(g + 1) * n].iter().zip(&self.funs);
                 let out: Vec<Value> = accs.map(|(a, f)| a.finish(*f, &reader)).collect();
-                let key = &self.keys[g * w..(g + 1) * w];
+                let key = &self.keys.rows.cells[g * w..(g + 1) * w];
                 let cell = |c: usize| match c.checked_sub(w) {
                     Some(a) => out.get(a),
                     None => key.get(c).map(|id| reader.get(*id)),
@@ -294,7 +436,7 @@ impl Groups {
         let mut ids = ConstId::intern_all(kept.iter().flat_map(|(_, out)| out)).into_iter();
         let mut rows = IdRows::empty(w + n);
         for (g, _) in &kept {
-            let key = self.keys[g * w..(g + 1) * w].iter().copied();
+            let key = self.keys.rows.cells[g * w..(g + 1) * w].iter().copied();
             rows.push(key.chain(ids.by_ref().take(n)));
         }
         rows
@@ -309,16 +451,16 @@ pub fn answer(rows: IdRows, distinct: bool, group: Option<&GroupBy>) -> IdRows {
         return rows;
     }
     let mut seen = Distinct::new(rows.width);
-    let fresh = rows.rows().filter(|row| seen.keep(row.iter().copied()));
+    for row in rows.rows() {
+        seen.keep(row.iter().copied());
+    }
     let Some(g) = group else {
-        let mut out = IdRows::empty(rows.width);
-        fresh.for_each(|row| out.push(row.iter().copied()));
-        return out;
+        return seen.into_rows();
     };
     let mut groups = Groups::new(g.keys, g.aggs.iter().map(|(f, _)| *f).collect());
     {
         let reader = ConstReader::new();
-        fresh.for_each(|row| {
+        seen.rows().rows().for_each(|row| {
             let args = g.aggs.iter().map(|(_, c)| row[*c]);
             groups.add(row[..g.keys].iter().copied(), args, &reader)
         });
@@ -329,15 +471,14 @@ pub fn answer(rows: IdRows, distinct: bool, group: Option<&GroupBy>) -> IdRows {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hash::FastHasher;
-    use std::hash::{BuildHasher, BuildHasherDefault};
+    use crate::hash::FastSet;
 
     /// Two-cell keys that differ only in their first cell (the high 32 bits
     /// of `Key::Packed`) reach at least half the buckets of the 8 192-bucket
     /// table that holds 4 096 of them.
     #[test]
     fn packed_keys_differing_in_their_high_bits_spread() {
-        let build = BuildHasherDefault::<FastHasher>::default();
+        let build = FastBuild::default();
         let buckets: FastSet<u64> = (0..4096u64)
             .map(|a| build.hash_one(Key::Packed(a << 32 | 7)) & 0x1fff)
             .collect();

@@ -192,25 +192,57 @@ impl<K: Ord, L: Ord + Copy> FromIterator<(K, L)> for Postings<K, L> {
     }
 }
 
+/// Rows held by position, where the last row can fill a hole: a `Vec` of
+/// rows, or interned rows laid out flat ([`IdRows`](crate::IdRows)).
+pub trait SwapRows {
+    /// One row.
+    type Row: ?Sized;
+
+    /// Number of rows.
+    fn count(&self) -> usize;
+
+    /// The row at `at`.
+    fn row_at(&self, at: usize) -> &Self::Row;
+
+    /// Take the row at `at` out, the last row moving into its place.
+    fn swap_out(&mut self, at: usize);
+}
+
+impl<T> SwapRows for Vec<T> {
+    type Row = T;
+
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn row_at(&self, at: usize) -> &T {
+        &self[at]
+    }
+
+    fn swap_out(&mut self, at: usize) {
+        self.swap_remove(at);
+    }
+}
+
 /// Take the rows at `doomed` (distinct positions) out of `rows`, highest
 /// first so that the row that moves is never one still to go: the last row
 /// fills each hole. The caller's indexes follow through `follow(row, from,
 /// to)`, which hears of each removed row (`to == None`) and of each row
 /// that moved into a hole — what [`Postings::relocate`] takes.
-pub fn swap_remove<T>(
-    rows: &mut Vec<T>,
+pub fn swap_remove<R: SwapRows>(
+    rows: &mut R,
     doomed: impl IntoIterator<Item = usize>,
-    mut follow: impl FnMut(&T, usize, Option<usize>),
+    mut follow: impl FnMut(&R::Row, usize, Option<usize>),
 ) {
     let mut doomed: Vec<usize> = doomed.into_iter().collect();
     doomed.sort_unstable_by(|a, b| b.cmp(a));
     for at in doomed {
-        let last = rows.len() - 1;
-        follow(&rows[at], at, None);
+        let last = rows.count() - 1;
+        follow(rows.row_at(at), at, None);
         if last != at {
-            follow(&rows[last], last, Some(at));
+            follow(rows.row_at(last), last, Some(at));
         }
-        rows.swap_remove(at);
+        rows.swap_out(at);
     }
 }
 

@@ -23,7 +23,6 @@ pub use query::{CmpOp, ColRef, Pred, SqlQuery};
 pub use table::Table;
 
 use estocada_pivot::hash::FastMap;
-use estocada_pivot::kernel::values_of;
 use estocada_pivot::{IdRows, Value};
 use estocada_simkit::{LatencyModel, RequestTimer, StoreMetrics};
 use parking_lot::RwLock;
@@ -76,6 +75,12 @@ impl RelStore {
         self.write(name, |t| t.insert(rows))
     }
 
+    /// [`RelStore::insert_many`] of interned rows, their cells stored as
+    /// they are.
+    pub fn insert_ids(&self, name: &str, rows: &IdRows) -> Result<(), QueryError> {
+        self.write(name, |t| t.insert_ids(rows))
+    }
+
     /// Delete rows from `name`: each entry of `rows` removes **one**
     /// matching stored row (duplicate physical rows are removed one
     /// instance per request), in place — see [`Table::delete_rows`]: the
@@ -84,6 +89,11 @@ impl RelStore {
     /// [`RelStore::insert_many`].
     pub fn delete_rows(&self, name: &str, rows: &[Vec<Value>]) -> Result<usize, QueryError> {
         self.write(name, |t| Ok(t.delete_rows(rows)))
+    }
+
+    /// [`RelStore::delete_rows`] of interned rows.
+    pub fn delete_ids(&self, name: &str, rows: &IdRows) -> Result<usize, QueryError> {
+        self.write(name, |t| Ok(t.delete_ids(rows)))
     }
 
     /// Create an index on `table.column`.
@@ -110,9 +120,7 @@ impl RelStore {
     /// metrics, no latency). `None` for unknown tables.
     pub fn scan(&self, table: &str) -> Option<Vec<Vec<Value>>> {
         let guard = self.tables.read();
-        guard
-            .get(table)
-            .map(|t| values_of(t.rows.iter().map(Vec::as_slice)))
+        guard.get(table).map(|t| t.rows.to_values())
     }
 
     /// Run a conjunctive query; metrics and latency are charged. The rows

@@ -2,17 +2,18 @@
 
 use crate::exec::QueryError;
 use estocada_pivot::hash::FastMap;
-use estocada_pivot::kernel::{held, misfit};
-use estocada_pivot::{swap_remove, ConstId, ConstReader, Postings, Value, Wanted};
+use estocada_pivot::kernel::held;
+use estocada_pivot::{swap_remove, ConstReader, IdRows, Postings, Value, Wanted};
 
 /// An in-memory row-store table. Cells are interned once, when a row is
-/// written; the indexes keep the value order, for range lookups.
+/// written, and held flat, row after row; the indexes keep the value
+/// order, for range lookups.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     /// Column names.
     pub columns: Vec<String>,
     /// Row data, in column order.
-    pub rows: Vec<Vec<ConstId>>,
+    pub rows: IdRows,
     /// Secondary indexes by column position: each value with the rows
     /// holding it, for equality and range lookups.
     pub indexes: FastMap<usize, Postings<Value>>,
@@ -23,7 +24,7 @@ impl Table {
     pub fn new(columns: &[&str]) -> Table {
         Table {
             columns: columns.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
+            rows: IdRows::empty(columns.len()),
             indexes: FastMap::default(),
         }
     }
@@ -37,39 +38,62 @@ impl Table {
     /// table's is [`QueryError::Arity`], and then no row is appended.
     pub fn insert(&mut self, rows: &[Vec<Value>]) -> Result<(), QueryError> {
         let expected = self.columns.len();
-        if let Some(got) = misfit(rows, expected) {
+        let ids = IdRows::intern(rows, expected);
+        self.insert_ids(&ids.map_err(|got| QueryError::Arity { expected, got })?)
+    }
+
+    /// Append interned rows, their cells as they are; indexes are
+    /// maintained. Rows of another width than the table's are
+    /// [`QueryError::Arity`], and then no row is appended.
+    pub fn insert_ids(&mut self, rows: &IdRows) -> Result<(), QueryError> {
+        let expected = self.columns.len();
+        if rows.width != expected {
+            let got = rows.width;
             return Err(QueryError::Arity { expected, got });
         }
-        let mut ids = ConstId::intern_all(rows.iter().flatten()).into_iter();
-        for row in rows {
-            for (col, idx) in self.indexes.iter_mut() {
-                idx.insert(row[*col].clone(), self.rows.len());
+        if !self.indexes.is_empty() {
+            let reader = ConstReader::new();
+            for (at, row) in (self.rows.len..).zip(rows.rows()) {
+                for (col, idx) in self.indexes.iter_mut() {
+                    idx.insert(reader.get(row[*col]).clone(), at);
+                }
             }
-            self.rows.push(ids.by_ref().take(expected).collect());
         }
+        self.rows.cells.extend_from_slice(&rows.cells);
+        self.rows.len += rows.len;
         Ok(())
     }
 
+    /// Remove one stored row equal to each entry of `rows` (see
+    /// [`Table::delete_ids`]); an entry of another arity, or holding a
+    /// value no row holds, is skipped.
+    pub fn delete_rows(&mut self, rows: &[Vec<Value>]) -> usize {
+        self.delete_ids(&held(rows, self.columns.len()))
+    }
+
     /// Remove one stored row equal to each entry of `rows` (entries with no
-    /// stored instance left are skipped); returns how many went. The rows
+    /// stored instance left, or of another width, are skipped); returns how
+    /// many went. The rows
     /// are found through the index on the lowest indexed column when there
     /// is one — the rows holding an entry's value — and by one scan
     /// otherwise. The table's last row moves into each hole and every index
     /// follows in place ([`swap_remove`]): the cost is the delta and the
     /// postings it touches, not the table. No physical row order is
     /// promised.
-    pub fn delete_rows(&mut self, rows: &[Vec<Value>]) -> usize {
-        let entries = held(rows, self.columns.len());
-        let mut wanted = Wanted::of(entries.iter().map(Vec::as_slice));
+    pub fn delete_ids(&mut self, rows: &IdRows) -> usize {
+        if rows.width != self.columns.len() {
+            return 0;
+        }
+        let mut wanted = Wanted::of(rows.rows());
         let reader = ConstReader::new();
-        let row_at = |at: usize| self.rows[at].as_slice();
+        let row_at = |at: usize| &self.rows[at];
         // One stored instance per entry, the lowest positions first; the
         // candidates: every row an entry's value is posted under, or all.
         let found = match self.indexes.iter().min_by_key(|(col, _)| **col) {
             Some((col, idx)) => {
                 wanted.claim_under(|row| reader.get(row[*col]), |v| idx.get(*v), row_at)
             }
-            None => wanted.claim(0..self.rows.len(), row_at),
+            None => wanted.claim(0..self.rows.len, row_at),
         };
         let indexes = &mut self.indexes;
         swap_remove(&mut self.rows, found.iter().copied(), |row, from, to| {
@@ -83,7 +107,7 @@ impl Table {
     /// Build an index over `column` (replacing any existing one).
     pub fn create_index(&mut self, column: usize) {
         let reader = ConstReader::new();
-        let posted = self.rows.iter().enumerate();
+        let posted = self.rows.rows().enumerate();
         let idx = posted
             .map(|(at, row)| (reader.get(row[column]).clone(), at))
             .collect();
@@ -92,19 +116,18 @@ impl Table {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.rows.len
     }
 
     /// `true` when the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.rows.len == 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use estocada_pivot::kernel::values_of;
 
     fn table() -> Table {
         let mut t = Table::new(&["id", "name", "age"]);
@@ -119,7 +142,7 @@ mod tests {
 
     /// The stored rows, resolved, in storage order.
     fn values(t: &Table) -> Vec<Vec<Value>> {
-        values_of(t.rows.iter().map(Vec::as_slice))
+        t.rows.to_values()
     }
 
     #[test]

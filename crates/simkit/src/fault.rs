@@ -29,7 +29,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Why a store operation failed.
@@ -353,7 +353,10 @@ impl FaultHook {
             return Ok(());
         }
         let op_idx = if self.needs_per_op {
-            let mut guard = self.per_op.lock().expect("fault hook poisoned");
+            // A thread that panicked while holding the counts left them
+            // consistent (one entry bumped or inserted), so a poisoned lock
+            // is taken over rather than failing the gated read path.
+            let mut guard = self.per_op.lock().unwrap_or_else(PoisonError::into_inner);
             match guard.get_mut(op) {
                 Some(e) => {
                     *e += 1;
@@ -442,6 +445,26 @@ mod tests {
             ]
         );
         assert_eq!(h.injected(), 3);
+    }
+
+    #[test]
+    fn a_poisoned_counter_lock_keeps_counting() {
+        let h = hook(
+            FaultPlan::new(0).fail_ops("key-value", "mget", 2, 2, FaultKind::Unavailable),
+            "key-value",
+        );
+        assert!(h.check("mget").is_ok());
+        // A thread panics while it holds the per-op counts.
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _held = h.per_op.lock();
+                panic!("poison the per-op counts");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(h.per_op.is_poisoned());
+        assert!(h.check("mget").is_err(), "the 2nd mget is still the 2nd");
+        assert!(h.check("mget").is_ok());
     }
 
     #[test]

@@ -78,17 +78,32 @@ impl SimClock {
         }
     }
 
-    /// Advance a manual clock by `d`. Panics on a wall clock — advancing
-    /// real time is a test-harness bug, not a runtime feature.
-    pub fn advance(&self, d: Duration) {
+    /// Advance a manual clock by `d`. A wall clock is not moved: advancing
+    /// real time is a test-harness bug, not a runtime feature, and it is
+    /// [`WallClockAdvance`].
+    pub fn advance(&self, d: Duration) -> Result<(), WallClockAdvance> {
         match &*self.0 {
-            ClockInner::Wall(_) => panic!("cannot advance a wall SimClock"),
+            ClockInner::Wall(_) => Err(WallClockAdvance),
             ClockInner::Manual(nanos) => {
                 nanos.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
+                Ok(())
             }
         }
     }
 }
+
+/// Why [`SimClock::advance`] did not move a clock: it reads the host's
+/// monotonic clock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WallClockAdvance;
+
+impl std::fmt::Display for WallClockAdvance {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "cannot advance a wall SimClock")
+    }
+}
+
+impl std::error::Error for WallClockAdvance {}
 
 /// Latency model of one simulated DMS.
 ///
@@ -274,12 +289,20 @@ mod tests {
     fn manual_clock_advances_only_when_told() {
         let c = SimClock::manual();
         assert_eq!(c.now(), Duration::ZERO);
-        c.advance(Duration::from_millis(7));
+        c.advance(Duration::from_millis(7)).unwrap();
         assert_eq!(c.now(), Duration::from_millis(7));
         let shared = c.clone();
-        shared.advance(Duration::from_millis(3));
+        shared.advance(Duration::from_millis(3)).unwrap();
         // Clones share the underlying clock.
         assert_eq!(c.now(), Duration::from_millis(10));
+    }
+
+    #[test]
+    fn a_wall_clock_refuses_to_advance() {
+        let c = SimClock::wall();
+        let before = c.now();
+        assert_eq!(c.advance(Duration::from_secs(3600)), Err(WallClockAdvance));
+        assert!(c.now() < before + Duration::from_secs(3600));
     }
 
     #[test]

@@ -229,3 +229,97 @@ fn the_oracle_past_a_million_matches_is_whole() {
     let est = grid(1001, 1000);
     assert_eq!(est.oracle_eval(&product_view()).len(), 1_001_000);
 }
+
+/// FNV-1a over `text`: a digest that depends on no hasher of the crates
+/// under test.
+fn fnv1a(text: &str) -> u64 {
+    let step = |h: u64, b: &u8| (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3);
+    text.as_bytes().iter().fold(0xcbf2_9ce4_8422_2325, step)
+}
+
+/// What a first fill leaves in `est`'s stores, physical order included:
+/// every relational table in storage order, every parallel dataset read
+/// round-robin across its partitions (the order its rows were appended in,
+/// whatever the partition count), every collection and text index in
+/// insertion order.
+fn physical_order(est: &Estocada) -> String {
+    let mut out = String::new();
+    let mut tables = est.stores.rel.table_names();
+    tables.sort();
+    for t in tables {
+        out += &format!("rel:{t} {:?}\n", est.stores.rel.scan(&t));
+    }
+    let mut datasets = est.stores.par.dataset_names();
+    datasets.sort();
+    for d in datasets {
+        let ds = est.stores.par.dataset(&d).expect("listed dataset");
+        let deepest = ds.partitions.iter().map(|p| p.len).max().unwrap_or(0);
+        let mut rows: Vec<Vec<Value>> = Vec::new();
+        for r in 0..deepest {
+            for part in ds.partitions.iter().filter(|p| r < p.len) {
+                rows.push(part.row(r).iter().map(|id| (*id.value()).clone()).collect());
+            }
+        }
+        out += &format!("par:{d} {rows:?}\n");
+    }
+    let mut collections = est.stores.doc.collection_names();
+    collections.sort();
+    for c in collections {
+        out += &format!("doc:{c} {:?}\n", est.stores.doc.scan(&c));
+    }
+    let mut indexes = est.stores.text.index_names();
+    indexes.sort();
+    for i in indexes {
+        out += &format!("text:{i} {:?}\n", est.stores.text.documents(&i));
+    }
+    out
+}
+
+/// Every fragment relation's statistics on the three builtin deployments,
+/// and digests of their stores: `Stores::dump()` and the physical order.
+fn fill_record() -> String {
+    let m = generate(common::cfg(60, 30, 300, 500, 23));
+    let mut out = String::from(
+        "# Fragment statistics and store digests after the builtin deployments' fills.\n\
+         # Regenerate with:\n\
+         #   UPDATE_EXPECT=1 cargo test --test compiled_view_properties fills_match\n",
+    );
+    for (name, deploy) in DEPLOYMENTS {
+        let est = deploy(&m, Latencies::zero());
+        out += &format!("\n== {name}\n");
+        for f in est.fragments() {
+            for (r, s) in f.relations.iter().zip(&f.stats) {
+                let (rows, distinct, bytes) = (s.rows, &s.distinct, s.bytes);
+                out += &format!(
+                    "{} {}: rows {rows} distinct {distinct:?} bytes {bytes}\n",
+                    f.id, r.name
+                );
+            }
+        }
+        let dump = format!("{:?}", est.stores.dump());
+        out += &format!("dump digest {:016x}\n", fnv1a(&dump));
+        out += &format!(
+            "physical order digest {:016x}\n",
+            fnv1a(&physical_order(&est))
+        );
+    }
+    out
+}
+
+/// A fill may change how it computes, never what it stores or what the
+/// catalog records of it: the committed record of every fragment's
+/// statistics and of both store digests.
+#[test]
+fn fills_match_the_committed_statistics_and_store_digests() {
+    let got = fill_record();
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/snapshots/fragment_stats.txt");
+    if std::env::var_os("UPDATE_EXPECT").is_some() {
+        std::fs::write(&path, &got).expect("write the record");
+    }
+    let want = std::fs::read_to_string(&path).expect("tests/snapshots/fragment_stats.txt");
+    assert!(
+        got == want,
+        "fragment statistics or store contents moved from the committed record:\n{got}"
+    );
+}

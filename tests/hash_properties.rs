@@ -1,15 +1,16 @@
 //! The one in-process hasher (`estocada_pivot::hash`) against the `Value`
 //! equality it serves, and the kernel's hash-grouped aggregate tail and
 //! first-seen distinct (`estocada_pivot::kernel`) against an ordered-map
-//! statement of them.
+//! statement of them — over values, and over wide interned rows with the
+//! default hasher and one that sends every row to one slot.
 
 use estocada_pivot::agg::{AggFun, GroupBy};
 use estocada_pivot::hash::FastHasher;
-use estocada_pivot::kernel::answer;
-use estocada_pivot::{CmpOp, ConstId, IdRows, Value};
+use estocada_pivot::kernel::{answer, Distinct, Groups};
+use estocada_pivot::{CmpOp, ConstId, ConstReader, IdRows, Value};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
-use std::hash::{BuildHasher, BuildHasherDefault};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 fn hash(v: &Value) -> u64 {
     BuildHasherDefault::<FastHasher>::default().hash_one(v)
@@ -163,6 +164,126 @@ proptest! {
             rows.iter().filter(|r| seen.insert(*r)).cloned().collect();
         prop_assert_eq!(answer(ids, true, None).to_values(), expected);
     }
+}
+
+/// A hasher giving every row one hash: every probe of a [`Distinct`] meets
+/// every row held before it, so only the comparison of stored cells tells
+/// rows apart.
+#[derive(Clone, Copy, Default)]
+struct Colliding;
+
+struct Zero;
+
+impl Hasher for Zero {
+    fn finish(&self) -> u64 {
+        0
+    }
+
+    fn write(&mut self, _: &[u8]) {}
+}
+
+impl BuildHasher for Colliding {
+    type Hasher = Zero;
+
+    fn build_hasher(&self) -> Zero {
+        Zero
+    }
+}
+
+/// Rows 5 to 9 cells wide whose first four cells come from a pool of two
+/// and whose later cells from a pool of three, so many rows agree on every
+/// cell a packed key could hold and differ only after the fourth.
+fn arb_wide_rows() -> impl Strategy<Value = (usize, Vec<Vec<ConstId>>)> {
+    (5usize..10).prop_flat_map(|width| {
+        let cell = |pool: i64| (0..pool).prop_map(ConstId::of);
+        let row = (
+            proptest::collection::vec(cell(2), 4),
+            proptest::collection::vec(cell(3), width - 4),
+        )
+            .prop_map(|(head, tail)| [head, tail].concat());
+        (Just(width), proptest::collection::vec(row, 0..60))
+    })
+}
+
+/// `Distinct` and `Groups` (keys `width` cells wide; `COUNT` and `MIN` of
+/// the key's last cell) built with `hasher`, against `BTreeSet` and
+/// `BTreeMap` statements of them.
+fn check_wide<S: BuildHasher + Clone>(width: usize, rows: &[Vec<ConstId>], hasher: S) {
+    let mut seen = BTreeSet::new();
+    let mut distinct = Distinct::with_hasher(width, hasher.clone());
+    let mut first_seen = Vec::new();
+    for row in rows {
+        let (at, new) = distinct.insert(row.iter().copied());
+        assert_eq!(new, seen.insert(row.clone()), "{row:?}");
+        if new {
+            first_seen.push(row.clone());
+        }
+        assert_eq!(first_seen[at], *row, "position of {row:?}");
+    }
+    let kept: Vec<Vec<ConstId>> = distinct.rows().rows().map(<[ConstId]>::to_vec).collect();
+    assert_eq!(kept, first_seen);
+    assert_eq!(distinct.len(), seen.len());
+
+    let mut index: BTreeMap<&[ConstId], usize> = BTreeMap::new();
+    let mut groups: Vec<(&[ConstId], i64, i64)> = Vec::new();
+    let mut grouped = Groups::with_hasher(width, vec![AggFun::Count, AggFun::Min], hasher);
+    let reader = ConstReader::new();
+    let number = |id: ConstId| match reader.get(id) {
+        Value::Int(i) => *i,
+        other => panic!("not an Int: {other}"),
+    };
+    for row in rows {
+        let arg = row[width - 1];
+        grouped.add(row.iter().copied(), [arg, arg].into_iter(), &reader);
+        let next = groups.len();
+        let g = *index.entry(row).or_insert(next);
+        if g == next {
+            groups.push((row, 0, i64::MAX));
+        }
+        groups[g].1 += 1;
+        groups[g].2 = groups[g].2.min(number(arg));
+    }
+    drop(reader);
+    let expected: Vec<Vec<Value>> = groups
+        .into_iter()
+        .map(|(key, count, min)| {
+            let key = key.iter().map(|id| (*id.value()).clone());
+            key.chain([Value::Int(count), Value::Int(min)]).collect()
+        })
+        .collect();
+    assert_eq!(grouped.finish(&[]).to_values(), expected);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Distinct rows and groups of wide keys — held flat, found by their
+    /// cells — equal the ordered-set and ordered-map statements, positions
+    /// and first-seen order included, with the default hasher and with
+    /// every row colliding.
+    #[test]
+    fn wide_distinct_and_groups_match_an_ordered_reference(case in arb_wide_rows()) {
+        let (width, rows) = case;
+        check_wide(width, &rows, BuildHasherDefault::<FastHasher>::default());
+        check_wide(width, &rows, Colliding);
+    }
+}
+
+/// Rows equal in their first four cells and different after them are
+/// distinct rows and distinct groups, whatever the hasher.
+#[test]
+fn rows_differing_only_after_the_fourth_cell_are_distinct() {
+    let row = |last: i64| [1, 1, 1, 1, last].map(ConstId::of).to_vec();
+    let rows = [row(0), row(1), row(0), row(2), row(1)];
+    let (mut fast, mut colliding) = (Distinct::new(5), Distinct::with_hasher(5, Colliding));
+    let fast: Vec<bool> = rows.iter().map(|r| fast.keep(r.iter().copied())).collect();
+    let colliding: Vec<bool> = rows
+        .iter()
+        .map(|r| colliding.keep(r.iter().copied()))
+        .collect();
+    assert_eq!(fast, [true, true, false, true, false]);
+    assert_eq!(colliding, fast);
+    check_wide(5, &rows, Colliding);
 }
 
 /// The pool above does produce the near misses the property is about.

@@ -96,6 +96,77 @@ fn assert_same_stats(a: &Estocada, b: &Estocada, what: &str) {
     }
 }
 
+/// Every fragment relation's running statistics equal a recount, keyed by
+/// `Value`, of the rows its store holds now — read back through the
+/// accessors `Stores::dump()` renders, resolved to values — so a consistent
+/// bug in the running statistics, which a twin shares, still shows.
+fn assert_stats_recount(est: &Estocada, what: &str) {
+    let stores = &est.stores;
+    for f in est.fragments() {
+        for (r, stats) in f.relations.iter().zip(&f.stats) {
+            let rows: Vec<Vec<Value>> = match &r.place {
+                WhereSpec::Table { table, .. } => stores.rel.scan(table).expect("placed table"),
+                WhereSpec::ParDataset { dataset, .. } => {
+                    let ds = stores.par.dataset(dataset).expect("placed dataset");
+                    values_of(ds.iter_rows())
+                }
+                WhereSpec::Namespace { namespace, .. } => {
+                    let entries = stores.kv.scan(namespace).expect("readable namespace");
+                    let unpack = |(key, values): (Value, Vec<Value>)| -> Vec<Vec<Value>> {
+                        let [Value::Array(tuples)] = values.as_slice() else {
+                            panic!("{what}: {namespace} entry {key} is not a packed list");
+                        };
+                        let row = |t: &Value| {
+                            let tuple = t.as_array().expect("a packed tuple");
+                            [std::slice::from_ref(&key), tuple].concat()
+                        };
+                        tuples.iter().map(row).collect()
+                    };
+                    entries.into_iter().flat_map(unpack).collect()
+                }
+                WhereSpec::Collection {
+                    collection,
+                    columns,
+                    ..
+                } => {
+                    let field = |doc: &Value, c: &String| doc.get(c).cloned().expect("a field");
+                    let row = |doc: Value| columns.iter().map(|c| field(&doc, c)).collect();
+                    stores.doc.scan(collection).into_iter().map(row).collect()
+                }
+                WhereSpec::TextIndex { index } => {
+                    let docs = stores.text.documents(index).len() as u64;
+                    let estimate = (docs * 8, vec![docs * 4, docs], docs * 64);
+                    let held = (stats.rows, stats.distinct.clone(), stats.bytes);
+                    assert_eq!(held, estimate, "{what}: text index {index}");
+                    continue;
+                }
+                WhereSpec::NativeDocs { .. } => continue,
+            };
+            let arity = r.view.view.head.len();
+            let mut distinct = vec![BTreeSet::new(); arity];
+            for row in &rows {
+                for (held, v) in distinct.iter_mut().zip(row) {
+                    held.insert(v);
+                }
+            }
+            let recount = (
+                rows.len() as u64,
+                distinct.iter().map(|d| d.len() as u64).collect::<Vec<_>>(),
+                rows.iter()
+                    .flatten()
+                    .map(|v| v.approx_size() as u64)
+                    .sum::<u64>(),
+            );
+            let held = (stats.rows, stats.distinct.clone(), stats.bytes);
+            assert_eq!(
+                held, recount,
+                "{what}: statistics of {} vs a recount",
+                r.name
+            );
+        }
+    }
+}
+
 /// Every relation the schema declares — the tables, each `{table}_Terms`
 /// and the document relations — holds the same facts in both engines' fact
 /// bases (the identity query through the oracle, as sorted rows).
@@ -189,13 +260,20 @@ fn assert_index_lookups_equal_scans(est: &Estocada, what: &str) {
         };
         let key_of =
             |row: &Vec<Value>| -> Vec<Value> { columns.iter().map(|c| row[*c].clone()).collect() };
-        let rows = values_of(ds.iter_rows().map(Vec::as_slice));
+        let rows = values_of(ds.iter_rows());
         let mut keys: BTreeSet<Vec<Value>> = rows.iter().map(key_of).collect();
-        keys.extend(values_of(idx.keys().map(Vec::as_slice)));
+        // Keys are packed ids, not values: the index lists no key its rows
+        // lack when it lists as many as they hold (each of theirs is probed
+        // below).
+        assert_eq!(
+            idx.keys().count(),
+            keys.len(),
+            "{what}: {name} index lists a key no row holds"
+        );
         keys.insert(vec![Value::Null; columns.len()]);
         for key in keys {
             let scan = rows.iter().filter(|r| key_of(r) == key);
-            let found = ds.index_lookup(&key).into_iter().map(Vec::as_slice);
+            let found = ds.index_lookup(&key);
             assert_eq!(
                 sorted(values_of(found)),
                 sorted(scan.cloned().collect()),
@@ -326,11 +404,9 @@ fn apply_step(est: &mut Estocada, (kind, pick, size): Step, fresh: &mut i64) {
         // its place (identity view: a dataset row is a `WebLog` row).
         4 => {
             let ds = est.stores.par.dataset("WebLogPar").expect("WebLogPar");
-            let part = ds.partitions.iter().find(|part| part.len() > 1);
-            let pair = part.map(|part| {
-                let pair = [&part[choose(part.len() - 1)], &part[part.len() - 1]];
-                values_of(pair.map(Vec::as_slice))
-            });
+            let part = ds.partitions.iter().find(|part| part.len > 1);
+            let pair =
+                part.map(|part| values_of([&part[choose(part.len - 1)], &part[part.len - 1]]));
             drop(ds);
             est.delete_rows("sales", "WebLog", pair.unwrap_or_default())
         }
@@ -538,12 +614,12 @@ proptest! {
             let what = format!("after step {i} of {script:?}");
             // Odd picks keep a reader's handle across the batch.
             let reader = (step.1 % 2 == 1).then(|| hist(&est));
-            let seen: Vec<_> = reader.iter().flat_map(|ds| ds.iter_rows().cloned()).collect();
+            let seen: Vec<_> = reader.iter().flat_map(|ds| ds.iter_rows().map(<[_]>::to_vec)).collect();
             let home = Arc::as_ptr(&hist(&est));
             apply_step(&mut est, *step, &mut fresh);
             match reader {
                 Some(ds) => {
-                    let sees: Vec<_> = ds.iter_rows().cloned().collect();
+                    let sees: Vec<_> = ds.iter_rows().map(<[_]>::to_vec).collect();
                     prop_assert_eq!(sees, seen, "{}: a reader's snapshot moved", what);
                 }
                 None => {
@@ -555,6 +631,7 @@ proptest! {
             let twin = remat_twin(&est, deploy_indexed);
             assert_same_stores(&est, &twin, &what);
             assert_same_stats(&est, &twin, &what);
+            assert_stats_recount(&est, &what);
             assert_same_fact_base(&est, &twin, &what);
             assert_index_lookups_equal_scans(&est, &what);
         }
@@ -679,6 +756,7 @@ proptest! {
             prop_assert_eq!(est.fragments().len(), twin.fragments().len());
             assert_same_stores(&est, &twin, &what);
             assert_same_stats(&est, &twin, &what);
+            assert_stats_recount(&est, &what);
             assert_same_fact_base(&est, &twin, &what);
         }
     }
