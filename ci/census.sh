@@ -5,8 +5,9 @@
 # a delegated unit's scan estimate, posting-index maintenance routines,
 # std hash tables on the default hasher, aggregate accumulators, join hash
 # tables, fact-base owners, homomorphism searches in the mediator, resolves
-# of interned rows on the fill and write path, independently settable
-# options, and panic sites in library code.
+# of interned rows on the fill and write path, row indexes the write path
+# keeps beside the fact base, independently settable options, and panic
+# sites in library code.
 # Informational: prints, never fails on a count.
 set -eu
 cd "$(dirname "$0")/.."
@@ -125,6 +126,16 @@ for f in crates/core/src/factbase.rs crates/core/src/materialize.rs crates/core/
     resolves=$((resolves + n))
 done
 printf '%-28s %8d\n' 'fill/delta resolves' "$resolves"
+# Non-comment library lines of the mediator naming a row index of the write
+# path's own (`Postings`, `Wanted`, `KeyPositions`): the fact base is the one
+# copy of a registered table, so a delete is checked against its counts and
+# an upsert probes its postings; the write path keeps no rows or key index.
+row_indexes=0
+for f in $(rust_files crates/core/src); do
+    n=$(library_part "$f" | grep -vE '^[[:space:]]*//' | grep -cE '\b(Postings|Wanted|KeyPositions)\b' || true)
+    row_indexes=$((row_indexes + n))
+done
+printf '%-28s %8d\n' 'write-path row indexes' "$row_indexes"
 
 # Public fields of `pub struct $2` in file `$1`.
 fields() {

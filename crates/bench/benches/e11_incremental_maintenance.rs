@@ -43,8 +43,8 @@ fn cfg() -> MarketplaceConfig {
 /// datasets — the drop-and-rematerialize twin.
 fn remat_twin(est: &Estocada) -> Estocada {
     let m = Marketplace {
-        sales: est.datasets()["sales"].clone(),
-        carts: est.datasets()["Carts"].clone(),
+        sales: est.dataset("sales").expect("sales is registered"),
+        carts: est.dataset("Carts").expect("Carts is registered"),
         config: cfg(),
     };
     deploy_materialized_join(&m, Latencies::zero())

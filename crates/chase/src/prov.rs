@@ -16,35 +16,35 @@ pub type Clause = BTreeSet<u32>;
 ///
 /// Invariant: the clause set is an *antichain* — no clause is a subset of
 /// another (absorption is applied eagerly), so `Dnf` is a canonical form:
-/// two equal monotone functions have equal `Dnf`s.
+/// two equal monotone functions have equal `Dnf`s. The clauses are held in
+/// a vector sorted ascending, so `⊤` — on every fact of a chase instance —
+/// is one small allocation rather than a B-tree leaf.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dnf {
-    clauses: BTreeSet<Clause>,
+    clauses: Vec<Clause>,
 }
 
 impl Dnf {
     /// The constant `false` (no derivation known).
     pub fn fals() -> Dnf {
         Dnf {
-            clauses: BTreeSet::new(),
+            clauses: Vec::new(),
         }
     }
 
     /// The constant `true` (derivable from every subset, e.g. facts of the
     /// query's own canonical database).
     pub fn tru() -> Dnf {
-        let mut clauses = BTreeSet::new();
-        clauses.insert(Clause::new());
-        Dnf { clauses }
+        Dnf {
+            clauses: vec![Clause::new()],
+        }
     }
 
     /// A single provenance variable.
     pub fn var(v: u32) -> Dnf {
-        let mut c = Clause::new();
-        c.insert(v);
-        let mut clauses = BTreeSet::new();
-        clauses.insert(c);
-        Dnf { clauses }
+        Dnf {
+            clauses: vec![Clause::from([v])],
+        }
     }
 
     /// `true` iff the formula is the constant `false`.
@@ -81,7 +81,9 @@ impl Dnf {
         }
         // Remove clauses the new one absorbs.
         self.clauses.retain(|e| !c.is_subset(e));
-        self.clauses.insert(c);
+        // Absent: an equal clause would have absorbed it.
+        let at = self.clauses.binary_search(&c).unwrap_or_else(|at| at);
+        self.clauses.insert(at, c);
         true
     }
 
@@ -118,10 +120,9 @@ impl Dnf {
         if self.clauses.len() <= cap {
             return false;
         }
-        let mut by_size: Vec<Clause> = self.clauses.iter().cloned().collect();
-        by_size.sort_by_key(|c| c.len());
-        by_size.truncate(cap);
-        self.clauses = by_size.into_iter().collect();
+        self.clauses.sort_by_key(|c| c.len());
+        self.clauses.truncate(cap);
+        self.clauses.sort();
         true
     }
 

@@ -1,7 +1,10 @@
 //! Application datasets: the logical data the application works with, in
 //! its native data model. ESTOCADA stores datasets *only* as fragments; the
-//! registered content here is the staging source for fragment
-//! materialization (and the ground truth oracle in tests).
+//! registered content here is the staging source of the fact base, which
+//! every fragment is filled from. Once a dataset is registered the engine
+//! keeps its declaration (table encodings, text columns) and its documents;
+//! a relational table's rows live in the fact base alone, and
+//! `Estocada::dataset` reads them back from there.
 
 use estocada_pivot::encoding::document::DocRelations;
 use estocada_pivot::encoding::relational::TableEncoding;
@@ -15,7 +18,8 @@ use estocada_textstore::tokenize;
 pub struct TableData {
     /// Table encoding (name, columns, key).
     pub encoding: TableEncoding,
-    /// Row data.
+    /// Row data: what registration stages. A registered table keeps none
+    /// here; the fact base holds its rows.
     pub rows: Vec<Vec<Value>>,
     /// Columns whose text participates in full-text search.
     pub text_columns: Vec<String>,
@@ -23,9 +27,7 @@ pub struct TableData {
 
 impl TableData {
     /// Tokenized `{table}_Terms(term, key)` facts of one row — empty when
-    /// the table declares no text columns. Shared by full-content encoding
-    /// ([`Dataset::pivot_facts`]) and the incremental DML fact-delta
-    /// computation, so the two can never drift.
+    /// the table declares no text columns.
     pub fn term_facts(&self, row: &[Value]) -> Vec<Fact> {
         if self.text_columns.is_empty() {
             return Vec::new();
@@ -53,13 +55,17 @@ impl TableData {
         out
     }
 
-    /// All pivot facts one row contributes: the base tuple plus its term
-    /// facts. The unit of incremental DML maintenance — deleting or
-    /// inserting a row changes exactly these facts' multiplicities.
-    pub fn row_facts(&self, row: &[Value]) -> Vec<Fact> {
-        let mut out = vec![self.encoding.encode_row(row.to_vec())];
-        out.extend(self.term_facts(row));
-        out
+    /// The pivot facts `rows` of this table contribute, one per (row, fact):
+    /// every base tuple first, then the term facts — so the first fact of a
+    /// delete batch that the fact base cannot cover is a requested row,
+    /// never a term fact a held row shares. Shared by full-content encoding
+    /// ([`Dataset::pivot_facts`]) and the incremental DML fact-delta
+    /// computation, so the two can never drift — deleting or inserting
+    /// rows changes exactly these facts' multiplicities.
+    pub fn facts(&self, rows: &[Vec<Value>]) -> Vec<Fact> {
+        let tuples = rows.iter().map(|row| self.encoding.encode_row(row.clone()));
+        let terms = rows.iter().flat_map(|row| self.term_facts(row));
+        tuples.chain(terms).collect()
     }
 }
 
@@ -174,16 +180,8 @@ impl Dataset {
         let mut out = Vec::new();
         match &self.content {
             DatasetContent::Relational(tables) => {
-                // Base tuples of a table first, then its term facts — the
-                // same fact order a row-at-a-time encoding would interleave
-                // differently, so keep the two passes distinct.
                 for t in tables {
-                    for row in &t.rows {
-                        out.push(t.encoding.encode_row(row.clone()));
-                    }
-                    for row in &t.rows {
-                        out.extend(t.term_facts(row));
-                    }
+                    out.extend(t.facts(&t.rows));
                 }
             }
             DatasetContent::Documents(docs) => {

@@ -3,26 +3,26 @@
 //!
 //! # The maintenance model
 //!
-//! A DML batch flows through three layers, each maintained from the deltas
+//! A DML batch flows through two layers, each maintained from the deltas
 //! alone — no fragment is ever rematerialized:
 //!
-//! 1. **Dataset rows** (the registered [`crate::dataset::Dataset`] content,
-//!    the ground truth): deleted rows are removed one instance per request,
-//!    inserted rows appended.
-//! 2. **The staged fact base** (the crate-private `factbase` module): every
+//! 1. **The staged fact base** (the crate-private `factbase` module), the
+//!    one copy of a registered table's rows and the ground truth: every
 //!    dataset row contributes the pivot facts of
-//!    [`crate::dataset::TableData::row_facts`]. The fact base counts the rows
-//!    behind each fact, so the netted fact delta of a batch retracts only
-//!    the facts whose count reaches zero and inserts only those whose count
-//!    leaves it.
-//! 3. **Fragment stores**: a *view* fragment (table / key-value / doc-rows
+//!    [`crate::dataset::TableData::facts`], and the fact base counts the
+//!    rows behind each fact. A batch's netted fact delta is checked whole
+//!    first — a delete taking a count below zero names a row the table
+//!    does not hold, and rejects the batch — then retracts only the facts
+//!    whose count reaches zero and inserts only those whose count leaves
+//!    it.
+//! 2. **Fragment stores**: a *view* fragment (table / key-value / doc-rows
 //!    / par-rows) holds a row while some match of its view's body derives
 //!    it (counting, Gupta, Mumick & Subrahmanian, SIGMOD 1993); no count is
 //!    kept. Each phase of the semi-naive delta chase (deletes, then
 //!    inserts) runs the view's compiled plan twice: through the changed
 //!    facts, and with a head row fixed over the fact base as it stands; the
 //!    row leaves (enters) its store when the two counts are equal. *Native*
-//!    fragments (native-tables, text-index) mirror the dataset rows 1:1 and
+//!    fragments (native-tables, text-index) mirror the table's rows 1:1 and
 //!    receive the raw row deltas directly, preserving physical
 //!    duplicate-row parity with a fresh rematerialization. Every store
 //!    delta goes through `crate::layout::write`, the writer of the first
@@ -38,22 +38,22 @@
 //!
 //! | step | proportional to |
 //! |---|---|
-//! | `validate` | the batch: a delete finds its stored instance, and an upsert the rows it replaces, through the table's key positions (declared key → row positions, a [`Postings`] built by one pass at the table's first write); an insert-only batch reads no stored row |
-//! | `delta_chase` | the batch's facts, the matches of each view's compiled plan through them (semi-naive: the delta index comes from the fact base's stamp log, and only the counting views whose body reads a changed relation are compiled, once per batch), and the derivations of each head row they reach, counted by the same plan with the head fixed and stopped one past the delta's |
+//! | `validate` | the batch: arities, and an upsert's replaced rows, found by probing the fact base's postings on the declared key; a delete reads no stored row here |
+//! | `delta_chase` | the batch's facts (each looked up once, and checked before any count moves), the matches of each view's compiled plan through them (semi-naive: the delta index comes from the fact base's stamp log, and only the counting views whose body reads a changed relation are compiled, once per batch), and the derivations of each head row they reach, counted by the same plan with the head fixed and stopped one past the delta's |
 //! | `store_write` | the store rows that change: a relational delete is found through an index, a parallel-store delta through its key index, and every store patches its rows and index postings in place; a key-value entry is patched under its key; a document or text delete finds its documents by one scan (see below) |
 //! | `stats` | the store rows that change: every maintained relation keeps its statistics running (row count, byte sum, occurrences per column value) in its catalog entry, from the accumulator its first fill built |
 //!
-//! Every container and the dataset table keep their value→row indexes as
-//! [`Postings`], and a delete takes its rows out through one step
-//! ([`swap_remove`]): the last row moves into each hole and every index
-//! forgets the one row and relocates the other in place. So no physical
-//! row order is kept across writes (every comparison with a
+//! Every container keeps its value→row indexes as [`estocada_pivot::Postings`],
+//! and a delete takes its rows out through one step
+//! ([`estocada_pivot::swap_remove`]): the last row moves into each hole and
+//! every index forgets the one row and relocates the other in place. So no
+//! physical row order is kept across writes (every comparison with a
 //! rematerialization is of the sorted content), and no index is rebuilt.
-//! What is still proportional to a whole table or container is a delete
-//! where nothing indexes every row — a dataset table without a declared
-//! key, a relational table without any index, a parallel dataset without a
-//! key index, a document collection, a text index: each is scanned once
-//! per batch (no measured workload writes the last two).
+//! What is still proportional to a whole container is a delete where
+//! nothing indexes every row — a relational table without any index, a
+//! parallel dataset without a key index, a document collection, a text
+//! index: each is scanned once per batch (no measured workload writes the
+//! last two).
 //!
 //! # Epochs and staleness
 //!
@@ -66,40 +66,22 @@
 //!
 //! DDL hands the write path nothing: a fill records its mark and running
 //! statistics in the fragment's catalog entry, a drop removes the entry, a
-//! registration stages the dataset's facts. The write path's own state is
-//! each written table's key positions.
+//! registration stages the dataset's facts. The write path keeps no state
+//! of its own.
 
 use crate::catalog::{Catalog, FragmentRelation, FragmentSpec, WhereSpec};
 use crate::dataset::{Dataset, DatasetContent, TableData};
 use crate::error::{Error, Result};
 use crate::evaluator::Estocada;
-use crate::factbase::net_deltas;
+use crate::factbase::{net_deltas, FactBase};
 use crate::layout;
 use estocada_pivot::hash::{FastMap, FastSet};
-use estocada_pivot::{swap_remove, Fact, IdRows, Postings, Value, Wanted};
+use estocada_pivot::kernel::held;
+use estocada_pivot::{IdRows, Value};
 use std::time::{Duration, Instant};
 
 /// A dataset row.
 type Row = Vec<Value>;
-
-/// A table's stored rows by declared key — how a delete finds its stored
-/// instance and an upsert the rows it replaces without reading the table —
-/// as the key's column positions and each key's row positions.
-pub(crate) type KeyPositions = (Vec<usize>, Postings<Row>);
-
-/// `row`'s values at the key `columns`.
-fn key_of(columns: &[usize], row: &[Value]) -> Row {
-    columns.iter().map(|c| row[*c].clone()).collect()
-}
-
-/// `t`'s key positions, by one pass over its rows (`None`: `t` declares no
-/// key).
-fn key_positions(t: &TableData) -> Option<KeyPositions> {
-    let columns = key_columns(t)?;
-    let posted = |(at, row): (usize, &Row)| (key_of(&columns, row), at);
-    let postings = t.rows.iter().enumerate().map(posted).collect();
-    Some((columns, postings))
-}
 
 /// What a batch takes out of its table before adding its inserts.
 enum Outgoing {
@@ -124,15 +106,14 @@ pub struct FragmentDelta {
     pub mode: &'static str,
 }
 
-/// Wall time of the steps of one DML batch, in the order they run. Building
-/// a table's key positions (at its first write) is in none of them, so the
-/// steps sum to less than [`DmlReport::maintenance_time`] on that write.
+/// Wall time of the steps of one DML batch, in the order they run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DmlSteps {
-    /// Checking the batch against the table and locating its deletes.
+    /// Checking the batch's rows and finding the rows an upsert replaces.
     pub validate: Duration,
-    /// From the batch to each relation's store operations: dataset rows,
-    /// fact netting and both delta-chase phases over compiled view plans.
+    /// From the batch to each relation's store operations: fact netting,
+    /// the fact base's check of every delete and both delta-chase phases
+    /// over compiled view plans.
     pub delta_chase: Duration,
     /// Applying those operations to the stores.
     pub store_write: Duration,
@@ -170,11 +151,6 @@ fn counting_relations(catalog: &Catalog) -> impl Iterator<Item = &FragmentRelati
         .flat_map(|f| &f.relations)
 }
 
-/// The pivot facts `rows` of `t` contribute, one per (row, fact).
-fn facts<'a>(t: &'a TableData, rows: &'a [Row]) -> impl Iterator<Item = Fact> + 'a {
-    rows.iter().flat_map(|row| t.row_facts(row))
-}
-
 /// Whether a native fragment relation mirrors `dataset.table` row for row.
 fn mirrors(spec: &FragmentSpec, place: &WhereSpec, dataset: &str, table: &str) -> bool {
     match (spec, place) {
@@ -187,14 +163,14 @@ fn mirrors(spec: &FragmentSpec, place: &WhereSpec, dataset: &str, table: &str) -
 }
 
 /// Resolve `dataset.table`.
-fn table_mut<'a>(
-    datasets: &'a mut FastMap<String, Dataset>,
+fn table_of<'a>(
+    datasets: &'a FastMap<String, Dataset>,
     dataset: &str,
     table: &str,
-) -> Result<&'a mut TableData> {
-    match datasets.get_mut(dataset).map(|ds| &mut ds.content) {
+) -> Result<&'a TableData> {
+    match datasets.get(dataset).map(|ds| &ds.content) {
         Some(DatasetContent::Relational(tables)) => tables
-            .iter_mut()
+            .iter()
             .find(|t| *t.encoding.relation.as_str() == *table)
             .ok_or_else(|| Error::Dml(format!("unknown table {table} in dataset {dataset}"))),
         Some(DatasetContent::Documents(_)) => Err(Error::Dml(format!(
@@ -211,20 +187,14 @@ fn key_columns(t: &TableData) -> Option<Vec<usize>> {
     Some(key.iter().filter_map(position).collect())
 }
 
-/// Every row has the table's arity, and the outgoing rows are stored ones:
-/// each delete finds its own stored instance (equal deletes claim distinct
-/// instances), an upsert (naming each key once) every row its inserts' keys
-/// name. Returns the outgoing rows and their positions. `positions` finds
-/// them; without a declared key the deletes scan the table once. An
-/// insert-only batch reads no stored row. Nothing is mutated when this fails.
-fn validate(
-    t: &TableData,
-    positions: Option<&KeyPositions>,
-    outgoing: Outgoing,
-    inserts: &[Row],
-) -> Result<(Vec<Row>, Vec<usize>)> {
+/// Every row has the table's arity, and an upsert names each key once and
+/// needs a declared one. Returns the rows the batch takes out: a delete's
+/// own, or every held row under an upserted key, found by probing `base`
+/// on the key columns. Whether the table holds each delete is checked when
+/// the fact base applies the batch. Nothing is mutated here.
+fn validate(t: &TableData, base: &FactBase, out: Outgoing, inserts: &[Row]) -> Result<Vec<Row>> {
     let (name, arity) = (t.encoding.relation, t.encoding.columns.len());
-    let deletes = match &outgoing {
+    let deletes = match &out {
         Outgoing::Rows(rows) => rows.as_slice(),
         Outgoing::ReplacedByKey => &[],
     };
@@ -234,58 +204,20 @@ fn validate(
             "row arity {n} does not match table {name} ({arity} columns)"
         )));
     }
-    let deletes = match (outgoing, positions) {
-        (Outgoing::Rows(rows), _) => rows,
-        (Outgoing::ReplacedByKey, Some((columns, p))) => {
-            let mut named = FastSet::default();
-            if let Some(r) = inserts.iter().find(|r| !named.insert(key_of(columns, r))) {
-                let twice = key_of(columns, r);
-                let message = format!("upsert into {name} names key {twice:?} twice in one batch");
-                return Err(Error::Dml(message));
-            }
-            let under = |r: &Row| p.get(&key_of(columns, r)).to_vec();
-            let doomed: Vec<usize> = inserts.iter().flat_map(under).collect();
-            let rows = doomed.iter().map(|at| t.rows[*at].clone()).collect();
-            return Ok((rows, doomed));
-        }
-        (Outgoing::ReplacedByKey, None) => {
-            return Err(Error::Dml(format!(
-                "upsert into {name} needs a declared key"
-            )));
-        }
-    };
-    let mut wanted = Wanted::new(&deletes, arity);
-    let row_at = |at: usize| t.rows[at].as_slice();
-    let doomed = match positions {
-        Some((columns, p)) => wanted.claim_under(|d| key_of(columns, d), |key| p.get(key), row_at),
-        None => wanted.claim(0..t.rows.len(), row_at),
-    };
-    if let Some(d) = wanted.rows().next() {
-        return Err(Error::Dml(format!("no row {d:?} to delete in {name}")));
+    if let Outgoing::Rows(rows) = out {
+        return Ok(rows);
     }
-    Ok((deletes, doomed.into_iter().collect()))
-}
-
-/// Take the rows at `doomed` out of `t` — the table's last row moves into
-/// each hole ([`swap_remove`]) — and append `inserts`, moving `positions`
-/// along.
-fn rewrite_rows(
-    t: &mut TableData,
-    mut positions: Option<&mut KeyPositions>,
-    doomed: Vec<usize>,
-    inserts: &[Row],
-) {
-    swap_remove(&mut t.rows, doomed, |row, from, to| {
-        if let Some((columns, p)) = positions.as_deref_mut() {
-            p.relocate(&key_of(columns, row), from, to);
-        }
-    });
-    for row in inserts {
-        if let Some((columns, p)) = positions.as_deref_mut() {
-            p.insert(key_of(columns, row), t.rows.len());
-        }
-        t.rows.push(row.clone());
+    let columns = key_columns(t)
+        .ok_or_else(|| Error::Dml(format!("upsert into {name} needs a declared key")))?;
+    let key = |r: &Row| -> Row { columns.iter().map(|c| r[*c].clone()).collect() };
+    let mut named = FastSet::default();
+    if let Some(r) = inserts.iter().find(|r| !named.insert(key(r))) {
+        let twice = key(r);
+        let message = format!("upsert into {name} names key {twice:?} twice in one batch");
+        return Err(Error::Dml(message));
     }
+    let replaced = |r: &Row| base.rows_like(t, &columns, r);
+    Ok(inserts.iter().flat_map(replaced).collect())
 }
 
 impl Estocada {
@@ -329,9 +261,10 @@ impl Estocada {
 
     /// The whole incremental write path, an orchestrator over its steps:
     /// [`validate`]; net the fact deltas ([`net_deltas`]) and hand them to
-    /// the fact base, which delta-chases the deletes, then the inserts,
-    /// into each counting relation's row deltas; net a row that leaves and
-    /// re-enters; apply each relation's store operations, one
+    /// the fact base, which checks that the table holds every delete, then
+    /// delta-chases the deletes, then the inserts, into each counting
+    /// relation's row deltas, netting a row that leaves and re-enters;
+    /// apply each relation's store operations, one
     /// [`layout::write`] per relation, and move its running statistics by
     /// the same rows; advance the data epoch and every high-water mark.
     fn apply_dml(
@@ -343,30 +276,27 @@ impl Estocada {
     ) -> Result<DmlReport> {
         let t0 = Instant::now();
         let (catalog, epoch) = (&mut self.catalog, &mut self.data_epoch);
-        let t = table_mut(&mut self.datasets, dataset, table)?;
-        let positions = self.key_positions.entry(t.encoding.relation);
-        let positions = positions.or_insert_with(|| key_positions(t));
+        let t = table_of(&self.datasets, dataset, table)?;
         let mut steps = DmlSteps::default();
-        let started = Instant::now();
-        let (deletes, doomed) = validate(t, positions.as_ref(), outgoing, &inserts)?;
-        steps.validate = started.elapsed();
-        // The batch's rows (each `arity` wide, as validated), interned once
-        // here, for the raw mirrors.
+        let deletes = validate(t, &self.base, outgoing, &inserts)?;
+        steps.validate = t0.elapsed();
+        // The batch's rows (each `arity` wide, as validated) for the raw
+        // mirrors: the deletes looked up, never interned (the fact base
+        // holds every value of a row it holds), the inserts interned once.
         let arity = t.encoding.columns.len();
-        let intern = |rows: &[Row]| IdRows::intern(rows, arity);
         let misfit = |got| Error::Dml(format!("a row of {got} columns in a table of {arity}"));
-        let batch = (
-            intern(&deletes).map_err(misfit)?,
-            intern(&inserts).map_err(misfit)?,
-        );
-        let minus = facts(t, &deletes).map(|fact| (fact, -1));
-        let plus = facts(t, &inserts).map(|fact| (fact, 1));
+        let inserted = IdRows::intern(&inserts, arity).map_err(misfit)?;
+        let batch = (held(&deletes, arity), inserted);
+        let minus = t.facts(&deletes).into_iter().map(|fact| (fact, -1));
+        let plus = t.facts(&inserts).into_iter().map(|fact| (fact, 1));
         let fact_delta = net_deltas(minus.chain(plus));
-        rewrite_rows(t, positions.as_mut(), doomed, &inserts);
 
         let views = counting_relations(catalog).map(|r| (r.name, &r.view.view));
         let ops = self.base.apply(fact_delta, &views.collect::<Vec<_>>());
-        steps.delta_chase = started.elapsed() - steps.validate;
+        let name = t.encoding.relation;
+        let ops =
+            ops.map_err(|f| Error::Dml(format!("no row {:?} to delete in {name}", f.args)))?;
+        steps.delta_chase = t0.elapsed() - steps.validate;
 
         // Counting relations absorb their crossings; raw mirrors of the
         // table absorb the batch itself, physical duplicate rows and all.
@@ -376,7 +306,7 @@ impl Estocada {
             for ((r, stats), running) in relations {
                 let ((gone, born), source) = match ops.get(&r.name) {
                     Some(crossings) => (crossings, None),
-                    None if mirrors(&fm.spec, &r.place, dataset, table) => (&batch, Some(&*t)),
+                    None if mirrors(&fm.spec, &r.place, dataset, table) => (&batch, Some(t)),
                     _ => continue,
                 };
                 if gone.len == 0 && born.len == 0 {
@@ -420,13 +350,14 @@ impl Estocada {
 
 #[cfg(test)]
 mod tests {
+    use super::DmlReport;
     use crate::catalog::FragmentSpec;
-    use crate::dataset::{Dataset, TableData};
-    use crate::error::Error;
+    use crate::dataset::{Dataset, DatasetContent, TableData};
+    use crate::error::{Error, Result};
     use crate::evaluator::Estocada;
     use crate::system::Latencies;
     use estocada_pivot::encoding::relational::TableEncoding;
-    use estocada_pivot::{CqBuilder, Value};
+    use estocada_pivot::{ConstReader, CqBuilder, Value};
 
     fn shop(orders: &[(i64, i64, i64)]) -> Dataset {
         Dataset::relational(
@@ -518,6 +449,97 @@ mod tests {
         est
     }
 
+    fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
+        rows.sort();
+        rows
+    }
+
+    fn tables(ds: &Dataset) -> &[TableData] {
+        match &ds.content {
+            DatasetContent::Relational(tables) => tables,
+            DatasetContent::Documents(_) => &[],
+        }
+    }
+
+    /// An engine over the shop dataset beside the rows the test wrote: a
+    /// bag per table that every accepted batch is applied to as well. The
+    /// twin is deployed from this model, never from the engine's own rows,
+    /// and after every batch the engine's rows equal it as multisets.
+    struct Shop {
+        est: Estocada,
+        model: Dataset,
+    }
+
+    impl Shop {
+        fn new(orders: &[(i64, i64, i64)]) -> Shop {
+            Shop {
+                est: deploy(shop(orders)),
+                model: shop(orders),
+            }
+        }
+
+        fn rows(&mut self, table: &str) -> &mut Vec<Vec<Value>> {
+            let DatasetContent::Relational(tables) = &mut self.model.content else {
+                unreachable!("shop is relational")
+            };
+            let named = |t: &&mut TableData| *t.encoding.relation.as_str() == *table;
+            &mut tables.iter_mut().find(named).expect("a shop table").rows
+        }
+
+        fn insert(&mut self, table: &str, rows: Vec<Vec<Value>>) -> Result<DmlReport> {
+            let done = self.est.insert_rows("shop", table, rows.clone());
+            if done.is_ok() {
+                self.rows(table).extend(rows);
+            }
+            self.assert_rows_match_the_model();
+            done
+        }
+
+        fn delete(&mut self, table: &str, rows: Vec<Vec<Value>>) -> Result<DmlReport> {
+            let done = self.est.delete_rows("shop", table, rows.clone());
+            if done.is_ok() {
+                for row in rows {
+                    let held = self.rows(table);
+                    let at = held.iter().position(|r| *r == row).expect("a held row");
+                    held.swap_remove(at);
+                }
+            }
+            self.assert_rows_match_the_model();
+            done
+        }
+
+        /// Upsert by the first column, the key of every keyed shop table.
+        fn upsert(&mut self, table: &str, rows: Vec<Vec<Value>>) -> Result<DmlReport> {
+            let done = self.est.upsert_rows("shop", table, rows.clone());
+            if done.is_ok() {
+                let held = self.rows(table);
+                held.retain(|r| rows.iter().all(|new| new[0] != r[0]));
+                held.extend(rows);
+            }
+            self.assert_rows_match_the_model();
+            done
+        }
+
+        fn assert_rows_match_the_model(&self) {
+            let held = self.est.dataset("shop").expect("shop is registered");
+            for (t, m) in tables(&held).iter().zip(tables(&self.model)) {
+                let name = t.encoding.relation;
+                assert_eq!(
+                    sorted(t.rows.clone()),
+                    sorted(m.rows.clone()),
+                    "rows of {name}"
+                );
+            }
+        }
+
+        /// A fresh deployment of the model, whose stores equal the engine's.
+        fn twin(&self) -> Estocada {
+            let twin = deploy(self.model.clone());
+            assert_same_stores(&self.est, &twin);
+            twin
+        }
+    }
+
     fn assert_same_stores(incremental: &Estocada, fresh: &Estocada) {
         assert_eq!(
             incremental.stores.dump(),
@@ -526,11 +548,39 @@ mod tests {
         );
     }
 
+    /// Everything a rejected batch must leave as it was: every declared
+    /// relation's facts with their counts, the stores, the statistics, the
+    /// marks, the data epoch and the dataset's rows.
+    fn state(est: &Estocada) -> String {
+        // Each relation read as a keyless table: its facts with their counts.
+        let facts = |r: &estocada_pivot::RelationDecl| TableData {
+            encoding: TableEncoding {
+                relation: r.name,
+                columns: (0..r.arity()).map(|c| format!("c{c}")).collect(),
+                key: None,
+            },
+            rows: vec![],
+            text_columns: vec![],
+        };
+        let counts: Vec<_> = est
+            .schema()
+            .relations()
+            .map(|r| est.base.rows(&facts(r)))
+            .collect();
+        let fragments = est.fragments().iter();
+        let stats: Vec<_> = fragments.map(|f| (&f.stats, f.high_water)).collect();
+        let rows = est.dataset("shop");
+        let epoch = est.data_epoch();
+        format!(
+            "{counts:?} {:?} {stats:?} {epoch} {rows:?}",
+            est.stores.dump()
+        )
+    }
+
     #[test]
     fn mixed_dml_matches_a_fresh_rematerialization() {
-        let mut est = deploy(shop(&[(1, 1, 10), (2, 1, 20), (3, 2, 30), (4, 2, 20)]));
-        est.insert_rows(
-            "shop",
+        let mut shop = Shop::new(&[(1, 1, 10), (2, 1, 20), (3, 2, 30), (4, 2, 20)]);
+        shop.insert(
             "Orders",
             vec![
                 vec![Value::Int(5), Value::Int(1), Value::Int(70)],
@@ -538,31 +588,23 @@ mod tests {
             ],
         )
         .unwrap();
-        est.delete_rows(
-            "shop",
+        shop.delete(
             "Orders",
             vec![vec![Value::Int(2), Value::Int(1), Value::Int(20)]],
         )
         .unwrap();
-        est.upsert_rows(
-            "shop",
-            "Users",
-            vec![vec![Value::Int(2), Value::str("bobby")]],
-        )
-        .unwrap();
-        est.upsert_rows(
-            "shop",
+        shop.upsert("Users", vec![vec![Value::Int(2), Value::str("bobby")]])
+            .unwrap();
+        shop.upsert(
             "Products",
             vec![vec![Value::Int(1), Value::str("wireless trackball mouse")]],
         )
         .unwrap();
-        assert_eq!(est.data_epoch(), 4);
-        for f in est.catalog().fragments() {
+        assert_eq!(shop.est.data_epoch(), 4);
+        for f in shop.est.catalog().fragments() {
             assert_eq!(f.high_water, 4);
         }
-
-        let twin = deploy(est.datasets()["shop"].clone());
-        assert_same_stores(&est, &twin);
+        shop.twin();
     }
 
     #[test]
@@ -620,22 +662,51 @@ mod tests {
     }
 
     #[test]
+    fn a_delete_the_fact_counts_cannot_cover_changes_nothing() {
+        let mut shop = Shop::new(&[(1, 1, 10), (2, 2, 20)]);
+        let mouse = vec![Value::Int(1), Value::str("wireless mouse")];
+        // Held once, deleted twice; and a row never held that shares a
+        // term fact with a held one, requested after it.
+        let never = vec![Value::Int(1), Value::str("never held mouse")];
+        let batches = [
+            (vec![mouse.clone(), mouse.clone()], &mouse),
+            (vec![mouse.clone(), never.clone()], &never),
+        ];
+        for (batch, named) in batches {
+            let before = state(&shop.est);
+            let err = shop.delete("Products", batch).unwrap_err();
+            let wanted = format!("no row {named:?} to delete in Products");
+            assert!(matches!(&err, Error::Dml(m) if *m == wanted), "got {err}");
+            assert_eq!(
+                state(&shop.est),
+                before,
+                "a rejected delete changed the engine"
+            );
+        }
+        let interned = ConstReader::new().lookup(&never[1]);
+        assert!(interned.is_none(), "a rejected delete interned its row");
+        let r = shop.delete("Products", vec![mouse]).unwrap();
+        assert_eq!((r.deleted, r.data_epoch), (1, 1));
+        let twin = shop.twin();
+        for (a, b) in shop.est.fragments().iter().zip(twin.fragments()) {
+            let (sa, sb) = (format!("{:?}", a.stats), format!("{:?}", b.stats));
+            assert_eq!(sa, sb, "stats of {} diverged", a.id);
+        }
+    }
+
+    #[test]
     fn equal_deletes_claim_distinct_stored_rows() {
         // Clicks declares no key: the table holds (1, "home") three times.
         let home = || vec![Value::Int(1), Value::str("home")];
-        let mut est = deploy(shop(&[(1, 1, 10)]));
-        est.insert_rows("shop", "Clicks", vec![home(), home()])
-            .unwrap();
-        let before = est.stores.dump();
-        let err = est
-            .delete_rows("shop", "Clicks", vec![home(); 4])
-            .unwrap_err();
+        let mut shop = Shop::new(&[(1, 1, 10)]);
+        shop.insert("Clicks", vec![home(), home()]).unwrap();
+        let before = shop.est.stores.dump();
+        let err = shop.delete("Clicks", vec![home(); 4]).unwrap_err();
         assert!(matches!(err, Error::Dml(_)), "got {err}");
-        assert_eq!(est.stores.dump(), before, "a fourth copy was found");
-        let r = est.delete_rows("shop", "Clicks", vec![home(); 2]).unwrap();
+        assert_eq!(shop.est.stores.dump(), before, "a fourth copy was found");
+        let r = shop.delete("Clicks", vec![home(); 2]).unwrap();
         assert_eq!((r.deleted, r.data_epoch), (2, 2));
-        let twin = deploy(est.datasets()["shop"].clone());
-        assert_same_stores(&est, &twin);
+        let twin = shop.twin();
         assert_eq!(twin.stores.rel.row_count("Clicks"), 1);
     }
 
@@ -654,13 +725,10 @@ mod tests {
 
     #[test]
     fn upsert_naming_a_key_twice_is_rejected_atomically() {
-        let mut est = deploy(shop(&[(1, 1, 10)]));
-        let stats = |est: &Estocada| format!("{:?}", est.fragments().iter().map(|f| &f.stats));
-        let (stores, rows) = (est.stores.dump(), format!("{:?}", est.datasets()["shop"]));
-        let held = stats(&est);
-        let err = est
-            .upsert_rows(
-                "shop",
+        let mut shop = Shop::new(&[(1, 1, 10)]);
+        let before = state(&shop.est);
+        let err = shop
+            .upsert(
                 "Users",
                 vec![
                     vec![Value::Int(1), Value::str("anna")],
@@ -670,10 +738,11 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, Error::Dml(_)), "got {err}");
-        assert_eq!(est.data_epoch(), 0, "rejected batch bumped the epoch");
-        assert_eq!(est.stores.dump(), stores, "rejected batch touched a store");
-        assert_eq!(format!("{:?}", est.datasets()["shop"]), rows);
-        assert_eq!(stats(&est), held, "rejected batch moved a statistic");
+        assert_eq!(
+            state(&shop.est),
+            before,
+            "a rejected upsert changed the engine"
+        );
     }
 
     #[test]
@@ -681,23 +750,13 @@ mod tests {
         // Every Orders row (table, key-value, doc, par mirrors) and every
         // Products row (text index) goes; the twin is deployed over the
         // emptied tables and must hold the same containers.
-        let mut est = deploy(shop(&[(1, 1, 10), (2, 2, 20)]));
+        let mut shop = Shop::new(&[(1, 1, 10), (2, 2, 20)]);
         for table in ["Orders", "Products"] {
-            let crate::dataset::DatasetContent::Relational(tables) =
-                &est.datasets()["shop"].content
-            else {
-                unreachable!("shop is relational")
-            };
-            let t = tables
-                .iter()
-                .find(|t| *t.encoding.relation.as_str() == *table)
-                .unwrap();
-            let rows = t.rows.clone();
-            est.delete_rows("shop", table, rows).unwrap();
+            let rows = shop.rows(table).clone();
+            shop.delete(table, rows).unwrap();
         }
-        let twin = deploy(est.datasets()["shop"].clone());
-        assert_same_stores(&est, &twin);
-        for (a, b) in est.fragments().iter().zip(twin.fragments()) {
+        let twin = shop.twin();
+        for (a, b) in shop.est.fragments().iter().zip(twin.fragments()) {
             let (sa, sb) = (format!("{:?}", a.stats), format!("{:?}", b.stats));
             assert_eq!(sa, sb, "stats of {} diverged", a.id);
         }
@@ -705,16 +764,15 @@ mod tests {
 
     #[test]
     fn dml_keeps_cached_plans_and_serves_fresh_rows() {
-        let mut est = deploy(shop(&[(1, 1, 10), (2, 2, 20)]));
+        let mut shop = Shop::new(&[(1, 1, 10), (2, 2, 20)]);
         let sql = "SELECT o.oid, o.amount FROM Orders o WHERE o.uid = 1";
-        let _ = est.query_sql(sql).unwrap();
-        est.insert_rows(
-            "shop",
+        let _ = shop.est.query_sql(sql).unwrap();
+        shop.insert(
             "Orders",
             vec![vec![Value::Int(3), Value::Int(1), Value::Int(30)]],
         )
         .unwrap();
-        let r = est.query_sql(sql).unwrap();
+        let r = shop.est.query_sql(sql).unwrap();
         assert!(
             r.report.plan_cache.as_ref().is_some_and(|pc| pc.hit),
             "DML must not invalidate the rewrite-plan cache"
@@ -739,17 +797,17 @@ mod tests {
         };
         let marks =
             |est: &Estocada| -> Vec<_> { est.fragments().iter().map(|f| f.high_water).collect() };
-        let id = est.add_fragment(users_kv()).unwrap();
-        assert_eq!(marks(&est), vec![1; 7], "DDL moved a mark");
-        est.upsert_rows("shop", "Users", vec![vec![Value::Int(2), Value::str("bo")]])
+        let id = shop.est.add_fragment(users_kv()).unwrap();
+        assert_eq!(marks(&shop.est), vec![1; 7], "DDL moved a mark");
+        shop.upsert("Users", vec![vec![Value::Int(2), Value::str("bo")]])
             .unwrap();
-        assert_eq!(marks(&est), vec![2; 7]);
-        let mut twin = deploy(est.datasets()["shop"].clone());
+        assert_eq!(marks(&shop.est), vec![2; 7]);
+        let mut twin = deploy(shop.model.clone());
         twin.add_fragment(users_kv()).unwrap();
-        assert_same_stores(&est, &twin);
-        est.drop_fragment(&id).unwrap();
-        assert!(est.fragments().iter().all(|f| f.id != id));
-        assert_eq!(marks(&est), vec![2; 6]);
+        assert_same_stores(&shop.est, &twin);
+        shop.est.drop_fragment(&id).unwrap();
+        assert!(shop.est.fragments().iter().all(|f| f.id != id));
+        assert_eq!(marks(&shop.est), vec![2; 6]);
     }
 
     #[test]
@@ -796,10 +854,9 @@ mod tests {
     fn delete_only_touches_support_crossings() {
         // Orders 1 and 2 derive the same BigOrders row (uid, name, amount):
         // deleting one of them must leave the table row in place.
-        let mut est = deploy(shop(&[(1, 1, 50), (2, 1, 50), (3, 2, 30)]));
-        let r = est
-            .delete_rows(
-                "shop",
+        let mut shop = Shop::new(&[(1, 1, 50), (2, 1, 50), (3, 2, 30)]);
+        let r = shop
+            .delete(
                 "Orders",
                 vec![vec![Value::Int(1), Value::Int(1), Value::Int(50)]],
             )
@@ -813,12 +870,10 @@ mod tests {
             big.is_none(),
             "2 -> 1 derivations must not delete the store row (got {big:?})"
         );
-        let twin = deploy(est.datasets()["shop"].clone());
-        assert_same_stores(&est, &twin);
+        shop.twin();
         // Deleting the second copy crosses to zero and removes the row.
-        let r = est
-            .delete_rows(
-                "shop",
+        let r = shop
+            .delete(
                 "Orders",
                 vec![vec![Value::Int(2), Value::Int(1), Value::Int(50)]],
             )
@@ -830,7 +885,6 @@ mod tests {
             .expect("0-crossing must reach the store");
         assert_eq!((big.store_deletes, big.store_inserts), (1, 0));
         assert_eq!(big.mode, "counting");
-        let twin = deploy(est.datasets()["shop"].clone());
-        assert_same_stores(&est, &twin);
+        shop.twin();
     }
 }

@@ -48,8 +48,7 @@ use crate::analyze::{self, Diagnostic, Severity, ValidationMode};
 use crate::catalog::{Catalog, FragmentMeta, FragmentSpec};
 use crate::connector::Residual;
 use crate::cost::CostModel;
-use crate::dataset::Dataset;
-use crate::dml::KeyPositions;
+use crate::dataset::{Dataset, DatasetContent};
 use crate::error::{Error, PlanFailure, Result};
 use crate::factbase::FactBase;
 use crate::frontends::{ParsedQuery, QueryInput, SqlCatalog};
@@ -67,7 +66,7 @@ use estocada_chase::{RewriteConfig, TerminationCertificate};
 use estocada_engine::{execute_with, EngineError, ExecOptions, ExecStats, RowBatch};
 use estocada_pivot::encoding::document::TreePattern;
 use estocada_pivot::hash::{FastMap, FastSet};
-use estocada_pivot::{Constraint, Cq, Schema, SchemaError, Symbol};
+use estocada_pivot::{Constraint, Cq, Schema, SchemaError};
 use estocada_simkit::FaultPlan;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -217,11 +216,15 @@ pub struct Estocada {
     pub stores: Stores,
     latencies: Latencies,
     cost: CostModel,
+    /// The registered datasets' declarations: table encodings, text
+    /// columns and documents. A relational table keeps no rows here — the
+    /// fact base holds them ([`Estocada::dataset`] reads them back).
     pub(crate) datasets: FastMap<String, Dataset>,
     schema: Schema,
-    /// The registered datasets' pivot facts: each dataset's are staged when
-    /// it is registered, and DML maintains them **incrementally** (see
-    /// [`crate::dml`]).
+    /// The registered datasets' pivot facts, each with the number of rows
+    /// behind it: the one copy of every relational table. Each dataset's
+    /// are staged when it is registered, and DML maintains them
+    /// **incrementally** (see [`crate::dml`]).
     pub(crate) base: FactBase,
     pub(crate) catalog: Catalog,
     /// The rewriting configuration: budgets, and candidate-verification
@@ -239,8 +242,6 @@ pub struct Estocada {
     /// plan cache — writes change data, not the catalog, so cached
     /// rewritings stay valid across them.
     pub(crate) data_epoch: u64,
-    /// The write path's own state: each written table's key positions.
-    pub(crate) key_positions: FastMap<Symbol, Option<KeyPositions>>,
     /// What planning derives from the catalog and schema alone: built on
     /// first use per catalog epoch, reset by DDL.
     planning: OnceLock<PlanningContext>,
@@ -287,7 +288,6 @@ impl Estocada {
             frag_seq: 0,
             epoch: 0,
             data_epoch: 0,
-            key_positions: FastMap::default(),
             planning: OnceLock::new(),
             plan_cache: PlanCache::default(),
             lint_cache: LintCache::default(),
@@ -450,7 +450,9 @@ impl Estocada {
     }
 
     /// Register an application dataset (declares its pivot schema and
-    /// stages its content for fragment materialization).
+    /// stages its content in the fact base, which every fragment is filled
+    /// from; the engine keeps the declaration and the documents, and no
+    /// relational row outside the fact base).
     ///
     /// A dataset named like a registered one, or declaring a relation the
     /// schema already holds, is rejected with [`Error::Duplicate`]. Under
@@ -459,7 +461,7 @@ impl Estocada {
     /// [`Error::Invalid`]. A malformed dataset ([`Dataset::malformed`]) is
     /// [`Error::BadDataset`]. A rejected dataset leaves the engine
     /// untouched.
-    pub fn register_dataset(&mut self, ds: Dataset) -> Result<()> {
+    pub fn register_dataset(&mut self, mut ds: Dataset) -> Result<()> {
         if let Some(why) = ds.malformed() {
             return Err(Error::BadDataset(why));
         }
@@ -485,6 +487,9 @@ impl Estocada {
         }
         self.schema = candidate;
         self.base.stage(&ds);
+        if let DatasetContent::Relational(tables) = &mut ds.content {
+            tables.iter_mut().for_each(|t| t.rows = Vec::new());
+        }
         self.datasets.insert(ds.name.clone(), ds);
         self.bump_epoch();
         Ok(())
@@ -519,9 +524,18 @@ impl Estocada {
         Ok(())
     }
 
-    /// The registered datasets.
-    pub fn datasets(&self) -> &FastMap<String, Dataset> {
-        &self.datasets
+    /// The registered dataset `name` as it stands: a relational table's
+    /// rows are read back from the fact base — each held row as often as
+    /// the table holds it, in fact-id order, every value its interned
+    /// representative (equal to the value written).
+    pub fn dataset(&self, name: &str) -> Option<Dataset> {
+        let mut ds = self.datasets.get(name)?.clone();
+        if let DatasetContent::Relational(tables) = &mut ds.content {
+            for t in tables {
+                t.rows = self.base.rows(t).to_values();
+            }
+        }
+        Some(ds)
     }
 
     /// The merged pivot schema.
@@ -1063,7 +1077,7 @@ mod tests {
             .collect();
         tables.sort();
         let mut want: Vec<(String, Vec<String>)> = est
-            .datasets()
+            .datasets
             .values()
             .flat_map(|ds| match &ds.content {
                 crate::dataset::DatasetContent::Relational(ts) => ts.as_slice(),

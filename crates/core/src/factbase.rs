@@ -14,13 +14,14 @@
 //! `{table}_Terms` fact). So every fact carries the number of dataset rows
 //! encoding it, counted while its dataset is staged; a write retracts a
 //! fact only when its count reaches zero and inserts one only when its
-//! count leaves zero.
+//! count leaves zero. The fact base is thus the one copy of every registered
+//! relational table: its rows are its facts, each repeated by its count.
 
-use crate::dataset::Dataset;
+use crate::dataset::{Dataset, TableData};
 use estocada_chase::{find_homs, DeltaIndex, Elem, HomConfig, Instance};
 use estocada_pivot::hash::{FastMap, FastSet};
 use estocada_pivot::kernel::{pack_key, Distinct, IdRows, JoinTable};
-use estocada_pivot::{ConstId, Cq, Fact, IdGen, Symbol, Term, Value, Var};
+use estocada_pivot::{ConstId, ConstReader, Cq, Fact, IdGen, Symbol, Term, Value, Var};
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::hash::Hash;
@@ -72,6 +73,39 @@ impl FactBase {
         self.facts.pred_count(pred) as u64
     }
 
+    /// The rows of table `t`: each fact, repeated by its count, in fact-id
+    /// order.
+    pub(crate) fn rows(&self, t: &TableData) -> IdRows {
+        let mut out = IdRows::empty(t.encoding.columns.len());
+        for &id in self.facts.pred_facts(t.encoding.relation) {
+            let args = &self.facts.fact(id).args;
+            for _ in 0..self.support[id as usize] {
+                out.push(args.iter().filter_map(constant));
+            }
+        }
+        out
+    }
+
+    /// The rows of table `t` agreeing with `row` at `columns`, in the order
+    /// of [`FactBase::rows`], through the first column's postings.
+    pub(crate) fn rows_like(&self, t: &TableData, columns: &[usize], row: &[Value]) -> Vec<Row> {
+        let cell = |c: &usize| (*c, Elem::constant(&row[*c]));
+        let key: Vec<(usize, Elem)> = columns.iter().map(cell).collect();
+        let Some((first, at_first)) = key.first() else {
+            return Vec::new();
+        };
+        let (mut out, pred) = (Vec::new(), t.encoding.relation);
+        for &id in self.facts.probe(pred, *first as u32, at_first) {
+            let args = &self.facts.fact(id).args;
+            if key.iter().all(|(c, e)| args[*c] == *e) {
+                let held: Row = args.iter().filter_map(Elem::as_value).collect();
+                let copies = self.support[id as usize] as usize;
+                out.extend(std::iter::repeat_n(held, copies));
+            }
+        }
+        out
+    }
+
     /// `view` evaluated in full by its compiled plan: its distinct head
     /// rows, first-seen, as interned cells.
     pub(crate) fn evaluate(&self, view: &Cq) -> IdRows {
@@ -90,22 +124,32 @@ impl FactBase {
     /// that leaves and re-enters in neither. Facts whose count reaches zero
     /// go in one phase of the delta chase, then facts whose count leaves
     /// zero come in another. Each view reading a changed relation is
-    /// compiled once for both.
-    pub(crate) fn apply(&mut self, delta: Vec<(Fact, i64)>, views: &[(Symbol, &Cq)]) -> RowDeltas {
-        let (mut gone, mut born) = (Vec::new(), Vec::new());
+    /// compiled once for both. A fact whose count would go below zero rejects
+    /// the batch before anything changes (or is interned: only new facts are).
+    pub(crate) fn apply(
+        &mut self,
+        delta: Vec<(Fact, i64)>,
+        views: &[(Symbol, &Cq)],
+    ) -> Result<RowDeltas, Fact> {
+        let mut found = Vec::with_capacity(delta.len());
         for (fact, n) in delta {
-            let args = elems(&fact.args);
-            match self.facts.find_fact(fact.pred, &args) {
+            let id = held_elems(&fact.args).and_then(|args| self.facts.find_fact(fact.pred, &args));
+            if id.map_or(0, |id| self.support[id as usize]) as i64 + n < 0 {
+                return Err(fact);
+            }
+            found.push((fact, id, n));
+        }
+        let (mut gone, mut born) = (Vec::new(), Vec::new());
+        for (fact, id, n) in found {
+            match id {
                 Some(id) => {
                     let held = &mut self.support[id as usize];
-                    debug_assert!(*held as i64 + n >= 0, "support went negative");
                     *held = held.saturating_add_signed(n);
                     if *held == 0 {
                         gone.push(id);
                     }
                 }
-                None if n > 0 => born.push((fact.pred, args, n as u64)),
-                None => {}
+                None => born.push((fact.pred, elems(&fact.args), n as u64)),
             }
         }
         let gone_preds = gone.iter().map(|id| self.facts.fact(*id).pred);
@@ -136,7 +180,7 @@ impl FactBase {
             }
             (name, (gone, born))
         };
-        out.into_iter().map(split).collect()
+        Ok(out.into_iter().map(split).collect())
     }
 
     /// One delta-chase phase over the facts stamped at `epoch` (doomed ones
@@ -169,6 +213,14 @@ impl FactBase {
 /// Interned arguments of a ground fact.
 fn elems(args: &[Value]) -> Vec<Elem> {
     args.iter().map(Elem::constant).collect()
+}
+
+/// `args` looked up, never interned (`None`: one was never seen).
+fn held_elems(args: &[Value]) -> Option<Vec<Elem>> {
+    let reader = ConstReader::new();
+    args.iter()
+        .map(|v| reader.lookup(v).map(Elem::Const))
+        .collect()
 }
 
 /// Sum signed deltas per key, in first-touch order; keys netting to zero

@@ -71,9 +71,9 @@ pub(crate) fn materialize(
     let planned = match &spec {
         FragmentSpec::NativeDoc { dataset } => native_docs(dataset, base, datasets)?,
         FragmentSpec::NativeTables { dataset, only } => {
-            native_tables(tables_of(datasets, dataset)?, only.as_deref())?
+            native_tables(tables_of(datasets, dataset)?, only.as_deref(), base)?
         }
-        FragmentSpec::TextIndex { table } => vec![text_index(table, datasets)?],
+        FragmentSpec::TextIndex { table } => vec![text_index(table, datasets, base)?],
         FragmentSpec::Table { view, .. }
         | FragmentSpec::KeyValue { view }
         | FragmentSpec::DocRows { view, .. }
@@ -126,16 +126,6 @@ fn relation(view: Cq, place: WhereSpec) -> FragmentRelation {
         view: ViewDef::new(view),
         place,
     }
-}
-
-/// The contents of a relation mirroring `t` row for row, its rows
-/// interned once here.
-fn mirror(t: &TableData) -> Result<Contents<'_>> {
-    let rows = IdRows::intern(&t.rows, t.encoding.columns.len()).map_err(|got| {
-        let name = t.encoding.relation;
-        Error::BadFragment(format!("table {name} holds a row of {got} columns"))
-    })?;
-    Ok(Contents::Rows(rows, 0, Some(t)))
 }
 
 /// The one relation of a view fragment (table / key-value / doc-rows /
@@ -206,7 +196,11 @@ fn native_docs<'a>(
 /// Tables of a relational dataset stored as such: each one (or only the
 /// listed ones) becomes an identity-view relation over a table of the same
 /// name, indexed on its declared key. Naming no table is rejected.
-fn native_tables<'a>(tables: &'a [TableData], only: Option<&[String]>) -> Result<Vec<Planned<'a>>> {
+fn native_tables<'a>(
+    tables: &'a [TableData],
+    only: Option<&[String]>,
+    base: &FactBase,
+) -> Result<Vec<Planned<'a>>> {
     let named = |t: &TableData, k: &String| *k == *t.encoding.relation.as_str();
     let absent = |k: &&String| !tables.iter().any(|t| named(t, k));
     if let Some(k) = only.unwrap_or_default().iter().find(absent) {
@@ -224,14 +218,19 @@ fn native_tables<'a>(tables: &'a [TableData], only: Option<&[String]>) -> Result
         };
         let fname = Symbol::intern(&format!("{}F", t.encoding.relation.as_str()));
         let view = identity_view(fname, t.encoding.relation, t.encoding.columns.len());
-        Ok((relation(view, place), mirror(t)?))
+        let mirror = Contents::Rows(base.rows(t), 0, Some(t));
+        Ok((relation(view, place), mirror))
     };
     tables.iter().filter(kept).map(plan).collect()
 }
 
 /// The full-text index over a table's text columns: the identity view of
 /// `{table}_Terms(term, key)`, answered by the text store.
-fn text_index<'a>(table: &str, datasets: &'a FastMap<String, Dataset>) -> Result<Planned<'a>> {
+fn text_index<'a>(
+    table: &str,
+    datasets: &'a FastMap<String, Dataset>,
+    base: &FactBase,
+) -> Result<Planned<'a>> {
     let t = datasets
         .keys()
         .filter_map(|name| tables_of(datasets, name).ok())
@@ -240,7 +239,8 @@ fn text_index<'a>(table: &str, datasets: &'a FastMap<String, Dataset>) -> Result
         .ok_or_else(|| Error::UnknownName(table.to_string()))?;
     let fname = Symbol::intern(&format!("{table}F_Text"));
     let view = identity_view(fname, Dataset::terms_relation(table), 2);
-    Ok((relation(view, layout::text_place(t)?), mirror(t)?))
+    let mirror = Contents::Rows(base.rows(t), 0, Some(t));
+    Ok((relation(view, layout::text_place(t)?), mirror))
 }
 
 /// Remove a fragment's physical artifacts from the stores.

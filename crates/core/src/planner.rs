@@ -127,7 +127,7 @@ impl PlanningContext {
             ),
             certificate: certify(&constraints),
             constraints,
-            sql_catalog: sql_catalog(est.datasets()),
+            sql_catalog: sql_catalog(&est.datasets),
         }
     }
 }

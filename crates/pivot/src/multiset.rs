@@ -28,14 +28,6 @@ pub struct Wanted<'a, T: ?Sized = [Value]> {
     left: FastMap<&'a T, usize>,
 }
 
-impl<'a> Wanted<'a> {
-    /// One claim per entry of `rows`. An entry of another arity than
-    /// `arity` matches no stored row, so it is left out.
-    pub fn new(rows: &'a [Vec<Value>], arity: usize) -> Wanted<'a> {
-        Wanted::of(rows.iter().filter(|r| r.len() == arity).map(Vec::as_slice))
-    }
-}
-
 impl<'a, T: Hash + Eq + ?Sized> Wanted<'a, T> {
     /// One claim per entry of `entries`.
     pub fn of(entries: impl IntoIterator<Item = &'a T>) -> Wanted<'a, T> {
@@ -254,19 +246,19 @@ mod tests {
     fn equal_entries_claim_distinct_instances_in_candidate_order() {
         let row = |k: i64, v: i64| vec![Value::Int(k), Value::Int(v)];
         let stored = [row(1, 1), row(2, 0), row(1, 1), row(1, 1), row(1, 2)];
-        let rows = [row(1, 1), row(1, 1), row(1, 2), row(9, 9), vec![]];
+        let rows = [row(1, 1), row(1, 1), row(1, 2), row(9, 9)];
         let row_at = |at: usize| stored[at].as_slice();
-        let mut wanted = Wanted::new(&rows, 2);
+        let mut wanted = Wanted::of(rows.iter().map(Vec::as_slice));
         assert_eq!(
             wanted.claim([3, 1, 0, 2, 4], row_at),
             BTreeSet::from([0, 3, 4])
         );
-        // The ghost is left unserved; the short row never counted.
+        // The ghost is left unserved.
         let ghost = [[Value::Int(9), Value::Int(9)].as_slice()];
         assert_eq!(wanted.rows().collect::<Vec<_>>(), ghost);
         // Through an index on the first column: three entries share key 1,
         // whose rows are listed once, ascending.
-        let mut wanted = Wanted::new(&rows, 2);
+        let mut wanted = Wanted::of(rows.iter().map(Vec::as_slice));
         let index = |k: &Value| match k {
             Value::Int(1) => &[0, 2, 3, 4][..],
             _ => &[],

@@ -14,7 +14,7 @@ use crate::marketplace::W1Query;
 use crate::marketplace::{Marketplace, CATEGORIES};
 use crate::scenarios::run_w1_query;
 use estocada::{DatasetContent, Estocada};
-use estocada_pivot::{Symbol, Value};
+use estocada_pivot::{Atom, Cq, Symbol, Term, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -236,18 +236,18 @@ fn assert_fresh(est: &Estocada, what: &str) {
     assert!(stale.is_empty(), "stale fragments after {what}: {stale:?}");
 }
 
-/// The stored `sales.Orders` row with this oid, if live.
+/// The stored `sales.Orders` row with this oid, if live: the ground-truth
+/// evaluation of `Orders(oid, …)` with the key as a constant, which probes
+/// the fact base on it rather than reading the table.
 fn order_row(est: &Estocada, oid: i64) -> Option<Vec<Value>> {
-    let DatasetContent::Relational(tables) = &est.datasets().get("sales")?.content else {
-        return None;
-    };
-    tables
-        .iter()
-        .find(|t| t.encoding.relation == Symbol::intern("Orders"))?
-        .rows
-        .iter()
-        .find(|r| r[0] == Value::Int(oid))
-        .cloned()
+    let mut cells = vec![Term::constant(oid)];
+    cells.extend((1..5).map(Term::var));
+    let by_key = Cq::new(
+        Symbol::intern("OrderByOid"),
+        cells.clone(),
+        vec![Atom::new("Orders", cells)],
+    );
+    est.oracle_eval(&by_key).pop()
 }
 
 fn order_count(m: &Marketplace) -> usize {

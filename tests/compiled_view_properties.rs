@@ -45,7 +45,9 @@ type Table = (String, Vec<String>, Vec<Vec<Value>>);
 
 /// The relational tables of `sales`.
 fn tables(est: &Estocada) -> Vec<Table> {
-    let DatasetContent::Relational(tables) = &est.datasets()["sales"].content else {
+    let DatasetContent::Relational(tables) =
+        &est.dataset("sales").expect("sales is registered").content
+    else {
         panic!("sales is relational");
     };
     let named = |t: &TableData| {

@@ -5,9 +5,11 @@
 //!
 //! - **Bit-identity.** After any interleaving of inserts, deletes, and
 //!   upserts, every store's content is byte-for-byte identical to a fresh
-//!   engine deployed from the mutated datasets — same relational rows,
-//!   same packed key-value entries, same documents, same parallel
-//!   partitions, same text postings. Not just query-equivalent: the
+//!   engine deployed from the test's own model of the written rows (a bag
+//!   per table that every batch is applied to, never read from the engine,
+//!   whose `dataset()` rows must equal it after every batch) — same
+//!   relational rows, same packed key-value entries, same documents, same
+//!   parallel partitions, same text postings. Not just query-equivalent: the
 //!   canonical store dumps render identically.
 //! - **Exact statistics and indexes.** The catalog's `FragmentStats`, kept
 //!   running from the deltas, equal the twin's full pass, and every index
@@ -16,7 +18,7 @@
 //!   probe like a scan.
 //! - **The fact base equals a fresh staging.** Every relation the schema
 //!   declares holds, in the fact base the oracle reads, what a fresh
-//!   engine staged from the mutated datasets holds — also for a fact that
+//!   engine staged from the model holds — also for a fact that
 //!   two rows support and one delete leaves supported.
 //! - **No staleness.** Maintenance is synchronous, so at every quiescent
 //!   point each fragment's high-water mark equals the data epoch.
@@ -57,15 +59,151 @@ fn market() -> Marketplace {
     generate(cfg())
 }
 
-/// The drop-and-rematerialize twin: a fresh engine deployed from the
-/// incremental engine's *current* (mutated) datasets.
-fn remat_twin(est: &Estocada, deploy: Deploy) -> Estocada {
-    let m = Marketplace {
-        sales: est.datasets()["sales"].clone(),
-        carts: est.datasets()["Carts"].clone(),
-        config: cfg(),
+/// The marketplace as a test has written it — the test's own row model,
+/// kept apart from the engine: the generated datasets with every accepted
+/// batch applied to their tables as a bag. The drop-and-rematerialize twin
+/// is deployed from it, never from the engine's own rows, and after every
+/// batch the engine's rows equal it as multisets.
+struct Model(Marketplace);
+
+impl Model {
+    fn new(m: &Marketplace) -> Model {
+        Model(Marketplace {
+            sales: m.sales.clone(),
+            carts: m.carts.clone(),
+            config: cfg(),
+        })
+    }
+
+    /// The rows of `sales.{table}`.
+    fn rows(&mut self, table: &str) -> &mut Vec<Vec<Value>> {
+        let estocada::DatasetContent::Relational(tables) = &mut self.0.sales.content else {
+            panic!("sales is relational");
+        };
+        let named = |t: &&mut TableData| *t.encoding.relation.as_str() == *table;
+        &mut tables.iter_mut().find(named).expect("table of sales").rows
+    }
+
+    /// Apply a batch the engine accepted.
+    fn write(&mut self, w: Write, table: &str, rows: Vec<Vec<Value>>) {
+        let held = self.rows(table);
+        match w {
+            Write::Insert => held.extend(rows),
+            Write::Delete => {
+                for row in rows {
+                    let at = held.iter().position(|r| *r == row).expect("a held row");
+                    held.swap_remove(at);
+                }
+            }
+            // Every table of sales is keyed on its first column.
+            Write::Upsert => {
+                held.retain(|r| rows.iter().all(|new| new[0] != r[0]));
+                held.extend(rows);
+            }
+        }
+    }
+
+    /// Apply the write `op` of a mixed schedule, as `run_rw_workload` runs it.
+    fn run(&mut self, op: &RwOp) {
+        match op {
+            RwOp::Read(_) => {}
+            RwOp::InsertOrder {
+                oid,
+                uid,
+                pid,
+                category,
+                amount,
+            } => {
+                let row = vec![
+                    Value::Int(*oid),
+                    Value::Int(*uid),
+                    Value::Int(*pid),
+                    Value::str(category),
+                    Value::Double(*amount),
+                ];
+                self.write(Write::Insert, "Orders", vec![row]);
+            }
+            RwOp::DeleteOrder { oid } => {
+                let live = self.rows("Orders").iter();
+                let row: Vec<_> = live.filter(|r| r[0] == Value::Int(*oid)).cloned().collect();
+                self.write(Write::Delete, "Orders", row);
+            }
+            RwOp::UpsertPref {
+                uid,
+                theme,
+                language,
+                newsletter,
+            } => {
+                let row = vec![
+                    Value::Int(*uid),
+                    Value::str(theme),
+                    Value::str(language),
+                    Value::Bool(*newsletter),
+                ];
+                self.write(Write::Upsert, "Prefs", vec![row]);
+            }
+        }
+    }
+
+    /// The engine holds the model's rows: every table of `dataset()`, as
+    /// multisets.
+    fn assert_held_by(&self, est: &Estocada, what: &str) {
+        let held = est.dataset("sales").expect("sales is registered");
+        let (estocada::DatasetContent::Relational(got), estocada::DatasetContent::Relational(want)) =
+            (&held.content, &self.0.sales.content)
+        else {
+            panic!("sales is relational");
+        };
+        for (a, b) in got.iter().zip(want) {
+            let name = a.encoding.relation;
+            assert_eq!(
+                sorted(a.rows.clone()),
+                sorted(b.rows.clone()),
+                "{what}: rows of {name}"
+            );
+        }
+    }
+
+    /// The drop-and-rematerialize twin: a fresh engine deployed from the
+    /// model.
+    fn twin(&self, deploy: Deploy) -> Estocada {
+        deploy(&self.0, Latencies::zero())
+    }
+}
+
+/// A write batch's kind.
+#[derive(Debug, Clone, Copy)]
+enum Write {
+    Insert,
+    Delete,
+    Upsert,
+}
+
+/// Run `rows` as a `w` batch on `est` and on `model`; the engine's rows equal
+/// the model's after it.
+fn write(est: &mut Estocada, model: &mut Model, w: Write, table: &str, rows: Vec<Vec<Value>>) {
+    let done = match w {
+        Write::Insert => est.insert_rows("sales", table, rows.clone()),
+        Write::Delete => est.delete_rows("sales", table, rows.clone()),
+        Write::Upsert => est.upsert_rows("sales", table, rows.clone()),
     };
-    deploy(&m, Latencies::zero())
+    done.expect("scripted batch");
+    model.write(w, table, rows);
+    model.assert_held_by(est, &format!("after a {w:?} into {table}"));
+}
+
+/// Run `ops` one at a time on `est` and on `model`, the engine's rows equal
+/// to the model's after each; returns how many wrote.
+fn run_ops(est: &mut Estocada, model: &mut Model, ops: &[RwOp]) -> usize {
+    let mut writes = 0;
+    for op in ops {
+        writes += run_rw_workload(est, std::slice::from_ref(op))
+            .expect("schedule")
+            .writes;
+        model.run(op);
+        model.assert_held_by(est, &format!("after {op:?}"));
+    }
+    writes
 }
 
 fn assert_same_stores(a: &Estocada, b: &Estocada, what: &str) {
@@ -181,17 +319,6 @@ fn assert_same_fact_base(a: &Estocada, b: &Estocada, what: &str) {
             r.name
         );
     }
-}
-
-/// The rows of `sales.{table}` as the engine holds them now.
-fn stored(est: &Estocada, table: &str) -> Vec<Vec<Value>> {
-    let estocada::DatasetContent::Relational(tables) = &est.datasets()["sales"].content else {
-        panic!("sales is relational");
-    };
-    let t = tables
-        .iter()
-        .find(|t| *t.encoding.relation.as_str() == *table);
-    t.expect("table of sales").rows.clone()
 }
 
 /// The materialized-join deployment plus four views the write script
@@ -361,10 +488,11 @@ type Step = (u8, u64, usize);
 /// leave the fact in the fact base.
 const SHARED_FACT: [Step; 2] = [(0, 0, 1), (8, 0, 1)];
 
-/// Run `step` against the engine's current rows. Even kinds write `Orders`,
-/// odd ones `WebLog`; new rows copy (uid, pid, category) from a stored row of
-/// the other table, so they join into `UserHist`.
-fn apply_step(est: &mut Estocada, (kind, pick, size): Step, fresh: &mut i64) {
+/// Run `step` against the model's current rows, on the engine and the
+/// model. Even kinds write `Orders`, odd ones `WebLog`; new rows copy (uid,
+/// pid, category) from a row of the other table, so they join into
+/// `UserHist`.
+fn apply_step(est: &mut Estocada, model: &mut Model, (kind, pick, size): Step, fresh: &mut i64) {
     let mut x = pick;
     let mut choose = |n: usize| {
         x = x
@@ -373,7 +501,7 @@ fn apply_step(est: &mut Estocada, (kind, pick, size): Step, fresh: &mut i64) {
         (x >> 33) as usize % n.max(1)
     };
     let (table, other) = [("Orders", "WebLog"), ("WebLog", "Orders")][usize::from(kind % 2)];
-    let (mut live, partners) = (stored(est, table), stored(est, other));
+    let (mut live, partners) = (model.rows(table).clone(), model.rows(other).clone());
     let mut new_row = |choose: &mut dyn FnMut(usize) -> usize| {
         *fresh += 1;
         let last = match table {
@@ -388,17 +516,17 @@ fn apply_step(est: &mut Estocada, (kind, pick, size): Step, fresh: &mut i64) {
         row.push(last);
         row
     };
-    let done = match kind {
+    let (w, table, rows) = match kind {
         // New rows, the first one twice: physical duplicates in the table.
         0 | 1 => {
             let mut rows: Vec<_> = (0..size).map(|_| new_row(&mut choose)).collect();
             rows.push(rows[0].clone());
-            est.insert_rows("sales", table, rows)
+            (Write::Insert, table, rows)
         }
         // Stored rows, each stored instance at most once.
         2 | 3 => {
             let gone = (0..size.min(live.len())).map(|_| live.swap_remove(choose(live.len())));
-            est.delete_rows("sales", table, gone.collect())
+            (Write::Delete, table, gone.collect())
         }
         // A stored `WebLogPar` row and the one `swap_remove` would move into
         // its place (identity view: a dataset row is a `WebLog` row).
@@ -408,7 +536,7 @@ fn apply_step(est: &mut Estocada, (kind, pick, size): Step, fresh: &mut i64) {
             let pair =
                 part.map(|part| values_of([&part[choose(part.len - 1)], &part[part.len - 1]]));
             drop(ds);
-            est.delete_rows("sales", "WebLog", pair.unwrap_or_default())
+            (Write::Delete, "WebLog", pair.unwrap_or_default())
         }
         // Stored keys with a changed last column, and one new key.
         5 => {
@@ -423,15 +551,15 @@ fn apply_step(est: &mut Estocada, (kind, pick, size): Step, fresh: &mut i64) {
             });
             let mut rows: Vec<_> = changed.collect();
             rows.push(new_row(&mut choose));
-            est.upsert_rows("sales", table, rows)
+            (Write::Upsert, table, rows)
         }
         // One copy of the last stored row: after kind 0 or 1 it is stored
         // twice, and the other copy still supports its facts.
-        8 => est.delete_rows("sales", table, live.split_off(live.len() - 1)),
+        8 => (Write::Delete, table, live.split_off(live.len() - 1)),
         // Every row: the table's fragments and the join end up empty.
-        _ => est.delete_rows("sales", table, live),
+        _ => (Write::Delete, table, live),
     };
-    done.expect("scripted batch");
+    write(est, model, w, table, rows);
 }
 
 // ---------------------------------------------------------------------
@@ -450,11 +578,11 @@ fn mixed_schedule_is_bit_identical_to_rematerialization() {
                 seed: 23,
             },
         );
-        let mut est = deploy(&m, Latencies::zero());
-        let s = run_rw_workload(&mut est, &ops).expect("mixed schedule");
-        assert!(s.writes > 0, "{name}: schedule must include writes");
+        let (mut est, mut model) = (deploy(&m, Latencies::zero()), Model::new(&m));
+        let writes = run_ops(&mut est, &mut model, &ops);
+        assert!(writes > 0, "{name}: schedule must include writes");
         assert!(stale_fragments(&est).is_empty(), "{name}: stale fragments");
-        let twin = remat_twin(&est, deploy);
+        let twin = model.twin(deploy);
         assert_same_stores(&est, &twin, name);
         // Queries agree too — same rows through the rewriting path.
         for uid in [0i64, 1, 3, 7] {
@@ -521,7 +649,7 @@ fn streaming_into_empty_tables_equals_a_first_fill() {
 #[test]
 fn concurrent_readers_between_batches_see_one_committed_state() {
     let m = market();
-    let mut est = deploy_kv_migrated(&m, Latencies::zero());
+    let (mut est, mut model) = (deploy_kv_migrated(&m, Latencies::zero()), Model::new(&m));
     let ops = rw_workload(
         &m,
         RwConfig {
@@ -536,7 +664,7 @@ fn concurrent_readers_between_batches_see_one_committed_state() {
         W1Query::UserOrders(1),
     ];
     for batch in ops.chunks(8) {
-        run_rw_workload(&mut est, batch).expect("write batch");
+        run_ops(&mut est, &mut model, batch);
         // The writer is quiescent: shared-borrow readers race each other,
         // and every one of them must see exactly the committed state.
         let expected: Vec<_> = queries
@@ -562,7 +690,7 @@ fn concurrent_readers_between_batches_see_one_committed_state() {
         });
         assert!(stale_fragments(&est).is_empty());
     }
-    let twin = remat_twin(&est, deploy_kv_migrated);
+    let twin = model.twin(deploy_kv_migrated);
     assert_same_stores(&est, &twin, "after interleaved reads");
 }
 
@@ -587,11 +715,11 @@ proptest! {
             write_ratio: f64::from(ratio_tenths) / 10.0,
             seed,
         });
-        let mut est = deploy_kv_migrated(&m, Latencies::zero());
-        let summary = run_rw_workload(&mut est, &schedule).expect("schedule");
-        prop_assert_eq!(summary.final_data_epoch, summary.writes as u64);
+        let (mut est, mut model) = (deploy_kv_migrated(&m, Latencies::zero()), Model::new(&m));
+        let writes = run_ops(&mut est, &mut model, &schedule);
+        prop_assert_eq!(est.data_epoch(), writes as u64);
         prop_assert!(stale_fragments(&est).is_empty());
-        let twin = remat_twin(&est, deploy_kv_migrated);
+        let twin = model.twin(deploy_kv_migrated);
         let sa = est.stores.dump();
         let sb = twin.stores.dump();
         prop_assert_eq!(sa, sb, "stores diverged under seed {} ops {:?}", seed, schedule);
@@ -608,7 +736,7 @@ proptest! {
         script in proptest::collection::vec((0..8u8, any::<u64>(), 1..6usize), 1..9),
     ) {
         let mut est = deploy_indexed(&market(), Latencies::zero());
-        let mut fresh = 700_000i64;
+        let (mut model, mut fresh) = (Model::new(&market()), 700_000i64);
         let hist = |est: &Estocada| est.stores.par.dataset("UserHist").expect("UserHist");
         for (i, step) in SHARED_FACT.iter().chain(&script).enumerate() {
             let what = format!("after step {i} of {script:?}");
@@ -616,7 +744,7 @@ proptest! {
             let reader = (step.1 % 2 == 1).then(|| hist(&est));
             let seen: Vec<_> = reader.iter().flat_map(|ds| ds.iter_rows().map(<[_]>::to_vec)).collect();
             let home = Arc::as_ptr(&hist(&est));
-            apply_step(&mut est, *step, &mut fresh);
+            apply_step(&mut est, &mut model, *step, &mut fresh);
             match reader {
                 Some(ds) => {
                     let sees: Vec<_> = ds.iter_rows().map(<[_]>::to_vec).collect();
@@ -628,7 +756,7 @@ proptest! {
                 }
             }
             prop_assert!(stale_fragments(&est).is_empty());
-            let twin = remat_twin(&est, deploy_indexed);
+            let twin = model.twin(deploy_indexed);
             assert_same_stores(&est, &twin, &what);
             assert_same_stats(&est, &twin, &what);
             assert_stats_recount(&est, &what);
@@ -726,6 +854,7 @@ proptest! {
     ) {
         let mut est = deploy_materialized_join(&market(), Latencies::zero());
         let (mut fresh, mut log, mut accepted) = (700_000i64, Vec::new(), Vec::new());
+        let mut model = Model::new(&market());
         // The shared-fact steps run as written; the script's write kinds
         // 0–3 insert or delete, and 4 upserts (write kind 5).
         let steps = SHARED_FACT.iter().map(|step| (step, true));
@@ -746,11 +875,14 @@ proptest! {
                     accepted.push(apply_ddl(&mut est, &ddl));
                     log.push(ddl);
                 }
-                None if raw => apply_step(&mut est, (kind, pick, size), &mut fresh),
-                None => apply_step(&mut est, (kind + kind / 4, pick, size), &mut fresh),
+                None if raw => apply_step(&mut est, &mut model, (kind, pick, size), &mut fresh),
+                None => {
+                    let step = (kind + kind / 4, pick, size);
+                    apply_step(&mut est, &mut model, step, &mut fresh);
+                }
             }
             prop_assert!(stale_fragments(&est).is_empty(), "{}: stale fragments", what);
-            let mut twin = remat_twin(&est, deploy_materialized_join);
+            let mut twin = model.twin(deploy_materialized_join);
             let replayed: Vec<bool> = log.iter().map(|ddl| apply_ddl(&mut twin, ddl)).collect();
             prop_assert_eq!(&replayed, &accepted, "{}: the twin judged the DDL otherwise", what);
             prop_assert_eq!(est.fragments().len(), twin.fragments().len());
@@ -783,18 +915,17 @@ fn a_dataset_registered_between_batches_keeps_earlier_writes_deletable() {
         )
     };
     let mut est = deploy_materialized_join(&market(), Latencies::zero());
-    let mut fresh = 700_000i64;
-    apply_step(&mut est, (0, 3, 2), &mut fresh);
-    let written = stored(&est, "Orders").pop().expect("a written row");
+    let (mut model, mut fresh) = (Model::new(&market()), 700_000i64);
+    apply_step(&mut est, &mut model, (0, 3, 2), &mut fresh);
+    let written = model.rows("Orders").last().cloned().expect("a written row");
     est.register_dataset(notes()).expect("third dataset");
-    est.delete_rows("sales", "Orders", vec![written])
-        .expect("delete a row written before");
-    apply_step(&mut est, (1, 5, 2), &mut fresh);
+    write(&mut est, &mut model, Write::Delete, "Orders", vec![written]);
+    apply_step(&mut est, &mut model, (1, 5, 2), &mut fresh);
     assert!(
         stale_fragments(&est).is_empty(),
         "a fragment lags the data epoch"
     );
-    let mut twin = remat_twin(&est, deploy_materialized_join);
+    let mut twin = model.twin(deploy_materialized_join);
     twin.register_dataset(notes())
         .expect("third dataset on the twin");
     assert_same_stores(&est, &twin, "after a registration between batches");
@@ -811,20 +942,16 @@ fn a_dataset_registered_between_batches_keeps_earlier_writes_deletable() {
 #[test]
 fn duplicate_derivations_delete_one_support_at_a_time() {
     let m = market();
-    let mut est = deploy_materialized_join(&m, Latencies::zero());
+    let (mut est, mut model) = (
+        deploy_materialized_join(&m, Latencies::zero()),
+        Model::new(&m),
+    );
     // Pick a (uid, category) straight from a WebLog row so the inserted
     // orders definitely join into UserHist. Two orders with identical
     // uid/pid/category/amount then derive the *same* UserHist rows — only
     // derivation counts differ.
     let (uid, category) = {
-        let estocada::DatasetContent::Relational(tables) = &est.datasets()["sales"].content else {
-            panic!("sales is relational");
-        };
-        let log = &tables
-            .iter()
-            .find(|t| t.encoding.relation == estocada_pivot::Symbol::intern("WebLog"))
-            .expect("WebLog table")
-            .rows[0];
+        let log = &model.rows("WebLog")[0];
         (
             match &log[1] {
                 Value::Int(u) => *u,
@@ -840,22 +967,19 @@ fn duplicate_derivations_delete_one_support_at_a_time() {
         category: category.clone(),
         amount: 42.5,
     };
-    run_rw_workload(&mut est, &[dup(800_000), dup(800_001)]).unwrap();
-    assert_same_stores(
-        &est,
-        &remat_twin(&est, deploy_materialized_join),
-        "after dup inserts",
-    );
-    run_rw_workload(&mut est, &[RwOp::DeleteOrder { oid: 800_000 }]).unwrap();
-    assert_same_stores(
-        &est,
-        &remat_twin(&est, deploy_materialized_join),
-        "after first delete",
-    );
-    run_rw_workload(&mut est, &[RwOp::DeleteOrder { oid: 800_001 }]).unwrap();
-    assert_same_stores(
-        &est,
-        &remat_twin(&est, deploy_materialized_join),
-        "after second delete",
-    );
+    let steps = [
+        (vec![dup(800_000), dup(800_001)], "after dup inserts"),
+        (
+            vec![RwOp::DeleteOrder { oid: 800_000 }],
+            "after first delete",
+        ),
+        (
+            vec![RwOp::DeleteOrder { oid: 800_001 }],
+            "after second delete",
+        ),
+    ];
+    for (ops, what) in steps {
+        run_ops(&mut est, &mut model, &ops);
+        assert_same_stores(&est, &model.twin(deploy_materialized_join), what);
+    }
 }

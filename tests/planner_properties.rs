@@ -810,7 +810,9 @@ proptest! {
 
 /// The stored rows of table `name` of the `sales` dataset.
 fn table_rows(est: &Estocada, name: &str) -> Vec<Vec<Value>> {
-    let DatasetContent::Relational(tables) = &est.datasets()["sales"].content else {
+    let DatasetContent::Relational(tables) =
+        &est.dataset("sales").expect("sales is registered").content
+    else {
         panic!("sales is relational");
     };
     let table = tables

@@ -143,7 +143,9 @@ fn templates(min_total: i64, category: usize, uid: i64) -> Vec<String> {
 
 /// The rows of `sales.{table}` as the engine holds them now.
 fn stored(est: &Estocada, table: &str) -> Vec<Vec<Value>> {
-    let estocada::DatasetContent::Relational(tables) = &est.datasets()["sales"].content else {
+    let estocada::DatasetContent::Relational(tables) =
+        &est.dataset("sales").expect("sales is registered").content
+    else {
         panic!("sales is relational");
     };
     let t = tables
