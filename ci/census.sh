@@ -4,10 +4,10 @@
 # definitions in the engine, SCC routines in library code, sites that assign
 # a delegated unit's scan estimate, posting-index maintenance routines,
 # std hash tables on the default hasher, aggregate accumulators, join hash
-# tables, fact-base owners, homomorphism searches in the mediator, resolves
-# of interned rows on the fill and write path, row indexes the write path
-# keeps beside the fact base, independently settable options, and panic
-# sites in library code.
+# tables, mediator files naming the chase `Instance`, homomorphism searches
+# in the mediator, resolves of interned rows on the fill and write path, row
+# indexes the write path keeps beside the fact base, independently settable
+# options, and panic sites in library code.
 # Informational: prints, never fails on a count.
 set -eu
 cd "$(dirname "$0")/.."
@@ -98,18 +98,19 @@ for f in $(rust_files crates/engine/src crates/pivot/src crates/relstore/src cra
 done
 printf '%-28s %8d\n' 'hash joins' "$hash_joins"
 # Library files of the mediator that name the chase `Instance`: the fact
-# base the fragments are filled and maintained from has one owner, the
-# `factbase` module, which alone stages, counts and searches it.
-fact_base_owners=0
+# base the fragments are filled and maintained from holds its relations as
+# `estocada_pivot::Bag`s, and the chase's instance (labelled nulls, merges,
+# provenance) stays inside the chase.
+instance_files=0
 for f in $(rust_files crates/core/src); do
     if library_part "$f" | grep -qE '\bInstance\b'; then
-        fact_base_owners=$((fact_base_owners + 1))
+        instance_files=$((instance_files + 1))
     fi
 done
-printf '%-28s %8d\n' 'fact-base owners' "$fact_base_owners"
+printf '%-28s %8d\n' 'Instance in core' "$instance_files"
 # Library call sites in the mediator of the chase's homomorphism searches:
-# fills and maintenance run each view's compiled plan, and the search stays
-# only behind the oracle (`evaluate_view`), independent of the plans.
+# fills and maintenance run each view's compiled plan, and the oracle is a
+# nested loop of the fact base's own.
 hom_searches=0
 for f in $(rust_files crates/core/src); do
     n=$(library_part "$f" | grep -cE '\b(find_homs|find_homs_delta|find_one_hom)\(' || true)

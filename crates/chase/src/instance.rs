@@ -77,12 +77,12 @@
 //!
 //! Every stamp after epoch 0 is also logged, one list for the current epoch
 //! and one for the epoch before it. Those are the two thresholds anyone asks
-//! for (a chase round reads the previous round's changes, a DML batch the
-//! facts it just stamped), so a delta index costs what changed, not the
-//! instance — a one-row write against a fact base of 10⁵ facts reads one
-//! log entry. Epoch 0 is the load (its delta is every fact), so loading
-//! logs nothing; it and any older threshold take one pass over every fact.
-//! Both ways give the same lists.
+//! for (a chase round reads the previous round's changes, a test the facts
+//! it just stamped), so a delta index costs what changed, not the instance.
+//! Epoch 0 is the load (its delta is every fact), so loading logs nothing;
+//! it and any older threshold take one pass over every fact. Both ways give
+//! the same lists. The chase only ever adds facts and merges them: a fact
+//! dies only as a merge's duplicate.
 
 use crate::prov::Dnf;
 use estocada_pivot::hash::FastMap;
@@ -213,9 +213,9 @@ impl fmt::Display for Inconsistent {
 
 impl std::error::Error for Inconsistent {}
 
-/// Per-predicate posting lists of facts touched at-or-after an epoch
-/// threshold, each ascending; built once per chase round (and per DML
-/// phase) by [`Instance::delta_index`].
+/// Per-predicate posting lists of facts changed at-or-after an epoch
+/// threshold, each ascending; built once per chase round by
+/// [`Instance::delta_index`].
 #[derive(Debug, Clone, Default)]
 pub struct DeltaIndex {
     /// The epoch threshold the lists were computed for.
@@ -368,7 +368,7 @@ impl Instance {
     }
 
     /// Advance to a fresh epoch (one chase round) and return it. Facts
-    /// inserted or touched from now on are stamped with the new epoch.
+    /// inserted or changed from now on are stamped with the new epoch.
     pub fn advance_epoch(&mut self) -> u64 {
         self.epoch += 1;
         let [older, newer] = &mut self.stamped;
@@ -389,14 +389,15 @@ impl Instance {
     }
 
     /// Log a stamp of fact `id`. Epoch 0 is the load, whose delta is every
-    /// fact, which a scan lists: loading a fact base logs nothing.
+    /// fact, which a scan lists: the facts an instance starts from are not
+    /// logged.
     fn log(&mut self, id: u32) {
         if self.epoch > 0 {
             self.stamped[1].push(id);
         }
     }
 
-    /// The per-predicate lists of alive facts touched at-or-after
+    /// The per-predicate lists of alive facts changed at-or-after
     /// `threshold`, each ascending. A semi-naive round asks for the current
     /// epoch or the one before, whose stamps are logged: that costs what
     /// changed since, not the instance. Threshold 0 (every fact) and an
@@ -494,43 +495,6 @@ impl Instance {
         self.by_pred.entry(pred).or_default().push(id);
     }
 
-    // -- DML deltas ---------------------------------------------------------
-
-    /// Id of the alive fact `pred(args)`, if present. `args` must already
-    /// be representatives (trivially true for the ground facts the DML
-    /// path looks up).
-    pub fn find_fact(&self, pred: Symbol, args: &[Elem]) -> Option<u32> {
-        self.dedup.get(&pred).and_then(|m| m.get(args)).copied()
-    }
-
-    /// Re-stamp fact `id` with the current epoch so the next
-    /// [`Instance::delta_index`] includes it. The DML delete path touches
-    /// doomed facts first, enumerates the homomorphisms flowing through
-    /// them semi-naively, and only then retracts them.
-    pub fn touch(&mut self, id: u32) {
-        self.stamp(id);
-    }
-
-    /// Retract an alive fact: drop it from the dedup, positional and
-    /// predicate indexes and mark it dead — the inverse of
-    /// [`Instance::insert`], used by the DML delete path. Stale `null_occ`
-    /// entries are left behind and lazily skipped on consumption, the same
-    /// policy as facts killed by merge deduplication.
-    pub fn retract(&mut self, id: u32) {
-        debug_assert!(self.facts[id as usize].alive, "retract of a dead fact");
-        let pred = self.facts[id as usize].pred;
-        let args = self.facts[id as usize].args.clone();
-        if let Some(m) = self.dedup.get_mut(&pred) {
-            m.remove(args.as_slice());
-        }
-        self.unindex_positions(pred, &args, id);
-        if let Some(ids) = self.by_pred.get_mut(&pred) {
-            remove_sorted(ids, id);
-        }
-        self.facts[id as usize].alive = false;
-        self.alive -= 1;
-    }
-
     // -- lookups ------------------------------------------------------------
 
     /// All alive fact ids.
@@ -595,13 +559,6 @@ impl Instance {
             .unwrap_or(&EMPTY_IDS);
         debug_assert!(ids.iter().all(|id| self.facts[*id as usize].alive));
         ids
-    }
-
-    /// Number of distinct elements at `position` among the alive facts of
-    /// `pred` (O(1)): with [`Instance::pred_count`], the average number of
-    /// facts a probe at that position returns.
-    pub fn distinct_at(&self, pred: Symbol, position: u32) -> usize {
-        self.by_pos.get(&(pred, position)).map_or(0, FastMap::len)
     }
 
     /// Number of alive facts of `pred` whose `position` equals `elem`
@@ -901,46 +858,11 @@ mod tests {
     }
 
     #[test]
-    fn retract_removes_fact_from_every_index() {
-        let mut i = Instance::new();
-        let (id_a, _) = i.insert(sym("R"), vec![Elem::of(1i64), Elem::of(2i64)]);
-        let (id_b, _) = i.insert(sym("R"), vec![Elem::of(3i64), Elem::of(2i64)]);
-        assert_eq!(
-            i.find_fact(sym("R"), &[Elem::of(1i64), Elem::of(2i64)]),
-            Some(id_a)
-        );
-        i.retract(id_a);
-        assert!(!i.is_alive(id_a));
-        assert_eq!(i.len(), 1);
-        assert_eq!(
-            i.find_fact(sym("R"), &[Elem::of(1i64), Elem::of(2i64)]),
-            None
-        );
-        assert_eq!(i.pred_facts(sym("R")), &[id_b]);
-        assert_eq!(i.probe(sym("R"), 1, &Elem::of(2i64)), &[id_b]);
-        assert!(i.probe(sym("R"), 0, &Elem::of(1i64)).is_empty());
-        // Re-inserting the retracted fact is a genuinely new fact again.
-        let (id_c, fresh) = i.insert(sym("R"), vec![Elem::of(1i64), Elem::of(2i64)]);
-        assert!(fresh);
-        assert_ne!(id_c, id_a);
-    }
-
-    #[test]
-    fn touch_restamps_a_fact_into_the_delta() {
-        let mut i = Instance::new();
-        let (id, _) = i.insert(sym("R"), vec![Elem::of(1i64)]);
-        let e = i.advance_epoch();
-        assert!(i.delta_index(e).facts_of(sym("R")).is_empty());
-        i.touch(id);
-        assert_eq!(i.delta_index(e).facts_of(sym("R")), &[id]);
-        assert_eq!(i.fact_epoch(id), e);
-    }
-
-    #[test]
     fn logged_deltas_list_what_a_scan_of_the_facts_lists() {
-        // Inserts (new and duplicate), null merges (rewrites, collapses),
-        // touches, retracts and epoch advances in a seeded mix; after every
-        // step, every threshold up to one past the epoch.
+        // Inserts (new and duplicate), null merges (rewrites, collapses —
+        // whose dead facts must leave the logged delta) and epoch advances
+        // in a seeded mix; after every step, every threshold up to one past
+        // the epoch.
         let mut i = Instance::new();
         let nulls: Vec<Elem> = (0..6).map(|_| i.fresh_null()).collect();
         let mut x = 11u64;
@@ -951,7 +873,7 @@ mod tests {
             (x >> 33) as usize % n
         };
         for step in 0..600 {
-            match next(7) {
+            match next(6) {
                 0..=2 => {
                     let args = vec![nulls[next(6)], Elem::of(next(3) as i64)];
                     i.insert(sym(["R", "S"][next(2)]), args);
@@ -959,15 +881,6 @@ mod tests {
                 3 => {
                     let (a, b) = (nulls[next(6)], nulls[next(6)]);
                     i.merge(&a, &b).expect("nulls never clash");
-                }
-                4 => {
-                    let ids: Vec<u32> = i.fact_ids().collect();
-                    if let Some(&id) = ids.get(next(ids.len().max(1))) {
-                        match next(2) {
-                            0 => i.touch(id),
-                            _ => i.retract(id),
-                        }
-                    }
                 }
                 _ => {
                     i.advance_epoch();

@@ -8,9 +8,44 @@
 //! silently drifting apart.
 
 use crate::chase::{chase_prepared, ChaseConfig, ChaseError, ChaseStats, PreparedConstraints};
+use crate::hom::{find_homs, Hom, HomConfig};
 use crate::instance::{Elem, Inconsistent, Instance};
 use crate::pacb::RewriteProblem;
-use estocada_pivot::{Atom, Constraint, CqBuilder, Egd, Symbol, Term, Tgd, ViewDef};
+use estocada_pivot::hash::{FastMap, FastSet};
+use estocada_pivot::{
+    Atom, Constraint, Cq, CqBuilder, Egd, Fact, Symbol, Term, Tgd, Value, ViewDef,
+};
+
+/// The instance holding exactly `facts`, to evaluate views over.
+pub fn fact_base(facts: &[Fact]) -> Instance {
+    let mut inst = Instance::new();
+    for f in facts {
+        inst.insert(f.pred, f.args.iter().map(Elem::constant).collect());
+    }
+    inst
+}
+
+/// Evaluate a view over the fact base by the chase's homomorphism search:
+/// all homomorphic images of the body, projected on the head, without a
+/// limit. Duplicate rows are eliminated (set semantics of the pivot
+/// model). A homomorphism mapping a head variable to a labelled null
+/// yields no row — never the case over ground bases.
+pub fn evaluate_view(base: &Instance, view: &Cq) -> Vec<Vec<Value>> {
+    let cfg = HomConfig { limit: usize::MAX };
+    let homs = find_homs(base, &view.body, &FastMap::default(), cfg);
+    let row = |h: &Hom| -> Option<Vec<Value>> {
+        let cell = |t: &Term| match t {
+            Term::Const(c) => Some(c.clone()),
+            Term::Var(v) => h.map.get(v).and_then(Elem::as_value),
+        };
+        view.head.iter().map(cell).collect()
+    };
+    let mut seen = FastSet::default();
+    homs.iter()
+        .filter_map(row)
+        .filter(|row| seen.insert(row.clone()))
+        .collect()
+}
 
 /// The reference the live-premise rule is tested against: the restricted
 /// chase of `constraints` searching **every** premise in **every** round —

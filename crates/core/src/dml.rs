@@ -9,19 +9,24 @@
 //! 1. **The staged fact base** (the crate-private `factbase` module), the
 //!    one copy of a registered table's rows and the ground truth: every
 //!    dataset row contributes the pivot facts of
-//!    [`crate::dataset::TableData::facts`], and the fact base counts the
-//!    rows behind each fact. A batch's netted fact delta is checked whole
-//!    first — a delete taking a count below zero names a row the table
-//!    does not hold, and rejects the batch — then retracts only the facts
-//!    whose count reaches zero and inserts only those whose count leaves
-//!    it.
+//!    [`crate::dataset::TableData::facts`], and the fact base holds each
+//!    relation as a counted relation ([`estocada_pivot::Bag`]): every fact
+//!    once, with the number of rows behind it. A batch's netted fact delta
+//!    is checked whole first — a delete taking a count below zero names a
+//!    row the table does not hold, and rejects the batch — then removes
+//!    only the facts whose count reaches zero and appends only those whose
+//!    count leaves it.
 //! 2. **Fragment stores**: a *view* fragment (table / key-value / doc-rows
 //!    / par-rows) holds a row while some match of its view's body derives
 //!    it (counting, Gupta, Mumick & Subrahmanian, SIGMOD 1993); no count is
 //!    kept. Each phase of the semi-naive delta chase (deletes, then
 //!    inserts) runs the view's compiled plan twice: through the changed
 //!    facts, and with a head row fixed over the fact base as it stands; the
-//!    row leaves (enters) its store when the two counts are equal. *Native*
+//!    row leaves (enters) its store when the two counts are equal. The
+//!    phases' strata come from the batch: the doomed facts are moved to the
+//!    tail of their relations and the born ones appended, so in each phase
+//!    the changed facts are a relation's suffix and the older ones its
+//!    prefix. *Native*
 //!    fragments (native-tables, text-index) mirror the table's rows 1:1 and
 //!    receive the raw row deltas directly, preserving physical
 //!    duplicate-row parity with a fresh rematerialization. Every store
@@ -39,7 +44,7 @@
 //! | step | proportional to |
 //! |---|---|
 //! | `validate` | the batch: arities, and an upsert's replaced rows, found by probing the fact base's postings on the declared key; a delete reads no stored row here |
-//! | `delta_chase` | the batch's facts (each looked up once, and checked before any count moves), the matches of each view's compiled plan through them (semi-naive: the delta index comes from the fact base's stamp log, and only the counting views whose body reads a changed relation are compiled, once per batch), and the derivations of each head row they reach, counted by the same plan with the head fixed and stopped one past the delta's |
+//! | `delta_chase` | the batch's facts (each looked up once, and checked before any count moves), the matches of each view's compiled plan through them (semi-naive: the changed facts are the suffix of their relations, and only the counting views whose body reads a changed relation are compiled, once per batch), and the derivations of each head row they reach, counted by the same plan with the head fixed and stopped one past the delta's |
 //! | `store_write` | the store rows that change: a relational delete is found through an index, a parallel-store delta through its key index, and every store patches its rows and index postings in place; a key-value entry is patched under its key; a document or text delete finds its documents by one scan (see below) |
 //! | `stats` | the store rows that change: every maintained relation keeps its statistics running (row count, byte sum, occurrences per column value) in its catalog entry, from the accumulator its first fill built |
 //!

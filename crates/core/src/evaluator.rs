@@ -526,8 +526,9 @@ impl Estocada {
 
     /// The registered dataset `name` as it stands: a relational table's
     /// rows are read back from the fact base — each held row as often as
-    /// the table holds it, in fact-id order, every value its interned
-    /// representative (equal to the value written).
+    /// the table holds it, in the order written until a delete moves the
+    /// last row into the place of one it takes out, every value its
+    /// interned representative (equal to the value written).
     pub fn dataset(&self, name: &str) -> Option<Dataset> {
         let mut ds = self.datasets.get(name)?.clone();
         if let DatasetContent::Relational(tables) = &mut ds.content {
@@ -661,9 +662,10 @@ impl Estocada {
     }
 
     /// Ground-truth evaluation of a pivot CQ directly over the staged
-    /// dataset facts, by the chase's homomorphism search — the oracle used
-    /// by tests and the advisor (not a production query path), independent
-    /// of the compiled plans that fill and maintain the fragments.
+    /// dataset facts, by a backtracking nested loop in body order — the
+    /// oracle used by tests and the advisor (not a production query path),
+    /// independent of the compiled plans that fill and maintain the
+    /// fragments. Its distinct rows, in no particular order.
     pub fn oracle_eval(&self, cq: &Cq) -> Vec<Vec<estocada_pivot::Value>> {
         self.base.oracle(cq)
     }

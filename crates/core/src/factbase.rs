@@ -1,30 +1,37 @@
 //! The fact base: the registered datasets' pivot facts, which every
 //! fragment's view is evaluated over — in full by a first fill, through a
 //! batch's changed facts and with its head fixed by the write path
-//! ([`crate::dml`]). This module alone holds the chase [`Instance`], and
-//! evaluates every view over it through the view's compiled plan
+//! ([`crate::dml`]). Each relation is one [`Bag`]: its facts as interned
+//! rows, each with the number of dataset rows encoding it, posted per
+//! column. Every view is evaluated over them through its compiled plan
 //! ([`ViewPlan`]): a join over interned cells whose atom order is fixed
-//! once per fill, or once per batch. The chase's homomorphism search
-//! serves only the oracle ([`evaluate_view`], behind
-//! `Estocada::oracle_eval`), which so stays independent of the plans it
-//! checks.
+//! once per fill, or once per batch. The oracle (`Estocada::oracle_eval`)
+//! is a nested loop of its own over the same relations, so it stays
+//! independent of the plans it checks.
 //!
 //! The pivot model has set semantics, but a dataset table is a bag: two
 //! rows can encode one fact (a duplicated row, or two rows sharing a
 //! `{table}_Terms` fact). So every fact carries the number of dataset rows
-//! encoding it, counted while its dataset is staged; a write retracts a
-//! fact only when its count reaches zero and inserts one only when its
-//! count leaves zero. The fact base is thus the one copy of every registered
+//! encoding it, counted while its dataset is staged; a write removes a
+//! fact only when its count reaches zero and adds one only when its count
+//! leaves zero. The fact base is thus the one copy of every registered
 //! relational table: its rows are its facts, each repeated by its count.
+//!
+//! A batch's semi-naive strata come from the batch (counting, Gupta, Mumick
+//! & Subrahmanian, SIGMOD 1993). The facts whose count reaches zero move to
+//! the tail of their relations: Old is the prefix and New that tail. They
+//! are dropped, and the facts whose count leaves zero are appended: Old is
+//! now the survivors and New the appended suffix. Any is every row in both
+//! phases.
 
 use crate::dataset::{Dataset, TableData};
-use estocada_chase::{find_homs, DeltaIndex, Elem, HomConfig, Instance};
 use estocada_pivot::hash::{FastMap, FastSet};
-use estocada_pivot::kernel::{pack_key, Distinct, IdRows, JoinTable};
-use estocada_pivot::{ConstId, ConstReader, Cq, Fact, IdGen, Symbol, Term, Value, Var};
+use estocada_pivot::kernel::{pack_key, values_of, Distinct, IdRows, JoinTable};
+use estocada_pivot::{Bag, ConstId, ConstReader, Cq, Fact, IdGen, Symbol, Term, Value, Var};
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::hash::Hash;
+use std::ops::Range;
 
 /// A head row of a view, resolved (the oracle's rows).
 type Row = Vec<Value>;
@@ -34,12 +41,12 @@ type Crossings = FastMap<Symbol, (Distinct, Vec<i64>)>;
 /// Per view relation, the head rows that leave its store and those that
 /// enter it, netted.
 type RowDeltas = FastMap<Symbol, (IdRows, IdRows)>;
+/// Per relation a phase changes, the position of its first New row.
+type Fresh = FastMap<Symbol, usize>;
 
 /// The staged facts of every registered dataset, with their row counts.
 pub(crate) struct FactBase {
-    facts: Instance,
-    /// Fact id → dataset rows encoding the fact (zero once retracted).
-    support: Vec<u64>,
+    relations: FastMap<Symbol, Bag>,
     /// Document node ids, continued across registrations.
     ids: IdGen,
 }
@@ -48,40 +55,49 @@ impl FactBase {
     /// A fact base over no dataset.
     pub(crate) fn new() -> FactBase {
         FactBase {
-            facts: Instance::new(),
-            support: Vec::new(),
+            relations: FastMap::default(),
             ids: IdGen::starting_at(1_000_000),
         }
     }
 
     /// Stage `ds`'s pivot facts, counting the rows behind each.
     pub(crate) fn stage(&mut self, ds: &Dataset) {
-        for f in ds.pivot_facts(&mut self.ids) {
-            self.insert(f.pred, elems(&f.args), 1);
+        let facts = ds.pivot_facts(&mut self.ids);
+        let cells = ConstId::intern_all(facts.iter().flat_map(|f| &f.args));
+        let mut at = 0;
+        for f in &facts {
+            self.add(f.pred, &cells[at..at + f.args.len()], 1);
+            at += f.args.len();
         }
     }
 
-    /// Insert `pred(args)`, encoded by `rows` more dataset rows.
-    fn insert(&mut self, pred: Symbol, args: Vec<Elem>, rows: u64) {
-        let id = self.facts.insert(pred, args).0 as usize;
-        self.support.resize(self.support.len().max(id + 1), 0);
-        self.support[id] += rows;
+    /// `rows` more dataset rows encode `pred(cells)`; returns its position.
+    fn add(&mut self, pred: Symbol, cells: &[ConstId], rows: u64) -> usize {
+        let relation = self.relations.entry(pred);
+        let relation = relation.or_insert_with(|| Bag::new(cells.len()));
+        relation.add(cells.iter().copied(), rows)
+    }
+
+    /// The relation `pred`, if it holds facts `width` cells wide.
+    fn relation(&self, pred: Symbol, width: usize) -> Option<&Bag> {
+        let relation = self.relations.get(&pred)?;
+        (relation.rows().width == width).then_some(relation)
     }
 
     /// Number of facts of `pred`.
     pub(crate) fn count(&self, pred: Symbol) -> u64 {
-        self.facts.pred_count(pred) as u64
+        self.relations.get(&pred).map_or(0, |r| r.len() as u64)
     }
 
-    /// The rows of table `t`: each fact, repeated by its count, in fact-id
-    /// order.
+    /// The rows of table `t`: each fact, repeated by its count, in position
+    /// order (the order of staging until a write removes a fact, whose
+    /// place the last fact then takes).
     pub(crate) fn rows(&self, t: &TableData) -> IdRows {
-        let mut out = IdRows::empty(t.encoding.columns.len());
-        for &id in self.facts.pred_facts(t.encoding.relation) {
-            let args = &self.facts.fact(id).args;
-            for _ in 0..self.support[id as usize] {
-                out.push(args.iter().filter_map(constant));
-            }
+        let width = t.encoding.columns.len();
+        let mut out = IdRows::empty(width);
+        let held = self.relation(t.encoding.relation, width).into_iter();
+        for (row, n) in held.flat_map(|r| r.rows().rows().zip(r.counts())) {
+            (0..*n).for_each(|_| out.push(row.iter().copied()));
         }
         out
     }
@@ -89,33 +105,97 @@ impl FactBase {
     /// The rows of table `t` agreeing with `row` at `columns`, in the order
     /// of [`FactBase::rows`], through the first column's postings.
     pub(crate) fn rows_like(&self, t: &TableData, columns: &[usize], row: &[Value]) -> Vec<Row> {
-        let cell = |c: &usize| (*c, Elem::constant(&row[*c]));
-        let key: Vec<(usize, Elem)> = columns.iter().map(cell).collect();
-        let Some((first, at_first)) = key.first() else {
+        let key: Option<Vec<(usize, ConstId)>> = {
+            let reader = ConstReader::new();
+            let cell = |c: &usize| Some((*c, reader.lookup(row.get(*c)?)?));
+            columns.iter().map(cell).collect()
+        };
+        let width = t.encoding.columns.len();
+        let (Some(key), Some(relation)) = (key, self.relation(t.encoding.relation, width)) else {
             return Vec::new();
         };
-        let (mut out, pred) = (Vec::new(), t.encoding.relation);
-        for &id in self.facts.probe(pred, *first as u32, at_first) {
-            let args = &self.facts.fact(id).args;
-            if key.iter().all(|(c, e)| args[*c] == *e) {
-                let held: Row = args.iter().filter_map(Elem::as_value).collect();
-                let copies = self.support[id as usize] as usize;
-                out.extend(std::iter::repeat_n(held, copies));
-            }
-        }
-        out
+        let Some(&(first, id)) = key.first() else {
+            return Vec::new();
+        };
+        let rows = relation.rows();
+        let agrees = |at: &usize| key.iter().all(|(c, id)| rows[*at][*c] == *id);
+        let held = relation.posted(first, id).iter().map(|at| *at as usize);
+        let copies = |at| std::iter::repeat_n(&rows[at], relation.counts()[at] as usize);
+        values_of(held.filter(agrees).flat_map(copies))
     }
 
     /// `view` evaluated in full by its compiled plan: its distinct head
     /// rows, first-seen, as interned cells.
     pub(crate) fn evaluate(&self, view: &Cq) -> IdRows {
-        ViewPlan::compile(view, &self.facts).fill(&self.facts)
+        ViewPlan::compile(view, self).fill(self)
     }
 
-    /// `cq` evaluated by the homomorphism search ([`evaluate_view`]): the
-    /// oracle the compiled plans are checked against.
+    /// `cq` evaluated by a backtracking nested loop in body order, the
+    /// oracle the compiled plans are checked against: an atom's candidates
+    /// are the facts posted under a constant or a bound variable of it, or
+    /// its whole relation. Its distinct head rows, in no particular order.
     pub(crate) fn oracle(&self, cq: &Cq) -> Vec<Row> {
-        evaluate_view(&self.facts, cq)
+        let arg = |t: &Term| match t {
+            Term::Const(v) => Ok(ConstId::intern(v)),
+            Term::Var(v) => Err(*v),
+        };
+        let args = |ts: &[Term]| ts.iter().map(arg).collect::<Vec<_>>();
+        let body: Vec<_> = cq.body.iter().map(|a| (a.pred, args(&a.args))).collect();
+        let head = args(&cq.head);
+        let (mut rows, mut binding) = (FastSet::default(), FastMap::default());
+        self.nested(&body, &mut binding, &mut Vec::new(), &mut |binding| {
+            let cell = |a: &Arg| a.or_else(|v| binding.get(&v).copied().ok_or(()));
+            // A head variable the body does not bind gives no row.
+            if let Ok(row) = head.iter().map(cell).collect::<Result<Vec<ConstId>, ()>>() {
+                rows.insert(row);
+            }
+        });
+        values_of(rows.iter().map(Vec::as_slice))
+    }
+
+    /// Every extension of `binding` matching `body`'s atoms, in order.
+    fn nested(
+        &self,
+        body: &[(Symbol, Vec<Arg>)],
+        binding: &mut FastMap<Var, ConstId>,
+        trail: &mut Vec<Var>,
+        visit: &mut dyn FnMut(&FastMap<Var, ConstId>),
+    ) {
+        let Some(((pred, args), rest)) = body.split_first() else {
+            return visit(binding);
+        };
+        let Some(relation) = self.relation(*pred, args.len()) else {
+            return;
+        };
+        let known = args.iter().enumerate().find_map(|(at, a)| match *a {
+            Ok(id) => Some((at, id)),
+            Err(v) => Some((at, *binding.get(&v)?)),
+        });
+        let (posted, every) = match known {
+            Some((at, id)) => (relation.posted(at, id), 0..0),
+            None => (&[][..], 0..relation.len()),
+        };
+        for at in posted.iter().map(|at| *at as usize).chain(every) {
+            let mark = trail.len();
+            let fits = args
+                .iter()
+                .zip(&relation.rows()[at])
+                .all(|(a, id)| match *a {
+                    Ok(constant) => constant == *id,
+                    Err(v) => {
+                        *binding.entry(v).or_insert_with(|| {
+                            trail.push(v);
+                            *id
+                        }) == *id
+                    }
+                });
+            if fits {
+                self.nested(rest, binding, trail, visit);
+            }
+            for v in trail.drain(mark..) {
+                binding.remove(&v);
+            }
+        }
     }
 
     /// Apply a batch's netted fact delta — `(fact, n)`: `n` more (fewer)
@@ -132,42 +212,57 @@ impl FactBase {
         views: &[(Symbol, &Cq)],
     ) -> Result<RowDeltas, Fact> {
         let mut found = Vec::with_capacity(delta.len());
-        for (fact, n) in delta {
-            let id = held_elems(&fact.args).and_then(|args| self.facts.find_fact(fact.pred, &args));
-            if id.map_or(0, |id| self.support[id as usize]) as i64 + n < 0 {
-                return Err(fact);
+        {
+            let reader = ConstReader::new();
+            for (fact, n) in delta {
+                let cells: Option<Vec<ConstId>> =
+                    fact.args.iter().map(|v| reader.lookup(v)).collect();
+                let relation = self.relation(fact.pred, fact.args.len());
+                let at = relation.zip(cells).and_then(|(r, cells)| r.find(&cells));
+                let held = relation.zip(at).map_or(0, |(r, at)| r.counts()[at]);
+                if held as i64 + n < 0 {
+                    return Err(fact);
+                }
+                found.push((fact, at, n));
             }
-            found.push((fact, id, n));
         }
-        let (mut gone, mut born) = (Vec::new(), Vec::new());
-        for (fact, id, n) in found {
-            match id {
-                Some(id) => {
-                    let held = &mut self.support[id as usize];
+        let mut born = Vec::new();
+        let mut doomed: FastMap<Symbol, Vec<usize>> = FastMap::default();
+        for (fact, at, n) in found {
+            match (at, self.relations.get_mut(&fact.pred)) {
+                (Some(at), Some(relation)) => {
+                    let held = &mut relation.counts_mut()[at];
                     *held = held.saturating_add_signed(n);
                     if *held == 0 {
-                        gone.push(id);
+                        doomed.entry(fact.pred).or_default().push(at);
                     }
                 }
-                None => born.push((fact.pred, elems(&fact.args), n as u64)),
+                _ => born.push((fact, n as u64)),
             }
         }
-        let gone_preds = gone.iter().map(|id| self.facts.fact(*id).pred);
-        let changed: FastSet<Symbol> = gone_preds.chain(born.iter().map(|f| f.0)).collect();
+        let changed: FastSet<Symbol> = doomed
+            .keys()
+            .copied()
+            .chain(born.iter().map(|f| f.0.pred))
+            .collect();
         let reads_changed =
             |(_, view): &&(Symbol, &Cq)| view.body.iter().any(|a| changed.contains(&a.pred));
-        let compile = |(name, view): &(Symbol, &Cq)| (*name, ViewPlan::compile(view, &self.facts));
+        let compile = |(name, view): &(Symbol, &Cq)| (*name, ViewPlan::compile(view, self));
         let plans: Vec<_> = views.iter().filter(reads_changed).map(compile).collect();
         let mut out = Crossings::default();
-        let epoch = self.facts.advance_epoch();
-        gone.iter().for_each(|id| self.facts.touch(*id));
-        self.crossings(&plans, epoch, -1, &mut out);
-        gone.into_iter().for_each(|id| self.facts.retract(id));
-        let epoch = self.facts.advance_epoch();
-        for (pred, args, rows) in born {
-            self.insert(pred, args, rows);
+        let gone = self.move_to_tail(&doomed);
+        self.crossings(&plans, &gone, -1, &mut out);
+        for (pred, first) in &gone {
+            if let Some(relation) = self.relations.get_mut(pred) {
+                relation.remove(*first..relation.len());
+            }
         }
-        self.crossings(&plans, epoch, 1, &mut out);
+        let mut fresh = Fresh::default();
+        for (fact, rows) in born {
+            let at = self.add(fact.pred, &ConstId::intern_all(&fact.args), rows);
+            fresh.entry(fact.pred).or_insert(at);
+        }
+        self.crossings(&plans, &fresh, 1, &mut out);
         let split = |(name, (rows, net)): (Symbol, (Distinct, Vec<i64>))| {
             let rows = rows.into_rows();
             let (mut gone, mut born) = (IdRows::empty(rows.width), IdRows::empty(rows.width));
@@ -183,16 +278,42 @@ impl FactBase {
         Ok(out.into_iter().map(split).collect())
     }
 
-    /// One delta-chase phase over the facts stamped at `epoch` (doomed ones
-    /// still in, new ones already in): add `sign` to each head row of
-    /// `plans` whose matches through them, each enumerated once, are all
-    /// those with the head fixed to it. The delta index comes from the
-    /// stamp log; a view reading no changed relation is skipped.
-    fn crossings(&self, plans: &[(Symbol, ViewPlan)], epoch: u64, sign: i64, out: &mut Crossings) {
-        let delta = self.facts.delta_index(epoch);
-        for (name, plan) in plans.iter().filter(|(_, plan)| plan.reads(&delta)) {
-            let mut walk = Walk::new(&self.facts, plan);
-            let Tally { rows, counts } = walk.through(&delta);
+    /// Move the rows at `doomed` (per relation, distinct positions, each
+    /// counted zero) to the tail of their relations; returns where each
+    /// tail starts.
+    fn move_to_tail(&mut self, doomed: &FastMap<Symbol, Vec<usize>>) -> Fresh {
+        let mut tails = Fresh::default();
+        for (pred, at) in doomed {
+            let Some(relation) = self.relations.get_mut(pred) else {
+                continue;
+            };
+            let moved: Vec<Vec<ConstId>> =
+                at.iter().map(|at| relation.rows()[*at].to_vec()).collect();
+            relation.remove(at.iter().copied());
+            tails.insert(*pred, relation.len());
+            for row in moved {
+                relation.add(row, 0);
+            }
+        }
+        tails
+    }
+
+    /// One delta-chase phase over the New rows `fresh` marks: add `sign` to
+    /// each head row of `plans` whose matches through them, each enumerated
+    /// once, are all those with the head fixed to it. A view reading no
+    /// changed relation is skipped.
+    fn crossings(
+        &self,
+        plans: &[(Symbol, ViewPlan)],
+        fresh: &Fresh,
+        sign: i64,
+        out: &mut Crossings,
+    ) {
+        let reads =
+            |plan: &&(Symbol, ViewPlan)| plan.1.atoms.iter().any(|a| fresh.contains_key(&a.pred));
+        for (name, plan) in plans.iter().filter(reads) {
+            let mut walk = Walk::new(self, plan);
+            let Tally { rows, counts } = walk.through(fresh);
             let width = plan.head.len();
             let (crossed, net) = out
                 .entry(*name)
@@ -210,18 +331,8 @@ impl FactBase {
     }
 }
 
-/// Interned arguments of a ground fact.
-fn elems(args: &[Value]) -> Vec<Elem> {
-    args.iter().map(Elem::constant).collect()
-}
-
-/// `args` looked up, never interned (`None`: one was never seen).
-fn held_elems(args: &[Value]) -> Option<Vec<Elem>> {
-    let reader = ConstReader::new();
-    args.iter()
-        .map(|v| reader.lookup(v).map(Elem::Const))
-        .collect()
-}
+/// An oracle atom's argument: an interned constant, or a variable.
+type Arg = Result<ConstId, Var>;
 
 /// Sum signed deltas per key, in first-touch order; keys netting to zero
 /// drop out before the fact base or any store is touched.
@@ -271,19 +382,6 @@ struct FillStep {
     fresh: Vec<usize>,
 }
 
-/// Which facts an atom of a delta search may match: the semi-naive strata,
-/// which enumerate a match through several changed facts once, at the
-/// first atom matching one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Stratum {
-    /// Facts stamped before the delta.
-    Old,
-    /// The delta's facts.
-    New,
-    /// Any fact.
-    Any,
-}
-
 /// A view's conjunctive query compiled against the fact base: variables as
 /// dense slots, constants interned, and for each way the view is evaluated
 /// an atom order fixed once from the atoms' sizes after their constant
@@ -307,17 +405,20 @@ struct ViewPlan {
 }
 
 impl ViewPlan {
-    /// Compile `view` against the sizes of `facts`' relations.
-    fn compile(view: &Cq, facts: &Instance) -> ViewPlan {
+    /// Compile `view` against the sizes of `base`'s relations.
+    fn compile(view: &Cq, base: &FactBase) -> ViewPlan {
         let mut slot_of = FastMap::default();
         let mut atoms = Vec::with_capacity(view.body.len());
         for a in &view.body {
             let args: Vec<Cell> = a.args.iter().map(|t| cell(t, &mut slot_of)).collect();
+            let relation = base.relation(a.pred, args.len());
             let constants = args.iter().enumerate().filter_map(|(at, c)| match c {
-                Cell::Const(id) => Some(facts.count_with(a.pred, at as u32, &Elem::Const(*id))),
+                Cell::Const(id) => Some(relation.map_or(0, |r| r.posted(at, *id).len())),
                 Cell::Slot(_) => None,
             });
-            let size = constants.min().unwrap_or_else(|| facts.pred_count(a.pred));
+            let size = constants
+                .min()
+                .unwrap_or_else(|| relation.map_or(0, Bag::len));
             atoms.push(PlanAtom {
                 pred: a.pred,
                 args,
@@ -338,17 +439,17 @@ impl ViewPlan {
             anchored: Vec::new(),
             fixed: Vec::new(),
         };
-        let fill_order = plan.order(facts, None, vec![false; slots]);
+        let fill_order = plan.order(base, None, vec![false; slots]);
         plan.compile_fill(&fill_order);
         plan.anchored = (0..plan.atoms.len())
-            .map(|a| plan.order(facts, Some(a), vec![false; slots]))
+            .map(|a| plan.order(base, Some(a), vec![false; slots]))
             .collect();
         let mut bound = vec![false; slots];
         plan.head
             .iter()
             .filter_map(|c| slot(*c))
             .for_each(|s| bound[s] = true);
-        plan.fixed = plan.order(facts, None, bound);
+        plan.fixed = plan.order(base, None, bound);
         plan
     }
 
@@ -357,7 +458,7 @@ impl ViewPlan {
     /// constant, a slot bound by then (the relation's facts over its
     /// distinct values there), or, bound nowhere, its size; ties to the
     /// earlier atom.
-    fn order(&self, facts: &Instance, first: Option<usize>, mut bound: Vec<bool>) -> Vec<usize> {
+    fn order(&self, base: &FactBase, first: Option<usize>, mut bound: Vec<bool>) -> Vec<usize> {
         let mut order: Vec<usize> = first.into_iter().collect();
         let mut left: Vec<usize> = (0..self.atoms.len())
             .filter(|a| Some(*a) != first)
@@ -372,10 +473,12 @@ impl ViewPlan {
             }
             let fanout = |a: &usize| {
                 let atom = &self.atoms[*a];
+                let relation = base.relation(atom.pred, atom.args.len());
                 let through = atom.args.iter().enumerate().filter_map(|(at, c)| match c {
                     Cell::Slot(s) if bound[*s] => {
-                        let distinct = facts.distinct_at(atom.pred, at as u32).max(1);
-                        Some(facts.pred_count(atom.pred) / distinct)
+                        let (len, distinct) =
+                            relation.map_or((0, 0), |r| (r.len(), r.distinct_at(at)));
+                        Some(len / distinct.max(1))
                     }
                     _ => None,
                 });
@@ -422,13 +525,6 @@ impl ViewPlan {
         self.projection = self.head.iter().map(project).collect();
     }
 
-    /// Whether the body reads a relation `delta` changes.
-    fn reads(&self, delta: &DeltaIndex) -> bool {
-        self.atoms
-            .iter()
-            .any(|a| !delta.facts_of(a.pred).is_empty())
-    }
-
     /// The view's distinct head rows, first-seen, as interned cells: a
     /// left-deep hash join of each atom's matching facts ([`JoinTable`])
     /// onto the rows so far, projected on the head and de-duplicated by
@@ -436,7 +532,7 @@ impl ViewPlan {
     /// are those of its most selective constant's posting list or of its
     /// relation, or fewer: those holding a key value of the rows so far
     /// ([`semi_join`]).
-    fn fill(&self, facts: &Instance) -> IdRows {
+    fn fill(&self, base: &FactBase) -> IdRows {
         let width = self.head.len();
         let Some(projection) = &self.projection else {
             return IdRows::empty(width);
@@ -445,10 +541,15 @@ impl ViewPlan {
         rows.push([]);
         for step in &self.fill {
             let atom = &self.atoms[step.atom];
-            let candidates = probe(facts, atom, &[]);
-            let reduced = semi_join(facts, atom, step.keys.first(), &rows, candidates.len());
-            let ids = reduced.as_deref().unwrap_or(candidates);
-            let build = matching(facts, atom, &step.repeats, ids);
+            let Some(relation) = base.relation(atom.pred, atom.args.len()) else {
+                return IdRows::empty(width);
+            };
+            let candidates = candidates(relation, atom, &[], 0..relation.len());
+            let limit = candidates.size_hint().0;
+            let build = match semi_join(relation, step.keys.first(), &rows, limit) {
+                Some(ids) => matching(relation, atom, &step.repeats, ids.into_iter()),
+                None => matching(relation, atom, &step.repeats, candidates),
+            };
             let fact_keys = build.rows().map(|fact| {
                 let cells = step.keys.iter().map(|(at, _)| fact[*at]);
                 pack_key(cells, step.keys.len())
@@ -487,44 +588,69 @@ fn project<'a>(projection: &'a [Cell], row: &'a [ConstId]) -> impl Iterator<Item
     })
 }
 
-/// The cells of the facts `ids` that match `atom` by its constant and
-/// repeated variable filters, in the order of `ids`. A plain filter rather
-/// than [`bind`], which costs more per fact: an atom without a constant
-/// reads every fact of its relation.
-fn matching(facts: &Instance, atom: &PlanAtom, repeats: &[(usize, usize)], ids: &[u32]) -> IdRows {
+/// The positions of the rows of `relation` in `within` that `atom` can
+/// match, ascending: those posted under a constant of it or a value `bound`
+/// binds, through the shortest such list, or every one.
+fn candidates<'r>(
+    relation: &'r Bag,
+    atom: &PlanAtom,
+    bound: &[Option<ConstId>],
+    within: Range<usize>,
+) -> impl Iterator<Item = usize> + 'r {
+    let known = atom.args.iter().enumerate().filter_map(|(at, c)| match *c {
+        Cell::Const(id) => Some((at, id)),
+        Cell::Slot(s) => Some((at, (*bound.get(s)?)?)),
+    });
+    let cut = |(at, id)| {
+        let list = relation.posted(at, id);
+        let from = |end: usize| list.partition_point(|p| (*p as usize) < end);
+        &list[from(within.start)..from(within.end)]
+    };
+    let (posted, every) = match known.map(cut).min_by_key(|list| list.len()) {
+        Some(list) if list.len() < within.len() => (list, 0..0),
+        _ => (&[][..], within),
+    };
+    posted.iter().map(|at| *at as usize).chain(every)
+}
+
+/// The cells of `relation`'s rows at `rows` that match `atom` by its
+/// constant and repeated variable filters, in the order of `rows`. A plain
+/// filter rather than [`bind`], which costs more per fact: an atom without
+/// a constant reads every fact of its relation.
+fn matching(
+    relation: &Bag,
+    atom: &PlanAtom,
+    repeats: &[(usize, usize)],
+    rows: impl Iterator<Item = usize>,
+) -> IdRows {
     let mut out = IdRows::empty(atom.args.len());
-    for &id in ids {
-        let args = &facts.fact(id).args;
-        if args.len() != atom.args.len() {
-            continue;
-        }
-        let constants = atom.args.iter().zip(args).all(|(c, e)| match c {
-            Cell::Const(id) => *e == Elem::Const(*id),
+    for row in rows.map(|at| &relation.rows()[at]) {
+        let constants = atom.args.iter().zip(row).all(|(c, id)| match c {
+            Cell::Const(constant) => constant == id,
             Cell::Slot(_) => true,
         });
-        let repeated = repeats.iter().all(|(at, first)| args[*at] == args[*first]);
-        if constants && repeated && args.iter().all(|e| constant(e).is_some()) {
-            out.push(args.iter().filter_map(constant));
+        if constants && repeats.iter().all(|(at, first)| row[*at] == row[*first]) {
+            out.push(row.iter().copied());
         }
     }
     out
 }
 
-/// The facts of `atom` holding, at the join key `key` (`(fact position,
-/// row column)`), a value some of `rows` holds there — ascending, as every
-/// posting list is — or `None` once they would number `limit` or more.
+/// The positions of the rows of `relation` holding, at the join key `key`
+/// (`(fact position, row column)`), a value some of `rows` holds there —
+/// ascending, as every posting list is — or `None` once they would number
+/// `limit` or more.
 fn semi_join(
-    facts: &Instance,
-    atom: &PlanAtom,
+    relation: &Bag,
     key: Option<&(usize, usize)>,
     rows: &IdRows,
     limit: usize,
-) -> Option<Vec<u32>> {
+) -> Option<Vec<usize>> {
     let &(at, col) = key?;
     let values: FastSet<ConstId> = rows.rows().map(|row| row[col]).collect();
     let mut ids = Vec::new();
     for v in values {
-        ids.extend_from_slice(facts.probe(atom.pred, at as u32, &Elem::Const(v)));
+        ids.extend(relation.posted(at, v).iter().map(|at| *at as usize));
         if ids.len() >= limit {
             return None;
         }
@@ -552,27 +678,6 @@ fn slot(c: Cell) -> Option<usize> {
     }
 }
 
-/// The interned constant an element is (`None`: a labelled null).
-fn constant(e: &Elem) -> Option<ConstId> {
-    match e {
-        Elem::Const(id) => Some(*id),
-        Elem::Null(_) => None,
-    }
-}
-
-/// The shortest posting list of `atom`'s facts at a position holding a
-/// constant or a slot `bound` binds, or all of its relation's facts.
-fn probe<'a>(facts: &'a Instance, atom: &PlanAtom, bound: &[Option<ConstId>]) -> &'a [u32] {
-    let known = atom.args.iter().enumerate().filter_map(|(at, c)| match *c {
-        Cell::Const(id) => Some((at, id)),
-        Cell::Slot(s) => Some((at, (*bound.get(s)?)?)),
-    });
-    let lists = known.map(|(at, id)| facts.probe(atom.pred, at as u32, &Elem::Const(id)));
-    lists
-        .min_by_key(|ids| ids.len())
-        .unwrap_or_else(|| facts.pred_facts(atom.pred))
-}
-
 /// Distinct head rows with the number of matches reaching each, in
 /// first-reached order.
 struct Tally {
@@ -584,48 +689,51 @@ struct Tally {
 /// binding slots in place: the delta search and the head-fixed derivation
 /// count. Its buffers are reused from one search to the next.
 struct Walk<'a> {
-    facts: &'a Instance,
     plan: &'a ViewPlan,
-    /// Per atom, which facts it may match.
-    strata: Vec<Stratum>,
-    /// The delta's list of each relation and its epoch threshold.
-    delta: Option<&'a DeltaIndex>,
+    /// Per atom, its relation (`None`: no fact of the atom's width).
+    relations: Vec<Option<&'a Bag>>,
+    /// Per atom, the positions of the rows it may match: its stratum.
+    within: Vec<Range<usize>>,
     bound: Vec<Option<ConstId>>,
     trail: Vec<usize>,
 }
 
 impl<'a> Walk<'a> {
-    fn new(facts: &'a Instance, plan: &'a ViewPlan) -> Walk<'a> {
+    fn new(base: &'a FactBase, plan: &'a ViewPlan) -> Walk<'a> {
+        let relation = |a: &PlanAtom| base.relation(a.pred, a.args.len());
+        let relations: Vec<_> = plan.atoms.iter().map(relation).collect();
         Walk {
-            facts,
             plan,
-            strata: vec![Stratum::Any; plan.atoms.len()],
-            delta: None,
+            within: relations.iter().map(|r| 0..r.map_or(0, Bag::len)).collect(),
+            relations,
             bound: vec![None; plan.slots],
             trail: Vec::new(),
         }
     }
 
-    /// Every match through at least one fact of `delta`, each once — one
-    /// search anchored on each atom reading a changed relation: that atom
-    /// matches the delta, the atoms before it only older facts — tallied
+    /// Every match through at least one New row of `fresh`, each once —
+    /// one search anchored on each atom reading a changed relation: that
+    /// atom matches New rows, the atoms before it only Old ones — tallied
     /// by head row.
-    fn through(&mut self, delta: &'a DeltaIndex) -> Tally {
+    fn through(&mut self, fresh: &Fresh) -> Tally {
         let (rows, counts) = (Distinct::new(self.plan.head.len()), Vec::new());
         let mut tally = Tally { rows, counts };
-        self.delta = Some(delta);
         let plan = self.plan;
         // An unsafe view has no row to reach.
         let anchors = (0..plan.atoms.len()).filter(|_| plan.projection.is_some());
         for anchor in anchors {
-            if delta.facts_of(plan.atoms[anchor].pred).is_empty() {
+            if !fresh.contains_key(&plan.atoms[anchor].pred) {
                 continue;
             }
-            for (a, stratum) in self.strata.iter_mut().enumerate() {
-                *stratum = match a.cmp(&anchor) {
-                    Ordering::Less => Stratum::Old,
-                    Ordering::Equal => Stratum::New,
-                    Ordering::Greater => Stratum::Any,
+            for (a, within) in self.within.iter_mut().enumerate() {
+                let end = self.relations[a].map_or(0, Bag::len);
+                let first = fresh
+                    .get(&plan.atoms[a].pred)
+                    .map_or(end, |f| (*f).min(end));
+                *within = match a.cmp(&anchor) {
+                    Ordering::Less => 0..first,
+                    Ordering::Equal => first..end,
+                    Ordering::Greater => 0..end,
                 };
             }
             self.bound.fill(None);
@@ -648,7 +756,9 @@ impl<'a> Walk<'a> {
     /// The matches of the whole body with the head fixed to `row`, counted
     /// up to `limit`.
     fn derivations(&mut self, row: &[ConstId], limit: usize) -> usize {
-        self.strata.fill(Stratum::Any);
+        for (within, relation) in self.within.iter_mut().zip(&self.relations) {
+            *within = 0..relation.map_or(0, Bag::len);
+        }
         self.bound.fill(None);
         for (c, id) in self.plan.head.iter().zip(row) {
             let consistent = match *c {
@@ -678,23 +788,13 @@ impl<'a> Walk<'a> {
         let Some((&a, rest)) = order.split_first() else {
             return visit(&self.bound);
         };
-        let (facts, plan) = (self.facts, self.plan);
-        let atom = &plan.atoms[a];
-        let (stratum, threshold) = (self.strata[a], self.delta.map_or(0, |d| d.threshold));
-        let candidates = match (stratum, self.delta) {
-            (Stratum::New, Some(delta)) => delta.facts_of(atom.pred),
-            _ => probe(facts, atom, &self.bound),
+        let (atom, Some(relation)) = (&self.plan.atoms[a], self.relations[a]) else {
+            return true;
         };
-        for &id in candidates {
-            let admitted = match stratum {
-                Stratum::Old => facts.fact_epoch(id) < threshold,
-                Stratum::New => facts.fact_epoch(id) >= threshold && facts.is_alive(id),
-                Stratum::Any => true,
-            };
+        let within = self.within[a].clone();
+        for at in candidates(relation, atom, &self.bound, within) {
             let mark = self.trail.len();
-            let args = &facts.fact(id).args;
-            let go_on = !admitted
-                || !bind(atom, args, &mut self.bound, &mut self.trail)
+            let go_on = !bind(atom, &relation.rows()[at], &mut self.bound, &mut self.trail)
                 || self.search(rest, visit);
             for s in self.trail.drain(mark..) {
                 self.bound[s] = None;
@@ -707,26 +807,22 @@ impl<'a> Walk<'a> {
     }
 }
 
-/// Match `atom` against a fact's `args` — every cell a constant, equal to
-/// the atom's constants and to the slots `bound` binds — binding its free
-/// slots, each pushed on `trail` for the caller to unwind.
+/// Match `atom` against a fact's cells — equal to the atom's constants and
+/// to the slots `bound` binds — binding its free slots, each pushed on
+/// `trail` for the caller to unwind.
 fn bind(
     atom: &PlanAtom,
-    args: &[Elem],
+    cells: &[ConstId],
     bound: &mut [Option<ConstId>],
     trail: &mut Vec<usize>,
 ) -> bool {
-    if args.len() != atom.args.len() {
-        return false;
-    }
-    for (c, e) in atom.args.iter().zip(args) {
-        let Some(id) = constant(e) else { return false };
+    for (c, id) in atom.args.iter().zip(cells) {
         let fits = match *c {
-            Cell::Const(constant) => constant == id,
+            Cell::Const(constant) => constant == *id,
             Cell::Slot(s) => match bound[s] {
-                Some(held) => held == id,
+                Some(held) => held == *id,
                 None => {
-                    bound[s] = Some(id);
+                    bound[s] = Some(*id);
                     trail.push(s);
                     true
                 }
@@ -739,41 +835,11 @@ fn bind(
     true
 }
 
-/// The instance holding exactly `facts`, to evaluate views over.
-pub fn fact_base(facts: &[Fact]) -> Instance {
-    let mut inst = Instance::new();
-    for f in facts {
-        inst.insert(f.pred, elems(&f.args));
-    }
-    inst
-}
-
-/// Evaluate a view over the fact base by the chase's homomorphism search:
-/// all homomorphic images of the body, projected on the head, without a
-/// limit. Duplicate rows are eliminated (set semantics of the pivot
-/// model). A homomorphism mapping a head variable to a labelled null
-/// yields no row — never the case over ground bases.
-pub fn evaluate_view(base: &Instance, view: &Cq) -> Vec<Vec<Value>> {
-    let cfg = HomConfig { limit: usize::MAX };
-    let homs = find_homs(base, &view.body, &FastMap::default(), cfg);
-    let row = |h: &estocada_chase::Hom| -> Option<Row> {
-        let cell = |t: &Term| match t {
-            Term::Const(c) => Some(c.clone()),
-            Term::Var(v) => h.map.get(v).and_then(Elem::as_value),
-        };
-        view.head.iter().map(cell).collect()
-    };
-    let mut seen = FastSet::default();
-    homs.iter()
-        .filter_map(row)
-        .filter(|row| seen.insert(row.clone()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use estocada_chase::find_homs_delta;
+    use estocada_chase::testkit::{evaluate_view, fact_base};
+    use estocada_chase::{find_homs, find_homs_delta, Elem, HomConfig};
     use estocada_pivot::Atom;
 
     /// A deterministic stream of choices.
@@ -791,11 +857,11 @@ mod tests {
 
     const RELATIONS: [(&str, usize); 3] = [("R", 2), ("S", 2), ("T", 3)];
 
-    /// A random fact over `RELATIONS`, cells from a domain of four.
-    fn random_fact(dice: &mut Dice) -> (Symbol, Vec<Elem>) {
+    /// A random fact over `RELATIONS`, cells from a domain of `domain`.
+    fn random_fact(dice: &mut Dice, domain: usize) -> Fact {
         let (name, arity) = RELATIONS[dice.roll(RELATIONS.len())];
-        let args = (0..arity).map(|_| Elem::of(dice.roll(4) as i64)).collect();
-        (Symbol::intern(name), args)
+        let args = (0..arity).map(|_| Value::Int(dice.roll(domain) as i64));
+        Fact::new(Symbol::intern(name), args.collect())
     }
 
     /// A random view of one to three atoms over `RELATIONS` (a few wider
@@ -843,6 +909,15 @@ mod tests {
         rows
     }
 
+    /// A fact base holding `facts`, each once per occurrence.
+    fn base_of(facts: &[Fact]) -> FactBase {
+        let mut base = FactBase::new();
+        for f in facts {
+            base.add(f.pred, &ConstId::intern_all(&f.args), 1);
+        }
+        base
+    }
+
     /// The head rows of `view`'s homomorphisms (the search's, one per
     /// homomorphism).
     fn images(view: &Cq, homs: &[estocada_chase::Hom]) -> Vec<Row> {
@@ -856,24 +931,34 @@ mod tests {
         homs.iter().filter_map(row).collect()
     }
 
+    /// The compiled fill, and the oracle's nested loop too.
     #[test]
     fn compiled_fill_equals_the_homomorphism_search_on_random_views() {
         for seed in 0..400 {
             let mut dice = Dice(seed);
-            let mut base = Instance::new();
-            for _ in 0..6 + dice.roll(24) {
-                let (pred, args) = random_fact(&mut dice);
-                base.insert(pred, args);
-            }
+            let facts: Vec<Fact> = (0..6 + dice.roll(24))
+                .map(|_| random_fact(&mut dice, 4))
+                .collect();
+            let (base, inst) = (base_of(&facts), fact_base(&facts));
             let view = random_view(&mut dice, false);
-            let filled = ViewPlan::compile(&view, &base).fill(&base).to_values();
-            let oracle = evaluate_view(&base, &view);
+            let filled = base.evaluate(&view).to_values();
+            let searched = evaluate_view(&inst, &view);
             assert_eq!(
                 filled.len(),
-                oracle.len(),
+                searched.len(),
                 "seed {seed}: {view}: a row twice or missing"
             );
-            assert_eq!(sorted(filled), sorted(oracle), "seed {seed}: {view}");
+            assert_eq!(
+                sorted(filled),
+                sorted(searched.clone()),
+                "seed {seed}: {view}"
+            );
+            let oracle = base.oracle(&view);
+            assert_eq!(
+                sorted(oracle),
+                sorted(searched),
+                "seed {seed}: {view}: oracle"
+            );
         }
     }
 
@@ -881,28 +966,55 @@ mod tests {
     fn delta_tallies_and_derivation_counts_equal_the_homomorphism_search() {
         for seed in 0..400 {
             let mut dice = Dice(seed);
-            let mut base = Instance::new();
-            for _ in 0..6 + dice.roll(20) {
-                let (pred, args) = random_fact(&mut dice);
-                base.insert(pred, args);
-            }
-            // A delta as either phase sees it: some facts stamped (doomed)
-            // or newly inserted at a fresh epoch.
-            let epoch = base.advance_epoch();
-            let old: Vec<u32> = base.fact_ids().collect();
+            let facts: Vec<Fact> = (0..6 + dice.roll(20))
+                .map(|_| random_fact(&mut dice, 4))
+                .collect();
+            let mut base = base_of(&facts);
+            // A delta as either phase sees it: some held facts moved to
+            // their relation's tail (doomed), or new ones appended.
+            let (mut doomed, mut new) = (FastMap::<Symbol, Vec<usize>>::default(), Vec::new());
             for _ in 0..1 + dice.roll(4) {
-                if dice.roll(2) == 0 {
-                    base.touch(old[dice.roll(old.len())]);
+                let fact = if dice.roll(2) == 0 {
+                    facts[dice.roll(facts.len())].clone()
                 } else {
-                    let (pred, args) = random_fact(&mut dice);
-                    base.insert(pred, args);
+                    random_fact(&mut dice, 4)
+                };
+                let cells = ConstId::intern_all(&fact.args);
+                match base
+                    .relation(fact.pred, cells.len())
+                    .and_then(|r| r.find(&cells))
+                {
+                    Some(at) if !doomed.get(&fact.pred).is_some_and(|d| d.contains(&at)) => {
+                        doomed.entry(fact.pred).or_default().push(at);
+                        new.push(fact);
+                    }
+                    None if !new.contains(&fact) => new.push(fact),
+                    _ => {}
                 }
             }
-            let delta = base.delta_index(epoch);
+            let mut fresh = base.move_to_tail(&doomed);
+            for f in new.iter().filter(|f| !facts.contains(f)) {
+                let at = base.add(f.pred, &ConstId::intern_all(&f.args), 1);
+                fresh.entry(f.pred).or_insert(at);
+            }
+            // The search's statement of the strata: Old facts first, New
+            // ones after an epoch advance.
+            let mut inst = fact_base(
+                &facts
+                    .iter()
+                    .filter(|f| !new.contains(f))
+                    .cloned()
+                    .collect::<Vec<_>>(),
+            );
+            let epoch = inst.advance_epoch();
+            for f in &new {
+                inst.insert(f.pred, f.args.iter().map(Elem::constant).collect());
+            }
+            let delta = inst.delta_index(epoch);
             let view = random_view(&mut dice, true);
             let plan = ViewPlan::compile(&view, &base);
             let mut walk = Walk::new(&base, &plan);
-            let through = walk.through(&delta);
+            let through = walk.through(&fresh);
             let tallied: Vec<(Row, usize)> = through
                 .rows
                 .rows()
@@ -910,16 +1022,11 @@ mod tests {
                 .into_iter()
                 .zip(through.counts.iter().copied())
                 .collect();
+            let all = HomConfig { limit: usize::MAX };
             let none = FastMap::default();
             let searched = images(
                 &view,
-                &find_homs_delta(
-                    &base,
-                    &view.body,
-                    &none,
-                    HomConfig { limit: usize::MAX },
-                    &delta,
-                ),
+                &find_homs_delta(&inst, &view.body, &none, all, &delta),
             );
             let mut expected: Vec<(Row, usize)> = Vec::new();
             for row in net_deltas(searched.into_iter().map(|row| (row, 1))) {
@@ -938,22 +1045,133 @@ mod tests {
                     .iter()
                     .zip(&row.0)
                     .filter_map(|(t, v)| Some((t.as_var()?, Elem::constant(v))));
-                let all = find_homs(
-                    &base,
-                    &view.body,
-                    &fixed.collect(),
-                    HomConfig { limit: usize::MAX },
-                )
-                .len();
+                let every = find_homs(&inst, &view.body, &fixed.collect(), all).len();
                 for limit in [1, row.1 + 1, usize::MAX] {
                     assert_eq!(
                         walk.derivations(ids, limit),
-                        all.min(limit),
+                        every.min(limit),
                         "seed {seed}: {view}: derivations of {:?}",
                         row.0
                     );
                 }
             }
         }
+    }
+
+    /// Each relation's postings list what a fresh build over its rows
+    /// would, and its rows and counts are the distinct facts of `model`
+    /// (a bag) with their multiplicities.
+    fn assert_relations_match(base: &FactBase, model: &[Fact], what: &str) {
+        for (pred, relation) in &base.relations {
+            let rows = relation.rows().to_values();
+            let held: Vec<&Fact> = model.iter().filter(|f| f.pred == *pred).collect();
+            let mut facts: Vec<&Vec<Value>> = held.iter().map(|f| &f.args).collect();
+            facts.sort();
+            facts.dedup();
+            assert_eq!(rows.len(), facts.len(), "{what}: {pred}: distinct facts");
+            for (row, n) in rows.iter().zip(relation.counts()) {
+                let recount = held.iter().filter(|f| f.args == *row).count() as u64;
+                assert_eq!(
+                    (*n, *n > 0),
+                    (recount, true),
+                    "{what}: {pred}{row:?}: count"
+                );
+            }
+            for column in 0..relation.rows().width {
+                let mut cells: Vec<ConstId> = relation.rows().rows().map(|r| r[column]).collect();
+                cells.sort();
+                cells.dedup();
+                assert_eq!(
+                    relation.distinct_at(column),
+                    cells.len(),
+                    "{what}: {pred}.{column}"
+                );
+                for id in (0..6).map(ConstId::of) {
+                    let fresh: Vec<u32> = (0..relation.len() as u32)
+                        .filter(|at| relation.rows()[*at as usize][column] == id)
+                        .collect();
+                    assert_eq!(
+                        relation.posted(column, id),
+                        fresh,
+                        "{what}: {pred}.{column}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn netted_batches_keep_postings_counts_views_and_crossings_exact() {
+        let mut returned = 0;
+        for seed in 0..8 {
+            let mut dice = Dice(seed);
+            // A small domain, so facts repeat and their counts cross zero.
+            let mut model: Vec<Fact> = (0..30).map(|_| random_fact(&mut dice, 3)).collect();
+            let mut base = base_of(&model);
+            let views: Vec<(Symbol, Cq)> = (0..4)
+                .map(|i| {
+                    (
+                        Symbol::intern(&format!("V{i}")),
+                        random_view(&mut dice, true),
+                    )
+                })
+                .collect();
+            let named: Vec<(Symbol, &Cq)> = views.iter().map(|(n, v)| (*n, v)).collect();
+            let mut left: Vec<Fact> = Vec::new();
+            for batch in 0..25 {
+                let what = format!("seed {seed}, batch {batch}");
+                let mut changes: Vec<(Fact, i64)> = Vec::new();
+                let mut after = model.clone();
+                for _ in 0..1 + dice.roll(5) {
+                    match dice.roll(4) {
+                        // Every copy of a held fact out: its count reaches zero.
+                        0 if !after.is_empty() => {
+                            let fact = after[dice.roll(after.len())].clone();
+                            let copies = after.iter().filter(|f| **f == fact).count();
+                            after.retain(|f| *f != fact);
+                            changes.push((fact.clone(), -(copies as i64)));
+                            left.push(fact);
+                        }
+                        // One copy out.
+                        1 if !after.is_empty() => {
+                            let fact = after.swap_remove(dice.roll(after.len()));
+                            changes.push((fact, -1));
+                        }
+                        // A fact that left some batch before comes back.
+                        2 if !left.is_empty() => {
+                            let fact = left.swap_remove(dice.roll(left.len()));
+                            returned += usize::from(!after.contains(&fact));
+                            after.push(fact.clone());
+                            changes.push((fact, 1));
+                        }
+                        _ => {
+                            let fact = random_fact(&mut dice, 3);
+                            after.push(fact.clone());
+                            changes.push((fact, 1));
+                        }
+                    }
+                }
+                let (before, later) = (fact_base(&model), fact_base(&after));
+                let crossed = base
+                    .apply(net_deltas(changes), &named)
+                    .unwrap_or_else(|f| panic!("{what}: {f:?} rejected"));
+                model = after;
+                assert_relations_match(&base, &model, &what);
+                for (name, view) in &views {
+                    let (was, is) = (evaluate_view(&before, view), evaluate_view(&later, view));
+                    let evaluated = base.evaluate(view).to_values();
+                    assert_eq!(sorted(evaluated), sorted(is.clone()), "{what}: {view}");
+                    let minus = |a: &[Row], b: &[Row]| {
+                        sorted(a.iter().filter(|r| !b.contains(r)).cloned().collect())
+                    };
+                    let (gone, born) = crossed.get(name).map_or((vec![], vec![]), |(g, b)| {
+                        (sorted(g.to_values()), sorted(b.to_values()))
+                    });
+                    assert_eq!(gone, minus(&was, &is), "{what}: {view}: rows leaving");
+                    assert_eq!(born, minus(&is, &was), "{what}: {view}: rows entering");
+                }
+            }
+        }
+        assert!(returned > 0, "no fact left and came back");
     }
 }

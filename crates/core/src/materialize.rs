@@ -20,8 +20,6 @@ use estocada_pivot::encoding::document::DocRelations;
 use estocada_pivot::hash::FastMap;
 use estocada_pivot::{Cq, IdRows, Symbol, Term, ViewDef};
 
-pub use crate::factbase::{evaluate_view, fact_base};
-
 /// Head column names of a view (variable names, falling back to `c{i}`).
 pub fn head_columns(view: &Cq) -> Vec<String> {
     view.head

@@ -269,27 +269,73 @@ impl<S: BuildHasher> Distinct<S> {
         let (width, end) = (self.rows.width, self.rows.cells.len());
         self.rows.cells.extend(row);
         debug_assert_eq!(self.rows.cells.len(), end + width, "a row of another width");
-        let (held, new) = self.rows.cells.split_at(end);
+        let new = &self.rows.cells[end..];
         let hash = self.hasher.hash_one(new) as u32;
-        let mask = self.slots.len() - 1;
+        match self.slot(new, hash) {
+            (_, Some(at)) => {
+                self.rows.cells.truncate(end);
+                (at, false)
+            }
+            (slot, None) => {
+                self.slots[slot] = u64::from(hash) << 32 | self.rows.len as u64;
+                self.rows.len += 1;
+                (self.rows.len - 1, true)
+            }
+        }
+    }
+
+    /// The position of `row` among the distinct rows, if held.
+    pub fn find(&self, row: &[ConstId]) -> Option<usize> {
+        if self.slots.is_empty() || row.len() != self.rows.width {
+            return None;
+        }
+        self.slot(row, self.hasher.hash_one(row) as u32).1
+    }
+
+    /// The slot holding `row`, whose hash is `hash`, with its position —
+    /// or, when no slot does, the empty slot ending its probe run.
+    fn slot(&self, row: &[ConstId], hash: u32) -> (usize, Option<usize>) {
+        let (width, mask) = (self.rows.width, self.slots.len() - 1);
         let mut slot = hash as usize & mask;
         loop {
             match self.slots[slot] {
-                EMPTY => break,
+                EMPTY => return (slot, None),
                 entry if (entry >> 32) as u32 == hash => {
                     let at = entry as u32 as usize;
-                    if held[at * width..][..width] == *new {
-                        self.rows.cells.truncate(end);
-                        return (at, false);
+                    if self.rows.cells[at * width..][..width] == *row {
+                        return (slot, Some(at));
                     }
                 }
                 _ => {}
             }
             slot = (slot + 1) & mask;
         }
-        self.slots[slot] = u64::from(hash) << 32 | self.rows.len as u64;
-        self.rows.len += 1;
-        (self.rows.len - 1, true)
+    }
+
+    /// Take the row at `at` out, the last row moving into its place. Its
+    /// slot is freed by backward-shift deletion — each later entry of the
+    /// probe run that may move back to the hole does, so no tombstone is
+    /// left — and the slot of the row that moved is re-pointed to `at`.
+    pub fn swap_remove(&mut self, at: usize) {
+        let (last, mask) = (self.rows.len - 1, self.slots.len() - 1);
+        let hash = |d: &Self, i: usize| d.hasher.hash_one(d.rows.row(i)) as u32;
+        let (mut hole, _) = self.slot(self.rows.row(at), hash(self, at));
+        let mut next = (hole + 1) & mask;
+        while self.slots[next] != EMPTY {
+            let home = (self.slots[next] >> 32) as usize & mask;
+            if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
+                self.slots[hole] = self.slots[next];
+                hole = next;
+            }
+            next = (next + 1) & mask;
+        }
+        self.slots[hole] = EMPTY;
+        if at != last {
+            let moved = hash(self, last);
+            let (slot, _) = self.slot(self.rows.row(last), moved);
+            self.slots[slot] = u64::from(moved) << 32 | at as u64;
+        }
+        self.rows.swap_out(at);
     }
 
     /// Double the table (sixteen slots at first) and place every row again
@@ -325,6 +371,23 @@ impl<S: BuildHasher> Distinct<S> {
     /// The distinct rows, first-seen.
     pub fn into_rows(self) -> IdRows {
         self.rows
+    }
+}
+
+/// Distinct rows leave as a store's rows do: the last row fills the hole.
+impl<S: BuildHasher> SwapRows for Distinct<S> {
+    type Row = [ConstId];
+
+    fn count(&self) -> usize {
+        self.rows.len
+    }
+
+    fn row_at(&self, at: usize) -> &[ConstId] {
+        self.rows.row(at)
+    }
+
+    fn swap_out(&mut self, at: usize) {
+        self.swap_remove(at);
     }
 }
 

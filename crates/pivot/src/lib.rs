@@ -42,7 +42,7 @@ pub use cq::{Cq, CqBuilder};
 pub use fact::{Fact, IdGen};
 pub use intern::{ConstId, ConstReader};
 pub use kernel::IdRows;
-pub use multiset::{swap_remove, Postings, SwapRows, Wanted};
+pub use multiset::{swap_remove, Bag, Postings, SwapRows, Wanted};
 pub use schema::{RelationDecl, Schema, SchemaError};
 pub use symbol::Symbol;
 pub use term::{Term, Var};

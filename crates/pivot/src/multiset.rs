@@ -14,9 +14,14 @@
 //! the last row fills each hole — and every index forgets the one row and
 //! relocates the other in place ([`Postings::relocate`]), so a patched
 //! index lists what a fresh build over the remaining rows would.
+//!
+//! [`Bag`] is a counted relation built from these parts: each distinct
+//! interned row held once ([`Distinct`]) with the number of times it
+//! occurs, and posted per column.
 
 use crate::hash::{FastMap, FastSet};
-use crate::Value;
+use crate::kernel::{Distinct, IdRows};
+use crate::{ConstId, Value};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::Hash;
@@ -172,6 +177,11 @@ impl<K: Ord, L: Ord + Copy> Postings<K, L> {
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
+
+    /// Number of keys.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
 }
 
 impl<K: Ord, L: Ord + Copy> FromIterator<(K, L)> for Postings<K, L> {
@@ -185,7 +195,7 @@ impl<K: Ord, L: Ord + Copy> FromIterator<(K, L)> for Postings<K, L> {
 }
 
 /// Rows held by position, where the last row can fill a hole: a `Vec` of
-/// rows, or interned rows laid out flat ([`IdRows`](crate::IdRows)).
+/// rows, or interned rows laid out flat ([`IdRows`]).
 pub trait SwapRows {
     /// One row.
     type Row: ?Sized;
@@ -235,6 +245,105 @@ pub fn swap_remove<R: SwapRows>(
             follow(rows.row_at(last), last, Some(at));
         }
         rows.swap_out(at);
+    }
+}
+
+/// A bag of interned rows `width` cells wide: each distinct row held once,
+/// flat and found again by its cells, with the number of times it occurs,
+/// and posted by position under its cell in each column. A row leaves
+/// through [`swap_remove`], so its positions stay dense and every posting
+/// list is what a fresh build over the rows held would list.
+#[derive(Debug, Clone)]
+pub struct Bag {
+    rows: Distinct,
+    counts: Vec<u64>,
+    columns: Vec<Postings<ConstId, u32>>,
+}
+
+impl Bag {
+    /// No row yet.
+    pub fn new(width: usize) -> Bag {
+        let columns = (0..width).map(|_| Postings::default()).collect();
+        let (rows, counts) = (Distinct::new(width), Vec::new());
+        Bag {
+            rows,
+            counts,
+            columns,
+        }
+    }
+
+    /// The distinct rows, by position.
+    pub fn rows(&self) -> &IdRows {
+        self.rows.rows()
+    }
+
+    /// Number of distinct rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// `true` when no row is held.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Occurrences of each distinct row, by position.
+    pub fn counts(&self) -> &[u64] {
+        &self.counts
+    }
+
+    /// Occurrences of each distinct row, to change in place (a row whose
+    /// count reaches zero stays until it is removed).
+    pub fn counts_mut(&mut self) -> &mut [u64] {
+        &mut self.counts
+    }
+
+    /// The position of `row`, if held.
+    pub fn find(&self, row: &[ConstId]) -> Option<usize> {
+        self.rows.find(row)
+    }
+
+    /// `n` more occurrences of `row`; returns its position (a new row is
+    /// appended).
+    pub fn add(&mut self, row: impl IntoIterator<Item = ConstId>, n: u64) -> usize {
+        let (at, new) = self.rows.insert(row);
+        if new {
+            let cells = self.rows.rows().row(at).iter();
+            cells
+                .zip(&mut self.columns)
+                .for_each(|(id, posted)| posted.insert(*id, at as u32));
+            self.counts.push(0);
+        }
+        self.counts[at] += n;
+        at
+    }
+
+    /// Positions of the rows holding `id` in column `column`, ascending.
+    pub fn posted(&self, column: usize, id: ConstId) -> &[u32] {
+        self.columns
+            .get(column)
+            .map_or(&[], |posted| posted.get(&id))
+    }
+
+    /// Number of distinct cells in column `column`.
+    pub fn distinct_at(&self, column: usize) -> usize {
+        self.columns.get(column).map_or(0, Postings::len)
+    }
+
+    /// Take the rows at `doomed` (distinct positions) out, counts and all:
+    /// the last row fills each hole.
+    pub fn remove(&mut self, doomed: impl IntoIterator<Item = usize>) {
+        let (columns, counts) = (&mut self.columns, &mut self.counts);
+        swap_remove(&mut self.rows, doomed, |row, from, to| {
+            let to32 = to.map(|to| to as u32);
+            for (posted, id) in columns.iter_mut().zip(row) {
+                posted.relocate(id, from as u32, to32);
+            }
+            if let Some(to) = to {
+                counts[to] = counts[from];
+            }
+        });
+        self.counts.truncate(self.rows.len());
     }
 }
 

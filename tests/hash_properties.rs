@@ -286,6 +286,58 @@ fn rows_differing_only_after_the_fourth_cell_are_distinct() {
     check_wide(5, &rows, Colliding);
 }
 
+/// `Distinct::swap_remove` against `Vec::swap_remove`, its statement: after
+/// every insert or removal of a seeded mix, the rows are the `Vec`'s in
+/// order, and each row of the domain is found at its `Vec` position or,
+/// not held, not found — with `hasher`.
+fn check_swap_remove<S: BuildHasher>(hasher: S, seed: u64) {
+    let mut x = seed;
+    let mut next = |n: usize| {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (x >> 33) as usize % n
+    };
+    let (mut distinct, mut model) = (Distinct::with_hasher(2, hasher), Vec::<Vec<ConstId>>::new());
+    for step in 0..400 {
+        if next(3) == 0 && !model.is_empty() {
+            let at = next(model.len());
+            distinct.swap_remove(at);
+            model.swap_remove(at);
+        } else {
+            let row = vec![ConstId::of(next(6) as i64), ConstId::of(next(6) as i64)];
+            let held = model.iter().position(|r| *r == row);
+            let expected = (held.unwrap_or(model.len()), held.is_none());
+            assert_eq!(
+                distinct.insert(row.iter().copied()),
+                expected,
+                "step {step}"
+            );
+            if held.is_none() {
+                model.push(row);
+            }
+        }
+        let rows: Vec<Vec<ConstId>> = distinct.rows().rows().map(<[ConstId]>::to_vec).collect();
+        assert_eq!(rows, model, "step {step}");
+        for (a, b) in (0..36).map(|i| (i / 6, i % 6)) {
+            let row = [ConstId::of(a), ConstId::of(b)];
+            let at = model.iter().position(|r| *r == row);
+            assert_eq!(distinct.find(&row), at, "step {step}: {row:?}");
+        }
+    }
+}
+
+/// A removal leaves no tombstone and loses no row: with the default
+/// hasher, and with every row colliding, where each removal shifts a whole
+/// probe run back.
+#[test]
+fn swap_removed_distinct_rows_match_a_vec() {
+    for seed in 0..8 {
+        check_swap_remove(BuildHasherDefault::<FastHasher>::default(), seed);
+        check_swap_remove(Colliding, seed);
+    }
+}
+
 /// The pool above does produce the near misses the property is about.
 #[test]
 fn near_miss_values_are_unequal_or_hash_equal() {

@@ -9,9 +9,10 @@
 mod common;
 
 use estocada::frontends::{doc_query, parse_sql};
-use estocada::materialize::{evaluate_view, fact_base};
 use estocada::{Estocada, Latencies};
-use estocada_chase::testkit::{chase_every_premise, dump_state, feed_and_pin};
+use estocada_chase::testkit::{
+    chase_every_premise, dump_state, evaluate_view, fact_base, feed_and_pin,
+};
 use estocada_chase::{
     canonical_instance, certify, chase, contained_in, find_homs, find_homs_delta, find_one_hom,
     naive_rewrite, pacb_rewrite, ChaseConfig, ChaseError, ChaseStats, Elem, HomConfig, Instance,
