@@ -279,21 +279,23 @@ impl FactBase {
     }
 
     /// Move the rows at `doomed` (per relation, distinct positions, each
-    /// counted zero) to the tail of their relations; returns where each
-    /// tail starts.
+    /// counted zero) to the tail of their relations, each swapped in place
+    /// with a surviving row of that tail; returns where each tail starts.
     fn move_to_tail(&mut self, doomed: &FastMap<Symbol, Vec<usize>>) -> Fresh {
         let mut tails = Fresh::default();
         for (pred, at) in doomed {
             let Some(relation) = self.relations.get_mut(pred) else {
                 continue;
             };
-            let moved: Vec<Vec<ConstId>> =
-                at.iter().map(|at| relation.rows()[*at].to_vec()).collect();
-            relation.remove(at.iter().copied());
-            tails.insert(*pred, relation.len());
-            for row in moved {
-                relation.add(row, 0);
+            let tail = relation.len() - at.len();
+            let mut at = at.clone();
+            at.sort_unstable();
+            let ahead = at.iter().copied().take_while(|p| *p < tail);
+            let survivors = (tail..relation.len()).filter(|p| at.binary_search(p).is_err());
+            for (gone, kept) in ahead.zip(survivors) {
+                relation.swap(gone, kept);
             }
+            tails.insert(*pred, tail);
         }
         tails
     }
@@ -527,11 +529,12 @@ impl ViewPlan {
 
     /// The view's distinct head rows, first-seen, as interned cells: a
     /// left-deep hash join of each atom's matching facts ([`JoinTable`])
-    /// onto the rows so far, projected on the head and de-duplicated by
-    /// [`Distinct`] when the head drops a body variable. An atom's facts
-    /// are those of its most selective constant's posting list or of its
-    /// relation, or fewer: those holding a key value of the rows so far
-    /// ([`semi_join`]).
+    /// onto the rows so far. The last step projects each match on the head
+    /// as it is found, into a [`Distinct`] when the head drops a body
+    /// variable and into plain rows otherwise, so no fill holds its widest
+    /// join. An atom's facts are those of its most selective constant's
+    /// posting list or of its relation, or fewer: those holding a key value
+    /// of the rows so far ([`semi_join`]).
     fn fill(&self, base: &FactBase) -> IdRows {
         let width = self.head.len();
         let Some(projection) = &self.projection else {
@@ -539,52 +542,89 @@ impl ViewPlan {
         };
         let mut rows = IdRows::empty(0);
         rows.push([]);
-        for step in &self.fill {
-            let atom = &self.atoms[step.atom];
-            let Some(relation) = base.relation(atom.pred, atom.args.len()) else {
-                return IdRows::empty(width);
-            };
-            let candidates = candidates(relation, atom, &[], 0..relation.len());
-            let limit = candidates.size_hint().0;
-            let build = match semi_join(relation, step.keys.first(), &rows, limit) {
-                Some(ids) => matching(relation, atom, &step.repeats, ids.into_iter()),
-                None => matching(relation, atom, &step.repeats, candidates),
-            };
-            let fact_keys = build.rows().map(|fact| {
-                let cells = step.keys.iter().map(|(at, _)| fact[*at]);
-                pack_key(cells, step.keys.len())
-            });
-            let table = JoinTable::build(fact_keys);
+        let Some((last, steps)) = self.fill.split_last() else {
+            // No atom: the one empty match.
+            let mut out = IdRows::empty(width);
+            out.push(project(projection, &[], &[], &[]));
+            return out;
+        };
+        for step in steps {
             let mut joined = IdRows::empty(rows.width + step.fresh.len());
-            for row in rows.rows() {
-                let key = pack_key(step.keys.iter().map(|(_, col)| row[*col]), step.keys.len());
-                for &at in table.probe(&key) {
-                    let fact = &build.cells[at as usize * build.width..][..build.width];
-                    let fresh = step.fresh.iter().map(|p| fact[*p]);
-                    joined.push(row.iter().copied().chain(fresh));
-                }
+            let held = self.join(base, step, &rows, |row, fact| {
+                let fresh = step.fresh.iter().map(|p| fact[*p]);
+                joined.push(row.iter().copied().chain(fresh));
+            });
+            if !held {
+                return IdRows::empty(width);
             }
             rows = joined;
         }
-        if self.dedup {
-            let mut distinct = Distinct::new(width);
-            for row in rows.rows() {
-                distinct.keep(project(projection, row));
+        let (mut distinct, mut plain) = (Distinct::new(width), IdRows::empty(width));
+        let held = self.join(base, last, &rows, |row, fact| {
+            let cells = project(projection, row, fact, &last.fresh);
+            if self.dedup {
+                distinct.keep(cells);
+            } else {
+                plain.push(cells);
             }
-            return distinct.into_rows();
+        });
+        match (held, self.dedup) {
+            (false, _) => IdRows::empty(width),
+            (true, true) => distinct.into_rows(),
+            (true, false) => plain,
         }
-        let mut out = IdRows::empty(width);
-        rows.rows()
-            .for_each(|row| out.push(project(projection, row)));
-        out
+    }
+
+    /// One fill step: `emit(row, fact)` for each of `rows`, in order, and
+    /// each fact of `step`'s atom it matches, ascending. `false` when the
+    /// atom's relation holds no fact of its width.
+    fn join(
+        &self,
+        base: &FactBase,
+        step: &FillStep,
+        rows: &IdRows,
+        mut emit: impl FnMut(&[ConstId], &[ConstId]),
+    ) -> bool {
+        let atom = &self.atoms[step.atom];
+        let Some(relation) = base.relation(atom.pred, atom.args.len()) else {
+            return false;
+        };
+        let candidates = candidates(relation, atom, &[], 0..relation.len());
+        let limit = candidates.size_hint().0;
+        let build = match semi_join(relation, step.keys.first(), rows, limit) {
+            Some(ids) => matching(relation, atom, &step.repeats, ids.into_iter()),
+            None => matching(relation, atom, &step.repeats, candidates),
+        };
+        let fact_keys = build.rows().map(|fact| {
+            let cells = step.keys.iter().map(|(at, _)| fact[*at]);
+            pack_key(cells, step.keys.len())
+        });
+        let table = JoinTable::build(fact_keys);
+        for row in rows.rows() {
+            let key = pack_key(step.keys.iter().map(|(_, col)| row[*col]), step.keys.len());
+            for &at in table.probe(&key) {
+                emit(row, build.row(at as usize));
+            }
+        }
+        true
     }
 }
 
-/// The head cells of a fill's row `row` through `projection`.
-fn project<'a>(projection: &'a [Cell], row: &'a [ConstId]) -> impl Iterator<Item = ConstId> + 'a {
+/// The head cells, through `projection`, of a fill's row `row` joined with
+/// `fact` by its last step: a column past the row's is the fact's cell at
+/// the position `fresh` gives it.
+fn project<'a>(
+    projection: &'a [Cell],
+    row: &'a [ConstId],
+    fact: &'a [ConstId],
+    fresh: &'a [usize],
+) -> impl Iterator<Item = ConstId> + 'a {
     projection.iter().map(|c| match *c {
         Cell::Const(id) => id,
-        Cell::Slot(col) => row[col],
+        Cell::Slot(col) => match col.checked_sub(row.len()) {
+            None => row[col],
+            Some(at) => fact[fresh[at]],
+        },
     })
 }
 

@@ -338,6 +338,22 @@ impl<S: BuildHasher> Distinct<S> {
         self.rows.swap_out(at);
     }
 
+    /// Swap the rows at `a` and `b`, their slots re-pointed.
+    pub fn swap(&mut self, a: usize, b: usize) {
+        if a == b {
+            return;
+        }
+        let hash = |d: &Self, i: usize| d.hasher.hash_one(d.rows.row(i)) as u32;
+        let (hash_a, hash_b) = (hash(self, a), hash(self, b));
+        let (slot_a, _) = self.slot(self.rows.row(a), hash_a);
+        let (slot_b, _) = self.slot(self.rows.row(b), hash_b);
+        self.slots[slot_a] = u64::from(hash_a) << 32 | b as u64;
+        self.slots[slot_b] = u64::from(hash_b) << 32 | a as u64;
+        let (w, (low, high)) = (self.rows.width, (a.min(b), a.max(b)));
+        let (head, tail) = self.rows.cells.split_at_mut(high * w);
+        head[low * w..][..w].swap_with_slice(&mut tail[..w]);
+    }
+
     /// Double the table (sixteen slots at first) and place every row again
     /// by the hash its slot keeps.
     fn grow(&mut self) {

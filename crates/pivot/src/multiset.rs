@@ -10,10 +10,13 @@
 //! ([`Wanted::claim_under`]).
 //!
 //! [`Postings`] is that index: each key with the ascending locations of
-//! the rows posted under it. Claimed rows leave through [`swap_remove`] —
-//! the last row fills each hole — and every index forgets the one row and
-//! relocates the other in place ([`Postings::relocate`]), so a patched
-//! index lists what a fresh build over the remaining rows would.
+//! the rows posted under it. Its keys are hashed, so they come in no
+//! particular order: [`Postings::range`] collects the keys in its bounds
+//! and sorts them, at O(distinct keys). Claimed rows leave through
+//! [`swap_remove`] — the last row fills each hole — and every index
+//! forgets the one row and relocates the other in place
+//! ([`Postings::relocate`]), so a patched index lists what a fresh build
+//! over the remaining rows would.
 //!
 //! [`Bag`] is a counted relation built from these parts: each distinct
 //! interned row held once ([`Distinct`]) with the number of times it
@@ -23,7 +26,8 @@ use crate::hash::{FastMap, FastSet};
 use crate::kernel::{Distinct, IdRows};
 use crate::{ConstId, Value};
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::Entry;
+use std::collections::BTreeSet;
 use std::hash::Hash;
 use std::ops::RangeBounds;
 
@@ -94,81 +98,138 @@ impl<'a, T: Hash + Eq + ?Sized> Wanted<'a, T> {
     }
 }
 
-/// A value→row index: each key, in key order, with the ascending locations
-/// of the rows posted under it. A location is posted under a key at most
-/// once, and a key without locations is absent, so an index patched in
-/// place equals a fresh build ([`FromIterator`]) over the same rows.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A value→row index: each key with the ascending locations of the rows
+/// posted under it, the keys in no particular order. A location is posted
+/// under a key at most once, and a key without locations is absent, so an
+/// index patched in place equals a fresh build ([`FromIterator`]) over the
+/// same rows. The keys are hashed, and a key posted at one location keeps
+/// it inline: a unique column costs one table slot per row, and a lookup is
+/// one probe.
+#[derive(Debug, Clone)]
 pub struct Postings<K, L = usize> {
-    map: BTreeMap<K, Vec<L>>,
+    map: FastMap<K, Locs<L>>,
+}
+
+/// The locations posted under one key: one, inline, or two or more,
+/// ascending. A key moves between the two as rows come and go, so equal
+/// postings are equal whatever their history.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Locs<L> {
+    One([L; 1]),
+    Many(Vec<L>),
+}
+
+impl<L> Locs<L> {
+    fn as_slice(&self) -> &[L] {
+        match self {
+            Locs::One(one) => one,
+            Locs::Many(many) => many,
+        }
+    }
 }
 
 impl<K, L> Default for Postings<K, L> {
     fn default() -> Self {
         Postings {
-            map: BTreeMap::new(),
+            map: FastMap::default(),
         }
     }
 }
 
-impl<K: Ord, L: Ord + Copy> Postings<K, L> {
+impl<K: Hash + Eq, L: PartialEq> PartialEq for Postings<K, L> {
+    fn eq(&self, other: &Self) -> bool {
+        self.map == other.map
+    }
+}
+
+impl<K: Hash + Eq, L: Eq> Eq for Postings<K, L> {}
+
+impl<K: Hash + Eq, L: Ord + Copy> Postings<K, L> {
     /// Post `at` under `key`.
     pub fn insert(&mut self, key: K, at: L) {
-        let locs = self.map.entry(key).or_default();
-        match locs.last() {
-            // A row appended to its container comes last.
-            Some(last) if *last >= at => {
-                if let Err(i) = locs.binary_search(&at) {
-                    locs.insert(i, at);
-                }
+        let locs = match self.map.entry(key) {
+            Entry::Occupied(occupied) => occupied.into_mut(),
+            Entry::Vacant(vacant) => {
+                vacant.insert(Locs::One([at]));
+                return;
             }
-            _ => locs.push(at),
+        };
+        match locs {
+            Locs::One([one]) if *one == at => {}
+            Locs::One([one]) => *locs = Locs::Many(vec![(*one).min(at), (*one).max(at)]),
+            Locs::Many(many) => match many.last() {
+                // A row appended to its container comes last.
+                Some(last) if *last >= at => {
+                    if let Err(i) = many.binary_search(&at) {
+                        many.insert(i, at);
+                    }
+                }
+                _ => many.push(at),
+            },
         }
     }
 
     /// The locations posted under `key`.
-    pub fn get<Q: Ord + ?Sized>(&self, key: &Q) -> &[L]
+    pub fn get<Q: Hash + Eq + ?Sized>(&self, key: &Q) -> &[L]
     where
         K: Borrow<Q>,
     {
-        self.map.get(key).map_or(&[], Vec::as_slice)
+        self.map.get(key).map_or(&[], Locs::as_slice)
     }
 
-    /// The locations posted under the keys in `keys`, key by key (panics,
-    /// as [`BTreeMap::range`] does, on a range that starts past its end).
+    /// The locations posted under the keys in `keys`, key by key in key
+    /// order. The keys in bounds are collected and sorted: O(distinct keys)
+    /// whatever the range holds.
     pub fn range<Q: Ord + ?Sized>(&self, keys: impl RangeBounds<Q>) -> impl Iterator<Item = L> + '_
     where
-        K: Borrow<Q>,
+        K: Borrow<Q> + Ord,
     {
-        let under = self.map.range(keys);
-        under.flat_map(|(_, locs)| locs.iter().copied())
+        let mut under: Vec<(&K, &Locs<L>)> = self
+            .map
+            .iter()
+            .filter(|(key, _)| keys.contains((*key).borrow()))
+            .collect();
+        under.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        under
+            .into_iter()
+            .flat_map(|(_, locs)| locs.as_slice().iter().copied())
     }
 
     /// The row posted under `key` at `from` moved to `to`, or left
     /// (`None`); a key left without locations leaves too.
-    pub fn relocate<Q: Ord + ?Sized>(&mut self, key: &Q, from: L, to: Option<L>)
+    pub fn relocate<Q: Hash + Eq + ?Sized>(&mut self, key: &Q, from: L, to: Option<L>)
     where
         K: Borrow<Q>,
     {
         let Some(locs) = self.map.get_mut(key) else {
             return;
         };
-        let Ok(i) = locs.binary_search(&from) else {
+        let many = match locs {
+            Locs::One([one]) if *one == from => {
+                match to {
+                    Some(to) => *one = to,
+                    None => drop(self.map.remove(key)),
+                }
+                return;
+            }
+            Locs::One(_) => return,
+            Locs::Many(many) => many,
+        };
+        let Ok(i) = many.binary_search(&from) else {
             return;
         };
-        locs.remove(i);
-        match to {
-            Some(to) => {
-                if let Err(i) = locs.binary_search(&to) {
-                    locs.insert(i, to);
-                }
+        many.remove(i);
+        if let Some(to) = to {
+            if let Err(i) = many.binary_search(&to) {
+                many.insert(i, to);
             }
-            None if locs.is_empty() => drop(self.map.remove(key)),
-            None => {}
+        }
+        if let [one] = many[..] {
+            *locs = Locs::One([one]);
         }
     }
 
-    /// The keys, in order.
+    /// The keys, in no particular order.
     pub fn keys(&self) -> impl Iterator<Item = &K> {
         self.map.keys()
     }
@@ -184,7 +245,7 @@ impl<K: Ord, L: Ord + Copy> Postings<K, L> {
     }
 }
 
-impl<K: Ord, L: Ord + Copy> FromIterator<(K, L)> for Postings<K, L> {
+impl<K: Hash + Eq, L: Ord + Copy> FromIterator<(K, L)> for Postings<K, L> {
     fn from_iter<I: IntoIterator<Item = (K, L)>>(postings: I) -> Self {
         let mut built = Postings::default();
         postings
@@ -330,6 +391,24 @@ impl Bag {
         self.columns.get(column).map_or(0, Postings::len)
     }
 
+    /// Swap the rows at `a` and `b`, counts and postings with them: each
+    /// cell where the two differ is relocated once.
+    pub fn swap(&mut self, a: usize, b: usize) {
+        if a == b {
+            return;
+        }
+        let (held, (a32, b32)) = (self.rows.rows(), (a as u32, b as u32));
+        let cells = held.row(a).iter().zip(held.row(b));
+        for (posted, (x, y)) in self.columns.iter_mut().zip(cells) {
+            if x != y {
+                posted.relocate(x, a32, Some(b32));
+                posted.relocate(y, b32, Some(a32));
+            }
+        }
+        self.counts.swap(a, b);
+        self.rows.swap(a, b);
+    }
+
     /// Take the rows at `doomed` (distinct positions) out, counts and all:
     /// the last row fills each hole.
     pub fn remove(&mut self, doomed: impl IntoIterator<Item = usize>) {
@@ -430,6 +509,110 @@ mod tests {
             row.iter().for_each(|k| index.relocate(k, from, to))
         });
         assert_eq!((index.get(&3), index.get(&1)), (&[0, 1][..], &[][..]));
-        assert_eq!(index.keys().collect::<Vec<_>>(), [&2, &3]);
+        let mut keys: Vec<_> = index.keys().collect();
+        keys.sort();
+        assert_eq!(keys, [&2, &3]);
+    }
+
+    /// Random inserts and relocations against a `BTreeMap<K, BTreeSet<L>>`
+    /// model, every read compared after every step; `key_of` names the
+    /// keys, of which six are posted and the seventh never is. Returns how
+    /// often a key went one → many, many → one and one → absent, and how
+    /// often a row was relocated onto a location its key already posted.
+    fn postings_follow_their_model<K: Hash + Ord + Clone + std::fmt::Debug>(
+        key_of: impl Fn(usize) -> K,
+    ) -> [usize; 4] {
+        use std::collections::BTreeMap;
+        use std::ops::Bound::{Excluded, Included, Unbounded};
+        let mut x = 29u64;
+        let mut next = |n: usize| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) as usize % n.max(1)
+        };
+        let mut seen = [0; 4];
+        for _ in 0..100 {
+            let mut index: Postings<K, u8> = Postings::default();
+            let mut model: BTreeMap<K, BTreeSet<u8>> = BTreeMap::new();
+            for _ in 0..60 {
+                let key = key_of(next(6));
+                let before = model.get(&key).map_or(0, BTreeSet::len);
+                if next(2) == 0 {
+                    let at = next(8) as u8;
+                    index.insert(key.clone(), at);
+                    model.entry(key.clone()).or_default().insert(at);
+                } else {
+                    let posted: Vec<u8> = model.get(&key).into_iter().flatten().copied().collect();
+                    let from = match posted.len() {
+                        0 => next(8) as u8,
+                        n if next(4) > 0 => posted[next(n)],
+                        _ => next(8) as u8,
+                    };
+                    let to = match next(4) {
+                        0 => None,
+                        1 if !posted.is_empty() => Some(posted[next(posted.len())]),
+                        _ => Some(next(8) as u8),
+                    };
+                    if let Some(locs) = model.get_mut(&key) {
+                        if locs.remove(&from) {
+                            if let Some(to) = to {
+                                seen[3] += usize::from(!locs.insert(to));
+                            }
+                            if locs.is_empty() {
+                                model.remove(&key);
+                            }
+                        }
+                    }
+                    index.relocate(&key, from, to);
+                }
+                match (before, model.get(&key).map_or(0, BTreeSet::len)) {
+                    (1, 2..) => seen[0] += 1,
+                    (2.., 1) => seen[1] += 1,
+                    (1, 0) => seen[2] += 1,
+                    _ => {}
+                }
+                assert_eq!(index.len(), model.len());
+                assert_eq!(index.is_empty(), model.is_empty());
+                let mut keys: Vec<&K> = index.keys().collect();
+                keys.sort();
+                assert_eq!(keys, model.keys().collect::<Vec<_>>());
+                for (key, locs) in &model {
+                    assert_eq!(index.get(key), locs.iter().copied().collect::<Vec<_>>());
+                }
+                assert_eq!(index.get(&key_of(6)), &[][..]);
+                // Bounds of every kind, keys posted or not, in either order.
+                let bound = |n: usize| match n % 3 {
+                    0 => Unbounded,
+                    1 => Included(key_of(n / 3)),
+                    _ => Excluded(key_of(n / 3)),
+                };
+                let bounds = (bound(next(21)), bound(next(21)));
+                let within = model.iter().filter(|(key, _)| bounds.contains(*key));
+                let expected: Vec<u8> = within.flat_map(|(_, l)| l.iter().copied()).collect();
+                assert_eq!(index.range(bounds.clone()).collect::<Vec<_>>(), expected);
+                let fresh = model
+                    .iter()
+                    .flat_map(|(key, locs)| locs.iter().map(|at| (key.clone(), *at)));
+                assert_eq!(index, fresh.collect());
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn byte_keyed_postings_follow_a_btree_model() {
+        let seen = postings_follow_their_model(|n| n as u8);
+        assert!(seen.iter().all(|n| *n > 0), "{seen:?}");
+    }
+
+    #[test]
+    fn value_keyed_postings_follow_a_btree_model() {
+        let seen = postings_follow_their_model(|n| match n % 3 {
+            0 => Value::Int(n as i64),
+            1 => Value::str(format!("k{n}")),
+            _ => Value::Double(n as f64 / 2.0),
+        });
+        assert!(seen.iter().all(|n| *n > 0), "{seen:?}");
     }
 }

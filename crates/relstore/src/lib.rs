@@ -2,7 +2,8 @@
 //!
 //! An in-memory relational store — the Postgres stand-in of the ESTOCADA
 //! reproduction. It supports typed-as-dynamic rows held as interned cells,
-//! ordered secondary indexes (equality and range lookups), a conjunctive
+//! hashed secondary indexes (an equality lookup is one probe; a range
+//! lookup sorts the values in its bounds), a conjunctive
 //! select-project-join executor with greedy hash-join ordering that answers
 //! in interned cells, and the simkit latency/metrics instrumentation that
 //! models a networked deployment. (The mediator's cost model keeps its own

@@ -6,8 +6,8 @@ use estocada_pivot::kernel::held;
 use estocada_pivot::{swap_remove, ConstReader, IdRows, Postings, Value, Wanted};
 
 /// An in-memory row-store table. Cells are interned once, when a row is
-/// written, and held flat, row after row; the indexes keep the value
-/// order, for range lookups.
+/// written, and held flat, row after row; the indexes hash each value, and
+/// a range lookup sorts the values in its bounds.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     /// Column names.

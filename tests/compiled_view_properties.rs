@@ -6,7 +6,8 @@
 //! - on random views over the three builtin deployments — constants,
 //!   repeated variables, self-joins, cartesian products, head constants;
 //! - on named views of each of those shapes and a tree-pattern document
-//!   view (the shape of `cart_kv_view`);
+//!   view (the shape of `cart_kv_view`), and on the shapes a fill's last
+//!   join step projects straight into its output;
 //! - past a million matches, where neither may stop early.
 
 mod common;
@@ -184,6 +185,59 @@ fn named_view_shapes_fill_equal_the_oracle() {
         let mut carts = cart_kv_view();
         carts.name = Symbol::intern("CartRows");
         for view in [laptops, own_category, same_user, product, tagged, carts] {
+            assert_fill_equals_oracle(&mut est, view, name);
+        }
+    }
+}
+
+/// The shapes a fill's last step projects straight into its output: a
+/// head keeping every body variable (plain rows, no de-duplication), a head
+/// with constants, one atom and three.
+#[test]
+fn last_step_projections_fill_equal_the_oracle() {
+    let m = market();
+    for &(name, deploy) in &DEPLOYMENTS {
+        let mut est = deploy(&m, Latencies::zero());
+        est.set_validation(ValidationMode::Off);
+        let every_variable = CqBuilder::new("OrderUsers")
+            .head_vars(["amount", "uid", "oid", "pid", "cat", "n", "t"])
+            .atom("Orders", |a| {
+                a.v("oid").v("uid").v("pid").v("cat").v("amount")
+            })
+            .atom("Users", |a| a.v("uid").v("n").v("t"))
+            .build();
+        let mut constants = CqBuilder::new("TaggedOrders")
+            .head_vars(["oid", "n"])
+            .head_const(7)
+            .atom("Users", |a| a.v("uid").v("n").v("t"))
+            .atom("Orders", |a| {
+                a.v("oid").v("uid").v("pid").v("cat").v("amount")
+            })
+            .build();
+        constants.head.insert(1, Term::constant("order"));
+        let one_atom = CqBuilder::new("AllProducts")
+            .head_vars(["price", "pid", "title", "cat"])
+            .atom("Products", |a| a.v("pid").v("title").v("cat").v("price"))
+            .build();
+        let three_atoms = CqBuilder::new("UserOrderProduct")
+            .head_vars(["t", "oid", "title"])
+            .atom("Users", |a| a.v("uid").v("n").v("t"))
+            .atom("Orders", |a| {
+                a.v("oid").v("uid").v("pid").v("cat").v("amount")
+            })
+            .atom("Products", |a| a.v("pid").v("title").v("c").v("price"))
+            .build();
+        let three_kept = CqBuilder::new("UserOrderProductRows")
+            .head_vars([
+                "uid", "n", "t", "oid", "pid", "cat", "amount", "title", "c", "price",
+            ])
+            .atom("Users", |a| a.v("uid").v("n").v("t"))
+            .atom("Orders", |a| {
+                a.v("oid").v("uid").v("pid").v("cat").v("amount")
+            })
+            .atom("Products", |a| a.v("pid").v("title").v("c").v("price"))
+            .build();
+        for view in [every_variable, constants, one_atom, three_atoms, three_kept] {
             assert_fill_equals_oracle(&mut est, view, name);
         }
     }
