@@ -97,6 +97,17 @@ for f in $(rust_files crates/engine/src crates/pivot/src crates/relstore/src cra
     hash_joins=$((hash_joins + n))
 done
 printf '%-28s %8d\n' 'hash joins' "$hash_joins"
+# Library call sites outside the pivot crate that build the kernel's
+# `JoinTable`: the fact base's fills and the relational store's queries run
+# the one select-project-join (`estocada_pivot::spj`), and only the
+# executor's `HashJoin` and the parallel store's two-way partitioned join
+# build one of their own.
+join_builds=0
+for f in $(rust_files crates/*/src | grep -v '^crates/pivot/src/'); do
+    n=$(library_part "$f" | grep -c 'JoinTable::build(' || true)
+    join_builds=$((join_builds + n))
+done
+printf '%-28s %8d\n' 'join builds outside the kernel' "$join_builds"
 # Library files of the mediator that name the chase `Instance`: the fact
 # base the fragments are filled and maintained from holds its relations as
 # `estocada_pivot::Bag`s, and the chase's instance (labelled nulls, merges,

@@ -4,10 +4,13 @@
 //! ([`crate::dml`]). Each relation is one [`Bag`]: its facts as interned
 //! rows, each with the number of dataset rows encoding it, posted per
 //! column. Every view is evaluated over them through its compiled plan
-//! ([`ViewPlan`]): a join over interned cells whose atom order is fixed
-//! once per fill, or once per batch. The oracle (`Estocada::oracle_eval`)
-//! is a nested loop of its own over the same relations, so it stays
-//! independent of the plans it checks.
+//! ([`ViewPlan`]), whose atom orders come from the one orderer
+//! ([`spj::order`]), once per fill or once per batch: a fill is the
+//! select-project-join the relational store answers its queries with
+//! ([`spj::join`]), a batch's delta and derivation counts a depth-first
+//! search of the fact base's own ([`Walk`]), which can stop at a count. The
+//! oracle (`Estocada::oracle_eval`) is a nested loop of its own over the
+//! same relations, so it stays independent of the plans it checks.
 //!
 //! The pivot model has set semantics, but a dataset table is a bag: two
 //! rows can encode one fact (a duplicated row, or two rows sharing a
@@ -26,7 +29,8 @@
 
 use crate::dataset::{Dataset, TableData};
 use estocada_pivot::hash::{FastMap, FastSet};
-use estocada_pivot::kernel::{pack_key, values_of, Distinct, IdRows, JoinTable};
+use estocada_pivot::kernel::{values_of, Distinct, IdRows};
+use estocada_pivot::spj::{self, Cell, Scan};
 use estocada_pivot::{Bag, ConstId, ConstReader, Cq, Fact, IdGen, Symbol, Term, Value, Var};
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
@@ -312,7 +316,7 @@ impl FactBase {
         out: &mut Crossings,
     ) {
         let reads =
-            |plan: &&(Symbol, ViewPlan)| plan.1.atoms.iter().any(|a| fresh.contains_key(&a.pred));
+            |plan: &&(Symbol, ViewPlan)| plan.1.atoms.iter().any(|a| fresh.contains_key(&a.0));
         for (name, plan) in plans.iter().filter(reads) {
             let mut walk = Walk::new(self, plan);
             let Tally { rows, counts } = walk.through(fresh);
@@ -356,50 +360,22 @@ pub(crate) fn net_deltas<K: Clone + Eq + Hash>(
     net
 }
 
-/// A cell of a compiled atom or head: an interned constant, or a
-/// variable's dense slot (in a fill's projection, a column of its rows).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Cell {
-    Const(ConstId),
-    Slot(usize),
-}
-
-/// A body atom of a compiled view.
-struct PlanAtom {
-    pred: Symbol,
-    args: Vec<Cell>,
-    /// Its facts after the constant filters, bounded by the shortest
-    /// posting list of one of its constants.
-    size: usize,
-}
-
-/// One step of a fill: the rows so far joined with one atom's facts.
-struct FillStep {
-    atom: usize,
-    /// `(fact position, row column)` pairs the join matches on.
-    keys: Vec<(usize, usize)>,
-    /// `(fact position, earlier position)` of a variable the atom repeats.
-    repeats: Vec<(usize, usize)>,
-    /// Positions of the variables the atom binds first, appended to a row.
-    fresh: Vec<usize>,
-}
-
 /// A view's conjunctive query compiled against the fact base: variables as
 /// dense slots, constants interned, and for each way the view is evaluated
-/// an atom order fixed once from the atoms' sizes after their constant
-/// filters — the fill's left-deep hash join, a delta search anchored on
-/// each atom, and the search with the head bound.
+/// an atom order fixed once ([`spj::order`]) — the fill's left-deep hash
+/// join, a delta search anchored on each atom, and the search with the head
+/// bound.
 struct ViewPlan {
-    atoms: Vec<PlanAtom>,
+    atoms: Vec<(Symbol, Vec<Cell>)>,
     head: Vec<Cell>,
     slots: usize,
     /// Whether two matches can yield one head row: the head drops a body
     /// variable.
     dedup: bool,
-    fill: Vec<FillStep>,
-    /// The fill's head over its rows' columns; `None` when a head variable
-    /// occurs in no atom (an unsafe view, which has no row).
-    projection: Option<Vec<Cell>>,
+    /// Whether every head variable occurs in the body (an unsafe view has
+    /// no row).
+    safe: bool,
+    fill: Vec<usize>,
     /// Per atom, the order of a delta search anchored on it (it first).
     anchored: Vec<Vec<usize>>,
     /// The order of a search with the head bound.
@@ -410,293 +386,60 @@ impl ViewPlan {
     /// Compile `view` against the sizes of `base`'s relations.
     fn compile(view: &Cq, base: &FactBase) -> ViewPlan {
         let mut slot_of = FastMap::default();
-        let mut atoms = Vec::with_capacity(view.body.len());
-        for a in &view.body {
-            let args: Vec<Cell> = a.args.iter().map(|t| cell(t, &mut slot_of)).collect();
-            let relation = base.relation(a.pred, args.len());
-            let constants = args.iter().enumerate().filter_map(|(at, c)| match c {
-                Cell::Const(id) => Some(relation.map_or(0, |r| r.posted(at, *id).len())),
-                Cell::Slot(_) => None,
-            });
-            let size = constants
-                .min()
-                .unwrap_or_else(|| relation.map_or(0, Bag::len));
-            atoms.push(PlanAtom {
-                pred: a.pred,
-                args,
-                size,
-            });
-        }
+        let cells = |ts: &[Term], slot_of: &mut _| ts.iter().map(|t| cell(t, slot_of)).collect();
+        let atoms: Vec<(Symbol, Vec<Cell>)> = (view.body.iter())
+            .map(|a| (a.pred, cells(&a.args, &mut slot_of)))
+            .collect();
         let body_slots = slot_of.len();
-        let head: Vec<Cell> = view.head.iter().map(|t| cell(t, &mut slot_of)).collect();
+        let head: Vec<Cell> = cells(&view.head, &mut slot_of);
         let slots = slot_of.len();
-        let dedup = (0..body_slots).any(|s| !head.contains(&Cell::Slot(s)));
-        let mut plan = ViewPlan {
+        let scans = scans(base, &atoms);
+        let order = |first, bound| spj::order(&scans, first, bound);
+        let mut bound = vec![false; slots];
+        spj::slots(&head).for_each(|s| bound[s] = true);
+        let (fill, fixed) = (order(None, vec![false; slots]), order(None, bound));
+        let anchored = (0..atoms.len()).map(|a| order(Some(a), vec![false; slots]));
+        ViewPlan {
+            anchored: anchored.collect(),
+            dedup: (0..body_slots).any(|s| !head.contains(&Cell::Slot(s))),
+            safe: slots == body_slots,
             atoms,
             head,
             slots,
-            dedup,
-            fill: Vec::new(),
-            projection: None,
-            anchored: Vec::new(),
-            fixed: Vec::new(),
-        };
-        let fill_order = plan.order(base, None, vec![false; slots]);
-        plan.compile_fill(&fill_order);
-        plan.anchored = (0..plan.atoms.len())
-            .map(|a| plan.order(base, Some(a), vec![false; slots]))
-            .collect();
-        let mut bound = vec![false; slots];
-        plan.head
-            .iter()
-            .filter_map(|c| slot(*c))
-            .for_each(|s| bound[s] = true);
-        plan.fixed = plan.order(base, None, bound);
-        plan
-    }
-
-    /// An atom order, greedy: `first` if given, then repeatedly the atom
-    /// expected to match the fewest facts per row so far — through a
-    /// constant, a slot bound by then (the relation's facts over its
-    /// distinct values there), or, bound nowhere, its size; ties to the
-    /// earlier atom.
-    fn order(&self, base: &FactBase, first: Option<usize>, mut bound: Vec<bool>) -> Vec<usize> {
-        let mut order: Vec<usize> = first.into_iter().collect();
-        let mut left: Vec<usize> = (0..self.atoms.len())
-            .filter(|a| Some(*a) != first)
-            .collect();
-        loop {
-            for &a in &order[order.len().saturating_sub(1)..] {
-                self.atoms[a]
-                    .args
-                    .iter()
-                    .filter_map(|c| slot(*c))
-                    .for_each(|s| bound[s] = true);
-            }
-            let fanout = |a: &usize| {
-                let atom = &self.atoms[*a];
-                let relation = base.relation(atom.pred, atom.args.len());
-                let through = atom.args.iter().enumerate().filter_map(|(at, c)| match c {
-                    Cell::Slot(s) if bound[*s] => {
-                        let (len, distinct) =
-                            relation.map_or((0, 0), |r| (r.len(), r.distinct_at(at)));
-                        Some(len / distinct.max(1))
-                    }
-                    _ => None,
-                });
-                through.chain([atom.size]).min().unwrap_or(0)
-            };
-            let Some(at) = (0..left.len()).min_by_key(|i| fanout(&left[*i])) else {
-                return order;
-            };
-            order.push(left.remove(at));
+            fill,
+            fixed,
         }
     }
 
-    /// The fill's steps over `order`, and its head over the last rows'
-    /// columns.
-    fn compile_fill(&mut self, order: &[usize]) {
-        let mut column: Vec<Option<usize>> = vec![None; self.slots];
-        let mut width = 0;
-        for &a in order {
-            let mut step = FillStep {
-                atom: a,
-                keys: Vec::new(),
-                repeats: Vec::new(),
-                fresh: Vec::new(),
-            };
-            for (at, c) in self.atoms[a].args.iter().enumerate() {
-                let Cell::Slot(s) = *c else { continue };
-                let earlier = self.atoms[a].args[..at].iter().position(|e| *e == *c);
-                match (column[s], earlier) {
-                    (_, Some(first)) => step.repeats.push((at, first)),
-                    (Some(col), None) => step.keys.push((at, col)),
-                    (None, None) => {
-                        column[s] = Some(width + step.fresh.len());
-                        step.fresh.push(at);
-                    }
-                }
-            }
-            width += step.fresh.len();
-            self.fill.push(step);
-        }
-        let project = |c: &Cell| match *c {
-            Cell::Slot(s) => column[s].map(Cell::Slot),
-            constant => Some(constant),
-        };
-        self.projection = self.head.iter().map(project).collect();
-    }
-
-    /// The view's distinct head rows, first-seen, as interned cells: a
-    /// left-deep hash join of each atom's matching facts ([`JoinTable`])
-    /// onto the rows so far. The last step projects each match on the head
-    /// as it is found, into a [`Distinct`] when the head drops a body
-    /// variable and into plain rows otherwise, so no fill holds its widest
-    /// join. An atom's facts are those of its most selective constant's
-    /// posting list or of its relation, or fewer: those holding a key value
-    /// of the rows so far ([`semi_join`]).
+    /// The view's distinct head rows, first-seen, as interned cells: the
+    /// shared select-project-join ([`spj::join`]) in the fill's order, each
+    /// match kept in a [`Distinct`] when the head drops a body variable and
+    /// in plain rows otherwise.
     fn fill(&self, base: &FactBase) -> IdRows {
         let width = self.head.len();
-        let Some(projection) = &self.projection else {
-            return IdRows::empty(width);
-        };
-        let mut rows = IdRows::empty(0);
-        rows.push([]);
-        let Some((last, steps)) = self.fill.split_last() else {
-            // No atom: the one empty match.
-            let mut out = IdRows::empty(width);
-            out.push(project(projection, &[], &[], &[]));
-            return out;
-        };
-        for step in steps {
-            let mut joined = IdRows::empty(rows.width + step.fresh.len());
-            let held = self.join(base, step, &rows, |row, fact| {
-                let fresh = step.fresh.iter().map(|p| fact[*p]);
-                joined.push(row.iter().copied().chain(fresh));
-            });
-            if !held {
-                return IdRows::empty(width);
-            }
-            rows = joined;
-        }
         let (mut distinct, mut plain) = (Distinct::new(width), IdRows::empty(width));
-        let held = self.join(base, last, &rows, |row, fact| {
-            let cells = project(projection, row, fact, &last.fresh);
-            if self.dedup {
-                distinct.keep(cells);
-            } else {
-                plain.push(cells);
-            }
+        let scans = scans(base, &self.atoms);
+        spj::join(&scans, &self.fill, &self.head, |row| match self.dedup {
+            true => drop(distinct.keep(row.iter().copied())),
+            false => plain.push(row.iter().copied()),
         });
-        match (held, self.dedup) {
-            (false, _) => IdRows::empty(width),
-            (true, true) => distinct.into_rows(),
-            (true, false) => plain,
+        if self.dedup {
+            distinct.into_rows()
+        } else {
+            plain
         }
-    }
-
-    /// One fill step: `emit(row, fact)` for each of `rows`, in order, and
-    /// each fact of `step`'s atom it matches, ascending. `false` when the
-    /// atom's relation holds no fact of its width.
-    fn join(
-        &self,
-        base: &FactBase,
-        step: &FillStep,
-        rows: &IdRows,
-        mut emit: impl FnMut(&[ConstId], &[ConstId]),
-    ) -> bool {
-        let atom = &self.atoms[step.atom];
-        let Some(relation) = base.relation(atom.pred, atom.args.len()) else {
-            return false;
-        };
-        let candidates = candidates(relation, atom, &[], 0..relation.len());
-        let limit = candidates.size_hint().0;
-        let build = match semi_join(relation, step.keys.first(), rows, limit) {
-            Some(ids) => matching(relation, atom, &step.repeats, ids.into_iter()),
-            None => matching(relation, atom, &step.repeats, candidates),
-        };
-        let fact_keys = build.rows().map(|fact| {
-            let cells = step.keys.iter().map(|(at, _)| fact[*at]);
-            pack_key(cells, step.keys.len())
-        });
-        let table = JoinTable::build(fact_keys);
-        for row in rows.rows() {
-            let key = pack_key(step.keys.iter().map(|(_, col)| row[*col]), step.keys.len());
-            for &at in table.probe(&key) {
-                emit(row, build.row(at as usize));
-            }
-        }
-        true
     }
 }
 
-/// The head cells, through `projection`, of a fill's row `row` joined with
-/// `fact` by its last step: a column past the row's is the fact's cell at
-/// the position `fresh` gives it.
-fn project<'a>(
-    projection: &'a [Cell],
-    row: &'a [ConstId],
-    fact: &'a [ConstId],
-    fresh: &'a [usize],
-) -> impl Iterator<Item = ConstId> + 'a {
-    projection.iter().map(|c| match *c {
-        Cell::Const(id) => id,
-        Cell::Slot(col) => match col.checked_sub(row.len()) {
-            None => row[col],
-            Some(at) => fact[fresh[at]],
-        },
-    })
-}
-
-/// The positions of the rows of `relation` in `within` that `atom` can
-/// match, ascending: those posted under a constant of it or a value `bound`
-/// binds, through the shortest such list, or every one.
-fn candidates<'r>(
-    relation: &'r Bag,
-    atom: &PlanAtom,
-    bound: &[Option<ConstId>],
-    within: Range<usize>,
-) -> impl Iterator<Item = usize> + 'r {
-    let known = atom.args.iter().enumerate().filter_map(|(at, c)| match *c {
-        Cell::Const(id) => Some((at, id)),
-        Cell::Slot(s) => Some((at, (*bound.get(s)?)?)),
-    });
-    let cut = |(at, id)| {
-        let list = relation.posted(at, id);
-        let from = |end: usize| list.partition_point(|p| (*p as usize) < end);
-        &list[from(within.start)..from(within.end)]
+/// The scans of `atoms` over `base`'s relations: no table where the
+/// relation holds no fact of an atom's width.
+fn scans<'a>(base: &'a FactBase, atoms: &'a [(Symbol, Vec<Cell>)]) -> Vec<Scan<'a, Bag>> {
+    let scan = |(pred, cells): &'a (Symbol, Vec<Cell>)| Scan {
+        table: base.relation(*pred, cells.len()),
+        cells,
+        within: None,
     };
-    let (posted, every) = match known.map(cut).min_by_key(|list| list.len()) {
-        Some(list) if list.len() < within.len() => (list, 0..0),
-        _ => (&[][..], within),
-    };
-    posted.iter().map(|at| *at as usize).chain(every)
-}
-
-/// The cells of `relation`'s rows at `rows` that match `atom` by its
-/// constant and repeated variable filters, in the order of `rows`. A plain
-/// filter rather than [`bind`], which costs more per fact: an atom without
-/// a constant reads every fact of its relation.
-fn matching(
-    relation: &Bag,
-    atom: &PlanAtom,
-    repeats: &[(usize, usize)],
-    rows: impl Iterator<Item = usize>,
-) -> IdRows {
-    let mut out = IdRows::empty(atom.args.len());
-    for row in rows.map(|at| &relation.rows()[at]) {
-        let constants = atom.args.iter().zip(row).all(|(c, id)| match c {
-            Cell::Const(constant) => constant == id,
-            Cell::Slot(_) => true,
-        });
-        if constants && repeats.iter().all(|(at, first)| row[*at] == row[*first]) {
-            out.push(row.iter().copied());
-        }
-    }
-    out
-}
-
-/// The positions of the rows of `relation` holding, at the join key `key`
-/// (`(fact position, row column)`), a value some of `rows` holds there —
-/// ascending, as every posting list is — or `None` once they would number
-/// `limit` or more.
-fn semi_join(
-    relation: &Bag,
-    key: Option<&(usize, usize)>,
-    rows: &IdRows,
-    limit: usize,
-) -> Option<Vec<usize>> {
-    let &(at, col) = key?;
-    let values: FastSet<ConstId> = rows.rows().map(|row| row[col]).collect();
-    let mut ids = Vec::new();
-    for v in values {
-        ids.extend(relation.posted(at, v).iter().map(|at| *at as usize));
-        if ids.len() >= limit {
-            return None;
-        }
-    }
-    ids.sort_unstable();
-    Some(ids)
+    atoms.iter().map(scan).collect()
 }
 
 /// The cell of `t`, numbering a new variable's slot in `slot_of`.
@@ -707,14 +450,6 @@ fn cell(t: &Term, slot_of: &mut FastMap<Var, usize>) -> Cell {
             let next = slot_of.len();
             Cell::Slot(*slot_of.entry(*v).or_insert(next))
         }
-    }
-}
-
-/// The slot of a variable cell.
-fn slot(c: Cell) -> Option<usize> {
-    match c {
-        Cell::Slot(s) => Some(s),
-        Cell::Const(_) => None,
     }
 }
 
@@ -730,8 +465,7 @@ struct Tally {
 /// count. Its buffers are reused from one search to the next.
 struct Walk<'a> {
     plan: &'a ViewPlan,
-    /// Per atom, its relation (`None`: no fact of the atom's width).
-    relations: Vec<Option<&'a Bag>>,
+    scans: Vec<Scan<'a, Bag>>,
     /// Per atom, the positions of the rows it may match: its stratum.
     within: Vec<Range<usize>>,
     bound: Vec<Option<ConstId>>,
@@ -740,12 +474,10 @@ struct Walk<'a> {
 
 impl<'a> Walk<'a> {
     fn new(base: &'a FactBase, plan: &'a ViewPlan) -> Walk<'a> {
-        let relation = |a: &PlanAtom| base.relation(a.pred, a.args.len());
-        let relations: Vec<_> = plan.atoms.iter().map(relation).collect();
         Walk {
             plan,
-            within: relations.iter().map(|r| 0..r.map_or(0, Bag::len)).collect(),
-            relations,
+            scans: scans(base, &plan.atoms),
+            within: vec![0..0; plan.atoms.len()],
             bound: vec![None; plan.slots],
             trail: Vec::new(),
         }
@@ -760,16 +492,14 @@ impl<'a> Walk<'a> {
         let mut tally = Tally { rows, counts };
         let plan = self.plan;
         // An unsafe view has no row to reach.
-        let anchors = (0..plan.atoms.len()).filter(|_| plan.projection.is_some());
+        let anchors = (0..plan.atoms.len()).filter(|_| plan.safe);
         for anchor in anchors {
-            if !fresh.contains_key(&plan.atoms[anchor].pred) {
+            if !fresh.contains_key(&plan.atoms[anchor].0) {
                 continue;
             }
             for (a, within) in self.within.iter_mut().enumerate() {
-                let end = self.relations[a].map_or(0, Bag::len);
-                let first = fresh
-                    .get(&plan.atoms[a].pred)
-                    .map_or(end, |f| (*f).min(end));
+                let end = self.scans[a].table.map_or(0, Bag::len);
+                let first = fresh.get(&plan.atoms[a].0).map_or(end, |f| (*f).min(end));
                 *within = match a.cmp(&anchor) {
                     Ordering::Less => 0..first,
                     Ordering::Equal => first..end,
@@ -796,8 +526,8 @@ impl<'a> Walk<'a> {
     /// The matches of the whole body with the head fixed to `row`, counted
     /// up to `limit`.
     fn derivations(&mut self, row: &[ConstId], limit: usize) -> usize {
-        for (within, relation) in self.within.iter_mut().zip(&self.relations) {
-            *within = 0..relation.map_or(0, Bag::len);
+        for (within, scan) in self.within.iter_mut().zip(&self.scans) {
+            *within = 0..scan.table.map_or(0, Bag::len);
         }
         self.bound.fill(None);
         for (c, id) in self.plan.head.iter().zip(row) {
@@ -828,14 +558,13 @@ impl<'a> Walk<'a> {
         let Some((&a, rest)) = order.split_first() else {
             return visit(&self.bound);
         };
-        let (atom, Some(relation)) = (&self.plan.atoms[a], self.relations[a]) else {
+        let (Some(relation), cells) = (self.scans[a].table, self.scans[a].cells) else {
             return true;
         };
-        let within = self.within[a].clone();
-        for at in candidates(relation, atom, &self.bound, within) {
+        let (listed, every) = spj::candidates(relation, cells, &self.bound, self.within[a].clone());
+        for at in listed.iter().map(|at| *at as usize).chain(every) {
             let mark = self.trail.len();
-            let go_on = !bind(atom, &relation.rows()[at], &mut self.bound, &mut self.trail)
-                || self.search(rest, visit);
+            let go_on = !self.bind(cells, &relation.rows()[at]) || self.search(rest, visit);
             for s in self.trail.drain(mark..) {
                 self.bound[s] = None;
             }
@@ -845,34 +574,23 @@ impl<'a> Walk<'a> {
         }
         true
     }
-}
 
-/// Match `atom` against a fact's cells — equal to the atom's constants and
-/// to the slots `bound` binds — binding its free slots, each pushed on
-/// `trail` for the caller to unwind.
-fn bind(
-    atom: &PlanAtom,
-    cells: &[ConstId],
-    bound: &mut [Option<ConstId>],
-    trail: &mut Vec<usize>,
-) -> bool {
-    for (c, id) in atom.args.iter().zip(cells) {
-        let fits = match *c {
+    /// Match an atom's `args` against a fact's cells — equal to its
+    /// constants and to the bound slots — binding its free slots, each
+    /// pushed on the trail for the caller to unwind.
+    fn bind(&mut self, args: &[Cell], cells: &[ConstId]) -> bool {
+        args.iter().zip(cells).all(|(c, id)| match *c {
             Cell::Const(constant) => constant == *id,
-            Cell::Slot(s) => match bound[s] {
+            Cell::Slot(s) => match self.bound[s] {
                 Some(held) => held == *id,
                 None => {
-                    bound[s] = Some(*id);
-                    trail.push(s);
+                    self.bound[s] = Some(*id);
+                    self.trail.push(s);
                     true
                 }
             },
-        };
-        if !fits {
-            return false;
-        }
+        })
     }
-    true
 }
 
 #[cfg(test)]
@@ -880,7 +598,8 @@ mod tests {
     use super::*;
     use estocada_chase::testkit::{evaluate_view, fact_base};
     use estocada_chase::{find_homs, find_homs_delta, Elem, HomConfig};
-    use estocada_pivot::Atom;
+    use estocada_pivot::spj::Indexed;
+    use estocada_pivot::{Atom, Postings};
 
     /// A deterministic stream of choices.
     struct Dice(u64);
@@ -1122,7 +841,7 @@ mod tests {
                 cells.sort();
                 cells.dedup();
                 assert_eq!(
-                    relation.distinct_at(column),
+                    relation.postings(column).map_or(0, Postings::len),
                     cells.len(),
                     "{what}: {pred}.{column}"
                 );

@@ -11,7 +11,9 @@
 //! full-text relations are plain relations with access patterns), the one
 //! hasher every in-process hash table uses ([`hash`]) and the one kernel
 //! that joins, de-duplicates and groups interned rows ([`kernel`]) for the
-//! stores and the mediator alike. The chase-based
+//! stores and the mediator alike, with the one select-project-join over
+//! interned tables ([`spj`]) that fills views and answers the relational
+//! store's queries. The chase-based
 //! reasoning over these objects lives in `estocada-chase`; the stores and
 //! the mediator live further up the stack.
 
@@ -30,6 +32,7 @@ pub mod intern;
 pub mod kernel;
 pub mod multiset;
 pub mod schema;
+pub mod spj;
 pub mod symbol;
 pub mod term;
 pub mod value;

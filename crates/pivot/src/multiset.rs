@@ -10,9 +10,8 @@
 //! ([`Wanted::claim_under`]).
 //!
 //! [`Postings`] is that index: each key with the ascending locations of
-//! the rows posted under it. Its keys are hashed, so they come in no
-//! particular order: [`Postings::range`] collects the keys in its bounds
-//! and sorts them, at O(distinct keys). Claimed rows leave through
+//! the rows posted under it, its keys hashed, in no particular order.
+//! Claimed rows leave through
 //! [`swap_remove`] — the last row fills each hole — and every index
 //! forgets the one row and relocates the other in place
 //! ([`Postings::relocate`]), so a patched index lists what a fresh build
@@ -20,16 +19,16 @@
 //!
 //! [`Bag`] is a counted relation built from these parts: each distinct
 //! interned row held once ([`Distinct`]) with the number of times it
-//! occurs, and posted per column.
+//! occurs, and posted per column: a table [`crate::spj`] joins.
 
 use crate::hash::{FastMap, FastSet};
 use crate::kernel::{Distinct, IdRows};
+use crate::spj::Indexed;
 use crate::{ConstId, Value};
 use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
 use std::collections::BTreeSet;
 use std::hash::Hash;
-use std::ops::RangeBounds;
 
 /// Rows still wanted, each with the number of instances it still claims.
 #[derive(Debug)]
@@ -175,24 +174,6 @@ impl<K: Hash + Eq, L: Ord + Copy> Postings<K, L> {
         K: Borrow<Q>,
     {
         self.map.get(key).map_or(&[], Locs::as_slice)
-    }
-
-    /// The locations posted under the keys in `keys`, key by key in key
-    /// order. The keys in bounds are collected and sorted: O(distinct keys)
-    /// whatever the range holds.
-    pub fn range<Q: Ord + ?Sized>(&self, keys: impl RangeBounds<Q>) -> impl Iterator<Item = L> + '_
-    where
-        K: Borrow<Q> + Ord,
-    {
-        let mut under: Vec<(&K, &Locs<L>)> = self
-            .map
-            .iter()
-            .filter(|(key, _)| keys.contains((*key).borrow()))
-            .collect();
-        under.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        under
-            .into_iter()
-            .flat_map(|(_, locs)| locs.as_slice().iter().copied())
     }
 
     /// The row posted under `key` at `from` moved to `to`, or left
@@ -386,11 +367,6 @@ impl Bag {
             .map_or(&[], |posted| posted.get(&id))
     }
 
-    /// Number of distinct cells in column `column`.
-    pub fn distinct_at(&self, column: usize) -> usize {
-        self.columns.get(column).map_or(0, Postings::len)
-    }
-
     /// Swap the rows at `a` and `b`, counts and postings with them: each
     /// cell where the two differ is relocated once.
     pub fn swap(&mut self, a: usize, b: usize) {
@@ -423,6 +399,16 @@ impl Bag {
             }
         });
         self.counts.truncate(self.rows.len());
+    }
+}
+
+impl Indexed for Bag {
+    fn rows(&self) -> &IdRows {
+        self.rows.rows()
+    }
+
+    fn postings(&self, column: usize) -> Option<&Postings<ConstId, u32>> {
+        self.columns.get(column)
     }
 }
 
@@ -488,18 +474,6 @@ mod tests {
                     rows.push(row);
                 }
                 assert_eq!(index, build(&rows));
-                let low = next(5) as u8;
-                let through: Vec<usize> = index.range(low..).collect();
-                let fresh = rows
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| r.iter().any(|k| *k >= low));
-                let mut fresh: Vec<usize> = fresh.map(|(at, _)| at).collect();
-                let mut through_sorted = through.clone();
-                through_sorted.sort();
-                through_sorted.dedup();
-                fresh.sort();
-                assert_eq!(through_sorted, fresh);
             }
         }
         // A row removed, the last filling its hole; an emptied key leaves.
@@ -523,7 +497,6 @@ mod tests {
         key_of: impl Fn(usize) -> K,
     ) -> [usize; 4] {
         use std::collections::BTreeMap;
-        use std::ops::Bound::{Excluded, Included, Unbounded};
         let mut x = 29u64;
         let mut next = |n: usize| {
             x = x
@@ -581,16 +554,6 @@ mod tests {
                     assert_eq!(index.get(key), locs.iter().copied().collect::<Vec<_>>());
                 }
                 assert_eq!(index.get(&key_of(6)), &[][..]);
-                // Bounds of every kind, keys posted or not, in either order.
-                let bound = |n: usize| match n % 3 {
-                    0 => Unbounded,
-                    1 => Included(key_of(n / 3)),
-                    _ => Excluded(key_of(n / 3)),
-                };
-                let bounds = (bound(next(21)), bound(next(21)));
-                let within = model.iter().filter(|(key, _)| bounds.contains(*key));
-                let expected: Vec<u8> = within.flat_map(|(_, l)| l.iter().copied()).collect();
-                assert_eq!(index.range(bounds.clone()).collect::<Vec<_>>(), expected);
                 let fresh = model
                     .iter()
                     .flat_map(|(key, locs)| locs.iter().map(|at| (key.clone(), *at)));

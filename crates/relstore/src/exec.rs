@@ -1,17 +1,16 @@
-//! Execution of conjunctive select-project-join queries.
-//!
-//! Strategy: per-table constant predicates first (index-assisted when an
-//! index exists), then greedy hash-join ordering (smallest relation first,
-//! always joining through an available equality predicate when one exists),
-//! residual predicates as filters, projection last — followed, when the
-//! query asks for it, by `DISTINCT` and the `GROUP BY`/aggregate/`HAVING`
-//! tail over the projected rows. The join, the `DISTINCT` and the tail are
-//! the shared kernel's ([`estocada_pivot::kernel`]), over interned cells.
+//! Execution of conjunctive select-project-join queries: each table's
+//! constant predicates first (through an index when one seeds them), then
+//! the shared select-project-join ([`estocada_pivot::spj`]) over the rows
+//! they leave — equated columns share a slot, and the other column
+//! comparisons filter its matches — followed, when the query asks for it,
+//! by `DISTINCT` and the `GROUP BY`/aggregate/`HAVING` tail over the
+//! projected rows ([`kernel::answer`]), all over interned cells.
 
 use crate::query::{CmpOp, ColRef, Pred, SqlQuery};
 use crate::table::Table;
 use estocada_pivot::hash::FastMap;
-use estocada_pivot::kernel::{self, compare, pack_key, JoinTable, RowFilter};
+use estocada_pivot::kernel::{self, compare, RowFilter};
+use estocada_pivot::spj::{self, Cell, Scan};
 use estocada_pivot::{ConstReader, IdRows, Value};
 
 /// Why a request could not be answered: a malformed query or write, or a
@@ -55,22 +54,12 @@ impl std::fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// Execution counters of one query.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExecCounters {
-    /// Rows scanned from base tables.
-    pub scanned: u64,
-    /// Rows produced.
-    pub produced: u64,
-    /// Whether any index was used.
-    pub used_index: bool,
-}
-
-/// Run `query` against the `tables` map. Returns projected rows.
+/// Run `query` against the `tables` map, adding the rows it scans to
+/// `scanned`. Returns projected rows.
 pub fn run(
     query: &SqlQuery,
     tables: &FastMap<String, Table>,
-    counters: &mut ExecCounters,
+    scanned: &mut u64,
 ) -> Result<IdRows, QueryError> {
     let table = |n: &String| {
         tables
@@ -97,161 +86,109 @@ pub fn run(
     // The reader is gone before the tail interns what it computes.
     let projected = {
         let reader = ConstReader::new();
-        select_project_join(query, &base, &reader, counters)
+        select_project_join(query, &base, &reader, scanned)
     };
-    let out = kernel::answer(projected, query.distinct, query.group.as_ref());
-    counters.produced += out.len as u64;
-    Ok(out)
+    let group = query.group.as_ref();
+    Ok(kernel::answer(projected, query.distinct, group))
 }
 
 /// The conjunctive block of `query` over `base`, projected (an empty
-/// SELECT list still answers one empty row per match).
+/// SELECT list still answers one empty row per match; no table, no row).
 fn select_project_join(
     query: &SqlQuery,
     base: &[&Table],
     reader: &ConstReader,
-    counters: &mut ExecCounters,
+    scanned: &mut u64,
 ) -> IdRows {
-    // Phase 1: per-table candidate rows after constant predicates.
-    let mut candidates: Vec<Vec<usize>> = (base.iter().enumerate())
+    let width = query.projection.len();
+    if base.is_empty() {
+        return IdRows::empty(width);
+    }
+    // Per table, its rows after its constant predicates.
+    let selected: Vec<Vec<u32>> = (base.iter().enumerate())
         .map(|(ti, t)| {
             let consts = query.predicates.iter().filter_map(|p| match p {
                 Pred::ColConst(c, op, v) if c.table == ti => Some((c.column, *op, v)),
                 _ => None,
             });
-            select_rows(t, consts.collect(), reader, counters)
+            select_rows(t, consts.collect(), reader, scanned)
         })
         .collect();
-
-    // Phase 2: greedy join.
-    // State: the joined tables in join order, the combined bindings laid
-    // out flat — one row id per joined table, `joined.len()` per combo —
-    // and each table's position in a combo, set when it joins.
-    let n = base.len();
-    let mut slot = vec![0; n];
-    let mut joined: Vec<usize> = Vec::new();
-    let mut result: Vec<usize> = Vec::new();
-    let mut remaining: Vec<usize> = (0..n).collect();
-    remaining.sort_by_key(|&i| candidates[i].len());
-    // The equality keys `(ti's column, joined column)` between table `ti`
-    // and the joined set.
-    let keys_into = |ti: usize, joined: &[usize]| -> Vec<(ColRef, ColRef)> {
-        let eqs = query.predicates.iter().filter_map(|p| match p {
-            Pred::ColCol(l, CmpOp::Eq, r) => Some([(*l, *r), (*r, *l)]),
-            _ => None,
-        });
-        let into = |(new, old): &(ColRef, ColRef)| new.table == ti && joined.contains(&old.table);
-        eqs.filter_map(|pair| pair.into_iter().find(into)).collect()
+    // Columns numbered flat, table after table, each its own slot but
+    // equated columns one: the lowest of their class.
+    let mut first = vec![0];
+    base.iter()
+        .for_each(|t| first.push(first[first.len() - 1] + t.columns.len()));
+    let flat = |c: &ColRef| first[c.table] + c.column;
+    let mut slot: Vec<usize> = (0..first[base.len()]).collect();
+    let root = |slot: &[usize], mut s: usize| {
+        while slot[s] != s {
+            s = slot[s];
+        }
+        s
     };
-
-    while !remaining.is_empty() {
-        // Prefer a table with an equality predicate into the joined set.
-        let connected = |ti: &usize| !keys_into(*ti, &joined).is_empty();
-        let pick_pos = remaining.iter().position(connected).unwrap_or(0);
-        let ti = remaining.remove(pick_pos);
-
-        slot[ti] = joined.len();
-        if joined.is_empty() {
-            result = std::mem::take(&mut candidates[ti]);
-            joined.push(ti);
-            continue;
-        }
-        let keys = keys_into(ti, &joined);
-        let stride = joined.len();
-        let mut next = Vec::new();
-        let mut extend = |combo: &[usize], r: usize| {
-            next.extend_from_slice(combo);
-            next.push(r);
-        };
-        if keys.is_empty() {
-            // Cross product.
-            for combo in result.chunks_exact(stride) {
-                for &r in &candidates[ti] {
-                    extend(combo, r);
-                }
+    let (mut ops, mut sides) = (Vec::new(), Vec::new());
+    for p in &query.predicates {
+        match p {
+            Pred::ColCol(l, CmpOp::Eq, r) => {
+                let (a, b) = (root(&slot, flat(l)), root(&slot, flat(r)));
+                slot[a.max(b)] = a.min(b);
             }
-        } else {
-            // Hash join: the joined combos build, `ti`'s rows probe.
-            let old = |combo: &[usize]| {
-                let cells = keys
-                    .iter()
-                    .map(|(_, c)| base[c.table].rows[combo[slot[c.table]]][c.column]);
-                pack_key(cells, keys.len())
-            };
-            let table = JoinTable::build(result.chunks_exact(stride).map(old));
-            for &r in &candidates[ti] {
-                let cells = keys.iter().map(|(nc, _)| base[ti].rows[r][nc.column]);
-                for &ci in table.probe(&pack_key(cells, keys.len())) {
-                    let ci = ci as usize;
-                    extend(&result[ci * stride..(ci + 1) * stride], r);
-                }
+            Pred::ColCol(l, op, r) => {
+                ops.push(*op);
+                sides.extend([*l, *r]);
             }
+            Pred::ColConst(..) => {}
         }
-        result = next;
-        joined.push(ti);
     }
-
-    // Phase 3: residual predicates (cross-table comparisons; equalities the
-    // hash join connected two tables through are re-checked, which also
-    // covers same-table equalities). Constant predicates ran in phase 1.
-    let stride = joined.len().max(1);
-    let cell = |combo: &[usize], c: &ColRef| base[c.table].rows[combo[slot[c.table]]][c.column];
-    let residual: Vec<&Pred> = (query.predicates.iter())
-        .filter(|p| matches!(p, Pred::ColCol(..)))
+    let cells: Vec<Cell> = (0..slot.len())
+        .map(|s| Cell::Slot(root(&slot, s)))
         .collect();
-    if !residual.is_empty() {
-        let holds = |combo: &[usize], p: &Pred| match p {
-            Pred::ColCol(l, op, r) => compare(*op, cell(combo, l), cell(combo, r), reader),
-            Pred::ColConst(..) => true,
-        };
-        let pass = |combo: &&[usize]| residual.iter().all(|p| holds(combo, p));
-        result = result
-            .chunks_exact(stride)
-            .filter(pass)
-            .flatten()
-            .copied()
-            .collect();
-    }
-
-    // Phase 4: projection — interned cells, laid out flat, so that DISTINCT
-    // and the grouping tail run beside the data.
-    let width = query.projection.len();
-    let len = result.len() / stride;
-    let mut cells = Vec::with_capacity(len * width);
-    for combo in result.chunks_exact(stride) {
-        cells.extend(query.projection.iter().map(|c| cell(combo, c)));
-    }
-    IdRows { width, len, cells }
+    // The head: the SELECT list, then both sides of each other comparison.
+    let head: Vec<Cell> = query
+        .projection
+        .iter()
+        .chain(&sides)
+        .map(|c| cells[flat(c)])
+        .collect();
+    let scan = |t: usize| Scan {
+        table: Some(base[t]),
+        cells: &cells[first[t]..first[t + 1]],
+        within: Some(&selected[t]),
+    };
+    let scans: Vec<Scan<Table>> = (0..base.len()).map(scan).collect();
+    let order = spj::order(&scans, None, vec![false; cells.len()]);
+    let mut out = IdRows::empty(width);
+    spj::join(&scans, &order, &head, |row| {
+        let (cells, sides) = row.split_at(width);
+        let holds = |(op, pair): (&CmpOp, &[_])| compare(*op, pair[0], pair[1], reader);
+        if ops.iter().zip(sides.chunks(2)).all(holds) {
+            out.push(cells.iter().copied());
+        }
+    });
+    out
 }
 
-/// Rows of `t` matching the conjunction of constant predicates
-/// `(column, op, constant)`, using the best available index.
+/// The positions of the rows of `t` matching the conjunction of constant
+/// predicates `(column, op, constant)`, ascending, seeded by the first one
+/// an index answers ([`Table::lookup`]); a table no index seeds is scanned.
 fn select_rows(
     t: &Table,
     consts: Vec<(usize, CmpOp, &Value)>,
     reader: &ConstReader,
-    counters: &mut ExecCounters,
-) -> Vec<usize> {
-    // Try an index for one equality or range predicate.
-    let probe = |(c, op, v): &(usize, CmpOp, &Value)| {
-        let idx = t.indexes.get(c)?;
-        match op {
-            CmpOp::Eq => Some(idx.get(*v).to_vec()),
-            CmpOp::Gt | CmpOp::Ge => Some(idx.range(*v..).collect()),
-            CmpOp::Lt | CmpOp::Le => Some(idx.range(..=*v).collect()),
-            CmpOp::Ne => None,
-        }
-    };
-    let seed = consts.iter().find_map(probe);
-    counters.used_index |= seed.is_some();
+    scanned: &mut u64,
+) -> Vec<u32> {
+    let seed = consts
+        .iter()
+        .find_map(|(c, op, v)| t.lookup(*c, *op, v, reader));
     let candidates = seed.unwrap_or_else(|| {
-        counters.scanned += t.len() as u64;
-        (0..t.len()).collect()
+        *scanned += t.len() as u64;
+        (0..t.len() as u32).collect()
     });
     let test = RowFilter::new(consts, reader);
     candidates
         .into_iter()
-        .filter(|r| test.pass(&t.rows[*r]))
+        .filter(|r| test.pass(&t.rows[*r as usize]))
         .collect()
 }
 
@@ -290,11 +227,10 @@ mod tests {
         let q = q
             .filter(Pred::ColConst(col(0, 2), CmpOp::Eq, Value::str("gold")))
             .select(col(0, 1));
-        let mut c = ExecCounters::default();
-        let rows = run(&q, &tables, &mut c).unwrap().to_values();
+        let mut scanned = 0;
+        let rows = run(&q, &tables, &mut scanned).unwrap().to_values();
         assert_eq!(rows.len(), 2);
-        assert!(!c.used_index);
-        assert_eq!(c.scanned, 3);
+        assert_eq!(scanned, 3);
     }
 
     #[test]
@@ -306,11 +242,10 @@ mod tests {
         let q = q
             .filter(Pred::ColConst(col(0, 2), CmpOp::Eq, Value::str("gold")))
             .select(col(0, 0));
-        let mut c = ExecCounters::default();
-        let rows = run(&q, &tables, &mut c).unwrap().to_values();
+        let mut scanned = 0;
+        let rows = run(&q, &tables, &mut scanned).unwrap().to_values();
         assert_eq!(rows.len(), 2);
-        assert!(c.used_index);
-        assert_eq!(c.scanned, 0);
+        assert_eq!(scanned, 0);
     }
 
     #[test]
@@ -323,7 +258,7 @@ mod tests {
             .filter(Pred::ColCol(col(0, 0), CmpOp::Eq, col(1, 1)))
             .select(col(0, 1))
             .select(col(1, 2));
-        let mut c = ExecCounters::default();
+        let mut c = 0;
         let mut rows = run(&q, &tables, &mut c).unwrap().to_values();
         rows.sort();
         assert_eq!(rows.len(), 3);
@@ -341,7 +276,7 @@ mod tests {
             .filter(Pred::ColCol(col(0, 0), CmpOp::Eq, col(1, 1)))
             .filter(Pred::ColConst(col(1, 2), CmpOp::Gt, Value::Int(50)))
             .select(col(0, 1));
-        let mut c = ExecCounters::default();
+        let mut c = 0;
         let rows = run(&q, &tables, &mut c).unwrap().to_values();
         assert_eq!(rows, vec![vec![Value::str("ann")]]);
     }
@@ -355,11 +290,11 @@ mod tests {
         let q = q
             .filter(Pred::ColConst(col(0, 2), CmpOp::Ge, Value::Int(42)))
             .select(col(0, 0));
-        let mut c = ExecCounters::default();
-        let mut rows = run(&q, &tables, &mut c).unwrap().to_values();
+        let mut scanned = 0;
+        let mut rows = run(&q, &tables, &mut scanned).unwrap().to_values();
         rows.sort();
         assert_eq!(rows, vec![vec![Value::Int(10)], vec![Value::Int(12)]]);
-        assert!(c.used_index);
+        assert_eq!(scanned, 0);
     }
 
     #[test]
@@ -369,7 +304,7 @@ mod tests {
         q.add_table("users");
         q.add_table("orders");
         let q = q.select(col(0, 0)).select(col(1, 0));
-        let mut c = ExecCounters::default();
+        let mut c = 0;
         let rows = run(&q, &tables, &mut c).unwrap().to_values();
         assert_eq!(rows.len(), 9);
     }
@@ -386,7 +321,7 @@ mod tests {
             .filter(Pred::ColCol(col(0, 0), CmpOp::Ne, col(1, 0)))
             .select(col(0, 0))
             .select(col(1, 0));
-        let mut c = ExecCounters::default();
+        let mut c = 0;
         let rows = run(&q, &tables, &mut c).unwrap().to_values();
         // gold pair (1,3) both directions
         assert_eq!(rows.len(), 2);
@@ -397,7 +332,7 @@ mod tests {
         let tables = setup();
         let mut q = SqlQuery::new();
         q.add_table("nope");
-        let mut c = ExecCounters::default();
+        let mut c = 0;
         assert!(matches!(
             run(&q, &tables, &mut c),
             Err(QueryError::UnknownTable(_))
@@ -410,7 +345,7 @@ mod tests {
         let mut q = SqlQuery::new();
         q.add_table("users");
         let q = q.select(col(0, 99));
-        let mut c = ExecCounters::default();
+        let mut c = 0;
         assert_eq!(run(&q, &tables, &mut c), Err(QueryError::BadColumn));
     }
 
@@ -420,17 +355,14 @@ mod tests {
         let mut q = SqlQuery::new();
         q.add_table("users");
         let mut q = q.select(col(0, 2));
-        assert_eq!(
-            run(&q, &tables, &mut ExecCounters::default()).unwrap().len,
-            3
-        );
+        assert_eq!(run(&q, &tables, &mut 0).unwrap().len, 3);
         q.distinct = true;
-        let mut c = ExecCounters::default();
+        let mut scanned = 0;
         assert_eq!(
-            run(&q, &tables, &mut c).unwrap().to_values(),
+            run(&q, &tables, &mut scanned).unwrap().to_values(),
             vec![vec![Value::str("gold")], vec![Value::str("free")]]
         );
-        assert_eq!(c.produced, 2);
+        assert_eq!(scanned, 3);
     }
 
     #[test]
@@ -451,7 +383,7 @@ mod tests {
             aggs: vec![(AggFun::Count, 1), (AggFun::Sum, 2)],
             having: vec![(1, CmpOp::Ge, Value::Int(3))],
         });
-        let rows = run(&q, &tables, &mut ExecCounters::default()).unwrap();
+        let rows = run(&q, &tables, &mut 0).unwrap();
         let rows = rows.to_values();
         assert_eq!(
             rows,
@@ -463,9 +395,6 @@ mod tests {
         );
         // A tail reading past the SELECT list is a malformed query.
         q.group.as_mut().unwrap().aggs.push((AggFun::Max, 3));
-        assert_eq!(
-            run(&q, &tables, &mut ExecCounters::default()),
-            Err(QueryError::BadColumn)
-        );
+        assert_eq!(run(&q, &tables, &mut 0), Err(QueryError::BadColumn));
     }
 }

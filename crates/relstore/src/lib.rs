@@ -2,10 +2,12 @@
 //!
 //! An in-memory relational store — the Postgres stand-in of the ESTOCADA
 //! reproduction. It supports typed-as-dynamic rows held as interned cells,
-//! hashed secondary indexes (an equality lookup is one probe; a range
-//! lookup sorts the values in its bounds), a conjunctive
-//! select-project-join executor with greedy hash-join ordering that answers
-//! in interned cells, and the simkit latency/metrics instrumentation that
+//! hashed secondary indexes over them (an equality lookup is one probe; a
+//! range lookup compares each distinct cell with its bound and sorts the
+//! rows it finds), a conjunctive select-project-join executor that answers
+//! in interned cells through the fact base's own join
+//! ([`estocada_pivot::spj`]: greedy order, left-deep hash join), and the
+//! simkit latency/metrics instrumentation that
 //! models a networked deployment. (The mediator's cost model keeps its own
 //! per-fragment statistics; the store computes none.)
 //!
@@ -19,7 +21,7 @@ pub mod exec;
 pub mod query;
 pub mod table;
 
-pub use exec::{ExecCounters, QueryError};
+pub use exec::QueryError;
 pub use query::{CmpOp, ColRef, Pred, SqlQuery};
 pub use table::Table;
 
@@ -129,9 +131,9 @@ impl RelStore {
     pub fn query(&self, q: &SqlQuery) -> Result<IdRows, QueryError> {
         let guard = self.tables.read();
         let mut timer = RequestTimer::start(&self.metrics, self.latency);
-        let mut counters = ExecCounters::default();
-        let rows = exec::run(q, &guard, &mut counters)?;
-        timer.add_scanned(counters.scanned);
+        let mut scanned = 0;
+        let rows = exec::run(q, &guard, &mut scanned)?;
+        timer.add_scanned(scanned);
         timer.set_output(rows.len as u64, rows.approx_size() as u64);
         Ok(rows)
     }

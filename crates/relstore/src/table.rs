@@ -2,21 +2,24 @@
 
 use crate::exec::QueryError;
 use estocada_pivot::hash::FastMap;
-use estocada_pivot::kernel::held;
-use estocada_pivot::{swap_remove, ConstReader, IdRows, Postings, Value, Wanted};
+use estocada_pivot::kernel::{held, RowFilter};
+use estocada_pivot::spj::Indexed;
+use estocada_pivot::{swap_remove, CmpOp, ConstId, ConstReader, IdRows, Postings, Value, Wanted};
 
 /// An in-memory row-store table. Cells are interned once, when a row is
-/// written, and held flat, row after row; the indexes hash each value, and
-/// a range lookup sorts the values in its bounds.
+/// written, and held flat, row after row; an index posts each interned
+/// cell's rows, as a fact-base relation does, so the shared
+/// select-project-join ([`estocada_pivot::spj`]) reads both alike.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     /// Column names.
     pub columns: Vec<String>,
     /// Row data, in column order.
     pub rows: IdRows,
-    /// Secondary indexes by column position: each value with the rows
-    /// holding it, for equality and range lookups.
-    pub indexes: FastMap<usize, Postings<Value>>,
+    /// Secondary indexes by column position: each cell with the positions
+    /// of the rows holding it, for equality lookups, range lookups
+    /// ([`Table::lookup`]) and join keys.
+    pub indexes: FastMap<usize, Postings<ConstId, u32>>,
 }
 
 impl Table {
@@ -51,13 +54,9 @@ impl Table {
             let got = rows.width;
             return Err(QueryError::Arity { expected, got });
         }
-        if !self.indexes.is_empty() {
-            let reader = ConstReader::new();
-            for (at, row) in (self.rows.len..).zip(rows.rows()) {
-                for (col, idx) in self.indexes.iter_mut() {
-                    idx.insert(reader.get(row[*col]).clone(), at);
-                }
-            }
+        for (col, idx) in self.indexes.iter_mut() {
+            let posted = (self.rows.len as u32..).zip(rows.rows());
+            posted.for_each(|(at, row)| idx.insert(row[*col], at));
         }
         self.rows.cells.extend_from_slice(&rows.cells);
         self.rows.len += rows.len;
@@ -75,7 +74,7 @@ impl Table {
     /// stored instance left, or of another width, are skipped); returns how
     /// many went. The rows
     /// are found through the index on the lowest indexed column when there
-    /// is one — the rows holding an entry's value — and by one scan
+    /// is one — the rows holding an entry's cell — and by one scan
     /// otherwise. The table's last row moves into each hole and every index
     /// follows in place ([`swap_remove`]): the cost is the delta and the
     /// postings it touches, not the table. No physical row order is
@@ -85,20 +84,18 @@ impl Table {
             return 0;
         }
         let mut wanted = Wanted::of(rows.rows());
-        let reader = ConstReader::new();
-        let row_at = |at: usize| &self.rows[at];
+        let row_at = |at: u32| &self.rows[at as usize];
         // One stored instance per entry, the lowest positions first; the
-        // candidates: every row an entry's value is posted under, or all.
+        // candidates: every row an entry's cell is posted under, or all.
         let found = match self.indexes.iter().min_by_key(|(col, _)| **col) {
-            Some((col, idx)) => {
-                wanted.claim_under(|row| reader.get(row[*col]), |v| idx.get(*v), row_at)
-            }
-            None => wanted.claim(0..self.rows.len, row_at),
+            Some((col, idx)) => wanted.claim_under(|row| row[*col], |id| idx.get(id), row_at),
+            None => wanted.claim(0..self.rows.len as u32, row_at),
         };
         let indexes = &mut self.indexes;
-        swap_remove(&mut self.rows, found.iter().copied(), |row, from, to| {
+        let doomed = found.iter().map(|at| *at as usize);
+        swap_remove(&mut self.rows, doomed, |row, from, to| {
             for (col, idx) in indexes.iter_mut() {
-                idx.relocate(reader.get(row[*col]), from, to);
+                idx.relocate(&row[*col], from as u32, to.map(|to| to as u32));
             }
         });
         found.len()
@@ -106,12 +103,35 @@ impl Table {
 
     /// Build an index over `column` (replacing any existing one).
     pub fn create_index(&mut self, column: usize) {
-        let reader = ConstReader::new();
-        let posted = self.rows.rows().enumerate();
-        let idx = posted
-            .map(|(at, row)| (reader.get(row[column]).clone(), at))
-            .collect();
+        let posted = (0..).zip(self.rows.rows());
+        let idx = posted.map(|(at, row)| (row[column], at)).collect();
         self.indexes.insert(column, idx);
+    }
+
+    /// The positions of the rows whose cell at `column` stands in `op` to
+    /// `v`, ascending, through the index on `column` — `None` without one,
+    /// or for `<>`. `v` is looked up, never interned: a range compares each
+    /// indexed cell with it ([`RowFilter`]), so a constant no cell holds
+    /// bounds it too.
+    pub fn lookup(
+        &self,
+        column: usize,
+        op: CmpOp,
+        v: &Value,
+        reader: &ConstReader,
+    ) -> Option<Vec<u32>> {
+        let idx = self.indexes.get(&column)?;
+        match op {
+            CmpOp::Ne => None,
+            CmpOp::Eq => Some(reader.lookup(v).map_or(&[][..], |id| idx.get(&id)).to_vec()),
+            op => {
+                let test = RowFilter::new([(0, op, v)], reader);
+                let cells = idx.keys().filter(|id| test.pass(&[**id]));
+                let mut rows: Vec<u32> = cells.flat_map(|id| idx.get(id)).copied().collect();
+                rows.sort_unstable();
+                Some(rows)
+            }
+        }
     }
 
     /// Number of rows.
@@ -122,6 +142,17 @@ impl Table {
     /// `true` when the table has no rows.
     pub fn is_empty(&self) -> bool {
         self.rows.len == 0
+    }
+}
+
+/// A table's indexed columns are those with an index.
+impl Indexed for Table {
+    fn rows(&self) -> &IdRows {
+        &self.rows
+    }
+
+    fn postings(&self, column: usize) -> Option<&Postings<ConstId, u32>> {
+        self.indexes.get(&column)
     }
 }
 
@@ -145,24 +176,32 @@ mod tests {
         t.rows.to_values()
     }
 
+    /// The rows `t.lookup` finds through the index on `column`.
+    fn find(t: &Table, column: usize, op: CmpOp, v: &Value) -> Vec<u32> {
+        let reader = ConstReader::new();
+        t.lookup(column, op, v, &reader).expect("an index")
+    }
+
     #[test]
     fn index_lookup() {
         let mut t = table();
         t.create_index(2);
-        let idx = &t.indexes[&2];
-        assert_eq!(idx.get(&Value::Int(30)), &[0, 2]);
-        assert!(idx.get(&Value::Int(99)).is_empty());
+        assert_eq!(find(&t, 2, CmpOp::Eq, &Value::Int(30)), [0, 2]);
+        assert!(find(&t, 2, CmpOp::Eq, &Value::Int(99)).is_empty());
+        let reader = ConstReader::new();
+        assert_eq!(t.lookup(1, CmpOp::Eq, &Value::str("ann"), &reader), None);
+        assert_eq!(t.lookup(2, CmpOp::Ne, &Value::Int(30), &reader), None);
     }
 
     #[test]
     fn btree_index_range() {
         let mut t = table();
         t.create_index(2);
-        let idx = &t.indexes[&2];
-        let mut rows: Vec<usize> = idx.range(Value::Int(26)..=Value::Int(31)).collect();
-        rows.sort();
-        assert_eq!(rows, vec![0, 2]);
-        assert_eq!(idx.range(..=Value::Int(25)).collect::<Vec<_>>(), vec![1]);
+        let from = find(&t, 2, CmpOp::Ge, &Value::Int(26));
+        let upto = find(&t, 2, CmpOp::Le, &Value::Int(31));
+        let within: Vec<u32> = from.into_iter().filter(|r| upto.contains(r)).collect();
+        assert_eq!(within, [0, 2]);
+        assert_eq!(find(&t, 2, CmpOp::Le, &Value::Int(25)), [1]);
     }
 
     #[test]
@@ -171,7 +210,7 @@ mod tests {
         t.create_index(0);
         let dan = vec![Value::Int(4), Value::str("dan"), Value::Int(40)];
         t.insert(&[dan]).unwrap();
-        assert_eq!(t.indexes[&0].get(&Value::Int(4)), &[3]);
+        assert_eq!(find(&t, 0, CmpOp::Eq, &Value::Int(4)), [3]);
     }
 
     #[test]
@@ -190,31 +229,29 @@ mod tests {
             })
         );
         assert_eq!(values(&t), before);
-        assert!(t.indexes[&0].get(&Value::Int(10)).is_empty());
+        assert!(find(&t, 0, CmpOp::Eq, &Value::Int(10)).is_empty());
     }
 
     /// The rows, sorted — after checking that every index lists what a
     /// fresh build over the same rows would, and that every lookup and
-    /// range through it (at each stored value and one no row holds)
-    /// answers like a scan.
+    /// range through it (at each stored value and ones no row holds, one
+    /// never interned) answers like a scan.
     fn content(t: &Table) -> Vec<Vec<Value>> {
         for (col, idx) in &t.indexes {
             let mut rebuilt = t.clone();
             rebuilt.create_index(*col);
             assert_eq!(idx, &rebuilt.indexes[col], "index drifted");
             let rows = values(t);
-            let scan = |keep: &dyn Fn(&Value) -> bool| -> Vec<usize> {
-                (0..t.len()).filter(|at| keep(&rows[*at][*col])).collect()
+            let scan = |op: CmpOp, v: &Value| -> Vec<u32> {
+                (0..t.len() as u32)
+                    .filter(|at| op.eval(&rows[*at as usize][*col], v))
+                    .collect()
             };
-            let ghost = Value::Int(25);
-            for v in rows.iter().map(|r| &r[*col]).chain([&ghost]) {
-                assert_eq!(idx.get(v), scan(&|x| x == v), "lookup of {v}");
-                let mut from: Vec<usize> = idx.range(v..).collect();
-                let mut upto: Vec<usize> = idx.range(..=v).collect();
-                from.sort();
-                upto.sort();
-                assert_eq!(from, scan(&|x| x >= v), "range from {v}");
-                assert_eq!(upto, scan(&|x| x <= v), "range up to {v}");
+            let ghosts = [Value::Int(25), Value::str("never-interned-table")];
+            for v in rows.iter().map(|r| &r[*col]).chain(&ghosts) {
+                for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+                    assert_eq!(find(t, *col, op, v), scan(op, v), "{op} {v}");
+                }
             }
         }
         let mut rows = values(t);
@@ -282,6 +319,6 @@ mod tests {
         let emptied = t.indexed.indexes.values().all(Postings::is_empty);
         assert!(t.indexed.is_empty() && emptied);
         t.step(vec![], vec![row(7, 30), row(7, 30), row(8, 30)]);
-        assert_eq!(t.indexed.indexes[&2].get(&Value::Int(30)), &[0, 1, 2]);
+        assert_eq!(find(&t.indexed, 2, CmpOp::Eq, &Value::Int(30)), [0, 1, 2]);
     }
 }
