@@ -21,9 +21,10 @@
 //! ([`ChaseConfig::with_certificate`]), never an execution order.
 //!
 //! Constraints are compiled once per **prepared set**
-//! (`PreparedConstraints`: premises, firing actions with pre-interned
-//! constants and dense frontier/existential slots, and a premise-predicate
-//! → constraints index), not per run: the driver only ever chases a
+//! (`PreparedConstraints`: each premise and conclusion in the matcher's
+//! flat slot form with its constants interned, firing actions with dense
+//! frontier/existential slots, and a premise-predicate → constraints
+//! index), not per run or per search: the driver only ever chases a
 //! prepared set. The slice-taking entry points ([`chase`],
 //! [`crate::pchase::prov_chase`], and the containment checks built on
 //! them) prepare their argument and run; a
@@ -71,9 +72,12 @@
 //! # The search/apply phase split
 //!
 //! 1. **Search phase (read-only).** Every live constraint's trigger
-//!    search (`find_trigger_homs`) runs against the *same frozen*
+//!    search (`find_triggers`) runs against the *same frozen*
 //!    round-start instance, in constraint order, on the caller's thread and
-//!    its matcher scratch (see [`mod@crate::hom`]). One thread does all of
+//!    its matcher scratch (see [`mod@crate::hom`]). A trigger is a row of
+//!    bindings by compact variable id plus its fact ids, appended to one
+//!    flat per-round buffer; the buffer, the delta index and the live list
+//!    are one set per thread, refilled every round. One thread does all of
 //!    it: a rewrite's chases are tens
 //!    of facts, and a round's whole search costs less than handing it to
 //!    another thread (EXPERIMENTS.md, "Parallelism inside one rewrite:
@@ -97,7 +101,8 @@
 //!
 //! The restricted chase probes, per TGD trigger, whether the conclusion
 //! already has an image under the trigger's frontier binding (a
-//! witness-free [`crate::hom::find_one_hom`]). Distinct triggers
+//! search of the compiled conclusion that stops at the first match and
+//! builds nothing). Distinct triggers
 //! frequently share a frontier image (transitive closure derives the same
 //! `(x, z)` pair through every midpoint `y`), and delta rounds re-discover triggers whose probe already
 //! succeeded. With [`ChaseConfig::memo`] on (the default), a per-run memo
@@ -118,12 +123,18 @@
 //! identical with the memo on or off). The provenance chase's Skolem table
 //! is keyed and invalidated the same way.
 
-use crate::hom::{find_trigger_homs, has_hom, Hom, HomConfig};
-use crate::instance::{DeltaIndex, Elem, Inconsistent, Instance};
-use estocada_pivot::hash::FastMap;
+use crate::hom::{find_triggers, has_hom, HomConfig, Pattern, Sink};
+use crate::instance::{
+    keep_spare, release_spares, take_spare, DeltaIndex, Elem, IdTable, Inconsistent, Instance,
+    STORES,
+};
+use crate::prov::Dnf;
+use estocada_pivot::hash::{FastBuild, FastMap};
 use estocada_pivot::{Atom, Constraint, Symbol, Term, Var};
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::hash::BuildHasher;
 
 /// Resource budget and knobs for a chase run, of either flavour.
 #[derive(Debug, Clone, Copy)]
@@ -262,38 +273,49 @@ pub(crate) fn chase_prepared(
 /// How one trigger fires — the only thing the restricted chase and the
 /// provenance chase disagree on. Called from the serial apply phase.
 pub(crate) trait FiringPolicy {
-    /// Fire TGD trigger `h` of constraint `cidx` against the live instance;
+    /// Fire TGD trigger `t` of constraint `cidx` against the live instance;
     /// returns whether the instance changed.
     fn fire_tgd(
         &mut self,
         instance: &mut Instance,
         cidx: usize,
         tgd: &CompiledTgd,
-        h: &Hom,
+        t: Trigger<'_>,
         stats: &mut ChaseStats,
     ) -> bool;
 
-    /// Whether EGD trigger `h` may fire, read at fire time.
-    fn egd_fires(&self, instance: &Instance, h: &Hom) -> bool;
+    /// Whether EGD trigger `t` may fire, read at fire time.
+    fn egd_fires(&self, instance: &Instance, t: Trigger<'_>) -> bool;
 
     /// An EGD merge retired null `retired`: drop the cache entries keyed on
     /// it (see the module docs' invalidation rule).
     fn invalidate_null(&mut self, retired: u32);
 }
 
-/// An equality term with its constant pre-interned, keeping the global
-/// constant-table lookup out of the per-trigger path.
+/// One trigger, borrowed from the round's trigger buffer: the premise's
+/// bindings by compact variable id, and the matched fact per premise atom.
+#[derive(Clone, Copy)]
+pub(crate) struct Trigger<'a> {
+    pub(crate) bind: &'a [Elem],
+    pub(crate) facts: &'a [u32],
+}
+
+/// An equality term with its constant pre-interned and its variable
+/// numbered as in the premise, keeping the global constant-table lookup
+/// out of the per-trigger path.
 #[derive(Clone, Copy)]
 enum Slot {
     Const(Elem),
-    Var(Var),
+    Var(u32),
+    /// A variable the premise does not bind (validation rejects it, E003).
+    Unbound,
 }
 
 impl Slot {
-    fn compile(t: &Term) -> Slot {
+    fn compile(t: &Term, premise: &Pattern) -> Slot {
         match t {
             Term::Const(v) => Slot::Const(Elem::constant(v)),
-            Term::Var(v) => Slot::Var(*v),
+            Term::Var(v) => premise.var_id(*v).map_or(Slot::Unbound, Slot::Var),
         }
     }
 }
@@ -314,32 +336,58 @@ enum ConclusionSlot {
 /// those plus the existentials — premise-only variables never escape the
 /// trigger.
 pub(crate) struct CompiledTgd {
-    /// The conclusion atoms (the applicability probe's pattern).
-    pub(crate) conclusion: Vec<Atom>,
-    /// The conclusion again, as insertable slots.
-    slots: Vec<(Symbol, Vec<ConclusionSlot>)>,
-    /// Frontier variables that occur in the conclusion, sorted.
-    pub(crate) frontier: Vec<Var>,
-    /// Existential variables, sorted.
-    pub(crate) existentials: Vec<Var>,
+    /// The conclusion with the frontier numbered first (compact id `i` is
+    /// `frontier[i]`): the applicability probe's pattern.
+    conclusion: Pattern,
+    /// The conclusion again, as insertable slots: a predicate and the end
+    /// of its run in `slots` per atom.
+    atoms: Vec<(Symbol, usize)>,
+    slots: Vec<ConclusionSlot>,
+    /// The premise's compact id of each frontier variable (those that occur
+    /// in the conclusion), in variable order.
+    frontier: Vec<u32>,
+    /// Number of existential variables.
+    existentials: usize,
 }
 
 impl CompiledTgd {
-    /// The conclusion facts under a trigger's `frontier` images and the
-    /// `existentials`' images, each parallel to the field of that name.
-    pub(crate) fn conclusion_facts<'s>(
-        &'s self,
-        frontier: &'s [Elem],
-        existentials: &'s [Elem],
-    ) -> impl Iterator<Item = (Symbol, Vec<Elem>)> + 's {
-        self.slots.iter().map(move |(pred, slots)| {
-            let args = slots.iter().map(|s| match *s {
-                ConclusionSlot::Const(e) => e,
-                ConclusionSlot::Frontier(i) => frontier[i],
-                ConclusionSlot::Existential(i) => existentials[i],
-            });
-            (*pred, args.collect())
-        })
+    /// The frontier images of trigger `t` under the live union-find, into
+    /// `key`.
+    pub(crate) fn frontier_key(&self, instance: &Instance, t: Trigger<'_>, key: &mut Vec<Elem>) {
+        key.clear();
+        let images = self.frontier.iter().map(|&v| t.bind[v as usize]);
+        key.extend(images.map(|e| instance.resolve(&e)));
+    }
+
+    /// Number of existential variables.
+    pub(crate) fn existentials(&self) -> usize {
+        self.existentials
+    }
+
+    /// Number of conclusion atoms.
+    pub(crate) fn conclusion_len(&self) -> usize {
+        self.atoms.len()
+    }
+
+    /// Conclusion atom `i` under a trigger's `frontier` images and the
+    /// `existentials`' images: its predicate, its arguments written into
+    /// `args`.
+    pub(crate) fn conclusion_fact(
+        &self,
+        i: usize,
+        frontier: &[Elem],
+        existentials: &[Elem],
+        args: &mut Vec<Elem>,
+    ) -> Symbol {
+        let start = i.checked_sub(1).map_or(0, |p| self.atoms[p].1);
+        let (pred, end) = self.atoms[i];
+        args.clear();
+        args.extend(self.slots[start..end].iter().map(|s| match *s {
+            ConclusionSlot::Const(e) => e,
+            ConclusionSlot::Frontier(i) => frontier[i],
+            ConclusionSlot::Existential(i) => existentials[i],
+        }));
+        pred
     }
 }
 
@@ -349,11 +397,12 @@ enum Action {
     Egd { name: Symbol, equal: (Slot, Slot) },
 }
 
-/// Compile a constraint into its premise (for the search phase) and its
-/// action (for the apply phase).
-fn compile(c: &Constraint) -> (Vec<Atom>, Action) {
+/// Compile a constraint into its premise pattern (for the search phase)
+/// and its action (for the apply phase).
+fn compile(c: &Constraint) -> (Pattern, Action) {
     match c {
         Constraint::Tgd(t) => {
+            let premise = Pattern::new(&t.premise, &[]);
             let existentials: Vec<Var> = t.existentials().into_iter().collect();
             let conclusion_vars: BTreeSet<Var> = t.conclusion.iter().flat_map(Atom::vars).collect();
             let frontier: Vec<Var> = conclusion_vars
@@ -368,19 +417,29 @@ fn compile(c: &Constraint) -> (Vec<Atom>, Action) {
                     Err(_) => ConclusionSlot::Frontier(frontier.partition_point(|f| f < v)),
                 },
             };
-            let slots = |a: &Atom| (a.pred, a.args.iter().map(slot).collect());
+            let mut slots = Vec::new();
+            let mut atoms = Vec::new();
+            for a in &t.conclusion {
+                slots.extend(a.args.iter().map(slot));
+                atoms.push((a.pred, slots.len()));
+            }
             let tgd = CompiledTgd {
-                conclusion: t.conclusion.clone(),
-                slots: t.conclusion.iter().map(slots).collect(),
-                frontier,
-                existentials,
+                conclusion: Pattern::new(&t.conclusion, &frontier),
+                atoms,
+                slots,
+                frontier: frontier.iter().filter_map(|v| premise.var_id(*v)).collect(),
+                existentials: existentials.len(),
             };
-            (t.premise.clone(), Action::Tgd(tgd))
+            (premise, Action::Tgd(tgd))
         }
         Constraint::Egd(e) => {
-            let equal = (Slot::compile(&e.equal.0), Slot::compile(&e.equal.1));
+            let premise = Pattern::new(&e.premise, &[]);
+            let equal = (
+                Slot::compile(&e.equal.0, &premise),
+                Slot::compile(&e.equal.1, &premise),
+            );
             let name = e.name;
-            (e.premise.clone(), Action::Egd { name, equal })
+            (premise, Action::Egd { name, equal })
         }
     }
 }
@@ -391,8 +450,8 @@ fn compile(c: &Constraint) -> (Vec<Atom>, Action) {
 /// their argument and run; a [`crate::pacb::Rewriter`] prepares its three
 /// sets once per catalog epoch.
 pub(crate) struct PreparedConstraints {
-    /// Premise per constraint — the search phase's patterns.
-    premises: Vec<Vec<Atom>>,
+    /// Premise per constraint, compiled — the search phase's patterns.
+    premises: Vec<Pattern>,
     /// Action per constraint — what the apply phase fires.
     actions: Vec<Action>,
     /// Premise predicate → the constraints with an atom over it, ascending.
@@ -407,12 +466,12 @@ pub(crate) struct PreparedConstraints {
 impl PreparedConstraints {
     /// Compile `constraints`, keeping their order (= firing order).
     pub(crate) fn new(constraints: &[Constraint]) -> PreparedConstraints {
-        let (premises, actions): (Vec<Vec<Atom>>, Vec<Action>) =
+        let (premises, actions): (Vec<Pattern>, Vec<Action>) =
             constraints.iter().map(compile).unzip();
         let mut by_premise_pred: FastMap<Symbol, Vec<usize>> = FastMap::default();
         for (cidx, premise) in premises.iter().enumerate() {
-            for atom in premise {
-                let listed = by_premise_pred.entry(atom.pred).or_default();
+            for pred in premise.preds() {
+                let listed = by_premise_pred.entry(*pred).or_default();
                 if listed.last() != Some(&cidx) {
                     listed.push(cidx);
                 }
@@ -429,44 +488,144 @@ impl PreparedConstraints {
     /// Whether every predicate of constraint `cidx`'s premise has an alive
     /// fact — without one per atom no homomorphism exists.
     fn populated(&self, instance: &Instance, cidx: usize) -> bool {
-        let premise = &self.premises[cidx];
-        premise.iter().all(|a| instance.pred_count(a.pred) > 0)
+        let preds = self.premises[cidx].preds();
+        preds.iter().all(|p| instance.pred_count(*p) > 0)
     }
 
     /// The constraints whose premise this round has to search (the
-    /// live-premise rule of the module docs), ascending.
-    fn live(&self, instance: &Instance, delta: Option<&DeltaIndex>) -> Vec<usize> {
+    /// live-premise rule of the module docs), ascending, into `live`.
+    fn live(
+        &self,
+        instance: &Instance,
+        delta: Option<&DeltaIndex>,
+        touched: &mut Vec<bool>,
+        live: &mut Vec<usize>,
+    ) {
         // Per constraint, whether a premise predicate has delta facts; in
         // the first round (`None`) every fact counts as new.
-        let touched = delta.map(|d| {
-            let mut touched = vec![false; self.premises.len()];
-            let changed = d.by_pred.iter().filter(|(_, facts)| !facts.is_empty());
-            let listed = changed.filter_map(|(pred, _)| self.by_premise_pred.get(pred));
+        touched.clear();
+        if let Some(d) = delta {
+            touched.resize(self.premises.len(), false);
+            let listed = d.preds().filter_map(|pred| self.by_premise_pred.get(&pred));
             for &cidx in listed.flatten() {
                 touched[cidx] = true;
             }
-            touched
-        });
+        }
         let is_live = |cidx: usize| {
             self.search_every_premise
-                || (touched.as_ref().is_none_or(|t| t[cidx]) && self.populated(instance, cidx))
+                || ((delta.is_none() || touched[cidx]) && self.populated(instance, cidx))
         };
-        (0..self.premises.len()).filter(|&c| is_live(c)).collect()
+        live.clear();
+        live.extend((0..self.premises.len()).filter(|&c| is_live(c)));
     }
 }
 
+/// One round's triggers, laid out flat: per trigger its bindings (one per
+/// compact variable id of its premise), then its fact id per premise atom;
+/// a run per searched constraint.
+#[derive(Default)]
+struct Triggers {
+    binds: Vec<Elem>,
+    facts: Vec<u32>,
+    runs: Vec<Run>,
+}
+
+/// The triggers of one constraint in a round.
+#[derive(Clone, Copy)]
+struct Run {
+    cidx: usize,
+    vars: usize,
+    atoms: usize,
+    binds: usize,
+    facts: usize,
+    count: usize,
+}
+
+impl Triggers {
+    /// Trigger `k` of `run`.
+    fn get(&self, run: &Run, k: usize) -> Trigger<'_> {
+        Trigger {
+            bind: &self.binds[run.binds + k * run.vars..][..run.vars],
+            facts: &self.facts[run.facts + k * run.atoms..][..run.atoms],
+        }
+    }
+}
+
+impl Sink for Triggers {
+    fn emit(&mut self, bind: &[Option<Elem>], fact_ids: &[u32]) {
+        // Every premise variable occurs in an atom, so a match binds all.
+        let unbound = Elem::Null(u32::MAX);
+        self.binds.extend(bind.iter().map(|b| b.unwrap_or(unbound)));
+        self.facts.extend_from_slice(fact_ids);
+        if let Some(run) = self.runs.last_mut() {
+            run.count += 1;
+        }
+    }
+}
+
+/// The buffers a chase run refills every round: the delta index, the live
+/// constraints and the triggers. One set per thread, kept between runs.
+#[derive(Default)]
+struct RoundScratch {
+    delta: DeltaIndex,
+    touched: Vec<bool>,
+    live: Vec<usize>,
+    triggers: Triggers,
+}
+
+/// Drop this thread's spare chase buffers: instance stores, round
+/// buffers, firing caches. The chases of one rewrite share them, and the
+/// rewrite lets them go when it returns: kept between rewrites, they held
+/// ≈ 5 MiB more of the process's resident memory (EXPERIMENTS.md, "An
+/// allocation-lean chase").
+pub(crate) fn release_chase_buffers() {
+    release_spares(&STORES);
+    release_spares(&ROUNDS);
+    release_spares(&CACHES);
+}
+
+thread_local! {
+    /// This thread's round buffers; empty while a run on the thread holds
+    /// them.
+    static ROUNDS: Cell<Vec<RoundScratch>> = const { Cell::new(Vec::new()) };
+    /// This thread's spare firing caches.
+    static CACHES: Cell<Vec<CacheBufs>> = const { Cell::new(Vec::new()) };
+}
+
 /// The chase driver: take the prepared `set` over `instance` to fixpoint
-/// under `cfg`'s budget, firing triggers through `policy`.
+/// under `cfg`'s budget, firing triggers through `policy`. Runs on this
+/// thread's round buffers.
 pub(crate) fn run_chase<P: FiringPolicy>(
     instance: &mut Instance,
     set: &PreparedConstraints,
     cfg: &ChaseConfig,
     policy: &mut P,
 ) -> Result<ChaseStats, ChaseError> {
+    let mut scratch = take_spare(&ROUNDS);
+    let result = rounds(instance, set, cfg, policy, &mut scratch);
+    let elems = scratch.triggers.binds.capacity();
+    keep_spare(&ROUNDS, scratch, elems);
+    result
+}
+
+/// [`run_chase`]'s round loop.
+fn rounds<P: FiringPolicy>(
+    instance: &mut Instance,
+    set: &PreparedConstraints,
+    cfg: &ChaseConfig,
+    policy: &mut P,
+    scratch: &mut RoundScratch,
+) -> Result<ChaseStats, ChaseError> {
     let mut stats = ChaseStats::default();
     // Epoch threshold separating "old" facts from the previous round's
     // delta; `None` = the first round, search everything.
     let mut threshold: Option<u64> = None;
+    let RoundScratch {
+        delta,
+        touched,
+        live,
+        triggers,
+    } = scratch;
     loop {
         if stats.rounds >= cfg.max_rounds {
             return Err(ChaseError::Budget {
@@ -476,22 +635,31 @@ pub(crate) fn run_chase<P: FiringPolicy>(
         }
         stats.rounds += 1;
         let round_epoch = instance.advance_epoch();
-        let delta = threshold.map(|t| instance.delta_index(t));
+        if let Some(t) = threshold {
+            instance.fill_delta(t, delta);
+        }
+        let delta = threshold.map(|_| &*delta);
         // Phase 1: read-only trigger search against the frozen
         // round-start instance.
-        let (searched, triggers) = search_triggers(instance, set, cfg.hom, delta.as_ref());
-        stats.premise_searches += searched;
+        set.live(instance, delta, touched, live);
+        stats.premise_searches += live.len();
+        search_triggers(instance, set, cfg.hom, delta, live, triggers);
         // Phase 2: serial apply in constraint order.
         let mut changed = false;
-        for (cidx, homs) in triggers.into_iter().enumerate() {
-            match &set.actions[cidx] {
-                Action::Tgd(tgd) => {
-                    for h in &homs {
-                        changed |= policy.fire_tgd(instance, cidx, tgd, h, &mut stats);
+        let mut runs = triggers.runs.iter().peekable();
+        for cidx in 0..set.actions.len() {
+            if let Some(run) = runs.next_if(|r| r.cidx == cidx) {
+                match &set.actions[cidx] {
+                    Action::Tgd(tgd) => {
+                        for k in 0..run.count {
+                            let t = triggers.get(run, k);
+                            changed |= policy.fire_tgd(instance, cidx, tgd, t, &mut stats);
+                        }
                     }
-                }
-                Action::Egd { name, equal } => {
-                    changed |= apply_egd(instance, *name, equal, &homs, policy, &mut stats)?;
+                    Action::Egd { name, equal } => {
+                        let egd = (*name, equal);
+                        changed |= apply_egd(instance, egd, triggers, run, policy, &mut stats)?;
+                    }
                 }
             }
             if instance.len() > cfg.max_facts {
@@ -509,45 +677,57 @@ pub(crate) fn run_chase<P: FiringPolicy>(
 }
 
 /// The read-only search phase (see the module docs): enumerate the
-/// triggers of every constraint against the frozen instance, one list per
-/// constraint in constraint (= firing) order, preceded by the number of
-/// premises searched. Only the live premises (module docs) are; the others
-/// cannot have a trigger and get the empty list.
+/// triggers of every live constraint (module docs) against the frozen
+/// instance, in constraint (= firing) order, into `out`; the others cannot
+/// have a trigger.
 fn search_triggers(
     instance: &Instance,
     set: &PreparedConstraints,
     hom: HomConfig,
     delta: Option<&DeltaIndex>,
-) -> (usize, Vec<Vec<Hom>>) {
-    let live = set.live(instance, delta);
-    let mut out: Vec<Vec<Hom>> = vec![Vec::new(); set.premises.len()];
-    for &cidx in &live {
-        out[cidx] = find_trigger_homs(instance, &set.premises[cidx], hom, delta);
+    live: &[usize],
+    out: &mut Triggers,
+) {
+    out.binds.clear();
+    out.facts.clear();
+    out.runs.clear();
+    for &cidx in live {
+        let premise = &set.premises[cidx];
+        out.runs.push(Run {
+            cidx,
+            vars: premise.n_vars(),
+            atoms: premise.len(),
+            binds: out.binds.len(),
+            facts: out.facts.len(),
+            count: 0,
+        });
+        find_triggers(instance, premise, hom, delta, out);
     }
-    (live.len(), out)
 }
 
-/// The EGD arm of the apply phase: for each trigger the policy lets fire,
-/// resolve the equality under the live union-find and merge, telling the
-/// policy which null (if any) the merge retired. A constant clash is
-/// rendered with the firing EGD's name and trigger facts (the
+/// The EGD arm of the apply phase: for each trigger of `run` the policy
+/// lets fire, resolve the equality under the live union-find and merge,
+/// telling the policy which null (if any) the merge retired. A constant
+/// clash is rendered with the firing EGD's name and trigger facts (the
 /// `with_trigger` form). Returns whether any merge happened.
 fn apply_egd<P: FiringPolicy>(
     instance: &mut Instance,
-    name: Symbol,
-    equal: &(Slot, Slot),
-    homs: &[Hom],
+    (name, equal): (Symbol, &(Slot, Slot)),
+    triggers: &Triggers,
+    run: &Run,
     policy: &mut P,
     stats: &mut ChaseStats,
 ) -> Result<bool, ChaseError> {
     let mut changed = false;
-    for h in homs {
-        if !policy.egd_fires(instance, h) {
+    for k in 0..run.count {
+        let t = triggers.get(run, k);
+        if !policy.egd_fires(instance, t) {
             continue;
         }
         let resolve = |s: &Slot| match s {
             Slot::Const(e) => Some(*e),
-            Slot::Var(v) => h.map.get(v).map(|e| instance.resolve(e)),
+            Slot::Var(v) => Some(instance.resolve(&t.bind[*v as usize])),
+            Slot::Unbound => None,
         };
         // Validation rejects an EGD equating a variable its premise does
         // not bind (E003); such an equality binds nothing to merge.
@@ -564,8 +744,8 @@ fn apply_egd<P: FiringPolicy>(
             Err(e) => {
                 // Name the EGD and its trigger facts: a bare constant
                 // clash is undiagnosable in a large constraint set.
-                let trigger: Vec<String> = h
-                    .fact_ids
+                let trigger: Vec<String> = t
+                    .facts
                     .iter()
                     .map(|fid| instance.format_fact(*fid))
                     .collect();
@@ -579,20 +759,18 @@ fn apply_egd<P: FiringPolicy>(
 /// The restricted-chase firing policy: probe applicability (through the
 /// memo when [`ChaseConfig::memo`] is on), then fire with fresh nulls.
 pub(crate) struct Restricted {
-    /// `(constraint, frontier images)` pairs proven satisfied.
-    memo: Option<FrontierCache<()>>,
-    /// Scratch for the current trigger's memo key.
-    key: Vec<Elem>,
-    /// Scratch for the fresh nulls of the current firing.
-    invented: Vec<Elem>,
+    /// Whether `cache` memoizes `(constraint, frontier images)` pairs
+    /// proven satisfied.
+    memo: bool,
+    /// The memo (values empty) and the firing buffers.
+    cache: FrontierCache,
 }
 
 impl Restricted {
     fn new(cfg: &ChaseConfig) -> Restricted {
         Restricted {
-            memo: cfg.memo.then(|| FrontierCache::new(true)),
-            key: Vec::new(),
-            invented: Vec::new(),
+            memo: cfg.memo,
+            cache: FrontierCache::new(true),
         }
     }
 }
@@ -603,97 +781,206 @@ impl FiringPolicy for Restricted {
         instance: &mut Instance,
         cidx: usize,
         tgd: &CompiledTgd,
-        h: &Hom,
+        t: Trigger<'_>,
         stats: &mut ChaseStats,
     ) -> bool {
         // Re-resolve the trigger under the live union-find (earlier
         // firings this round may have merged elements).
-        let resolved = tgd.frontier.iter().map(|v| instance.resolve(&h.map[v]));
-        self.key.clear();
-        self.key.extend(resolved);
-        if let Some(m) = &self.memo {
-            // A hit skips the probe *and* the per-trigger assignment
-            // build — the whole remaining cost.
-            if m.get(cidx, &self.key).is_some() {
+        let c = &mut *self.cache;
+        let mut key = std::mem::take(&mut c.key);
+        tgd.frontier_key(instance, t, &mut key);
+        if self.memo {
+            // A hit skips the probe *and* the firing — the whole remaining
+            // cost.
+            if c.find(cidx, &key).is_some() {
                 stats.memo_hits += 1;
+                c.key = key;
                 return false;
             }
             stats.memo_misses += 1;
         }
-        let bound = tgd.frontier.iter().copied().zip(self.key.iter().copied());
         let mut changed = false;
-        if !has_hom(instance, &tgd.conclusion, bound) {
+        if !has_hom(instance, &tgd.conclusion, &key) {
             // Fire: fresh nulls for existential variables.
-            self.invented.clear();
-            let fresh = tgd.existentials.iter().map(|_| instance.fresh_null());
-            self.invented.extend(fresh);
-            for (pred, args) in tgd.conclusion_facts(&self.key, &self.invented) {
-                changed |= instance.insert(pred, args).1;
+            c.vals.clear();
+            for _ in 0..tgd.existentials() {
+                c.vals.push(instance.fresh_null());
+            }
+            for i in 0..tgd.conclusion_len() {
+                let pred = tgd.conclusion_fact(i, &key, &c.vals, &mut c.args);
+                changed |= instance.insert_ref(pred, &c.args, &Dnf::tru()).1;
             }
             stats.tgd_fires += 1;
         }
         // Satisfied now, by the probe's witness or by the firing itself:
         // later triggers sharing the key skip their probe entirely.
-        if let Some(m) = &mut self.memo {
-            m.insert(cidx, self.key.clone(), ());
+        if self.memo {
+            c.insert(cidx, &key, &[]);
         }
+        c.key = key;
         changed
     }
 
-    fn egd_fires(&self, _: &Instance, _: &Hom) -> bool {
+    fn egd_fires(&self, _: &Instance, _: Trigger<'_>) -> bool {
         true
     }
 
     fn invalidate_null(&mut self, retired: u32) {
-        if let Some(m) = &mut self.memo {
-            m.invalidate_null(retired);
+        if self.memo {
+            self.cache.invalidate_null(retired);
         }
     }
+}
+
+/// One entry of a [`FrontierCache`]: its key and value sit one after the
+/// other in the cache's element buffer.
+#[derive(Clone, Copy)]
+struct CacheEntry {
+    cidx: usize,
+    hash: u32,
+    start: usize,
+    key_len: usize,
+    value_len: usize,
+    /// `false` once invalidated.
+    held: bool,
 }
 
 /// A per-run cache keyed by `(constraint index, resolved conclusion-frontier
 /// images)` — the applicability memo's and the Skolem table's shape — with
-/// the module docs' occurrence-indexed invalidation.
-pub(crate) struct FrontierCache<V> {
-    /// constraint index → frontier images → value (lookups borrow the
-    /// candidate key as a slice — no allocation on a hit).
-    map: FastMap<usize, FastMap<Vec<Elem>, V>>,
-    /// null id → keys mentioning it, mirroring the instance's `null →
-    /// fact ids` occurrence index: a merge retiring null `n` invalidates
-    /// exactly `occ[n]`. Empty when not `indexed`: entries never die.
-    occ: FastMap<u32, Vec<(usize, Vec<Elem>)>>,
-    indexed: bool,
+/// the module docs' occurrence-indexed invalidation, plus the buffers a
+/// firing fills (frontier key, existential images, conclusion arguments,
+/// trigger provenance). Everything is flat: keys and values in one element
+/// buffer, found through an [`IdTable`]; and a cache runs on one of its
+/// thread's spare buffer sets, which it hands back when dropped, so a run
+/// in steady state allocates nothing here.
+pub(crate) struct FrontierCache {
+    bufs: CacheBufs,
 }
 
-impl<V> FrontierCache<V> {
-    pub(crate) fn new(indexed: bool) -> FrontierCache<V> {
-        FrontierCache {
-            map: FastMap::default(),
-            occ: FastMap::default(),
-            indexed,
-        }
+/// A [`FrontierCache`]'s buffers.
+#[derive(Default)]
+pub(crate) struct CacheBufs {
+    table: IdTable,
+    entries: Vec<CacheEntry>,
+    elems: Vec<Elem>,
+    /// Null id → its first node in `occ` (`u32::MAX`: none), mirroring the
+    /// instance's `null → fact ids` occurrence index: a merge retiring null
+    /// `n` invalidates exactly the entries on `n`'s list. Unused when not
+    /// `indexed`: entries never die.
+    occ_head: Vec<u32>,
+    /// `(entry, next node)`.
+    occ: Vec<(u32, u32)>,
+    indexed: bool,
+    /// The current trigger's frontier key.
+    pub(crate) key: Vec<Elem>,
+    /// The current firing's existential images.
+    pub(crate) vals: Vec<Elem>,
+    /// The conclusion fact being inserted.
+    pub(crate) args: Vec<Elem>,
+    /// The current trigger's provenance, and the conjunction's scratch.
+    pub(crate) prov: [Dnf; 2],
+}
+
+impl FrontierCache {
+    /// An empty cache (on one of this thread's spare buffer sets when it
+    /// has one).
+    pub(crate) fn new(indexed: bool) -> FrontierCache {
+        let mut bufs: CacheBufs = take_spare(&CACHES);
+        bufs.indexed = indexed;
+        FrontierCache { bufs }
+    }
+}
+
+impl std::ops::Deref for FrontierCache {
+    type Target = CacheBufs;
+    fn deref(&self) -> &CacheBufs {
+        &self.bufs
+    }
+}
+
+impl std::ops::DerefMut for FrontierCache {
+    fn deref_mut(&mut self) -> &mut CacheBufs {
+        &mut self.bufs
+    }
+}
+
+impl Drop for FrontierCache {
+    /// Empty the buffers and keep them as a spare set of this thread.
+    fn drop(&mut self) {
+        let mut bufs = std::mem::take(&mut self.bufs);
+        let elems = bufs.elems.capacity();
+        bufs.table.clear();
+        bufs.entries.clear();
+        bufs.elems.clear();
+        bufs.occ_head.clear();
+        bufs.occ.clear();
+        keep_spare(&CACHES, bufs, elems);
+    }
+}
+
+impl CacheBufs {
+    fn hash(cidx: usize, key: &[Elem]) -> u32 {
+        FastBuild::default().hash_one((cidx, key)) as u32
     }
 
-    pub(crate) fn get(&self, cidx: usize, key: &[Elem]) -> Option<&V> {
-        self.map.get(&cidx)?.get(key)
+    /// The entry of `(cidx, key)`, if held.
+    pub(crate) fn find(&self, cidx: usize, key: &[Elem]) -> Option<usize> {
+        let hash = CacheBufs::hash(cidx, key);
+        let found = self.table.find(hash, |e| {
+            let entry = &self.entries[e as usize];
+            entry.cidx == cidx && self.elems[entry.start..][..entry.key_len] == *key
+        });
+        found.map(|e| e as usize)
     }
 
-    pub(crate) fn insert(&mut self, cidx: usize, key: Vec<Elem>, value: V) {
+    /// The value of entry `e`.
+    pub(crate) fn value(&self, e: usize) -> &[Elem] {
+        let entry = &self.entries[e];
+        &self.elems[entry.start + entry.key_len..][..entry.value_len]
+    }
+
+    /// Hold `value` under `(cidx, key)`, which is not held.
+    pub(crate) fn insert(&mut self, cidx: usize, key: &[Elem], value: &[Elem]) {
+        let e = self.entries.len() as u32;
+        let hash = CacheBufs::hash(cidx, key);
+        self.entries.push(CacheEntry {
+            cidx,
+            hash,
+            start: self.elems.len(),
+            key_len: key.len(),
+            value_len: value.len(),
+            held: true,
+        });
+        self.elems.extend_from_slice(key);
+        self.elems.extend_from_slice(value);
+        self.table.insert(hash, e);
         if self.indexed {
             for n in key.iter().filter_map(Elem::as_null) {
-                self.occ.entry(n).or_default().push((cidx, key.clone()));
+                let n = n as usize;
+                if self.occ_head.len() <= n {
+                    self.occ_head.resize(n + 1, u32::MAX);
+                }
+                self.occ.push((e, self.occ_head[n]));
+                self.occ_head[n] = (self.occ.len() - 1) as u32;
             }
         }
-        self.map.entry(cidx).or_default().insert(key, value);
     }
 
     /// Drop every entry whose key mentions the retired null (no-op when
     /// none does — constants and surviving nulls never invalidate).
     pub(crate) fn invalidate_null(&mut self, retired: u32) {
-        for (cidx, key) in self.occ.remove(&retired).unwrap_or_default() {
-            if let Some(m) = self.map.get_mut(&cidx) {
-                m.remove(key.as_slice());
+        let Some(head) = self.occ_head.get_mut(retired as usize) else {
+            return;
+        };
+        let mut node = std::mem::replace(head, u32::MAX);
+        while node != u32::MAX {
+            let (e, next) = self.occ[node as usize];
+            let entry = &mut self.entries[e as usize];
+            if entry.held {
+                entry.held = false;
+                self.table.remove(entry.hash, e);
             }
+            node = next;
         }
     }
 }

@@ -7,14 +7,13 @@ use crate::chase::{
 use crate::hom::find_one_hom;
 use crate::instance::{Elem, Instance};
 use crate::pacb::{freeze, head_fixed_map, term_to_elem};
-use crate::prov::Dnf;
 use estocada_pivot::hash::FastMap;
 use estocada_pivot::{Constraint, Cq, Term, Var};
 
 /// Build the canonical instance ("frozen body") of a query: variable `i`
 /// becomes labelled null `i`, constants stay constants.
 pub fn canonical_instance(q: &Cq) -> Instance {
-    freeze(&q.head, &q.body, |_| Dnf::tru())
+    freeze(&q.head, &q.body, false)
 }
 
 /// The image of frozen term `t` in (a chase of) its frozen instance.
@@ -74,7 +73,7 @@ fn chase_frozen_premise(
     rest: &[Constraint],
     cfg: &ChaseConfig,
 ) -> Result<Option<Instance>, ChaseError> {
-    let mut inst = freeze(&[], sigma.premise(), |_| Dnf::tru());
+    let mut inst = freeze(&[], sigma.premise(), false);
     match chase(&mut inst, rest, cfg) {
         Ok(_) => Ok(Some(inst)),
         Err(ChaseError::Inconsistent(_)) => Ok(None),

@@ -6,7 +6,8 @@
 //!
 //! # Search architecture
 //!
-//! The matcher compiles the atom list once per call:
+//! A search runs over a `Pattern`: the atom list compiled to flat slot
+//! form —
 //!
 //! - every distinct variable gets a **compact id** `0..n_vars`, so the
 //!   partial assignment is a dense scratch array (`Vec<Option<Elem>>`)
@@ -15,21 +16,27 @@
 //! - atom constants are pre-lifted to `Elem`s, so candidate unification
 //!   never re-wraps a `Value` per comparison.
 //!
+//! The chase compiles each premise and conclusion once, when it prepares a
+//! constraint set ([`mod@crate::chase`]); the public entry points compile
+//! their atom list into the thread's scratch pattern per call.
+//!
 //! The backtracking search then picks, at every depth, the most selective
 //! unmatched atom using **count-only** index probes
 //! ([`crate::instance::Instance::count_with`] /
 //! [`crate::instance::Instance::pred_count`] — no candidate list is
 //! materialized for losing atoms), and enumerates the winner's candidates
 //! directly off a borrowed index posting list — fetched exactly once per
-//! step, never copied. All scratch state (bindings, trail, atom order, fact
-//! ids) lives in one reusable buffer set; the only per-result allocation is
-//! the returned [`Hom`] itself.
+//! step, never copied. A match goes to a sink: the public entry points
+//! build a [`Hom`] per match, the chase appends the bindings and fact ids
+//! to its flat trigger buffer, and the applicability probe only counts. So
+//! a steady-state search allocates nothing but the `Hom`s a public caller
+//! asks for (and the growth of the chase's reused trigger buffer).
 //!
 //! # Thread-confined scratch
 //!
-//! The buffer set (binding array, trail, atom order, compiled atoms, the
-//! variable-interning map) is a private `HomArena`, one per thread, kept in
-//! a `thread_local!` cell. A search takes the thread's arena out of the
+//! The buffer set (binding array, trail, atom order, strata, the scratch
+//! pattern) is a private `HomArena`, one per thread, kept in a
+//! `thread_local!` cell. A search takes the thread's arena out of the
 //! cell, runs on it and puts it back, so a thread allocates the buffers
 //! once and every later search on it reuses them — the chase's premise
 //! searches and applicability probes, each candidate's verification, a
@@ -90,10 +97,91 @@ impl Default for HomConfig {
 
 /// A compiled atom argument: either a pre-lifted constant or a compact
 /// variable id.
-#[derive(Debug, Clone)]
-enum Slot {
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Slot {
     Const(Elem),
-    Var(usize),
+    Var(u32),
+}
+
+/// A conjunction of atoms compiled for search, laid out flat: a predicate
+/// and a run of slots per atom, and the variable behind each compact id.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Pattern {
+    preds: Vec<Symbol>,
+    /// End offset in `slots` of each atom's run.
+    ends: Vec<u32>,
+    slots: Vec<Slot>,
+    /// Compact id → variable.
+    vars: Vec<Var>,
+}
+
+impl Pattern {
+    /// Compile `atoms`, the variables of `first` taking the compact ids
+    /// `0..first.len()` and the others numbered by first occurrence.
+    pub(crate) fn new(atoms: &[Atom], first: &[Var]) -> Pattern {
+        let mut pattern = Pattern::default();
+        pattern.compile(atoms, first.iter().copied());
+        pattern
+    }
+
+    /// [`Pattern::new`] into this pattern's buffers.
+    fn compile(&mut self, atoms: &[Atom], first: impl Iterator<Item = Var>) {
+        self.preds.clear();
+        self.ends.clear();
+        self.slots.clear();
+        self.vars.clear();
+        for v in first {
+            self.intern(v);
+        }
+        for a in atoms {
+            for t in &a.args {
+                let slot = match t {
+                    Term::Const(v) => Slot::Const(Elem::constant(v)),
+                    Term::Var(v) => Slot::Var(self.intern(*v)),
+                };
+                self.slots.push(slot);
+            }
+            self.preds.push(a.pred);
+            self.ends.push(self.slots.len() as u32);
+        }
+    }
+
+    /// The compact id of `v`, numbered on first sight.
+    fn intern(&mut self, v: Var) -> u32 {
+        match self.var_id(v) {
+            Some(id) => id,
+            None => {
+                self.vars.push(v);
+                (self.vars.len() - 1) as u32
+            }
+        }
+    }
+
+    /// The compact id of `v`, if the pattern has it.
+    pub(crate) fn var_id(&self, v: Var) -> Option<u32> {
+        self.vars.iter().position(|w| *w == v).map(|i| i as u32)
+    }
+
+    /// Number of atoms.
+    pub(crate) fn len(&self) -> usize {
+        self.preds.len()
+    }
+
+    /// Number of compact variable ids.
+    pub(crate) fn n_vars(&self) -> usize {
+        self.vars.len()
+    }
+
+    /// The predicates, in atom order.
+    pub(crate) fn preds(&self) -> &[Symbol] {
+        &self.preds
+    }
+
+    /// Atom `i`: its predicate and slots.
+    pub(crate) fn atom(&self, i: usize) -> (Symbol, &[Slot]) {
+        let start = i.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
+        (self.preds[i], &self.slots[start..self.ends[i] as usize])
+    }
 }
 
 /// Epoch restriction of one atom during an anchored delta search.
@@ -107,24 +195,87 @@ enum Stratum {
     New,
 }
 
-struct CompiledAtom {
-    pred: Symbol,
-    slots: Vec<Slot>,
+/// Where a search's matches go: each full assignment (by compact id) with
+/// its fact id per atom.
+pub(crate) trait Sink {
+    fn emit(&mut self, bind: &[Option<Elem>], fact_ids: &[u32]);
 }
 
-/// The matcher's reusable scratch: every buffer a search needs — the
-/// compiled atoms, the dense binding array, the undo trail, the atom order
-/// and the variable-interning map. One per thread (module docs).
+/// Counts matches and keeps none: the applicability probe.
+struct Count;
+
+impl Sink for Count {
+    fn emit(&mut self, _: &[Option<Elem>], _: &[u32]) {}
+}
+
+/// Builds a [`Hom`] per match: the public entry points.
+struct Homs<'a> {
+    vars: &'a [Var],
+    out: Vec<Hom>,
+}
+
+impl Sink for Homs<'_> {
+    fn emit(&mut self, bind: &[Option<Elem>], fact_ids: &[u32]) {
+        let map: FastMap<Var, Elem> = (self.vars.iter().zip(bind))
+            .filter_map(|(v, b)| b.map(|e| (*v, e)))
+            .collect();
+        self.out.push(Hom {
+            map,
+            fact_ids: fact_ids.to_vec(),
+        });
+    }
+}
+
+/// The matcher's reusable state: the dense binding array, the undo trail,
+/// the atom order and strata, the match count. One per thread, inside the
+/// arena (module docs).
+#[derive(Default)]
+struct Scratch {
+    /// Dense partial assignment, indexed by compact variable id.
+    bind: Vec<Option<Elem>>,
+    /// Undo trail of compact ids bound at deeper levels.
+    trail: Vec<u32>,
+    /// Matched fact per original atom index (u32::MAX = unmatched).
+    fact_ids: Vec<u32>,
+    /// Atom indices; `order[..depth]` are matched, the rest pending.
+    order: Vec<usize>,
+    /// Per-atom epoch stratum (delta search; all `Any` for a full search).
+    strata: Vec<Stratum>,
+    /// Matches emitted so far.
+    found: usize,
+}
+
+impl Scratch {
+    /// Set up a search of `pat`, the compact ids of `fixed` bound to their
+    /// resolved images.
+    fn start(
+        &mut self,
+        instance: &Instance,
+        pat: &Pattern,
+        fixed: impl Iterator<Item = (u32, Elem)>,
+    ) {
+        self.bind.clear();
+        self.bind.resize(pat.n_vars(), None);
+        for (id, e) in fixed {
+            self.bind[id as usize] = Some(instance.resolve(&e));
+        }
+        self.trail.clear();
+        self.fact_ids.clear();
+        self.fact_ids.resize(pat.len(), u32::MAX);
+        self.order.clear();
+        self.order.extend(0..pat.len());
+        self.strata.clear();
+        self.strata.resize(pat.len(), Stratum::Any);
+        self.found = 0;
+    }
+}
+
+/// The matcher's per-thread buffers: the search scratch and the pattern
+/// the public entry points compile into.
 #[derive(Default)]
 struct HomArena {
-    var_ids: FastMap<Var, usize>,
-    vars: Vec<Var>,
-    atoms: Vec<CompiledAtom>,
-    strata: Vec<Stratum>,
-    bind: Vec<Option<Elem>>,
-    trail: Vec<usize>,
-    fact_ids: Vec<u32>,
-    order: Vec<usize>,
+    pattern: Pattern,
+    scratch: Scratch,
 }
 
 thread_local! {
@@ -142,138 +293,32 @@ fn with_arena<R>(f: impl FnOnce(&mut HomArena) -> R) -> R {
     })
 }
 
-impl HomArena {
-    /// Return the buffers of a finished search to the arena.
-    fn recycle(&mut self, ctx: Ctx<'_>, s: Scratch) {
-        self.vars = ctx.vars;
-        self.atoms = ctx.atoms;
-        self.strata = ctx.strata;
-        self.bind = s.bind;
-        self.trail = s.trail;
-        self.fact_ids = s.fact_ids;
-        self.order = s.order;
-    }
-}
-
-/// Immutable search context: the compiled query against one instance.
+/// Immutable search context: the compiled pattern against one instance.
 /// Separated from [`Scratch`] so candidate posting lists (which borrow the
 /// context) stay live while the scratch state mutates.
 struct Ctx<'a> {
     instance: &'a Instance,
-    atoms: Vec<CompiledAtom>,
-    /// Compact id → variable.
-    vars: Vec<Var>,
-    /// Per-atom epoch stratum (delta search; all `Any` for a full search).
-    strata: Vec<Stratum>,
+    pat: &'a Pattern,
     threshold: u64,
     delta: Option<&'a DeltaIndex>,
     limit: usize,
-}
-
-/// Reusable mutable search state — the steady-state search allocates
-/// nothing beyond the emitted results.
-struct Scratch {
-    /// Dense partial assignment, indexed by compact variable id.
-    bind: Vec<Option<Elem>>,
-    /// Undo trail of compact ids bound at deeper levels.
-    trail: Vec<usize>,
-    /// Matched fact per original atom index (u32::MAX = unmatched).
-    fact_ids: Vec<u32>,
-    /// Atom indices; `order[..depth]` are matched, the rest pending.
-    order: Vec<usize>,
-    results: Vec<Hom>,
-}
-
-/// Compile the atom list into a search context, drawing every buffer from
-/// `arena` (cleared, capacity retained) instead of allocating fresh.
-fn compile<'a>(
-    arena: &mut HomArena,
-    instance: &'a Instance,
-    atoms: &[Atom],
-    fixed: impl Iterator<Item = (Var, Elem)> + Clone,
-    limit: usize,
-) -> (Ctx<'a>, Scratch) {
-    let mut var_ids = std::mem::take(&mut arena.var_ids);
-    let mut vars = std::mem::take(&mut arena.vars);
-    var_ids.clear();
-    vars.clear();
-    let intern = |v: Var, vars: &mut Vec<Var>, var_ids: &mut FastMap<Var, usize>| {
-        *var_ids.entry(v).or_insert_with(|| {
-            vars.push(v);
-            vars.len() - 1
-        })
-    };
-    // Fixed variables first so their scratch cells can be seeded.
-    for (v, _) in fixed.clone() {
-        intern(v, &mut vars, &mut var_ids);
-    }
-    let mut compiled = std::mem::take(&mut arena.atoms);
-    compiled.clear();
-    compiled.extend(atoms.iter().map(|a| {
-        CompiledAtom {
-            pred: a.pred,
-            slots: a
-                .args
-                .iter()
-                .map(|t| match t {
-                    Term::Const(v) => Slot::Const(Elem::constant(v)),
-                    Term::Var(v) => Slot::Var(intern(*v, &mut vars, &mut var_ids)),
-                })
-                .collect(),
-        }
-    }));
-    let mut bind = std::mem::take(&mut arena.bind);
-    bind.clear();
-    bind.resize(vars.len(), None);
-    for (v, e) in fixed {
-        bind[var_ids[&v]] = Some(instance.resolve(&e));
-    }
-    arena.var_ids = var_ids; // interning map no longer needed; keep capacity
-    let mut strata = std::mem::take(&mut arena.strata);
-    strata.clear();
-    strata.resize(compiled.len(), Stratum::Any);
-    let mut trail = std::mem::take(&mut arena.trail);
-    trail.clear();
-    let mut fact_ids = std::mem::take(&mut arena.fact_ids);
-    fact_ids.clear();
-    fact_ids.resize(atoms.len(), u32::MAX);
-    let mut order = std::mem::take(&mut arena.order);
-    order.clear();
-    order.extend(0..atoms.len());
-    let ctx = Ctx {
-        instance,
-        strata,
-        atoms: compiled,
-        vars,
-        threshold: 0,
-        delta: None,
-        limit,
-    };
-    let scratch = Scratch {
-        bind,
-        trail,
-        fact_ids,
-        order,
-        results: Vec::new(),
-    };
-    (ctx, scratch)
 }
 
 /// Estimated candidate count for pending atom `ai` under the current
 /// bindings, plus the most selective bound position and its element.
 /// Count-only probes — nothing is materialized for atoms that lose the
 /// selection.
-fn estimate(ctx: &Ctx<'_>, bind: &[Option<Elem>], ai: usize) -> (usize, Option<(u32, Elem)>) {
-    let atom = &ctx.atoms[ai];
+fn estimate(ctx: &Ctx<'_>, s: &Scratch, ai: usize) -> (usize, Option<(u32, Elem)>) {
+    let (pred, slots) = ctx.pat.atom(ai);
     let mut best = usize::MAX;
     let mut best_probe = None;
-    for (i, slot) in atom.slots.iter().enumerate() {
+    for (i, slot) in slots.iter().enumerate() {
         let elem = match slot {
             Slot::Const(e) => Some(e),
-            Slot::Var(v) => bind[*v].as_ref(),
+            Slot::Var(v) => s.bind[*v as usize].as_ref(),
         };
         if let Some(e) = elem {
-            let n = ctx.instance.count_with(atom.pred, i as u32, e);
+            let n = ctx.instance.count_with(pred, i as u32, e);
             if n < best {
                 best = n;
                 best_probe = Some((i as u32, *e));
@@ -281,10 +326,10 @@ fn estimate(ctx: &Ctx<'_>, bind: &[Option<Elem>], ai: usize) -> (usize, Option<(
         }
     }
     if best_probe.is_none() {
-        best = match ctx.strata[ai] {
+        best = match s.strata[ai] {
             // An unbound delta anchor can only match delta facts.
-            Stratum::New => ctx.delta.map(|d| d.facts_of(atom.pred).len()).unwrap_or(0),
-            _ => ctx.instance.pred_count(atom.pred),
+            Stratum::New => ctx.delta.map(|d| d.facts_of(pred).len()).unwrap_or(0),
+            _ => ctx.instance.pred_count(pred),
         };
     }
     (best, best_probe)
@@ -293,24 +338,30 @@ fn estimate(ctx: &Ctx<'_>, bind: &[Option<Elem>], ai: usize) -> (usize, Option<(
 /// The candidate posting list for atom `ai`: the facts holding `probe`'s
 /// element at its position, or with no probe every fact of the atom's
 /// stratum (borrowing the instance or the delta index — never copied).
-fn candidates<'a>(ctx: &'a Ctx<'_>, ai: usize, probe: Option<(u32, Elem)>) -> &'a [u32] {
-    let atom = &ctx.atoms[ai];
+fn candidates<'a>(
+    ctx: &'a Ctx<'_>,
+    stratum: Stratum,
+    ai: usize,
+    probe: Option<(u32, Elem)>,
+) -> &'a [u32] {
+    let pred = ctx.pat.preds[ai];
     match probe {
-        Some((p, elem)) => ctx.instance.probe(atom.pred, p, &elem),
-        None => match ctx.strata[ai] {
-            Stratum::New => ctx.delta.map(|d| d.facts_of(atom.pred)).unwrap_or(&[]),
-            _ => ctx.instance.pred_facts(atom.pred),
+        Some((p, elem)) => ctx.instance.probe(pred, p, &elem),
+        None => match stratum {
+            Stratum::New => ctx.delta.map(|d| d.facts_of(pred)).unwrap_or(&[]),
+            _ => ctx.instance.pred_facts(pred),
         },
     }
 }
 
 /// Recursive backtracking over the pending atoms `order[depth..]`.
-fn search(ctx: &Ctx<'_>, s: &mut Scratch, depth: usize) {
-    if s.results.len() >= ctx.limit {
+fn search<K: Sink>(ctx: &Ctx<'_>, s: &mut Scratch, sink: &mut K, depth: usize) {
+    if s.found >= ctx.limit {
         return;
     }
-    if depth == ctx.atoms.len() {
-        emit(ctx, s);
+    if depth == ctx.pat.len() {
+        sink.emit(&s.bind, &s.fact_ids);
+        s.found += 1;
         return;
     }
     // Select the most selective pending atom and swap it to `depth`.
@@ -318,7 +369,7 @@ fn search(ctx: &Ctx<'_>, s: &mut Scratch, depth: usize) {
     let mut best_probe: Option<(u32, Elem)> = None;
     let mut best_slot = depth;
     for slot in depth..s.order.len() {
-        let (n, probe) = estimate(ctx, &s.bind, s.order[slot]);
+        let (n, probe) = estimate(ctx, s, s.order[slot]);
         if n < best {
             best = n;
             best_probe = probe;
@@ -337,20 +388,20 @@ fn search(ctx: &Ctx<'_>, s: &mut Scratch, depth: usize) {
     // Fetch the winner's candidate list exactly once. The slice borrows the
     // context (instance/delta), not the scratch state, so the loop below is
     // free to mutate bindings.
-    let cands: &[u32] = candidates(ctx, ai, best_probe);
+    let cands: &[u32] = candidates(ctx, s.strata[ai], ai, best_probe);
 
     let trail_mark = s.trail.len();
     for &fid in cands {
         if try_match(ctx, s, ai, fid) {
             s.fact_ids[ai] = fid;
-            search(ctx, s, depth + 1);
+            search(ctx, s, sink, depth + 1);
             s.fact_ids[ai] = u32::MAX;
         }
         // Undo bindings made by this candidate.
         for v in s.trail.drain(trail_mark..) {
-            s.bind[v] = None;
+            s.bind[v as usize] = None;
         }
-        if s.results.len() >= ctx.limit {
+        if s.found >= ctx.limit {
             break;
         }
     }
@@ -364,7 +415,7 @@ fn try_match(ctx: &Ctx<'_>, s: &mut Scratch, ai: usize, fid: u32) -> bool {
     if !ctx.instance.is_alive(fid) {
         return false;
     }
-    match ctx.strata[ai] {
+    match s.strata[ai] {
         Stratum::Any => {}
         Stratum::Old => {
             if ctx.instance.fact_epoch(fid) >= ctx.threshold {
@@ -377,19 +428,19 @@ fn try_match(ctx: &Ctx<'_>, s: &mut Scratch, ai: usize, fid: u32) -> bool {
             }
         }
     }
-    let fact = ctx.instance.fact(fid);
-    let atom = &ctx.atoms[ai];
-    if fact.args.len() != atom.slots.len() {
+    let args = ctx.instance.args(fid);
+    let (_, slots) = ctx.pat.atom(ai);
+    if args.len() != slots.len() {
         return false;
     }
     let mark = s.trail.len();
-    for (slot, e) in atom.slots.iter().zip(fact.args.iter()) {
+    for (slot, e) in slots.iter().zip(args) {
         let ok = match slot {
             Slot::Const(c) => c == e,
-            Slot::Var(v) => match &s.bind[*v] {
+            Slot::Var(v) => match &s.bind[*v as usize] {
                 Some(bound) => bound == e,
                 None => {
-                    s.bind[*v] = Some(*e);
+                    s.bind[*v as usize] = Some(*e);
                     s.trail.push(*v);
                     true
                 }
@@ -397,7 +448,7 @@ fn try_match(ctx: &Ctx<'_>, s: &mut Scratch, ai: usize, fid: u32) -> bool {
         };
         if !ok {
             for v in s.trail.drain(mark..) {
-                s.bind[v] = None;
+                s.bind[v as usize] = None;
             }
             return false;
         }
@@ -405,18 +456,60 @@ fn try_match(ctx: &Ctx<'_>, s: &mut Scratch, ai: usize, fid: u32) -> bool {
     true
 }
 
-/// Record the current full assignment as a result.
-fn emit(ctx: &Ctx<'_>, s: &mut Scratch) {
-    let map: FastMap<Var, Elem> = ctx
-        .vars
-        .iter()
-        .zip(s.bind.iter())
-        .filter_map(|(v, b)| b.map(|e| (*v, e)))
-        .collect();
-    s.results.push(Hom {
-        map,
-        fact_ids: s.fact_ids.clone(),
-    });
+/// Search `ctx.pat` in full, or — with a delta — once per atom anchored on
+/// the delta (module docs), until `ctx.limit` matches.
+fn run<K: Sink>(ctx: &Ctx<'_>, s: &mut Scratch, sink: &mut K) {
+    let Some(delta) = ctx.delta else {
+        return search(ctx, s, sink, 0);
+    };
+    for anchor in 0..ctx.pat.len() {
+        if delta.facts_of(ctx.pat.preds[anchor]).is_empty() {
+            continue;
+        }
+        for (i, stratum) in s.strata.iter_mut().enumerate() {
+            *stratum = match i.cmp(&anchor) {
+                std::cmp::Ordering::Less => Stratum::Old,
+                std::cmp::Ordering::Equal => Stratum::New,
+                std::cmp::Ordering::Greater => Stratum::Any,
+            };
+        }
+        search(ctx, s, sink, 0);
+        if s.found >= ctx.limit {
+            break;
+        }
+    }
+}
+
+/// Homomorphisms of `atoms` into `instance` extending `fixed`, as
+/// [`Hom`]s: the public entry points' common body.
+fn collect_homs(
+    instance: &Instance,
+    atoms: &[Atom],
+    fixed: &FastMap<Var, Elem>,
+    limit: usize,
+    delta: Option<&DeltaIndex>,
+) -> Vec<Hom> {
+    with_arena(|arena| {
+        let HomArena { pattern, scratch } = arena;
+        // Fixed variables first so their scratch cells can be seeded.
+        pattern.compile(atoms, fixed.keys().copied());
+        let seeds = fixed.values().enumerate().map(|(i, e)| (i as u32, *e));
+        scratch.start(instance, pattern, seeds);
+        let (threshold, pat) = (delta.map_or(0, |d| d.threshold), &*pattern);
+        let ctx = Ctx {
+            instance,
+            pat,
+            threshold,
+            delta,
+            limit,
+        };
+        let mut homs = Homs {
+            vars: &pat.vars,
+            out: Vec::new(),
+        };
+        run(&ctx, scratch, &mut homs);
+        homs.out
+    })
 }
 
 /// Find homomorphisms from `atoms` into `instance`, extending the partial
@@ -431,40 +524,7 @@ pub fn find_homs(
     fixed: &FastMap<Var, Elem>,
     cfg: HomConfig,
 ) -> Vec<Hom> {
-    find_homs_extending(instance, atoms, pairs(fixed), cfg.limit)
-}
-
-/// A fixed-variable map as the `(variable, image)` pairs [`compile`] takes.
-fn pairs(fixed: &FastMap<Var, Elem>) -> impl Iterator<Item = (Var, Elem)> + Clone + '_ {
-    fixed.iter().map(|(v, e)| (*v, *e))
-}
-
-/// [`find_homs`] with the partial assignment as pairs.
-fn find_homs_extending(
-    instance: &Instance,
-    atoms: &[Atom],
-    fixed: impl Iterator<Item = (Var, Elem)> + Clone,
-    limit: usize,
-) -> Vec<Hom> {
-    with_arena(|arena| {
-        let (ctx, mut scratch) = compile(arena, instance, atoms, fixed, limit);
-        search(&ctx, &mut scratch, 0);
-        let results = std::mem::take(&mut scratch.results);
-        arena.recycle(ctx, scratch);
-        results
-    })
-}
-
-/// Whether `atoms` has a homomorphism into `instance` extending the
-/// `fixed` pairs — [`find_one_hom`] for a caller that holds its partial
-/// assignment as parallel slices and needs no witness (the restricted
-/// chase's per-trigger applicability probe).
-pub(crate) fn has_hom(
-    instance: &Instance,
-    atoms: &[Atom],
-    fixed: impl Iterator<Item = (Var, Elem)> + Clone,
-) -> bool {
-    !find_homs_extending(instance, atoms, fixed, 1).is_empty()
+    collect_homs(instance, atoms, fixed, cfg.limit, None)
 }
 
 /// Find one homomorphism, if any (cheaper early exit).
@@ -494,44 +554,52 @@ pub fn find_homs_delta(
     cfg: HomConfig,
     delta: &DeltaIndex,
 ) -> Vec<Hom> {
+    collect_homs(instance, atoms, fixed, cfg.limit, Some(delta))
+}
+
+/// Whether the compiled `pat` has a homomorphism into `instance` that
+/// sends compact id `i` to `fixed[i]` — the restricted chase's
+/// per-trigger applicability probe, whose conclusion pattern numbers the
+/// frontier first. Builds nothing.
+pub(crate) fn has_hom(instance: &Instance, pat: &Pattern, fixed: &[Elem]) -> bool {
     with_arena(|arena| {
-        let (mut ctx, mut scratch) = compile(arena, instance, atoms, pairs(fixed), cfg.limit);
-        ctx.delta = Some(delta);
-        ctx.threshold = delta.threshold;
-        for anchor in 0..atoms.len() {
-            if delta.facts_of(atoms[anchor].pred).is_empty() {
-                continue;
-            }
-            for i in 0..atoms.len() {
-                ctx.strata[i] = match i.cmp(&anchor) {
-                    std::cmp::Ordering::Less => Stratum::Old,
-                    std::cmp::Ordering::Equal => Stratum::New,
-                    std::cmp::Ordering::Greater => Stratum::Any,
-                };
-            }
-            search(&ctx, &mut scratch, 0);
-            if scratch.results.len() >= cfg.limit {
-                break;
-            }
-        }
-        let results = std::mem::take(&mut scratch.results);
-        arena.recycle(ctx, scratch);
-        results
+        let scratch = &mut arena.scratch;
+        let seeds = fixed.iter().enumerate().map(|(i, e)| (i as u32, *e));
+        scratch.start(instance, pat, seeds);
+        let ctx = Ctx {
+            instance,
+            pat,
+            threshold: 0,
+            delta: None,
+            limit: 1,
+        };
+        run(&ctx, scratch, &mut Count);
+        scratch.found > 0
     })
 }
 
-/// The chase driver's trigger enumeration: full search when `delta` is
-/// `None` (first round), delta-restricted search otherwise.
-pub(crate) fn find_trigger_homs(
+/// The chase driver's trigger enumeration of a compiled premise: full
+/// search when `delta` is `None` (first round), delta-restricted search
+/// otherwise; every match goes to `sink`.
+pub(crate) fn find_triggers<K: Sink>(
     instance: &Instance,
-    atoms: &[Atom],
+    pat: &Pattern,
     cfg: HomConfig,
     delta: Option<&DeltaIndex>,
-) -> Vec<Hom> {
-    match delta {
-        None => find_homs(instance, atoms, &FastMap::default(), cfg),
-        Some(d) => find_homs_delta(instance, atoms, &FastMap::default(), cfg, d),
-    }
+    sink: &mut K,
+) {
+    with_arena(|arena| {
+        let scratch = &mut arena.scratch;
+        scratch.start(instance, pat, std::iter::empty());
+        let ctx = Ctx {
+            instance,
+            pat,
+            threshold: delta.map_or(0, |d| d.threshold),
+            delta,
+            limit: cfg.limit,
+        };
+        run(&ctx, scratch, sink);
+    })
 }
 
 #[cfg(test)]

@@ -31,23 +31,47 @@
 //! # Index layout and the hot-path contract
 //!
 //! Homomorphism search ([`crate::hom`]) is the hottest path of the whole
-//! rewriting stack, so the index layout is built around *borrowing* probes:
+//! rewriting stack, so the layout is flat and built around *borrowing*
+//! probes:
 //!
-//! - `by_pred` maps a predicate to its fact-id posting list, and `by_pos`
-//!   maps `(predicate, position)` to a per-element posting map. Probing
-//!   ([`Instance::probe`]) returns a borrowed `&[u32]` slice (no `Vec`
-//!   allocation per probe); [`Instance::count_with`] exposes the count-only
-//!   variant used for join-order selection.
+//! - Every fact's arguments live in one `Elem` arena, at an offset kept
+//!   per fact; predicate, alive flag, epoch and provenance are parallel
+//!   per-fact vectors. [`Instance::args`] and [`Instance::fact`] borrow
+//!   from them.
+//! - Each predicate has an ascending list of its alive fact ids, and each
+//!   `(predicate, position)` a column: an [`estocada_pivot::Postings`]
+//!   from element to the ascending alive fact ids holding it there, a key's
+//!   lone fact kept inline. Probing ([`Instance::probe`]) returns a borrowed
+//!   `&[u32]` slice (no `Vec` allocation per probe);
+//!   [`Instance::count_with`] exposes the count-only variant used for
+//!   join-order selection.
 //! - Both index families contain **only alive facts** and every posting
 //!   list is kept sorted ascending by fact id — exactly the order a full
 //!   index rebuild would produce — so incremental maintenance is
 //!   observationally identical to rebuilding. A `debug_assert` guards the
 //!   alive invariant.
+//! - Deduplication is an open-addressing table of fact ids (`IdTable`)
+//!   found by the hash of predicate and arguments, compared against the
+//!   arena: no key is stored per fact. The hasher is the instance's type
+//!   parameter, so a test can send every fact to one slot.
+//! - The null-occurrence index is one list arena: per null, the facts
+//!   mentioning it, linked newest first; a merge sorts the one list it
+//!   consumes.
+//! - Provenance `⊤` is a flag, not an allocation ([`Dnf::tru`]).
+//!
+//! A dropped instance hands its emptied buffers to its thread, and the next
+//! [`Instance::new`] on that thread starts from them (at most two kept per
+//! thread, none holding more than 4 096 argument cells and facts). A
+//! [`crate::pacb::Rewriter::rewrite`] lets its thread's spares go when it
+//! returns, so the reuse spans one rewrite's chases — forward chase,
+//! backchase, candidate verifications — which insert into capacity the
+//! first of them grew, and a thread holds no chase buffers between
+//! rewrites.
 //!
 //! # Incremental EGD normalization
 //!
 //! [`Instance::merge`] is **incremental**: a `null → fact ids` occurrence
-//! index (`null_occ`) records, for every representative null, the facts
+//! index (`occ`) records, for every representative null, the facts
 //! whose stored arguments mention it. A merge retires exactly one null
 //! (the child, or the null being bound to a constant), consumes its
 //! occurrence list, and rewrites / re-indexes / re-dedups only those facts
@@ -85,10 +109,13 @@
 //! dies only as a merge's duplicate.
 
 use crate::prov::Dnf;
-use estocada_pivot::hash::FastMap;
-use estocada_pivot::{ConstId, Symbol, Value};
+use estocada_pivot::hash::{FastBuild, FastMap};
+use estocada_pivot::{ConstId, Postings, Symbol, Value};
+use std::cell::Cell;
 use std::fmt;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::thread::LocalKey;
 
 /// An instance element: an interned constant or a labelled null.
 ///
@@ -140,17 +167,17 @@ impl fmt::Display for Elem {
     }
 }
 
-/// A stored fact.
-#[derive(Debug, Clone)]
-pub struct StoredFact {
+/// A stored fact, borrowed from its instance.
+#[derive(Debug, Clone, Copy)]
+pub struct StoredFact<'a> {
     /// Relation name.
     pub pred: Symbol,
     /// Arguments (always representatives — see normalization invariant).
-    pub args: Vec<Elem>,
+    pub args: &'a [Elem],
     /// `false` once merged away by deduplication.
     pub alive: bool,
     /// Provenance (used by the provenance chase; `⊤` elsewhere).
-    pub prov: Dnf,
+    pub prov: &'a Dnf,
 }
 
 /// Error raised when two distinct constants are forced equal.
@@ -215,29 +242,223 @@ impl std::error::Error for Inconsistent {}
 
 /// Per-predicate posting lists of facts changed at-or-after an epoch
 /// threshold, each ascending; built once per chase round by
-/// [`Instance::delta_index`].
+/// [`Instance::delta_index`] (the chase refills one per thread).
 #[derive(Debug, Clone, Default)]
 pub struct DeltaIndex {
     /// The epoch threshold the lists were computed for.
     pub threshold: u64,
-    /// Alive facts with `fact_epoch >= threshold`, grouped by predicate.
-    pub by_pred: FastMap<Symbol, Vec<u32>>,
+    /// Predicate → its span of `ids`.
+    spans: FastMap<Symbol, (u32, u32)>,
+    /// Every predicate's list, one after the other.
+    ids: Vec<u32>,
+    /// `(predicate, fact)` pairs being grouped: the fill's scratch.
+    pairs: Vec<(Symbol, u32)>,
 }
 
 impl DeltaIndex {
     /// Delta facts of one predicate (empty when none changed).
     pub fn facts_of(&self, pred: Symbol) -> &[u32] {
-        self.by_pred.get(&pred).map(Vec::as_slice).unwrap_or(&[])
+        (self.spans.get(&pred)).map_or(&[], |&(s, e)| &self.ids[s as usize..e as usize])
+    }
+
+    /// The predicates with delta facts, in no particular order.
+    pub fn preds(&self) -> impl Iterator<Item = Symbol> + '_ {
+        self.spans.keys().copied()
+    }
+
+    /// Group the staged `pairs` into ascending per-predicate lists.
+    fn group(&mut self) {
+        self.pairs.sort_unstable();
+        self.pairs.dedup();
+        self.spans.clear();
+        self.ids.clear();
+        for run in self.pairs.chunk_by(|a, b| a.0 == b.0) {
+            let start = self.ids.len() as u32;
+            self.ids.extend(run.iter().map(|&(_, id)| id));
+            self.spans.insert(run[0].0, (start, self.ids.len() as u32));
+        }
     }
 }
 
-static EMPTY_IDS: [u32; 0] = [];
+/// The marker of an empty slot, list end or absent head.
+const NONE: u32 = u32::MAX;
 
-/// Insert `id` into a sorted posting list, keeping it sorted and deduped.
-fn insert_sorted(ids: &mut Vec<u32>, id: u32) {
-    match ids.binary_search(&id) {
-        Ok(_) => {}
-        Err(pos) => ids.insert(pos, id),
+/// An open-addressing table of ids found by their content: each slot keeps
+/// the low 32 bits of its content's hash beside the id, and a probe asks
+/// the caller to compare contents only where those bits agree. So no key is
+/// stored, and growing the table reads no content. Deletion shifts the
+/// probe run back (no tombstone). Both buffers keep their capacity across
+/// [`IdTable::clear`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct IdTable {
+    /// `hash << 32 | id` per held id, `u64::MAX` elsewhere: a power of two
+    /// long (or empty), at most half full.
+    slots: Vec<u64>,
+    /// The previous slots while growing.
+    spare: Vec<u64>,
+    len: usize,
+}
+
+impl IdTable {
+    /// The held id whose content `is` confirms, among those of `hash`.
+    pub(crate) fn find(&self, hash: u32, mut is: impl FnMut(u32) -> bool) -> Option<u32> {
+        let mask = self.slots.len().checked_sub(1)?;
+        let mut slot = hash as usize & mask;
+        loop {
+            match self.slots[slot] {
+                u64::MAX => return None,
+                entry if (entry >> 32) as u32 == hash && is(entry as u32) => {
+                    return Some(entry as u32)
+                }
+                _ => {}
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Hold `id`, whose content hashes to `hash` (the caller knows it is
+    /// not held).
+    pub(crate) fn insert(&mut self, hash: u32, id: u32) {
+        if (self.len + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        while self.slots[slot] != u64::MAX {
+            slot = (slot + 1) & mask;
+        }
+        self.slots[slot] = u64::from(hash) << 32 | u64::from(id);
+        self.len += 1;
+    }
+
+    /// The slot holding `id` under `hash`.
+    fn slot_of(&self, hash: u32, id: u32) -> Option<usize> {
+        let mask = self.slots.len().checked_sub(1)?;
+        let (entry, mut slot) = (u64::from(hash) << 32 | u64::from(id), hash as usize & mask);
+        loop {
+            match self.slots[slot] {
+                u64::MAX => return None,
+                held if held == entry => return Some(slot),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Let `id` (under `hash`) go, shifting its probe run back.
+    pub(crate) fn remove(&mut self, hash: u32, id: u32) {
+        let Some(mut hole) = self.slot_of(hash, id) else {
+            return;
+        };
+        let mask = self.slots.len() - 1;
+        let mut next = (hole + 1) & mask;
+        while self.slots[next] != u64::MAX {
+            let home = (self.slots[next] >> 32) as usize & mask;
+            if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
+                self.slots[hole] = self.slots[next];
+                hole = next;
+            }
+            next = (next + 1) & mask;
+        }
+        self.slots[hole] = u64::MAX;
+        self.len -= 1;
+    }
+
+    /// Hold `to` in place of `from`, both under `hash`.
+    pub(crate) fn replace(&mut self, hash: u32, from: u32, to: u32) {
+        if let Some(slot) = self.slot_of(hash, from) {
+            self.slots[slot] = u64::from(hash) << 32 | u64::from(to);
+        }
+    }
+
+    /// Let every id go, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+        self.len = 0;
+    }
+
+    /// Double the table (sixteen slots at first) and place every id again
+    /// by the hash its slot keeps.
+    fn grow(&mut self) {
+        let size = (self.slots.len() * 2).max(16);
+        std::mem::swap(&mut self.slots, &mut self.spare);
+        self.slots.clear();
+        self.slots.resize(size, u64::MAX);
+        let mask = size - 1;
+        for &entry in self.spare.iter().filter(|e| **e != u64::MAX) {
+            let mut slot = (entry >> 32) as usize & mask;
+            while self.slots[slot] != u64::MAX {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = entry;
+        }
+        self.spare.clear();
+    }
+}
+
+/// A buffer that empties in place, keeping its capacity.
+trait Reuse: Default {
+    fn empty(&mut self);
+}
+
+impl Reuse for Vec<u32> {
+    fn empty(&mut self) {
+        self.clear();
+    }
+}
+
+impl Reuse for Dnf {
+    fn empty(&mut self) {
+        self.clear();
+    }
+}
+
+impl Reuse for Postings<Elem, u32> {
+    fn empty(&mut self) {
+        self.clear();
+    }
+}
+
+/// Buffers handed out by index and kept across [`Slab::reset`]: a reset
+/// empties the ones in use without dropping them, and [`Slab::push`] hands
+/// out an emptied one before it makes a new one.
+#[derive(Debug, Clone, Default)]
+struct Slab<T> {
+    items: Vec<T>,
+    len: usize,
+}
+
+impl<T: Reuse> Slab<T> {
+    /// The index of a fresh, empty buffer.
+    fn push(&mut self) -> usize {
+        if self.len == self.items.len() {
+            self.items.push(T::default());
+        }
+        self.len += 1;
+        self.len - 1
+    }
+
+    /// Empty every buffer in use, keeping them in place.
+    fn empty_all(&mut self) {
+        self.items[..self.len].iter_mut().for_each(T::empty);
+    }
+
+    /// Empty every buffer and hand them out again from the first.
+    fn reset(&mut self) {
+        self.empty_all();
+        self.len = 0;
+    }
+}
+
+impl<T> std::ops::Index<usize> for Slab<T> {
+    type Output = T;
+    fn index(&self, i: usize) -> &T {
+        &self.items[i]
+    }
+}
+
+impl<T> std::ops::IndexMut<usize> for Slab<T> {
+    fn index_mut(&mut self, i: usize) -> &mut T {
+        &mut self.items[i]
     }
 }
 
@@ -250,136 +471,164 @@ fn remove_sorted(ids: &mut Vec<u32>, id: u32) {
 
 /// An instance with labelled nulls, per-predicate and per-position indexes,
 /// incremental EGD merging, and change epochs for semi-naive evaluation.
+/// `S` hashes a fact's predicate and arguments for deduplication.
+#[derive(Debug)]
+pub struct Instance<S = FastBuild> {
+    store: Store,
+    hasher: S,
+}
+
+/// Everything an instance holds but its hasher — the part a thread keeps
+/// for the next instance it builds (see the module docs).
 #[derive(Debug, Default)]
-pub struct Instance {
-    facts: Vec<StoredFact>,
-    /// Epoch at which the same-index fact last changed (parallel to `facts`).
+pub(crate) struct Store {
+    /// Predicate per fact.
+    preds: Vec<Symbol>,
+    /// `(offset in args, arity)` per fact.
+    spans: Vec<(u32, u32)>,
+    /// Every fact's arguments, one fact after the other.
+    args: Vec<Elem>,
+    /// `false` once merged away by deduplication, per fact.
+    alive: Vec<bool>,
+    /// Epoch at which the fact last changed, per fact.
     fact_epoch: Vec<u64>,
+    /// Provenance per fact.
+    prov: Slab<Dnf>,
     /// Union-find parent per null; `parent[i] == i` means root. Relaxed
     /// atomics so read-side resolution can pointer-halve through `&self`.
     parent: Vec<AtomicU32>,
     /// Constant binding of a root null (only meaningful at roots).
     bound: Vec<Option<ConstId>>,
-    /// Count of alive facts (kept in sync with `facts[..].alive`).
-    alive: usize,
+    /// Count of alive facts (kept in sync with `alive`).
+    alive_count: usize,
     /// Current change epoch; advanced once per chase round.
     epoch: u64,
     /// Ids stamped at `epoch - 1` and at `epoch`, in stamp order (an id may
     /// repeat, or name a fact that has died since): the deltas of the two
     /// thresholds a semi-naive round asks for.
     stamped: [Vec<u32>; 2],
-    /// predicate → alive fact ids (sorted ascending).
-    by_pred: FastMap<Symbol, Vec<u32>>,
-    /// (pred, position) → element → alive fact ids (sorted ascending). The
-    /// two-level layout lets probes borrow the element key.
-    by_pos: FastMap<(Symbol, u32), FastMap<Elem, Vec<u32>>>,
-    /// predicate → argument vector → fact id (fast duplicate detection;
-    /// lookup borrows the candidate arguments as a slice).
-    dedup: FastMap<Symbol, FastMap<Vec<Elem>, u32>>,
-    /// representative null → fact ids whose stored args mention it (sorted
-    /// ascending; may contain dead facts, lazily skipped on consumption).
-    null_occ: FastMap<u32, Vec<u32>>,
+    /// Predicate → its list in `by_pred`.
+    pred_ix: FastMap<Symbol, u32>,
+    /// Alive fact ids per predicate, ascending.
+    by_pred: Slab<Vec<u32>>,
+    /// `(predicate, position)` → its column in `cols`.
+    col_ix: FastMap<(Symbol, u32), u32>,
+    /// Element → alive fact ids holding it, per `(predicate, position)`.
+    cols: Slab<Postings<Elem, u32>>,
+    /// Alive facts found by predicate and arguments.
+    dedup: IdTable,
+    /// Representative null → its first node in `occ` ([`NONE`]: none).
+    occ_head: Vec<u32>,
+    /// `(fact id, next node)`: per null, a list of the facts whose stored
+    /// arguments mention it, newest first (may repeat, or name dead facts).
+    occ: Vec<(u32, u32)>,
+    /// The occurrence list being consumed, sorted: a merge's scratch.
+    touched: Vec<u32>,
+    /// Arguments being resolved: an insert's or a rewrite's scratch.
+    resolved: Vec<Elem>,
 }
 
-impl Clone for Instance {
-    fn clone(&self) -> Instance {
-        Instance {
-            facts: self.facts.clone(),
+impl Clone for Store {
+    fn clone(&self) -> Store {
+        Store {
+            preds: self.preds.clone(),
+            spans: self.spans.clone(),
+            args: self.args.clone(),
+            alive: self.alive.clone(),
             fact_epoch: self.fact_epoch.clone(),
-            parent: self
-                .parent
-                .iter()
+            prov: self.prov.clone(),
+            parent: (self.parent.iter())
                 .map(|p| AtomicU32::new(p.load(Ordering::Relaxed)))
                 .collect(),
             bound: self.bound.clone(),
-            alive: self.alive,
+            alive_count: self.alive_count,
             epoch: self.epoch,
             stamped: self.stamped.clone(),
+            pred_ix: self.pred_ix.clone(),
             by_pred: self.by_pred.clone(),
-            by_pos: self.by_pos.clone(),
+            col_ix: self.col_ix.clone(),
+            cols: self.cols.clone(),
             dedup: self.dedup.clone(),
-            null_occ: self.null_occ.clone(),
+            occ_head: self.occ_head.clone(),
+            occ: self.occ.clone(),
+            touched: Vec::new(),
+            resolved: Vec::new(),
         }
     }
 }
 
-impl Instance {
-    /// Empty instance.
-    pub fn new() -> Instance {
-        Instance::default()
-    }
+/// How many spare buffer sets of one kind a thread keeps.
+const SPARES: usize = 2;
 
-    /// Allocate a fresh labelled null.
-    pub fn fresh_null(&mut self) -> Elem {
-        let id = self.parent.len() as u32;
-        self.parent.push(AtomicU32::new(id));
-        self.bound.push(None);
-        Elem::Null(id)
-    }
+/// A buffer set holding more elements than this is dropped, not kept: a
+/// rewrite's chases hold tens to hundreds, and what a thread keeps counts
+/// against the process's memory for as long as the thread lives.
+pub(crate) const SPARE_ELEMS: usize = 1 << 12;
 
-    /// Ensure nulls `0..n` exist (used to freeze query variables so that
-    /// variable id = null id).
-    pub fn reserve_nulls(&mut self, n: u32) {
-        while (self.parent.len() as u32) < n {
-            let id = self.parent.len() as u32;
-            self.parent.push(AtomicU32::new(id));
-            self.bound.push(None);
+/// One of this thread's spare buffer sets in `pool`, or a new one.
+pub(crate) fn take_spare<T: Default>(pool: &'static LocalKey<Cell<Vec<T>>>) -> T {
+    let spare = pool.try_with(|cell| {
+        let mut spare = cell.take();
+        let bufs = spare.pop();
+        cell.set(spare);
+        bufs
+    });
+    spare.ok().flatten().unwrap_or_default()
+}
+
+/// Keep the emptied buffer set `bufs`, which holds `elems` elements, as a
+/// spare of this thread in `pool` — unless it is large or the thread keeps
+/// enough, when it is dropped.
+pub(crate) fn keep_spare<T>(pool: &'static LocalKey<Cell<Vec<T>>>, bufs: T, elems: usize) {
+    if elems > SPARE_ELEMS {
+        return;
+    }
+    let _ = pool.try_with(move |cell| {
+        let mut spare = cell.take();
+        if spare.len() < SPARES {
+            spare.push(bufs);
         }
+        cell.set(spare);
+    });
+}
+
+/// Drop every spare buffer set in `pool`.
+pub(crate) fn release_spares<T>(pool: &'static LocalKey<Cell<Vec<T>>>) {
+    let _ = pool.try_with(|cell| drop(cell.take()));
+}
+
+thread_local! {
+    /// This thread's emptied stores, ready for its next instances.
+    pub(crate) static STORES: Cell<Vec<Store>> = const { Cell::new(Vec::new()) };
+}
+
+impl Store {
+    /// Empty every buffer, keeping its capacity.
+    fn reset(&mut self) {
+        self.preds.clear();
+        self.spans.clear();
+        self.args.clear();
+        self.alive.clear();
+        self.fact_epoch.clear();
+        self.prov.reset();
+        self.parent.clear();
+        self.bound.clear();
+        self.alive_count = 0;
+        self.epoch = 0;
+        self.stamped.iter_mut().for_each(Vec::clear);
+        self.pred_ix.clear();
+        self.by_pred.reset();
+        self.col_ix.clear();
+        self.cols.reset();
+        self.dedup.clear();
+        self.occ_head.clear();
+        self.occ.clear();
     }
 
-    /// Root of null `n`, pointer-halving along the way (relaxed stores: any
-    /// intermediate pointer still reaches the same root, so concurrent
-    /// readers can only help each other).
-    fn find(&self, mut n: u32) -> u32 {
-        loop {
-            let p = self.parent[n as usize].load(Ordering::Relaxed);
-            if p == n {
-                return n;
-            }
-            let gp = self.parent[p as usize].load(Ordering::Relaxed);
-            if gp != p {
-                self.parent[n as usize].store(gp, Ordering::Relaxed);
-            }
-            n = gp;
-        }
-    }
-
-    /// Resolve an element to its representative.
-    pub fn resolve(&self, e: &Elem) -> Elem {
-        match e {
-            Elem::Const(_) => *e,
-            Elem::Null(n) => self.resolve_null(*n),
-        }
-    }
-
-    fn resolve_null(&self, n: u32) -> Elem {
-        let root = self.find(n);
-        match self.bound[root as usize] {
-            Some(c) => Elem::Const(c),
-            None => Elem::Null(root),
-        }
-    }
-
-    // -- epochs -------------------------------------------------------------
-
-    /// The current change epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Advance to a fresh epoch (one chase round) and return it. Facts
-    /// inserted or changed from now on are stamped with the new epoch.
-    pub fn advance_epoch(&mut self) -> u64 {
-        self.epoch += 1;
-        let [older, newer] = &mut self.stamped;
-        std::mem::swap(older, newer);
-        newer.clear();
-        self.epoch
-    }
-
-    /// Epoch at which `id` last changed.
-    pub fn fact_epoch(&self, id: u32) -> u64 {
-        self.fact_epoch[id as usize]
+    /// Arguments of fact `id`.
+    fn args_of(&self, id: u32) -> &[Elem] {
+        let (start, arity) = self.spans[id as usize];
+        &self.args[start as usize..(start + arity) as usize]
     }
 
     /// Fact `id` changed: stamp it with the current epoch and log it.
@@ -397,42 +646,268 @@ impl Instance {
         }
     }
 
+    /// The list of `pred` in `by_pred`, made on first use.
+    fn pred_list(&mut self, pred: Symbol) -> usize {
+        match self.pred_ix.get(&pred) {
+            Some(&list) => list as usize,
+            None => {
+                let list = self.by_pred.push();
+                self.pred_ix.insert(pred, list as u32);
+                list
+            }
+        }
+    }
+
+    /// The column of `(pred, position)` in `cols`, made on first use.
+    fn column(&mut self, pred: Symbol, position: u32) -> usize {
+        match self.col_ix.get(&(pred, position)) {
+            Some(&col) => col as usize,
+            None => {
+                let col = self.cols.push();
+                self.col_ix.insert((pred, position), col as u32);
+                col
+            }
+        }
+    }
+
+    /// Record that fact `id` mentions null `n`.
+    fn note_occurrence(&mut self, n: u32, id: u32) {
+        let n = n as usize;
+        if self.occ_head.len() <= n {
+            self.occ_head.resize(self.parent.len().max(n + 1), NONE);
+        }
+        self.occ.push((id, self.occ_head[n]));
+        self.occ_head[n] = (self.occ.len() - 1) as u32;
+    }
+
+    /// Post fact `id`'s current arguments in the positional columns and
+    /// the occurrence lists.
+    fn index_args(&mut self, id: u32) {
+        let pred = self.preds[id as usize];
+        let (start, arity) = self.spans[id as usize];
+        for i in 0..arity {
+            let a = self.args[(start + i) as usize];
+            let col = self.column(pred, i);
+            self.cols[col].insert(a, id);
+            if let Elem::Null(n) = a {
+                self.note_occurrence(n, id);
+            }
+        }
+    }
+
+    /// Unpost fact `id`'s current arguments from the positional columns
+    /// (a key left without facts leaves its column).
+    fn unindex_args(&mut self, id: u32) {
+        let pred = self.preds[id as usize];
+        let (start, arity) = self.spans[id as usize];
+        for i in 0..arity {
+            if let Some(&col) = self.col_ix.get(&(pred, i)) {
+                let a = &self.args[(start + i) as usize];
+                self.cols.items[col as usize].relocate(a, id, None);
+            }
+        }
+    }
+
+    /// Fact `id` dies as the duplicate of another: out of the predicate's
+    /// list, its provenance (now joined elsewhere) cleared.
+    fn kill(&mut self, id: u32) {
+        self.alive[id as usize] = false;
+        self.alive_count -= 1;
+        self.prov[id as usize].clear();
+        if let Some(&list) = self.pred_ix.get(&self.preds[id as usize]) {
+            remove_sorted(&mut self.by_pred[list as usize], id);
+        }
+    }
+
+    /// Join fact `from`'s provenance into fact `into`'s; whether it grew.
+    fn join_prov(&mut self, from: u32, into: u32) -> bool {
+        let prov = std::mem::take(&mut self.prov[from as usize]);
+        let grew = self.prov[into as usize].or_assign(&prov);
+        self.prov[from as usize] = prov;
+        grew
+    }
+}
+
+impl Instance {
+    /// Empty instance (on one of this thread's spare stores when it has
+    /// one — see the module docs).
+    pub fn new() -> Instance {
+        Instance::with_hasher(FastBuild::default())
+    }
+}
+
+impl Default for Instance {
+    fn default() -> Instance {
+        Instance::new()
+    }
+}
+
+impl<S: Clone> Clone for Instance<S> {
+    fn clone(&self) -> Instance<S> {
+        Instance {
+            store: self.store.clone(),
+            hasher: self.hasher.clone(),
+        }
+    }
+}
+
+impl<S> Drop for Instance<S> {
+    /// Hand the emptied store to this thread's next instance.
+    fn drop(&mut self) {
+        let mut store = std::mem::take(&mut self.store);
+        let cells = store.args.capacity() + store.preds.capacity();
+        store.reset();
+        keep_spare(&STORES, store, cells);
+    }
+}
+
+impl<S: BuildHasher> Instance<S> {
+    /// Empty instance deduplicating facts by `hasher`'s hash of their
+    /// predicate and arguments.
+    pub fn with_hasher(hasher: S) -> Instance<S> {
+        Instance {
+            store: take_spare(&STORES),
+            hasher,
+        }
+    }
+
+    /// Allocate a fresh labelled null.
+    pub fn fresh_null(&mut self) -> Elem {
+        let id = self.store.parent.len() as u32;
+        self.store.parent.push(AtomicU32::new(id));
+        self.store.bound.push(None);
+        Elem::Null(id)
+    }
+
+    /// Ensure nulls `0..n` exist (used to freeze query variables so that
+    /// variable id = null id).
+    pub fn reserve_nulls(&mut self, n: u32) {
+        while (self.store.parent.len() as u32) < n {
+            self.fresh_null();
+        }
+    }
+
+    /// Root of null `n`, pointer-halving along the way (relaxed stores: any
+    /// intermediate pointer still reaches the same root, so concurrent
+    /// readers can only help each other).
+    fn find(&self, mut n: u32) -> u32 {
+        let parent = &self.store.parent;
+        loop {
+            let p = parent[n as usize].load(Ordering::Relaxed);
+            if p == n {
+                return n;
+            }
+            let gp = parent[p as usize].load(Ordering::Relaxed);
+            if gp != p {
+                parent[n as usize].store(gp, Ordering::Relaxed);
+            }
+            n = gp;
+        }
+    }
+
+    /// Resolve an element to its representative.
+    pub fn resolve(&self, e: &Elem) -> Elem {
+        match e {
+            Elem::Const(_) => *e,
+            Elem::Null(n) => self.resolve_null(*n),
+        }
+    }
+
+    fn resolve_null(&self, n: u32) -> Elem {
+        let root = self.find(n);
+        match self.store.bound[root as usize] {
+            Some(c) => Elem::Const(c),
+            None => Elem::Null(root),
+        }
+    }
+
+    /// The dedup hash of a fact.
+    fn hash_of(&self, pred: Symbol, args: &[Elem]) -> u32 {
+        self.hasher.hash_one((pred, args)) as u32
+    }
+
+    /// The alive fact of `pred` holding `args`, whose hash is `hash`.
+    fn find_fact(&self, hash: u32, pred: Symbol, args: &[Elem]) -> Option<u32> {
+        let st = &self.store;
+        st.dedup.find(hash, |id| {
+            st.preds[id as usize] == pred && st.args_of(id) == args
+        })
+    }
+
+    /// Resolve `args` into the store's scratch, which the caller takes.
+    fn take_resolved(&mut self, args: &[Elem]) -> Vec<Elem> {
+        let mut resolved = std::mem::take(&mut self.store.resolved);
+        resolved.clear();
+        resolved.extend(args.iter().map(|e| self.resolve(e)));
+        resolved
+    }
+
+    // -- epochs -------------------------------------------------------------
+
+    /// The current change epoch.
+    pub fn epoch(&self) -> u64 {
+        self.store.epoch
+    }
+
+    /// Advance to a fresh epoch (one chase round) and return it. Facts
+    /// inserted or changed from now on are stamped with the new epoch.
+    pub fn advance_epoch(&mut self) -> u64 {
+        let st = &mut self.store;
+        st.epoch += 1;
+        let [older, newer] = &mut st.stamped;
+        std::mem::swap(older, newer);
+        newer.clear();
+        st.epoch
+    }
+
+    /// Epoch at which `id` last changed.
+    pub fn fact_epoch(&self, id: u32) -> u64 {
+        self.store.fact_epoch[id as usize]
+    }
+
     /// The per-predicate lists of alive facts changed at-or-after
     /// `threshold`, each ascending. A semi-naive round asks for the current
     /// epoch or the one before, whose stamps are logged: that costs what
     /// changed since, not the instance. Threshold 0 (every fact) and an
     /// older threshold take one pass over every fact.
     pub fn delta_index(&self, threshold: u64) -> DeltaIndex {
-        let logged = match self.epoch.checked_sub(threshold) {
-            _ if threshold == 0 => return self.scan_delta(threshold),
+        let mut delta = DeltaIndex::default();
+        self.fill_delta(threshold, &mut delta);
+        delta
+    }
+
+    /// [`Instance::delta_index`] refilling `delta`, whose buffers it
+    /// reuses.
+    pub(crate) fn fill_delta(&self, threshold: u64, delta: &mut DeltaIndex) {
+        let st = &self.store;
+        let logged = match st.epoch.checked_sub(threshold) {
+            _ if threshold == 0 => return self.scan_into(threshold, delta),
             None => &[][..],
-            Some(0) => &self.stamped[1..],
-            Some(1) => &self.stamped[..],
-            Some(_) => return self.scan_delta(threshold),
+            Some(0) => &st.stamped[1..],
+            Some(1) => &st.stamped[..],
+            Some(_) => return self.scan_into(threshold, delta),
         };
-        let mut by_pred: FastMap<Symbol, Vec<u32>> = FastMap::default();
+        delta.threshold = threshold;
+        delta.pairs.clear();
         for &id in logged.iter().flatten() {
-            let f = &self.facts[id as usize];
-            if f.alive {
-                by_pred.entry(f.pred).or_default().push(id);
+            if st.alive[id as usize] {
+                delta.pairs.push((st.preds[id as usize], id));
             }
         }
-        for ids in by_pred.values_mut() {
-            ids.sort_unstable();
-            ids.dedup();
-        }
-        DeltaIndex { threshold, by_pred }
+        delta.group();
     }
 
     /// [`Instance::delta_index`] by one pass over every fact.
-    fn scan_delta(&self, threshold: u64) -> DeltaIndex {
-        let mut by_pred: FastMap<Symbol, Vec<u32>> = FastMap::default();
-        for (i, f) in self.facts.iter().enumerate() {
-            if f.alive && self.fact_epoch[i] >= threshold {
-                by_pred.entry(f.pred).or_default().push(i as u32);
+    fn scan_into(&self, threshold: u64, delta: &mut DeltaIndex) {
+        let st = &self.store;
+        delta.threshold = threshold;
+        delta.pairs.clear();
+        for id in 0..st.preds.len() {
+            if st.alive[id] && st.fact_epoch[id] >= threshold {
+                delta.pairs.push((st.preds[id], id as u32));
             }
         }
-        DeltaIndex { threshold, by_pred }
+        delta.group();
     }
 
     // -- insertion ----------------------------------------------------------
@@ -440,7 +915,7 @@ impl Instance {
     /// Insert a fact with provenance `⊤`. Returns the fact id and whether
     /// the fact is new.
     pub fn insert(&mut self, pred: Symbol, args: Vec<Elem>) -> (u32, bool) {
-        self.insert_with_prov(pred, args, Dnf::tru())
+        self.insert_ref(pred, &args, &Dnf::tru())
     }
 
     /// Insert a fact carrying a provenance formula. If the fact already
@@ -448,116 +923,126 @@ impl Instance {
     /// changed)` where `changed` covers both new facts and provenance
     /// growth.
     pub fn insert_with_prov(&mut self, pred: Symbol, args: Vec<Elem>, prov: Dnf) -> (u32, bool) {
-        let args: Vec<Elem> = args.iter().map(|e| self.resolve(e)).collect();
-        // Duplicate lookup borrows `args` as a slice — no key clone unless
-        // the fact is genuinely new.
-        if let Some(&id) = self.dedup.get(&pred).and_then(|m| m.get(args.as_slice())) {
-            let changed = self.facts[id as usize].prov.or_assign(&prov);
-            if changed {
-                // Provenance growth must re-trigger constraints whose
-                // premise matched this fact (the provenance chase reaches
-                // its fixpoint through exactly these re-firings).
-                self.stamp(id);
-            }
-            return (id, changed);
-        }
-        let id = self.facts.len() as u32;
-        self.index_fact(pred, &args, id);
-        self.dedup.entry(pred).or_default().insert(args.clone(), id);
-        self.facts.push(StoredFact {
-            pred,
-            args,
-            alive: true,
-            prov,
-        });
-        self.fact_epoch.push(self.epoch);
-        self.log(id);
-        self.alive += 1;
-        (id, true)
+        self.insert_ref(pred, &args, &prov)
     }
 
-    /// Add `id` to the predicate, positional and occurrence indexes.
-    /// `id` is a fresh maximal fact id, so plain pushes keep the predicate
-    /// and positional lists sorted.
-    fn index_fact(&mut self, pred: Symbol, args: &[Elem], id: u32) {
-        for (i, a) in args.iter().enumerate() {
-            let bucket = self.by_pos.entry((pred, i as u32)).or_default();
-            match bucket.get_mut(a) {
-                Some(ids) => ids.push(id),
-                None => {
-                    bucket.insert(*a, vec![id]);
+    /// [`Instance::insert_with_prov`] of borrowed arguments and provenance:
+    /// what the chase fires through. Neither is copied unless the fact is
+    /// new, and then into the instance's own buffers.
+    pub(crate) fn insert_ref(&mut self, pred: Symbol, args: &[Elem], prov: &Dnf) -> (u32, bool) {
+        let resolved = self.take_resolved(args);
+        let hash = self.hash_of(pred, &resolved);
+        let found = self.find_fact(hash, pred, &resolved);
+        let st = &mut self.store;
+        let outcome = match found {
+            Some(id) => {
+                let changed = st.prov[id as usize].or_assign(prov);
+                if changed {
+                    // Provenance growth must re-trigger constraints whose
+                    // premise matched this fact (the provenance chase
+                    // reaches its fixpoint through exactly these
+                    // re-firings).
+                    st.stamp(id);
                 }
+                (id, changed)
             }
-            if let Elem::Null(n) = a {
-                insert_sorted(self.null_occ.entry(*n).or_default(), id);
+            None => {
+                let id = st.preds.len() as u32;
+                st.preds.push(pred);
+                st.spans.push((st.args.len() as u32, resolved.len() as u32));
+                st.args.extend_from_slice(&resolved);
+                st.alive.push(true);
+                st.fact_epoch.push(st.epoch);
+                let slot = st.prov.push();
+                st.prov[slot].assign(prov);
+                st.index_args(id);
+                let list = st.pred_list(pred);
+                // A fresh maximal id: a push keeps the list sorted.
+                st.by_pred[list].push(id);
+                st.dedup.insert(hash, id);
+                st.log(id);
+                st.alive_count += 1;
+                (id, true)
             }
-        }
-        self.by_pred.entry(pred).or_default().push(id);
+        };
+        st.resolved = resolved;
+        outcome
     }
 
     // -- lookups ------------------------------------------------------------
 
     /// All alive fact ids.
     pub fn fact_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.facts.len() as u32).filter(|id| self.facts[*id as usize].alive)
+        let alive = &self.store.alive;
+        (0..alive.len() as u32).filter(|id| alive[*id as usize])
     }
 
     /// Access a fact by id (caller must respect `alive`).
-    pub fn fact(&self, id: u32) -> &StoredFact {
-        &self.facts[id as usize]
+    pub fn fact(&self, id: u32) -> StoredFact<'_> {
+        let st = &self.store;
+        StoredFact {
+            pred: st.preds[id as usize],
+            args: st.args_of(id),
+            alive: st.alive[id as usize],
+            prov: &st.prov[id as usize],
+        }
+    }
+
+    /// Arguments of fact `id` (caller must respect `alive`).
+    pub fn args(&self, id: u32) -> &[Elem] {
+        self.store.args_of(id)
+    }
+
+    /// Provenance of fact `id`.
+    pub fn prov(&self, id: u32) -> &Dnf {
+        &self.store.prov[id as usize]
     }
 
     /// Render fact `id` as `pred(arg, …)` (diagnostics).
     pub fn format_fact(&self, id: u32) -> String {
-        let f = &self.facts[id as usize];
-        let args: Vec<String> = f.args.iter().map(|a| a.to_string()).collect();
-        format!("{}({})", f.pred, args.join(", "))
+        let args: Vec<String> = self.args(id).iter().map(|a| a.to_string()).collect();
+        format!("{}({})", self.store.preds[id as usize], args.join(", "))
     }
 
     /// Whether the fact is still alive (not merged away).
     pub fn is_alive(&self, id: u32) -> bool {
-        self.facts[id as usize].alive
+        self.store.alive[id as usize]
     }
 
     /// Alive fact count (O(1)).
     pub fn len(&self) -> usize {
-        self.alive
+        self.store.alive_count
     }
 
     /// `true` when no alive facts exist.
     pub fn is_empty(&self) -> bool {
-        self.alive == 0
+        self.store.alive_count == 0
     }
 
     /// Alive facts of a predicate, as a borrowed posting list (ascending by
     /// fact id). The indexes contain only alive facts, so no filtering pass
     /// is needed.
     pub fn pred_facts(&self, pred: Symbol) -> &[u32] {
-        let ids = self
-            .by_pred
-            .get(&pred)
-            .map(Vec::as_slice)
-            .unwrap_or(&EMPTY_IDS);
-        debug_assert!(ids.iter().all(|id| self.facts[*id as usize].alive));
+        let st = &self.store;
+        let ids =
+            (st.pred_ix.get(&pred)).map_or(&[][..], |&list| st.by_pred[list as usize].as_slice());
+        debug_assert!(ids.iter().all(|id| st.alive[*id as usize]));
         ids
     }
 
     /// Number of alive facts of a predicate (O(1)).
     pub fn pred_count(&self, pred: Symbol) -> usize {
-        self.by_pred.get(&pred).map(Vec::len).unwrap_or(0)
+        self.pred_facts(pred).len()
     }
 
     /// Alive facts of `pred` whose `position` equals `elem`, as a borrowed
     /// posting list (ascending by fact id). `elem` must be a
     /// representative. No allocation, no key clone.
     pub fn probe(&self, pred: Symbol, position: u32, elem: &Elem) -> &[u32] {
-        let ids = self
-            .by_pos
-            .get(&(pred, position))
-            .and_then(|bucket| bucket.get(elem))
-            .map(Vec::as_slice)
-            .unwrap_or(&EMPTY_IDS);
-        debug_assert!(ids.iter().all(|id| self.facts[*id as usize].alive));
+        let st = &self.store;
+        let ids = (st.col_ix.get(&(pred, position)))
+            .map_or(&[][..], |&col| st.cols[col as usize].get(elem));
+        debug_assert!(ids.iter().all(|id| st.alive[*id as usize]));
         ids
     }
 
@@ -616,14 +1101,14 @@ impl Instance {
                 (*y.value()).clone(),
             )),
             (Elem::Null(n), Elem::Const(c)) | (Elem::Const(c), Elem::Null(n)) => {
-                self.bound[n as usize] = Some(c);
+                self.store.bound[n as usize] = Some(c);
                 Ok(Some(n))
             }
             (Elem::Null(n1), Elem::Null(n2)) => {
                 // Merge the younger null into the older one so that frozen
                 // query variables (low ids) stay representatives.
                 let (child, parent) = if n1 > n2 { (n1, n2) } else { (n2, n1) };
-                self.parent[child as usize].store(parent, Ordering::Relaxed);
+                self.store.parent[child as usize].store(parent, Ordering::Relaxed);
                 Ok(Some(child))
             }
         }
@@ -637,51 +1122,56 @@ impl Instance {
     /// that absorbed a duplicate's provenance — are stamped with the
     /// current epoch so the semi-naive search revisits them.
     fn rewrite_occurrences(&mut self, child: u32) {
-        let Some(touched) = self.null_occ.remove(&child) else {
+        let st = &mut self.store;
+        let Some(head) = st.occ_head.get_mut(child as usize) else {
             return;
         };
-        // `touched` is sorted ascending; processing in id order replicates
-        // the keeper choice and provenance-join order of a full rebuild.
-        for id in touched {
-            if !self.facts[id as usize].alive {
-                continue; // stale entry: the fact died in an earlier merge
-            }
-            self.renormalize_fact(id);
+        let mut node = std::mem::replace(head, NONE);
+        let mut touched = std::mem::take(&mut st.touched);
+        touched.clear();
+        while node != NONE {
+            let (id, next) = st.occ[node as usize];
+            touched.push(id);
+            node = next;
         }
+        // Processing in ascending id order replicates the keeper choice and
+        // provenance-join order of a full rebuild.
+        touched.sort_unstable();
+        touched.dedup();
+        for &id in &touched {
+            if self.store.alive[id as usize] {
+                self.renormalize_fact(id);
+            }
+            // else: a stale entry — the fact died in an earlier merge
+        }
+        self.store.touched = touched;
     }
 
     /// Rewrite one touched fact's arguments to representatives and restore
     /// the index/dedup invariants around it.
     fn renormalize_fact(&mut self, id: u32) {
-        let pred = self.facts[id as usize].pred;
-        let old_args = self.facts[id as usize].args.clone();
-        let new_args: Vec<Elem> = old_args.iter().map(|e| self.resolve(e)).collect();
-        if new_args == old_args {
+        let pred = self.store.preds[id as usize];
+        let mut resolved = std::mem::take(&mut self.store.resolved);
+        resolved.clear();
+        resolved.extend(self.store.args_of(id).iter().map(|e| self.resolve(e)));
+        if resolved == self.store.args_of(id) {
+            self.store.resolved = resolved;
             return;
         }
-        // Drop the stale dedup key and positional entries.
-        if let Some(m) = self.dedup.get_mut(&pred) {
-            m.remove(old_args.as_slice());
-        }
-        self.unindex_positions(pred, &old_args, id);
-
-        match self
-            .dedup
-            .get(&pred)
-            .and_then(|m| m.get(new_args.as_slice()))
-            .copied()
-        {
+        // Drop the stale dedup entry and positional postings.
+        let old_hash = self.hash_of(pred, self.store.args_of(id));
+        let new_hash = self.hash_of(pred, &resolved);
+        let found = self.find_fact(new_hash, pred, &resolved);
+        let st = &mut self.store;
+        st.dedup.remove(old_hash, id);
+        st.unindex_args(id);
+        match found {
             Some(keep) if keep < id => {
                 // Collapsed into an earlier fact: join provenance there.
-                let prov = std::mem::replace(&mut self.facts[id as usize].prov, Dnf::fals());
-                let grew = self.facts[keep as usize].prov.or_assign(&prov);
-                self.facts[id as usize].alive = false;
-                self.alive -= 1;
-                if let Some(ids) = self.by_pred.get_mut(&pred) {
-                    remove_sorted(ids, id);
-                }
+                let grew = st.join_prov(id, keep);
+                st.kill(id);
                 if grew {
-                    self.stamp(keep);
+                    st.stamp(keep);
                 }
             }
             Some(keep) => {
@@ -690,51 +1180,20 @@ impl Instance {
                 // `id` takes over the dedup slot and the later fact's
                 // provenance; the later fact dies.
                 debug_assert!(keep > id);
-                let prov = std::mem::replace(&mut self.facts[keep as usize].prov, Dnf::fals());
-                self.facts[keep as usize].alive = false;
-                self.alive -= 1;
-                if let Some(ids) = self.by_pred.get_mut(&pred) {
-                    remove_sorted(ids, keep);
-                }
-                self.unindex_positions(pred, &new_args, keep);
-                self.install_args(pred, new_args, id);
-                self.facts[id as usize].prov.or_assign(&prov);
-                self.stamp(id);
+                st.unindex_args(keep);
+                st.dedup.replace(new_hash, keep, id);
+                st.write_args(id, &resolved);
+                st.join_prov(keep, id);
+                st.kill(keep);
+                st.stamp(id);
             }
             None => {
-                self.install_args(pred, new_args, id);
-                self.stamp(id);
+                st.write_args(id, &resolved);
+                st.dedup.insert(new_hash, id);
+                st.stamp(id);
             }
         }
-    }
-
-    /// Remove `id` from the positional buckets of `args` (dropping emptied
-    /// buckets so retired elements don't linger as keys).
-    fn unindex_positions(&mut self, pred: Symbol, args: &[Elem], id: u32) {
-        for (i, a) in args.iter().enumerate() {
-            if let Some(bucket) = self.by_pos.get_mut(&(pred, i as u32)) {
-                if let Some(ids) = bucket.get_mut(a) {
-                    remove_sorted(ids, id);
-                    if ids.is_empty() {
-                        bucket.remove(a);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Store `args` on fact `id` and (re-)index it: positional buckets,
-    /// dedup slot, and occurrence lists of the argument nulls.
-    fn install_args(&mut self, pred: Symbol, args: Vec<Elem>, id: u32) {
-        for (i, a) in args.iter().enumerate() {
-            let bucket = self.by_pos.entry((pred, i as u32)).or_default();
-            insert_sorted(bucket.entry(*a).or_default(), id);
-            if let Elem::Null(n) = a {
-                insert_sorted(self.null_occ.entry(*n).or_default(), id);
-            }
-        }
-        self.dedup.entry(pred).or_default().insert(args.clone(), id);
-        self.facts[id as usize].args = args;
+        st.resolved = resolved;
     }
 
     // -- full-rebuild baseline ---------------------------------------------
@@ -744,54 +1203,67 @@ impl Instance {
     /// provenance), and rebuild all indexes — the rebuild half of
     /// [`crate::testkit::merge_full_rebuild`].
     pub(crate) fn normalize_full_rebuild(&mut self) {
-        self.dedup.clear();
-        self.by_pos.clear();
-        self.by_pred.clear();
-        self.null_occ.clear();
-        self.alive = 0;
-        let n = self.facts.len();
-        for id in 0..n {
-            if !self.facts[id].alive {
+        let st = &mut self.store;
+        st.dedup.clear();
+        st.cols.empty_all();
+        st.by_pred.empty_all();
+        st.occ_head.clear();
+        st.occ.clear();
+        st.alive_count = 0;
+        for id in 0..self.store.preds.len() as u32 {
+            if !self.store.alive[id as usize] {
                 continue;
             }
-            let pred = self.facts[id].pred;
-            let args: Vec<Elem> = self.facts[id]
-                .args
-                .iter()
-                .map(|e| self.resolve(e))
-                .collect();
-            if let Some(&keep) = self.dedup.get(&pred).and_then(|m| m.get(args.as_slice())) {
+            let pred = self.store.preds[id as usize];
+            let resolved: Vec<Elem> = self.args(id).iter().map(|e| self.resolve(e)).collect();
+            let hash = self.hash_of(pred, &resolved);
+            let found = self.find_fact(hash, pred, &resolved);
+            let st = &mut self.store;
+            if let Some(keep) = found {
                 // Collapsed into an earlier fact: join provenance there.
-                let prov = std::mem::replace(&mut self.facts[id].prov, Dnf::fals());
-                let grew = self.facts[keep as usize].prov.or_assign(&prov);
-                self.facts[id].alive = false;
+                let grew = st.join_prov(id, keep);
+                st.alive[id as usize] = false;
+                st.prov[id as usize].clear();
                 if grew {
-                    self.stamp(keep);
+                    st.stamp(keep);
                 }
                 continue;
             }
-            if self.facts[id].args != args {
-                self.facts[id].args = args.clone();
-                self.stamp(id as u32);
+            if st.args_of(id) != resolved.as_slice() {
+                let (start, _) = st.spans[id as usize];
+                st.args[start as usize..][..resolved.len()].copy_from_slice(&resolved);
+                st.stamp(id);
             }
-            self.index_fact(pred, &args, id as u32);
-            self.dedup.entry(pred).or_default().insert(args, id as u32);
-            self.alive += 1;
+            st.index_args(id);
+            let list = st.pred_list(pred);
+            st.by_pred[list].push(id);
+            st.dedup.insert(hash, id);
+            st.alive_count += 1;
         }
     }
 }
 
-impl fmt::Display for Instance {
+impl Store {
+    /// Overwrite fact `id`'s arguments with `args` (same arity) and post
+    /// them.
+    fn write_args(&mut self, id: u32, args: &[Elem]) {
+        let (start, _) = self.spans[id as usize];
+        self.args[start as usize..][..args.len()].copy_from_slice(args);
+        self.index_args(id);
+    }
+}
+
+impl<S> fmt::Display for Instance<S> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let st = &self.store;
         let mut first = true;
-        for id in self.fact_ids() {
+        for id in (0..st.preds.len() as u32).filter(|id| st.alive[*id as usize]) {
             if !first {
                 writeln!(f)?;
             }
             first = false;
-            let fact = self.fact(id);
-            write!(f, "{}(", fact.pred)?;
-            for (i, a) in fact.args.iter().enumerate() {
+            write!(f, "{}(", st.preds[id as usize])?;
+            for (i, a) in st.args_of(id).iter().enumerate() {
                 if i > 0 {
                     write!(f, ", ")?;
                 }
@@ -812,13 +1284,20 @@ mod tests {
         Symbol::intern(s)
     }
 
-    impl Instance {
+    impl<S: BuildHasher> Instance<S> {
+        /// [`Instance::delta_index`] by one pass over every fact.
+        fn scan_delta(&self, threshold: u64) -> DeltaIndex {
+            let mut delta = DeltaIndex::default();
+            self.scan_into(threshold, &mut delta);
+            delta
+        }
+
         /// Parent-chain length of null `n` (no compression) — test probe
         /// for the pointer-halving regression.
         fn chain_depth(&self, mut n: u32) -> usize {
             let mut depth = 0;
             loop {
-                let p = self.parent[n as usize].load(Ordering::Relaxed);
+                let p = self.store.parent[n as usize].load(Ordering::Relaxed);
                 if p == n {
                     return depth;
                 }
@@ -888,11 +1367,228 @@ mod tests {
             }
             for t in 0..=i.epoch() + 1 {
                 let (logged, scanned) = (i.delta_index(t), i.scan_delta(t));
-                assert_eq!(
-                    logged.by_pred, scanned.by_pred,
-                    "step {step}, threshold {t}"
-                );
+                for p in [sym("R"), sym("S")] {
+                    let (l, s) = (logged.facts_of(p), scanned.facts_of(p));
+                    assert_eq!(l, s, "step {step}, threshold {t}");
+                }
             }
+        }
+    }
+
+    /// A hasher that sends every fact to one slot, so every dedup probe
+    /// walks one run and compares contents.
+    #[derive(Clone, Default)]
+    struct Colliding;
+
+    struct Zero;
+
+    impl std::hash::Hasher for Zero {
+        fn finish(&self) -> u64 {
+            0
+        }
+        fn write(&mut self, _: &[u8]) {}
+    }
+
+    impl BuildHasher for Colliding {
+        type Hasher = Zero;
+        fn build_hasher(&self) -> Zero {
+            Zero
+        }
+    }
+
+    /// One fact of the naive model.
+    #[derive(Debug, Clone, PartialEq)]
+    struct ModelFact {
+        pred: Symbol,
+        args: Vec<Elem>,
+        prov: Dnf,
+        alive: bool,
+        epoch: u64,
+    }
+
+    /// The naive model of an instance: a `Vec` of facts, the representative
+    /// of every null, and a scan for every question. A merge renormalizes
+    /// every fact in id order (the smallest id keeps a duplicate and takes
+    /// its provenance).
+    #[derive(Default)]
+    struct Model {
+        facts: Vec<ModelFact>,
+        rep: Vec<Elem>,
+        epoch: u64,
+    }
+
+    impl Model {
+        fn resolve(&self, e: Elem) -> Elem {
+            match e {
+                Elem::Null(n) => self.rep[n as usize],
+                c => c,
+            }
+        }
+
+        fn holder(&self, pred: Symbol, args: &[Elem], below: usize) -> Option<usize> {
+            (0..below).find(|&k| {
+                let f = &self.facts[k];
+                f.alive && f.pred == pred && f.args == args
+            })
+        }
+
+        fn insert(&mut self, pred: Symbol, args: &[Elem], prov: &Dnf) -> (u32, bool) {
+            let args: Vec<Elem> = args.iter().map(|e| self.resolve(*e)).collect();
+            if let Some(id) = self.holder(pred, &args, self.facts.len()) {
+                let changed = self.facts[id].prov.or_assign(prov);
+                if changed {
+                    self.facts[id].epoch = self.epoch;
+                }
+                return (id as u32, changed);
+            }
+            let (prov, epoch) = (prov.clone(), self.epoch);
+            let alive = true;
+            self.facts.push(ModelFact {
+                pred,
+                args,
+                prov,
+                alive,
+                epoch,
+            });
+            ((self.facts.len() - 1) as u32, true)
+        }
+
+        fn merge(&mut self, a: Elem, b: Elem) -> Result<Option<u32>, ()> {
+            let (ra, rb) = (self.resolve(a), self.resolve(b));
+            let (retired, to) = match (ra, rb) {
+                _ if ra == rb => return Ok(None),
+                (Elem::Const(_), Elem::Const(_)) => return Err(()),
+                (Elem::Null(n), c) | (c, Elem::Null(n)) if matches!(c, Elem::Const(_)) => (n, c),
+                (Elem::Null(x), Elem::Null(y)) => (x.max(y), Elem::Null(x.min(y))),
+                _ => return Err(()),
+            };
+            for r in &mut self.rep {
+                if *r == Elem::Null(retired) {
+                    *r = to;
+                }
+            }
+            for id in 0..self.facts.len() {
+                if !self.facts[id].alive {
+                    continue;
+                }
+                let f = &self.facts[id];
+                let args: Vec<Elem> = f.args.iter().map(|e| self.resolve(*e)).collect();
+                if let Some(keep) = self.holder(f.pred, &args, id) {
+                    let prov = std::mem::take(&mut self.facts[id].prov);
+                    self.facts[id].alive = false;
+                    if self.facts[keep].prov.or_assign(&prov) {
+                        self.facts[keep].epoch = self.epoch;
+                    }
+                } else if args != self.facts[id].args {
+                    self.facts[id].args = args;
+                    self.facts[id].epoch = self.epoch;
+                }
+            }
+            Ok(Some(retired))
+        }
+
+        /// Alive facts of `pred` passing `keep`, ascending.
+        fn scan(&self, pred: Symbol, keep: impl Fn(&ModelFact) -> bool) -> Vec<u32> {
+            let hit = |(_, f): &(usize, &ModelFact)| f.alive && f.pred == pred && keep(f);
+            self.facts
+                .iter()
+                .enumerate()
+                .filter(hit)
+                .map(|(i, _)| i as u32)
+                .collect()
+        }
+    }
+
+    /// Random inserts, merges and epoch advances against [`Model`], every
+    /// answer of the instance checked after every step.
+    fn follows_the_model<S: BuildHasher + Default>(seed: u64) {
+        const NULLS: u32 = 6;
+        let preds = [sym("R"), sym("S"), sym("U")];
+        let mut inst: Instance<S> = Instance::with_hasher(S::default());
+        inst.reserve_nulls(NULLS);
+        let mut model = Model {
+            rep: (0..NULLS).map(Elem::Null).collect(),
+            ..Model::default()
+        };
+        let mut x = seed;
+        let mut next = |n: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((x >> 33) % n) as u32
+        };
+        let universe: Vec<Elem> = (0..3i64)
+            .map(Elem::of)
+            .chain((0..NULLS).map(Elem::Null))
+            .collect();
+        for step in 0..300 {
+            let at = format!("seed {seed}, step {step}");
+            match next(8) {
+                0..=3 => {
+                    let p = next(3) as usize;
+                    let arity = if p == 2 { 1 } else { 2 };
+                    let args: Vec<Elem> = (0..arity)
+                        .map(|_| universe[next(universe.len() as u64) as usize])
+                        .collect();
+                    let prov = match next(3) {
+                        0 => Dnf::tru(),
+                        v => Dnf::var(v + next(3)),
+                    };
+                    let got = if prov.is_true() && next(2) == 0 {
+                        inst.insert(preds[p], args.clone())
+                    } else {
+                        inst.insert_with_prov(preds[p], args.clone(), prov.clone())
+                    };
+                    assert_eq!(got, model.insert(preds[p], &args, &prov), "{at}");
+                }
+                4 | 5 => {
+                    let a = universe[next(universe.len() as u64) as usize];
+                    let b = universe[next(NULLS as u64) as usize + 3];
+                    let got = inst.merge_retired(&a, &b).map_err(|_| ());
+                    assert_eq!(got, model.merge(a, b), "{at}");
+                }
+                _ => {
+                    inst.advance_epoch();
+                    model.epoch += 1;
+                }
+            }
+            for (id, f) in model.facts.iter().enumerate() {
+                let id = id as u32;
+                assert_eq!(inst.is_alive(id), f.alive, "{at}: fact {id}");
+                if f.alive {
+                    assert_eq!(inst.args(id), f.args.as_slice(), "{at}: fact {id}");
+                    assert_eq!(inst.prov(id), &f.prov, "{at}: fact {id}");
+                    assert_eq!(inst.fact_epoch(id), f.epoch, "{at}: fact {id}");
+                }
+            }
+            assert_eq!(inst.len(), model.facts.iter().filter(|f| f.alive).count());
+            let thresholds = [model.epoch, model.epoch.saturating_sub(1)];
+            let deltas = thresholds.map(|t| (t, inst.delta_index(t), inst.scan_delta(t)));
+            for p in preds {
+                assert_eq!(inst.pred_facts(p), model.scan(p, |_| true), "{at}");
+                for (t, logged, scanned) in &deltas {
+                    let expect = model.scan(p, |f| f.epoch >= *t);
+                    assert_eq!(logged.facts_of(p), expect, "{at}: delta {t}");
+                    assert_eq!(scanned.facts_of(p), expect, "{at}: scan {t}");
+                }
+                for pos in 0..2u32 {
+                    for e in &universe {
+                        let e = model.resolve(*e);
+                        let at_pos = |f: &ModelFact| f.args.get(pos as usize) == Some(&e);
+                        let expect = model.scan(p, at_pos);
+                        assert_eq!(inst.probe(p, pos, &e), expect, "{at}: {p}[{pos}] = {e}");
+                        assert_eq!(inst.count_with(p, pos, &e), expect.len(), "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn flat_instance_follows_a_naive_model() {
+        for seed in 0..40 {
+            follows_the_model::<FastBuild>(seed);
+            follows_the_model::<Colliding>(seed);
         }
     }
 

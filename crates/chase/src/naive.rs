@@ -47,15 +47,10 @@ pub fn naive_rewrite(
     let up = rewriter.universal_plan(&problem.query, &cfg.rewrite.chase)?;
     let mut stats = RewriteStats {
         forward: up.stats,
-        universal_plan_atoms: up.atoms.len(),
+        universal_plan_atoms: up.cq.body.len(),
         ..RewriteStats::default()
     };
-    let universal_plan_cq = Cq::new(
-        format!("{}_up", problem.query.name).as_str(),
-        up.head.clone(),
-        up.atoms.clone(),
-    );
-    let n = up.atoms.len();
+    let n = up.cq.body.len();
     let max_size = cfg.max_subset.unwrap_or(n).min(n);
 
     let mut accepted: Vec<BTreeSet<usize>> = Vec::new();
@@ -77,9 +72,9 @@ pub fn naive_rewrite(
                 stats.candidates += 1;
                 let candidate = build_candidate(
                     &problem.query,
-                    &up.head,
-                    &up.atoms,
-                    &subset,
+                    &up.cq.head,
+                    &up.cq.body,
+                    subset.iter().copied(),
                     rewritings.len(),
                 );
                 let (verdict, cs) =
@@ -121,7 +116,7 @@ pub fn naive_rewrite(
     rewritings.sort_by_key(|r| r.body.len());
     Ok(RewriteOutcome {
         rewritings,
-        universal_plan: universal_plan_cq,
+        universal_plan: up.cq,
         complete,
         stats,
     })

@@ -102,17 +102,20 @@
 //! rewrite would produce. Two threads racing to fill a cold cache slot
 //! compute bit-identical outcomes, so first-insert-wins is sound.
 
-use crate::chase::{chase_prepared, ChaseConfig, ChaseError, ChaseStats, PreparedConstraints};
+use crate::chase::{
+    chase_prepared, release_chase_buffers, ChaseConfig, ChaseError, ChaseStats, PreparedConstraints,
+};
 use crate::containment::{canonical_instance, contained_in_prepared};
 use crate::hom::{find_homs, HomConfig};
 use crate::instance::{Elem, Instance};
 use crate::pchase::{prov_chase_prepared, ProvChaseStats};
 use crate::prov::Dnf;
 use estocada_parexec::scoped_map;
-use estocada_pivot::hash::{FastMap, FastSet};
+use estocada_pivot::hash::{FastBuild, FastMap, FastSet};
 use estocada_pivot::{AccessMap, Atom, Constraint, Cq, Symbol, Term, Tgd, Var, ViewDef};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::hash::BuildHasher;
 
 /// A rewriting problem: query, views, and ambient constraints.
 #[derive(Debug, Clone)]
@@ -301,10 +304,9 @@ impl From<ChaseError> for RewriteError {
 /// The universal plan: view atoms derivable from the query under the
 /// forward constraints, plus the (possibly merged) head.
 pub(crate) struct UniversalPlan {
-    /// Head terms after forward-chase merges.
-    pub head: Vec<Term>,
-    /// View atoms (sorted, deduplicated).
-    pub atoms: Vec<Atom>,
+    /// `{query}_up(head) :- atoms`: the head terms after forward-chase
+    /// merges, the view atoms sorted and deduplicated.
+    pub cq: Cq,
     /// Forward-chase stats.
     pub stats: ChaseStats,
 }
@@ -400,7 +402,9 @@ impl Rewriter {
                 Term::Const(c) => Term::Const(c.clone()),
             })
             .collect();
-        Ok(UniversalPlan { head, atoms, stats })
+        let name = format!("{}_up", query.name);
+        let cq = Cq::new(name.as_str(), head, atoms);
+        Ok(UniversalPlan { cq, stats })
     }
 
     /// Shared acceptance filter: safety, feasibility, verification.
@@ -459,19 +463,24 @@ pub(crate) fn term_to_elem(t: &Term) -> Elem {
 }
 
 /// Freeze `atoms` into a fresh instance through [`term_to_elem`], atom `i`
-/// carrying provenance `prov(i)`. Nulls up to the largest variable of
-/// `head` and `atoms` are reserved, so the nulls a chase invents never
-/// collide with a frozen variable. The one freezer of the crate: canonical
-/// instances, frozen constraint premises and the backchase's universal
-/// plan.
-pub(crate) fn freeze(head: &[Term], atoms: &[Atom], prov: impl Fn(usize) -> Dnf) -> Instance {
+/// carrying provenance `p_i` when `numbered` (the backchase's universal
+/// plan) and `⊤` otherwise. Nulls up to the largest variable of `head` and
+/// `atoms` are reserved, so the nulls a chase invents never collide with a
+/// frozen variable. The one freezer of the crate: canonical instances,
+/// frozen constraint premises and the backchase's universal plan.
+pub(crate) fn freeze(head: &[Term], atoms: &[Atom], numbered: bool) -> Instance {
     let vars = head.iter().filter_map(Term::as_var);
     let vars = vars.chain(atoms.iter().flat_map(Atom::vars));
     let mut inst = Instance::new();
     inst.reserve_nulls(vars.map(|v| v.0 + 1).max().unwrap_or(0));
+    let (mut args, mut prov) = (Vec::with_capacity(8), Dnf::tru());
     for (i, atom) in atoms.iter().enumerate() {
-        let args: Vec<Elem> = atom.args.iter().map(term_to_elem).collect();
-        inst.insert_with_prov(atom.pred, args, prov(i));
+        args.clear();
+        args.extend(atom.args.iter().map(term_to_elem));
+        if numbered {
+            prov.set_var(i as u32);
+        }
+        inst.insert_ref(atom.pred, &args, &prov);
     }
     inst
 }
@@ -481,10 +490,10 @@ pub(crate) fn build_candidate(
     query: &Cq,
     plan_head: &[Term],
     atoms: &[Atom],
-    selection: &BTreeSet<usize>,
+    selection: impl IntoIterator<Item = usize>,
     index: usize,
 ) -> Cq {
-    let body: Vec<Atom> = selection.iter().map(|i| atoms[*i].clone()).collect();
+    let body: Vec<Atom> = selection.into_iter().map(|i| atoms[i].clone()).collect();
     Cq::new(
         format!("{}_rw{}", query.name, index).as_str(),
         plan_head.to_vec(),
@@ -507,18 +516,20 @@ impl Rewriter {
     /// Rewrite `query` over the views with the provenance-aware Chase &
     /// Backchase. Returns all minimal feasible rewritings.
     pub fn rewrite(&self, query: &Cq, cfg: &RewriteConfig) -> Result<RewriteOutcome, RewriteError> {
-        let up = self.universal_plan(query, &cfg.chase)?;
+        // Declared first, so dropped last: after every chase of this
+        // rewrite has handed its buffers back.
+        let _release = ReleaseChaseBuffers;
+        let UniversalPlan {
+            cq: universal_plan_cq,
+            stats: forward,
+        } = self.universal_plan(query, &cfg.chase)?;
+        let (head, atoms) = (&universal_plan_cq.head, &universal_plan_cq.body);
         let mut stats = RewriteStats {
-            forward: up.stats,
-            universal_plan_atoms: up.atoms.len(),
+            forward,
+            universal_plan_atoms: atoms.len(),
             ..RewriteStats::default()
         };
-        let universal_plan_cq = Cq::new(
-            format!("{}_up", query.name).as_str(),
-            up.head.clone(),
-            up.atoms.clone(),
-        );
-        if up.atoms.is_empty() {
+        if atoms.is_empty() {
             return Ok(RewriteOutcome {
                 rewritings: Vec::new(),
                 universal_plan: universal_plan_cq,
@@ -528,15 +539,13 @@ impl Rewriter {
         }
 
         // --- Backchase: freeze U, annotate, provenance-chase. ---
-        let mut inst = freeze(&up.head, &up.atoms, |i| Dnf::var(i as u32));
+        let mut inst = freeze(head, atoms, true);
         let pstats = prov_chase_prepared(&mut inst, &self.backward, &cfg.chase, cfg.clause_cap)?;
         stats.backward = pstats;
         let mut complete = !pstats.truncated;
 
         // --- Collect head-preserving images of Q and their provenance. ---
-        let targets: Vec<Elem> = up
-            .head
-            .iter()
+        let targets: Vec<Elem> = (head.iter())
             .map(|t| inst.resolve(&term_to_elem(t)))
             .collect();
         let fixed = match head_fixed_map(query, &targets) {
@@ -564,18 +573,17 @@ impl Rewriter {
         }
 
         let mut total = Dnf::fals();
+        let (mut conj, mut step) = (Dnf::tru(), Dnf::fals());
         for h in &homs {
-            let mut conj = Dnf::tru();
-            let mut seen = FastSet::default();
-            for fid in &h.fact_ids {
-                if !seen.insert(*fid) {
+            conj.set_true();
+            for (i, fid) in h.fact_ids.iter().enumerate() {
+                if h.fact_ids[..i].contains(fid) {
                     continue;
                 }
-                let (next, trunc) = conj.and(&inst.fact(*fid).prov, cfg.clause_cap);
-                conj = next;
-                if trunc {
+                if conj.and_into(inst.prov(*fid), cfg.clause_cap, &mut step) {
                     complete = false;
                 }
+                std::mem::swap(&mut conj, &mut step);
             }
             total.or_assign(&conj);
             if total.truncate(cfg.clause_cap) {
@@ -592,12 +600,12 @@ impl Rewriter {
         // replay the serial loop exactly (see the module-level contract).
         let mut candidates: Vec<Cq> = Vec::new();
         for clause in total.clauses() {
-            let selection: BTreeSet<usize> = clause.iter().map(|p| *p as usize).collect();
+            let selection = clause.iter().map(|p| *p as usize);
             candidates.push(build_candidate(
                 query,
-                &up.head,
-                &up.atoms,
-                &selection,
+                head,
+                atoms,
+                selection,
                 candidates.len(),
             ));
         }
@@ -616,7 +624,9 @@ impl Rewriter {
 
         // Deterministic fan-in, candidate order.
         let mut rewritings: Vec<Cq> = Vec::new();
-        let mut seen_canonical: FastSet<String> = FastSet::default();
+        // The canonical forms of `rewritings[..canonical.len()]`, made only
+        // once a second rewriting needs comparing against the first.
+        let mut canonical: Vec<(u64, Cq)> = Vec::new();
         for (mut candidate, (verdict, cs)) in candidates.into_iter().zip(verdicts) {
             stats.absorb(cs);
             complete &= verdict != Verdict::Undecided;
@@ -626,15 +636,24 @@ impl Rewriter {
             // Accepted candidates are numbered by acceptance order (rejected
             // ones consume no index), matching the serial loop's naming.
             candidate.name = Symbol::intern(&format!("{}_rw{}", query.name, rewritings.len()));
-            // Dedup on the name-independent canonical form: the name is unique
-            // per candidate by construction, so a key that included it (as the
-            // canonicalized Display does) could never collide.
-            let canonical = candidate.canonicalize();
-            let key = format!("{:?}|{:?}", canonical.head, canonical.body);
-            if seen_canonical.insert(key) {
-                stats.accepted += 1;
-                rewritings.push(candidate);
+            if !rewritings.is_empty() {
+                // Dedup on the name-independent canonical form `(head,
+                // body)`: the name is unique per candidate by construction,
+                // so a key that included it could never collide. Its hash
+                // screens the forms accepted so far; equal hashes compare
+                // the forms.
+                let pending = rewritings[canonical.len()..].iter();
+                canonical.extend(pending.map(canonical_form));
+                let (hash, form) = canonical_form(&candidate);
+                let same =
+                    |(h, c): &(u64, Cq)| *h == hash && c.head == form.head && c.body == form.body;
+                if canonical.iter().any(same) {
+                    continue;
+                }
+                canonical.push((hash, form));
             }
+            stats.accepted += 1;
+            rewritings.push(candidate);
         }
         rewritings.sort_by_key(|r| r.body.len());
 
@@ -645,6 +664,25 @@ impl Rewriter {
             stats,
         })
     }
+}
+
+/// Lets this thread's spare chase buffers go when dropped (see
+/// [`crate::chase::release_chase_buffers`]).
+struct ReleaseChaseBuffers;
+
+impl Drop for ReleaseChaseBuffers {
+    fn drop(&mut self) {
+        release_chase_buffers();
+    }
+}
+
+/// A rewriting's canonical form, with the hash of its `(head, body)`.
+fn canonical_form(rewriting: &Cq) -> (u64, Cq) {
+    let form = rewriting.canonicalize();
+    (
+        FastBuild::default().hash_one((&form.head, &form.body)),
+        form,
+    )
 }
 
 /// Build the fixed-variable map forcing `q`'s head onto `targets`; `None`

@@ -19,24 +19,22 @@
 
 use crate::chase::{
     run_chase, ChaseConfig, ChaseError, ChaseStats, CompiledTgd, FiringPolicy, FrontierCache,
-    PreparedConstraints,
+    PreparedConstraints, Trigger,
 };
-use crate::hom::Hom;
-use crate::instance::{Elem, Instance};
-use crate::prov::Dnf;
+use crate::instance::Instance;
 use estocada_pivot::Constraint;
 
 /// The provenance-chase firing policy (see the module docs).
 struct Skolemized {
     /// The Skolem table: `(constraint, resolved frontier images) →
-    /// existential images`. An EGD merge retiring null `n` drops exactly
-    /// the entries whose *key* mentions `n` — those keys are unreachable
-    /// forever (lookup keys are resolved under the live union-find, which
-    /// never returns a retired id), so invalidation is pure garbage
-    /// collection and cannot change which Skolem images a trigger sees.
-    /// Stored *values* may mention retired nulls; they are re-resolved at
-    /// every lookup, so they stay correct without indexing.
-    skolems: FrontierCache<Vec<Elem>>,
+    /// existential images`, and the firing buffers. An EGD merge retiring
+    /// null `n` drops exactly the entries whose *key* mentions `n` — those
+    /// keys are unreachable forever (lookup keys are resolved under the
+    /// live union-find, which never returns a retired id), so invalidation
+    /// is pure garbage collection and cannot change which Skolem images a
+    /// trigger sees. Stored *values* may mention retired nulls; they are
+    /// re-resolved at every lookup, so they stay correct without indexing.
+    skolems: FrontierCache,
     /// [`ChaseConfig::memo`]: the table is indexed for invalidation and
     /// its hits/misses are counted.
     memo: bool,
@@ -52,44 +50,47 @@ impl FiringPolicy for Skolemized {
         instance: &mut Instance,
         cidx: usize,
         tgd: &CompiledTgd,
-        h: &Hom,
+        t: Trigger<'_>,
         stats: &mut ChaseStats,
     ) -> bool {
+        let c = &mut *self.skolems;
         // Trigger provenance: conjunction over premise facts.
-        let mut trigger = Dnf::tru();
-        for fid in &h.fact_ids {
-            let (next, trunc) = trigger.and(&instance.fact(*fid).prov, self.clause_cap);
-            trigger = next;
-            self.truncated |= trunc;
+        let [trigger, step] = &mut c.prov;
+        trigger.set_true();
+        for fid in t.facts {
+            self.truncated |= trigger.and_into(instance.prov(*fid), self.clause_cap, step);
+            std::mem::swap(trigger, step);
         }
         if trigger.is_false() {
             return false;
         }
-        let (frontier, existentials) = (&tgd.frontier, &tgd.existentials);
-        let key: Vec<Elem> = frontier
-            .iter()
-            .map(|v| instance.resolve(&h.map[v]))
-            .collect();
+        let mut key = std::mem::take(&mut c.key);
+        tgd.frontier_key(instance, t, &mut key);
         // Resolve Skolem images for the existentials.
-        let exist_elems: Vec<Elem> = match self.skolems.get(cidx, &key) {
-            Some(es) => {
+        let mut images = std::mem::take(&mut c.vals);
+        images.clear();
+        match c.find(cidx, &key) {
+            Some(e) => {
                 stats.memo_hits += usize::from(self.memo);
-                es.iter().map(|e| instance.resolve(e)).collect()
+                images.extend(c.value(e).iter().map(|e| instance.resolve(e)));
             }
             None => {
                 stats.memo_misses += usize::from(self.memo);
-                let es: Vec<Elem> = existentials.iter().map(|_| instance.fresh_null()).collect();
-                self.skolems.insert(cidx, key.clone(), es.clone());
-                es
+                for _ in 0..tgd.existentials() {
+                    images.push(instance.fresh_null());
+                }
+                c.insert(cidx, &key, &images);
             }
-        };
+        }
         let mut changed = false;
-        for (pred, args) in tgd.conclusion_facts(&key, &exist_elems) {
-            if instance.insert_with_prov(pred, args, trigger.clone()).1 {
+        for i in 0..tgd.conclusion_len() {
+            let pred = tgd.conclusion_fact(i, &key, &images, &mut c.args);
+            if instance.insert_ref(pred, &c.args, &c.prov[0]).1 {
                 stats.tgd_fires += 1;
                 changed = true;
             }
         }
+        (c.key, c.vals) = (key, images);
         changed
     }
 
@@ -98,10 +99,8 @@ impl FiringPolicy for Skolemized {
     /// still shows its pre-join (narrower) formula here — the survivor's
     /// widened formula bumps its epoch, so the skipped merge is re-searched
     /// and fires next round; the fixpoint is unchanged.
-    fn egd_fires(&self, instance: &Instance, h: &Hom) -> bool {
-        h.fact_ids
-            .iter()
-            .all(|fid| instance.fact(*fid).prov.is_true())
+    fn egd_fires(&self, instance: &Instance, t: Trigger<'_>) -> bool {
+        t.facts.iter().all(|fid| instance.prov(*fid).is_true())
     }
 
     fn invalidate_null(&mut self, retired: u32) {
@@ -156,6 +155,8 @@ pub(crate) fn prov_chase_prepared(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instance::Elem;
+    use crate::prov::Dnf;
     use estocada_pivot::{Atom, Symbol, Term, Tgd};
 
     fn sym(s: &str) -> Symbol {

@@ -6,84 +6,173 @@
 //! function, canonically represented as a set of minimal conjunctions
 //! (antichain DNF): `{{p1,p2},{p3}}` means "(p1 ∧ p2) ∨ p3".
 
-use std::collections::BTreeSet;
 use std::fmt;
 
-/// A conjunction of provenance variables (sorted set of variable ids).
-pub type Clause = BTreeSet<u32>;
+/// A conjunction of provenance variables: their ids, sorted ascending and
+/// each once.
+pub type Clause = [u32];
 
 /// Minimized monotone DNF over provenance variables.
 ///
 /// Invariant: the clause set is an *antichain* — no clause is a subset of
 /// another (absorption is applied eagerly), so `Dnf` is a canonical form:
-/// two equal monotone functions have equal `Dnf`s. The clauses are held in
-/// a vector sorted ascending, so `⊤` — on every fact of a chase instance —
-/// is one small allocation rather than a B-tree leaf.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// two equal monotone functions have equal `Dnf`s. The clauses ascend
+/// (lexicographically, as sorted slices) and are laid out flat: one vector
+/// of variables and one of clause ends. `⊤` — on every fact of a chase
+/// instance — is a flag, so building it allocates nothing, and a formula
+/// assigned into one that held another reuses its buffers.
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct Dnf {
-    clauses: Vec<Clause>,
+    /// `true` for `⊤`: the one empty clause (`ends` and `lits` are empty).
+    top: bool,
+    /// End offset in `lits` of each clause.
+    ends: Vec<u32>,
+    /// The clauses' variables, one clause after the other.
+    lits: Vec<u32>,
+}
+
+/// Whether sorted `a` is a subset of sorted `b`.
+fn subset(a: &[u32], b: &[u32]) -> bool {
+    let mut rest = b.iter();
+    a.iter().all(|x| rest.find(|y| **y >= *x) == Some(x))
 }
 
 impl Dnf {
     /// The constant `false` (no derivation known).
     pub fn fals() -> Dnf {
-        Dnf {
-            clauses: Vec::new(),
-        }
+        Dnf::default()
     }
 
     /// The constant `true` (derivable from every subset, e.g. facts of the
     /// query's own canonical database).
     pub fn tru() -> Dnf {
         Dnf {
-            clauses: vec![Clause::new()],
+            top: true,
+            ..Dnf::default()
         }
     }
 
     /// A single provenance variable.
     pub fn var(v: u32) -> Dnf {
         Dnf {
-            clauses: vec![Clause::from([v])],
+            top: false,
+            ends: vec![1],
+            lits: vec![v],
         }
     }
 
     /// `true` iff the formula is the constant `false`.
     pub fn is_false(&self) -> bool {
-        self.clauses.is_empty()
+        !self.top && self.ends.is_empty()
     }
 
     /// `true` iff the formula is the constant `true`.
     pub fn is_true(&self) -> bool {
-        self.clauses.len() == 1 && self.clauses.first().is_some_and(Clause::is_empty)
+        self.top
     }
 
-    /// The minimal clauses.
+    /// Clause `i` of the flat layout.
+    fn clause(&self, i: usize) -> &Clause {
+        let start = i.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
+        &self.lits[start..self.ends[i] as usize]
+    }
+
+    /// The minimal clauses, ascending.
     pub fn clauses(&self) -> impl Iterator<Item = &Clause> {
-        self.clauses.iter()
+        let top = self.top.then_some(&[][..]);
+        top.into_iter()
+            .chain((0..self.ends.len()).map(|i| self.clause(i)))
     }
 
     /// Number of minimal clauses.
     pub fn len(&self) -> usize {
-        self.clauses.len()
+        usize::from(self.top) + self.ends.len()
     }
 
     /// `true` when there are no clauses (constant false).
     pub fn is_empty(&self) -> bool {
-        self.clauses.is_empty()
+        self.is_false()
     }
 
-    /// Insert a clause, maintaining the antichain invariant. Returns `true`
-    /// if the formula changed.
-    fn insert_clause(&mut self, c: Clause) -> bool {
-        // Absorbed by an existing smaller clause?
-        if self.clauses.iter().any(|e| e.is_subset(&c)) {
+    /// Become `false`, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.top = false;
+        self.ends.clear();
+        self.lits.clear();
+    }
+
+    /// Become `other`, reusing this formula's buffers.
+    pub(crate) fn assign(&mut self, other: &Dnf) {
+        self.top = other.top;
+        self.ends.clone_from(&other.ends);
+        self.lits.clone_from(&other.lits);
+    }
+
+    /// Become the single variable `v`, keeping the buffers.
+    pub(crate) fn set_var(&mut self, v: u32) {
+        self.clear();
+        self.ends.push(1);
+        self.lits.push(v);
+    }
+
+    /// Become `⊤`, keeping the buffers.
+    pub(crate) fn set_true(&mut self) {
+        self.clear();
+        self.top = true;
+    }
+
+    /// Insert the clause staged past the last one (`lits[tail..]`, sorted),
+    /// maintaining the antichain invariant. Returns `true` if the formula
+    /// changed.
+    fn insert_staged(&mut self, tail: usize) -> bool {
+        let width = self.lits.len() - tail;
+        if self.top {
+            // ⊤ absorbs every clause.
+            self.lits.truncate(tail);
             return false;
         }
-        // Remove clauses the new one absorbs.
-        self.clauses.retain(|e| !c.is_subset(e));
-        // Absent: an equal clause would have absorbed it.
-        let at = self.clauses.binary_search(&c).unwrap_or_else(|at| at);
-        self.clauses.insert(at, c);
+        if width == 0 {
+            // The empty clause absorbs every other.
+            self.set_true();
+            return true;
+        }
+        // Absorbed by an existing smaller (or equal) clause?
+        let (held, new) = self.lits.split_at(tail);
+        let mut start = 0;
+        for &end in &self.ends {
+            if subset(&held[start..end as usize], new) {
+                self.lits.truncate(tail);
+                return false;
+            }
+            start = end as usize;
+        }
+        // Drop the clauses the new one absorbs, compacting in place, and
+        // note where the new one goes: before the first greater clause.
+        let (mut write, mut kept, mut start, mut at) = (0, 0, 0, None);
+        for i in 0..self.ends.len() {
+            let end = self.ends[i] as usize;
+            let (held, new) = self.lits.split_at(tail);
+            let old = &held[start..end];
+            if !subset(new, old) {
+                if at.is_none() && old > new {
+                    at = Some((kept, write));
+                }
+                self.lits.copy_within(start..end, write);
+                write += end - start;
+                self.ends[kept] = write as u32;
+                kept += 1;
+            }
+            start = end;
+        }
+        self.ends.truncate(kept);
+        self.lits.copy_within(tail.., write);
+        self.lits.truncate(write + width);
+        let (index, offset) = at.unwrap_or((kept, write));
+        self.lits[offset..].rotate_right(width);
+        for end in &mut self.ends[index..] {
+            *end += width as u32;
+        }
+        self.ends.insert(index, (offset + width) as u32);
         true
     }
 
@@ -91,8 +180,10 @@ impl Dnf {
     /// the fixpoint signal of the provenance chase.
     pub fn or_assign(&mut self, other: &Dnf) -> bool {
         let mut changed = false;
-        for c in &other.clauses {
-            changed |= self.insert_clause(c.clone());
+        for c in other.clauses() {
+            let tail = self.lits.len();
+            self.lits.extend_from_slice(c);
+            changed |= self.insert_staged(tail);
         }
         changed
     }
@@ -103,35 +194,80 @@ impl Dnf {
     /// never produces spurious rewritings — only potentially misses some).
     pub fn and(&self, other: &Dnf, cap: usize) -> (Dnf, bool) {
         let mut out = Dnf::fals();
-        for a in &self.clauses {
-            for b in &other.clauses {
-                let mut c = a.clone();
-                c.extend(b.iter().copied());
-                out.insert_clause(c);
+        let truncated = self.and_into(other, cap, &mut out);
+        (out, truncated)
+    }
+
+    /// [`Dnf::and`] written into `out`, reusing its buffers; returns
+    /// whether the result was truncated.
+    pub(crate) fn and_into(&self, other: &Dnf, cap: usize, out: &mut Dnf) -> bool {
+        out.clear();
+        for a in self.clauses() {
+            for b in other.clauses() {
+                let tail = out.lits.len();
+                let (mut i, mut j) = (0, 0);
+                while i < a.len() || j < b.len() {
+                    let next = match (a.get(i), b.get(j)) {
+                        (Some(x), Some(y)) if x == y => {
+                            i += 1;
+                            j += 1;
+                            *x
+                        }
+                        (Some(x), Some(y)) if x < y => {
+                            i += 1;
+                            *x
+                        }
+                        (Some(x), None) => {
+                            i += 1;
+                            *x
+                        }
+                        (_, Some(y)) => {
+                            j += 1;
+                            *y
+                        }
+                        (None, None) => break,
+                    };
+                    out.lits.push(next);
+                }
+                out.insert_staged(tail);
             }
         }
-        let truncated = out.truncate(cap);
-        (out, truncated)
+        out.truncate(cap)
     }
 
     /// Keep only the `cap` smallest clauses. Returns `true` if truncation
     /// happened.
     pub fn truncate(&mut self, cap: usize) -> bool {
-        if self.clauses.len() <= cap {
+        if self.len() <= cap {
             return false;
         }
-        self.clauses.sort_by_key(|c| c.len());
-        self.clauses.truncate(cap);
-        self.clauses.sort();
+        let mut clauses: Vec<Vec<u32>> = self.clauses().map(<[u32]>::to_vec).collect();
+        clauses.sort_by_key(Vec::len);
+        clauses.truncate(cap);
+        clauses.sort();
+        self.clear();
+        for c in clauses {
+            if c.is_empty() {
+                self.top = true;
+            } else {
+                self.lits.extend_from_slice(&c);
+                self.ends.push(self.lits.len() as u32);
+            }
+        }
         true
     }
 
     /// Logical implication test: `self ⇒ other` for monotone DNFs holds iff
     /// every clause of `self` is a superset of some clause of `other`.
     pub fn implies(&self, other: &Dnf) -> bool {
-        self.clauses
-            .iter()
-            .all(|a| other.clauses.iter().any(|b| b.is_subset(a)))
+        self.clauses()
+            .all(|a| other.clauses().any(|b| subset(b, a)))
+    }
+}
+
+impl fmt::Debug for Dnf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.clauses()).finish()
     }
 }
 
@@ -143,7 +279,7 @@ impl fmt::Display for Dnf {
         if self.is_true() {
             return write!(f, "⊤");
         }
-        for (i, c) in self.clauses.iter().enumerate() {
+        for (i, c) in self.clauses().enumerate() {
             if i > 0 {
                 write!(f, " ∨ ")?;
             }
@@ -164,8 +300,17 @@ impl fmt::Display for Dnf {
 mod tests {
     use super::*;
 
-    fn clause(vs: &[u32]) -> Clause {
-        vs.iter().copied().collect()
+    fn clause(vs: &[u32]) -> Vec<u32> {
+        vs.to_vec()
+    }
+
+    /// Insert one clause (test helper over the staged insert).
+    impl Dnf {
+        fn insert_clause(&mut self, c: Vec<u32>) -> bool {
+            let tail = self.lits.len();
+            self.lits.extend_from_slice(&c);
+            self.insert_staged(tail)
+        }
     }
 
     #[test]

@@ -220,6 +220,12 @@ impl<K: Hash + Eq, L: Ord + Copy> Postings<K, L> {
         self.map.is_empty()
     }
 
+    /// Unpost everything, keeping the table's capacity for what is posted
+    /// next.
+    pub fn clear(&mut self) {
+        self.map.clear();
+    }
+
     /// Number of keys.
     pub fn len(&self) -> usize {
         self.map.len()
