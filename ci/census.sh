@@ -6,8 +6,9 @@
 # std hash tables on the default hasher, aggregate accumulators, join hash
 # tables, mediator files naming the chase `Instance`, homomorphism searches
 # in the mediator, resolves of interned rows on the fill and write path, row
-# indexes the write path keeps beside the fact base, independently settable
-# options, and panic sites in library code.
+# indexes the write path keeps beside the fact base, thread-locals of the
+# chase, open-addressing tables, independently settable options, and panic
+# sites in library code.
 # Informational: prints, never fails on a count.
 set -eu
 cd "$(dirname "$0")/.."
@@ -148,6 +149,27 @@ for f in $(rust_files crates/core/src); do
     row_indexes=$((row_indexes + n))
 done
 printf '%-28s %8d\n' 'write-path row indexes' "$row_indexes"
+# Statics declared in the library's `thread_local!` blocks in the chase
+# crate: the matcher keeps its scratch arena per thread, and every other
+# chase buffer lives in the workspace of the call that made it.
+chase_locals=0
+for f in $(rust_files crates/chase/src); do
+    n=$(library_part "$f" | awk '/^[[:space:]]*thread_local! *\{/ { inside = 1; next }
+        inside && /^[[:space:]]*\}/ { inside = 0 }
+        inside && /^[[:space:]]*(pub(\([a-z]+\))? )?static / { n++ }
+        END { print n + 0 }')
+    chase_locals=$((chase_locals + n))
+done
+printf '%-28s %8d\n' 'chase thread-locals' "$chase_locals"
+# Library definitions of a backward-shift delete (the probe-distance test
+# `next.wrapping_sub(home)`): every open-addressing table of ids found by
+# their content is the pivot's one `kernel::IdTable`.
+open_tables=0
+for f in $(rust_files crates/*/src); do
+    n=$(library_part "$f" | grep -c 'wrapping_sub(home)' || true)
+    open_tables=$((open_tables + n))
+done
+printf '%-28s %8d\n' 'open-addressing tables' "$open_tables"
 
 # Public fields of `pub struct $2` in file `$1`.
 fields() {

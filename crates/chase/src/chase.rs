@@ -77,8 +77,8 @@
 //!    its matcher scratch (see [`mod@crate::hom`]). A trigger is a row of
 //!    bindings by compact variable id plus its fact ids, appended to one
 //!    flat per-round buffer; the buffer, the delta index and the live list
-//!    are one set per thread, refilled every round. One thread does all of
-//!    it: a rewrite's chases are tens
+//!    are the call's workspace's, refilled every round. One thread does
+//!    all of it: a rewrite's chases are tens
 //!    of facts, and a round's whole search costs less than handing it to
 //!    another thread (EXPERIMENTS.md, "Parallelism inside one rewrite:
 //!    what was measured").
@@ -105,10 +105,9 @@
 //! builds nothing). Distinct triggers
 //! frequently share a frontier image (transitive closure derives the same
 //! `(x, z)` pair through every midpoint `y`), and delta rounds re-discover triggers whose probe already
-//! succeeded. With [`ChaseConfig::memo`] on (the default), a per-run memo
-//! records `(constraint index, resolved frontier images)` pairs proven
-//! satisfied — by a successful probe or by the firing itself — and skips
-//! the probe for every later trigger with the same key.
+//! succeeded. A per-run memo records `(constraint index, resolved frontier
+//! images)` pairs proven satisfied — by a successful probe or by the firing
+//! itself — and skips the probe for every later trigger with the same key.
 //!
 //! **Invalidation rule:** satisfaction is monotone as the instance grows
 //! (facts only die by deduplication against an identical survivor, and
@@ -120,23 +119,32 @@
 //! pattern the instance uses for incremental normalization. Retired ids
 //! are never re-issued, so stale keys cannot be misread; memoization
 //! changes which probes run, never what fires ([`ChaseStats::core`] is
-//! identical with the memo on or off). The provenance chase's Skolem table
-//! is keyed and invalidated the same way.
+//! identical with the memo on or off — the memo-off run is the reference
+//! [`crate::testkit::chase_without_memo`]). The provenance chase's Skolem
+//! table is keyed and invalidated the same way.
+//!
+//! # Buffers
+//!
+//! Whatever a run fills and empties again — the instances it builds, the
+//! round buffers, the memo — lives in a `Workspace` its caller makes and
+//! drops. [`crate::pacb::Rewriter::rewrite`] makes one for all of its
+//! chases on the calling thread, each spawned verification worker one of
+//! its own, and every one-shot entry point ([`chase`],
+//! [`crate::pchase::prov_chase`], the containment checks) one for its call:
+//! the chases of a call insert into capacity the first of them grew, and
+//! nothing outlives the call.
 
 use crate::hom::{find_triggers, has_hom, HomConfig, Pattern, Sink};
-use crate::instance::{
-    keep_spare, release_spares, take_spare, DeltaIndex, Elem, IdTable, Inconsistent, Instance,
-    STORES,
-};
+use crate::instance::{DeltaIndex, Elem, Inconsistent, Instance, Store};
 use crate::prov::Dnf;
 use estocada_pivot::hash::{FastBuild, FastMap};
+use estocada_pivot::kernel::IdTable;
 use estocada_pivot::{Atom, Constraint, Symbol, Term, Var};
-use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::BuildHasher;
 
-/// Resource budget and knobs for a chase run, of either flavour.
+/// Resource budget for a chase run, of either flavour.
 #[derive(Debug, Clone, Copy)]
 pub struct ChaseConfig {
     /// Maximum number of full rounds over the constraint set.
@@ -145,12 +153,6 @@ pub struct ChaseConfig {
     pub max_facts: usize,
     /// Homomorphism search configuration.
     pub hom: HomConfig,
-    /// Restricted chase: memoize applicability probes across triggers and
-    /// rounds (see the module docs). Provenance chase: index the Skolem
-    /// table by null so EGD merges garbage-collect entries keyed on retired
-    /// nulls, and count Skolem hits/misses in the memo counters. Never
-    /// changes the result instance, errors or [`ChaseStats::core`].
-    pub memo: bool,
 }
 
 impl Default for ChaseConfig {
@@ -159,7 +161,6 @@ impl Default for ChaseConfig {
             max_rounds: 10_000,
             max_facts: 500_000,
             hom: HomConfig::default(),
-            memo: true,
         }
     }
 }
@@ -207,11 +208,11 @@ pub struct ChaseStats {
     /// EGD firings that merged elements.
     pub egd_merges: usize,
     /// Applicability probes (provenance chase: Skolem lookups) answered by
-    /// the memo. 0 when the memo is off.
+    /// the memo. 0 in the memo-off reference run.
     pub memo_hits: usize,
     /// Applicability probes actually run (provenance chase: Skolem images
-    /// invented) under the memo. 0 when the memo is off (the work still
-    /// happens; it just isn't counted against a memo).
+    /// invented) under the memo. 0 in the memo-off reference run (the work
+    /// still happens; it just isn't counted against a memo).
     pub memo_misses: usize,
     /// Premise searches actually run: one per (constraint, round) whose
     /// premise the live-premise rule (module docs) could not rule out.
@@ -256,28 +257,33 @@ pub fn chase(
     constraints: &[Constraint],
     cfg: &ChaseConfig,
 ) -> Result<ChaseStats, ChaseError> {
-    chase_prepared(instance, &PreparedConstraints::new(constraints), cfg)
+    let set = PreparedConstraints::new(constraints);
+    chase_prepared(instance, &set, cfg, &mut Workspace::default())
 }
 
-/// The restricted chase over an already prepared set — what [`chase`] runs
-/// after preparing its slice, and what the per-epoch
+/// The restricted chase over an already prepared set, on `ws`'s buffers —
+/// what [`chase`] runs after preparing its slice, and what the per-epoch
 /// [`crate::pacb::Rewriter`] runs directly.
 pub(crate) fn chase_prepared(
     instance: &mut Instance,
     set: &PreparedConstraints,
     cfg: &ChaseConfig,
+    ws: &mut Workspace,
 ) -> Result<ChaseStats, ChaseError> {
-    run_chase(instance, set, cfg, &mut Restricted::new(cfg))
+    let mut policy = Restricted { memo: set.memo };
+    run_chase(instance, set, cfg, &mut policy, ws)
 }
 
 /// How one trigger fires — the only thing the restricted chase and the
 /// provenance chase disagree on. Called from the serial apply phase.
 pub(crate) trait FiringPolicy {
-    /// Fire TGD trigger `t` of constraint `cidx` against the live instance;
+    /// Fire TGD trigger `t` of constraint `cidx` against the live instance,
+    /// keeping what it learns in `cache` (the run's memo or Skolem table);
     /// returns whether the instance changed.
     fn fire_tgd(
         &mut self,
         instance: &mut Instance,
+        cache: &mut FrontierCache,
         cidx: usize,
         tgd: &CompiledTgd,
         t: Trigger<'_>,
@@ -286,10 +292,6 @@ pub(crate) trait FiringPolicy {
 
     /// Whether EGD trigger `t` may fire, read at fire time.
     fn egd_fires(&self, instance: &Instance, t: Trigger<'_>) -> bool;
-
-    /// An EGD merge retired null `retired`: drop the cache entries keyed on
-    /// it (see the module docs' invalidation rule).
-    fn invalidate_null(&mut self, retired: u32);
 }
 
 /// One trigger, borrowed from the round's trigger buffer: the premise's
@@ -461,6 +463,12 @@ pub(crate) struct PreparedConstraints {
     /// Test-only reference mode ([`crate::testkit::chase_every_premise`]):
     /// search every premise every round, as if nothing could be ruled out.
     pub(crate) search_every_premise: bool,
+    /// Off only in the test-only reference runs
+    /// ([`crate::testkit::chase_without_memo`] and its provenance twin).
+    /// Restricted chase: memoize applicability probes (see the module
+    /// docs). Provenance chase: index the Skolem table by null for EGD
+    /// merges to garbage-collect, and count Skolem hits and misses.
+    pub(crate) memo: bool,
 }
 
 impl PreparedConstraints {
@@ -482,6 +490,7 @@ impl PreparedConstraints {
             actions,
             by_premise_pred,
             search_every_premise: false,
+            memo: true,
         }
     }
 
@@ -564,7 +573,7 @@ impl Sink for Triggers {
 }
 
 /// The buffers a chase run refills every round: the delta index, the live
-/// constraints and the triggers. One set per thread, kept between runs.
+/// constraints and the triggers.
 #[derive(Default)]
 struct RoundScratch {
     delta: DeltaIndex,
@@ -573,59 +582,51 @@ struct RoundScratch {
     triggers: Triggers,
 }
 
-/// Drop this thread's spare chase buffers: instance stores, round
-/// buffers, firing caches. The chases of one rewrite share them, and the
-/// rewrite lets them go when it returns: kept between rewrites, they held
-/// ≈ 5 MiB more of the process's resident memory (EXPERIMENTS.md, "An
-/// allocation-lean chase").
-pub(crate) fn release_chase_buffers() {
-    release_spares(&STORES);
-    release_spares(&ROUNDS);
-    release_spares(&CACHES);
+/// The buffers the chases of one call share (see the module docs): the
+/// emptied stores of the instances the call is done with, the round
+/// buffers and the firing cache. Whoever makes one drops it when the call
+/// returns.
+#[derive(Default)]
+pub(crate) struct Workspace {
+    stores: Vec<Store>,
+    round: RoundScratch,
+    cache: FrontierCache,
 }
 
-thread_local! {
-    /// This thread's round buffers; empty while a run on the thread holds
-    /// them.
-    static ROUNDS: Cell<Vec<RoundScratch>> = const { Cell::new(Vec::new()) };
-    /// This thread's spare firing caches.
-    static CACHES: Cell<Vec<CacheBufs>> = const { Cell::new(Vec::new()) };
+impl Workspace {
+    /// An empty instance, on the buffers of one given back.
+    pub(crate) fn instance(&mut self) -> Instance {
+        Instance::on(self.stores.pop().unwrap_or_default())
+    }
+
+    /// Take back `instance`'s buffers for the next instance.
+    pub(crate) fn give_back(&mut self, instance: Instance) {
+        self.stores.push(instance.into_store());
+    }
 }
 
 /// The chase driver: take the prepared `set` over `instance` to fixpoint
-/// under `cfg`'s budget, firing triggers through `policy`. Runs on this
-/// thread's round buffers.
+/// under `cfg`'s budget, firing triggers through `policy`, on `ws`'s round
+/// buffers and firing cache.
 pub(crate) fn run_chase<P: FiringPolicy>(
     instance: &mut Instance,
     set: &PreparedConstraints,
     cfg: &ChaseConfig,
     policy: &mut P,
-) -> Result<ChaseStats, ChaseError> {
-    let mut scratch = take_spare(&ROUNDS);
-    let result = rounds(instance, set, cfg, policy, &mut scratch);
-    let elems = scratch.triggers.binds.capacity();
-    keep_spare(&ROUNDS, scratch, elems);
-    result
-}
-
-/// [`run_chase`]'s round loop.
-fn rounds<P: FiringPolicy>(
-    instance: &mut Instance,
-    set: &PreparedConstraints,
-    cfg: &ChaseConfig,
-    policy: &mut P,
-    scratch: &mut RoundScratch,
+    ws: &mut Workspace,
 ) -> Result<ChaseStats, ChaseError> {
     let mut stats = ChaseStats::default();
     // Epoch threshold separating "old" facts from the previous round's
     // delta; `None` = the first round, search everything.
     let mut threshold: Option<u64> = None;
+    let Workspace { round, cache, .. } = ws;
+    cache.reset(set.memo);
     let RoundScratch {
         delta,
         touched,
         live,
         triggers,
-    } = scratch;
+    } = round;
     loop {
         if stats.rounds >= cfg.max_rounds {
             return Err(ChaseError::Budget {
@@ -653,12 +654,14 @@ fn rounds<P: FiringPolicy>(
                     Action::Tgd(tgd) => {
                         for k in 0..run.count {
                             let t = triggers.get(run, k);
-                            changed |= policy.fire_tgd(instance, cidx, tgd, t, &mut stats);
+                            changed |= policy.fire_tgd(instance, cache, cidx, tgd, t, &mut stats);
                         }
                     }
                     Action::Egd { name, equal } => {
                         let egd = (*name, equal);
-                        changed |= apply_egd(instance, egd, triggers, run, policy, &mut stats)?;
+                        let fired =
+                            apply_egd(instance, egd, triggers, run, policy, cache, &mut stats);
+                        changed |= fired?;
                     }
                 }
             }
@@ -707,15 +710,16 @@ fn search_triggers(
 
 /// The EGD arm of the apply phase: for each trigger of `run` the policy
 /// lets fire, resolve the equality under the live union-find and merge,
-/// telling the policy which null (if any) the merge retired. A constant
-/// clash is rendered with the firing EGD's name and trigger facts (the
-/// `with_trigger` form). Returns whether any merge happened.
+/// dropping the cache entries keyed on the null (if any) the merge retired.
+/// A constant clash is rendered with the firing EGD's name and trigger
+/// facts (the `with_trigger` form). Returns whether any merge happened.
 fn apply_egd<P: FiringPolicy>(
     instance: &mut Instance,
     (name, equal): (Symbol, &(Slot, Slot)),
     triggers: &Triggers,
     run: &Run,
-    policy: &mut P,
+    policy: &P,
+    cache: &mut FrontierCache,
     stats: &mut ChaseStats,
 ) -> Result<bool, ChaseError> {
     let mut changed = false;
@@ -736,7 +740,7 @@ fn apply_egd<P: FiringPolicy>(
         };
         match instance.merge_retired(&a, &b) {
             Ok(Some(retired)) => {
-                policy.invalidate_null(retired);
+                cache.invalidate_null(retired);
                 stats.egd_merges += 1;
                 changed = true;
             }
@@ -757,28 +761,18 @@ fn apply_egd<P: FiringPolicy>(
 }
 
 /// The restricted-chase firing policy: probe applicability (through the
-/// memo when [`ChaseConfig::memo`] is on), then fire with fresh nulls.
+/// memo unless it is off), then fire with fresh nulls.
 pub(crate) struct Restricted {
-    /// Whether `cache` memoizes `(constraint, frontier images)` pairs
-    /// proven satisfied.
+    /// Whether the cache memoizes `(constraint, frontier images)` pairs
+    /// proven satisfied ([`PreparedConstraints::memo`]).
     memo: bool,
-    /// The memo (values empty) and the firing buffers.
-    cache: FrontierCache,
-}
-
-impl Restricted {
-    fn new(cfg: &ChaseConfig) -> Restricted {
-        Restricted {
-            memo: cfg.memo,
-            cache: FrontierCache::new(true),
-        }
-    }
 }
 
 impl FiringPolicy for Restricted {
     fn fire_tgd(
         &mut self,
         instance: &mut Instance,
+        c: &mut FrontierCache,
         cidx: usize,
         tgd: &CompiledTgd,
         t: Trigger<'_>,
@@ -786,7 +780,6 @@ impl FiringPolicy for Restricted {
     ) -> bool {
         // Re-resolve the trigger under the live union-find (earlier
         // firings this round may have merged elements).
-        let c = &mut *self.cache;
         let mut key = std::mem::take(&mut c.key);
         tgd.frontier_key(instance, t, &mut key);
         if self.memo {
@@ -824,12 +817,6 @@ impl FiringPolicy for Restricted {
     fn egd_fires(&self, _: &Instance, _: Trigger<'_>) -> bool {
         true
     }
-
-    fn invalidate_null(&mut self, retired: u32) {
-        if self.memo {
-            self.cache.invalidate_null(retired);
-        }
-    }
 }
 
 /// One entry of a [`FrontierCache`]: its key and value sit one after the
@@ -850,16 +837,11 @@ struct CacheEntry {
 /// the module docs' occurrence-indexed invalidation, plus the buffers a
 /// firing fills (frontier key, existential images, conclusion arguments,
 /// trigger provenance). Everything is flat: keys and values in one element
-/// buffer, found through an [`IdTable`]; and a cache runs on one of its
-/// thread's spare buffer sets, which it hands back when dropped, so a run
-/// in steady state allocates nothing here.
-pub(crate) struct FrontierCache {
-    bufs: CacheBufs,
-}
-
-/// A [`FrontierCache`]'s buffers.
+/// buffer, found through an [`IdTable`]. A run empties the one of its
+/// [`Workspace`] and fills it again, so the runs of one call after the
+/// first allocate nothing here.
 #[derive(Default)]
-pub(crate) struct CacheBufs {
+pub(crate) struct FrontierCache {
     table: IdTable,
     entries: Vec<CacheEntry>,
     elems: Vec<Elem>,
@@ -882,50 +864,24 @@ pub(crate) struct CacheBufs {
 }
 
 impl FrontierCache {
-    /// An empty cache (on one of this thread's spare buffer sets when it
-    /// has one).
-    pub(crate) fn new(indexed: bool) -> FrontierCache {
-        let mut bufs: CacheBufs = take_spare(&CACHES);
-        bufs.indexed = indexed;
-        FrontierCache { bufs }
+    /// Drop every entry, keeping the buffers; entries are indexed for
+    /// invalidation from now on when `indexed`.
+    fn reset(&mut self, indexed: bool) {
+        self.table.clear();
+        self.entries.clear();
+        self.elems.clear();
+        self.occ_head.clear();
+        self.occ.clear();
+        self.indexed = indexed;
     }
-}
 
-impl std::ops::Deref for FrontierCache {
-    type Target = CacheBufs;
-    fn deref(&self) -> &CacheBufs {
-        &self.bufs
-    }
-}
-
-impl std::ops::DerefMut for FrontierCache {
-    fn deref_mut(&mut self) -> &mut CacheBufs {
-        &mut self.bufs
-    }
-}
-
-impl Drop for FrontierCache {
-    /// Empty the buffers and keep them as a spare set of this thread.
-    fn drop(&mut self) {
-        let mut bufs = std::mem::take(&mut self.bufs);
-        let elems = bufs.elems.capacity();
-        bufs.table.clear();
-        bufs.entries.clear();
-        bufs.elems.clear();
-        bufs.occ_head.clear();
-        bufs.occ.clear();
-        keep_spare(&CACHES, bufs, elems);
-    }
-}
-
-impl CacheBufs {
     fn hash(cidx: usize, key: &[Elem]) -> u32 {
         FastBuild::default().hash_one((cidx, key)) as u32
     }
 
     /// The entry of `(cidx, key)`, if held.
     pub(crate) fn find(&self, cidx: usize, key: &[Elem]) -> Option<usize> {
-        let hash = CacheBufs::hash(cidx, key);
+        let hash = FrontierCache::hash(cidx, key);
         let found = self.table.find(hash, |e| {
             let entry = &self.entries[e as usize];
             entry.cidx == cidx && self.elems[entry.start..][..entry.key_len] == *key
@@ -942,7 +898,7 @@ impl CacheBufs {
     /// Hold `value` under `(cidx, key)`, which is not held.
     pub(crate) fn insert(&mut self, cidx: usize, key: &[Elem], value: &[Elem]) {
         let e = self.entries.len() as u32;
-        let hash = CacheBufs::hash(cidx, key);
+        let hash = FrontierCache::hash(cidx, key);
         self.entries.push(CacheEntry {
             cidx,
             hash,
@@ -968,7 +924,7 @@ impl CacheBufs {
 
     /// Drop every entry whose key mentions the retired null (no-op when
     /// none does — constants and surviving nulls never invalidate).
-    pub(crate) fn invalidate_null(&mut self, retired: u32) {
+    fn invalidate_null(&mut self, retired: u32) {
         let Some(head) = self.occ_head.get_mut(retired as usize) else {
             return;
         };
@@ -1173,23 +1129,28 @@ mod tests {
         crate::testkit::phase_split_workload(1, 8)
     }
 
-    use crate::testkit::dump_state as dump;
+    use crate::testkit::{chase_without_memo, dump_state as dump};
+
+    /// The restricted chase of `constraints` over `i`, memo on or off.
+    fn chase_memo(
+        i: &mut Instance,
+        constraints: &[Constraint],
+        memo: bool,
+    ) -> Result<ChaseStats, ChaseError> {
+        let cfg = ChaseConfig::default();
+        match memo {
+            true => chase(i, constraints, &cfg),
+            false => chase_without_memo(i, constraints, &cfg),
+        }
+    }
 
     #[test]
     fn memo_on_and_off_reach_identical_fixpoints() {
         let (seed, constraints) = closure_set();
         let mut on = seed.clone();
         let mut off = seed.clone();
-        let s_on = chase(&mut on, &constraints, &ChaseConfig::default()).unwrap();
-        let s_off = chase(
-            &mut off,
-            &constraints,
-            &ChaseConfig {
-                memo: false,
-                ..ChaseConfig::default()
-            },
-        )
-        .unwrap();
+        let s_on = chase_memo(&mut on, &constraints, true).unwrap();
+        let s_off = chase_memo(&mut off, &constraints, false).unwrap();
         assert_eq!(s_on.core(), s_off.core());
         assert_eq!(dump(&on), dump(&off));
         // The closure workload re-derives pairs through every midpoint:
@@ -1231,11 +1192,7 @@ mod tests {
             i.insert(sym("A"), vec![c(1)]);
             i.insert(sym("R"), vec![c(1), n]);
             i.insert(sym("R"), vec![c(1), c(9)]);
-            let cfg = ChaseConfig {
-                memo,
-                ..ChaseConfig::default()
-            };
-            let stats = chase(&mut i, &constraints, &cfg).unwrap();
+            let stats = chase_memo(&mut i, &constraints, memo).unwrap();
             (dump(&i), stats)
         };
         let (on, s_on) = run(true);
@@ -1269,11 +1226,9 @@ mod tests {
             let mut i = Instance::new();
             i.insert(sym("R"), vec![c(1), c(8)]);
             i.insert(sym("R"), vec![c(1), c(9)]);
-            let cfg = ChaseConfig {
-                memo,
-                ..ChaseConfig::default()
-            };
-            chase(&mut i, &constraints, &cfg).unwrap_err().to_string()
+            chase_memo(&mut i, &constraints, memo)
+                .unwrap_err()
+                .to_string()
         };
         let reference = run(true);
         assert!(reference.contains("[fd]"), "missing EGD name: {reference}");

@@ -2,7 +2,7 @@
 //! queries under constraints.
 
 use crate::chase::{
-    chase, chase_prepared, ChaseConfig, ChaseError, ChaseStats, PreparedConstraints,
+    chase_prepared, ChaseConfig, ChaseError, ChaseStats, PreparedConstraints, Workspace,
 };
 use crate::hom::find_one_hom;
 use crate::instance::{Elem, Instance};
@@ -13,7 +13,7 @@ use estocada_pivot::{Constraint, Cq, Term, Var};
 /// Build the canonical instance ("frozen body") of a query: variable `i`
 /// becomes labelled null `i`, constants stay constants.
 pub fn canonical_instance(q: &Cq) -> Instance {
-    freeze(&q.head, &q.body, false)
+    freeze(&q.head, &q.body, false, &mut Workspace::default())
 }
 
 /// The image of frozen term `t` in (a chase of) its frozen instance.
@@ -33,29 +33,32 @@ pub fn contained_in(
     cfg: &ChaseConfig,
 ) -> Result<bool, ChaseError> {
     let set = PreparedConstraints::new(constraints);
-    contained_in_prepared(q1, q2, &set, cfg).map(|(contained, _)| contained)
+    let verdict = contained_in_prepared(q1, q2, &set, cfg, &mut Workspace::default());
+    verdict.map(|(contained, _)| contained)
 }
 
-/// [`contained_in`] over an already prepared set, also reporting the
-/// counters of the chase it ran (zero when none completed).
+/// [`contained_in`] over an already prepared set, on `ws`'s buffers, also
+/// reporting the counters of the chase it ran (zero when none completed).
 pub(crate) fn contained_in_prepared(
     q1: &Cq,
     q2: &Cq,
     set: &PreparedConstraints,
     cfg: &ChaseConfig,
+    ws: &mut Workspace,
 ) -> Result<(bool, ChaseStats), ChaseError> {
     if q1.head.len() != q2.head.len() {
         return Ok((false, ChaseStats::default()));
     }
-    let mut inst = canonical_instance(q1);
-    let stats = match chase_prepared(&mut inst, set, cfg) {
-        Ok(stats) => stats,
+    let mut inst = freeze(&q1.head, &q1.body, false, ws);
+    let verdict = match chase_prepared(&mut inst, set, cfg, ws) {
+        Ok(stats) => Ok((head_preserving_image(q2, q1, &inst), stats)),
         // An inconsistent canonical instance denotes the empty query, which
         // is contained in everything.
-        Err(ChaseError::Inconsistent(_)) => return Ok((true, ChaseStats::default())),
-        Err(e) => return Err(e),
+        Err(ChaseError::Inconsistent(_)) => Ok((true, ChaseStats::default())),
+        Err(e) => Err(e),
     };
-    Ok((head_preserving_image(q2, q1, &inst), stats))
+    ws.give_back(inst);
+    verdict
 }
 
 /// Is there a homomorphism from `q`'s body into `inst` — a (chase of the)
@@ -73,8 +76,9 @@ fn chase_frozen_premise(
     rest: &[Constraint],
     cfg: &ChaseConfig,
 ) -> Result<Option<Instance>, ChaseError> {
-    let mut inst = freeze(&[], sigma.premise(), false);
-    match chase(&mut inst, rest, cfg) {
+    let (set, mut ws) = (PreparedConstraints::new(rest), Workspace::default());
+    let mut inst = freeze(&[], sigma.premise(), false, &mut ws);
+    match chase_prepared(&mut inst, &set, cfg, &mut ws) {
         Ok(_) => Ok(Some(inst)),
         Err(ChaseError::Inconsistent(_)) => Ok(None),
         Err(e) => Err(e),
@@ -137,13 +141,16 @@ pub fn equivalent(
     constraints: &[Constraint],
     cfg: &ChaseConfig,
 ) -> Result<bool, ChaseError> {
-    Ok(contained_in(q1, q2, constraints, cfg)? && contained_in(q2, q1, constraints, cfg)?)
+    let (set, mut ws) = (PreparedConstraints::new(constraints), Workspace::default());
+    let mut contained = |a: &Cq, b: &Cq| contained_in_prepared(a, b, &set, cfg, &mut ws);
+    Ok(contained(q1, q2)?.0 && contained(q2, q1)?.0)
 }
 
 /// Compute the core (minimal equivalent subquery) of `q` with no
 /// constraints: repeatedly drop an atom while a head-preserving containment
 /// mapping from the full query into the reduced one exists.
 pub fn minimize(q: &Cq) -> Cq {
+    let mut ws = Workspace::default();
     let mut current = q.clone();
     loop {
         let mut reduced = None;
@@ -155,8 +162,10 @@ pub fn minimize(q: &Cq) -> Cq {
             }
             // candidate ⊆ current always (fewer atoms); equivalence needs
             // current-image in candidate's canonical instance.
-            let inst = canonical_instance(&candidate);
-            if head_preserving_image(&current, &candidate, &inst) {
+            let inst = freeze(&candidate.head, &candidate.body, false, &mut ws);
+            let image = head_preserving_image(&current, &candidate, &inst);
+            ws.give_back(inst);
+            if image {
                 reduced = Some(candidate);
                 break;
             }

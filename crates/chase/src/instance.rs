@@ -50,23 +50,23 @@
 //!   index rebuild would produce — so incremental maintenance is
 //!   observationally identical to rebuilding. A `debug_assert` guards the
 //!   alive invariant.
-//! - Deduplication is an open-addressing table of fact ids (`IdTable`)
-//!   found by the hash of predicate and arguments, compared against the
-//!   arena: no key is stored per fact. The hasher is the instance's type
-//!   parameter, so a test can send every fact to one slot.
+//! - Deduplication is an open-addressing table of fact ids
+//!   ([`estocada_pivot::kernel::IdTable`], the table `Distinct` finds its
+//!   rows through) found by the hash of predicate and arguments, compared
+//!   against the arena: no key is stored per fact. The hasher is the
+//!   instance's type parameter, so a test can send every fact to one slot.
 //! - The null-occurrence index is one list arena: per null, the facts
 //!   mentioning it, linked newest first; a merge sorts the one list it
 //!   consumes.
 //! - Provenance `⊤` is a flag, not an allocation ([`Dnf::tru`]).
 //!
-//! A dropped instance hands its emptied buffers to its thread, and the next
-//! [`Instance::new`] on that thread starts from them (at most two kept per
-//! thread, none holding more than 4 096 argument cells and facts). A
-//! [`crate::pacb::Rewriter::rewrite`] lets its thread's spares go when it
-//! returns, so the reuse spans one rewrite's chases — forward chase,
-//! backchase, candidate verifications — which insert into capacity the
-//! first of them grew, and a thread holds no chase buffers between
-//! rewrites.
+//! [`Instance::new`] starts from empty buffers. The chases of one call — a
+//! [`crate::pacb::Rewriter::rewrite`]'s forward chase, backchase and
+//! candidate verifications, or a containment check's — build their
+//! instances from the call's workspace instead: an instance the call is
+//! done with gives its emptied buffers back to it, and the next one starts
+//! from them, inserting into capacity the first of them grew. The
+//! workspace, and every buffer in it, goes when the call returns.
 //!
 //! # Incremental EGD normalization
 //!
@@ -110,12 +110,11 @@
 
 use crate::prov::Dnf;
 use estocada_pivot::hash::{FastBuild, FastMap};
+use estocada_pivot::kernel::IdTable;
 use estocada_pivot::{ConstId, Postings, Symbol, Value};
-use std::cell::Cell;
 use std::fmt;
 use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::thread::LocalKey;
 
 /// An instance element: an interned constant or a labelled null.
 ///
@@ -242,7 +241,7 @@ impl std::error::Error for Inconsistent {}
 
 /// Per-predicate posting lists of facts changed at-or-after an epoch
 /// threshold, each ascending; built once per chase round by
-/// [`Instance::delta_index`] (the chase refills one per thread).
+/// [`Instance::delta_index`] (the chase refills its workspace's one).
 #[derive(Debug, Clone, Default)]
 pub struct DeltaIndex {
     /// The epoch threshold the lists were computed for.
@@ -283,141 +282,6 @@ impl DeltaIndex {
 /// The marker of an empty slot, list end or absent head.
 const NONE: u32 = u32::MAX;
 
-/// An open-addressing table of ids found by their content: each slot keeps
-/// the low 32 bits of its content's hash beside the id, and a probe asks
-/// the caller to compare contents only where those bits agree. So no key is
-/// stored, and growing the table reads no content. Deletion shifts the
-/// probe run back (no tombstone). Both buffers keep their capacity across
-/// [`IdTable::clear`].
-#[derive(Debug, Clone, Default)]
-pub(crate) struct IdTable {
-    /// `hash << 32 | id` per held id, `u64::MAX` elsewhere: a power of two
-    /// long (or empty), at most half full.
-    slots: Vec<u64>,
-    /// The previous slots while growing.
-    spare: Vec<u64>,
-    len: usize,
-}
-
-impl IdTable {
-    /// The held id whose content `is` confirms, among those of `hash`.
-    pub(crate) fn find(&self, hash: u32, mut is: impl FnMut(u32) -> bool) -> Option<u32> {
-        let mask = self.slots.len().checked_sub(1)?;
-        let mut slot = hash as usize & mask;
-        loop {
-            match self.slots[slot] {
-                u64::MAX => return None,
-                entry if (entry >> 32) as u32 == hash && is(entry as u32) => {
-                    return Some(entry as u32)
-                }
-                _ => {}
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
-    /// Hold `id`, whose content hashes to `hash` (the caller knows it is
-    /// not held).
-    pub(crate) fn insert(&mut self, hash: u32, id: u32) {
-        if (self.len + 1) * 2 > self.slots.len() {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut slot = hash as usize & mask;
-        while self.slots[slot] != u64::MAX {
-            slot = (slot + 1) & mask;
-        }
-        self.slots[slot] = u64::from(hash) << 32 | u64::from(id);
-        self.len += 1;
-    }
-
-    /// The slot holding `id` under `hash`.
-    fn slot_of(&self, hash: u32, id: u32) -> Option<usize> {
-        let mask = self.slots.len().checked_sub(1)?;
-        let (entry, mut slot) = (u64::from(hash) << 32 | u64::from(id), hash as usize & mask);
-        loop {
-            match self.slots[slot] {
-                u64::MAX => return None,
-                held if held == entry => return Some(slot),
-                _ => slot = (slot + 1) & mask,
-            }
-        }
-    }
-
-    /// Let `id` (under `hash`) go, shifting its probe run back.
-    pub(crate) fn remove(&mut self, hash: u32, id: u32) {
-        let Some(mut hole) = self.slot_of(hash, id) else {
-            return;
-        };
-        let mask = self.slots.len() - 1;
-        let mut next = (hole + 1) & mask;
-        while self.slots[next] != u64::MAX {
-            let home = (self.slots[next] >> 32) as usize & mask;
-            if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
-                self.slots[hole] = self.slots[next];
-                hole = next;
-            }
-            next = (next + 1) & mask;
-        }
-        self.slots[hole] = u64::MAX;
-        self.len -= 1;
-    }
-
-    /// Hold `to` in place of `from`, both under `hash`.
-    pub(crate) fn replace(&mut self, hash: u32, from: u32, to: u32) {
-        if let Some(slot) = self.slot_of(hash, from) {
-            self.slots[slot] = u64::from(hash) << 32 | u64::from(to);
-        }
-    }
-
-    /// Let every id go, keeping the buffers.
-    pub(crate) fn clear(&mut self) {
-        self.slots.clear();
-        self.len = 0;
-    }
-
-    /// Double the table (sixteen slots at first) and place every id again
-    /// by the hash its slot keeps.
-    fn grow(&mut self) {
-        let size = (self.slots.len() * 2).max(16);
-        std::mem::swap(&mut self.slots, &mut self.spare);
-        self.slots.clear();
-        self.slots.resize(size, u64::MAX);
-        let mask = size - 1;
-        for &entry in self.spare.iter().filter(|e| **e != u64::MAX) {
-            let mut slot = (entry >> 32) as usize & mask;
-            while self.slots[slot] != u64::MAX {
-                slot = (slot + 1) & mask;
-            }
-            self.slots[slot] = entry;
-        }
-        self.spare.clear();
-    }
-}
-
-/// A buffer that empties in place, keeping its capacity.
-trait Reuse: Default {
-    fn empty(&mut self);
-}
-
-impl Reuse for Vec<u32> {
-    fn empty(&mut self) {
-        self.clear();
-    }
-}
-
-impl Reuse for Dnf {
-    fn empty(&mut self) {
-        self.clear();
-    }
-}
-
-impl Reuse for Postings<Elem, u32> {
-    fn empty(&mut self) {
-        self.clear();
-    }
-}
-
 /// Buffers handed out by index and kept across [`Slab::reset`]: a reset
 /// empties the ones in use without dropping them, and [`Slab::push`] hands
 /// out an emptied one before it makes a new one.
@@ -427,7 +291,7 @@ struct Slab<T> {
     len: usize,
 }
 
-impl<T: Reuse> Slab<T> {
+impl<T: Default> Slab<T> {
     /// The index of a fresh, empty buffer.
     fn push(&mut self) -> usize {
         if self.len == self.items.len() {
@@ -437,14 +301,15 @@ impl<T: Reuse> Slab<T> {
         self.len - 1
     }
 
-    /// Empty every buffer in use, keeping them in place.
-    fn empty_all(&mut self) {
-        self.items[..self.len].iter_mut().for_each(T::empty);
+    /// Empty every buffer in use by `empty`, keeping them in place.
+    fn empty_all(&mut self, empty: fn(&mut T)) {
+        self.items[..self.len].iter_mut().for_each(empty);
     }
 
-    /// Empty every buffer and hand them out again from the first.
-    fn reset(&mut self) {
-        self.empty_all();
+    /// Empty every buffer by `empty` and hand them out again from the
+    /// first.
+    fn reset(&mut self, empty: fn(&mut T)) {
+        self.empty_all(empty);
         self.len = 0;
     }
 }
@@ -472,15 +337,26 @@ fn remove_sorted(ids: &mut Vec<u32>, id: u32) {
 /// An instance with labelled nulls, per-predicate and per-position indexes,
 /// incremental EGD merging, and change epochs for semi-naive evaluation.
 /// `S` hashes a fact's predicate and arguments for deduplication.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Instance<S = FastBuild> {
     store: Store,
     hasher: S,
 }
 
-/// Everything an instance holds but its hasher — the part a thread keeps
-/// for the next instance it builds (see the module docs).
-#[derive(Debug, Default)]
+/// A union-find parent cell: a relaxed atomic, so read-side resolution can
+/// pointer-halve through `&self`.
+#[derive(Debug)]
+struct Parent(AtomicU32);
+
+impl Clone for Parent {
+    fn clone(&self) -> Parent {
+        Parent(AtomicU32::new(self.0.load(Ordering::Relaxed)))
+    }
+}
+
+/// Everything an instance holds but its hasher — the part a workspace
+/// keeps for the next instance it builds (see the module docs).
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Store {
     /// Predicate per fact.
     preds: Vec<Symbol>,
@@ -494,9 +370,8 @@ pub(crate) struct Store {
     fact_epoch: Vec<u64>,
     /// Provenance per fact.
     prov: Slab<Dnf>,
-    /// Union-find parent per null; `parent[i] == i` means root. Relaxed
-    /// atomics so read-side resolution can pointer-halve through `&self`.
-    parent: Vec<AtomicU32>,
+    /// Union-find parent per null; `parent[i] == i` means root.
+    parent: Vec<Parent>,
     /// Constant binding of a root null (only meaningful at roots).
     bound: Vec<Option<ConstId>>,
     /// Count of alive facts (kept in sync with `alive`).
@@ -528,80 +403,6 @@ pub(crate) struct Store {
     resolved: Vec<Elem>,
 }
 
-impl Clone for Store {
-    fn clone(&self) -> Store {
-        Store {
-            preds: self.preds.clone(),
-            spans: self.spans.clone(),
-            args: self.args.clone(),
-            alive: self.alive.clone(),
-            fact_epoch: self.fact_epoch.clone(),
-            prov: self.prov.clone(),
-            parent: (self.parent.iter())
-                .map(|p| AtomicU32::new(p.load(Ordering::Relaxed)))
-                .collect(),
-            bound: self.bound.clone(),
-            alive_count: self.alive_count,
-            epoch: self.epoch,
-            stamped: self.stamped.clone(),
-            pred_ix: self.pred_ix.clone(),
-            by_pred: self.by_pred.clone(),
-            col_ix: self.col_ix.clone(),
-            cols: self.cols.clone(),
-            dedup: self.dedup.clone(),
-            occ_head: self.occ_head.clone(),
-            occ: self.occ.clone(),
-            touched: Vec::new(),
-            resolved: Vec::new(),
-        }
-    }
-}
-
-/// How many spare buffer sets of one kind a thread keeps.
-const SPARES: usize = 2;
-
-/// A buffer set holding more elements than this is dropped, not kept: a
-/// rewrite's chases hold tens to hundreds, and what a thread keeps counts
-/// against the process's memory for as long as the thread lives.
-pub(crate) const SPARE_ELEMS: usize = 1 << 12;
-
-/// One of this thread's spare buffer sets in `pool`, or a new one.
-pub(crate) fn take_spare<T: Default>(pool: &'static LocalKey<Cell<Vec<T>>>) -> T {
-    let spare = pool.try_with(|cell| {
-        let mut spare = cell.take();
-        let bufs = spare.pop();
-        cell.set(spare);
-        bufs
-    });
-    spare.ok().flatten().unwrap_or_default()
-}
-
-/// Keep the emptied buffer set `bufs`, which holds `elems` elements, as a
-/// spare of this thread in `pool` — unless it is large or the thread keeps
-/// enough, when it is dropped.
-pub(crate) fn keep_spare<T>(pool: &'static LocalKey<Cell<Vec<T>>>, bufs: T, elems: usize) {
-    if elems > SPARE_ELEMS {
-        return;
-    }
-    let _ = pool.try_with(move |cell| {
-        let mut spare = cell.take();
-        if spare.len() < SPARES {
-            spare.push(bufs);
-        }
-        cell.set(spare);
-    });
-}
-
-/// Drop every spare buffer set in `pool`.
-pub(crate) fn release_spares<T>(pool: &'static LocalKey<Cell<Vec<T>>>) {
-    let _ = pool.try_with(|cell| drop(cell.take()));
-}
-
-thread_local! {
-    /// This thread's emptied stores, ready for its next instances.
-    pub(crate) static STORES: Cell<Vec<Store>> = const { Cell::new(Vec::new()) };
-}
-
 impl Store {
     /// Empty every buffer, keeping its capacity.
     fn reset(&mut self) {
@@ -610,16 +411,16 @@ impl Store {
         self.args.clear();
         self.alive.clear();
         self.fact_epoch.clear();
-        self.prov.reset();
+        self.prov.reset(Dnf::clear);
         self.parent.clear();
         self.bound.clear();
         self.alive_count = 0;
         self.epoch = 0;
         self.stamped.iter_mut().for_each(Vec::clear);
         self.pred_ix.clear();
-        self.by_pred.reset();
+        self.by_pred.reset(Vec::clear);
         self.col_ix.clear();
-        self.cols.reset();
+        self.cols.reset(Postings::clear);
         self.dedup.clear();
         self.occ_head.clear();
         self.occ.clear();
@@ -729,10 +530,22 @@ impl Store {
 }
 
 impl Instance {
-    /// Empty instance (on one of this thread's spare stores when it has
-    /// one — see the module docs).
+    /// Empty instance.
     pub fn new() -> Instance {
         Instance::with_hasher(FastBuild::default())
+    }
+
+    /// An empty instance on `store`'s emptied buffers.
+    pub(crate) fn on(store: Store) -> Instance {
+        let hasher = FastBuild::default();
+        Instance { store, hasher }
+    }
+
+    /// This instance's buffers, emptied for the next instance.
+    pub(crate) fn into_store(self) -> Store {
+        let mut store = self.store;
+        store.reset();
+        store
     }
 }
 
@@ -742,31 +555,12 @@ impl Default for Instance {
     }
 }
 
-impl<S: Clone> Clone for Instance<S> {
-    fn clone(&self) -> Instance<S> {
-        Instance {
-            store: self.store.clone(),
-            hasher: self.hasher.clone(),
-        }
-    }
-}
-
-impl<S> Drop for Instance<S> {
-    /// Hand the emptied store to this thread's next instance.
-    fn drop(&mut self) {
-        let mut store = std::mem::take(&mut self.store);
-        let cells = store.args.capacity() + store.preds.capacity();
-        store.reset();
-        keep_spare(&STORES, store, cells);
-    }
-}
-
 impl<S: BuildHasher> Instance<S> {
     /// Empty instance deduplicating facts by `hasher`'s hash of their
     /// predicate and arguments.
     pub fn with_hasher(hasher: S) -> Instance<S> {
         Instance {
-            store: take_spare(&STORES),
+            store: Store::default(),
             hasher,
         }
     }
@@ -774,7 +568,7 @@ impl<S: BuildHasher> Instance<S> {
     /// Allocate a fresh labelled null.
     pub fn fresh_null(&mut self) -> Elem {
         let id = self.store.parent.len() as u32;
-        self.store.parent.push(AtomicU32::new(id));
+        self.store.parent.push(Parent(AtomicU32::new(id)));
         self.store.bound.push(None);
         Elem::Null(id)
     }
@@ -793,13 +587,13 @@ impl<S: BuildHasher> Instance<S> {
     fn find(&self, mut n: u32) -> u32 {
         let parent = &self.store.parent;
         loop {
-            let p = parent[n as usize].load(Ordering::Relaxed);
+            let p = parent[n as usize].0.load(Ordering::Relaxed);
             if p == n {
                 return n;
             }
-            let gp = parent[p as usize].load(Ordering::Relaxed);
+            let gp = parent[p as usize].0.load(Ordering::Relaxed);
             if gp != p {
-                parent[n as usize].store(gp, Ordering::Relaxed);
+                parent[n as usize].0.store(gp, Ordering::Relaxed);
             }
             n = gp;
         }
@@ -932,10 +726,14 @@ impl<S: BuildHasher> Instance<S> {
     pub(crate) fn insert_ref(&mut self, pred: Symbol, args: &[Elem], prov: &Dnf) -> (u32, bool) {
         let resolved = self.take_resolved(args);
         let hash = self.hash_of(pred, &resolved);
-        let found = self.find_fact(hash, pred, &resolved);
         let st = &mut self.store;
+        // One probe finds the fact or the slot a new one takes.
+        let mut dedup = std::mem::take(&mut st.dedup);
+        let found = dedup.entry(hash, |id| {
+            st.preds[id as usize] == pred && st.args_of(id) == resolved.as_slice()
+        });
         let outcome = match found {
-            Some(id) => {
+            Ok(id) => {
                 let changed = st.prov[id as usize].or_assign(prov);
                 if changed {
                     // Provenance growth must re-trigger constraints whose
@@ -946,7 +744,7 @@ impl<S: BuildHasher> Instance<S> {
                 }
                 (id, changed)
             }
-            None => {
+            Err(vacant) => {
                 let id = st.preds.len() as u32;
                 st.preds.push(pred);
                 st.spans.push((st.args.len() as u32, resolved.len() as u32));
@@ -959,13 +757,13 @@ impl<S: BuildHasher> Instance<S> {
                 let list = st.pred_list(pred);
                 // A fresh maximal id: a push keeps the list sorted.
                 st.by_pred[list].push(id);
-                st.dedup.insert(hash, id);
+                dedup.occupy(vacant, hash, id);
                 st.log(id);
                 st.alive_count += 1;
                 (id, true)
             }
         };
-        st.resolved = resolved;
+        (st.dedup, st.resolved) = (dedup, resolved);
         outcome
     }
 
@@ -1108,7 +906,9 @@ impl<S: BuildHasher> Instance<S> {
                 // Merge the younger null into the older one so that frozen
                 // query variables (low ids) stay representatives.
                 let (child, parent) = if n1 > n2 { (n1, n2) } else { (n2, n1) };
-                self.store.parent[child as usize].store(parent, Ordering::Relaxed);
+                self.store.parent[child as usize]
+                    .0
+                    .store(parent, Ordering::Relaxed);
                 Ok(Some(child))
             }
         }
@@ -1205,8 +1005,8 @@ impl<S: BuildHasher> Instance<S> {
     pub(crate) fn normalize_full_rebuild(&mut self) {
         let st = &mut self.store;
         st.dedup.clear();
-        st.cols.empty_all();
-        st.by_pred.empty_all();
+        st.cols.empty_all(Postings::clear);
+        st.by_pred.empty_all(Vec::clear);
         st.occ_head.clear();
         st.occ.clear();
         st.alive_count = 0;
@@ -1297,7 +1097,7 @@ mod tests {
         fn chain_depth(&self, mut n: u32) -> usize {
             let mut depth = 0;
             loop {
-                let p = self.store.parent[n as usize].load(Ordering::Relaxed);
+                let p = self.store.parent[n as usize].0.load(Ordering::Relaxed);
                 if p == n {
                     return depth;
                 }

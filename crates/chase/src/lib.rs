@@ -30,7 +30,11 @@
 //! applicability probes per (constraint, frontier image) with precise
 //! merge-driven invalidation. Every chase operation has one entry point;
 //! the matcher's scratch buffers are its own business — one set per
-//! thread, reused by every search on it (see [`hom`]). The one place a
+//! thread, reused by every search on it (see [`hom`]). Everything else a
+//! chase fills and empties again — instances, round buffers, the memo —
+//! lives in a workspace its caller makes and drops: one per rewrite, one
+//! per verification worker, one per one-shot call, none kept on a thread
+//! (see [`mod@chase`]). The one place a
 //! rewrite uses more than one thread is PACB's per-candidate verification:
 //! from 8 candidates up the independent checks fan out over scoped worker
 //! threads with a deterministic fan-in ([`pacb::RewriteConfig::parallelism`]; the outcome

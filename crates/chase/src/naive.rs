@@ -9,6 +9,7 @@
 //! benchmark `e3_pacb_vs_naive` regenerates the paper's 1–2
 //! orders-of-magnitude claim against it.
 
+use crate::chase::Workspace;
 use crate::pacb::{
     build_candidate, RewriteConfig, RewriteError, RewriteOutcome, RewriteProblem, RewriteStats,
     Verdict,
@@ -43,8 +44,8 @@ pub fn naive_rewrite(
     problem: &RewriteProblem,
     cfg: &NaiveConfig,
 ) -> Result<RewriteOutcome, RewriteError> {
-    let rewriter = problem.rewriter();
-    let up = rewriter.universal_plan(&problem.query, &cfg.rewrite.chase)?;
+    let (rewriter, mut ws) = (problem.rewriter(), Workspace::default());
+    let up = rewriter.universal_plan(&problem.query, &cfg.rewrite.chase, &mut ws)?;
     let mut stats = RewriteStats {
         forward: up.stats,
         universal_plan_atoms: up.cq.body.len(),
@@ -78,7 +79,7 @@ pub fn naive_rewrite(
                     rewritings.len(),
                 );
                 let (verdict, cs) =
-                    rewriter.check_candidate(&candidate, &problem.query, &cfg.rewrite);
+                    rewriter.check_candidate(&candidate, &problem.query, &cfg.rewrite, &mut ws);
                 stats.absorb(cs);
                 complete &= verdict != Verdict::Undecided;
                 if verdict == Verdict::Accepted {

@@ -48,9 +48,10 @@
 //! candidate, the query, and the prepared verification set, and chases a
 //! **fresh** canonical instance. [`Rewriter::rewrite`] therefore fans the
 //! checks out over [`RewriteConfig::parallelism`] scoped worker threads
-//! ([`estocada_parexec::scoped_map`]); each worker's searches run on its
-//! own thread's matcher scratch (no shared mutable state, no locks on the
-//! search path — see [`mod@crate::hom`]).
+//! ([`estocada_parexec::scoped_map_init`]); each worker's searches run on
+//! its own thread's matcher scratch and its chases on a workspace of its
+//! own (no shared mutable state, no locks on the search path — see
+//! [`mod@crate::hom`] and [`mod@crate::chase`]'s buffers).
 //!
 //! **Fan-in contract:** `pacb_rewrite` at `parallelism = N` returns a
 //! [`RewriteOutcome`] *identical* to `parallelism = 1` — same rewritings in
@@ -88,7 +89,9 @@
 //!
 //! Every chase itself — the forward chase and the provenance backchase on
 //! the coordinator, each verification chase on its worker — runs on one
-//! thread (see the phase split in [`mod@crate::chase`]).
+//! thread (see the phase split in [`mod@crate::chase`]). The chases on the
+//! coordinator share the rewrite's workspace, which goes when the rewrite
+//! returns.
 //!
 //! # Cacheability
 //!
@@ -103,14 +106,14 @@
 //! compute bit-identical outcomes, so first-insert-wins is sound.
 
 use crate::chase::{
-    chase_prepared, release_chase_buffers, ChaseConfig, ChaseError, ChaseStats, PreparedConstraints,
+    chase_prepared, ChaseConfig, ChaseError, ChaseStats, PreparedConstraints, Workspace,
 };
-use crate::containment::{canonical_instance, contained_in_prepared};
+use crate::containment::contained_in_prepared;
 use crate::hom::{find_homs, HomConfig};
 use crate::instance::{Elem, Instance};
 use crate::pchase::{prov_chase_prepared, ProvChaseStats};
 use crate::prov::Dnf;
-use estocada_parexec::scoped_map;
+use estocada_parexec::scoped_map_init;
 use estocada_pivot::hash::{FastBuild, FastMap, FastSet};
 use estocada_pivot::{AccessMap, Atom, Constraint, Cq, Symbol, Term, Tgd, Var, ViewDef};
 use std::collections::BTreeSet;
@@ -370,17 +373,18 @@ impl Rewriter {
         }
     }
 
-    /// Compute the universal plan of `query`.
+    /// Compute the universal plan of `query`, chasing on `ws`'s buffers.
     pub(crate) fn universal_plan(
         &self,
         query: &Cq,
         cfg: &ChaseConfig,
+        ws: &mut Workspace,
     ) -> Result<UniversalPlan, RewriteError> {
         if !query.is_safe() {
             return Err(RewriteError::UnsafeQuery);
         }
-        let mut inst = canonical_instance(query);
-        let stats = chase_prepared(&mut inst, &self.forward, cfg)?;
+        let mut inst = freeze(&query.head, &query.body, false, ws);
+        let stats = chase_prepared(&mut inst, &self.forward, cfg, ws)?;
 
         let mut atoms: Vec<Atom> = Vec::new();
         for id in inst.fact_ids() {
@@ -402,6 +406,7 @@ impl Rewriter {
                 Term::Const(c) => Term::Const(c.clone()),
             })
             .collect();
+        ws.give_back(inst);
         let name = format!("{}_up", query.name);
         let cq = Cq::new(name.as_str(), head, atoms);
         Ok(UniversalPlan { cq, stats })
@@ -410,13 +415,14 @@ impl Rewriter {
     /// Shared acceptance filter: safety, feasibility, verification.
     ///
     /// Pure per-candidate check: reads only its arguments and writes only
-    /// the calling thread's matcher scratch — the reason candidates can
-    /// verify in parallel without skew.
+    /// `ws` and the calling thread's matcher scratch — the reason
+    /// candidates can verify in parallel without skew.
     pub(crate) fn check_candidate(
         &self,
         candidate: &Cq,
         query: &Cq,
         cfg: &RewriteConfig,
+        ws: &mut Workspace,
     ) -> (Verdict, CandidateStats) {
         let mut stats = CandidateStats::default();
         if !candidate.is_safe() {
@@ -429,7 +435,7 @@ impl Rewriter {
         }
         // Q ⊆ R holds for every subquery of the universal plan (chase
         // soundness); only R ⊆ Q needs checking.
-        let verified = contained_in_prepared(candidate, query, &self.verification, &cfg.chase);
+        let verified = contained_in_prepared(candidate, query, &self.verification, &cfg.chase, ws);
         let verdict = match verified {
             Ok((contained, chase)) => {
                 stats.verification = chase;
@@ -462,16 +468,22 @@ pub(crate) fn term_to_elem(t: &Term) -> Elem {
     }
 }
 
-/// Freeze `atoms` into a fresh instance through [`term_to_elem`], atom `i`
-/// carrying provenance `p_i` when `numbered` (the backchase's universal
-/// plan) and `⊤` otherwise. Nulls up to the largest variable of `head` and
-/// `atoms` are reserved, so the nulls a chase invents never collide with a
-/// frozen variable. The one freezer of the crate: canonical instances,
-/// frozen constraint premises and the backchase's universal plan.
-pub(crate) fn freeze(head: &[Term], atoms: &[Atom], numbered: bool) -> Instance {
+/// Freeze `atoms` into a fresh instance on `ws`'s buffers through
+/// [`term_to_elem`], atom `i` carrying provenance `p_i` when `numbered`
+/// (the backchase's universal plan) and `⊤` otherwise. Nulls up to the
+/// largest variable of `head` and `atoms` are reserved, so the nulls a
+/// chase invents never collide with a frozen variable. The one freezer of
+/// the crate: canonical instances, frozen constraint premises and the
+/// backchase's universal plan.
+pub(crate) fn freeze(
+    head: &[Term],
+    atoms: &[Atom],
+    numbered: bool,
+    ws: &mut Workspace,
+) -> Instance {
     let vars = head.iter().filter_map(Term::as_var);
     let vars = vars.chain(atoms.iter().flat_map(Atom::vars));
-    let mut inst = Instance::new();
+    let mut inst = ws.instance();
     inst.reserve_nulls(vars.map(|v| v.0 + 1).max().unwrap_or(0));
     let (mut args, mut prov) = (Vec::with_capacity(8), Dnf::tru());
     for (i, atom) in atoms.iter().enumerate() {
@@ -516,13 +528,12 @@ impl Rewriter {
     /// Rewrite `query` over the views with the provenance-aware Chase &
     /// Backchase. Returns all minimal feasible rewritings.
     pub fn rewrite(&self, query: &Cq, cfg: &RewriteConfig) -> Result<RewriteOutcome, RewriteError> {
-        // Declared first, so dropped last: after every chase of this
-        // rewrite has handed its buffers back.
-        let _release = ReleaseChaseBuffers;
+        // The buffers of every chase this rewrite runs on its thread.
+        let mut ws = Workspace::default();
         let UniversalPlan {
             cq: universal_plan_cq,
             stats: forward,
-        } = self.universal_plan(query, &cfg.chase)?;
+        } = self.universal_plan(query, &cfg.chase, &mut ws)?;
         let (head, atoms) = (&universal_plan_cq.head, &universal_plan_cq.body);
         let mut stats = RewriteStats {
             forward,
@@ -539,10 +550,10 @@ impl Rewriter {
         }
 
         // --- Backchase: freeze U, annotate, provenance-chase. ---
-        let mut inst = freeze(head, atoms, true);
-        let pstats = prov_chase_prepared(&mut inst, &self.backward, &cfg.chase, cfg.clause_cap)?;
-        stats.backward = pstats;
-        let mut complete = !pstats.truncated;
+        let mut inst = freeze(head, atoms, true, &mut ws);
+        let (set, cap) = (&self.backward, cfg.clause_cap);
+        stats.backward = prov_chase_prepared(&mut inst, set, &cfg.chase, cap, &mut ws)?;
+        let mut complete = !stats.backward.truncated;
 
         // --- Collect head-preserving images of Q and their provenance. ---
         let targets: Vec<Elem> = (head.iter())
@@ -590,6 +601,7 @@ impl Rewriter {
                 complete = false;
             }
         }
+        ws.give_back(inst);
 
         // --- Clauses → candidate rewritings. ---
         //
@@ -618,9 +630,16 @@ impl Rewriter {
         } else {
             1
         };
-        let verdicts: Vec<(Verdict, CandidateStats)> = scoped_map(workers, &candidates, |_, c| {
-            self.check_candidate(c, query, cfg)
-        });
+        // Inline, the checks chase on this rewrite's workspace; fanned out,
+        // each worker on one of its own.
+        let check = |ws: &mut Workspace, c: &Cq| self.check_candidate(c, query, cfg, ws);
+        let verdicts: Vec<(Verdict, CandidateStats)> = if workers <= 1 {
+            candidates.iter().map(|c| check(&mut ws, c)).collect()
+        } else {
+            scoped_map_init(workers, &candidates, Workspace::default, |ws, _, c| {
+                check(ws, c)
+            })
+        };
 
         // Deterministic fan-in, candidate order.
         let mut rewritings: Vec<Cq> = Vec::new();
@@ -663,16 +682,6 @@ impl Rewriter {
             complete,
             stats,
         })
-    }
-}
-
-/// Lets this thread's spare chase buffers go when dropped (see
-/// [`crate::chase::release_chase_buffers`]).
-struct ReleaseChaseBuffers;
-
-impl Drop for ReleaseChaseBuffers {
-    fn drop(&mut self) {
-        release_chase_buffers();
     }
 }
 

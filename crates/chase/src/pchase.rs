@@ -19,24 +19,23 @@
 
 use crate::chase::{
     run_chase, ChaseConfig, ChaseError, ChaseStats, CompiledTgd, FiringPolicy, FrontierCache,
-    PreparedConstraints, Trigger,
+    PreparedConstraints, Trigger, Workspace,
 };
 use crate::instance::Instance;
 use estocada_pivot::Constraint;
 
-/// The provenance-chase firing policy (see the module docs).
+/// The provenance-chase firing policy (see the module docs). Its Skolem
+/// table is the run's [`FrontierCache`]: `(constraint, resolved frontier
+/// images) → existential images`. An EGD merge retiring null `n` drops
+/// exactly the entries whose *key* mentions `n` — those keys are
+/// unreachable forever (lookup keys are resolved under the live
+/// union-find, which never returns a retired id), so invalidation is pure
+/// garbage collection and cannot change which Skolem images a trigger
+/// sees. Stored *values* may mention retired nulls; they are re-resolved at
+/// every lookup, so they stay correct without indexing.
 struct Skolemized {
-    /// The Skolem table: `(constraint, resolved frontier images) →
-    /// existential images`, and the firing buffers. An EGD merge retiring
-    /// null `n` drops exactly the entries whose *key* mentions `n` — those
-    /// keys are unreachable forever (lookup keys are resolved under the
-    /// live union-find, which never returns a retired id), so invalidation
-    /// is pure garbage collection and cannot change which Skolem images a
-    /// trigger sees. Stored *values* may mention retired nulls; they are
-    /// re-resolved at every lookup, so they stay correct without indexing.
-    skolems: FrontierCache,
-    /// [`ChaseConfig::memo`]: the table is indexed for invalidation and
-    /// its hits/misses are counted.
+    /// [`PreparedConstraints::memo`]: the table is indexed for
+    /// invalidation and its hits/misses are counted.
     memo: bool,
     /// Cap on the number of DNF clauses kept per fact; beyond it the
     /// smallest clauses win and the run is flagged truncated.
@@ -48,12 +47,12 @@ impl FiringPolicy for Skolemized {
     fn fire_tgd(
         &mut self,
         instance: &mut Instance,
+        c: &mut FrontierCache,
         cidx: usize,
         tgd: &CompiledTgd,
         t: Trigger<'_>,
         stats: &mut ChaseStats,
     ) -> bool {
-        let c = &mut *self.skolems;
         // Trigger provenance: conjunction over premise facts.
         let [trigger, step] = &mut c.prov;
         trigger.set_true();
@@ -102,10 +101,6 @@ impl FiringPolicy for Skolemized {
     fn egd_fires(&self, instance: &Instance, t: Trigger<'_>) -> bool {
         t.facts.iter().all(|fid| instance.prov(*fid).is_true())
     }
-
-    fn invalidate_null(&mut self, retired: u32) {
-        self.skolems.invalidate_null(retired);
-    }
 }
 
 /// Outcome counters of a provenance chase.
@@ -127,25 +122,25 @@ pub fn prov_chase(
     clause_cap: usize,
 ) -> Result<ProvChaseStats, ChaseError> {
     let set = PreparedConstraints::new(constraints);
-    prov_chase_prepared(instance, &set, cfg, clause_cap)
+    prov_chase_prepared(instance, &set, cfg, clause_cap, &mut Workspace::default())
 }
 
-/// The provenance chase over an already prepared set — what [`prov_chase`]
-/// runs after preparing its slice, and what the per-epoch
-/// [`crate::pacb::Rewriter`] backchases with.
+/// The provenance chase over an already prepared set, on `ws`'s buffers —
+/// what [`prov_chase`] runs after preparing its slice, and what the
+/// per-epoch [`crate::pacb::Rewriter`] backchases with.
 pub(crate) fn prov_chase_prepared(
     instance: &mut Instance,
     set: &PreparedConstraints,
     cfg: &ChaseConfig,
     clause_cap: usize,
+    ws: &mut Workspace,
 ) -> Result<ProvChaseStats, ChaseError> {
     let mut policy = Skolemized {
-        skolems: FrontierCache::new(cfg.memo),
-        memo: cfg.memo,
+        memo: set.memo,
         clause_cap,
         truncated: false,
     };
-    let chase = run_chase(instance, set, cfg, &mut policy)?;
+    let chase = run_chase(instance, set, cfg, &mut policy, ws)?;
     Ok(ProvChaseStats {
         chase,
         truncated: policy.truncated,

@@ -7,10 +7,13 @@
 //! workload; keeping the single definition here stops the three from
 //! silently drifting apart.
 
-use crate::chase::{chase_prepared, ChaseConfig, ChaseError, ChaseStats, PreparedConstraints};
+use crate::chase::{
+    chase_prepared, ChaseConfig, ChaseError, ChaseStats, PreparedConstraints, Workspace,
+};
 use crate::hom::{find_homs, Hom, HomConfig};
 use crate::instance::{Elem, Inconsistent, Instance};
 use crate::pacb::RewriteProblem;
+use crate::pchase::{prov_chase_prepared, ProvChaseStats};
 use estocada_pivot::hash::{FastMap, FastSet};
 use estocada_pivot::{
     Atom, Constraint, Cq, CqBuilder, Egd, Fact, Symbol, Term, Tgd, Value, ViewDef,
@@ -59,7 +62,33 @@ pub fn chase_every_premise(
 ) -> Result<ChaseStats, ChaseError> {
     let mut set = PreparedConstraints::new(constraints);
     set.search_every_premise = true;
-    chase_prepared(instance, &set, cfg)
+    chase_prepared(instance, &set, cfg, &mut Workspace::default())
+}
+
+/// The reference the memo is tested against: [`crate::chase::chase`] with
+/// the applicability memo off — instance, errors and [`ChaseStats::core`]
+/// must be equal, and the memo counters are 0 here.
+pub fn chase_without_memo(
+    instance: &mut Instance,
+    constraints: &[Constraint],
+    cfg: &ChaseConfig,
+) -> Result<ChaseStats, ChaseError> {
+    let mut set = PreparedConstraints::new(constraints);
+    set.memo = false;
+    chase_prepared(instance, &set, cfg, &mut Workspace::default())
+}
+
+/// [`chase_without_memo`] for [`crate::pchase::prov_chase`]: its Skolem
+/// table is not indexed by null, so no EGD merge garbage-collects an entry.
+pub fn prov_chase_without_memo(
+    instance: &mut Instance,
+    constraints: &[Constraint],
+    cfg: &ChaseConfig,
+    clause_cap: usize,
+) -> Result<ProvChaseStats, ChaseError> {
+    let mut set = PreparedConstraints::new(constraints);
+    set.memo = false;
+    prov_chase_prepared(instance, &set, cfg, clause_cap, &mut Workspace::default())
 }
 
 /// [`Instance::merge`] followed by a full re-normalization pass instead of

@@ -11,8 +11,9 @@
 //! matter how the OS schedules the workers. Determinism holds because each
 //! item's result is a pure function of that item (workers share no mutable
 //! state beyond the claim cursor). State a worker keeps for itself across
-//! items lives in its own thread: the chase's matcher scratch is
-//! thread-local. The threads are spawned per call and joined
+//! items lives in its own thread — the chase's matcher scratch is
+//! thread-local — or in the state [`scoped_map_init`] builds for it — the
+//! chase's verification workspace. The threads are spawned per call and joined
 //! before it returns (`std::thread::scope`), so they borrow the batch
 //! directly.
 //!
@@ -54,11 +55,11 @@ impl Drop for PoisonOnPanic<'_> {
     }
 }
 
-/// [`scoped_map`] with private per-worker state built by `init`: results
-/// are identical to the serial run
+/// [`scoped_map`] with private per-worker state built by `init`, on the
+/// worker's thread: results are identical to the serial run
 /// `items.iter().enumerate().map(|(i, t)| f(&mut init(), i, t))`. Its
 /// tests give each worker a probe that observes the worker's life.
-fn scoped_map_init<T, R, W>(
+pub fn scoped_map_init<T, R, W>(
     parallelism: usize,
     items: &[T],
     init: impl Fn() -> W + Sync,

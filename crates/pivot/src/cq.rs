@@ -136,16 +136,21 @@ impl Cq {
     /// to deduplicate rewritings, where over-splitting automorphic queries
     /// is harmless.
     pub fn canonicalize(&self) -> Cq {
-        let key = |c: &Cq| (c.body.clone(), c.head.clone());
+        /// What the steps are compared and ordered by, borrowed.
+        fn key(c: &Cq) -> (&[Atom], &[Term]) {
+            (&c.body, &c.head)
+        }
         let mut seen: Vec<Cq> = Vec::new();
         let mut cur = self.canonicalize_step();
         // Each step permutes a finite variable set: a cycle must appear.
         while !seen.iter().any(|s| key(s) == key(&cur)) && seen.len() < 64 {
-            seen.push(cur.clone());
-            cur = cur.canonicalize_step();
+            let next = cur.canonicalize_step();
+            seen.push(std::mem::replace(&mut cur, next));
         }
         // The loop pushed at least once, so `cur` is never the answer.
-        seen.into_iter().min_by_key(key).unwrap_or(cur)
+        seen.into_iter()
+            .min_by(|a, b| key(a).cmp(&key(b)))
+            .unwrap_or(cur)
     }
 
     /// Apply a substitution to head and body.
@@ -369,6 +374,49 @@ mod tests {
     fn display_uses_variable_names() {
         let q = sample();
         assert_eq!(format!("{q}"), "Q(x, z) :- R(x, y), S(y, z)");
+    }
+
+    /// [`Cq::canonicalize`] as it was first written: every comparison key
+    /// a fresh clone of body and head.
+    fn canonicalize_by_cloned_keys(q: &Cq) -> Cq {
+        let key = |c: &Cq| (c.body.clone(), c.head.clone());
+        let mut seen: Vec<Cq> = Vec::new();
+        let mut cur = q.canonicalize_step();
+        while !seen.iter().any(|s| key(s) == key(&cur)) && seen.len() < 64 {
+            seen.push(cur.clone());
+            cur = cur.canonicalize_step();
+        }
+        seen.into_iter().min_by_key(key).unwrap_or(cur)
+    }
+
+    #[test]
+    fn canonical_forms_are_those_of_cloned_keys() {
+        let atom = |p: &str, a: u32, b: u32| Atom::new(p, vec![Term::var(a), Term::var(b)]);
+        // A directed triangle: its automorphisms rotate it, so each
+        // rotation of its atoms and its variables is one form.
+        let triangle = |r: u32| {
+            let v = |i: u32| (i + r) % 3;
+            let body = (0..3).map(|i| atom("R", v(i), v(i + 1)));
+            Cq::new("Q", vec![], body.cycle().skip(r as usize).take(3).collect())
+        };
+        // A query whose renumber/sort steps take three rounds to settle.
+        let settling = Cq::new(
+            "Q",
+            vec![],
+            vec![
+                atom("S", 1, 2),
+                atom("S", 2, 0),
+                atom("S", 2, 3),
+                atom("R", 3, 2),
+            ],
+        );
+        let first = triangle(0).canonicalize();
+        for r in 0..3 {
+            assert_eq!(triangle(r).canonicalize(), first, "rotation {r}");
+        }
+        for q in [sample(), triangle(1), settling] {
+            assert_eq!(q.canonicalize(), canonicalize_by_cloned_keys(&q), "{q}");
+        }
     }
 
     #[test]

@@ -218,22 +218,152 @@ impl JoinTable {
     }
 }
 
-/// An empty slot of a [`Distinct`]'s table.
+/// An empty slot of an [`IdTable`].
 const EMPTY: u64 = u64::MAX;
 
+/// An open-addressing table of ids found by their content: each slot keeps
+/// the low 32 bits of its content's hash beside the id, and a probe asks
+/// the caller to compare contents only where those bits agree. So no key is
+/// stored, and growing the table reads no content. Deletion shifts the
+/// probe run back (no tombstone). [`Distinct`] finds its rows through one,
+/// and the chase its facts and its memo entries.
+#[derive(Debug, Clone, Default)]
+pub struct IdTable {
+    /// `hash << 32 | id` per held id, [`EMPTY`] elsewhere: a power of two
+    /// long (or empty), at most half full.
+    slots: Vec<u64>,
+    len: usize,
+}
+
+/// Where a probe for content the table does not hold ended: the vacant
+/// slot closing its run, which [`IdTable::occupy`] fills.
+#[derive(Debug)]
+#[must_use]
+pub struct Vacant(usize);
+
+impl IdTable {
+    /// The held id whose content `is` confirms, among those of `hash`.
+    pub fn find(&self, hash: u32, is: impl FnMut(u32) -> bool) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(hash, is).ok()
+    }
+
+    /// [`IdTable::find`] in one probe that, when no held id is confirmed,
+    /// ends at the vacant slot an id of `hash` takes. The table first grows
+    /// if one more id would fill it over half, so the slot stays vacant
+    /// until [`IdTable::occupy`] fills it; nothing else may change the
+    /// table in between.
+    pub fn entry(&mut self, hash: u32, is: impl FnMut(u32) -> bool) -> Result<u32, Vacant> {
+        if (self.len + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        self.probe(hash, is)
+    }
+
+    /// Hold `id`, whose content hashes to `hash`, in the slot `vacant`.
+    pub fn occupy(&mut self, vacant: Vacant, hash: u32, id: u32) {
+        self.slots[vacant.0] = u64::from(hash) << 32 | u64::from(id);
+        self.len += 1;
+    }
+
+    /// Hold `id`, whose content hashes to `hash` (the caller knows it is
+    /// not held).
+    pub fn insert(&mut self, hash: u32, id: u32) {
+        if let Err(vacant) = self.entry(hash, |_| false) {
+            self.occupy(vacant, hash, id);
+        }
+    }
+
+    /// The held id confirmed by `is` among those of `hash`, or the vacant
+    /// slot ending the probe run (the table is not empty).
+    fn probe(&self, hash: u32, mut is: impl FnMut(u32) -> bool) -> Result<u32, Vacant> {
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            match self.slots[slot] {
+                EMPTY => return Err(Vacant(slot)),
+                entry if (entry >> 32) as u32 == hash && is(entry as u32) => {
+                    return Ok(entry as u32)
+                }
+                _ => {}
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// The slot holding `id` under `hash`.
+    fn slot_of(&self, hash: u32, id: u32) -> Option<usize> {
+        let mask = self.slots.len().checked_sub(1)?;
+        let (entry, mut slot) = (u64::from(hash) << 32 | u64::from(id), hash as usize & mask);
+        loop {
+            match self.slots[slot] {
+                EMPTY => return None,
+                held if held == entry => return Some(slot),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Let `id` (under `hash`) go: backward-shift deletion, each later entry
+    /// of the probe run that may move back to the hole does, so no
+    /// tombstone is left.
+    pub fn remove(&mut self, hash: u32, id: u32) {
+        let Some(mut hole) = self.slot_of(hash, id) else {
+            return;
+        };
+        let mask = self.slots.len() - 1;
+        let mut next = (hole + 1) & mask;
+        while self.slots[next] != EMPTY {
+            let home = (self.slots[next] >> 32) as usize & mask;
+            if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
+                self.slots[hole] = self.slots[next];
+                hole = next;
+            }
+            next = (next + 1) & mask;
+        }
+        self.slots[hole] = EMPTY;
+        self.len -= 1;
+    }
+
+    /// Hold `to` in place of `from`, both under `hash`.
+    pub fn replace(&mut self, hash: u32, from: u32, to: u32) {
+        if let Some(slot) = self.slot_of(hash, from) {
+            self.slots[slot] = u64::from(hash) << 32 | u64::from(to);
+        }
+    }
+
+    /// Let every id go, keeping the table's size: refilled, it grows no
+    /// more than before.
+    pub fn clear(&mut self) {
+        self.slots.fill(EMPTY);
+        self.len = 0;
+    }
+
+    /// Double the table (sixteen slots at first) and place every id again
+    /// by the hash its slot keeps.
+    fn grow(&mut self) {
+        let size = (self.slots.len() * 2).max(16);
+        let mask = size - 1;
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY; size]);
+        for entry in old.into_iter().filter(|e| *e != EMPTY) {
+            let mut slot = (entry >> 32) as usize & mask;
+            while self.slots[slot] != EMPTY {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = entry;
+        }
+    }
+}
+
 /// First-seen distinct over rows `width` cells wide: each distinct row held
-/// once, flat, in first-seen order, and found again by its cells. The
-/// table is open addressing over row positions: a row's slot comes from
-/// the hash of its cells, each slot keeps the low 32 bits of its row's hash
-/// beside the row's position, and a probe compares the stored cells only
-/// where those bits agree. So no key is built per row, at any width, and
-/// growing the table reads no row.
+/// once, flat, in first-seen order, and found again by its cells through an
+/// [`IdTable`] of row positions. So no key is built per row, at any width.
 #[derive(Debug, Clone)]
 pub struct Distinct<S = FastBuild> {
     rows: IdRows,
-    /// `hash << 32 | position` per held row, [`EMPTY`] elsewhere: a power
-    /// of two long (or empty), at most half full.
-    slots: Vec<u64>,
+    table: IdTable,
     hasher: S,
 }
 
@@ -247,10 +377,10 @@ impl Distinct {
 impl<S: BuildHasher> Distinct<S> {
     /// No row seen yet, slots chosen by `hasher`.
     pub fn with_hasher(width: usize, hasher: S) -> Distinct<S> {
-        let (rows, slots) = (IdRows::empty(width), Vec::new());
+        let (rows, table) = (IdRows::empty(width), IdTable::default());
         Distinct {
             rows,
-            slots,
+            table,
             hasher,
         }
     }
@@ -263,21 +393,19 @@ impl<S: BuildHasher> Distinct<S> {
     /// The position of `row` among the distinct rows, first-seen, and
     /// whether this is its first time (it is then appended).
     pub fn insert(&mut self, row: impl IntoIterator<Item = ConstId>) -> (usize, bool) {
-        if (self.rows.len + 1) * 2 > self.slots.len() {
-            self.grow();
-        }
         let (width, end) = (self.rows.width, self.rows.cells.len());
         self.rows.cells.extend(row);
         debug_assert_eq!(self.rows.cells.len(), end + width, "a row of another width");
-        let new = &self.rows.cells[end..];
+        let (held, new) = self.rows.cells.split_at(end);
         let hash = self.hasher.hash_one(new) as u32;
-        match self.slot(new, hash) {
-            (_, Some(at)) => {
+        let is = |at: u32| held[at as usize * width..][..width] == *new;
+        match self.table.entry(hash, is) {
+            Ok(at) => {
                 self.rows.cells.truncate(end);
-                (at, false)
+                (at as usize, false)
             }
-            (slot, None) => {
-                self.slots[slot] = u64::from(hash) << 32 | self.rows.len as u64;
+            Err(vacant) => {
+                self.table.occupy(vacant, hash, self.rows.len as u32);
                 self.rows.len += 1;
                 (self.rows.len - 1, true)
             }
@@ -286,87 +414,47 @@ impl<S: BuildHasher> Distinct<S> {
 
     /// The position of `row` among the distinct rows, if held.
     pub fn find(&self, row: &[ConstId]) -> Option<usize> {
-        if self.slots.is_empty() || row.len() != self.rows.width {
+        if row.len() != self.rows.width {
             return None;
         }
-        self.slot(row, self.hasher.hash_one(row) as u32).1
+        let hash = self.hasher.hash_one(row) as u32;
+        let found = self
+            .table
+            .find(hash, |at| self.rows.row(at as usize) == row);
+        found.map(|at| at as usize)
     }
 
-    /// The slot holding `row`, whose hash is `hash`, with its position —
-    /// or, when no slot does, the empty slot ending its probe run.
-    fn slot(&self, row: &[ConstId], hash: u32) -> (usize, Option<usize>) {
-        let (width, mask) = (self.rows.width, self.slots.len() - 1);
-        let mut slot = hash as usize & mask;
-        loop {
-            match self.slots[slot] {
-                EMPTY => return (slot, None),
-                entry if (entry >> 32) as u32 == hash => {
-                    let at = entry as u32 as usize;
-                    if self.rows.cells[at * width..][..width] == *row {
-                        return (slot, Some(at));
-                    }
-                }
-                _ => {}
-            }
-            slot = (slot + 1) & mask;
-        }
+    /// The table hash of the row at `at`.
+    fn hash_at(&self, at: usize) -> u32 {
+        self.hasher.hash_one(self.rows.row(at)) as u32
     }
 
-    /// Take the row at `at` out, the last row moving into its place. Its
-    /// slot is freed by backward-shift deletion — each later entry of the
-    /// probe run that may move back to the hole does, so no tombstone is
-    /// left — and the slot of the row that moved is re-pointed to `at`.
+    /// Take the row at `at` out, the last row moving into its place and its
+    /// slot re-pointed to `at`.
     pub fn swap_remove(&mut self, at: usize) {
-        let (last, mask) = (self.rows.len - 1, self.slots.len() - 1);
-        let hash = |d: &Self, i: usize| d.hasher.hash_one(d.rows.row(i)) as u32;
-        let (mut hole, _) = self.slot(self.rows.row(at), hash(self, at));
-        let mut next = (hole + 1) & mask;
-        while self.slots[next] != EMPTY {
-            let home = (self.slots[next] >> 32) as usize & mask;
-            if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
-                self.slots[hole] = self.slots[next];
-                hole = next;
-            }
-            next = (next + 1) & mask;
-        }
-        self.slots[hole] = EMPTY;
+        let last = self.rows.len - 1;
+        self.table.remove(self.hash_at(at), at as u32);
         if at != last {
-            let moved = hash(self, last);
-            let (slot, _) = self.slot(self.rows.row(last), moved);
-            self.slots[slot] = u64::from(moved) << 32 | at as u64;
+            self.table
+                .replace(self.hash_at(last), last as u32, at as u32);
         }
         self.rows.swap_out(at);
     }
 
-    /// Swap the rows at `a` and `b`, their slots re-pointed.
+    /// Swap the rows at `a` and `b`, their slots re-pointed. Two rows of
+    /// one hash keep their slots: each names a row of that hash either way.
     pub fn swap(&mut self, a: usize, b: usize) {
         if a == b {
             return;
         }
-        let hash = |d: &Self, i: usize| d.hasher.hash_one(d.rows.row(i)) as u32;
-        let (hash_a, hash_b) = (hash(self, a), hash(self, b));
-        let (slot_a, _) = self.slot(self.rows.row(a), hash_a);
-        let (slot_b, _) = self.slot(self.rows.row(b), hash_b);
-        self.slots[slot_a] = u64::from(hash_a) << 32 | b as u64;
-        self.slots[slot_b] = u64::from(hash_b) << 32 | a as u64;
+        let (hash_a, hash_b) = (self.hash_at(a), self.hash_at(b));
+        if hash_a != hash_b {
+            self.table.replace(hash_a, a as u32, b as u32);
+            self.table.replace(hash_b, b as u32, a as u32);
+        }
         let (w, (low, high)) = (self.rows.width, (a.min(b), a.max(b)));
         let (head, tail) = self.rows.cells.split_at_mut(high * w);
         head[low * w..][..w].swap_with_slice(&mut tail[..w]);
-    }
-
-    /// Double the table (sixteen slots at first) and place every row again
-    /// by the hash its slot keeps.
-    fn grow(&mut self) {
-        let size = (self.slots.len() * 2).max(16);
-        let mask = size - 1;
-        let old = std::mem::replace(&mut self.slots, vec![EMPTY; size]);
-        for entry in old.into_iter().filter(|e| *e != EMPTY) {
-            let mut slot = (entry >> 32) as usize & mask;
-            while self.slots[slot] != EMPTY {
-                slot = (slot + 1) & mask;
-            }
-            self.slots[slot] = entry;
-        }
     }
 
     /// Number of distinct rows.
@@ -581,6 +669,149 @@ mod tests {
         let not_ghost = RowFilter::new([(1, CmpOp::Ne, &ghost)], &reader);
         assert!(not_ghost.pass(&[big, text]));
         assert!(!RowFilter::new([(0, CmpOp::Eq, &ghost)], &reader).pass(&[text]));
+    }
+
+    /// Random inserts (through one [`IdTable::entry`] probe), finds, removes
+    /// and replaces of ids whose content is a number, against a map from
+    /// content to id. `hash` may send several contents, or all, to one slot.
+    fn table_follows_a_map_model(hash: impl Fn(u64) -> u32, seed: u64) {
+        const KEYS: u64 = 300;
+        let (mut table, mut model) = (IdTable::default(), FastMap::<u64, u32>::default());
+        // Id → content; an id is never reused.
+        let mut content: Vec<u64> = Vec::new();
+        let mut x = seed;
+        let mut next = |n: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % n
+        };
+        for step in 0..3_000 {
+            let key = next(KEYS);
+            match next(5) {
+                0..=2 => {
+                    let got = table.entry(hash(key), |id| content[id as usize] == key);
+                    match (got, model.get(&key)) {
+                        (Ok(id), Some(&held)) => assert_eq!(id, held, "step {step}"),
+                        (Err(vacant), None) => {
+                            let id = content.len() as u32;
+                            content.push(key);
+                            table.occupy(vacant, hash(key), id);
+                            model.insert(key, id);
+                        }
+                        (got, held) => panic!("step {step}: {got:?} against {held:?}"),
+                    }
+                }
+                3 => {
+                    if let Some(id) = model.remove(&key) {
+                        table.remove(hash(key), id);
+                    }
+                }
+                _ => {
+                    if let Some(id) = model.get_mut(&key) {
+                        let to = content.len() as u32;
+                        content.push(key);
+                        table.replace(hash(key), *id, to);
+                        *id = to;
+                    }
+                }
+            }
+            assert_eq!(table.len, model.len(), "step {step}");
+            let find = |k: u64| table.find(hash(k), |id| content[id as usize] == k);
+            assert_eq!(find(key), model.get(&key).copied(), "step {step}");
+            if step % 100 == 0 {
+                for k in 0..KEYS {
+                    assert_eq!(find(k), model.get(&k).copied(), "step {step}, key {k}");
+                }
+            }
+        }
+        assert!(
+            table.slots.len() >= 256,
+            "{} slots: too few grows",
+            table.slots.len()
+        );
+        table.clear();
+        assert_eq!(table.len, 0);
+        assert!((0..KEYS).all(|k| table.find(hash(k), |_| true).is_none()));
+        table.insert(hash(5), 0);
+        assert_eq!(table.find(hash(5), |id| id == 0), Some(0));
+    }
+
+    #[test]
+    fn id_table_follows_a_map_model() {
+        let build = FastBuild::default();
+        for seed in 0..4 {
+            table_follows_a_map_model(|k| build.hash_one(k) as u32, seed);
+            table_follows_a_map_model(|k| (k % 5) as u32, seed);
+            table_follows_a_map_model(|_| 7, seed);
+        }
+    }
+
+    /// Hashes a row by the parity of the sum of its bytes: rows of equal
+    /// parity share one hash, and so one probe run.
+    #[derive(Clone, Default)]
+    struct Parity;
+
+    struct ParityHasher(u64);
+
+    impl std::hash::Hasher for ParityHasher {
+        fn finish(&self) -> u64 {
+            self.0 % 2
+        }
+        fn write(&mut self, bytes: &[u8]) {
+            self.0 += bytes.iter().map(|b| u64::from(*b)).sum::<u64>();
+        }
+    }
+
+    impl BuildHasher for Parity {
+        type Hasher = ParityHasher;
+        fn build_hasher(&self) -> ParityHasher {
+            ParityHasher(0)
+        }
+    }
+
+    #[test]
+    fn swaps_between_rows_of_equal_hash_keep_every_row_found() {
+        let row = |i: i64| [ConstId::of(i), ConstId::of(-i)];
+        let mut distinct = Distinct::with_hasher(2, Parity);
+        let mut model: Vec<[ConstId; 2]> = (0..12).map(row).collect();
+        for r in &model {
+            assert!(distinct.keep(r.iter().copied()));
+        }
+        let same = |d: &Distinct<Parity>, a: usize, b: usize| d.hash_at(a) == d.hash_at(b);
+        let (a, b) = (0..12)
+            .find(|&b| b > 2 && same(&distinct, 2, b))
+            .map(|b| (2, b))
+            .unwrap();
+        let c = (0..12).find(|&c| !same(&distinct, a, c)).unwrap();
+        let check = |d: &Distinct<Parity>, model: &[[ConstId; 2]]| {
+            assert_eq!(d.len(), model.len());
+            for (at, r) in model.iter().enumerate() {
+                assert_eq!(d.rows().row(at), r);
+                assert_eq!(d.find(r), Some(at), "row {at}");
+            }
+            for gone in 12..14 {
+                assert_eq!(d.find(&row(gone)), None);
+            }
+        };
+        // Two rows of one hash, then two of different hashes.
+        for (x, y) in [(a, b), (b, c), (c, a)] {
+            distinct.swap(x, y);
+            model.swap(x, y);
+            check(&distinct, &model);
+        }
+        // The last row, of `a`'s hash, moves into a hole of the same hash,
+        // then of the other.
+        let last = model.len() - 1;
+        let into = (0..last).find(|&i| same(&distinct, i, last)).unwrap();
+        distinct.swap_remove(into);
+        model.swap_remove(into);
+        check(&distinct, &model);
+        let last = model.len() - 1;
+        let into = (0..last).find(|&i| !same(&distinct, i, last)).unwrap();
+        distinct.swap_remove(into);
+        model.swap_remove(into);
+        check(&distinct, &model);
     }
 
     #[test]

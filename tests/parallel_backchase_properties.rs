@@ -149,7 +149,6 @@ proptest! {
                 max_rounds,
                 max_facts,
                 hom: HomConfig { limit: 64 },
-                ..ChaseConfig::default()
             },
             clause_cap,
             max_images,

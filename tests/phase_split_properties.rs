@@ -7,10 +7,14 @@
 //! - **memo on vs off**: identical core `ChaseStats` (rounds, TGD fires,
 //!   EGD merges — the memo elides probes, never firings), identical final
 //!   instances, identical errors on EGD-violating inputs, for `chase` and
-//!   `prov_chase`.
+//!   `prov_chase` against their memo-off references
+//!   (`testkit::chase_without_memo`, `testkit::prov_chase_without_memo`).
 
-use estocada_chase::testkit::phase_split_workload;
-use estocada_chase::{chase, prov_chase, ChaseConfig, ChaseStats, Dnf, Elem, HomConfig, Instance};
+use estocada_chase::testkit::{chase_without_memo, phase_split_workload, prov_chase_without_memo};
+use estocada_chase::{
+    chase, prov_chase, ChaseConfig, ChaseError, ChaseStats, Dnf, Elem, HomConfig, Instance,
+    ProvChaseStats,
+};
 use estocada_pivot::{Atom, Constraint, Egd, Symbol, Term, Tgd};
 use proptest::prelude::*;
 
@@ -122,12 +126,36 @@ use estocada_chase::testkit::dump_state as dump;
 
 /// Small budgets so randomly non-terminating TGD sets exercise the
 /// `Budget` error path deterministically instead of running away.
-fn tight(memo: bool) -> ChaseConfig {
+fn tight() -> ChaseConfig {
     ChaseConfig {
         max_rounds: 30,
         max_facts: 400,
         hom: HomConfig { limit: 4_096 },
-        memo,
+    }
+}
+
+/// The restricted chase with the memo on, or its memo-off reference.
+fn chase_memo(
+    inst: &mut Instance,
+    cs: &[Constraint],
+    cfg: &ChaseConfig,
+    memo: bool,
+) -> Result<ChaseStats, ChaseError> {
+    match memo {
+        true => chase(inst, cs, cfg),
+        false => chase_without_memo(inst, cs, cfg),
+    }
+}
+
+/// The provenance chase with the memo on, or its memo-off reference.
+fn prov_chase_memo(
+    inst: &mut Instance,
+    cs: &[Constraint],
+    memo: bool,
+) -> Result<ProvChaseStats, ChaseError> {
+    match memo {
+        true => prov_chase(inst, cs, &tight(), CLAUSE_CAP),
+        false => prov_chase_without_memo(inst, cs, &tight(), CLAUSE_CAP),
     }
 }
 
@@ -136,9 +164,9 @@ const CLAUSE_CAP: usize = 64;
 
 type ChaseOutcome = Result<(ChaseStats, Vec<(u32, String, String, u64)>), String>;
 
-fn run_chase(facts: &[(usize, u8, u8, u8)], cs: &[Constraint], cfg: &ChaseConfig) -> ChaseOutcome {
+fn run_chase(facts: &[(usize, u8, u8, u8)], cs: &[Constraint], memo: bool) -> ChaseOutcome {
     let mut inst = build_instance(facts, false);
-    match chase(&mut inst, cs, cfg) {
+    match chase_memo(&mut inst, cs, &tight(), memo) {
         Ok(stats) => Ok((stats, dump(&inst))),
         Err(e) => Err(e.to_string()),
     }
@@ -156,8 +184,8 @@ proptest! {
         facts in arb_facts(),
         cs in arb_constraints(),
     ) {
-        let on = run_chase(&facts, &cs, &tight(true));
-        let off = run_chase(&facts, &cs, &tight(false));
+        let on = run_chase(&facts, &cs, true);
+        let off = run_chase(&facts, &cs, false);
         match (on, off) {
             (Ok((s_on, d_on)), Ok((s_off, d_off))) => {
                 prop_assert_eq!(s_on.core(), s_off.core());
@@ -188,7 +216,7 @@ proptest! {
     ) {
         let run = |memo: bool| {
             let mut inst = build_instance(&facts, true);
-            match prov_chase(&mut inst, &cs, &tight(memo), CLAUSE_CAP) {
+            match prov_chase_memo(&mut inst, &cs, memo) {
                 Ok(stats) => Ok((stats, dump(&inst))),
                 Err(e) => Err(e.to_string()),
             }
@@ -220,11 +248,7 @@ fn closure_workload_hits_the_memo_and_stays_identical() {
     let (seed, constraints) = phase_split_workload(4, 10);
     let run = |memo: bool| {
         let mut inst = seed.clone();
-        let cfg = ChaseConfig {
-            memo,
-            ..ChaseConfig::default()
-        };
-        let stats = chase(&mut inst, &constraints, &cfg).unwrap();
+        let stats = chase_memo(&mut inst, &constraints, &ChaseConfig::default(), memo).unwrap();
         (stats, dump(&inst))
     };
     let (ref_stats, ref_dump) = run(true);
@@ -260,11 +284,11 @@ fn egd_violation_error_identical_across_configs() {
     .into();
     let constraints = vec![pad, fd];
     let facts = vec![(0usize, 1u8, 2u8, 0u8), (0, 1, 3, 0), (0, 4, 4, 0)];
-    let reference = run_chase(&facts, &constraints, &tight(true)).unwrap_err();
+    let reference = run_chase(&facts, &constraints, true).unwrap_err();
     assert!(reference.contains("[fd]"), "unnamed EGD: {reference}");
     assert!(reference.contains("Ra(1, "), "missing trigger: {reference}");
     assert_eq!(
-        run_chase(&facts, &constraints, &tight(false)).unwrap_err(),
+        run_chase(&facts, &constraints, false).unwrap_err(),
         reference
     );
 }
