@@ -98,7 +98,7 @@ pub fn current_cost(est: &Estocada, q: &WorkloadQuery) -> Option<f64> {
     let request = est.query_pivot(q.cq.clone(), q.head_names.clone(), q.residuals.clone());
     let planned = planner::plan(est, &request.input, false).ok()?;
     let candidates = &planned.prepared.candidates;
-    let best = planner::cheapest(candidates, est.cost_model(), |_| false)?;
+    let best = planner::cheapest(candidates.iter().enumerate(), est.cost_model(), |_| false)?;
     Some(candidates[best].translation.est_cost)
 }
 

@@ -26,7 +26,7 @@ use crate::error::{Error, Result};
 use crate::layout::unpack_kv_rows;
 use crate::system::{FaultGate, Stores, SystemId};
 use estocada_docstore::{DocQuery, QueryNode};
-use estocada_engine::{Batch, BindSource, StoreError, Tuple};
+use estocada_engine::{Batch, BindSource, Columns, Runner, StoreError, Tuple};
 use estocada_parstore::Shape;
 use estocada_pivot::hash::{FastMap, FastSet};
 use estocada_pivot::{Atom, CmpOp, ConstId, ConstReader, GroupBy, IdRows, Term, Value, Var};
@@ -36,6 +36,9 @@ use std::sync::Arc;
 /// Result of a fallible store call (the crate-level [`Result`] alias
 /// carries [`Error`], so store-error results spell their type out).
 pub type StoreResult<T> = std::result::Result<T, StoreError>;
+
+/// The cell a document field it does not hold reads as.
+static NULL: Value = Value::Null;
 
 /// Column name carrying variable `v` through engine plans.
 pub fn var_col(v: Var) -> String {
@@ -163,18 +166,17 @@ impl Answers {
     }
 }
 
-/// Column names of a unit's batch: its variables, or — for final groups —
-/// the key variables followed by positional aggregate names (the
-/// SELECT-list projection above renames them).
-fn out_columns(out_vars: &[Var], tail: Option<&Tail>) -> Vec<String> {
+/// Column names of a unit's batch, named once when the unit is built: its
+/// variables, or — for final groups — the key variables followed by
+/// positional aggregate names (the SELECT-list projection above renames
+/// them).
+fn out_columns(out_vars: &[Var], tail: Option<&Tail>) -> Columns {
     match tail.and_then(|t| t.group.as_ref()) {
         None => var_cols(out_vars),
         Some(g) => {
+            let keys = out_vars[..g.keys].iter().map(|v| var_col(*v));
             let aggs = (0..g.aggs.len()).map(|j| format!("agg{j}"));
-            var_cols(&out_vars[..g.keys])
-                .into_iter()
-                .chain(aggs)
-                .collect()
+            keys.chain(aggs).collect()
         }
     }
 }
@@ -213,49 +215,71 @@ pub enum UnitKind {
     /// Runs standalone (free access). The runner is fallible: a store
     /// failure propagates as [`StoreError`] instead of decaying to an
     /// empty row set.
-    Run(Arc<dyn Fn() -> StoreResult<Batch> + Send + Sync>),
+    Run(Arc<Runner>),
     /// Must be probed with bound inputs.
     Bind(Arc<dyn BindSource>),
 }
 
-/// Bind `terms` against `values` under pre-bound `pre` (a constant matches
-/// a value or cell when `is` says so); returns the values of `out_vars`
-/// when constants match and repeated variables agree.
-fn bind_row<T: PartialEq + Clone>(
-    terms: &[Term],
-    values: &[T],
-    is: impl Fn(&Value, &T) -> bool,
-    pre: &FastMap<Var, T>,
-    out_vars: &[Var],
-) -> Option<Vec<T>> {
-    debug_assert_eq!(terms.len(), values.len());
-    let mut local: FastMap<Var, &T> = FastMap::default();
-    for (t, v) in terms.iter().zip(values) {
-        match t {
-            Term::Const(c) => {
-                if !is(c, v) {
-                    return None;
-                }
-            }
-            Term::Var(var) => {
-                if let Some(p) = pre.get(var) {
-                    if p != v {
-                        return None;
-                    }
-                } else if let Some(prev) = local.get(var) {
-                    if *prev != v {
-                        return None;
-                    }
-                } else {
-                    local.insert(*var, v);
-                }
+/// How a stored row binds a unit's terms, worked out once when the unit is
+/// built: the cells that must hold a constant, the cells a repeated
+/// variable must agree on, the cells of the pre-bound variable (a key-value
+/// key variable repeated in the value) and where each output variable is
+/// read. Rows are then bound with no per-row map.
+struct Binder {
+    /// `(position, constant)`.
+    consts: Vec<(usize, Value)>,
+    /// `(position, the first position of the same variable)`.
+    repeats: Vec<(usize, usize)>,
+    /// Positions of the pre-bound variable.
+    pre: Vec<usize>,
+    /// Each output variable's first position; `None` when the terms bind
+    /// some output variable nowhere (then no row binds).
+    out: Option<Vec<usize>>,
+}
+
+impl Binder {
+    /// The binder of `terms`, with `pre` bound before any row is read,
+    /// producing `out_vars`.
+    fn new(terms: &[Term], pre: Option<Var>, out_vars: &[Var]) -> Binder {
+        let (mut consts, mut repeats, mut pre_at) = (Vec::new(), Vec::new(), Vec::new());
+        let mut first: Vec<(Var, usize)> = Vec::new();
+        for (pos, t) in terms.iter().enumerate() {
+            match t {
+                Term::Const(c) => consts.push((pos, c.clone())),
+                Term::Var(v) if Some(*v) == pre => pre_at.push(pos),
+                Term::Var(v) => match first.iter().find(|(w, _)| w == v) {
+                    Some(&(_, at)) => repeats.push((pos, at)),
+                    None => first.push((*v, pos)),
+                },
             }
         }
+        let at = |v: &Var| first.iter().find(|(w, _)| w == v).map(|&(_, p)| p);
+        Binder {
+            consts,
+            repeats,
+            pre: pre_at,
+            out: out_vars.iter().map(at).collect(),
+        }
     }
-    out_vars
-        .iter()
-        .map(|v| local.get(v).map(|x| (*x).clone()))
-        .collect()
+
+    /// The positions of the output variables when the row whose cells
+    /// `cell` reads binds the terms — every constant `is` its cell, every
+    /// repeated variable's cells are equal, every cell of the pre-bound
+    /// variable equals `pre` — and every position read is a cell of it.
+    fn bind<'c, T: PartialEq + 'c>(
+        &self,
+        cell: impl Fn(usize) -> Option<&'c T>,
+        is: impl Fn(&Value, &T) -> bool,
+        pre: Option<&T>,
+    ) -> Option<&[usize]> {
+        let out = self.out.as_deref()?;
+        let consts = (self.consts.iter()).all(|(p, c)| cell(*p).is_some_and(|x| is(c, x)));
+        let repeats =
+            (self.repeats.iter()).all(|(p, q)| cell(*p).is_some() && cell(*p) == cell(*q));
+        let pre = (self.pre.iter()).all(|p| pre.is_none_or(|k| cell(*p) == Some(k)));
+        let read = out.iter().all(|p| cell(*p).is_some());
+        (consts && repeats && pre && read).then_some(out)
+    }
 }
 
 /// Distinct variables of `terms` in first-occurrence order.
@@ -274,12 +298,8 @@ pub fn atom_vars(atoms: &[Atom]) -> Vec<Var> {
     term_vars(atoms.iter().flat_map(|a| &a.args))
 }
 
-fn var_cols(vars: &[Var]) -> Vec<String> {
+fn var_cols(vars: &[Var]) -> Columns {
     vars.iter().map(|v| var_col(*v)).collect()
-}
-
-fn batch_of(out_vars: &[Var], rows: Vec<Tuple>) -> Batch {
-    Batch::from_rows(var_cols(out_vars), &rows)
 }
 
 /// Whether some variable occurs twice in `terms` — an equality a scan or a
@@ -451,27 +471,45 @@ struct KvAccess {
     /// Whether the fragment holds rows: an emptied namespace is dropped
     /// (`layout::write`), so only then is a missing one an error.
     holds_rows: bool,
-    /// The key variable, when the key is not a constant.
-    key_var: Option<Var>,
-    value_terms: Vec<Term>,
-    out_vars: Vec<Var>,
+    /// How a stored value tuple binds the atom's value terms, the key
+    /// variable (if any) pre-bound to the key.
+    binder: Binder,
+    /// The unit's column names: its output variables.
+    columns: Columns,
     label: String,
 }
 
 impl KvAccess {
+    /// The value tuples stored under `key` that bind the atom, as the
+    /// stored cells and the positions of the output variables in them.
+    fn bound<'v>(
+        &'v self,
+        key: &'v Value,
+        values: &'v [Value],
+    ) -> impl Iterator<Item = (&'v [Value], &'v [usize])> + 'v {
+        unpack_kv_rows(values).filter_map(move |cells| {
+            let out = self.binder.bind(|p| cells.get(p), Value::eq, Some(key))?;
+            Some((cells, out))
+        })
+    }
+
+    /// Decode what is stored under `key` straight into a batch of the
+    /// unit's interned columns.
+    fn decode(&self, key: &Value, hit: Option<Vec<Value>>) -> Batch {
+        let values = hit.unwrap_or_default();
+        let stored = unpack_kv_rows(&values).count();
+        let mut batch = Batch::with_capacity(self.columns.clone(), stored);
+        let rows = self.bound(key, &values);
+        batch.push_values(rows.map(|(cells, out)| out.iter().map(|p| &cells[*p])));
+        batch
+    }
+
     /// Decode what is stored under `key` into bound output tuples.
-    fn decode(&self, key: &Value, hit: Option<Vec<Value>>) -> Vec<Tuple> {
-        let Some(values) = hit else {
-            return Vec::new();
-        };
-        let pre: FastMap<Var, Value> = self.key_var.map(|v| (v, key.clone())).into_iter().collect();
-        let bind = |cells: Vec<Value>| {
-            bind_row(&self.value_terms, &cells, Value::eq, &pre, &self.out_vars)
-        };
-        unpack_kv_rows(&values)
-            .into_iter()
-            .filter_map(bind)
-            .collect()
+    fn tuples(&self, key: &Value, hit: Option<Vec<Value>>) -> Vec<Tuple> {
+        let values = hit.unwrap_or_default();
+        let row =
+            |(cells, out): (&[Value], &[usize])| out.iter().map(|p| cells[*p].clone()).collect();
+        self.bound(key, &values).map(row).collect()
     }
 
     /// After an `op` that hit nothing: see [`missing_container`].
@@ -486,7 +524,7 @@ impl KvAccess {
 
 impl BindSource for KvAccess {
     fn out_columns(&self) -> Vec<String> {
-        var_cols(&self.out_vars)
+        self.columns.to_vec()
     }
     fn fetch_batch(&self, keys: &[Vec<Value>]) -> StoreResult<Vec<Vec<Tuple>>> {
         // Pipelined MGET: the whole probe batch costs one simulated
@@ -502,7 +540,7 @@ impl BindSource for KvAccess {
         Ok(hits
             .into_iter()
             .zip(&flat)
-            .map(|(hit, key)| self.decode(key, hit))
+            .map(|(hit, key)| self.tuples(key, hit))
             .collect())
     }
     fn label(&self) -> String {
@@ -542,9 +580,8 @@ pub fn kv_unit(
         gate: stores.gate(SystemId::KeyValue),
         namespace: namespace.clone(),
         holds_rows: stats.rows > 0,
-        key_var,
-        value_terms,
-        out_vars: out_vars.clone(),
+        binder: Binder::new(&value_terms, key_var, &out_vars),
+        columns: var_cols(&out_vars),
         label: label.clone(),
     };
     let kind = match &atom.args[0] {
@@ -557,7 +594,7 @@ pub fn kv_unit(
                 if hit.is_none() {
                     access.namespace_exists("get")?;
                 }
-                Ok(batch_of(&access.out_vars, access.decode(&key, hit)))
+                Ok(access.decode(&key, hit))
             }))
         }
         Term::Var(_) => UnitKind::Bind(Arc::new(access)),
@@ -584,15 +621,16 @@ struct TextAccess {
     /// Whether the fragment holds rows: an emptied index is dropped
     /// (`layout::write`), so only then is a missing one an error.
     holds_rows: bool,
-    key_term: Term,
-    out_vars: Vec<Var>,
+    /// How a returned document key binds the atom's key term.
+    binder: Binder,
+    /// The unit's column names: its output variables.
+    columns: Columns,
     label: String,
 }
 
 impl TextAccess {
     fn lookup(&self, term: &str) -> StoreResult<Vec<Tuple>> {
         self.gate.check("term_lookup")?;
-        let key_term = std::slice::from_ref(&self.key_term);
         let keys = self.text.term_lookup(&self.index, term);
         if keys.is_empty() && self.holds_rows && !self.text.index_names().contains(&self.index) {
             return Err(missing_container(
@@ -601,15 +639,20 @@ impl TextAccess {
                 &self.index,
             ));
         }
-        let none = FastMap::default();
-        let bind = |k: Value| bind_row(key_term, &[k], Value::eq, &none, &self.out_vars);
+        // The key term is the atom's only position: every output is the key.
+        let bind = |k: Value| {
+            let out = self
+                .binder
+                .bind(|p| (p == 0).then_some(&k), Value::eq, None)?;
+            Some(vec![k.clone(); out.len()])
+        };
         Ok(keys.into_iter().filter_map(bind).collect())
     }
 }
 
 impl BindSource for TextAccess {
     fn out_columns(&self) -> Vec<String> {
-        var_cols(&self.out_vars)
+        self.columns.to_vec()
     }
     fn fetch_batch(&self, keys: &[Vec<Value>]) -> StoreResult<Vec<Vec<Tuple>>> {
         // No batched search: one term lookup per key.
@@ -657,13 +700,16 @@ pub fn text_unit(
         gate: stores.gate(SystemId::Text),
         index: index.clone(),
         holds_rows: stats.rows > 0,
-        key_term,
-        out_vars: out_vars.clone(),
+        binder: Binder::new(std::slice::from_ref(&key_term), None, &out_vars),
+        columns: var_cols(&out_vars),
         label: label.clone(),
     };
     let kind = match const_term {
         Some(term) => UnitKind::Run(Arc::new(move || {
-            Ok(batch_of(&access.out_vars, access.lookup(&term)?))
+            Ok(Batch::from_rows(
+                access.columns.clone(),
+                &access.lookup(&term)?,
+            ))
         })),
         None => UnitKind::Bind(Arc::new(access)),
     };
@@ -713,8 +759,8 @@ pub fn doc_rows_unit(
     let label = format!("document: FIND {collection} {:?}", filter.clauses);
     let doc = stores.doc.clone();
     let gate = stores.gate(SystemId::Document);
-    let ov = out_vars.clone();
-    let terms = atom.args.clone();
+    let binder = Binder::new(&atom.args, None, &out_vars);
+    let names = var_cols(&out_vars);
     let runner = move || {
         let paths: Vec<&str> = columns.iter().map(|s| s.as_str()).collect();
         gate.check("find")?;
@@ -722,17 +768,16 @@ pub fn doc_rows_unit(
         if docs.is_empty() && !doc.collection_names().contains(&collection) {
             return Err(missing_container(SystemId::Document, "find", &collection));
         }
-        let rows: Vec<Tuple> = docs
-            .into_iter()
-            .filter_map(|d| {
-                let values: Vec<Value> = columns
-                    .iter()
-                    .map(|c| d.get(c).cloned().unwrap_or(Value::Null))
-                    .collect();
-                bind_row(&terms, &values, Value::eq, &FastMap::default(), &ov)
-            })
-            .collect();
-        Ok(batch_of(&ov, rows))
+        // Each document's fields are read where they lie, straight into
+        // the batch's interned columns.
+        let mut batch = Batch::with_capacity(names.clone(), docs.len());
+        let columns = &columns;
+        batch.push_values(docs.iter().filter_map(|d| {
+            let cell = move |p: usize| columns.get(p).map(|c| d.get(c).unwrap_or(&NULL));
+            let out = binder.bind(cell, Value::eq, None)?;
+            Some(out.iter().filter_map(move |p| cell(*p)))
+        }));
+        Ok(batch)
     };
     Ok(Unit {
         label,
@@ -786,11 +831,11 @@ struct ParRequest {
     out_vars: Vec<Var>,
     /// The request's shape: the unit's columns and, folded, the tail.
     shape: Shape,
-    /// `Some(terms)` when the request cannot enforce every constant and
-    /// repeated variable of `terms` itself: whole rows come back and each
-    /// is re-bound. `None`: the shaped rows stream through unchanged.
-    rebind: Option<Vec<Term>>,
-    columns: Vec<String>,
+    /// `Some` when the request cannot enforce every constant and repeated
+    /// variable of its terms itself: whole rows come back and each is
+    /// re-bound. `None`: the shaped rows stream through unchanged.
+    rebind: Option<Binder>,
+    columns: Columns,
     answers: Answers,
 }
 
@@ -825,9 +870,9 @@ impl ParRequest {
         };
         Ok(ParRequest {
             columns: out_columns(&out_vars, tail),
+            rebind: (!exact).then(|| Binder::new(terms, None, &out_vars)),
             out_vars,
             shape,
-            rebind: (!exact).then(|| terms.to_vec()),
             answers: Answers::of(tail),
         })
     }
@@ -851,18 +896,19 @@ impl ParRequest {
     }
 
     fn batch(&self, rows: IdRows) -> Batch {
-        let Some(terms) = &self.rebind else {
+        let Some(binder) = &self.rebind else {
             return Batch::from_id_rows(self.columns.clone(), &rows);
         };
         // A constant no cell holds was never interned: it matches nothing.
         let reader = ConstReader::new();
         let is = |c: &Value, id: &ConstId| reader.lookup(c) == Some(*id);
-        let (none, mut bound) = (FastMap::default(), IdRows::empty(self.out_vars.len()));
-        let rows = rows
-            .rows()
-            .filter_map(|row| bind_row(terms, row, is, &none, &self.out_vars));
-        rows.for_each(|cells| bound.push(cells));
-        Batch::from_id_rows(self.columns.clone(), &bound)
+        let mut bound = Batch::empty(self.columns.clone());
+        for row in rows.rows() {
+            if let Some(out) = binder.bind(|p| row.get(p), is, None) {
+                bound.push_row(out.iter().map(|p| row[*p]));
+            }
+        }
+        bound
     }
 }
 
@@ -1140,14 +1186,14 @@ pub fn doc_tree_unit(
     );
     let doc = stores.doc.clone();
     let gate = stores.gate(SystemId::Document);
-    let ov = ordered_vars.clone();
+    let names = var_cols(&ordered_vars);
     let runner = move || {
         gate.check("query")?;
         let (_cols, rows) = doc.query(&q);
         if rows.is_empty() && !doc.collection_names().contains(&collection) {
             return Err(missing_container(SystemId::Document, "query", &collection));
         }
-        Ok(batch_of(&ov, rows))
+        Ok(Batch::from_rows(names.clone(), &rows))
     };
     let est_rows = atoms.iter().map(|(_, _, s)| s.rows as f64);
     Ok(Unit {
@@ -1166,60 +1212,40 @@ pub fn doc_tree_unit(
 mod tests {
     use super::*;
 
-    #[test]
-    fn bind_row_checks_constants_and_repeats() {
-        let terms = vec![Term::constant(1i64), Term::var(0), Term::var(0)];
-        let ok = bind_row(
-            &terms,
-            &[Value::Int(1), Value::Int(5), Value::Int(5)],
-            Value::eq,
-            &FastMap::default(),
-            &[Var(0)],
-        );
-        assert_eq!(ok, Some(vec![Value::Int(5)]));
-        // Repeated var mismatch.
-        assert!(bind_row(
-            &terms,
-            &[Value::Int(1), Value::Int(5), Value::Int(6)],
-            Value::eq,
-            &FastMap::default(),
-            &[Var(0)],
-        )
-        .is_none());
-        // Constant mismatch.
-        assert!(bind_row(
-            &terms,
-            &[Value::Int(2), Value::Int(5), Value::Int(5)],
-            Value::eq,
-            &FastMap::default(),
-            &[Var(0)],
-        )
-        .is_none());
+    /// `binder` over `cells`, with `pre` pre-bound: the output cells.
+    fn bound(binder: &Binder, cells: &[Value], pre: Option<&Value>) -> Option<Vec<Value>> {
+        let out = binder.bind(|p| cells.get(p), Value::eq, pre)?;
+        Some(out.iter().map(|p| cells[*p].clone()).collect())
     }
 
     #[test]
-    fn bind_row_respects_pre_bound_vars() {
-        let terms = vec![Term::var(0), Term::var(1)];
-        let mut pre = FastMap::default();
-        pre.insert(Var(0), Value::Int(9));
-        assert!(bind_row(
-            &terms,
-            &[Value::Int(8), Value::Int(1)],
-            Value::eq,
-            &pre,
-            &[Var(1)]
-        )
-        .is_none());
+    fn a_binder_checks_constants_and_repeats() {
+        let terms = vec![Term::constant(1i64), Term::var(0), Term::var(0)];
+        let binder = Binder::new(&terms, None, &[Var(0)]);
+        let cells = |a, b, c| [Value::Int(a), Value::Int(b), Value::Int(c)];
         assert_eq!(
-            bind_row(
-                &terms,
-                &[Value::Int(9), Value::Int(1)],
-                Value::eq,
-                &pre,
-                &[Var(1)]
-            ),
-            Some(vec![Value::Int(1)])
+            bound(&binder, &cells(1, 5, 5), None),
+            Some(vec![Value::Int(5)])
         );
+        // Repeated var mismatch.
+        assert_eq!(bound(&binder, &cells(1, 5, 6), None), None);
+        // Constant mismatch.
+        assert_eq!(bound(&binder, &cells(2, 5, 5), None), None);
+        // A row of another arity does not bind.
+        assert_eq!(bound(&binder, &cells(1, 5, 5)[..2], None), None);
+    }
+
+    #[test]
+    fn a_binder_respects_the_pre_bound_var() {
+        let terms = vec![Term::var(0), Term::var(1)];
+        let binder = Binder::new(&terms, Some(Var(0)), &[Var(1)]);
+        let row = [Value::Int(8), Value::Int(1)];
+        assert_eq!(bound(&binder, &row, Some(&Value::Int(9))), None);
+        let one = Some(vec![Value::Int(1)]);
+        assert_eq!(bound(&binder, &row, Some(&Value::Int(8))), one);
+        // An output variable only the pre-binding holds binds no row.
+        let unbound = Binder::new(&terms, Some(Var(0)), &[Var(0)]);
+        assert_eq!(bound(&unbound, &row, Some(&Value::Int(8))), None);
     }
 
     #[test]

@@ -51,7 +51,7 @@ use crate::cost::CostModel;
 use crate::dataset::{Dataset, DatasetContent};
 use crate::error::{Error, PlanFailure, Result};
 use crate::factbase::FactBase;
-use crate::frontends::{ParsedQuery, QueryInput, SqlCatalog};
+use crate::frontends::{ParsedQuery, QueryInput, Select, SqlCatalog};
 use crate::materialize::{drop_fragment, materialize};
 use crate::plancache::{LintCache, PlanCache, PlanCacheStats};
 use crate::planner::{self, Candidate, Planned, PlanningContext};
@@ -61,13 +61,13 @@ use crate::resilience::{
     RetryPolicy,
 };
 use crate::system::{Latencies, Stores, SystemId};
-use crate::translate::bind;
 use estocada_chase::{RewriteConfig, TerminationCertificate};
-use estocada_engine::{execute_with, EngineError, ExecOptions, ExecStats, RowBatch};
+use estocada_engine::{run, EngineError, ExecOptions, ExecStats, RowBatch};
 use estocada_pivot::encoding::document::TreePattern;
 use estocada_pivot::hash::{FastMap, FastSet};
 use estocada_pivot::{Constraint, Cq, Schema, SchemaError};
 use estocada_simkit::FaultPlan;
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -147,7 +147,7 @@ struct ResolvedOptions {
 #[derive(Clone)]
 pub struct QueryRequest<'e> {
     engine: &'e Estocada,
-    pub(crate) input: QueryInput,
+    pub(crate) input: QueryInput<'e>,
     opts: QueryOptions,
 }
 
@@ -597,22 +597,28 @@ impl Estocada {
         self.planning().sql_catalog.clone()
     }
 
-    /// Start building a mini-SQL query against this engine.
-    pub fn query(&self, sql: &str) -> QueryRequest<'_> {
+    /// Start building a mini-SQL query against this engine. The request
+    /// borrows the text: a plan-cache hit copies none of it.
+    pub fn query<'e>(&'e self, sql: &'e str) -> QueryRequest<'e> {
         QueryRequest {
             engine: self,
-            input: QueryInput::Sql(sql.to_string()),
+            input: QueryInput::Sql(Cow::Borrowed(sql)),
             opts: QueryOptions::default(),
         }
     }
 
     /// Start building a document tree-pattern query against this engine.
-    pub fn query_pattern(&self, pattern: &TreePattern, select: &[&str]) -> QueryRequest<'_> {
+    /// The request borrows the pattern and the selection.
+    pub fn query_pattern<'e>(
+        &'e self,
+        pattern: &'e TreePattern,
+        select: &'e [&'e str],
+    ) -> QueryRequest<'e> {
         QueryRequest {
             engine: self,
             input: QueryInput::Doc {
-                pattern: pattern.clone(),
-                select: select.iter().map(|s| s.to_string()).collect(),
+                pattern: Cow::Borrowed(pattern),
+                select: Select::Sent(select),
             },
             opts: QueryOptions::default(),
         }
@@ -702,7 +708,7 @@ impl Estocada {
         if matches!(self.validation, ValidationMode::Off) {
             return (Vec::new(), None);
         }
-        let (diags, hit) = match self.lint_cache.lookup(hash, q, self.epoch) {
+        let (diags, hit) = match self.lint_cache.lookup(hash, |kept| kept == q, self.epoch) {
             Some(cached) => ((*cached).clone(), true),
             None => {
                 let found = analyze::analyze_query(&q.cq, q.aggregate.as_ref(), &self.schema);
@@ -725,30 +731,31 @@ impl Estocada {
         let opts = self.resolve(opts);
         let resilience = QueryResilience::new(opts.retry, opts.deadline, self.health.clone());
         let planned = planner::plan(self, request, opts.plan_cache)?;
-        let q = &planned.prepared.query;
-        let lints = self.query_lints(q, planned.prepared.query_hash);
-        let candidates: Vec<&Candidate> = planned.prepared.candidates.iter().collect();
+        let prepared = &planned.prepared;
+        let q = &prepared.query;
+        let lints = self.query_lints(q, prepared.query_hash);
 
         if opts.explain_only {
             // Explain reports cost every alternative but tolerate a query
             // with no (executable) rewriting.
-            let best = self.rank(&candidates, &FastSet::default());
+            let none = (&FastSet::default(), &FastSet::default());
+            let best = self.rank(&prepared.candidates, none);
             // An aggregate query's output columns come from its SELECT
             // list, not the conjunctive core's head.
             let columns = match &q.aggregate {
                 Some(spec) => spec.select.iter().map(|(n, _)| n.clone()).collect(),
                 None => q.head_names.clone(),
             };
+            let chosen = best.map(|i| &prepared.candidates[i]);
             return Ok(QueryResult {
                 columns,
                 rows: Vec::new(),
-                report: report(&planned, best.map(|i| candidates[i]), lints),
+                report: report(&planned, chosen, lints),
             });
         }
 
         let before = self.stores.metrics();
-        let (ran, batch, exec, attempts) =
-            self.execute(&planned, candidates, &opts, &resilience)?;
+        let (ran, batch, exec, failures) = self.execute(&planned, &opts, &resilience)?;
         let after = self.stores.metrics();
         for rel in &ran.translation.used_relations {
             self.catalog.record_use(*rel);
@@ -760,14 +767,22 @@ impl Estocada {
         report.exec = exec;
         // The resilience section exists only when something happened: a
         // fault-free query reports `None`, bit-identical to before.
-        report.resilience =
-            (attempts.len() > 1 || resilience.eventful()).then(|| ResilienceReport {
-                attempts,
+        report.resilience = (!failures.is_empty() || resilience.eventful()).then(|| {
+            let attempt = |c: &Candidate, error| PlanAttempt {
+                alternative: c.alternative,
+                rewriting: prepared.alternatives[c.alternative].rewriting.clone(),
+                systems: c.translation.systems.clone(),
+                error,
+            };
+            let failed = failures.iter().map(|(c, e)| attempt(c, Some(e.clone())));
+            ResilienceReport {
+                attempts: failed.chain([attempt(ran, None)]).collect(),
                 retries: resilience.retries(),
                 store_errors: resilience.store_errors(),
                 breaker_transitions: resilience.transitions(),
                 translations: planned.translations,
-            });
+            }
+        });
         Ok(QueryResult {
             columns: batch.columns,
             rows: batch.rows,
@@ -775,77 +790,73 @@ impl Estocada {
         })
     }
 
-    /// The planner's ranking under this engine's breakers; systems in
-    /// `failed` count too (retries can run out before a breaker trips).
-    fn rank(&self, candidates: &[&Candidate], failed: &FastSet<SystemId>) -> Option<usize> {
-        planner::cheapest(candidates, &self.cost, |s| {
+    /// The planner's ranking, under this engine's breakers, of the
+    /// candidates not `tried` yet; systems in `failed` count too (retries
+    /// can run out before a breaker trips).
+    fn rank(
+        &self,
+        candidates: &[Candidate],
+        (tried, failed): (&FastSet<usize>, &FastSet<SystemId>),
+    ) -> Option<usize> {
+        let left = candidates.iter().enumerate();
+        let left = left.filter(|(i, _)| !tried.contains(i));
+        planner::cheapest(left, &self.cost, |s| {
             failed.contains(&s) || self.health.avoid(s)
         })
     }
 
-    /// Execute `candidates` in rank order, each bound to this query's fault
-    /// handling as its turn comes: when an attempt dies on a store failure
-    /// (after per-call retries and breaker handling) the backend is
-    /// remembered and the next-ranked remaining candidate runs, until one
-    /// succeeds, none remain or the deadline passes. Returns the candidate
-    /// that ran, its rows and counters, and the attempt chain.
+    /// Execute the prepared candidates in rank order, each as it is cached,
+    /// with this query's fault handling handed to its run: when an attempt
+    /// dies on a store failure (after per-call retries and breaker handling)
+    /// the backend is remembered and the next-ranked remaining candidate
+    /// runs, until one succeeds, none remain or the deadline passes. Returns
+    /// the candidate that ran, its rows and counters, and the failed
+    /// attempts before it with their errors.
     fn execute<'p>(
         &self,
         planned: &'p Planned,
-        mut candidates: Vec<&'p Candidate>,
         opts: &ResolvedOptions,
-        resilience: &Arc<QueryResilience>,
-    ) -> Result<(&'p Candidate, RowBatch, ExecStats, Vec<PlanAttempt>)> {
+        resilience: &QueryResilience,
+    ) -> Result<(&'p Candidate, RowBatch, ExecStats, Failures<'p>)> {
         let prepared = &planned.prepared;
         if prepared.alternatives.is_empty() {
             return Err(Error::NoRewriting {
-                query: prepared.pivot_query.clone(),
+                query: prepared.pivot_query.to_string(),
             });
         }
-        if candidates.is_empty() {
+        if prepared.candidates.is_empty() {
             return Err(Error::Untranslatable(format!(
                 "none of the {} rewritings is executable",
                 prepared.alternatives.len()
             )));
         }
-        let mut attempts: Vec<PlanAttempt> = Vec::new();
-        let mut failed: FastSet<SystemId> = FastSet::default();
+        let mut failures: Failures = Vec::new();
+        let (mut tried, mut failed) = (FastSet::default(), FastSet::default());
         loop {
-            let next = if attempts.is_empty() || !resilience.deadline_exceeded() {
-                self.rank(&candidates, &failed)
+            let next = if failures.is_empty() || !resilience.deadline_exceeded() {
+                self.rank(&prepared.candidates, (&tried, &failed))
             } else {
                 None
             };
             let Some(idx) = next else {
+                let failure = |(c, error): (&Candidate, String)| PlanFailure {
+                    alternative: c.alternative,
+                    rewriting: prepared.alternatives[c.alternative].rewriting.clone(),
+                    error,
+                };
                 return Err(Error::AllPlansFailed {
-                    query: prepared.pivot_query.clone(),
-                    attempts: attempts
-                        .into_iter()
-                        .map(|a| PlanFailure {
-                            alternative: a.alternative,
-                            rewriting: a.rewriting,
-                            error: a.error.unwrap_or_default(),
-                        })
-                        .collect(),
+                    query: prepared.pivot_query.to_string(),
+                    attempts: failures.into_iter().map(failure).collect(),
                 });
             };
-            let candidate = candidates.remove(idx);
-            let attempt = |error: Option<String>| PlanAttempt {
-                alternative: candidate.alternative,
-                rewriting: prepared.alternatives[candidate.alternative]
-                    .rewriting
-                    .clone(),
-                systems: candidate.translation.systems.clone(),
-                error,
-            };
-            match execute_with(&bind(&candidate.translation, resilience), &opts.exec) {
-                Ok((batch, exec)) => {
-                    attempts.push(attempt(None));
-                    return Ok((candidate, batch, exec, attempts));
-                }
+            let candidate = &prepared.candidates[idx];
+            let tr = &candidate.translation;
+            match run(&tr.plan, &opts.exec, &resilience.leaves(&tr.unit_systems)) {
+                Ok((batch, exec)) => return Ok((candidate, batch, exec, failures)),
                 Err(EngineError::Store(se)) => {
-                    attempts.push(attempt(Some(se.to_string())));
+                    tried.insert(idx);
                     failed.extend(system_for_store(&se.store));
+                    failures.push((candidate, se.to_string()));
                 }
                 Err(e) => return Err(e.into()),
             }
@@ -853,9 +864,12 @@ impl Estocada {
     }
 }
 
+/// The failed plan attempts of a query, in order, with their errors.
+type Failures<'p> = Vec<(&'p Candidate, String)>;
+
 /// The one [`Report`] constructor, for a plan that did not run (yet):
 /// `chosen` is the candidate that ran or, for an explain, would (`None`
-/// when nothing is executable). Every text is a copy of what planning
+/// when nothing is executable). Every text is shared with what planning
 /// printed once ([`planner::Prepared`]); a run fills in what executing added.
 fn report(
     planned: &Planned,
@@ -869,7 +883,7 @@ fn report(
             c.explain.clone(),
             c.translation.unit_labels.clone(),
         ),
-        None => (0, String::from("(not executable)"), Vec::new()),
+        None => (0, "(not executable)".into(), Vec::new().into()),
     };
     Report {
         pivot_query: prepared.pivot_query.clone(),

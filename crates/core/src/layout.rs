@@ -356,16 +356,15 @@ fn pack_kv_rows(mut tuples: Vec<Value>) -> [Value; 1] {
     [Value::array(tuples)]
 }
 
-/// Inverse of [`pack_kv_rows`]: the value tuples stored under one key. A
-/// payload that is not a packed list reads as a single tuple.
-pub(crate) fn unpack_kv_rows(values: &[Value]) -> Vec<Row> {
-    match values {
-        [Value::Array(rows)] => rows
-            .iter()
-            .filter_map(|r| r.as_array().map(<[Value]>::to_vec))
-            .collect(),
-        _ => vec![values.to_vec()],
-    }
+/// Inverse of [`pack_kv_rows`]: the value tuples stored under one key,
+/// read where they lie. A payload that is not a packed list reads as a
+/// single tuple.
+pub(crate) fn unpack_kv_rows(values: &[Value]) -> impl Iterator<Item = &[Value]> {
+    let (packed, single) = match values {
+        [Value::Array(rows)] => (rows.as_slice(), None),
+        _ => (&[][..], Some(values)),
+    };
+    packed.iter().filter_map(Value::as_array).chain(single)
 }
 
 /// Column positions a text index reads from a row of `t`: the first

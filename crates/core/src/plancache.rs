@@ -20,9 +20,10 @@
 //! keys that collide on the hash can only evict each other, never answer for
 //! each other. A prepared plan's key is the request as the caller sent it
 //! (`QueryInput`: SQL text, a tree pattern, a pivot query), so a hit hashes
-//! and compares that, looks up, and hands back the plan with the parsed
-//! query and its lint hash inside; ranking, binding, execution and the
-//! report copy follow, and nothing is parsed, hashed twice or translated.
+//! and compares the caller's borrowed request against that, looks up, and
+//! hands back the plan with the parsed query and its lint hash inside;
+//! ranking, execution and the report follow, and nothing is copied, parsed,
+//! hashed twice or translated.
 //! The map is a small sharded `RwLock<FastMap>` (reads take a shard read
 //! lock only), bounded by a per-shard FIFO: the cache can never
 //! grow past its capacity no matter how many distinct ad-hoc shapes a
@@ -50,7 +51,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Shard count: enough to keep concurrent readers of distinct shapes off
-/// each other's locks.
+/// each other's locks. A power of two, so that a shard is some top bits.
 const SHARDS: usize = 16;
 
 /// Default bound on cached outcomes across all shards.
@@ -102,7 +103,7 @@ pub(crate) type LintCache = EpochCache<Arc<ParsedQuery>, Arc<Vec<Diagnostic>>>;
 #[derive(Default)]
 pub(crate) struct PlanCache {
     pub(crate) outcomes: EpochCache<CoreKey, Arc<RewriteOutcome>>,
-    pub(crate) prepared: EpochCache<QueryInput, Arc<Prepared>>,
+    pub(crate) prepared: EpochCache<QueryInput<'static>, Arc<Prepared>>,
 }
 
 impl PlanCache {
@@ -157,18 +158,26 @@ impl<K: Eq, V: Clone> EpochCache<K, V> {
         self.per_shard * SHARDS
     }
 
+    /// The shard of `hash`: the top bits of its Fibonacci product, which
+    /// every bit of the hash reaches. The multiply-rotate hash of two texts
+    /// that differ in their last few characters differs in a few bits only
+    /// (consecutive ids in one SQL text), so any fixed slice of it clusters:
+    /// its low four bits put 90 of 256 such keys in one shard and none in 9
+    /// of the 16, its top four bits 105 in one.
     fn shard(&self, hash: u64) -> &RwLock<Shard<K, V>> {
-        &self.shards[(hash as usize) % SHARDS]
+        let spread = hash.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        &self.shards[(spread >> (u64::BITS - SHARDS.trailing_zeros())) as usize]
     }
 
-    /// The cached value for `key` (hashing to `hash`) at `epoch`, if any. An
-    /// entry from an older epoch never matches (DDL bumped the epoch past
-    /// it). Counts a hit or a miss.
-    pub(crate) fn lookup(&self, hash: u64, key: &K, epoch: u64) -> Option<V> {
+    /// The cached value at `epoch` of the key hashing to `hash` that `is_key`
+    /// accepts (the caller compares its own form of the key, borrowed or
+    /// owned), if any. An entry from an older epoch never matches (DDL bumped
+    /// the epoch past it). Counts a hit or a miss.
+    pub(crate) fn lookup(&self, hash: u64, is_key: impl Fn(&K) -> bool, epoch: u64) -> Option<V> {
         let found = {
             let shard = self.shard(hash).read();
             let entry = shard.map.get(&hash);
-            let entry = entry.filter(|e| e.epoch == epoch && e.key == *key);
+            let entry = entry.filter(|e| e.epoch == epoch && is_key(&e.key));
             entry.map(|e| e.value.clone())
         };
         match &found {
@@ -260,6 +269,7 @@ impl<K: Eq, V: Clone> Default for EpochCache<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frontends::QueryInput;
     use estocada_chase::{RewriteOutcome, RewriteStats};
     use estocada_pivot::CqBuilder;
 
@@ -271,7 +281,7 @@ mod tests {
             Outcomes(EpochCache::new(capacity))
         }
         fn lookup(&self, key: &str, epoch: u64) -> Option<Arc<RewriteOutcome>> {
-            self.0.lookup(hash_of(key), &key.to_string(), epoch)
+            self.0.lookup(hash_of(key), |kept| kept == key, epoch)
         }
         fn insert(&self, key: &str, epoch: u64, value: Arc<RewriteOutcome>) {
             self.0.insert(hash_of(key), key.to_string(), epoch, value);
@@ -387,14 +397,37 @@ mod tests {
         }
     }
 
+    /// The shard index of `key`, hashed as the plan cache hashes requests.
+    fn shard_of<K: Hash + ?Sized>(c: &Outcomes, key: &K) -> usize {
+        let shard = c.0.shard(hash_of(key));
+        (c.0.shards.iter())
+            .position(|s| std::ptr::eq(s, shard))
+            .unwrap()
+    }
+
+    #[test]
+    fn consecutive_ids_spread_over_every_shard() {
+        let c = Outcomes::new(DEFAULT_PLAN_CACHE_CAPACITY);
+        let mut per_shard = [0usize; SHARDS];
+        for uid in 0..256 {
+            let sql = format!("SELECT p.theme, p.language FROM Prefs p WHERE p.uid = {uid}");
+            per_shard[shard_of(&c, &QueryInput::Sql(sql.into()))] += 1;
+        }
+        let mean = 256 / SHARDS;
+        assert!(
+            per_shard.iter().all(|n| *n <= 2 * mean && *n > 0),
+            "keys per shard: {per_shard:?}"
+        );
+    }
+
     #[test]
     fn colliding_keys_never_answer_for_each_other() {
         let c = Outcomes::new(8);
         c.0.insert(7, "a".to_string(), 0, outcome("a"));
-        assert!(c.0.lookup(7, &"b".to_string(), 0).is_none());
+        assert!(c.0.lookup(7, |k| k == "b", 0).is_none());
         c.0.insert(7, "b".to_string(), 0, outcome("b"));
-        assert!(c.0.lookup(7, &"a".to_string(), 0).is_none());
-        assert!(c.0.lookup(7, &"b".to_string(), 0).is_some());
+        assert!(c.0.lookup(7, |k| k == "a", 0).is_none());
+        assert!(c.0.lookup(7, |k| k == "b", 0).is_some());
         assert_eq!(c.0.len(), 1);
     }
 
@@ -432,7 +465,7 @@ mod tests {
         use crate::analyze::{Code, Diagnostic};
         let c: EpochCache<String, Arc<Vec<Diagnostic>>> = EpochCache::new(8);
         let (hash, key) = (hash_of("q"), "q".to_string());
-        assert!(c.lookup(hash, &key, 3).is_none());
+        assert!(c.lookup(hash, |k| *k == key, 3).is_none());
         let diags = Arc::new(vec![Diagnostic {
             severity: Code::CartesianProductBody.severity(),
             code: Code::CartesianProductBody,
@@ -441,10 +474,10 @@ mod tests {
             witness: None,
         }]);
         c.insert(hash, key.clone(), 3, diags);
-        let got = c.lookup(hash, &key, 3).expect("hit");
+        let got = c.lookup(hash, |k| *k == key, 3).expect("hit");
         assert_eq!(got.len(), 1);
         assert!(
-            c.lookup(hash, &key, 4).is_none(),
+            c.lookup(hash, |k| *k == key, 4).is_none(),
             "DDL epoch bump invalidates"
         );
     }

@@ -38,14 +38,19 @@
 //!   aggregates, its renamed columns — share it). A hit skips the chase &
 //!   backchase.
 //! - The **prepared plan** of one exact request ([`Prepared`], keyed by the
-//!   [`QueryInput`] as the caller sent it — SQL text, a tree pattern and its
-//!   selection, or a pivot query): its parse, every rewriting translated and
-//!   costed once into a plan that carries no query's fault handling, the
-//!   [`Alternative`]s, and the report's texts. A hit is hash the request →
-//!   lookup → rank → [`bind`] the chosen plan → execute → report by clone:
-//!   it parses, translates and formats nothing. Two spellings of one query
-//!   (keyword case, whitespace) are two requests, each with its own prepared
-//!   plan over the one outcome they share.
+//!   request as the caller sent it — SQL text, a tree pattern and its
+//!   selection, or a pivot query; a lookup hashes and compares the
+//!   caller's borrowed [`QueryInput`], and only admission copies it into
+//!   a key): its parse, every rewriting translated and costed once into a
+//!   plan that carries no query's fault handling, the [`Alternative`]s,
+//!   and the report's texts, each behind an `Arc`. A hit is hash the
+//!   request → lookup → rank → run the chosen plan as it is cached, the
+//!   query's fault handling handed to the run
+//!   ([`crate::QueryResilience::leaves`]) → a report that shares the
+//!   prepared texts: it parses, translates, formats and copies nothing —
+//!   no plan is cloned or re-wrapped, no text copied. Two spellings of one
+//!   query (keyword case, whitespace) are two requests, each with its own
+//!   prepared plan over the one outcome they share.
 //!   Translation reads the fragment statistics, which DML moves, so a
 //!   prepared plan holds for one *data* epoch: after a write the entry is
 //!   re-translated from the parse and the outcome it keeps (a write never
@@ -98,7 +103,6 @@ use crate::translate::{translate_query, Query, Translation};
 use estocada_chase::{certify, RewriteOutcome, Rewriter, TerminationCertificate};
 use estocada_pivot::hash::FastMap;
 use estocada_pivot::{Constraint, Cq};
-use std::borrow::Borrow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -155,13 +159,13 @@ fn sql_catalog(datasets: &FastMap<String, Dataset>) -> SqlCatalog {
 
 /// One executable rewriting: its translation, whose `plan` is the *final*
 /// plan (the SQL aggregation, if any, already in it) and belongs to no
-/// query — [`crate::translate::bind`] it before running.
+/// query — a run passes its fault handling in.
 pub(crate) struct Candidate {
     /// Index into [`Prepared::alternatives`] (and the outcome's rewritings).
     pub(crate) alternative: usize,
     pub(crate) translation: Translation,
     /// `translation.plan.explain()`, for the report.
-    pub(crate) explain: String,
+    pub(crate) explain: Arc<str>,
 }
 
 /// A query parsed, rewritten, translated and costed — everything about its
@@ -175,10 +179,10 @@ pub(crate) struct Prepared {
     /// The data epoch whose fragment statistics translation read.
     data_epoch: u64,
     /// The query and the outcome's universal plan, as the report prints them.
-    pub(crate) pivot_query: String,
-    pub(crate) universal_plan: String,
+    pub(crate) pivot_query: Arc<str>,
+    pub(crate) universal_plan: Arc<str>,
     /// Every rewriting, executable or not, in the outcome's order.
-    pub(crate) alternatives: Vec<Alternative>,
+    pub(crate) alternatives: Arc<[Alternative]>,
     /// The executable ones, in the same order.
     pub(crate) candidates: Vec<Candidate>,
 }
@@ -209,7 +213,7 @@ pub(crate) fn plan(est: &Estocada, request: &QueryInput, cache: bool) -> Result<
         })
     };
     let hash = cache.then(|| hash_of(request));
-    let cached = hash.and_then(|hash| plans.prepared.lookup(hash, request, epoch));
+    let cached = hash.and_then(|hash| plans.prepared.lookup(hash, |kept| kept == request, epoch));
     if let Some(prepared) = cached.as_ref().filter(|p| p.data_epoch == data_epoch) {
         return Ok(Planned {
             prepared: prepared.clone(),
@@ -244,7 +248,7 @@ pub(crate) fn plan(est: &Estocada, request: &QueryInput, cache: bool) -> Result<
     let translate_time = t1.elapsed();
     // Admission on second sight (module docs).
     if let Some(hash) = hash.filter(|_| hit) {
-        let (key, value) = (request.clone(), prepared.clone());
+        let (key, value) = (request.to_key(), prepared.clone());
         plans.prepared.replace(hash, key, epoch, value);
     }
     Ok(Planned {
@@ -267,7 +271,7 @@ fn rewrite(est: &Estocada, q: &ParsedQuery, cached: bool) -> Result<(Arc<Rewrite
     let key = cached.then(|| CoreKey::of(q)).map(|k| (hash_of(&k), k));
     if let Some(outcome) = key
         .as_ref()
-        .and_then(|(h, k)| outcomes.lookup(*h, k, epoch))
+        .and_then(|(h, k)| outcomes.lookup(*h, |kept| kept == k, epoch))
     {
         return Ok((outcome, true));
     }
@@ -308,19 +312,19 @@ fn prepare(
         if let Ok(translation) = translated {
             candidates.push(Candidate {
                 alternative,
-                explain: translation.plan.explain(),
+                explain: translation.plan.explain().into(),
                 translation,
             });
         }
     }
     Prepared {
-        pivot_query: format!("{}", q.cq),
-        universal_plan: format!("{}", outcome.universal_plan),
+        pivot_query: format!("{}", q.cq).into(),
+        universal_plan: format!("{}", outcome.universal_plan).into(),
         query: q,
         query_hash,
         outcome,
         data_epoch,
-        alternatives,
+        alternatives: alternatives.into(),
         candidates,
     }
 }
@@ -350,19 +354,20 @@ impl CoreKey {
     }
 }
 
-/// The one ranking rule: the cheapest of `candidates` by penalized cost —
-/// each of a candidate's systems that `avoid` flags (open breaker, failed
-/// earlier in this query) adds the cost model's unhealthy-backend penalty —
-/// with ties to the earliest; `None` when none remains. Callers remove a
-/// candidate once tried, so every failover choice is this same call.
-pub(crate) fn cheapest(
-    candidates: &[impl Borrow<Candidate>],
+/// The one ranking rule: the cheapest of `candidates` (each with its index)
+/// by penalized cost — each of a candidate's systems that `avoid` flags
+/// (open breaker, failed earlier in this query) adds the cost model's
+/// unhealthy-backend penalty — with ties to the earliest; the index of the
+/// choice, `None` when none remains. Callers leave out a candidate once
+/// tried, so every failover choice is this same call.
+pub(crate) fn cheapest<'c>(
+    candidates: impl IntoIterator<Item = (usize, &'c Candidate)>,
     cost: &CostModel,
     avoid: impl Fn(SystemId) -> bool,
 ) -> Option<usize> {
     let mut best: Option<(f64, usize)> = None;
-    for (idx, c) in candidates.iter().enumerate() {
-        let tr = &c.borrow().translation;
+    for (idx, c) in candidates {
+        let tr = &c.translation;
         let avoided = tr.systems.iter().filter(|s| avoid(**s)).count();
         let eff = cost.penalize(tr.est_cost, avoided);
         if best.is_none_or(|(b, _)| eff < b) {
@@ -386,13 +391,13 @@ mod tests {
                 plan: Plan::Values(RowBatch::empty(Vec::new())),
                 est_cost,
                 est_rows: 0.0,
-                unit_labels: Vec::new(),
+                unit_labels: Vec::new().into(),
                 unit_systems: Vec::new(),
                 unit_scanned: Vec::new(),
                 systems: systems.to_vec(),
                 used_relations: Vec::new(),
             },
-            explain: String::new(),
+            explain: "".into(),
         }
     }
 
@@ -408,9 +413,12 @@ mod tests {
             candidate(1, 3.0, &[SystemId::KeyValue]),
             candidate(2, 3.0, &[SystemId::Parallel]),
         ];
-        assert_eq!(cheapest(&cs, &cost, healthy), Some(1));
-        assert_eq!(cheapest(&cs[2..], &cost, healthy), Some(0));
-        assert_eq!(cheapest(&cs[..0], &cost, healthy), None);
+        assert_eq!(cheapest(cs.iter().enumerate(), &cost, healthy), Some(1));
+        assert_eq!(
+            cheapest(cs[2..].iter().enumerate(), &cost, healthy),
+            Some(0)
+        );
+        assert_eq!(cheapest(cs[..0].iter().enumerate(), &cost, healthy), None);
     }
 
     #[test]
@@ -426,9 +434,15 @@ mod tests {
             candidate(0, 1.0, &[SystemId::KeyValue]),
             candidate(1, 1e9, &[SystemId::Relational, SystemId::Parallel]),
         ];
-        assert_eq!(cheapest(&cs, &cost, |s| health.avoid(s)), Some(1));
+        assert_eq!(
+            cheapest(cs.iter().enumerate(), &cost, |s| health.avoid(s)),
+            Some(1)
+        );
         // Nothing healthy left: the avoided candidate is still a choice.
-        assert_eq!(cheapest(&cs[..1], &cost, |s| health.avoid(s)), Some(0));
+        assert_eq!(
+            cheapest(cs[..1].iter().enumerate(), &cost, |s| health.avoid(s)),
+            Some(0)
+        );
     }
 
     #[test]
@@ -440,9 +454,15 @@ mod tests {
             candidate(1, 2.0, &[SystemId::Relational, SystemId::KeyValue]),
             candidate(2, 500.0, &[SystemId::Parallel]),
         ];
-        assert_eq!(cheapest(&cs, &cost, |s| failed.contains(&s)), Some(2));
+        assert_eq!(
+            cheapest(cs.iter().enumerate(), &cost, |s| failed.contains(&s)),
+            Some(2)
+        );
         // Among equally penalized candidates the cheaper base cost wins.
-        assert_eq!(cheapest(&cs[..2], &cost, |s| failed.contains(&s)), Some(0));
+        assert_eq!(
+            cheapest(cs[..2].iter().enumerate(), &cost, |s| failed.contains(&s)),
+            Some(0)
+        );
     }
 
     /// The loop `plan_cq` ran before the planner existed: keep a running
@@ -487,7 +507,7 @@ mod tests {
                 .collect();
             for open in &opens {
                 assert_eq!(
-                    cheapest(&cs, &cost, |s| open.contains(&s)),
+                    cheapest(cs.iter().enumerate(), &cost, |s| open.contains(&s)),
                     running_best(&cs, &cost, open),
                     "code {code}, open {open:?}"
                 );

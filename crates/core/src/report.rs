@@ -9,6 +9,7 @@ use crate::system::SystemId;
 use estocada_engine::ExecStats;
 use estocada_simkit::MetricsSnapshot;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// What the rewrite-plan cache did for one query: whether this query's
@@ -37,31 +38,33 @@ pub struct Alternative {
     pub note: Option<String>,
 }
 
-/// Full report of one query execution.
+/// Full report of one query execution. Its texts are printed once, when
+/// the query is planned, and shared by the reports of every run of its
+/// prepared plan.
 #[derive(Debug, Clone)]
 pub struct Report {
     /// The query in pivot form.
-    pub pivot_query: String,
+    pub pivot_query: Arc<str>,
     /// The universal plan computed by the chase.
-    pub universal_plan: String,
+    pub universal_plan: Arc<str>,
     /// All rewritings considered.
-    pub alternatives: Vec<Alternative>,
+    pub alternatives: Arc<[Alternative]>,
     /// Index of the chosen alternative (0 when no alternative is
     /// executable — then [`Report::plan`] says so and none has a cost).
     pub chosen: usize,
     /// EXPLAIN text of the executed plan.
-    pub plan: String,
+    pub plan: Arc<str>,
     /// Labels of delegated units.
-    pub delegated: Vec<String>,
+    pub delegated: Arc<[String]>,
     /// Per-store metrics deltas for this query.
     pub per_store: Vec<(SystemId, MetricsSnapshot)>,
     /// Engine counters.
     pub exec: ExecStats,
     /// Time from the start of planning to a rewriting outcome in hand,
     /// parsing apart: the plan-cache lookups (on a hit, all there is — hash
-    /// the request as sent and look it up; the rank, bind, execution and
-    /// report copy that follow are not planning) and, on a miss, the core's
-    /// canonical key and PACB rewriting.
+    /// the request as sent and look it up; the rank, execution and report
+    /// that follow are not planning) and, on a miss, the core's canonical
+    /// key and PACB rewriting.
     pub rewrite_time: Duration,
     /// Time spent translating and costing every rewriting and printing the
     /// report's texts — exactly zero when the query's prepared plan was

@@ -33,7 +33,7 @@
 //! without fault handling.
 
 use crate::system::SystemId;
-use estocada_engine::{BindSource, StoreError, StoreErrorKind, Tuple};
+use estocada_engine::{Batch, BindSource, Leaves, Runner, StoreError, StoreErrorKind, Tuple};
 use estocada_pivot::Value;
 use estocada_simkit::SimClock;
 use parking_lot::Mutex;
@@ -408,7 +408,7 @@ pub struct ResilienceReport {
     /// Rewriting→plan translation runs this query performed: one per
     /// rewriting when it planned, none when its prepared plan was cached —
     /// and no more however many plan attempts the failover chain needed
-    /// (failover binds and runs the plans planning already holds).
+    /// (failover runs the plans planning already holds).
     pub translations: u64,
 }
 
@@ -421,8 +421,9 @@ impl ResilienceReport {
 
 /// The per-query fault-handling context: retry policy, deadline budget,
 /// the engine's shared [`HealthTracker`], and the event log feeding
-/// [`ResilienceReport`]. Created once per query; cloned (via `Arc`) into
-/// every wrapped delegated runner and BindJoin source.
+/// [`ResilienceReport`]. Created once per query, on the stack, and passed
+/// to each plan attempt at run time ([`QueryResilience::leaves`]): the
+/// plans themselves belong to no query.
 pub struct QueryResilience {
     policy: RetryPolicy,
     deadline: Option<Instant>,
@@ -439,15 +440,15 @@ impl QueryResilience {
         policy: RetryPolicy,
         deadline: Option<Duration>,
         health: Arc<HealthTracker>,
-    ) -> Arc<QueryResilience> {
-        Arc::new(QueryResilience {
+    ) -> QueryResilience {
+        QueryResilience {
             policy,
             deadline: deadline.map(|d| Instant::now() + d),
             health,
             retries: AtomicU64::new(0),
             errors: Mutex::new(Vec::new()),
             transitions: Mutex::new(Vec::new()),
-        })
+        }
     }
 
     /// `true` once the query's deadline budget is exhausted.
@@ -582,81 +583,82 @@ impl QueryResilience {
         }
     }
 
-    /// Wrap a delegated-unit runner in the retry/breaker loop.
-    pub fn wrap_runner(
-        self: &Arc<Self>,
-        system: SystemId,
-        inner: Arc<dyn Fn() -> Result<estocada_engine::Batch, StoreError> + Send + Sync>,
-    ) -> Arc<dyn Fn() -> Result<estocada_engine::Batch, StoreError> + Send + Sync> {
-        let ctx = self.clone();
-        Arc::new(move || ctx.call(system, "delegated", &*inner))
-    }
-}
-
-/// A [`BindSource`] whose probes run through the per-query retry/breaker
-/// loop.
-pub struct ResilientSource {
-    inner: Arc<dyn BindSource>,
-    system: SystemId,
-    ctx: Arc<QueryResilience>,
-}
-
-impl ResilientSource {
-    /// Wrap `inner` (serving backend `system`) in `ctx`'s retry loop.
-    pub fn new(
-        inner: Arc<dyn BindSource>,
-        system: SystemId,
-        ctx: Arc<QueryResilience>,
-    ) -> ResilientSource {
-        ResilientSource { inner, system, ctx }
-    }
-
-    /// Split-batch retry of a key-batch fetch: a failed batch is **not**
-    /// re-issued whole. The batch is split in half and each half fetched
-    /// independently, recursively, so only the keys in a still-failing
-    /// half are ever re-requested — keys delivered by a succeeding half
-    /// are done. `budget` is the per-key attempt allowance
-    /// ([`RetryPolicy::max_attempts`]); a fault-free batch is exactly one
-    /// store call, identical to the unsplit path.
-    fn fetch_batch_split(
+    /// Probe `source` (serving backend `system`) with `keys` under the
+    /// split-batch retry: a failed batch is **not** re-issued whole. The
+    /// batch is split in half and each half fetched independently,
+    /// recursively, so only the keys in a still-failing half are ever
+    /// re-requested — keys delivered by a succeeding half are done. Each key
+    /// is allowed [`RetryPolicy::max_attempts`] attempts; a fault-free batch
+    /// is exactly one store call, identical to the unsplit path.
+    pub fn fetch(
         &self,
+        system: SystemId,
+        source: &dyn BindSource,
+        keys: &[Vec<Value>],
+    ) -> Result<Vec<Vec<Tuple>>, StoreError> {
+        self.fetch_split(system, source, keys, self.policy.max_attempts.max(1), 1)
+    }
+
+    fn fetch_split(
+        &self,
+        system: SystemId,
+        source: &dyn BindSource,
         keys: &[Vec<Value>],
         budget: u32,
         attempt: u32,
     ) -> Result<Vec<Vec<Tuple>>, StoreError> {
-        match self
-            .ctx
-            .call_once(self.system, "fetch_batch", || self.inner.fetch_batch(keys))
-        {
+        match self.call_once(system, "fetch_batch", || source.fetch_batch(keys)) {
             Ok(v) => Ok(v),
-            Err(e) if !self.ctx.may_retry(&e, budget.saturating_sub(1)) => Err(e),
+            Err(e) if !self.may_retry(&e, budget.saturating_sub(1)) => Err(e),
             Err(_) => {
-                self.ctx.note_retry_and_back_off(attempt);
+                self.note_retry_and_back_off(attempt);
+                let again = |keys| self.fetch_split(system, source, keys, budget - 1, attempt + 1);
                 if keys.len() > 1 {
                     let (l, r) = keys.split_at(keys.len() / 2);
-                    let mut left = self.fetch_batch_split(l, budget - 1, attempt + 1)?;
-                    let right = self.fetch_batch_split(r, budget - 1, attempt + 1)?;
-                    left.extend(right);
+                    let mut left = again(l)?;
+                    left.extend(again(r)?);
                     Ok(left)
                 } else {
-                    self.fetch_batch_split(keys, budget - 1, attempt + 1)
+                    again(keys)
                 }
             }
         }
     }
+
+    /// The delegated leaves of a plan whose units are served by `systems`,
+    /// in execution order, each running through this query's retry/breaker
+    /// loop: what a plan attempt hands [`estocada_engine::run`].
+    pub fn leaves<'a>(&'a self, systems: &'a [SystemId]) -> impl Leaves + 'a {
+        Guarded { ctx: self, systems }
+    }
 }
 
-impl BindSource for ResilientSource {
-    fn out_columns(&self) -> Vec<String> {
-        self.inner.out_columns()
+/// The delegated leaves of one plan attempt under its query's fault
+/// handling ([`QueryResilience::leaves`]). A leaf beyond `systems` calls its
+/// store directly.
+struct Guarded<'a> {
+    ctx: &'a QueryResilience,
+    systems: &'a [SystemId],
+}
+
+impl Leaves for Guarded<'_> {
+    fn run(&self, unit: usize, runner: &Runner) -> Result<Batch, StoreError> {
+        match self.systems.get(unit) {
+            Some(system) => self.ctx.call(*system, "delegated", runner),
+            None => runner(),
+        }
     }
 
-    fn fetch_batch(&self, keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError> {
-        self.fetch_batch_split(keys, self.ctx.policy.max_attempts.max(1), 1)
-    }
-
-    fn label(&self) -> String {
-        self.inner.label()
+    fn fetch(
+        &self,
+        unit: usize,
+        source: &dyn BindSource,
+        keys: &[Vec<Value>],
+    ) -> Result<Vec<Vec<Tuple>>, StoreError> {
+        match self.systems.get(unit) {
+            Some(system) => self.ctx.fetch(*system, source, keys),
+            None => source.fetch_batch(keys),
+        }
     }
 }
 
@@ -957,12 +959,11 @@ mod tests {
             None,
             Arc::new(HealthTracker::default()),
         );
-        let resilient = ResilientSource::new(source.clone(), SystemId::KeyValue, ctx.clone());
         let keys: Vec<Vec<Value>> = ["a", "b", "c", "d"]
             .iter()
             .map(|k| vec![Value::str(k)])
             .collect();
-        let out = resilient.fetch_batch(&keys).unwrap();
+        let out = ctx.fetch(SystemId::KeyValue, &*source, &keys).unwrap();
         // Every key was delivered, in the original batch order.
         let flat: Vec<Value> = out.into_iter().map(|rows| rows[0][0].clone()).collect();
         assert_eq!(
@@ -1013,9 +1014,8 @@ mod tests {
             None,
             Arc::new(HealthTracker::default()),
         );
-        let resilient = ResilientSource::new(source.clone(), SystemId::KeyValue, ctx);
         let keys: Vec<Vec<Value>> = ["c", "d"].iter().map(|k| vec![Value::str(k)]).collect();
-        let out = resilient.fetch_batch(&keys);
+        let out = ctx.fetch(SystemId::KeyValue, &*source, &keys);
         assert_eq!(out.unwrap_err().kind, StoreErrorKind::Unavailable);
         // Budget 2: the full batch, then one split round ([c] delivered,
         // [d] out of budget) — no runaway recursion.
@@ -1034,9 +1034,8 @@ mod tests {
             None,
             Arc::new(HealthTracker::default()),
         );
-        let resilient = ResilientSource::new(source.clone(), SystemId::KeyValue, ctx.clone());
         let keys: Vec<Vec<Value>> = ["a", "b"].iter().map(|k| vec![Value::str(k)]).collect();
-        resilient.fetch_batch(&keys).unwrap();
+        ctx.fetch(SystemId::KeyValue, &*source, &keys).unwrap();
         assert_eq!(source.calls.lock().len(), 1);
         assert!(!ctx.eventful());
     }

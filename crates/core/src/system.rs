@@ -211,9 +211,9 @@ impl Stores {
         gate.as_ref().map_or(0, FaultHook::ops)
     }
 
-    /// Snapshot every store's metrics.
-    pub fn metrics(&self) -> Vec<(SystemId, MetricsSnapshot)> {
-        vec![
+    /// Snapshot every store's metrics, one entry per backend.
+    pub fn metrics(&self) -> [(SystemId, MetricsSnapshot); 5] {
+        [
             (SystemId::Relational, self.rel.metrics.snapshot()),
             (SystemId::KeyValue, self.kv.metrics.snapshot()),
             (SystemId::Document, self.doc.metrics.snapshot()),

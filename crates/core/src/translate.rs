@@ -51,11 +51,11 @@ use crate::connector::{
 use crate::cost::{estimate, CostModel};
 use crate::error::{Error, Result};
 use crate::frontends::AggregateSpec;
-use crate::resilience::{QueryResilience, ResilientSource};
 use crate::system::{Stores, SystemId};
 use estocada_engine::{CmpOp, Expr, Plan};
 use estocada_pivot::hash::FastSet;
 use estocada_pivot::{Cq, GroupBy, Symbol, Term, Var};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// A translated, costed, executable rewriting.
@@ -66,8 +66,9 @@ pub struct Translation {
     pub est_cost: f64,
     /// Estimated result cardinality.
     pub est_rows: f64,
-    /// Labels of the delegated units, in execution order.
-    pub unit_labels: Vec<String>,
+    /// Labels of the delegated units, in execution order (shared with the
+    /// reports of every run of a prepared plan).
+    pub unit_labels: Arc<[String]>,
     /// The system serving each delegated unit, parallel to `unit_labels`.
     pub unit_systems: Vec<SystemId>,
     /// The tuples each delegated unit's request is estimated to scan inside
@@ -87,11 +88,12 @@ type AtomInfo = (estocada_pivot::Atom, FragmentRelation, FragmentStats);
 /// the crate's one plan builder, `translate_query`.
 ///
 /// Every delegated runner and BindJoin source passes its backend's fault
-/// gate (see [`crate::connector`]) before each store request. With
-/// `resilience` set the built plan's delegated leaves are additionally
-/// wrapped in the per-query retry/breaker loop; with `None` a store error
-/// ends the plan at once (unit tests, replaying a plan from outside the
-/// engine).
+/// gate (see [`crate::connector`]) before each store request. The plan
+/// carries no query's retry/breaker loop: a run hands it to
+/// [`estocada_engine::run`] ([`crate::QueryResilience::leaves`]), and
+/// [`estocada_engine::execute_with`] runs it with none, so a store error
+/// ends the plan at once. The last argument can only be `None`; it stays
+/// so that existing calls compile unchanged.
 pub fn translate(
     rewriting: &Cq,
     head_names: &[String],
@@ -99,59 +101,14 @@ pub fn translate(
     catalog: &Catalog,
     stores: &Stores,
     cost: &CostModel,
-    resilience: Option<&Arc<QueryResilience>>,
+    _unguarded: Option<Infallible>,
 ) -> Result<Translation> {
     let query = Query {
         head_names,
         residuals,
         aggregate: None,
     };
-    let mut built = translate_query(rewriting, &query, catalog, stores, cost)?;
-    if let Some(ctx) = resilience {
-        built.plan = bind(&built, ctx);
-    }
-    Ok(built)
-}
-
-/// `built.plan` with every delegated leaf — `Delegated` runners and
-/// `BindJoin` sources, met in execution order — running through `ctx`'s
-/// retry/breaker loop. The one place a plan meets a query's fault handling:
-/// what [`translate_query`] builds belongs to no query, so the planner can
-/// keep it and bind it to each query that runs it.
-pub(crate) fn bind(built: &Translation, ctx: &Arc<QueryResilience>) -> Plan {
-    fn leaves<'a>(
-        plan: &mut Plan,
-        systems: &mut impl Iterator<Item = &'a SystemId>,
-        ctx: &Arc<QueryResilience>,
-    ) {
-        match plan {
-            Plan::Values(_) => {}
-            Plan::Delegated { runner, .. } => {
-                if let Some(system) = systems.next() {
-                    *runner = ctx.wrap_runner(*system, runner.clone());
-                }
-            }
-            Plan::Filter { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Distinct { input }
-            | Plan::Aggregate { input, .. } => leaves(input, systems, ctx),
-            Plan::HashJoin { left, right, .. } | Plan::NlJoin { left, right, .. } => {
-                leaves(left, systems, ctx);
-                leaves(right, systems, ctx);
-            }
-            Plan::BindJoin { left, source, .. } => {
-                leaves(left, systems, ctx);
-                if let Some(system) = systems.next() {
-                    let probed = ResilientSource::new(source.clone(), *system, ctx.clone());
-                    *source = Arc::new(probed);
-                }
-            }
-        }
-    }
-    let (mut plan, mut systems) = (built.plan.clone(), built.unit_systems.iter());
-    leaves(&mut plan, &mut systems, ctx);
-    debug_assert!(systems.next().is_none(), "a unit without its leaf");
-    plan
+    translate_query(rewriting, &query, catalog, stores, cost)
 }
 
 /// What a query adds to the rewriting of its conjunctive core.
@@ -167,7 +124,7 @@ pub(crate) struct Query<'a> {
 /// Translate `rewriting` into the **final** plan of `query`: the core, and
 /// on top of it the aggregation — inside the delegated unit when one store
 /// covers the whole query, in the mediator otherwise (module docs). The plan
-/// carries no query's fault handling; [`bind`] adds it.
+/// carries no query's fault handling: a run passes it in.
 pub(crate) fn translate_query(
     rewriting: &Cq,
     query: &Query,
@@ -357,7 +314,7 @@ pub(crate) fn translate_query(
         plan,
         est_cost,
         est_rows,
-        unit_labels,
+        unit_labels: unit_labels.into(),
         unit_systems,
         unit_scanned,
         systems,

@@ -13,16 +13,25 @@
 //! and the parallel store hold interned cells and answer in them
 //! ([`Batch::from_id_rows`] only transposes), while `Values` leaves, the
 //! document, key-value and text stores' answers and BindJoin fetches are
-//! interned on arrival ([`Batch::from_rows`]).
+//! interned on arrival ([`Batch::from_rows`], or a row at a time with
+//! [`Batch::push_row`]).
+//!
+//! Column names are shared: an operator names its output once and every
+//! batch it emits holds the same [`Arc`], so a batch costs its cells, not
+//! its names.
 
 use crate::tuple::Tuple;
-use estocada_pivot::{ConstId, ConstReader, IdRows};
+use estocada_pivot::{ConstId, ConstReader, IdRows, Value};
+use std::sync::Arc;
+
+/// Shared column names of a batch.
+pub type Columns = Arc<[String]>;
 
 /// A columnar batch of interned rows with an optional selection vector.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Batch {
-    /// Column names.
-    pub columns: Vec<String>,
+    /// Column names, shared by every batch of one operator.
+    pub columns: Columns,
     /// One vector of interned values per column; every vector has
     /// [`Batch::physical_rows`] entries.
     pub cols: Vec<Vec<ConstId>>,
@@ -35,18 +44,48 @@ pub struct Batch {
 
 impl Batch {
     /// An empty batch with the given columns.
-    pub fn empty(columns: Vec<String>) -> Batch {
-        let n = columns.len();
+    pub fn empty(columns: impl Into<Columns>) -> Batch {
+        Batch::with_capacity(columns, 0)
+    }
+
+    /// An empty batch with room for `rows` rows in every column.
+    pub fn with_capacity(columns: impl Into<Columns>, rows: usize) -> Batch {
+        let columns = columns.into();
+        let cols = (0..columns.len()).map(|_| Vec::with_capacity(rows));
         Batch {
+            cols: cols.collect(),
             columns,
-            cols: vec![Vec::new(); n],
             sel: None,
             physical: 0,
         }
     }
 
+    /// Append one row of interned cells, one per column, to a dense batch.
+    pub fn push_row(&mut self, row: impl IntoIterator<Item = ConstId>) {
+        debug_assert!(self.sel.is_none(), "push_row needs a dense batch");
+        let mut width = 0;
+        for (col, id) in self.cols.iter_mut().zip(row) {
+            col.push(id);
+            width += 1;
+        }
+        debug_assert_eq!(width, self.cols.len(), "a row of another width");
+        self.physical += 1;
+    }
+
+    /// Append rows of values, one per column, to a dense batch, interning
+    /// every cell under one read pass of the intern table
+    /// ([`ConstId::intern_rows`]: producing a row must not intern).
+    pub fn push_values<'v, R>(&mut self, rows: impl IntoIterator<Item = R>)
+    where
+        R: IntoIterator<Item = &'v Value>,
+    {
+        debug_assert!(self.sel.is_none(), "push_values needs a dense batch");
+        self.physical += ConstId::intern_rows(&mut self.cols, rows);
+    }
+
     /// Build a dense batch from column vectors (all the same length).
-    pub fn from_cols(columns: Vec<String>, cols: Vec<Vec<ConstId>>) -> Batch {
+    pub fn from_cols(columns: impl Into<Columns>, cols: Vec<Vec<ConstId>>) -> Batch {
+        let columns = columns.into();
         assert_eq!(columns.len(), cols.len(), "column count mismatch");
         let physical = cols.first().map(|c| c.len()).unwrap_or(0);
         for c in &cols {
@@ -62,7 +101,8 @@ impl Batch {
 
     /// Intern a contiguous slice of a row batch's rows into a dense batch.
     /// Interning is bulk (one shared read pass per column).
-    pub fn from_rows(columns: Vec<String>, rows: &[Tuple]) -> Batch {
+    pub fn from_rows(columns: impl Into<Columns>, rows: &[Tuple]) -> Batch {
+        let columns = columns.into();
         let cols: Vec<Vec<ConstId>> = (0..columns.len())
             .map(|c| ConstId::intern_all(rows.iter().map(|r| &r[c])))
             .collect();
@@ -76,7 +116,8 @@ impl Batch {
 
     /// A dense batch of a store's interned rows (`rows.width` must be
     /// `columns.len()`).
-    pub fn from_id_rows(columns: Vec<String>, rows: &IdRows) -> Batch {
+    pub fn from_id_rows(columns: impl Into<Columns>, rows: &IdRows) -> Batch {
+        let columns = columns.into();
         assert_eq!(columns.len(), rows.width, "column count mismatch");
         let column = |c: usize| rows.rows().map(|r| r[c]).collect();
         Batch {
@@ -111,10 +152,10 @@ impl Batch {
     }
 
     /// Iterate the selected physical row positions.
-    pub fn selection(&self) -> Box<dyn Iterator<Item = usize> + '_> {
+    pub fn selection(&self) -> Selection<'_> {
         match &self.sel {
-            Some(s) => Box::new(s.iter().map(|&i| i as usize)),
-            None => Box::new(0..self.physical),
+            Some(s) => Selection::Picked(s.iter()),
+            None => Selection::All(0..self.physical),
         }
     }
 
@@ -153,13 +194,40 @@ impl Batch {
         self.physical += other.physical;
     }
 
-    /// Resolve the selected rows back to value tuples.
-    pub fn to_rows(&self, reader: &ConstReader) -> Vec<Tuple> {
-        let mut rows = Vec::with_capacity(self.num_rows());
-        for i in self.selection() {
-            rows.push(self.cols.iter().map(|c| reader.get(c[i]).clone()).collect());
+    /// Resolve the selected rows back to value tuples, appended to `rows`.
+    pub fn resolve_into(&self, rows: &mut Vec<Tuple>, reader: &ConstReader) {
+        let resolve = |i: usize| self.cols.iter().map(|c| reader.get(c[i]).clone()).collect();
+        match &self.sel {
+            Some(sel) => rows.extend(sel.iter().map(|&i| resolve(i as usize))),
+            None => rows.extend((0..self.physical).map(resolve)),
         }
-        rows
+    }
+}
+
+/// The selected physical row positions of a [`Batch`], in logical order.
+#[derive(Clone)]
+pub enum Selection<'a> {
+    /// Every physical row.
+    All(std::ops::Range<usize>),
+    /// The rows of a selection vector.
+    Picked(std::slice::Iter<'a, u32>),
+}
+
+impl Iterator for Selection<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            Selection::All(rows) => rows.next(),
+            Selection::Picked(rows) => rows.next().map(|&i| i as usize),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Selection::All(rows) => rows.size_hint(),
+            Selection::Picked(rows) => rows.size_hint(),
+        }
     }
 }
 
@@ -167,6 +235,13 @@ impl Batch {
 mod tests {
     use super::*;
     use estocada_pivot::Value;
+
+    /// The selected rows of `b` as value tuples.
+    fn resolved(b: &Batch) -> Vec<Tuple> {
+        let mut rows = Vec::new();
+        b.resolve_into(&mut rows, &ConstReader::new());
+        rows
+    }
 
     fn rows(vals: &[(i64, &str)]) -> Vec<Tuple> {
         vals.iter()
@@ -180,8 +255,7 @@ mod tests {
         let b = Batch::from_rows(vec!["x".into(), "y".into()], &input);
         assert_eq!(b.num_rows(), 3);
         assert_eq!(b.cols[0][0], b.cols[0][2]);
-        let reader = ConstReader::new();
-        assert_eq!(b.to_rows(&reader), input);
+        assert_eq!(resolved(&b), input);
     }
 
     #[test]
@@ -194,16 +268,14 @@ mod tests {
         let dense = b.compact();
         assert_eq!(dense.num_rows(), 2);
         assert!(dense.sel.is_none());
-        let reader = ConstReader::new();
-        assert_eq!(dense.to_rows(&reader), rows(&[(2, "b"), (4, "d")]));
+        assert_eq!(resolved(&dense), rows(&[(2, "b"), (4, "d")]));
     }
 
     #[test]
     fn empty_batch_keeps_columns() {
         let b = Batch::empty(vec!["a".into()]);
         assert_eq!(b.num_rows(), 0);
-        let reader = ConstReader::new();
-        assert_eq!(b.columns, vec!["a"]);
-        assert!(b.to_rows(&reader).is_empty());
+        assert_eq!(&*b.columns, ["a"]);
+        assert!(resolved(&b).is_empty());
     }
 }

@@ -256,13 +256,13 @@ impl VExpr {
         }
     }
 
-    /// Filter a selection vector: returns the subset of `sel` whose rows
-    /// satisfy the predicate. Conjunctions narrow the selection between
+    /// Filter a selection vector in place: keeps the subset of `sel` whose
+    /// rows satisfy the predicate. Conjunctions narrow the selection between
     /// operands, so later conjuncts only look at surviving rows.
     pub(crate) fn filter_sel(
         &self,
         batch: &Batch,
-        sel: Vec<u32>,
+        mut sel: Vec<u32>,
         reader: &ConstReader,
     ) -> Vec<u32> {
         match self {
@@ -271,11 +271,9 @@ impl VExpr {
                 r.filter_sel(batch, narrowed, reader)
             }
             _ => {
-                let bools = self.eval_mask(batch, &sel, reader);
-                sel.into_iter()
-                    .zip(bools)
-                    .filter_map(|(i, keep)| keep.then_some(i))
-                    .collect()
+                let mut keep = self.eval_mask(batch, &sel, reader).into_iter();
+                sel.retain(|_| keep.next().unwrap_or(false));
+                sel
             }
         }
     }

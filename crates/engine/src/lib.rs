@@ -11,10 +11,12 @@
 //! emits: filter, project, hash / nested-loop / **bind** joins, distinct
 //! and aggregation — nine [`Plan`] variants with the `Values` leaf of
 //! hand-built plans. One executor runs them all: the batch pipeline in
-//! [`vexec`], entered through [`execute_with`]. Its BindJoin probes the
-//! source once per input batch with that batch's still-unseen keys. Per-run
-//! counters ([`ExecStats`]) split time between the stores and the mediator
-//! runtime.
+//! [`vexec`], entered through [`run`] — whose [`Leaves`] decide how each
+//! delegated leaf reaches its store (the mediator passes its per-query
+//! fault handling there) — or [`execute_with`], whose leaves call their
+//! stores directly. Its BindJoin probes the source once per input batch
+//! with that batch's still-unseen keys. Per-run counters ([`ExecStats`])
+//! split time between the stores and the mediator runtime.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,10 +27,10 @@ pub mod plan;
 pub mod tuple;
 pub mod vexec;
 
-pub use batch::Batch;
+pub use batch::{Batch, Columns};
 pub use expr::{ArithOp, CmpOp, Expr};
-pub use plan::{AggFun, AggSpec, BindSource, Plan};
+pub use plan::{AggFun, AggSpec, BindSource, Direct, Leaves, Plan, Runner};
 pub use tuple::{RowBatch, Tuple};
-pub use vexec::{execute_with, EngineError, ExecOptions, ExecStats};
+pub use vexec::{execute_with, run, EngineError, ExecOptions, ExecStats};
 
 pub use estocada_simkit::{StoreError, StoreErrorKind};

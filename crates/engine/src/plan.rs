@@ -16,6 +16,42 @@ use estocada_simkit::StoreError;
 use std::fmt;
 use std::sync::Arc;
 
+/// The native query of a delegated leaf: runs it through the store
+/// connector and hands over the answer as interned cells. Fallible: a store
+/// failure surfaces as [`StoreError`] instead of decaying to empty rows.
+pub type Runner = dyn Fn() -> Result<Batch, StoreError> + Send + Sync;
+
+/// How the delegated leaves of one run reach their stores: every
+/// `Delegated` runner and every BindJoin probe of the run goes through it.
+/// A leaf is named by its `unit`, its number in execution order — depth
+/// first, a join's left input before its right one and a BindJoin's source
+/// after its left input — which is the order a translation lists its
+/// delegated units in. The provided methods call the store directly.
+pub trait Leaves {
+    /// Run the native query of delegated leaf `unit`.
+    fn run(&self, unit: usize, runner: &Runner) -> Result<Batch, StoreError> {
+        let _ = unit;
+        runner()
+    }
+
+    /// Probe the bound source of leaf `unit` with `keys`.
+    fn fetch(
+        &self,
+        unit: usize,
+        source: &dyn BindSource,
+        keys: &[Vec<Value>],
+    ) -> Result<Vec<Vec<Tuple>>, StoreError> {
+        let _ = unit;
+        source.fetch_batch(keys)
+    }
+}
+
+/// Leaves that call their stores directly: what [`crate::execute_with`]
+/// runs a plan with.
+pub struct Direct;
+
+impl Leaves for Direct {}
+
 /// A source reachable only with bound inputs (key-value lookup, term
 /// search). BindJoin collects the distinct keys of its input and probes the
 /// source once with all of them; a source with a pipelined lookup (Redis
@@ -50,16 +86,14 @@ pub struct AggSpec {
 pub enum Plan {
     /// Constant input rows.
     Values(RowBatch),
-    /// A subquery delegated to an underlying DMS; the closure runs the
-    /// native query through the store connector when the node executes and
-    /// hands over its answer as interned cells. The runner is fallible: a
-    /// store failure surfaces as [`crate::EngineError::Store`] instead of
-    /// decaying to empty rows.
+    /// A subquery delegated to an underlying DMS; the runner runs the
+    /// native query through the store connector when the node executes (a
+    /// store failure surfaces as [`crate::EngineError::Store`]).
     Delegated {
         /// Display label (store + native query).
         label: String,
         /// Runs the native query.
-        runner: Arc<dyn Fn() -> Result<Batch, StoreError> + Send + Sync>,
+        runner: Arc<Runner>,
     },
     /// Row filter.
     Filter {

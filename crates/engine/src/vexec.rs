@@ -21,9 +21,9 @@
 //! least one (possibly empty) batch before reporting end-of-stream so column
 //! names propagate through empty inputs.
 
-use crate::batch::Batch;
+use crate::batch::{Batch, Columns};
 use crate::expr::{ColOut, Expr, VExpr};
-use crate::plan::{AggSpec, BindSource, Plan};
+use crate::plan::{AggSpec, BindSource, Direct, Leaves, Plan, Runner};
 use crate::tuple::RowBatch;
 use estocada_pivot::hash::FastMap;
 use estocada_pivot::kernel::{pack_key, Distinct, Groups, JoinTable, Key};
@@ -96,7 +96,7 @@ fn check_cols(cols: &[usize], arity: usize, operator: &'static str) -> Result<()
     }
 }
 
-/// Batch sizing for [`execute_with`].
+/// Batch sizing for [`run`] and [`execute_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
     /// Target rows per batch in the vectorized pipeline.
@@ -109,22 +109,46 @@ impl Default for ExecOptions {
     }
 }
 
-/// Execute a plan through the batch pipeline; the result is converted back
-/// to a row-oriented [`RowBatch`] at the root.
+/// Execute a plan through the batch pipeline with every delegated leaf
+/// calling its store directly: [`run`] with [`Direct`] leaves.
 pub fn execute_with(plan: &Plan, opts: &ExecOptions) -> Result<(RowBatch, ExecStats), EngineError> {
+    run(plan, opts, &Direct)
+}
+
+/// Execute a plan through the batch pipeline, each delegated leaf reaching
+/// its store through `leaves`; the result is converted back to a
+/// row-oriented [`RowBatch`] at the root, a batch at a time.
+pub fn run(
+    plan: &Plan,
+    opts: &ExecOptions,
+    leaves: &dyn Leaves,
+) -> Result<(RowBatch, ExecStats), EngineError> {
     let mut stats = ExecStats::default();
     let start = Instant::now();
-    let mut root = compile(plan, opts.batch_size.max(1), &mut stats);
-    let mut batches: Vec<Batch> = Vec::new();
+    let ctx = Ctx {
+        batch_size: opts.batch_size.max(1),
+        leaves,
+    };
+    let mut root = compile(plan, &ctx, &mut 0, &mut stats);
+    let (mut columns, mut rows): (Option<Columns>, _) = (None, Vec::new());
     while let Some(b) = root.next_batch(&mut stats)? {
-        batches.push(b);
+        columns.get_or_insert_with(|| b.columns.clone());
+        // Opened only between pulls: operators intern while they run.
+        b.resolve_into(&mut rows, &ConstReader::new());
     }
-    let columns = batches.first().map(|b| b.columns.clone());
-    let reader = ConstReader::new();
-    let rows = batches.iter().flat_map(|b| b.to_rows(&reader)).collect();
-    let columns = columns.unwrap_or_default();
+    drop(root);
+    let columns = columns.map_or_else(Vec::new, owned_names);
     stats.total_time = start.elapsed();
     Ok((RowBatch { columns, rows }, stats))
+}
+
+/// The names as owned strings: moved out when no operator shares them any
+/// more (the root's are named by this run), copied otherwise.
+fn owned_names(mut names: Columns) -> Vec<String> {
+    match Arc::get_mut(&mut names) {
+        Some(names) => names.iter_mut().map(std::mem::take).collect(),
+        None => names.to_vec(),
+    }
 }
 
 /// A compiled operator: pulls batches from its children on demand.
@@ -136,21 +160,43 @@ trait VecOp {
 
 type OpBox<'a> = Box<dyn VecOp + 'a>;
 
-fn compile<'a>(plan: &'a Plan, batch_size: usize, stats: &mut ExecStats) -> OpBox<'a> {
+/// What every operator of one run shares.
+struct Ctx<'a> {
+    batch_size: usize,
+    leaves: &'a dyn Leaves,
+}
+
+/// Compile `plan`; `unit` counts the delegated leaves met so far, in
+/// execution order ([`Leaves`]).
+fn compile<'a>(
+    plan: &'a Plan,
+    ctx: &Ctx<'a>,
+    unit: &mut usize,
+    stats: &mut ExecStats,
+) -> OpBox<'a> {
     // One increment per plan node.
     stats.operators += 1;
     match plan {
-        Plan::Values(rows) => scan(Source::Values(rows), batch_size),
-        Plan::Delegated { runner, .. } => scan(Source::Delegated(runner.as_ref()), batch_size),
+        Plan::Values(rows) => scan(Source::Values(rows), ctx.batch_size),
+        Plan::Delegated { runner, .. } => {
+            let source = Source::Delegated {
+                runner: runner.as_ref(),
+                unit: numbered(unit),
+                leaves: ctx.leaves,
+            };
+            scan(source, ctx.batch_size)
+        }
         Plan::Filter { input, pred } => Box::new(FilterOp {
-            child: compile(input, batch_size, stats),
+            child: compile(input, ctx, unit, stats),
             pred,
             compiled: None,
         }),
         Plan::Project { input, exprs } => Box::new(ProjectOp {
-            child: compile(input, batch_size, stats),
+            child: compile(input, ctx, unit, stats),
             exprs,
+            names: exprs.iter().map(|(n, _)| n.clone()).collect(),
             compiled: None,
+            sel: Vec::new(),
         }),
         Plan::HashJoin {
             left,
@@ -158,34 +204,37 @@ fn compile<'a>(plan: &'a Plan, batch_size: usize, stats: &mut ExecStats) -> OpBo
             left_keys,
             right_keys,
         } => Box::new(HashJoinOp {
-            left: compile(left, batch_size, stats),
-            right: compile(right, batch_size, stats),
+            left: compile(left, ctx, unit, stats),
+            right: compile(right, ctx, unit, stats),
             left_keys,
             right_keys,
             build: None,
-            right_checked: false,
+            columns: None,
         }),
         Plan::NlJoin { left, right, pred } => Box::new(NlJoinOp {
-            left: compile(left, batch_size, stats),
-            right: compile(right, batch_size, stats),
+            left: compile(left, ctx, unit, stats),
+            right: compile(right, ctx, unit, stats),
             pred: pred.as_ref(),
             right_mat: None,
             compiled: None,
+            columns: None,
         }),
         Plan::BindJoin {
             left,
             key_cols,
             source,
         } => Box::new(BindJoinOp {
-            child: compile(left, batch_size, stats),
+            child: compile(left, ctx, unit, stats),
             key_cols,
-            source,
+            source: source.as_ref(),
+            unit: numbered(unit),
+            leaves: ctx.leaves,
             cache: FastMap::default(),
             fetched: Vec::new(),
-            checked: false,
+            columns: None,
         }),
         Plan::Distinct { input } => Box::new(DistinctOp {
-            child: compile(input, batch_size, stats),
+            child: compile(input, ctx, unit, stats),
             seen: None,
         }),
         Plan::Aggregate {
@@ -193,12 +242,18 @@ fn compile<'a>(plan: &'a Plan, batch_size: usize, stats: &mut ExecStats) -> OpBo
             group_by,
             aggs,
         } => Box::new(AggregateOp {
-            child: compile(input, batch_size, stats),
+            child: compile(input, ctx, unit, stats),
             group_by,
             aggs,
             done: false,
         }),
     }
+}
+
+/// The next leaf's number, counting it.
+fn numbered(unit: &mut usize) -> usize {
+    *unit += 1;
+    *unit - 1
 }
 
 /// Drain a child into one dense batch (columns always present), then
@@ -226,54 +281,81 @@ impl VecOp for Drained {
 }
 
 /// A leaf cut into batches: the rows of a `Values` node, interned, or the
-/// interned answer of a delegated sub-query, fetched on the first pull.
+/// interned answer of a delegated sub-query, fetched on the first pull. An
+/// answer that fits one batch is handed over whole.
 struct Scan<'a> {
     source: Source<'a>,
-    batch: Option<Batch>,
-    pos: usize,
+    state: ScanState,
     batch_size: usize,
 }
-
-type Runner = dyn Fn() -> Result<Batch, StoreError> + Send + Sync;
 
 #[derive(Clone, Copy)]
 enum Source<'a> {
     Values(&'a RowBatch),
-    Delegated(&'a Runner),
+    Delegated {
+        runner: &'a Runner,
+        unit: usize,
+        leaves: &'a dyn Leaves,
+    },
+}
+
+enum ScanState {
+    /// Not pulled yet.
+    Unread,
+    /// Rows `pos..` of the leaf's answer are still to come.
+    Open { batch: Batch, pos: usize },
+    /// Everything was handed over.
+    Done,
 }
 
 /// The operator reading `source`.
 fn scan(source: Source<'_>, batch_size: usize) -> OpBox<'_> {
-    let (batch, pos) = (None, 0);
     Box::new(Scan {
         source,
-        batch,
-        pos,
+        state: ScanState::Unread,
         batch_size,
     })
 }
 
+impl Scan<'_> {
+    /// The leaf's whole answer, as a dense batch.
+    fn read(&self, stats: &mut ExecStats) -> Result<Batch, EngineError> {
+        match self.source {
+            Source::Values(rows) => Ok(Batch::from_rows(rows.columns.clone(), &rows.rows)),
+            Source::Delegated {
+                runner,
+                unit,
+                leaves,
+            } => {
+                let t = Instant::now();
+                let batch = leaves.run(unit, runner);
+                stats.delegated_time += t.elapsed();
+                Ok(batch?.compact())
+            }
+        }
+    }
+
+    /// The next batch of `batch` from row `pos` on; keeps the rest open.
+    fn cut(&mut self, batch: Batch, pos: usize) -> Batch {
+        let hi = (pos + self.batch_size).min(batch.physical_rows());
+        let out = batch.slice(pos, hi);
+        if hi < batch.physical_rows() {
+            self.state = ScanState::Open { batch, pos: hi };
+        }
+        out
+    }
+}
+
 impl VecOp for Scan<'_> {
     fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, EngineError> {
-        let started = self.batch.is_some();
-        let input = match (&mut self.batch, self.source) {
-            (Some(batch), _) => batch,
-            (slot, Source::Values(rows)) => {
-                slot.insert(Batch::from_rows(rows.columns.clone(), &rows.rows))
-            }
-            (slot, Source::Delegated(runner)) => {
-                let t = Instant::now();
-                let batch = runner();
-                stats.delegated_time += t.elapsed();
-                slot.insert(batch?.compact())
-            }
+        let out = match std::mem::replace(&mut self.state, ScanState::Done) {
+            ScanState::Done => return Ok(None),
+            ScanState::Unread => match self.read(stats)? {
+                whole if whole.physical_rows() <= self.batch_size => whole,
+                batch => self.cut(batch, 0),
+            },
+            ScanState::Open { batch, pos } => self.cut(batch, pos),
         };
-        if started && self.pos >= input.physical_rows() {
-            return Ok(None);
-        }
-        let hi = (self.pos + self.batch_size).min(input.physical_rows());
-        let out = input.slice(self.pos, hi);
-        self.pos = hi;
         stats.rows += out.num_rows() as u64;
         Ok(Some(out))
     }
@@ -287,57 +369,97 @@ struct FilterOp<'a> {
 
 impl VecOp for FilterOp<'_> {
     fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, EngineError> {
-        let Some(batch) = self.child.next_batch(stats)? else {
+        let Some(mut batch) = self.child.next_batch(stats)? else {
             return Ok(None);
         };
         // Compile (and intern literals) before any reader is opened.
         let pred = self
             .compiled
             .get_or_insert_with(|| VExpr::compile(self.pred, batch.columns.len()));
-        let sel: Vec<u32> = batch.selection().map(|i| i as u32).collect();
-        let new_sel = pred.filter_sel(&batch, sel, &ConstReader::new());
-        let mut out = batch;
-        out.sel = Some(new_sel);
-        stats.rows += out.num_rows() as u64;
-        Ok(Some(out))
+        let sel = match batch.sel.take() {
+            Some(sel) => sel,
+            None => (0..batch.physical_rows() as u32).collect(),
+        };
+        batch.sel = Some(pred.filter_sel(&batch, sel, &ConstReader::new()));
+        stats.rows += batch.num_rows() as u64;
+        Ok(Some(batch))
     }
 }
 
 struct ProjectOp<'a> {
     child: OpBox<'a>,
     exprs: &'a [(String, Expr)],
+    /// The output names, shared by every batch this operator emits.
+    names: Columns,
     compiled: Option<Vec<VExpr>>,
+    /// The selected rows of the batch being projected, reused across
+    /// batches.
+    sel: Vec<u32>,
 }
 
 impl VecOp for ProjectOp<'_> {
     fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, EngineError> {
-        let Some(batch) = self.child.next_batch(stats)? else {
+        let Some(mut batch) = self.child.next_batch(stats)? else {
             return Ok(None);
         };
-        let exprs = self.compiled.get_or_insert_with(|| {
-            let compile = |(_, e): &(String, Expr)| VExpr::compile(e, batch.columns.len());
-            self.exprs.iter().map(compile).collect()
-        });
-        let sel: Vec<u32> = batch.selection().map(|i| i as u32).collect();
-        let outs: Vec<ColOut> = {
-            let reader = ConstReader::new();
-            exprs
-                .iter()
-                .map(|e| e.eval(&batch, &sel, &reader))
-                .collect()
+        let arity = batch.columns.len();
+        let picks = || self.exprs.iter().map(|(_, e)| picked(e, arity));
+        let cols = if batch.sel.is_none() && picks().all(|p| p.is_some()) {
+            // A dense batch's columns are handed on: all of them when the
+            // projection keeps them in order, else each moved when nothing
+            // later reads it again and copied otherwise.
+            let picks = picks().flatten();
+            match picks.clone().eq(0..arity) {
+                true => batch.cols,
+                false => {
+                    let all: Vec<usize> = picks.collect();
+                    let hand_on = |(j, &i): (usize, &usize)| match all[j + 1..].contains(&i) {
+                        true => batch.cols[i].clone(),
+                        false => std::mem::take(&mut batch.cols[i]),
+                    };
+                    all.iter().enumerate().map(hand_on).collect()
+                }
+            }
+        } else {
+            let exprs = self.compiled.get_or_insert_with(|| {
+                let compile = |(_, e): &(String, Expr)| VExpr::compile(e, arity);
+                self.exprs.iter().map(compile).collect()
+            });
+            self.sel.clear();
+            self.sel.extend(batch.selection().map(|i| i as u32));
+            let outs: Vec<ColOut> = {
+                let reader = ConstReader::new();
+                let eval = |e: &VExpr| e.eval(&batch, &self.sel, &reader);
+                exprs.iter().map(eval).collect()
+            };
+            // The reader is dropped; computed values may be interned now.
+            outs.into_iter().map(ColOut::into_ids).collect()
         };
-        // The reader is dropped; computed values may be interned now.
-        let cols: Vec<Vec<ConstId>> = outs.into_iter().map(ColOut::into_ids).collect();
-        let columns: Vec<String> = self.exprs.iter().map(|(n, _)| n.clone()).collect();
-        let out = Batch::from_cols(columns, cols);
+        let out = Batch::from_cols(self.names.clone(), cols);
         stats.rows += out.num_rows() as u64;
         Ok(Some(out))
+    }
+}
+
+/// The input column an output column of a projection picks, when it only
+/// picks one of the `arity` there are.
+fn picked(e: &Expr, arity: usize) -> Option<usize> {
+    match e {
+        Expr::Col(i) if *i < arity => Some(*i),
+        _ => None,
     }
 }
 
 /// The key of row `i` of `batch` at `cols`.
 fn key_at(batch: &Batch, cols: &[usize], i: usize) -> Key {
     pack_key(cols.iter().map(|c| batch.cols[*c][i]), cols.len())
+}
+
+/// The names of `left ++ right`, made on the first batch and shared by
+/// every later one.
+fn joined(slot: &mut Option<Columns>, left: &[String], right: &[String]) -> Columns {
+    slot.get_or_insert_with(|| [left, right].concat().into())
+        .clone()
 }
 
 struct HashJoinOp<'a> {
@@ -347,7 +469,9 @@ struct HashJoinOp<'a> {
     right_keys: &'a [usize],
     /// The drained left side and its join table.
     build: Option<(Batch, JoinTable)>,
-    right_checked: bool,
+    /// The output names, set (and the right keys checked) on the first
+    /// probe batch.
+    columns: Option<Columns>,
 }
 
 impl VecOp for HashJoinOp<'_> {
@@ -366,11 +490,10 @@ impl VecOp for HashJoinOp<'_> {
             return Ok(None);
         };
         let rb = rb.compact();
-        if !self.right_checked {
+        if self.columns.is_none() {
             check_cols(self.right_keys, rb.columns.len(), "HashJoin")?;
-            self.right_checked = true;
         }
-        let columns = [&build.columns[..], &rb.columns].concat();
+        let columns = joined(&mut self.columns, &build.columns, &rb.columns);
         let mut rows = IdRows::empty(columns.len());
         for ri in 0..rb.physical_rows() {
             for &li in table.probe(&key_at(&rb, self.right_keys, ri)) {
@@ -390,6 +513,7 @@ struct NlJoinOp<'a> {
     pred: Option<&'a Expr>,
     right_mat: Option<Batch>,
     compiled: Option<VExpr>,
+    columns: Option<Columns>,
 }
 
 impl VecOp for NlJoinOp<'_> {
@@ -402,7 +526,7 @@ impl VecOp for NlJoinOp<'_> {
             return Ok(None);
         };
         let lb = lb.compact();
-        let columns = [&lb.columns[..], &right.columns].concat();
+        let columns = joined(&mut self.columns, &lb.columns, &right.columns);
         let mut rows = IdRows::empty(columns.len());
         // Left-major: each left row once per right row.
         for l in 0..lb.physical_rows() {
@@ -428,12 +552,17 @@ impl VecOp for NlJoinOp<'_> {
 struct BindJoinOp<'a> {
     child: OpBox<'a>,
     key_cols: &'a [usize],
-    source: &'a Arc<dyn BindSource>,
+    source: &'a dyn BindSource,
+    /// The source's number among the run's delegated leaves.
+    unit: usize,
+    leaves: &'a dyn Leaves,
     /// Lifetime key cache: interned key → slot in `fetched`.
     cache: FastMap<Key, usize>,
     /// Fetched (and interned) source rows per distinct key.
     fetched: Vec<Vec<Vec<ConstId>>>,
-    checked: bool,
+    /// The output names, set (and the key columns checked) on the first
+    /// batch.
+    columns: Option<Columns>,
 }
 
 impl VecOp for BindJoinOp<'_> {
@@ -442,10 +571,13 @@ impl VecOp for BindJoinOp<'_> {
             return Ok(None);
         };
         let b = b.compact();
-        if !self.checked {
+        if self.columns.is_none() {
             check_cols(self.key_cols, b.columns.len(), "BindJoin")?;
-            self.checked = true;
         }
+        let columns = match &self.columns {
+            Some(c) => c.clone(),
+            None => joined(&mut self.columns, &b.columns, &self.source.out_columns()),
+        };
         // Each row's slot in `fetched`, and the keys seen first here.
         let mut row_key: Vec<usize> = Vec::with_capacity(b.physical_rows());
         let mut new_keys: Vec<Vec<Value>> = Vec::new();
@@ -470,7 +602,7 @@ impl VecOp for BindJoinOp<'_> {
             // One batched probe per pipeline batch of still-unseen keys.
             stats.bind_probes += new_keys.len() as u64;
             let t = Instant::now();
-            let f = self.source.fetch_batch(&new_keys);
+            let f = self.leaves.fetch(self.unit, self.source, &new_keys);
             stats.delegated_time += t.elapsed();
             let f = f?;
             debug_assert_eq!(f.len(), new_keys.len());
@@ -479,7 +611,6 @@ impl VecOp for BindJoinOp<'_> {
                     .push(rows.iter().map(|r| ConstId::intern_all(r.iter())).collect());
             }
         }
-        let columns = [b.columns.clone(), self.source.out_columns()].concat();
         let mut rows = IdRows::empty(columns.len());
         for (i, slot) in row_key.iter().enumerate() {
             for frow in &self.fetched[*slot] {
@@ -499,18 +630,30 @@ struct DistinctOp<'a> {
 
 impl VecOp for DistinctOp<'_> {
     fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, EngineError> {
-        let Some(batch) = self.child.next_batch(stats)? else {
+        let Some(mut batch) = self.child.next_batch(stats)? else {
             return Ok(None);
         };
         let seen = self
             .seen
             .get_or_insert_with(|| Distinct::new(batch.cols.len()));
-        let fresh = |i: &usize| seen.keep(batch.cols.iter().map(|c| c[*i]));
-        let new_sel: Vec<u32> = batch.selection().filter(fresh).map(|i| i as u32).collect();
-        let mut out = batch;
-        out.sel = Some(new_sel);
-        stats.rows += out.num_rows() as u64;
-        Ok(Some(out))
+        // A selection is written only from the first repeat on.
+        let mut kept: Option<Vec<u32>> = None;
+        for (n, i) in batch.selection().enumerate() {
+            let fresh = seen.keep(batch.cols.iter().map(|c| c[i]));
+            match (&mut kept, fresh) {
+                (Some(sel), true) => sel.push(i as u32),
+                (None, false) => {
+                    let firsts = batch.selection().take(n);
+                    kept = Some(firsts.map(|i| i as u32).collect());
+                }
+                _ => {}
+            }
+        }
+        if kept.is_some() {
+            batch.sel = kept;
+        }
+        stats.rows += batch.num_rows() as u64;
+        Ok(Some(batch))
     }
 }
 
@@ -531,7 +674,7 @@ impl VecOp for AggregateOp<'_> {
             self.group_by.len(),
             self.aggs.iter().map(|a| a.fun).collect(),
         );
-        let mut columns: Option<Vec<String>> = None;
+        let mut columns: Option<Columns> = None;
         while let Some(b) = self.child.next_batch(stats)? {
             if columns.is_none() {
                 let args: Vec<usize> = self.aggs.iter().map(|a| a.col).collect();
@@ -550,9 +693,9 @@ impl VecOp for AggregateOp<'_> {
                 groups.add(key, args, &reader);
             }
         }
-        let input_columns = columns.unwrap_or_default();
+        let input_columns = columns.unwrap_or_else(|| Vec::new().into());
         let keys = self.group_by.iter().map(|c| input_columns[*c].clone());
-        let out_columns = keys
+        let out_columns: Vec<String> = keys
             .chain(self.aggs.iter().map(|a| a.name.clone()))
             .collect();
         let out = Batch::from_id_rows(out_columns, &groups.finish(&[]));

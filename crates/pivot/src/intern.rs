@@ -163,6 +163,41 @@ impl ConstId {
         }
         out
     }
+
+    /// Append `rows` — each one value per column of `cols` — to `cols`,
+    /// interned like [`ConstId::intern_all`]: the whole call resolves under
+    /// one read guard, and only values never seen before take the write
+    /// lock, after it. Returns the number of rows appended.
+    ///
+    /// The guard is held while `rows` is iterated, so producing a row must
+    /// not intern (see [`ConstReader`]).
+    pub fn intern_rows<'a, R>(cols: &mut [Vec<ConstId>], rows: impl IntoIterator<Item = R>) -> usize
+    where
+        R: IntoIterator<Item = &'a Value>,
+    {
+        let mut appended = 0;
+        let mut misses: Vec<(usize, usize, &Value)> = Vec::new();
+        {
+            let guard = table().read();
+            for row in rows {
+                let mut width = 0;
+                for (c, (col, v)) in cols.iter_mut().zip(row).enumerate() {
+                    let id = small_id(v).or_else(|| guard.lookup.get(v).map(|&id| ConstId(id)));
+                    if id.is_none() {
+                        misses.push((c, col.len(), v));
+                    }
+                    col.push(id.unwrap_or(ConstId(0)));
+                    width += 1;
+                }
+                debug_assert_eq!(width, cols.len(), "a row of another width");
+                appended += 1;
+            }
+        }
+        for (c, r, v) in misses {
+            cols[c][r] = ConstId::intern(v);
+        }
+        appended
+    }
 }
 
 /// A held read guard over the intern table for amortized id → value
@@ -284,6 +319,24 @@ mod tests {
         let bulk = ConstId::intern_all(&vals);
         let single: Vec<ConstId> = vals.iter().map(ConstId::intern).collect();
         assert_eq!(bulk, single);
+    }
+
+    #[test]
+    fn row_intern_matches_one_by_one() {
+        let rows: Vec<[Value; 2]> = (0..16)
+            .map(|i| [Value::Int(i), Value::str(format!("rows-{}", i % 5))])
+            .collect();
+        let mut cols = vec![vec![ConstId::of("rows-before")], Vec::new()];
+        cols[1].push(ConstId::of(0i64));
+        let appended = ConstId::intern_rows(&mut cols, rows.iter().map(|r| r.iter()));
+        assert_eq!(appended, 16);
+        for (c, col) in cols.iter().enumerate() {
+            let single = rows.iter().map(|r| ConstId::intern(&r[c]));
+            assert!(col[1..].iter().copied().eq(single), "column {c}");
+        }
+        // Rows of no column are still counted.
+        let none = (0..3).map(|_| std::iter::empty::<&Value>());
+        assert_eq!(ConstId::intern_rows(&mut [], none), 3);
     }
 
     #[test]

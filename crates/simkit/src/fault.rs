@@ -310,6 +310,7 @@ pub struct FaultHook {
     needs_per_op: bool,
     total: AtomicU64,
     injected: AtomicU64,
+    spikes: AtomicU64,
     per_op: Mutex<BTreeMap<String, u64>>,
 }
 
@@ -331,6 +332,7 @@ impl FaultHook {
             needs_per_op,
             total: AtomicU64::new(0),
             injected: AtomicU64::new(0),
+            spikes: AtomicU64::new(0),
             per_op: Mutex::new(BTreeMap::new()),
         }
     }
@@ -343,6 +345,11 @@ impl FaultHook {
     /// Faults injected so far.
     pub fn injected(&self) -> u64 {
         self.injected.load(Ordering::Relaxed)
+    }
+
+    /// Latency spikes charged so far.
+    pub fn spikes(&self) -> u64 {
+        self.spikes.load(Ordering::Relaxed)
     }
 
     /// Consult the plan for the next `op` operation: charges any matching
@@ -388,7 +395,10 @@ impl FaultHook {
                 continue;
             }
             match rule.inject {
-                Injection::Latency(d) => spin_for(d),
+                Injection::Latency(d) => {
+                    self.spikes.fetch_add(1, Ordering::Relaxed);
+                    spin_for(d);
+                }
                 Injection::Error(kind) => {
                     self.injected.fetch_add(1, Ordering::Relaxed);
                     return Err(StoreError {
@@ -533,10 +543,12 @@ mod tests {
         let t = std::time::Instant::now();
         assert!(h.check("scan").is_ok());
         assert!(t.elapsed() >= Duration::from_micros(200));
-        // Second scan is outside the window: no spike.
-        let t = std::time::Instant::now();
+        assert_eq!(h.spikes(), 1);
+        // Second scan is outside the window: no spike is charged (counted,
+        // not timed — a descheduled thread can take 200 µs for nothing).
         assert!(h.check("scan").is_ok());
-        assert!(t.elapsed() < Duration::from_micros(200));
+        assert_eq!(h.spikes(), 1);
+        assert_eq!(h.injected(), 0);
     }
 
     #[test]

@@ -93,8 +93,8 @@ pub fn norm(r: &QueryResult) -> Norm {
     Norm {
         columns: r.columns.clone(),
         rows: r.rows.clone(),
-        pivot_query: r.report.pivot_query.clone(),
-        universal_plan: r.report.universal_plan.clone(),
+        pivot_query: r.report.pivot_query.to_string(),
+        universal_plan: r.report.universal_plan.to_string(),
         alternatives: r
             .report
             .alternatives
@@ -102,8 +102,8 @@ pub fn norm(r: &QueryResult) -> Norm {
             .map(|a| (a.rewriting.clone(), a.est_cost, a.note.clone()))
             .collect(),
         chosen: r.report.chosen,
-        plan: r.report.plan.clone(),
-        delegated: r.report.delegated.clone(),
+        plan: r.report.plan.to_string(),
+        delegated: r.report.delegated.to_vec(),
         complete: r.report.complete_search,
         resilient: r.report.resilience.is_some(),
     }

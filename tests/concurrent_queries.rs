@@ -297,9 +297,13 @@ fn default_options_and_builder_options_agree() {
 
     for q in &work {
         let a = norm(&run_q(&engine_wide, q));
+        let pattern;
         let request = match q {
             Q::Sql(sql) => built.query(sql),
-            Q::Doc(uid) => built.query_pattern(&cart_pattern(*uid), &["pid", "qty"]),
+            Q::Doc(uid) => {
+                pattern = cart_pattern(*uid);
+                built.query_pattern(&pattern, &["pid", "qty"])
+            }
             Q::Cq(uid) => {
                 let cq = CqBuilder::new("Q")
                     .head_vars(["theme", "language"])

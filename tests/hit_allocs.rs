@@ -1,0 +1,111 @@
+//! The allocations of one prepared plan-cache hit, counted by the
+//! allocator: a `pref_lookup` (SQL point lookup, one key-value `GET`) and a
+//! `cart_lookup` (document tree pattern) on `deploy_materialized_join` at
+//! `Latencies::zero()`. Each request is sent three times first — a miss, the
+//! run that finds the outcome cached and keeps the plans, and one prepared
+//! hit that warms the thread — so the counted run is a prepared hit and
+//! nothing it allocates is set up once. One test in a binary of its own, so
+//! that nothing else allocates while it counts; run it with
+//! `--test-threads=1`.
+//!
+//! The bounds are a third (rounded up) of what the same hits allocated while
+//! a hit still copied the request into a key, cloned its chosen plan to bind
+//! it to the query's fault handling, named its columns again in every batch,
+//! decoded key-value and document answers through row tuples and copied the
+//! prepared texts into its report, counted by this test then: 72 for the
+//! preference hit, 89 for the cart hit, so at most 24 and 30.
+
+use estocada::{Latencies, QueryResult};
+use estocada_workloads::marketplace::{generate, MarketplaceConfig};
+use estocada_workloads::{cart_pattern, deploy_materialized_join, pref_sql};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The system allocator, keeping a count of the allocations made.
+struct Counting;
+
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations of a prepared preference hit before this bound.
+const PREF_BEFORE: usize = 72;
+/// Allocations of a prepared cart hit before this bound.
+const CART_BEFORE: usize = 89;
+/// A third of each, rounded up.
+const PREF_BOUND: usize = PREF_BEFORE.div_ceil(3);
+const CART_BOUND: usize = CART_BEFORE.div_ceil(3);
+
+/// Allocations made while `f` runs, with its result.
+fn allocs_of<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let result = f();
+    (ALLOCS.load(Ordering::Relaxed) - before, result)
+}
+
+/// Runs `query` until its plan is prepared and warm, then counts one more
+/// run, which must be a prepared hit returning rows.
+fn hit_allocs(query: impl Fn() -> estocada::Result<QueryResult>) -> usize {
+    for _ in 0..3 {
+        query().expect("warm-up run");
+    }
+    let (allocs, result) = allocs_of(&query);
+    let result = result.expect("prepared hit");
+    let cache = result
+        .report
+        .plan_cache
+        .expect("the plan cache was consulted");
+    assert!(cache.hit, "the counted run must be a plan-cache hit");
+    assert_eq!(result.report.translate_time, std::time::Duration::ZERO);
+    assert!(!result.rows.is_empty(), "the counted run must return rows");
+    allocs
+}
+
+#[test]
+fn a_prepared_lookup_hit_allocates_a_third_of_what_it_did() {
+    let m = generate(MarketplaceConfig {
+        users: 2_000,
+        products: 500,
+        orders: 5_000,
+        log_entries: 20_000,
+        skew: 0.9,
+        seed: 7,
+    });
+    let est = &deploy_materialized_join(&m, Latencies::zero());
+    let sql = pref_sql(3);
+    let pref_allocs = hit_allocs(|| est.query(&sql).run());
+    let pattern = cart_pattern(3);
+    let cart_allocs = hit_allocs(|| est.query_pattern(&pattern, &["pid", "qty"]).run());
+    println!("pref hit: {pref_allocs} allocations (before: {PREF_BEFORE})");
+    println!("cart hit: {cart_allocs} allocations (before: {CART_BEFORE})");
+    assert!(
+        pref_allocs <= PREF_BOUND,
+        "a prepared preference hit made {pref_allocs} allocations, above {PREF_BOUND}"
+    );
+    assert!(
+        cart_allocs <= CART_BOUND,
+        "a prepared cart hit made {cart_allocs} allocations, above {CART_BOUND}"
+    );
+}

@@ -83,16 +83,18 @@ impl Q {
         }
     }
 
-    fn request<'e>(&self, est: &'e Estocada) -> QueryRequest<'e> {
+    /// `send` applied to this query's request on `est` (a request borrows
+    /// its pattern, which lives only as long as this call).
+    fn request<R>(&self, est: &Estocada, send: impl FnOnce(QueryRequest<'_>) -> R) -> R {
         match self {
-            Q::Sql(sql) => est.query(sql),
-            Q::Cart(uid, select) => est.query_pattern(&cart_pattern(*uid), select),
+            Q::Sql(sql) => send(est.query(sql)),
+            Q::Cart(uid, select) => send(est.query_pattern(&cart_pattern(*uid), select)),
             Q::Prefs(uid) => {
                 let cq = CqBuilder::new("Q")
                     .head_vars(["theme", "language"])
                     .atom("Prefs", |a| a.c(*uid).v("theme").v("language").v("nl"))
                     .build();
-                est.query_pivot(cq, vec!["theme".into(), "language".into()], vec![])
+                send(est.query_pivot(cq, vec!["theme".into(), "language".into()], vec![]))
             }
         }
     }
@@ -153,8 +155,8 @@ fn explain_and_a_clean_run_describe_the_same_plan() {
     for (name, deploy) in DEPLOYMENTS {
         let est = deploy(&m, Latencies::zero());
         for q in families(&m) {
-            let explained = q.request(&est).explain().expect("explain");
-            let ran = q.request(&est).run().expect("run").report;
+            let explained = q.request(&est, |r| r.explain()).expect("explain");
+            let ran = q.request(&est, |r| r.run()).expect("run").report;
             assert!(ran.resilience.is_none(), "{name} {q:?}: clean path");
             assert_eq!(plan_part(&explained), plan_part(&ran), "{name} {q:?}");
             assert!(explained.per_store.is_empty() && explained.exec.operators == 0);
@@ -360,8 +362,8 @@ fn translated_plans_use_exactly_the_eight_emitted_operators() {
         queries.extend(shapes.iter().map(|sql| Q::Sql(sql.to_string())));
         for q in queries {
             // The final plan of the engine's choice, aggregation included…
-            let report = q.request(&est).explain().expect("explain");
-            assert_ne!(report.plan, "(not executable)", "{name} {q:?}");
+            let report = q.request(&est, |r| r.explain()).expect("explain");
+            assert_ne!(&*report.plan, "(not executable)", "{name} {q:?}");
             seen.extend(explained_operators(&report.plan));
             // …and the core plan of every rewriting, chosen or not.
             let wq = workload_query(&est, &q);
@@ -435,7 +437,7 @@ fn plan_choices() -> String {
     for (name, deploy) in DEPLOYMENTS {
         let est = deploy(&m, Latencies::zero());
         for q in families(&m) {
-            let report = q.request(&est).explain().expect("explain");
+            let report = q.request(&est, |r| r.explain()).expect("explain");
             let chosen = &report.alternatives[report.chosen].rewriting;
             out += &format!("\n== {name} {q:?}\nchosen {}: {chosen}\n", report.chosen);
             let wq = workload_query(&est, &q);
@@ -667,7 +669,7 @@ fn explain_marks_no_choice_when_nothing_is_executable() {
         .expect("explain tolerates a query it cannot run");
     assert!(!report.alternatives.is_empty());
     assert!(report.alternatives.iter().all(|a| a.est_cost.is_none()));
-    assert_eq!(report.plan, "(not executable)");
+    assert_eq!(&*report.plan, "(not executable)");
     let text = report.to_string();
     assert!(text.contains("[skipped"), "{text}");
     assert!(
@@ -738,8 +740,8 @@ impl Twins {
     /// agrees. Returns the cached side's reports.
     fn run(&self, q: &Q, ctx: &str) -> Vec<Option<Report>> {
         let runs = (1..=3).map(|nth| {
-            let cached = q.request(&self.cached).run();
-            let afresh = q.request(&self.afresh).no_plan_cache().run();
+            let cached = q.request(&self.cached, |r| r.run());
+            let afresh = q.request(&self.afresh, |r| r.no_plan_cache().run());
             assert!(afresh
                 .as_ref()
                 .map_or(true, |r| r.report.plan_cache.is_none()));
@@ -919,7 +921,7 @@ fn a_container_dropped_behind_the_catalog_is_a_store_error_on_a_hit_too() {
     let twins = Twins::deploy(deploy_kv_migrated, &m);
     let want = twins.run(&Q::Sql(pref_sql(3)), "before the drop");
     assert!(want[2].as_ref().expect("answered").resilience.is_none());
-    // Neither epoch moves: the next run binds and runs the prepared GET.
+    // Neither epoch moves: the next run runs the prepared GET.
     for est in [&twins.cached, &twins.afresh] {
         assert!(est.stores.kv.drop_namespace("PrefsKV"));
     }
@@ -1006,7 +1008,10 @@ fn one_outcome_per_core_and_one_prepared_plan_per_exact_query() {
             "{q:?}"
         );
         assert!(first.translate_time > Duration::ZERO, "{q:?}");
-        let rows = q.request(&twins.cached).run().expect("answered").rows;
+        let rows = q
+            .request(&twins.cached, |r| r.run())
+            .expect("answered")
+            .rows;
         assert!(!rows.is_empty(), "{q:?}");
         answers.insert(format!("{:?}", rows));
     }
@@ -1100,7 +1105,7 @@ fn alpha_equivalent_queries_share_one_rewriting_outcome() {
             let pc = r.report.plan_cache.expect("cache consulted");
             assert_eq!(pc.hit, (nth, run) != (0, 0), "spelling {nth}, run {run}");
             // Each spelling prints itself and keeps its own prepared plan.
-            assert_eq!(r.report.pivot_query, cq.to_string());
+            assert_eq!(*r.report.pivot_query, cq.to_string());
             // The first spelling's second run keeps its plan; the others find
             // the outcome cached and keep theirs at once.
             let prepared = run > usize::from(nth == 0);

@@ -632,8 +632,8 @@ fn groups_not_tuples_cross_the_boundary() {
     // `user_orders` selects exactly its two head columns.
     let r = est.query_sql(&user_orders_sql(3)).unwrap();
     assert_eq!(
-        r.report.delegated,
-        vec!["relational: SELECT DISTINCT t0.c0, t0.c4 FROM Orders t0 WHERE t0.c1 = 3"]
+        *r.report.delegated,
+        ["relational: SELECT DISTINCT t0.c0, t0.c4 FROM Orders t0 WHERE t0.c1 = 3"]
     );
 
     // `personalized` still prefers the materialized join, which now returns
