@@ -7,8 +7,9 @@
 # tables, mediator files naming the chase `Instance`, homomorphism searches
 # in the mediator, resolves of interned rows on the fill and write path, row
 # indexes the write path keeps beside the fact base, thread-locals of the
-# chase, open-addressing tables, independently settable options, and panic
-# sites in library code.
+# chase, open-addressing tables, store DDL calls in the mediator outside
+# its layouts, independently settable options, and panic sites in library
+# code.
 # Informational: prints, never fails on a count.
 set -eu
 cd "$(dirname "$0")/.."
@@ -170,6 +171,17 @@ for f in $(rust_files crates/*/src); do
     open_tables=$((open_tables + n))
 done
 printf '%-28s %8d\n' 'open-addressing tables' "$open_tables"
+# Library calls of a store's DDL (`create_table`, `drop_table`,
+# `create_dataset`, `create_index`, `build_index`, `build_key_index`) in the
+# mediator outside `layout.rs`: the placement layouts are the one place that
+# creates, indexes and drops containers — at a fill, at a drop, and when a
+# query's paid scan asks for an index.
+store_ddl=0
+for f in $(rust_files crates/core/src | grep -v '^crates/core/src/layout\.rs$'); do
+    n=$(library_part "$f" | grep -cE '\b(create_table|drop_table|create_dataset|create_index|build_index|build_key_index)\(' || true)
+    store_ddl=$((store_ddl + n))
+done
+printf '%-28s %8d\n' 'store DDL outside layout' "$store_ddl"
 
 # Public fields of `pub struct $2` in file `$1`.
 fields() {

@@ -147,9 +147,12 @@ impl FragmentSpec {
 
 /// Physical placement of one fragment relation inside its store — the
 /// *where* part of the storage descriptor. The `indexed` positions of a
-/// table, collection or dataset are the one record of its indexes: the
-/// first fill builds exactly those, and the connector decides from them
-/// whether a request probes an index or scans ([`crate::cost::Access`]).
+/// table, collection or dataset are the indexes its first fill builds. For
+/// a collection or a dataset they are all it has, and the connector
+/// decides from them whether a request probes an index or scans
+/// ([`crate::cost::Access`]); a relational table also gains the columns
+/// queries' paid scans ask for (`layout::index`), so the
+/// connector asks its store which columns are indexed.
 #[derive(Debug, Clone)]
 pub enum WhereSpec {
     /// A relational table.
@@ -158,7 +161,7 @@ pub enum WhereSpec {
         table: String,
         /// Column names in head order.
         columns: Vec<String>,
-        /// Head positions of the indexed columns.
+        /// Head positions of the columns the first fill indexes.
         indexed: Vec<usize>,
     },
     /// A key-value namespace; head column 0 is the key.

@@ -16,9 +16,13 @@
 //! [`crate::translate`] for when a tail is offered.
 //!
 //! No builder prices its own scan: each returns, beside its request, one
-//! [`Access`] per container the request reads, classified from the
-//! placement's `indexed` list as the store will serve the request, and
-//! [`crate::cost::estimate`] prices them.
+//! [`Access`] per container the request reads, classified as the store
+//! will serve the request — a relational table from the indexes the store
+//! holds, any other container from the placement's `indexed` list — and
+//! [`crate::cost::estimate`] prices them. A SQL unit also notes each table
+//! it scans in full for an `=` constant ([`EqScan`]): once a query whose
+//! plan ran it has its answer, the mediator indexes that column
+//! (`layout::index`), and the next translation probes it.
 
 use crate::catalog::{DocRole, FragmentRelation, FragmentStats, WhereSpec};
 use crate::cost::Access;
@@ -188,6 +192,19 @@ fn group_estimate(core: f64, key_distinct: impl Iterator<Item = u64>) -> f64 {
     core.min(key_distinct.map(|d| d.max(1) as f64).product())
 }
 
+/// A relational table a request scans in full to find the rows holding an
+/// `=` constant in `column` (a position): no index on a column it
+/// constrains, so [`Access::FullScan`]. Once a query whose plan made the
+/// request has its answer, the mediator indexes the column
+/// (`layout::index`) and the next translation probes it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EqScan {
+    /// The table.
+    pub table: String,
+    /// The compared column's position.
+    pub column: usize,
+}
+
 /// An executable unit of a translated rewriting.
 pub struct Unit {
     /// Display label (store + native query).
@@ -203,6 +220,9 @@ pub struct Unit {
     /// How its request reaches each container it reads, with that
     /// container's statistics: what [`crate::cost::estimate`] prices.
     pub accesses: Vec<(Access, FragmentStats)>,
+    /// The relational columns its request scans a whole table to compare
+    /// with an `=` constant (empty for every other store).
+    pub eq_scans: Vec<EqScan>,
     /// The store the unit runs on.
     pub system: SystemId,
     /// What its rows are (anything but [`Answers::Bindings`] only for a
@@ -349,11 +369,11 @@ pub fn sql_unit(
     let mut join_sel = 1.0f64;
     let mut indexes = Vec::new();
     for (atom, rel, stats) in atoms {
-        let WhereSpec::Table { table, indexed, .. } = &rel.place else {
+        let WhereSpec::Table { table, .. } = &rel.place else {
             return Err(misplaced("sql", rel));
         };
         let t = q.add_table(table);
-        indexes.push(indexed);
+        indexes.push(stores.rel.indexed(table));
         est *= stats.rows.max(1) as f64;
         for (pos, term) in atom.args.iter().enumerate() {
             let cr = ColRef {
@@ -394,8 +414,18 @@ pub fn sql_unit(
             _ => None,
         })
     };
-    let accesses = (atoms.iter().zip(indexes).enumerate())
+    let accesses: Vec<_> = (atoms.iter().zip(&indexes).enumerate())
         .map(|(t, ((_, _, stats), indexed))| (probe(indexed, probed(t)), stats.clone()))
+        .collect();
+    // A table scanned in full for an `=` constant: the column of its atom's
+    // first constant (a residual never compares with `=`).
+    let eq_scans = (atoms.iter().zip(&accesses).enumerate())
+        .filter(|(_, (_, (access, _)))| *access == Access::FullScan)
+        .filter_map(|(t, ((atom, _, _), _))| {
+            let column = atom.args.iter().position(|a| matches!(a, Term::Const(_)))?;
+            let table = q.tables[t].clone();
+            Some(EqScan { table, column })
+        })
         .collect();
     let (out_vars, tail) = ship.of(&vars, residuals, true);
     let col_of = |v: &Var| {
@@ -434,6 +464,7 @@ pub fn sql_unit(
         kind: UnitKind::Run(Arc::new(runner)),
         est_rows,
         accesses,
+        eq_scans,
         system: SystemId::Relational,
         answers: Answers::of(tail),
     })
@@ -606,6 +637,7 @@ pub fn kv_unit(
         kind,
         est_rows: 1.0,
         accesses: vec![(Access::KeyGet, stats.clone())],
+        eq_scans: Vec::new(),
         system: SystemId::KeyValue,
         answers: Answers::Bindings,
     })
@@ -720,6 +752,7 @@ pub fn text_unit(
         kind,
         est_rows: avg_postings,
         accesses: vec![(Access::KeyGet, stats.clone())],
+        eq_scans: Vec::new(),
         system: SystemId::Text,
         answers: Answers::Bindings,
     })
@@ -786,6 +819,7 @@ pub fn doc_rows_unit(
         kind: UnitKind::Run(Arc::new(runner)),
         est_rows: est,
         accesses: vec![(access, stats.clone())],
+        eq_scans: Vec::new(),
         system: SystemId::Document,
         answers: Answers::Bindings,
     })
@@ -996,6 +1030,7 @@ fn par_scan_unit(
         kind: UnitKind::Run(Arc::new(runner)),
         est_rows: est,
         accesses: vec![(access, stats.clone())],
+        eq_scans: Vec::new(),
         system: SystemId::Parallel,
         answers,
     })
@@ -1061,6 +1096,7 @@ fn par_join_unit(
             (Access::FullScan, lstats.clone()),
             (Access::FullScan, rstats.clone()),
         ],
+        eq_scans: Vec::new(),
         system: SystemId::Parallel,
         answers,
     })
@@ -1203,6 +1239,7 @@ pub fn doc_tree_unit(
         kind: UnitKind::Run(Arc::new(runner)),
         est_rows: est_rows.fold(1.0, f64::max),
         accesses: vec![(Access::FullScan, root_stats.clone())],
+        eq_scans: Vec::new(),
         system: SystemId::Document,
         answers: Answers::Bindings,
     })

@@ -52,6 +52,7 @@ use crate::dataset::{Dataset, DatasetContent};
 use crate::error::{Error, PlanFailure, Result};
 use crate::factbase::FactBase;
 use crate::frontends::{ParsedQuery, QueryInput, Select, SqlCatalog};
+use crate::layout;
 use crate::materialize::{drop_fragment, materialize};
 use crate::plancache::{LintCache, PlanCache, PlanCacheStats};
 use crate::planner::{self, Candidate, Planned, PlanningContext};
@@ -764,6 +765,10 @@ impl Estocada {
         report.per_store = (after.iter().zip(&before))
             .map(|((sys, a), (_, b))| (*sys, a.since(b)))
             .collect();
+        // The answer is complete: index what its full scans paid for.
+        for scan in &ran.translation.eq_scans {
+            layout::index(&self.stores, scan);
+        }
         report.exec = exec;
         // The resilience section exists only when something happened: a
         // fault-free query reports `None`, bit-identical to before.

@@ -1,14 +1,17 @@
 //! Placement layouts: the one module that knows how a fragment relation's
 //! rows are physically stored under each [`WhereSpec`] variant, and the only
-//! non-test code of this crate that calls a store's write or DDL methods.
+//! non-test code of this crate that calls a store's write or DDL methods
+//! (`ci/census.sh` counts the DDL calls elsewhere: `store DDL outside
+//! layout`, 0).
 //!
-//! | placement | stored form of the relation's rows |
-//! |---|---|
-//! | `Table`, `ParDataset` | the row as is; physical duplicates are kept |
-//! | `Namespace` | per key (head column 0) one list of the value tuples (columns 1..), **sorted**, so an entry is a canonical function of the key's row set |
-//! | `Collection` | one flat object per row, keyed by column name |
-//! | `TextIndex` | `(key, text columns joined by a space)` per row of the indexed table |
-//! | `NativeDocs` | the dataset's documents as such — loaded once, no row writer |
+//! | placement | stored form of the relation's rows | indexes |
+//! |---|---|---|
+//! | `Table` | the row as is; physical duplicates are kept | the placement's `indexed` columns at the fill, then each column a query's paid full scan compared with an `=` constant ([`index`]) |
+//! | `ParDataset` | the row as is; physical duplicates are kept | one key index over the `indexed` columns, at the fill |
+//! | `Namespace` | per key (head column 0) one list of the value tuples (columns 1..), **sorted**, so an entry is a canonical function of the key's row set | the key |
+//! | `Collection` | one flat object per row, keyed by column name | a path index per `indexed` column, at the fill |
+//! | `TextIndex` | `(key, text columns joined by a space)` per row of the indexed table | the terms |
+//! | `NativeDocs` | the dataset's documents as such — loaded once, no row writer | none of the layout's |
 //!
 //! The first fill ([`fill`]) and every DML delta go through the same
 //! [`write`], so an incrementally maintained store equals its
@@ -25,6 +28,7 @@
 //! [`write`].
 
 use crate::catalog::{FragmentSpec, FragmentStats, StatsAccumulator, WhereSpec};
+use crate::connector::EqScan;
 use crate::dataset::TableData;
 use crate::error::{Error, Result};
 use crate::system::{Stores, SystemId};
@@ -187,6 +191,24 @@ pub(crate) fn fill(
         _ => {}
     }
     Ok(())
+}
+
+/// Index on demand the column a delegated request of a completed query
+/// scanned a whole table for ([`EqScan`]), unless the store indexed it
+/// meanwhile. This is ski rental: a build costs about one scan, and one
+/// scan was paid, so building after it pays at most twice what the best
+/// choice in hindsight would. The store charges the build as one request
+/// scanning the table, and the request passes the relational fault gate as
+/// `index`; a build the gate refuses, or on a table dropped since, is left
+/// to the next scan — the answer it would have sped up is complete.
+pub(crate) fn index(stores: &Stores, scan: &EqScan) {
+    let EqScan { table, column } = scan;
+    if stores.rel.indexed(table).contains(column) {
+        return;
+    }
+    if stores.gate(SystemId::Relational).check("index").is_ok() {
+        let _ = stores.rel.build_index(table, *column);
+    }
 }
 
 /// A relational container the catalog places that its store does not hold.

@@ -54,7 +54,11 @@
 //!   Translation reads the fragment statistics, which DML moves, so a
 //!   prepared plan holds for one *data* epoch: after a write the entry is
 //!   re-translated from the parse and the outcome it keeps (a write never
-//!   forces a parse or a chase) and replaced. Nothing else it read (the SQL
+//!   forces a parse or a chase) and replaced. It also reads which
+//!   relational columns are indexed, which a query's paid scan can change
+//!   ([`crate::layout::index`]), so it holds for one index generation of
+//!   the relational store too and is re-translated the same way after a
+//!   build. Nothing else it read (the SQL
 //!   catalog included) can change within a catalog epoch;
 //!   breaker state is read when ranking and a fault plan when running, so
 //!   neither is part of any key. A plan is kept **on second sight**: by the
@@ -176,8 +180,10 @@ pub(crate) struct Prepared {
     pub(crate) query: Arc<ParsedQuery>,
     pub(crate) query_hash: u64,
     pub(crate) outcome: Arc<RewriteOutcome>,
-    /// The data epoch whose fragment statistics translation read.
+    /// The data epoch whose fragment statistics translation read, and the
+    /// generation of the relational indexes it priced probes from.
     data_epoch: u64,
+    index_generation: u64,
     /// The query and the outcome's universal plan, as the report prints them.
     pub(crate) pivot_query: Arc<str>,
     pub(crate) universal_plan: Arc<str>,
@@ -205,6 +211,9 @@ pub(crate) struct Planned {
 pub(crate) fn plan(est: &Estocada, request: &QueryInput, cache: bool) -> Result<Planned> {
     let t0 = Instant::now();
     let (epoch, data_epoch) = (est.catalog_epoch(), est.data_epoch());
+    let index_generation = est.stores.rel.index_generation();
+    let current =
+        |p: &&Arc<Prepared>| p.data_epoch == data_epoch && p.index_generation == index_generation;
     let plans = &est.plan_cache;
     let activity = |hit| {
         cache.then(|| PlanCacheActivity {
@@ -214,7 +223,7 @@ pub(crate) fn plan(est: &Estocada, request: &QueryInput, cache: bool) -> Result<
     };
     let hash = cache.then(|| hash_of(request));
     let cached = hash.and_then(|hash| plans.prepared.lookup(hash, |kept| kept == request, epoch));
-    if let Some(prepared) = cached.as_ref().filter(|p| p.data_epoch == data_epoch) {
+    if let Some(prepared) = cached.as_ref().filter(current) {
         return Ok(Planned {
             prepared: prepared.clone(),
             plan_cache: activity(true),
@@ -225,8 +234,8 @@ pub(crate) fn plan(est: &Estocada, request: &QueryInput, cache: bool) -> Result<
     }
     let mut parse_time = Duration::ZERO;
     let (q, query_hash, outcome, hit) = match cached {
-        // A write moved the statistics under a cached plan: its parse and
-        // its outcome hold.
+        // A write moved the statistics, or an index was built, under a
+        // cached plan: its parse and its outcome hold.
         Some(stale) => (
             stale.query.clone(),
             stale.query_hash,
@@ -244,7 +253,8 @@ pub(crate) fn plan(est: &Estocada, request: &QueryInput, cache: bool) -> Result<
     };
     let rewrite_time = t0.elapsed() - parse_time;
     let t1 = Instant::now();
-    let prepared = Arc::new(prepare(est, q, query_hash, outcome, data_epoch));
+    let epochs = (data_epoch, index_generation);
+    let prepared = Arc::new(prepare(est, q, query_hash, outcome, epochs));
     let translate_time = t1.elapsed();
     // Admission on second sight (module docs).
     if let Some(hash) = hash.filter(|_| hit) {
@@ -293,7 +303,7 @@ fn prepare(
     q: Arc<ParsedQuery>,
     query_hash: u64,
     outcome: Arc<RewriteOutcome>,
-    data_epoch: u64,
+    (data_epoch, index_generation): (u64, u64),
 ) -> Prepared {
     let query = Query {
         head_names: &q.head_names,
@@ -324,6 +334,7 @@ fn prepare(
         query_hash,
         outcome,
         data_epoch,
+        index_generation,
         alternatives: alternatives.into(),
         candidates,
     }
@@ -396,6 +407,7 @@ mod tests {
                 unit_scanned: Vec::new(),
                 systems: systems.to_vec(),
                 used_relations: Vec::new(),
+                eq_scans: Vec::new(),
             },
             explain: "".into(),
         }

@@ -45,7 +45,7 @@
 
 use crate::catalog::{Catalog, FragmentRelation, FragmentStats, WhereSpec};
 use crate::connector::{
-    doc_rows_unit, doc_tree_unit, kv_unit, par_unit, sql_unit, text_unit, var_col, Answers,
+    doc_rows_unit, doc_tree_unit, kv_unit, par_unit, sql_unit, text_unit, var_col, Answers, EqScan,
     Residual, ResidualTracker, Ship, Tail, Unit, UnitKind,
 };
 use crate::cost::{estimate, CostModel};
@@ -79,6 +79,10 @@ pub struct Translation {
     pub systems: Vec<SystemId>,
     /// Fragment relations used (for the catalog's use counters).
     pub used_relations: Vec<Symbol>,
+    /// The `=` constants its delegated units find by scanning a whole
+    /// relational table: the columns the mediator indexes once a run of
+    /// this plan has its answer.
+    pub eq_scans: Vec<EqScan>,
 }
 
 type AtomInfo = (estocada_pivot::Atom, FragmentRelation, FragmentStats);
@@ -176,6 +180,7 @@ pub(crate) fn translate_query(
     let mut unit_systems = Vec::new();
     let mut unit_scanned = Vec::new();
     let mut systems = Vec::new();
+    let mut eq_scans = Vec::new();
     for idx in order {
         let unit = &units[idx];
         let est_scanned = estimate(&unit.accesses);
@@ -183,6 +188,7 @@ pub(crate) fn translate_query(
         unit_labels.push(unit.label.clone());
         unit_systems.push(unit.system);
         unit_scanned.push(est_scanned);
+        eq_scans.extend(unit.eq_scans.iter().cloned());
         if !systems.contains(&unit.system) {
             systems.push(unit.system);
         }
@@ -319,6 +325,7 @@ pub(crate) fn translate_query(
         unit_scanned,
         systems,
         used_relations,
+        eq_scans,
     })
 }
 

@@ -29,6 +29,7 @@ use estocada_pivot::hash::FastMap;
 use estocada_pivot::{IdRows, Value};
 use estocada_simkit::{LatencyModel, RequestTimer, StoreMetrics};
 use parking_lot::RwLock;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The relational store: named tables behind a reader-writer lock, with
 /// request metrics and a configurable latency model.
@@ -38,6 +39,12 @@ pub struct RelStore {
     /// Operation metrics (shared with the mediator's reporting).
     pub metrics: StoreMetrics,
     latency: LatencyModel,
+    /// Bumped by every change to which indexes exist: an index built, a
+    /// table created or dropped. The bump (`Release`) follows the change
+    /// under the tables' write lock, so a reader that loads (`Acquire`) a
+    /// generation and then reads [`RelStore::indexed`] sees at least the
+    /// indexes of that generation.
+    index_generation: AtomicU64,
 }
 
 impl RelStore {
@@ -56,9 +63,9 @@ impl RelStore {
 
     /// Create (or replace) a table.
     pub fn create_table(&self, name: &str, columns: &[&str]) {
-        self.tables
-            .write()
-            .insert(name.to_string(), Table::new(columns));
+        let mut tables = self.tables.write();
+        tables.insert(name.to_string(), Table::new(columns));
+        self.index_generation.fetch_add(1, Ordering::Release);
     }
 
     /// Run the admin write `f` on table `name`.
@@ -99,14 +106,66 @@ impl RelStore {
         self.write(name, |t| Ok(t.delete_ids(rows)))
     }
 
-    /// Create an index on `table.column`.
+    /// Index `table.column` unless it is indexed already. Admin path: no
+    /// metrics or latency.
     pub fn create_index(&self, table: &str, column: &str) -> Result<(), QueryError> {
         self.write(table, |t| {
             let col = t.column_index(column);
             let (table, column) = (table.to_string(), column.to_string());
-            t.create_index(col.ok_or(QueryError::UnknownColumn { table, column })?);
+            self.index(t, col.ok_or(QueryError::UnknownColumn { table, column })?);
             Ok(())
         })
+    }
+
+    /// Index column `column` (a position) of `table` unless it is indexed
+    /// already, as a request: building reads every row, so a build is
+    /// charged and metered as one request that scans the table. Returns
+    /// whether this call built the index; one that finds it built (by an
+    /// earlier or a concurrent call) charges nothing.
+    pub fn build_index(&self, table: &str, column: usize) -> Result<bool, QueryError> {
+        let built = self.write(table, |t| {
+            if column >= t.columns.len() {
+                return Err(QueryError::BadColumn);
+            }
+            Ok(self.index(t, column).then_some(t.len() as u64))
+        })?;
+        let Some(scanned) = built else {
+            return Ok(false);
+        };
+        // Charged (when it drops) once the table is unlocked: readers do not
+        // wait out the simulated latency.
+        let mut timer = RequestTimer::start(&self.metrics, self.latency);
+        timer.add_scanned(scanned);
+        Ok(true)
+    }
+
+    /// Index `column` of `t` unless it has an index; whether it built one.
+    fn index(&self, t: &mut Table, column: usize) -> bool {
+        if t.indexes.contains_key(&column) {
+            return false;
+        }
+        t.create_index(column);
+        self.index_generation.fetch_add(1, Ordering::Release);
+        true
+    }
+
+    /// Positions of the indexed columns of `table`, ascending (none when
+    /// the store does not hold it).
+    pub fn indexed(&self, table: &str) -> Vec<usize> {
+        let tables = self.tables.read();
+        let mut columns: Vec<usize> = tables
+            .get(table)
+            .map(|t| t.indexes.keys().copied().collect())
+            .unwrap_or_default();
+        columns.sort_unstable();
+        columns
+    }
+
+    /// The generation of the store's indexes: it moves whenever an index
+    /// is built or a table created or dropped, so a plan priced from
+    /// [`RelStore::indexed`] knows when to price again.
+    pub fn index_generation(&self) -> u64 {
+        self.index_generation.load(Ordering::Acquire)
     }
 
     /// Row count of a table (0 if missing).
@@ -140,7 +199,11 @@ impl RelStore {
 
     /// Drop a table; returns whether it existed.
     pub fn drop_table(&self, table: &str) -> bool {
-        self.tables.write().remove(table).is_some()
+        let dropped = self.tables.write().remove(table).is_some();
+        if dropped {
+            self.index_generation.fetch_add(1, Ordering::Release);
+        }
+        dropped
     }
 
     /// Names of all tables.
@@ -200,6 +263,8 @@ mod tests {
         assert_eq!(s.insert_many("ghost", &[vec![Value::Int(3)]]), ghost());
         assert_eq!(s.delete_rows("ghost", &[]), ghost().map(|()| 0));
         assert_eq!(s.create_index("ghost", "uid"), ghost());
+        assert_eq!(s.build_index("ghost", 0), ghost().map(|()| false));
+        assert_eq!(s.build_index("users", 2), Err(QueryError::BadColumn));
         assert_eq!(
             s.create_index("users", "nope"),
             Err(QueryError::UnknownColumn {
@@ -267,6 +332,28 @@ mod tests {
             s.query(&q).unwrap().to_values(),
             vec![vec![Value::str("bob")]]
         );
+    }
+
+    #[test]
+    fn an_index_is_built_once_and_a_build_is_charged_as_one_scan() {
+        let s = store();
+        let generation = s.index_generation();
+        s.create_index("users", "uid").unwrap();
+        s.create_index("users", "uid").unwrap();
+        assert_eq!(s.metrics.snapshot().requests, 0, "fill-time DDL is admin");
+        assert_eq!(s.index_generation(), generation + 1, "built once");
+        assert!(s.build_index("users", 1).unwrap());
+        assert!(!s.build_index("users", 1).unwrap());
+        assert!(!s.build_index("users", 0).unwrap());
+        let m = s.metrics.snapshot();
+        assert_eq!((m.requests, m.tuples_scanned, m.tuples_out), (1, 2, 0));
+        assert_eq!(s.indexed("users"), [0, 1]);
+        assert_eq!(s.index_generation(), generation + 2);
+        assert!(s.indexed("ghost").is_empty());
+        // A dropped table takes its indexes with it.
+        assert!(s.drop_table("users"));
+        assert!(s.indexed("users").is_empty());
+        assert_eq!(s.index_generation(), generation + 3);
     }
 
     #[test]

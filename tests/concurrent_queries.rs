@@ -11,7 +11,11 @@
 //! bit-identical; per-store metric deltas overlap between concurrent
 //! clients by construction; and cache hit/miss flags depend on which
 //! thread reaches a shape first — all three are diagnostics, not answers,
-//! and are excluded.
+//! and are excluded. The costs of a plan depend on which relational
+//! columns are indexed, and a query's paid scan indexes one, so every
+//! shared engine starts with the indexes its workload asks for: then no
+//! run builds one, whatever the order (the race of the first scan itself
+//! is `tests/on_demand_index_properties.rs`'s).
 
 mod common;
 
@@ -85,8 +89,37 @@ fn concurrent_run(est: &Estocada, work: &[Q], threads: usize) -> Vec<Norm> {
         .collect()
 }
 
+/// `est` with the relational indexes `work` asks for built ahead of it: a
+/// `twin` deployed alike runs `work` until a pass builds no index, and
+/// `est` gets the indexes the twin's store then holds. No run of `work` on
+/// `est` builds one, so every run prices its plans alike, in any order and
+/// on any thread. Only the stores are touched: `est` has planned nothing.
+fn with_indexes_of(est: Estocada, twin: &Estocada, work: &[Q]) -> Estocada {
+    let rel = &twin.stores.rel;
+    loop {
+        let generation = rel.index_generation();
+        work.iter().for_each(|q| drop(common::run_q(twin, q)));
+        if rel.index_generation() == generation {
+            break;
+        }
+    }
+    for table in rel.table_names() {
+        let columns = rel.columns(&table).expect("a listed table");
+        for c in rel.indexed(&table) {
+            est.stores.rel.create_index(&table, &columns[c]).unwrap();
+        }
+    }
+    est
+}
+
+/// A shared engine, its relational indexes those the whole workload asks
+/// for: no run builds one, so the answers and reports of every run depend
+/// on neither the thread nor the order it runs in.
 fn engine(cache: bool) -> Estocada {
-    let mut est = deploy_kv_migrated(&market(), Latencies::zero());
+    let deploy = || deploy_kv_migrated(&market(), Latencies::zero());
+    let mut work = workload();
+    work.extend((1..=12i64).flat_map(|uid| [Q::Sql(pref_sql(uid)), Q::Doc(uid)]));
+    let mut est = with_indexes_of(deploy(), &deploy(), &work);
     est.set_default_query_options(QueryOptions {
         plan_cache: cache,
         ..est.default_query_options()

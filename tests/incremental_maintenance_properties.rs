@@ -377,7 +377,8 @@ fn deploy_indexed(m: &Marketplace, latencies: Latencies) -> Estocada {
 /// Every index the stores keep answers like a scan of its container, and
 /// without scanning: a parallel dataset's key index every key (those its
 /// rows have, those it lists, one neither has); a relational table's column
-/// indexes every equality and range probe, and a collection's path indexes
+/// indexes — built at the fill or on demand — every equality and range
+/// probe, and a collection's path indexes
 /// every `find`, at each stored value and one no row holds.
 fn assert_index_lookups_equal_scans(est: &Estocada, what: &str) {
     for name in est.stores.par.dataset_names() {
@@ -421,13 +422,10 @@ fn assert_index_lookups_equal_scans(est: &Estocada, what: &str) {
         .map(|r| &r.place)
     {
         match place {
-            WhereSpec::Table {
-                table,
-                columns,
-                indexed,
-            } => {
+            WhereSpec::Table { table, columns, .. } => {
                 let rows = est.stores.rel.scan(table).expect("placed table");
-                for col in indexed {
+                // The fill's indexes and those queries' scans asked for.
+                for col in &est.stores.rel.indexed(table) {
                     let values: BTreeSet<&Value> = rows.iter().map(|r| &r[*col]).collect();
                     for v in values.into_iter().chain([&ghost]) {
                         for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
@@ -736,6 +734,11 @@ proptest! {
         script in proptest::collection::vec((0..8u8, any::<u64>(), 1..6usize), 1..9),
     ) {
         let mut est = deploy_indexed(&market(), Latencies::zero());
+        // A read's paid scan indexes `WebLogByDwell.category`: every batch
+        // maintains that index as it does the fill's.
+        let read = "SELECT l.lid FROM WebLog l WHERE l.category = 'laptop'";
+        est.query_sql(read).expect("a read");
+        prop_assert_eq!(est.stores.rel.indexed("WebLogByDwell"), vec![1, 3, 4]);
         let (mut model, mut fresh) = (Model::new(&market()), 700_000i64);
         let hist = |est: &Estocada| est.stores.par.dataset("UserHist").expect("UserHist");
         for (i, step) in SHARED_FACT.iter().chain(&script).enumerate() {

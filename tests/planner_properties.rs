@@ -36,7 +36,7 @@ mod common;
 use common::{arb_plan, build_plan, with_fast_retry, Deploy, DEPLOYMENTS, STORES};
 use estocada::advisor::current_cost;
 use estocada::frontends::{doc_query, parse_sql};
-use estocada::translate::translate;
+use estocada::translate::{translate, Translation};
 use estocada::{
     recommend, Dataset, DatasetContent, Error, Estocada, FaultKind, FaultPlan, FragmentSpec,
     Latencies, QueryOptions, QueryRequest, QueryResult, Report, SystemId, TableData, WorkloadQuery,
@@ -587,6 +587,12 @@ fn deploy_every_layout(m: &Marketplace, latencies: Latencies) -> Estocada {
 /// query over an index the catalog does not know of — the builtin
 /// deployments create `Carts.user` through the store — which is priced as
 /// the full scan it is without that index.
+///
+/// Each query is translated twice on one engine, and run through it in
+/// between: the run indexes exactly the `=` columns its chosen plan
+/// scanned tables for, and the second translation probes them — priced at
+/// 0 scanned, and the store scans 0 — and still notes only columns the
+/// store does not index.
 #[test]
 fn every_unit_scans_what_its_access_estimates() {
     let m = generate(cfg());
@@ -602,40 +608,84 @@ fn every_unit_scans_what_its_access_estimates() {
     ];
     let every_layout: (&str, Deploy) = ("every_layout", deploy_every_layout);
     let mut kinds = BTreeSet::new();
+    let mut probed_on_the_second_pass = 0;
     for (name, deploy) in DEPLOYMENTS.into_iter().chain([every_layout]) {
         let est = deploy(&m, Latencies::zero());
+        let indexes = || -> BTreeSet<(String, usize)> {
+            let rel = &est.stores.rel;
+            let indexed = |t: String| rel.indexed(&t).into_iter().map(move |c| (t.clone(), c));
+            rel.table_names().into_iter().flat_map(indexed).collect()
+        };
         let mut queries = families(&m);
         queries.extend(shapes.iter().map(|sql| Q::Sql(sql.to_string())));
         for q in queries {
             let wq = workload_query(&est, &q);
-            for rewriting in rewritings(&est, &q) {
-                let Ok(tr) = translate(
-                    &rewriting,
-                    &wq.head_names,
-                    &wq.residuals,
-                    est.catalog(),
-                    &est.stores,
-                    est.cost_model(),
-                    None,
-                ) else {
-                    continue;
-                };
-                let mut estimates = tr.unit_labels.iter().zip(&tr.unit_scanned);
-                let mut check = |actual: u64| {
-                    let (label, want) = estimates.next().expect("an estimate per unit");
-                    let ctx = format!("{name} {q:?}: {label}");
-                    match label.starts_with("document: TREE-QUERY") {
-                        true => assert!(*want >= actual as f64, "{ctx}: {want} < {actual}"),
-                        false => assert_eq!(*want, actual as f64, "{ctx}"),
+            // Each rewriting that translates, printed, and its translation.
+            let translations = || -> Vec<(String, Translation)> {
+                let (cat, stores, cost) = (est.catalog(), &est.stores, est.cost_model());
+                let translated = rewritings(&est, &q).into_iter().map(|rw| {
+                    let tr = translate(&rw, &wq.head_names, &wq.residuals, cat, stores, cost, None);
+                    tr.map(|tr| (rw.to_string(), tr))
+                });
+                translated.flatten().collect()
+            };
+            // Every unit run alone scans what it is priced at. `before` is
+            // the first pass, on the second: a unit it priced as a scan that
+            // scans nothing now probes an index the run between built.
+            let mut check_each = |trs: &[(String, Translation)], before: &[(String, _)]| {
+                for (i, (rw, tr)) in trs.iter().enumerate() {
+                    let first: Option<&Translation> = before.get(i).map(|(was, first)| {
+                        assert_eq!(was, rw, "{name} {q:?}: the same rewritings");
+                        first
+                    });
+                    let scanned_before = |label: &String| {
+                        let f = first?;
+                        let unit = f.unit_labels.iter().position(|l| l == label)?;
+                        Some(f.unit_scanned[unit])
+                    };
+                    let mut estimates = tr.unit_labels.iter().zip(&tr.unit_scanned);
+                    let mut check = |actual: u64| {
+                        let (label, want) = estimates.next().expect("an estimate per unit");
+                        let ctx = format!("{name} {q:?}: {label}");
+                        match label.starts_with("document: TREE-QUERY") {
+                            true => assert!(*want >= actual as f64, "{ctx}: {want} < {actual}"),
+                            false => assert_eq!(*want, actual as f64, "{ctx}"),
+                        }
+                        let kind = label.split_whitespace().take(2).collect::<Vec<_>>();
+                        kinds.insert((kind.join(" "), *want > 0.0));
+                        if scanned_before(label).is_some_and(|s| s > 0.0) && actual == 0 {
+                            probed_on_the_second_pass += 1;
+                        }
+                    };
+                    run_each_unit(&est, &tr.plan, &mut tr.unit_systems.iter(), &mut check);
+                    assert!(estimates.next().is_none(), "{name} {q:?}: a unit not run");
+                    // A unit notes only columns the store does not index.
+                    for scan in &tr.eq_scans {
+                        let indexed = est.stores.rel.indexed(&scan.table);
+                        assert!(!indexed.contains(&scan.column), "{name} {q:?}: {scan:?}");
+                        let noted = first.is_none_or(|f| f.eq_scans.contains(scan));
+                        assert!(noted, "{name} {q:?}: {scan:?} is new");
                     }
-                    let kind = label.split_whitespace().take(2).collect::<Vec<_>>();
-                    kinds.insert((kind.join(" "), *want > 0.0));
-                };
-                run_each_unit(&est, &tr.plan, &mut tr.unit_systems.iter(), &mut check);
-                assert!(estimates.next().is_none(), "{name} {q:?}: a unit not run");
-            }
+                }
+            };
+            let first = translations();
+            check_each(&first, &[]);
+            let unindexed = indexes();
+            let ran = q.request(&est, |r| r.run()).expect("the query runs");
+            // The run indexed what its plan's translation noted.
+            let built: BTreeSet<_> = indexes().difference(&unindexed).cloned().collect();
+            let chosen = &ran.report.alternatives[ran.report.chosen].rewriting;
+            let (_, chosen) = (first.iter())
+                .find(|(rw, _)| rw == chosen)
+                .expect("the chosen rewriting translates");
+            let noted = chosen.eq_scans.iter().map(|s| (s.table.clone(), s.column));
+            assert_eq!(built, noted.collect(), "{name} {q:?}: built");
+            let second = translations();
+            assert_eq!(first.len(), second.len(), "{name} {q:?}");
+            check_each(&second, &first);
         }
     }
+    assert!(probed_on_the_second_pass > 0, "no scan was indexed");
     // Every unit builder ran, and every store was seen both probing (or
     // getting) and scanning where its layout allows both.
     let kinds: Vec<String> = kinds
