@@ -8,8 +8,8 @@
 # in the mediator, resolves of interned rows on the fill and write path, row
 # indexes the write path keeps beside the fact base, thread-locals of the
 # chase, open-addressing tables, store DDL calls in the mediator outside
-# its layouts, independently settable options, and panic sites in library
-# code.
+# its layouts, `pub fn`s of the `Estocada` facade, independently settable
+# options, and panic sites in library code.
 # Informational: prints, never fails on a count.
 set -eu
 cd "$(dirname "$0")/.."
@@ -41,6 +41,18 @@ for dir in src tests examples; do
     total=$((total + lines))
 done
 printf '%-28s %8d\n' total "$total"
+# `pub fn`s in the `impl Estocada` blocks of the mediator: the facade's
+# surface, which one `metrics()` snapshot keeps from growing a getter per
+# counter.
+facade=0
+for f in $(rust_files crates/core/src); do
+    n=$(awk '/^impl Estocada \{/ { inside = 1; next }
+        inside && /^\}/ { inside = 0 }
+        inside && /^    pub fn / { n++ }
+        END { print n + 0 }' "$f")
+    facade=$((facade + n))
+done
+printf '%-28s %8d\n' 'Estocada pub fns' "$facade"
 printf '%-28s %8d\n' 'workspace members' \
     "$(awk '/^members = \[/ { inside = 1; next } inside && /^\]/ { exit } inside { n++ } END { print n + 0 }' Cargo.toml)"
 printf '%-28s %8d\n' 'bench mains' "$(ls crates/bench/benches/*.rs | wc -l)"

@@ -759,20 +759,20 @@ mod tests {
             vec![], // empty query: the arena shrinks back down
             vec![atom("R", vec![Term::constant(1i64), Term::var(0)])],
         ];
-        let run = |q: &[Atom]| {
-            let full = find_homs(&i, q, &FastMap::default(), HomConfig::default());
+        let run = |i: &Instance, q: &[Atom]| {
+            let full = find_homs(i, q, &FastMap::default(), HomConfig::default());
             let delta = i.delta_index(0);
-            let anchored =
-                find_homs_delta(&i, q, &FastMap::default(), HomConfig::default(), &delta);
+            let anchored = find_homs_delta(i, q, &FastMap::default(), HomConfig::default(), &delta);
             let seen =
                 |hs: Vec<Hom>| -> Vec<_> { hs.into_iter().map(|h| (h.fact_ids, h.map)).collect() };
             (seen(full), seen(anchored))
         };
         // This thread's arena is warm from the earlier queries of the loop;
-        // a new thread starts with an empty one.
+        // a new thread starts with an empty one, over its own copy of the
+        // instance (an instance is not `Sync`).
         for q in &queries {
-            let warm = run(q);
-            let fresh = std::thread::scope(|s| s.spawn(|| run(q)).join().unwrap());
+            let warm = run(&i, q);
+            let fresh = std::thread::scope(|s| s.spawn(|| run(&setup(), q)).join().unwrap());
             assert_eq!(warm, fresh, "arena reuse skewed {q:?}");
         }
     }

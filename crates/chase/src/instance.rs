@@ -21,10 +21,11 @@
 //! Null equivalence is a union-find over a parent array. Resolution
 //! ([`Instance::resolve`]) pointer-halves as it walks, so repeated probes
 //! after deep `Null`/`Null` merge chains are amortized O(α) instead of
-//! O(chain depth). The parent cells are relaxed atomics: halving is a
-//! benign optimization (any intermediate pointer still leads to the same
-//! root), so read-side compression works through `&Instance` and the type
-//! stays `Sync` for future read-only parallel trigger searches. Constant
+//! O(chain depth). The parent cells are `Cell`s: halving is a benign
+//! optimization (any intermediate pointer still leads to the same root),
+//! so read-side compression works through `&Instance`. An instance is
+//! `Send` but not `Sync`: every search over it runs on the thread that
+//! owns it. Constant
 //! bindings live at the root (`bound`); a bound root resolves to its
 //! constant.
 //!
@@ -112,9 +113,9 @@ use crate::prov::Dnf;
 use estocada_pivot::hash::{FastBuild, FastMap};
 use estocada_pivot::kernel::IdTable;
 use estocada_pivot::{ConstId, Postings, Symbol, Value};
+use std::cell::Cell;
 use std::fmt;
 use std::hash::BuildHasher;
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// An instance element: an interned constant or a labelled null.
 ///
@@ -343,17 +344,6 @@ pub struct Instance<S = FastBuild> {
     hasher: S,
 }
 
-/// A union-find parent cell: a relaxed atomic, so read-side resolution can
-/// pointer-halve through `&self`.
-#[derive(Debug)]
-struct Parent(AtomicU32);
-
-impl Clone for Parent {
-    fn clone(&self) -> Parent {
-        Parent(AtomicU32::new(self.0.load(Ordering::Relaxed)))
-    }
-}
-
 /// Everything an instance holds but its hasher — the part a workspace
 /// keeps for the next instance it builds (see the module docs).
 #[derive(Debug, Clone, Default)]
@@ -370,8 +360,9 @@ pub(crate) struct Store {
     fact_epoch: Vec<u64>,
     /// Provenance per fact.
     prov: Slab<Dnf>,
-    /// Union-find parent per null; `parent[i] == i` means root.
-    parent: Vec<Parent>,
+    /// Union-find parent per null; `parent[i] == i` means root. A `Cell`,
+    /// so read-side resolution can pointer-halve through `&self`.
+    parent: Vec<Cell<u32>>,
     /// Constant binding of a root null (only meaningful at roots).
     bound: Vec<Option<ConstId>>,
     /// Count of alive facts (kept in sync with `alive`).
@@ -568,7 +559,7 @@ impl<S: BuildHasher> Instance<S> {
     /// Allocate a fresh labelled null.
     pub fn fresh_null(&mut self) -> Elem {
         let id = self.store.parent.len() as u32;
-        self.store.parent.push(Parent(AtomicU32::new(id)));
+        self.store.parent.push(Cell::new(id));
         self.store.bound.push(None);
         Elem::Null(id)
     }
@@ -581,19 +572,18 @@ impl<S: BuildHasher> Instance<S> {
         }
     }
 
-    /// Root of null `n`, pointer-halving along the way (relaxed stores: any
-    /// intermediate pointer still reaches the same root, so concurrent
-    /// readers can only help each other).
+    /// Root of null `n`, pointer-halving along the way (any intermediate
+    /// pointer still reaches the same root).
     fn find(&self, mut n: u32) -> u32 {
         let parent = &self.store.parent;
         loop {
-            let p = parent[n as usize].0.load(Ordering::Relaxed);
+            let p = parent[n as usize].get();
             if p == n {
                 return n;
             }
-            let gp = parent[p as usize].0.load(Ordering::Relaxed);
+            let gp = parent[p as usize].get();
             if gp != p {
-                parent[n as usize].0.store(gp, Ordering::Relaxed);
+                parent[n as usize].set(gp);
             }
             n = gp;
         }
@@ -906,9 +896,7 @@ impl<S: BuildHasher> Instance<S> {
                 // Merge the younger null into the older one so that frozen
                 // query variables (low ids) stay representatives.
                 let (child, parent) = if n1 > n2 { (n1, n2) } else { (n2, n1) };
-                self.store.parent[child as usize]
-                    .0
-                    .store(parent, Ordering::Relaxed);
+                self.store.parent[child as usize].set(parent);
                 Ok(Some(child))
             }
         }
@@ -1097,7 +1085,7 @@ mod tests {
         fn chain_depth(&self, mut n: u32) -> usize {
             let mut depth = 0;
             loop {
-                let p = self.store.parent[n as usize].0.load(Ordering::Relaxed);
+                let p = self.store.parent[n as usize].get();
                 if p == n {
                     return depth;
                 }
@@ -1119,9 +1107,9 @@ mod tests {
     }
 
     #[test]
-    fn instance_is_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Instance>();
+    fn instance_is_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<Instance>();
     }
 
     #[test]

@@ -65,9 +65,10 @@
 //! Every batch bumps the engine's **data epoch** — distinct from the
 //! catalog epoch, so cached rewrite plans survive writes — and advances
 //! every fragment's **high-water mark** ([`crate::FragmentMeta::high_water`])
-//! to it once its stores are maintained. `high_water == data_epoch()` is the
-//! staleness invariant: a reader that observes the data epoch is guaranteed
-//! the fragments reflect it, because DML holds `&mut Estocada`.
+//! to it once its stores are maintained. `high_water` equal to
+//! [`crate::Metrics::data_epoch`] is the staleness invariant: a reader that
+//! observes the data epoch is guaranteed the fragments reflect it, because
+//! DML holds `&mut Estocada`.
 //!
 //! DDL hands the write path nothing: a fill records its mark and running
 //! statistics in the fragment's catalog entry, a drop removes the entry, a
@@ -575,7 +576,7 @@ mod tests {
         let fragments = est.fragments().iter();
         let stats: Vec<_> = fragments.map(|f| (&f.stats, f.high_water)).collect();
         let rows = est.dataset("shop");
-        let epoch = est.data_epoch();
+        let epoch = est.metrics().data_epoch;
         format!(
             "{counts:?} {:?} {stats:?} {epoch} {rows:?}",
             est.stores.dump()
@@ -605,7 +606,7 @@ mod tests {
             vec![vec![Value::Int(1), Value::str("wireless trackball mouse")]],
         )
         .unwrap();
-        assert_eq!(shop.est.data_epoch(), 4);
+        assert_eq!(shop.est.metrics().data_epoch, 4);
         for f in shop.est.catalog().fragments() {
             assert_eq!(f.high_water, 4);
         }
@@ -627,7 +628,7 @@ mod tests {
             vec![vec![Value::Int(3), Value::Int(1), Value::Int(7)]],
         )
         .unwrap();
-        assert_eq!(est.data_epoch(), 2);
+        assert_eq!(est.metrics().data_epoch, 2);
         for f in est.catalog().fragments() {
             assert_eq!(f.high_water, 2, "fragment {} lags the data epoch", f.id);
         }
@@ -649,7 +650,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, Error::Dml(_)), "got {err}");
         assert_eq!(
-            est.data_epoch(),
+            est.metrics().data_epoch,
             0,
             "rejected batch must not bump the epoch"
         );

@@ -8,7 +8,7 @@
 //! - **DDL time** (`&mut self`): [`Estocada::register_dataset`],
 //!   [`Estocada::add_fragment`], [`Estocada::drop_fragment`],
 //!   [`Estocada::add_constraint`], [`Estocada::set_rewrite_config`]. Each
-//!   bumps the **catalog epoch** ([`Estocada::catalog_epoch`]), which
+//!   bumps the **catalog epoch** ([`Metrics::catalog_epoch`]), which
 //!   invalidates the plan and lint caches wholesale and resets the
 //!   per-epoch planning context.
 //! - **Query time** (`&self`, and `Estocada: Sync`): any number of client
@@ -54,12 +54,12 @@ use crate::factbase::FactBase;
 use crate::frontends::{ParsedQuery, QueryInput, Select, SqlCatalog};
 use crate::layout;
 use crate::materialize::{drop_fragment, materialize};
+use crate::metrics::{BackendMetrics, Metrics};
 use crate::plancache::{LintCache, PlanCache, PlanCacheStats};
 use crate::planner::{self, Candidate, Planned, PlanningContext};
 use crate::report::{PlanCacheActivity, QueryResult, Report};
 use crate::resilience::{
-    system_for_store, BackendHealth, HealthTracker, PlanAttempt, QueryResilience, ResilienceReport,
-    RetryPolicy,
+    system_for_store, HealthTracker, PlanAttempt, QueryResilience, ResilienceReport, RetryPolicy,
 };
 use crate::system::{Latencies, Stores, SystemId};
 use estocada_chase::{RewriteConfig, TerminationCertificate};
@@ -238,7 +238,7 @@ pub struct Estocada {
     /// The catalog epoch: bumped by every DDL operation. Tags plan-cache
     /// entries so no query can ever run a plan computed against an older
     /// catalog.
-    epoch: u64,
+    pub(crate) epoch: u64,
     /// The data epoch: bumped by every DML batch, **without** touching the
     /// plan cache — writes change data, not the catalog, so cached
     /// rewritings stay valid across them.
@@ -256,8 +256,6 @@ pub struct Estocada {
     validation: ValidationMode,
     /// Per-backend circuit breakers, shared by every query.
     health: Arc<HealthTracker>,
-    /// The installed fault-injection plan, if any.
-    fault_plan: Option<FaultPlan>,
 }
 
 impl Estocada {
@@ -294,7 +292,6 @@ impl Estocada {
             lint_cache: LintCache::default(),
             validation: ValidationMode::default(),
             health: Arc::new(HealthTracker::default()),
-            fault_plan: None,
         }
     }
 
@@ -345,18 +342,8 @@ impl Estocada {
     /// (or `None`) disarms every gate, restoring the bit-identical clean
     /// path.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.fault_plan = plan.filter(|p| !p.is_empty());
-        self.stores.set_fault_plan(self.fault_plan.as_ref());
-    }
-
-    /// The installed fault-injection plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault_plan.as_ref()
-    }
-
-    /// Current breaker state and health counters of every backend.
-    pub fn backend_health(&self) -> Vec<(SystemId, BackendHealth)> {
-        self.health.snapshot()
+        self.stores
+            .set_fault_plan(plan.filter(|p| !p.is_empty()).as_ref());
     }
 
     /// Close every breaker and zero the health counters (e.g. after a
@@ -365,15 +352,26 @@ impl Estocada {
         self.health.reset();
     }
 
-    /// The current catalog epoch (bumped by every DDL operation).
-    pub fn catalog_epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The current data epoch (bumped by every DML batch). Distinct from
-    /// the catalog epoch: a write invalidates no cached rewrite plan.
-    pub fn data_epoch(&self) -> u64 {
-        self.data_epoch
+    /// One snapshot of engine state: both epochs, the plan and lint cache
+    /// counters, every backend's breaker, store counters and gated
+    /// requests, and every fragment's catalog entry. Borrowed from the
+    /// engine, it allocates nothing; its `Display` is the text exposition
+    /// (see [`crate::metrics`]).
+    pub fn metrics(&self) -> Metrics<'_> {
+        let (health, stores) = (self.health.snapshot(), self.stores.metrics());
+        Metrics {
+            catalog_epoch: self.epoch,
+            data_epoch: self.data_epoch,
+            plan_cache: self.plan_cache.stats(),
+            lint_cache: self.lint_cache.stats(),
+            backends: SystemId::ALL.map(|system| BackendMetrics {
+                system,
+                health: health[system as usize].1,
+                store: stores[system as usize].1,
+                gated_ops: self.stores.gate(system).ops(),
+            }),
+            fragments: self.catalog.fragments(),
+        }
     }
 
     /// Rewrite-plan cache counters and size.
@@ -719,11 +717,7 @@ impl Estocada {
                 ((*diags).clone(), false)
             }
         };
-        let activity = PlanCacheActivity {
-            hit,
-            totals: self.lint_cache.stats(),
-        };
-        (diags, Some(activity))
+        (diags, Some(PlanCacheActivity { hit }))
     }
 
     /// Plan `request` and either stop at the report (explain) or execute
@@ -945,7 +939,7 @@ mod tests {
             Err(Error::BadDataset(m)) => assert!(m.contains(why), "{m}"),
             other => panic!("expected a bad dataset, got {other:?}"),
         }
-        assert_eq!(est.catalog_epoch(), 0);
+        assert_eq!(est.metrics().catalog_epoch, 0);
         assert_eq!(est.schema().relations().count(), 0);
         est.register_dataset(table_dataset("k", vec![vec![1, 2]]))
             .unwrap();
@@ -972,7 +966,7 @@ mod tests {
     fn ddl_bumps_the_catalog_epoch() {
         use estocada_pivot::encoding::relational::TableEncoding;
         let mut est = Estocada::in_memory();
-        assert_eq!(est.catalog_epoch(), 0);
+        assert_eq!(est.metrics().catalog_epoch, 0);
         est.register_dataset(Dataset::relational(
             "d",
             vec![crate::dataset::TableData {
@@ -985,16 +979,16 @@ mod tests {
             }],
         ))
         .unwrap();
-        assert_eq!(est.catalog_epoch(), 1);
+        assert_eq!(est.metrics().catalog_epoch, 1);
         let id = est
             .add_fragment(FragmentSpec::NativeTables {
                 dataset: "d".into(),
                 only: None,
             })
             .unwrap();
-        assert_eq!(est.catalog_epoch(), 2);
+        assert_eq!(est.metrics().catalog_epoch, 2);
         est.drop_fragment(&id).unwrap();
-        assert_eq!(est.catalog_epoch(), 3);
+        assert_eq!(est.metrics().catalog_epoch, 3);
     }
 
     #[test]

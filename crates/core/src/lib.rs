@@ -30,6 +30,7 @@ mod factbase;
 pub mod frontends;
 mod layout;
 pub mod materialize;
+pub mod metrics;
 pub mod plancache;
 mod planner;
 pub mod report;
@@ -46,6 +47,7 @@ pub use dataset::{Dataset, DatasetContent, DocData, TableData};
 pub use dml::{DmlReport, DmlSteps, FragmentDelta};
 pub use error::{Error, PlanFailure, Result};
 pub use evaluator::{Estocada, QueryOptions, QueryRequest};
+pub use metrics::{BackendMetrics, Metrics};
 pub use plancache::PlanCacheStats;
 pub use report::{PlanCacheActivity, QueryResult, Report};
 pub use resilience::{

@@ -527,7 +527,7 @@ mod tests {
     /// catalog epoch alone.
     fn assert_nothing_changed(mut est: crate::Estocada, epoch: u64) {
         assert_eq!(
-            est.catalog_epoch(),
+            est.metrics().catalog_epoch,
             epoch,
             "a rejected spec bumped the epoch"
         );
@@ -539,7 +539,7 @@ mod tests {
     #[test]
     fn native_tables_naming_a_missing_table_is_an_unknown_name() {
         let (mut est, spec) = native_only(&["Users", "Userz"]);
-        let epoch = est.catalog_epoch();
+        let epoch = est.metrics().catalog_epoch;
         let err = est.add_fragment(spec).unwrap_err();
         assert!(
             matches!(&err, Error::UnknownName(t) if t == "Userz"),
@@ -551,7 +551,7 @@ mod tests {
     #[test]
     fn native_tables_selecting_no_table_is_a_bad_fragment() {
         let (mut est, spec) = native_only(&[]);
-        let epoch = est.catalog_epoch();
+        let epoch = est.metrics().catalog_epoch;
         let err = est.add_fragment(spec).unwrap_err();
         assert!(matches!(err, Error::BadFragment(_)), "got {err}");
         assert_nothing_changed(est, epoch);

@@ -30,8 +30,9 @@
 //! workload produces. Entries store an `Arc`, so a hit is one clone of a
 //! pointer. Hit/miss counters and the entry count are relaxed
 //! atomics (the count moves under the shard write lock), so
-//! `EpochCache::stats` takes no lock; they surface per query in
-//! [`crate::report::Report::plan_cache`].
+//! `EpochCache::stats` takes no lock; they surface in the engine's one
+//! snapshot, [`crate::Estocada::metrics`], while a query's report says
+//! only whether it hit ([`crate::report::Report::plan_cache`]).
 //!
 //! Two threads racing on the same cold key both compute the value and
 //! both try to insert; determinism makes the two values identical, so

@@ -75,8 +75,9 @@
 //! lookup (the prepared plan keeps both) and the core canonicalized for the
 //! outcome lookup. A miss's parse is not part of its
 //! [`crate::Report::rewrite_time`].
-//! Activity and engine totals surface in [`crate::Report::plan_cache`] — a
-//! *hit* is a query that ran no chase; opt out per query with
+//! Each query's activity surfaces in [`crate::Report::plan_cache`] — a
+//! *hit* is a query that ran no chase — and the engine-wide counters in
+//! [`crate::Estocada::metrics`]; opt out per query with
 //! [`crate::QueryRequest::no_plan_cache`] or engine-wide with
 //! [`crate::Estocada::set_default_query_options`] and
 //! [`crate::QueryOptions::plan_cache`] `false` (both levels are bypassed:
@@ -210,17 +211,12 @@ pub(crate) struct Planned {
 /// and past it otherwise.
 pub(crate) fn plan(est: &Estocada, request: &QueryInput, cache: bool) -> Result<Planned> {
     let t0 = Instant::now();
-    let (epoch, data_epoch) = (est.catalog_epoch(), est.data_epoch());
+    let (epoch, data_epoch) = (est.epoch, est.data_epoch);
     let index_generation = est.stores.rel.index_generation();
     let current =
         |p: &&Arc<Prepared>| p.data_epoch == data_epoch && p.index_generation == index_generation;
     let plans = &est.plan_cache;
-    let activity = |hit| {
-        cache.then(|| PlanCacheActivity {
-            hit,
-            totals: plans.stats(),
-        })
-    };
+    let activity = |hit| cache.then_some(PlanCacheActivity { hit });
     let hash = cache.then(|| hash_of(request));
     let cached = hash.and_then(|hash| plans.prepared.lookup(hash, |kept| kept == request, epoch));
     if let Some(prepared) = cached.as_ref().filter(current) {
@@ -273,11 +269,7 @@ pub(crate) fn plan(est: &Estocada, request: &QueryInput, cache: bool) -> Result<
 /// The rewriting outcome of `q` — from the plan cache when `cached`, else
 /// computed (and cached) — and whether the cache had it.
 fn rewrite(est: &Estocada, q: &ParsedQuery, cached: bool) -> Result<(Arc<RewriteOutcome>, bool)> {
-    let (ctx, epoch, outcomes) = (
-        est.planning(),
-        est.catalog_epoch(),
-        &est.plan_cache.outcomes,
-    );
+    let (ctx, epoch, outcomes) = (est.planning(), est.epoch, &est.plan_cache.outcomes);
     let key = cached.then(|| CoreKey::of(q)).map(|k| (hash_of(&k), k));
     if let Some(outcome) = key
         .as_ref()

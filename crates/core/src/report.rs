@@ -3,7 +3,6 @@
 //! across the underlying DMSs and the ESTOCADA runtime.
 
 use crate::analyze::Diagnostic;
-use crate::plancache::PlanCacheStats;
 use crate::resilience::ResilienceReport;
 use crate::system::SystemId;
 use estocada_engine::ExecStats;
@@ -12,19 +11,17 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// What the rewrite-plan cache did for one query: whether this query's
-/// rewriting came from the cache (skipping the chase & backchase entirely —
-/// alone, or with the prepared plans built from it, which
-/// [`Report::translate_time`] tells apart), plus the engine-wide counters at
-/// report time. `None` in a [`Report`]
+/// What an epoch cache did for one query: whether this query's value came
+/// from the cache — for the rewrite-plan cache, skipping the chase &
+/// backchase entirely (alone, or with the prepared plans built from it,
+/// which [`Report::translate_time`] tells apart). `None` in a [`Report`]
 /// means the cache was bypassed for the query (per-request opt-out or
-/// engine-level disable).
+/// engine-level disable). The engine-wide counters are in
+/// [`crate::Estocada::metrics`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanCacheActivity {
-    /// This query's plan was served from the cache.
+    /// This query's value was served from the cache.
     pub hit: bool,
-    /// Engine-wide hit/miss/size totals when the report was built.
-    pub totals: PlanCacheStats,
 }
 
 /// A considered rewriting alternative with its estimated cost.
@@ -84,8 +81,8 @@ pub struct Report {
     /// the clean-path report identical to an engine without the analyzer.
     pub diagnostics: Vec<Diagnostic>,
     /// Lint-cache activity for this query's diagnostics: whether they
-    /// were served from the epoch-keyed lint cache, plus the engine-wide
-    /// counters. `None` when analysis was skipped
+    /// were served from the epoch-keyed lint cache. `None` when analysis
+    /// was skipped
     /// ([`crate::ValidationMode::Off`]). The cache keys on the **catalog**
     /// epoch alone — DML bumps only the data epoch, so writes keep lints
     /// cached (pinned by `dml::dml_keeps_cached_lints`).
@@ -131,32 +128,20 @@ impl fmt::Display for Report {
             }
         }
         if let Some(pc) = &self.plan_cache {
-            writeln!(
-                f,
-                "plan cache:     {} (engine totals: {} hits / {} misses, {} entries)",
-                if pc.hit {
-                    "hit — backchase skipped"
-                } else {
-                    "miss"
-                },
-                pc.totals.hits,
-                pc.totals.misses,
-                pc.totals.entries,
-            )?;
+            let outcome = if pc.hit {
+                "hit — backchase skipped"
+            } else {
+                "miss"
+            };
+            writeln!(f, "plan cache:     {outcome}")?;
         }
         if let Some(lc) = &self.lint_cache {
-            writeln!(
-                f,
-                "lint cache:     {} (engine totals: {} hits / {} misses, {} entries)",
-                if lc.hit {
-                    "hit — analysis skipped"
-                } else {
-                    "miss"
-                },
-                lc.totals.hits,
-                lc.totals.misses,
-                lc.totals.entries,
-            )?;
+            let outcome = if lc.hit {
+                "hit — analysis skipped"
+            } else {
+                "miss"
+            };
+            writeln!(f, "lint cache:     {outcome}")?;
         }
         if let Some(r) = &self.resilience {
             writeln!(

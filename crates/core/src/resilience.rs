@@ -343,24 +343,21 @@ impl HealthTracker {
         }
     }
 
-    /// Health counters of every backend.
-    pub fn snapshot(&self) -> Vec<(SystemId, BackendHealth)> {
-        SystemId::ALL
-            .into_iter()
-            .map(|sys| {
-                let s = self.slot(sys);
-                (
-                    sys,
-                    BackendHealth {
-                        state: decode_state(s.state.load(Ordering::Relaxed)),
-                        consecutive_failures: s.consecutive.load(Ordering::Relaxed),
-                        successes: s.successes.load(Ordering::Relaxed),
-                        failures: s.failures.load(Ordering::Relaxed),
-                        trips: s.trips.load(Ordering::Relaxed),
-                    },
-                )
-            })
-            .collect()
+    /// Health counters of every backend, one entry per backend.
+    pub fn snapshot(&self) -> [(SystemId, BackendHealth); 5] {
+        SystemId::ALL.map(|sys| {
+            let s = self.slot(sys);
+            (
+                sys,
+                BackendHealth {
+                    state: decode_state(s.state.load(Ordering::Relaxed)),
+                    consecutive_failures: s.consecutive.load(Ordering::Relaxed),
+                    successes: s.successes.load(Ordering::Relaxed),
+                    failures: s.failures.load(Ordering::Relaxed),
+                    trips: s.trips.load(Ordering::Relaxed),
+                },
+            )
+        })
     }
 
     /// Close every breaker and zero every counter.

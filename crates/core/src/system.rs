@@ -156,6 +156,12 @@ impl FaultGate {
             None => Ok(()),
         }
     }
+
+    /// Delegated requests that reached this gate since the current fault
+    /// plan was installed (0 while none is).
+    pub(crate) fn ops(&self) -> u64 {
+        self.0.read().as_ref().map_or(0, FaultHook::ops)
+    }
 }
 
 /// The set of store instances of one deployment.
@@ -202,13 +208,6 @@ impl Stores {
                 .as_ref()
                 .map(|p| FaultHook::new(p.clone(), &sys.to_string()));
         }
-    }
-
-    /// Delegated requests that reached `sys`'s gate since the current
-    /// fault plan was installed (0 while none is).
-    pub fn gated_ops(&self, sys: SystemId) -> u64 {
-        let gate = self.gates[sys as usize].0.read();
-        gate.as_ref().map_or(0, FaultHook::ops)
     }
 
     /// Snapshot every store's metrics, one entry per backend.

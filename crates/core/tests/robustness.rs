@@ -129,14 +129,14 @@ fn re_registering_a_dataset_is_rejected_and_leaves_the_engine_untouched() {
             }],
         )
     };
-    let (constraints, epoch) = (est.schema().constraints.len(), est.catalog_epoch());
+    let (constraints, epoch) = (est.schema().constraints.len(), est.metrics().catalog_epoch);
     let held = format!("{:?}", est.dataset("d"));
     // The same name, and another name declaring the same relation.
     for ds in [again("d", 4), again("e", 4)] {
         let r = est.register_dataset(ds);
         assert!(matches!(r, Err(Error::Duplicate(_))), "got {r:?}");
         assert_eq!(est.schema().constraints.len(), constraints);
-        assert_eq!(est.catalog_epoch(), epoch);
+        assert_eq!(est.metrics().catalog_epoch, epoch);
         assert!(est.dataset("e").is_none());
         assert_eq!(format!("{:?}", est.dataset("d")), held);
         assert!(est.analyze().is_empty(), "{:?}", est.analyze());

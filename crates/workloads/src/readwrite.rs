@@ -138,12 +138,14 @@ pub fn rw_workload(m: &Marketplace, config: RwConfig) -> Vec<RwOp> {
 /// `(fragment id, high water, data epoch)`. Synchronous maintenance keeps
 /// this empty at every quiescent point; a non-empty result is a staleness
 /// bug. Each fragment's catalog entry carries its mark: the data epoch it
-/// was filled at, advanced by every write.
+/// was filled at, advanced by every write. Reads one [`Estocada::metrics`]
+/// snapshot, and allocates nothing while no fragment is stale.
 pub fn stale_fragments(est: &Estocada) -> Vec<(String, u64, u64)> {
-    let epoch = est.data_epoch();
-    let fragments = est.catalog().fragments().iter();
-    let stale = fragments.filter(|f| f.high_water != epoch);
-    stale.map(|f| (f.id.clone(), f.high_water, epoch)).collect()
+    let m = est.metrics();
+    let stale = m.fragments.iter().filter(|f| f.high_water != m.data_epoch);
+    stale
+        .map(|f| (f.id.clone(), f.high_water, m.data_epoch))
+        .collect()
 }
 
 /// Outcome of one mixed run.
@@ -227,7 +229,7 @@ pub fn run_rw_workload(est: &mut Estocada, ops: &[RwOp]) -> estocada::Result<RwS
             }
         }
     }
-    s.final_data_epoch = est.data_epoch();
+    s.final_data_epoch = est.metrics().data_epoch;
     Ok(s)
 }
 

@@ -134,11 +134,13 @@ fn main() -> estocada::Result<()> {
                 );
             }
         }
-        let pc = est.plan_cache_stats();
-        println!(
-            "plan cache: {} hits / {} misses ({} entries)",
-            pc.hits, pc.misses, pc.entries
-        );
+        let metrics = est.metrics().to_string();
+        for line in metrics
+            .lines()
+            .filter(|l| l.starts_with("estocada_plan_cache"))
+        {
+            println!("  {line}");
+        }
         println!();
     }
     Ok(())

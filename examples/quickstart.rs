@@ -95,11 +95,10 @@ fn main() -> estocada::Result<()> {
             });
         }
     });
-    let stats = est.plan_cache_stats();
-    println!(
-        "plan cache after the burst: {} hits / {} misses, {} entries",
-        stats.hits, stats.misses, stats.entries
-    );
+    // One snapshot of engine state: its text exposition has one
+    // `name{labels} value` line per value.
+    println!("plan cache after the burst:");
+    print_metrics(&est, "estocada_plan_cache");
 
     // 7. Resilience: script a key-value outage and watch the same point
     //    query survive it. The retry loop burns its attempts against the
@@ -121,6 +120,16 @@ fn main() -> estocada::Result<()> {
         resilience.failed_over(),
         survived.report.delegated[0],
     );
+    print_metrics(&est, "estocada_breaker_trips_total{system=\"key-value\"}");
     est.set_fault_plan(None);
     Ok(())
+}
+
+/// Print the lines of the engine's metrics exposition that start with
+/// `prefix`.
+fn print_metrics(est: &Estocada, prefix: &str) {
+    let exposition = est.metrics().to_string();
+    for line in exposition.lines().filter(|l| l.starts_with(prefix)) {
+        println!("  {line}");
+    }
 }

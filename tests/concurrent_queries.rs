@@ -253,7 +253,7 @@ fn ddl_epoch_bump_mid_workload_invalidates_plans() {
         .collect();
 
     let mut est = deploy_baseline(&m, Latencies::zero());
-    let epoch_a = est.catalog_epoch();
+    let epoch_a = est.metrics().catalog_epoch;
     let phase_a = concurrent_run(&est, &work, 4);
     for n in &phase_a {
         assert!(
@@ -272,7 +272,7 @@ fn ddl_epoch_bump_mid_workload_invalidates_plans() {
             .build(),
     })
     .unwrap();
-    assert!(est.catalog_epoch() > epoch_a);
+    assert!(est.metrics().catalog_epoch > epoch_a);
 
     let phase_b = concurrent_run(&est, &work, 4);
     for (a, b) in phase_a.iter().zip(&phase_b) {

@@ -221,12 +221,7 @@ fn kv_outage_fails_over_to_the_relational_rewriting() {
     // max_attempts == trip_after == 3: the outage also tripped the
     // breaker, so the *next* query avoids the key-value store at plan
     // time — no faults encountered, resilience stays None.
-    let kv_health = est
-        .backend_health()
-        .into_iter()
-        .find(|(sys, _)| *sys == estocada::SystemId::KeyValue)
-        .unwrap()
-        .1;
+    let kv_health = est.metrics().backends[estocada::SystemId::KeyValue as usize].health;
     assert_eq!(kv_health.state, estocada::BreakerState::Open);
     assert_eq!(kv_health.trips, 1);
     let steered = est.query_sql(&pref_sql(9)).expect("steered query");
@@ -614,13 +609,7 @@ fn native_store_error_is_not_retried_and_leaves_the_breaker_closed() {
     // Drop the table behind the catalog's back: the delegated SQL now fails
     // natively ("unknown table") every time it is asked.
     assert!(est.stores.rel.drop_table("Prefs"));
-    let rel_health = |est: &Estocada| {
-        est.backend_health()
-            .into_iter()
-            .find(|(sys, _)| *sys == SystemId::Relational)
-            .unwrap()
-            .1
-    };
+    let rel_health = |est: &Estocada| est.metrics().backends[SystemId::Relational as usize].health;
     // More bad queries than `trip_after` outages would need to open the
     // breaker.
     for round in 0..5 {
@@ -812,11 +801,9 @@ const PRODUCT_SEARCH_SQL: &str =
 
 /// Per store: (requests the gate has seen, requests the store has served).
 fn gate_and_store_counts(est: &Estocada) -> Vec<(SystemId, u64, u64)> {
-    est.stores
-        .metrics()
-        .into_iter()
-        .map(|(sys, snap)| (sys, est.stores.gated_ops(sys), snap.requests))
-        .collect()
+    let backends = est.metrics().backends.into_iter();
+    let counts = backends.map(|b| (b.system, b.gated_ops, b.store.requests));
+    counts.collect()
 }
 
 #[test]

@@ -14,10 +14,14 @@
 //! decoded key-value and document answers through row tuples and copied the
 //! prepared texts into its report, counted by this test then: 72 for the
 //! preference hit, 89 for the cart hit, so at most 24 and 30.
+//!
+//! After the hits, one `Estocada::metrics` snapshot and one
+//! `stale_fragments` check (which the read/write workload runs after every
+//! write) must each allocate nothing.
 
 use estocada::{Latencies, QueryResult};
 use estocada_workloads::marketplace::{generate, MarketplaceConfig};
-use estocada_workloads::{cart_pattern, deploy_materialized_join, pref_sql};
+use estocada_workloads::{cart_pattern, deploy_materialized_join, pref_sql, stale_fragments};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -107,5 +111,14 @@ fn a_prepared_lookup_hit_allocates_a_third_of_what_it_did() {
     assert!(
         cart_allocs <= CART_BOUND,
         "a prepared cart hit made {cart_allocs} allocations, above {CART_BOUND}"
+    );
+    let (metrics_allocs, metrics) = allocs_of(|| est.metrics());
+    assert!(metrics.plan_cache.hits > 0, "the snapshot sees the hits");
+    let (stale_allocs, stale) = allocs_of(|| stale_fragments(est));
+    assert!(stale.is_empty(), "no fragment is stale: {stale:?}");
+    assert_eq!(metrics_allocs, 0, "a metrics snapshot allocated");
+    assert_eq!(
+        stale_allocs, 0,
+        "a staleness check with none stale allocated"
     );
 }

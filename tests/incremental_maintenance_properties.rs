@@ -715,7 +715,7 @@ proptest! {
         });
         let (mut est, mut model) = (deploy_kv_migrated(&m, Latencies::zero()), Model::new(&m));
         let writes = run_ops(&mut est, &mut model, &schedule);
-        prop_assert_eq!(est.data_epoch(), writes as u64);
+        prop_assert_eq!(est.metrics().data_epoch, writes as u64);
         prop_assert!(stale_fragments(&est).is_empty());
         let twin = model.twin(deploy_kv_migrated);
         let sa = est.stores.dump();
