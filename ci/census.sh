@@ -8,8 +8,9 @@
 # in the mediator, resolves of interned rows on the fill and write path, row
 # indexes the write path keeps beside the fact base, thread-locals of the
 # chase, open-addressing tables, store DDL calls in the mediator outside
-# its layouts, `pub fn`s of the `Estocada` facade, independently settable
-# options, and panic sites in library code.
+# its layouts, value rows at the store boundary, `pub fn`s of the
+# `Estocada` facade, independently settable options, and panic sites in
+# library code.
 # Informational: prints, never fails on a count.
 set -eu
 cd "$(dirname "$0")/.."
@@ -194,6 +195,18 @@ for f in $(rust_files crates/core/src | grep -v '^crates/core/src/layout\.rs$');
     store_ddl=$((store_ddl + n))
 done
 printf '%-28s %8d\n' 'store DDL outside layout' "$store_ddl"
+# Library lines of the store boundary — the connectors, the fault handling
+# around their calls, and the engine's plans and executor — that name a
+# value `Tuple`, intern values a slice at a time (`intern_all(`) or a batch
+# from value rows (`from_rows(`): a delegated leaf and a BindJoin probe both
+# answer in interned cells, and a probe sends its keys interned.
+value_rows=0
+for f in crates/core/src/connector.rs crates/core/src/resilience.rs \
+    crates/engine/src/plan.rs crates/engine/src/vexec.rs; do
+    n=$(library_part "$f" | grep -cE '\bTuple\b|intern_all\(|from_rows\(' || true)
+    value_rows=$((value_rows + n))
+done
+printf '%-28s %8d\n' 'value rows at the store boundary' "$value_rows"
 
 # Public fields of `pub struct $2` in file `$1`.
 fields() {

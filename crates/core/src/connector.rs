@@ -8,7 +8,9 @@
 //! calls the stores' read methods. Every such call is preceded by the
 //! backend's fault gate ([`Stores`] owns one per [`SystemId`]), named with
 //! the operation a `FaultPlan` rule keys on (`query`, `get`, `mget`,
-//! `find`, `term_lookup`, `scan`, `lookup`, `join`).
+//! `find`, `term_lookup`, `scan`, `lookup`, `join`). Every answer crosses
+//! it in interned cells: a runner's [`Batch`], and a BindJoin probe's
+//! [`Fetched`] for keys that came in interned too.
 //!
 //! A unit ships what [`Ship`] asks for: only the variables something
 //! outside it reads, or — when it is the whole rewriting — the query's
@@ -30,7 +32,7 @@ use crate::error::{Error, Result};
 use crate::layout::unpack_kv_rows;
 use crate::system::{FaultGate, Stores, SystemId};
 use estocada_docstore::{DocQuery, QueryNode};
-use estocada_engine::{Batch, BindSource, Columns, Runner, StoreError, Tuple};
+use estocada_engine::{Batch, BindSource, Columns, Fetched, Runner, StoreError};
 use estocada_parstore::Shape;
 use estocada_pivot::hash::{FastMap, FastSet};
 use estocada_pivot::{Atom, CmpOp, ConstId, ConstReader, GroupBy, IdRows, Term, Value, Var};
@@ -211,8 +213,9 @@ pub struct Unit {
     pub label: String,
     /// Variables the unit outputs (for `Bind` units: *excluding* inputs).
     pub out_vars: Vec<Var>,
-    /// Variables that must be bound before the unit can run.
-    pub inputs: Vec<Var>,
+    /// The variable that must be bound before the unit can run: the key a
+    /// `Bind` unit is probed with.
+    pub inputs: Option<Var>,
     /// Executable form.
     pub kind: UnitKind,
     /// Estimated output cardinality.
@@ -460,7 +463,7 @@ pub fn sql_unit(
     Ok(Unit {
         label,
         out_vars,
-        inputs: Vec::new(),
+        inputs: None,
         kind: UnitKind::Run(Arc::new(runner)),
         est_rows,
         accesses,
@@ -486,6 +489,13 @@ fn missing_container(sys: SystemId, op: &str, name: &str) -> StoreError {
     StoreError::internal(&sys.to_string(), op, format!("unknown {kind} {name}"))
 }
 
+/// The values of interned probe `keys`, resolved before any store call (a
+/// reader must not be held across one, nor across an intern).
+fn resolved(keys: &[ConstId]) -> Vec<Value> {
+    let reader = ConstReader::new();
+    keys.iter().map(|k| reader.get(*k).clone()).collect()
+}
+
 /// A stored key-value payload that does not decode: the store answered, so
 /// the failure is native — neither retried nor held against the breaker.
 fn corrupt_payload(op: &str, e: estocada_kvstore::DecodeError) -> StoreError {
@@ -494,7 +504,7 @@ fn corrupt_payload(op: &str, e: estocada_kvstore::DecodeError) -> StoreError {
 
 /// A namespace of the key-value store as one rewriting atom sees it. The
 /// point `get` of a constant key and the pipelined `mget` of a BindJoin
-/// share the gate and the payload decoding.
+/// share the gate and the one decode of a stored value into interned rows.
 struct KvAccess {
     kv: Arc<estocada_kvstore::KvStore>,
     gate: FaultGate,
@@ -511,36 +521,15 @@ struct KvAccess {
 }
 
 impl KvAccess {
-    /// The value tuples stored under `key` that bind the atom, as the
-    /// stored cells and the positions of the output variables in them.
-    fn bound<'v>(
-        &'v self,
-        key: &'v Value,
-        values: &'v [Value],
-    ) -> impl Iterator<Item = (&'v [Value], &'v [usize])> + 'v {
-        unpack_kv_rows(values).filter_map(move |cells| {
+    /// Decode what is stored under `key` straight onto `rows`, a batch of
+    /// the unit's interned columns: the stored value tuples that bind the
+    /// atom, as their output cells.
+    fn decode(&self, key: &Value, hit: Option<Vec<Value>>, rows: &mut Batch) {
+        let values = hit.unwrap_or_default();
+        rows.push_values(unpack_kv_rows(&values).filter_map(|cells| {
             let out = self.binder.bind(|p| cells.get(p), Value::eq, Some(key))?;
-            Some((cells, out))
-        })
-    }
-
-    /// Decode what is stored under `key` straight into a batch of the
-    /// unit's interned columns.
-    fn decode(&self, key: &Value, hit: Option<Vec<Value>>) -> Batch {
-        let values = hit.unwrap_or_default();
-        let stored = unpack_kv_rows(&values).count();
-        let mut batch = Batch::with_capacity(self.columns.clone(), stored);
-        let rows = self.bound(key, &values);
-        batch.push_values(rows.map(|(cells, out)| out.iter().map(|p| &cells[*p])));
-        batch
-    }
-
-    /// Decode what is stored under `key` into bound output tuples.
-    fn tuples(&self, key: &Value, hit: Option<Vec<Value>>) -> Vec<Tuple> {
-        let values = hit.unwrap_or_default();
-        let row =
-            |(cells, out): (&[Value], &[usize])| out.iter().map(|p| cells[*p].clone()).collect();
-        self.bound(key, &values).map(row).collect()
+            Some(out.iter().map(|p| &cells[*p]))
+        }));
     }
 
     /// After an `op` that hit nothing: see [`missing_container`].
@@ -554,25 +543,26 @@ impl KvAccess {
 }
 
 impl BindSource for KvAccess {
-    fn out_columns(&self) -> Vec<String> {
-        self.columns.to_vec()
+    fn out_columns(&self) -> Columns {
+        self.columns.clone()
     }
-    fn fetch_batch(&self, keys: &[Vec<Value>]) -> StoreResult<Vec<Vec<Tuple>>> {
+    fn fetch_batch(&self, keys: &[ConstId]) -> StoreResult<Fetched> {
         // Pipelined MGET: the whole probe batch costs one simulated
         // round-trip instead of one per distinct key (and one fault fails
         // the whole batch).
-        let flat: Vec<Value> = keys.iter().map(|k| k[0].clone()).collect();
+        let keys = resolved(keys);
         self.gate.check("mget")?;
-        let hits = self.kv.mget(&self.namespace, &flat);
+        let hits = self.kv.mget(&self.namespace, &keys);
         let hits = hits.map_err(|e| corrupt_payload("mget", e))?;
         if hits.iter().all(Option::is_none) {
             self.namespace_exists("mget")?;
         }
-        Ok(hits
-            .into_iter()
-            .zip(&flat)
-            .map(|(hit, key)| self.tuples(key, hit))
-            .collect())
+        let mut fetched = Fetched::new(self.columns.clone());
+        for (hit, key) in hits.into_iter().zip(&keys) {
+            self.decode(key, hit, &mut fetched.rows);
+            fetched.end_key();
+        }
+        Ok(fetched)
     }
     fn label(&self) -> String {
         self.label.clone()
@@ -625,7 +615,9 @@ pub fn kv_unit(
                 if hit.is_none() {
                     access.namespace_exists("get")?;
                 }
-                Ok(access.decode(&key, hit))
+                let mut batch = Batch::empty(access.columns.clone());
+                access.decode(&key, hit, &mut batch);
+                Ok(batch)
             }))
         }
         Term::Var(_) => UnitKind::Bind(Arc::new(access)),
@@ -633,7 +625,7 @@ pub fn kv_unit(
     Ok(Unit {
         label,
         out_vars,
-        inputs: key_var.into_iter().collect(),
+        inputs: key_var,
         kind,
         est_rows: 1.0,
         accesses: vec![(Access::KeyGet, stats.clone())],
@@ -644,8 +636,9 @@ pub fn kv_unit(
 }
 
 /// A full-text index as one `Contains(term, key)` atom sees it: the search
-/// of a constant term and the per-key probes of a BindJoin share the gate
-/// and the binding of the returned document keys.
+/// of a constant term and the per-key probes of a BindJoin share one
+/// lookup — the gate, and the binding of the returned document keys into
+/// interned rows.
 struct TextAccess {
     text: Arc<estocada_textstore::TextStore>,
     gate: FaultGate,
@@ -661,7 +654,9 @@ struct TextAccess {
 }
 
 impl TextAccess {
-    fn lookup(&self, term: &str) -> StoreResult<Vec<Tuple>> {
+    /// Search `term`, pushing a row onto `rows` for each document key that
+    /// binds the atom's key term.
+    fn lookup(&self, term: &str, rows: &mut Batch) -> StoreResult<()> {
         self.gate.check("term_lookup")?;
         let keys = self.text.term_lookup(&self.index, term);
         if keys.is_empty() && self.holds_rows && !self.text.index_names().contains(&self.index) {
@@ -672,28 +667,30 @@ impl TextAccess {
             ));
         }
         // The key term is the atom's only position: every output is the key.
-        let bind = |k: Value| {
+        rows.push_values(keys.iter().filter_map(|k| {
             let out = self
                 .binder
-                .bind(|p| (p == 0).then_some(&k), Value::eq, None)?;
-            Some(vec![k.clone(); out.len()])
-        };
-        Ok(keys.into_iter().filter_map(bind).collect())
+                .bind(|p| (p == 0).then_some(k), Value::eq, None)?;
+            Some(std::iter::repeat_n(k, out.len()))
+        }));
+        Ok(())
     }
 }
 
 impl BindSource for TextAccess {
-    fn out_columns(&self) -> Vec<String> {
-        self.columns.to_vec()
+    fn out_columns(&self) -> Columns {
+        self.columns.clone()
     }
-    fn fetch_batch(&self, keys: &[Vec<Value>]) -> StoreResult<Vec<Vec<Tuple>>> {
+    fn fetch_batch(&self, keys: &[ConstId]) -> StoreResult<Fetched> {
         // No batched search: one term lookup per key.
-        keys.iter()
-            .map(|key| match key[0].as_str() {
-                Some(term) => self.lookup(term),
-                None => Ok(Vec::new()),
-            })
-            .collect()
+        let mut fetched = Fetched::new(self.columns.clone());
+        for term in resolved(keys) {
+            if let Some(term) = term.as_str() {
+                self.lookup(term, &mut fetched.rows)?;
+            }
+            fetched.end_key();
+        }
+        Ok(fetched)
     }
     fn label(&self) -> String {
         self.label.clone()
@@ -738,17 +735,16 @@ pub fn text_unit(
     };
     let kind = match const_term {
         Some(term) => UnitKind::Run(Arc::new(move || {
-            Ok(Batch::from_rows(
-                access.columns.clone(),
-                &access.lookup(&term)?,
-            ))
+            let mut batch = Batch::empty(access.columns.clone());
+            access.lookup(&term, &mut batch)?;
+            Ok(batch)
         })),
         None => UnitKind::Bind(Arc::new(access)),
     };
     Ok(Unit {
         label,
         out_vars,
-        inputs: term_var.into_iter().collect(),
+        inputs: term_var,
         kind,
         est_rows: avg_postings,
         accesses: vec![(Access::KeyGet, stats.clone())],
@@ -815,7 +811,7 @@ pub fn doc_rows_unit(
     Ok(Unit {
         label,
         out_vars,
-        inputs: Vec::new(),
+        inputs: None,
         kind: UnitKind::Run(Arc::new(runner)),
         est_rows: est,
         accesses: vec![(access, stats.clone())],
@@ -1026,7 +1022,7 @@ fn par_scan_unit(
     Ok(Unit {
         label,
         out_vars,
-        inputs: Vec::new(),
+        inputs: None,
         kind: UnitKind::Run(Arc::new(runner)),
         est_rows: est,
         accesses: vec![(access, stats.clone())],
@@ -1089,7 +1085,7 @@ fn par_join_unit(
     Ok(Unit {
         label,
         out_vars,
-        inputs: Vec::new(),
+        inputs: None,
         kind: UnitKind::Run(Arc::new(runner)),
         est_rows: est,
         accesses: vec![
@@ -1229,13 +1225,15 @@ pub fn doc_tree_unit(
         if rows.is_empty() && !doc.collection_names().contains(&collection) {
             return Err(missing_container(SystemId::Document, "query", &collection));
         }
-        Ok(Batch::from_rows(names.clone(), &rows))
+        let mut batch = Batch::with_capacity(names.clone(), rows.len());
+        batch.push_values(&rows);
+        Ok(batch)
     };
     let est_rows = atoms.iter().map(|(_, _, s)| s.rows as f64);
     Ok(Unit {
         label,
         out_vars: ordered_vars,
-        inputs: Vec::new(),
+        inputs: None,
         kind: UnitKind::Run(Arc::new(runner)),
         est_rows: est_rows.fold(1.0, f64::max),
         accesses: vec![(Access::FullScan, root_stats.clone())],

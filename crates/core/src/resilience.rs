@@ -33,8 +33,8 @@
 //! without fault handling.
 
 use crate::system::SystemId;
-use estocada_engine::{Batch, BindSource, Leaves, Runner, StoreError, StoreErrorKind, Tuple};
-use estocada_pivot::Value;
+use estocada_engine::{Batch, BindSource, Fetched, Leaves, Runner, StoreError, StoreErrorKind};
+use estocada_pivot::ConstId;
 use estocada_simkit::SimClock;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
@@ -275,23 +275,19 @@ impl HealthTracker {
                 // Time-based recovery first: an open window that has fully
                 // elapsed admits a probe immediately, so a backend that saw
                 // no traffic while open (nothing to count rejections
-                // against) still gets to recover.
-                if let Some(cooldown) = self.cfg.open_cooldown {
+                // against) still gets to recover. Otherwise the call counts
+                // as a rejection, and the one past `probe_after` probes.
+                let cooled = self.cfg.open_cooldown.is_some_and(|cooldown| {
                     let opened = Duration::from_nanos(slot.opened_at.load(Ordering::Relaxed));
-                    if self.clock.now().saturating_sub(opened) >= cooldown {
-                        slot.rejections.store(0, Ordering::Relaxed);
-                        slot.state.store(STATE_HALF_OPEN, Ordering::Relaxed);
-                        return Admission::Probe;
-                    }
+                    self.clock.now().saturating_sub(opened) >= cooldown
+                });
+                let count_rejection = || slot.rejections.fetch_add(1, Ordering::Relaxed) + 1;
+                if !cooled && count_rejection() <= self.cfg.probe_after {
+                    return Admission::FailFast;
                 }
-                let r = slot.rejections.fetch_add(1, Ordering::Relaxed) + 1;
-                if r > self.cfg.probe_after {
-                    slot.rejections.store(0, Ordering::Relaxed);
-                    slot.state.store(STATE_HALF_OPEN, Ordering::Relaxed);
-                    Admission::Probe
-                } else {
-                    Admission::FailFast
-                }
+                slot.rejections.store(0, Ordering::Relaxed);
+                slot.state.store(STATE_HALF_OPEN, Ordering::Relaxed);
+                Admission::Probe
             }
         }
     }
@@ -314,33 +310,22 @@ impl HealthTracker {
         let slot = self.slot(sys);
         slot.failures.fetch_add(1, Ordering::Relaxed);
         let consec = slot.consecutive.fetch_add(1, Ordering::Relaxed) + 1;
-        match decode_state(slot.state.load(Ordering::Relaxed)) {
-            BreakerState::HalfOpen => {
-                // The probe failed: back to open (fresh open window).
-                slot.rejections.store(0, Ordering::Relaxed);
-                slot.opened_at
-                    .store(self.clock.now().as_nanos() as u64, Ordering::Relaxed);
-                slot.state.store(STATE_OPEN, Ordering::Relaxed);
-                Some(BreakerTransition {
-                    system: sys,
-                    from: BreakerState::HalfOpen,
-                    to: BreakerState::Open,
-                })
-            }
-            BreakerState::Closed if consec >= self.cfg.trip_after => {
-                slot.rejections.store(0, Ordering::Relaxed);
-                slot.opened_at
-                    .store(self.clock.now().as_nanos() as u64, Ordering::Relaxed);
-                slot.state.store(STATE_OPEN, Ordering::Relaxed);
-                slot.trips.fetch_add(1, Ordering::Relaxed);
-                Some(BreakerTransition {
-                    system: sys,
-                    from: BreakerState::Closed,
-                    to: BreakerState::Open,
-                })
-            }
-            _ => None,
+        let from = decode_state(slot.state.load(Ordering::Relaxed));
+        let trip = from == BreakerState::Closed && consec >= self.cfg.trip_after;
+        if !trip && from != BreakerState::HalfOpen {
+            return None;
         }
+        // A trip, or a failed probe: open, with a fresh open window.
+        slot.rejections.store(0, Ordering::Relaxed);
+        let now = self.clock.now().as_nanos() as u64;
+        slot.opened_at.store(now, Ordering::Relaxed);
+        slot.state.store(STATE_OPEN, Ordering::Relaxed);
+        slot.trips.fetch_add(u64::from(trip), Ordering::Relaxed);
+        Some(BreakerTransition {
+            system: sys,
+            from,
+            to: BreakerState::Open,
+        })
     }
 
     /// Health counters of every backend, one entry per backend.
@@ -580,19 +565,22 @@ impl QueryResilience {
         }
     }
 
-    /// Probe `source` (serving backend `system`) with `keys` under the
-    /// split-batch retry: a failed batch is **not** re-issued whole. The
-    /// batch is split in half and each half fetched independently,
-    /// recursively, so only the keys in a still-failing half are ever
-    /// re-requested — keys delivered by a succeeding half are done. Each key
-    /// is allowed [`RetryPolicy::max_attempts`] attempts; a fault-free batch
-    /// is exactly one store call, identical to the unsplit path.
+    /// Probe `source` (serving backend `system`) with the interned `keys`
+    /// under the split-batch retry: a failed batch is **not** re-issued
+    /// whole. The batch is split in half and each half fetched
+    /// independently, recursively, so only the keys in a still-failing half
+    /// are ever re-requested — keys delivered by a succeeding half are done.
+    /// The halves' answers are joined in key order: the right half's rows
+    /// follow the left's, its key ends shifted by them
+    /// ([`Fetched::append`]). Each key is allowed
+    /// [`RetryPolicy::max_attempts`] attempts; a fault-free batch is exactly
+    /// one store call, identical to the unsplit path.
     pub fn fetch(
         &self,
         system: SystemId,
         source: &dyn BindSource,
-        keys: &[Vec<Value>],
-    ) -> Result<Vec<Vec<Tuple>>, StoreError> {
+        keys: &[ConstId],
+    ) -> Result<Fetched, StoreError> {
         self.fetch_split(system, source, keys, self.policy.max_attempts.max(1), 1)
     }
 
@@ -600,10 +588,10 @@ impl QueryResilience {
         &self,
         system: SystemId,
         source: &dyn BindSource,
-        keys: &[Vec<Value>],
+        keys: &[ConstId],
         budget: u32,
         attempt: u32,
-    ) -> Result<Vec<Vec<Tuple>>, StoreError> {
+    ) -> Result<Fetched, StoreError> {
         match self.call_once(system, "fetch_batch", || source.fetch_batch(keys)) {
             Ok(v) => Ok(v),
             Err(e) if !self.may_retry(&e, budget.saturating_sub(1)) => Err(e),
@@ -613,7 +601,7 @@ impl QueryResilience {
                 if keys.len() > 1 {
                     let (l, r) = keys.split_at(keys.len() / 2);
                     let mut left = again(l)?;
-                    left.extend(again(r)?);
+                    left.append(again(r)?);
                     Ok(left)
                 } else {
                     again(keys)
@@ -650,8 +638,8 @@ impl Leaves for Guarded<'_> {
         &self,
         unit: usize,
         source: &dyn BindSource,
-        keys: &[Vec<Value>],
-    ) -> Result<Vec<Vec<Tuple>>, StoreError> {
+        keys: &[ConstId],
+    ) -> Result<Fetched, StoreError> {
         match self.systems.get(unit) {
             Some(system) => self.ctx.fetch(*system, source, keys),
             None => source.fetch_batch(keys),
@@ -662,6 +650,8 @@ impl Leaves for Guarded<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use estocada_engine::Columns;
+    use estocada_pivot::{ConstReader, Value};
     use std::sync::atomic::AtomicUsize;
 
     fn unavailable(n: u64) -> StoreError {
@@ -911,23 +901,37 @@ mod tests {
         assert_eq!(health.admit(SystemId::Document), Admission::Probe);
     }
 
-    /// Serves one tuple per key but fails the first `faults` batch calls
-    /// that include the poisoned key, recording every requested key set.
+    /// Serves 0, 1 or 2 rows per key (`rows_of`) but fails the first
+    /// `faults` batch calls that include the poisoned key, recording every
+    /// requested key set.
     struct FlakyBatch {
         poisoned: Value,
         faults: AtomicUsize,
         calls: Mutex<Vec<Vec<Value>>>,
     }
 
+    /// The rows stored under `key`: `a` and `d` have one, `b` and `e` two,
+    /// `c` none, each naming its key.
+    fn rows_of(key: &Value) -> Vec<Vec<Value>> {
+        let key = key.as_str().unwrap_or_default();
+        let n = key.bytes().next().map_or(0, |b| (b - b'a' + 1) % 3);
+        (0..n)
+            .map(|i| vec![Value::str(format!("{key}{i}"))])
+            .collect()
+    }
+
+    fn k_column() -> Columns {
+        vec!["k".to_string()].into()
+    }
+
     impl BindSource for FlakyBatch {
-        fn out_columns(&self) -> Vec<String> {
-            vec!["k".into()]
+        fn out_columns(&self) -> Columns {
+            k_column()
         }
-        fn fetch_batch(&self, keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError> {
-            self.calls
-                .lock()
-                .push(keys.iter().map(|k| k[0].clone()).collect());
-            if keys.iter().any(|k| k[0] == self.poisoned)
+        fn fetch_batch(&self, keys: &[ConstId]) -> Result<Fetched, StoreError> {
+            let keys: Vec<Value> = keys.iter().map(|k| (*k.value()).clone()).collect();
+            self.calls.lock().push(keys.clone());
+            if keys.contains(&self.poisoned)
                 && self
                     .faults
                     .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
@@ -935,84 +939,92 @@ mod tests {
             {
                 return Err(unavailable(0));
             }
-            Ok(keys.iter().map(|k| vec![vec![k[0].clone()]]).collect())
+            let mut fetched = Fetched::new(k_column());
+            for key in &keys {
+                fetched.rows.push_values(&rows_of(key));
+                fetched.end_key();
+            }
+            Ok(fetched)
+        }
+    }
+
+    fn interned(keys: &[&str]) -> Vec<ConstId> {
+        keys.iter().map(|k| ConstId::of(*k)).collect()
+    }
+
+    /// Every key of `keys` holds exactly its own rows in `fetched`.
+    fn assert_own_rows(keys: &[&str], fetched: &Fetched) {
+        assert_eq!(fetched.ends.len(), keys.len(), "one end per key");
+        let reader = ConstReader::new();
+        let column = &fetched.rows.cols[0];
+        for (i, key) in keys.iter().enumerate() {
+            let got: Vec<Vec<Value>> = (fetched.key_rows(i))
+                .map(|r| vec![reader.get(column[r]).clone()])
+                .collect();
+            assert_eq!(got, rows_of(&Value::str(*key)), "the rows of key {key}");
+        }
+    }
+
+    fn fast_retry(max_attempts: u32) -> QueryResilience {
+        let policy = RetryPolicy {
+            max_attempts,
+            jitter: false,
+            base_backoff: Duration::from_micros(1),
+            max_backoff: Duration::from_micros(1),
+        };
+        QueryResilience::new(policy, None, Arc::new(HealthTracker::default()))
+    }
+
+    fn flaky(poisoned: &str, faults: usize) -> FlakyBatch {
+        FlakyBatch {
+            poisoned: Value::str(poisoned),
+            faults: AtomicUsize::new(faults),
+            calls: Mutex::new(Vec::new()),
         }
     }
 
     #[test]
     fn split_batch_retry_never_refetches_delivered_keys() {
-        let source = Arc::new(FlakyBatch {
-            poisoned: Value::str("d"),
-            faults: AtomicUsize::new(2),
-            calls: Mutex::new(Vec::new()),
-        });
-        let ctx = QueryResilience::new(
-            RetryPolicy {
-                max_attempts: 3,
-                jitter: false,
-                base_backoff: Duration::from_micros(1),
-                max_backoff: Duration::from_micros(1),
-            },
-            None,
-            Arc::new(HealthTracker::default()),
-        );
-        let keys: Vec<Vec<Value>> = ["a", "b", "c", "d"]
-            .iter()
-            .map(|k| vec![Value::str(k)])
-            .collect();
-        let out = ctx.fetch(SystemId::KeyValue, &*source, &keys).unwrap();
-        // Every key was delivered, in the original batch order.
-        let flat: Vec<Value> = out.into_iter().map(|rows| rows[0][0].clone()).collect();
-        assert_eq!(
-            flat,
-            vec![
-                Value::str("a"),
-                Value::str("b"),
-                Value::str("c"),
-                Value::str("d")
-            ]
-        );
+        let source = flaky("d", 2);
+        let ctx = fast_retry(3);
+        let keys = ["a", "b", "c", "d"];
+        let out = ctx
+            .fetch(SystemId::KeyValue, &source, &interned(&keys))
+            .unwrap();
+        // Every key was delivered its own rows, in the original batch order.
+        assert_own_rows(&keys, &out);
         // [a,b,c,d] fails → split: [a,b] succeeds, [c,d] fails → split:
         // [c] succeeds, [d] succeeds. Keys a and b were requested exactly
         // once after their delivering call — never re-fetched.
         let calls = source.calls.lock().clone();
-        assert_eq!(
-            calls,
-            vec![
-                vec![
-                    Value::str("a"),
-                    Value::str("b"),
-                    Value::str("c"),
-                    Value::str("d")
-                ],
-                vec![Value::str("a"), Value::str("b")],
-                vec![Value::str("c"), Value::str("d")],
-                vec![Value::str("c")],
-                vec![Value::str("d")],
-            ]
-        );
+        let strs = |ks: &[&str]| ks.iter().map(|k| Value::str(*k)).collect::<Vec<_>>();
+        let want = [&keys[..], &["a", "b"], &["c", "d"], &["c"], &["d"]];
+        assert_eq!(calls, want.map(strs));
         assert_eq!(ctx.retries(), 2);
     }
 
     #[test]
+    fn split_halves_keep_each_keys_rows() {
+        // Five keys answering 2, 0, 1, 1 and 2 rows. The poisoned `a` fails
+        // the first `faults` calls holding it, so the batch is split down
+        // to `a` alone and the answer joined back from ever smaller halves.
+        let keys = ["b", "c", "a", "d", "e"];
+        for faults in 0..4 {
+            let source = flaky("a", faults);
+            let ctx = fast_retry(4);
+            let out = ctx
+                .fetch(SystemId::KeyValue, &source, &interned(&keys))
+                .unwrap();
+            assert_own_rows(&keys, &out);
+            assert_eq!(ctx.retries() as usize, faults);
+        }
+    }
+
+    #[test]
     fn split_batch_exhaustion_surfaces_the_error() {
-        let source = Arc::new(FlakyBatch {
-            poisoned: Value::str("d"),
-            faults: AtomicUsize::new(usize::MAX),
-            calls: Mutex::new(Vec::new()),
-        });
-        let ctx = QueryResilience::new(
-            RetryPolicy {
-                max_attempts: 2,
-                jitter: false,
-                base_backoff: Duration::from_micros(1),
-                max_backoff: Duration::from_micros(1),
-            },
-            None,
-            Arc::new(HealthTracker::default()),
-        );
-        let keys: Vec<Vec<Value>> = ["c", "d"].iter().map(|k| vec![Value::str(k)]).collect();
-        let out = ctx.fetch(SystemId::KeyValue, &*source, &keys);
+        let source = flaky("d", usize::MAX);
+        let ctx = fast_retry(2);
+        let out = ctx.fetch(SystemId::KeyValue, &source, &interned(&["c", "d"]));
         assert_eq!(out.unwrap_err().kind, StoreErrorKind::Unavailable);
         // Budget 2: the full batch, then one split round ([c] delivered,
         // [d] out of budget) — no runaway recursion.
@@ -1021,18 +1033,17 @@ mod tests {
 
     #[test]
     fn fault_free_batch_is_one_store_call() {
-        let source = Arc::new(FlakyBatch {
-            poisoned: Value::str("zzz"),
-            faults: AtomicUsize::new(0),
-            calls: Mutex::new(Vec::new()),
-        });
+        let source = flaky("zzz", 0);
         let ctx = QueryResilience::new(
             RetryPolicy::default(),
             None,
             Arc::new(HealthTracker::default()),
         );
-        let keys: Vec<Vec<Value>> = ["a", "b"].iter().map(|k| vec![Value::str(k)]).collect();
-        ctx.fetch(SystemId::KeyValue, &*source, &keys).unwrap();
+        let keys = ["a", "b", "c"];
+        let out = ctx
+            .fetch(SystemId::KeyValue, &source, &interned(&keys))
+            .unwrap();
+        assert_own_rows(&keys, &out);
         assert_eq!(source.calls.lock().len(), 1);
         assert!(!ctx.eventful());
     }

@@ -215,18 +215,15 @@ pub(crate) fn translate_query(
             (Some((plan, vars, rows)), UnitKind::Bind(source)) => {
                 // BindJoin: one probe per distinct key (estimated as the
                 // current row count).
-                let key_cols: Vec<usize> = unit
+                let key_col = unit
                     .inputs
-                    .iter()
-                    .map(|v| {
-                        vars.iter().position(|x| x == v).ok_or_else(|| {
-                            Error::Untranslatable(format!(
-                                "BindJoin input {} not bound by earlier units",
-                                var_col(*v)
-                            ))
-                        })
-                    })
-                    .collect::<Result<_>>()?;
+                    .and_then(|v| vars.iter().position(|x| *x == v))
+                    .ok_or_else(|| {
+                        Error::Untranslatable(format!(
+                            "BindJoin input of {} not bound by earlier units",
+                            unit.label
+                        ))
+                    })?;
                 est_cost += rows * request_cost;
                 let mut new_vars = vars.clone();
                 let mut dup_filters = Vec::new();
@@ -238,7 +235,7 @@ pub(crate) fn translate_query(
                 }
                 let mut plan = Plan::BindJoin {
                     left: Box::new(plan),
-                    key_cols,
+                    key_col,
                     source: source.clone(),
                 };
                 plan = dedup_columns(plan, &vars, &unit.out_vars, dup_filters);

@@ -11,10 +11,11 @@
 //!
 //! Interning happens where values enter, and only there: the relational
 //! and the parallel store hold interned cells and answer in them
-//! ([`Batch::from_id_rows`] only transposes), while `Values` leaves, the
-//! document, key-value and text stores' answers and BindJoin fetches are
-//! interned on arrival ([`Batch::from_rows`], or a row at a time with
-//! [`Batch::push_row`]).
+//! ([`Batch::from_id_rows`] only transposes), while `Values` leaves and the
+//! document, key-value and text stores' answers — to a delegated leaf or to
+//! a BindJoin probe alike — are interned on arrival
+//! ([`Batch::push_values`]). A probe's answer is one batch for all its keys
+//! ([`Fetched`]).
 //!
 //! Column names are shared: an operator names its output once and every
 //! batch it emits holds the same [`Arc`], so a batch costs its cells, not
@@ -96,21 +97,6 @@ impl Batch {
             cols,
             sel: None,
             physical,
-        }
-    }
-
-    /// Intern a contiguous slice of a row batch's rows into a dense batch.
-    /// Interning is bulk (one shared read pass per column).
-    pub fn from_rows(columns: impl Into<Columns>, rows: &[Tuple]) -> Batch {
-        let columns = columns.into();
-        let cols: Vec<Vec<ConstId>> = (0..columns.len())
-            .map(|c| ConstId::intern_all(rows.iter().map(|r| &r[c])))
-            .collect();
-        Batch {
-            physical: rows.len(),
-            columns,
-            cols,
-            sel: None,
         }
     }
 
@@ -204,6 +190,44 @@ impl Batch {
     }
 }
 
+/// A bound source's answer to one probe: the rows of every key, in key
+/// order, as one dense batch, and where each key's rows end in it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fetched {
+    /// Every key's rows, in key order.
+    pub rows: Batch,
+    /// One past the last row of each key: key `i`'s rows are
+    /// `ends[i - 1]..ends[i]`, from row 0 for the first key.
+    pub ends: Vec<usize>,
+}
+
+impl Fetched {
+    /// No key answered yet; rows named `columns`.
+    pub fn new(columns: Columns) -> Fetched {
+        let (rows, ends) = (Batch::empty(columns), Vec::new());
+        Fetched { rows, ends }
+    }
+
+    /// Close the next key: its rows are those pushed since the last close.
+    pub fn end_key(&mut self) {
+        self.ends.push(self.rows.physical);
+    }
+
+    /// The rows of key `i`.
+    pub fn key_rows(&self, i: usize) -> std::ops::Range<usize> {
+        let start = i.checked_sub(1).map_or(0, |p| self.ends[p]);
+        start..self.ends[i]
+    }
+
+    /// Append the answer for the keys after these: its rows follow, and its
+    /// ends shift by the rows already here.
+    pub fn append(&mut self, other: Fetched) {
+        let shift = self.rows.physical;
+        self.ends.extend(other.ends.iter().map(|end| end + shift));
+        self.rows.append(other.rows);
+    }
+}
+
 /// The selected physical row positions of a [`Batch`], in logical order.
 #[derive(Clone)]
 pub enum Selection<'a> {
@@ -249,10 +273,17 @@ mod tests {
             .collect()
     }
 
+    /// `rows` interned into a dense batch of columns `x` and `y`.
+    fn xy(rows: &[Tuple]) -> Batch {
+        let mut b = Batch::empty(vec!["x".into(), "y".into()]);
+        b.push_values(rows);
+        b
+    }
+
     #[test]
     fn round_trips_through_interning() {
         let input = rows(&[(1, "a"), (2, "b"), (1, "a")]);
-        let b = Batch::from_rows(vec!["x".into(), "y".into()], &input);
+        let b = xy(&input);
         assert_eq!(b.num_rows(), 3);
         assert_eq!(b.cols[0][0], b.cols[0][2]);
         assert_eq!(resolved(&b), input);
@@ -261,7 +292,7 @@ mod tests {
     #[test]
     fn selection_vector_gathers_on_compact() {
         let input = rows(&[(1, "a"), (2, "b"), (3, "c"), (4, "d")]);
-        let mut b = Batch::from_rows(vec!["x".into(), "y".into()], &input);
+        let mut b = xy(&input);
         b.sel = Some(vec![1, 3]);
         assert_eq!(b.num_rows(), 2);
         assert_eq!(b.selection().collect::<Vec<_>>(), vec![1, 3]);
@@ -269,6 +300,26 @@ mod tests {
         assert_eq!(dense.num_rows(), 2);
         assert!(dense.sel.is_none());
         assert_eq!(resolved(&dense), rows(&[(2, "b"), (4, "d")]));
+    }
+
+    #[test]
+    fn appended_answers_shift_their_key_ends() {
+        // Keys answer 2, 0 and 1 rows, then 0 and 2 more.
+        let answer = |per_key: &[&[(i64, &str)]]| {
+            let mut f = Fetched::new(vec!["x".into(), "y".into()].into());
+            for key in per_key {
+                f.rows.push_values(&rows(key));
+                f.end_key();
+            }
+            f
+        };
+        let mut f = answer(&[&[(1, "a"), (2, "b")], &[], &[(3, "c")]]);
+        f.append(answer(&[&[], &[(4, "d"), (5, "e")]]));
+        assert_eq!(f.ends, vec![2, 2, 3, 3, 5]);
+        let ranges: Vec<_> = (0..5).map(|i| f.key_rows(i)).collect();
+        assert_eq!(ranges, vec![0..2, 2..2, 2..3, 3..3, 3..5]);
+        let want = rows(&[(1, "a"), (2, "b"), (3, "c"), (4, "d"), (5, "e")]);
+        assert_eq!(resolved(&f.rows), want);
     }
 
     #[test]

@@ -15,8 +15,11 @@
 //! delegated leaf reaches its store (the mediator passes its per-query
 //! fault handling there) — or [`execute_with`], whose leaves call their
 //! stores directly. Its BindJoin probes the source once per input batch
-//! with that batch's still-unseen keys. Per-run counters ([`ExecStats`])
-//! split time between the stores and the mediator runtime.
+//! with that batch's still-unseen keys. Interned cells are the one row
+//! format at the store boundary: a delegated leaf answers with a [`Batch`],
+//! and a BindJoin probe sends its keys as interned cells of one column and
+//! gets every key's rows back in one batch ([`Fetched`]). Per-run counters
+//! ([`ExecStats`]) split time between the stores and the mediator runtime.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +30,7 @@ pub mod plan;
 pub mod tuple;
 pub mod vexec;
 
-pub use batch::{Batch, Columns};
+pub use batch::{Batch, Columns, Fetched};
 pub use expr::{ArithOp, CmpOp, Expr};
 pub use plan::{AggFun, AggSpec, BindSource, Direct, Leaves, Plan, Runner};
 pub use tuple::{RowBatch, Tuple};

@@ -7,11 +7,11 @@
 //! full-text fragments). [`Plan`] has the eight operators the mediator's
 //! translator emits plus the `Values` leaf hand-built plans start from.
 
-use crate::batch::Batch;
+use crate::batch::{Batch, Columns, Fetched};
 use crate::expr::Expr;
-use crate::tuple::{RowBatch, Tuple};
+use crate::tuple::RowBatch;
 pub use estocada_pivot::AggFun;
-use estocada_pivot::Value;
+use estocada_pivot::ConstId;
 use estocada_simkit::StoreError;
 use std::fmt;
 use std::sync::Arc;
@@ -22,11 +22,12 @@ use std::sync::Arc;
 pub type Runner = dyn Fn() -> Result<Batch, StoreError> + Send + Sync;
 
 /// How the delegated leaves of one run reach their stores: every
-/// `Delegated` runner and every BindJoin probe of the run goes through it.
-/// A leaf is named by its `unit`, its number in execution order — depth
-/// first, a join's left input before its right one and a BindJoin's source
-/// after its left input — which is the order a translation lists its
-/// delegated units in. The provided methods call the store directly.
+/// `Delegated` runner and every BindJoin probe of the run goes through it,
+/// and both answer in interned cells. A leaf is named by its `unit`, its
+/// number in execution order — depth first, a join's left input before its
+/// right one and a BindJoin's source after its left input — which is the
+/// order a translation lists its delegated units in. The provided methods
+/// call the store directly.
 pub trait Leaves {
     /// Run the native query of delegated leaf `unit`.
     fn run(&self, unit: usize, runner: &Runner) -> Result<Batch, StoreError> {
@@ -39,8 +40,8 @@ pub trait Leaves {
         &self,
         unit: usize,
         source: &dyn BindSource,
-        keys: &[Vec<Value>],
-    ) -> Result<Vec<Vec<Tuple>>, StoreError> {
+        keys: &[ConstId],
+    ) -> Result<Fetched, StoreError> {
         let _ = unit;
         source.fetch_batch(keys)
     }
@@ -52,17 +53,18 @@ pub struct Direct;
 
 impl Leaves for Direct {}
 
-/// A source reachable only with bound inputs (key-value lookup, term
-/// search). BindJoin collects the distinct keys of its input and probes the
-/// source once with all of them; a source with a pipelined lookup (Redis
-/// `MGET`-style) serves the batch in one round-trip, the others loop.
+/// A source reachable only with a bound input (key-value lookup, term
+/// search). BindJoin collects the distinct keys of its input's key column
+/// and probes the source once with all of them; a source with a pipelined
+/// lookup (Redis `MGET`-style) serves the batch in one round-trip, the
+/// others loop. Keys go out and rows come back as interned cells.
 pub trait BindSource: Send + Sync {
-    /// Columns produced per fetched tuple.
-    fn out_columns(&self) -> Vec<String>;
-    /// Fetch the tuples matching each of `keys`: one result list per key,
-    /// in order. A store failure surfaces as [`StoreError`] — never as a
-    /// short or empty result.
-    fn fetch_batch(&self, keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError>;
+    /// The names of the columns of every fetched row.
+    fn out_columns(&self) -> Columns;
+    /// Fetch the rows matching each of `keys`: one [`Fetched`] holding every
+    /// key's rows, in key order, with one end per key. A store failure
+    /// surfaces as [`StoreError`] — never as a short or empty result.
+    fn fetch_batch(&self, keys: &[ConstId]) -> Result<Fetched, StoreError>;
     /// Display label (for EXPLAIN output).
     fn label(&self) -> String {
         "bind-source".to_string()
@@ -134,8 +136,9 @@ pub enum Plan {
     BindJoin {
         /// Left (driving) input.
         left: Box<Plan>,
-        /// Key columns of the left input fed to the source.
-        key_cols: Vec<usize>,
+        /// The column of the left input whose values the source is probed
+        /// with.
+        key_col: usize,
         /// The bound source.
         source: Arc<dyn BindSource>,
     },
@@ -199,14 +202,10 @@ impl Plan {
             }
             Plan::BindJoin {
                 left,
-                key_cols,
+                key_col,
                 source,
             } => {
-                let _ = writeln!(
-                    out,
-                    "{pad}BindJoin [keys {key_cols:?} → {}]",
-                    source.label()
-                );
+                let _ = writeln!(out, "{pad}BindJoin [keys [{key_col}] → {}]", source.label());
                 left.explain_into(depth + 1, out);
             }
             Plan::Distinct { input } => {

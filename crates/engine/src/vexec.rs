@@ -7,8 +7,9 @@
 //!   *batch* (the crate-private `VExpr` form), with equality comparisons
 //!   on interned ids; filters emit selection vectors;
 //! * bindjoin probes the source once per batch with that batch's
-//!   still-unseen keys (one MGET-style `fetch_batch`), so `bind_probes` is
-//!   the number of distinct keys at every batch size;
+//!   still-unseen keys (one MGET-style `fetch_batch` of interned keys, whose
+//!   interned answer it keeps), so `bind_probes` is the number of distinct
+//!   keys at every batch size;
 //! * hash join, distinct and aggregation are the kernel the relational and
 //!   parallel stores run a pushed tail with ([`estocada_pivot::kernel`]).
 //!
@@ -21,13 +22,13 @@
 //! least one (possibly empty) batch before reporting end-of-stream so column
 //! names propagate through empty inputs.
 
-use crate::batch::{Batch, Columns};
+use crate::batch::{Batch, Columns, Fetched};
 use crate::expr::{ColOut, Expr, VExpr};
 use crate::plan::{AggSpec, BindSource, Direct, Leaves, Plan, Runner};
 use crate::tuple::RowBatch;
 use estocada_pivot::hash::FastMap;
 use estocada_pivot::kernel::{pack_key, Distinct, Groups, JoinTable, Key};
-use estocada_pivot::{ConstId, ConstReader, IdRows, Value};
+use estocada_pivot::{ConstId, ConstReader, IdRows};
 use estocada_simkit::StoreError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -221,16 +222,16 @@ fn compile<'a>(
         }),
         Plan::BindJoin {
             left,
-            key_cols,
+            key_col,
             source,
         } => Box::new(BindJoinOp {
             child: compile(left, ctx, unit, stats),
-            key_cols,
+            key_col: *key_col,
             source: source.as_ref(),
             unit: numbered(unit),
             leaves: ctx.leaves,
             cache: FastMap::default(),
-            fetched: Vec::new(),
+            fetched: Fetched::new(source.out_columns()),
             columns: None,
         }),
         Plan::Distinct { input } => Box::new(DistinctOp {
@@ -321,7 +322,11 @@ impl Scan<'_> {
     /// The leaf's whole answer, as a dense batch.
     fn read(&self, stats: &mut ExecStats) -> Result<Batch, EngineError> {
         match self.source {
-            Source::Values(rows) => Ok(Batch::from_rows(rows.columns.clone(), &rows.rows)),
+            Source::Values(rows) => {
+                let mut batch = Batch::with_capacity(rows.columns.clone(), rows.len());
+                batch.push_values(&rows.rows);
+                Ok(batch)
+            }
             Source::Delegated {
                 runner,
                 unit,
@@ -551,16 +556,16 @@ impl VecOp for NlJoinOp<'_> {
 
 struct BindJoinOp<'a> {
     child: OpBox<'a>,
-    key_cols: &'a [usize],
+    key_col: usize,
     source: &'a dyn BindSource,
     /// The source's number among the run's delegated leaves.
     unit: usize,
     leaves: &'a dyn Leaves,
-    /// Lifetime key cache: interned key → slot in `fetched`.
-    cache: FastMap<Key, usize>,
-    /// Fetched (and interned) source rows per distinct key.
-    fetched: Vec<Vec<Vec<ConstId>>>,
-    /// The output names, set (and the key columns checked) on the first
+    /// Lifetime key cache: key → its number in `fetched`.
+    cache: FastMap<ConstId, usize>,
+    /// Every key's rows fetched so far, as the source answered them.
+    fetched: Fetched,
+    /// The output names, set (and the key column checked) on the first
     /// batch.
     columns: Option<Columns>,
 }
@@ -572,32 +577,18 @@ impl VecOp for BindJoinOp<'_> {
         };
         let b = b.compact();
         if self.columns.is_none() {
-            check_cols(self.key_cols, b.columns.len(), "BindJoin")?;
+            check_cols(&[self.key_col], b.columns.len(), "BindJoin")?;
         }
-        let columns = match &self.columns {
-            Some(c) => c.clone(),
-            None => joined(&mut self.columns, &b.columns, &self.source.out_columns()),
+        let columns = joined(&mut self.columns, &b.columns, &self.fetched.rows.columns);
+        // Each row's key number, and the keys seen first here.
+        let (known, mut new_keys) = (self.fetched.ends.len(), Vec::new());
+        let mut number = |key: &ConstId| {
+            *self.cache.entry(*key).or_insert_with(|| {
+                new_keys.push(*key);
+                known + new_keys.len() - 1
+            })
         };
-        // Each row's slot in `fetched`, and the keys seen first here.
-        let mut row_key: Vec<usize> = Vec::with_capacity(b.physical_rows());
-        let mut new_keys: Vec<Vec<Value>> = Vec::new();
-        let reader = ConstReader::new();
-        for i in 0..b.physical_rows() {
-            let next = self.fetched.len() + new_keys.len();
-            let slot = *self
-                .cache
-                .entry(key_at(&b, self.key_cols, i))
-                .or_insert_with(|| {
-                    let key = self
-                        .key_cols
-                        .iter()
-                        .map(|c| reader.get(b.cols[*c][i]).clone());
-                    new_keys.push(key.collect());
-                    next
-                });
-            row_key.push(slot);
-        }
-        drop(reader);
+        let row_key: Vec<usize> = b.cols[self.key_col].iter().map(&mut number).collect();
         if !new_keys.is_empty() {
             // One batched probe per pipeline batch of still-unseen keys.
             stats.bind_probes += new_keys.len() as u64;
@@ -605,16 +596,15 @@ impl VecOp for BindJoinOp<'_> {
             let f = self.leaves.fetch(self.unit, self.source, &new_keys);
             stats.delegated_time += t.elapsed();
             let f = f?;
-            debug_assert_eq!(f.len(), new_keys.len());
-            for rows in f {
-                self.fetched
-                    .push(rows.iter().map(|r| ConstId::intern_all(r.iter())).collect());
-            }
+            debug_assert_eq!(f.ends.len(), new_keys.len());
+            self.fetched.append(f);
         }
+        let fetched = &self.fetched.rows;
         let mut rows = IdRows::empty(columns.len());
-        for (i, slot) in row_key.iter().enumerate() {
-            for frow in &self.fetched[*slot] {
-                rows.push(b.cols.iter().map(|c| c[i]).chain(frow.iter().copied()));
+        for (i, key) in row_key.iter().enumerate() {
+            for j in self.fetched.key_rows(*key) {
+                let left = b.cols.iter().map(|c| c[i]);
+                rows.push(left.chain(fetched.cols.iter().map(|c| c[j])));
             }
         }
         let out = Batch::from_id_rows(columns, &rows);
@@ -711,6 +701,7 @@ mod tests {
     use crate::plan::AggFun;
     use crate::tuple::Tuple;
     use estocada_pivot::hash::FastSet;
+    use estocada_pivot::Value;
     use estocada_simkit::StoreErrorKind;
 
     fn batch(cols: &[&str], rows: Vec<Vec<Value>>) -> RowBatch {
@@ -806,16 +797,23 @@ mod tests {
         assert_rows(&nl(None), &cross);
     }
 
-    struct MapSource(FastMap<Vec<Value>, Vec<Tuple>>);
+    fn v_column() -> Columns {
+        vec!["v".to_string()].into()
+    }
+
+    struct MapSource(FastMap<Value, Vec<Tuple>>);
     impl BindSource for MapSource {
-        fn out_columns(&self) -> Vec<String> {
-            vec!["v".into()]
+        fn out_columns(&self) -> Columns {
+            v_column()
         }
-        fn fetch_batch(&self, keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError> {
-            Ok(keys
-                .iter()
-                .map(|k| self.0.get(k).cloned().unwrap_or_default())
-                .collect())
+        fn fetch_batch(&self, keys: &[ConstId]) -> Result<Fetched, StoreError> {
+            let mut fetched = Fetched::new(v_column());
+            for key in keys {
+                let rows = self.0.get(&key.value()).into_iter().flatten();
+                fetched.rows.push_values(rows);
+                fetched.end_key();
+            }
+            Ok(fetched)
         }
     }
 
@@ -824,7 +822,7 @@ mod tests {
         let mut m = FastMap::default();
         for k in 0..5i64 {
             m.insert(
-                vec![Value::Int(k)],
+                Value::Int(k),
                 vec![vec![Value::str(format!("v{k}"))], vec![Value::str("dup")]],
             );
         }
@@ -833,7 +831,7 @@ mod tests {
         let want: Vec<Tuple> = left
             .iter()
             .flat_map(|l| {
-                m.get(l)
+                m.get(&l[0])
                     .into_iter()
                     .flatten()
                     .map(|v| [&l[..], &v[..]].concat())
@@ -841,7 +839,7 @@ mod tests {
             .collect();
         let p = Plan::BindJoin {
             left: Box::new(Plan::Values(batch(&["k"], left))),
-            key_cols: vec![0],
+            key_col: 0,
             source: Arc::new(MapSource(m)),
         };
         // One probe per distinct key (0..=5), whatever the batch size.
@@ -854,16 +852,16 @@ mod tests {
     fn bindjoin_empty_input_issues_no_probe() {
         struct ExplodingSource;
         impl BindSource for ExplodingSource {
-            fn out_columns(&self) -> Vec<String> {
-                vec!["v".into()]
+            fn out_columns(&self) -> Columns {
+                v_column()
             }
-            fn fetch_batch(&self, _keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError> {
+            fn fetch_batch(&self, _keys: &[ConstId]) -> Result<Fetched, StoreError> {
                 panic!("an empty BindJoin batch must not reach the source");
             }
         }
         let p = Plan::BindJoin {
             left: Box::new(Plan::Values(batch(&["k"], vec![]))),
-            key_cols: vec![0],
+            key_col: 0,
             source: Arc::new(ExplodingSource),
         };
         let (out, stats) = execute_with(&p, &ExecOptions::default()).unwrap();
@@ -1019,16 +1017,16 @@ mod tests {
     fn bindjoin_source_error_propagates() {
         struct FailingSource;
         impl BindSource for FailingSource {
-            fn out_columns(&self) -> Vec<String> {
-                vec!["v".into()]
+            fn out_columns(&self) -> Columns {
+                v_column()
             }
-            fn fetch_batch(&self, _keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError> {
+            fn fetch_batch(&self, _keys: &[ConstId]) -> Result<Fetched, StoreError> {
                 Err(store_down("key-value", "mget", StoreErrorKind::Timeout))
             }
         }
         let p = Plan::BindJoin {
             left: Box::new(Plan::Values(batch(&["k"], vec![ints(&[1])]))),
-            key_cols: vec![0],
+            key_col: 0,
             source: Arc::new(FailingSource),
         };
         match execute_with(&p, &ExecOptions::default()) {

@@ -171,7 +171,8 @@ pub struct RwSummary {
 /// that no fragment is stale and that an immediately following
 /// ground-truth check sees the write (read-your-writes at every step).
 /// Panics on any staleness violation — this is the scenario family's
-/// correctness harness, not a benchmark-only path.
+/// correctness harness, not a benchmark-only path. A delete of an order
+/// that is not live is a schedule at fault: [`estocada::Error::Dml`].
 pub fn run_rw_workload(est: &mut Estocada, ops: &[RwOp]) -> estocada::Result<RwSummary> {
     let mut s = RwSummary::default();
     for op in ops {
@@ -202,8 +203,8 @@ pub fn run_rw_workload(est: &mut Estocada, ops: &[RwOp]) -> estocada::Result<RwS
                 assert_fresh(est, &format!("insert order {oid}"));
             }
             RwOp::DeleteOrder { oid } => {
-                let row = order_row(est, *oid)
-                    .unwrap_or_else(|| panic!("delete of order {oid} not live"));
+                let not_live = || estocada::Error::Dml(format!("delete of order {oid} not live"));
+                let row = order_row(est, *oid).ok_or_else(not_live)?;
                 let r = est.delete_rows("sales", "Orders", vec![row])?;
                 s.writes += 1;
                 s.deleted += r.deleted;
@@ -354,6 +355,18 @@ mod tests {
         let prefs = run_w1_query(&est, &W1Query::PrefLookup(1)).unwrap();
         assert_eq!(prefs.rows, vec![vec![Value::str("dark"), Value::str("fr")]]);
         assert!(stale_fragments(&est).is_empty());
+    }
+
+    #[test]
+    fn deleting_an_order_that_is_not_live_is_an_error() {
+        let m = small();
+        let mut est = deploy_kv_migrated(&m, Latencies::zero());
+        let ops = [RwOp::DeleteOrder { oid: 900_000 }];
+        match run_rw_workload(&mut est, &ops) {
+            Err(estocada::Error::Dml(e)) => assert!(e.contains("order 900000 not live"), "{e}"),
+            other => panic!("expected a DML error, got {other:?}"),
+        }
+        assert_eq!(est.metrics().data_epoch, 0, "nothing was written");
     }
 
     #[test]

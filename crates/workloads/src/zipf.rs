@@ -27,7 +27,7 @@ impl Zipf {
     /// Sample one index.
     pub fn sample(&self, rng: &mut impl Rng) -> usize {
         let u: f64 = rng.random();
-        match self.cdf.binary_search_by(|p| p.partial_cmp(&u).unwrap()) {
+        match self.cdf.binary_search_by(|p| p.total_cmp(&u)) {
             Ok(i) => i,
             Err(i) => i.min(self.cdf.len() - 1),
         }
@@ -50,6 +50,25 @@ mod tests {
         }
         assert!(counts[0] > counts[50] * 5);
         assert_eq!(counts.iter().sum::<usize>(), 10_000);
+    }
+
+    #[test]
+    fn the_total_order_draws_what_the_partial_order_drew() {
+        // The sampler once compared with `partial_cmp(..).unwrap()`; the
+        // CDF holds no NaN and no -0.0, so `total_cmp` must pick the same
+        // index for every draw (seeded op streams sample through it).
+        for theta in [0.0, 0.5, 0.9, 1.0, 1.5, 3.0] {
+            let z = Zipf::new(500, theta);
+            let (mut new, mut old) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
+            for _ in 0..5_000 {
+                let u: f64 = old.random();
+                let was = match z.cdf.binary_search_by(|p| p.partial_cmp(&u).unwrap()) {
+                    Ok(i) => i,
+                    Err(i) => i.min(z.cdf.len() - 1),
+                };
+                assert_eq!(z.sample(&mut new), was, "theta {theta}, u {u}");
+            }
+        }
     }
 
     #[test]

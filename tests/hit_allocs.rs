@@ -18,8 +18,21 @@
 //! After the hits, one `Estocada::metrics` snapshot and one
 //! `stale_fragments` check (which the read/write workload runs after every
 //! write) must each allocate nothing.
+//!
+//! Last, a prepared BindJoin hit: the join of `examples/bindjoin.rs`, whose
+//! key-value side is reached only by probing it with the keys the
+//! relational side yields, counted at two key counts. What it allocates per
+//! probed key is the slope between the two. Of that, the key-value store's
+//! own decode of a stored value — what `KvStore::mget` allocates per key,
+//! counted the same way — is the store's, and the rest is bounded: at most
+//! 2 per probed key, one of them the answer row handed to the caller. While
+//! a probe resolved its keys to value tuples and the answer came back as
+//! value tuples to be interned again, the rest was 6.06 (12.07 per key in
+//! all, 6.01 of them the store's).
 
-use estocada::{Latencies, QueryResult};
+use estocada::{Dataset, Estocada, FragmentSpec, Latencies, QueryResult, TableData};
+use estocada_pivot::encoding::relational::TableEncoding;
+use estocada_pivot::{CqBuilder, Value};
 use estocada_workloads::marketplace::{generate, MarketplaceConfig};
 use estocada_workloads::{cart_pattern, deploy_materialized_join, pref_sql, stale_fragments};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -61,6 +74,12 @@ const CART_BEFORE: usize = 89;
 /// A third of each, rounded up.
 const PREF_BOUND: usize = PREF_BEFORE.div_ceil(3);
 const CART_BOUND: usize = CART_BEFORE.div_ceil(3);
+
+/// Allocations per probed key of a prepared BindJoin hit, beyond the
+/// key-value store's own, before this bound.
+const BINDJOIN_BEFORE: f64 = 6.06;
+/// The answer row, and one more.
+const BINDJOIN_BOUND: f64 = 2.0;
 
 /// Allocations made while `f` runs, with its result.
 fn allocs_of<R>(f: impl FnOnce() -> R) -> (usize, R) {
@@ -121,4 +140,74 @@ fn a_prepared_lookup_hit_allocates_a_third_of_what_it_did() {
         stale_allocs, 0,
         "a staleness check with none stale allocated"
     );
+    let est = &bindjoin_deployment(800);
+    let (few, many) = (10, 800);
+    let per_key = |[a, b]: [usize; 2]| (b - a) as f64 / (many - few) as f64;
+    let hit = [few, many].map(|keys| {
+        let sql = bindjoin_sql(keys);
+        hit_allocs(|| est.query(&sql).run())
+    });
+    let store = [few, many].map(|keys| {
+        let keys: Vec<Value> = (0..keys as i64).map(Value::Int).collect();
+        let (allocs, hits) = allocs_of(|| est.stores.kv.mget("PrefsKV", &keys));
+        assert!(hits
+            .expect("the payloads decode")
+            .iter()
+            .all(Option::is_some));
+        allocs
+    });
+    let (all, stores) = (per_key(hit), per_key(store));
+    let added = all - stores;
+    println!(
+        "bindjoin hit: {} allocations at {few} keys, {} at {many}: {all:.2} per key, \
+         {stores:.2} of them the key-value store's, {added:.2} the rest (before: {BINDJOIN_BEFORE})",
+        hit[0], hit[1]
+    );
+    assert!(
+        added <= BINDJOIN_BOUND,
+        "a prepared BindJoin hit made {added:.2} allocations per probed key beyond the store's, above {BINDJOIN_BOUND}"
+    );
+}
+
+/// The deployment of `examples/bindjoin.rs` at zero latency, with one
+/// order per user: `Orders(oid, uid)` native relational, `Prefs(uid,
+/// theme)` only in a key-value fragment, which a join reaches by probing it
+/// with the `uid`s of the orders.
+fn bindjoin_deployment(users: i64) -> Estocada {
+    let mut est = Estocada::new(Latencies::zero());
+    let table = |name, columns: &[&str], rows| TableData {
+        encoding: TableEncoding::new(name, columns, Some(&columns[..1])),
+        rows,
+        text_columns: vec![],
+    };
+    let theme = |u: i64| Value::str(if u % 2 == 0 { "dark" } else { "light" });
+    let orders = (0..users).map(|i| vec![Value::Int(i), Value::Int(i)]);
+    let prefs = (0..users).map(|u| vec![Value::Int(u), theme(u)]);
+    est.register_dataset(Dataset::relational(
+        "shop",
+        vec![
+            table("Orders", &["oid", "uid"], orders.collect()),
+            table("Prefs", &["uid", "theme"], prefs.collect()),
+        ],
+    ))
+    .expect("the dataset registers");
+    est.add_fragment(FragmentSpec::NativeTables {
+        dataset: "shop".into(),
+        only: Some(vec!["Orders".into()]),
+    })
+    .expect("the native tables are added");
+    est.add_fragment(FragmentSpec::KeyValue {
+        view: CqBuilder::new("PrefsKV")
+            .head_vars(["uid", "theme"])
+            .atom("Prefs", |a| a.v("uid").v("theme"))
+            .build(),
+    })
+    .expect("the key-value fragment is added");
+    est
+}
+
+/// The join of the first `keys` orders with their users' preferences: one
+/// BindJoin probe of `keys` distinct keys.
+fn bindjoin_sql(keys: usize) -> String {
+    format!("SELECT o.oid, p.theme FROM Orders o, Prefs p WHERE p.uid = o.uid AND o.oid < {keys}")
 }

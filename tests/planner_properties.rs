@@ -44,7 +44,7 @@ use estocada::{
 use estocada_chase::{pacb_rewrite, RewriteProblem};
 use estocada_engine::{execute_with, ExecOptions, Plan};
 use estocada_pivot::encoding::relational::TableEncoding;
-use estocada_pivot::{Atom, Cq, CqBuilder, Term, Value};
+use estocada_pivot::{Atom, ConstId, Cq, CqBuilder, Term, Value};
 use estocada_workloads::analytics::{analytics_sql, analytics_workload, AnalyticsConfig};
 use estocada_workloads::marketplace::{
     generate, w1_workload, Marketplace, MarketplaceConfig, W1Query,
@@ -516,15 +516,13 @@ fn run_each_unit(
         }
         Plan::BindJoin {
             left,
-            key_cols,
+            key_col,
             source,
         } => {
             run_each_unit(est, left, systems, check);
             let (driving, _) = execute_with(left, &ExecOptions::default()).expect("left runs");
-            let keys: BTreeSet<Vec<Value>> = (driving.rows.iter())
-                .map(|row| key_cols.iter().map(|c| row[*c].clone()).collect())
-                .collect();
-            let keys: Vec<Vec<Value>> = keys.into_iter().collect();
+            let keys: BTreeSet<&Value> = driving.rows.iter().map(|row| &row[*key_col]).collect();
+            let keys = ConstId::intern_all(keys);
             let sys = systems.next().expect("a unit per leaf");
             measured(sys, check, &mut || {
                 drop(source.fetch_batch(&keys).expect("probes"))

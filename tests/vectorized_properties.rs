@@ -26,11 +26,11 @@ use std::sync::Arc;
 use common::{arb_plan, build_plan, sorted, with_fast_retry, ArbRule};
 use estocada::{Dataset, Error, Estocada, FragmentSpec, Latencies, TableData};
 use estocada_engine::{
-    execute_with, AggFun, AggSpec, BindSource, CmpOp, ExecOptions, ExecStats, Expr, Plan, RowBatch,
-    StoreError, Tuple,
+    execute_with, AggFun, AggSpec, BindSource, CmpOp, Columns, ExecOptions, ExecStats, Expr,
+    Fetched, Plan, RowBatch, StoreError, Tuple,
 };
 use estocada_pivot::encoding::relational::TableEncoding;
-use estocada_pivot::Value;
+use estocada_pivot::{ConstId, Value};
 use estocada_workloads::analytics::{analytics_sql, analytics_workload, AnalyticsConfig};
 use estocada_workloads::marketplace::{generate, Marketplace};
 use estocada_workloads::scenarios::{
@@ -77,15 +77,21 @@ fn assert_batch_invariant(plan: &Plan, want: &[Tuple]) -> ExecStats {
 }
 
 /// A bound source answering each key with the rows a map holds for it.
-struct MapSource(HashMap<Vec<Value>, Vec<Tuple>>);
+struct MapSource(HashMap<Value, Vec<Tuple>>);
 
 impl BindSource for MapSource {
-    fn out_columns(&self) -> Vec<String> {
-        vec!["b".into()]
+    fn out_columns(&self) -> Columns {
+        vec!["b".to_string()].into()
     }
-    fn fetch_batch(&self, keys: &[Vec<Value>]) -> Result<Vec<Vec<Tuple>>, StoreError> {
-        let rows = |k| self.0.get(k).cloned().unwrap_or_default();
-        Ok(keys.iter().map(rows).collect())
+    fn fetch_batch(&self, keys: &[ConstId]) -> Result<Fetched, StoreError> {
+        let mut fetched = Fetched::new(self.out_columns());
+        for key in keys {
+            fetched
+                .rows
+                .push_values(self.0.get(&key.value()).into_iter().flatten());
+            fetched.end_key();
+        }
+        Ok(fetched)
     }
 }
 
@@ -160,9 +166,9 @@ proptest! {
         };
         assert_batch_invariant(&plan, &hashed);
 
-        let mut source: HashMap<Vec<Value>, Vec<Tuple>> = HashMap::new();
+        let mut source: HashMap<Value, Vec<Tuple>> = HashMap::new();
         for &(k2, b) in &right {
-            source.entry(vec![Value::Int(k2)]).or_default().push(vec![Value::Int(b)]);
+            source.entry(Value::Int(k2)).or_default().push(vec![Value::Int(b)]);
         }
         let bound: Vec<Tuple> = left
             .iter()
@@ -173,7 +179,7 @@ proptest! {
             .collect();
         let plan = Plan::BindJoin {
             left: Box::new(Plan::Values(l)),
-            key_cols: vec![0],
+            key_col: 0,
             source: Arc::new(MapSource(source)),
         };
         let stats = assert_batch_invariant(&plan, &bound);
