@@ -5,9 +5,10 @@
 # a delegated unit's scan estimate, posting-index maintenance routines,
 # std hash tables on the default hasher, aggregate accumulators, join hash
 # tables, mediator files naming the chase `Instance`, homomorphism searches
-# in the mediator, resolves of interned rows on the fill and write path, row
-# indexes the write path keeps beside the fact base, thread-locals of the
-# chase, open-addressing tables, store DDL calls in the mediator outside
+# in the mediator, resolves of interned rows on the fill and write path and
+# in the layouts, row indexes the write path keeps beside the fact base,
+# thread-locals of the chase, open-addressing tables, store DDL calls in the
+# mediator outside
 # its layouts, value rows at the store boundary, `pub fn`s of the
 # `Estocada` facade, independently settable options, and panic sites in
 # library code.
@@ -153,6 +154,11 @@ for f in crates/core/src/factbase.rs crates/core/src/materialize.rs crates/core/
     resolves=$((resolves + n))
 done
 printf '%-28s %8d\n' 'fill/delta resolves' "$resolves"
+# Library calls resolving interned rows back to values in the placement
+# layouts: the relational, parallel and key-value stores hold interned
+# cells, so only the document and text arms of `layout::write` resolve.
+layout_resolves=$(library_part crates/core/src/layout.rs | grep -c 'to_values(' || true)
+printf '%-28s %8d\n' 'layout resolves' "$layout_resolves"
 # Non-comment library lines of the mediator naming a row index of the write
 # path's own (`Postings`, `Wanted`, `KeyPositions`): the fact base is the one
 # copy of a registered table, so a delete is checked against its counts and

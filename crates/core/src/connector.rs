@@ -29,7 +29,6 @@
 use crate::catalog::{DocRole, FragmentRelation, FragmentStats, WhereSpec};
 use crate::cost::Access;
 use crate::error::{Error, Result};
-use crate::layout::unpack_kv_rows;
 use crate::system::{FaultGate, Stores, SystemId};
 use estocada_docstore::{DocQuery, QueryNode};
 use estocada_engine::{Batch, BindSource, Columns, Fetched, Runner, StoreError};
@@ -249,8 +248,10 @@ pub enum UnitKind {
 /// key variable repeated in the value) and where each output variable is
 /// read. Rows are then bound with no per-row map.
 struct Binder {
-    /// `(position, constant)`.
-    consts: Vec<(usize, Value)>,
+    /// The positions that must hold a constant, in step with `consts`.
+    const_at: Vec<usize>,
+    /// The constants.
+    consts: Vec<Value>,
     /// `(position, the first position of the same variable)`.
     repeats: Vec<(usize, usize)>,
     /// Positions of the pre-bound variable.
@@ -264,11 +265,15 @@ impl Binder {
     /// The binder of `terms`, with `pre` bound before any row is read,
     /// producing `out_vars`.
     fn new(terms: &[Term], pre: Option<Var>, out_vars: &[Var]) -> Binder {
-        let (mut consts, mut repeats, mut pre_at) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut const_at, mut consts) = (Vec::new(), Vec::new());
+        let (mut repeats, mut pre_at) = (Vec::new(), Vec::new());
         let mut first: Vec<(Var, usize)> = Vec::new();
         for (pos, t) in terms.iter().enumerate() {
             match t {
-                Term::Const(c) => consts.push((pos, c.clone())),
+                Term::Const(c) => {
+                    const_at.push(pos);
+                    consts.push(c.clone());
+                }
                 Term::Var(v) if Some(*v) == pre => pre_at.push(pos),
                 Term::Var(v) => match first.iter().find(|(w, _)| w == v) {
                     Some(&(_, at)) => repeats.push((pos, at)),
@@ -278,6 +283,7 @@ impl Binder {
         }
         let at = |v: &Var| first.iter().find(|(w, _)| w == v).map(|&(_, p)| p);
         Binder {
+            const_at,
             consts,
             repeats,
             pre: pre_at,
@@ -285,18 +291,27 @@ impl Binder {
         }
     }
 
+    /// The constants as interned cells, looked up, never interned; `None`
+    /// when one was never interned, so that no cell holds it and no row
+    /// binds.
+    fn const_ids(&self) -> Option<Vec<ConstId>> {
+        let reader = ConstReader::new();
+        self.consts.iter().map(|c| reader.lookup(c)).collect()
+    }
+
     /// The positions of the output variables when the row whose cells
-    /// `cell` reads binds the terms — every constant `is` its cell, every
-    /// repeated variable's cells are equal, every cell of the pre-bound
-    /// variable equals `pre` — and every position read is a cell of it.
+    /// `cell` reads binds the terms — every constant's cell equals it (the
+    /// binder's `consts`, as cells of the row's kind), every repeated
+    /// variable's cells are equal, every cell of the pre-bound variable
+    /// equals `pre` — and every position read is a cell of it.
     fn bind<'c, T: PartialEq + 'c>(
         &self,
         cell: impl Fn(usize) -> Option<&'c T>,
-        is: impl Fn(&Value, &T) -> bool,
+        consts: &[T],
         pre: Option<&T>,
     ) -> Option<&[usize]> {
         let out = self.out.as_deref()?;
-        let consts = (self.consts.iter()).all(|(p, c)| cell(*p).is_some_and(|x| is(c, x)));
+        let consts = (self.const_at.iter().zip(consts)).all(|(p, c)| cell(*p) == Some(c));
         let repeats =
             (self.repeats.iter()).all(|(p, q)| cell(*p).is_some() && cell(*p) == cell(*q));
         let pre = (self.pre.iter()).all(|p| pre.is_none_or(|k| cell(*p) == Some(k)));
@@ -473,12 +488,12 @@ pub fn sql_unit(
     })
 }
 
-/// The failure of an `op` on a container its store no longer has. The
-/// relational and parallel stores report a missing table or dataset
-/// themselves; the key-value, document and text stores answer it like an
-/// empty one, so their units ask the store whenever an answer is empty — a
-/// container dropped behind the catalog's back is the store's failure,
-/// which failover can route around, not an empty result.
+/// The failure of an `op` on a container its store no longer has. Every
+/// store tells a missing container from an empty one: the relational and
+/// parallel stores as their own error, the key-value, document and text
+/// stores in their answer (`false`, `None`), which their units turn into
+/// this — a container dropped behind the catalog's back is the store's
+/// failure, which failover can route around, not an empty result.
 fn missing_container(sys: SystemId, op: &str, name: &str) -> StoreError {
     let kind = match sys {
         SystemId::KeyValue => "namespace",
@@ -496,15 +511,10 @@ fn resolved(keys: &[ConstId]) -> Vec<Value> {
     keys.iter().map(|k| reader.get(*k).clone()).collect()
 }
 
-/// A stored key-value payload that does not decode: the store answered, so
-/// the failure is native — neither retried nor held against the breaker.
-fn corrupt_payload(op: &str, e: estocada_kvstore::DecodeError) -> StoreError {
-    StoreError::internal("key-value", op, e.to_string())
-}
-
 /// A namespace of the key-value store as one rewriting atom sees it. The
 /// point `get` of a constant key and the pipelined `mget` of a BindJoin
-/// share the gate and the one decode of a stored value into interned rows.
+/// are one request: the gate, the store's lookup, and the binding of each
+/// stored tuple's cells straight onto the answer's batch.
 struct KvAccess {
     kv: Arc<estocada_kvstore::KvStore>,
     gate: FaultGate,
@@ -521,22 +531,32 @@ struct KvAccess {
 }
 
 impl KvAccess {
-    /// Decode what is stored under `key` straight onto `rows`, a batch of
-    /// the unit's interned columns: the stored value tuples that bind the
-    /// atom, as their output cells.
-    fn decode(&self, key: &Value, hit: Option<Vec<Value>>, rows: &mut Batch) {
-        let values = hit.unwrap_or_default();
-        rows.push_values(unpack_kv_rows(&values).filter_map(|cells| {
-            let out = self.binder.bind(|p| cells.get(p), Value::eq, Some(key))?;
-            Some(out.iter().map(|p| &cells[*p]))
-        }));
-    }
-
-    /// After an `op` that hit nothing: see [`missing_container`].
-    fn namespace_exists(&self, op: &str) -> StoreResult<()> {
-        let ns = &self.namespace;
-        if self.holds_rows && !self.kv.namespace_names().contains(ns) {
-            return Err(missing_container(SystemId::KeyValue, op, ns));
+    /// One `op` request for `keys`: per key, in order, the stored value
+    /// tuples that bind the atom pushed onto `rows` as their output cells,
+    /// then `end_key` told how many rows `rows` holds. A namespace the
+    /// store does not have is [`missing_container`] when the fragment
+    /// holds rows.
+    fn fetch(
+        &self,
+        op: &str,
+        keys: &[ConstId],
+        rows: &mut Batch,
+        mut end_key: impl FnMut(usize),
+    ) -> StoreResult<()> {
+        let consts = self.binder.const_ids();
+        self.gate.check(op)?;
+        let found = self.kv.mget(&self.namespace, keys, |key, tuples| {
+            if let Some(consts) = &consts {
+                for cells in tuples.rows() {
+                    if let Some(out) = self.binder.bind(|p| cells.get(p), consts, Some(&key)) {
+                        rows.push_row(out.iter().map(|p| cells[*p]));
+                    }
+                }
+            }
+            end_key(rows.physical_rows());
+        });
+        if !found && self.holds_rows {
+            return Err(missing_container(SystemId::KeyValue, op, &self.namespace));
         }
         Ok(())
     }
@@ -550,18 +570,10 @@ impl BindSource for KvAccess {
         // Pipelined MGET: the whole probe batch costs one simulated
         // round-trip instead of one per distinct key (and one fault fails
         // the whole batch).
-        let keys = resolved(keys);
-        self.gate.check("mget")?;
-        let hits = self.kv.mget(&self.namespace, &keys);
-        let hits = hits.map_err(|e| corrupt_payload("mget", e))?;
-        if hits.iter().all(Option::is_none) {
-            self.namespace_exists("mget")?;
-        }
         let mut fetched = Fetched::new(self.columns.clone());
-        for (hit, key) in hits.into_iter().zip(&keys) {
-            self.decode(key, hit, &mut fetched.rows);
-            fetched.end_key();
-        }
+        let Fetched { rows, ends } = &mut fetched;
+        ends.reserve(keys.len());
+        self.fetch("mget", keys, rows, |end| ends.push(end))?;
         Ok(fetched)
     }
     fn label(&self) -> String {
@@ -609,14 +621,11 @@ pub fn kv_unit(
         Term::Const(key) => {
             let key = key.clone();
             UnitKind::Run(Arc::new(move || {
-                access.gate.check("get")?;
-                let hit = access.kv.get(&access.namespace, &key);
-                let hit = hit.map_err(|e| corrupt_payload("get", e))?;
-                if hit.is_none() {
-                    access.namespace_exists("get")?;
-                }
+                // A constant no cell holds was never interned: the GET asks
+                // for no key then, and costs its request all the same.
+                let key = ConstReader::new().lookup(&key);
                 let mut batch = Batch::empty(access.columns.clone());
-                access.decode(&key, hit, &mut batch);
+                access.fetch("get", key.as_slice(), &mut batch, |_| {})?;
                 Ok(batch)
             }))
         }
@@ -658,8 +667,9 @@ impl TextAccess {
     /// binds the atom's key term.
     fn lookup(&self, term: &str, rows: &mut Batch) -> StoreResult<()> {
         self.gate.check("term_lookup")?;
+        // `None`: the store has no such index.
         let keys = self.text.term_lookup(&self.index, term);
-        if keys.is_empty() && self.holds_rows && !self.text.index_names().contains(&self.index) {
+        if keys.is_none() && self.holds_rows {
             return Err(missing_container(
                 SystemId::Text,
                 "term_lookup",
@@ -667,10 +677,9 @@ impl TextAccess {
             ));
         }
         // The key term is the atom's only position: every output is the key.
-        rows.push_values(keys.iter().filter_map(|k| {
-            let out = self
-                .binder
-                .bind(|p| (p == 0).then_some(k), Value::eq, None)?;
+        let consts = &self.binder.consts;
+        rows.push_values(keys.iter().flatten().filter_map(|k| {
+            let out = self.binder.bind(|p| (p == 0).then_some(k), consts, None)?;
             Some(std::iter::repeat_n(k, out.len()))
         }));
         Ok(())
@@ -793,17 +802,16 @@ pub fn doc_rows_unit(
     let runner = move || {
         let paths: Vec<&str> = columns.iter().map(|s| s.as_str()).collect();
         gate.check("find")?;
-        let docs = doc.find(&collection, &filter, Some(&paths));
-        if docs.is_empty() && !doc.collection_names().contains(&collection) {
+        let Some(docs) = doc.find(&collection, &filter, Some(&paths)) else {
             return Err(missing_container(SystemId::Document, "find", &collection));
-        }
+        };
         // Each document's fields are read where they lie, straight into
         // the batch's interned columns.
         let mut batch = Batch::with_capacity(names.clone(), docs.len());
         let columns = &columns;
         batch.push_values(docs.iter().filter_map(|d| {
             let cell = move |p: usize| columns.get(p).map(|c| d.get(c).unwrap_or(&NULL));
-            let out = binder.bind(cell, Value::eq, None)?;
+            let out = binder.bind(cell, &binder.consts, None)?;
             Some(out.iter().filter_map(move |p| cell(*p)))
         }));
         Ok(batch)
@@ -929,12 +937,13 @@ impl ParRequest {
         let Some(binder) = &self.rebind else {
             return Batch::from_id_rows(self.columns.clone(), &rows);
         };
-        // A constant no cell holds was never interned: it matches nothing.
-        let reader = ConstReader::new();
-        let is = |c: &Value, id: &ConstId| reader.lookup(c) == Some(*id);
         let mut bound = Batch::empty(self.columns.clone());
+        // A constant no cell holds was never interned: it matches nothing.
+        let Some(consts) = binder.const_ids() else {
+            return bound;
+        };
         for row in rows.rows() {
-            if let Some(out) = binder.bind(|p| row.get(p), is, None) {
+            if let Some(out) = binder.bind(|p| row.get(p), &consts, None) {
                 bound.push_row(out.iter().map(|p| row[*p]));
             }
         }
@@ -1221,10 +1230,9 @@ pub fn doc_tree_unit(
     let names = var_cols(&ordered_vars);
     let runner = move || {
         gate.check("query")?;
-        let (_cols, rows) = doc.query(&q);
-        if rows.is_empty() && !doc.collection_names().contains(&collection) {
+        let Some(rows) = doc.query(&q) else {
             return Err(missing_container(SystemId::Document, "query", &collection));
-        }
+        };
         let mut batch = Batch::with_capacity(names.clone(), rows.len());
         batch.push_values(&rows);
         Ok(batch)
@@ -1249,7 +1257,7 @@ mod tests {
 
     /// `binder` over `cells`, with `pre` pre-bound: the output cells.
     fn bound(binder: &Binder, cells: &[Value], pre: Option<&Value>) -> Option<Vec<Value>> {
-        let out = binder.bind(|p| cells.get(p), Value::eq, pre)?;
+        let out = binder.bind(|p| cells.get(p), &binder.consts, pre)?;
         Some(out.iter().map(|p| cells[*p].clone()).collect())
     }
 

@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | `Table` | the row as is; physical duplicates are kept | the placement's `indexed` columns at the fill, then each column a query's paid full scan compared with an `=` constant ([`index`]) |
 //! | `ParDataset` | the row as is; physical duplicates are kept | one key index over the `indexed` columns, at the fill |
-//! | `Namespace` | per key (head column 0) one list of the value tuples (columns 1..), **sorted**, so an entry is a canonical function of the key's row set | the key |
+//! | `Namespace` | per key (head column 0) its value tuples (columns 1..) as interned cells, **sorted** in value order by the store, so an entry is a canonical function of the key's row set | the key |
 //! | `Collection` | one flat object per row, keyed by column name | a path index per `indexed` column, at the fill |
 //! | `TextIndex` | `(key, text columns joined by a space)` per row of the indexed table | the terms |
 //! | `NativeDocs` | the dataset's documents as such — loaded once, no row writer | none of the layout's |
@@ -23,9 +23,10 @@
 //! rows as its compiled plan produced them, a native table's and a DML
 //! batch's interned once where they enter. The relational table and the
 //! parallel dataset store those cells as they are (`insert_ids`,
-//! `apply_delta_ids`); only the key-value, document and text layouts,
-//! whose stores hold values, resolve them, each in its own arm of
-//! [`write`].
+//! `apply_delta_ids`), and so does the key-value namespace (each key's
+//! value tuples, patched in place by `KvStore::update`); only the document
+//! and text layouts, whose stores hold values, resolve them, each in its
+//! own arm of [`write`].
 
 use crate::catalog::{FragmentSpec, FragmentStats, StatsAccumulator, WhereSpec};
 use crate::connector::EqScan;
@@ -34,7 +35,7 @@ use crate::error::{Error, Result};
 use crate::system::{Stores, SystemId};
 use estocada_parstore::ParStore;
 use estocada_pivot::hash::FastMap;
-use estocada_pivot::{AccessPattern, Adornment, IdRows, Value};
+use estocada_pivot::{AccessPattern, Adornment, ConstId, IdRows, SwapRows, Value};
 
 /// A stored row of a fragment relation (head order), resolved.
 type Row = Vec<Value>;
@@ -265,38 +266,34 @@ pub(crate) fn write(
             // Also what creates the collection, at a first fill over no rows.
             stores.doc.insert_many(collection, inserts.iter().map(doc));
         }
-        WhereSpec::Namespace { namespace, .. } => {
-            let (deletes, inserts) = (deletes.to_values(), inserts.to_values());
+        WhereSpec::Namespace {
+            namespace,
+            value_columns,
+        } => {
             // Per touched key, the value tuples that leave and that enter
-            // its entry; the entry is patched under its key (load, take
-            // out, add, store sorted again), no other key is read.
-            let tuple = |row: &Row| Value::array(row[1..].iter().cloned());
-            let mut changes: FastMap<&Value, (Vec<Value>, Vec<Value>)> = FastMap::default();
-            for row in &deletes {
-                changes.entry(&row[0]).or_default().0.push(tuple(row));
+            // its entry; the store patches the entry under its key (take
+            // out, add, sort again), no other key is read.
+            type Tuples<'r> = Vec<&'r [ConstId]>;
+            let mut changes: FastMap<ConstId, (Tuples, Tuples)> = FastMap::default();
+            for row in deletes.rows() {
+                changes.entry(row[0]).or_default().0.push(&row[1..]);
             }
-            for row in &inserts {
-                changes.entry(&row[0]).or_default().1.push(tuple(row));
+            for row in inserts.rows() {
+                changes.entry(row[0]).or_default().1.push(&row[1..]);
             }
             for (key, (gone, born)) in changes {
-                let patch = |stored: Option<Vec<Value>>| {
-                    let mut tuples = match stored.as_deref() {
-                        Some([Value::Array(tuples)]) => tuples.to_vec(),
-                        _ => Vec::new(),
-                    };
-                    for t in &gone {
-                        if let Some(at) = tuples.iter().position(|held| held == t) {
-                            tuples.swap_remove(at);
+                let patch = |tuples: &mut IdRows| {
+                    for t in gone {
+                        let at = tuples.rows().position(|held| held == t);
+                        if let Some(at) = at {
+                            tuples.swap_out(at);
                         }
                     }
-                    tuples.extend(born);
-                    (!tuples.is_empty()).then(|| pack_kv_rows(tuples).to_vec())
+                    for t in born {
+                        tuples.push(t.iter().copied());
+                    }
                 };
-                stores.kv.update(namespace, key, patch).map_err(|e| {
-                    Error::Dml(format!(
-                        "key-value entry {key} of {namespace} unreadable: {e}"
-                    ))
-                })?;
+                stores.kv.update(namespace, key, value_columns.len(), patch);
             }
         }
         WhereSpec::TextIndex { index } => {
@@ -369,24 +366,6 @@ pub(crate) fn stats(place: &WhereSpec, held: &StatsAccumulator) -> FragmentStats
         distinct: vec![docs * 4, docs],
         bytes: docs * 64,
     }
-}
-
-/// The value stored under one key-value key: the key's value tuples as one
-/// sorted list (like a Redis list, so non-unique keys keep every row).
-fn pack_kv_rows(mut tuples: Vec<Value>) -> [Value; 1] {
-    tuples.sort();
-    [Value::array(tuples)]
-}
-
-/// Inverse of [`pack_kv_rows`]: the value tuples stored under one key,
-/// read where they lie. A payload that is not a packed list reads as a
-/// single tuple.
-pub(crate) fn unpack_kv_rows(values: &[Value]) -> impl Iterator<Item = &[Value]> {
-    let (packed, single) = match values {
-        [Value::Array(rows)] => (rows.as_slice(), None),
-        _ => (&[][..], Some(values)),
-    };
-    packed.iter().filter_map(Value::as_array).chain(single)
 }
 
 /// Column positions a text index reads from a row of `t`: the first

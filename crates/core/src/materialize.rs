@@ -264,7 +264,7 @@ mod tests {
     use crate::dataset::TableData;
     use crate::system::Latencies;
     use estocada_pivot::encoding::relational::TableEncoding;
-    use estocada_pivot::{CqBuilder, Value};
+    use estocada_pivot::{ConstId, CqBuilder, Value};
 
     fn setup() -> (FactBase, FastMap<String, Dataset>, Stores) {
         let ds = Dataset::relational(
@@ -330,6 +330,17 @@ mod tests {
         }
     }
 
+    /// The value tuples under `key` in `namespace`, resolved.
+    fn kv_entry(stores: &Stores, namespace: &str, key: Value) -> Vec<Vec<Value>> {
+        let mut tuples = Vec::new();
+        let key = ConstId::intern(&key);
+        let found = stores
+            .kv
+            .mget(namespace, &[key], |_, t| tuples = t.to_values());
+        assert!(found, "namespace {namespace}");
+        tuples
+    }
+
     #[test]
     fn kv_fragment_keys_on_first_head_column() {
         let (base, datasets, stores) = setup();
@@ -346,13 +357,10 @@ mod tests {
             &stores,
         )
         .unwrap();
-        // Rows are packed as a list of value tuples under the key.
+        // The key's value tuples are held under it.
         assert_eq!(
-            stores.kv.get("UserByIdKV", &Value::Int(3)).unwrap(),
-            Some(vec![Value::array([Value::array([
-                Value::str("user3"),
-                Value::str("free")
-            ])])])
+            kv_entry(&stores, "UserByIdKV", Value::Int(3)),
+            vec![vec![Value::str("user3"), Value::str("free")]]
         );
         assert_eq!(
             format!("{}", meta.relations[0].access.as_ref().unwrap()),
@@ -377,12 +385,9 @@ mod tests {
             &stores,
         )
         .unwrap();
-        let gold = stores.kv.get("ByTierKV", &Value::str("gold")).unwrap();
-        let gold = gold.unwrap();
-        match &gold[0] {
-            Value::Array(rows) => assert_eq!(rows.len(), 10),
-            other => panic!("expected packed rows, got {other}"),
-        }
+        let gold = kv_entry(&stores, "ByTierKV", Value::str("gold"));
+        assert_eq!(gold.len(), 10);
+        assert!(gold.is_sorted(), "an entry is held in value order");
     }
 
     #[test]
@@ -409,6 +414,7 @@ mod tests {
             &estocada_docstore::Filter::all().eq("uid", 4i64),
             None,
         );
+        let found = found.unwrap();
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].get("tier"), Some(&Value::str("gold")));
     }

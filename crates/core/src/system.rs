@@ -4,6 +4,7 @@ use estocada_docstore::DocStore;
 use estocada_kvstore::KvStore;
 use estocada_parstore::ParStore;
 use estocada_pivot::kernel::values_of;
+use estocada_pivot::Value;
 use estocada_relstore::RelStore;
 use estocada_simkit::{FaultHook, FaultPlan, LatencyModel, MetricsSnapshot, StoreError};
 use estocada_textstore::TextStore;
@@ -237,11 +238,12 @@ impl Stores {
             out.push((format!("rel:{t}"), render(rows)));
         }
         for ns in self.kv.namespace_names() {
-            let entries = self.kv.scan(&ns).map(render);
-            out.push((
-                format!("kv:{ns}"),
-                entries.unwrap_or_else(|e| e.to_string()),
-            ));
+            // An entry as the one list of its value tuples.
+            let entries = self.kv.scan(&ns).into_iter().map(|(key, tuples)| {
+                let tuples = values_of(tuples.rows()).into_iter().map(Value::array);
+                (key.value(), [Value::array(tuples)])
+            });
+            out.push((format!("kv:{ns}"), render(entries.collect())));
         }
         for c in self.doc.collection_names() {
             out.push((format!("doc:{c}"), render(self.doc.scan(&c))));

@@ -635,7 +635,7 @@ mod tests {
     };
     use crate::system::{Latencies, Stores};
     use estocada_engine::{execute_with, ExecOptions, ExecStats, RowBatch};
-    use estocada_pivot::{AccessPattern, Atom, CqBuilder, Value, ViewDef};
+    use estocada_pivot::{AccessPattern, Atom, ConstId, CqBuilder, Value, ViewDef};
 
     fn run(plan: &Plan) -> (RowBatch, ExecStats) {
         execute_with(plan, &ExecOptions::default()).unwrap()
@@ -654,11 +654,8 @@ mod tests {
                     .collect::<Vec<_>>(),
             )
             .unwrap();
-        stores.kv.put(
-            "kv_users",
-            Value::Int(3),
-            &[Value::array([Value::array([Value::str("u3")])])],
-        );
+        let (key, name) = (ConstId::of(3i64), ConstId::of("u3"));
+        stores.kv.update("kv_users", key, 1, |t| t.push([name]));
         let mut catalog = Catalog::new();
         let rel_view = ViewDef::new(
             CqBuilder::new("UsersRel")

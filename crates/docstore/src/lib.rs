@@ -144,19 +144,16 @@ impl DocStore {
 
     /// Find documents matching `filter`; `projection` (if given) restricts
     /// each result to the first value of the listed paths, packed as an
-    /// object.
+    /// object. `None` when the store has no such collection.
     pub fn find(
         &self,
         collection: &str,
         filter: &Filter,
         projection: Option<&[&str]>,
-    ) -> Vec<Value> {
+    ) -> Option<Vec<Value>> {
         let guard = self.collections.read();
         let mut timer = RequestTimer::start(&self.metrics, self.latency);
-        let Some(coll) = guard.get(collection) else {
-            timer.set_output(0, 0);
-            return Vec::new();
-        };
+        let coll = guard.get(collection)?;
         // Index-assisted candidate selection for the first equality clause.
         let candidates: Vec<usize> = match filter
             .first_eq()
@@ -187,18 +184,16 @@ impl DocStore {
         }
         let bytes: usize = out.iter().map(Value::approx_size).sum();
         timer.set_output(out.len() as u64, bytes as u64);
-        out
+        Some(out)
     }
 
-    /// Run a tree-pattern query, returning `(columns, rows)` of bindings.
-    pub fn query(&self, q: &DocQuery) -> (Vec<String>, Vec<Vec<Value>>) {
+    /// Run a tree-pattern query, returning its rows of bindings, one cell
+    /// per column of [`DocQuery::columns`]. `None` when the store has no
+    /// such collection.
+    pub fn query(&self, q: &DocQuery) -> Option<Vec<Vec<Value>>> {
         let guard = self.collections.read();
         let mut timer = RequestTimer::start(&self.metrics, self.latency);
-        let columns = q.columns();
-        let Some(coll) = guard.get(&q.collection) else {
-            timer.set_output(0, 0);
-            return (columns, Vec::new());
-        };
+        let coll = guard.get(&q.collection)?;
         // Index assist: a top-level child-only chain ending in an equality
         // prunes candidates when a matching path index exists.
         let candidates: Vec<usize> = match index_opportunity(q)
@@ -219,7 +214,7 @@ impl DocStore {
             .map(|r| r.iter().map(Value::approx_size).sum::<usize>())
             .sum();
         timer.set_output(rows.len() as u64, bytes as u64);
-        (columns, rows)
+        Some(rows)
     }
 
     /// Document count (statistics path).
@@ -303,7 +298,9 @@ mod tests {
     #[test]
     fn find_with_scan() {
         let s = store();
-        let out = s.find("carts", &Filter::all().eq("user", 7i64), None);
+        let out = s
+            .find("carts", &Filter::all().eq("user", 7i64), None)
+            .unwrap();
         assert_eq!(out.len(), 1);
         let m = s.metrics.snapshot();
         assert_eq!(m.tuples_scanned, 100); // no index → full scan
@@ -313,7 +310,9 @@ mod tests {
     fn find_with_index_avoids_scan() {
         let s = store();
         s.create_index("carts", "user");
-        let out = s.find("carts", &Filter::all().eq("user", 7i64), None);
+        let out = s
+            .find("carts", &Filter::all().eq("user", 7i64), None)
+            .unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(s.metrics.snapshot().tuples_scanned, 0);
     }
@@ -326,6 +325,7 @@ mod tests {
             &Filter::all().eq("user", 3i64),
             Some(&["items.sku"]),
         );
+        let out = out.unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get("items.sku"), Some(&Value::str("odd")));
     }
@@ -337,8 +337,8 @@ mod tests {
         let q = DocQuery::new("carts")
             .with(QueryNode::child("user").eq(8i64))
             .with(QueryNode::descendant("sku").bind("s"));
-        let (cols, rows) = s.query(&q);
-        assert_eq!(cols, vec!["s"]);
+        let rows = s.query(&q).unwrap();
+        assert_eq!(q.columns(), vec!["s"]);
         assert_eq!(rows, vec![vec![Value::str("even")]]);
         assert_eq!(s.metrics.snapshot().tuples_scanned, 0);
     }
@@ -348,7 +348,9 @@ mod tests {
         let s = store();
         s.create_index("carts", "user");
         s.insert("carts", Value::object([("user", Value::Int(999))]));
-        let out = s.find("carts", &Filter::all().eq("user", 999i64), None);
+        let out = s
+            .find("carts", &Filter::all().eq("user", 999i64), None)
+            .unwrap();
         assert_eq!(out.len(), 1);
     }
 
@@ -367,7 +369,7 @@ mod tests {
         for v in reached.chain([Value::str("ghost")]) {
             let filter = Filter::all().eq(path, v.clone());
             let scan = docs.iter().filter(|d| filter.matches(d)).cloned();
-            let found = s.find(collection, &filter, None);
+            let found = s.find(collection, &filter, None).unwrap();
             assert_eq!(sorted(found), sorted(scan.collect()), "find {path} = {v}");
             // The same equality as a child chain from the root.
             let mut segs = path.rsplit('.');
@@ -375,7 +377,7 @@ mod tests {
             let chain = segs.fold(leaf.bind("v"), |n, seg| QueryNode::child(seg).with(n));
             let q = DocQuery::new(collection).with(chain);
             let scan = docs.iter().flat_map(|d| q.match_document(d));
-            let (_, rows) = s.query(&q);
+            let rows = s.query(&q).unwrap();
             assert_eq!(sorted(rows), sorted(scan.collect()), "query {path} = {v}");
         }
         let now = s.metrics.snapshot().tuples_scanned;
@@ -394,11 +396,11 @@ mod tests {
         s.insert_many("c", [twice.clone(), once.clone(), sku("a")]);
         s.create_index("c", "items.sku");
         let items_a = Filter::all().eq("items.sku", "a");
-        assert_eq!(s.find("c", &items_a, None), vec![twice.clone()]);
+        assert_eq!(s.find("c", &items_a, None), Some(vec![twice.clone()]));
         assert_index_answers_like_a_scan(&s, "c", "items.sku");
         // Deleting it forgets the value, though the document reached it twice.
         assert_eq!(s.remove_docs("c", &[twice]), 1);
-        assert!(s.find("c", &items_a, None).is_empty());
+        assert_eq!(s.find("c", &items_a, None), Some(vec![]));
         assert_index_answers_like_a_scan(&s, "c", "items.sku");
     }
 
@@ -408,8 +410,8 @@ mod tests {
         s.create_index("carts", "user");
         s.create_index("carts", "items.sku");
         let user = |i: i64| {
-            let doc = s.find("carts", &Filter::all().eq("user", i), None).pop();
-            doc.unwrap()
+            let doc = s.find("carts", &Filter::all().eq("user", i), None);
+            doc.unwrap().pop().unwrap()
         };
         let (first, seventh, last) = (user(0), user(7), user(99));
         // A second copy of one document: the batch takes one instance each.
@@ -421,14 +423,9 @@ mod tests {
             assert_index_answers_like_a_scan(&s, "carts", path);
         }
         // Documents moved into the holes are still found; the deleted not.
-        assert!(s
-            .find("carts", &Filter::all().eq("user", 7i64), None)
-            .is_empty());
-        assert_eq!(
-            s.find("carts", &Filter::all().eq("user", 98i64), None)
-                .len(),
-            1
-        );
+        let user_is = |i: i64| s.find("carts", &Filter::all().eq("user", i), None);
+        assert_eq!(user_is(7), Some(vec![]));
+        assert_eq!(user_is(98).map(|found| found.len()), Some(1));
         // Unknown document / collection: no-ops.
         assert_eq!(s.remove_docs("carts", &[Value::Int(42)]), 0);
         assert_eq!(s.remove_docs("ghost", &[user(1)]), 0);
@@ -440,8 +437,12 @@ mod tests {
 
     #[test]
     fn missing_collection_is_empty() {
+        // A missing collection is told from an empty one: the store answers
+        // `None`, and still charges the request.
         let s = store();
-        assert!(s.find("ghost", &Filter::all(), None).is_empty());
+        assert_eq!(s.find("ghost", &Filter::all(), None), None);
+        assert_eq!(s.query(&DocQuery::new("ghost")), None);
+        assert_eq!(s.metrics.snapshot().requests, 2);
         assert!(s.is_empty("ghost"));
         assert!(!s.drop_collection("ghost"));
     }

@@ -111,17 +111,16 @@ impl TextStore {
 
     /// Keys of documents containing `term` — the binding-restricted
     /// relational access path (`Contains(term, docKey)` with pattern `io`).
-    pub fn term_lookup(&self, index: &str, term: &str) -> Vec<Value> {
+    /// `None` when the store has no such index.
+    pub fn term_lookup(&self, index: &str, term: &str) -> Option<Vec<Value>> {
         let guard = self.indexes.read();
         let mut timer = RequestTimer::start(&self.metrics, self.latency);
+        let idx = guard.get(index)?;
         let normalized = tokenize(term);
-        let out = match (guard.get(index), normalized.first()) {
-            (Some(idx), Some(t)) => idx.lookup(t),
-            _ => Vec::new(),
-        };
+        let out = normalized.first().map_or_else(Vec::new, |t| idx.lookup(t));
         let bytes: usize = out.iter().map(Value::approx_size).sum();
         timer.set_output(out.len() as u64, bytes as u64);
-        out
+        Some(out)
     }
 
     /// Dump of an index's `(key, raw text)` documents in storage order
@@ -179,22 +178,25 @@ mod tests {
     #[test]
     fn term_lookup_returns_all_keys() {
         let s = store();
-        let mut keys = s.term_lookup("catalog", "usb");
+        let mut keys = s.term_lookup("catalog", "usb").unwrap();
         keys.sort();
         assert_eq!(keys, vec![Value::Int(1), Value::Int(2)]);
-        assert!(s.term_lookup("catalog", "ghost").is_empty());
+        assert_eq!(s.term_lookup("catalog", "ghost"), Some(vec![]));
     }
 
     #[test]
     fn term_lookup_normalizes_case() {
         let s = store();
-        assert_eq!(s.term_lookup("catalog", "USB").len(), 2);
+        assert_eq!(s.term_lookup("catalog", "USB").map(|k| k.len()), Some(2));
     }
 
     #[test]
     fn missing_index_is_empty() {
+        // A missing index is told from an empty one: the store answers
+        // `None`, and still charges the request.
         let s = store();
-        assert!(s.term_lookup("ghost", "x").is_empty());
+        assert_eq!(s.term_lookup("ghost", "x"), None);
+        assert_eq!(s.metrics.snapshot().requests, 1);
         assert!(s.is_empty("ghost"));
         assert_eq!(s.len("catalog"), 3);
     }
@@ -209,7 +211,7 @@ mod tests {
                 .iter()
                 .filter(|(_, text)| tokenize(text).contains(&term));
             let mut scan: Vec<Value> = holding.map(|(key, _)| key.clone()).collect();
-            let mut found = s.term_lookup(index, &term);
+            let mut found = s.term_lookup(index, &term).unwrap();
             scan.sort();
             found.sort();
             assert_eq!(found, scan, "term {term}");
@@ -232,9 +234,9 @@ mod tests {
         assert_eq!(s.len("catalog"), 3);
         assert_postings_answer_like_a_scan(&s, "catalog");
         // "mouse" now only hits doc 3, "usb" docs 2 and 4.
-        assert_eq!(s.term_lookup("catalog", "mouse"), vec![Value::Int(3)]);
+        assert_eq!(s.term_lookup("catalog", "mouse"), Some(vec![Value::Int(3)]));
         let usb = |s: &TextStore| {
-            let mut keys = s.term_lookup("catalog", "usb");
+            let mut keys = s.term_lookup("catalog", "usb").unwrap();
             keys.sort();
             keys
         };
@@ -242,7 +244,7 @@ mod tests {
         let hub = (Value::Int(4), "usb usb hub, usb".to_string());
         assert_eq!(s.remove_documents("catalog", &[hub]), 1);
         assert_eq!(usb(&s), vec![Value::Int(2)]);
-        assert!(s.term_lookup("catalog", "hub").is_empty());
+        assert_eq!(s.term_lookup("catalog", "hub"), Some(vec![]));
         assert_postings_answer_like_a_scan(&s, "catalog");
         assert_eq!(s.remove_documents("ghost", &[]), 0);
         // Emptied, then grown again.

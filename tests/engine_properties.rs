@@ -1,9 +1,8 @@
 //! Property-based tests of the runtime engine and the store substrates:
-//! operator equivalences, codec round-trips, and parallel-vs-sequential
+//! operator equivalences, value order, and parallel-vs-sequential
 //! agreement.
 
 use estocada_engine::{execute_with, CmpOp, ExecOptions, Expr, Plan, RowBatch};
-use estocada_kvstore::codec::{decode_tuple, encode_tuple};
 use estocada_parstore::{par_filter, par_join, AggFun, Dataset, GroupBy, ParStore, Shape};
 use estocada_pivot::{ConstId, Value};
 use proptest::prelude::*;
@@ -41,14 +40,6 @@ fn int_batch(cols: &[&str], rows: Vec<Vec<i64>>) -> RowBatch {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The binary codec round-trips every value tree.
-    #[test]
-    fn codec_round_trips(values in proptest::collection::vec(arb_value(), 0..6)) {
-        let buf = encode_tuple(&values);
-        let back = decode_tuple(&buf).unwrap();
-        prop_assert_eq!(values, back);
-    }
 
     /// Hash join and nested-loop join agree on arbitrary key data.
     #[test]

@@ -8,12 +8,14 @@
 //! that nothing else allocates while it counts; run it with
 //! `--test-threads=1`.
 //!
-//! The bounds are a third (rounded up) of what the same hits allocated while
-//! a hit still copied the request into a key, cloned its chosen plan to bind
-//! it to the query's fault handling, named its columns again in every batch,
-//! decoded key-value and document answers through row tuples and copied the
-//! prepared texts into its report, counted by this test then: 72 for the
-//! preference hit, 89 for the cart hit, so at most 24 and 30.
+//! The bounds are what the same hits allocated once the key-value store
+//! held each key's tuples as interned cells: 15 and 16, where its byte
+//! codec had cost each hit 7 more (22 and 23). Before that, they were a
+//! third (rounded up) of what the hits allocated while a hit still copied
+//! the request into a key, cloned its chosen plan to bind it to the
+//! query's fault handling, named its columns again in every batch, decoded
+//! key-value and document answers through row tuples and copied the
+//! prepared texts into its report (72 and 89), so at most 24 and 30.
 //!
 //! After the hits, one `Estocada::metrics` snapshot and one
 //! `stale_fragments` check (which the read/write workload runs after every
@@ -22,17 +24,16 @@
 //! Last, a prepared BindJoin hit: the join of `examples/bindjoin.rs`, whose
 //! key-value side is reached only by probing it with the keys the
 //! relational side yields, counted at two key counts. What it allocates per
-//! probed key is the slope between the two. Of that, the key-value store's
-//! own decode of a stored value — what `KvStore::mget` allocates per key,
-//! counted the same way — is the store's, and the rest is bounded: at most
-//! 2 per probed key, one of them the answer row handed to the caller. While
-//! a probe resolved its keys to value tuples and the answer came back as
-//! value tuples to be interned again, the rest was 6.06 (12.07 per key in
-//! all, 6.01 of them the store's).
+//! probed key is the slope between the two, at most 2 in all, the answer
+//! row handed to the caller among them. Of that, the key-value store's
+//! `mget` — counted alone the same way — allocates nothing per key: a hit
+//! hands the caller the cells it holds. While the store decoded a byte
+//! payload per key into values the connector interned again, the probe
+//! made 7.08 per key, 6.01 of them the store's.
 
 use estocada::{Dataset, Estocada, FragmentSpec, Latencies, QueryResult, TableData};
 use estocada_pivot::encoding::relational::TableEncoding;
-use estocada_pivot::{CqBuilder, Value};
+use estocada_pivot::{ConstId, CqBuilder, Value};
 use estocada_workloads::marketplace::{generate, MarketplaceConfig};
 use estocada_workloads::{cart_pattern, deploy_materialized_join, pref_sql, stale_fragments};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -67,19 +68,19 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Allocations of a prepared preference hit before this bound.
-const PREF_BEFORE: usize = 72;
-/// Allocations of a prepared cart hit before this bound.
-const CART_BEFORE: usize = 89;
-/// A third of each, rounded up.
-const PREF_BOUND: usize = PREF_BEFORE.div_ceil(3);
-const CART_BOUND: usize = CART_BEFORE.div_ceil(3);
+/// Allocations of a prepared preference hit and of a prepared cart hit,
+/// measured: the bounds.
+const PREF_BOUND: usize = 15;
+const CART_BOUND: usize = 16;
 
-/// Allocations per probed key of a prepared BindJoin hit, beyond the
-/// key-value store's own, before this bound.
-const BINDJOIN_BEFORE: f64 = 6.06;
+/// Allocations per probed key of a prepared BindJoin hit while the
+/// key-value store decoded byte payloads.
+const BINDJOIN_BEFORE: f64 = 7.08;
 /// The answer row, and one more.
 const BINDJOIN_BOUND: f64 = 2.0;
+/// A key-value `mget` hands out the cells it holds: nothing per key (the
+/// slope's rounding aside).
+const STORE_BOUND: f64 = 0.01;
 
 /// Allocations made while `f` runs, with its result.
 fn allocs_of<R>(f: impl FnOnce() -> R) -> (usize, R) {
@@ -121,8 +122,8 @@ fn a_prepared_lookup_hit_allocates_a_third_of_what_it_did() {
     let pref_allocs = hit_allocs(|| est.query(&sql).run());
     let pattern = cart_pattern(3);
     let cart_allocs = hit_allocs(|| est.query_pattern(&pattern, &["pid", "qty"]).run());
-    println!("pref hit: {pref_allocs} allocations (before: {PREF_BEFORE})");
-    println!("cart hit: {cart_allocs} allocations (before: {CART_BEFORE})");
+    println!("pref hit: {pref_allocs} allocations (before: 22)");
+    println!("cart hit: {cart_allocs} allocations (before: 23)");
     assert!(
         pref_allocs <= PREF_BOUND,
         "a prepared preference hit made {pref_allocs} allocations, above {PREF_BOUND}"
@@ -148,24 +149,30 @@ fn a_prepared_lookup_hit_allocates_a_third_of_what_it_did() {
         hit_allocs(|| est.query(&sql).run())
     });
     let store = [few, many].map(|keys| {
-        let keys: Vec<Value> = (0..keys as i64).map(Value::Int).collect();
-        let (allocs, hits) = allocs_of(|| est.stores.kv.mget("PrefsKV", &keys));
-        assert!(hits
-            .expect("the payloads decode")
-            .iter()
-            .all(Option::is_some));
+        let keys: Vec<ConstId> = (0..keys as i64).map(ConstId::of).collect();
+        let mut hits = 0;
+        let (allocs, found) = allocs_of(|| {
+            est.stores
+                .kv
+                .mget("PrefsKV", &keys, |_, tuples| hits += tuples.len)
+        });
+        assert!(found, "the namespace exists");
+        assert_eq!(hits, keys.len(), "every key holds one tuple");
         allocs
     });
     let (all, stores) = (per_key(hit), per_key(store));
-    let added = all - stores;
     println!(
-        "bindjoin hit: {} allocations at {few} keys, {} at {many}: {all:.2} per key, \
-         {stores:.2} of them the key-value store's, {added:.2} the rest (before: {BINDJOIN_BEFORE})",
+        "bindjoin hit: {} allocations at {few} keys, {} at {many}: {all:.2} per key \
+         (before: {BINDJOIN_BEFORE}), {stores:.2} of them the key-value store's",
         hit[0], hit[1]
     );
     assert!(
-        added <= BINDJOIN_BOUND,
-        "a prepared BindJoin hit made {added:.2} allocations per probed key beyond the store's, above {BINDJOIN_BOUND}"
+        stores <= STORE_BOUND,
+        "a key-value MGET made {stores:.2} allocations per key, above {STORE_BOUND}"
+    );
+    assert!(
+        all <= BINDJOIN_BOUND,
+        "a prepared BindJoin hit made {all:.2} allocations per probed key, above {BINDJOIN_BOUND}"
     );
 }
 

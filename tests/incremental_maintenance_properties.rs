@@ -8,7 +8,7 @@
 //!   engine deployed from the test's own model of the written rows (a bag
 //!   per table that every batch is applied to, never read from the engine,
 //!   whose `dataset()` rows must equal it after every batch) — same
-//!   relational rows, same packed key-value entries, same documents, same
+//!   relational rows, same key-value entries, same documents, same
 //!   parallel partitions, same text postings. Not just query-equivalent: the
 //!   canonical store dumps render identically.
 //! - **Exact statistics and indexes.** The catalog's `FragmentStats`, kept
@@ -38,7 +38,7 @@ use estocada::{Dataset, Estocada, FragmentSpec, Latencies, TableData};
 use estocada_docstore::{eval_path, Filter};
 use estocada_pivot::encoding::relational::TableEncoding;
 use estocada_pivot::kernel::values_of;
-use estocada_pivot::{Atom, CmpOp, Constraint, Cq, CqBuilder, Term, Tgd, Value};
+use estocada_pivot::{Atom, CmpOp, ConstId, Constraint, Cq, CqBuilder, Term, Tgd, Value};
 use estocada_relstore::{ColRef, Pred, SqlQuery};
 use estocada_workloads::marketplace::{generate, Marketplace, MarketplaceConfig, W1Query};
 use estocada_workloads::readwrite::{
@@ -249,18 +249,11 @@ fn assert_stats_recount(est: &Estocada, what: &str) {
                     values_of(ds.iter_rows())
                 }
                 WhereSpec::Namespace { namespace, .. } => {
-                    let entries = stores.kv.scan(namespace).expect("readable namespace");
-                    let unpack = |(key, values): (Value, Vec<Value>)| -> Vec<Vec<Value>> {
-                        let [Value::Array(tuples)] = values.as_slice() else {
-                            panic!("{what}: {namespace} entry {key} is not a packed list");
-                        };
-                        let row = |t: &Value| {
-                            let tuple = t.as_array().expect("a packed tuple");
-                            [std::slice::from_ref(&key), tuple].concat()
-                        };
-                        tuples.iter().map(row).collect()
-                    };
-                    entries.into_iter().flat_map(unpack).collect()
+                    let entries = stores.kv.scan(namespace);
+                    let rows: Vec<Vec<ConstId>> = (entries.iter())
+                        .flat_map(|(key, tuples)| tuples.rows().map(|t| [&[*key], t].concat()))
+                        .collect();
+                    values_of(rows.iter().map(Vec::as_slice))
                 }
                 WhereSpec::Collection {
                     collection,
@@ -458,7 +451,8 @@ fn assert_index_lookups_equal_scans(est: &Estocada, what: &str) {
                         docs.iter().flat_map(|d| eval_path(d, path)).collect();
                     for v in values.into_iter().chain([&ghost]) {
                         let filter = Filter::all().eq(path, v.clone());
-                        let mut found = est.stores.doc.find(collection, &filter, None);
+                        let found = est.stores.doc.find(collection, &filter, None);
+                        let mut found = found.expect("a placed collection");
                         let mut scan: Vec<Value> =
                             docs.iter().filter(|d| filter.matches(d)).cloned().collect();
                         found.sort();

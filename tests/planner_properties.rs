@@ -920,6 +920,66 @@ fn a_namespace_emptied_and_refilled_never_meets_a_stale_plan() {
 }
 
 #[test]
+fn a_key_without_an_entry_gains_one_by_an_insert_and_loses_it_by_a_delete() {
+    let m = generate(cfg());
+    let mut twins = Twins::deploy(deploy_kv_migrated, &m);
+    let prefs = table_rows(&twins.cached, "Prefs");
+    let row = prefs.iter().find(|r| r[0] == Value::Int(3)).expect("uid 3");
+    let answer = vec![row[1..3].to_vec()];
+    let none: Vec<Vec<Value>> = Vec::new();
+    // `assert_prefs_by_get` compares the two sides; these are the rows.
+    let prefs_of = |twins: &Twins| twins.cached.query(&pref_sql(3)).run().expect("GET").rows;
+    let write = |twins: &mut Twins, insert: bool| {
+        twins.each(|est| {
+            let rows = vec![row.clone()];
+            let written = match insert {
+                true => est.insert_rows("sales", "Prefs", rows),
+                false => est.delete_rows("sales", "Prefs", rows),
+            };
+            written.expect("write");
+        })
+    };
+    // Key 3 left without an entry in a namespace that still holds others:
+    // the GET asks for it, finds none, and is no error.
+    write(&mut twins, false);
+    assert_prefs_by_get(&twins, 3, 0, "no entry");
+    assert_eq!(prefs_of(&twins), none);
+    write(&mut twins, true);
+    assert_prefs_by_get(&twins, 3, 1, "inserted");
+    assert_eq!(prefs_of(&twins), answer);
+    write(&mut twins, false);
+    assert_prefs_by_get(&twins, 3, 0, "deleted again");
+    assert_eq!(prefs_of(&twins), none);
+    let namespaces = twins.cached.stores.kv.namespace_names();
+    assert!(namespaces.contains(&"PrefsKV".to_string()));
+}
+
+#[test]
+fn a_constant_in_a_value_position_is_compared_as_an_interned_cell() {
+    let m = generate(cfg());
+    let twins = Twins::deploy(deploy_kv_migrated, &m);
+    let prefs = table_rows(&twins.cached, "Prefs");
+    let row = prefs.iter().find(|r| r[0] == Value::Int(3)).expect("uid 3");
+    let theme = row[1].as_str().expect("a theme");
+    let other = if theme == "dark" { "light" } else { "dark" };
+    let cases = [
+        (theme, vec![vec![row[2].clone()]]),
+        (other, vec![]),
+        ("a theme no row holds", vec![]),
+    ];
+    for (theme, want) in cases {
+        let sql = format!("SELECT p.language FROM Prefs p WHERE p.uid = 3 AND p.theme = '{theme}'");
+        for report in twins.run(&Q::Sql(sql.clone()), &sql) {
+            let delegated = &report.expect("answered").delegated;
+            let get = "key-value: GET PrefsKV[3]";
+            assert!(delegated[0].starts_with(get), "{sql}: {delegated:?}");
+        }
+        let got = twins.cached.query(&sql).run().expect("answered").rows;
+        assert_eq!(got, want, "{sql}");
+    }
+}
+
+#[test]
 fn statistics_that_flip_the_cheapest_alternative_flip_the_cached_choice() {
     let m = generate(cfg());
     // A second home for `Orders`, in the parallel store: dearer to ask,
