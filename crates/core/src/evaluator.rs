@@ -69,6 +69,7 @@ use estocada_pivot::hash::{FastMap, FastSet};
 use estocada_pivot::{Constraint, Cq, Schema, SchemaError};
 use estocada_simkit::FaultPlan;
 use std::borrow::Cow;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -363,6 +364,7 @@ impl Estocada {
             catalog_epoch: self.epoch,
             data_epoch: self.data_epoch,
             plan_cache: self.plan_cache.stats(),
+            plans_repriced: self.plan_cache.repriced.load(Ordering::Relaxed),
             lint_cache: self.lint_cache.stats(),
             backends: SystemId::ALL.map(|system| BackendMetrics {
                 system,

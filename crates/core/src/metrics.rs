@@ -17,6 +17,7 @@
 //! ```text
 //! estocada_catalog_epoch 4
 //! estocada_plan_cache_hits_total 12
+//! estocada_plans_repriced_total 3
 //! estocada_breaker_state{system="key-value",state="open"} 1
 //! estocada_store_requests_total{system="key-value"} 31
 //! estocada_fragment_high_water{fragment="F2"} 3
@@ -44,6 +45,11 @@ pub struct Metrics<'e> {
     pub data_epoch: u64,
     /// Rewrite-plan cache counters and size.
     pub plan_cache: PlanCacheStats,
+    /// Prepared plans priced again because a write moved a relation they
+    /// priced past the drift bound, or an index build moved the relational
+    /// index generation; a read that keeps its plan across a write adds
+    /// nothing.
+    pub plans_repriced: u64,
     /// Lint-cache counters and size. The lint cache keys on the catalog
     /// epoch alone, so writes never force lint recomputation.
     pub lint_cache: PlanCacheStats,
@@ -83,6 +89,7 @@ impl fmt::Display for Metrics<'_> {
             writeln!(f, "estocada_{cache}_cache_misses_total {}", s.misses)?;
             writeln!(f, "estocada_{cache}_cache_entries {}", s.entries)?;
         }
+        writeln!(f, "estocada_plans_repriced_total {}", self.plans_repriced)?;
         for b in &self.backends {
             let (h, s) = (&b.health, &b.store);
             let sys = format_args!("system=\"{}\"", b.system);

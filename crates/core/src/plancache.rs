@@ -105,6 +105,9 @@ pub(crate) type LintCache = EpochCache<Arc<ParsedQuery>, Arc<Vec<Diagnostic>>>;
 pub(crate) struct PlanCache {
     pub(crate) outcomes: EpochCache<CoreKey, Arc<RewriteOutcome>>,
     pub(crate) prepared: EpochCache<QueryInput<'static>, Arc<Prepared>>,
+    /// Prepared plans priced again after a write or an index build moved
+    /// their prices.
+    pub(crate) repriced: AtomicU64,
 }
 
 impl PlanCache {

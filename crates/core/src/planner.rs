@@ -51,21 +51,36 @@
 //!   no plan is cloned or re-wrapped, no text copied. Two spellings of one
 //!   query (keyword case, whitespace) are two requests, each with its own
 //!   prepared plan over the one outcome they share.
-//!   Translation reads the fragment statistics, which DML moves, so a
-//!   prepared plan holds for one *data* epoch: after a write the entry is
-//!   re-translated from the parse and the outcome it keeps (a write never
-//!   forces a parse or a chase) and replaced. It also reads which
-//!   relational columns are indexed, which a query's paid scan can change
-//!   ([`crate::layout::index`]), so it holds for one index generation of
-//!   the relational store too and is re-translated the same way after a
-//!   build. Nothing else it read (the SQL
-//!   catalog included) can change within a catalog epoch;
-//!   breaker state is read when ranking and a fault plan when running, so
-//!   neither is part of any key. A plan is kept **on second sight**: by the
+//!   Translation reads the fragment statistics, which DML moves, and
+//!   nothing else a write can change: a rewriting's equivalence to the
+//!   query is a function of the catalog alone, and a query's constants are
+//!   looked up among the interned cells when it runs, not when it is
+//!   priced. So a write moves a plan's prices, never its answer, and a
+//!   prepared plan **keeps** across writes while its prices still hold: it
+//!   records the row count of every fragment relation its outcome's
+//!   rewritings name, as it was priced, and after a write it is kept while
+//!   each such count `now` stays within a factor of [`DRIFT`] (2) of the
+//!   count `was` it was priced at, `was/2 ≤ now ≤ 2·was`. Past that it is
+//!   priced again from the parse and the outcome it keeps (a write never
+//!   forces a parse or a chase) and replaced. A count that reaches or
+//!   leaves 0 always drifts — no factor bounds a change from nothing — and
+//!   must: a key-value or text unit bakes in whether its fragment holds
+//!   rows, because an emptied namespace or text index is dropped
+//!   ([`crate::layout`]), and a plan kept while its fragment emptied would
+//!   answer the missing container with an error instead of no rows.
+//!   Translation also reads which relational columns are
+//!   indexed, which a query's paid scan can change
+//!   ([`crate::layout::index`]), so a plan holds for one index generation
+//!   of the relational store and is priced again the same way after a
+//!   build. Nothing else it read (the SQL catalog included) can change
+//!   within a catalog epoch; breaker state is read when ranking and a
+//!   fault plan when running, so neither is part of any key. A kept plan
+//!   reports the costs it was priced at ([`crate::Report::alternatives`]).
+//!   A plan is admitted **on second sight**: by the
 //!   query that found its rewriting already cached, not by the one that ran
 //!   the chase. A query seen once costs the cache what it always did — its
 //!   outcome — and evicts no plan that is being reused; a repeated one
-//!   translates twice, then never again in its data epoch. (Measured, not
+//!   translates twice, then again only when its prices drift. (Measured, not
 //!   assumed: keeping a plan per one-shot query moved `lookup_cold`'s
 //!   corrected `read_p50_ms` by +15–25 %, EXPERIMENTS.md "Prepared plans".)
 //!
@@ -77,7 +92,8 @@
 //! [`crate::Report::rewrite_time`].
 //! Each query's activity surfaces in [`crate::Report::plan_cache`] — a
 //! *hit* is a query that ran no chase — and the engine-wide counters in
-//! [`crate::Estocada::metrics`]; opt out per query with
+//! [`crate::Estocada::metrics`], which also count the prepared plans priced
+//! again ([`crate::Metrics::plans_repriced`]); opt out per query with
 //! [`crate::QueryRequest::no_plan_cache`] or engine-wide with
 //! [`crate::Estocada::set_default_query_options`] and
 //! [`crate::QueryOptions::plan_cache`] `false` (both levels are bypassed:
@@ -95,6 +111,7 @@
 //! With every breaker closed the choice is the plain cost model's.
 
 use crate::analyze;
+use crate::catalog::Catalog;
 use crate::connector::Residual;
 use crate::cost::CostModel;
 use crate::dataset::{Dataset, DatasetContent};
@@ -107,7 +124,8 @@ use crate::system::SystemId;
 use crate::translate::{translate_query, Query, Translation};
 use estocada_chase::{certify, RewriteOutcome, Rewriter, TerminationCertificate};
 use estocada_pivot::hash::FastMap;
-use estocada_pivot::{Constraint, Cq};
+use estocada_pivot::{Constraint, Cq, Symbol};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -181,10 +199,14 @@ pub(crate) struct Prepared {
     pub(crate) query: Arc<ParsedQuery>,
     pub(crate) query_hash: u64,
     pub(crate) outcome: Arc<RewriteOutcome>,
-    /// The data epoch whose fragment statistics translation read, and the
-    /// generation of the relational indexes it priced probes from.
-    data_epoch: u64,
+    /// The last data epoch at which this plan's prices were found to hold
+    /// (the one it was priced at, at first), and the generation of the
+    /// relational indexes it priced probes from.
+    held_at: AtomicU64,
     index_generation: u64,
+    /// The row count, as priced, of every fragment relation that a
+    /// rewriting of the outcome names.
+    priced_rows: Vec<(Symbol, u64)>,
     /// The query and the outcome's universal plan, as the report prints them.
     pub(crate) pivot_query: Arc<str>,
     pub(crate) universal_plan: Arc<str>,
@@ -192,6 +214,38 @@ pub(crate) struct Prepared {
     pub(crate) alternatives: Arc<[Alternative]>,
     /// The executable ones, in the same order.
     pub(crate) candidates: Vec<Candidate>,
+}
+
+impl Prepared {
+    /// Whether this plan's prices still hold at the engine's data epoch and
+    /// index generation (module docs). At the data epoch it was last found
+    /// to hold at, nothing is compared; after a write, each priced row count
+    /// is, and a plan that still holds is marked as holding at this epoch.
+    fn holds(&self, catalog: &Catalog, data_epoch: u64, index_generation: u64) -> bool {
+        if self.index_generation != index_generation {
+            return false;
+        }
+        if self.held_at.load(Ordering::Relaxed) == data_epoch {
+            return true;
+        }
+        let rows_now = |name| catalog.relation(name).map(|(_, _, stats)| stats.rows);
+        let holds = (self.priced_rows.iter())
+            .all(|&(name, was)| rows_now(name).is_some_and(|now| within_drift(was, now)));
+        if holds {
+            self.held_at.store(data_epoch, Ordering::Relaxed);
+        }
+        holds
+    }
+}
+
+/// How far, as a factor either way, a priced relation's row count may move
+/// before a kept plan is priced again.
+const DRIFT: u64 = 2;
+
+/// Whether a relation priced at `was` rows still prices alike at `now`:
+/// within a factor of [`DRIFT`] either way, which no count to or from 0 is.
+fn within_drift(was: u64, now: u64) -> bool {
+    now <= was.saturating_mul(DRIFT) && was <= now.saturating_mul(DRIFT)
 }
 
 /// What one call of [`plan`] did to get its [`Prepared`].
@@ -213,8 +267,7 @@ pub(crate) fn plan(est: &Estocada, request: &QueryInput, cache: bool) -> Result<
     let t0 = Instant::now();
     let (epoch, data_epoch) = (est.epoch, est.data_epoch);
     let index_generation = est.stores.rel.index_generation();
-    let current =
-        |p: &&Arc<Prepared>| p.data_epoch == data_epoch && p.index_generation == index_generation;
+    let current = |p: &&Arc<Prepared>| p.holds(est.catalog(), data_epoch, index_generation);
     let plans = &est.plan_cache;
     let activity = |hit| cache.then_some(PlanCacheActivity { hit });
     let hash = cache.then(|| hash_of(request));
@@ -230,14 +283,17 @@ pub(crate) fn plan(est: &Estocada, request: &QueryInput, cache: bool) -> Result<
     }
     let mut parse_time = Duration::ZERO;
     let (q, query_hash, outcome, hit) = match cached {
-        // A write moved the statistics, or an index was built, under a
-        // cached plan: its parse and its outcome hold.
-        Some(stale) => (
-            stale.query.clone(),
-            stale.query_hash,
-            stale.outcome.clone(),
-            true,
-        ),
+        // A write moved the statistics past the drift, or an index was
+        // built, under a cached plan: its parse and its outcome hold.
+        Some(stale) => {
+            plans.repriced.fetch_add(1, Ordering::Relaxed);
+            (
+                stale.query.clone(),
+                stale.query_hash,
+                stale.outcome.clone(),
+                true,
+            )
+        }
         None => {
             let t = Instant::now();
             let q = request.parse(&est.planning().sql_catalog)?;
@@ -304,7 +360,12 @@ fn prepare(
     };
     let mut alternatives = Vec::with_capacity(outcome.rewritings.len());
     let mut candidates = Vec::new();
+    let mut priced_rows: Vec<(Symbol, u64)> = Vec::new();
     for (alternative, rw) in outcome.rewritings.iter().enumerate() {
+        priced_rows.extend(rw.body.iter().filter_map(|atom| {
+            let (_, _, stats) = est.catalog().relation(atom.pred)?;
+            Some((atom.pred, stats.rows))
+        }));
         let translated = translate_query(rw, &query, est.catalog(), &est.stores, est.cost_model());
         alternatives.push(Alternative {
             rewriting: format!("{rw}"),
@@ -319,14 +380,17 @@ fn prepare(
             });
         }
     }
+    priced_rows.sort_unstable();
+    priced_rows.dedup();
     Prepared {
         pivot_query: format!("{}", q.cq).into(),
         universal_plan: format!("{}", outcome.universal_plan).into(),
         query: q,
         query_hash,
         outcome,
-        data_epoch,
+        held_at: AtomicU64::new(data_epoch),
         index_generation,
+        priced_rows,
         alternatives: alternatives.into(),
         candidates,
     }
@@ -467,6 +531,30 @@ mod tests {
             cheapest(cs[..2].iter().enumerate(), &cost, |s| failed.contains(&s)),
             Some(0)
         );
+    }
+
+    #[test]
+    fn a_plan_holds_within_twice_and_half_its_rows_and_never_across_zero() {
+        for (was, now, holds) in [
+            (100, 100, true),
+            (100, 200, true),
+            (100, 201, false),
+            (100, 50, true),
+            (100, 49, false),
+            // Half of an odd count is not a whole row: 2 is below 2.5.
+            (5, 3, true),
+            (5, 2, false),
+            (1, 2, true),
+            (1, 3, false),
+            (0, 0, true),
+            (0, 1, false),
+            (1, 0, false),
+            (100, 0, false),
+            (u64::MAX, u64::MAX / 2 + 1, true),
+            (u64::MAX / 2, u64::MAX, false),
+        ] {
+            assert_eq!(within_drift(was, now), holds, "{was} → {now}");
+        }
     }
 
     /// The loop `plan_cq` ran before the planner existed: keep a running

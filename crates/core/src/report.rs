@@ -44,7 +44,12 @@ pub struct Report {
     pub pivot_query: Arc<str>,
     /// The universal plan computed by the chase.
     pub universal_plan: Arc<str>,
-    /// All rewritings considered.
+    /// All rewritings considered. A prepared plan kept across writes
+    /// (every relation it priced stayed within twice or half the rows it
+    /// was priced at) reports, and ranks by, the `est_cost` each
+    /// alternative was priced at, from the row estimates of then, not what
+    /// the current statistics would price. Past that drift it is priced
+    /// again, and [`Report::translate_time`] is not zero.
     pub alternatives: Arc<[Alternative]>,
     /// Index of the chosen alternative (0 when no alternative is
     /// executable — then [`Report::plan`] says so and none has a cost).

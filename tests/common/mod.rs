@@ -3,7 +3,9 @@
 #![allow(dead_code)]
 
 use estocada::frontends::parse_sql;
-use estocada::{Estocada, FaultKind, FaultPlan, Latencies, QueryResult, RetryPolicy};
+use estocada::{
+    Estocada, FaultKind, FaultPlan, Latencies, QueryResult, Report, RetryPolicy, SystemId,
+};
 use estocada_engine::AggFun;
 use estocada_pivot::{CqBuilder, Term, Value};
 use estocada_workloads::marketplace::{Marketplace, MarketplaceConfig};
@@ -106,6 +108,75 @@ pub fn norm(r: &QueryResult) -> Norm {
         delegated: r.report.delegated.to_vec(),
         complete: r.report.complete_search,
         resilient: r.report.resilience.is_some(),
+    }
+}
+
+// ---------------------------------------------------------------------
+// A result, split three ways for comparing a cached run with a twin's.
+// ---------------------------------------------------------------------
+
+/// What a query answers: its columns and rows, or its error.
+pub fn answer_of(r: &estocada::Result<QueryResult>) -> Result<String, String> {
+    let r = r.as_ref().map_err(|e| e.to_string())?;
+    Ok(format!("{:?}\n{:?}", r.columns, r.rows))
+}
+
+/// What the plan was priced at: every alternative, its cost by its bits.
+pub fn prices_of(r: &Report) -> String {
+    let costs: Vec<Option<u64>> = (r.alternatives.iter())
+        .map(|a| a.est_cost.map(f64::to_bits))
+        .collect();
+    format!("{:?}\n{costs:?}", r.alternatives)
+}
+
+/// How the plan ran: every report field but the prices, the timers and the
+/// cache activity — `translations` (whether planning ran) zeroed, the
+/// per-store and executor counters without their clocks.
+pub fn run_of(r: &Report) -> String {
+    let resilience = r.resilience.clone().map(|mut res| {
+        res.translations = 0;
+        res
+    });
+    let per_store: Vec<(SystemId, u64, u64, u64)> = (r.per_store.iter())
+        .map(|(sys, m)| (*sys, m.requests, m.tuples_out, m.tuples_scanned))
+        .collect();
+    let exec = &r.exec;
+    format!(
+        "{}\n{}\n{}\n{}\n{:?}\n{}\n{:?}\n{resilience:?}\n{per_store:?}\n{:?}",
+        r.pivot_query,
+        r.universal_plan,
+        r.chosen,
+        r.plan,
+        r.delegated,
+        r.complete_search,
+        r.diagnostics,
+        (exec.operators, exec.rows, exec.bind_probes),
+    )
+}
+
+/// The executable alternatives in the order the planner ranks them: by
+/// cost, ties to the earliest. An open breaker's penalty moves a whole
+/// class behind the rest without reordering it, so two reports ranked
+/// alike choose alike under any breaker state.
+pub fn ranking_of(r: &Report) -> Vec<usize> {
+    let mut costed: Vec<(f64, usize)> = (r.alternatives.iter().enumerate())
+        .filter_map(|(i, a)| Some((a.est_cost?, i)))
+        .collect();
+    costed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    costed.into_iter().map(|(_, i)| i).collect()
+}
+
+/// Everything a result answers and reports but the timers and the cache
+/// activity.
+pub fn observed(r: &estocada::Result<QueryResult>) -> String {
+    match r {
+        Ok(q) => format!(
+            "{:?}\n{}\n{}",
+            answer_of(r),
+            prices_of(&q.report),
+            run_of(&q.report)
+        ),
+        Err(e) => format!("error: {e}"),
     }
 }
 

@@ -17,6 +17,13 @@
 //! key-value and document answers through row tuples and copied the
 //! prepared texts into its report (72 and 89), so at most 24 and 30.
 //!
+//! Then an `Orders` row is inserted, which neither lookup prices, and the
+//! first run of each after it is counted the same way: it keeps its plan
+//! (nothing is translated, and the metrics count nothing priced again), and
+//! checking the row counts the plan was priced at allocates nothing, so the
+//! same bounds hold. A hit with no write before it does not check them at
+//! all: its data epoch is the one its plan last held at.
+//!
 //! After the hits, one `Estocada::metrics` snapshot and one
 //! `stale_fragments` check (which the read/write workload runs after every
 //! write) must each allocate nothing.
@@ -89,10 +96,10 @@ fn allocs_of<R>(f: impl FnOnce() -> R) -> (usize, R) {
     (ALLOCS.load(Ordering::Relaxed) - before, result)
 }
 
-/// Runs `query` until its plan is prepared and warm, then counts one more
-/// run, which must be a prepared hit returning rows.
-fn hit_allocs(query: impl Fn() -> estocada::Result<QueryResult>) -> usize {
-    for _ in 0..3 {
+/// Runs `query` `warm_up` times, then counts one more run, which must be a
+/// prepared hit returning rows.
+fn hit_allocs(warm_up: usize, query: impl Fn() -> estocada::Result<QueryResult>) -> usize {
+    for _ in 0..warm_up {
         query().expect("warm-up run");
     }
     let (allocs, result) = allocs_of(&query);
@@ -117,21 +124,45 @@ fn a_prepared_lookup_hit_allocates_a_third_of_what_it_did() {
         skew: 0.9,
         seed: 7,
     });
-    let est = &deploy_materialized_join(&m, Latencies::zero());
-    let sql = pref_sql(3);
-    let pref_allocs = hit_allocs(|| est.query(&sql).run());
-    let pattern = cart_pattern(3);
-    let cart_allocs = hit_allocs(|| est.query_pattern(&pattern, &["pid", "qty"]).run());
-    println!("pref hit: {pref_allocs} allocations (before: 22)");
-    println!("cart hit: {cart_allocs} allocations (before: 23)");
-    assert!(
-        pref_allocs <= PREF_BOUND,
-        "a prepared preference hit made {pref_allocs} allocations, above {PREF_BOUND}"
+    let mut est = deploy_materialized_join(&m, Latencies::zero());
+    let (sql, pattern) = (pref_sql(3), cart_pattern(3));
+    let pref = |est: &Estocada| est.query(&sql).run();
+    let cart = |est: &Estocada| est.query_pattern(&pattern, &["pid", "qty"]).run();
+    let check = |pref_allocs: usize, cart_allocs: usize, when: &str| {
+        println!("pref hit {when}: {pref_allocs} allocations (before: 22)");
+        println!("cart hit {when}: {cart_allocs} allocations (before: 23)");
+        assert!(
+            pref_allocs <= PREF_BOUND,
+            "a prepared preference hit {when} made {pref_allocs} allocations, above {PREF_BOUND}"
+        );
+        assert!(
+            cart_allocs <= CART_BOUND,
+            "a prepared cart hit {when} made {cart_allocs} allocations, above {CART_BOUND}"
+        );
+    };
+    check(
+        hit_allocs(3, || pref(&est)),
+        hit_allocs(3, || cart(&est)),
+        "with no write before it",
     );
-    assert!(
-        cart_allocs <= CART_BOUND,
-        "a prepared cart hit made {cart_allocs} allocations, above {CART_BOUND}"
+    // An order neither lookup prices: the first run of each after it keeps
+    // its plan, checking the row counts it priced, and allocates no more.
+    let order = vec![
+        Value::Int(90_001),
+        Value::Int(1),
+        Value::Int(2),
+        Value::str("books"),
+        Value::Double(9.5),
+    ];
+    est.insert_rows("sales", "Orders", vec![order])
+        .expect("an unrelated insert");
+    check(
+        hit_allocs(0, || pref(&est)),
+        hit_allocs(0, || cart(&est)),
+        "after an unrelated write",
     );
+    assert_eq!(est.metrics().plans_repriced, 0, "the write kept every plan");
+    let est = &est;
     let (metrics_allocs, metrics) = allocs_of(|| est.metrics());
     assert!(metrics.plan_cache.hits > 0, "the snapshot sees the hits");
     let (stale_allocs, stale) = allocs_of(|| stale_fragments(est));
@@ -146,7 +177,7 @@ fn a_prepared_lookup_hit_allocates_a_third_of_what_it_did() {
     let per_key = |[a, b]: [usize; 2]| (b - a) as f64 / (many - few) as f64;
     let hit = [few, many].map(|keys| {
         let sql = bindjoin_sql(keys);
-        hit_allocs(|| est.query(&sql).run())
+        hit_allocs(3, || est.query(&sql).run())
     });
     let store = [few, many].map(|keys| {
         let keys: Vec<ConstId> = (0..keys as i64).map(ConstId::of).collect();

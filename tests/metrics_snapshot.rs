@@ -1,9 +1,10 @@
 //! `Estocada::metrics`, checked against what one session did to
 //! `deploy_materialized_join`: an added and a dropped fragment, three DML
-//! batches, repeated queries through the plan cache and past it, and a
-//! scripted key-value outage. At every step the text exposition is parsed
-//! back: no name and label set appears twice, and every value is the one
-//! the snapshot holds.
+//! batches, repeated queries through the plan cache and past it, a
+//! scripted key-value outage, and two more writes, one that keeps every
+//! prepared plan and one that gets some priced again. At every step the
+//! text exposition is parsed back: no name and label set appears twice, and
+//! every value is the one the snapshot holds.
 
 mod common;
 
@@ -50,6 +51,10 @@ fn expected(m: &Metrics) -> BTreeMap<String, u128> {
         );
         put(format!("estocada_{cache}_cache_entries"), s.entries as u128);
     }
+    put(
+        "estocada_plans_repriced_total".into(),
+        m.plans_repriced.into(),
+    );
     for b in &m.backends {
         let sys = format!("system=\"{}\"", b.system);
         let (h, s) = (b.health, b.store);
@@ -246,4 +251,35 @@ fn the_snapshot_counts_what_the_session_did() {
         assert_eq!((b.gated_ops, b.health.trips), (0, 0), "{}", b.system);
     }
     check(&healed, ddl, 3, "the outage ended");
+
+    // A write keeps the prepared plans while every relation they priced
+    // stays within twice or half the rows it was priced at. Once the
+    // lookups are prepared at the current index generation, an upsert of
+    // one preference prices none of them again.
+    run_lookups(&est);
+    let settled = est.metrics().plans_repriced;
+    let pref = |theme: &str| {
+        vec![
+            Value::Int(3),
+            Value::str(theme),
+            Value::str("de"),
+            Value::Bool(false),
+        ]
+    };
+    est.upsert_rows("sales", "Prefs", vec![pref("light")])
+        .expect("upsert");
+    run_lookups(&est);
+    check(&est.metrics(), ddl, 4, "a kept upsert");
+    assert_eq!(est.metrics().plans_repriced, settled, "an upsert kept them");
+    // Orders more than doubled: the three order-history plans price it and
+    // are priced again, each once; the others price nothing it moved.
+    let orders: Vec<Vec<Value>> = (0..2 * market.config.orders as i64 + 10)
+        .map(|i| order(100_000 + i))
+        .collect();
+    est.insert_rows("sales", "Orders", orders).expect("insert");
+    run_lookups(&est);
+    run_lookups(&est);
+    let grown = est.metrics();
+    assert_eq!(grown.plans_repriced, settled + 3, "the order histories");
+    check(&grown, ddl, 5, "Orders more than doubled");
 }

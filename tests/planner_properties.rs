@@ -21,9 +21,15 @@
 //!   every query afresh (`no_plan_cache()`), driven in lockstep through
 //!   generated queries, write batches, fault plans and store outages, return
 //!   the same rows in the same order and the same reports field by field —
-//!   timers and cache counters apart — including where a cached plan could
-//!   go stale: a key-value namespace emptied and refilled, statistics that
-//!   flip the cheapest alternative, a container dropped behind the catalog.
+//!   timers and cache counters apart, and a plan kept across writes reports
+//!   the prices of its own last run instead of the twin's — including where
+//!   a cached plan could go stale: a key-value namespace emptied and
+//!   refilled, statistics that flip the cheapest alternative, a container
+//!   dropped behind the catalog.
+//! - **A write keeps a plan while its prices hold.** A write that leaves
+//!   every relation a prepared plan priced within twice or half its priced
+//!   rows keeps it, and it finds a constant no row held when it was priced;
+//!   one past that, or to or from zero rows, prices it again, once.
 //! - **What shares a cache entry.** One rewriting outcome per conjunctive
 //!   core (alpha-equivalent spellings, renamed columns, aggregates over it);
 //!   one prepared plan per exact request as sent (two texts that parse to
@@ -33,13 +39,16 @@
 
 mod common;
 
-use common::{arb_plan, build_plan, with_fast_retry, Deploy, DEPLOYMENTS, STORES};
+use common::{
+    answer_of, arb_plan, build_plan, prices_of, ranking_of, run_of, with_fast_retry, Deploy,
+    DEPLOYMENTS, STORES,
+};
 use estocada::advisor::current_cost;
 use estocada::frontends::{doc_query, parse_sql};
 use estocada::translate::{translate, Translation};
 use estocada::{
     recommend, Dataset, DatasetContent, Error, Estocada, FaultKind, FaultPlan, FragmentSpec,
-    Latencies, QueryOptions, QueryRequest, QueryResult, Report, SystemId, TableData, WorkloadQuery,
+    Latencies, QueryOptions, QueryRequest, Report, SystemId, TableData, WorkloadQuery,
 };
 use estocada_chase::{pacb_rewrite, RewriteProblem};
 use estocada_engine::{execute_with, ExecOptions, Plan};
@@ -54,7 +63,8 @@ use estocada_workloads::scenarios::{
     cart_pattern, deploy_baseline, deploy_kv_migrated, personalized_sql, pref_sql, user_orders_sql,
 };
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
 use std::time::Duration;
 
 fn cfg() -> MarketplaceConfig {
@@ -737,37 +747,15 @@ fn explain_marks_no_choice_when_nothing_is_executable() {
 // Prepared plans: a cached run equals a run planned afresh.
 // ---------------------------------------------------------------------
 
-/// Everything a query answers and reports, timers and cache activity apart:
-/// costs by their bits, `translations` (which says whether planning ran)
-/// zeroed, the per-store and executor counters without their clocks.
-fn observed(r: estocada::Result<QueryResult>) -> Result<String, String> {
-    let r = r.map_err(|e| e.to_string())?;
-    let costs: Vec<Option<u64>> = (r.report.alternatives.iter())
-        .map(|a| a.est_cost.map(f64::to_bits))
-        .collect();
-    let resilience = r.report.resilience.clone().map(|mut res| {
-        res.translations = 0;
-        res
-    });
-    let per_store: Vec<(SystemId, u64, u64, u64)> = (r.report.per_store.iter())
-        .map(|(sys, m)| (*sys, m.requests, m.tuples_out, m.tuples_scanned))
-        .collect();
-    let exec = &r.report.exec;
-    Ok(format!(
-        "{:?}\n{:?}\n{}\n{costs:?}\n{resilience:?}\n{per_store:?}\n{:?}",
-        r.columns,
-        r.rows,
-        plan_part(&r.report),
-        (exec.operators, exec.rows, exec.bind_probes),
-    ))
-}
-
 /// A cached engine and a twin of it that plans every query afresh, driven
 /// in lockstep: the same writes, fault plans and queries in the same order,
 /// so their stores, breakers and fault cursors move together.
 struct Twins {
     cached: Estocada,
     afresh: Estocada,
+    /// The prices each request's last cached run reported
+    /// ([`common::prices_of`]), by the request's `Debug` text.
+    prices: RefCell<HashMap<String, String>>,
 }
 
 impl Twins {
@@ -775,6 +763,7 @@ impl Twins {
         Twins {
             cached: with_fast_retry(deploy(m, Latencies::zero())),
             afresh: with_fast_retry(deploy(m, Latencies::zero())),
+            prices: RefCell::default(),
         }
     }
 
@@ -783,23 +772,66 @@ impl Twins {
         f(&mut self.afresh);
     }
 
+    /// The rows `q` answers, the same on both sides.
+    fn rows(&self, q: &Q) -> Vec<Vec<Value>> {
+        let cached = q.request(&self.cached, |r| r.run()).expect("answered");
+        let afresh = (q.request(&self.afresh, |r| r.no_plan_cache().run())).expect("answered");
+        assert_eq!(cached.rows, afresh.rows, "{q:?}");
+        cached.rows
+    }
+
+    /// Prepared plans the cached side has priced again so far.
+    fn repriced(&self) -> u64 {
+        self.cached.metrics().plans_repriced
+    }
+
     /// Run `q` three times on both — on the cached side a query that plans,
     /// one that keeps its plan and one that finds it — asserting each pair
     /// agrees. Returns the cached side's reports.
+    ///
+    /// The answers must be equal. A plan priced in this run reports the
+    /// twin's prices; a prepared one (`translate_time` zero), kept across
+    /// writes that moved no priced relation past twice or half its rows,
+    /// reports its own last run's prices, which the twin's may have left.
+    /// Two sides that rank their alternatives alike run alike, so every
+    /// other field must then equal the twin's too.
     fn run(&self, q: &Q, ctx: &str) -> Vec<Option<Report>> {
+        let key = format!("{q:?}");
         let runs = (1..=3).map(|nth| {
+            let ctx = format!("{ctx}, run {nth} of {q:?}");
             let cached = q.request(&self.cached, |r| r.run());
             let afresh = q.request(&self.afresh, |r| r.no_plan_cache().run());
-            assert!(afresh
-                .as_ref()
-                .map_or(true, |r| r.report.plan_cache.is_none()));
-            let report = cached.as_ref().ok().map(|r| r.report.clone());
-            assert_eq!(
-                observed(cached),
-                observed(afresh),
-                "{ctx}, run {nth} of {q:?}"
-            );
-            report
+            assert_eq!(answer_of(&cached), answer_of(&afresh), "{ctx}");
+            let mut prices = self.prices.borrow_mut();
+            let (Ok(cached), Ok(afresh)) = (cached, afresh) else {
+                // The run may have priced a plan that no report showed.
+                prices.remove(&key);
+                return None;
+            };
+            let (got, twin) = (cached.report, afresh.report);
+            assert!(twin.plan_cache.is_none(), "{ctx}");
+            let kept = got.translate_time == Duration::ZERO;
+            if kept {
+                assert!(got.plan_cache.is_some_and(|pc| pc.hit), "{ctx}");
+                let translations = got.resilience.as_ref().map_or(0, |r| r.translations);
+                assert_eq!(translations, 0, "{ctx}: a prepared plan translates nothing");
+            }
+            match (kept, prices.get(&key)) {
+                (true, Some(was)) => assert_eq!(&prices_of(&got), was, "{ctx}: kept"),
+                // Its last run failed: no report showed what it priced.
+                (true, None) => {}
+                (false, _) => assert_eq!(prices_of(&got), prices_of(&twin), "{ctx}: priced"),
+            }
+            if ranking_of(&got) == ranking_of(&twin) {
+                assert_eq!(run_of(&got), run_of(&twin), "{ctx}");
+            } else {
+                assert!(kept, "{ctx}: only a kept plan ranks unlike the twin");
+                if got.resilience.is_none() {
+                    assert_eq!(got.chosen, ranking_of(&got)[0], "{ctx}");
+                }
+            }
+            prices.insert(key.clone(), prices_of(&got));
+            Some(got)
         });
         let reports: Vec<Option<Report>> = runs.collect();
         // Whatever the first two found, the third finds a prepared plan.
@@ -889,6 +921,141 @@ fn assert_prefs_by_get(twins: &Twins, uid: i64, rows: usize, ctx: &str) {
             rows as u64,
             "{ctx}"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Kept plans: a write that moves no priced relation past twice or half its
+// rows keeps a prepared plan; one past that, or across zero, prices it again.
+// ---------------------------------------------------------------------
+
+/// `Twins::run` of `q` after `write`, on the cached side either a kept plan
+/// (`keep`: no translation, nothing priced again) or one priced again once
+/// and then hit.
+fn run_after(twins: &mut Twins, write: impl FnMut(&mut Estocada), q: &Q, keep: bool, ctx: &str) {
+    twins.each(write);
+    let before = twins.repriced();
+    let reports = twins.run(q, ctx);
+    let first = reports[0].as_ref().expect(ctx);
+    assert_eq!(first.translate_time == Duration::ZERO, keep, "{ctx}");
+    assert!(first.resilience.is_none(), "{ctx}: {:?}", first.resilience);
+    assert_eq!(twins.repriced() - before, u64::from(!keep), "{ctx}");
+}
+
+fn insert(table: &'static str, rows: Vec<Vec<Value>>) -> impl FnMut(&mut Estocada) {
+    move |est| {
+        est.insert_rows("sales", table, rows.clone())
+            .expect("insert");
+    }
+}
+
+fn delete(table: &'static str, rows: Vec<Vec<Value>>) -> impl FnMut(&mut Estocada) {
+    move |est| {
+        est.delete_rows("sales", table, rows.clone())
+            .expect("delete");
+    }
+}
+
+#[test]
+fn a_plan_kept_through_deletes_is_priced_again_when_they_empty_its_fragment() {
+    let m = generate(cfg());
+    for (name, deploy) in DEPLOYMENTS {
+        let mut twins = Twins::deploy(deploy, &m);
+        let q = Q::Sql(pref_sql(3));
+        twins.run(&q, name);
+        let all = table_rows(&twins.cached, "Prefs");
+        let (first, rest) = all.split_at(all.len() / 2);
+        // Half the rows go: every relation the plan priced is at half, and
+        // the plan is kept.
+        let ctx = format!("{name}, half deleted");
+        run_after(&mut twins, delete("Prefs", first.to_vec()), &q, true, &ctx);
+        // The rest go: at zero, the plan is priced again. Over an emptied
+        // namespace, dropped by the write path, it answers nothing, and no
+        // store error.
+        let ctx = format!("{name}, all deleted");
+        run_after(&mut twins, delete("Prefs", rest.to_vec()), &q, false, &ctx);
+        assert_eq!(twins.rows(&q), Vec::<Vec<Value>>::new(), "{ctx}");
+        if name != "baseline" {
+            let namespaces = twins.cached.stores.kv.namespace_names();
+            assert!(!namespaces.contains(&"PrefsKV".into()), "{namespaces:?}");
+        }
+        // One row back: from zero, the plan is priced again.
+        let ctx = format!("{name}, one row back");
+        let back: Vec<Vec<Value>> = all
+            .iter()
+            .filter(|r| r[0] == Value::Int(3))
+            .cloned()
+            .collect();
+        run_after(&mut twins, insert("Prefs", back.clone()), &q, false, &ctx);
+        let want: Vec<Vec<Value>> = back.iter().map(|r| r[1..3].to_vec()).collect();
+        assert_eq!(twins.rows(&q), want, "{ctx}");
+    }
+}
+
+#[test]
+fn a_plan_is_priced_again_once_a_relation_it_priced_more_than_doubles() {
+    let m = generate(cfg());
+    let orders = table_rows(&deploy_baseline(&m, Latencies::zero()), "Orders");
+    let order = |i: usize| {
+        let mut row = orders[i % orders.len()].clone();
+        row[0] = Value::Int(10_000_000 + i as i64);
+        row
+    };
+    let (half, past) = (orders.len() / 2, orders.len() + 1);
+    let grown: Vec<Vec<Value>> = (0..half).map(order).collect();
+    let doubled: Vec<Vec<Value>> = (half..half + past).map(order).collect();
+    for (name, deploy) in DEPLOYMENTS {
+        let mut twins = Twins::deploy(deploy, &m);
+        let q = Q::Sql(user_orders_sql(3));
+        twins.run(&q, name);
+        // `Orders` grows by half: within twice its priced rows, kept.
+        let ctx = format!("{name}, grown by half");
+        run_after(&mut twins, insert("Orders", grown.clone()), &q, true, &ctx);
+        // Past twice: priced again, at the twin's costs (`Twins::run`).
+        let ctx = format!("{name}, more than doubled");
+        run_after(
+            &mut twins,
+            insert("Orders", doubled.clone()),
+            &q,
+            false,
+            &ctx,
+        );
+    }
+}
+
+#[test]
+fn a_constant_no_row_held_when_the_plan_was_priced_is_found_once_a_write_adds_it() {
+    let m = generate(cfg());
+    let (uid, language) = (987_654, "tlh");
+    let by_key = Q::Sql(pref_sql(uid));
+    let by_value = Q::Sql(format!(
+        "SELECT p.uid, p.theme FROM Prefs p WHERE p.language = '{language}'"
+    ));
+    let row = vec![
+        Value::Int(uid),
+        Value::str("dark"),
+        Value::str(language),
+        Value::Bool(true),
+    ];
+    for (name, deploy) in DEPLOYMENTS {
+        let mut twins = Twins::deploy(deploy, &m);
+        // Twice round: the first scan for the value may build an index,
+        // which prices the plan by key again.
+        for q in [&by_key, &by_value, &by_key, &by_value] {
+            twins.run(q, name);
+            assert_eq!(twins.rows(q), Vec::<Vec<Value>>::new(), "{name} {q:?}");
+        }
+        // One row among 40: both plans are kept, and find it.
+        twins.each(insert("Prefs", vec![row.clone()]));
+        for q in [&by_key, &by_value] {
+            let ctx = format!("{name} {q:?}, inserted");
+            let reports = twins.run(q, &ctx);
+            let first = reports[0].as_ref().expect("answered");
+            assert_eq!(first.translate_time, Duration::ZERO, "{ctx}: kept");
+        }
+        assert_eq!(twins.rows(&by_key), vec![row[1..3].to_vec()], "{name}");
+        let found = vec![vec![row[0].clone(), row[1].clone()]];
+        assert_eq!(twins.rows(&by_value), found, "{name}");
     }
 }
 

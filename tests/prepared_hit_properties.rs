@@ -5,20 +5,24 @@
 //! On the three builtin deployments, at batch sizes 1, 3 and 1024, every
 //! query below runs twice as a prepared hit and once through
 //! `no_plan_cache()`: the three results must agree on rows and on every
-//! report field but the timers and the cache activity. The same holds for
-//! the first run after a write, which moves the data epoch and re-translates
-//! the prepared plan; and under a fault plan that takes down the store of
-//! the chosen plan's first unit, where the hits fail over without
-//! translating anything and every delegated leaf of every attempt runs
-//! through the query's retry loop. A 200-request cycle over consecutive
+//! report field but the timers and the cache activity. After a write, the
+//! first run either keeps the prepared plan, priced as before (the write
+//! moved no relation it priced past twice or half its rows), or prices it
+//! again as the twin does; it answers as the twin does either way, and is
+//! hit from then on. The three agree under a fault plan that takes down the
+//! store of the chosen plan's first unit too, where the hits fail over
+//! without translating anything and every delegated leaf of every attempt
+//! runs through the query's retry loop. A 200-request cycle over consecutive
 //! user ids, once admitted, re-translates nothing: the plan cache spreads
 //! the requests over its shards.
 
 mod common;
 
-use common::{cfg, with_fast_retry, DEPLOYMENTS, Q};
-use estocada::{Estocada, FaultKind, FaultPlan, Latencies, QueryResult, Report, SystemId};
-use estocada_pivot::CqBuilder;
+use common::{
+    answer_of, cfg, observed, prices_of, ranking_of, run_of, with_fast_retry, DEPLOYMENTS, Q,
+};
+use estocada::{Estocada, FaultKind, FaultPlan, Latencies, QueryResult, Report};
+use estocada_pivot::{CqBuilder, Value};
 use estocada_workloads::analytics::{analytics_sql, AnalyticsQuery};
 use estocada_workloads::marketplace::{generate, Marketplace};
 use estocada_workloads::readwrite::{run_rw_workload, rw_workload, RwConfig};
@@ -72,41 +76,6 @@ fn send(est: &Estocada, q: &Q, batch: usize, cached: bool) -> estocada::Result<Q
         true => request.run(),
         false => request.no_plan_cache().run(),
     }
-}
-
-/// Everything a result answers and reports but the timers and the cache
-/// activity: costs by their bits, `translations` (whether planning ran)
-/// zeroed, the per-store and executor counters without their clocks.
-fn observed(r: &estocada::Result<QueryResult>) -> String {
-    let r = match r {
-        Ok(r) => r,
-        Err(e) => return format!("error: {e}"),
-    };
-    let rep = &r.report;
-    let costs: Vec<Option<u64>> = (rep.alternatives.iter())
-        .map(|a| a.est_cost.map(f64::to_bits))
-        .collect();
-    let resilience = rep.resilience.clone().map(|mut res| {
-        res.translations = 0;
-        res
-    });
-    let per_store: Vec<(SystemId, u64, u64, u64)> = (rep.per_store.iter())
-        .map(|(sys, m)| (*sys, m.requests, m.tuples_out, m.tuples_scanned))
-        .collect();
-    format!(
-        "{:?}\n{:?}\n{}\n{}\n{:?}\n{costs:?}\n{}\n{}\n{:?}\n{}\n{resilience:?}\n{per_store:?}\n{:?}\n{:?}",
-        r.columns,
-        r.rows,
-        rep.pivot_query,
-        rep.universal_plan,
-        rep.alternatives,
-        rep.chosen,
-        rep.plan,
-        rep.delegated,
-        rep.complete_search,
-        (rep.exec.operators, rep.exec.rows, rep.exec.bind_probes),
-        rep.diagnostics,
-    )
 }
 
 /// The report of a run that found its prepared plan and translated nothing.
@@ -165,10 +134,13 @@ fn a_prepared_hit_answers_and_reports_what_planning_afresh_does() {
     }
 }
 
+/// Three single-row writes, then a bulk insert that triples `Orders`: the
+/// plans that price no relation it moves are kept through all four, and the
+/// ones that price `Orders` are priced again after the last.
 #[test]
-fn after_a_write_the_plan_is_translated_once_and_then_hit() {
+fn after_a_write_the_plan_is_kept_or_priced_again_once_and_then_hit() {
     let m = market();
-    let writes = rw_workload(
+    let single_rows = rw_workload(
         &m,
         RwConfig {
             ops: 3,
@@ -176,26 +148,80 @@ fn after_a_write_the_plan_is_translated_once_and_then_hit() {
             seed: 11,
         },
     );
+    let bulk: Vec<Vec<Value>> = (0..2 * m.config.orders as i64)
+        .map(|i| {
+            let (uid, pid) = (i % m.config.users as i64, i % m.config.products as i64);
+            let amount = Value::Double(i as f64 / 4.0);
+            vec![
+                Value::Int(10_000_000 + i),
+                Value::Int(uid),
+                Value::Int(pid),
+                Value::str("laptop"),
+                amount,
+            ]
+        })
+        .collect();
+    // The single-row writes in order, then the bulk insert.
+    let write = |est: &mut Estocada, i: usize| {
+        let written = match single_rows.get(i) {
+            Some(op) => run_rw_workload(est, std::slice::from_ref(op)).map(drop),
+            None => est.insert_rows("sales", "Orders", bulk.clone()).map(drop),
+        };
+        written.expect("write");
+    };
+    let (mut kept, mut repriced) = (0, 0);
     for (name, deploy) in DEPLOYMENTS {
         let mut est = with_fast_retry(deploy(&m, Latencies::zero()));
         let queries = queries();
         queries.iter().for_each(|q| prepare(&est, q));
-        for (i, write) in writes.iter().enumerate() {
-            run_rw_workload(&mut est, std::slice::from_ref(write)).expect("write");
-            for q in &queries {
+        // Each query's last report: what its prepared plan was priced at.
+        let mut last: Vec<Report> = (queries.iter())
+            .map(|q| send(&est, q, 1024, true).expect("a hit").report)
+            .collect();
+        for i in 0..=single_rows.len() {
+            write(&mut est, i);
+            for (q, last) in queries.iter().zip(&mut last) {
                 let ctx = format!("{name} {q:?} after write {i}");
-                // The write moved the data epoch: the kept plan is
-                // translated again from its parse and outcome, no chase.
                 let batch = BATCH_SIZES[i % BATCH_SIZES.len()];
-                let retranslated = send(&est, q, batch, true).expect("answered");
-                let report = &retranslated.report;
-                assert!(report.plan_cache.is_some_and(|pc| pc.hit), "{ctx}");
-                assert!(report.translate_time > Duration::ZERO, "{ctx}");
-                let hit = hits_equal_afresh(&mut est, q, batch, |_| {}, &ctx);
-                assert_eq!(observed(&hit), observed(&Ok(retranslated)), "{ctx}");
+                let repriced_before = est.metrics().plans_repriced;
+                let after = send(&est, q, batch, true);
+                let afresh = send(&est, q, batch, false);
+                assert_eq!(answer_of(&after), answer_of(&afresh), "{ctx}");
+                let got = &after.as_ref().expect("answered").report;
+                let twin = &afresh.as_ref().expect("answered").report;
+                // The write moved no priced relation past the drift bound
+                // and the plan is kept, priced as before; or one moved past
+                // it, and the plan is priced again from its parse and
+                // outcome, no chase, as the twin prices it.
+                assert!(got.plan_cache.is_some_and(|pc| pc.hit), "{ctx}");
+                let repriced_now = est.metrics().plans_repriced - repriced_before;
+                if got.translate_time == Duration::ZERO {
+                    assert_eq!(repriced_now, 0, "{ctx}");
+                    assert_eq!(prices_of(got), prices_of(last), "{ctx}: kept");
+                    kept += 1;
+                } else {
+                    assert_eq!(repriced_now, 1, "{ctx}");
+                    assert_eq!(prices_of(got), prices_of(twin), "{ctx}: priced again");
+                    repriced += 1;
+                }
+                // Ranked alike, the two ran alike.
+                assert_eq!(ranking_of(got), ranking_of(twin), "{ctx}");
+                assert_eq!(run_of(got), run_of(twin), "{ctx}");
+                // From then on the plan is hit, and answers as it did.
+                for _ in 0..2 {
+                    let hit = send(&est, q, batch, true);
+                    assert_prepared_hit(&hit.as_ref().expect("answered").report, &ctx);
+                    assert_eq!(observed(&hit), observed(&after), "{ctx}");
+                }
+                *last = got.clone();
             }
         }
     }
+    // Both arms are taken.
+    assert!(
+        kept > 0 && repriced > 0,
+        "kept {kept}, priced again {repriced}"
+    );
 }
 
 /// The store a delegated unit's label names (`"key-value: GET …"`).
