@@ -3,7 +3,7 @@
 # `pub fn`s per crate, workspace members, bench mains, `fn execute*`
 # definitions in the engine, SCC routines in library code, sites that assign
 # a delegated unit's scan estimate, posting-index maintenance routines,
-# std hash tables on the default hasher, aggregate accumulators, join hash
+# posting lists in the parallel store, std hash tables on the default hasher, aggregate accumulators, join hash
 # tables, mediator files naming the chase `Instance`, homomorphism searches
 # in the mediator, resolves of interned rows on the fill and write path and
 # in the layouts, row indexes the write path keeps beside the fact base,
@@ -84,6 +84,15 @@ for f in $(rust_files crates/*/src | grep -v '^crates/chase/'); do
     postings=$((postings + n))
 done
 printf '%-28s %8d\n' 'posting indexes' "$postings"
+# Library lines of the parallel store naming `Postings` or `relocate`: a
+# keyed dataset keeps each key's rows as one block, so a delete fills its
+# holes from that block and no posting list follows a moved row.
+par_postings=0
+for f in $(rust_files crates/parstore/src); do
+    n=$(library_part "$f" | grep -cE 'Postings|relocate' || true)
+    par_postings=$((par_postings + n))
+done
+printf '%-28s %8d\n' 'parallel-store posting lists' "$par_postings"
 # Library lines naming std's `HashMap`/`HashSet` (keyed SipHash by
 # default), `DefaultHasher` or `RandomState`, outside the module that
 # defines `FastMap`/`FastSet` over them: every in-process hash table uses

@@ -45,18 +45,21 @@
 //! |---|---|
 //! | `validate` | the batch: arities, and an upsert's replaced rows, found by probing the fact base's postings on the declared key; a delete reads no stored row here |
 //! | `delta_chase` | the batch's facts (each looked up once, and checked before any count moves), the matches of each view's compiled plan through them (semi-naive: the changed facts are the suffix of their relations, and only the counting views whose body reads a changed relation are compiled, once per batch), and the derivations of each head row they reach, counted by the same plan with the head fixed and stopped one past the delta's |
-//! | `store_write` | the store rows that change: a relational delete is found through an index, a parallel-store delta through its key index, and every store patches its rows and index postings in place; a key-value entry is patched under its key; a document or text delete finds its documents by one scan (see below) |
+//! | `store_write` | the store rows that change: a relational delete is found through an index and patches the table's rows and index postings in place; a parallel-store delta reads and changes only the blocks of the keys it names, and moves no row of another key; a key-value entry is patched under its key; a document or text delete finds its documents by one scan (see below) |
 //! | `stats` | the store rows that change: every maintained relation keeps its statistics running (row count, byte sum, occurrences per column value) in its catalog entry, from the accumulator its first fill built |
 //!
-//! Every container keeps its value→row indexes as [`estocada_pivot::Postings`],
-//! and a delete takes its rows out through one step
-//! ([`estocada_pivot::swap_remove`]): the last row moves into each hole and
-//! every index forgets the one row and relocates the other in place. So no
-//! physical row order is kept across writes (every comparison with a
-//! rematerialization is of the sorted content), and no index is rebuilt.
+//! Every relational, document and text container keeps its value→row
+//! indexes as [`estocada_pivot::Postings`], and a delete takes its rows out
+//! through one step ([`estocada_pivot::swap_remove`]): the last row moves
+//! into each hole and every index forgets the one row and relocates the
+//! other in place. A keyed parallel dataset keeps no postings: each key's
+//! rows are one block, and a delete fills its holes from the end of that
+//! block alone. So no physical row order is kept across writes (every
+//! comparison with a rematerialization is of the sorted content), and no
+//! index is rebuilt.
 //! What is still proportional to a whole container is a delete where
 //! nothing indexes every row — a relational table without any index, a
-//! parallel dataset without a key index, a document collection, a text
+//! parallel dataset without a key, a document collection, a text
 //! index: each is scanned once per batch (no measured workload writes the
 //! last two).
 //!

@@ -7,7 +7,7 @@
 //! | placement | stored form of the relation's rows | indexes |
 //! |---|---|---|
 //! | `Table` | the row as is; physical duplicates are kept | the placement's `indexed` columns at the fill, then each column a query's paid full scan compared with an `=` constant ([`index`]) |
-//! | `ParDataset` | the row as is; physical duplicates are kept | one key index over the `indexed` columns, at the fill |
+//! | `ParDataset` | the row as is; physical duplicates are kept; keyed on the `indexed` columns at creation, each key's rows one block in one partition (unkeyed: dealt round-robin) | none beside the blocks: a lookup reads its key's block, and a delta touches only the blocks of the keys it names |
 //! | `Namespace` | per key (head column 0) its value tuples (columns 1..) as interned cells, **sorted** in value order by the store, so an entry is a canonical function of the key's row set | the key |
 //! | `Collection` | one flat object per row, keyed by column name | a path index per `indexed` column, at the fill |
 //! | `TextIndex` | `(key, text columns joined by a space)` per row of the indexed table | the terms |
@@ -130,10 +130,11 @@ fn refs(names: &[String]) -> Vec<&str> {
     names.iter().map(String::as_str).collect()
 }
 
-/// First fill: create the container (a dataset over `partitions`, see
-/// [`view_place`]), load `rows` through [`write`] (store insertion order is
-/// the order of `rows`), then build the placement's own `indexed` columns
-/// once over the loaded rows.
+/// First fill: create the container (a dataset over `partitions`, keyed
+/// on its `indexed` columns, see [`view_place`]), load `rows` through
+/// [`write`] (store insertion order is the order of `rows`), then build a
+/// table's or a collection's own `indexed` columns once over the loaded
+/// rows.
 pub(crate) fn fill(
     stores: &Stores,
     place: &WhereSpec,
@@ -141,26 +142,31 @@ pub(crate) fn fill(
     source: Option<&TableData>,
     rows: &IdRows,
 ) -> Result<()> {
+    let named = |columns: &[String], indexed: &[usize]| -> Vec<String> {
+        indexed.iter().map(|c| columns[*c].clone()).collect()
+    };
     match place {
         WhereSpec::Table { table, columns, .. } => stores.rel.create_table(table, &refs(columns)),
         WhereSpec::ParDataset {
-            dataset, columns, ..
+            dataset,
+            columns,
+            indexed,
         } => {
             let parts = match partitions {
                 0 => ParStore::default_partitions(),
                 n => n,
             };
-            let columns = refs(columns);
-            let created = stores.par.create_dataset(dataset, &columns, [], parts);
+            let key = named(columns, indexed);
+            let created =
+                stores
+                    .par
+                    .create_dataset(dataset, &refs(columns), &refs(&key), [], parts);
             created.map_err(par_error)?;
         }
         // The other containers begin with their first write.
         _ => {}
     }
     write(stores, place, source, &IdRows::empty(rows.width), rows)?;
-    let named = |columns: &[String], indexed: &[usize]| -> Vec<String> {
-        indexed.iter().map(|c| columns[*c].clone()).collect()
-    };
     match place {
         WhereSpec::Table {
             table,
@@ -178,17 +184,6 @@ pub(crate) fn fill(
         } => named(columns, indexed)
             .iter()
             .for_each(|ix| stores.doc.create_index(collection, ix)),
-        WhereSpec::ParDataset {
-            dataset,
-            columns,
-            indexed,
-        } if !indexed.is_empty() => {
-            let key = named(columns, indexed);
-            stores
-                .par
-                .build_key_index(dataset, &refs(&key))
-                .map_err(par_error)?;
-        }
         _ => {}
     }
     Ok(())
@@ -224,9 +219,10 @@ fn par_error(e: estocada_parstore::ParError) -> Error {
 
 /// Apply one relation's delta to its container, deletes (one stored
 /// instance each) before inserts, where they land. Every store patches its
-/// rows, entries and indexes in place — the last row of a container fills
-/// each hole and every posting index follows — so a write costs the delta
-/// and the entries or postings it touches; a document or text delete also
+/// rows, entries and indexes in place — the last row of a container (of a
+/// parallel dataset: of the key's block) fills each hole and every posting
+/// index follows — so a write costs the delta and the entries, blocks or
+/// postings it touches; a document or text delete also
 /// scans its container once to find its documents, as no index lists every
 /// document. A container the catalog places but its store does not hold is
 /// [`Error::UnknownName`]. `source` is the table the rows are rows of, for

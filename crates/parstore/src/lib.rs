@@ -3,11 +3,13 @@
 //! A partitioned, multi-threaded, nested-relational store — the Spark
 //! stand-in. Datasets are row partitions (rows may hold nested arrays of
 //! objects); delegated subqueries run as parallel filter / broadcast hash
-//! join over the partitions; key indexes give the point-lookup path used by
-//! the materialized-join fragment of the paper's motivating scenario
-//! ("indexed by the user ID and product category"). Partition fan-out runs
-//! on the shared scoped-thread executor ([`estocada_parexec`]), which
-//! merges worker results in partition order — see [`ops`].
+//! join over the partitions. A dataset keyed at creation keeps each key's
+//! rows together, one block in one partition ([`Dataset`]): that is the
+//! point-lookup path used by the materialized-join fragment of the paper's
+//! motivating scenario ("indexed by the user ID and product category"),
+//! and a delta touches only the blocks of the keys it names. Partition
+//! fan-out runs on the shared scoped-thread executor ([`estocada_parexec`]),
+//! which merges worker results in partition order — see [`par_filter`].
 //!
 //! The three read requests ([`ParStore::scan`], [`ParStore::lookup`],
 //! [`ParStore::join`]) take a [`Shape`]: which columns of the selected rows
@@ -24,15 +26,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dataset;
-pub mod ops;
+mod dataset;
+mod ops;
 
 pub use dataset::Dataset;
 pub use estocada_pivot::{AggFun, GroupBy};
 pub use ops::{par_filter, par_join};
 
 use estocada_pivot::hash::FastMap;
-use estocada_pivot::kernel::{self, held, RowFilter};
+use estocada_pivot::kernel::{self, RowFilter};
 use estocada_pivot::{CmpOp, ConstReader, IdRows, Value};
 use estocada_simkit::{LatencyModel, RequestTimer, StoreMetrics};
 use parking_lot::RwLock;
@@ -159,15 +161,20 @@ fn unknown(name: &str) -> ParError {
     ParError::UnknownDataset(name.to_string())
 }
 
-/// The positions of `columns` in dataset `name`.
-fn positions(ds: &Dataset, name: &str, columns: &[&str]) -> Result<Vec<usize>, ParError> {
+/// The positions of `wanted` among dataset `name`'s `columns`.
+fn positions(
+    columns: &[impl AsRef<str>],
+    name: &str,
+    wanted: &[&str],
+) -> Result<Vec<usize>, ParError> {
     let col = |c: &&str| {
-        ds.column_index(c).ok_or_else(|| ParError::UnknownColumn {
+        let at = columns.iter().position(|have| have.as_ref() == *c);
+        at.ok_or_else(|| ParError::UnknownColumn {
             dataset: name.to_string(),
             column: c.to_string(),
         })
     };
-    columns.iter().map(col).collect()
+    wanted.iter().map(col).collect()
 }
 
 /// The parallel store: named datasets.
@@ -201,26 +208,21 @@ impl ParStore {
             .min(8)
     }
 
-    /// Create (or replace) a dataset; a row of another arity than
-    /// `columns` is [`ParError::Arity`], and then nothing is created.
+    /// Create (or replace) a dataset, keyed on the `key` columns (unkeyed
+    /// when empty: then no lookup finds a row). A key naming no column is
+    /// [`ParError::UnknownColumn`] and a row of another arity than
+    /// `columns` [`ParError::Arity`], and then nothing is created.
     pub fn create_dataset(
         &self,
         name: &str,
         columns: &[&str],
+        key: &[&str],
         rows: impl IntoIterator<Item = Vec<Value>>,
         num_partitions: usize,
     ) -> Result<(), ParError> {
-        let ds = Dataset::from_rows(columns, rows, num_partitions)?;
+        let key = positions(columns, name, key)?;
+        let ds = Dataset::from_rows(columns, &key, rows, num_partitions)?;
         self.datasets.write().insert(name.to_string(), Arc::new(ds));
-        Ok(())
-    }
-
-    /// Build a key index over the named columns.
-    pub fn build_key_index(&self, name: &str, columns: &[&str]) -> Result<(), ParError> {
-        let mut guard = self.datasets.write();
-        let ds = guard.get_mut(name).ok_or_else(|| unknown(name))?;
-        let cols = positions(ds, name, columns)?;
-        Arc::make_mut(ds).build_key_index(cols);
         Ok(())
     }
 
@@ -231,34 +233,21 @@ impl ParStore {
 
     /// The one way a dataset's rows change: remove **one** stored row per
     /// entry of `deletes` (entries with no match are skipped), then append
-    /// `inserts` round-robin across the partitions, under one lock. Returns
-    /// how many rows were removed.
+    /// `inserts`, under one lock; both are interned rows, their cells stored
+    /// as they are. Returns how many rows were removed.
     ///
     /// The dataset is mutated **in place**, at a cost proportional to the
-    /// delta — deleted rows are found through the key index when one exists
-    /// (an unindexed dataset is scanned once) and the index follows each
-    /// change — unless a reader still holds a handle from
-    /// [`ParStore::dataset`]: then the rows are copied once and the reader
-    /// keeps its snapshot. A delta that changes nothing touches nothing. No
-    /// physical row order is promised: a removed row's place is taken by the
-    /// last row of its partition. An insert of another arity than the
-    /// dataset's is [`ParError::Arity`], and then nothing changes. Admin
-    /// path: no metrics or latency.
-    pub fn apply_delta(
-        &self,
-        name: &str,
-        deletes: &[Vec<Value>],
-        inserts: &[Vec<Value>],
-    ) -> Result<usize, ParError> {
-        let arity = self.request(name)?.columns.len();
-        let inserts = dataset::interned(inserts, arity)?;
-        self.apply_delta_ids(name, &held(deletes, arity), &inserts)
-    }
-
-    /// [`ParStore::apply_delta`] of interned rows, their cells stored as
-    /// they are. Deletes of another width than the dataset's remove
-    /// nothing; inserts of another width are [`ParError::Arity`], and then
-    /// nothing changes.
+    /// delta and the blocks it touches — a keyed dataset finds deleted rows
+    /// in their keys' blocks alone and appends each insert to its key's
+    /// block (an unkeyed dataset is scanned once per delete batch, and
+    /// takes inserts round-robin) — unless a reader still holds a handle
+    /// from [`ParStore::dataset`]: then the rows are copied once and the
+    /// reader keeps its snapshot. A delta that changes nothing touches
+    /// nothing. No physical row order is promised within a block: a removed
+    /// row's place is taken by the last row of its block, so no row of
+    /// another key moves. A delete of another width than the dataset's
+    /// removes nothing; an insert of another width is [`ParError::Arity`],
+    /// and then nothing changes. Admin path: no metrics or latency.
     pub fn apply_delta_ids(
         &self,
         name: &str,
@@ -272,13 +261,14 @@ impl ParStore {
             let got = inserts.width;
             return Err(ParError::Arity { expected, got });
         }
-        let found = ds.locate(deletes);
-        if !(found.is_empty() && inserts.len == 0) {
+        let claims = ds.claim(deletes);
+        let removed = claims.iter().map(|(_, _, found)| found.len()).sum();
+        if !(claims.is_empty() && inserts.len == 0) {
             let ds = Arc::make_mut(ds);
-            ds.remove_at(&found);
+            ds.take(claims);
             ds.append_ids(inserts)?;
         }
-        Ok(found.len())
+        Ok(removed)
     }
 
     /// The dataset a read request names.
@@ -301,8 +291,8 @@ impl ParStore {
         Ok(shape.answer(projected, &mut timer))
     }
 
-    /// Point lookup through the key index (plus residual predicates); an
-    /// unindexed dataset has no row under any key.
+    /// Point lookup of the key's rows (plus residual predicates); an
+    /// unkeyed dataset has no row under any key.
     pub fn lookup(
         &self,
         name: &str,
@@ -312,19 +302,18 @@ impl ParStore {
     ) -> Result<IdRows, ParError> {
         let ds = self.request(name)?;
         let width = ds.columns.len();
-        let index = ds.key_index.as_ref();
-        if index.is_some_and(|(cols, _)| cols.len() != key.len()) {
+        let columns = ds.key_columns();
+        if !columns.is_empty() && columns.len() != key.len() {
             return Err(ParError::BadColumn);
         }
         shape.check(width, preds)?;
         let mut timer = RequestTimer::start(&self.metrics, self.latency);
-        let mut rows = ds.index_lookup(key);
-        {
+        let projected = {
             let reader = ConstReader::new();
             let preds = filter(preds, &reader);
-            rows.retain(|row| preds.pass(row));
-        }
-        let projected = ops::project(rows, shape.projection.as_deref(), width);
+            let rows = ds.index_lookup(key).filter(|row| preds.pass(row));
+            ops::project(rows, shape.projection.as_deref(), width)
+        };
         Ok(shape.answer(projected, &mut timer))
     }
 
@@ -339,8 +328,8 @@ impl ParStore {
         shape: &Shape,
     ) -> Result<IdRows, ParError> {
         let (l, r) = (self.request(left)?, self.request(right)?);
-        let lk = positions(&l, left, left_keys)?;
-        let rk = positions(&r, right, right_keys)?;
+        let lk = positions(&l.columns, left, left_keys)?;
+        let rk = positions(&r.columns, right, right_keys)?;
         if lk.len() != rk.len() {
             return Err(ParError::BadColumn);
         }
@@ -357,11 +346,6 @@ impl ParStore {
         self.dataset(name).map(|d| d.len()).unwrap_or(0)
     }
 
-    /// `true` when missing or empty.
-    pub fn is_empty(&self, name: &str) -> bool {
-        self.len(name) == 0
-    }
-
     /// Drop a dataset; returns whether it existed.
     pub fn drop_dataset(&self, name: &str) -> bool {
         self.datasets.write().remove(name).is_some()
@@ -376,17 +360,40 @@ impl ParStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use estocada_pivot::kernel::held;
+
+    impl ParStore {
+        /// [`ParStore::apply_delta_ids`] of value rows.
+        fn apply_delta(
+            &self,
+            name: &str,
+            deletes: &[Vec<Value>],
+            inserts: &[Vec<Value>],
+        ) -> Result<usize, ParError> {
+            let arity = self.request(name)?.columns.len();
+            let inserts = dataset::interned(inserts, arity)?;
+            self.apply_delta_ids(name, &held(deletes, arity), &inserts)
+        }
+    }
 
     /// A read's rows, resolved to values.
     fn values(rows: Result<IdRows, ParError>) -> Result<Vec<Vec<Value>>, ParError> {
         rows.map(|r| r.to_values())
     }
 
+    /// `visits`, unkeyed.
     fn store() -> ParStore {
+        keyed(&[])
+    }
+
+    /// A thousand `visits` by a hundred users over ten urls, keyed on
+    /// `key`.
+    fn keyed(key: &[&str]) -> ParStore {
         let s = ParStore::new();
         s.create_dataset(
             "visits",
             &["user", "url", "revenue"],
+            key,
             (0..1000).map(|i| {
                 vec![
                     Value::Int(i % 100),
@@ -428,8 +435,7 @@ mod tests {
 
     #[test]
     fn lookup_via_key_index() {
-        let s = store();
-        s.build_key_index("visits", &["user"]).unwrap();
+        let s = keyed(&["user"]);
         let all = Shape::default();
         let out = values(s.lookup("visits", &[Value::Int(7)], &[], &all)).unwrap();
         assert_eq!(out.len(), 10);
@@ -449,6 +455,7 @@ mod tests {
         s.create_dataset(
             "users",
             &["uid", "tier"],
+            &[],
             (0..100).map(|i| {
                 vec![
                     Value::Int(i),
@@ -551,28 +558,28 @@ mod tests {
     fn lookups_without_an_index_find_nothing_and_admin_names_are_checked() {
         let s = store();
         let all = Shape::default();
-        // An unindexed dataset has no row under any key.
+        // An unkeyed dataset has no row under any key.
         assert_eq!(
             values(s.lookup("visits", &[Value::Int(7)], &[], &all)),
             Ok(vec![])
         );
-        s.build_key_index("visits", &["user"]).unwrap();
+        let s = keyed(&["user"]);
         let two = [Value::Int(7), Value::str("url7")];
         assert_eq!(
             values(s.lookup("visits", &two, &[], &all)),
             Err(ParError::BadColumn)
         );
         let ghost = Err(ParError::UnknownDataset("ghost".into()));
-        assert_eq!(s.build_key_index("ghost", &["user"]), ghost);
         assert_eq!(s.apply_delta("ghost", &[], &[]), ghost.map(|()| 0));
+        let columns = ["user", "url", "revenue"];
         assert_eq!(
-            s.build_key_index("visits", &["user", "nope"]),
+            s.create_dataset("visits", &columns, &["user", "nope"], [], 2),
             Err(ParError::UnknownColumn {
                 dataset: "visits".into(),
                 column: "nope".into()
             })
         );
-        // A failed rebuild keeps the index there was.
+        // A failed creation keeps the dataset there was.
         assert_eq!(
             values(s.lookup("visits", &[Value::Int(7)], &[], &all))
                 .unwrap()
@@ -583,8 +590,7 @@ mod tests {
 
     #[test]
     fn insert_and_delete_rows_swap_in_a_new_snapshot() {
-        let s = store();
-        s.build_key_index("visits", &["user"]).unwrap();
+        let s = keyed(&["user"]);
         let before = s.dataset("visits").unwrap();
         let new = vec![Value::Int(7), Value::str("url7"), Value::Double(9.9)];
         s.apply_delta("visits", &[], std::slice::from_ref(&new))
@@ -610,14 +616,11 @@ mod tests {
         let s = store();
         let arity = |got| ParError::Arity { expected: 3, got };
         let short = vec![vec![Value::Int(1), Value::str("a"), Value::Null], vec![]];
-        let made = s.create_dataset("short", &["a", "b", "c"], short, 2);
+        let made = s.create_dataset("short", &["a", "b", "c"], &[], short, 2);
         assert_eq!(made, Err(arity(0)));
         assert!(s.dataset("short").is_none());
         let before = s.dataset("visits").unwrap().partitions.clone();
-        let gone = vec![before[0][0]
-            .iter()
-            .map(|id| (*id.value()).clone())
-            .collect()];
+        let gone = kernel::values_of(s.dataset("visits").unwrap().iter_rows().take(1));
         let wide = vec![Value::Int(1); 4];
         assert_eq!(s.apply_delta("visits", &gone, &[wide]), Err(arity(4)));
         assert_eq!(s.dataset("visits").unwrap().partitions, before);
@@ -625,8 +628,7 @@ mod tests {
 
     #[test]
     fn deltas_mutate_in_place_and_empty_ones_touch_nothing() {
-        let s = store();
-        s.build_key_index("visits", &["user"]).unwrap();
+        let s = keyed(&["user"]);
         let at = |s: &ParStore| Arc::as_ptr(&s.dataset("visits").unwrap());
         let home = at(&s);
         let new = vec![Value::Int(7), Value::str("url7"), Value::Double(9.9)];
@@ -652,9 +654,8 @@ mod tests {
         let row = |i: i64| -> Vec<Value> { (1..6).map(|c| Value::Int(i / c % 3)).collect() };
         for key in [&columns[..1], &columns[1..3], &columns[..3], &columns[..]] {
             let s = ParStore::new();
-            s.create_dataset("d", &columns, (0..60).map(row), 3)
+            s.create_dataset("d", &columns, key, (0..60).map(row), 3)
                 .unwrap();
-            s.build_key_index("d", key).unwrap();
             let at: Vec<usize> = key
                 .iter()
                 .map(|k| columns.iter().position(|c| c == k).unwrap())
@@ -691,6 +692,7 @@ mod tests {
         s.create_dataset(
             "history",
             &["user", "purchases"],
+            &["user"],
             vec![vec![
                 Value::Int(1),
                 Value::array([Value::object([("sku", Value::str("a"))])]),
@@ -698,7 +700,6 @@ mod tests {
             2,
         )
         .unwrap();
-        s.build_key_index("history", &["user"]).unwrap();
         let out = values(s.lookup("history", &[Value::Int(1)], &[], &Shape::default()));
         let out = out.unwrap();
         assert_eq!(out.len(), 1);

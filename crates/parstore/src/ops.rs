@@ -4,14 +4,15 @@
 //! parallel fashion").
 //!
 //! Both fan their per-partition work out through the shared scoped-thread
-//! executor ([`estocada_parexec::scoped_map`]), each worker projecting the
-//! rows it selects, and merge the results **in partition order**: the
+//! executor ([`estocada_parexec::scoped_map`]), each worker walking its
+//! partition's blocks and projecting the rows it selects, and merge the
+//! results **in partition order**: the
 //! output equals a serial run whatever the scheduling, so the grouping the
 //! coordinator runs over it ([`estocada_pivot::kernel::answer`]) sums
 //! doubles bit-identically. The join's hash table is the kernel's
 //! ([`JoinTable`]).
 
-use crate::dataset::{Dataset, Row};
+use crate::dataset::{Dataset, Partition, Row};
 use estocada_parexec::scoped_map;
 use estocada_pivot::kernel::{pack_key, JoinTable};
 use estocada_pivot::{ConstId, IdRows};
@@ -23,7 +24,7 @@ fn columns(projection: Option<&[usize]>, width: usize) -> Vec<usize> {
 
 /// The cells of `rows` at `projection` (every column of the rows, `width`
 /// wide, when `None`).
-pub fn project<'a>(
+pub(crate) fn project<'a>(
     rows: impl IntoIterator<Item = &'a Row>,
     projection: Option<&[usize]>,
     width: usize,
@@ -42,6 +43,11 @@ fn concat(width: usize, parts: Vec<IdRows>) -> IdRows {
     IdRows { width, len, cells }
 }
 
+/// A partition's rows, block by block.
+fn rows(part: &Partition) -> impl Iterator<Item = &Row> {
+    part.values().flat_map(IdRows::rows)
+}
+
 /// Parallel filter + projection: the rows passing `pred`, partition order
 /// preserved, as their `projection` columns (every column when `None`).
 pub fn par_filter(
@@ -51,7 +57,7 @@ pub fn par_filter(
 ) -> IdRows {
     let width = ds.columns.len();
     let parts = scoped_map(ds.partitions.len(), &ds.partitions, |_, part| {
-        project(part.rows().filter(|row| pred(row)), projection, width)
+        project(rows(part).filter(|row| pred(row)), projection, width)
     });
     concat(columns(projection, width).len(), parts)
 }
@@ -71,13 +77,13 @@ pub fn par_join(
     let lw = left.columns.len();
     let cols = columns(projection, lw + right.columns.len());
     let key = |row: &[ConstId], on: &[usize]| pack_key(on.iter().map(|c| row[*c]), on.len());
-    let rows: Vec<&Row> = right.iter_rows().collect();
-    let table = JoinTable::build(rows.iter().map(|row| key(row, right_keys)));
+    let built: Vec<&Row> = right.iter_rows().collect();
+    let table = JoinTable::build(built.iter().map(|row| key(row, right_keys)));
     let parts = scoped_map(left.partitions.len(), &left.partitions, |_, part| {
         let mut out = IdRows::empty(cols.len());
-        for lrow in part.rows() {
+        for lrow in rows(part) {
             for at in table.probe(&key(lrow, left_keys)) {
-                let rrow = rows[*at as usize];
+                let rrow = built[*at as usize];
                 let cell = |c: &usize| c.checked_sub(lw).map_or_else(|| lrow[*c], |rc| rrow[rc]);
                 out.push(cols.iter().map(cell));
             }
@@ -124,6 +130,7 @@ mod tests {
     fn dataset() -> Dataset {
         Dataset::from_rows(
             &["id", "grp", "amount"],
+            &[],
             (0..100).map(|i| {
                 vec![
                     Value::Int(i),
@@ -175,7 +182,7 @@ mod tests {
 
     #[test]
     fn empty_dataset_ops_yield_empty() {
-        let empty = Dataset::from_rows(&["id", "grp", "amount"], Vec::new(), 4).unwrap();
+        let empty = Dataset::from_rows(&["id", "grp", "amount"], &[], Vec::new(), 4).unwrap();
         assert_eq!(par_filter(&empty, &|_| true, None).len, 0);
         assert_eq!(par_join(&empty, &dataset(), &[1], &[1], None).len, 0);
         // A grouped aggregate over nothing has no group; a global one is
@@ -191,6 +198,7 @@ mod tests {
     fn single_partition_runs_inline() {
         let d = Dataset::from_rows(
             &["id"],
+            &[],
             (0..10).map(|i| vec![Value::Int(i)]),
             1, // one partition → executor takes the serial path
         )
@@ -222,6 +230,7 @@ mod tests {
         let left = dataset();
         let right = Dataset::from_rows(
             &["grp", "label"],
+            &[0],
             (0..4).map(|g| vec![Value::Int(g), Value::str(format!("g{g}"))]),
             2,
         )
@@ -241,7 +250,7 @@ mod tests {
     #[test]
     fn par_join_with_no_matches() {
         let left = dataset();
-        let right = Dataset::from_rows(&["grp"], vec![vec![Value::Int(99)]], 1).unwrap();
+        let right = Dataset::from_rows(&["grp"], &[], vec![vec![Value::Int(99)]], 1).unwrap();
         assert_eq!(par_join(&left, &right, &[1], &[0], None).len, 0);
     }
 

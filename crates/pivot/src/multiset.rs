@@ -4,10 +4,10 @@
 //! Every store removes "one stored instance per entry": equal entries take
 //! distinct instances, and an entry with no instance left takes nothing.
 //! [`Wanted`] is that bookkeeping once, whatever a store's rows (a row, a
-//! document, a keyed text) and locations (a row position, a (partition,
-//! row) pair) are; the store supplies the candidate locations — every row
-//! ([`Wanted::claim`]), or the rows an index lists under the entries' keys
-//! ([`Wanted::claim_under`]).
+//! document, a keyed text) and locations (a row position) are; the store
+//! supplies the candidate locations — every row, or the rows of a key's
+//! block in a keyed parallel dataset ([`Wanted::claim`]), or the rows an
+//! index lists under the entries' keys ([`Wanted::claim_under`]).
 //!
 //! [`Postings`] is that index: each key with the ascending locations of
 //! the rows posted under it, its keys hashed, in no particular order.
@@ -15,7 +15,10 @@
 //! [`swap_remove`] — the last row fills each hole — and every index
 //! forgets the one row and relocates the other in place
 //! ([`Postings::relocate`]), so a patched index lists what a fresh build
-//! over the remaining rows would.
+//! over the remaining rows would. The relational table, the document
+//! collection, the text index and the [`Bag`] relocate; the keyed parallel
+//! dataset does not, as a hole in a key's block is filled from the same
+//! block and no index lists its rows.
 //!
 //! [`Bag`] is a counted relation built from these parts: each distinct
 //! interned row held once ([`Distinct`]) with the number of times it

@@ -17,7 +17,7 @@ use estocada::{
     Dataset, DatasetContent, Estocada, FragmentSpec, Latencies, TableData, ValidationMode,
 };
 use estocada_pivot::encoding::relational::TableEncoding;
-use estocada_pivot::{Atom, Cq, CqBuilder, Symbol, Term, Value};
+use estocada_pivot::{Atom, Cq, CqBuilder, IdRows, Symbol, Term, Value};
 use estocada_workloads::marketplace::{generate, Marketplace};
 use estocada_workloads::scenarios::cart_kv_view;
 use proptest::prelude::*;
@@ -291,10 +291,11 @@ fn fnv1a(text: &str) -> u64 {
 }
 
 /// What a first fill leaves in `est`'s stores, physical order included:
-/// every relational table in storage order, every parallel dataset read
-/// round-robin across its partitions (the order its rows were appended in,
-/// whatever the partition count), every collection and text index in
-/// insertion order.
+/// every relational table in storage order; every unkeyed parallel dataset
+/// read round-robin across its partitions (the order its rows were
+/// appended in), every keyed one as each key's rows in stored order, the
+/// keys sorted by their cells — either whatever the partition count; every
+/// collection and text index in insertion order.
 fn physical_order(est: &Estocada) -> String {
     let mut out = String::new();
     let mut tables = est.stores.rel.table_names();
@@ -306,13 +307,25 @@ fn physical_order(est: &Estocada) -> String {
     datasets.sort();
     for d in datasets {
         let ds = est.stores.par.dataset(&d).expect("listed dataset");
-        let deepest = ds.partitions.iter().map(|p| p.len).max().unwrap_or(0);
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        for r in 0..deepest {
-            for part in ds.partitions.iter().filter(|p| r < p.len) {
-                rows.push(part.row(r).iter().map(|id| (*id.value()).clone()).collect());
+        let blocks: Vec<Vec<Vec<Value>>> = ds.blocks().map(IdRows::to_values).collect();
+        let rows: Vec<Vec<Value>> = match ds.key_columns() {
+            [] => {
+                let deepest = blocks.iter().map(Vec::len).max().unwrap_or(0);
+                let at = |r| {
+                    blocks
+                        .iter()
+                        .filter_map(move |b: &Vec<_>| b.get(r).cloned())
+                };
+                (0..deepest).flat_map(at).collect()
             }
-        }
+            key => {
+                let cells = |b: &Vec<Vec<Value>>| key.iter().map(|c| b[0][*c].clone()).collect();
+                let mut keyed: Vec<(Vec<Value>, Vec<Vec<Value>>)> =
+                    blocks.into_iter().map(|b| (cells(&b), b)).collect();
+                keyed.sort();
+                keyed.into_iter().flat_map(|(_, b)| b).collect()
+            }
+        };
         out += &format!("par:{d} {rows:?}\n");
     }
     let mut collections = est.stores.doc.collection_names();

@@ -88,12 +88,14 @@ proptest! {
         rows in proptest::collection::vec((0i64..8, any::<i64>()), 0..60),
         parts in 1usize..6,
         needle in 0i64..8,
+        keyed in any::<bool>(),
     ) {
         let data: Vec<Vec<Value>> = rows
             .iter()
             .map(|(a, b)| vec![Value::Int(*a), Value::Int(*b)])
             .collect();
-        let ds = Dataset::from_rows(&["a", "b"], data.clone(), parts).unwrap();
+        let key: &[usize] = if keyed { &[0] } else { &[] };
+        let ds = Dataset::from_rows(&["a", "b"], key, data.clone(), parts).unwrap();
         let needle_id = ConstId::intern(&Value::Int(needle));
         let mut par = par_filter(&ds, &|r| r[0] == needle_id, None).to_values();
         let mut seq: Vec<Vec<Value>> = data
@@ -111,11 +113,13 @@ proptest! {
         left in proptest::collection::vec((0i64..5, any::<i64>()), 0..25),
         right in proptest::collection::vec((0i64..5, any::<i64>()), 0..25),
         parts in 1usize..5,
+        keyed in any::<bool>(),
     ) {
         let lrows: Vec<Vec<Value>> = left.iter().map(|(k, v)| vec![Value::Int(*k), Value::Int(*v)]).collect();
         let rrows: Vec<Vec<Value>> = right.iter().map(|(k, v)| vec![Value::Int(*k), Value::Int(*v)]).collect();
-        let lds = Dataset::from_rows(&["k", "a"], lrows.clone(), parts).unwrap();
-        let rds = Dataset::from_rows(&["k", "b"], rrows.clone(), parts).unwrap();
+        let key: &[usize] = if keyed { &[0] } else { &[] };
+        let lds = Dataset::from_rows(&["k", "a"], key, lrows.clone(), parts).unwrap();
+        let rds = Dataset::from_rows(&["k", "b"], key, rrows.clone(), parts).unwrap();
         let mut par = par_join(&lds, &rds, &[0], &[0], None).to_values();
         let plan = Plan::HashJoin {
             left: Box::new(Plan::Values(RowBatch::new(vec!["k".into(), "a".into()], lrows))),
@@ -135,7 +139,7 @@ proptest! {
     fn par_aggregate_counts(rows in proptest::collection::vec(0i64..5, 1..50), parts in 1usize..5) {
         let data = rows.iter().enumerate().map(|(i, g)| vec![Value::Int(*g), Value::Int(i as i64)]);
         let store = ParStore::new();
-        store.create_dataset("t", &["g", "id"], data, parts).unwrap();
+        store.create_dataset("t", &["g", "id"], &[], data, parts).unwrap();
         let counts = Shape {
             group: Some(GroupBy { keys: 1, aggs: vec![(AggFun::Count, 1)], having: vec![] }),
             ..Shape::default()

@@ -376,20 +376,21 @@ fn deploy_indexed(m: &Marketplace, latencies: Latencies) -> Estocada {
 fn assert_index_lookups_equal_scans(est: &Estocada, what: &str) {
     for name in est.stores.par.dataset_names() {
         let ds = est.stores.par.dataset(&name).expect("listed dataset");
-        let Some((columns, idx)) = &ds.key_index else {
+        let columns = ds.key_columns();
+        if columns.is_empty() {
             continue;
-        };
+        }
         let key_of =
             |row: &Vec<Value>| -> Vec<Value> { columns.iter().map(|c| row[*c].clone()).collect() };
         let rows = values_of(ds.iter_rows());
         let mut keys: BTreeSet<Vec<Value>> = rows.iter().map(key_of).collect();
-        // Keys are packed ids, not values: the index lists no key its rows
-        // lack when it lists as many as they hold (each of theirs is probed
-        // below).
+        // A keyed dataset holds one block per key: it holds no key its rows
+        // lack when it holds as many blocks as they hold keys (each of
+        // theirs is probed below).
         assert_eq!(
-            idx.keys().count(),
+            ds.blocks().count(),
             keys.len(),
-            "{what}: {name} index lists a key no row holds"
+            "{what}: {name} holds a key no row holds"
         );
         keys.insert(vec![Value::Null; columns.len()]);
         for key in keys {
@@ -524,9 +525,9 @@ fn apply_step(est: &mut Estocada, model: &mut Model, (kind, pick, size): Step, f
         // its place (identity view: a dataset row is a `WebLog` row).
         4 => {
             let ds = est.stores.par.dataset("WebLogPar").expect("WebLogPar");
-            let part = ds.partitions.iter().find(|part| part.len > 1);
-            let pair =
-                part.map(|part| values_of([&part[choose(part.len - 1)], &part[part.len - 1]]));
+            let block = ds.blocks().find(|block| block.len > 1);
+            let pair = block
+                .map(|block| values_of([&block[choose(block.len - 1)], &block[block.len - 1]]));
             drop(ds);
             (Write::Delete, "WebLog", pair.unwrap_or_default())
         }
