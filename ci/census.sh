@@ -4,7 +4,7 @@
 # definitions in the engine, SCC routines in library code, sites that assign
 # a delegated unit's scan estimate, posting-index maintenance routines,
 # posting lists in the parallel store, std hash tables on the default hasher, aggregate accumulators, join hash
-# tables, mediator files naming the chase `Instance`, homomorphism searches
+# tables (a list per key, or a flat table's key-to-group map), mediator files naming the chase `Instance`, homomorphism searches
 # in the mediator, resolves of interned rows on the fill and write path and
 # in the layouts, row indexes the write path keeps beside the fact base,
 # thread-locals of the chase, open-addressing tables, store DDL calls in the
@@ -114,11 +114,13 @@ for f in $(rust_files crates/*/src); do
 done
 printf '%-28s %8d\n' 'group-by kernels' "$group_kernels"
 # Library sites in the executor, the kernel and the relational and parallel
-# stores that build a join hash table (a map from a key to the rows holding
-# it): every hash join builds the kernel's one `JoinTable`.
+# stores that build a join hash table: a map from a key to the rows holding
+# it (`let mut …: FastMap<…, Vec<…>`), or from the kernel's packed `Key` to
+# the key's group in a flat table (`let mut …: FastMap<Key, u32>`). Every
+# hash join builds the kernel's one `JoinTable`, which is the second kind.
 hash_joins=0
 for f in $(rust_files crates/engine/src crates/pivot/src crates/relstore/src crates/parstore/src); do
-    n=$(library_part "$f" | grep -cE '\blet mut [a-z_]+: FastMap<[^=]*, *Vec<' || true)
+    n=$(library_part "$f" | grep -cE '\blet mut [a-z_]+: FastMap<([^=]*, *Vec<|Key, *u32>)' || true)
     hash_joins=$((hash_joins + n))
 done
 printf '%-28s %8d\n' 'hash joins' "$hash_joins"

@@ -8,9 +8,11 @@
 //! partition's blocks and projecting the rows it selects, and merge the
 //! results **in partition order**: the
 //! output equals a serial run whatever the scheduling, so the grouping the
-//! coordinator runs over it ([`estocada_pivot::kernel::answer`]) sums
-//! doubles bit-identically. The join's hash table is the kernel's
-//! ([`JoinTable`]).
+//! coordinator runs over it ([`estocada_pivot::kernel::answer`], which folds
+//! each distinct row into its group in first-seen order) sums doubles
+//! bit-identically. The join's hash table is the kernel's flat
+//! [`JoinTable`]: built once from the right side's keys and shared by every
+//! partition's probe.
 
 use crate::dataset::{Dataset, Partition, Row};
 use estocada_parexec::scoped_map;

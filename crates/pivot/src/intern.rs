@@ -23,7 +23,7 @@
 //! scan and arithmetic-result columns — lock-free.
 
 use crate::hash::FastMap;
-use crate::value::Value;
+use crate::value::{Number, Value};
 use parking_lot::{RwLock, RwLockReadGuard};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -34,28 +34,10 @@ pub struct ConstId(u32);
 
 struct ConstTable {
     values: Vec<Arc<Value>>,
-    /// Each value's number, dense beside `values`: a fold or an order
-    /// comparison over numbers reads no `Value` behind its `Arc`.
-    numbers: Vec<Number>,
+    /// Each value's number, if it is one, dense beside `values`: a fold or
+    /// an order comparison over numbers reads no `Value` behind its `Arc`.
+    numbers: Vec<Option<Number>>,
     lookup: FastMap<Arc<Value>, u32>,
-}
-
-/// The number an interned value is, if it is one.
-#[derive(Clone, Copy)]
-enum Number {
-    Int(i64),
-    Double(f64),
-    Not,
-}
-
-impl Number {
-    fn of(value: &Value) -> Number {
-        match value {
-            Value::Int(i) => Number::Int(*i),
-            Value::Double(d) => Number::Double(*d),
-            _ => Number::Not,
-        }
-    }
 }
 
 /// Small integers get dense, arithmetically computed ids at the front of
@@ -83,7 +65,9 @@ fn table() -> &'static RwLock<ConstTable> {
             .collect();
         RwLock::new(ConstTable {
             values,
-            numbers: (SMALL_MIN..=SMALL_MAX).map(Number::Int).collect(),
+            numbers: (SMALL_MIN..=SMALL_MAX)
+                .map(|i| Some(Number::Int(i)))
+                .collect(),
             lookup: FastMap::default(),
         })
     })
@@ -108,7 +92,7 @@ impl ConstId {
         }
         let id = guard.values.len() as u32;
         let arc = Arc::new(value.clone());
-        guard.numbers.push(Number::of(value));
+        guard.numbers.push(value.number());
         guard.values.push(arc.clone());
         guard.lookup.insert(arc, id);
         ConstId(id)
@@ -230,14 +214,10 @@ impl ConstReader {
         &self.guard.values[id.0 as usize]
     }
 
-    /// The value of `id` if it is a number (`Int` or `Double`), read from
-    /// a dense array beside the values.
-    pub fn number(&self, id: ConstId) -> Option<Value> {
-        match self.guard.numbers[id.0 as usize] {
-            Number::Int(i) => Some(Value::Int(i)),
-            Number::Double(d) => Some(Value::Double(d)),
-            Number::Not => None,
-        }
+    /// The number `id` is, if it is one (`Int` or `Double`), read from a
+    /// dense array beside the values: no `Value` is read or built.
+    pub fn numeric(&self, id: ConstId) -> Option<Number> {
+        self.guard.numbers[id.0 as usize]
     }
 
     /// Look up the id of an already-interned value, if any.
@@ -348,8 +328,8 @@ mod tests {
         assert_eq!(reader.get(ids[0]), &Value::Int(7));
         assert_eq!(reader.lookup(&Value::str("reader-test")), Some(id));
         assert_eq!(reader.lookup(&Value::str("reader-test-missing-xyz")), None);
-        assert_eq!(reader.number(ids[0]), Some(Value::Int(7)));
-        assert_eq!(reader.number(id), None);
+        assert_eq!(reader.numeric(ids[0]), Some(Number::Int(7)));
+        assert_eq!(reader.numeric(id), None);
     }
 
     #[test]

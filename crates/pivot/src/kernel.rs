@@ -6,15 +6,19 @@
 //! mediated one are the same code, so their groups, orders and doubles are
 //! identical wherever the same rows arrive in the same order.
 //!
-//! Equal cells are equal [`ConstId`]s, so keys hash and compare integers;
-//! a [`ConstReader`] resolves a value only where an order or a number is
-//! needed, and a number from a dense array ([`ConstReader::number`]).
+//! Equal cells are equal [`ConstId`]s, so keys hash and compare integers,
+//! and the hot loops touch only ids and flat arrays: a join table lists its
+//! build rows in one vector, a distinct is sized once from the rows in hand
+//! and each new row folds into its group as it is kept, and two numbers
+//! compare and sum as the [`Number`]s a dense array beside the intern table
+//! holds ([`ConstReader::numeric`]). A [`ConstReader`] resolves a value only
+//! where an order over non-numbers is needed.
 
 use crate::agg::{AggFun, GroupBy};
 use crate::hash::{FastBuild, FastMap};
 use crate::intern::{ConstId, ConstReader};
 use crate::multiset::SwapRows;
-use crate::value::{CmpOp, Value};
+use crate::value::{CmpOp, Number, Value};
 use std::hash::BuildHasher;
 
 /// A hash key over interned cells: a join, probe or key-index key. Keys of
@@ -156,14 +160,16 @@ pub fn held(rows: &[Vec<Value>], arity: usize) -> IdRows {
 }
 
 /// `a op b` under the total value order: `=` and `<>` compare ids, two
-/// numbers their [`ConstReader::number`]s, anything else the values.
+/// numbers their [`Number`]s ([`ConstReader::numeric`]), anything else the
+/// values.
 pub fn compare(op: CmpOp, a: ConstId, b: ConstId, reader: &ConstReader) -> bool {
-    match (op, reader.number(a), reader.number(b)) {
-        (CmpOp::Eq, ..) => a == b,
-        (CmpOp::Ne, ..) => a != b,
-        (op, Some(x), Some(y)) => op.eval(&x, &y),
-        (op, ..) => op.eval(reader.get(a), reader.get(b)),
-    }
+    let order = match (op, reader.numeric(a), reader.numeric(b)) {
+        (CmpOp::Eq, ..) => return a == b,
+        (CmpOp::Ne, ..) => return a != b,
+        (_, Some(x), Some(y)) => x.total_cmp(y),
+        _ => reader.get(a).cmp(reader.get(b)),
+    };
+    op.holds(order)
 }
 
 /// A conjunction of `column op constant` tests over interned rows. Each
@@ -197,42 +203,98 @@ impl<'r> RowFilter<'r> {
     }
 }
 
-/// The build side of a hash join: each key with the positions of the build
-/// rows holding it, in build order.
+/// The build side of a hash join, flat: each key's group (numbered in the
+/// order keys first occur), and the positions of the build rows of every
+/// group, group after group, each group's ascending. So a build allocates
+/// a few vectors, not one per key.
 #[derive(Debug, Default)]
-pub struct JoinTable(FastMap<Key, Vec<u32>>);
+pub struct JoinTable {
+    groups: FastMap<Key, u32>,
+    /// Where each group's positions start, and where the last one ends.
+    starts: Vec<u32>,
+    positions: Vec<u32>,
+}
+
+/// The most groups a [`JoinTable`] build makes room for before it sees its
+/// keys: a build side of many rows over few keys (a fill's) would otherwise
+/// hold a map of a slot per row, and past this the map's doublings are few
+/// beside the rows.
+const JOIN_PRESIZED: usize = 4096;
 
 impl JoinTable {
-    /// The table of the build rows' `keys`, in row order.
+    /// The table of the build rows' `keys`, in row order: a counting sort.
+    /// The map starts with room for a group per row `keys` says it yields
+    /// at least, up to 4 096 groups.
     pub fn build(keys: impl IntoIterator<Item = Key>) -> JoinTable {
-        let mut table: FastMap<Key, Vec<u32>> = FastMap::default();
-        for (at, key) in (0..).zip(keys) {
-            table.entry(key).or_default().push(at);
+        let keys = keys.into_iter();
+        let n = keys.size_hint().0;
+        let room = n.min(JOIN_PRESIZED);
+        let mut groups: FastMap<Key, u32> =
+            FastMap::with_capacity_and_hasher(room, Default::default());
+        // Each row's group, and each group's row count.
+        let (mut of_row, mut starts) = (Vec::with_capacity(n), Vec::with_capacity(n + 1));
+        for key in keys {
+            let next = groups.len() as u32;
+            let g = *groups.entry(key).or_insert(next);
+            if g == next {
+                starts.push(0);
+            }
+            starts[g as usize] += 1;
+            of_row.push(g);
         }
-        JoinTable(table)
+        // Each group's end, then, placing rows from the last, its start.
+        let mut end = 0;
+        for count in &mut starts {
+            end += *count;
+            *count = end;
+        }
+        let mut positions = vec![0; of_row.len()];
+        for (at, g) in of_row.iter().enumerate().rev() {
+            starts[*g as usize] -= 1;
+            positions[starts[*g as usize] as usize] = at as u32;
+        }
+        starts.push(end);
+        JoinTable {
+            groups,
+            starts,
+            positions,
+        }
     }
 
     /// The build rows holding `key`, ascending.
     pub fn probe(&self, key: &Key) -> &[u32] {
-        self.0.get(key).map_or(&[], Vec::as_slice)
+        let Some(&g) = self.groups.get(key) else {
+            return &[];
+        };
+        let (from, to) = (self.starts[g as usize], self.starts[g as usize + 1]);
+        &self.positions[from as usize..to as usize]
     }
 }
 
-/// An empty slot of an [`IdTable`].
-const EMPTY: u64 = u64::MAX;
+/// An empty slot of an [`IdTable`]: zero, so a new table is zeroed memory,
+/// which fresh pages from the system already are.
+const EMPTY: u64 = 0;
+
+/// The bit every hash an [`IdTable`] keeps has set, so no held slot is
+/// [`EMPTY`].
+const TAKEN: u32 = 1 << 31;
 
 /// An open-addressing table of ids found by their content: each slot keeps
-/// the low 32 bits of its content's hash beside the id, and a probe asks
-/// the caller to compare contents only where those bits agree. So no key is
-/// stored, and growing the table reads no content. Deletion shifts the
-/// probe run back (no tombstone). [`Distinct`] finds its rows through one,
-/// and the chase its facts and its memo entries.
+/// the low 31 bits of its content's hash beside the id (the top bit set,
+/// so that no held slot is empty), and a probe asks the caller to compare
+/// contents only where those bits agree. So no key is stored, and growing
+/// the table reads no content. Deletion shifts the probe run back (no
+/// tombstone). [`Distinct`] finds its rows through one, and the chase its
+/// facts and its memo entries.
 #[derive(Debug, Clone, Default)]
 pub struct IdTable {
-    /// `hash << 32 | id` per held id, [`EMPTY`] elsewhere: a power of two
-    /// long (or empty), at most half full.
+    /// `(hash | TAKEN) << 32 | id` per held id, [`EMPTY`] elsewhere: a power
+    /// of two long (or empty), at most half full.
     slots: Vec<u64>,
     len: usize,
+    /// The ids the table makes room for at once when it outgrows its first
+    /// sixteen slots ([`IdTable::with_capacity`]).
+    room: usize,
 }
 
 /// Where a probe for content the table does not hold ended: the vacant
@@ -242,12 +304,24 @@ pub struct IdTable {
 pub struct Vacant(usize);
 
 impl IdTable {
+    /// No id yet, with room for `capacity` ids: the table starts at sixteen
+    /// slots, as every table does, and when it first outgrows them it grows
+    /// to hold `capacity` ids at once. So a few ids cost a small table, and
+    /// many grow it once, however many there are.
+    pub fn with_capacity(capacity: usize) -> IdTable {
+        let room = capacity;
+        IdTable {
+            room,
+            ..IdTable::default()
+        }
+    }
+
     /// The held id whose content `is` confirms, among those of `hash`.
     pub fn find(&self, hash: u32, is: impl FnMut(u32) -> bool) -> Option<u32> {
         if self.slots.is_empty() {
             return None;
         }
-        self.probe(hash, is).ok()
+        self.probe(hash | TAKEN, is).ok()
     }
 
     /// [`IdTable::find`] in one probe that, when no held id is confirmed,
@@ -259,12 +333,12 @@ impl IdTable {
         if (self.len + 1) * 2 > self.slots.len() {
             self.grow();
         }
-        self.probe(hash, is)
+        self.probe(hash | TAKEN, is)
     }
 
     /// Hold `id`, whose content hashes to `hash`, in the slot `vacant`.
     pub fn occupy(&mut self, vacant: Vacant, hash: u32, id: u32) {
-        self.slots[vacant.0] = u64::from(hash) << 32 | u64::from(id);
+        self.slots[vacant.0] = u64::from(hash | TAKEN) << 32 | u64::from(id);
         self.len += 1;
     }
 
@@ -276,8 +350,9 @@ impl IdTable {
         }
     }
 
-    /// The held id confirmed by `is` among those of `hash`, or the vacant
-    /// slot ending the probe run (the table is not empty).
+    /// The held id confirmed by `is` among those of `hash` (its [`TAKEN`]
+    /// bit set), or the vacant slot ending the probe run (the table is not
+    /// empty).
     fn probe(&self, hash: u32, mut is: impl FnMut(u32) -> bool) -> Result<u32, Vacant> {
         let mask = self.slots.len() - 1;
         let mut slot = hash as usize & mask;
@@ -295,7 +370,7 @@ impl IdTable {
 
     /// The slot holding `id` under `hash`.
     fn slot_of(&self, hash: u32, id: u32) -> Option<usize> {
-        let mask = self.slots.len().checked_sub(1)?;
+        let (mask, hash) = (self.slots.len().checked_sub(1)?, hash | TAKEN);
         let (entry, mut slot) = (u64::from(hash) << 32 | u64::from(id), hash as usize & mask);
         loop {
             match self.slots[slot] {
@@ -330,7 +405,7 @@ impl IdTable {
     /// Hold `to` in place of `from`, both under `hash`.
     pub fn replace(&mut self, hash: u32, from: u32, to: u32) {
         if let Some(slot) = self.slot_of(hash, from) {
-            self.slots[slot] = u64::from(hash) << 32 | u64::from(to);
+            self.slots[slot] = u64::from(hash | TAKEN) << 32 | u64::from(to);
         }
     }
 
@@ -341,10 +416,14 @@ impl IdTable {
         self.len = 0;
     }
 
-    /// Double the table (sixteen slots at first) and place every id again
-    /// by the hash its slot keeps.
+    /// Double the table (sixteen slots at first, then at once enough for
+    /// the room it was made with) and place every id again by the hash its
+    /// slot keeps.
     fn grow(&mut self) {
-        let size = (self.slots.len() * 2).max(16);
+        let size = match self.slots.len() {
+            0 => 16,
+            n => (n * 2).max((self.room * 2).next_power_of_two()),
+        };
         let mask = size - 1;
         let old = std::mem::replace(&mut self.slots, vec![EMPTY; size]);
         for entry in old.into_iter().filter(|e| *e != EMPTY) {
@@ -360,6 +439,8 @@ impl IdTable {
 /// First-seen distinct over rows `width` cells wide: each distinct row held
 /// once, flat, in first-seen order, and found again by its cells through an
 /// [`IdTable`] of row positions. So no key is built per row, at any width.
+/// Sized for the rows it will be offered ([`Distinct::with_capacity`]), it
+/// never moves its rows and grows its table at most once.
 #[derive(Debug, Clone)]
 pub struct Distinct<S = FastBuild> {
     rows: IdRows,
@@ -371,6 +452,16 @@ impl Distinct {
     /// No row seen yet.
     pub fn new(width: usize) -> Distinct {
         Distinct::with_hasher(width, FastBuild::default())
+    }
+
+    /// No row seen yet, with room for `rows` distinct rows: their cells
+    /// reserved, and a table that grows at most once past its first sixteen
+    /// slots ([`IdTable::with_capacity`]).
+    pub fn with_capacity(width: usize, rows: usize) -> Distinct {
+        let mut distinct = Distinct::new(width);
+        distinct.rows.cells.reserve_exact(rows * width);
+        distinct.table = IdTable::with_capacity(rows);
+        distinct
     }
 }
 
@@ -514,7 +605,7 @@ impl Acc {
             }
             AggFun::Sum | AggFun::Avg => {
                 self.count += 1;
-                self.sum += reader.number(v).and_then(|x| x.as_double()).unwrap_or(0.0);
+                self.sum += reader.numeric(v).map_or(0.0, Number::as_f64);
                 return;
             }
         };
@@ -582,27 +673,33 @@ impl<S: BuildHasher> Groups<S> {
         let (w, n) = (self.keys.rows.width, self.funs.len());
         let len = if w == 0 { 1 } else { self.keys.len() };
         self.accs.resize(len * n, Acc::default());
-        // Each group's aggregates, resolved; the reader is gone before the
-        // new values are interned.
-        let kept: Vec<(usize, Vec<Value>)> = {
+        // The aggregates of each group passing `having`, resolved into one
+        // vector (no vector per group); the reader is gone before the new
+        // values are interned.
+        let (mut kept, mut out) = (Vec::new(), Vec::with_capacity(len * n));
+        {
             let reader = ConstReader::new();
-            let pass = |g: usize| {
+            for g in 0..len {
+                let from = out.len();
                 let accs = self.accs[g * n..(g + 1) * n].iter().zip(&self.funs);
-                let out: Vec<Value> = accs.map(|(a, f)| a.finish(*f, &reader)).collect();
+                out.extend(accs.map(|(a, f)| a.finish(*f, &reader)));
                 let key = &self.keys.rows.cells[g * w..(g + 1) * w];
                 let cell = |c: usize| match c.checked_sub(w) {
-                    Some(a) => out.get(a),
+                    Some(a) => out[from..].get(a),
                     None => key.get(c).map(|id| reader.get(*id)),
                 };
                 let holds =
                     |(c, op, v): &(usize, CmpOp, Value)| cell(*c).is_some_and(|x| op.eval(x, v));
-                having.iter().all(holds).then_some((g, out))
-            };
-            (0..len).filter_map(pass).collect()
-        };
-        let mut ids = ConstId::intern_all(kept.iter().flat_map(|(_, out)| out)).into_iter();
+                match having.iter().all(holds) {
+                    true => kept.push(g),
+                    false => out.truncate(from),
+                }
+            }
+        }
+        let mut ids = ConstId::intern_all(&out).into_iter();
         let mut rows = IdRows::empty(w + n);
-        for (g, _) in &kept {
+        rows.cells.reserve_exact(kept.len() * (w + n));
+        for g in kept {
             let key = self.keys.rows.cells[g * w..(g + 1) * w].iter().copied();
             rows.push(key.chain(ids.by_ref().take(n)));
         }
@@ -612,25 +709,32 @@ impl<S: BuildHasher> Groups<S> {
 
 /// What a store returns of the rows it selected and projected: the groups
 /// of `group` over the distinct rows, else each row once when `distinct`,
-/// else every row.
+/// else every row. One pass: the distinct and the groups are sized for
+/// every row in hand, and each row seen for the first time folds into its
+/// group at once, so the groups fold the distinct rows in first-seen order.
 pub fn answer(rows: IdRows, distinct: bool, group: Option<&GroupBy>) -> IdRows {
     if !distinct && group.is_none() {
         return rows;
     }
-    let mut seen = Distinct::new(rows.width);
-    for row in rows.rows() {
-        seen.keep(row.iter().copied());
-    }
+    let mut seen = Distinct::with_capacity(rows.width, rows.len);
     let Some(g) = group else {
+        for row in rows.rows() {
+            seen.keep(row.iter().copied());
+        }
         return seen.into_rows();
     };
-    let mut groups = Groups::new(g.keys, g.aggs.iter().map(|(f, _)| *f).collect());
+    // The groups are sized like the distinct: at most one per row.
+    let mut groups = Groups {
+        funs: g.aggs.iter().map(|(f, _)| *f).collect(),
+        keys: Distinct::with_capacity(g.keys, rows.len),
+        accs: Vec::new(),
+    };
     {
         let reader = ConstReader::new();
-        seen.rows().rows().for_each(|row| {
+        for row in rows.rows().filter(|row| seen.keep(row.iter().copied())) {
             let args = g.aggs.iter().map(|(_, c)| row[*c]);
-            groups.add(row[..g.keys].iter().copied(), args, &reader)
-        });
+            groups.add(row[..g.keys].iter().copied(), args, &reader);
+        }
     }
     groups.finish(&g.having)
 }

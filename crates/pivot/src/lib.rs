@@ -49,4 +49,4 @@ pub use multiset::{swap_remove, Bag, Postings, SwapRows, Wanted};
 pub use schema::{RelationDecl, Schema, SchemaError};
 pub use symbol::Symbol;
 pub use term::{Term, Var};
-pub use value::{CmpOp, Value};
+pub use value::{CmpOp, Number, Value};

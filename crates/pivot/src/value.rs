@@ -88,13 +88,18 @@ impl Value {
         }
     }
 
-    /// Returns the value as a float, widening integers.
-    pub fn as_double(&self) -> Option<f64> {
+    /// The number the value is, if it is one.
+    pub fn number(&self) -> Option<Number> {
         match self {
-            Value::Double(d) => Some(*d),
-            Value::Int(i) => Some(*i as f64),
+            Value::Int(i) => Some(Number::Int(*i)),
+            Value::Double(d) => Some(Number::Double(*d)),
             _ => None,
         }
+    }
+
+    /// Returns the value as a float, widening integers.
+    pub fn as_double(&self) -> Option<f64> {
+        self.number().map(Number::as_f64)
     }
 
     /// Returns the value as a string slice if it is a string.
@@ -158,6 +163,41 @@ impl Value {
     }
 }
 
+/// A numeric [`Value`], held apart from the rest: an `Int` or a `Double`.
+/// It orders and widens as its value does, so a caller holding numbers
+/// (the intern table keeps one per interned number) compares and sums them
+/// without a `Value`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Number {
+    /// A `Value::Int`.
+    Int(i64),
+    /// A `Value::Double`.
+    Double(f64),
+}
+
+impl Number {
+    /// The number as a float, an integer widened.
+    pub fn as_f64(self) -> f64 {
+        match self {
+            Number::Int(i) => i as f64,
+            Number::Double(d) => d,
+        }
+    }
+
+    /// The total value order between two numbers: integers as integers,
+    /// doubles by their IEEE-754 total order, and mixed numerics by numeric
+    /// value, falling back to the variant when equal (`Int` first) so that
+    /// `Int(1) != Double(1.0)` as keys.
+    pub fn total_cmp(self, other: Number) -> Ordering {
+        match (self, other) {
+            (Number::Int(a), Number::Int(b)) => a.cmp(&b),
+            (Number::Double(a), Number::Double(b)) => a.total_cmp(&b),
+            (Number::Int(a), Number::Double(b)) => (a as f64).total_cmp(&b).then(Ordering::Less),
+            (Number::Double(a), Number::Int(b)) => a.total_cmp(&(b as f64)).then(Ordering::Greater),
+        }
+    }
+}
+
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
@@ -175,19 +215,12 @@ impl PartialOrd for Value {
 impl Ord for Value {
     fn cmp(&self, other: &Self) -> Ordering {
         use Value::*;
+        if let (Some(a), Some(b)) = (self.number(), other.number()) {
+            return a.total_cmp(b);
+        }
         match (self, other) {
             (Null, Null) => Ordering::Equal,
             (Bool(a), Bool(b)) => a.cmp(b),
-            (Int(a), Int(b)) => a.cmp(b),
-            (Double(a), Double(b)) => a.total_cmp(b),
-            // Mixed numerics compare by numeric value, falling back to the
-            // variant rank when equal so that Int(1) != Double(1.0) as keys.
-            (Int(a), Double(b)) => (*a as f64)
-                .total_cmp(b)
-                .then(self.rank().cmp(&other.rank())),
-            (Double(a), Int(b)) => a
-                .total_cmp(&(*b as f64))
-                .then(self.rank().cmp(&other.rank())),
             (Str(a), Str(b)) => a.cmp(b),
             (Id(a), Id(b)) => a.cmp(b),
             (Array(a), Array(b)) => a.cmp(b),
@@ -326,13 +359,19 @@ impl CmpOp {
     /// Evaluate the comparison on two values (total value order: mixed
     /// numerics compare by value, then `Double` ranks above `Int`).
     pub fn eval(&self, l: &Value, r: &Value) -> bool {
+        self.holds(l.cmp(r))
+    }
+
+    /// Whether two values whose order is `order` (the left one's to the
+    /// right one's) satisfy the comparison.
+    pub fn holds(&self, order: Ordering) -> bool {
         match self {
-            CmpOp::Eq => l == r,
-            CmpOp::Ne => l != r,
-            CmpOp::Lt => l < r,
-            CmpOp::Le => l <= r,
-            CmpOp::Gt => l > r,
-            CmpOp::Ge => l >= r,
+            CmpOp::Eq => order.is_eq(),
+            CmpOp::Ne => order.is_ne(),
+            CmpOp::Lt => order.is_lt(),
+            CmpOp::Le => order.is_le(),
+            CmpOp::Gt => order.is_gt(),
+            CmpOp::Ge => order.is_ge(),
         }
     }
 }

@@ -1,10 +1,12 @@
 //! Execution of conjunctive select-project-join queries: each table's
-//! constant predicates first (through an index when one seeds them), then
+//! constant predicates first (through an index when one seeds them; a
+//! table without one is walked as it is, no list of its rows made), then
 //! the shared select-project-join ([`estocada_pivot::spj`]) over the rows
 //! they leave — equated columns share a slot, and the other column
 //! comparisons filter its matches — followed, when the query asks for it,
 //! by `DISTINCT` and the `GROUP BY`/aggregate/`HAVING` tail over the
-//! projected rows ([`kernel::answer`]), all over interned cells.
+//! projected rows ([`kernel::answer`]: one pass that keeps each distinct
+//! row and folds it into its group), all over interned cells.
 
 use crate::query::{CmpOp, ColRef, Pred, SqlQuery};
 use crate::table::Table;
@@ -104,8 +106,8 @@ fn select_project_join(
     if base.is_empty() {
         return IdRows::empty(width);
     }
-    // Per table, its rows after its constant predicates.
-    let selected: Vec<Vec<u32>> = (base.iter().enumerate())
+    // Per table, its rows after its constant predicates (`None`: every row).
+    let selected: Vec<Option<Vec<u32>>> = (base.iter().enumerate())
         .map(|(ti, t)| {
             let consts = query.predicates.iter().filter_map(|p| match p {
                 Pred::ColConst(c, op, v) if c.table == ti => Some((c.column, *op, v)),
@@ -154,7 +156,7 @@ fn select_project_join(
     let scan = |t: usize| Scan {
         table: Some(base[t]),
         cells: &cells[first[t]..first[t + 1]],
-        within: Some(&selected[t]),
+        within: selected[t].as_deref(),
     };
     let scans: Vec<Scan<Table>> = (0..base.len()).map(scan).collect();
     let order = spj::order(&scans, None, vec![false; cells.len()]);
@@ -172,24 +174,28 @@ fn select_project_join(
 /// The positions of the rows of `t` matching the conjunction of constant
 /// predicates `(column, op, constant)`, ascending, seeded by the first one
 /// an index answers ([`Table::lookup`]); a table no index seeds is scanned.
+/// `None` when there is no predicate: the join walks every row as it is.
 fn select_rows(
     t: &Table,
     consts: Vec<(usize, CmpOp, &Value)>,
     reader: &ConstReader,
     scanned: &mut u64,
-) -> Vec<u32> {
+) -> Option<Vec<u32>> {
     let seed = consts
         .iter()
         .find_map(|(c, op, v)| t.lookup(*c, *op, v, reader));
-    let candidates = seed.unwrap_or_else(|| {
+    if seed.is_none() {
         *scanned += t.len() as u64;
-        (0..t.len() as u32).collect()
-    });
+        if consts.is_empty() {
+            return None;
+        }
+    }
     let test = RowFilter::new(consts, reader);
-    candidates
-        .into_iter()
-        .filter(|r| test.pass(&t.rows[*r as usize]))
-        .collect()
+    let pass = |r: &u32| test.pass(&t.rows[*r as usize]);
+    Some(match seed {
+        Some(seeded) => seeded.into_iter().filter(pass).collect(),
+        None => (0..t.len() as u32).filter(pass).collect(),
+    })
 }
 
 #[cfg(test)]
