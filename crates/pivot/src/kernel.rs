@@ -8,8 +8,8 @@
 //!
 //! Equal cells are equal [`ConstId`]s, so keys hash and compare integers,
 //! and the hot loops touch only ids and flat arrays: a join table lists its
-//! build rows in one vector, a distinct is sized once from the rows in hand
-//! and each new row folds into its group as it is kept, and two numbers
+//! build rows in one vector, a store's distinct makes room from the rows it
+//! holds and each new row folds into its group as it is kept, and two numbers
 //! compare and sum as the [`Number`]s a dense array beside the intern table
 //! holds ([`ConstReader::numeric`]). A [`ConstReader`] resolves a value only
 //! where an order over non-numbers is needed.
@@ -216,9 +216,13 @@ pub struct JoinTable {
 }
 
 /// The most groups a [`JoinTable`] build makes room for before it sees its
-/// keys: a build side of many rows over few keys (a fill's) would otherwise
-/// hold a map of a slot per row, and past this the map's doublings are few
-/// beside the rows.
+/// keys. Sized for every row, a build side of many rows over few keys holds
+/// a map slot per row: F7's fill build (17 576 rows over 4 958 keys) held
+/// 1.15 MiB more at its peak that way, where with this cap it peaks no
+/// higher than a table of a vector per key did. The cap is set from that
+/// one measurement; a map sized for it takes about 400 KiB (8 192 buckets
+/// of a 48-byte entry and a control byte), and a build of more keys
+/// doubles the map from there.
 const JOIN_PRESIZED: usize = 4096;
 
 impl JoinTable {
@@ -292,9 +296,6 @@ pub struct IdTable {
     /// of two long (or empty), at most half full.
     slots: Vec<u64>,
     len: usize,
-    /// The ids the table makes room for at once when it outgrows its first
-    /// sixteen slots ([`IdTable::with_capacity`]).
-    room: usize,
 }
 
 /// Where a probe for content the table does not hold ended: the vacant
@@ -304,18 +305,6 @@ pub struct IdTable {
 pub struct Vacant(usize);
 
 impl IdTable {
-    /// No id yet, with room for `capacity` ids: the table starts at sixteen
-    /// slots, as every table does, and when it first outgrows them it grows
-    /// to hold `capacity` ids at once. So a few ids cost a small table, and
-    /// many grow it once, however many there are.
-    pub fn with_capacity(capacity: usize) -> IdTable {
-        let room = capacity;
-        IdTable {
-            room,
-            ..IdTable::default()
-        }
-    }
-
     /// The held id whose content `is` confirms, among those of `hash`.
     pub fn find(&self, hash: u32, is: impl FnMut(u32) -> bool) -> Option<u32> {
         if self.slots.is_empty() {
@@ -330,10 +319,28 @@ impl IdTable {
     /// until [`IdTable::occupy`] fills it; nothing else may change the
     /// table in between.
     pub fn entry(&mut self, hash: u32, is: impl FnMut(u32) -> bool) -> Result<u32, Vacant> {
-        if (self.len + 1) * 2 > self.slots.len() {
-            self.grow();
+        if self.full() {
+            self.resize((self.slots.len() * 2).max(16));
         }
         self.probe(hash | TAKEN, is)
+    }
+
+    /// Whether one more id would fill the table over half.
+    fn full(&self) -> bool {
+        self.len + 1 > self.capacity()
+    }
+
+    /// The ids the table holds before it grows.
+    fn capacity(&self) -> usize {
+        self.slots.len() / 2
+    }
+
+    /// Make room for `ids` ids in all: holding that many grows the table no
+    /// more.
+    fn reserve(&mut self, ids: usize) {
+        if ids * 2 > self.slots.len() {
+            self.resize((ids * 2).next_power_of_two().max(16));
+        }
     }
 
     /// Hold `id`, whose content hashes to `hash`, in the slot `vacant`.
@@ -416,14 +423,9 @@ impl IdTable {
         self.len = 0;
     }
 
-    /// Double the table (sixteen slots at first, then at once enough for
-    /// the room it was made with) and place every id again by the hash its
-    /// slot keeps.
-    fn grow(&mut self) {
-        let size = match self.slots.len() {
-            0 => 16,
-            n => (n * 2).max((self.room * 2).next_power_of_two()),
-        };
+    /// Make the table `size` slots long (a power of two) and place every id
+    /// again by the hash its slot keeps.
+    fn resize(&mut self, size: usize) {
         let mask = size - 1;
         let old = std::mem::replace(&mut self.slots, vec![EMPTY; size]);
         for entry in old.into_iter().filter(|e| *e != EMPTY) {
@@ -439,8 +441,8 @@ impl IdTable {
 /// First-seen distinct over rows `width` cells wide: each distinct row held
 /// once, flat, in first-seen order, and found again by its cells through an
 /// [`IdTable`] of row positions. So no key is built per row, at any width.
-/// Sized for the rows it will be offered ([`Distinct::with_capacity`]), it
-/// never moves its rows and grows its table at most once.
+/// Its table doubles as rows are kept, except in [`answer`], which makes
+/// room ahead from the rows held.
 #[derive(Debug, Clone)]
 pub struct Distinct<S = FastBuild> {
     rows: IdRows,
@@ -453,16 +455,6 @@ impl Distinct {
     pub fn new(width: usize) -> Distinct {
         Distinct::with_hasher(width, FastBuild::default())
     }
-
-    /// No row seen yet, with room for `rows` distinct rows: their cells
-    /// reserved, and a table that grows at most once past its first sixteen
-    /// slots ([`IdTable::with_capacity`]).
-    pub fn with_capacity(width: usize, rows: usize) -> Distinct {
-        let mut distinct = Distinct::new(width);
-        distinct.rows.cells.reserve_exact(rows * width);
-        distinct.table = IdTable::with_capacity(rows);
-        distinct
-    }
 }
 
 impl<S: BuildHasher> Distinct<S> {
@@ -473,6 +465,28 @@ impl<S: BuildHasher> Distinct<S> {
             rows,
             table,
             hasher,
+        }
+    }
+
+    /// If the next new row would grow the table, make room at once — in the
+    /// table and for the cells — for eight times the rows held, but for no
+    /// more than `most` in all. Called before each row of a pass over many
+    /// distinct rows, this grows the table a few times, where doubling
+    /// would place every row held again once per doubling; with few
+    /// distinct rows, the table stays small.
+    fn make_room(&mut self, most: usize) {
+        if self.table.full() {
+            let (held, most) = (self.rows.len, most.max(self.rows.len + 1));
+            let want = if held * 16 >= most {
+                most
+            } else {
+                (held * 8).max(1)
+            };
+            self.table.reserve(want);
+            let room = self.table.capacity().min(most);
+            self.rows
+                .cells
+                .reserve_exact((room - held) * self.rows.width);
         }
     }
 
@@ -649,6 +663,11 @@ impl<S: BuildHasher> Groups<S> {
         Groups { funs, keys, accs }
     }
 
+    /// [`Distinct::make_room`] for the groups' keys.
+    fn make_room(&mut self, most: usize) {
+        self.keys.make_room(most);
+    }
+
     /// Fold one row in: its `key` cells and one argument per aggregate.
     pub fn add(
         &mut self,
@@ -709,31 +728,32 @@ impl<S: BuildHasher> Groups<S> {
 
 /// What a store returns of the rows it selected and projected: the groups
 /// of `group` over the distinct rows, else each row once when `distinct`,
-/// else every row. One pass: the distinct and the groups are sized for
-/// every row in hand, and each row seen for the first time folds into its
-/// group at once, so the groups fold the distinct rows in first-seen order.
+/// else every row. One pass: each row seen for the first time folds into
+/// its group at once, so the groups fold the distinct rows in first-seen
+/// order. The distinct and the groups make room ahead as they fill
+/// (`Distinct::make_room`), never for more than the rows in hand.
 pub fn answer(rows: IdRows, distinct: bool, group: Option<&GroupBy>) -> IdRows {
     if !distinct && group.is_none() {
         return rows;
     }
-    let mut seen = Distinct::with_capacity(rows.width, rows.len);
+    let (mut seen, most) = (Distinct::new(rows.width), rows.len);
     let Some(g) = group else {
         for row in rows.rows() {
+            seen.make_room(most);
             seen.keep(row.iter().copied());
         }
         return seen.into_rows();
     };
-    // The groups are sized like the distinct: at most one per row.
-    let mut groups = Groups {
-        funs: g.aggs.iter().map(|(f, _)| *f).collect(),
-        keys: Distinct::with_capacity(g.keys, rows.len),
-        accs: Vec::new(),
-    };
+    let mut groups = Groups::new(g.keys, g.aggs.iter().map(|(f, _)| *f).collect());
     {
         let reader = ConstReader::new();
-        for row in rows.rows().filter(|row| seen.keep(row.iter().copied())) {
-            let args = g.aggs.iter().map(|(_, c)| row[*c]);
-            groups.add(row[..g.keys].iter().copied(), args, &reader);
+        for row in rows.rows() {
+            seen.make_room(most);
+            if seen.keep(row.iter().copied()) {
+                groups.make_room(most);
+                let args = g.aggs.iter().map(|(_, c)| row[*c]);
+                groups.add(row[..g.keys].iter().copied(), args, &reader);
+            }
         }
     }
     groups.finish(&g.having)
@@ -916,6 +936,34 @@ mod tests {
         distinct.swap_remove(into);
         model.swap_remove(into);
         check(&distinct, &model);
+    }
+
+    /// A pass of 20 000 rows that makes room before each row sizes its
+    /// table from the rows it holds, never from the rows it is offered: at
+    /// 9, 64 or 1 000 distinct rows the table holds fewer than 32 ids per
+    /// row kept, and when every row is distinct it makes five tables (16,
+    /// 128, 1 024, 8 192 and 65 536 slots), where doubling makes thirteen.
+    #[test]
+    fn making_room_follows_the_rows_held() {
+        for distinct in [9, 64, 1_000, 20_000] {
+            let mut seen = Distinct::new(2);
+            let mut sizes = vec![];
+            for i in 0..20_000i64 {
+                seen.make_room(20_000);
+                seen.keep([ConstId::of(i % distinct), ConstId::of("room")]);
+                if sizes.last() != Some(&seen.table.slots.len()) {
+                    sizes.push(seen.table.slots.len());
+                }
+            }
+            assert_eq!(seen.len(), distinct as usize);
+            assert!(
+                seen.table.capacity() < 32 * seen.len(),
+                "{distinct}: {sizes:?}"
+            );
+            if distinct == 20_000 {
+                assert_eq!(sizes, [16, 128, 1_024, 8_192, 65_536]);
+            }
+        }
     }
 
     #[test]
