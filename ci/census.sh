@@ -202,13 +202,13 @@ for f in $(rust_files crates/*/src); do
 done
 printf '%-28s %8d\n' 'open-addressing tables' "$open_tables"
 # Library calls of a store's DDL (`create_table`, `drop_table`,
-# `create_dataset`, `create_index`, `build_index`, `build_key_index`) in the
-# mediator outside `layout.rs`: the placement layouts are the one place that
-# creates, indexes and drops containers — at a fill, at a drop, and when a
-# query's paid scan asks for an index.
+# `create_dataset`, `create_index`, `build_index`, `build_key_index`,
+# `key_dataset`) in the mediator outside `layout.rs`: the placement layouts
+# are the one place that creates, indexes, keys and drops containers — at a
+# fill, at a drop, and when a query's paid scan asks for an index or a key.
 store_ddl=0
 for f in $(rust_files crates/core/src | grep -v '^crates/core/src/layout\.rs$'); do
-    n=$(library_part "$f" | grep -cE '\b(create_table|drop_table|create_dataset|create_index|build_index|build_key_index)\(' || true)
+    n=$(library_part "$f" | grep -cE '\b(create_table|drop_table|create_dataset|create_index|build_index|build_key_index|key_dataset)\(' || true)
     store_ddl=$((store_ddl + n))
 done
 printf '%-28s %8d\n' 'store DDL outside layout' "$store_ddl"

@@ -147,12 +147,14 @@ impl FragmentSpec {
 
 /// Physical placement of one fragment relation inside its store — the
 /// *where* part of the storage descriptor. The `indexed` positions of a
-/// table, collection or dataset are the indexes its first fill builds. For
-/// a collection or a dataset they are all it has, and the connector
-/// decides from them whether a request probes an index or scans
-/// ([`crate::cost::Access`]); a relational table also gains the columns
-/// queries' paid scans ask for (`layout::index`), so the
-/// connector asks its store which columns are indexed.
+/// table, collection or dataset are the indexes (a dataset: the key) its
+/// first fill builds. For a collection they are all it has, and the
+/// connector decides from them whether a request probes an index or scans
+/// ([`crate::cost::Access`]). A relational table also gains the columns
+/// queries' paid scans ask for, and a dataset filled unkeyed is keyed on
+/// the first column such a scan compared with an `=` constant
+/// (`layout::index`), so for both the connector asks the store which
+/// columns are indexed or keyed, not the placement.
 #[derive(Debug, Clone)]
 pub enum WhereSpec {
     /// A relational table.
@@ -194,7 +196,7 @@ pub enum WhereSpec {
         dataset: String,
         /// Column names in head order.
         columns: Vec<String>,
-        /// Head positions of the key index's columns.
+        /// Head positions of the key columns the first fill keys it on.
         indexed: Vec<usize>,
     },
     /// A text index.

@@ -20,11 +20,13 @@
 //! No builder prices its own scan: each returns, beside its request, one
 //! [`Access`] per container the request reads, classified as the store
 //! will serve the request — a relational table from the indexes the store
-//! holds, any other container from the placement's `indexed` list — and
+//! holds, a parallel dataset from the key its store holds, any other
+//! container from the placement's `indexed` list — and
 //! [`crate::cost::estimate`] prices them. A SQL unit also notes each table
-//! it scans in full for an `=` constant ([`EqScan`]): once a query whose
-//! plan ran it has its answer, the mediator indexes that column
-//! (`layout::index`), and the next translation probes it.
+//! it scans in full for an `=` constant, and a parallel scan unit an
+//! unkeyed dataset it so scans ([`EqScan`]): once a query whose plan ran it
+//! has its answer, the mediator indexes that table column or keys that
+//! dataset on it (`layout::index`), and the next translation probes it.
 
 use crate::catalog::{DocRole, FragmentRelation, FragmentStats, WhereSpec};
 use crate::cost::Access;
@@ -193,15 +195,18 @@ fn group_estimate(core: f64, key_distinct: impl Iterator<Item = u64>) -> f64 {
     core.min(key_distinct.map(|d| d.max(1) as f64).product())
 }
 
-/// A relational table a request scans in full to find the rows holding an
-/// `=` constant in `column` (a position): no index on a column it
+/// A relational table or an unkeyed parallel dataset a request scans in
+/// full to find the rows holding an `=` constant in `column` (a position,
+/// that of its atom's first constant): no index or key on a column it
 /// constrains, so [`Access::FullScan`]. Once a query whose plan made the
-/// request has its answer, the mediator indexes the column
-/// (`layout::index`) and the next translation probes it.
+/// request has its answer, the mediator indexes the table's column or keys
+/// the dataset on it (`layout::index`), and the next translation probes it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EqScan {
-    /// The table.
-    pub table: String,
+    /// The store holding the container: relational or parallel.
+    pub system: SystemId,
+    /// The table or dataset.
+    pub container: String,
     /// The compared column's position.
     pub column: usize,
 }
@@ -222,8 +227,9 @@ pub struct Unit {
     /// How its request reaches each container it reads, with that
     /// container's statistics: what [`crate::cost::estimate`] prices.
     pub accesses: Vec<(Access, FragmentStats)>,
-    /// The relational columns its request scans a whole table to compare
-    /// with an `=` constant (empty for every other store).
+    /// The relational columns, or the column of an unkeyed parallel
+    /// dataset, its request scans a whole container to compare with an `=`
+    /// constant (empty for every other store).
     pub eq_scans: Vec<EqScan>,
     /// The store the unit runs on.
     pub system: SystemId,
@@ -441,8 +447,12 @@ pub fn sql_unit(
         .filter(|(_, (_, (access, _)))| *access == Access::FullScan)
         .filter_map(|(t, ((atom, _, _), _))| {
             let column = atom.args.iter().position(|a| matches!(a, Term::Const(_)))?;
-            let table = q.tables[t].clone();
-            Some(EqScan { table, column })
+            let (system, container) = (SystemId::Relational, q.tables[t].clone());
+            Some(EqScan {
+                system,
+                container,
+                column,
+            })
         })
         .collect();
     let (out_vars, tail) = ship.of(&vars, residuals, true);
@@ -847,13 +857,11 @@ pub fn par_unit(
     }
 }
 
-fn par_place(rel: &FragmentRelation) -> Result<(String, &[String], &[usize])> {
+fn par_place(rel: &FragmentRelation) -> Result<(String, &[String])> {
     match &rel.place {
         WhereSpec::ParDataset {
-            dataset,
-            columns,
-            indexed,
-        } => Ok((dataset.clone(), columns, indexed)),
+            dataset, columns, ..
+        } => Ok((dataset.clone(), columns)),
         _ => Err(misplaced("par", rel)),
     }
 }
@@ -958,7 +966,7 @@ fn par_scan_unit(
     ship: &Ship,
 ) -> Result<Unit> {
     use estocada_parstore::ColPred;
-    let (dataset, _columns, indexed) = par_place(rel)?;
+    let (dataset, _) = par_place(rel)?;
     let mut preds = Vec::new();
     let mut est = stats.rows.max(1) as f64;
     let mut const_cols = Vec::new();
@@ -989,13 +997,24 @@ fn par_scan_unit(
             est *= 0.33;
         }
     }
-    // A lookup through the key index when a constant binds each of its
-    // columns, a scan otherwise: what the request is and what it costs.
-    let access = match indexed.first() {
-        Some(&column) if indexed.iter().all(|c| const_cols.contains(c)) => {
+    // A lookup through the dataset's key, as its store holds it now, when
+    // a constant binds each of its columns, a scan otherwise: what the
+    // request is and what it costs. An unkeyed dataset scanned for an `=`
+    // constant is keyed on the first once the query has its answer.
+    let key = stores.par.key_columns(&dataset);
+    let access = match key.first() {
+        Some(&column) if key.iter().all(|c| const_cols.contains(c)) => {
             Access::IndexProbe { column }
         }
         _ => Access::FullScan,
+    };
+    let eq_scans = match const_cols.first() {
+        Some(&column) if key.is_empty() => vec![EqScan {
+            system: SystemId::Parallel,
+            container: dataset.clone(),
+            column,
+        }],
+        _ => Vec::new(),
     };
     // Constants are enforced by `preds`; a variable repeated within the
     // atom is not.
@@ -1008,7 +1027,7 @@ fn par_scan_unit(
     };
     let par = stores.par.clone();
     let gate = stores.gate(SystemId::Parallel);
-    let key: Vec<Value> = indexed
+    let key: Vec<Value> = key
         .iter()
         .filter_map(|c| atom.args.get(*c).and_then(|t| t.as_const().cloned()))
         .collect();
@@ -1035,7 +1054,7 @@ fn par_scan_unit(
         kind: UnitKind::Run(Arc::new(runner)),
         est_rows: est,
         accesses: vec![(access, stats.clone())],
-        eq_scans: Vec::new(),
+        eq_scans,
         system: SystemId::Parallel,
         answers,
     })
@@ -1048,8 +1067,8 @@ fn par_join_unit(
     stores: &Stores,
     ship: &Ship,
 ) -> Result<Unit> {
-    let (lds, lcols, _) = par_place(lrel)?;
-    let (rds, rcols, _) = par_place(rrel)?;
+    let (lds, lcols) = par_place(lrel)?;
+    let (rds, rcols) = par_place(rrel)?;
     // Join keys: the columns of each variable the two atoms share.
     let shared = |(li, t): (usize, &Term)| {
         let ri =

@@ -10,10 +10,10 @@ use crate::system::{Latencies, SystemId};
 
 /// How a delegated request reaches one container it reads, decided from
 /// the indexes the container has when the request is translated: for a
-/// relational table, those its store holds — the fill's and those built on
-/// demand after a query paid a full scan for an `=` constant
-/// (`layout::index`); for a collection or a parallel dataset, the
-/// placement's `indexed` list, which its first fill built.
+/// relational table or a parallel dataset, those its store holds — the
+/// fill's and those built on demand after a query paid a full scan for an
+/// `=` constant (`layout::index`: a table's index, a dataset's key); for a
+/// collection, the placement's `indexed` list, which its first fill built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Access {
     /// A key-value get (or pipelined mget), or a text term lookup.

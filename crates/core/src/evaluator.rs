@@ -353,11 +353,11 @@ impl Estocada {
         self.health.reset();
     }
 
-    /// One snapshot of engine state: both epochs, the plan and lint cache
-    /// counters, every backend's breaker, store counters and gated
-    /// requests, and every fragment's catalog entry. Borrowed from the
-    /// engine, it allocates nothing; its `Display` is the text exposition
-    /// (see [`crate::metrics`]).
+    /// One snapshot of engine state: both epochs, the index generation,
+    /// the plan and lint cache counters, every backend's breaker, store
+    /// counters and gated requests, and every fragment's catalog entry.
+    /// Borrowed from the engine, it allocates nothing; its `Display` is the
+    /// text exposition (see [`crate::metrics`]).
     pub fn metrics(&self) -> Metrics<'_> {
         let (health, stores) = (self.health.snapshot(), self.stores.metrics());
         Metrics {
@@ -365,6 +365,7 @@ impl Estocada {
             data_epoch: self.data_epoch,
             plan_cache: self.plan_cache.stats(),
             plans_repriced: self.plan_cache.repriced.load(Ordering::Relaxed),
+            index_generation: self.stores.index_generation(),
             lint_cache: self.lint_cache.stats(),
             backends: SystemId::ALL.map(|system| BackendMetrics {
                 system,

@@ -7,7 +7,7 @@
 //! | placement | stored form of the relation's rows | indexes |
 //! |---|---|---|
 //! | `Table` | the row as is; physical duplicates are kept | the placement's `indexed` columns at the fill, then each column a query's paid full scan compared with an `=` constant ([`index`]) |
-//! | `ParDataset` | the row as is; physical duplicates are kept; keyed on the `indexed` columns at creation, each key's rows one block in one partition (unkeyed: dealt round-robin) | none beside the blocks: a lookup reads its key's block, and a delta touches only the blocks of the keys it names |
+//! | `ParDataset` | the row as is; physical duplicates are kept; keyed on the `indexed` columns at creation, each key's rows one block in one partition (unkeyed: dealt round-robin, until a query's paid full scan compares a column with an `=` constant and keys it there, [`index`]) | none beside the blocks: a lookup reads its key's block, and a delta touches only the blocks of the keys it names |
 //! | `Namespace` | per key (head column 0) its value tuples (columns 1..) as interned cells, **sorted** in value order by the store, so an entry is a canonical function of the key's row set | the key |
 //! | `Collection` | one flat object per row, keyed by column name | a path index per `indexed` column, at the fill |
 //! | `TextIndex` | `(key, text columns joined by a space)` per row of the indexed table | the terms |
@@ -190,20 +190,38 @@ pub(crate) fn fill(
 }
 
 /// Index on demand the column a delegated request of a completed query
-/// scanned a whole table for ([`EqScan`]), unless the store indexed it
-/// meanwhile. This is ski rental: a build costs about one scan, and one
-/// scan was paid, so building after it pays at most twice what the best
-/// choice in hindsight would. The store charges the build as one request
-/// scanning the table, and the request passes the relational fault gate as
-/// `index`; a build the gate refuses, or on a table dropped since, is left
-/// to the next scan — the answer it would have sped up is complete.
+/// scanned a whole container for ([`EqScan`]): a relational table gains an
+/// index on it, unless the store indexed it meanwhile, and an unkeyed
+/// parallel dataset is keyed on it — rebuilt into one block per key, as a
+/// fill keyed on the column would build it — unless the store keyed it
+/// meanwhile (a dataset's key is never replaced). This is ski rental: a
+/// build costs about one scan, and one scan was paid, so building after it
+/// pays at most twice what the best choice in hindsight would. The store
+/// charges the build as one request scanning the container, and the
+/// request passes the store's fault gate as `index`; a build the gate
+/// refuses, or on a container dropped since, is left to the next scan —
+/// the answer it would have sped up is complete.
 pub(crate) fn index(stores: &Stores, scan: &EqScan) {
-    let EqScan { table, column } = scan;
-    if stores.rel.indexed(table).contains(column) {
+    let EqScan {
+        system,
+        container,
+        column,
+    } = scan;
+    let built = match system {
+        SystemId::Relational => stores.rel.indexed(container).contains(column),
+        SystemId::Parallel => !stores.par.key_columns(container).is_empty(),
+        _ => true,
+    };
+    if built || stores.gate(*system).check("index").is_err() {
         return;
     }
-    if stores.gate(SystemId::Relational).check("index").is_ok() {
-        let _ = stores.rel.build_index(table, *column);
+    match system {
+        SystemId::Relational => {
+            let _ = stores.rel.build_index(container, *column);
+        }
+        _ => {
+            let _ = stores.par.key_dataset(container, *column);
+        }
     }
 }
 

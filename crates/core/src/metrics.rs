@@ -1,8 +1,9 @@
 //! One snapshot of engine state ([`crate::Estocada::metrics`]): what the
 //! mediator's storage descriptor manager knows right now — both epochs, the
-//! two epoch caches, every backend's breaker, store counters and fault-gate
-//! count, and every fragment's catalog entry with its statistics, high-water
-//! mark and use count.
+//! index generation prepared plans are priced at, the two epoch caches,
+//! every backend's breaker, store counters and fault-gate count, and every
+//! fragment's catalog entry with its statistics, high-water mark and use
+//! count.
 //!
 //! A snapshot is read from what the engine already keeps: relaxed atomic
 //! loads into fixed arrays and a borrow of the catalog, so taking one
@@ -18,6 +19,7 @@
 //! estocada_catalog_epoch 4
 //! estocada_plan_cache_hits_total 12
 //! estocada_plans_repriced_total 3
+//! estocada_index_generation 9
 //! estocada_breaker_state{system="key-value",state="open"} 1
 //! estocada_store_requests_total{system="key-value"} 31
 //! estocada_fragment_high_water{fragment="F2"} 3
@@ -46,10 +48,16 @@ pub struct Metrics<'e> {
     /// Rewrite-plan cache counters and size.
     pub plan_cache: PlanCacheStats,
     /// Prepared plans priced again because a write moved a relation they
-    /// priced past the drift bound, or an index build moved the relational
-    /// index generation; a read that keeps its plan across a write adds
-    /// nothing.
+    /// priced past the drift bound, or an index build or a keying moved
+    /// the [`Metrics::index_generation`]; a read that keeps its plan across
+    /// a write adds nothing.
     pub plans_repriced: u64,
+    /// The index generation a prepared plan must have been priced at to be
+    /// served ([`crate::Stores::index_generation`]): it moves with every
+    /// relational index built and every parallel dataset keyed — on demand
+    /// after a query paid a full scan, or at a fill — and with every table
+    /// or dataset created or dropped.
+    pub index_generation: u64,
     /// Lint-cache counters and size. The lint cache keys on the catalog
     /// epoch alone, so writes never force lint recomputation.
     pub lint_cache: PlanCacheStats,
@@ -90,6 +98,7 @@ impl fmt::Display for Metrics<'_> {
             writeln!(f, "estocada_{cache}_cache_entries {}", s.entries)?;
         }
         writeln!(f, "estocada_plans_repriced_total {}", self.plans_repriced)?;
+        writeln!(f, "estocada_index_generation {}", self.index_generation)?;
         for b in &self.backends {
             let (h, s) = (&b.health, &b.store);
             let sys = format_args!("system=\"{}\"", b.system);

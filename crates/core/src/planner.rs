@@ -68,11 +68,12 @@
 //!   rows, because an emptied namespace or text index is dropped
 //!   ([`crate::layout`]), and a plan kept while its fragment emptied would
 //!   answer the missing container with an error instead of no rows.
-//!   Translation also reads which relational columns are
-//!   indexed, which a query's paid scan can change
-//!   ([`crate::layout::index`]), so a plan holds for one index generation
-//!   of the relational store and is priced again the same way after a
-//!   build. Nothing else it read (the SQL catalog included) can change
+//!   Translation also reads which relational columns are indexed and
+//!   which parallel datasets are keyed, which a query's paid scan can
+//!   change ([`crate::layout::index`]), so a plan holds for one index
+//!   generation of the two stores ([`crate::Stores::index_generation`])
+//!   and is priced again the same way after a build or a keying. Nothing
+//!   else it read (the SQL catalog included) can change
 //!   within a catalog epoch; breaker state is read when ranking and a
 //!   fault plan when running, so neither is part of any key. A kept plan
 //!   reports the costs it was priced at ([`crate::Report::alternatives`]).
@@ -201,7 +202,7 @@ pub(crate) struct Prepared {
     pub(crate) outcome: Arc<RewriteOutcome>,
     /// The last data epoch at which this plan's prices were found to hold
     /// (the one it was priced at, at first), and the generation of the
-    /// relational indexes it priced probes from.
+    /// relational indexes and parallel keys it priced probes from.
     held_at: AtomicU64,
     index_generation: u64,
     /// The row count, as priced, of every fragment relation that a
@@ -266,7 +267,7 @@ pub(crate) struct Planned {
 pub(crate) fn plan(est: &Estocada, request: &QueryInput, cache: bool) -> Result<Planned> {
     let t0 = Instant::now();
     let (epoch, data_epoch) = (est.epoch, est.data_epoch);
-    let index_generation = est.stores.rel.index_generation();
+    let index_generation = est.stores.index_generation();
     let current = |p: &&Arc<Prepared>| p.holds(est.catalog(), data_epoch, index_generation);
     let plans = &est.plan_cache;
     let activity = |hit| cache.then_some(PlanCacheActivity { hit });

@@ -211,6 +211,16 @@ impl Stores {
         }
     }
 
+    /// The generation of the indexes translation reads: the relational
+    /// store's indexes and the parallel store's keys. It moves whenever
+    /// either store's does ([`RelStore::index_generation`],
+    /// [`ParStore::index_generation`]), so a plan priced at one generation
+    /// is priced again after any index build, keying, or container created
+    /// or dropped in those stores.
+    pub fn index_generation(&self) -> u64 {
+        self.rel.index_generation() + self.par.index_generation()
+    }
+
     /// Snapshot every store's metrics, one entry per backend.
     pub fn metrics(&self) -> [(SystemId, MetricsSnapshot); 5] {
         [

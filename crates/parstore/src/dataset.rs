@@ -2,7 +2,7 @@
 //! and grouped by key.
 
 use crate::ParError;
-use estocada_pivot::hash::{FastBuild, FastMap, FastSet};
+use estocada_pivot::hash::{FastBuild, FastMap};
 use estocada_pivot::kernel::{held, pack_key, Key};
 use estocada_pivot::{ConstId, IdRows, SwapRows, Value, Wanted};
 use std::collections::BTreeSet;
@@ -85,6 +85,26 @@ impl Dataset {
         Ok(ds)
     }
 
+    /// This dataset keyed on the columns at `key`, over as many partitions:
+    /// what [`Dataset::from_rows`] builds from its rows in the order a scan
+    /// reads them, block by block. So each key's block holds the rows a
+    /// scan selecting that key returns, in the order it returns them, and
+    /// a lookup of the key answers what the scan answered, in order.
+    pub(crate) fn keyed_on(&self, key: &[usize]) -> Result<Dataset, ParError> {
+        let width = self.columns.len();
+        let mut rows = IdRows::empty(width);
+        rows.cells.reserve(self.len() * width);
+        self.iter_rows()
+            .for_each(|row| rows.push(row.iter().copied()));
+        let mut keyed = Dataset {
+            columns: self.columns.clone(),
+            key: key.to_vec(),
+            partitions: vec![Partition::default(); self.partitions.len()],
+        };
+        keyed.append_ids(&rows)?;
+        Ok(keyed)
+    }
+
     /// Total row count.
     pub(crate) fn len(&self) -> usize {
         self.blocks().map(|block| block.len).sum()
@@ -161,18 +181,23 @@ impl Dataset {
     /// One stored instance per entry of `rows`, found in the blocks of the
     /// entries' keys: equal entries claim distinct instances, entries with
     /// none left claim nothing, and each touched block is read once however
-    /// many entries share its key. Entries of another width than the
-    /// dataset's claim nothing.
+    /// many entries share its key, and only until its own key's entries are
+    /// served. Entries of another width than the dataset's claim nothing.
     pub(crate) fn claim(&self, rows: &IdRows) -> Vec<Claim> {
         if rows.width != self.columns.len() {
             return Vec::new();
         }
-        let mut wanted = Wanted::of(rows.rows());
-        let keys: FastSet<Key> = wanted.rows().map(|row| key_of(&self.key, row)).collect();
+        // The entries sorted by key: each key's entries are one run.
+        let mut entries: Vec<(Key, &Row)> = (rows.rows())
+            .map(|row| (key_of(&self.key, row), row))
+            .collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let mut claims = Vec::new();
-        for key in keys {
-            for part in self.homes(&key) {
-                let Some(block) = self.partitions[part].get(&key) else {
+        for run in entries.chunk_by(|a, b| a.0 == b.0) {
+            let key = &run[0].0;
+            let mut wanted = Wanted::of(run.iter().map(|(_, row)| *row));
+            for part in self.homes(key) {
+                let Some(block) = self.partitions[part].get(key) else {
                     continue;
                 };
                 let found = wanted.claim(0..block.len, |at| block.row(at));
@@ -446,6 +471,35 @@ mod tests {
         assert!(t.plain.blocks().next().is_none());
         t.step(vec![], vec![row(5), row(5), row(6)]);
         assert_eq!(t.keyed.index_lookup(&[Value::Int(2)]).count(), 2);
+    }
+
+    #[test]
+    fn a_batch_across_keys_claims_what_per_key_batches_claim() {
+        let row = |i: i64| vec![Value::Int(i), Value::Int(i % 4)];
+        // Every key's rows twice, in one partition and in three.
+        let seed: Vec<_> = (0..24).chain(0..24).map(row).collect();
+        for (key, parts) in [(&[1][..], 1), (&[1], 3), (&[], 3)] {
+            let d = Dataset::from_rows(&["id", "grp"], key, seed.clone(), parts).unwrap();
+            // Keys 0..3, a row held twice asked for three times, and a row
+            // no block holds.
+            let mut batch = vec![row(5), row(2), row(5), row(5), row(7), row(8)];
+            batch.extend([row(99), row(3), row(2)]);
+            let sorted = |mut claims: Vec<Claim>| {
+                claims.sort();
+                claims
+            };
+            let whole = sorted(d.claim(&held(&batch, 2)));
+            let mut apart = Vec::new();
+            for k in 0..4 {
+                let of_k = batch.iter().filter(|r| r[1] == Value::Int(k)).cloned();
+                apart.extend(d.claim(&held(&of_k.collect::<Vec<_>>(), 2)));
+            }
+            let claimed: usize = whole.iter().map(|(_, _, found)| found.len()).sum();
+            assert_eq!(claimed, 7, "{key:?} over {parts}: two of row 5, none of 99");
+            if !key.is_empty() {
+                assert_eq!(whole, sorted(apart), "{key:?} over {parts}");
+            }
+        }
     }
 
     #[test]

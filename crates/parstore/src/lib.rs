@@ -7,7 +7,13 @@
 //! rows together, one block in one partition ([`Dataset`]): that is the
 //! point-lookup path used by the materialized-join fragment of the paper's
 //! motivating scenario ("indexed by the user ID and product category"),
-//! and a delta touches only the blocks of the keys it names. Partition
+//! and a delta touches only the blocks of the keys it names. An unkeyed
+//! dataset can be keyed later, in place ([`ParStore::key_dataset`]): it is
+//! rebuilt into the layout a fill keyed on that column builds — Spark's
+//! partition pruning, asked for by the scans that paid for its absence. A
+//! dataset keyed after its fill concentrates a later full scan on the
+//! partitions its keys hash to: a column of few distinct values leaves some
+//! partitions with most rows and others with none. Partition
 //! fan-out runs on the shared scoped-thread executor ([`estocada_parexec`]),
 //! which merges worker results in partition order — see [`par_filter`].
 //!
@@ -38,6 +44,7 @@ use estocada_pivot::kernel::{self, RowFilter};
 use estocada_pivot::{CmpOp, ConstReader, IdRows, Value};
 use estocada_simkit::{LatencyModel, RequestTimer, StoreMetrics};
 use parking_lot::RwLock;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Simple per-column predicate of the store's native scan API.
@@ -79,6 +86,9 @@ pub enum ParError {
         /// The row's.
         got: usize,
     },
+    /// A lookup names a dataset that has no key: no block answers it, and
+    /// an empty answer would pass for "no row holds the key".
+    Unkeyed(String),
 }
 
 impl std::fmt::Display for ParError {
@@ -92,6 +102,7 @@ impl std::fmt::Display for ParError {
             ParError::Arity { expected, got } => {
                 write!(f, "a row of {got} columns in a dataset of {expected}")
             }
+            ParError::Unkeyed(d) => write!(f, "lookup on dataset {d}, which has no key"),
         }
     }
 }
@@ -184,6 +195,12 @@ pub struct ParStore {
     /// Operation metrics.
     pub metrics: StoreMetrics,
     latency: LatencyModel,
+    /// Bumped by every change to which keys exist: a dataset keyed, created
+    /// or dropped. The bump (`Release`) follows the change under the
+    /// datasets' write lock, so a reader that loads (`Acquire`) a
+    /// generation and then reads [`ParStore::key_columns`] sees at least
+    /// the keys of that generation.
+    index_generation: AtomicU64,
 }
 
 impl ParStore {
@@ -209,9 +226,9 @@ impl ParStore {
     }
 
     /// Create (or replace) a dataset, keyed on the `key` columns (unkeyed
-    /// when empty: then no lookup finds a row). A key naming no column is
-    /// [`ParError::UnknownColumn`] and a row of another arity than
-    /// `columns` [`ParError::Arity`], and then nothing is created.
+    /// when empty: then a lookup is [`ParError::Unkeyed`]). A key naming no
+    /// column is [`ParError::UnknownColumn`] and a row of another arity
+    /// than `columns` [`ParError::Arity`], and then nothing is created.
     pub fn create_dataset(
         &self,
         name: &str,
@@ -222,8 +239,56 @@ impl ParStore {
     ) -> Result<(), ParError> {
         let key = positions(columns, name, key)?;
         let ds = Dataset::from_rows(columns, &key, rows, num_partitions)?;
-        self.datasets.write().insert(name.to_string(), Arc::new(ds));
+        let mut datasets = self.datasets.write();
+        datasets.insert(name.to_string(), Arc::new(ds));
+        self.index_generation.fetch_add(1, Ordering::Release);
         Ok(())
+    }
+
+    /// Key the unkeyed dataset `name` on column `column` (a position), as a
+    /// request: the dataset is rebuilt into the one a fill keyed on that
+    /// column builds from its rows in scan order, over as many partitions
+    /// — so a lookup of a key answers what a scan selecting it answered, in
+    /// the same order — and building reads every row, charged and metered
+    /// as one request that scans the dataset. A reader holding a handle from
+    /// [`ParStore::dataset`] keeps its snapshot. Returns whether this call
+    /// keyed the dataset; one that finds it keyed (at its creation, or by
+    /// an earlier or a concurrent call) changes and charges nothing — a
+    /// key is never replaced.
+    pub fn key_dataset(&self, name: &str, column: usize) -> Result<bool, ParError> {
+        let scanned = {
+            let mut datasets = self.datasets.write();
+            let ds = datasets.get_mut(name).ok_or_else(|| unknown(name))?;
+            if column >= ds.columns.len() {
+                return Err(ParError::BadColumn);
+            }
+            if !ds.key_columns().is_empty() {
+                return Ok(false);
+            }
+            *ds = Arc::new(ds.keyed_on(&[column])?);
+            self.index_generation.fetch_add(1, Ordering::Release);
+            ds.len()
+        };
+        // Charged (when it drops) once the datasets are unlocked: readers
+        // do not wait out the simulated latency.
+        let mut timer = RequestTimer::start(&self.metrics, self.latency);
+        timer.add_scanned(scanned as u64);
+        Ok(true)
+    }
+
+    /// Positions of the key columns of dataset `name` (none when it is
+    /// unkeyed or the store does not hold it).
+    pub fn key_columns(&self, name: &str) -> Vec<usize> {
+        let datasets = self.datasets.read();
+        let key = datasets.get(name).map(|ds| ds.key_columns().to_vec());
+        key.unwrap_or_default()
+    }
+
+    /// The generation of the store's keys: it moves whenever a dataset is
+    /// keyed, created or dropped, so a plan priced from
+    /// [`ParStore::key_columns`] knows when to price again.
+    pub fn index_generation(&self) -> u64 {
+        self.index_generation.load(Ordering::Acquire)
     }
 
     /// Handle to a dataset.
@@ -291,8 +356,9 @@ impl ParStore {
         Ok(shape.answer(projected, &mut timer))
     }
 
-    /// Point lookup of the key's rows (plus residual predicates); an
-    /// unkeyed dataset has no row under any key.
+    /// Point lookup of the key's rows (plus residual predicates). A lookup
+    /// on an unkeyed dataset is [`ParError::Unkeyed`], and one whose key is
+    /// of another arity than the dataset's [`ParError::BadColumn`].
     pub fn lookup(
         &self,
         name: &str,
@@ -302,9 +368,10 @@ impl ParStore {
     ) -> Result<IdRows, ParError> {
         let ds = self.request(name)?;
         let width = ds.columns.len();
-        let columns = ds.key_columns();
-        if !columns.is_empty() && columns.len() != key.len() {
-            return Err(ParError::BadColumn);
+        match ds.key_columns().len() {
+            0 => return Err(ParError::Unkeyed(name.to_string())),
+            n if n != key.len() => return Err(ParError::BadColumn),
+            _ => {}
         }
         shape.check(width, preds)?;
         let mut timer = RequestTimer::start(&self.metrics, self.latency);
@@ -348,7 +415,11 @@ impl ParStore {
 
     /// Drop a dataset; returns whether it existed.
     pub fn drop_dataset(&self, name: &str) -> bool {
-        self.datasets.write().remove(name).is_some()
+        let dropped = self.datasets.write().remove(name).is_some();
+        if dropped {
+            self.index_generation.fetch_add(1, Ordering::Release);
+        }
+        dropped
     }
 
     /// Names of all datasets.
@@ -555,14 +626,17 @@ mod tests {
     }
 
     #[test]
-    fn lookups_without_an_index_find_nothing_and_admin_names_are_checked() {
+    fn lookups_on_an_unkeyed_dataset_are_errors_and_admin_names_are_checked() {
         let s = store();
         let all = Shape::default();
-        // An unkeyed dataset has no row under any key.
+        // An unkeyed dataset answers no lookup: an error, not an empty
+        // answer that would pass for "no row holds the key".
+        let unkeyed = Err(ParError::Unkeyed("visits".into()));
         assert_eq!(
             values(s.lookup("visits", &[Value::Int(7)], &[], &all)),
-            Ok(vec![])
+            unkeyed
         );
+        assert_eq!(s.metrics.snapshot().requests, 0, "nothing was charged");
         let s = keyed(&["user"]);
         let two = [Value::Int(7), Value::str("url7")];
         assert_eq!(
@@ -570,7 +644,9 @@ mod tests {
             Err(ParError::BadColumn)
         );
         let ghost = Err(ParError::UnknownDataset("ghost".into()));
-        assert_eq!(s.apply_delta("ghost", &[], &[]), ghost.map(|()| 0));
+        assert_eq!(s.apply_delta("ghost", &[], &[]), ghost.clone().map(|()| 0));
+        assert_eq!(s.key_dataset("ghost", 0), ghost.map(|()| false));
+        assert_eq!(s.key_dataset("visits", 3), Err(ParError::BadColumn));
         let columns = ["user", "url", "revenue"];
         assert_eq!(
             s.create_dataset("visits", &columns, &["user", "nope"], [], 2),
@@ -586,6 +662,64 @@ mod tests {
                 .len(),
             10
         );
+    }
+
+    #[test]
+    fn keying_a_dataset_rebuilds_what_a_keyed_fill_builds_once_as_one_request() {
+        let s = store();
+        let generation = s.index_generation();
+        let reader = s.dataset("visits").unwrap();
+        assert!(s.key_columns("visits").is_empty());
+        assert_eq!(s.key_dataset("visits", 1), Ok(true));
+        // Charged as one request that scans every row; the key moved the
+        // generation once.
+        let charged = s.metrics.snapshot();
+        assert_eq!((charged.requests, charged.tuples_scanned), (1, 1000));
+        assert_eq!(s.index_generation(), generation + 1);
+        assert_eq!(s.key_columns("visits"), [1]);
+        // Exactly the dataset a fill keyed on `url` builds from the rows in
+        // scan order, and the reader keeps its unkeyed snapshot.
+        let columns = ["user", "url", "revenue"];
+        let scanned = kernel::values_of(reader.iter_rows());
+        let filled = Dataset::from_rows(&columns, &[1], scanned, 4).unwrap();
+        assert_eq!(s.dataset("visits").unwrap().partitions, filled.partitions);
+        assert!(reader.key_columns().is_empty());
+        assert_eq!(reader.len(), 1000);
+        drop(reader);
+        // A key is never replaced, and asking again charges nothing.
+        assert_eq!(s.key_dataset("visits", 0), Ok(false));
+        assert_eq!(s.key_dataset("visits", 1), Ok(false));
+        assert_eq!(s.metrics.snapshot().requests, 1);
+        assert_eq!(s.index_generation(), generation + 1);
+        assert_eq!(s.key_columns("visits"), [1]);
+        // A lookup answers what a scan of the unkeyed dataset answered, in
+        // its order.
+        let url7 = Value::str("url7");
+        let all = Shape::default();
+        let found = values(s.lookup("visits", std::slice::from_ref(&url7), &[], &all));
+        let was = [ColPred {
+            col: 1,
+            op: CmpOp::Eq,
+            value: url7,
+        }];
+        let scanned = values(store().scan("visits", &was, &all));
+        assert_eq!(scanned.as_ref().map(Vec::len), Ok(100));
+        assert_eq!(found, scanned);
+        // Writes after the keying patch the keyed blocks in place.
+        let at = |s: &ParStore| Arc::as_ptr(&s.dataset("visits").unwrap());
+        let home = at(&s);
+        let new = vec![Value::Int(7), Value::str("url7"), Value::Double(9.9)];
+        s.apply_delta("visits", &[], std::slice::from_ref(&new))
+            .unwrap();
+        assert_eq!(s.apply_delta("visits", &[new], &[]), Ok(1));
+        assert_eq!(at(&s), home);
+        // Creating and dropping datasets move the generation too.
+        let moved = s.index_generation();
+        let rows = (0..4).map(|i| vec![Value::Int(i)]);
+        s.create_dataset("more", &["user"], &[], rows, 2).unwrap();
+        assert!(s.drop_dataset("more"));
+        assert!(!s.drop_dataset("more"));
+        assert_eq!(s.index_generation(), moved + 2);
     }
 
     #[test]

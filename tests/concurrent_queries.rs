@@ -89,17 +89,18 @@ fn concurrent_run(est: &Estocada, work: &[Q], threads: usize) -> Vec<Norm> {
         .collect()
 }
 
-/// `est` with the relational indexes `work` asks for built ahead of it: a
-/// `twin` deployed alike runs `work` until a pass builds no index, and
-/// `est` gets the indexes the twin's store then holds. No run of `work` on
-/// `est` builds one, so every run prices its plans alike, in any order and
-/// on any thread. Only the stores are touched: `est` has planned nothing.
+/// `est` with the relational indexes and parallel keys `work` asks for
+/// built ahead of it: a `twin` deployed alike runs `work` until a pass
+/// builds no index and keys no dataset, and `est` gets the indexes and keys
+/// the twin's stores then hold. No run of `work` on `est` builds one, so
+/// every run prices its plans alike, in any order and on any thread. Only
+/// the stores are touched: `est` has planned nothing.
 fn with_indexes_of(est: Estocada, twin: &Estocada, work: &[Q]) -> Estocada {
-    let rel = &twin.stores.rel;
+    let (rel, par) = (&twin.stores.rel, &twin.stores.par);
     loop {
-        let generation = rel.index_generation();
+        let generation = twin.stores.index_generation();
         work.iter().for_each(|q| drop(common::run_q(twin, q)));
-        if rel.index_generation() == generation {
+        if twin.stores.index_generation() == generation {
             break;
         }
     }
@@ -109,12 +110,18 @@ fn with_indexes_of(est: Estocada, twin: &Estocada, work: &[Q]) -> Estocada {
             est.stores.rel.create_index(&table, &columns[c]).unwrap();
         }
     }
+    // A key the fill gave `est` too is kept as it is.
+    for dataset in par.dataset_names() {
+        if let Some(&c) = par.key_columns(&dataset).first() {
+            est.stores.par.key_dataset(&dataset, c).unwrap();
+        }
+    }
     est
 }
 
-/// A shared engine, its relational indexes those the whole workload asks
-/// for: no run builds one, so the answers and reports of every run depend
-/// on neither the thread nor the order it runs in.
+/// A shared engine, its relational indexes and parallel keys those the
+/// whole workload asks for: no run builds one, so the answers and reports
+/// of every run depend on neither the thread nor the order it runs in.
 fn engine(cache: bool) -> Estocada {
     let deploy = || deploy_kv_migrated(&market(), Latencies::zero());
     let mut work = workload();

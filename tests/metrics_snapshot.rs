@@ -1,10 +1,12 @@
 //! `Estocada::metrics`, checked against what one session did to
 //! `deploy_materialized_join`: an added and a dropped fragment, three DML
-//! batches, repeated queries through the plan cache and past it, a
-//! scripted key-value outage, and two more writes, one that keeps every
-//! prepared plan and one that gets some priced again. At every step the
-//! text exposition is parsed back: no name and label set appears twice, and
-//! every value is the one the snapshot holds.
+//! batches, repeated queries through the plan cache and past it — the
+//! first of them indexing a relational column and keying a parallel dataset
+//! on demand, each moving the index generation once — a scripted key-value
+//! outage, and two more writes, one that keeps every prepared plan and one
+//! that gets some priced again. At every step the text exposition is parsed
+//! back: no name and label set appears twice, and every value is the one
+//! the snapshot holds.
 
 mod common;
 
@@ -13,7 +15,10 @@ use estocada::{
 };
 use estocada_pivot::{CqBuilder, Value};
 use estocada_workloads::marketplace::generate;
-use estocada_workloads::{cart_pattern, deploy_materialized_join, pref_sql, user_orders_sql};
+use estocada_workloads::{
+    analytics_sql, cart_pattern, deploy_materialized_join, pref_sql, user_orders_sql,
+    AnalyticsQuery,
+};
 use std::collections::BTreeMap;
 
 /// Datasets the deployment registers (`sales` and `Carts`); each of its
@@ -54,6 +59,10 @@ fn expected(m: &Metrics) -> BTreeMap<String, u128> {
     put(
         "estocada_plans_repriced_total".into(),
         m.plans_repriced.into(),
+    );
+    put(
+        "estocada_index_generation".into(),
+        m.index_generation.into(),
     );
     for b in &m.backends {
         let sys = format!("system=\"{}\"", b.system);
@@ -189,11 +198,28 @@ fn the_snapshot_counts_what_the_session_did() {
     check(&est.metrics(), ddl, 3, "an upsert");
 
     // Every query through the plan cache counts one hit or one miss; one
-    // past it counts neither.
-    let mut cached = 0u64;
-    for _ in 0..3 {
+    // past it counts neither. The first order-history lookup paid a scan of
+    // `Orders` for a `uid` and indexed that column: the index generation
+    // moved once, and no lookup after it moves it again.
+    let generation = est.metrics().index_generation;
+    let mut cached = run_lookups(&est);
+    assert_eq!(est.metrics().index_generation, generation + 1, "Orders.uid");
+    for _ in 0..2 {
         cached += run_lookups(&est);
     }
+    assert_eq!(est.metrics().index_generation, generation + 1, "a repeat");
+    // The first category rollup paid a scan of the unkeyed `WebLogPar` for
+    // a `category`: the dataset is keyed on it, once.
+    let engagement = analytics_sql(&AnalyticsQuery::CategoryEngagement {
+        category: "laptop".into(),
+    });
+    assert!(est.stores.par.key_columns("WebLogPar").is_empty());
+    for _ in 0..3 {
+        est.query(&engagement).run().expect("engagement");
+        cached += 1;
+        assert_eq!(est.metrics().index_generation, generation + 2, "WebLogPar");
+    }
+    assert_eq!(est.stores.par.key_columns("WebLogPar"), [3], "`category`");
     for uid in [1i64, 3] {
         est.query(&pref_sql(uid))
             .no_plan_cache()

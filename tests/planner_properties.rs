@@ -598,9 +598,10 @@ fn deploy_every_layout(m: &Marketplace, latencies: Latencies) -> Estocada {
 ///
 /// Each query is translated twice on one engine, and run through it in
 /// between: the run indexes exactly the `=` columns its chosen plan
-/// scanned tables for, and the second translation probes them — priced at
-/// 0 scanned, and the store scans 0 — and still notes only columns the
-/// store does not index.
+/// scanned tables for and keys the unkeyed datasets it so scanned, and the
+/// second translation probes them — priced at 0 scanned, and the store
+/// scans 0 — and still notes only columns the store does not index and
+/// datasets it has not keyed.
 #[test]
 fn every_unit_scans_what_its_access_estimates() {
     let m = generate(cfg());
@@ -619,10 +620,22 @@ fn every_unit_scans_what_its_access_estimates() {
     let mut probed_on_the_second_pass = 0;
     for (name, deploy) in DEPLOYMENTS.into_iter().chain([every_layout]) {
         let est = deploy(&m, Latencies::zero());
-        let indexes = || -> BTreeSet<(String, usize)> {
-            let rel = &est.stores.rel;
-            let indexed = |t: String| rel.indexed(&t).into_iter().map(move |c| (t.clone(), c));
-            rel.table_names().into_iter().flat_map(indexed).collect()
+        // Every relational index and every parallel key column.
+        let indexes = || -> BTreeSet<(SystemId, String, usize)> {
+            let (rel, par) = (&est.stores.rel, &est.stores.par);
+            let on = |sys, c: String| move |col| (sys, c.clone(), col);
+            let indexed = |t: String| rel.indexed(&t).into_iter().map(on(SystemId::Relational, t));
+            let keyed = |d: String| {
+                par.key_columns(&d)
+                    .into_iter()
+                    .map(on(SystemId::Parallel, d))
+            };
+            let datasets = par.dataset_names().into_iter().flat_map(keyed);
+            rel.table_names()
+                .into_iter()
+                .flat_map(indexed)
+                .chain(datasets)
+                .collect()
         };
         let mut queries = families(&m);
         queries.extend(shapes.iter().map(|sql| Q::Sql(sql.to_string())));
@@ -667,10 +680,14 @@ fn every_unit_scans_what_its_access_estimates() {
                     };
                     run_each_unit(&est, &tr.plan, &mut tr.unit_systems.iter(), &mut check);
                     assert!(estimates.next().is_none(), "{name} {q:?}: a unit not run");
-                    // A unit notes only columns the store does not index.
+                    // A unit notes only table columns the store does not
+                    // index and datasets it has not keyed.
                     for scan in &tr.eq_scans {
-                        let indexed = est.stores.rel.indexed(&scan.table);
-                        assert!(!indexed.contains(&scan.column), "{name} {q:?}: {scan:?}");
+                        let at = (scan.system, scan.container.clone(), scan.column);
+                        let keyed = !est.stores.par.key_columns(&scan.container).is_empty();
+                        let held =
+                            indexes().contains(&at) || (scan.system == SystemId::Parallel && keyed);
+                        assert!(!held, "{name} {q:?}: {scan:?}");
                         let noted = first.is_none_or(|f| f.eq_scans.contains(scan));
                         assert!(noted, "{name} {q:?}: {scan:?} is new");
                     }
@@ -686,7 +703,7 @@ fn every_unit_scans_what_its_access_estimates() {
             let (_, chosen) = (first.iter())
                 .find(|(rw, _)| rw == chosen)
                 .expect("the chosen rewriting translates");
-            let noted = chosen.eq_scans.iter().map(|s| (s.table.clone(), s.column));
+            let noted = (chosen.eq_scans.iter()).map(|s| (s.system, s.container.clone(), s.column));
             assert_eq!(built, noted.collect(), "{name} {q:?}: built");
             let second = translations();
             assert_eq!(first.len(), second.len(), "{name} {q:?}");
